@@ -19,17 +19,7 @@ import argparse
 import sys
 from typing import Optional
 
-from repro.serve.spec import ServeSpec
-
-
-def _load(path: str) -> Optional[ServeSpec]:
-    from repro.serve.spec import ServeSpecError, load_serve_spec_file
-
-    try:
-        return load_serve_spec_file(path)
-    except (OSError, ServeSpecError) as exc:
-        print(f"error: cannot load serve spec {path!r}: {exc}", file=sys.stderr)
-        return None
+from repro.serve.cli import load_or_report
 
 
 def _strategies(arg: Optional[str]) -> Optional[list[str]]:
@@ -50,24 +40,6 @@ def _strategies(arg: Optional[str]) -> Optional[list[str]]:
     return chosen
 
 
-def _wrap_spec(spec: ServeSpec, strategies: list[str], seeds: int, obs: bool):
-    """A serve spec as a kind-"compete" sweep over seeds x strategies."""
-    from repro.sweep.spec import load_sweep_spec
-
-    return load_sweep_spec(
-        {
-            "name": spec.name,
-            "kind": "compete",
-            "seed": spec.seed,
-            "description": spec.description,
-            "seeds": seeds,
-            "serve": spec.to_dict(),
-            "strategies": strategies,
-            "obs": obs,
-        }
-    )
-
-
 def cmd_compete(args: argparse.Namespace) -> int:
     handler = {
         "validate": _cmd_validate,
@@ -79,15 +51,16 @@ def cmd_compete(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     from repro.algos.registry import get_strategy
+    from repro.serve.sweep_kind import serve_sweep
 
-    spec = _load(args.spec)
+    spec = load_or_report(args.spec)
     if spec is None:
         return 1
     strategies = _strategies(args.strategies)
     if strategies is None:
         return 1
     # Exercise the full sweep-spec validation path too (what run uses).
-    _wrap_spec(spec, strategies, seeds=1, obs=False)
+    serve_sweep(spec, 1, kind="compete", strategies=strategies)
     print(f"compete spec {spec.name!r} is valid:")
     print(f"  workload:   {spec.mode}-loop, {spec.requests} requests over "
           f"{spec.flows} flows on {spec.topology}")
@@ -103,39 +76,25 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.obs import make_obs
-    from repro.obs.manifest import write_manifest
-    from repro.sweep.executor import run_sweep
-    from repro.sweep.merge import build_sweep_results
+    from repro.serve.sweep_kind import serve_sweep
+    from repro.sweep.cli import run_fleet
+    from repro.sweep.merge import write_results_manifest
 
-    spec = _load(args.spec)
+    spec = load_or_report(args.spec)
     if spec is None:
         return 1
     strategies = _strategies(args.strategies)
     if strategies is None:
         return 1
-    sweep = _wrap_spec(spec, strategies, seeds=args.seeds, obs=args.obs)
+    sweep = serve_sweep(
+        spec, args.seeds, kind="compete", obs=args.obs, strategies=strategies
+    )
     print(f"compete {spec.name!r}: {len(strategies)} strategy(ies) x "
           f"{args.seeds} seed(s), {args.workers} worker(s)"
           + (", resuming" if args.resume else ""))
 
     obs = make_obs() if args.obs else None
-    run = run_sweep(
-        sweep,
-        workers=args.workers,
-        cache_dir=args.cache_dir,
-        resume=args.resume,
-        obs=obs,
-    )
-    for failure in run.failures:
-        print(
-            f"SHARD FAILURE {failure['shard_id']} "
-            f"({failure['attempts']} attempt(s)): "
-            f"{failure['error_type']}: {failure['message']}",
-            file=sys.stderr,
-        )
-    results = build_sweep_results(
-        sweep, run.shard_docs, run.failures, run.shards_total
-    )
+    run, results = run_fleet(sweep, args, obs)
     # The scoreboard manifest is a byte-identity gate across worker
     # counts (bench_compare --exact '*'), so host-time bookkeeping
     # stays out of the results tree entirely.
@@ -143,14 +102,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         {name: value for name, value in shard.items() if name != "wall"}
         for shard in results["shards"]
     ]
-    path = write_manifest(
-        f"compete_{spec.name}",
-        params=sweep.to_dict(),
-        results=results,
-        seed=spec.seed,
-        obs=obs if obs is not None else None,
-        out_dir=args.out_dir,
-        merge=False,
+    path = write_results_manifest(
+        f"compete_{spec.name}", sweep, results, out_dir=args.out_dir, obs=obs
     )
     aggregates = results["aggregates"]
     print(f"wrote {path}")
@@ -225,6 +178,8 @@ def _cmd_duel(args: argparse.Namespace) -> int:
 
 
 def add_compete_parser(sub: argparse._SubParsersAction) -> None:
+    from repro.sweep.cli import add_fleet_flags
+
     parser = sub.add_parser(
         "compete",
         help="head-to-head update-strategy competition (repro.algos)",
@@ -252,18 +207,7 @@ def add_compete_parser(sub: argparse._SubParsersAction) -> None:
         "--seeds", type=int, default=1,
         help="seeded workload replicas per strategy (paired across them)",
     )
-    prun.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes (1 = serial in-process execution, default)",
-    )
-    prun.add_argument(
-        "--resume", action="store_true",
-        help="reuse completed shards from the on-disk cache",
-    )
-    prun.add_argument(
-        "--cache-dir", default=None,
-        help="shard-result cache root (default .sweep_cache)",
-    )
+    add_fleet_flags(prun)
     prun.add_argument(
         "--out-dir", default=None,
         help="directory for BENCH_compete_<name>.json (default: repo root "

@@ -998,32 +998,16 @@ def batch_from_serve_spec(
     lifts the prepared updates into the static model — no simulation
     runs.
     """
-    import dataclasses
-
-    import numpy as np
-
     from repro.analysis.plan import plan_from_prepared
-    from repro.chaos.runner import TOPOLOGIES
-    from repro.harness.build import build_p4update_network
-    from repro.params import SimParams
-    from repro.serve.service import _FLOW_STREAM, apply_link_capacity
-    from repro.serve.workload import build_flow_population
+    from repro.serve.service import build_service_deployment, link_capacities
     from repro.sim.reset import reset_global_state
 
     reset_global_state()
-    topo = TOPOLOGIES[spec.topology]()
-    apply_link_capacity(topo, spec.link_capacity)
-    params = SimParams(seed=spec.seed)
-    if spec.params:
-        params = dataclasses.replace(params, **dict(spec.params))
-    deployment = build_p4update_network(topo, params=params)
-    flow_rng = np.random.default_rng([spec.seed, _FLOW_STREAM])
-    population = build_flow_population(
-        topo, spec.flows, flow_rng, mean_size=spec.mean_flow_size
+    # The static model is of P4Update plans, whatever the spec deploys.
+    deployment, population = build_service_deployment(
+        spec, strategy="p4update"
     )
     plans: list[UpdatePlan] = []
-    for service_flow in population:
-        deployment.install_flow(service_flow.to_flow())
     for service_flow in population:
         record = deployment.controller.record_of(service_flow.flow_id)
         prior = record.version
@@ -1031,17 +1015,12 @@ def batch_from_serve_spec(
             service_flow.flow_id, list(service_flow.alternate)
         )
         plans.append(plan_from_prepared(prepared, prior_version=prior))
-    capacities: dict[tuple[str, str], float] = {}
-    for a, b in topo.graph.edges:
-        cap = float(topo.graph.edges[a, b]["capacity"])
-        capacities[(a, b)] = cap
-        capacities[(b, a)] = cap
     policies = BatchPolicies(
         same_flow=True,
         shared_switch=(spec.switch_conflict == "serialize"),
         max_in_flight=spec.max_in_flight,
     )
-    return plans, policies, capacities
+    return plans, policies, link_capacities(deployment.topology)
 
 
 def analyze_serve_spec(spec: "ServeSpec") -> InterferenceReport:

@@ -25,7 +25,11 @@ simulated time; same seed -> same trace):
   (fixed seed + budget -> byte-identical campaign): wall-clock reads,
   unseeded RNG and set-iteration inside :mod:`repro.fuzz` are all
   re-reported under one name, so the fuzz package can be held to a
-  stricter bar than the rest of the tree without new suppressions.
+  stricter bar than the rest of the tree without new suppressions;
+* ``private-cross-import`` — ``from repro.<pkg>... import _name`` in a
+  file of a different ``repro`` package couples two packages through a
+  name neither promises to keep (a design rule, not a determinism one:
+  a refactor of the owner silently breaks the importer).
 """
 
 from __future__ import annotations
@@ -260,6 +264,34 @@ class FuzzNondeterminismRule(LintRule):
                     line=found.line,
                     col=found.col,
                 )
+
+
+@register_rule
+class PrivateCrossImportRule(LintRule):
+    name = "private-cross-import"
+    description = (
+        "imports a _private name from another repro package; promote "
+        "it to a public name in the module that owns it"
+    )
+
+    def check(self, ctx: LintContext) -> Iterator[Finding]:
+        _, inside, rest = ctx.path.replace("\\", "/").rpartition("repro/")
+        if not inside:
+            return
+        own = rest.split("/")[0].removesuffix(".py")
+        for node in ast.walk(ctx.tree):
+            if not isinstance(node, ast.ImportFrom) or node.level:
+                continue
+            package = (node.module or "").split(".")
+            if package[0] != "repro" or package[1:2] in ([], [own]):
+                continue
+            for alias in node.names:
+                if alias.name.startswith("_") and not alias.name.startswith("__"):
+                    yield self.finding(
+                        ctx, node,
+                        f"{alias.name} is private to repro.{package[1]}; "
+                        f"{node.module} should export a public name",
+                    )
 
 
 _METRIC_METHODS = {"counter", "gauge", "histogram"}

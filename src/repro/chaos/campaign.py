@@ -147,7 +147,7 @@ def topology_nodes(topology: str) -> frozenset[str]:
     deterministic per name, so the cache never goes stale)."""
     cached = _TOPOLOGY_NODES.get(topology)
     if cached is None:
-        from repro.chaos.runner import TOPOLOGIES
+        from repro.topo import TOPOLOGIES
 
         if topology not in TOPOLOGIES:
             raise SpecTopologyError(

@@ -58,8 +58,8 @@ def _load(path: str) -> Optional["FaultCampaign"]:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from repro.sweep.executor import run_sweep
-    from repro.sweep.spec import load_sweep_spec
+    from repro.chaos.sweep_kind import campaign_sweep
+    from repro.sweep.cli import run_fleet
 
     campaign = _load(args.spec)
     if campaign is None:
@@ -70,25 +70,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     # The N same-seed repetitions are a chaos-kind sweep fleet: each
     # run is one shard, executed in a worker process (or inline with
     # --workers 1, the serial path the runner always had).
-    spec = load_sweep_spec({
-        "name": f"chaos-{campaign.name}",
-        "kind": "chaos",
-        "seed": campaign.seed,
-        "campaign": campaign.to_dict(),
-        "runs": args.runs,
-        "obs": args.obs,
-    })
-    run = run_sweep(
-        spec, workers=args.workers, cache_dir=args.cache_dir,
+    run, fleet = run_fleet(
+        campaign_sweep(campaign, args.runs, obs=args.obs), args
     )
-    for failure in run.failures:
-        print(
-            f"SHARD FAILURE {failure['shard_id']} "
-            f"({failure['attempts']} attempt(s)): "
-            f"{failure['error_type']}: {failure['message']}",
-            file=sys.stderr,
-        )
-    docs = sorted(run.shard_docs, key=lambda d: int(d["index"]))
+    docs = fleet["shards"]
     for doc in docs:
         results = doc["results"]
         status = "CONSISTENT" if results["consistent"] else "VIOLATIONS"
@@ -116,10 +101,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
             stuck = (results["flows_total"] - results["flows_completed"]
                      - results["flows_parked"])
             print(f"INCOMPLETE: {stuck} flow(s) neither completed nor parked")
-    signatures = {doc["results"]["trace_signature"] for doc in docs}
-    if len(signatures) > 1:
+    if not fleet["aggregates"]["deterministic"]:
         ok = False
-        print(f"NON-DETERMINISTIC: {len(signatures)} distinct trace signatures")
+        print(f"NON-DETERMINISTIC: "
+              f"{fleet['aggregates']['distinct_trace_signatures']} "
+              f"distinct trace signatures")
     if docs:
         for report in docs[0]["results"]["parked_reports"]:
             print(
@@ -150,6 +136,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def add_chaos_parser(sub: argparse._SubParsersAction) -> None:
+    from repro.sweep.cli import add_fleet_flags
+
     parser = sub.add_parser(
         "chaos", help="robustness: run fault-injection campaigns"
     )
@@ -162,14 +150,8 @@ def add_chaos_parser(sub: argparse._SubParsersAction) -> None:
         "--runs", type=int, default=2,
         help="same-seed repetitions for the determinism check (default 2)",
     )
-    prun.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes for the repetitions (default 1: serial)",
-    )
-    prun.add_argument(
-        "--cache-dir", default=None,
-        help="sweep shard-cache root (default .sweep_cache)",
-    )
+    # Every repetition must really re-run: no --resume.
+    add_fleet_flags(prun, resume=False)
     prun.add_argument(
         "--obs", action="store_true",
         help="instrument runs with live metrics (fault/retry/recovery counters)",

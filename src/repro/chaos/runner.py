@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -42,23 +42,7 @@ from repro.params import SimParams
 from repro.sim.reset import reset_global_state
 from repro.sim.faults import CompositeFaultModel, FaultModel, FaultPolicy
 from repro.sim.trace import Trace
-from repro.topo.attmpls import attmpls_topology
-from repro.topo.b4 import b4_topology
-from repro.topo.chinanet import chinanet_topology
-from repro.topo.fattree import fattree_topology
-from repro.topo.graph import Topology
-from repro.topo.internet2 import internet2_topology
-from repro.topo.synthetic import fig1_topology, fig2_topology
-
-TOPOLOGIES: dict[str, Callable[[], Topology]] = {
-    "fig1": fig1_topology,
-    "fig2": fig2_topology,
-    "b4": b4_topology,
-    "internet2": internet2_topology,
-    "chinanet": chinanet_topology,
-    "attmpls": attmpls_topology,
-    "fattree4": lambda: fattree_topology(4),
-}
+from repro.topo import TOPOLOGIES
 
 UPDATE_TYPES = {
     "auto": None,
@@ -206,7 +190,9 @@ def build_campaign_deployment(
     return deployment, scenario, checker
 
 
-def _apply_topo_event(deployment: P4UpdateDeployment, event: TopoEvent) -> None:
+def apply_topo_event(deployment: P4UpdateDeployment, event: TopoEvent) -> None:
+    """Apply one scheduled topology event (the engine callback every
+    chaos-capable runner — campaigns, serve, ops — schedules)."""
     network = deployment.network
     if event.kind == "link_down":
         network.set_link_state(event.node_a, event.node_b, up=False)
@@ -267,7 +253,7 @@ def run_campaign(
         # failures can lose messages already on the wire.
         network.enable_chaos()
         for event in campaign.events:
-            engine.schedule_at(event.time_ms, _apply_topo_event, deployment, event)
+            engine.schedule_at(event.time_ms, apply_topo_event, deployment, event)
 
     engine.schedule_at(
         campaign.update_at_ms,

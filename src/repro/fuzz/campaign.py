@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import traceback
 from dataclasses import dataclass, fields as dataclass_fields
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from repro.fuzz.corpus import corpus_doc
 from repro.fuzz.coverage import CoverageMap
@@ -284,7 +284,20 @@ class FuzzCampaignResult:
         }
 
 
-ProgressFn = Callable[[Any, str], None]
+def fuzz_sweep_spec(spec: FuzzSpec) -> Any:
+    """The campaign as a sweep (kind ``fuzz``): ``spec.shards`` shards
+    splitting the case budget."""
+    from repro.sweep.spec import load_sweep_spec
+
+    return load_sweep_spec(
+        {
+            "name": spec.name,
+            "kind": "fuzz",
+            "seed": spec.seed,
+            "runs": spec.shards,
+            "fuzz": spec.to_dict(),
+        }
+    )
 
 
 def run_fuzz_campaign(
@@ -292,29 +305,27 @@ def run_fuzz_campaign(
     workers: int = 1,
     cache_dir: Optional[str] = None,
     resume: bool = False,
-    progress: Optional[ProgressFn] = None,
     shrink_findings: Optional[bool] = None,
 ) -> FuzzCampaignResult:
     """Run (or resume) one campaign through the sweep executor."""
     from repro.sweep.executor import run_sweep
-    from repro.sweep.merge import results_signature
-    from repro.sweep.spec import SweepSpec
+    from repro.sweep.merge import build_sweep_results
 
-    sweep_spec = SweepSpec(
-        name=spec.name,
-        kind="fuzz",
-        seed=spec.seed,
-        runs=spec.shards,
-        fuzz=spec.to_dict(),
+    sweep = fuzz_sweep_spec(spec)
+    run = run_sweep(sweep, workers=workers, cache_dir=cache_dir, resume=resume)
+    results = build_sweep_results(
+        sweep, run.shard_docs, run.failures, run.shards_total
     )
-    run = run_sweep(
-        sweep_spec,
-        workers=workers,
-        cache_dir=cache_dir,
-        resume=resume,
-        progress=progress,
-    )
-    ordered = sorted(run.shard_docs, key=lambda d: int(d["index"]))
+    return merge_fuzz_campaign(spec, results, shrink_findings)
+
+
+def merge_fuzz_campaign(
+    spec: FuzzSpec, fleet: dict, shrink_findings: Optional[bool] = None
+) -> FuzzCampaignResult:
+    """Merge a campaign fleet's results tree
+    (:func:`repro.sweep.merge.build_sweep_results`): dedupe findings by
+    failure key and shrink them into corpus-ready documents."""
+    ordered = fleet["shards"]
 
     outcomes: dict[str, int] = {outcome: 0 for outcome in OUTCOMES}
     coverage = CoverageMap()
@@ -351,11 +362,11 @@ def run_fuzz_campaign(
 
     return FuzzCampaignResult(
         spec=spec,
-        spec_hash=sweep_spec.spec_hash(),
-        signature=results_signature(ordered),
-        shards_total=run.shards_total,
-        shards_failed=len(run.failures),
-        shard_failures=list(run.failures),
+        spec_hash=fleet["spec_hash"],
+        signature=fleet["signature"],
+        shards_total=fleet["shards_total"],
+        shards_failed=fleet["shards_failed"],
+        shard_failures=fleet["failures"],
         outcomes=outcomes,
         coverage=coverage.keys(),
         findings=findings,

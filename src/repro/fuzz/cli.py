@@ -70,7 +70,11 @@ def _build_spec(args: argparse.Namespace) -> Optional["FuzzSpec"]:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from repro.fuzz.campaign import run_fuzz_campaign, write_fuzz_manifest
+    from repro.fuzz.campaign import (
+        fuzz_sweep_spec,
+        merge_fuzz_campaign,
+        write_fuzz_manifest,
+    )
     from repro.fuzz.corpus import (
         expected_key,
         finding_name,
@@ -93,12 +97,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         + (", resuming" if args.resume else "")
     )
 
-    result = run_fuzz_campaign(
-        spec,
-        workers=args.workers,
-        cache_dir=args.cache_dir,
-        resume=args.resume,
-        shrink_findings=False if args.no_shrink else None,
+    from repro.sweep.cli import run_fleet
+
+    _, fleet = run_fleet(fuzz_sweep_spec(spec), args)
+    result = merge_fuzz_campaign(
+        spec, fleet, shrink_findings=False if args.no_shrink else None
     )
     path = write_fuzz_manifest(result, out_dir=args.out_dir)
     print(f"wrote {path}")
@@ -108,11 +111,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         + " ".join(f"{k}={v}" for k, v in sorted(result.outcomes.items()))
     )
     print(f"coverage {len(result.coverage)} key(s)")
-    for failure in result.shard_failures:
-        print(
-            f"SHARD FAILURE {failure['shard_id']}: "
-            f"{failure['error_type']}: {failure['message']}"
-        )
     for crash in result.crashes:
         print(
             f"contained crash: shard seed {crash['seed']} "
@@ -219,6 +217,8 @@ def _cmd_shrink(args: argparse.Namespace) -> int:
 
 
 def add_fuzz_parser(sub: argparse._SubParsersAction) -> None:
+    from repro.sweep.cli import add_fleet_flags
+
     parser = sub.add_parser(
         "fuzz", help="coverage-guided scenario fuzzing with shrinking"
     )
@@ -242,18 +242,7 @@ def add_fuzz_parser(sub: argparse._SubParsersAction) -> None:
         help="comma-separated case kinds "
              "(plan,chaos,serve,divergence,ops,compete)",
     )
-    prun.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes (1 = serial in-process execution, default)",
-    )
-    prun.add_argument(
-        "--cache-dir", default=None,
-        help="shard-result cache root (default .sweep_cache)",
-    )
-    prun.add_argument(
-        "--resume", action="store_true",
-        help="reuse completed shards from the on-disk cache",
-    )
+    add_fleet_flags(prun)
     prun.add_argument(
         "--no-shrink", action="store_true",
         help="skip automatic shrinking of merged findings",

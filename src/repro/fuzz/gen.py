@@ -145,7 +145,7 @@ def topology_material(name: str) -> tuple[tuple[str, ...], tuple[tuple[str, str]
     """Sorted ``(nodes, edges)`` of a named topology (cached)."""
     cached = _TOPOLOGY_CACHE.get(name)
     if cached is None:
-        from repro.chaos.runner import TOPOLOGIES
+        from repro.topo import TOPOLOGIES
 
         topo = TOPOLOGIES[name]()
         nodes = tuple(sorted(str(n) for n in topo.graph.nodes()))

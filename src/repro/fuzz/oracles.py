@@ -45,7 +45,6 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Any
 
-import numpy as np
 
 from repro.fuzz.coverage import obs_coverage_keys
 from repro.fuzz.gen import FUZZ_KINDS, FuzzCase
@@ -53,10 +52,6 @@ from repro.sim.reset import reset_global_state
 
 #: Classification outcomes, from best to worst.
 OUTCOMES = ("pass", "violation", "divergence", "crash")
-
-#: Scenario-stream domain separator (same value the sweep worker uses,
-#: so divergence scenarios look exactly like sweep-shard scenarios).
-_SCENARIO_STREAM = 0x5CE2
 
 
 @dataclass(frozen=True)
@@ -466,19 +461,15 @@ def _evaluate_compete(payload: dict) -> OracleVerdict:
 
 
 def _evaluate_divergence(payload: dict) -> OracleVerdict:
-    from repro.chaos.runner import TOPOLOGIES
     from repro.harness.experiment import run_experiment
-    from repro.harness.scenarios import multi_flow_scenario, single_flow_scenario
+    from repro.harness.sweep_kind import seeded_scenario
     from repro.params import SimParams
 
     seed = int(payload["seed"])
-    topo = TOPOLOGIES[str(payload["topology"])]()
-    scenario_rng = np.random.default_rng([seed, _SCENARIO_STREAM])
     try:
-        if str(payload.get("scenario", "single")) == "single":
-            scenario = single_flow_scenario(topo, rng=scenario_rng)
-        else:
-            scenario = multi_flow_scenario(topo, rng=scenario_rng)
+        scenario = seeded_scenario(
+            str(payload["topology"]), str(payload.get("scenario", "single")), seed
+        )
     except RuntimeError as exc:
         return OracleVerdict(
             outcome="pass",

@@ -77,19 +77,11 @@ def cmd_fig7(args) -> int:
         fig7_sweep_spec,
     )
     from repro.harness.metrics import summarize
-    from repro.sweep.executor import run_sweep
-    from repro.sweep.merge import attach_shard_keys
+    from repro.sweep.cli import run_fleet
 
     spec = fig7_sweep_spec(args.scenario, runs=args.runs, seed=args.seed)
-    run = run_sweep(spec, workers=args.workers, cache_dir=args.cache_dir,
-                    resume=args.resume)
-    for failure in run.failures:
-        print(
-            f"SHARD FAILURE {failure['shard_id']}: "
-            f"{failure['error_type']}: {failure['message']}",
-            file=sys.stderr,
-        )
-    times, skipped = fig7_paired_times(attach_shard_keys(spec, run.shard_docs))
+    run, results = run_fleet(spec, args)
+    times, skipped = fig7_paired_times(results["shards"])
     for system in FIG7_SYSTEMS:
         print(summarize(times[system]).row(system))
     print(f"skipped scenarios: {skipped}")
@@ -98,21 +90,13 @@ def cmd_fig7(args) -> int:
 
 def cmd_fig8(args) -> int:
     from repro.harness.prep import FIG8_LABELS, fig8_sweep_spec
-    from repro.sweep.executor import run_sweep
-    from repro.sweep.merge import aggregate_prep, attach_shard_keys
+    from repro.sweep.cli import run_fleet
 
     spec = fig8_sweep_spec(
         updates=args.updates, count_updates=args.count_updates, seed=args.seed
     )
-    run = run_sweep(spec, workers=args.workers, cache_dir=args.cache_dir,
-                    resume=args.resume)
-    for failure in run.failures:
-        print(
-            f"SHARD FAILURE {failure['shard_id']}: "
-            f"{failure['error_type']}: {failure['message']}",
-            file=sys.stderr,
-        )
-    aggregates = aggregate_prep(attach_shard_keys(spec, run.shard_docs))
+    run, results = run_fleet(spec, args)
+    aggregates = results["aggregates"]
     print(f"deterministic operation counts ({args.count_updates} updates)")
     for topology, row in aggregates["topologies"].items():
         label = FIG8_LABELS.get(topology, topology)
@@ -357,6 +341,8 @@ def _print_span(span, indent: int = 0) -> None:
 
 
 def main(argv=None) -> int:
+    from repro.sweep.cli import add_fleet_flags
+
     parser = argparse.ArgumentParser(
         prog="p4update-repro",
         description="Regenerate the P4Update (CoNEXT'21) experiments.",
@@ -369,25 +355,11 @@ def main(argv=None) -> int:
     p7 = sub.add_parser("fig7", help="one Fig. 7 cell (sweep-executed)")
     p7.add_argument("scenario", choices=sorted(FIG7_SCENARIOS))
     p7.add_argument("--runs", type=int, default=15)
-    p7.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes for the cell's (system x seed) grid",
-    )
-    p7.add_argument("--resume", action="store_true",
-                    help="reuse cached shards from an interrupted run")
-    p7.add_argument("--cache-dir", default=None,
-                    help="shard cache root (default .sweep_cache)")
+    add_fleet_flags(p7)
     p8 = sub.add_parser(
         "fig8", help="control-plane preparation ratios (sweep-executed)"
     )
-    p8.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes, one shard per WAN topology",
-    )
-    p8.add_argument("--resume", action="store_true",
-                    help="reuse cached shards from an interrupted run")
-    p8.add_argument("--cache-dir", default=None,
-                    help="shard cache root (default .sweep_cache)")
+    add_fleet_flags(p8)
     p8.add_argument("--updates", type=int, default=1000,
                     help="updates per wall-clock timing loop")
     p8.add_argument("--count-updates", type=int, default=50,

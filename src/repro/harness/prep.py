@@ -28,6 +28,7 @@ from repro.core.messages import UpdateType
 from repro.harness.build import P4UpdateDeployment, build_p4update_network
 from repro.harness.scenarios import UpdateScenario, multi_flow_scenario
 from repro.params import SimParams
+from repro.topo import TOPOLOGIES
 from repro.topo.graph import Topology
 
 #: The Fig. 8 evaluation topologies (paper §9.3), by sweep name.
@@ -178,20 +179,7 @@ def prep_operation_counts(
     deterministic results subtree; the wall-clock timings for the
     printed figure are quarantined under ``_wall``.
     """
-    from repro.topo import (
-        attmpls_topology,
-        b4_topology,
-        chinanet_topology,
-        internet2_topology,
-    )
-
-    factories: dict[str, Callable[[], Topology]] = {
-        "b4": b4_topology,
-        "internet2": internet2_topology,
-        "attmpls": attmpls_topology,
-        "chinanet": chinanet_topology,
-    }
-    if topology not in factories:
+    if topology not in FIG8_TOPOLOGIES:
         raise ValueError(
             f"unknown fig8 topology {topology!r}; known: {FIG8_TOPOLOGIES}"
         )
@@ -201,7 +189,7 @@ def prep_operation_counts(
     for attempt in range(8):
         try:
             topo, scenario, deployment = prep_workload(
-                factories[topology], seed=seed + attempt
+                TOPOLOGIES[topology], seed=seed + attempt
             )
             break
         except RuntimeError as exc:

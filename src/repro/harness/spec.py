@@ -28,17 +28,7 @@ from typing import Any
 from repro.harness.experiment import ExperimentResult, run_experiment
 from repro.harness.scenarios import UpdateScenario
 from repro.params import SimParams
-from repro.topo import (
-    attmpls_topology,
-    b4_topology,
-    chinanet_topology,
-    fattree_topology,
-    fig1_topology,
-    fig2_topology,
-    internet2_topology,
-    ring_topology,
-    six_node_topology,
-)
+from repro.topo import TOPOLOGIES, fattree_topology, ring_topology
 from repro.topo.graph import Topology
 from repro.topo.zoo import load_graphml
 from repro.traffic.flows import Flow, flow_hash
@@ -47,17 +37,6 @@ from repro.traffic.paths import k_shortest_paths, second_shortest_path
 
 class SpecError(ValueError):
     """Raised for malformed experiment specifications."""
-
-
-_BUILTIN_TOPOLOGIES = {
-    "fig1": fig1_topology,
-    "fig2": fig2_topology,
-    "six_node": six_node_topology,
-    "b4": b4_topology,
-    "internet2": internet2_topology,
-    "attmpls": attmpls_topology,
-    "chinanet": chinanet_topology,
-}
 
 
 def build_topology(spec: dict) -> Topology:
@@ -73,11 +52,11 @@ def build_topology(spec: dict) -> Topology:
         return ring_topology(
             int(spec.get("n", 6)), latency_ms=float(spec.get("latency_ms", 1.0))
         )
-    builder = _BUILTIN_TOPOLOGIES.get(name)
+    builder = TOPOLOGIES.get(name)
     if builder is None:
         raise SpecError(
             f"unknown topology {name!r}; choose from "
-            f"{sorted(_BUILTIN_TOPOLOGIES) + ['fattree', 'ring']}"
+            f"{sorted(TOPOLOGIES) + ['fattree', 'ring']}"
         )
     return builder()
 

@@ -477,9 +477,9 @@ def perfetto_trace(dags: Iterable[dict]) -> dict[str, Any]:
 
 def write_causal_jsonl(dags: Iterable[dict], path_or_file: Any) -> int:
     """One request DAG per JSONL line (``.gz`` paths gzip on the fly)."""
-    from repro.obs.tracefile import _open
+    from repro.obs.tracefile import open_jsonl
 
-    handle, owned = _open(path_or_file, "w")
+    handle, owned = open_jsonl(path_or_file, "w")
     count = 0
     try:
         for dag in dags:
@@ -494,9 +494,9 @@ def write_causal_jsonl(dags: Iterable[dict], path_or_file: Any) -> int:
 
 def iter_causal_jsonl(path_or_file: Any) -> Iterator[dict]:
     """Stream request DAGs back from a sidecar file."""
-    from repro.obs.tracefile import _open
+    from repro.obs.tracefile import open_jsonl
 
-    handle, owned = _open(path_or_file, "r")
+    handle, owned = open_jsonl(path_or_file, "r")
     try:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()

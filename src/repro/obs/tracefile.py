@@ -50,7 +50,9 @@ def event_from_dict(doc: dict) -> TraceEvent:
     )
 
 
-def _open(path_or_file: PathOrFile, mode: str):
+def open_jsonl(path_or_file: PathOrFile, mode: str):
+    """``(handle, owned)`` for a path (``.gz`` gzips transparently) or
+    an already-open file object (not owned: the caller keeps it open)."""
     if hasattr(path_or_file, "write") or hasattr(path_or_file, "read"):
         return path_or_file, False
     path = os.fspath(path_or_file)
@@ -66,7 +68,7 @@ def export_trace_jsonl(
     path_or_file: PathOrFile,
 ) -> int:
     """Write one JSON object per event; returns the event count."""
-    handle, owned = _open(path_or_file, "w")
+    handle, owned = open_jsonl(path_or_file, "w")
     count = 0
     try:
         for event in trace_or_events:
@@ -80,7 +82,7 @@ def export_trace_jsonl(
 
 
 def iter_trace_jsonl(path_or_file: PathOrFile) -> Iterator[TraceEvent]:
-    handle, owned = _open(path_or_file, "r")
+    handle, owned = open_jsonl(path_or_file, "r")
     try:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()

@@ -25,7 +25,7 @@ import sys
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.ops.session import OpsResult
+    from repro.ops.session import OpsResult, OpsSession
     from repro.ops.spec import SessionSpec
 
 
@@ -151,52 +151,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _run_fleet(spec: "SessionSpec", args: argparse.Namespace) -> int:
     from repro.obs import make_obs
-    from repro.obs.manifest import write_manifest
-    from repro.sweep.executor import run_sweep
-    from repro.sweep.merge import build_sweep_results
-    from repro.sweep.spec import load_sweep_spec
+    from repro.ops.sweep_kind import session_sweep
+    from repro.sweep.cli import run_fleet
+    from repro.sweep.merge import write_results_manifest
 
-    serve_seed = spec.serve_spec().seed
-    sweep = load_sweep_spec(
-        {
-            "name": spec.name,
-            "kind": "ops",
-            "seed": serve_seed,
-            "description": spec.description,
-            "seeds": args.seeds,
-            "ops": spec.to_dict(),
-            "obs": args.obs,
-        }
-    )
+    sweep = session_sweep(spec, args.seeds, obs=args.obs)
     print(f"ops {spec.name!r}: {args.seeds} seeded session(s), "
           f"{args.workers} worker(s)"
           + (", resuming" if args.resume else ""))
     obs = make_obs() if args.obs else None
-    run = run_sweep(
-        sweep,
-        workers=args.workers,
-        cache_dir=args.cache_dir,
-        resume=args.resume,
-        obs=obs,
-    )
-    for failure in run.failures:
-        print(
-            f"SHARD FAILURE {failure['shard_id']} "
-            f"({failure['attempts']} attempt(s)): "
-            f"{failure['error_type']}: {failure['message']}",
-            file=sys.stderr,
-        )
-    results = build_sweep_results(
-        sweep, run.shard_docs, run.failures, run.shards_total
-    )
-    path = write_manifest(
-        f"ops_fleet_{spec.name}",
-        params=sweep.to_dict(),
-        results=results,
-        seed=serve_seed,
-        obs=obs if obs is not None else None,
-        out_dir=args.out_dir,
-        merge=False,
+    run, results = run_fleet(sweep, args, obs)
+    path = write_results_manifest(
+        f"ops_fleet_{spec.name}", sweep, results, out_dir=args.out_dir, obs=obs
     )
     aggregates = results["aggregates"]
     print(f"wrote {path}")
@@ -221,56 +187,11 @@ def _run_fleet(spec: "SessionSpec", args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _cmd_checkpoint(args: argparse.Namespace) -> int:
-    spec = _load(args.spec)
-    if spec is None:
-        return 1
-    if spec.checkpoint_every_ms <= 0:
-        print(
-            f"error: session {spec.name!r} has checkpoint_every_ms=0; "
-            f"set a cadence to write checkpoints",
-            file=sys.stderr,
-        )
-        return 1
-
-    from repro.obs import make_obs
+def _run_checkpointed(session: "OpsSession", args: argparse.Namespace) -> int:
+    """Run ``session`` to its horizon (or to ``--stop-after``) writing
+    rolling checkpoints to ``--dir``."""
     from repro.ops.checkpoint import CheckpointSink, StopSession
-    from repro.ops.session import build_session
 
-    obs = make_obs() if args.obs else None
-    session = build_session(spec, obs=obs)
-    session._sink = CheckpointSink(
-        args.dir, stop_after=args.stop_after, verbose=True
-    )
-    try:
-        session.run()
-    except StopSession as stop:
-        print(f"stopped after checkpoint {stop.index} "
-              f"(resume with: ops resume --dir {args.dir})")
-        return 0
-    result = session.finalize()
-    if args.manifest:
-        _write_session_manifest(spec, result, args.out_dir)
-    ok = _print_result(result)
-    print("OK" if ok else "FAILED")
-    return 0 if ok else 1
-
-
-def _cmd_resume(args: argparse.Namespace) -> int:
-    from repro.ops.checkpoint import (
-        CheckpointError,
-        CheckpointSink,
-        StopSession,
-        load_checkpoint,
-    )
-
-    try:
-        session = load_checkpoint(args.dir, index=args.index)
-    except CheckpointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    print(f"resumed {session.spec.name!r} from checkpoint "
-          f"{session.resumed_from} at t={session.engine.now:.1f} ms")
     session._sink = CheckpointSink(
         args.dir, stop_after=args.stop_after, verbose=True
     )
@@ -286,6 +207,38 @@ def _cmd_resume(args: argparse.Namespace) -> int:
     ok = _print_result(result)
     print("OK" if ok else "FAILED")
     return 0 if ok else 1
+
+
+def _cmd_checkpoint(args: argparse.Namespace) -> int:
+    spec = _load(args.spec)
+    if spec is None:
+        return 1
+    if spec.checkpoint_every_ms <= 0:
+        print(
+            f"error: session {spec.name!r} has checkpoint_every_ms=0; "
+            f"set a cadence to write checkpoints",
+            file=sys.stderr,
+        )
+        return 1
+
+    from repro.obs import make_obs
+    from repro.ops.session import build_session
+
+    obs = make_obs() if args.obs else None
+    return _run_checkpointed(build_session(spec, obs=obs), args)
+
+
+def _cmd_resume(args: argparse.Namespace) -> int:
+    from repro.ops.checkpoint import CheckpointError, load_checkpoint
+
+    try:
+        session = load_checkpoint(args.dir, index=args.index)
+    except CheckpointError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    print(f"resumed {session.spec.name!r} from checkpoint "
+          f"{session.resumed_from} at t={session.engine.now:.1f} ms")
+    return _run_checkpointed(session, args)
 
 
 def _cmd_status(args: argparse.Namespace) -> int:
@@ -309,6 +262,8 @@ def _cmd_status(args: argparse.Namespace) -> int:
 
 
 def add_ops_parser(sub: argparse._SubParsersAction) -> None:
+    from repro.sweep.cli import add_fleet_flags
+
     parser = sub.add_parser(
         "ops", help="live operations sessions: drain / migrate / rebalance "
                     "with checkpoint + resume (repro.ops)"
@@ -324,21 +279,11 @@ def add_ops_parser(sub: argparse._SubParsersAction) -> None:
     prun.add_argument("spec", help="path to a session spec JSON file")
     prun.add_argument(
         "--seeds", type=int, default=None,
-        help="fan out as N seeded sessions via the sweep fleet "
+        help="fan out as N seeded sessions via the sweep fleet, where "
+             "--workers/--resume/--cache-dir apply "
              "(default: one inline session with the spec's own seed)",
     )
-    prun.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes for fleet mode (default 1: serial)",
-    )
-    prun.add_argument(
-        "--resume", action="store_true",
-        help="fleet mode: reuse completed shards from the on-disk cache",
-    )
-    prun.add_argument(
-        "--cache-dir", default=None,
-        help="fleet mode: shard cache root (default .sweep_cache)",
-    )
+    add_fleet_flags(prun)
     prun.add_argument(
         "--obs", action="store_true",
         help="instrument with live metrics (ops moves, drain gauges)",

@@ -24,7 +24,6 @@ drain loop itself).
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -34,27 +33,18 @@ import networkx as nx
 import numpy as np
 
 from repro.analysis.interference import footprint_from_paths
-from repro.chaos.campaign import TopoEvent
-from repro.chaos.runner import TOPOLOGIES, _apply_topo_event, trace_signature
+from repro.chaos.runner import trace_signature
 from repro.consistency.checker import LiveChecker
-from repro.harness.build import build_p4update_network
 from repro.obs.context import NULL_OBS, ObsContext
 from repro.ops.spec import SessionSpec
-from repro.params import SimParams
 from repro.serve.model import OUTCOME_COMPLETED, OUTCOMES
 from repro.serve.orchestrator import ServiceOrchestrator
 from repro.serve.service import (
-    _ARRIVAL_STREAM,
-    _FLOW_STREAM,
-    _summary,
-    apply_link_capacity,
     link_capacities,
+    provision_service,
+    slo_summary,
 )
-from repro.serve.workload import (
-    build_flow_population,
-    closed_loop_pick,
-    flow_weights,
-)
+from repro.serve.workload import closed_loop_pick, flow_weights
 from repro.sim.reset import reset_global_state
 
 #: Simulated delay before re-probing a busy flow (ms).
@@ -618,16 +608,16 @@ class OpsSession:
             if m["outcome"] == MOVE_MOVED and m["pushed_ms"] is not None
         ]
         slo = {
-            "e2e_ms": _summary(
+            "e2e_ms": slo_summary(
                 [r["completed_ms"] - r["submitted_ms"] for r in completed]
             ),
-            "move_wait_ms": _summary(
+            "move_wait_ms": slo_summary(
                 [m["pushed_ms"] - m["scheduled_ms"] for m in moved]
             ),
-            "move_install_ms": _summary(
+            "move_install_ms": slo_summary(
                 [m["completed_ms"] - m["pushed_ms"] for m in moved]
             ),
-            "move_e2e_ms": _summary(
+            "move_e2e_ms": slo_summary(
                 [m["completed_ms"] - m["scheduled_ms"] for m in moved]
             ),
         }
@@ -742,44 +732,18 @@ class OpsSession:
 def build_session(
     spec: SessionSpec, obs: Optional[ObsContext] = None
 ) -> OpsSession:
-    """Construct a fresh, fully wired session (mirrors
-    :func:`repro.serve.service.run_service` construction exactly, so
-    the background churn of a session with an empty timeline matches a
-    plain serve run of the embedded spec)."""
+    """Construct a fresh, fully wired session (provisioned exactly as
+    :func:`repro.serve.service.run_service` does, so the background
+    churn of a session with an empty timeline matches a plain serve run
+    of the embedded spec)."""
     reset_global_state()
     obs = obs if obs is not None else NULL_OBS
     serve = spec.serve_spec()
-    topo = TOPOLOGIES[serve.topology]()
-    apply_link_capacity(topo, serve.link_capacity)
-    params = SimParams(seed=serve.seed)
-    if serve.params:
-        params = dataclasses.replace(params, **dict(serve.params))
-    deployment = build_p4update_network(topo, params=params, obs=obs)
-    deployment.set_congestion_aware(serve.congestion_aware)
-    engine = deployment.network.engine
-
-    flow_rng = np.random.default_rng([serve.seed, _FLOW_STREAM])
-    population = build_flow_population(
-        topo, serve.flows, flow_rng, mean_size=serve.mean_flow_size
+    # Operations move flows through the P4Update prepare/push pipeline,
+    # so sessions always deploy it, whatever strategy the spec names.
+    deployment, population, checker, orchestrator, arrival_rng = (
+        provision_service(serve, obs, strategy="p4update")
     )
-    for service_flow in population:
-        deployment.install_flow(service_flow.to_flow())
-
-    checker = LiveChecker(deployment.forwarding_state, deployment.network.trace)
-    orchestrator = ServiceOrchestrator(
-        serve, deployment, population, obs=obs,
-        capacities=link_capacities(topo),
-    )
-
-    if serve.events:
-        deployment.network.enable_chaos()
-        for event_doc in serve.events:
-            event = TopoEvent(**dict(event_doc))
-            engine.schedule_at(
-                event.time_ms, _apply_topo_event, deployment, event
-            )
-
-    arrival_rng = np.random.default_rng([serve.seed, _ARRIVAL_STREAM])
     session = OpsSession(
         spec=spec,
         serve=serve,

@@ -20,7 +20,8 @@ from typing import Optional
 from repro.serve.spec import ServeSpec
 
 
-def _load(path: str) -> Optional[ServeSpec]:
+def load_or_report(path: str) -> Optional[ServeSpec]:
+    """The serve spec at ``path``, or ``None`` after printing why not."""
     from repro.serve.spec import ServeSpecError, load_serve_spec_file
 
     try:
@@ -28,23 +29,6 @@ def _load(path: str) -> Optional[ServeSpec]:
     except (OSError, ServeSpecError) as exc:
         print(f"error: cannot load serve spec {path!r}: {exc}", file=sys.stderr)
         return None
-
-
-def _wrap_spec(spec: ServeSpec, seeds: int, obs: bool):
-    """A serve spec as a kind-"serve" sweep over ``seeds`` replicas."""
-    from repro.sweep.spec import load_sweep_spec
-
-    return load_sweep_spec(
-        {
-            "name": spec.name,
-            "kind": "serve",
-            "seed": spec.seed,
-            "description": spec.description,
-            "seeds": seeds,
-            "serve": spec.to_dict(),
-            "obs": obs,
-        }
-    )
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -56,7 +40,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    spec = _load(args.spec)
+    spec = load_or_report(args.spec)
     if spec is None:
         return 1
     print(f"serve spec {spec.name!r} is valid:")
@@ -79,55 +63,33 @@ def _cmd_run(args: argparse.Namespace) -> int:
     import os
 
     from repro.obs import make_obs
-    from repro.obs.manifest import write_manifest
-    from repro.sweep.executor import run_sweep
-    from repro.sweep.merge import build_sweep_results
+    from repro.serve.sweep_kind import serve_sweep
+    from repro.sweep.cli import run_fleet
+    from repro.sweep.merge import write_results_manifest
 
-    spec = _load(args.spec)
+    spec = load_or_report(args.spec)
     if spec is None:
         return 1
     if args.causal and not spec.causal:
         spec = dataclasses.replace(spec, causal=True)
-    sweep = _wrap_spec(spec, seeds=args.seeds, obs=args.obs)
+    sweep = serve_sweep(spec, args.seeds, obs=args.obs)
     print(f"serve {spec.name!r}: {args.seeds} seeded replica(s), "
           f"{args.workers} worker(s)"
           + (", resuming" if args.resume else ""))
 
     obs = make_obs() if args.obs else None
-    run = run_sweep(
-        sweep,
-        workers=args.workers,
-        cache_dir=args.cache_dir,
-        resume=args.resume,
-        obs=obs,
-    )
-    for failure in run.failures:
-        print(
-            f"SHARD FAILURE {failure['shard_id']} "
-            f"({failure['attempts']} attempt(s)): "
-            f"{failure['error_type']}: {failure['message']}",
-            file=sys.stderr,
-        )
+    run, results = run_fleet(sweep, args, obs)
     # Causal DAGs are bulky: they leave the shard documents for a
     # sidecar JSONL (gzipped), keeping the manifest lean.  The compact
     # per-request attribution stays inside each shard's results.
     causal_dags: list[dict] = []
-    for doc in sorted(run.shard_docs, key=lambda d: int(d["index"])):
+    for doc in results["shards"]:
         for dag in doc.pop("causal", None) or []:
             causal_dags.append(
                 {"shard_id": doc["shard_id"], "seed": doc["seed"], **dag}
             )
-    results = build_sweep_results(
-        sweep, run.shard_docs, run.failures, run.shards_total
-    )
-    path = write_manifest(
-        f"serve_{spec.name}",
-        params=sweep.to_dict(),
-        results=results,
-        seed=spec.seed,
-        obs=obs if obs is not None else None,
-        out_dir=args.out_dir,
-        merge=False,
+    path = write_results_manifest(
+        f"serve_{spec.name}", sweep, results, out_dir=args.out_dir, obs=obs
     )
     aggregates = results["aggregates"]
     print(f"wrote {path}")
@@ -169,6 +131,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def add_serve_parser(sub: argparse._SubParsersAction) -> None:
+    from repro.sweep.cli import add_fleet_flags
+
     parser = sub.add_parser(
         "serve", help="concurrent update-request service (repro.serve)"
     )
@@ -185,18 +149,7 @@ def add_serve_parser(sub: argparse._SubParsersAction) -> None:
         "--seeds", type=int, default=1,
         help="seeded replicas to run (each is one sweep shard)",
     )
-    prun.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes (1 = serial in-process execution, default)",
-    )
-    prun.add_argument(
-        "--resume", action="store_true",
-        help="reuse completed shards from the on-disk cache",
-    )
-    prun.add_argument(
-        "--cache-dir", default=None,
-        help="shard-result cache root (default .sweep_cache)",
-    )
+    add_fleet_flags(prun)
     prun.add_argument(
         "--out-dir", default=None,
         help="directory for BENCH_serve_<name>.json (default: repo root "

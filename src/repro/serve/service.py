@@ -22,10 +22,9 @@ import numpy as np
 
 from repro.algos.registry import build_strategy_runtime
 from repro.chaos.campaign import TopoEvent
-from repro.chaos.runner import TOPOLOGIES, _apply_topo_event, trace_signature
+from repro.chaos.runner import apply_topo_event, trace_signature
 from repro.consistency.checker import LiveChecker
-from repro.harness.build import build_p4update_network
-from repro.obs.causal import CausalTracker, summarize_attribution
+from repro.obs.causal import CausalTracker, nearest_rank, summarize_attribution
 from repro.obs.context import NULL_OBS, ObsContext
 from repro.obs.registry import NullRegistry
 from repro.obs.spans import NullSpanTracker
@@ -40,6 +39,7 @@ from repro.serve.workload import (
     open_loop_arrivals,
 )
 from repro.sim.reset import reset_global_state
+from repro.topo import TOPOLOGIES
 
 #: RNG domain separators (distinct from every other stream in the repo).
 _FLOW_STREAM = 0x5EF1
@@ -50,11 +50,7 @@ _PERCENTILES = (50, 90, 99)
 
 
 def apply_link_capacity(topo: Any, link_capacity: float) -> None:
-    """Override every link's capacity in place (0 keeps defaults).
-
-    Shared by :func:`run_service` and the static analyzer's
-    ``batch_from_serve_spec`` so both sides see the same constraints.
-    """
+    """Override every link's capacity in place (0 keeps defaults)."""
     if link_capacity <= 0:
         return
     for a, b in topo.graph.edges:
@@ -73,19 +69,65 @@ def link_capacities(topo: Any) -> dict[tuple[str, str], float]:
     return capacities
 
 
-def _percentile(values: list[float], pct: int) -> Optional[float]:
-    """Nearest-rank percentile — pure python, no float surprises."""
-    if not values:
-        return None
-    ordered = sorted(values)
-    rank = max(1, -(-len(ordered) * pct // 100))  # ceil without floats
-    return ordered[rank - 1]
+def build_service_deployment(
+    spec: ServeSpec, obs: ObsContext = NULL_OBS, strategy: Optional[str] = None
+) -> tuple[Any, list]:
+    """The network a serve spec runs on: its topology (link capacity
+    applied) under ``strategy`` (default: the spec's own) and the
+    spec's params, with the seeded flow population installed.
+
+    The one construction :func:`run_service`, ops sessions and the
+    static interference analyzer share, so all three see the same
+    deployment and the same flows for the same spec.
+    """
+    topo = TOPOLOGIES[spec.topology]()
+    apply_link_capacity(topo, spec.link_capacity)
+    params = SimParams(seed=spec.seed)
+    if spec.params:
+        params = dataclasses.replace(params, **dict(spec.params))
+    deployment = build_strategy_runtime(
+        strategy or spec.strategy, topo, params=params, obs=obs
+    )
+    deployment.set_congestion_aware(spec.congestion_aware)
+    flow_rng = np.random.default_rng([spec.seed, _FLOW_STREAM])
+    population = build_flow_population(
+        topo, spec.flows, flow_rng, mean_size=spec.mean_flow_size
+    )
+    for service_flow in population:
+        deployment.install_flow(service_flow.to_flow())
+    return deployment, population
 
 
-def _summary(values: list[float]) -> dict[str, Any]:
+def provision_service(
+    spec: ServeSpec, obs: ObsContext, strategy: Optional[str] = None
+) -> tuple[Any, list, LiveChecker, ServiceOrchestrator, np.random.Generator]:
+    """Everything a serve spec implies before its first arrival:
+    ``(deployment, population, checker, orchestrator, arrival_rng)``
+    with the spec's chaos events scheduled."""
+    deployment, population = build_service_deployment(spec, obs, strategy)
+    checker = LiveChecker(
+        deployment.forwarding_state, deployment.network.trace
+    )
+    orchestrator = ServiceOrchestrator(
+        spec, deployment, population, obs=obs,
+        capacities=link_capacities(deployment.topology),
+    )
+    if spec.events:
+        deployment.network.enable_chaos()
+        for event_doc in spec.events:
+            event = TopoEvent(**dict(event_doc))
+            deployment.network.engine.schedule_at(
+                event.time_ms, apply_topo_event, deployment, event
+            )
+    arrival_rng = np.random.default_rng([spec.seed, _ARRIVAL_STREAM])
+    return deployment, population, checker, orchestrator, arrival_rng
+
+
+def slo_summary(values: list[float]) -> dict[str, Any]:
+    """Count, nearest-rank SLO percentiles and max of one latency series."""
     doc: dict[str, Any] = {"count": len(values)}
     for pct in _PERCENTILES:
-        doc[f"p{pct}"] = _percentile(values, pct)
+        doc[f"p{pct}"] = nearest_rank(values, pct)
     doc["max"] = max(values) if values else None
     return doc
 
@@ -224,46 +266,10 @@ def run_service(
             obs = ObsContext(NullRegistry(), NullSpanTracker(), causal=tracker)
         else:
             obs.causal = tracker
-    topo = TOPOLOGIES[spec.topology]()
-    apply_link_capacity(topo, spec.link_capacity)
-    params = SimParams(seed=spec.seed)
-    if spec.params:
-        params = dataclasses.replace(params, **dict(spec.params))
-    if spec.strategy == "p4update":
-        # The default strategy calls the stock builder directly, so
-        # registry-era runs stay byte-identical to pre-registry runs.
-        deployment = build_p4update_network(topo, params=params, obs=obs)
-    else:
-        deployment = build_strategy_runtime(
-            spec.strategy, topo, params=params, obs=obs
-        )
-    deployment.set_congestion_aware(spec.congestion_aware)
+    deployment, population, checker, orchestrator, arrival_rng = (
+        provision_service(spec, obs)
+    )
     engine = deployment.network.engine
-
-    flow_rng = np.random.default_rng([spec.seed, _FLOW_STREAM])
-    population = build_flow_population(
-        topo, spec.flows, flow_rng, mean_size=spec.mean_flow_size
-    )
-    for service_flow in population:
-        deployment.install_flow(service_flow.to_flow())
-
-    checker = LiveChecker(
-        deployment.forwarding_state, deployment.network.trace
-    )
-    orchestrator = ServiceOrchestrator(
-        spec, deployment, population, obs=obs,
-        capacities=link_capacities(topo),
-    )
-
-    if spec.events:
-        deployment.network.enable_chaos()
-        for event_doc in spec.events:
-            event = TopoEvent(**dict(event_doc))
-            engine.schedule_at(
-                event.time_ms, _apply_topo_event, deployment, event
-            )
-
-    arrival_rng = np.random.default_rng([spec.seed, _ARRIVAL_STREAM])
     state = _Workload(
         budget=spec.requests,
         think_ms=spec.think_time_ms,
@@ -322,35 +328,35 @@ def run_service(
 
     completed = [r for r in records if r["outcome"] == OUTCOME_COMPLETED]
     slo = {
-        "admission_wait_ms": _summary(
+        "admission_wait_ms": slo_summary(
             [
                 r["dispatched_ms"] - r["submitted_ms"]
                 for r in records
                 if r["dispatched_ms"] is not None
             ]
         ),
-        "prepare_ms": _summary(
+        "prepare_ms": slo_summary(
             [
                 r["pushed_ms"] - r["dispatched_ms"]
                 for r in records
                 if r["pushed_ms"] is not None and r["dispatched_ms"] is not None
             ]
         ),
-        "install_ms": _summary(
+        "install_ms": slo_summary(
             [
                 r["last_install_ms"] - r["pushed_ms"]
                 for r in completed
                 if r["last_install_ms"] is not None and r["pushed_ms"] is not None
             ]
         ),
-        "verify_ms": _summary(
+        "verify_ms": slo_summary(
             [
                 r["completed_ms"] - r["last_install_ms"]
                 for r in completed
                 if r["last_install_ms"] is not None
             ]
         ),
-        "e2e_ms": _summary(
+        "e2e_ms": slo_summary(
             [r["completed_ms"] - r["submitted_ms"] for r in completed]
         ),
     }

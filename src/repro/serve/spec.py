@@ -29,17 +29,7 @@ from dataclasses import dataclass, field, fields as dataclass_fields
 from typing import Any
 
 from repro.params import SimParams
-
-#: Topologies a serve spec can name (the chaos runner's factory map).
-SERVE_TOPOLOGIES = (
-    "fig1",
-    "fig2",
-    "b4",
-    "internet2",
-    "attmpls",
-    "chinanet",
-    "fattree4",
-)
+from repro.topo import TOPOLOGIES
 
 SERVE_MODES = ("open", "closed")
 SHED_POLICIES = ("reject", "park")
@@ -118,9 +108,9 @@ class ServeSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ServeSpecError("serve spec needs a non-empty 'name'")
-        if self.topology not in SERVE_TOPOLOGIES:
+        if self.topology not in TOPOLOGIES:
             raise ServeSpecError(
-                f"unknown topology {self.topology!r}; known: {SERVE_TOPOLOGIES}"
+                f"unknown topology {self.topology!r}; known: {sorted(TOPOLOGIES)}"
             )
         if self.mode not in SERVE_MODES:
             raise ServeSpecError(

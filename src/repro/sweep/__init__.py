@@ -1,7 +1,8 @@
 """``repro.sweep`` — parallel experiment-fleet orchestration.
 
 Expands a declarative JSON sweep spec (scenario x topology x seed x
-system, or a chaos-campaign fleet) into a deterministic shard list,
+system, or any other registered kind — see :mod:`repro.sweep.kinds`)
+into a deterministic shard list,
 executes the shards across a process pool with per-worker isolation
 and crash containment, and merges the per-shard results into one
 consolidated, resumable ``BENCH_sweep_<name>.json`` manifest whose
@@ -20,9 +21,9 @@ from repro.sweep.executor import (
     read_status,
     run_sweep,
 )
+from repro.sweep.cli import add_fleet_flags, run_fleet
+from repro.sweep.kinds import KIND_TABLE, SweepKind, resolve_kind
 from repro.sweep.merge import (
-    aggregate_chaos,
-    aggregate_experiment,
     build_sweep_results,
     merge_metrics,
     merge_profiles,
@@ -42,13 +43,14 @@ from repro.sweep.worker import run_shard_payload
 
 __all__ = [
     "DEFAULT_CACHE_DIR",
+    "KIND_TABLE",
     "Shard",
+    "SweepKind",
     "SweepProgress",
     "SweepRun",
     "SweepSpec",
     "SweepSpecError",
-    "aggregate_chaos",
-    "aggregate_experiment",
+    "add_fleet_flags",
     "build_sweep_results",
     "cache_root",
     "derive_shard_seed",
@@ -58,7 +60,9 @@ __all__ = [
     "merge_metrics",
     "merge_profiles",
     "read_status",
+    "resolve_kind",
     "results_signature",
+    "run_fleet",
     "run_shard_payload",
     "run_sweep",
     "validate_sweep_results",

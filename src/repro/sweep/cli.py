@@ -1,7 +1,13 @@
-"""The ``sweep`` CLI subcommand: plan / run / merge / status.
+"""The fleet CLI: the ``sweep`` subcommand (plan / run / merge /
+status) and the front end every other fleet-running command shares.
 
 Wired into :mod:`repro.harness.cli`; kept here so the harness stays a
 thin argument-parsing layer.
+
+``sweep run``, ``serve run``, ``compete run``, ``ops run --seeds``,
+``analyze interference --seeds``, ``chaos run``, ``fuzz run``, ``fig7``
+and ``fig8`` all take :func:`add_fleet_flags` and execute through
+:func:`run_fleet`: same flags, same failure report, same results tree.
 
 * ``sweep plan <spec.json>`` — expand and print the shard list
   without running anything (what *would* the fleet do?);
@@ -19,10 +25,59 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import TYPE_CHECKING, Optional
+from typing import Any, Optional
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sweep.spec import SweepSpec
+from repro.sweep.executor import SweepRun, run_sweep
+from repro.sweep.merge import build_sweep_results
+from repro.sweep.spec import SweepSpec
+
+
+def add_fleet_flags(parser: argparse.ArgumentParser, resume: bool = True) -> None:
+    """``--workers`` / ``--resume`` / ``--cache-dir`` (``resume=False``
+    for commands whose shards must always re-run)."""
+    parser.add_argument(
+        "--workers", type=int, default=1,
+        help="worker processes (1 = serial in-process execution, default)",
+    )
+    if resume:
+        parser.add_argument(
+            "--resume", action="store_true",
+            help="reuse completed shards from the on-disk cache",
+        )
+    parser.add_argument(
+        "--cache-dir", default=None,
+        help="shard-result cache root (default .sweep_cache)",
+    )
+
+
+def run_fleet(
+    sweep: SweepSpec,
+    args: argparse.Namespace,
+    obs: Optional[Any] = None,
+    **run_options: Any,
+) -> tuple[SweepRun, dict]:
+    """Run ``sweep`` as the parsed fleet flags say, print one line per
+    exhausted shard to stderr, and return the run with its merged
+    results tree (:func:`~repro.sweep.merge.build_sweep_results`)."""
+    run = run_sweep(
+        sweep,
+        workers=args.workers,
+        cache_dir=args.cache_dir,
+        resume=getattr(args, "resume", False),
+        obs=obs,
+        **run_options,
+    )
+    for failure in run.failures:
+        print(
+            f"SHARD FAILURE {failure['shard_id']} "
+            f"({failure['attempts']} attempt(s)): "
+            f"{failure['error_type']}: {failure['message']}",
+            file=sys.stderr,
+        )
+    results = build_sweep_results(
+        sweep, run.shard_docs, run.failures, run.shards_total
+    )
+    return run, results
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -35,7 +90,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return handler(args)
 
 
-def _load(path: str) -> Optional["SweepSpec"]:
+def _load(path: str) -> Optional[SweepSpec]:
     from repro.sweep.spec import SweepSpecError, load_sweep_spec_file
 
     try:
@@ -61,8 +116,11 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.obs import make_obs
-    from repro.sweep.executor import run_sweep
-    from repro.sweep.merge import format_profile, write_sweep_manifest
+    from repro.sweep.merge import (
+        format_profile,
+        merge_shard_obs,
+        write_results_manifest,
+    )
 
     spec = _load(args.spec)
     if spec is None:
@@ -86,35 +144,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"  [{done}/{progress.total}] completed={progress.completed} "
               f"failed={progress.failed} cached={progress.cached}{eta_text}")
 
-    run = run_sweep(
-        spec,
-        workers=args.workers,
-        cache_dir=args.cache_dir,
-        resume=args.resume,
-        retries=args.retries,
-        obs=obs,
-        progress=heartbeat,
-        profile=args.profile,
+    run, results = run_fleet(
+        spec, args, obs,
+        retries=args.retries, progress=heartbeat, profile=args.profile,
     )
-
-    path = write_sweep_manifest(
-        spec, run.shard_docs, run.failures, run.shards_total,
+    path = write_results_manifest(
+        f"sweep_{spec.name}", spec, merge_shard_obs(results),
         out_dir=args.out_dir, obs=obs,
     )
     print(f"wrote {path}")
-    print(f"signature {run.signature()}")
-    for failure in run.failures:
-        print(
-            f"SHARD FAILURE {failure['shard_id']} "
-            f"({failure['attempts']} attempt(s)): "
-            f"{failure['error_type']}: {failure['message']}"
-        )
-    if args.profile and run.shard_docs:
-        from repro.sweep.merge import merge_profiles
-
-        profiles = [d["profile"] for d in run.shard_docs if d.get("profile")]
-        if profiles:
-            print(format_profile(merge_profiles(profiles)))
+    print(f"signature {results['signature']}")
+    if "merged_profile" in results:
+        print(format_profile(results["merged_profile"]))
     print("OK" if run.ok else "FAILED")
     return 0 if run.ok else 1
 
@@ -210,21 +251,10 @@ def add_sweep_parser(sub: argparse._SubParsersAction) -> None:
         "run", help="execute a sweep across worker processes"
     )
     prun.add_argument("spec", help="path to a sweep spec JSON file")
-    prun.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes (1 = serial in-process execution, default)",
-    )
-    prun.add_argument(
-        "--resume", action="store_true",
-        help="reuse completed shards from the on-disk cache",
-    )
+    add_fleet_flags(prun)
     prun.add_argument(
         "--retries", type=int, default=2,
         help="retry attempts per shard before recording a ShardFailure",
-    )
-    prun.add_argument(
-        "--cache-dir", default=None,
-        help="shard-result cache root (default .sweep_cache)",
     )
     prun.add_argument(
         "--out-dir", default=None,

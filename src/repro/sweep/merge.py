@@ -20,6 +20,8 @@ import hashlib
 import json
 from typing import Any, Optional
 
+from repro.sweep.kinds import resolve_kind
+
 #: Shard-document fields covered by the aggregate signature.
 DETERMINISTIC_SHARD_FIELDS = ("shard_id", "index", "kind", "seed", "results")
 
@@ -125,416 +127,47 @@ def format_profile(report: list[dict], top: int = 15) -> str:
     return "\n".join(lines)
 
 
-# -- aggregates --------------------------------------------------------------
-
-
-def aggregate_experiment(shard_docs: list[dict]) -> dict:
-    """Per-cell statistics, paired across the system axis.
-
-    A (scenario, topology, seed_index) group only contributes to the
-    per-system timing statistics when *every* system in it completed —
-    the paper's paired design (see ``compare_systems``); incomplete
-    groups are counted in ``skipped_groups``."""
-    cells: dict[tuple, dict[tuple, dict]] = {}
-    for doc in sorted(shard_docs, key=lambda d: int(d["index"])):
-        key = doc.get("key") or {}
-        cell = (key.get("scenario"), key.get("topology"), key.get("system"))
-        group = (key.get("scenario"), key.get("topology"), key.get("seed_index"))
-        cells.setdefault(cell, {})[group] = doc["results"]
-
-    groups: dict[tuple, dict[tuple, dict]] = {}
-    for cell, by_group in cells.items():
-        for group, results in by_group.items():
-            groups.setdefault(group, {})[cell] = results
-
-    complete_groups = {
-        group
-        for group, by_cell in groups.items()
-        if all(r.get("completed") for r in by_cell.values())
-    }
-    out: dict[str, Any] = {
-        "groups_total": len(groups),
-        "skipped_groups": len(groups) - len(complete_groups),
-        "cells": {},
-    }
-    for cell in sorted(cells, key=lambda c: tuple(str(x) for x in c)):
-        paired = sorted(
-            (g for g in cells[cell] if g in complete_groups),
-            key=lambda g: tuple(str(x) for x in g),
-        )
-        times = [
-            t for t in (
-                cells[cell][group].get("total_update_time_ms")
-                for group in paired
-            )
-            if t is not None
-        ]
-        docs = list(cells[cell].values())
-        label = "/".join(str(x) for x in cell)
-        out["cells"][label] = {
-            "shards": len(docs),
-            "completed": sum(1 for r in docs if r.get("completed")),
-            "violations": sum(int(r.get("violations", 0)) for r in docs),
-            "paired_runs": len(times),
-            "mean_update_ms": (sum(times) / len(times)) if times else None,
-            "min_update_ms": min(times) if times else None,
-            "max_update_ms": max(times) if times else None,
-        }
-    return out
-
-
-def aggregate_chaos(shard_docs: list[dict]) -> dict:
-    """Fleet view of same-campaign runs: the determinism probe."""
-    ordered = sorted(shard_docs, key=lambda d: int(d["index"]))
-    signatures = sorted(
-        {str(d["results"].get("trace_signature")) for d in ordered}
-    )
-    return {
-        "runs": len(ordered),
-        "distinct_trace_signatures": len(signatures),
-        "trace_signatures": signatures,
-        "deterministic": len(signatures) <= 1,
-        "consistent": all(d["results"].get("consistent") for d in ordered),
-        "flows_completed": sum(
-            int(d["results"].get("flows_completed", 0)) for d in ordered
-        ),
-        "flows_parked": sum(
-            int(d["results"].get("flows_parked", 0)) for d in ordered
-        ),
-    }
-
-
-def aggregate_serve(shard_docs: list[dict]) -> dict:
-    """Fleet view of seeded service replicas.
+def fleet_summary(
+    shard_docs: list[dict], axis: Optional[str] = None
+) -> dict[str, Any]:
+    """Determinism probe plus outcome ledger of a replica fleet.
 
     ``deterministic`` compares per-shard signatures only across shards
-    that ran the *same* seed (a multi-seed sweep legitimately differs
-    per seed); with one seed per shard it degenerates to counting
-    distinct signatures per seed, each of which must be 1 on resume or
-    worker-count changes."""
-    ordered = sorted(shard_docs, key=lambda d: int(d["index"]))
-    by_seed: dict[int, set[str]] = {}
+    of the same cell — the seed, plus the ``axis`` results field when
+    given (a multi-seed sweep legitimately differs per seed); each
+    cell's signature set must be a singleton across resumes and worker
+    counts."""
+    cells: dict[tuple, set[str]] = {}
     outcomes: dict[str, int] = {}
-    for doc in ordered:
+    for doc in shard_docs:
         results = doc["results"]
-        by_seed.setdefault(int(doc["seed"]), set()).add(
-            str(results.get("signature"))
-        )
+        cell: tuple = (int(doc["seed"]),)
+        if axis:
+            cell += (str(results.get(axis)),)
+        cells.setdefault(cell, set()).add(str(results.get("signature")))
         for outcome, count in (results.get("outcomes") or {}).items():
             outcomes[outcome] = outcomes.get(outcome, 0) + int(count)
-    throughputs = [
-        float(d["results"].get("throughput_per_s", 0.0)) for d in ordered
-    ]
-    # Fleet-merged critical-path attribution (causal-traced runs):
-    # nearest-rank percentiles recomputed over the concatenated
-    # per-request rows, so the summary is worker-count independent and
-    # resumes cleanly from the shard cache, exactly like profiles.
-    attribution_rows: list[dict] = []
-    for doc in ordered:
-        att = doc["results"].get("attribution") or {}
-        attribution_rows.extend(att.get("rows") or [])
-    attribution = None
-    if attribution_rows:
-        from repro.obs.causal import summarize_attribution
-
-        attribution = summarize_attribution(attribution_rows)
     return {
-        "runs": len(ordered),
-        "deterministic": all(len(sigs) <= 1 for sigs in by_seed.values()),
-        "signatures_by_seed": {
-            str(seed): sorted(sigs) for seed, sigs in sorted(by_seed.items())
+        "runs": len(shard_docs),
+        "deterministic": all(len(sigs) <= 1 for sigs in cells.values()),
+        "signatures_by_cell" if axis else "signatures_by_seed": {
+            "/".join(str(part) for part in cell): sorted(sigs)
+            for cell, sigs in sorted(cells.items())
         },
         "outcomes": dict(sorted(outcomes.items())),
         "requests": sum(
-            int(d["results"].get("requests", 0)) for d in ordered
+            int(d["results"].get("requests", 0)) for d in shard_docs
         ),
         "completed": sum(
-            int(d["results"].get("completed", 0)) for d in ordered
+            int(d["results"].get("completed", 0)) for d in shard_docs
         ),
         "violations": sum(
-            len(d["results"].get("violations") or []) for d in ordered
+            len(d["results"].get("violations") or []) for d in shard_docs
         ),
-        "consistent": all(d["results"].get("consistent") for d in ordered),
+        "consistent": all(d["results"].get("consistent") for d in shard_docs),
         "invariants_ok": all(
-            d["results"].get("invariants_ok") for d in ordered
+            d["results"].get("invariants_ok") for d in shard_docs
         ),
-        "mean_throughput_per_s": (
-            sum(throughputs) / len(throughputs) if throughputs else 0.0
-        ),
-        "attribution": attribution,
-    }
-
-
-def aggregate_compete(shard_docs: list[dict]) -> dict:
-    """Head-to-head strategy scoreboard over paired seeded workloads.
-
-    One row per strategy, aggregated across the seed axis: outcome
-    counts, throughput, end-to-end SLO percentiles (recomputed from the
-    concatenated per-request records, so the row is worker-count
-    independent), critical-path attribution, and the chaos-facing
-    deadlock/park/abort rates.  ``deterministic`` requires every
-    (seed, strategy) cell's signatures to be singletons — the same
-    resume/worker-count probe serve fleets use — and ``paired`` checks
-    that every strategy saw exactly the same derived workload seeds."""
-    from repro.serve.service import _summary
-
-    ordered = sorted(shard_docs, key=lambda d: int(d["index"]))
-    by_cell: dict[tuple[int, str], set[str]] = {}
-    seeds_by_strategy: dict[str, list[int]] = {}
-    rows: dict[str, dict[str, Any]] = {}
-    e2e: dict[str, list[float]] = {}
-    attribution_rows: dict[str, list[dict]] = {}
-    for doc in ordered:
-        results = doc["results"]
-        strategy = str(results.get("strategy"))
-        seed = int(doc["seed"])
-        by_cell.setdefault((seed, strategy), set()).add(
-            str(results.get("signature"))
-        )
-        seeds_by_strategy.setdefault(strategy, []).append(seed)
-        row = rows.setdefault(
-            strategy,
-            {
-                "runs": 0,
-                "requests": 0,
-                "completed": 0,
-                "violations": 0,
-                "consistent": True,
-                "invariants_ok": True,
-                "outcomes": {},
-                "throughputs": [],
-                "strategy_stats": {},
-            },
-        )
-        row["runs"] += 1
-        row["requests"] += int(results.get("requests", 0))
-        row["completed"] += int(results.get("completed", 0))
-        row["violations"] += len(results.get("violations") or [])
-        row["consistent"] = row["consistent"] and bool(
-            results.get("consistent")
-        )
-        row["invariants_ok"] = row["invariants_ok"] and bool(
-            results.get("invariants_ok")
-        )
-        for outcome, count in (results.get("outcomes") or {}).items():
-            row["outcomes"][outcome] = (
-                row["outcomes"].get(outcome, 0) + int(count)
-            )
-        row["throughputs"].append(float(results.get("throughput_per_s", 0.0)))
-        for name, count in (results.get("strategy_stats") or {}).items():
-            row["strategy_stats"][name] = (
-                row["strategy_stats"].get(name, 0) + int(count)
-            )
-        for record in results.get("records") or []:
-            if record.get("outcome") == "completed" and (
-                record.get("completed_ms") is not None
-            ):
-                e2e.setdefault(strategy, []).append(
-                    float(record["completed_ms"])
-                    - float(record["submitted_ms"])
-                )
-        att = results.get("attribution") or {}
-        if att.get("rows"):
-            attribution_rows.setdefault(strategy, []).extend(att["rows"])
-
-    scoreboard: dict[str, dict[str, Any]] = {}
-    for strategy in sorted(rows):
-        row = rows[strategy]
-        requests = row["requests"]
-        outcomes = dict(sorted(row["outcomes"].items()))
-        throughputs = row.pop("throughputs")
-
-        def _rate(outcome: str) -> float:
-            if not requests:
-                return 0.0
-            return outcomes.get(outcome, 0) / requests
-
-        entry: dict[str, Any] = {
-            "runs": row["runs"],
-            "requests": requests,
-            "completed": row["completed"],
-            "violations": row["violations"],
-            "consistent": row["consistent"],
-            "invariants_ok": row["invariants_ok"],
-            "outcomes": outcomes,
-            "mean_throughput_per_s": (
-                sum(throughputs) / len(throughputs) if throughputs else 0.0
-            ),
-            "slo_e2e_ms": _summary(sorted(e2e.get(strategy, []))),
-            "deadlock_rate": _rate("unfinished"),
-            "park_rate": _rate("flow_parked"),
-            "abort_rate": _rate("aborted"),
-        }
-        if row["strategy_stats"]:
-            entry["strategy_stats"] = dict(sorted(row["strategy_stats"].items()))
-        merged_attribution = attribution_rows.get(strategy)
-        if merged_attribution:
-            from repro.obs.causal import summarize_attribution
-
-            entry["attribution"] = summarize_attribution(merged_attribution)
-        scoreboard[strategy] = entry
-
-    seed_sets = {
-        strategy: tuple(sorted(set(seeds)))
-        for strategy, seeds in seeds_by_strategy.items()
-    }
-    return {
-        "runs": len(ordered),
-        "strategies": sorted(rows),
-        "deterministic": all(len(sigs) <= 1 for sigs in by_cell.values()),
-        "signatures_by_cell": {
-            f"{seed}/{strategy}": sorted(sigs)
-            for (seed, strategy), sigs in sorted(by_cell.items())
-        },
-        "paired": len(set(seed_sets.values())) <= 1,
-        "violations": sum(r["violations"] for r in scoreboard.values()),
-        "consistent": all(r["consistent"] for r in scoreboard.values()),
-        "scoreboard": scoreboard,
-    }
-
-
-def aggregate_ops(shard_docs: list[dict]) -> dict:
-    """Fleet view of seeded operations sessions.
-
-    Serve-style determinism probe (per-seed signature sets must be
-    singletons regardless of worker count or resume rounds) plus the
-    ops ledger: statuses, move outcomes, and whether every completed
-    drain left its switch with zero transit flows."""
-    ordered = sorted(shard_docs, key=lambda d: int(d["index"]))
-    by_seed: dict[int, set[str]] = {}
-    outcomes: dict[str, int] = {}
-    ops_by_status: dict[str, int] = {}
-    moves_by_outcome: dict[str, int] = {}
-    drains_clean = True
-    for doc in ordered:
-        results = doc["results"]
-        by_seed.setdefault(int(doc["seed"]), set()).add(
-            str(results.get("signature"))
-        )
-        for outcome, count in (results.get("outcomes") or {}).items():
-            outcomes[outcome] = outcomes.get(outcome, 0) + int(count)
-        summary = results.get("ops_summary") or {}
-        for status, count in (summary.get("ops_by_status") or {}).items():
-            ops_by_status[status] = ops_by_status.get(status, 0) + int(count)
-        for outcome, count in (summary.get("moves_by_outcome") or {}).items():
-            moves_by_outcome[outcome] = (
-                moves_by_outcome.get(outcome, 0) + int(count)
-            )
-        if not summary.get("drains_clean", True):
-            drains_clean = False
-    return {
-        "runs": len(ordered),
-        "deterministic": all(len(sigs) <= 1 for sigs in by_seed.values()),
-        "signatures_by_seed": {
-            str(seed): sorted(sigs) for seed, sigs in sorted(by_seed.items())
-        },
-        "outcomes": dict(sorted(outcomes.items())),
-        "requests": sum(
-            int(d["results"].get("requests", 0)) for d in ordered
-        ),
-        "completed": sum(
-            int(d["results"].get("completed", 0)) for d in ordered
-        ),
-        "violations": sum(
-            len(d["results"].get("violations") or []) for d in ordered
-        ),
-        "consistent": all(d["results"].get("consistent") for d in ordered),
-        "invariants_ok": all(
-            d["results"].get("invariants_ok") for d in ordered
-        ),
-        "ops_by_status": dict(sorted(ops_by_status.items())),
-        "moves_by_outcome": dict(sorted(moves_by_outcome.items())),
-        "drains_clean": drains_clean,
-    }
-
-
-def aggregate_interference(shard_docs: list[dict]) -> dict:
-    """Fleet view of static interference shards.
-
-    One shard per workload seed; ``deterministic`` holds when shards
-    of the same seed agree on the findings signature (the resume /
-    worker-count probe, same contract as serve fleets)."""
-    ordered = sorted(shard_docs, key=lambda d: int(d["index"]))
-    by_seed: dict[int, set[str]] = {}
-    by_kind: dict[str, int] = {}
-    for doc in ordered:
-        results = doc["results"]
-        by_seed.setdefault(int(doc["seed"]), set()).add(
-            str(results.get("signature"))
-        )
-        for finding in results.get("findings") or []:
-            kind = str(finding.get("kind"))
-            by_kind[kind] = by_kind.get(kind, 0) + 1
-    return {
-        "runs": len(ordered),
-        "deterministic": all(len(sigs) <= 1 for sigs in by_seed.values()),
-        "signatures_by_seed": {
-            str(seed): sorted(sigs) for seed, sigs in sorted(by_seed.items())
-        },
-        "plans": sum(int(d["results"].get("plans", 0)) for d in ordered),
-        "findings": sum(
-            len(d["results"].get("findings") or []) for d in ordered
-        ),
-        "findings_by_kind": dict(sorted(by_kind.items())),
-        "clean": all(not (d["results"].get("findings") or []) for d in ordered),
-    }
-
-
-def aggregate_fuzz(shard_docs: list[dict]) -> dict:
-    """Fleet view of fuzz shards: merged outcome counts, the union of
-    coverage keys, distinct finding keys, and contained crashes."""
-    ordered = sorted(shard_docs, key=lambda d: int(d["index"]))
-    outcomes: dict[str, int] = {}
-    coverage: set[str] = set()
-    finding_keys: set[tuple[str, ...]] = set()
-    crashes = 0
-    for doc in ordered:
-        results = doc["results"]
-        for outcome, count in (results.get("outcomes") or {}).items():
-            outcomes[outcome] = outcomes.get(outcome, 0) + int(count)
-        coverage.update(str(k) for k in results.get("coverage") or [])
-        for finding in results.get("findings") or []:
-            finding_keys.add(tuple(str(k) for k in finding.get("key") or []))
-        crashes += len(results.get("crashes") or [])
-    return {
-        "shards": len(ordered),
-        "cases": sum(int(d["results"].get("budget", 0)) for d in ordered),
-        "outcomes": dict(sorted(outcomes.items())),
-        "coverage_count": len(coverage),
-        "distinct_finding_keys": len(finding_keys),
-        "finding_keys": sorted(list(k) for k in finding_keys),
-        "crashes": crashes,
-        "clean": not finding_keys,
-    }
-
-
-def aggregate_prep(shard_docs: list[dict]) -> dict:
-    """Per-topology Fig. 8 operation-count ratios."""
-    ordered = sorted(shard_docs, key=lambda d: int(d["index"]))
-    per_topology: dict[str, dict] = {}
-    for doc in ordered:
-        results = doc["results"]
-        key = doc.get("key") or {}
-        topology = str(key.get("topology") or results.get("topology"))
-        per_topology[topology] = {
-            "p4update_ops": results.get("p4update_ops"),
-            "ez_ops": results.get("ez_ops"),
-            "ez_congestion_ops": results.get("ez_congestion_ops"),
-            "ratio_a": results.get("ratio_a"),
-            "ratio_b": results.get("ratio_b"),
-        }
-    ratios_a = [
-        row["ratio_a"] for row in per_topology.values()
-        if row["ratio_a"] is not None
-    ]
-    ratios_b = [
-        row["ratio_b"] for row in per_topology.values()
-        if row["ratio_b"] is not None
-    ]
-    return {
-        "topologies": dict(sorted(per_topology.items())),
-        "ratio_a_below_one": bool(ratios_a) and all(r < 1.0 for r in ratios_a),
-        "ratio_b_below_fifth": bool(ratios_b) and all(r < 0.2 for r in ratios_b),
     }
 
 
@@ -549,15 +182,6 @@ def build_sweep_results(
 ) -> dict:
     """The ``results`` tree of the consolidated sweep manifest."""
     ordered = sorted(shard_docs, key=lambda d: int(d["index"]))
-    aggregator = {
-        "chaos": aggregate_chaos,
-        "serve": aggregate_serve,
-        "prep": aggregate_prep,
-        "interference": aggregate_interference,
-        "fuzz": aggregate_fuzz,
-        "ops": aggregate_ops,
-        "compete": aggregate_compete,
-    }.get(spec.kind, aggregate_experiment)
     docs_with_keys = attach_shard_keys(spec, ordered)
     results: dict[str, Any] = {
         "spec_hash": spec.spec_hash(),
@@ -566,7 +190,7 @@ def build_sweep_results(
         "shards_completed": len(ordered),
         "shards_failed": len(failures),
         "failures": sorted(failures, key=lambda f: int(f["index"])),
-        "aggregates": aggregator(docs_with_keys),
+        "aggregates": resolve_kind(spec.kind).aggregate(docs_with_keys),
         "shards": docs_with_keys,
     }
     validate_sweep_results(results)
@@ -629,6 +253,41 @@ def validate_sweep_results(results: dict) -> dict:
     return results
 
 
+def merge_shard_obs(results: dict) -> dict:
+    """Fold the shard documents' own obs captures into ``results``
+    (summed counters, combined histogram moments, merged profiles) so
+    the consolidated manifest is self-contained."""
+    snapshots = [d["metrics"] for d in results["shards"] if d.get("metrics")]
+    if snapshots:
+        results["merged_metrics"] = merge_metrics(snapshots)
+    profiles = [d["profile"] for d in results["shards"] if d.get("profile")]
+    if profiles:
+        results["merged_profile"] = merge_profiles(profiles)
+    return results
+
+
+def write_results_manifest(
+    name: str,
+    spec: Any,
+    results: dict,
+    out_dir: Optional[str] = None,
+    obs: Optional[Any] = None,
+) -> str:
+    """Write a fleet's merged results tree as ``BENCH_<name>.json``
+    (never merged with a manifest already on disk) and return its path."""
+    from repro.obs.manifest import write_manifest
+
+    return write_manifest(
+        name,
+        params=spec.to_dict(),
+        results=results,
+        seed=spec.seed,
+        obs=obs if obs is not None and getattr(obs, "enabled", False) else None,
+        out_dir=out_dir,
+        merge=False,
+    )
+
+
 def write_sweep_manifest(
     spec: Any,
     shard_docs: list[dict],
@@ -637,26 +296,8 @@ def write_sweep_manifest(
     out_dir: Optional[str] = None,
     obs: Optional[Any] = None,
 ) -> str:
-    """Write ``BENCH_sweep_<name>.json`` and return its path.
-
-    The shard documents' own obs captures are merged (summed counters,
-    combined histogram moments, merged profiles) and recorded inside
-    ``results`` so the consolidated manifest is self-contained."""
-    from repro.obs.manifest import write_manifest
-
+    """Write ``BENCH_sweep_<name>.json`` and return its path."""
     results = build_sweep_results(spec, shard_docs, failures, shards_total)
-    snapshots = [d["metrics"] for d in results["shards"] if d.get("metrics")]
-    if snapshots:
-        results["merged_metrics"] = merge_metrics(snapshots)
-    profiles = [d["profile"] for d in results["shards"] if d.get("profile")]
-    if profiles:
-        results["merged_profile"] = merge_profiles(profiles)
-    return write_manifest(
-        f"sweep_{spec.name}",
-        params=spec.to_dict(),
-        results=results,
-        seed=spec.seed,
-        obs=obs if obs is not None and getattr(obs, "enabled", False) else None,
-        out_dir=out_dir,
-        merge=False,
+    return write_results_manifest(
+        f"sweep_{spec.name}", spec, merge_shard_obs(results), out_dir, obs
     )

@@ -9,8 +9,8 @@ process.  Either way each shard:
    as if the shard ran in a brand-new interpreter);
 2. builds a **fresh** obs context when instrumentation was requested
    (per-process metric registries — nothing shared, nothing racy);
-3. runs the experiment / chaos campaign with seeds derived entirely
-   from the payload;
+3. runs the payload's kind (:func:`repro.sweep.kinds.resolve_kind`)
+   with seeds derived entirely from the payload;
 4. returns a JSON-safe shard document whose ``results`` subtree
    contains only simulated-time (deterministic) values — wall-clock
    measurements are quarantined under ``wall`` so the fleet's
@@ -26,14 +26,12 @@ import math
 import os
 import time
 import traceback
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 import numpy as np
 
 from repro.sim.reset import reset_global_state
-
-#: Scenario-stream domain separator (distinct from the params seed use).
-_SCENARIO_STREAM = 0x5CE2
+from repro.sweep.kinds import resolve_kind
 
 
 class InjectedShardFault(RuntimeError):
@@ -46,24 +44,7 @@ def run_shard_payload(payload: dict) -> dict:
     _maybe_inject(payload)
     obs = _build_obs(payload)
     started = time.perf_counter()  # repro: ignore[wall-clock] shard wall-time bookkeeping
-    if payload["kind"] == "experiment":
-        results = _run_experiment_shard(payload, obs)
-    elif payload["kind"] == "chaos":
-        results = _run_chaos_shard(payload, obs)
-    elif payload["kind"] == "serve":
-        results = _run_serve_shard(payload, obs)
-    elif payload["kind"] == "compete":
-        results = _run_compete_shard(payload, obs)
-    elif payload["kind"] == "ops":
-        results = _run_ops_shard(payload, obs)
-    elif payload["kind"] == "prep":
-        results = _run_prep_shard(payload)
-    elif payload["kind"] == "interference":
-        results = _run_interference_shard(payload)
-    elif payload["kind"] == "fuzz":
-        results = _run_fuzz_shard(payload)
-    else:
-        raise ValueError(f"unknown shard kind {payload['kind']!r}")
+    results = resolve_kind(payload["kind"]).run_shard(payload, obs)
     duration = time.perf_counter() - started  # repro: ignore[wall-clock] shard wall-time bookkeeping
 
     # Runner-reported wall-clock measurements are lifted out of the
@@ -100,180 +81,6 @@ def worker_init() -> None:
     Each shard resets again (a worker serves many shards), but doing
     it here too keeps even shard-free children deterministic."""
     reset_global_state()
-
-
-# -- shard kinds -------------------------------------------------------------
-
-
-def _run_experiment_shard(payload: dict, obs: Optional[Any]) -> dict:
-    from repro.harness.experiment import run_experiment
-    from repro.harness.scenarios import multi_flow_scenario, single_flow_scenario
-    from repro.obs.context import NULL_OBS
-    from repro.params import SimParams
-
-    seed = int(payload["seed"])
-    topo = _topology(payload["topology"])
-    scenario_rng = np.random.default_rng([seed, _SCENARIO_STREAM])
-    try:
-        if payload["scenario"] == "single":
-            scenario = single_flow_scenario(topo, rng=scenario_rng)
-        else:
-            scenario = multi_flow_scenario(topo, rng=scenario_rng)
-    except RuntimeError as exc:
-        # Workload generation can legitimately fail (no feasible
-        # near-capacity reroute, §9.1); same seed -> same failure, so
-        # this is a deterministic *result*, not a shard crash.
-        return {
-            "completed": False,
-            "scenario_error": str(exc),
-            "flows": 0,
-        }
-
-    params = SimParams(seed=seed)
-    if payload.get("params"):
-        import dataclasses
-
-        params = dataclasses.replace(params, **payload["params"])
-    if payload.get("dionysus_install_delays"):
-        params = params.with_dionysus_install_delay()
-
-    result = run_experiment(
-        payload["system"],
-        scenario,
-        params=params,
-        congestion_aware=bool(payload.get("congestion_aware", True)),
-        obs=obs if obs is not None else NULL_OBS,
-    )
-    return {
-        "completed": result.completed,
-        "consistency_ok": result.consistency_ok,
-        "violations": result.violations,
-        "alarms": result.alarms,
-        "total_update_time_ms": result.total_update_time_ms,
-        "per_flow_ms": {str(k): v for k, v in sorted(result.per_flow_ms.items())},
-        "flows": len(scenario.flows),
-        "scenario": scenario.description,
-        # prep_time_s is host-side work -> wall-clock, keep it out of
-        # the deterministic results subtree.
-        "_wall": {"prep_time_s": result.prep_time_s},
-    }
-
-
-def _run_chaos_shard(payload: dict, obs: Optional[Any]) -> dict:
-    from repro.chaos.campaign import load_campaign
-    from repro.chaos.runner import run_campaign
-
-    campaign = load_campaign(payload["campaign"])
-    result = run_campaign(campaign, obs=obs)
-    return result.to_results()
-
-
-def _run_serve_shard(payload: dict, obs: Optional[Any]) -> dict:
-    from repro.serve.service import run_service
-    from repro.serve.spec import load_serve_spec
-
-    serve = dict(payload["serve"])
-    # The shard seed (derived from the sweep's seed axis) overrides
-    # the serve spec's own seed — one spec, many seeded replicas.
-    serve["seed"] = int(payload["seed"])
-    spec = load_serve_spec(serve)
-    result = run_service(spec, obs=obs)
-    return result.to_results()
-
-
-def _run_compete_shard(payload: dict, obs: Optional[Any]) -> dict:
-    from repro.serve.service import run_service
-    from repro.serve.spec import load_serve_spec
-
-    serve = dict(payload["serve"])
-    # Paired design: the derived shard seed is strategy-independent,
-    # so every strategy in a seed cell replays the same workload; the
-    # strategy knob is the only thing that differs between shards.
-    serve["seed"] = int(payload["seed"])
-    serve["strategy"] = str(payload["strategy"])
-    spec = load_serve_spec(serve)
-    result = run_service(spec, obs=obs)
-    return dict(result.to_results(), strategy=str(payload["strategy"]))
-
-
-def _run_ops_shard(payload: dict, obs: Optional[Any]) -> dict:
-    from repro.ops.session import run_session
-    from repro.ops.spec import load_session_spec
-
-    ops = dict(payload["ops"])
-    serve = dict(ops.get("serve") or {})
-    # Same seed override as serve shards: the embedded serve spec's
-    # seed is replaced by the derived shard seed.
-    serve["seed"] = int(payload["seed"])
-    ops["serve"] = serve
-    spec = load_session_spec(ops)
-    result = run_session(spec, obs=obs)
-    return result.to_results()
-
-
-def _run_interference_shard(payload: dict) -> dict:
-    from repro.analysis.interference import analyze_serve_spec
-    from repro.serve.spec import load_serve_spec
-
-    serve = dict(payload["serve"])
-    # Same seed override as serve shards: the static analysis covers
-    # exactly the seeded workload a serve shard would execute.
-    serve["seed"] = int(payload["seed"])
-    spec = load_serve_spec(serve)
-    report = analyze_serve_spec(spec)
-    return dict(report.to_dict(), signature=report.signature())
-
-
-def _run_fuzz_shard(payload: dict) -> dict:
-    from repro.fuzz.campaign import run_fuzz_shard
-
-    # Each fuzz case resets global state and builds its own obs
-    # context internally; generator/oracle exceptions come back as
-    # structured crash records instead of failing the shard.
-    return run_fuzz_shard(
-        payload["fuzz"],
-        int(payload["seed"]),
-        int(payload["shard_index"]),
-        int(payload["budget"]),
-    )
-
-
-def _run_prep_shard(payload: dict) -> dict:
-    from repro.harness.prep import prep_operation_counts
-
-    # Operation counts are deterministic work measures; any wall-clock
-    # timings arrive under "_wall" and are quarantined by the caller.
-    return prep_operation_counts(
-        payload["topology"],
-        updates=int(payload["updates"]),
-        count_updates=int(payload["count_updates"]),
-        seed=int(payload["seed"]),
-    )
-
-
-def _topology(name: str) -> Any:
-    from repro.topo import (
-        attmpls_topology,
-        b4_topology,
-        chinanet_topology,
-        fattree_topology,
-        fig1_topology,
-        fig2_topology,
-        internet2_topology,
-        six_node_topology,
-    )
-
-    factories: dict[str, Callable[[], Any]] = {
-        "fig1": fig1_topology,
-        "fig2": fig2_topology,
-        "six_node": six_node_topology,
-        "b4": b4_topology,
-        "internet2": internet2_topology,
-        "attmpls": attmpls_topology,
-        "chinanet": chinanet_topology,
-        "fattree4": lambda: fattree_topology(4),
-    }
-    return factories[name]()
 
 
 # -- helpers -----------------------------------------------------------------

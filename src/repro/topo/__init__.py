@@ -7,6 +7,8 @@ derived from great-circle distance at fibre propagation speed
 Chinanet (38, 62).
 """
 
+from typing import Callable
+
 from repro.topo.graph import Topology
 from repro.topo.latency import geo_latency_ms, haversine_km
 from repro.topo.synthetic import (
@@ -24,6 +26,7 @@ from repro.topo.fattree import fattree_topology
 from repro.topo.zoo import load_graphml, sample_zoo_topology
 
 __all__ = [
+    "TOPOLOGIES",
     "Topology",
     "geo_latency_ms",
     "haversine_km",
@@ -41,9 +44,15 @@ __all__ = [
     "sample_zoo_topology",
 ]
 
-ZOO_TOPOLOGIES = {
+#: The one name -> factory table: every spec format (experiment, chaos,
+#: serve, ops, sweep, fuzz) resolves topology names here.
+TOPOLOGIES: dict[str, Callable[[], Topology]] = {
+    "fig1": fig1_topology,
+    "fig2": fig2_topology,
+    "six_node": six_node_topology,
     "b4": b4_topology,
     "internet2": internet2_topology,
     "attmpls": attmpls_topology,
     "chinanet": chinanet_topology,
+    "fattree4": lambda: fattree_topology(4),
 }

@@ -262,6 +262,7 @@ def test_rule_names_catalogue():
         "blocking-in-service",
         "fuzz-nondeterminism",
         "mutable-default",
+        "private-cross-import",
         "set-iteration",
         "unguarded-obs",
         "unseeded-random",
@@ -436,6 +437,38 @@ def test_check_stale_opt_out():
         check_stale=False,
     )
     assert findings == []
+
+
+# -- private-cross-import -----------------------------------------------------
+
+
+def test_private_cross_import_flags_other_packages_only():
+    code = """
+        from repro.chaos.runner import TOPOLOGIES, _apply_topo_event
+        from repro.serve.spec import _validate
+        from repro.serve import __version__
+        from .spec import _local
+        from os.path import _joinrealpath
+    """
+    serve = lint_source(
+        textwrap.dedent(code), path="src/repro/serve/service.py"
+    )
+    assert [(f.rule, f.line) for f in serve] == [("private-cross-import", 2)]
+    assert "_apply_topo_event" in serve[0].message
+    ops = lint_source(textwrap.dedent(code), path="src/repro/ops/session.py")
+    assert [f.line for f in ops] == [2, 3]
+    # Files outside the repro package (tests, benchmarks) are exempt.
+    assert lint_source(textwrap.dedent(code), path="tests/test_x.py") == []
+
+
+def test_repo_has_no_private_cross_imports():
+    import os
+
+    import repro
+
+    rule = [r for r in default_rules() if r.name == "private-cross-import"]
+    findings = lint_paths([os.path.dirname(os.path.abspath(repro.__file__))], rule)
+    assert findings == [], [f"{f.path}:{f.line} {f.message}" for f in findings]
 
 
 # -- fuzz-nondeterminism ------------------------------------------------------

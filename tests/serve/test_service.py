@@ -18,11 +18,8 @@ import pytest
 from repro.serve.service import run_service
 from repro.serve.spec import ServeSpec, load_serve_spec
 from repro.sweep.executor import run_sweep
-from repro.sweep.merge import (
-    aggregate_serve,
-    attach_shard_keys,
-    build_sweep_results,
-)
+from repro.serve.sweep_kind import aggregate_serve
+from repro.sweep.merge import attach_shard_keys, build_sweep_results
 from repro.sweep.spec import load_sweep_spec
 
 #: The acceptance workload: 1000 requests over 16 reroutable B4 flows,

@@ -70,14 +70,14 @@ def test_spec_hash_canonical_and_sensitive():
 
 def test_seeds_int_means_range():
     spec = load_sweep_spec({**SMOKE, "seeds": 3})
-    assert spec.seeds == (0, 1, 2)
+    assert spec.body["seeds"] == [0, 1, 2]
     explicit = load_sweep_spec({**SMOKE, "seeds": [5, 9]})
-    assert explicit.seeds == (5, 9)
+    assert explicit.body["seeds"] == [5, 9]
 
 
 def test_params_override_validation():
     ok = load_sweep_spec({**SMOKE, "params": {"max_sim_time_ms": 1000.0}})
-    assert ok.params == {"max_sim_time_ms": 1000.0}
+    assert ok.body["params"] == {"max_sim_time_ms": 1000.0}
     with pytest.raises(SweepSpecError, match="non-overridable"):
         load_sweep_spec({**SMOKE, "params": {"nonsense_knob": 1}})
 
@@ -92,10 +92,30 @@ def test_params_override_validation():
     ({**SMOKE, "systems": []}, "empty axis"),
     ({"name": "c", "kind": "chaos"}, "needs a 'campaign'"),
     ({"name": "c", "kind": "chaos", "campaign": {}, "runs": 0}, "runs >= 1"),
+    # Malformed axis values name their field instead of escaping as a
+    # raw TypeError/ValueError (or being split into characters).
+    ({**SMOKE, "topologies": 5}, "'topologies' must be a list"),
+    ({**SMOKE, "seeds": "abc"}, "'seeds' must be a list"),
+    ({**SMOKE, "seeds": ["x"]}, "'seeds' must be a count or a list"),
+    ({**SMOKE, "systems": "p4update"}, "'systems' must be a list"),
+    ({**SMOKE, "params": [1]}, "'params' must be an object"),
 ])
 def test_invalid_specs_are_rejected(broken, match):
     with pytest.raises(SweepSpecError, match=match):
         load_sweep_spec(broken)
+
+
+def test_fields_of_another_kind_are_rejected():
+    """A field that belongs to a different kind used to be accepted and
+    left out of ``spec_hash`` — two different documents, one cache."""
+    chaos = {"name": "c", "kind": "chaos", "campaign": {"name": "c1"}, "runs": 1}
+    assert load_sweep_spec(chaos).to_dict().keys() == {
+        "name", "kind", "seed", "description", "obs", "campaign", "runs",
+    }
+    foreign = {**chaos, "systems": ["p4update"], "params": {}, "updates": 7}
+    with pytest.raises(SweepSpecError, match=r"unknown sweep spec field.*"
+                       r"\['params', 'systems', 'updates'\].*'chaos'"):
+        load_sweep_spec(foreign)
 
 
 def test_chaos_expansion_shares_the_campaign_seed():

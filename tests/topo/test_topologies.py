@@ -253,3 +253,27 @@ def test_wan_centroids_are_central_nodes():
                 )
             )
             assert worst_centroid <= max(other_lengths.values()) + 1e-9
+
+
+# -- the name registry ------------------------------------------------------
+
+
+def test_one_topology_registry_serves_every_spec_format():
+    """Every spec format resolves names in ``repro.topo.TOPOLOGIES``;
+    the chaos runner's historical name is the same mapping object (the
+    perf ledger imports it), not a copy that could drift."""
+    from repro.chaos.runner import TOPOLOGIES as chaos_topologies
+    from repro.harness.spec import build_topology
+    from repro.serve.spec import ServeSpec
+    from repro.topo import TOPOLOGIES
+
+    assert chaos_topologies is TOPOLOGIES
+    assert list(TOPOLOGIES) == [
+        "fig1", "fig2", "six_node", "b4", "internet2", "attmpls",
+        "chinanet", "fattree4",
+    ]
+    for name, factory in TOPOLOGIES.items():
+        topo = factory()
+        assert isinstance(topo, Topology) and topo.nodes
+        assert sorted(build_topology({"name": name}).nodes) == sorted(topo.nodes)
+        assert ServeSpec(name="s", topology=name).topology == name
