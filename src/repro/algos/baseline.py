@@ -70,7 +70,7 @@ class _BaselineFacadeController(_Delegating):
         self.flow_db: dict[int, _FacadeRecord] = {}
         self.update_listeners: list = []
         self._versions = itertools.count(1)
-        network.trace.subscribe(self._on_trace_event)
+        network.trace.subscribe(self._on_trace_event, (KIND_UPDATE_DONE,))
 
     # -- registration --------------------------------------------------------
 
@@ -106,8 +106,7 @@ class _BaselineFacadeController(_Delegating):
         raise NotImplementedError
 
     def _on_trace_event(self, event: TraceEvent) -> None:
-        if event.kind != KIND_UPDATE_DONE:
-            return
+        """An ``update_done`` record (the only kind subscribed to)."""
         match = self._match_done(event)
         if match is None:
             return

@@ -9,9 +9,9 @@
   routed over it sum to at most the link's capacity.
 
 :class:`LiveChecker` subscribes to a :class:`~repro.sim.trace.Trace`
-and re-validates the affected property after every rule change, which
-is how the property-based tests assert the paper's theorems at every
-event instant rather than only at convergence.
+and re-validates the flows whose rules changed after every rule
+change, which is how the property-based tests assert the paper's
+theorems at every event instant rather than only at convergence.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from repro.sim.trace import (
     KIND_RULE_CHANGE,
     KIND_SWITCH_CRASH,
     Trace,
+    TraceEvent,
 )
 
 
@@ -49,41 +50,65 @@ class CheckResult:
         return self.ok
 
 
-def check_blackhole_freedom(
-    state: ForwardingState, time: float = 0.0
-) -> CheckResult:
-    """Walk every flow from each ingress; flag rule-less intermediate nodes."""
-    violations = []
+#: Float slack on the capacity comparison.
+_SLACK = 1e-9
+
+
+def _blackhole(time: float, flow_id: int, path: list[str]) -> Violation:
+    return Violation(
+        time=time,
+        kind="blackhole",
+        flow_id=flow_id,
+        detail=f"no rule at {path[-1]!r} (walked {path})",
+    )
+
+
+def _loop(time: float, flow_id: int, path: list[str]) -> Violation:
+    return Violation(
+        time=time,
+        kind="loop",
+        flow_id=flow_id,
+        detail=f"cycle via {path[-1]!r} (walked {path})",
+    )
+
+
+def _congestion(time: float, a: str, b: str, used: float, capacity: float) -> Violation:
+    return Violation(
+        time=time,
+        kind="congestion",
+        flow_id=None,
+        detail=f"link {a}->{b} carries {used:.3f} > capacity {capacity:.3f}",
+    )
+
+
+def _walk_violations(
+    state: ForwardingState, time: float
+) -> tuple[list[Violation], list[Violation]]:
+    """(blackholes, loops) from one walk per ``(flow, ingress)``, each
+    list in flow-id then ingress order."""
+    blackholes = []
+    loops = []
     for flow_id in state.flow_ids():
         for ingress in state.ingresses(flow_id):
             path, outcome = state.walk(flow_id, ingress=ingress)
             if outcome == "blackhole":
-                violations.append(
-                    Violation(
-                        time=time,
-                        kind="blackhole",
-                        flow_id=flow_id,
-                        detail=f"no rule at {path[-1]!r} (walked {path})",
-                    )
-                )
+                blackholes.append(_blackhole(time, flow_id, path))
+            elif outcome == "loop":
+                loops.append(_loop(time, flow_id, path))
+    return blackholes, loops
+
+
+def check_blackhole_freedom(
+    state: ForwardingState, time: float = 0.0
+) -> CheckResult:
+    """Walk every flow from each ingress; flag rule-less intermediate nodes."""
+    violations, _ = _walk_violations(state, time)
     return CheckResult(ok=not violations, violations=violations)
 
 
 def check_loop_freedom(state: ForwardingState, time: float = 0.0) -> CheckResult:
     """Flag flows whose ingress-reachable forwarding graph cycles."""
-    violations = []
-    for flow_id in state.flow_ids():
-        for ingress in state.ingresses(flow_id):
-            path, outcome = state.walk(flow_id, ingress=ingress)
-            if outcome == "loop":
-                violations.append(
-                    Violation(
-                        time=time,
-                        kind="loop",
-                        flow_id=flow_id,
-                        detail=f"cycle via {path[-1]!r} (walked {path})",
-                    )
-                )
+    _, violations = _walk_violations(state, time)
     return CheckResult(ok=not violations, violations=violations)
 
 
@@ -105,27 +130,25 @@ def check_congestion_freedom(
     violations = []
     for (a, b), used in sorted(load.items()):
         capacity = state.capacity(a, b)
-        if used > capacity + 1e-9:
-            violations.append(
-                Violation(
-                    time=time,
-                    kind="congestion",
-                    flow_id=None,
-                    detail=f"link {a}->{b} carries {used:.3f} > capacity {capacity:.3f}",
-                )
-            )
+        if used > capacity + _SLACK:
+            violations.append(_congestion(time, a, b, used, capacity))
     return CheckResult(ok=not violations, violations=violations)
 
 
 def check_all(state: ForwardingState, time: float = 0.0) -> CheckResult:
-    violations = []
-    for checker in (
-        check_blackhole_freedom,
-        check_loop_freedom,
-        check_congestion_freedom,
-    ):
-        violations.extend(checker(state, time).violations)
+    """Blackholes, then loops, then congestion."""
+    blackholes, loops = _walk_violations(state, time)
+    violations = blackholes + loops
+    violations.extend(check_congestion_freedom(state, time).violations)
     return CheckResult(ok=not violations, violations=violations)
+
+
+_Key = tuple[int, str]          # (flow id, ingress)
+_Edge = tuple[str, str]         # directed link use
+
+_NO_EDGES: frozenset[_Edge] = frozenset()
+
+_WATCHED_KINDS = (KIND_RULE_CHANGE, KIND_LINK_DOWN, KIND_SWITCH_CRASH)
 
 
 class LiveChecker:
@@ -145,51 +168,169 @@ class LiveChecker:
     must not count as a protocol blackhole.  The flow re-arms the
     moment a complete path exists again, after which blackhole
     detection applies as before.
+
+    The check is *incremental*: its cost follows the flows whose rules
+    changed since the last event, not the flow count.  The checker
+    caches the last walk of every ``(flow, ingress)``, each flow's
+    active edges, each directed edge's member flows and load, and the
+    three sets of what currently violates (looping flows, overloaded
+    edges, armed-and-blackholed keys).  ``ForwardingState.observe``
+    names the flows to re-walk; every event then reports from the
+    violating sets.  What it reports is specified by the full-state
+    reference (``tests/consistency/reference_checker.py``: re-run
+    ``check_loop_freedom`` / ``check_congestion_freedom`` and re-walk
+    every flow at every ``rule_change``), kept byte-for-byte because
+    violations are serialised into committed result signatures:
+
+    * a violation that persists is reported again at every later
+      ``rule_change`` of any flow, stamped with that event's time, in
+      the order loops (flow id, then ingress order), congestion (edges
+      sorted), blackholes (flow id, then ingress order) — so a tag
+      flip that records N ``rule_change`` events reports N times;
+    * a link's load is the float sum of its member flows' sizes in
+      ascending flow-id order (a touched edge is re-summed, never
+      adjusted in place), a tree counting an edge once across leaves;
+    * arming happens only at a ``rule_change``, for every key that
+      delivers at that instant, whichever flow the event was about —
+      so a key disarmed by a failure re-arms at the next
+      ``rule_change`` if its stale rules still form a complete path.
     """
 
     def __init__(self, state: ForwardingState, trace: Trace) -> None:
         self.state = state
         self.violations: list[Violation] = []
-        self._armed: set[tuple[int, str]] = set()
-        trace.subscribe(self._on_event)
+        self._armed: set[_Key] = set()
+        # Flows mutated since the last refresh (filled by the state).
+        self._touched = state.observe()
+        self._capacity_revision = state.capacity_revision
+        # Per flow: the ingresses and size its caches were built from.
+        self._ingresses: dict[int, tuple[str, ...]] = {}
+        self._size: dict[int, float] = {}
+        self._walks: dict[_Key, tuple[list[str], str]] = {}
+        self._edges: dict[int, set[_Edge]] = {}      # delivered walks' edges
+        self._members: dict[_Edge, set[int]] = {}
+        self._load: dict[_Edge, float] = {}
+        # What violates right now.
+        self._looping: set[int] = set()
+        self._overloaded: set[_Edge] = set()
+        self._lost: set[_Key] = set()
+        # Keys to arm at the next rule_change if they still deliver.
+        self._to_arm: set[_Key] = set()
+        trace.subscribe(self._on_event, _WATCHED_KINDS)
 
-    def _disarm_through(self, node: Optional[str], edge: Optional[frozenset]) -> None:
-        """Disarm flows whose current walk crosses the failed element."""
-        for key in list(self._armed):
-            flow_id, ingress = key
-            path, _ = self.state.walk(flow_id, ingress=ingress)
-            if node is not None and node in path:
-                self._armed.discard(key)
+    # -- cache maintenance -----------------------------------------------------
+
+    def _refresh(self) -> None:
+        """Bring the caches up to the state's current rules."""
+        if self._touched:
+            stale_edges: set[_Edge] = set()
+            for flow_id in self._touched:
+                self._rewalk(flow_id, stale_edges)
+            self._touched.clear()
+            for edge in stale_edges:
+                self._resum(edge)
+        if self.state.capacity_revision != self._capacity_revision:
+            self._capacity_revision = self.state.capacity_revision
+            for edge in self._load:
+                self._weigh(edge)
+
+    def _rewalk(self, flow_id: int, stale_edges: set[_Edge]) -> None:
+        """Re-walk one flow; collect the edges whose load it changed."""
+        state = self.state
+        ingresses = state.ingresses(flow_id)
+        size = state.flow_info(flow_id)[2]
+        for ingress in self._ingresses.get(flow_id, ()):
+            if ingress not in ingresses:    # re-registered elsewhere
+                self._walks.pop((flow_id, ingress), None)
+                self._lost.discard((flow_id, ingress))
+        self._ingresses[flow_id] = ingresses
+        edges: set[_Edge] = set()
+        looping = False
+        for ingress in ingresses:
+            key = (flow_id, ingress)
+            walk = state.walk(flow_id, ingress=ingress)
+            self._walks[key] = walk
+            path, outcome = walk
+            if outcome == "blackhole" and key in self._armed:
+                self._lost.add(key)
                 continue
-            if edge is not None and any(
-                frozenset(pair) == edge for pair in zip(path, path[1:])
-            ):
-                self._armed.discard(key)
+            self._lost.discard(key)
+            if outcome == "delivered":
+                edges.update(zip(path, path[1:]))
+                self._to_arm.add(key)
+            elif outcome == "loop":
+                looping = True
+        if looping:
+            self._looping.add(flow_id)
+        else:
+            self._looping.discard(flow_id)
+        old = self._edges.get(flow_id, _NO_EDGES)
+        if edges != old:
+            self._edges[flow_id] = edges
+            for edge in old - edges:
+                self._members[edge].discard(flow_id)
+            for edge in edges - old:
+                self._members.setdefault(edge, set()).add(flow_id)
+            stale_edges |= old ^ edges
+        if self._size.get(flow_id) != size:
+            self._size[flow_id] = size
+            stale_edges |= edges
 
-    def _on_event(self, event) -> None:
-        if event.kind == KIND_LINK_DOWN:
+    def _resum(self, edge: _Edge) -> None:
+        members = self._members[edge]
+        if not members:
+            del self._members[edge]
+            del self._load[edge]
+            self._overloaded.discard(edge)
+            return
+        used = 0.0
+        for flow_id in sorted(members):     # the reference's sum order
+            used += self._size[flow_id]
+        self._load[edge] = used
+        self._weigh(edge)
+
+    def _weigh(self, edge: _Edge) -> None:
+        if self._load[edge] > self.state.capacity(*edge) + _SLACK:
+            self._overloaded.add(edge)
+        else:
+            self._overloaded.discard(edge)
+
+    # -- events ------------------------------------------------------------------
+
+    def _on_event(self, event: TraceEvent) -> None:
+        if event.kind == KIND_RULE_CHANGE:
+            self._check(event.time)
+        elif event.kind == KIND_SWITCH_CRASH:
+            self._disarm_through(event.node, None)
+        elif event.kind == KIND_LINK_DOWN:
             peer = event.detail.get("peer")
             if peer is not None:
                 self._disarm_through(None, frozenset((event.node, peer)))
-            return
-        if event.kind == KIND_SWITCH_CRASH:
-            self._disarm_through(event.node, None)
-            return
-        if event.kind != KIND_RULE_CHANGE:
-            return
-        time = event.time
-        loops = check_loop_freedom(self.state, time)
-        self.violations.extend(loops.violations)
-        congestion = check_congestion_freedom(self.state, time)
-        self.violations.extend(congestion.violations)
-        for flow_id in self.state.flow_ids():
-            for ingress in self.state.ingresses(flow_id):
-                key = (flow_id, ingress)
-                _, outcome = self.state.walk(flow_id, ingress=ingress)
-                if outcome == "delivered":
+
+    def _check(self, time: float) -> None:
+        """Arm what delivers, then report everything that violates."""
+        self._refresh()
+        if self._to_arm:
+            for key in self._to_arm:
+                walk = self._walks.get(key)
+                if walk is not None and walk[1] == "delivered":
                     self._armed.add(key)
-                elif outcome == "blackhole" and key in self._armed:
-                    self.violations.append(
+            self._to_arm.clear()
+        if not (self._looping or self._overloaded or self._lost):
+            return
+        state = self.state
+        report = self.violations.append
+        for flow_id in sorted(self._looping):
+            for ingress in state.ingresses(flow_id):
+                path, outcome = self._walks[(flow_id, ingress)]
+                if outcome == "loop":
+                    report(_loop(time, flow_id, path))
+        for a, b in sorted(self._overloaded):
+            report(_congestion(time, a, b, self._load[(a, b)], state.capacity(a, b)))
+        for flow_id in sorted({flow_id for flow_id, _ in self._lost}):
+            for ingress in state.ingresses(flow_id):
+                if (flow_id, ingress) in self._lost:
+                    report(
                         Violation(
                             time=time,
                             kind="blackhole",
@@ -197,6 +338,29 @@ class LiveChecker:
                             detail=f"established path from {ingress!r} lost",
                         )
                     )
+
+    def _disarm_through(
+        self, node: Optional[str], edge: Optional[frozenset[str]]
+    ) -> None:
+        """Disarm flows whose current walk crosses the failed element.
+
+        Rules may have changed without an event since the last check,
+        so the cached walks are refreshed first; nothing is armed here.
+        """
+        self._refresh()
+        for key in list(self._armed):
+            walk = self._walks.get(key)
+            if walk is None:
+                # Armed under an ingress the flow has since left.
+                walk = self.state.walk(key[0], ingress=key[1])
+            path = walk[0]
+            if (node is not None and node in path) or (
+                edge is not None
+                and any(frozenset(pair) == edge for pair in zip(path, path[1:]))
+            ):
+                self._armed.discard(key)
+                self._lost.discard(key)
+                self._to_arm.add(key)
 
     @property
     def ok(self) -> bool:

@@ -4,6 +4,13 @@
 the ground truth the consistency checker reasons about.  Switch agents
 mirror every rule change into it (via the trace or directly), so the
 checker sees exactly the mixed old/new states that arise mid-update.
+
+The state also tells observers *what changed*: :meth:`observe` hands
+out a touched-set that every later ``set_rule`` / ``register_flow`` /
+``register_tree`` adds its flow id to, and ``capacity_revision`` counts
+``set_capacity`` calls.  Many mutations carry no trace event (initial
+installs) or several share one (a §11 tag flip), so this — not the
+event stream — is what an incremental checker invalidates on.
 """
 
 from __future__ import annotations
@@ -21,13 +28,36 @@ class ForwardingState:
         # have one ingress, destination trees (§11) have one per leaf.
         self._flows: dict[int, tuple[tuple[str, ...], str, float]] = {}
         # frozenset({a,b}) -> capacity
-        self._capacity: dict[frozenset, float] = {}
+        self._capacity: dict[frozenset[str], float] = {}
+        #: Bumped by every ``set_capacity``.
+        self.capacity_revision = 0
+        # One touched-set per observer (see ``observe``).
+        self._observers: list[set[int]] = []
+
+    # -- change notification ---------------------------------------------------
+
+    def observe(self) -> set[int]:
+        """Register an observer; returns its own touched-set.
+
+        The set starts with every registered flow and gains the id of
+        each registered flow a later mutation touches.  The observer
+        drains it (``clear()``) when it has caught up; each observer
+        gets its own set, so several can watch one state.
+        """
+        touched = set(self._flows)
+        self._observers.append(touched)
+        return touched
+
+    def _touch(self, flow_id: int) -> None:
+        for touched in self._observers:
+            touched.add(flow_id)
 
     # -- flows ---------------------------------------------------------------
 
     def register_flow(self, flow_id: int, ingress: str, egress: str, size: float) -> None:
         self._flows[flow_id] = ((ingress,), egress, size)
         self._next_hop.setdefault(flow_id, {})
+        self._touch(flow_id)
 
     def register_tree(
         self, tree_id: int, leaves: list[str], egress: str, size: float
@@ -36,6 +66,7 @@ class ForwardingState:
         every source, walked from each leaf."""
         self._flows[tree_id] = (tuple(leaves), egress, size)
         self._next_hop.setdefault(tree_id, {})
+        self._touch(tree_id)
 
     def flow_ids(self) -> list[int]:
         return sorted(self._flows)
@@ -56,6 +87,10 @@ class ForwardingState:
             rules.pop(node, None)
         else:
             rules[node] = next_hop
+        # Rules of a not-yet-registered flow are picked up when it
+        # registers.
+        if flow_id in self._flows:
+            self._touch(flow_id)
 
     def next_hop(self, flow_id: int, node: str) -> Optional[str]:
         return self._next_hop.get(flow_id, {}).get(node)
@@ -63,15 +98,24 @@ class ForwardingState:
     def rules(self, flow_id: int) -> dict[str, str]:
         return dict(self._next_hop.get(flow_id, {}))
 
+    def flows_with_rule_at(self, node: str) -> list[int]:
+        """Registered flows holding a rule at ``node``, ascending."""
+        return sorted(
+            flow_id
+            for flow_id, rules in self._next_hop.items()
+            if node in rules and flow_id in self._flows
+        )
+
     # -- capacity --------------------------------------------------------------
 
     def set_capacity(self, a: str, b: str, capacity: float) -> None:
         self._capacity[frozenset((a, b))] = capacity
+        self.capacity_revision += 1
 
     def capacity(self, a: str, b: str) -> float:
         return self._capacity.get(frozenset((a, b)), float("inf"))
 
-    def capacities(self) -> dict[frozenset, float]:
+    def capacities(self) -> dict[frozenset[str], float]:
         return dict(self._capacity)
 
     # -- traversal ----------------------------------------------------------------

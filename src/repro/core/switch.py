@@ -159,9 +159,7 @@ class P4UpdateSwitch(P4Switch):
         if preserve_state:
             return
         if self.forwarding_state is not None:
-            for flow_id in self.forwarding_state.flow_ids():
-                if self.forwarding_state.next_hop(flow_id, self.name) is None:
-                    continue
+            for flow_id in self.forwarding_state.flows_with_rule_at(self.name):
                 self.forwarding_state.set_rule(flow_id, self.name, None)
                 if self.network is not None:
                     self.network.trace.record(

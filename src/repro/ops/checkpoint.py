@@ -36,7 +36,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Bumped whenever the checkpoint payload layout changes; a mismatch
 #: on load is an error (old checkpoints do not silently restore).
-CHECKPOINT_FORMAT = 1
+#: 2: the session graph holds the incremental ``LiveChecker``'s caches
+#: and ``Trace`` subscribers as (callback, kinds) pairs.
+CHECKPOINT_FORMAT = 2
 
 _MANIFEST = "checkpoints.json"
 _STATUS = "status.json"

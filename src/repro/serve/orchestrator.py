@@ -134,7 +134,10 @@ class ServiceOrchestrator:
         # Closed-loop hook: called once per terminal outcome.
         self.on_terminal: Optional[Callable[[UpdateRequest], None]] = None
         self.controller.update_listeners.append(self._on_update_event)
-        self.trace.subscribe(self._on_trace_event)
+        self.trace.subscribe(
+            self._on_trace_event,
+            (KIND_RULE_CHANGE,) if self._causal is None else _CAUSAL_TRACE_KINDS,
+        )
 
     # -- token bucket (simulated time, lazy refill) -------------------------
 
@@ -521,11 +524,13 @@ class ServiceOrchestrator:
         self.pump()
 
     def _on_trace_event(self, event: TraceEvent) -> None:
+        # Routed here: rule_change, plus the other _CAUSAL_TRACE_KINDS
+        # when causal tracing is on.
         if event.kind == KIND_RULE_CHANGE:
             request = self.in_flight.get(event.detail.get("flow", -1))
             if request is not None and request.pushed_ms is not None:
                 request.last_install_ms = event.time
-        if self._causal is not None and event.kind in _CAUSAL_TRACE_KINDS:
+        if self._causal is not None:
             flow = event.detail.get("flow")
             if flow is not None:
                 version = event.detail.get("version")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 
 @dataclass(frozen=True)
@@ -69,6 +69,10 @@ class Trace:
     ``dropped_events``.  Subscribers still see every event (live
     checking is unaffected), only retention changes.  The default
     (``0``) keeps the historical unbounded behaviour.
+
+    Subscribers are routed by kind: one that names the ``kinds`` it
+    reads is never called for any other.  Within a kind, subscribers
+    run in subscription order, whether or not they named kinds.
     """
 
     def __init__(self, max_events: int = 0) -> None:
@@ -77,7 +81,13 @@ class Trace:
         self.dropped_events = 0
         # Absolute position of events[0] (non-zero once the ring drops).
         self._base = 0
-        self._subscribers: list[Callable[[TraceEvent], None]] = []
+        # (callback, kinds it reads or None for all), subscription order.
+        self._subscribers: list[
+            tuple[Callable[[TraceEvent], None], Optional[frozenset[str]]]
+        ] = []
+        # kind -> its callbacks; derived from _subscribers per kind on
+        # first use, dropped whenever the subscriber list changes.
+        self._routes: dict[str, list[Callable[[TraceEvent], None]]] = {}
         # kind -> absolute positions, each list ascending; stale (dropped)
         # positions are pruned lazily on lookup.
         self._by_kind: dict[str, list[int]] = {}
@@ -91,7 +101,14 @@ class Trace:
             del self.events[:overflow]
             self._base += overflow
             self.dropped_events += overflow
-        for subscriber in self._subscribers:
+        route = self._routes.get(kind)
+        if route is None:
+            route = self._routes[kind] = [
+                callback
+                for callback, kinds in self._subscribers
+                if kinds is None or kind in kinds
+            ]
+        for subscriber in route:
             subscriber(event)
         return event
 
@@ -105,9 +122,17 @@ class Trace:
             del positions[:cut]
         return positions
 
-    def subscribe(self, callback: Callable[[TraceEvent], None]) -> None:
-        """Invoke ``callback`` for every future event (live checking)."""
-        self._subscribers.append(callback)
+    def subscribe(
+        self,
+        callback: Callable[[TraceEvent], None],
+        kinds: Optional[Iterable[str]] = None,
+    ) -> None:
+        """Invoke ``callback`` for every future event (live checking),
+        or only for events of the given ``kinds``."""
+        self._subscribers.append(
+            (callback, None if kinds is None else frozenset(kinds))
+        )
+        self._routes = {}
 
     def unsubscribe(self, callback: Callable[[TraceEvent], None]) -> bool:
         """Stop notifying ``callback``; True when it was subscribed.
@@ -116,11 +141,15 @@ class Trace:
         unknown callbacks are ignored rather than raising, so teardown
         paths can unsubscribe unconditionally.
         """
-        try:
-            self._subscribers.remove(callback)
-            return True
-        except ValueError:
-            return False
+        for i, (registered, _) in enumerate(self._subscribers):
+            # Equality, not identity: bound methods are rebuilt on every
+            # attribute access and callers may hold a wrapper that
+            # compares equal to what they subscribed.
+            if registered == callback:
+                del self._subscribers[i]
+                self._routes = {}
+                return True
+        return False
 
     def of_kind(self, *kinds: str) -> list[TraceEvent]:
         if len(kinds) == 1:

@@ -1,6 +1,7 @@
 """Campaign declarations, the runner, determinism and zero-overhead."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from repro.chaos import (
     MessageFaultSpec,
     TopoEvent,
     load_campaign,
+    load_campaign_file,
     run_campaign,
     trace_signature,
 )
@@ -76,6 +78,7 @@ def test_unknown_topology_rejected_by_runner():
 # -- the acceptance criterion ------------------------------------------------
 
 
+@pytest.mark.usefixtures("shadow_checker")     # link failure + switch crash
 def test_acceptance_scenario_completes_consistently_and_deterministically():
     campaign = acceptance_campaign()
     first = run_campaign(campaign)
@@ -85,6 +88,16 @@ def test_acceptance_scenario_completes_consistently_and_deterministically():
     assert first.fault_counts["data"]["dropped"] > 0, "the 20% UNM drop must bite"
     assert first.trace_signature == second.trace_signature
     assert first.to_results() == second.to_results()
+
+
+def test_smoke_example_agrees_with_reference_checker(shadow_checker):
+    path = os.path.join(
+        os.path.dirname(__file__), "..", "..", "examples", "chaos_smoke.json"
+    )
+    result = run_campaign(load_campaign_file(path))
+    assert result.completed and result.consistent
+    assert result.topo_events == 1, "the link failure (checker disarm) must run"
+    assert len(shadow_checker) == 1
 
 
 def test_different_seeds_diverge():

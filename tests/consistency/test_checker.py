@@ -156,13 +156,78 @@ def test_live_checker_arms_blackhole_after_first_delivery():
     assert checker.violations[0].kind == "blackhole"
 
 
-def test_live_checker_ignores_other_event_kinds():
+def test_live_checker_ignores_other_event_kinds(monkeypatch):
+    calls = []
+    on_event = LiveChecker._on_event
+
+    def counting(self, event):
+        calls.append(event.kind)
+        on_event(self, event)
+
+    monkeypatch.setattr(LiveChecker, "_on_event", counting)
     state = ForwardingState()
     trace = Trace()
     checker = LiveChecker(state, trace)
     state.register_flow(1, "a", "b", size=1.0)
     trace.record(1.0, "msg_send", "a")
+    trace.record(2.0, "verify_ok", "a")
     assert checker.ok
+    # Routed by kind: the checker is not even invoked for them.
+    assert calls == []
+    trace.record(3.0, KIND_RULE_CHANGE, "a", flow=1)
+    trace.record(4.0, "link_down", "a", peer="b")
+    trace.record(5.0, "switch_crash", "a")
+    assert calls == [KIND_RULE_CHANGE, "link_down", "switch_crash"]
+
+
+def test_check_all_lists_blackholes_then_loops_then_congestion():
+    state = ForwardingState()
+    state.register_flow(1, "a", "z", size=1.0)     # loops
+    state.set_rule(1, "a", "b")
+    state.set_rule(1, "b", "a")
+    state.register_flow(2, "a", "c", size=1.0)     # blackhole at b
+    state.set_rule(2, "a", "b")
+    state.register_tree(3, ["d", "a"], "c", size=9.0)
+    state.set_rule(3, "a", "c")                    # leaf d has no rule
+    state.set_capacity("a", "c", 1.0)
+    combined = check_all(state, time=4.0).violations
+    assert combined == (
+        check_blackhole_freedom(state, 4.0).violations
+        + check_loop_freedom(state, 4.0).violations
+        + check_congestion_freedom(state, 4.0).violations
+    )
+    assert [(v.kind, v.flow_id) for v in combined] == [
+        ("blackhole", 2), ("blackhole", 3), ("loop", 1), ("congestion", None),
+    ]
+
+
+def test_flows_with_rule_at_lists_registered_flows_ascending():
+    state = delivered_state()
+    state.register_flow(5, "x", "c", size=1.0)
+    state.set_rule(5, "b", "c")
+    state.set_rule(9, "b", "c")                    # never registered
+    state.register_flow(3, "a", "c", size=1.0)
+    state.set_rule(3, "b", "c")
+    state.set_rule(3, "b", None)
+    assert state.flows_with_rule_at("b") == [1, 5]
+    assert state.flows_with_rule_at("c") == []
+
+
+def test_each_observer_gets_its_own_touched_set():
+    state = delivered_state()
+    first = state.observe()
+    assert first == {1}
+    first.clear()
+    state.set_rule(7, "a", "b")                    # unregistered: not reported
+    state.set_rule(1, "b", None)
+    second = state.observe()
+    state.register_tree(2, ["a", "b"], "c", size=1.0)
+    assert first == {1, 2} and second == {1, 2}
+    first.clear()
+    assert second == {1, 2}
+    revision = state.capacity_revision
+    state.set_capacity("a", "b", 3.0)
+    assert state.capacity_revision == revision + 1 and not first
 
 
 def test_active_edges_only_for_delivered():

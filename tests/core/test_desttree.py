@@ -79,6 +79,7 @@ def star_topology() -> Topology:
     return topo
 
 
+@pytest.mark.usefixtures("shadow_checker")     # register_tree: one walk per leaf
 def test_tree_update_completes_and_rebinds_all_leaves():
     topo = star_topology()
     dep = build_p4update_network(topo, params=fast_params())
@@ -122,6 +123,7 @@ def test_tree_update_branches_from_root():
     assert changes["m2"] < changes["l1"]
 
 
+@pytest.mark.usefixtures("shadow_checker")     # register_tree: one walk per leaf
 def test_tree_update_on_ring_reverses_orientation():
     """Flip the in-tree around the ring (every node's parent reverses)
     — a maximally entangled destination update."""
@@ -158,6 +160,7 @@ def test_tree_update_duration_recorded():
     assert duration is not None and duration > 0
 
 
+@pytest.mark.usefixtures("shadow_checker")     # register_tree: one walk per leaf
 def test_tree_on_fattree_core_shift():
     """Shift a fat-tree destination's in-tree to different cores."""
     topo = fattree_topology(4)

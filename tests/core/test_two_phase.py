@@ -7,6 +7,8 @@ give the weaker relative consistency (mixed but loop-free paths).
 """
 
 
+import pytest
+
 from repro.consistency import LiveChecker
 from repro.core.messages import UpdateType
 from repro.harness.build import build_p4update_network
@@ -68,6 +70,7 @@ def run_with_probes(dep, flow, update, probe_until=400.0):
     return probes, source
 
 
+@pytest.mark.usefixtures("shadow_checker")     # N records for one tag flip
 def test_two_phase_update_completes():
     dep, flow = deployment()
     checker = LiveChecker(dep.forwarding_state, dep.network.trace)

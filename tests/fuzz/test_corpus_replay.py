@@ -43,6 +43,9 @@ def test_corpus_keys_are_unique():
     assert known_keys(CORPUS_DIR) == set(keys)
 
 
+# Every checker a case builds (chaos, serve, ops, compete lanes) also
+# runs the full-state reference checker and must agree with it.
+@pytest.mark.usefixtures("shadow_checker")
 @pytest.mark.parametrize(
     "path", CASES, ids=[pathlib.Path(p).stem for p in CASES]
 )

@@ -83,7 +83,7 @@ def test_resume_at_every_checkpoint_is_byte_identical(tmp_path):
         assert result.trace_sig == uninterrupted.trace_sig
 
 
-def test_stop_after_kill_point_then_resume(tmp_path):
+def test_stop_after_kill_point_then_resume(tmp_path, shadow_checker):
     ck_dir = str(tmp_path / "ckpts")
     spec = _spec()
     uninterrupted = run_session(spec)
@@ -102,6 +102,9 @@ def test_stop_after_kill_point_then_resume(tmp_path):
     assert _canonical(result) == _canonical(uninterrupted)
     # The resumed process kept checkpointing past the kill point.
     assert checkpoint_status(ck_dir)["latest_index"] == 4
+    # The checker, its caches and its link to the state were restored
+    # with the reference checker beside them (compared at teardown).
+    assert resumed.checker in [shadow.shadows for shadow in shadow_checker]
 
 
 def test_checkpoint_bytes_do_not_depend_on_sink(tmp_path):

@@ -72,6 +72,15 @@ def test_conflict_example_off_reproduces_violations(conflict_off):
     assert "interference" not in conflict_off.to_results()
 
 
+def test_conflict_example_off_agrees_with_reference_checker(
+    conflict_off, shadow_checker
+):
+    shadowed = run_service(conflict_spec())
+    assert len(shadow_checker) == 1
+    assert len(shadowed.violations) == 4
+    assert shadowed.signature() == conflict_off.signature()
+
+
 def test_conflict_example_warn_dispatches_anyway(conflict_off):
     warned = run_service(conflict_spec(static_interference="warn"))
     assert len(warned.violations) == len(conflict_off.violations)

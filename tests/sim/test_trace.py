@@ -1,5 +1,7 @@
 """Unit tests for the trace log."""
 
+import pickle
+
 from repro.sim.trace import (
     KIND_MSG_SEND,
     KIND_RULE_CHANGE,
@@ -80,6 +82,134 @@ def test_unsubscribe_removes_one_registration_per_call():
     trace.unsubscribe(seen.append)
     trace.record(1.0, "x", "n")
     assert len(seen) == 1
+
+
+# -- kind-routed subscribers --------------------------------------------------
+
+
+class Recorder:
+    """A picklable subscriber; ``tag`` tells registrations apart."""
+
+    def __init__(self, log, tag):
+        self.log = log
+        self.tag = tag
+
+    def __call__(self, event):
+        self.log.append((self.tag, event.kind))
+
+
+class EqualWrapper:
+    """Equal to the callback it wraps but not identical to it (what
+    the perf ledger hands ``subscribe`` in place of the original)."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __call__(self, event):
+        self.fn(event)
+
+    def __eq__(self, other):
+        return self.fn == getattr(other, "fn", other)
+
+    def __hash__(self):
+        return hash(self.fn)
+
+
+def test_kinded_subscriber_sees_exactly_its_kinds():
+    trace = Trace()
+    seen = []
+    trace.subscribe(seen.append, kinds=(KIND_RULE_CHANGE, "link_down"))
+    for kind in ("x", KIND_RULE_CHANGE, KIND_MSG_SEND, "link_down", KIND_RULE_CHANGE):
+        trace.record(0.0, kind, "n")
+    assert [e.kind for e in seen] == [KIND_RULE_CHANGE, "link_down", KIND_RULE_CHANGE]
+
+
+def test_order_within_a_kind_is_subscription_order():
+    trace = Trace()
+    log = []
+    trace.subscribe(Recorder(log, "rules-1"), kinds=[KIND_RULE_CHANGE])
+    trace.subscribe(Recorder(log, "all"))
+    trace.subscribe(Recorder(log, "sends"), kinds={KIND_MSG_SEND})
+    trace.subscribe(Recorder(log, "rules-2"), kinds=frozenset({KIND_RULE_CHANGE}))
+    trace.record(0.0, KIND_RULE_CHANGE, "n")
+    trace.record(1.0, KIND_MSG_SEND, "n")
+    trace.record(2.0, "other", "n")
+    assert log == [
+        ("rules-1", KIND_RULE_CHANGE), ("all", KIND_RULE_CHANGE),
+        ("rules-2", KIND_RULE_CHANGE),
+        ("all", KIND_MSG_SEND), ("sends", KIND_MSG_SEND),
+        ("all", "other"),
+    ]
+
+
+def test_subscribing_after_a_kind_was_routed_still_delivers():
+    trace = Trace()
+    first, second = [], []
+    trace.subscribe(first.append, kinds=("x",))
+    trace.record(0.0, "x", "n")
+    trace.subscribe(second.append, kinds=("x",))
+    trace.record(1.0, "x", "n")
+    assert len(first) == 2 and len(second) == 1
+
+
+def test_unsubscribe_removes_one_registration_per_call_in_both_forms():
+    trace = Trace()
+    seen = []
+    trace.subscribe(seen.append, kinds=("x",))
+    trace.subscribe(seen.append)
+    trace.subscribe(seen.append, kinds=("x",))
+    trace.record(0.0, "x", "n")
+    assert len(seen) == 3
+    assert trace.unsubscribe(seen.append) is True      # the first kinded one
+    trace.record(1.0, "x", "n")
+    trace.record(1.0, "y", "n")
+    assert len(seen) == 3 + 2 + 1
+    assert trace.unsubscribe(seen.append) is True      # the unkinded one
+    trace.record(2.0, "y", "n")
+    trace.record(2.0, "x", "n")
+    assert len(seen) == 6 + 1
+    assert trace.unsubscribe(seen.append) is True
+    assert trace.unsubscribe(seen.append) is False
+    trace.record(3.0, "x", "n")
+    assert len(seen) == 7
+
+
+def test_unsubscribe_matches_an_equal_wrapper():
+    trace = Trace()
+    seen = []
+    trace.subscribe(EqualWrapper(seen.append), kinds=("x",))
+    trace.record(0.0, "x", "n")
+    assert trace.unsubscribe(seen.append) is True
+    trace.record(1.0, "x", "n")
+    assert len(seen) == 1
+
+
+def test_kinded_subscribers_survive_pickle():
+    trace = Trace(max_events=2)
+    trace.subscribe(Recorder([], "rules"), kinds=(KIND_RULE_CHANGE,))
+    trace.subscribe(Recorder([], "all"))
+    trace.record(0.0, KIND_RULE_CHANGE, "n")       # the route is built
+    restored = pickle.loads(pickle.dumps(trace))
+    restored.record(1.0, KIND_RULE_CHANGE, "n")
+    restored.record(2.0, KIND_MSG_SEND, "n")
+    (rules, _), (everything, _) = restored._subscribers
+    assert [kind for _, kind in rules.log] == [KIND_RULE_CHANGE] * 2
+    assert [kind for _, kind in everything.log] == [
+        KIND_RULE_CHANGE, KIND_RULE_CHANGE, KIND_MSG_SEND,
+    ]
+    # The restored trace dispatches to its own copies only.
+    assert len(trace._subscribers[0][0].log) == 1
+
+
+def test_ring_buffer_delivers_every_event_to_kinded_subscribers():
+    trace = Trace(max_events=2)
+    seen = []
+    trace.subscribe(seen.append, kinds=("k",))
+    for i in range(5):
+        trace.record(float(i), "k", "n")
+        trace.record(float(i), "other", "n")
+    assert [e.time for e in seen] == [0.0, 1.0, 2.0, 3.0, 4.0]
+    assert len(trace) == 2
 
 
 def test_kind_index_matches_linear_scan():
