@@ -34,11 +34,11 @@ checker and the static plan verifier hold with no changes.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Optional, cast
+from typing import Any, Optional
 
 from repro.algos.base import _Delegating, path_edges
 from repro.core.controller import P4UpdateController, PreparedUpdate
-from repro.harness.build import P4UpdateDeployment, build_p4update_network
+from repro.harness.build import Deployment, build_p4update_network
 from repro.obs.context import ObsContext
 from repro.params import SimParams
 from repro.topo.graph import Topology
@@ -236,8 +236,7 @@ def build_augmented_network(
     topo: Topology,
     params: Optional[SimParams] = None,
     obs: Optional[ObsContext] = None,
-) -> P4UpdateDeployment:
+) -> Deployment:
     deployment = build_p4update_network(topo, params=params, obs=obs)
-    facade = AugmentedController(deployment.controller, topo)
-    deployment.controller = cast(P4UpdateController, facade)
+    deployment.controller = AugmentedController(deployment.controller, topo)
     return deployment

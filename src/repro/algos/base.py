@@ -69,7 +69,7 @@ class StrategyController(Protocol):
 class StrategyRuntime(Protocol):
     """Deployment surface ``run_service`` drives.
 
-    Mirrors :class:`repro.harness.build.P4UpdateDeployment`; facade
+    Mirrors :class:`repro.harness.build.Deployment`; facade
     deployments delegate unknown attributes to the wrapped deployment
     so chaos event application (which only touches ``.network`` and
     ``.params``) works unchanged.
@@ -91,9 +91,6 @@ class StrategyRuntime(Protocol):
         """Run the simulation until quiescence or ``until``."""
 
 
-#: Builder signature: ``builder(topology, params=None, obs=None) -> StrategyRuntime``.
-StrategyBuilder = Callable[..., Any]
-
 
 @dataclass(frozen=True)
 class StrategyInfo:
@@ -108,7 +105,9 @@ class StrategyInfo:
 
     name: str
     description: str
-    builder: StrategyBuilder
+    #: ``module:attribute`` of ``builder(topology, params=None, obs=None)
+    #: -> StrategyRuntime``, resolved by ``build_strategy_runtime``.
+    builder: str
     decentralized: bool = False
     uses_augmentation: bool = False
 

@@ -25,15 +25,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Optional, cast
+from typing import Any, Optional
 
 from repro.algos.base import _Delegating
 from repro.harness.baselines_build import (
-    CentralDeployment,
-    EzSegwayDeployment,
     build_central_network,
     build_ezsegway_network,
 )
+from repro.harness.build import Deployment
 from repro.obs.context import ObsContext
 from repro.params import SimParams
 from repro.sim.trace import KIND_UPDATE_DONE, TraceEvent
@@ -182,25 +181,15 @@ class CentralFacadeController(_BaselineFacadeController):
         return int(flow), version
 
 
-class _CentralStrategyDeployment(_Delegating):
-    """Adds the ``set_congestion_aware`` surface Central's deployment
-    lacks (the knob is a controller attribute there)."""
-
-    def __init__(self, inner: CentralDeployment) -> None:
-        self._inner = inner
-
-    def set_congestion_aware(self, enabled: bool) -> None:
-        self._inner.controller.congestion_aware = bool(enabled)
-
-
 def build_ezsegway_facade(
     topo: Topology,
     params: Optional[SimParams] = None,
     obs: Optional[ObsContext] = None,
-) -> EzSegwayDeployment:
+) -> Deployment:
     deployment = build_ezsegway_network(topo, params=params, obs=obs)
-    facade = EzSegwayFacadeController(deployment.controller, deployment.network)
-    deployment.controller = cast(Any, facade)
+    deployment.controller = EzSegwayFacadeController(
+        deployment.controller, deployment.network
+    )
     return deployment
 
 
@@ -208,8 +197,9 @@ def build_central_facade(
     topo: Topology,
     params: Optional[SimParams] = None,
     obs: Optional[ObsContext] = None,
-) -> Any:
+) -> Deployment:
     deployment = build_central_network(topo, params=params, obs=obs)
-    facade = CentralFacadeController(deployment.controller, deployment.network)
-    deployment.controller = cast(Any, facade)
-    return _CentralStrategyDeployment(deployment)
+    deployment.controller = CentralFacadeController(
+        deployment.controller, deployment.network
+    )
+    return deployment

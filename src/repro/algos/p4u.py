@@ -8,12 +8,13 @@ on identical workloads (the Fig. 7 axis, as a service strategy).
 
 from __future__ import annotations
 
-from typing import Any, Optional, cast
+import functools
+from typing import Any, Optional
 
 from repro.algos.base import _Delegating
 from repro.core.controller import P4UpdateController, PreparedUpdate
 from repro.core.messages import UpdateType
-from repro.harness.build import P4UpdateDeployment, build_p4update_network
+from repro.harness.build import Deployment, build_p4update_network
 from repro.obs.context import ObsContext
 from repro.params import SimParams
 from repro.topo.graph import Topology
@@ -50,7 +51,7 @@ def build_forced_type_network(
     update_type: UpdateType,
     params: Optional[SimParams] = None,
     obs: Optional[ObsContext] = None,
-) -> P4UpdateDeployment:
+) -> Deployment:
     """A stock P4Update deployment whose controller always prepares
     ``update_type`` updates."""
     deployment = build_p4update_network(topo, params=params, obs=obs)
@@ -61,6 +62,14 @@ def build_forced_type_network(
         # consecutive-dual drop and stalls.
         for switch in deployment.switches.values():
             switch.program.allow_consecutive_dual = True
-    proxy = _ForcedTypeController(deployment.controller, update_type)
-    deployment.controller = cast(P4UpdateController, proxy)
+    deployment.controller = _ForcedTypeController(deployment.controller, update_type)
     return deployment
+
+
+#: The ``p4update-sl`` / ``p4update-dl`` strategy builders.
+build_single_layer_network = functools.partial(
+    build_forced_type_network, update_type=UpdateType.SINGLE
+)
+build_dual_layer_network = functools.partial(
+    build_forced_type_network, update_type=UpdateType.DUAL
+)

@@ -1,9 +1,10 @@
 """The update-strategy registry.
 
-Builders import their implementation modules lazily so that importing
-:mod:`repro.algos.registry` (which :class:`repro.serve.spec.ServeSpec`
-does during validation) never drags the harness/baseline stacks in —
-and never forms an import cycle with :mod:`repro.serve`.
+Builders are named by ``module:attribute`` path and imported when a
+runtime is built, so that importing :mod:`repro.algos.registry` (which
+:class:`repro.serve.spec.ServeSpec` does during validation) never drags
+the harness/baseline stacks in — and never forms an import cycle with
+:mod:`repro.serve`.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from repro.algos.base import StrategyInfo
+from repro.loading import resolve_attribute
 
 __all__ = [
     "STRATEGIES",
@@ -23,54 +25,6 @@ __all__ = [
 DEFAULT_STRATEGY = "p4update"
 
 
-def _build_p4update(topology: Any, params: Any = None, obs: Any = None) -> Any:
-    from repro.harness.build import build_p4update_network
-
-    return build_p4update_network(topology, params=params, obs=obs)
-
-
-def _build_p4update_sl(topology: Any, params: Any = None, obs: Any = None) -> Any:
-    from repro.algos.p4u import build_forced_type_network
-    from repro.core.messages import UpdateType
-
-    return build_forced_type_network(
-        topology, UpdateType.SINGLE, params=params, obs=obs
-    )
-
-
-def _build_p4update_dl(topology: Any, params: Any = None, obs: Any = None) -> Any:
-    from repro.algos.p4u import build_forced_type_network
-    from repro.core.messages import UpdateType
-
-    return build_forced_type_network(
-        topology, UpdateType.DUAL, params=params, obs=obs
-    )
-
-
-def _build_ezsegway(topology: Any, params: Any = None, obs: Any = None) -> Any:
-    from repro.algos.baseline import build_ezsegway_facade
-
-    return build_ezsegway_facade(topology, params=params, obs=obs)
-
-
-def _build_central(topology: Any, params: Any = None, obs: Any = None) -> Any:
-    from repro.algos.baseline import build_central_facade
-
-    return build_central_facade(topology, params=params, obs=obs)
-
-
-def _build_augmented(topology: Any, params: Any = None, obs: Any = None) -> Any:
-    from repro.algos.augmented import build_augmented_network
-
-    return build_augmented_network(topology, params=params, obs=obs)
-
-
-def _build_synthesis(topology: Any, params: Any = None, obs: Any = None) -> Any:
-    from repro.algos.synthesis import build_synthesis_network
-
-    return build_synthesis_network(topology, params=params, obs=obs)
-
-
 STRATEGIES: dict[str, StrategyInfo] = {
     info.name: info
     for info in (
@@ -80,19 +34,19 @@ STRATEGIES: dict[str, StrategyInfo] = {
                 "P4Update with the §7.5 SL/DL selection rule (the repo's "
                 "default deployment, byte-identical to pre-registry runs)"
             ),
-            builder=_build_p4update,
+            builder="repro.harness.build:build_p4update_network",
             decentralized=True,
         ),
         StrategyInfo(
             name="p4update-sl",
             description="P4Update forced to single-layer (SL) updates",
-            builder=_build_p4update_sl,
+            builder="repro.algos.p4u:build_single_layer_network",
             decentralized=True,
         ),
         StrategyInfo(
             name="p4update-dl",
             description="P4Update forced to dual-layer (DL) updates",
-            builder=_build_p4update_dl,
+            builder="repro.algos.p4u:build_dual_layer_network",
             decentralized=True,
         ),
         StrategyInfo(
@@ -102,7 +56,7 @@ STRATEGIES: dict[str, StrategyInfo] = {
                 "strategy facade (capacity deferrals retry forever — "
                 "deadlocked orders surface as unfinished requests)"
             ),
-            builder=_build_ezsegway,
+            builder="repro.algos.baseline:build_ezsegway_facade",
             decentralized=True,
         ),
         StrategyInfo(
@@ -111,7 +65,7 @@ STRATEGIES: dict[str, StrategyInfo] = {
                 "Dionysus-style central round scheduler behind the "
                 "strategy facade (a stuck round surfaces as unfinished)"
             ),
-            builder=_build_central,
+            builder="repro.algos.baseline:build_central_facade",
         ),
         StrategyInfo(
             name="augmented",
@@ -121,7 +75,7 @@ STRATEGIES: dict[str, StrategyInfo] = {
                 "detoured over a helper path with spare capacity first "
                 "(Henzinger/Pourdamghani augmentation-speed tradeoff)"
             ),
-            builder=_build_augmented,
+            builder="repro.algos.augmented:build_augmented_network",
             decentralized=True,
             uses_augmentation=True,
         ),
@@ -134,7 +88,7 @@ STRATEGIES: dict[str, StrategyInfo] = {
                 "updates install strictly in sequence (McClurg-style "
                 "synthesis baseline)"
             ),
-            builder=_build_synthesis,
+            builder="repro.algos.synthesis:build_synthesis_network",
         ),
     )
 }
@@ -161,4 +115,5 @@ def build_strategy_runtime(
 
     The returned object satisfies :class:`repro.algos.base.StrategyRuntime`.
     """
-    return get_strategy(name).builder(topology, params=params, obs=obs)
+    build = resolve_attribute(get_strategy(name).builder)
+    return build(topology, params=params, obs=obs)

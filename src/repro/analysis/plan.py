@@ -105,12 +105,6 @@ class UpdatePlan:
     new_path: tuple[str, ...] = ()
     flow_size: float = 0.0
 
-    def install_at(self, node: str) -> Optional[PlanInstall]:
-        for install in self.installs:
-            if install.node == node:
-                return install
-        return None
-
 
 @dataclass
 class PlanReport:

@@ -15,6 +15,8 @@ import json
 from dataclasses import asdict, dataclass
 from typing import Any, Callable, Optional
 
+from repro.loading import read_json_object, require_object
+
 TOPO_EVENT_KINDS = (
     "link_down",
     "link_up",
@@ -186,7 +188,7 @@ def validate_events_against_topology(
 
 def load_campaign(data: dict) -> FaultCampaign:
     """Build a campaign from a plain (JSON-decoded) dict."""
-    payload = dict(data)
+    payload = dict(require_object(data, "chaos campaign", ValueError))
     events = tuple(TopoEvent(**e) for e in payload.pop("events", []))
     faults = tuple(
         MessageFaultSpec(**f) for f in payload.pop("message_faults", [])
@@ -195,8 +197,7 @@ def load_campaign(data: dict) -> FaultCampaign:
 
 
 def load_campaign_file(path: str) -> FaultCampaign:
-    with open(path, "r", encoding="utf-8") as handle:
-        return load_campaign(json.load(handle))
+    return load_campaign(read_json_object(path, "chaos campaign", ValueError))
 
 
 # -- registered corruptors ---------------------------------------------------

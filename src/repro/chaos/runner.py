@@ -30,7 +30,7 @@ from repro.chaos.campaign import (
 )
 from repro.consistency.checker import LiveChecker
 from repro.core.messages import UpdateType
-from repro.harness.build import P4UpdateDeployment, build_p4update_network
+from repro.harness.build import Deployment, build_p4update_network
 from repro.harness.scenarios import (
     UpdateScenario,
     multi_flow_scenario,
@@ -159,7 +159,7 @@ def campaign_params(campaign: FaultCampaign) -> SimParams:
 
 def build_campaign_deployment(
     campaign: FaultCampaign, obs: Optional[ObsContext] = None
-) -> tuple[P4UpdateDeployment, UpdateScenario, LiveChecker]:
+) -> tuple[Deployment, UpdateScenario, LiveChecker]:
     """Construct the deployment, workload and checker for a campaign.
 
     Everything is wired but nothing is scheduled yet; use
@@ -190,7 +190,7 @@ def build_campaign_deployment(
     return deployment, scenario, checker
 
 
-def apply_topo_event(deployment: P4UpdateDeployment, event: TopoEvent) -> None:
+def apply_topo_event(deployment: Deployment, event: TopoEvent) -> None:
     """Apply one scheduled topology event (the engine callback every
     chaos-capable runner — campaigns, serve, ops — schedules)."""
     network = deployment.network
@@ -212,7 +212,7 @@ def apply_topo_event(deployment: P4UpdateDeployment, event: TopoEvent) -> None:
 
 
 def _trigger_updates(
-    deployment: P4UpdateDeployment,
+    deployment: Deployment,
     scenario: UpdateScenario,
     update_type: Optional[UpdateType],
 ) -> None:

@@ -34,7 +34,7 @@ from repro.traffic.flows import flow_hash
 
 if TYPE_CHECKING:  # import cycle: controller owns the tree manager
     from repro.core.controller import P4UpdateController
-    from repro.harness.build import P4UpdateDeployment
+    from repro.harness.build import Deployment
 
 
 class TreeError(ValueError):
@@ -125,7 +125,7 @@ class DestinationTreeManager:
     # -- bootstrap -----------------------------------------------------------
 
     def install_tree(self, destination: str, parent_of: dict[str, str],
-                     size: float, deployment: "P4UpdateDeployment") -> TreeRecord:
+                     size: float, deployment: "Deployment") -> TreeRecord:
         """Deploy the initial tree directly (version 1)."""
         distances = validate_tree(destination, parent_of)
         tree_id = tree_id_for(destination)

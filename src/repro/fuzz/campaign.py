@@ -21,7 +21,7 @@ auto-shrunk (:mod:`repro.fuzz.shrink`) into corpus-ready documents.
 from __future__ import annotations
 
 import traceback
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.fuzz.corpus import corpus_doc
@@ -35,6 +35,7 @@ from repro.fuzz.gen import (
     mutate_case,
 )
 from repro.fuzz.oracles import OUTCOMES, classify, failure_key, verdict_from_dict
+from repro.loading import dataclass_from_object, read_json_object
 
 
 class FuzzSpecError(ValueError):
@@ -91,32 +92,14 @@ class FuzzSpec:
 
 
 def load_fuzz_spec(data: dict) -> FuzzSpec:
-    if not isinstance(data, dict):
-        raise FuzzSpecError(
-            f"fuzz spec must be an object, got {type(data).__name__}"
-        )
-    payload = dict(data)
-    known = {f.name for f in dataclass_fields(FuzzSpec)}
-    unknown = set(payload) - known
-    if unknown:
-        raise FuzzSpecError(f"unknown fuzz spec field(s) {sorted(unknown)}")
-    if "kinds" in payload:
-        payload["kinds"] = tuple(str(k) for k in payload["kinds"])
-    try:
-        return FuzzSpec(**payload)
-    except TypeError as exc:
-        raise FuzzSpecError(str(exc)) from None
+    return dataclass_from_object(
+        FuzzSpec, data, "fuzz spec", FuzzSpecError,
+        kinds=lambda kinds: tuple(str(k) for k in kinds),
+    )
 
 
 def load_fuzz_spec_file(path: str) -> FuzzSpec:
-    import json
-
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise FuzzSpecError(f"{path}: invalid JSON: {exc}") from None
-    return load_fuzz_spec(data)
+    return load_fuzz_spec(read_json_object(path, "fuzz spec", FuzzSpecError))
 
 
 def split_budget(budget: int, shards: int) -> list[int]:

@@ -37,6 +37,7 @@ from typing import Optional
 
 from repro.fuzz.gen import FuzzCase, case_from_dict
 from repro.fuzz.oracles import OracleVerdict, classify, failure_key
+from repro.loading import read_json_object, require_object
 
 CORPUS_SCHEMA = 1
 
@@ -74,8 +75,7 @@ def corpus_doc(
 
 def validate_corpus_doc(doc: dict) -> dict:
     problems = []
-    if not isinstance(doc, dict):
-        raise ValueError(f"corpus case must be an object, got {type(doc).__name__}")
+    require_object(doc, "corpus case", ValueError)
     if int(doc.get("schema", 0)) != CORPUS_SCHEMA:
         problems.append(f"unsupported schema {doc.get('schema')!r}")
     for name, kind in (("kind", str), ("payload", dict), ("expect", dict)):
@@ -103,12 +103,7 @@ def write_corpus_case(path: str, doc: dict) -> str:
 
 
 def load_corpus_file(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            doc = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: invalid JSON: {exc}") from None
-    return validate_corpus_doc(doc)
+    return validate_corpus_doc(read_json_object(path, "corpus case", ValueError))
 
 
 def corpus_files(directory: str) -> list[str]:

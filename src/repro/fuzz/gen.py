@@ -126,11 +126,6 @@ def canonical_payload(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def case_size(case: FuzzCase) -> int:
-    """Shrink-ordering size: length of the canonical payload JSON."""
-    return len(canonical_payload(case.payload))
-
-
 def case_rng(seed: int, index: int, lane: int = 0) -> np.random.Generator:
     """The deterministic per-case generator stream."""
     return np.random.default_rng([seed, index, lane, _FUZZ_STREAM])

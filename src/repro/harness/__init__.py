@@ -1,7 +1,7 @@
 """Experiment harness: network builders, scenarios, probes, metrics."""
 
 from repro.harness.analysis import MessageStats, count_messages
-from repro.harness.build import P4UpdateDeployment, build_p4update_network
+from repro.harness.build import Deployment, build_p4update_network
 from repro.harness.experiment import (
     Comparison,
     ExperimentResult,
@@ -15,7 +15,7 @@ from repro.harness.scenarios import multi_flow_scenario, single_flow_scenario
 __all__ = [
     "MessageStats",
     "count_messages",
-    "P4UpdateDeployment",
+    "Deployment",
     "build_p4update_network",
     "Comparison",
     "ExperimentResult",

@@ -100,13 +100,3 @@ def count_messages(trace: Trace) -> MessageStats:
         name = _type_of(description)
         stats.by_type[name] = stats.by_type.get(name, 0) + 1
     return stats
-
-
-@dataclass
-class OverheadReport:
-    """Message overhead of one system on one scenario."""
-
-    system: str
-    stats: MessageStats
-    update_time_ms: float
-    rounds: int | None = None

@@ -1,62 +1,115 @@
-"""Builders for the baseline deployments (ez-Segway, Central).
+"""The baseline systems (ez-Segway, Central) as :class:`System` records.
 
-Both share the P4Update deployment's link latencies, port numbering,
-control channels and parameter set, so update-time comparisons are
-apples-to-apples.
+Both are wired by :func:`repro.harness.build.build_network`, the same
+function that wires P4Update, so update-time comparisons are
+apples-to-apples by construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Optional
 
 import numpy as np
 
 from repro.baselines.central import CentralController, CentralSwitch
-from repro.baselines.ezsegway import EzSegwayController, EzSegwaySwitch
-from repro.consistency.state import ForwardingState
-from repro.harness.build import assign_ports
-from repro.obs.context import NULL_OBS, ObsContext
+from repro.baselines.ezsegway import (
+    EzSegwayController,
+    EzSegwaySwitch,
+    RoleMessage,
+    congestion_dependency_graph,
+)
+from repro.core.messages import UpdateType
+from repro.harness.build import Deployment, System, build_network
+from repro.harness.scenarios import UpdateScenario
+from repro.obs.context import ObsContext
 from repro.params import SimParams
-from repro.sim.engine import Engine
-from repro.sim.links import ControlChannel, Link
-from repro.sim.network import Network
 from repro.topo.graph import Topology
 from repro.traffic.flows import Flow
 
 
-def _wire_common(topo: Topology, params: SimParams, rng, controller_node):
-    """Shared wiring: nodes added by caller, links + channels here."""
-    if topo.controller is None:
-        topo.place_controller_at_centroid()
+def _next_hops(flow: Flow) -> list[tuple[str, Optional[str]]]:
+    path = flow.old_path or []
+    return list(zip(path, [*path[1:], None]))
 
 
-@dataclass
-class EzSegwayDeployment:
-    topology: Topology
-    network: Network
-    controller: EzSegwayController
-    switches: dict[str, EzSegwaySwitch]
-    forwarding_state: ForwardingState
-    params: SimParams
+# -- ez-Segway ---------------------------------------------------------------
 
-    def install_flow(self, flow: Flow) -> None:
-        if flow.old_path is None:
-            raise ValueError("flow needs an initial path")
-        path = flow.old_path
-        self.forwarding_state.register_flow(flow.flow_id, path[0], path[-1], flow.size)
-        for i, node in enumerate(path):
-            next_hop = path[i + 1] if i + 1 < len(path) else None
-            self.switches[node].install_initial(flow.flow_id, next_hop, flow.size)
-        self.controller.register_flow(flow)
 
-    def set_congestion_aware(self, enabled: bool) -> None:
-        for switch in self.switches.values():
-            switch.congestion_aware = enabled
+def _ezsegway_install_path(deployment: Deployment, flow: Flow) -> None:
+    for node, next_hop in _next_hops(flow):
+        deployment.switches[node].install_initial(flow.flow_id, next_hop, flow.size)
 
-    def run(self, until: Optional[float] = None) -> None:
-        horizon = until if until is not None else self.params.max_sim_time_ms
-        self.network.run(until=horizon)
+
+def _ezsegway_set_congestion_aware(deployment: Deployment, enabled: bool) -> None:
+    for switch in deployment.switches.values():
+        switch.congestion_aware = enabled
+
+
+def _ezsegway_wire(deployment: Deployment) -> None:
+    for edge in deployment.topology.edges:
+        deployment.switches[edge.a].set_link(edge.b, edge.capacity)
+        deployment.switches[edge.b].set_link(edge.a, edge.capacity)
+
+
+def _ezsegway_prepare(
+    deployment: Deployment,
+    scenario: UpdateScenario,
+    congestion_aware: bool,
+    update_type: Optional[UpdateType],
+) -> Optional[dict]:
+    """Segmentation happens inside ``update_flow``; the congestion
+    dependency graph is the extra centralized cost (Fig. 8b).  Returns
+    the static move order, told to every switch per outgoing link."""
+    if not congestion_aware:
+        return None
+    with deployment.network.obs.spans.span("dependency_computation"):
+        capacities = {
+            frozenset((e.a, e.b)): e.capacity for e in scenario.topology.edges
+        }
+        move_ranks = congestion_dependency_graph(scenario.flows, capacities)
+    per_link: dict[tuple[str, str], list[int]] = {}
+    for (_flow_id, (a, b)), rank in move_ranks.items():
+        per_link.setdefault((a, b), []).append(rank)
+    for (a, b), ranks in per_link.items():
+        if a in deployment.switches:
+            deployment.switches[a].expect_ranks(b, ranks)
+    return move_ranks
+
+
+def _ezsegway_trigger(
+    deployment: Deployment, scenario: UpdateScenario, move_ranks: Optional[dict]
+) -> None:
+    for flow in scenario.flows:
+        deployment.controller.update_flow(
+            flow.flow_id, list(flow.new_path or []), move_ranks
+        )
+
+
+def _ezsegway_is_first_update(message: Any) -> bool:
+    return isinstance(message, RoleMessage) and message.update_id == 1
+
+
+def _ezsegway_push_blind(
+    deployment: Deployment, flow_id: int, path: list[str]
+) -> None:
+    # The controller believes the ongoing update done (inconsistent
+    # view, [69]): clear the active-update serialisation first.
+    deployment.controller.active_updates.pop(flow_id, None)
+    deployment.controller.update_flow(flow_id, path)
+
+
+EZSEGWAY = System(
+    builder="repro.harness.baselines_build:build_ezsegway_network",
+    switch_class=EzSegwaySwitch,
+    controller_class=EzSegwayController,
+    install_path=_ezsegway_install_path,
+    set_congestion_aware=_ezsegway_set_congestion_aware,
+    prepare=_ezsegway_prepare,
+    trigger=_ezsegway_trigger,
+    wire=_ezsegway_wire,
+    is_first_update=_ezsegway_is_first_update,
+    push_blind=_ezsegway_push_blind,
+)
 
 
 def build_ezsegway_network(
@@ -65,84 +118,48 @@ def build_ezsegway_network(
     rng: Optional[np.random.Generator] = None,
     controller_name: str = "controller",
     obs: Optional[ObsContext] = None,
-) -> EzSegwayDeployment:
-    params = params if params is not None else SimParams()
-    rng = rng if rng is not None else params.rng()
-    obs = obs if obs is not None else NULL_OBS
-    if topo.controller is None:
-        topo.place_controller_at_centroid()
-
-    network = Network(Engine(), obs=obs)
-    obs.bind_engine(network.engine)
-    forwarding_state = ForwardingState()
-    switches: dict[str, EzSegwaySwitch] = {}
-    for name in sorted(topo.nodes):
-        switch = EzSegwaySwitch(
-            name, params=params,
-            rng=np.random.default_rng(rng.integers(0, 2**63)),
-            forwarding_state=forwarding_state,
-        )
-        switch.obs = obs
-        network.add_node(switch)
-        switches[name] = switch
-
-    ports = assign_ports(topo)
-    for edge in topo.edges:
-        network.add_link(
-            Link(
-                node_a=edge.a, port_a=ports[(edge.a, edge.b)],
-                node_b=edge.b, port_b=ports[(edge.b, edge.a)],
-                latency_ms=edge.latency_ms, capacity=edge.capacity,
-            )
-        )
-        forwarding_state.set_capacity(edge.a, edge.b, edge.capacity)
-        switches[edge.a].set_link(edge.b, edge.capacity)
-        switches[edge.b].set_link(edge.a, edge.capacity)
-
-    controller = EzSegwayController(
-        controller_name, topo, params=params,
-        rng=np.random.default_rng(rng.integers(0, 2**63)),
-    )
-    controller.obs = obs
-    network.add_node(controller)
-    network.set_controller(controller_name)
-
-    is_fattree = topo.name.startswith("fattree")
-    for name in sorted(topo.nodes):
-        latency = (
-            params.fattree_control_latency.sample(rng)
-            if is_fattree else topo.control_latency(name)
-        )
-        network.add_control_channel(ControlChannel(name, latency_ms=latency))
-
-    return EzSegwayDeployment(
-        topology=topo, network=network, controller=controller,
-        switches=switches, forwarding_state=forwarding_state, params=params,
-    )
+) -> Deployment:
+    return build_network(EZSEGWAY, topo, params, rng, controller_name, obs)
 
 
-@dataclass
-class CentralDeployment:
-    topology: Topology
-    network: Network
-    controller: CentralController
-    switches: dict[str, CentralSwitch]
-    forwarding_state: ForwardingState
-    params: SimParams
+# -- Central -----------------------------------------------------------------
 
-    def install_flow(self, flow: Flow) -> None:
-        if flow.old_path is None:
-            raise ValueError("flow needs an initial path")
-        path = flow.old_path
-        self.forwarding_state.register_flow(flow.flow_id, path[0], path[-1], flow.size)
-        for i, node in enumerate(path):
-            next_hop = path[i + 1] if i + 1 < len(path) else None
-            self.switches[node].install_initial(flow.flow_id, next_hop)
-        self.controller.register_flow(flow)
 
-    def run(self, until: Optional[float] = None) -> None:
-        horizon = until if until is not None else self.params.max_sim_time_ms
-        self.network.run(until=horizon)
+def _central_install_path(deployment: Deployment, flow: Flow) -> None:
+    for node, next_hop in _next_hops(flow):
+        deployment.switches[node].install_initial(flow.flow_id, next_hop)
+
+
+def _central_set_congestion_aware(deployment: Deployment, enabled: bool) -> None:
+    # The knob is a controller attribute here (a strategy facade's
+    # property forwards it to the wrapped controller).
+    deployment.controller.congestion_aware = enabled
+
+
+def _central_prepare(
+    deployment: Deployment,
+    scenario: UpdateScenario,
+    congestion_aware: bool,
+    update_type: Optional[UpdateType],
+) -> None:
+    """``update_flow`` plans and starts round 1: nothing to trigger."""
+    for flow in scenario.flows:
+        deployment.controller.update_flow(flow.flow_id, list(flow.new_path or []))
+
+
+def _central_extras(deployment: Deployment) -> dict[str, Any]:
+    return {"rounds": deployment.controller.rounds_executed}
+
+
+CENTRAL = System(
+    builder="repro.harness.baselines_build:build_central_network",
+    switch_class=CentralSwitch,
+    controller_class=CentralController,
+    install_path=_central_install_path,
+    set_congestion_aware=_central_set_congestion_aware,
+    prepare=_central_prepare,
+    result_extras=_central_extras,
+)
 
 
 def build_central_network(
@@ -152,56 +169,7 @@ def build_central_network(
     controller_name: str = "controller",
     congestion_aware: bool = False,
     obs: Optional[ObsContext] = None,
-) -> CentralDeployment:
-    params = params if params is not None else SimParams()
-    rng = rng if rng is not None else params.rng()
-    obs = obs if obs is not None else NULL_OBS
-    if topo.controller is None:
-        topo.place_controller_at_centroid()
-
-    network = Network(Engine(), obs=obs)
-    obs.bind_engine(network.engine)
-    forwarding_state = ForwardingState()
-    switches: dict[str, CentralSwitch] = {}
-    for name in sorted(topo.nodes):
-        switch = CentralSwitch(
-            name, params=params,
-            rng=np.random.default_rng(rng.integers(0, 2**63)),
-            forwarding_state=forwarding_state,
-        )
-        switch.obs = obs
-        network.add_node(switch)
-        switches[name] = switch
-
-    ports = assign_ports(topo)
-    for edge in topo.edges:
-        network.add_link(
-            Link(
-                node_a=edge.a, port_a=ports[(edge.a, edge.b)],
-                node_b=edge.b, port_b=ports[(edge.b, edge.a)],
-                latency_ms=edge.latency_ms, capacity=edge.capacity,
-            )
-        )
-        forwarding_state.set_capacity(edge.a, edge.b, edge.capacity)
-
-    controller = CentralController(
-        controller_name, topo, params=params,
-        rng=np.random.default_rng(rng.integers(0, 2**63)),
-        congestion_aware=congestion_aware,
-    )
-    controller.obs = obs
-    network.add_node(controller)
-    network.set_controller(controller_name)
-
-    is_fattree = topo.name.startswith("fattree")
-    for name in sorted(topo.nodes):
-        latency = (
-            params.fattree_control_latency.sample(rng)
-            if is_fattree else topo.control_latency(name)
-        )
-        network.add_control_channel(ControlChannel(name, latency_ms=latency))
-
-    return CentralDeployment(
-        topology=topo, network=network, controller=controller,
-        switches=switches, forwarding_state=forwarding_state, params=params,
-    )
+) -> Deployment:
+    deployment = build_network(CENTRAL, topo, params, rng, controller_name, obs)
+    deployment.set_congestion_aware(congestion_aware)
+    return deployment

@@ -1,5 +1,11 @@
-"""Builders turning a :class:`~repro.topo.graph.Topology` into a live
-simulated P4Update deployment.
+"""The one deployment class and the one wiring function behind all
+three native systems (P4Update, ez-Segway, Central).
+
+:func:`build_network` is the only place a ``Network`` is assembled, so
+link latencies, port numbering, control channels, the parameter set and
+the order of RNG draws are the same for every system by construction;
+what differs is the system's :class:`System` record (P4Update's is
+here, the baselines' in :mod:`repro.harness.baselines_build`).
 
 Port numbering: for every node, ports are assigned 1..degree in sorted
 neighbour order, deterministically.  The controller is co-located at
@@ -12,16 +18,18 @@ software-switch distribution (see DESIGN.md §1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 import numpy as np
 
 from repro.consistency.state import ForwardingState
 from repro.core.controller import P4UpdateController
-from repro.obs.context import NULL_OBS, ObsContext
 from repro.core.labeling import distance_labels
+from repro.core.messages import UIM, UpdateType
 from repro.core.registers import LOCAL_DELIVER_PORT
 from repro.core.switch import P4UpdateSwitch
+from repro.loading import resolve_attribute
+from repro.obs.context import NULL_OBS, ObsContext
 from repro.params import SimParams
 from repro.sim.engine import Engine
 from repro.sim.links import ControlChannel, Link
@@ -29,6 +37,9 @@ from repro.sim.network import Network
 from repro.sim.trace import Trace
 from repro.topo.graph import Topology
 from repro.traffic.flows import Flow
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.harness.scenarios import UpdateScenario
 
 
 def assign_ports(topo: Topology) -> dict[tuple[str, str], int]:
@@ -40,52 +51,100 @@ def assign_ports(topo: Topology) -> dict[tuple[str, str], int]:
     return ports
 
 
+def _nothing_to_wire(deployment: Deployment) -> None:
+    """Default ``System.wire``."""
+
+
+def _no_extras(deployment: Deployment) -> dict[str, Any]:
+    """Default ``System.result_extras``."""
+    return {}
+
+
+@dataclass(frozen=True)
+class System:
+    """Everything in which one native system differs from the others.
+
+    Hooks are module-level functions: a deployment, record included, is
+    pickled into ops checkpoints.  Adding a system is one record plus
+    one line in :data:`repro.harness.experiment.SYSTEM_TABLE`.
+    """
+
+    #: ``module:attribute`` of the public builder.  Resolved per build,
+    #: never captured: the perf ledger and tests wrap it on its module.
+    builder: str
+    switch_class: Callable[..., Any]
+    controller_class: Callable[..., Any]
+    #: Write the initial rule of every switch on ``flow.old_path``.
+    install_path: Callable[[Deployment, Flow], None]
+    set_congestion_aware: Callable[[Deployment, bool], None]
+    #: ``run_experiment``'s host-side preparation ``(deployment,
+    #: scenario, congestion_aware, update_type)``; ``trigger`` gets
+    #: what it returns.
+    prepare: Callable[[Deployment, UpdateScenario, bool, Optional[UpdateType]], Any]
+    #: Send the prepared updates (the ``uim_fanout`` span); ``None``
+    #: when ``prepare`` already started them.
+    trigger: Optional[Callable[[Deployment, UpdateScenario, Any], None]] = None
+    #: What is left to wire once switches, links, controller and
+    #: control channels stand.
+    wire: Callable[[Deployment], None] = _nothing_to_wire
+    #: System-specific ``ExperimentResult`` fields (``alarms``, ``rounds``).
+    result_extras: Callable[[Deployment], dict[str, Any]] = _no_extras
+    # The §4 demonstrations (Fig. 2 / Fig. 4) pit P4Update against
+    # ez-Segway only: a system leaving these ``None`` is not part of them.
+    #: Does ``message`` belong to a flow's first update after rollout?
+    is_first_update: Optional[Callable[[Any], bool]] = None
+    #: Push an update the way a controller with a stale view does: at
+    #: once, whatever it believes is still in flight (§4.1).
+    push_blind: Optional[Callable[[Deployment, int, list[str]], None]] = None
+
+    def build(
+        self,
+        topo: Topology,
+        params: Optional[SimParams] = None,
+        obs: Optional[ObsContext] = None,
+    ) -> Deployment:
+        """A deployment through the system's public builder name."""
+        deployment: Deployment = resolve_attribute(self.builder)(
+            topo, params=params, obs=obs
+        )
+        return deployment
+
+
 @dataclass
-class P4UpdateDeployment:
+class Deployment:
     """A wired-up simulated network ready to run experiments."""
 
+    system: System
     topology: Topology
     network: Network
-    controller: P4UpdateController
-    switches: dict[str, P4UpdateSwitch]
+    controller: Any
+    switches: dict[str, Any]
     forwarding_state: ForwardingState
     params: SimParams
-
-    def switch(self, name: str) -> P4UpdateSwitch:
-        return self.switches[name]
 
     def install_flow(self, flow: Flow) -> None:
         """Bootstrap a flow's initial (version 1) deployment.
 
-        Writes the registers of every switch on the old path directly
-        (the controller's initial rollout) and registers the flow with
-        the Flow DB and the consistency checker's ground truth.
+        Writes the rules of every switch on the old path directly (the
+        controller's initial rollout) and registers the flow with the
+        controller and the consistency checker's ground truth.
         """
         if flow.old_path is None:
             raise ValueError(f"flow {flow.flow_id} has no initial path")
         path = flow.old_path
-        distances = distance_labels(path)
         self.forwarding_state.register_flow(
             flow.flow_id, path[0], path[-1], flow.size
         )
-        for i, node in enumerate(path):
-            switch = self.switches[node]
-            if node == path[-1]:
-                port = LOCAL_DELIVER_PORT
-            else:
-                port = self.network.port_towards(node, path[i + 1])
-            switch.install_initial_flow(
-                flow.flow_id, distances[node], port, flow.size
-            )
+        self.system.install_path(self, flow)
         self.controller.register_flow(flow)
 
     def set_congestion_aware(self, enabled: bool) -> None:
-        for switch in self.switches.values():
-            switch.program.congestion_aware = enabled
+        self.system.set_congestion_aware(self, enabled)
 
     def telemetry(self) -> dict:
         """Aggregated per-deployment counters (the kind of statistics
-        an operator would scrape from the switches' registers)."""
+        an operator would scrape from the switches' registers).
+        P4Update deployments only: it reads the P4 program's stats."""
         totals = {
             "packets_processed": 0,
             "packets_dropped": 0,
@@ -125,19 +184,24 @@ class P4UpdateDeployment:
         self.network.run(until=horizon)
 
 
-def build_p4update_network(
+def build_network(
+    system: System,
     topo: Topology,
     params: Optional[SimParams] = None,
     rng: Optional[np.random.Generator] = None,
     controller_name: str = "controller",
     obs: Optional[ObsContext] = None,
-) -> P4UpdateDeployment:
+) -> Deployment:
     """Construct switches, links and control channels for ``topo``.
 
     ``obs`` instruments the whole deployment (message counters at the
     network, install/verification counters at every switch, scheduler
     admit/defer counters, controller lifecycle counters).  The default
     is the shared no-op context.
+
+    The draws from ``rng`` are part of every committed signature: one
+    seed per switch in sorted node order, one for the controller, then
+    (fat-trees only) one control latency per node in sorted order.
     """
     params = params if params is not None else SimParams()
     rng = rng if rng is not None else params.rng()
@@ -151,15 +215,14 @@ def build_p4update_network(
     obs.bind_engine(network.engine)
     forwarding_state = ForwardingState()
 
-    switches: dict[str, P4UpdateSwitch] = {}
+    switches: dict[str, Any] = {}
     for name in sorted(topo.nodes):
-        switch = P4UpdateSwitch(
+        switch = system.switch_class(
             name, params=params,
             rng=np.random.default_rng(rng.integers(0, 2**63)),
             forwarding_state=forwarding_state,
         )
         switch.obs = obs
-        switch.program.scheduler.attach_obs(obs, name)
         network.add_node(switch)
         switches[name] = switch
 
@@ -174,7 +237,7 @@ def build_p4update_network(
         )
         forwarding_state.set_capacity(edge.a, edge.b, edge.capacity)
 
-    controller = P4UpdateController(
+    controller = system.controller_class(
         controller_name, topo, params=params,
         rng=np.random.default_rng(rng.integers(0, 2**63)),
     )
@@ -190,14 +253,101 @@ def build_p4update_network(
             latency = topo.control_latency(name)
         network.add_control_channel(ControlChannel(name, latency_ms=latency))
 
-    for switch in switches.values():
+    deployment = Deployment(
+        system=system, topology=topo, network=network, controller=controller,
+        switches=switches, forwarding_state=forwarding_state, params=params,
+    )
+    system.wire(deployment)
+    return deployment
+
+
+# -- P4Update ----------------------------------------------------------------
+
+
+def _p4update_install_path(deployment: Deployment, flow: Flow) -> None:
+    path = flow.old_path or []
+    distances = distance_labels(path)
+    for i, node in enumerate(path):
+        if node == path[-1]:
+            port = LOCAL_DELIVER_PORT
+        else:
+            port = deployment.network.port_towards(node, path[i + 1])
+        deployment.switches[node].install_initial_flow(
+            flow.flow_id, distances[node], port, flow.size
+        )
+
+
+def _p4update_set_congestion_aware(deployment: Deployment, enabled: bool) -> None:
+    for switch in deployment.switches.values():
+        switch.program.congestion_aware = enabled
+
+
+def _p4update_wire(deployment: Deployment) -> None:
+    for name, switch in deployment.switches.items():
+        switch.program.scheduler.attach_obs(deployment.network.obs, name)
         switch.configure_ports()
 
-    return P4UpdateDeployment(
-        topology=topo,
-        network=network,
-        controller=controller,
-        switches=switches,
-        forwarding_state=forwarding_state,
-        params=params,
-    )
+
+def _p4update_prepare(
+    deployment: Deployment,
+    scenario: UpdateScenario,
+    congestion_aware: bool,
+    update_type: Optional[UpdateType],
+) -> list:
+    return [
+        deployment.controller.prepare_update(
+            flow.flow_id, list(flow.new_path or []), update_type,
+            congestion_aware=congestion_aware,
+        )
+        for flow in scenario.flows
+    ]
+
+
+def _p4update_trigger(
+    deployment: Deployment, scenario: UpdateScenario, prepared: list
+) -> None:
+    for update in prepared:
+        deployment.controller.push_update(update)
+
+
+def _p4update_extras(deployment: Deployment) -> dict[str, Any]:
+    return {"alarms": len(deployment.controller.alarms)}
+
+
+def _p4update_is_first_update(message: Any) -> bool:
+    # The initial rollout is version 1.
+    return isinstance(message, UIM) and message.version == 2
+
+
+def _p4update_push_blind(
+    deployment: Deployment, flow_id: int, path: list[str]
+) -> None:
+    # P4Update needs no forgetting: versions order concurrent updates.
+    # The §4.1 demonstration is single-layer by design.
+    deployment.controller.update_flow(flow_id, path, UpdateType.SINGLE)
+
+
+P4UPDATE = System(
+    builder="repro.harness.build:build_p4update_network",
+    switch_class=P4UpdateSwitch,
+    controller_class=P4UpdateController,
+    install_path=_p4update_install_path,
+    set_congestion_aware=_p4update_set_congestion_aware,
+    prepare=_p4update_prepare,
+    trigger=_p4update_trigger,
+    wire=_p4update_wire,
+    result_extras=_p4update_extras,
+    is_first_update=_p4update_is_first_update,
+    push_blind=_p4update_push_blind,
+)
+
+
+def build_p4update_network(
+    topo: Topology,
+    params: Optional[SimParams] = None,
+    rng: Optional[np.random.Generator] = None,
+    controller_name: str = "controller",
+    obs: Optional[ObsContext] = None,
+) -> Deployment:
+    """A P4Update deployment over ``topo`` (see :func:`build_network`)."""
+    return build_network(P4UPDATE, topo, params, rng, controller_name, obs)

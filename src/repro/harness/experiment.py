@@ -1,39 +1,55 @@
-"""The experiment runner: one function per system, one result type.
+"""The experiment runner: one body for every system, one result type.
 
-Every runner builds a fresh deployment, bootstraps the scenario's
-flows on their old paths, triggers all updates at the same simulated
-instant, runs to quiescence, and reports per-flow and total update
-times as the paper measures them ("from the sending of UIM messages to
-the receiving of UFM messages"; for multiple flows "the completion
-time of the last flow update").
+A run builds a fresh deployment, bootstraps the scenario's flows on
+their old paths, triggers all updates at the same simulated instant,
+runs to quiescence, and reports per-flow and total update times as the
+paper measures them ("from the sending of UIM messages to the
+receiving of UFM messages"; for multiple flows "the completion time of
+the last flow update").  What differs per system is its
+:class:`~repro.harness.build.System` record; :data:`SYSTEM_TABLE` is
+the only place a system name selects behaviour.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from repro.baselines.ezsegway import congestion_dependency_graph
 from repro.consistency import LiveChecker
 from repro.core.messages import UpdateType
-from repro.harness.baselines_build import (
-    build_central_network,
-    build_ezsegway_network,
-)
-from repro.harness.build import build_p4update_network
+from repro.harness.baselines_build import CENTRAL, EZSEGWAY
+from repro.harness.build import P4UPDATE, System
 from repro.harness.scenarios import UpdateScenario
 from repro.obs.context import NULL_OBS, ObsContext
 from repro.params import SimParams
-from repro.sim.trace import KIND_RULE_CHANGE
+from repro.sim.network import Network
+from repro.sim.trace import KIND_RULE_CHANGE, Trace
 
-SYSTEMS = ("p4update", "p4update-sl", "p4update-dl", "ezsegway", "central")
+#: Experiment system name -> (native system, the layer every update is
+#: forced to; ``None`` leaves P4Update its §7.5 selection rule).
+SYSTEM_TABLE: dict[str, tuple[System, Optional[UpdateType]]] = {
+    "p4update": (P4UPDATE, None),
+    "p4update-sl": (P4UPDATE, UpdateType.SINGLE),
+    "p4update-dl": (P4UPDATE, UpdateType.DUAL),
+    "ezsegway": (EZSEGWAY, None),
+    "central": (CENTRAL, None),
+}
+
+SYSTEMS = tuple(SYSTEM_TABLE)
+
+
+def resolve_system(name: str) -> tuple[System, Optional[UpdateType]]:
+    try:
+        return SYSTEM_TABLE[name]
+    except KeyError:
+        raise ValueError(f"unknown system {name!r}") from None
 
 
 def path_establishment_time(
-    trace, flow_id: int, target_path: list[str], initial_path: list[str]
+    trace: Trace, flow_id: int, target_path: list[str], initial_path: list[str]
 ) -> float:
     """Earliest instant from which every edge of ``target_path`` is
     installed (and stays installed) — "the whole ingress-to-egress flow
@@ -67,7 +83,9 @@ def path_establishment_time(
     return establishment
 
 
-def _uniform_completion_times(network, scenario: UpdateScenario, params: SimParams):
+def _uniform_completion_times(
+    network: Network, scenario: UpdateScenario, params: SimParams
+) -> dict[int, float]:
     """The paper's completion criterion, applied identically to every
     system: a flow's update is complete when the whole new path is
     established (last rule change for the flow), recorded by a packet
@@ -109,8 +127,7 @@ class ExperimentResult:
     rounds: Optional[int] = None           # Central only
 
     def __post_init__(self) -> None:
-        if self.system not in SYSTEMS:
-            raise ValueError(f"unknown system {self.system!r}")
+        resolve_system(self.system)
 
 
 def run_experiment(
@@ -128,35 +145,9 @@ def run_experiment(
     the hot path and leaves simulated time untouched.
     """
     obs = obs if obs is not None else NULL_OBS
-    if system in ("p4update", "p4update-sl", "p4update-dl"):
-        return _run_p4update(
-            system, scenario, params, congestion_aware, check_consistency, obs
-        )
-    if system == "ezsegway":
-        return _run_ezsegway(scenario, params, congestion_aware, check_consistency, obs)
-    if system == "central":
-        return _run_central(scenario, params, congestion_aware, check_consistency, obs)
-    raise ValueError(f"unknown system {system!r}")
-
-
-def _update_type_for(system: str) -> Optional[UpdateType]:
-    if system == "p4update-sl":
-        return UpdateType.SINGLE
-    if system == "p4update-dl":
-        return UpdateType.DUAL
-    return None                             # auto (§7.5 strategy)
-
-
-def _run_p4update(
-    system: str,
-    scenario: UpdateScenario,
-    params: Optional[SimParams],
-    congestion_aware: bool,
-    check_consistency: bool,
-    obs: ObsContext = NULL_OBS,
-) -> ExperimentResult:
+    native, update_type = resolve_system(system)
     params = params if params is not None else SimParams()
-    dep = build_p4update_network(scenario.topology, params=params, obs=obs)
+    dep = native.build(scenario.topology, params=params, obs=obs)
     dep.set_congestion_aware(congestion_aware)
     checker = (
         LiveChecker(dep.forwarding_state, dep.network.trace)
@@ -165,24 +156,17 @@ def _run_p4update(
     for flow in scenario.flows:
         dep.install_flow(flow)
 
-    update_type = _update_type_for(system)
     with obs.spans.span(
         "experiment", system=system, topology=scenario.topology.name,
         flows=len(scenario.flows),
     ):
         started = time.perf_counter()  # repro: ignore[wall-clock] preparation is host-side work
         with obs.spans.span("preparation"):
-            prepared = [
-                dep.controller.prepare_update(
-                    flow.flow_id, list(flow.new_path or []), update_type,
-                    congestion_aware=congestion_aware,
-                )
-                for flow in scenario.flows
-            ]
+            prepared = native.prepare(dep, scenario, congestion_aware, update_type)
         prep_time = time.perf_counter() - started  # repro: ignore[wall-clock] preparation is host-side work
-        with obs.spans.span("uim_fanout"):
-            for update in prepared:
-                dep.controller.push_update(update)
+        if native.trigger is not None:
+            with obs.spans.span("uim_fanout"):
+                native.trigger(dep, scenario, prepared)
         with obs.spans.span("run_to_quiescence"):
             dep.run()
 
@@ -198,132 +182,13 @@ def _run_p4update(
         prep_time_s=prep_time,
         consistency_ok=checker.ok if checker else True,
         violations=len(checker.violations) if checker else 0,
-        alarms=len(dep.controller.alarms),
-    )
-
-
-def _run_ezsegway(
-    scenario: UpdateScenario,
-    params: Optional[SimParams],
-    congestion_aware: bool,
-    check_consistency: bool,
-    obs: ObsContext = NULL_OBS,
-) -> ExperimentResult:
-    params = params if params is not None else SimParams()
-    dep = build_ezsegway_network(scenario.topology, params=params, obs=obs)
-    dep.set_congestion_aware(congestion_aware)
-    checker = (
-        LiveChecker(dep.forwarding_state, dep.network.trace)
-        if check_consistency else None
-    )
-    for flow in scenario.flows:
-        dep.install_flow(flow)
-
-    # Control-plane preparation: segmentation happens inside
-    # update_flow; the congestion dependency graph is the extra
-    # centralized cost (Fig. 8b).
-    with obs.spans.span(
-        "experiment", system="ezsegway", topology=scenario.topology.name,
-        flows=len(scenario.flows),
-    ):
-        started = time.perf_counter()  # repro: ignore[wall-clock] preparation is host-side work
-        with obs.spans.span("preparation"):
-            move_ranks = None
-            if congestion_aware:
-                with obs.spans.span("dependency_computation"):
-                    capacities = {
-                        frozenset((e.a, e.b)): e.capacity
-                        for e in scenario.topology.edges
-                    }
-                    move_ranks = congestion_dependency_graph(
-                        scenario.flows, capacities
-                    )
-                _install_expected_ranks(dep, scenario, move_ranks)
-        prep_time = time.perf_counter() - started  # repro: ignore[wall-clock] preparation is host-side work
-
-        with obs.spans.span("uim_fanout"):
-            update_ids = {}
-            for flow in scenario.flows:
-                update_ids[flow.flow_id] = dep.controller.update_flow(
-                    flow.flow_id, list(flow.new_path or []), move_ranks
-                )
-        with obs.spans.span("run_to_quiescence"):
-            dep.run()
-
-        with obs.spans.span("analysis"):
-            completed = dep.controller.all_updates_complete()
-            per_flow = _uniform_completion_times(dep.network, scenario, params)
-            durations = list(per_flow.values())
-    return ExperimentResult(
-        system="ezsegway",
-        completed=completed,
-        total_update_time_ms=max(durations) if durations else float("nan"),
-        per_flow_ms=per_flow,
-        prep_time_s=prep_time,
-        consistency_ok=checker.ok if checker else True,
-        violations=len(checker.violations) if checker else 0,
-    )
-
-
-def _install_expected_ranks(dep, scenario: UpdateScenario, move_ranks: dict) -> None:
-    """Tell every switch the static move order per outgoing link."""
-    per_link: dict[tuple[str, str], list[int]] = {}
-    for (_flow_id, (a, b)), rank in move_ranks.items():
-        per_link.setdefault((a, b), []).append(rank)
-    for (a, b), ranks in per_link.items():
-        if a in dep.switches:
-            dep.switches[a].expect_ranks(b, ranks)
-
-
-def _run_central(
-    scenario: UpdateScenario,
-    params: Optional[SimParams],
-    congestion_aware: bool,
-    check_consistency: bool,
-    obs: ObsContext = NULL_OBS,
-) -> ExperimentResult:
-    params = params if params is not None else SimParams()
-    dep = build_central_network(
-        scenario.topology, params=params, congestion_aware=congestion_aware,
-        obs=obs,
-    )
-    checker = (
-        LiveChecker(dep.forwarding_state, dep.network.trace)
-        if check_consistency else None
-    )
-    for flow in scenario.flows:
-        dep.install_flow(flow)
-    with obs.spans.span(
-        "experiment", system="central", topology=scenario.topology.name,
-        flows=len(scenario.flows),
-    ):
-        started = time.perf_counter()  # repro: ignore[wall-clock] preparation is host-side work
-        with obs.spans.span("preparation"):
-            for flow in scenario.flows:
-                dep.controller.update_flow(flow.flow_id, list(flow.new_path or []))
-        prep_time = time.perf_counter() - started  # repro: ignore[wall-clock] preparation is host-side work
-        with obs.spans.span("run_to_quiescence"):
-            dep.run()
-
-        with obs.spans.span("analysis"):
-            completed = dep.controller.all_updates_complete()
-            per_flow = _uniform_completion_times(dep.network, scenario, params)
-            durations = list(per_flow.values())
-    return ExperimentResult(
-        system="central",
-        completed=completed,
-        total_update_time_ms=max(durations) if durations else float("nan"),
-        per_flow_ms=per_flow,
-        prep_time_s=prep_time,
-        consistency_ok=checker.ok if checker else True,
-        violations=len(checker.violations) if checker else 0,
-        rounds=dep.controller.rounds_executed,
+        **native.result_extras(dep),
     )
 
 
 def run_many(
     system: str,
-    scenario_factory,
+    scenario_factory: Callable[[int], UpdateScenario],
     params: SimParams,
     runs: int = 30,
     congestion_aware: bool = True,
@@ -350,13 +215,11 @@ def run_many(
 class Comparison:
     """Paired multi-system measurement over common scenarios."""
 
-    times: dict                     # system -> list of update times
+    times: dict[str, list[float]]   # system -> update times
     skipped: int                    # scenarios where some system failed
     runs: int
 
     def mean(self, system: str) -> float:
-        import numpy as np
-
         return float(np.mean(self.times[system]))
 
     def improvement(self, baseline: str, candidate: str) -> float:
@@ -366,8 +229,8 @@ class Comparison:
 
 
 def compare_systems(
-    scenario_factory,
-    systems: tuple,
+    scenario_factory: Callable[[int], UpdateScenario],
+    systems: tuple[str, ...],
     params: SimParams,
     runs: int = 30,
     congestion_aware: bool = True,
@@ -381,7 +244,7 @@ def compare_systems(
     congestion-free scheduling is NP-hard, §7.4; the heuristics are
     best-effort).
     """
-    times: dict = {system: [] for system in systems}
+    times: dict[str, list[float]] = {system: [] for system in systems}
     skipped = 0
     seed = 0
     collected = 0

@@ -19,12 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-
 from repro.consistency import LiveChecker
-from repro.core.messages import UIM, UpdateType
-from repro.harness.baselines_build import build_ezsegway_network
-from repro.harness.build import build_p4update_network
-from repro.harness.experiment import path_establishment_time
+from repro.core.messages import UpdateType
+from repro.harness.experiment import path_establishment_time, resolve_system
 from repro.harness.probes import (
     ProbeSource,
     deliveries,
@@ -58,97 +55,51 @@ def run_fig2(
     scenario: Optional[InconsistentUpdateScenario] = None,
     params: Optional[SimParams] = None,
 ) -> Fig2Result:
-    """Run the inconsistent-update demonstration for one system."""
+    """Run the inconsistent-update demonstration for one system.
+
+    P4Update runs it single-layer by design, so ``p4update`` and
+    ``p4update-sl`` are the same run and ``p4update-dl`` is rejected.
+    """
     scenario = scenario if scenario is not None else InconsistentUpdateScenario()
     params = params if params is not None else SimParams()
-    if system in ("p4update", "p4update-sl"):
-        return _fig2_p4update(scenario, params)
-    if system == "ezsegway":
-        return _fig2_ezsegway(scenario, params)
-    raise ValueError(f"fig2 supports p4update and ezsegway, not {system!r}")
-
-
-def _fig2_flow(scenario: InconsistentUpdateScenario) -> Flow:
-    return Flow.between(
+    native, update_type = resolve_system(system)
+    if native.push_blind is None or native.is_first_update is None:
+        raise ValueError(f"fig2 supports p4update and ezsegway, not {system!r}")
+    if update_type is UpdateType.DUAL:
+        raise ValueError("fig2 pins single-layer updates; it cannot run 'p4update-dl'")
+    topo = fig2_topology()
+    topo.set_controller(scenario.config_a[0])
+    dep = native.build(topo, params=params)
+    checker = LiveChecker(dep.forwarding_state, dep.network.trace)
+    flow = Flow.between(
         scenario.config_a[0], scenario.config_a[-1], size=1.0,
         old_path=list(scenario.config_a),
     )
-
-
-def _fig2_probe_phase(deployment, flow, scenario, start_ms: float, stop_ms: float):
-    source = ProbeSource(
-        deployment, flow.flow_id, flow.src,
-        rate_pps=scenario.probe_rate_pps, ttl=scenario.probe_ttl,
-    )
-    source.start(at=start_ms, stop_at=stop_ms)
-    return source
-
-
-def _fig2_p4update(scenario: InconsistentUpdateScenario, params: SimParams) -> Fig2Result:
-    topo = fig2_topology()
-    topo.set_controller(scenario.config_a[0])
-    dep = build_p4update_network(topo, params=params)
-    checker = LiveChecker(dep.forwarding_state, dep.network.trace)
-    flow = _fig2_flow(scenario)
     dep.install_flow(flow)
 
-    # Delay every version-2 UIM (configuration (b)): the controller
+    # Delay every control message of configuration (b): the controller
     # sent it, the network holds it, the controller is oblivious.
     dep.network.control_fault_model = CompositeFaultModel([
         ScriptedFault(
-            matches=lambda m: isinstance(m, UIM) and m.version == 2,
+            matches=native.is_first_update,
             action=FaultAction.DELAY,
             extra_delay_ms=scenario.b_delay_ms,
         )
     ])
 
-    source = _fig2_probe_phase(
-        dep, flow, scenario, start_ms=1.0,
-        stop_ms=scenario.b_delay_ms + 700.0,
+    source = ProbeSource(
+        dep, flow.flow_id, flow.src,
+        rate_pps=scenario.probe_rate_pps, ttl=scenario.probe_ttl,
     )
-    # (b) then (c), back to back: (b)'s messages are in-flight-delayed.
-    dep.controller.update_flow(flow.flow_id, list(scenario.config_b), UpdateType.SINGLE)
-    dep.controller.update_flow(flow.flow_id, list(scenario.config_c), UpdateType.SINGLE)
+    source.start(at=1.0, stop_at=scenario.b_delay_ms + 700.0)
+    # (b) then (c), back to back: (b)'s messages are delayed in flight
+    # and the controller, believing (b) done, pushes (c) against the
+    # believed state.
+    native.push_blind(dep, flow.flow_id, list(scenario.config_b))
+    native.push_blind(dep, flow.flow_id, list(scenario.config_c))
     dep.run(until=scenario.b_delay_ms + 1500.0)
 
-    return _fig2_collect("p4update", dep.network.trace, flow, source, checker)
-
-
-def _fig2_ezsegway(scenario: InconsistentUpdateScenario, params: SimParams) -> Fig2Result:
-    topo = fig2_topology()
-    topo.set_controller(scenario.config_a[0])
-    dep = build_ezsegway_network(topo, params=params)
-    checker = LiveChecker(dep.forwarding_state, dep.network.trace)
-    flow = _fig2_flow(scenario)
-    dep.install_flow(flow)
-
-    from repro.baselines.ezsegway import RoleMessage
-
-    dep.network.control_fault_model = CompositeFaultModel([
-        ScriptedFault(
-            matches=lambda m: isinstance(m, RoleMessage) and m.update_id == 1,
-            action=FaultAction.DELAY,
-            extra_delay_ms=scenario.b_delay_ms,
-        )
-    ])
-
-    source = _fig2_probe_phase(
-        dep, flow, scenario, start_ms=1.0,
-        stop_ms=scenario.b_delay_ms + 700.0,
-    )
-    # (b) pushed first (update 1, delayed in flight); the controller —
-    # believing it done (inconsistent view, [69]) — pushes (c) against
-    # the believed state.  We model the oblivious controller by
-    # clearing the active-update serialisation between the pushes.
-    dep.controller.update_flow(flow.flow_id, list(scenario.config_b))
-    dep.controller.active_updates.pop(flow.flow_id, None)
-    dep.controller.update_flow(flow.flow_id, list(scenario.config_c))
-    dep.run(until=scenario.b_delay_ms + 1500.0)
-
-    return _fig2_collect("ezsegway", dep.network.trace, flow, source, checker)
-
-
-def _fig2_collect(system, trace, flow, source, checker) -> Fig2Result:
+    trace = dep.network.trace
     at_v1 = receives_at(trace, "v1", flow.flow_id)
     dups = duplicate_receives(at_v1)
     losses = ttl_losses(trace, flow.flow_id)
@@ -248,9 +199,18 @@ def run_fig4(
     scenario: Optional[FastForwardScenario] = None,
     params: Optional[SimParams] = None,
 ) -> Fig4Result:
-    """Run the §4.2 two-consecutive-update scenario for one system."""
+    """Run the §4.2 two-consecutive-update scenario for one system.
+
+    ``p4update-sl`` / ``p4update-dl`` force both updates to that layer;
+    ``p4update`` leaves each to the §7.5 selection rule."""
     scenario = scenario if scenario is not None else FastForwardScenario()
     params = params if params is not None else SimParams()
+    native, update_type = resolve_system(system)
+    if native.push_blind is None:       # not part of the §4 demonstrations
+        raise ValueError(f"fig4 supports p4update and ezsegway, not {system!r}")
+    # Only P4Update names carry a layer, and only its update_flow
+    # takes one.
+    forced = () if update_type is None else (update_type,)
     topo = six_node_topology()
     topo.set_controller(scenario.initial[0])
 
@@ -259,46 +219,21 @@ def run_fig4(
         old_path=list(scenario.initial),
     )
 
-    if system in ("p4update", "p4update-sl", "p4update-dl"):
-        dep = build_p4update_network(topo, params=params)
-        checker = LiveChecker(dep.forwarding_state, dep.network.trace)
-        dep.install_flow(flow)
-        dep.controller.update_flow(flow.flow_id, list(scenario.u2))
-        dep.network.engine.schedule(
-            scenario.u3_delay_ms,
-            lambda: dep.controller.update_flow(flow.flow_id, list(scenario.u3)),
-        )
-        dep.run()
-        established = path_establishment_time(
-            dep.network.trace, flow.flow_id, list(scenario.u3), list(scenario.initial)
-        )
-        completed = established != float("inf")
-        return Fig4Result(
-            system=system,
-            u3_completion_ms=established - scenario.u3_delay_ms,
-            completed=completed,
-            consistency_violations=len(checker.violations),
-        )
-
-    if system == "ezsegway":
-        dep = build_ezsegway_network(topo, params=params)
-        checker = LiveChecker(dep.forwarding_state, dep.network.trace)
-        dep.install_flow(flow)
-        dep.controller.update_flow(flow.flow_id, list(scenario.u2))
-        dep.network.engine.schedule(
-            scenario.u3_delay_ms,
-            lambda: dep.controller.update_flow(flow.flow_id, list(scenario.u3)),
-        )
-        dep.run()
-        established = path_establishment_time(
-            dep.network.trace, flow.flow_id, list(scenario.u3), list(scenario.initial)
-        )
-        completed = established != float("inf")
-        return Fig4Result(
-            system="ezsegway",
-            u3_completion_ms=established - scenario.u3_delay_ms,
-            completed=completed,
-            consistency_violations=len(checker.violations),
-        )
-
-    raise ValueError(f"fig4 supports p4update and ezsegway, not {system!r}")
+    dep = native.build(topo, params=params)
+    checker = LiveChecker(dep.forwarding_state, dep.network.trace)
+    dep.install_flow(flow)
+    dep.controller.update_flow(flow.flow_id, list(scenario.u2), *forced)
+    dep.network.engine.schedule(
+        scenario.u3_delay_ms,
+        lambda: dep.controller.update_flow(flow.flow_id, list(scenario.u3), *forced),
+    )
+    dep.run()
+    established = path_establishment_time(
+        dep.network.trace, flow.flow_id, list(scenario.u3), list(scenario.initial)
+    )
+    return Fig4Result(
+        system=system,
+        u3_completion_ms=established - scenario.u3_delay_ms,
+        completed=established != float("inf"),
+        consistency_violations=len(checker.violations),
+    )

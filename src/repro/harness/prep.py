@@ -25,7 +25,7 @@ from repro.baselines.ezsegway import (
     prepare_ez_update,
 )
 from repro.core.messages import UpdateType
-from repro.harness.build import P4UpdateDeployment, build_p4update_network
+from repro.harness.build import Deployment, build_p4update_network
 from repro.harness.scenarios import UpdateScenario, multi_flow_scenario
 from repro.params import SimParams
 from repro.topo import TOPOLOGIES
@@ -68,7 +68,7 @@ def count_calls(fn: Callable[[], None]) -> int:
 
 def prep_workload(
     topo_factory: Callable[[], Topology], seed: int = 0
-) -> tuple[Topology, UpdateScenario, P4UpdateDeployment]:
+) -> tuple[Topology, UpdateScenario, Deployment]:
     """A deployment plus flows to prepare updates for."""
     topo = topo_factory()
     scenario = multi_flow_scenario(topo, np.random.default_rng(seed))
@@ -89,7 +89,7 @@ def best_of(fn: Callable[[], float], repeats: int = 3) -> float:
 
 
 def time_p4update(
-    deployment: P4UpdateDeployment, flows: list, updates: int = DEFAULT_UPDATES
+    deployment: Deployment, flows: list, updates: int = DEFAULT_UPDATES
 ) -> float:
     def once() -> float:
         start = time.perf_counter()  # repro: ignore[wall-clock] fig8 measures real prep time
@@ -133,7 +133,7 @@ def time_ez_congestion(
 
 def count_operations(
     topo: Topology,
-    deployment: P4UpdateDeployment,
+    deployment: Deployment,
     flows: list,
     updates: int = DEFAULT_COUNT_UPDATES,
 ) -> tuple[int, int, int]:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.messages import make_probe
-from repro.harness.build import P4UpdateDeployment
+from repro.harness.build import Deployment
 from repro.sim.trace import (
     KIND_PACKET_DELIVERED,
     KIND_PACKET_LOST,
@@ -25,7 +25,7 @@ class ProbeSource:
 
     def __init__(
         self,
-        deployment: P4UpdateDeployment,
+        deployment: Deployment,
         flow_id: int,
         ingress: str,
         rate_pps: Optional[float] = None,

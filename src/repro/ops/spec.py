@@ -30,8 +30,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, fields as dataclass_fields
+from dataclasses import dataclass, field
 from typing import Any
+
+from repro.loading import dataclass_from_object, read_json_object, require_object
 
 #: Operations a timeline entry can request.
 OP_KINDS = ("migrate_tenant", "drain_switch", "undrain_switch", "rebalance")
@@ -104,10 +106,7 @@ class SessionSpec:
         problems: list[str] = []
         for i, entry in enumerate(self.timeline):
             where = f"timeline[{i}]"
-            if not isinstance(entry, dict):
-                raise SessionSpecError(
-                    f"{where} must be an object, got {type(entry).__name__}"
-                )
+            require_object(entry, where, SessionSpecError)
             op = entry.get("op")
             if op not in OP_KINDS:
                 raise SessionSpecError(
@@ -188,29 +187,12 @@ class SessionSpec:
 
 def load_session_spec(data: dict) -> SessionSpec:
     """Build a spec from a plain (JSON-decoded) dict."""
-    if not isinstance(data, dict):
-        raise SessionSpecError(
-            f"session spec must be an object, got {type(data).__name__}"
-        )
-    payload = dict(data)
-    known = {f.name for f in dataclass_fields(SessionSpec)}
-    unknown = set(payload) - known
-    if unknown:
-        raise SessionSpecError(
-            f"unknown session spec field(s) {sorted(unknown)}"
-        )
-    if "timeline" in payload:
-        payload["timeline"] = tuple(payload["timeline"])
-    try:
-        return SessionSpec(**payload)
-    except TypeError as exc:
-        raise SessionSpecError(str(exc)) from None
+    return dataclass_from_object(
+        SessionSpec, data, "session spec", SessionSpecError, timeline=tuple
+    )
 
 
 def load_session_spec_file(path: str) -> SessionSpec:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise SessionSpecError(f"{path}: invalid JSON: {exc}") from None
-    return load_session_spec(data)
+    return load_session_spec(
+        read_json_object(path, "session spec", SessionSpecError)
+    )

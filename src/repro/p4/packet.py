@@ -112,9 +112,6 @@ class Header:
             return default
         return self._values.get(field, default)
 
-    def as_dict(self) -> dict[str, int]:
-        return dict(self._values)
-
     def copy_from(self, other: "Header") -> None:
         if other._type is not self._type:
             raise TypeError("header type mismatch")

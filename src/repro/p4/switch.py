@@ -38,9 +38,6 @@ class RuntimeAPI:
     def add_table_entry(self, table: str, entry: TableEntry) -> None:
         self._program.table(table).add(entry)
 
-    def remove_table_entry(self, table: str, key: tuple) -> bool:
-        return self._program.table(table).remove(key)
-
     def set_clone_session(self, session: int, port: int) -> None:
         self._program.set_clone_session(session, port)
 

@@ -24,10 +24,10 @@ bit-identical per-request record list (asserted by ``tests/serve/``).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, fields as dataclass_fields
 from typing import Any
 
+from repro.loading import dataclass_from_object, read_json_object
 from repro.params import SimParams
 from repro.topo import TOPOLOGIES
 
@@ -213,27 +213,10 @@ class ServeSpec:
 
 def load_serve_spec(data: dict) -> ServeSpec:
     """Build a spec from a plain (JSON-decoded) dict."""
-    if not isinstance(data, dict):
-        raise ServeSpecError(
-            f"serve spec must be an object, got {type(data).__name__}"
-        )
-    payload = dict(data)
-    known = {f.name for f in dataclass_fields(ServeSpec)}
-    unknown = set(payload) - known
-    if unknown:
-        raise ServeSpecError(f"unknown serve spec field(s) {sorted(unknown)}")
-    if "events" in payload:
-        payload["events"] = tuple(payload["events"])
-    try:
-        return ServeSpec(**payload)
-    except TypeError as exc:
-        raise ServeSpecError(str(exc)) from None
+    return dataclass_from_object(
+        ServeSpec, data, "serve spec", ServeSpecError, events=tuple
+    )
 
 
 def load_serve_spec_file(path: str) -> ServeSpec:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ServeSpecError(f"{path}: invalid JSON: {exc}") from None
-    return load_serve_spec(data)
+    return load_serve_spec(read_json_object(path, "serve spec", ServeSpecError))

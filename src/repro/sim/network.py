@@ -195,9 +195,6 @@ class Network:
     def chaos_enabled(self) -> bool:
         return self._chaos
 
-    def link_is_up(self, node_a: str, node_b: str) -> bool:
-        return self.link_between(node_a, node_b).key not in self._down_links
-
     def node_is_up(self, name: str) -> bool:
         return name not in self._down_nodes
 

@@ -14,9 +14,10 @@ Adding a kind is one file defining a ``SweepKind`` plus one line in
 
 from __future__ import annotations
 
-import importlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Optional
+
+from repro.loading import resolve_attribute
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sweep.spec import SweepSpec
@@ -64,6 +65,5 @@ DEFAULT_KIND = "experiment"
 def resolve_kind(name: str) -> SweepKind:
     """Import and return the kind registered as ``name`` (``KeyError``
     when nothing is)."""
-    module_name, _, attribute = KIND_TABLE[name].partition(":")
-    kind: SweepKind = getattr(importlib.import_module(module_name), attribute)
+    kind: SweepKind = resolve_attribute(KIND_TABLE[name])
     return kind

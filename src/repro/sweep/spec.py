@@ -46,6 +46,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Optional
 
+from repro.loading import read_json_object, require_object
 from repro.sweep.kinds import DEFAULT_KIND, KIND_TABLE, ShardPlan, resolve_kind
 
 #: Spec fields every kind shares; the rest of a document is its body.
@@ -244,8 +245,7 @@ def replica_shards(
 
 def load_sweep_spec(data: dict) -> SweepSpec:
     """Build a spec from a plain (JSON-decoded) dict."""
-    if not isinstance(data, dict):
-        raise SweepSpecError(f"sweep spec must be an object, got {type(data).__name__}")
+    require_object(data, "sweep spec", SweepSpecError)
     generic = {name: data[name] for name in GENERIC_FIELDS if name in data}
     body = {name: value for name, value in data.items() if name not in generic}
     try:
@@ -255,9 +255,4 @@ def load_sweep_spec(data: dict) -> SweepSpec:
 
 
 def load_sweep_spec_file(path: str) -> SweepSpec:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise SweepSpecError(f"{path}: invalid JSON: {exc}") from None
-    return load_sweep_spec(data)
+    return load_sweep_spec(read_json_object(path, "sweep spec", SweepSpecError))

@@ -75,3 +75,29 @@ def test_fuzz_compete_lineups_are_registered():
         assert len(lineup) >= 2
         assert len(set(lineup)) == len(lineup)
         assert set(lineup) <= known
+
+
+def test_every_builder_path_resolves():
+    from repro.loading import resolve_attribute
+
+    for name in EXPECTED:
+        assert callable(resolve_attribute(get_strategy(name).builder)), name
+
+
+def test_runtime_reaches_a_builder_patched_on_its_module(monkeypatch):
+    # The perf ledger wraps the builder names as module attributes; a
+    # table that captured the function at import would bypass it.
+    import repro.harness.build as build
+    from repro.algos.registry import build_strategy_runtime
+    from repro.topo import ring_topology
+
+    calls = []
+    original = build.build_p4update_network
+
+    def patched(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(build, "build_p4update_network", patched)
+    build_strategy_runtime("p4update", ring_topology(4))
+    assert len(calls) == 1

@@ -69,6 +69,19 @@ def test_corruptor_must_be_registered():
         MessageFaultSpec(corrupt_prob=0.5, corruptor="gamma_rays")
 
 
+@pytest.mark.parametrize(
+    "text,problem",
+    [("[1, 2]", "chaos campaign must be an object, got list"),
+     ('{"name": ', "invalid JSON")],
+)
+def test_campaign_file_errors_name_the_file(tmp_path, text, problem):
+    path = tmp_path / "campaign.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=problem) as excinfo:
+        load_campaign_file(str(path))
+    assert str(path) in str(excinfo.value)
+
+
 def test_unknown_topology_rejected_by_runner():
     campaign = FaultCampaign(name="x", topology="moebius")
     with pytest.raises(ValueError):

@@ -92,3 +92,22 @@ def test_fig4_p4update_faster_than_ezsegway():
 def test_fig4_rejects_unknown_system():
     with pytest.raises(ValueError):
         run_fig4("central")
+
+
+def test_fig4_forced_layer_names_run_that_layer():
+    """``p4update-sl`` / ``p4update-dl`` pass their layer to both
+    updates; they used to run the auto rule under the requested label."""
+    times = {
+        system: run_fig4(system, params=fig4_params()).u3_completion_ms
+        for system in ("p4update", "p4update-sl", "p4update-dl")
+    }
+    assert len(set(times.values())) == 3, times
+
+
+def test_fig2_is_single_layer_by_design():
+    auto = run_fig2("p4update", params=fig2_params())
+    forced = run_fig2("p4update-sl", params=fig2_params())
+    assert forced.system == "p4update-sl"
+    assert forced.received_at_v1 == auto.received_at_v1
+    with pytest.raises(ValueError, match="single-layer"):
+        run_fig2("p4update-dl")
