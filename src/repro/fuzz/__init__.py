@@ -1,12 +1,16 @@
 """repro.fuzz — coverage-guided scenario fuzzing with shrinking.
 
-Seeded generators (:mod:`repro.fuzz.gen`) produce random topologies,
-update plans, serve specs and fault campaigns; oracles
-(:mod:`repro.fuzz.oracles`) classify each case as pass / violation /
-divergence / crash against the static verifier, short simulations and
-cross-system checks; coverage signals (:mod:`repro.fuzz.coverage`)
-drive corpus retention; failing cases are delta-debugged to minimal
-repros (:mod:`repro.fuzz.shrink`) and committed as self-contained JSON
+Each fuzzed surface is one :class:`~repro.fuzz.lanes.FuzzLane` record
+(:mod:`repro.fuzz.lanes`): a seeded generator of update plans, fault
+campaigns, serve specs or operations sessions, the mutations that
+evolve retained cases, the shrink candidates, and an oracle that
+classifies a case as pass / violation / divergence / crash against the
+static verifier, short simulations and cross-system checks.  The
+generic layers drive the lanes: :mod:`repro.fuzz.gen` generates and
+mutates, :mod:`repro.fuzz.oracles` classifies with crash containment,
+coverage signals (:mod:`repro.fuzz.coverage`) drive corpus retention,
+failing cases are delta-debugged to minimal repros
+(:mod:`repro.fuzz.shrink`) and committed as self-contained JSON
 documents (:mod:`repro.fuzz.corpus`) replayed forever by pytest.
 Campaigns (:mod:`repro.fuzz.campaign`) shard through the sweep fleet.
 """
@@ -34,6 +38,7 @@ from repro.fuzz.corpus import (
 )
 from repro.fuzz.coverage import CoverageMap
 from repro.fuzz.gen import FUZZ_KINDS, FuzzCase, generate_case, mutate_case
+from repro.fuzz.lanes import LANE_TABLE, FuzzLane, resolve_lane
 from repro.fuzz.oracles import (
     OUTCOMES,
     OracleVerdict,
@@ -49,8 +54,10 @@ __all__ = [
     "FUZZ_KINDS",
     "FuzzCampaignResult",
     "FuzzCase",
+    "FuzzLane",
     "FuzzSpec",
     "FuzzSpecError",
+    "LANE_TABLE",
     "OUTCOMES",
     "OracleVerdict",
     "classify",
@@ -66,6 +73,7 @@ __all__ = [
     "mutate_case",
     "replay_doc",
     "replay_file",
+    "resolve_lane",
     "run_fuzz_campaign",
     "run_fuzz_shard",
     "shrink_case",

@@ -20,6 +20,7 @@ auto-shrunk (:mod:`repro.fuzz.shrink`) into corpus-ready documents.
 
 from __future__ import annotations
 
+import dataclasses
 import traceback
 from dataclasses import dataclass
 from typing import Any, Optional
@@ -34,6 +35,7 @@ from repro.fuzz.gen import (
     generate_case,
     mutate_case,
 )
+from repro.fuzz.lanes import require_lanes
 from repro.fuzz.oracles import OUTCOMES, classify, failure_key, verdict_from_dict
 from repro.loading import dataclass_from_object, read_json_object
 
@@ -67,28 +69,14 @@ class FuzzSpec:
             raise FuzzSpecError("fuzz spec needs shards <= budget")
         if not self.kinds:
             raise FuzzSpecError("fuzz spec has an empty kinds axis")
-        unknown = sorted(set(self.kinds) - set(FUZZ_KINDS))
-        if unknown:
-            raise FuzzSpecError(
-                f"unknown fuzz kinds {unknown}; known: {FUZZ_KINDS}"
-            )
+        require_lanes(self.kinds, FuzzSpecError)
         if not 0.0 <= self.mutation_prob <= 1.0:
             raise FuzzSpecError("mutation_prob must be in [0, 1]")
         if self.max_shrunk < 0:
             raise FuzzSpecError("max_shrunk must be >= 0")
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "seed": self.seed,
-            "budget": self.budget,
-            "shards": self.shards,
-            "kinds": list(self.kinds),
-            "mutation_prob": self.mutation_prob,
-            "shrink": self.shrink,
-            "max_shrunk": self.max_shrunk,
-            "description": self.description,
-        }
+        return {**dataclasses.asdict(self), "kinds": list(self.kinds)}
 
 
 def load_fuzz_spec(data: dict) -> FuzzSpec:
@@ -125,15 +113,7 @@ class CrashRecord:
     kind: str = ""              # case kind, when known
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "case_index": self.case_index,
-            "stage": self.stage,
-            "error_type": self.error_type,
-            "message": self.message,
-            "traceback_tail": self.traceback_tail,
-            "kind": self.kind,
-        }
+        return dataclasses.asdict(self)
 
 
 def crash_record(
@@ -169,9 +149,9 @@ def run_fuzz_shard(
     outcomes: dict[str, int] = {outcome: 0 for outcome in OUTCOMES}
 
     for index in range(budget):
-        # Lane 1 is the campaign-driver stream (mutate-or-generate
-        # choice, corpus picks); lane 0 belongs to generate_case.
-        driver = case_rng(seed, index, lane=1)
+        # Stream 1 is the campaign driver's (mutate-or-generate choice,
+        # corpus picks); stream 0 belongs to generate_case.
+        driver = case_rng(seed, index, stream=1)
         try:
             if corpus and float(driver.random()) < spec.mutation_prob:
                 base = corpus[int(driver.integers(0, len(corpus)))]

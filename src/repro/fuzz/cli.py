@@ -42,27 +42,20 @@ def _build_spec(args: argparse.Namespace) -> Optional["FuzzSpec"]:
         load_fuzz_spec_file,
     )
 
+    overrides = {
+        "name": args.name,
+        "seed": args.seed,
+        "budget": args.budget,
+        "shards": args.shards,
+        "kinds": args.kinds.split(",") if args.kinds else None,
+    }
     try:
-        if args.spec:
-            spec = load_fuzz_spec_file(args.spec)
-            overrides = {}
-            if args.seed is not None:
-                overrides["seed"] = args.seed
-            if args.budget is not None:
-                overrides["budget"] = args.budget
-            if args.shards is not None:
-                overrides["shards"] = args.shards
-            if overrides:
-                spec = load_fuzz_spec(dict(spec.to_dict(), **overrides))
-            return spec
+        base = (
+            load_fuzz_spec_file(args.spec).to_dict() if args.spec
+            else {"name": "adhoc"}
+        )
         return load_fuzz_spec(
-            {
-                "name": args.name,
-                "seed": args.seed if args.seed is not None else 0,
-                "budget": args.budget if args.budget is not None else 32,
-                "shards": args.shards if args.shards is not None else 1,
-                **({"kinds": args.kinds.split(",")} if args.kinds else {}),
-            }
+            {**base, **{k: v for k, v in overrides.items() if v is not None}}
         )
     except (OSError, FuzzSpecError) as exc:
         print(f"error: cannot build fuzz spec: {exc}", file=sys.stderr)
@@ -90,6 +83,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
             "error: --emit-corpus needs shrinking; drop --no-shrink",
             file=sys.stderr,
         )
+        return 2
+    if args.emit_corpus and not args.corpus:
+        print("error: --emit-corpus requires --corpus", file=sys.stderr)
+        return 2
+    try:
+        known = known_keys(args.corpus) if args.corpus else set()
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     print(
         f"fuzz {spec.name!r}: budget {spec.budget} across {spec.shards} "
@@ -119,7 +120,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
 
     keys = result.finding_keys()
-    known = known_keys(args.corpus) if args.corpus else set()
     new_keys = [key for key in keys if key not in known]
     for finding in result.findings:
         key = tuple(str(k) for k in finding["key"])
@@ -130,9 +130,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     emitted = 0
     if args.emit_corpus:
-        if not args.corpus:
-            print("error: --emit-corpus requires --corpus", file=sys.stderr)
-            return 2
         for doc in result.shrunk:
             key = expected_key(doc)
             if key in known:
@@ -193,10 +190,10 @@ def _cmd_shrink(args: argparse.Namespace) -> int:
 
     try:
         doc = load_corpus_file(args.case)
+        case = case_from_doc(doc)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    case = case_from_doc(doc)
     before = shrink_measure(case.payload)
     minimal = shrink_case(case)
     after = shrink_measure(minimal.payload)
@@ -217,6 +214,7 @@ def _cmd_shrink(args: argparse.Namespace) -> int:
 
 
 def add_fuzz_parser(sub: argparse._SubParsersAction) -> None:
+    from repro.fuzz.lanes import LANE_TABLE
     from repro.sweep.cli import add_fleet_flags
 
     parser = sub.add_parser(
@@ -231,7 +229,9 @@ def add_fuzz_parser(sub: argparse._SubParsersAction) -> None:
         "spec", nargs="?", default=None,
         help="path to a fuzz spec JSON file (omit to use flags)",
     )
-    prun.add_argument("--name", default="adhoc", help="campaign name")
+    prun.add_argument(
+        "--name", default=None, help="campaign name (default: adhoc)"
+    )
     prun.add_argument("--seed", type=int, default=None, help="campaign seed")
     prun.add_argument(
         "--budget", type=int, default=None, help="total cases across shards"
@@ -239,8 +239,7 @@ def add_fuzz_parser(sub: argparse._SubParsersAction) -> None:
     prun.add_argument("--shards", type=int, default=None, help="shard count")
     prun.add_argument(
         "--kinds", default=None,
-        help="comma-separated case kinds "
-             "(plan,chaos,serve,divergence,ops,compete)",
+        help=f"comma-separated case kinds ({','.join(LANE_TABLE)})",
     )
     add_fleet_flags(prun)
     prun.add_argument(

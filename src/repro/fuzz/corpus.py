@@ -36,6 +36,7 @@ import os
 from typing import Optional
 
 from repro.fuzz.gen import FuzzCase, case_from_dict
+from repro.fuzz.lanes import require_lanes
 from repro.fuzz.oracles import OracleVerdict, classify, failure_key
 from repro.loading import read_json_object, require_object
 
@@ -84,10 +85,17 @@ def validate_corpus_doc(doc: dict) -> dict:
         elif not isinstance(doc[name], kind):
             problems.append(f"field {name!r} has type {type(doc[name]).__name__}")
     if not problems:
+        try:
+            require_lanes((doc["kind"],))
+        except ValueError as exc:
+            problems.append(str(exc))
         expect = doc["expect"]
         for name in ("outcome", "oracle", "kinds"):
             if name not in expect:
                 problems.append(f"expect missing field {name!r}")
+        # A string here would be read one character per violation kind.
+        if not isinstance(expect.get("kinds", []), list):
+            problems.append("expect field 'kinds' is not a list")
     if problems:
         raise ValueError("invalid corpus case: " + "; ".join(problems))
     return doc
@@ -129,14 +137,9 @@ def known_keys(directory: str) -> set[tuple[str, ...]]:
 
 
 def case_from_doc(doc: dict) -> FuzzCase:
-    return case_from_dict(
-        {
-            "kind": doc["kind"],
-            "name": str(doc.get("name", doc["kind"])),
-            "seed": int(doc.get("seed", 0)),
-            "payload": doc["payload"],
-        }
-    )
+    """The case a corpus document carries (its other fields are the
+    expectation and provenance)."""
+    return case_from_dict(doc)
 
 
 def replay_doc(doc: dict) -> tuple[bool, OracleVerdict]:

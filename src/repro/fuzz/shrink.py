@@ -23,9 +23,11 @@ compared lexicographically, so:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, Optional
+import copy
+from typing import Any, Callable, Iterator, Optional, Sequence
 
 from repro.fuzz.gen import FuzzCase, canonical_payload
+from repro.fuzz.lanes import resolve_lane
 from repro.fuzz.oracles import OracleVerdict, classify, failure_key
 
 #: Hard cap on oracle evaluations per shrink (safety net only; real
@@ -66,6 +68,7 @@ def shrink_case(
     ``on_step`` observes every accepted intermediate (for the
     monotonicity property tests).
     """
+    candidates = resolve_lane(case.kind).shrink_candidates
     original = classifier(case)
     if original.outcome == "pass":
         return case
@@ -76,7 +79,7 @@ def shrink_case(
     evaluations = 0
     while evaluations < max_evaluations:
         accepted = False
-        for payload in _candidates(current.kind, current.payload):
+        for payload in candidates(current.payload):
             measure = shrink_measure(payload)
             if measure >= current_measure:
                 continue
@@ -103,71 +106,54 @@ def shrink_case(
     return current
 
 
-# -- candidate enumeration ---------------------------------------------------
+# -- candidate builders the lanes compose -------------------------------------
 
 
-def _clone(payload: dict) -> dict:
-    import copy
-
-    return copy.deepcopy(payload)
-
-
-def _candidates(kind: str, payload: dict) -> Iterator[dict]:
-    if kind == "plan":
-        yield from _plan_candidates(payload)
-    elif kind == "chaos":
-        yield from _chaos_candidates(payload)
-    elif kind == "serve":
-        yield from _serve_candidates(payload)
-    elif kind == "ops":
-        yield from _ops_candidates(payload)
-    elif kind == "compete":
-        yield from _compete_candidates(payload)
-    else:
-        yield from _divergence_candidates(payload)
-
-
-def _drop_index(payload: dict, path: list[Any], index: int) -> dict:
-    out = _clone(payload)
-    node: Any = out
-    for step in path:
-        node = node[step]
-    del node[index]
-    return out
-
-
-def _set_value(payload: dict, path: list[Any], key: str, value: Any) -> dict:
-    out = _clone(payload)
-    node: Any = out
-    for step in path:
-        node = node[step]
-    node[key] = value
-    return out
-
-
-def _list_drops(payload: dict, path: list[Any], minimum: int = 0) -> Iterator[dict]:
+def node_at(payload: dict, path: Sequence[Any]) -> Any:
+    """The node ``path`` leads to, or None when a step is missing."""
     node: Any = payload
     for step in path:
         node = node.get(step) if isinstance(node, dict) else node[step]
         if node is None:
-            return
+            return None
+    return node
+
+
+def set_value(payload: dict, path: list[Any], key: str, value: Any) -> dict:
+    """A copy of ``payload`` with ``key`` under ``path`` set to ``value``."""
+    out = copy.deepcopy(payload)
+    node_at(out, path)[key] = value
+    return out
+
+
+def reset(payload: dict, path: list[Any], key: str, default: Any) -> Iterator[dict]:
+    """``key`` under ``path`` put back to ``default``; nothing when it
+    already is, or when the payload has no node at ``path``."""
+    node = node_at(payload, path)
+    if node is not None and node.get(key, default) != default:
+        yield set_value(payload, path, key, default)
+
+
+def list_drops(payload: dict, path: list[Any], minimum: int = 0) -> Iterator[dict]:
+    """One candidate per element of the list at ``path``, that element
+    dropped; nothing once the list is down to ``minimum`` elements."""
+    node = node_at(payload, path)
     if not isinstance(node, list) or len(node) <= minimum:
         return
     # Last-first keeps earlier indices valid in the reader's mind when
     # diffing successive shrink steps.
     for index in range(len(node) - 1, -1, -1):
-        yield _drop_index(payload, path, index)
+        out = copy.deepcopy(payload)
+        del node_at(out, path)[index]
+        yield out
 
 
-def _halve(
+def halve(
     payload: dict, path: list[Any], key: str, floor: float, integer: bool = False
 ) -> Iterator[dict]:
-    node: Any = payload
-    for step in path:
-        node = node.get(step) if isinstance(node, dict) else node[step]
-        if node is None:
-            return
-    value = node.get(key)
+    """The numeric ``key`` under ``path`` halved toward ``floor``."""
+    node = node_at(payload, path)
+    value = None if node is None else node.get(key)
     if value is None:
         return
     current = float(value)
@@ -175,103 +161,4 @@ def _halve(
         return
     halved = max(floor, current / 2.0)
     shrunk: Any = int(halved) if integer else round(halved, 1)
-    yield _set_value(payload, path, key, shrunk)
-
-
-def _plan_candidates(payload: dict) -> Iterator[dict]:
-    plans = payload.get("plans", [])
-    if len(plans) > 1:
-        yield from _list_drops(payload, ["plans"], minimum=1)
-    for i in range(len(plans)):
-        yield from _list_drops(payload, ["plans", i, "installs"], minimum=1)
-        yield from _list_drops(payload, ["plans", i, "notify_edges"])
-        yield from _list_drops(payload, ["plans", i, "dependencies"])
-        yield from _list_drops(payload, ["plans", i, "old_path"])
-        yield from _list_drops(payload, ["plans", i, "new_path"])
-        if float(plans[i].get("flow_size", 0.0)) not in (0.0, 1.0):
-            yield _set_value(payload, ["plans", i], "flow_size", 1.0)
-    for key in sorted(payload.get("capacities", {})):
-        out = _clone(payload)
-        del out["capacities"][key]
-        yield out
-
-
-def _chaos_candidates(payload: dict) -> Iterator[dict]:
-    campaign = payload.get("campaign", {})
-    yield from _list_drops(payload, ["campaign", "events"])
-    yield from _list_drops(payload, ["campaign", "message_faults"])
-    update_at = float(campaign.get("update_at_ms", 10.0))
-    yield from _halve(
-        payload, ["campaign"], "horizon_ms", floor=max(1000.0, 2.0 * update_at)
-    )
-    if int(campaign.get("seed", 0)) != 0:
-        yield _set_value(payload, ["campaign"], "seed", 0)
-    for key in ("unm_timeout_ms", "controller_update_timeout_ms"):
-        if float(campaign.get(key, 0.0)) != 0.0:
-            yield _set_value(payload, ["campaign"], key, 0.0)
-
-
-def _serve_candidates(payload: dict) -> Iterator[dict]:
-    serve = payload.get("serve", {})
-    yield from _list_drops(payload, ["serve", "events"])
-    yield from _halve(payload, ["serve"], "requests", floor=1.0, integer=True)
-    yield from _halve(payload, ["serve"], "flows", floor=1.0, integer=True)
-    yield from _halve(payload, ["serve"], "queue_depth", floor=1.0, integer=True)
-    yield from _halve(payload, ["serve"], "horizon_ms", floor=5000.0)
-    if int(serve.get("max_in_flight", 0)) != 0:
-        yield _set_value(payload, ["serve"], "max_in_flight", 0)
-    if float(serve.get("mean_flow_size", 1.0)) != 1.0:
-        yield _set_value(payload, ["serve"], "mean_flow_size", 1.0)
-    if str(serve.get("static_interference", "off")) != "off":
-        yield _set_value(payload, ["serve"], "static_interference", "off")
-    if int(serve.get("seed", 0)) != 0:
-        yield _set_value(payload, ["serve"], "seed", 0)
-
-
-def _ops_candidates(payload: dict) -> Iterator[dict]:
-    ops = payload.get("ops", {})
-    serve = ops.get("serve", {})
-    yield from _list_drops(payload, ["ops", "timeline"])
-    yield from _list_drops(payload, ["ops", "serve", "events"])
-    yield from _halve(payload, ["ops", "serve"], "requests", floor=1.0,
-                      integer=True)
-    yield from _halve(payload, ["ops", "serve"], "flows", floor=1.0,
-                      integer=True)
-    yield from _halve(payload, ["ops", "serve"], "horizon_ms", floor=5000.0)
-    if float(ops.get("checkpoint_every_ms", 0.0)) != 0.0:
-        yield _set_value(payload, ["ops"], "checkpoint_every_ms", 0.0)
-    params = serve.get("params", {})
-    if float(params.get("controller_update_timeout_ms", 0.0)) != 0.0:
-        yield _set_value(
-            payload, ["ops", "serve", "params"],
-            "controller_update_timeout_ms", 0.0,
-        )
-    if int(serve.get("seed", 0)) != 0:
-        yield _set_value(payload, ["ops", "serve"], "seed", 0)
-
-
-def _compete_candidates(payload: dict) -> Iterator[dict]:
-    # A cross-strategy finding names the strategies in its failure key,
-    # so dropping an uninvolved third strategy preserves the key while
-    # dropping an involved one cannot be accepted — the key check does
-    # the right thing either way.
-    yield from _list_drops(payload, ["strategies"], minimum=2)
-    serve = payload.get("serve", {})
-    yield from _list_drops(payload, ["serve", "events"])
-    yield from _halve(payload, ["serve"], "requests", floor=1.0, integer=True)
-    yield from _halve(payload, ["serve"], "flows", floor=1.0, integer=True)
-    yield from _halve(payload, ["serve"], "queue_depth", floor=1.0, integer=True)
-    yield from _halve(payload, ["serve"], "horizon_ms", floor=5000.0)
-    params = serve.get("params", {})
-    if float(params.get("controller_update_timeout_ms", 0.0)) != 0.0:
-        yield _set_value(
-            payload, ["serve", "params"], "controller_update_timeout_ms", 0.0
-        )
-    if int(serve.get("seed", 0)) != 0:
-        yield _set_value(payload, ["serve"], "seed", 0)
-
-
-def _divergence_candidates(payload: dict) -> Iterator[dict]:
-    if int(payload.get("seed", 0)) != 0:
-        yield _set_value(payload, [], "seed", 0)
-    yield from _halve(payload, ["params"], "max_sim_time_ms", floor=10000.0)
+    yield set_value(payload, path, key, shrunk)

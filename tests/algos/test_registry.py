@@ -66,12 +66,12 @@ def test_serve_spec_round_trips_strategy():
 
 
 def test_fuzz_compete_lineups_are_registered():
-    # The fuzz generator carries static strategy line-ups so it stays
-    # import-light; this pins them to the live registry.
-    from repro.fuzz.gen import _COMPETE_STRATEGY_SETS
+    # The compete fuzz lane carries static strategy line-ups; this pins
+    # them to the live registry.
+    from repro.fuzz.lanes.compete import STRATEGY_SETS
 
     known = set(strategy_names())
-    for lineup in _COMPETE_STRATEGY_SETS:
+    for lineup in STRATEGY_SETS:
         assert len(lineup) >= 2
         assert len(set(lineup)) == len(lineup)
         assert set(lineup) <= known

@@ -3,6 +3,8 @@
 import json
 import pathlib
 
+import pytest
+
 from repro.harness.cli import main
 
 CORPUS_DIR = str(
@@ -30,6 +32,51 @@ def test_fuzz_run_writes_manifest(tmp_path, capsys):
     assert manifest.exists()
     doc = json.loads(manifest.read_text())
     assert doc["params"]["budget"] == 6
+
+
+def test_fuzz_run_flags_override_every_spec_file_field(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"name": "file", "seed": 3, "budget": 6, "shards": 2}))
+    rc = main([
+        "fuzz", "run", str(spec), "--kinds", "plan", "--name", "flagged",
+        "--budget", "4", "--no-shrink",
+        "--cache-dir", str(tmp_path / "cache"), "--out-dir", str(tmp_path),
+    ])
+    assert rc == 0, capsys.readouterr()
+    doc = json.loads((tmp_path / "BENCH_fuzz_flagged.json").read_text())
+    assert doc["params"]["kinds"] == ["plan"]
+    assert (doc["params"]["seed"], doc["params"]["budget"]) == (3, 4)
+    assert {f["key"][0] for f in doc["results"]["findings"]} <= {"plan"}
+
+
+def test_fuzz_run_rejects_unknown_kinds_flag(tmp_path, capsys):
+    rc = main(_run_args(tmp_path, "--kinds", "plan,nope"))
+    assert rc == 1
+    assert "unknown fuzz kinds ['nope']" in capsys.readouterr().err
+
+
+def test_fuzz_run_emit_corpus_without_corpus_is_rejected_up_front(
+    tmp_path, capsys
+):
+    rc = main([
+        "fuzz", "run", "--name", "cli", "--budget", "6",
+        "--cache-dir", str(tmp_path / "cache"), "--out-dir", str(tmp_path),
+        "--emit-corpus",
+    ])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "--emit-corpus requires --corpus" in captured.err
+    # Rejected before the campaign ran: nothing was announced or written.
+    assert captured.out == ""
+    assert not list(tmp_path.iterdir())
+
+
+def test_fuzz_run_help_lists_the_lane_table(capsys):
+    with pytest.raises(SystemExit):
+        main(["fuzz", "run", "--help"])
+    assert "(plan,chaos,serve,divergence,ops,compete)" in "".join(
+        capsys.readouterr().out.split()
+    )
 
 
 def test_fuzz_run_fail_on_new_against_empty_corpus(tmp_path, capsys):
@@ -116,3 +163,27 @@ def test_fuzz_shrink_command_is_idempotent_on_minimal_case(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "measure" in out
+
+
+@pytest.mark.parametrize(
+    "edit, complaint",
+    [
+        (lambda doc: doc.update(kind="nope"), "unknown fuzz kinds ['nope']"),
+        (lambda doc: doc["expect"].update(kinds="plan:x"), "'kinds' is not a list"),
+    ],
+    ids=["foreign-kind", "string-kinds"],
+)
+@pytest.mark.parametrize("command", ["replay", "shrink"])
+def test_fuzz_replay_and_shrink_reject_invalid_corpus_docs(
+    command, edit, complaint, tmp_path, capsys
+):
+    from repro.fuzz.corpus import corpus_files, load_corpus_file
+
+    doc = load_corpus_file(corpus_files(CORPUS_DIR)[0])
+    edit(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    rc = main(["fuzz", command, str(bad)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and complaint in err

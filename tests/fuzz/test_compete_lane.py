@@ -5,14 +5,14 @@ import json
 
 from repro.fuzz.gen import (
     FUZZ_KINDS,
-    _COMPETE_STRATEGY_SETS,
-    _compatible_events,
     case_rng,
+    compatible_events,
     generate_case,
     mutate_case,
 )
+from repro.fuzz.lanes import resolve_lane
+from repro.fuzz.lanes.compete import STRATEGY_SETS
 from repro.fuzz.oracles import classify, evaluate_case
-from repro.fuzz.shrink import _compete_candidates
 
 
 def _indices_of(kind: str, count: int = 4) -> list[int]:
@@ -43,12 +43,12 @@ def test_compete_payload_loads_as_spec_per_strategy():
 def test_compete_mutations_preserve_kind():
     base = generate_case(5, _indices_of("compete")[0])
     donor = generate_case(5, _indices_of("compete")[1])
-    for lane in range(8):
-        rng = case_rng(5, 300 + lane, lane=1)
-        mutated = mutate_case(base, donor, rng, 300 + lane)
+    for step in range(8):
+        rng = case_rng(5, 300 + step, 1)
+        mutated = mutate_case(base, donor, rng, 300 + step)
         assert mutated.kind == "compete"
         assert set(mutated.payload["strategies"]) <= {
-            s for lineup in _COMPETE_STRATEGY_SETS for s in lineup
+            s for lineup in STRATEGY_SETS for s in lineup
         }
 
 
@@ -60,8 +60,8 @@ def test_splice_filters_cross_topology_events():
          "node_a": "council-ia", "node_b": "lenoir-nc"},
         {"time_ms": 20.0, "kind": "switch_crash", "node_a": "council-ia"},
     ]
-    assert _compatible_events(events, "fig1") == []
-    assert len(_compatible_events(events, "b4")) == 2
+    assert compatible_events(events, "fig1") == []
+    assert len(compatible_events(events, "b4")) == 2
 
 
 def test_compete_oracle_agreement_passes():
@@ -112,7 +112,7 @@ def test_compete_shrink_candidates_reduce():
         },
         "strategies": ["p4update", "central", "augmented"],
     }
-    candidates = list(_compete_candidates(payload))
+    candidates = list(resolve_lane("compete").shrink_candidates(payload))
     assert candidates
     # Strategy drops keep at least two contenders.
     strategy_lists = [c["strategies"] for c in candidates

@@ -7,7 +7,6 @@ import pytest
 
 from repro.fuzz.gen import (
     FUZZ_KINDS,
-    MUTATIONS,
     FuzzCase,
     canonical_payload,
     case_from_dict,
@@ -15,6 +14,7 @@ from repro.fuzz.gen import (
     generate_case,
     mutate_case,
 )
+from repro.fuzz.lanes import resolve_lane
 
 
 def test_generate_case_deterministic():
@@ -106,11 +106,11 @@ def test_mutations_deterministic_and_kind_preserving():
     base = generate_case(9, 0)
     donor = generate_case(9, len(FUZZ_KINDS))
     assert base.kind == donor.kind == "plan"
-    for lane in range(6):
-        rng_a = case_rng(9, 100 + lane, lane=1)
-        rng_b = case_rng(9, 100 + lane, lane=1)
-        a = mutate_case(base, donor, rng_a, 100 + lane)
-        b = mutate_case(base, donor, rng_b, 100 + lane)
+    for step in range(6):
+        rng_a = case_rng(9, 100 + step, stream=1)
+        rng_b = case_rng(9, 100 + step, stream=1)
+        a = mutate_case(base, donor, rng_a, 100 + step)
+        b = mutate_case(base, donor, rng_b, 100 + step)
         assert a == b
         assert a.kind == base.kind
         assert "~" in a.name  # mutation op recorded in the name
@@ -121,17 +121,22 @@ def test_mutation_ops_cover_every_kind():
     for index in range(len(FUZZ_KINDS)):
         base = generate_case(13, index)
         donor = generate_case(13, index + len(FUZZ_KINDS))
-        for lane in range(12):
-            rng = case_rng(13, 200 + lane, lane=1)
-            mutated = mutate_case(base, donor, rng, 200 + lane)
+        for step in range(12):
+            rng = case_rng(13, 200 + step, stream=1)
+            mutated = mutate_case(base, donor, rng, 200 + step)
             seen.add(mutated.name.split("~")[1].split("[")[0])
-    assert seen <= set(MUTATIONS)
+    declared = {
+        op for kind in FUZZ_KINDS for op, _, _ in resolve_lane(kind).mutations
+    }
+    assert seen <= declared == {
+        "splice", "knob-perturb", "fault-insert", "plan-crossover"
+    }
     assert len(seen) >= 3
 
 
-def test_case_rng_lanes_are_independent():
-    a = case_rng(1, 0, lane=0).integers(0, 2**31)
-    b = case_rng(1, 0, lane=1).integers(0, 2**31)
+def test_case_rng_streams_are_independent():
+    a = case_rng(1, 0, stream=0).integers(0, 2**31)
+    b = case_rng(1, 0, stream=1).integers(0, 2**31)
     assert a != b
 
 

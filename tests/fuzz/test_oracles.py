@@ -71,7 +71,7 @@ def test_oracle_exception_contained_as_crash():
 
 def test_evaluate_case_rejects_unknown_kind():
     bad = FuzzCase(kind="nope", name="x", seed=0, payload={})
-    with pytest.raises(ValueError, match="unknown fuzz case kind"):
+    with pytest.raises(ValueError, match=r"unknown fuzz kinds \['nope'\]; known: \('plan', "):
         evaluate_case(bad)
     assert classify(bad).outcome == "crash"
 
