@@ -11,6 +11,7 @@ plain data — :mod:`repro.chaos.runner` executes them, and the
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import asdict, dataclass
 from typing import Any, Callable, Optional
@@ -125,7 +126,7 @@ class FaultCampaign:
 
 
 class SpecTopologyError(ValueError):
-    """A spec addresses nodes that do not exist in its topology.
+    """A spec addresses nodes or links that do not exist in its topology.
 
     Structured: ``topology`` names the offending topology and
     ``problems`` lists one human-readable line per bad reference, so
@@ -136,29 +137,32 @@ class SpecTopologyError(ValueError):
         self.topology = topology
         self.problems = list(problems)
         super().__init__(
-            f"unknown node reference(s) for topology {topology!r}: "
+            f"unknown node or link reference(s) for topology {topology!r}: "
             + "; ".join(self.problems)
         )
 
 
-_TOPOLOGY_NODES: dict[str, frozenset[str]] = {}
+@functools.lru_cache(maxsize=None)
+def _topology_shape(
+    topology: str,
+) -> tuple[frozenset[str], frozenset[tuple[str, str]]]:
+    """Node names and links (both directions) of a registered topology
+    (cached: topologies are deterministic per name)."""
+    from repro.topo import TOPOLOGIES
+
+    if topology not in TOPOLOGIES:
+        raise SpecTopologyError(
+            topology,
+            [f"unknown topology; expected one of {sorted(TOPOLOGIES)}"],
+        )
+    graph = TOPOLOGIES[topology]().graph
+    links = frozenset(graph.edges) | frozenset((b, a) for a, b in graph.edges)
+    return frozenset(graph.nodes), links
 
 
 def topology_nodes(topology: str) -> frozenset[str]:
-    """Node names of a registered topology (cached: topologies are
-    deterministic per name, so the cache never goes stale)."""
-    cached = _TOPOLOGY_NODES.get(topology)
-    if cached is None:
-        from repro.topo import TOPOLOGIES
-
-        if topology not in TOPOLOGIES:
-            raise SpecTopologyError(
-                topology,
-                [f"unknown topology; expected one of {sorted(TOPOLOGIES)}"],
-            )
-        cached = frozenset(TOPOLOGIES[topology]().nodes)
-        _TOPOLOGY_NODES[topology] = cached
-    return cached
+    """Node names of a registered topology."""
+    return _topology_shape(topology)[0]
 
 
 def validate_events_against_topology(
@@ -166,22 +170,31 @@ def validate_events_against_topology(
     topology: str,
     context: str = "events",
 ) -> None:
-    """Fail fast when any event names a node absent from ``topology``.
+    """Fail fast when any event names a node absent from ``topology``,
+    or a ``link_*`` event names two nodes with no link between them.
 
     :class:`TopoEvent` itself can only check shape (which fields are
-    required per kind); existence needs the topology, so campaign and
-    ops-session loaders call this at spec-load time.  Raises
+    required per kind); existence needs the topology, so every spec
+    that carries events calls this at load time.  Raises
     :class:`SpecTopologyError` listing every bad reference at once."""
-    nodes = topology_nodes(topology)
+    nodes, links = _topology_shape(topology)
     problems = []
     for i, event in enumerate(events):
-        for field in ("node_a", "node_b"):
-            name = getattr(event, field)
-            if name and name not in nodes:
-                problems.append(
-                    f"{context}[{i}] ({event.kind} at t={event.time_ms:g}): "
-                    f"{field}={name!r} is not a node"
-                )
+        where = f"{context}[{i}] ({event.kind} at t={event.time_ms:g})"
+        unknown = [
+            f"{where}: {field}={name!r} is not a node"
+            for field, name in (("node_a", event.node_a), ("node_b", event.node_b))
+            if name and name not in nodes
+        ]
+        problems.extend(unknown)
+        if (
+            not unknown
+            and event.kind.startswith("link_")
+            and (event.node_a, event.node_b) not in links
+        ):
+            problems.append(
+                f"{where}: no link between {event.node_a!r} and {event.node_b!r}"
+            )
     if problems:
         raise SpecTopologyError(topology, problems)
 

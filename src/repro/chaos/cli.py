@@ -45,7 +45,7 @@ def _load(path: str) -> Optional["FaultCampaign"]:
         return campaign
     except SpecTopologyError as exc:
         print(
-            f"error: campaign {path!r}: unknown node reference(s) "
+            f"error: campaign {path!r}: unknown node or link reference(s) "
             f"for topology {exc.topology!r}:",
             file=sys.stderr,
         )

@@ -211,6 +211,21 @@ def apply_topo_event(deployment: Deployment, event: TopoEvent) -> None:
         network.set_controller_outage(False)
 
 
+def schedule_topo_events(
+    deployment: Deployment, events: tuple[TopoEvent, ...]
+) -> None:
+    """Schedule ``events`` on the deployment's engine.  In-flight
+    tracking is armed first, before any message is sent, so a link
+    failure can lose messages already on the wire."""
+    if not events:
+        return
+    deployment.network.enable_chaos()
+    for event in events:
+        deployment.network.engine.schedule_at(
+            event.time_ms, apply_topo_event, deployment, event
+        )
+
+
 def _trigger_updates(
     deployment: Deployment,
     scenario: UpdateScenario,
@@ -248,13 +263,7 @@ def run_campaign(
     if control_model is not None:
         network.control_fault_model = control_model
 
-    if campaign.events:
-        # Arm in-flight tracking before any message is sent so link
-        # failures can lose messages already on the wire.
-        network.enable_chaos()
-        for event in campaign.events:
-            engine.schedule_at(event.time_ms, apply_topo_event, deployment, event)
-
+    schedule_topo_events(deployment, campaign.events)
     engine.schedule_at(
         campaign.update_at_ms,
         _trigger_updates,
@@ -288,15 +297,7 @@ def run_campaign(
         flows_completed=flows_completed,
         flows_parked=flows_parked,
         parked_reports=[report.to_dict() for report in controller.parked],
-        violations=[
-            {
-                "time": v.time,
-                "kind": v.kind,
-                "flow_id": v.flow_id,
-                "detail": v.detail,
-            }
-            for v in checker.violations
-        ],
+        violations=[v.to_dict() for v in checker.violations],
         trace_signature=trace_signature(network.trace),
         sim_time_ms=engine.now,
         events_processed=engine.processed_events,

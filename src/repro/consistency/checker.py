@@ -38,6 +38,15 @@ class Violation:
     flow_id: Optional[int]
     detail: str
 
+    def to_dict(self) -> dict:
+        """The JSON form every result type reports."""
+        return {
+            "time": self.time,
+            "kind": self.kind,
+            "flow_id": self.flow_id,
+            "detail": self.detail,
+        }
+
 
 @dataclass
 class CheckResult:

@@ -1,5 +1,6 @@
 """Loading what data names: strict JSON spec objects and
-``module:attribute`` import paths.
+``module:attribute`` import paths — and the one atomic JSON writer
+behind every file another run may read back.
 
 Every declarative spec is a JSON *object* whose unknown fields are
 rejected and whose loader reports each problem as the spec's own error
@@ -12,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import importlib
 import json
+import os
 from typing import Any, Callable, TypeVar
 
 T = TypeVar("T")
@@ -42,6 +44,17 @@ def read_json_object(path: str, noun: str, error: type[Exception]) -> dict:
         except json.JSONDecodeError as exc:
             raise error(f"{path}: invalid JSON: {exc}") from None
     return require_object(data, noun, error, source=f"{path}: ")
+
+
+def write_json_atomic(path: str, doc: dict) -> None:
+    """Write ``doc`` as sorted-key JSON (NaN refused) through a
+    per-process temp file and ``os.replace``: a concurrent reader, or a
+    run killed mid-write, sees the previous file or the new one whole."""
+    tmp = f"{path}.tmp.{os.getpid()}"
+    with open(tmp, "w", encoding="utf-8") as handle:
+        json.dump(doc, handle, indent=2, sort_keys=True, allow_nan=False)
+        handle.write("\n")
+    os.replace(tmp, path)
 
 
 def dataclass_from_object(

@@ -15,7 +15,11 @@ generators, obs counters) plus the registered module-level counters
 from :mod:`repro.sim.snapshot`.  The manifest records the SHA-256 of
 every checkpoint's bytes; :func:`load_checkpoint` refuses to restore a
 file whose digest does not match (a truncated or hand-edited file
-fails loudly, never silently diverges).
+fails loudly, never silently diverges).  It also records the payload
+format and a fingerprint of the ``repro`` source that wrote it, and
+both are compared **before** anything is unpickled: a pickle restores
+objects by class path, so bytes written by other code would load into
+this build's classes and diverge silently.
 
 All writes are atomic (``tmp`` + ``os.replace``), so a session killed
 *during* a checkpoint write leaves the previous checkpoint set intact.
@@ -23,12 +27,15 @@ All writes are atomic (``tmp`` + ``os.replace``), so a session killed
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
+import pathlib
 import pickle
 from typing import TYPE_CHECKING, Any, Optional
 
+from repro.loading import write_json_atomic
 from repro.sim.snapshot import capture_global_state, restore_global_state
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -38,7 +45,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: on load is an error (old checkpoints do not silently restore).
 #: 2: the session graph holds the incremental ``LiveChecker``'s caches
 #: and ``Trace`` subscribers as (callback, kinds) pairs.
-CHECKPOINT_FORMAT = 2
+#: 3: the session nests a ``ServiceSession`` (deployment, checker,
+#: orchestrator, arrival driver) instead of holding its parts.
+CHECKPOINT_FORMAT = 3
 
 _MANIFEST = "checkpoints.json"
 _STATUS = "status.json"
@@ -69,10 +78,32 @@ def _atomic_write(path: str, data: bytes) -> None:
     os.replace(tmp, path)
 
 
-def _atomic_write_json(path: str, doc: dict) -> None:
-    _atomic_write(
-        path, (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
-    )
+@functools.cache
+def code_fingerprint() -> str:
+    """SHA-256 over every ``repro/**/*.py`` (relative path + bytes, in
+    sorted path order), computed once per process."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        digest.update(path.relative_to(root).as_posix().encode("utf-8") + b"\0")
+        digest.update(path.read_bytes() + b"\0")
+    return digest.hexdigest()
+
+
+def _refuse_foreign(what: str, doc: dict) -> None:
+    """Raise unless ``doc`` (a manifest or a checkpoint's meta) was
+    written in this build's format by this build's code."""
+    if doc.get("format") != CHECKPOINT_FORMAT:
+        raise CheckpointError(
+            f"{what} has format {doc.get('format')!r}; "
+            f"this build reads format {CHECKPOINT_FORMAT}"
+        )
+    if doc.get("code_fingerprint") != code_fingerprint():
+        raise CheckpointError(
+            f"{what} was written by code fingerprint "
+            f"{doc.get('code_fingerprint')!r}; this build is "
+            f"{code_fingerprint()!r} — re-run the session from its spec"
+        )
 
 
 def read_manifest(directory: str) -> dict:
@@ -91,6 +122,7 @@ def write_checkpoint(directory: str, session: "OpsSession", index: int) -> dict:
     os.makedirs(directory, exist_ok=True)
     meta = {
         "format": CHECKPOINT_FORMAT,
+        "code_fingerprint": code_fingerprint(),
         "name": session.spec.name,
         "spec_hash": session.spec.spec_hash(),
         "index": index,
@@ -114,10 +146,12 @@ def write_checkpoint(directory: str, session: "OpsSession", index: int) -> dict:
     except CheckpointError:
         manifest = {
             "format": CHECKPOINT_FORMAT,
+            "code_fingerprint": meta["code_fingerprint"],
             "name": session.spec.name,
             "spec_hash": meta["spec_hash"],
             "checkpoints": [],
         }
+    _refuse_foreign(f"checkpoint dir {directory!r}", manifest)
     if manifest.get("spec_hash") != meta["spec_hash"]:
         raise CheckpointError(
             f"checkpoint dir {directory!r} belongs to a different spec "
@@ -127,8 +161,8 @@ def write_checkpoint(directory: str, session: "OpsSession", index: int) -> dict:
         e for e in manifest["checkpoints"] if int(e["index"]) != index
     ] + [entry]
     manifest["checkpoints"].sort(key=lambda e: int(e["index"]))
-    _atomic_write_json(os.path.join(directory, _MANIFEST), manifest)
-    _atomic_write_json(
+    write_json_atomic(os.path.join(directory, _MANIFEST), manifest)
+    write_json_atomic(
         os.path.join(directory, _STATUS),
         {
             "name": session.spec.name,
@@ -150,6 +184,7 @@ def load_checkpoint(
     taken — ``session.run()`` continues byte-identically.  ``index``
     defaults to the latest checkpoint in the manifest."""
     manifest = read_manifest(directory)
+    _refuse_foreign(f"checkpoint dir {directory!r}", manifest)
     entries = {int(e["index"]): e for e in manifest.get("checkpoints", [])}
     if not entries:
         raise CheckpointError(f"checkpoint dir {directory!r} is empty")
@@ -174,12 +209,7 @@ def load_checkpoint(
             f"match the manifest ({entry['sha256']})"
         )
     payload = pickle.loads(blob)
-    meta = payload["meta"]
-    if meta.get("format") != CHECKPOINT_FORMAT:
-        raise CheckpointError(
-            f"checkpoint {path!r} has format {meta.get('format')!r}; "
-            f"this build reads format {CHECKPOINT_FORMAT}"
-        )
+    _refuse_foreign(f"checkpoint {path!r}", payload["meta"])
     restore_global_state(payload["globals"])
     session = payload["session"]
     session.resumed_from = int(index)
@@ -226,6 +256,7 @@ def checkpoint_status(directory: str) -> dict:
     return {
         "name": manifest.get("name"),
         "spec_hash": manifest.get("spec_hash"),
+        "code_fingerprint": manifest.get("code_fingerprint"),
         "checkpoints": len(entries),
         "latest_index": int(latest["index"]) if latest else None,
         "sim_time_ms": float(latest["sim_time_ms"]) if latest else None,

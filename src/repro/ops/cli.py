@@ -48,7 +48,7 @@ def _load(path: str) -> Optional["SessionSpec"]:
         return load_session_spec_file(path)
     except SpecTopologyError as exc:
         print(
-            f"error: session {path!r}: unknown node reference(s) "
+            f"error: session {path!r}: unknown node or link reference(s) "
             f"for topology {exc.topology!r}:",
             file=sys.stderr,
         )
@@ -251,6 +251,7 @@ def _cmd_status(args: argparse.Namespace) -> int:
         return 1
     print(f"session:     {status['name']}")
     print(f"spec hash:   {status['spec_hash']}")
+    print(f"code:        {str(status['code_fingerprint'])[:16]}")
     print(f"checkpoints: {status['checkpoints']}")
     if status["latest_index"] is not None:
         print(f"latest:      index {status['latest_index']} "

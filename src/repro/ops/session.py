@@ -1,14 +1,15 @@
 """Live operations sessions: a serve run overlaid with an ops timeline.
 
-:func:`build_session` constructs an :class:`OpsSession` — a fully
-picklable object graph owning the deployment, flow population,
-orchestrator, consistency checker, arrival-driving state and the
-operations timeline.  Everything the engine will ever call back into
-is a bound method of an object inside that graph (no closures, no
-generators), which is what makes rolling checkpoints possible: a
-checkpoint is ``pickle.dumps`` of the session plus the registered
-module-level counters (:mod:`repro.sim.snapshot`), and a resumed
-session continues **byte-identically** to an uninterrupted run.
+:func:`build_session` constructs an :class:`OpsSession` — a
+:class:`~repro.serve.service.ServiceSession` (deployment, flow
+population, orchestrator, consistency checker, arrival driver) plus
+the operations timeline and checkpoint ticks.  Everything the engine
+will ever call back into is a bound method of an object inside that
+graph (no closures, no generators), which is what makes rolling
+checkpoints possible: a checkpoint is ``pickle.dumps`` of the session
+plus the registered module-level counters (:mod:`repro.sim.snapshot`),
+and a resumed session continues **byte-identically** to an
+uninterrupted run.
 
 Operations execute as **rolling per-flow moves** through the existing
 verified prepare/push pipeline (Alg. 1/2): each op moves one flow at a
@@ -30,21 +31,16 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 import networkx as nx
-import numpy as np
 
 from repro.analysis.interference import footprint_from_paths
-from repro.chaos.runner import trace_signature
-from repro.consistency.checker import LiveChecker
 from repro.obs.context import NULL_OBS, ObsContext
 from repro.ops.spec import SessionSpec
-from repro.serve.model import OUTCOME_COMPLETED, OUTCOMES
-from repro.serve.orchestrator import ServiceOrchestrator
 from repro.serve.service import (
+    ServiceResult,
+    ServiceSession,
     link_capacities,
-    provision_service,
     slo_summary,
 )
-from repro.serve.workload import closed_loop_pick, flow_weights
 from repro.sim.reset import reset_global_state
 
 #: Simulated delay before re-probing a busy flow (ms).
@@ -103,32 +99,16 @@ class _OpState:
         }
 
 
-@dataclass
-class OpsResult:
-    """Everything one session produced (JSON-safe via to_results)."""
+@dataclass(kw_only=True)
+class OpsResult(ServiceResult):
+    """Everything one session produced: the :class:`ServiceResult` of
+    its background churn (``spec`` is the embedded serve spec) plus the
+    per-operation records."""
 
-    spec: SessionSpec
-    records: list[dict]
+    session: SessionSpec
     ops: list[dict]
-    violations: list[dict]
-    outcome_counts: dict[str, int]
-    slo: dict[str, Any]
-    peak_in_flight: int
-    sim_time_ms: float
-    events_processed: int
-    trace_sig: str
-    invariants_ok: bool
-    trace_dropped: int
     path_cache: dict[str, float]
     resumed_from: Optional[int] = None
-
-    @property
-    def consistent(self) -> bool:
-        return not self.violations
-
-    @property
-    def completed(self) -> int:
-        return self.outcome_counts.get(OUTCOME_COMPLETED, 0)
 
     def signature(self) -> str:
         """SHA-256 over the deterministic payload: per-request records,
@@ -165,29 +145,12 @@ class OpsResult:
         }
 
     def to_results(self) -> dict[str, Any]:
-        serve = self.spec.serve_spec()
-        return {
-            "name": self.spec.name,
-            "topology": serve.topology,
-            "seed": serve.seed,
-            "requests": len(self.records),
-            "outcomes": dict(sorted(self.outcome_counts.items())),
-            "completed": self.completed,
-            "consistent": self.consistent,
-            "violations": self.violations,
-            "invariants_ok": self.invariants_ok,
-            "peak_in_flight": self.peak_in_flight,
-            "slo": self.slo,
-            "ops": self.ops,
-            "ops_summary": self.ops_summary(),
-            "path_cache": self.path_cache,
-            "sim_time_ms": self.sim_time_ms,
-            "events_processed": self.events_processed,
-            "signature": self.signature(),
-            "trace_signature": self.trace_sig,
-            "trace_dropped_events": self.trace_dropped,
-            "records": self.records,
-        }
+        doc = self._base_results()
+        doc["name"] = self.session.name
+        doc["ops"] = self.ops
+        doc["ops_summary"] = self.ops_summary()
+        doc["path_cache"] = self.path_cache
+        return doc
 
 
 class OpsSession:
@@ -197,35 +160,17 @@ class OpsSession:
     method of this object or of something it owns, so the whole graph
     pickles (the checkpoint contract)."""
 
-    def __init__(
-        self,
-        spec: SessionSpec,
-        serve: Any,
-        deployment: Any,
-        population: list,
-        checker: LiveChecker,
-        orchestrator: ServiceOrchestrator,
-        arrival_rng: np.random.Generator,
-        obs: ObsContext,
-    ) -> None:
+    def __init__(self, spec: SessionSpec, service: ServiceSession) -> None:
         self.spec = spec
-        self.serve = serve
-        self.deployment = deployment
-        self.engine = deployment.network.engine
-        self.controller = deployment.controller
-        self.topo = deployment.topology
-        self.population = population
-        self.flows = {f.flow_id: f for f in population}
-        self.checker = checker
-        self.orchestrator = orchestrator
-        self.obs = obs
-        # Workload-driving state (the run_service closures, unrolled
-        # into picklable attributes + bound methods).
-        self.arrival_rng = arrival_rng
-        self._weights = flow_weights(population)
-        self._indices = np.arange(len(population))
-        self._arrivals_left = serve.requests
-        self._issued = 0
+        self.service = service
+        self.serve = service.spec
+        self.deployment = service.deployment
+        self.engine = service.engine
+        self.controller = self.deployment.controller
+        self.topo = self.deployment.topology
+        self.orchestrator = service.orchestrator
+        self.flows = service.orchestrator.flows
+        self.obs = service.obs
         # Operations state.
         self.op_states = [
             _OpState(index=i, entry=dict(entry))
@@ -235,7 +180,8 @@ class OpsSession:
         self._move_owner: dict[int, int] = {}   # flow_id -> op index
         # Tenant partition: population order modulo the tenant count.
         self._tenant_of = {
-            f.flow_id: i % spec.tenants for i, f in enumerate(population)
+            f.flow_id: i % spec.tenants
+            for i, f in enumerate(service.population)
         }
         # Checkpointing.  ``checkpoint_index`` is the last tick that
         # ran; ``_sink`` is the runtime-only writer — never pickled, so
@@ -260,12 +206,7 @@ class OpsSession:
 
         Called once at build time (never on resume: the restored engine
         queue already contains everything below)."""
-        if self.serve.mode == "open":
-            self._next_arrival()
-        else:
-            self.orchestrator.on_terminal = self._client_on_terminal
-            for _ in range(min(self.serve.clients, self.serve.requests)):
-                self._client_submit()
+        self.service.wire()
         for state in self.op_states:
             at_ms = float(state.entry["at_ms"])
             if at_ms <= self.serve.horizon_ms:
@@ -273,34 +214,6 @@ class OpsSession:
         interval = self.spec.checkpoint_every_ms
         if interval > 0 and interval <= self.serve.horizon_ms:
             self.engine.schedule_at(interval, self._checkpoint_tick, 1)
-
-    # -- workload (mirrors run_service, with bound methods) ------------------
-
-    def _next_arrival(self) -> None:
-        if self._arrivals_left <= 0:
-            return
-        self._arrivals_left -= 1
-        gap = float(
-            self.arrival_rng.exponential(1000.0 / self.serve.arrival_rate_per_s)
-        )
-        index = int(self.arrival_rng.choice(self._indices, p=self._weights))
-        self.engine.schedule(gap, self._submit_open, index)
-
-    def _submit_open(self, index: int) -> None:
-        self.orchestrator.submit(self.population[index].flow_id)
-        self._issued += 1
-        self._next_arrival()
-
-    def _client_submit(self) -> None:
-        if self._issued >= self.serve.requests:
-            return
-        self._issued += 1
-        index = closed_loop_pick(self.arrival_rng, self.population, self._weights)
-        self.orchestrator.submit(self.population[index].flow_id)
-
-    def _client_on_terminal(self, _request: Any) -> None:
-        if self._issued < self.serve.requests:
-            self.engine.schedule(self.serve.think_time_ms, self._client_submit)
 
     # -- checkpoint ticks ----------------------------------------------------
 
@@ -574,12 +487,10 @@ class OpsSession:
 
     def run(self) -> None:
         """Advance the session to its horizon (build or resume)."""
-        self.deployment.run(until=self.serve.horizon_ms)
+        self.service.run()
 
     def finalize(self) -> OpsResult:
         """Horizon reached: close the books and build the result."""
-        self.orchestrator.on_terminal = None
-        self.orchestrator.finalize()
         for state in self.op_states:
             if state.status == "running":
                 state.status = OP_UNFINISHED
@@ -590,27 +501,15 @@ class OpsSession:
                     # Still waiting on the pipeline (or a pending
                     # retry) when the horizon expired.
                     move["outcome"] = MOVE_UNFINISHED
-
-        records = sorted(
-            (r.to_record() for r in self.orchestrator.requests),
-            key=lambda r: r["request_id"],
-        )
-        outcome_counts: dict[str, int] = {}
-        for record in records:
-            outcome = record["outcome"]
-            outcome_counts[outcome] = outcome_counts.get(outcome, 0) + 1
-
-        completed = [r for r in records if r["outcome"] == OUTCOME_COMPLETED]
         moved = [
             m
             for state in self.op_states
             for m in state.moves
             if m["outcome"] == MOVE_MOVED and m["pushed_ms"] is not None
         ]
-        slo = {
-            "e2e_ms": slo_summary(
-                [r["completed_ms"] - r["submitted_ms"] for r in completed]
-            ),
+        churn = dict(vars(self.service.close()))
+        churn["slo"] = {
+            "e2e_ms": churn["slo"]["e2e_ms"],
             "move_wait_ms": slo_summary(
                 [m["pushed_ms"] - m["scheduled_ms"] for m in moved]
             ),
@@ -621,32 +520,10 @@ class OpsSession:
                 [m["completed_ms"] - m["scheduled_ms"] for m in moved]
             ),
         }
-        violations = [
-            {
-                "time": v.time,
-                "kind": v.kind,
-                "flow_id": v.flow_id,
-                "detail": v.detail,
-            }
-            for v in self.checker.violations
-        ]
-        invariants_ok = all(
-            r["outcome"] in OUTCOMES and r["completed_ms"] is not None
-            for r in records
-        )
         return OpsResult(
-            spec=self.spec,
-            records=records,
+            **churn,
+            session=self.spec,
             ops=[state.to_record() for state in self.op_states],
-            violations=violations,
-            outcome_counts=outcome_counts,
-            slo=slo,
-            peak_in_flight=self.orchestrator.peak_in_flight,
-            sim_time_ms=self.engine.now,
-            events_processed=self.engine.processed_events,
-            trace_sig=trace_signature(self.deployment.network.trace),
-            invariants_ok=invariants_ok,
-            trace_dropped=self.deployment.network.trace.dropped_events,
             path_cache=self.topo.path_cache_stats(),
             resumed_from=self.resumed_from,
         )
@@ -732,28 +609,17 @@ class OpsSession:
 def build_session(
     spec: SessionSpec, obs: Optional[ObsContext] = None
 ) -> OpsSession:
-    """Construct a fresh, fully wired session (provisioned exactly as
-    :func:`repro.serve.service.run_service` does, so the background
-    churn of a session with an empty timeline matches a plain serve run
-    of the embedded spec)."""
+    """Construct a fresh, fully wired session.  The background churn is
+    the embedded serve spec's own :class:`ServiceSession`, so a session
+    with an empty timeline matches a plain serve run of that spec."""
     reset_global_state()
-    obs = obs if obs is not None else NULL_OBS
-    serve = spec.serve_spec()
     # Operations move flows through the P4Update prepare/push pipeline,
     # so sessions always deploy it, whatever strategy the spec names.
-    deployment, population, checker, orchestrator, arrival_rng = (
-        provision_service(serve, obs, strategy="p4update")
+    service = ServiceSession(
+        spec.serve_spec(), obs if obs is not None else NULL_OBS,
+        strategy="p4update",
     )
-    session = OpsSession(
-        spec=spec,
-        serve=serve,
-        deployment=deployment,
-        population=population,
-        checker=checker,
-        orchestrator=orchestrator,
-        arrival_rng=arrival_rng,
-        obs=obs,
-    )
+    session = OpsSession(spec, service)
     session.wire()
     return session
 

@@ -19,11 +19,11 @@ Example::
     }
 
 Like every spec in the repo, unknown fields are rejected — both on the
-session document and on each timeline entry — and every switch name
-(timeline targets, avoid lists, embedded chaos events) is validated
-against the serve topology at load time, so a typo fails fast with a
-structured :class:`~repro.chaos.campaign.SpecTopologyError` instead of
-a mid-session KeyError.
+session document and on each timeline entry — and every switch name is
+validated against the serve topology at load time, so a typo fails
+fast instead of as a mid-session KeyError: timeline targets and avoid
+lists with a structured :class:`~repro.chaos.campaign.SpecTopologyError`,
+embedded chaos events by the embedded serve spec's own loader.
 """
 
 from __future__ import annotations
@@ -90,14 +90,6 @@ class SessionSpec:
         if self.checkpoint_every_ms < 0:
             raise SessionSpecError("checkpoint_every_ms must be >= 0")
         self._validate_timeline(serve.topology)
-        # Satellite of the topology-existence fix: embedded chaos
-        # events get the same fail-fast treatment as campaign events.
-        from repro.chaos.campaign import TopoEvent, validate_events_against_topology
-
-        events = tuple(TopoEvent(**dict(e)) for e in serve.events)
-        validate_events_against_topology(
-            events, serve.topology, context="serve.events"
-        )
 
     def _validate_timeline(self, topology: str) -> None:
         from repro.chaos.campaign import SpecTopologyError, topology_nodes

@@ -21,8 +21,7 @@ from typing import Any, Optional
 import numpy as np
 
 from repro.algos.registry import build_strategy_runtime
-from repro.chaos.campaign import TopoEvent
-from repro.chaos.runner import apply_topo_event, trace_signature
+from repro.chaos.runner import schedule_topo_events, trace_signature
 from repro.consistency.checker import LiveChecker
 from repro.obs.causal import CausalTracker, nearest_rank, summarize_attribution
 from repro.obs.context import NULL_OBS, ObsContext
@@ -35,8 +34,8 @@ from repro.serve.spec import ServeSpec
 from repro.serve.workload import (
     build_flow_population,
     closed_loop_pick,
+    draw_open_arrival,
     flow_weights,
-    open_loop_arrivals,
 )
 from repro.sim.reset import reset_global_state
 from repro.topo import TOPOLOGIES
@@ -96,31 +95,6 @@ def build_service_deployment(
     for service_flow in population:
         deployment.install_flow(service_flow.to_flow())
     return deployment, population
-
-
-def provision_service(
-    spec: ServeSpec, obs: ObsContext, strategy: Optional[str] = None
-) -> tuple[Any, list, LiveChecker, ServiceOrchestrator, np.random.Generator]:
-    """Everything a serve spec implies before its first arrival:
-    ``(deployment, population, checker, orchestrator, arrival_rng)``
-    with the spec's chaos events scheduled."""
-    deployment, population = build_service_deployment(spec, obs, strategy)
-    checker = LiveChecker(
-        deployment.forwarding_state, deployment.network.trace
-    )
-    orchestrator = ServiceOrchestrator(
-        spec, deployment, population, obs=obs,
-        capacities=link_capacities(deployment.topology),
-    )
-    if spec.events:
-        deployment.network.enable_chaos()
-        for event_doc in spec.events:
-            event = TopoEvent(**dict(event_doc))
-            deployment.network.engine.schedule_at(
-                event.time_ms, apply_topo_event, deployment, event
-            )
-    arrival_rng = np.random.default_rng([spec.seed, _ARRIVAL_STREAM])
-    return deployment, population, checker, orchestrator, arrival_rng
 
 
 def slo_summary(values: list[float]) -> dict[str, Any]:
@@ -201,6 +175,8 @@ class ServiceResult:
 
     def to_results(self) -> dict[str, Any]:
         doc = self._base_results()
+        doc["makespan_ms"] = self.makespan_ms
+        doc["throughput_per_s"] = self.throughput_per_s
         if self.interference:
             doc["interference"] = list(self.interference)
         if self.strategy_stats:
@@ -215,6 +191,7 @@ class ServiceResult:
         return doc
 
     def _base_results(self) -> dict[str, Any]:
+        """The keys every run of a service reports, ops sessions too."""
         return {
             "name": self.spec.name,
             "topology": self.spec.topology,
@@ -226,8 +203,6 @@ class ServiceResult:
             "violations": self.violations,
             "invariants_ok": self.invariants_ok,
             "peak_in_flight": self.peak_in_flight,
-            "makespan_ms": self.makespan_ms,
-            "throughput_per_s": self.throughput_per_s,
             "slo": self.slo,
             "sim_time_ms": self.sim_time_ms,
             "events_processed": self.events_processed,
@@ -238,96 +213,10 @@ class ServiceResult:
         }
 
 
-@dataclass
-class _Workload:
-    """Internal: arrival-driving state shared by the callbacks."""
-
-    issued: int = 0
-    budget: int = 0
-    think_ms: float = 0.0
-    weights: Any = None
-    rng: Any = None
-    population: list = field(default_factory=list)
-
-
-def run_service(
-    spec: ServeSpec, obs: Optional[ObsContext] = None
-) -> ServiceResult:
-    """Run one complete service workload described by ``spec``."""
-    reset_global_state()
-    obs = obs if obs is not None else NULL_OBS
-    tracker: Optional[CausalTracker] = None
-    if spec.causal:
-        tracker = CausalTracker()
-        if obs is NULL_OBS:
-            # Causal tracing without metrics: a fresh disabled-metrics
-            # context carrying only the tracker (never mutate the
-            # shared NULL_OBS singleton).
-            obs = ObsContext(NullRegistry(), NullSpanTracker(), causal=tracker)
-        else:
-            obs.causal = tracker
-    deployment, population, checker, orchestrator, arrival_rng = (
-        provision_service(spec, obs)
-    )
-    engine = deployment.network.engine
-    state = _Workload(
-        budget=spec.requests,
-        think_ms=spec.think_time_ms,
-        weights=flow_weights(population),
-        rng=arrival_rng,
-        population=population,
-    )
-
-    if spec.mode == "open":
-        arrivals = open_loop_arrivals(
-            arrival_rng, population, spec.arrival_rate_per_s, spec.requests
-        )
-
-        def _next_arrival() -> None:
-            try:
-                gap_ms, index = next(arrivals)
-            except StopIteration:
-                return
-            engine.schedule(gap_ms, _submit_open, index)
-
-        def _submit_open(index: int) -> None:
-            orchestrator.submit(population[index].flow_id)
-            state.issued += 1
-            _next_arrival()
-
-        _next_arrival()
-    else:  # closed loop
-
-        def _client_submit() -> None:
-            if state.issued >= state.budget:
-                return
-            state.issued += 1
-            index = closed_loop_pick(state.rng, population, state.weights)
-            orchestrator.submit(population[index].flow_id)
-
-        def _on_terminal(_request: Any) -> None:
-            if state.issued < state.budget:
-                engine.schedule(state.think_ms, _client_submit)
-
-        orchestrator.on_terminal = _on_terminal
-        for _ in range(min(spec.clients, spec.requests)):
-            _client_submit()
-
-    deployment.run(until=spec.horizon_ms)
-    orchestrator.on_terminal = None
-    orchestrator.finalize()
-
-    records = sorted(
-        (r.to_record() for r in orchestrator.requests),
-        key=lambda r: r["request_id"],
-    )
-    outcome_counts = {k: 0 for k in OUTCOMES}
-    for record in records:
-        outcome_counts[record["outcome"]] += 1
-    outcome_counts = {k: v for k, v in outcome_counts.items() if v}
-
+def _serve_slo(records: list[dict]) -> dict[str, Any]:
+    """Per-stage latency summaries of one run's request records."""
     completed = [r for r in records if r["outcome"] == OUTCOME_COMPLETED]
-    slo = {
+    return {
         "admission_wait_ms": slo_summary(
             [
                 r["dispatched_ms"] - r["submitted_ms"]
@@ -361,51 +250,159 @@ def run_service(
         ),
     }
 
-    violations = [
-        {
-            "time": v.time,
-            "kind": v.kind,
-            "flow_id": v.flow_id,
-            "detail": v.detail,
+
+class ServiceSession:
+    """One service run, from provisioning to result.
+
+    Construction provisions everything the spec implies before its
+    first arrival — deployment and flow population, live checker,
+    orchestrator, scheduled topology events, arrival RNG; :meth:`wire`
+    schedules the first arrivals, :meth:`run` advances to the horizon
+    and :meth:`close` builds the :class:`ServiceResult`.  Every engine
+    callback is a bound method of this object or of something it owns
+    (no closures, no generators), so the whole graph pickles mid-run
+    and a restored session continues byte-identically.
+
+    The arrival rng is drawn in one fixed order, which every pinned
+    signature depends on: open loop, one ``exponential`` then one
+    ``choice`` per arrival, the next arrival drawn right after the
+    previous submit; closed loop, one ``choice`` per client submit.
+    """
+
+    def __init__(
+        self,
+        spec: ServeSpec,
+        obs: ObsContext = NULL_OBS,
+        strategy: Optional[str] = None,
+    ) -> None:
+        self.spec = spec
+        self.obs = obs
+        self.deployment, self.population = build_service_deployment(
+            spec, obs, strategy
+        )
+        self.engine = self.deployment.network.engine
+        self.checker = LiveChecker(
+            self.deployment.forwarding_state, self.deployment.network.trace
+        )
+        self.orchestrator = ServiceOrchestrator(
+            spec, self.deployment, self.population, obs=obs,
+            capacities=link_capacities(self.deployment.topology),
+        )
+        schedule_topo_events(self.deployment, spec.topo_events())
+        self.arrival_rng = np.random.default_rng([spec.seed, _ARRIVAL_STREAM])
+        self._weights = flow_weights(self.population)
+        self._indices = np.arange(len(self.population))
+        self._issued = 0
+
+    def wire(self) -> None:
+        """Schedule the first arrivals.  Called once on a fresh session,
+        never on a restored one: its engine queue already holds them."""
+        if self.spec.mode == "open":
+            self._next_arrival()
+        else:
+            self.orchestrator.on_terminal = self._client_on_terminal
+            for _ in range(min(self.spec.clients, self.spec.requests)):
+                self._client_submit()
+
+    def _next_arrival(self) -> None:
+        if self._issued >= self.spec.requests:
+            return
+        gap_ms, index = draw_open_arrival(
+            self.arrival_rng, self.spec.arrival_rate_per_s,
+            self._indices, self._weights,
+        )
+        self.engine.schedule(gap_ms, self._submit_open, index)
+
+    def _submit_open(self, index: int) -> None:
+        self.orchestrator.submit(self.population[index].flow_id)
+        self._issued += 1
+        self._next_arrival()
+
+    def _client_submit(self) -> None:
+        if self._issued >= self.spec.requests:
+            return
+        self._issued += 1
+        index = closed_loop_pick(self.arrival_rng, self._indices, self._weights)
+        self.orchestrator.submit(self.population[index].flow_id)
+
+    def _client_on_terminal(self, _request: Any) -> None:
+        if self._issued < self.spec.requests:
+            self.engine.schedule(self.spec.think_time_ms, self._client_submit)
+
+    def run(self) -> None:
+        """Advance to the spec's horizon (fresh or restored)."""
+        self.deployment.run(until=self.spec.horizon_ms)
+
+    def close(self) -> ServiceResult:
+        """Horizon reached: close the books and build the result."""
+        self.orchestrator.on_terminal = None
+        self.orchestrator.finalize()
+        records = sorted(
+            (r.to_record() for r in self.orchestrator.requests),
+            key=lambda r: r["request_id"],
+        )
+        outcome_counts: dict[str, int] = {}
+        for record in records:
+            outcome = record["outcome"]
+            outcome_counts[outcome] = outcome_counts.get(outcome, 0) + 1
+        # finish() raising on double-terminal is the primary guard; this
+        # re-checks the emitted records themselves.
+        invariants_ok = all(
+            r["outcome"] in OUTCOMES and r["completed_ms"] is not None
+            for r in records
+        )
+
+        attribution = None
+        causal_dags = None
+        tracker = self.obs.causal if self.spec.causal else None
+        if tracker is not None:
+            rows = tracker.attribution_rows()
+            attribution = {"rows": rows, "summary": summarize_attribution(rows)}
+            causal_dags = tracker.dags()
+
+        controller = self.deployment.controller
+        routes = {
+            flow_id: tuple(record.current_path)
+            for flow_id, record in sorted(controller.flow_db.items())
         }
-        for v in checker.violations
-    ]
-    # finish() raising on double-terminal is the primary guard; this
-    # re-checks the emitted records themselves.
-    invariants_ok = all(
-        r["outcome"] in OUTCOMES and r["completed_ms"] is not None
-        for r in records
-    )
+        stats_fn = getattr(controller, "strategy_stats", None)
+        trace = self.deployment.network.trace
+        return ServiceResult(
+            spec=self.spec,
+            records=records,
+            violations=[v.to_dict() for v in self.checker.violations],
+            outcome_counts=outcome_counts,
+            slo=_serve_slo(records),
+            peak_in_flight=self.orchestrator.peak_in_flight,
+            sim_time_ms=self.engine.now,
+            events_processed=self.engine.processed_events,
+            trace_sig=trace_signature(trace),
+            invariants_ok=invariants_ok,
+            trace_dropped=trace.dropped_events,
+            attribution=attribution,
+            causal=causal_dags,
+            interference=self.orchestrator.interference_events,
+            routes=routes,
+            strategy_stats=dict(stats_fn()) if stats_fn is not None else {},
+        )
 
-    attribution = None
-    causal_dags = None
-    if tracker is not None:
-        rows = tracker.attribution_rows()
-        attribution = {"rows": rows, "summary": summarize_attribution(rows)}
-        causal_dags = tracker.dags()
 
-    routes = {
-        flow_id: tuple(record.current_path)
-        for flow_id, record in sorted(deployment.controller.flow_db.items())
-    }
-    stats_fn = getattr(deployment.controller, "strategy_stats", None)
-    strategy_stats = dict(stats_fn()) if stats_fn is not None else {}
-
-    return ServiceResult(
-        spec=spec,
-        records=records,
-        violations=violations,
-        outcome_counts=outcome_counts,
-        slo=slo,
-        peak_in_flight=orchestrator.peak_in_flight,
-        sim_time_ms=engine.now,
-        events_processed=engine.processed_events,
-        trace_sig=trace_signature(deployment.network.trace),
-        invariants_ok=invariants_ok,
-        trace_dropped=deployment.network.trace.dropped_events,
-        attribution=attribution,
-        causal=causal_dags,
-        interference=orchestrator.interference_events,
-        routes=routes,
-        strategy_stats=strategy_stats,
-    )
+def run_service(
+    spec: ServeSpec, obs: Optional[ObsContext] = None
+) -> ServiceResult:
+    """Run one complete service workload described by ``spec``."""
+    reset_global_state()
+    obs = obs if obs is not None else NULL_OBS
+    if spec.causal:
+        tracker = CausalTracker()
+        if obs is NULL_OBS:
+            # Causal tracing without metrics: a fresh disabled-metrics
+            # context carrying only the tracker (never mutate the
+            # shared NULL_OBS singleton).
+            obs = ObsContext(NullRegistry(), NullSpanTracker(), causal=tracker)
+        else:
+            obs.causal = tracker
+    session = ServiceSession(spec, obs)
+    session.wire()
+    session.run()
+    return session.close()

@@ -27,7 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields as dataclass_fields
 from typing import Any
 
-from repro.loading import dataclass_from_object, read_json_object
+from repro.chaos.campaign import TopoEvent, validate_events_against_topology
+from repro.loading import (
+    dataclass_from_object,
+    read_json_object,
+    require_object,
+)
 from repro.params import SimParams
 from repro.topo import TOPOLOGIES
 
@@ -171,12 +176,21 @@ class ServeSpec:
                 f"non-overridable SimParams field(s) {sorted(unknown)}; "
                 f"overridable: {sorted(_OVERRIDABLE_PARAMS)}"
             )
-        for event in self.events:
-            if not isinstance(event, dict) or "kind" not in event:
-                raise ServeSpecError(
-                    f"each event must be a TopoEvent object with a 'kind', "
-                    f"got {event!r}"
-                )
+        # Parsed and checked against the topology here, so a bad event
+        # is a load-time error and never a mid-run KeyError.
+        try:
+            validate_events_against_topology(
+                self.topo_events(), self.topology, context="events"
+            )
+        except (TypeError, ValueError) as exc:
+            raise ServeSpecError(f"events: {exc}") from None
+
+    def topo_events(self) -> tuple[TopoEvent, ...]:
+        """``events`` as :class:`~repro.chaos.campaign.TopoEvent`s."""
+        return tuple(
+            TopoEvent(**require_object(e, "event", TypeError))
+            for e in self.events
+        )
 
     def to_dict(self) -> dict:
         doc: dict[str, Any] = {

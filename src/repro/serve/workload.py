@@ -6,8 +6,8 @@ Two pieces:
   that each have both a shortest (primary) and 2nd-shortest (alternate)
   path, sized by the gravity model (``repro.traffic.gravity``); update
   requests toggle a flow between its two paths;
-* an **arrival stream** — a lazy generator of ``(gap_ms, flow_index)``
-  pairs.  The stream is O(1) memory, so request counts in the millions
+* an **arrival stream** — ``(gap_ms, flow_index)`` pairs drawn one at a
+  time (:func:`draw_open_arrival`), so request counts in the millions
   stream through without materialising anything; each arrival picks a
   flow with probability proportional to its gravity size (heavy flows
   are updated more often, matching tenant demand).
@@ -20,7 +20,6 @@ dict/set iteration order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -121,33 +120,28 @@ def flow_weights(population: list[ServiceFlow]) -> np.ndarray:
     return raw / total
 
 
-def open_loop_arrivals(
-    rng: np.random.Generator,
-    population: list[ServiceFlow],
-    rate_per_s: float,
-    limit: int,
-) -> Iterator[tuple[float, int]]:
-    """Lazy Poisson arrival stream: ``limit`` pairs of
-    ``(gap_ms_since_previous, flow_index)``.
+def closed_loop_pick(
+    rng: np.random.Generator, indices: np.ndarray, weights: np.ndarray
+) -> int:
+    """One weighted flow pick (``indices`` is ``arange(len(weights))``,
+    built once per run): a closed-loop client's whole submit, and the
+    second draw of an open-loop arrival."""
+    return int(rng.choice(indices, p=weights))
 
-    Nothing is precomputed — consuming k arrivals draws exactly 2k
-    variates, so the stream scales to millions of requests.
+
+def draw_open_arrival(
+    rng: np.random.Generator,
+    rate_per_s: float,
+    indices: np.ndarray,
+    weights: np.ndarray,
+) -> tuple[float, int]:
+    """The next Poisson arrival: ``(gap_ms_since_previous, flow_index)``.
+
+    Stateless and exactly two variates per call — one ``exponential``,
+    then one ``choice`` — so the arrival order is a function of the rng
+    state alone and a stream of millions costs O(1) memory.
     """
     if rate_per_s <= 0:
         raise ValueError("open-loop arrivals need rate_per_s > 0")
-    mean_gap_ms = 1000.0 / rate_per_s
-    weights = flow_weights(population)
-    indices = np.arange(len(population))
-    for _ in range(limit):
-        gap = float(rng.exponential(mean_gap_ms))
-        index = int(rng.choice(indices, p=weights))
-        yield gap, index
-
-
-def closed_loop_pick(
-    rng: np.random.Generator,
-    population: list[ServiceFlow],
-    weights: np.ndarray,
-) -> int:
-    """One weighted flow pick for a closed-loop client."""
-    return int(rng.choice(np.arange(len(population)), p=weights))
+    gap = float(rng.exponential(1000.0 / rate_per_s))
+    return gap, closed_loop_pick(rng, indices, weights)

@@ -230,7 +230,8 @@ def _cmd_status(args: argparse.Namespace) -> int:
           f"spec {str(status['spec_hash'])[:16]}")
     print(f"  shards:    {status['completed']}/{status['shards_total']} "
           f"completed, {status['failed']} failed, "
-          f"{status['remaining']} remaining ({status['cached']} from cache)")
+          f"{status['remaining']} remaining ({status['cached']} from cache, "
+          f"{status.get('cache_rejected', 0)} cache file(s) rejected)")
     print(f"  workers:   {status['workers']}")
     print(f"  elapsed:   {float(status.get('elapsed_s') or 0.0):.1f} s")
     eta = status.get("eta_s")

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
@@ -33,6 +34,7 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
+from repro.loading import write_json_atomic
 from repro.sweep.spec import Shard, SweepSpec
 from repro.sweep.worker import failure_record, run_shard_payload, worker_init
 
@@ -48,6 +50,7 @@ class SweepProgress:
     completed: int = 0
     failed: int = 0
     cached: int = 0
+    cache_rejected: int = 0     # cache files present but refused
     durations_s: list[float] = field(default_factory=list)
     started_at: float = 0.0
 
@@ -95,30 +98,45 @@ def shard_cache_path(root: str, shard_id: str) -> str:
     return os.path.join(root, f"shard_{shard_id}.json")
 
 
-def load_cached_shard(root: str, shard: Shard, spec_hash: str) -> Optional[dict]:
-    """A previously completed shard document, or None when absent,
-    unreadable, or written for a different shard/spec."""
+def load_cached_shard(
+    root: str, shard: Shard, spec_hash: str,
+    progress: Optional[SweepProgress] = None,
+) -> Optional[dict]:
+    """A previously completed shard document, or None.
+
+    A missing file is the normal cold-cache case and silent.  A file
+    that exists but cannot be used — unreadable, not an object, stamped
+    with another spec or shard — is named with its reason on one stderr
+    line and counted on ``progress`` as ``cache_rejected``."""
     path = shard_cache_path(root, shard.shard_id)
     try:
         with open(path, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
-    except (OSError, json.JSONDecodeError):
+    except FileNotFoundError:
         return None
-    if not isinstance(doc, dict):
-        return None
-    if doc.get("spec_hash") != spec_hash or doc.get("shard_id") != shard.shard_id:
-        return None
-    if "results" not in doc or "index" not in doc:
-        return None
-    return doc
-
-
-def _atomic_write_json(path: str, doc: dict) -> None:
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(doc, handle, indent=2, sort_keys=True, allow_nan=False)
-        handle.write("\n")
-    os.replace(tmp, path)
+    except (OSError, ValueError) as exc:    # truncated, not JSON, not UTF-8
+        reason = f"unreadable ({exc})"
+    else:
+        if not isinstance(doc, dict):
+            reason = f"not a JSON object ({type(doc).__name__})"
+        elif doc.get("spec_hash") != spec_hash:
+            reason = (
+                f"written for spec {str(doc.get('spec_hash'))[:16]}, "
+                f"not {spec_hash[:16]}"
+            )
+        elif doc.get("shard_id") != shard.shard_id:
+            reason = (
+                f"written for shard {doc.get('shard_id')!r}, "
+                f"not {shard.shard_id!r}"
+            )
+        elif "results" not in doc or "index" not in doc:
+            reason = "has no results"
+        else:
+            return doc
+    print(f"warning: ignoring cached shard {path!r}: {reason}", file=sys.stderr)
+    if progress is not None:
+        progress.cache_rejected += 1
+    return None
 
 
 def write_status(
@@ -126,7 +144,7 @@ def write_status(
     state: str,
 ) -> None:
     eta = progress.eta_s(workers)
-    _atomic_write_json(
+    write_json_atomic(
         os.path.join(root, "status.json"),
         {
             "name": spec.name,
@@ -137,6 +155,7 @@ def write_status(
             "failed": progress.failed,
             "remaining": progress.remaining,
             "cached": progress.cached,
+            "cache_rejected": progress.cache_rejected,
             "workers": workers,
             "eta_s": eta,
             "elapsed_s": (
@@ -186,7 +205,9 @@ def run_sweep(
     state = SweepProgress(total=len(shards), started_at=started)
     pending: list[Shard] = []
     for shard in shards:
-        cached = load_cached_shard(root, shard, spec_digest) if resume else None
+        cached = (
+            load_cached_shard(root, shard, spec_digest, state) if resume else None
+        )
         if cached is not None:
             docs[shard.index] = cached
             state.completed += 1
@@ -214,7 +235,7 @@ def run_sweep(
 
     def on_success(shard: Shard, doc: dict) -> None:
         doc = dict(doc, spec_hash=spec_digest)
-        _atomic_write_json(shard_cache_path(root, shard.shard_id), doc)
+        write_json_atomic(shard_cache_path(root, shard.shard_id), doc)
         docs[shard.index] = doc
         state.completed += 1
         state.durations_s.append(

@@ -64,6 +64,37 @@ def test_link_event_needs_both_endpoints():
         TopoEvent(time_ms=0.0, kind="link_down", node_a="v0")
 
 
+def test_events_are_checked_against_nodes_and_links():
+    from repro.chaos.campaign import (
+        SpecTopologyError,
+        validate_events_against_topology,
+    )
+
+    adjacent = TopoEvent(time_ms=1.0, kind="link_down", node_a="v4", node_b="v2")
+    validate_events_against_topology((adjacent,), "fig1")
+    # Direction does not matter, and a switch event needs no link.
+    validate_events_against_topology(
+        (
+            TopoEvent(time_ms=1.0, kind="link_up", node_a="v2", node_b="v4"),
+            TopoEvent(time_ms=2.0, kind="switch_crash", node_a="v5"),
+        ),
+        "fig1",
+    )
+    # Both nodes exist on b4 but no link joins them: set_link_state
+    # would raise KeyError at time_ms, mid-run.
+    apart = TopoEvent(
+        time_ms=3.0, kind="link_down", node_a="atlanta-ga", node_b="dalles-or"
+    )
+    ghost = TopoEvent(time_ms=4.0, kind="switch_crash", node_a="ghost")
+    with pytest.raises(SpecTopologyError) as excinfo:
+        validate_events_against_topology((apart, ghost), "b4")
+    assert excinfo.value.problems == [
+        "events[0] (link_down at t=3): no link between "
+        "'atlanta-ga' and 'dalles-or'",
+        "events[1] (switch_crash at t=4): node_a='ghost' is not a node",
+    ]
+
+
 def test_corruptor_must_be_registered():
     with pytest.raises(ValueError):
         MessageFaultSpec(corrupt_prob=0.5, corruptor="gamma_rays")

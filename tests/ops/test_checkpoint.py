@@ -6,10 +6,12 @@ import os
 import pytest
 
 from repro.ops.checkpoint import (
+    CHECKPOINT_FORMAT,
     CheckpointError,
     CheckpointSink,
     StopSession,
     checkpoint_status,
+    code_fingerprint,
     load_checkpoint,
     read_manifest,
     write_checkpoint,
@@ -104,7 +106,7 @@ def test_stop_after_kill_point_then_resume(tmp_path, shadow_checker):
     assert checkpoint_status(ck_dir)["latest_index"] == 4
     # The checker, its caches and its link to the state were restored
     # with the reference checker beside them (compared at teardown).
-    assert resumed.checker in [shadow.shadows for shadow in shadow_checker]
+    assert resumed.service.checker in [shadow.shadows for shadow in shadow_checker]
 
 
 def test_checkpoint_bytes_do_not_depend_on_sink(tmp_path):
@@ -168,3 +170,49 @@ def test_unknown_index_fails_with_available_list(tmp_path):
         session.run()
     with pytest.raises(CheckpointError, match=r"\[1\]"):
         load_checkpoint(ck_dir, 7)
+
+
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("format", 2, "has format 2; this build reads format 3"),
+        ("code_fingerprint", "0" * 64, "written by code fingerprint '0000"),
+    ],
+)
+def test_foreign_checkpoint_is_refused_before_unpickling(
+    tmp_path, monkeypatch, field, value, message
+):
+    # A pickle restores objects by class path: bytes written by another
+    # format or another build's code must never reach pickle.loads.
+    ck_dir = str(tmp_path / "ckpts")
+    session = build_session(_spec())
+    session._sink = CheckpointSink(ck_dir, stop_after=1)
+    with pytest.raises(StopSession):
+        session.run()
+    manifest = read_manifest(ck_dir)
+    assert manifest["format"] == 3
+    assert manifest["code_fingerprint"] == code_fingerprint()
+    assert checkpoint_status(ck_dir)["code_fingerprint"] == code_fingerprint()
+    manifest[field] = value
+    with open(os.path.join(ck_dir, "checkpoints.json"), "w") as handle:
+        json.dump(manifest, handle)
+
+    def unreachable(_blob):
+        pytest.fail("pickle.loads reached for a foreign checkpoint")
+
+    monkeypatch.setattr("repro.ops.checkpoint.pickle.loads", unreachable)
+    with pytest.raises(CheckpointError) as excinfo:
+        load_checkpoint(ck_dir)
+    assert message in str(excinfo.value)
+    # Both sides are named.
+    assert (str(CHECKPOINT_FORMAT) if field == "format" else code_fingerprint()) in str(
+        excinfo.value
+    )
+    # Nor may this build append to a directory another build started.
+    with pytest.raises(CheckpointError):
+        write_checkpoint(ck_dir, session, 2)
+
+
+def test_code_fingerprint_is_a_stable_sha256():
+    assert len(code_fingerprint()) == 64
+    assert code_fingerprint() is code_fingerprint()     # once per process

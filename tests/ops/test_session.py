@@ -4,6 +4,7 @@ import json
 
 from repro.ops.session import build_session, run_session
 from repro.ops.spec import load_session_spec
+from tests.serve.test_pinned_sessions import EVENTS, MODES
 
 #: Background churn on b4 with seed 1: council-ia carries transit
 #: flows at t=2000 (the drain has real work to do).
@@ -80,16 +81,38 @@ def test_checkpoint_cadence_does_not_change_results():
 
 def test_empty_timeline_matches_plain_serve_churn():
     # With no operations, the background churn must be byte-identical
-    # to a plain serve run of the embedded spec: same records and
-    # violations, request for request.
+    # to a plain serve run of the embedded spec — one ServiceSession
+    # drives both — on every result key the two report.
+    for workload in MODES.values():
+        for events in EVENTS.values():
+            _assert_churn_matches_plain_serve(workload, events)
+
+
+def _assert_churn_matches_plain_serve(workload, events):
     from repro.serve.service import run_service
     from repro.serve.spec import load_serve_spec
 
     doc = _doc(timeline=[])
-    ops_result = run_session(load_session_spec(doc))
-    serve_result = run_service(load_serve_spec(doc["serve"]))
-    assert ops_result.records == serve_result.records
-    assert ops_result.violations == serve_result.violations
+    doc["serve"].update(
+        workload, events=events, params={"controller_update_timeout_ms": 500.0}
+    )
+    ops = run_session(load_session_spec(doc)).to_results()
+    serve = run_service(load_serve_spec(doc["serve"])).to_results()
+    differ = {
+        "name",        # the session's vs the embedded spec's
+        "signature",   # the session's also covers its (empty) ops list
+        "slo",         # serve reports per-stage series, ops per-move ones
+    }
+    shared = set(ops) & set(serve)
+    assert shared - differ == {
+        "topology", "seed", "requests", "outcomes", "completed", "consistent",
+        "violations", "invariants_ok", "peak_in_flight", "sim_time_ms",
+        "events_processed", "trace_signature", "trace_dropped_events", "records",
+    }
+    for key in sorted(shared - differ):
+        assert ops[key] == serve[key], (key, workload["mode"], len(events))
+    assert ops["slo"]["e2e_ms"] == serve["slo"]["e2e_ms"]
+    assert ops["ops"] == [] and ops["requests"] == 40
 
 
 def test_undrain_reopens_switch_for_background_toggles():

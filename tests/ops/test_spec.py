@@ -104,7 +104,23 @@ def test_embedded_serve_events_validated_against_topology():
                      "node_a": "ghost", "node_b": "town"}],
         )
     )
-    with pytest.raises(SpecTopologyError):
+    # The embedded serve spec's own loader checks its events.
+    with pytest.raises(SessionSpecError, match="'ghost' is not a node"):
+        load_session_spec(doc)
+
+
+def test_embedded_link_event_between_non_adjacent_nodes_rejected():
+    # Both nodes exist on b4, but no link joins them: this used to load
+    # and then raise KeyError inside the engine at time_ms.
+    doc = _spec_doc(
+        serve=dict(
+            SERVE,
+            topology="b4",
+            events=[{"time_ms": 10.0, "kind": "link_down",
+                     "node_a": "atlanta-ga", "node_b": "dalles-or"}],
+        )
+    )
+    with pytest.raises(SessionSpecError, match="no link between"):
         load_session_spec(doc)
 
 

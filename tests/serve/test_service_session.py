@@ -1,0 +1,62 @@
+"""``ServiceSession``: the one service run behind ``run_service`` and
+ops sessions — it pickles mid-run and a restored copy finishes exactly
+as the original does."""
+
+import json
+import pickle
+
+import pytest
+
+from repro.serve.service import ServiceSession, run_service
+from repro.serve.spec import load_serve_spec
+from repro.sim.reset import reset_global_state
+from repro.sim.snapshot import capture_global_state, restore_global_state
+from tests.serve.test_pinned_sessions import EVENTS, MODES
+
+
+def _spec(mode):
+    return load_serve_spec({
+        "name": "pickled", "topology": "b4", "seed": 1, "flows": 10,
+        "requests": 150, "horizon_ms": 12000.0, "events": EVENTS["flap"],
+        "params": {"controller_update_timeout_ms": 500.0}, **MODES[mode],
+    })
+
+
+def _canonical(result):
+    return json.dumps(result.to_results(), sort_keys=True)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_pickled_mid_run_session_finishes_identically(mode):
+    spec = _spec(mode)
+    uninterrupted = _canonical(run_service(spec))
+
+    reset_global_state()
+    session = ServiceSession(spec)
+    session.wire()
+    session.deployment.run(until=spec.horizon_ms / 2)
+    issued_at_half = session._issued
+    assert 0 < issued_at_half < spec.requests    # really mid-workload
+    # Packet ids are process-wide and traced; they ride beside the graph.
+    blob = pickle.dumps((capture_global_state(), session))
+
+    session.run()
+    assert _canonical(session.close()) == uninterrupted
+
+    counters, restored = pickle.loads(blob)
+    restore_global_state(counters)
+    assert restored._issued == issued_at_half
+    restored.run()          # no wire(): the restored queue holds the arrivals
+    assert _canonical(restored.close()) == uninterrupted
+
+
+def test_strategy_override_deploys_that_strategy():
+    spec = load_serve_spec(
+        {"name": "s", "topology": "b4", "flows": 4, "requests": 5,
+         "strategy": "ezsegway"}
+    )
+    reset_global_state()
+    own = type(ServiceSession(spec).deployment.controller)
+    reset_global_state()
+    overridden = type(ServiceSession(spec, strategy="p4update").deployment.controller)
+    assert own is not overridden

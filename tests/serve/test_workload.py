@@ -1,6 +1,7 @@
-"""Flow population and arrival-stream properties."""
+"""Flow population and arrival-draw properties."""
 
-import itertools
+import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -9,9 +10,11 @@ from repro.chaos.runner import TOPOLOGIES
 from repro.serve.workload import (
     build_flow_population,
     closed_loop_pick,
+    draw_open_arrival,
     flow_weights,
-    open_loop_arrivals,
 )
+
+PINNED_SESSIONS = pathlib.Path(__file__).with_name("pinned_sessions.json")
 
 
 def _rng(seed=0):
@@ -61,44 +64,46 @@ def test_flow_weights_normalised():
     assert all(w > 0 for w in weights)
 
 
-def test_open_loop_arrivals_lazy_and_seeded():
-    topo = TOPOLOGIES["b4"]()
-    population = build_flow_population(topo, 8, _rng())
-    # The stream is a generator: asking for a million arrivals costs
-    # nothing until consumed, and consuming a prefix is O(prefix).
-    stream = open_loop_arrivals(_rng(7), population, 100.0, 1_000_000)
-    head = list(itertools.islice(stream, 50))
-    assert len(head) == 50
-    again = list(
-        itertools.islice(
-            open_loop_arrivals(_rng(7), population, 100.0, 1_000_000), 50
-        )
-    )
-    assert head == again
+def _arrival_inputs(flows):
+    population = build_flow_population(TOPOLOGIES["b4"](), flows, _rng())
+    return np.arange(len(population)), flow_weights(population)
+
+
+def test_draw_open_arrival_seeded_and_matches_recorded_stream():
+    indices, weights = _arrival_inputs(8)
+    rng, twin = _rng(7), _rng(7)
+    head = [draw_open_arrival(rng, 100.0, indices, weights) for _ in range(50)]
+    assert head == [
+        draw_open_arrival(twin, 100.0, indices, weights) for _ in range(50)
+    ]
     for gap_ms, index in head:
         assert gap_ms >= 0
-        assert 0 <= index < len(population)
-    gaps = [g for g, _ in head]
-    assert np.mean(gaps) == pytest.approx(10.0, rel=0.6)  # 100/s -> ~10ms
+        assert 0 <= index < 8
+    assert np.mean([g for g, _ in head]) == pytest.approx(10.0, rel=0.6)  # 100/s
+    # The generator this function replaced, recorded at the commit that
+    # still had it: same population, same rng seed, same rate.
+    recorded = json.loads(PINNED_SESSIONS.read_text())["open_arrivals"]
+    assert [list(pair) for pair in head] == recorded
 
 
-def test_open_loop_arrivals_respects_limit():
-    topo = TOPOLOGIES["b4"]()
-    population = build_flow_population(topo, 4, _rng())
-    assert len(list(open_loop_arrivals(_rng(), population, 50.0, 17))) == 17
+def test_draw_open_arrival_spends_exactly_two_variates():
+    indices, weights = _arrival_inputs(4)
+    rng, by_hand = _rng(11), _rng(11)
+    for _ in range(17):
+        gap_ms, index = draw_open_arrival(rng, 50.0, indices, weights)
+        assert gap_ms == float(by_hand.exponential(1000.0 / 50.0))
+        assert index == int(by_hand.choice(indices, p=weights))
+    assert rng.bit_generator.state == by_hand.bit_generator.state
 
 
-def test_open_loop_arrivals_rejects_zero_rate():
-    topo = TOPOLOGIES["b4"]()
-    population = build_flow_population(topo, 4, _rng())
+def test_draw_open_arrival_rejects_zero_rate():
+    indices, weights = _arrival_inputs(4)
     with pytest.raises(ValueError):
-        next(open_loop_arrivals(_rng(), population, 0.0, 1))
+        draw_open_arrival(_rng(), 0.0, indices, weights)
 
 
 def test_closed_loop_pick_in_range_and_seeded():
-    topo = TOPOLOGIES["b4"]()
-    population = build_flow_population(topo, 8, _rng())
-    weights = flow_weights(population)
-    picks = [closed_loop_pick(_rng(3), population, weights) for _ in range(5)]
+    indices, weights = _arrival_inputs(8)
+    picks = [closed_loop_pick(_rng(3), indices, weights) for _ in range(5)]
     assert len(set(picks)) == 1  # fresh same-seed rng -> same pick
-    assert all(0 <= p < len(population) for p in picks)
+    assert all(0 <= p < 8 for p in picks)

@@ -9,6 +9,7 @@ spec hash — and with it the shard cache — is unaffected.
 
 import json
 import os
+import shutil
 
 import pytest
 
@@ -110,6 +111,39 @@ def test_cached_shard_rejects_corrupt_or_foreign_documents(tmp_path):
     assert load_cached_shard(root, shard, spec.spec_hash()) is None
 
 
+def test_resume_names_and_counts_each_cache_file_it_refuses(tmp_path, capsys):
+    spec = _spec()
+    first = run_sweep(spec, workers=1, cache_dir=str(tmp_path))
+    root = cache_root(spec, str(tmp_path))
+    # s0000: a write cut short.  s0001: a shard file of another spec
+    # (same shard id) copied into this spec's cache directory.
+    truncated = shard_cache_path(root, "s0000")
+    text = open(truncated).read()
+    open(truncated, "w").write(text[: len(text) // 2])
+    other = load_sweep_spec({**TINY, "seeds": 3})
+    run_sweep(other, workers=1, cache_dir=str(tmp_path))
+    swapped = shard_cache_path(root, "s0001")
+    shutil.copy(
+        shard_cache_path(cache_root(other, str(tmp_path)), "s0001"), swapped
+    )
+    os.remove(shard_cache_path(root, "s0002"))      # merely missing: silent
+    capsys.readouterr()
+
+    resumed = run_sweep(spec, workers=1, cache_dir=str(tmp_path), resume=True)
+
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2
+    assert truncated in lines[0] and "unreadable" in lines[0]
+    assert swapped in lines[1]
+    assert f"written for spec {other.spec_hash()[:16]}" in lines[1]
+    # All three were recomputed; only the refused two are counted.
+    assert resumed.ok and resumed.cached_shards == 1
+    assert resumed.signature() == first.signature()
+    status = read_status(root)
+    assert status["cache_rejected"] == 2 and status["cached"] == 1
+    assert load_cached_shard(root, spec.expand()[0], spec.spec_hash()) is not None
+
+
 def test_status_heartbeat_is_readable_from_outside(tmp_path):
     spec = _spec()
     run_sweep(spec, workers=1, cache_dir=str(tmp_path))
@@ -121,6 +155,7 @@ def test_status_heartbeat_is_readable_from_outside(tmp_path):
     assert status["completed"] == 4 and status["failed"] == 0
     assert status["remaining"] == 0
     assert status["workers"] == 1
+    assert status["cache_rejected"] == 0
 
 
 def test_progress_callback_sees_every_completion(tmp_path):
