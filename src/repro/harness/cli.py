@@ -118,9 +118,13 @@ def cmd_fig8(args) -> int:
 
 
 def cmd_run(args) -> int:
-    from repro.harness.spec import run_spec_file
+    from repro.harness.spec import SpecError, run_spec_file
 
-    result = run_spec_file(args.spec)
+    try:
+        result = run_spec_file(args.spec)
+    except (OSError, SpecError) as exc:
+        print(f"error: cannot load spec {args.spec!r}: {exc}", file=sys.stderr)
+        return 1
     print(f"system:     {result.system}")
     print(f"completed:  {result.completed}")
     print(f"consistent: {result.consistency_ok} ({result.violations} violations)")

@@ -21,12 +21,11 @@ Topology Zoo GraphML file.
 
 from __future__ import annotations
 
-import json
 from typing import Any
-
 
 from repro.harness.experiment import ExperimentResult, run_experiment
 from repro.harness.scenarios import UpdateScenario
+from repro.loading import read_json_object
 from repro.params import SimParams
 from repro.topo import TOPOLOGIES, fattree_topology, ring_topology
 from repro.topo.graph import Topology
@@ -66,6 +65,11 @@ def _resolve_path(topo: Topology, src: str, dst: str, spec: Any, label: str):
     an explicit node list."""
     if isinstance(spec, list):
         return list(spec)
+    for node in (src, dst):
+        if node not in topo.graph:
+            raise SpecError(f"{label}: endpoint {node!r} is not a node of {topo.name!r}")
+    if src == dst:
+        raise SpecError(f"{label}: src and dst are both {src!r}")
     if spec == "shortest":
         return topo.shortest_path(src, dst)
     if spec == "second-shortest":
@@ -74,7 +78,10 @@ def _resolve_path(topo: Topology, src: str, dst: str, spec: Any, label: str):
             raise SpecError(f"{label}: no second-shortest path {src}->{dst}")
         return path
     if isinstance(spec, str) and spec.startswith("k-shortest:"):
-        k = int(spec.split(":", 1)[1])
+        rank = spec.split(":", 1)[1]
+        if not rank.isdecimal() or int(rank) < 1:
+            raise SpecError(f"{label}: k in {spec!r} must be an integer >= 1")
+        k = int(rank)
         paths = k_shortest_paths(topo, src, dst, k)
         if len(paths) < k:
             raise SpecError(f"{label}: fewer than {k} paths {src}->{dst}")
@@ -129,5 +136,4 @@ def run_spec(spec: dict) -> ExperimentResult:
 
 
 def run_spec_file(path: str) -> ExperimentResult:
-    with open(path) as handle:
-        return run_spec(json.load(handle))
+    return run_spec(read_json_object(path, "experiment spec", SpecError))

@@ -12,7 +12,14 @@ from typing import Iterator
 
 
 class RegisterArray:
-    """Fixed-size array of unsigned values of a given bit width."""
+    """Fixed-size array of unsigned values of a given bit width.
+
+    The *size* is fixed, as on the target; the *storage* is sparse:
+    only cells that were written hold a slot, every other index reads
+    as the fill value.  A switch provisions 20 UIB arrays of 4096 cells
+    and a run touches a few dozen of them, so building, pickling and
+    checkpointing a deployment cost what it uses, not what it declares.
+    """
 
     def __init__(self, name: str, size: int, bits: int = 32, initial: int = 0) -> None:
         if size <= 0:
@@ -23,14 +30,15 @@ class RegisterArray:
         self.size = size
         self.bits = bits
         self._mask = (1 << bits) - 1
-        self._cells = [initial & self._mask] * size
+        self._fill = initial & self._mask
+        self._cells: dict[int, int] = {}
         self.reads = 0
         self.writes = 0
 
     def read(self, index: int) -> int:
         self._check(index)
         self.reads += 1
-        return self._cells[index]
+        return self._cells.get(index, self._fill)
 
     def write(self, index: int, value: int) -> None:
         self._check(index)
@@ -44,16 +52,20 @@ class RegisterArray:
             )
 
     def reset(self, value: int = 0) -> None:
-        self._cells = [value & self._mask] * self.size
+        self._fill = value & self._mask
+        self._cells = {}
 
     def snapshot(self) -> list[int]:
-        return list(self._cells)
+        cells = [self._fill] * self.size
+        for index, value in self._cells.items():
+            cells[index] = value
+        return cells
 
     def __len__(self) -> int:
         return self.size
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self._cells)
+        return iter(self.snapshot())
 
 
 class RegisterFile:

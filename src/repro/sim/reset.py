@@ -20,6 +20,14 @@ Audit result (kept current by ``tests/sweep/test_reset.py``):
   stateless by construction.
 * ``repro.sim.engine.Engine`` / the baseline controllers number events
   and rounds with *instance* counters, recreated per deployment.
+* ``repro.topo.graph._STRUCTURE_MEMO`` — the one run-filled store that
+  is deliberately **not** reset.  It maps an exact graph structure
+  (node order, adjacency order, edge latencies) to the answers of pure
+  path queries on it, so a warm and a cold process return equal values
+  and no trace, counter or pickled byte can tell them apart
+  (``Topology.path_cache_stats()`` counts per instance, in front of
+  it).  Clearing it before every run — ``run_service`` resets each
+  time — would only re-pay networkx for the same answers.
 
 New global counters must be registered with
 :func:`register_global_reset` next to their definition; the sweep

@@ -8,13 +8,24 @@ capacity, optional site coordinates, and controller placement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from itertools import islice
+from typing import Any, Callable, Iterable, Optional
 
 import networkx as nx
 
 from repro.topo.latency import geo_latency_ms
 
 DEFAULT_CAPACITY = 100.0
+
+#: Process-wide memo of pure graph-query results: structure key ->
+#: {query key -> immutable answer}.  The evaluation re-runs the same few
+#: WANs thousands of times (sweep shards, serve replicas, fuzz cases),
+#: and a path, a control latency or the centroid depends on nothing but
+#: the graph.  A pure-function store, not run state: ``Topology`` never
+#: pickles it and ``reset_global_state()`` leaves it alone.
+_STRUCTURE_MEMO: dict[tuple, dict[tuple, Any]] = {}
+#: Structures kept, oldest evicted first (the built-in registry has 8).
+_STRUCTURE_MEMO_BOUND = 32
 
 
 @dataclass(frozen=True)
@@ -54,10 +65,13 @@ class Topology:
         # recompute the same (src, dst) pairs constantly — without the
         # cache every probe is a full Dijkstra.
         self._revision = 0
-        self._path_cache: dict[tuple, list[str]] = {}
+        self._path_cache: dict[tuple, tuple[str, ...]] = {}
         self._path_cache_revision = 0
         self.path_cache_hits = 0
         self.path_cache_misses = 0
+        # (revision it was bound under, this structure's slot of
+        # ``_STRUCTURE_MEMO``, own node objects by name); process-local.
+        self._memo: tuple[int, dict[tuple, Any], dict[str, str]] = (-1, {}, {})
 
     # -- construction ------------------------------------------------------
 
@@ -150,6 +164,49 @@ class Topology:
         if not self.is_connected():
             raise ValueError(f"topology {self.name!r} is not connected")
 
+    # -- structure memo ---------------------------------------------------------
+
+    def _answers(self) -> dict[tuple, Any]:
+        """This structure's answers in the process-wide memo.
+
+        The key is everything a latency-weighted search reads: node
+        order, each node's adjacency order (networkx breaks ties in the
+        order it meets neighbours, and fat-trees and rings tie) and
+        each edge's latency.  Capacity is left out: no path query reads
+        it, and ``apply_link_capacity`` rewrites it without a revision.
+        """
+        if self._memo[0] != self._revision:
+            structure = tuple(
+                (node, tuple((peer, data.get("latency_ms")) for peer, data in peers.items()))
+                for node, peers in self.graph.adjacency()
+            )
+            answers = _STRUCTURE_MEMO.get(structure)
+            if answers is None:
+                if len(_STRUCTURE_MEMO) >= _STRUCTURE_MEMO_BOUND:
+                    del _STRUCTURE_MEMO[next(iter(_STRUCTURE_MEMO))]
+                answers = _STRUCTURE_MEMO[structure] = {}
+            self._memo = (self._revision, answers, {node: node for node in self.graph})
+        return self._memo[1]
+
+    def _own(self, nodes: Iterable[str]) -> list[str]:
+        """``nodes`` as this instance's own node objects, whichever
+        instance computed the answer: nothing pickled later (a flow, a
+        checkpoint) then differs between a warm and a cold process."""
+        return [self._memo[2][node] for node in nodes]
+
+    def _memoised(self, key: tuple, compute: Callable[[], Any]) -> Any:
+        """``compute()``, run once per process for this exact structure.
+        Answers are immutable; an exception is raised again next time."""
+        answers = self._answers()
+        if key not in answers:
+            answers[key] = compute()
+        return answers[key]
+
+    def __getstate__(self) -> dict[str, Any]:
+        # Pickled bytes (checkpoints, sweep workers) must not depend on
+        # what this process happened to query earlier.
+        return dict(self.__dict__, _memo=(-1, {}, {}))
+
     # -- latency-weighted paths ---------------------------------------------------
 
     @property
@@ -162,7 +219,7 @@ class Topology:
         directly, bypassing :meth:`add_node`/:meth:`add_edge`)."""
         self._revision += 1
 
-    def _cached_path(self, key: tuple, compute) -> list[str]:
+    def _cached_path(self, key: tuple, compute: Callable[[], tuple[str, ...]]) -> list[str]:
         if self._path_cache_revision != self._revision:
             self._path_cache.clear()
             self._path_cache_revision = self._revision
@@ -171,8 +228,7 @@ class Topology:
             self.path_cache_hits += 1
             return list(cached)
         self.path_cache_misses += 1
-        path = compute()
-        self._path_cache[key] = path
+        path = self._path_cache[key] = tuple(self._own(compute()))
         return list(path)
 
     def path_cache_stats(self) -> dict[str, float]:
@@ -184,11 +240,17 @@ class Topology:
             "hit_rate": (self.path_cache_hits / total) if total else 0.0,
         }
 
+    def _shortest(
+        self, src: str, dst: str, avoid: tuple[str, ...] = ()
+    ) -> tuple[str, ...]:
+        def compute() -> tuple[str, ...]:
+            graph = nx.restricted_view(self.graph, avoid, []) if avoid else self.graph
+            return tuple(nx.shortest_path(graph, src, dst, weight="latency_ms"))
+
+        return self._memoised(("path", src, dst, avoid), compute)
+
     def shortest_path(self, src: str, dst: str) -> list[str]:
-        return self._cached_path(
-            (src, dst),
-            lambda: nx.shortest_path(self.graph, src, dst, weight="latency_ms"),
-        )
+        return self._cached_path((src, dst), lambda: self._shortest(src, dst))
 
     def shortest_path_avoiding(
         self, src: str, dst: str, avoid: frozenset[str]
@@ -205,12 +267,26 @@ class Topology:
             )
         if not avoid:
             return self.shortest_path(src, dst)
+        nodes = tuple(sorted(avoid))
+        return self._cached_path(
+            (src, dst, nodes), lambda: self._shortest(src, dst, nodes)
+        )
 
-        def compute() -> list[str]:
-            view = nx.restricted_view(self.graph, avoid, [])
-            return nx.shortest_path(view, src, dst, weight="latency_ms")
+    def k_shortest_paths(self, src: str, dst: str, k: int) -> list[list[str]]:
+        """Up to ``k`` loopless paths in increasing latency order.
 
-        return self._cached_path((src, dst, tuple(sorted(avoid))), compute)
+        One memo entry per pair holds the longest prefix asked for so
+        far; a larger ``k`` recomputes and replaces it.
+        """
+        if k < 0:
+            raise ValueError(f"k must be non-negative, got {k}")
+        answers = self._answers()
+        asked, paths = answers.get(("k-paths", src, dst), (0, ()))
+        if asked < k and len(paths) == asked:
+            found = nx.shortest_simple_paths(self.graph, src, dst, weight="latency_ms")
+            paths = tuple(tuple(path) for path in islice(found, k))
+            answers["k-paths", src, dst] = (k, paths)
+        return [self._own(path) for path in paths[:k]]
 
     def path_latency(self, path: list[str]) -> float:
         return sum(self.latency(a, b) for a, b in zip(path, path[1:]))
@@ -222,8 +298,11 @@ class Topology:
             raise ValueError("no controller placed")
         if switch == controller:
             return 0.05  # local loopback floor
-        return nx.shortest_path_length(
-            self.graph, controller, switch, weight="latency_ms"
+        return self._memoised(
+            ("latency", controller, switch),
+            lambda: nx.shortest_path_length(
+                self.graph, controller, switch, weight="latency_ms"
+            ),
         )
 
     # -- controller placement --------------------------------------------------------
@@ -231,12 +310,15 @@ class Topology:
     def place_controller_at_centroid(self) -> str:
         """Place the controller at the node minimising worst-case
         control latency (the paper's centroid rule, §9.1)."""
-        lengths = dict(
-            nx.all_pairs_dijkstra_path_length(self.graph, weight="latency_ms")
-        )
-        best = min(self.graph.nodes, key=lambda n: (max(lengths[n].values()), n))
-        self.controller = best
-        return best
+
+        def centroid() -> str:
+            lengths = dict(
+                nx.all_pairs_dijkstra_path_length(self.graph, weight="latency_ms")
+            )
+            return min(self.graph, key=lambda n: (max(lengths[n].values()), n))
+
+        (self.controller,) = self._own([self._memoised(("centroid",), centroid)])
+        return self.controller
 
     def set_controller(self, node: str) -> None:
         if node not in self.graph:

@@ -1,15 +1,14 @@
 """Path computation: latency-weighted k-shortest (loopless) paths.
 
 The multi-flow scenario routes each flow on its shortest path (old)
-and its 2nd-shortest path (new), per paper §9.1.
+and its 2nd-shortest path (new), per paper §9.1.  The search itself is
+:meth:`Topology.k_shortest_paths`, answered once per process for each
+topology structure.
 """
 
 from __future__ import annotations
 
-from itertools import islice
 from typing import Optional
-
-import networkx as nx
 
 from repro.topo.graph import Topology
 
@@ -18,8 +17,7 @@ def k_shortest_paths(topo: Topology, src: str, dst: str, k: int) -> list[list[st
     """Up to ``k`` loopless paths in increasing latency order."""
     if src == dst:
         raise ValueError("src and dst must differ")
-    generator = nx.shortest_simple_paths(topo.graph, src, dst, weight="latency_ms")
-    return list(islice(generator, k))
+    return topo.k_shortest_paths(src, dst, k)
 
 
 def second_shortest_path(topo: Topology, src: str, dst: str) -> Optional[list[str]]:
@@ -28,16 +26,3 @@ def second_shortest_path(topo: Topology, src: str, dst: str) -> Optional[list[st
     if len(paths) < 2:
         return None
     return paths[1]
-
-
-def edge_disjoint_detour(topo: Topology, src: str, dst: str) -> Optional[list[str]]:
-    """A path avoiding all edges of the shortest path (used by scenario
-    builders that want a maximally different new path)."""
-    shortest = topo.shortest_path(src, dst)
-    forbidden = set(frozenset(e) for e in zip(shortest, shortest[1:]))
-    pruned = nx.Graph(topo.graph)
-    pruned.remove_edges_from([tuple(e) for e in forbidden])
-    try:
-        return nx.shortest_path(pruned, src, dst, weight="latency_ms")
-    except nx.NetworkXNoPath:
-        return None

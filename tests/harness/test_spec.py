@@ -108,3 +108,62 @@ def test_spec_with_dionysus_delays():
     result = run_spec(spec)
     assert result.completed
     assert result.total_update_time_ms > 50.0   # exp(100) installs dominate
+
+
+# -- bad path specs are SpecErrors, not tracebacks --------------------------------
+
+BAD_FLOW_EDITS = {
+    "k-shortest:0": {"new_path": "k-shortest:0"},
+    "k-shortest:-1": {"new_path": "k-shortest:-1"},
+    "k-shortest:x": {"new_path": "k-shortest:x"},
+    "unknown endpoint": {"dst": "nowhere", "new_path": "second-shortest"},
+    "src == dst": {"dst": "n0", "new_path": "k-shortest:2"},
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FLOW_EDITS))
+def test_bad_named_path_is_a_spec_error_naming_the_flow(case):
+    spec = basic_spec()
+    spec["flows"][0].update(BAD_FLOW_EDITS[case])
+    with pytest.raises(SpecError, match=r"flow #0 new: "):
+        build_scenario(spec)
+
+
+def test_too_few_paths_is_still_a_spec_error():
+    spec = basic_spec()
+    spec["flows"][0]["new_path"] = "k-shortest:3"     # a ring has two
+    with pytest.raises(SpecError, match="fewer than 3 paths"):
+        build_scenario(spec)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        {"flows": [{"src": "n0", "dst": "n3", "new_path": "k-shortest:0"}]},
+        {"flows": [{"src": "n0", "dst": "nowhere"}]},
+        {"topology": {"name": "not-a-topology"}},
+    ],
+    ids=["bad-k", "unknown-endpoint", "unknown-topology"],
+)
+def test_cli_run_reports_a_bad_spec_on_one_line(tmp_path, capsys, edit):
+    from repro.harness.cli import main
+
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dict(basic_spec(), **edit)))
+    assert main(["run", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot load spec {str(path)!r}: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
+def test_cli_run_reports_a_missing_or_malformed_file(tmp_path, capsys):
+    from repro.harness.cli import main
+
+    assert main(["run", str(tmp_path / "absent.json")]) == 1
+    (tmp_path / "torn.json").write_text('{"topology": ')
+    assert main(["run", str(tmp_path / "torn.json")]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2
+    assert all(line.startswith("error: cannot load spec ") for line in lines)

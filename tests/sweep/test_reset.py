@@ -9,7 +9,12 @@ plain int with reset *and* snapshot hooks: ``itertools.count``
 iterators can be neither observed nor pickled, so the audit now bans
 them outright — a counter must be a readable value registered with
 both ``repro.sim.register_global_reset`` and
-``repro.sim.snapshot.register_global_snapshot``."""
+``repro.sim.snapshot.register_global_snapshot``.
+
+One module-level store is filled at run time and deliberately *not*
+reset: ``repro.topo.graph._STRUCTURE_MEMO``, a pure function of graph
+structure (``tests/topo/test_structure_memo.py`` holds it to that).
+The audit names it, so a second such store cannot arrive unnoticed."""
 
 import glob
 import os
@@ -32,6 +37,31 @@ SRC = os.path.join(
 _COUNTER_PATTERN = re.compile(
     r"^[A-Za-z_][A-Za-z0-9_]*\s*=\s*(?:itertools\.)?count\(", re.MULTILINE
 )
+
+#: Module-level containers that start empty, i.e. are filled later.
+_STORE_PATTERN = re.compile(
+    r"^([A-Za-z_][A-Za-z0-9_]*)(?:\s*:[^=\n]+)?\s*=\s*"
+    r"(?:\{\}|\[\]|dict\(\)|list\(\)|set\(\))\s*$",
+    re.MULTILINE,
+)
+
+
+def test_structure_memo_is_the_one_run_filled_store_reset_leaves_alone():
+    stores = [
+        f"{os.path.relpath(path, SRC)}:{name}"
+        for path in glob.glob(os.path.join(SRC, "**", "*.py"), recursive=True)
+        for name in _STORE_PATTERN.findall(open(path, encoding="utf-8").read())
+    ]
+    assert sorted(stores) == [
+        # Registries, filled by registration at import time, not by runs.
+        "analysis/linter.py:_REGISTRY",
+        "sim/reset.py:_RESET_HOOKS",
+        "sim/snapshot.py:_SNAPSHOT_HOOKS",
+        # Filled by runs; survives reset because its answers depend on
+        # graph structure alone (see the repro.sim.reset docstring).
+        "topo/graph.py:_STRUCTURE_MEMO",
+    ]
+    assert not [name for name in registered_resets() if "memo" in name]
 
 
 def test_no_module_level_count_iterators():

@@ -5,7 +5,7 @@ import pytest
 
 from repro.topo import fig1_topology, line_topology, ring_topology
 from repro.traffic.gravity import gravity_flow_sizes, gravity_matrix, scale_to_capacity
-from repro.traffic.paths import edge_disjoint_detour, k_shortest_paths, second_shortest_path
+from repro.traffic.paths import k_shortest_paths, second_shortest_path
 
 
 def test_gravity_matrix_shape_and_positivity():
@@ -122,19 +122,3 @@ def test_k_shortest_same_node_rejected():
     topo = ring_topology(4)
     with pytest.raises(ValueError):
         k_shortest_paths(topo, "n0", "n0", 2)
-
-
-def test_edge_disjoint_detour_on_ring():
-    topo = ring_topology(6)
-    detour = edge_disjoint_detour(topo, "n0", "n2")
-    assert detour is not None
-    shortest = topo.shortest_path("n0", "n2")
-    shared = set(map(frozenset, zip(shortest, shortest[1:]))) & set(
-        map(frozenset, zip(detour, detour[1:]))
-    )
-    assert not shared
-
-
-def test_edge_disjoint_detour_none_on_line():
-    topo = line_topology(3)
-    assert edge_disjoint_detour(topo, "n0", "n2") is None
