@@ -16,8 +16,8 @@ the printed guard admits the loop §3.2 forbids.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 from repro.core.messages import UIM, UNMFields, UpdateType
 
@@ -41,8 +41,7 @@ INFORM_CONTROLLER = {
 }
 
 
-@dataclass(frozen=True)
-class NodeFlowState:
+class NodeFlowState(NamedTuple):
     """Applied per-flow state at a node (a view of the UIB registers).
 
     ``new_version``/``new_distance`` are the *currently applied*
@@ -257,8 +256,7 @@ def verify_dl(
             ):
                 return Decision(
                     verdict=Verdict.PASS_ON,
-                    new_state=replace(
-                        state,
+                    new_state=state._replace(
                         old_distance=unm.old_distance,
                         counter=unm.counter + 1,
                     ),
@@ -272,7 +270,7 @@ def verify_dl(
                 # changes rules and the chain is acyclic).
                 return Decision(
                     verdict=Verdict.PASS_ON,
-                    new_state=replace(state, counter=unm.counter + 1),
+                    new_state=state._replace(counter=unm.counter + 1),
                     branch="pass_on",
                 )
         return Decision(verdict=Verdict.IGNORE, reason="no smaller segment id offered")

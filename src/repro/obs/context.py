@@ -46,7 +46,7 @@ class ObsContext:
     engine profiler and an optional per-request causal tracker,
     shared by every layer of one run."""
 
-    __slots__ = ("metrics", "spans", "profiler", "causal")
+    __slots__ = ("metrics", "spans", "profiler", "causal", "enabled")
 
     def __init__(
         self,
@@ -62,10 +62,9 @@ class ObsContext:
         # guard with ``if self.obs.causal is not None:`` — one slot
         # read on the disabled path, same contract as ``enabled``.
         self.causal = causal
-
-    @property
-    def enabled(self) -> bool:
-        return self.metrics.enabled
+        # The registry's class constant, copied so the ~30 hook-site
+        # guards per request are a slot read.
+        self.enabled: bool = metrics.enabled
 
     def bind_engine(self, engine) -> None:
         """Point the span tracker's simulated clock at ``engine`` and
@@ -78,17 +77,17 @@ class ObsContext:
 
     def count(self, name: str, amount: float = 1.0, **labels) -> None:
         """Convenience: increment a labeled counter (guarded)."""
-        if self.metrics.enabled:
+        if self.enabled:
             self.metrics.counter(name, **labels).inc(amount)
 
     def observe(self, name: str, value: float, **labels) -> None:
         """Convenience: record a labeled histogram sample (guarded)."""
-        if self.metrics.enabled:
+        if self.enabled:
             self.metrics.histogram(name, **labels).observe(value)
 
     def gauge_set(self, name: str, value: float, **labels) -> None:
         """Convenience: set a labeled gauge (guarded)."""
-        if self.metrics.enabled:
+        if self.enabled:
             self.metrics.gauge(name, **labels).set(value)
 
     def snapshot(self) -> dict:

@@ -36,20 +36,22 @@ class RegisterArray:
         self.writes = 0
 
     def read(self, index: int) -> int:
-        self._check(index)
+        if not 0 <= index < self.size:
+            self._check(index)
         self.reads += 1
         return self._cells.get(index, self._fill)
 
     def write(self, index: int, value: int) -> None:
-        self._check(index)
+        if not 0 <= index < self.size:
+            self._check(index)
         self.writes += 1
         self._cells[index] = int(value) & self._mask
 
     def _check(self, index: int) -> None:
-        if not 0 <= index < self.size:
-            raise IndexError(
-                f"register {self.name!r} index {index} out of range [0, {self.size})"
-            )
+        """Raise for an out-of-range index (called only to raise)."""
+        raise IndexError(
+            f"register {self.name!r} index {index} out of range [0, {self.size})"
+        )
 
     def reset(self, value: int = 0) -> None:
         self._fill = value & self._mask
@@ -68,27 +70,21 @@ class RegisterArray:
         return iter(self.snapshot())
 
 
-class RegisterFile:
-    """Named collection of register arrays belonging to one switch."""
+class RegisterFile(dict[str, RegisterArray]):
+    """Named collection of register arrays belonging to one switch.
 
-    def __init__(self) -> None:
-        self._arrays: dict[str, RegisterArray] = {}
+    A ``dict`` subclass so ``registers["name"]`` — paid ~150 times per
+    update request — is answered by the C-level subscript.
+    """
 
     def define(self, name: str, size: int, bits: int = 32, initial: int = 0) -> RegisterArray:
-        if name in self._arrays:
+        if name in self:
             raise ValueError(f"register array {name!r} already defined")
-        array = RegisterArray(name, size, bits, initial)
-        self._arrays[name] = array
+        array = self[name] = RegisterArray(name, size, bits, initial)
         return array
 
-    def __getitem__(self, name: str) -> RegisterArray:
-        try:
-            return self._arrays[name]
-        except KeyError:
-            raise KeyError(f"no register array {name!r}") from None
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._arrays
+    def __missing__(self, name: str) -> RegisterArray:
+        raise KeyError(f"no register array {name!r}")
 
     def names(self) -> list[str]:
-        return sorted(self._arrays)
+        return sorted(self)

@@ -35,6 +35,7 @@ from repro.serve.workload import (
     build_flow_population,
     closed_loop_pick,
     draw_open_arrival,
+    flow_cdf,
     flow_weights,
 )
 from repro.sim.reset import reset_global_state
@@ -265,8 +266,9 @@ class ServiceSession:
 
     The arrival rng is drawn in one fixed order, which every pinned
     signature depends on: open loop, one ``exponential`` then one
-    ``choice`` per arrival, the next arrival drawn right after the
-    previous submit; closed loop, one ``choice`` per client submit.
+    weighted pick per arrival, the next arrival drawn right after the
+    previous submit; closed loop, one pick per client submit.  A pick
+    bisects ``_cdf`` (session state, pickled with it) with one double.
     """
 
     def __init__(
@@ -290,8 +292,7 @@ class ServiceSession:
         )
         schedule_topo_events(self.deployment, spec.topo_events())
         self.arrival_rng = np.random.default_rng([spec.seed, _ARRIVAL_STREAM])
-        self._weights = flow_weights(self.population)
-        self._indices = np.arange(len(self.population))
+        self._cdf = flow_cdf(flow_weights(self.population))
         self._issued = 0
 
     def wire(self) -> None:
@@ -308,8 +309,7 @@ class ServiceSession:
         if self._issued >= self.spec.requests:
             return
         gap_ms, index = draw_open_arrival(
-            self.arrival_rng, self.spec.arrival_rate_per_s,
-            self._indices, self._weights,
+            self.arrival_rng, self.spec.arrival_rate_per_s, self._cdf
         )
         self.engine.schedule(gap_ms, self._submit_open, index)
 
@@ -322,7 +322,7 @@ class ServiceSession:
         if self._issued >= self.spec.requests:
             return
         self._issued += 1
-        index = closed_loop_pick(self.arrival_rng, self._indices, self._weights)
+        index = closed_loop_pick(self.arrival_rng, self._cdf)
         self.orchestrator.submit(self.population[index].flow_id)
 
     def _client_on_terminal(self, _request: Any) -> None:

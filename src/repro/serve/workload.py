@@ -19,6 +19,7 @@ dict/set iteration order.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,28 +121,31 @@ def flow_weights(population: list[ServiceFlow]) -> np.ndarray:
     return raw / total
 
 
-def closed_loop_pick(
-    rng: np.random.Generator, indices: np.ndarray, weights: np.ndarray
-) -> int:
-    """One weighted flow pick (``indices`` is ``arange(len(weights))``,
-    built once per run): a closed-loop client's whole submit, and the
-    second draw of an open-loop arrival."""
-    return int(rng.choice(indices, p=weights))
+def flow_cdf(weights: np.ndarray) -> list[float]:
+    """Cumulative pick distribution, computed once per session with the
+    arithmetic a weighted ``Generator.choice`` repeats on every call."""
+    cdf = weights.cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
+def closed_loop_pick(rng: np.random.Generator, cdf: list[float]) -> int:
+    """One weighted flow pick: a closed-loop client's whole submit, and
+    the second draw of an open-loop arrival.  Spends the one double, and
+    returns the index, that a ``rng.choice`` over the same weights would."""
+    return bisect_right(cdf, rng.random())
 
 
 def draw_open_arrival(
-    rng: np.random.Generator,
-    rate_per_s: float,
-    indices: np.ndarray,
-    weights: np.ndarray,
+    rng: np.random.Generator, rate_per_s: float, cdf: list[float]
 ) -> tuple[float, int]:
     """The next Poisson arrival: ``(gap_ms_since_previous, flow_index)``.
 
     Stateless and exactly two variates per call — one ``exponential``,
-    then one ``choice`` — so the arrival order is a function of the rng
-    state alone and a stream of millions costs O(1) memory.
+    then one weighted pick — so the arrival order is a function of the
+    rng state alone and a stream of millions costs O(1) memory.
     """
     if rate_per_s <= 0:
         raise ValueError("open-loop arrivals need rate_per_s > 0")
     gap = float(rng.exponential(1000.0 / rate_per_s))
-    return gap, closed_loop_pick(rng, indices, weights)
+    return gap, closed_loop_pick(rng, cdf)

@@ -1,8 +1,10 @@
 """Heap-based discrete-event engine.
 
-The engine keeps a priority queue of :class:`Event` objects ordered by
-simulated time (milliseconds).  Ties are broken by insertion order so
-that runs are deterministic.
+The engine keeps a priority queue of ``(time, seq, event)`` entries
+ordered by simulated time (milliseconds).  Ties are broken by insertion
+order so that runs are deterministic; ``seq`` is unique, so the heap
+orders by a C-level tuple compare that never reaches the
+:class:`Event`.
 """
 
 from __future__ import annotations
@@ -41,9 +43,6 @@ class Event:
         """Mark the event as cancelled; it will be skipped when popped."""
         self.cancelled = True
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = " cancelled" if self.cancelled else ""
         return f"<Event t={self.time:.3f} #{self.seq}{state} {self.callback!r}>"
@@ -57,7 +56,7 @@ class Engine:
     """Discrete-event loop with a simulated millisecond clock."""
 
     def __init__(self) -> None:
-        self._queue: list[Event] = []
+        self._queue: list[tuple[float, int, Event]] = []
         # Plain int (not itertools.count): the sequence number is part
         # of the snapshotable engine state (repro.sim.snapshot) and a
         # count() iterator cannot be pickled.
@@ -103,7 +102,7 @@ class Engine:
         seq = self._seq
         self._seq = seq + 1
         event = Event(self._now + delay, seq, callback, args)
-        heapq.heappush(self._queue, event)
+        heapq.heappush(self._queue, (event.time, seq, event))
         return event
 
     def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> Event:
@@ -116,17 +115,19 @@ class Engine:
 
     def peek_time(self) -> Optional[float]:
         """Time of the next pending event, or None when the queue is empty."""
-        while self._queue and self._queue[0].cancelled:
-            heapq.heappop(self._queue)
-        return self._queue[0].time if self._queue else None
+        queue = self._queue
+        while queue and queue[0][2].cancelled:
+            heapq.heappop(queue)
+        return queue[0][0] if queue else None
 
     def step(self) -> bool:
         """Execute the next pending event.  Returns False when idle."""
-        while self._queue:
-            event = heapq.heappop(self._queue)
+        queue = self._queue
+        while queue:
+            when, _, event = heapq.heappop(queue)
             if event.cancelled:
                 continue
-            self._now = event.time
+            self._now = when
             self._processed += 1
             if self._profiler is None:
                 event.callback(*event.args)
@@ -147,15 +148,19 @@ class Engine:
         the clock is advanced to exactly ``until``.
         """
         self._running = True
+        queue = self._queue
         executed = 0
         try:
             while self._running:
                 if max_events is not None and executed >= max_events:
                     break
-                next_time = self.peek_time()
-                if next_time is None:
+                # One look at the head per event: cancelled heads are
+                # dropped here, so step() pops a live event first try.
+                while queue and queue[0][2].cancelled:
+                    heapq.heappop(queue)
+                if not queue:
                     break
-                if until is not None and next_time > until:
+                if until is not None and queue[0][0] > until:
                     self._now = until
                     break
                 self.step()
@@ -169,7 +174,7 @@ class Engine:
 
     def pending(self) -> int:
         """Number of live (non-cancelled) events still queued."""
-        return sum(1 for e in self._queue if not e.cancelled)
+        return sum(1 for _, _, event in self._queue if not event.cancelled)
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()

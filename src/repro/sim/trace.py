@@ -9,12 +9,10 @@ the Fig. 2 bench extracts per-node packet-receive series from them.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Optional
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     """One traced occurrence at a simulated time."""
 
     time: float
@@ -89,18 +87,22 @@ class Trace:
         # first use, dropped whenever the subscriber list changes.
         self._routes: dict[str, list[Callable[[TraceEvent], None]]] = {}
         # kind -> absolute positions, each list ascending; stale (dropped)
-        # positions are pruned lazily on lookup.
+        # positions are pruned on lookup, and by record() once a ring's
+        # list outgrows 2 x max_events (so the index is bounded too).
         self._by_kind: dict[str, list[int]] = {}
 
     def record(self, time: float, kind: str, node: str, **detail: Any) -> TraceEvent:
-        event = TraceEvent(time=time, kind=kind, node=node, detail=detail)
-        self._by_kind.setdefault(kind, []).append(self._base + len(self.events))
+        event = TraceEvent(time, kind, node, detail)
+        positions = self._by_kind.setdefault(kind, [])
+        positions.append(self._base + len(self.events))
         self.events.append(event)
         if self.max_events > 0 and len(self.events) > self.max_events:
             overflow = len(self.events) - self.max_events
             del self.events[:overflow]
             self._base += overflow
             self.dropped_events += overflow
+            if len(positions) > 2 * self.max_events:
+                self._live(kind)
         route = self._routes.get(kind)
         if route is None:
             route = self._routes[kind] = [
@@ -181,3 +183,16 @@ class Trace:
 
     def __len__(self) -> int:
         return len(self.events)
+
+    def __getstate__(self) -> dict:
+        # Events travel as plain positional rows, which pickle at C speed
+        # with no per-event class reference; _routes is derived.
+        state = self.__dict__.copy()
+        state["events"] = list(map(tuple, self.events))
+        del state["_routes"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.events = list(map(TraceEvent._make, state["events"]))
+        self._routes = {}

@@ -237,3 +237,44 @@ def test_real_program_resubmit_needs_declared_cap():
     program = deployment.switches["v0"].program
     findings = analyze_pipeline(program, max_resubmits=None)
     assert rules_of(findings) == {"unbounded-resubmit"}
+
+
+def test_real_program_register_accesses_are_still_recognised():
+    """The analyzer finds register accesses by the literal
+    ``registers["name"].read/write(...)`` spelling; a hot-path rewrite
+    that binds arrays to attributes or locals would silently blind it.
+    Pinned per method, program and switch agent."""
+    from repro.analysis.pipecheck import _class_methods
+    from repro.core.dataplane import P4UpdateProgram
+    from repro.core.switch import P4UpdateSwitch
+
+    def accesses(cls):
+        return {
+            name: (sorted(info.reads), sorted(info.writes))
+            for name, (info, _, _) in _class_methods(cls).items()
+            if info.reads or info.writes
+        }
+
+    uib = [
+        "counter", "cur_distance", "cur_version",
+        "last_type", "old_distance", "old_version",
+    ]
+    assert accesses(P4UpdateProgram) == {
+        "_admit": ([], ["flow_priority"]),
+        "_ingress_probe": (["<dynamic>", "ingress_tag", "two_phase"], []),
+        "current_port": (["cur_egress_port"], []),
+        "flow_size_of": (["flow_size"], []),
+        "pending_version": (["pend_version"], []),
+        "set_current_port": ([], ["cur_egress_port"]),
+        "set_flow_size": ([], ["flow_size"]),
+        "state_of": (uib, []),
+        "store_uim": ([], [
+            "pend_child_port", "pend_distance", "pend_egress_port",
+            "pend_flags", "pend_flow_size", "pend_type", "pend_version",
+        ]),
+        "write_state": ([], uib),
+    }
+    assert accesses(P4UpdateSwitch) == {
+        "_complete_install": ([], ["<dynamic>", "two_phase"]),
+        "_process_tag_flip": ([], ["ingress_tag"]),
+    }

@@ -1,6 +1,7 @@
 """Unit tests for Alg. 2 (DL verification), pinned to the Fig. 1
 walk-through of paper §3.2."""
 
+import pytest
 
 from repro.core.messages import UIM, UNMFields, UpdateType
 from repro.core.verification import (
@@ -197,3 +198,35 @@ def test_non_dual_uim_falls_back_to_sl():
 def test_dual_unm_without_uim_waits():
     unm = dl_unm(new_distance=4, old_distance=0)
     assert verify_dl(None, unm, FRESH).verdict is Verdict.WAIT
+
+
+# -- NodeFlowState is an immutable value --------------------------------------
+
+
+def test_node_flow_state_is_an_immutable_value():
+    by_keyword = NodeFlowState(
+        new_version=2, new_distance=4, old_version=1, old_distance=2,
+        counter=1, update_type=UpdateType.DUAL,
+    )
+    positional = NodeFlowState(2, 4, 1, 2, 1, UpdateType.DUAL)
+    assert by_keyword == positional
+    assert hash(by_keyword) == hash(positional)
+    assert len({by_keyword, positional, FRESH}) == 2
+    assert FRESH == NodeFlowState(0, 0, 0, 0, 0, UpdateType.NONE)
+    assert not FRESH.has_flow() and positional.has_flow()
+    for field in NodeFlowState._fields:
+        with pytest.raises(AttributeError):
+            setattr(positional, field, 9)
+    # The pass-on branches derive the next state from the current one.
+    bumped = positional._replace(old_distance=0, counter=4)
+    assert bumped == NodeFlowState(2, 4, 1, 0, 4, UpdateType.DUAL)
+    assert positional.counter == 1
+
+
+def test_pass_on_state_keeps_every_other_field():
+    state = NodeFlowState(2, 4, 1, 2, 1, UpdateType.DUAL)
+    unm = dl_unm(new_distance=NEW_DIST["v4"], old_distance=0, counter=3)
+    decision = verify_dl(dl_uim("v3"), unm, state)
+    assert decision.new_state == NodeFlowState(2, 4, 1, 0, 4, UpdateType.DUAL)
+    relay = dl_unm(new_distance=3, old_distance=2, counter=5, layer=1)
+    assert verify_dl(dl_uim("v3"), relay, state).new_state == state._replace(counter=6)

@@ -13,7 +13,7 @@ from repro.obs.tracefile import (
     iter_trace_jsonl,
     summarize_events,
 )
-from repro.sim.trace import Trace
+from repro.sim.trace import Trace, TraceEvent
 
 
 def sample_trace() -> Trace:
@@ -50,6 +50,18 @@ def test_round_trip_preserves_fields():
     assert [e.node for e in events] == [e.node for e in trace]
     assert events[0].detail["hops"] == ["v0", "v1"]
     assert events[2].detail == {"flow": 7, "next_hop": "v2"}
+
+
+def test_event_dict_round_trip_rebuilds_equal_events():
+    trace = sample_trace()
+    for event in trace.events[1:]:          # events[0] holds a tuple -> list
+        rebuilt = event_from_dict(event_to_dict(event))
+        assert type(rebuilt) is TraceEvent
+        assert rebuilt == event
+    assert event_to_dict(trace.events[2]) == {
+        "time": 2.0, "kind": "rule_change", "node": "v1",
+        "detail": {"flow": 7, "next_hop": "v2"},
+    }
 
 
 def test_imported_trace_index_works():

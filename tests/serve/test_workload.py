@@ -11,6 +11,7 @@ from repro.serve.workload import (
     build_flow_population,
     closed_loop_pick,
     draw_open_arrival,
+    flow_cdf,
     flow_weights,
 )
 
@@ -70,12 +71,11 @@ def _arrival_inputs(flows):
 
 
 def test_draw_open_arrival_seeded_and_matches_recorded_stream():
-    indices, weights = _arrival_inputs(8)
+    _, weights = _arrival_inputs(8)
     rng, twin = _rng(7), _rng(7)
-    head = [draw_open_arrival(rng, 100.0, indices, weights) for _ in range(50)]
-    assert head == [
-        draw_open_arrival(twin, 100.0, indices, weights) for _ in range(50)
-    ]
+    cdf = flow_cdf(weights)
+    head = [draw_open_arrival(rng, 100.0, cdf) for _ in range(50)]
+    assert head == [draw_open_arrival(twin, 100.0, cdf) for _ in range(50)]
     for gap_ms, index in head:
         assert gap_ms >= 0
         assert 0 <= index < 8
@@ -89,21 +89,58 @@ def test_draw_open_arrival_seeded_and_matches_recorded_stream():
 def test_draw_open_arrival_spends_exactly_two_variates():
     indices, weights = _arrival_inputs(4)
     rng, by_hand = _rng(11), _rng(11)
+    cdf = flow_cdf(weights)
     for _ in range(17):
-        gap_ms, index = draw_open_arrival(rng, 50.0, indices, weights)
+        gap_ms, index = draw_open_arrival(rng, 50.0, cdf)
         assert gap_ms == float(by_hand.exponential(1000.0 / 50.0))
         assert index == int(by_hand.choice(indices, p=weights))
     assert rng.bit_generator.state == by_hand.bit_generator.state
 
 
 def test_draw_open_arrival_rejects_zero_rate():
-    indices, weights = _arrival_inputs(4)
+    _, weights = _arrival_inputs(4)
     with pytest.raises(ValueError):
-        draw_open_arrival(_rng(), 0.0, indices, weights)
+        draw_open_arrival(_rng(), 0.0, flow_cdf(weights))
 
 
 def test_closed_loop_pick_in_range_and_seeded():
-    indices, weights = _arrival_inputs(8)
-    picks = [closed_loop_pick(_rng(3), indices, weights) for _ in range(5)]
+    _, weights = _arrival_inputs(8)
+    cdf = flow_cdf(weights)
+    picks = [closed_loop_pick(_rng(3), cdf) for _ in range(5)]
     assert len(set(picks)) == 1  # fresh same-seed rng -> same pick
     assert all(0 <= p < 8 for p in picks)
+
+
+def _random_weights(n):
+    raw = _rng(n).exponential(1.0, size=n)
+    return raw / raw.sum()
+
+
+def _population_weights(topology, flows):
+    return flow_weights(build_flow_population(TOPOLOGIES[topology](), flows, _rng()))
+
+
+@pytest.mark.parametrize(
+    "make_weights",
+    [
+        pytest.param(lambda: _random_weights(1), id="1-flow"),
+        pytest.param(lambda: _random_weights(4), id="4-flows"),
+        pytest.param(lambda: _random_weights(8), id="8-flows"),
+        pytest.param(lambda: _random_weights(100), id="100-flows"),
+        pytest.param(lambda: np.array([0.25, 0.0, 0.5, 0.25]), id="zero-weight"),
+        pytest.param(lambda: np.array([0.0, 0.5, 0.5, 0.0]), id="zero-weight-ends"),
+        pytest.param(lambda: _population_weights("b4", 8), id="b4-gravity"),
+        pytest.param(lambda: _population_weights("chinanet", 100), id="chinanet-gravity"),
+    ],
+)
+def test_pick_draws_what_choice_drew(make_weights):
+    """The cdf bisect is ``Generator.choice(p=)`` minus its per-call
+    validation and cumsum: same index from the same single double, so
+    every pinned arrival stream and checkpoint resume is unchanged."""
+    weights = make_weights()
+    indices = np.arange(len(weights))
+    cdf = flow_cdf(weights)
+    rng, twin = _rng(5), _rng(5)
+    for _ in range(10_000):
+        assert closed_loop_pick(rng, cdf) == int(twin.choice(indices, p=weights))
+    assert rng.bit_generator.state == twin.bit_generator.state

@@ -1,0 +1,162 @@
+"""The engine's ``(time, seq, event)`` heap against a sort.
+
+Random ``schedule`` / ``schedule_at`` / ``cancel`` / ``run(until=,
+max_events=)`` sequences, with delays from a small set so equal-time
+ties are the common case, must fire in exactly the order a reference
+that re-sorts ``(time, seq)`` on every step fires them.  Snapshots
+taken between runs and from inside a firing callback (what an ops
+checkpoint does, see ``repro.sim.snapshot``) must, once restored, fire
+the same remaining order.
+"""
+
+import copy
+import pickle
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.sim.engine import Engine
+
+
+class Log:
+    """Picklable callback target owning the engine under test."""
+
+    def __init__(self):
+        self.engine = Engine()
+        self.fired = []
+        self.handles = []          # every Event, in scheduling order
+        self.snapshots = []        # pickles taken from inside callbacks
+
+    def schedule(self, method, delay, tag, children, snapshot):
+        when = delay if method == "schedule" else self.engine.now + delay
+        schedule = getattr(self.engine, method)
+        self.handles.append(schedule(when, self.fire, tag, children, snapshot))
+
+    def fire(self, tag, children, snapshot):
+        self.fired.append((self.engine.now, tag))
+        for i, delay in enumerate(children):
+            self.schedule("schedule", delay, f"{tag}.{i}", (), False)
+        if snapshot:
+            self.snapshots.append(pickle.dumps(self))
+
+    def __getstate__(self):
+        return dict(self.__dict__, snapshots=[])
+
+
+class SortingReference:
+    """What the engine must do, with no heap: sort, take the first."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.processed = 0
+        self.fired = []
+        self.entries = []          # [time, seq, tag, children, snapshot, state]
+        self.at_snapshots = []     # deep copies, one per in-callback pickle
+
+    def schedule(self, delay, tag, children, snapshot):
+        self.entries.append(
+            [self.now + delay, len(self.entries), tag, children, snapshot, "live"]
+        )
+
+    def cancel(self, index):
+        if self.entries[index][5] == "live":
+            self.entries[index][5] = "cancelled"
+
+    def live(self):
+        return sorted(e for e in self.entries if e[5] == "live")
+
+    def run(self, until=None, max_events=None):
+        executed = 0
+        while max_events is None or executed < max_events:
+            live = self.live()
+            if not live:
+                break
+            head = live[0]
+            if until is not None and head[0] > until:
+                self.now = until
+                break
+            head[5] = "fired"
+            self.now = head[0]
+            self.processed += 1
+            self.fired.append((self.now, head[2]))
+            for i, delay in enumerate(head[3]):
+                self.schedule(delay, f"{head[2]}.{i}", (), False)
+            if head[4]:
+                self.at_snapshots.append(copy.deepcopy(self))
+            executed += 1
+
+
+def assert_agree(log, reference):
+    engine = log.engine
+    live = reference.live()
+    assert log.fired == reference.fired
+    assert engine.now == reference.now
+    assert engine.processed_events == reference.processed
+    assert engine.pending() == len(live)
+    assert engine.peek_time() == (live[0][0] if live else None)
+
+
+DELAYS = st.sampled_from([0.0, 0.0, 0.5, 1.0, 1.0, 2.0, 4.0])
+SCHEDULE = st.tuples(
+    st.sampled_from(["schedule", "schedule_at"]),
+    DELAYS,
+    st.lists(DELAYS, max_size=2).map(tuple),
+    st.sampled_from([False, False, False, True]),
+)
+OPS = st.lists(
+    st.one_of(
+        SCHEDULE,
+        SCHEDULE,
+        st.tuples(st.just("cancel"), st.integers(0, 10_000)),
+        st.tuples(st.just("run"), st.none() | DELAYS, st.none() | st.integers(0, 4)),
+        st.tuples(st.just("restore")),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(OPS)
+def test_engine_fires_in_time_then_insertion_order(ops):
+    log, reference = Log(), SortingReference()
+    blobs = []
+    for tag, op in enumerate(ops):
+        if op[0] in ("schedule", "schedule_at"):
+            method, delay, children, snapshot = op
+            log.schedule(method, delay, str(tag), children, snapshot)
+            reference.schedule(delay, str(tag), children, snapshot)
+        elif op[0] == "cancel" and log.handles:
+            index = op[1] % len(log.handles)
+            log.engine.cancel(log.handles[index])
+            reference.cancel(index)
+        elif op[0] == "run":
+            until = None if op[1] is None else reference.now + op[1]
+            log.engine.run(until=until, max_events=op[2])
+            reference.run(until=until, max_events=op[2])
+        elif op[0] == "restore":
+            blobs.extend(log.snapshots)
+            log = pickle.loads(pickle.dumps(log))
+        assert_agree(log, reference)
+    log.engine.run()
+    reference.run()
+    assert_agree(log, reference)
+    assert log.engine.pending() == 0 and not log.engine.step()
+    # Every snapshot taken mid-run resumes into the same remaining order.
+    blobs.extend(log.snapshots)
+    assert len(blobs) == len(reference.at_snapshots)
+    for blob, expected in zip(blobs, reference.at_snapshots):
+        restored = pickle.loads(blob)
+        restored.engine.run()
+        expected.run()
+        assert_agree(restored, expected)
+
+
+def test_equal_time_events_never_compare_callbacks():
+    """Ordering is decided by ``(time, seq)`` alone: callbacks and
+    arguments that do not support ``<`` may tie on time."""
+    engine = Engine()
+    seen = []
+    for tag in ({"a": 1}, {"b": 2}, object()):
+        engine.schedule(1.0, seen.append, tag)
+    engine.run()
+    assert [type(tag) for tag in seen] == [dict, dict, object]

@@ -2,6 +2,8 @@
 
 import pickle
 
+import pytest
+
 from repro.sim.trace import (
     KIND_MSG_SEND,
     KIND_RULE_CHANGE,
@@ -237,11 +239,24 @@ def test_iteration_order():
 
 
 def test_events_are_immutable():
-    import pytest
-
     event = TraceEvent(1.0, "k", "n", {})
+    for field in TraceEvent._fields:
+        with pytest.raises(AttributeError):
+            setattr(event, field, 2.0)
     with pytest.raises(AttributeError):
-        event.time = 2.0
+        event.extra = 1
+
+
+def test_event_is_a_value():
+    by_keyword = TraceEvent(time=1.0, kind="k", node="n", detail={"flow": 7})
+    assert by_keyword == TraceEvent(1.0, "k", "n", {"flow": 7})
+    assert by_keyword != TraceEvent(1.0, "k", "n", {"flow": 8})
+    assert (by_keyword.time, by_keyword.kind, by_keyword.node) == (1.0, "k", "n")
+    assert Trace().record(1.0, "k", "n", flow=7) == by_keyword
+    with pytest.raises(TypeError):
+        hash(by_keyword)          # the detail dict never was hashable
+    with pytest.raises(TypeError):
+        TraceEvent(1.0, "k", "n")
 
 
 # -- bounded retention (max_events ring buffer) -------------------------------
@@ -295,3 +310,51 @@ def test_ring_buffer_subscribers_see_every_event():
     assert len(seen) == 5
     assert len(trace) == 2
     assert trace.dropped_events == 3
+
+
+def test_ring_buffer_bounds_the_kind_index_and_the_pickle():
+    """The ring drops index positions with the events: what
+    ``trace_max_events`` bounds is memory and checkpoint size, not just
+    ``len(trace)``."""
+    trace = Trace(max_events=100)
+    sizes = {}
+    for i in range(50_000):
+        trace.record(float(i), KIND_MSG_SEND if i % 3 else KIND_RULE_CHANGE, "n", i=i)
+        if i + 1 in (5_000, 50_000):
+            sizes[i + 1] = len(pickle.dumps(trace))
+    assert all(len(positions) <= 200 for positions in trace._by_kind.values())
+    # Flat: wider ints and up to max_events not-yet-pruned positions.
+    assert abs(sizes[50_000] - sizes[5_000]) < 0.1 * sizes[5_000]
+    assert trace.of_kind(KIND_RULE_CHANGE) == [
+        e for e in trace.events if e.kind == KIND_RULE_CHANGE
+    ]
+    assert trace.count_of_kind(KIND_MSG_SEND) == sum(
+        1 for e in trace.events if e.kind == KIND_MSG_SEND
+    )
+    assert trace.last(KIND_MSG_SEND) == trace.events[-1]
+    assert (len(trace), trace.dropped_events) == (100, 49_900)
+
+
+@pytest.mark.parametrize("max_events", [0, 5])
+def test_pickle_round_trip_carries_rows_and_rebuilds_events(max_events):
+    trace = Trace(max_events=max_events)
+    trace.subscribe(Recorder([], "rules"), kinds=(KIND_RULE_CHANGE,))
+    for i in range(12):
+        trace.record(float(i), KIND_RULE_CHANGE if i % 2 else KIND_MSG_SEND, "n", i=i)
+    state = trace.__getstate__()
+    assert "_routes" not in state
+    assert all(type(row) is tuple for row in state["events"])
+    restored = pickle.loads(pickle.dumps(trace))
+    assert restored.events == trace.events
+    assert all(type(event) is TraceEvent for event in restored.events)
+    assert (restored._base, restored.dropped_events, restored.max_events) == (
+        trace._base, trace.dropped_events, trace.max_events,
+    )
+    for kind in (KIND_RULE_CHANGE, KIND_MSG_SEND, "never"):
+        assert restored.of_kind(kind) == trace.of_kind(kind)
+        assert restored.last(kind) == trace.last(kind)
+        assert restored.count_of_kind(kind) == trace.count_of_kind(kind)
+    restored.record(12.0, KIND_MSG_SEND, "n")
+    restored.record(13.0, KIND_RULE_CHANGE, "n")
+    ((subscriber, _),) = restored._subscribers
+    assert subscriber.log == [("rules", KIND_RULE_CHANGE)] * 7
