@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 import networkx as nx
 import numpy as np
@@ -51,9 +51,11 @@ LOCAL_DELIVER = "__local__"
 # -- messages ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RoleMessage:
-    """Controller -> switch: one switch's part of one flow update."""
+class RoleMessage(NamedTuple):
+    """Controller -> switch: one switch's part of one flow update.
+
+    Tuple-backed like :class:`repro.core.messages.UIM`, so Fig. 8
+    compares two preparations and not two value classes."""
 
     target: str
     flow_id: int

@@ -19,8 +19,8 @@ Modules:
 """
 
 from repro.core.messages import FRM, UFM, UIM, UNMFields, UpdateType
-from repro.core.labeling import distance_labels, label_update
-from repro.core.segmentation import Segment, compute_gateways, compute_segments
+from repro.core.labeling import distance_labels
+from repro.core.segmentation import Segment, compute_segments
 from repro.core.verification import (
     Decision,
     NodeFlowState,
@@ -40,9 +40,7 @@ __all__ = [
     "UNMFields",
     "UpdateType",
     "distance_labels",
-    "label_update",
     "Segment",
-    "compute_gateways",
     "compute_segments",
     "Decision",
     "NodeFlowState",

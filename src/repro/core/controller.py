@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Any, Callable, Optional
 import networkx as nx
 import numpy as np
 
-from repro.core.labeling import VersionAllocator, distance_labels
+from repro.core.labeling import VersionAllocator
 from repro.core.messages import (
     FRM,
     UFM,
@@ -32,7 +32,7 @@ from repro.core.messages import (
     UpdateType,
 )
 from repro.core.registers import LOCAL_DELIVER_PORT, VERSION_WIDTH_BITS
-from repro.core.segmentation import compute_gateways, compute_segments
+from repro.core.segmentation import old_distances
 from repro.core.strategy import choose_update_type
 from repro.params import SimParams
 from repro.sim.node import Node
@@ -141,8 +141,9 @@ class P4UpdateController(Node):
         ] = []
         self.reported_flows: list[FRM] = []
         self.alarms: list[UFM] = []
-        # §11 failure handling: prepared updates kept for re-triggering
-        # after a reported UNM loss, with a retry budget.
+        # §11 failure handling: the *pending* prepared update of each
+        # flow, kept for re-triggering after a reported UNM loss, with a
+        # retry budget.  Entries leave with their update (_forget).
         self._prepared: dict[tuple[int, int], PreparedUpdate] = {}
         self._retriggers: dict[tuple[int, int], int] = {}
         self.max_retriggers = 15
@@ -209,70 +210,85 @@ class P4UpdateController(Node):
     ) -> PreparedUpdate:
         """Compute the UIM set for rerouting ``flow_id`` to ``new_path``.
 
-        ``update_type=None`` applies the §7.5 strategy.  Congestion
-        awareness only adds the flow size to each UIM — the scheduling
-        itself happens in the data plane.
+        One walk over P_n: a node's distance is its hop count to the
+        egress, it is a gateway iff P_o labels it, and a gateway
+        strictly inside P_n closes a segment (the first gateway is the
+        shared ingress).  ``update_type=None`` applies the §7.5
+        strategy to the same P_o labels.  ``congestion_aware`` is kept
+        for the callers that pass it; either way every UIM carries the
+        flow size — the scheduling itself happens in the data plane.
         """
         record = self.flow_db[flow_id]
         old_path = record.current_path
+        old_dist = None
         if update_type is None:
-            update_type = choose_update_type(old_path, new_path)
+            old_dist = old_distances(old_path, new_path)
+            update_type = choose_update_type(old_path, new_path, old_dist=old_dist)
         version = self.versions.next_version(flow_id)
-        distances = distance_labels(new_path)
-        if update_type is UpdateType.DUAL:
-            segments = compute_segments(old_path, new_path)
-            segment_egress = {s.egress_gateway for s in segments}
-            gateways = set(compute_gateways(old_path, new_path))
-        else:
-            segment_egress = set()
-            gateways = set()
-
-        ingress, egress = new_path[0], new_path[-1]
-        size = record.flow.size if congestion_aware else 0.0
+        hops = len(new_path) - 1
+        if hops < 1:
+            raise ValueError("a path needs at least two nodes")
+        if len(set(new_path)) <= hops:
+            raise ValueError(f"path revisits a node: {new_path}")
+        if update_type is not UpdateType.DUAL:
+            old_dist = ()                 # SL carries no gateway roles
+        elif old_dist is None:
+            old_dist = old_distances(old_path, new_path)
+        size = record.flow.size
+        ports = self._port_cache
         uims = []
+        child = None
         for i, node in enumerate(new_path):
-            is_egress = node == egress
-            child = new_path[i - 1] if i > 0 else None
-            parent = new_path[i + 1] if not is_egress else None
+            if i < hops:
+                parent = new_path[i + 1]
+                egress_port = ports.get((node, parent))
+                if egress_port is None:
+                    egress_port = self._port(node, parent)
+            else:
+                egress_port = LOCAL_DELIVER_PORT
+            if child is None:
+                child_port = None
+            else:
+                child_port = ports.get((node, child))
+                if child_port is None:
+                    child_port = self._port(node, child)
+            is_gateway = node in old_dist
             uims.append(
                 UIM(
-                    target=node,
-                    flow_id=flow_id,
-                    version=version,
-                    new_distance=distances[node],
-                    egress_port=(
-                        LOCAL_DELIVER_PORT if is_egress
-                        else self._port(node, parent)
-                    ),
-                    flow_size=size if size > 0 else record.flow.size,
-                    update_type=update_type,
-                    child_port=self._port(node, child) if child else None,
-                    is_flow_egress=is_egress,
-                    is_segment_egress=node in segment_egress and not is_egress,
-                    is_ingress=node == ingress,
-                    is_gateway=node in gateways,
-                    stage_tag=stage_tag,
+                    node, flow_id, version, hops - i, egress_port, size,
+                    update_type, child_port, (),
+                    i == hops,                        # is_flow_egress
+                    is_gateway and 0 < i < hops,      # is_segment_egress
+                    i == 0,                           # is_ingress
+                    is_gateway, stage_tag,
                 )
             )
+            child = node
+        if record.pending_version is not None:
+            self._forget(flow_id, record.pending_version)    # superseded
         record.pending_path = list(new_path)
         record.pending_version = version
         prepared = PreparedUpdate(
-            flow_id=flow_id, version=version,
-            update_type=update_type, uims=tuple(uims),
-            old_path=tuple(old_path), new_path=tuple(new_path),
+            flow_id, version, update_type, tuple(uims),
+            tuple(old_path), tuple(new_path),
         )
         self._prepared[(flow_id, version)] = prepared
         return prepared
 
-    def _port(self, node: str, neighbor: Optional[str]) -> int:
-        assert neighbor is not None
-        port = self._port_cache.get((node, neighbor))
-        if port is None:
-            if self.network is None:
-                raise RuntimeError("controller not attached to a network")
-            port = self.network.port_towards(node, neighbor)
-            self._port_cache[(node, neighbor)] = port
+    def _port(self, node: str, neighbor: str) -> int:
+        """NIB lookup behind a ``_port_cache`` miss."""
+        if self.network is None:
+            raise RuntimeError("controller not attached to a network")
+        port = self.network.port_towards(node, neighbor)
+        self._port_cache[(node, neighbor)] = port
         return port
+
+    def _forget(self, flow_id: int, version: int) -> None:
+        """Drop the re-trigger state of an update that completed, was
+        superseded or was aborted: :meth:`_retrigger` only ever serves
+        ``record.pending_version``, and versions are never reused."""
+        self._prepared.pop((flow_id, version), None)
+        self._retriggers.pop((flow_id, version), None)
 
     # -- triggering -------------------------------------------------------------------------
 
@@ -324,7 +340,7 @@ class P4UpdateController(Node):
         if record.pending_version == prepared.version:
             record.pending_path = None
             record.pending_version = None
-        self._prepared.pop((prepared.flow_id, prepared.version), None)
+        self._forget(prepared.flow_id, prepared.version)
         if self.obs.enabled:
             self.obs.metrics.counter("plans_rejected", node=self.name).inc()
         raise PlanVerificationError(report.describe())
@@ -380,8 +396,6 @@ class P4UpdateController(Node):
         # Upstream nodes between originators, in notification order.
         originator_names = {uim.target for uim in originators}
         compact_uims = []
-        from dataclasses import replace as dc_replace
-
         for originator in originators:
             start = order.index(originator.target)
             stack = []
@@ -389,9 +403,7 @@ class P4UpdateController(Node):
                 if node in originator_names:
                     break            # that node has its own control UIM
                 stack.append(by_target[node])
-            compact_uims.append(
-                dc_replace(originator, piggyback=tuple(stack))
-            )
+            compact_uims.append(originator._replace(piggyback=tuple(stack)))
         compact = PreparedUpdate(
             flow_id=prepared.flow_id,
             version=prepared.version,
@@ -531,7 +543,7 @@ class P4UpdateController(Node):
         if record.recovering_since is None:
             record.recovering_since = self.now
         if record.pending_version is not None:
-            self._prepared.pop((flow_id, record.pending_version), None)
+            self._forget(flow_id, record.pending_version)
             aborted_version = record.pending_version
             record.pending_path = None
             record.pending_version = None
@@ -651,6 +663,7 @@ class P4UpdateController(Node):
             record.current_path = list(record.pending_path or record.current_path)
             record.pending_path = None
             record.pending_version = None
+            self._forget(ufm.flow_id, ufm.version)
             record.update_done_at = self.now
             if record.recovering_since is not None:
                 # §11 recovery: this completion closed a failure-driven

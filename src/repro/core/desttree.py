@@ -174,20 +174,15 @@ class DestinationTreeManager:
             )
             uims.append(
                 UIM(
-                    target=node,
-                    flow_id=record.tree_id,
-                    version=version,
-                    new_distance=distances[node],
-                    egress_port=(
-                        LOCAL_DELIVER_PORT if is_root
-                        else network.port_towards(node, parent)
-                    ),
-                    flow_size=record.size,
-                    update_type=UpdateType.SINGLE,
-                    child_port=None,
-                    child_ports=child_ports,
-                    is_flow_egress=is_root,
-                    is_ingress=node in leaves,
+                    node, record.tree_id, version, distances[node],
+                    LOCAL_DELIVER_PORT if is_root
+                    else network.port_towards(node, parent),
+                    record.size, UpdateType.SINGLE,
+                    None,                             # child_port
+                    child_ports,
+                    is_root,                          # is_flow_egress
+                    False,                            # is_segment_egress
+                    node in leaves,                   # is_ingress
                 )
             )
         record.pending_parent_of = dict(new_parent_of)

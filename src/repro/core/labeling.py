@@ -7,7 +7,6 @@ increasing version number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 
@@ -60,23 +59,3 @@ class VersionAllocator:
         if self._limit is None:
             return None
         return self._limit - self.current(flow_id)
-
-
-@dataclass(frozen=True)
-class UpdateLabels:
-    """Everything the control plane computes for one flow update."""
-
-    flow_id: int
-    version: int
-    new_path: tuple[str, ...]
-    distances: dict
-
-
-def label_update(flow_id: int, version: int, new_path: Sequence[str]) -> UpdateLabels:
-    """Compute the verification content of an update (version + distances)."""
-    return UpdateLabels(
-        flow_id=flow_id,
-        version=version,
-        new_path=tuple(new_path),
-        distances=distance_labels(new_path),
-    )

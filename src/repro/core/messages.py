@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 from repro.p4.packet import HeaderField, HeaderType, Packet
 
@@ -50,13 +50,16 @@ class FRM:
         return f"FRM(flow={self.flow_id} {self.src}->{self.dst})"
 
 
-@dataclass(frozen=True)
-class UIM:
+class UIM(NamedTuple):
     """Update Indication Message for one switch and one flow.
 
     ``target`` routes the control-channel delivery.  Role flags tell
     the data plane which UNMs to originate (§8: first-layer UNM at the
     flow egress, second-layer UNM at each segment egress gateway).
+
+    A tuple-backed immutable value: the controller builds one per node
+    per update, positionally, so the field order below is load-bearing
+    (``docs/ARCHITECTURE.md``, "What a prepared update costs").
     """
 
     target: str                   # switch this UIM configures

@@ -48,46 +48,35 @@ class Segment:
         return len(self.nodes)
 
 
-def compute_gateways(old_path: Sequence[str], new_path: Sequence[str]) -> list[str]:
-    """Shared nodes of P_o and P_n, in new-path order."""
-    old_set = set(old_path)
-    return [node for node in new_path if node in old_set]
+def old_distances(
+    old_path: Sequence[str], new_path: Sequence[str]
+) -> dict[str, int]:
+    """D_o of every P_o node — the one analysis of a path pair.
+
+    A P_n node is a gateway iff it has a D_o; the segment between two
+    consecutive gateways is forward iff D_o falls along it.  Raises
+    when the paths do not share both endpoints (the flow's ingress and
+    egress are gateways by definition).
+    """
+    if old_path[0] != new_path[0] or old_path[-1] != new_path[-1]:
+        raise ValueError("old and new paths must share ingress and egress")
+    return distance_labels(old_path)
 
 
 def compute_segments(
     old_path: Sequence[str], new_path: Sequence[str]
 ) -> list[Segment]:
-    """Split P_n into segments between consecutive gateways.
-
-    Raises when the paths do not share both endpoints (the flow's
-    ingress and egress are gateways by definition).
-    """
-    if old_path[0] != new_path[0] or old_path[-1] != new_path[-1]:
-        raise ValueError("old and new paths must share ingress and egress")
-    gateways = compute_gateways(old_path, new_path)
-    old_dist = distance_labels(old_path)
+    """Split P_n into segments between consecutive gateways."""
+    old_dist = old_distances(old_path, new_path)
     segments: list[Segment] = []
     # Walk the new path, cutting at gateways.
-    indices = [i for i, node in enumerate(new_path) if node in set(gateways)]
+    indices = [i for i, node in enumerate(new_path) if node in old_dist]
     for start, end in zip(indices, indices[1:]):
         nodes = tuple(new_path[start : end + 1])
         ingress_gw, egress_gw = nodes[0], nodes[-1]
         forward = old_dist[ingress_gw] > old_dist[egress_gw]
         segments.append(Segment(nodes=nodes, forward=forward))
     return segments
-
-
-def backward_segments(segments: Sequence[Segment]) -> list[Segment]:
-    return [s for s in segments if not s.forward]
-
-
-def forward_segments(segments: Sequence[Segment]) -> list[Segment]:
-    return [s for s in segments if s.forward]
-
-
-def segment_egress_gateways(segments: Sequence[Segment]) -> set[str]:
-    """Nodes that must originate a second-layer UNM (paper §8)."""
-    return {s.egress_gateway for s in segments}
 
 
 def nodes_to_update(old_path: Sequence[str], new_path: Sequence[str]) -> set[str]:

@@ -13,10 +13,10 @@ be updated".
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 from repro.core.messages import UpdateType
-from repro.core.segmentation import compute_segments, nodes_to_update
+from repro.core.segmentation import nodes_to_update, old_distances
 
 SL_NODE_THRESHOLD = 5
 
@@ -25,11 +25,21 @@ def choose_update_type(
     old_path: Sequence[str],
     new_path: Sequence[str],
     threshold: int = SL_NODE_THRESHOLD,
+    old_dist: Optional[dict[str, int]] = None,
 ) -> UpdateType:
-    """Pick SL or DL for one flow update per the §7.5/§9.1 rule."""
-    segments = compute_segments(old_path, new_path)
-    only_forward = all(segment.forward for segment in segments)
-    changed = nodes_to_update(old_path, new_path)
-    if only_forward and len(changed) <= threshold:
+    """Pick SL or DL for one flow update per the §7.5/§9.1 rule.
+
+    ``old_dist`` is :func:`old_distances` of the pair, for a caller
+    that already holds it.  Every segment is forward iff D_o falls
+    from each gateway to the next along P_n, i.e. the gateways' D_o
+    read in descending order.
+    """
+    if old_dist is None:
+        old_dist = old_distances(old_path, new_path)
+    gateway_dist = [old_dist[node] for node in new_path if node in old_dist]
+    if (
+        gateway_dist == sorted(gateway_dist, reverse=True)
+        and len(nodes_to_update(old_path, new_path)) <= threshold
+    ):
         return UpdateType.SINGLE
     return UpdateType.DUAL

@@ -19,10 +19,18 @@ edge ``prev_event -> new_event`` labelled with the segment the request
 occupied during that interval.  Because the edges tile the request's
 lifetime with no gaps or overlaps, the per-segment duration sums
 telescope to exactly the end-to-end latency — the invariant the
-``trace-smoke`` CI job asserts on every request.  Durations accumulate
-as exact :class:`fractions.Fraction` values (event times are binary
-floats, hence exact rationals), so the only residual is the final
-float conversion: well under the 1e-9 ms acceptance bound.
+``trace-smoke`` CI job asserts on every request.  Attribution is exact
+without rational arithmetic: every exported number is the *correctly
+rounded* value of an exact sum of event times, which is what IEEE
+arithmetic already returns.  An edge's ``dur_ms`` is ``t - last_t``
+(one subtraction, correctly rounded by definition); each segment keeps
+the signed endpoints ``[t, -last_t, ...]`` of its intervals and its
+total is their :func:`math.fsum` (correctly rounded whatever the
+cancellation), as is ``e2e_ms`` over all of them.  The only residual is
+therefore one final rounding per number: well under the 1e-9 ms
+acceptance bound.  ``tests/obs/reference_causal.py`` keeps the exact
+rational accumulation these replaced and a property test holds the two
+equal bit for bit.
 
 Zero-overhead contract: the tracker hangs off ``ObsContext.causal``
 (``None`` on :data:`~repro.obs.context.NULL_OBS`), every hook site
@@ -34,8 +42,9 @@ run (asserted by ``tests/serve/test_causal_service.py``).
 
 from __future__ import annotations
 
+import itertools
 import json
-from fractions import Fraction
+import math
 from typing import Any, Iterable, Iterator, Optional
 
 #: The fixed attribution schema: every simulated millisecond of a
@@ -75,7 +84,17 @@ class _Track:
         self.version: Optional[int] = None
         self.events: list[dict[str, Any]] = []
         self.edges: list[dict[str, Any]] = []
-        self.segments: dict[str, Fraction] = {s: Fraction(0) for s in SEGMENTS}
+        # Signed endpoints of the intervals each segment was charged.
+        self.segments: dict[str, list[float]] = {s: [] for s in SEGMENTS}
+
+
+def _totals(track: _Track) -> tuple[float, dict[str, float]]:
+    """Correctly rounded ``e2e_ms`` and per-segment totals of a track."""
+    ends = track.segments
+    return (
+        math.fsum(itertools.chain.from_iterable(ends.values())),
+        {s: math.fsum(ends[s]) for s in SEGMENTS},
+    )
 
 
 class CausalTracker:
@@ -243,8 +262,8 @@ class CausalTracker:
         detail: dict[str, Any],
     ) -> None:
         segment = close_as if close_as is not None else track.state
-        duration = Fraction(t) - Fraction(track.last_t)
-        track.segments[segment] += duration
+        last_t = track.last_t
+        track.segments[segment] += (t, -last_t)
         eid = len(track.events)
         event: dict[str, Any] = {"id": eid, "t": t, "kind": kind, "node": node}
         if detail:
@@ -255,7 +274,7 @@ class CausalTracker:
                 "src": eid - 1,
                 "dst": eid,
                 "segment": segment,
-                "dur_ms": float(duration),
+                "dur_ms": t - last_t,
             }
         )
         track.last_t = t
@@ -267,13 +286,13 @@ class CausalTracker:
         rows = []
         for request_id in sorted(self._tracks):
             track = self._tracks[request_id]
-            segments = {s: float(track.segments[s]) for s in SEGMENTS}
+            e2e, segments = _totals(track)
             rows.append(
                 {
                     "request_id": track.request_id,
                     "flow_id": track.flow_id,
                     "outcome": track.outcome,
-                    "e2e_ms": float(sum(track.segments.values())),
+                    "e2e_ms": e2e,
                     "segments": segments,
                 }
             )
@@ -284,8 +303,7 @@ class CausalTracker:
         docs = []
         for request_id in sorted(self._tracks):
             track = self._tracks[request_id]
-            segments = {s: float(track.segments[s]) for s in SEGMENTS}
-            e2e = float(sum(track.segments.values()))
+            e2e, segments = _totals(track)
             docs.append(
                 {
                     "request_id": track.request_id,

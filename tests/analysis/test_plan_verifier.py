@@ -235,7 +235,7 @@ def test_gate_rejects_stale_version_and_rolls_back():
         flow.flow_id, list(FIG1_NEW_PATH)
     )
     stale_uims = tuple(
-        dataclasses.replace(u, version=record.version) for u in prepared.uims
+        u._replace(version=record.version) for u in prepared.uims
     )
     stale = dataclasses.replace(
         prepared, version=record.version, uims=stale_uims
@@ -259,7 +259,7 @@ def test_tree_plans_rejected_by_lifting():
 
     _, _, prepared, prior = _prepared_fig1(UpdateType.SINGLE)
     tree_uims = tuple(
-        dataclasses.replace(u, child_ports=(1, 2)) for u in prepared.uims
+        u._replace(child_ports=(1, 2)) for u in prepared.uims
     )
     tree = dataclasses.replace(prepared, uims=tree_uims)
     with pytest.raises(ValueError):

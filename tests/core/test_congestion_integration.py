@@ -120,9 +120,7 @@ def test_flow_size_change_rejected_with_alarm():
         f1.flow_id, ["s", "b", "t"], UpdateType.SINGLE
     )
     # Tamper with the advertised size of one UIM.
-    from dataclasses import replace as dc_replace
-
-    tampered = [dc_replace(uim, flow_size=uim.flow_size * 3) for uim in prepared.uims]
+    tampered = [uim._replace(flow_size=uim.flow_size * 3) for uim in prepared.uims]
     for uim in tampered:
         dep.controller.send_control(uim)
     dep.run(until=5_000.0)

@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.core.labeling import (
-    UpdateLabels,
-    VersionAllocator,
-    distance_labels,
-    label_update,
-)
+from repro.core.labeling import VersionAllocator, distance_labels
 from repro.topo.synthetic import FIG1_NEW_PATH, FIG1_OLD_PATH
 
 
@@ -53,11 +48,3 @@ def test_version_allocator_increments_per_flow():
 def test_version_allocator_custom_start():
     versions = VersionAllocator(start=10)
     assert versions.next_version(1) == 11
-
-
-def test_label_update_bundles_everything():
-    labels = label_update(5, 3, ["a", "b", "c"])
-    assert isinstance(labels, UpdateLabels)
-    assert labels.flow_id == 5 and labels.version == 3
-    assert labels.new_path == ("a", "b", "c")
-    assert labels.distances == {"a": 2, "b": 1, "c": 0}

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.scheduler import CongestionScheduler
-from repro.core.segmentation import compute_gateways, compute_segments
+from repro.core.segmentation import compute_segments
 
 
 # -- scheduler invariants ----------------------------------------------------------
@@ -135,7 +135,7 @@ def test_segments_partition_the_new_path(pair):
 def test_segment_boundaries_are_exactly_the_gateways(pair):
     old, new = pair
     segments = compute_segments(old, new)
-    gateways = compute_gateways(old, new)
+    gateways = [node for node in new if node in old]
     boundary_nodes = [segments[0].nodes[0]] + [s.nodes[-1] for s in segments]
     assert boundary_nodes == gateways
 

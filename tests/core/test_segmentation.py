@@ -2,22 +2,15 @@
 
 import pytest
 
-from repro.core.segmentation import (
-    backward_segments,
-    compute_gateways,
-    compute_segments,
-    forward_segments,
-    nodes_to_update,
-    segment_egress_gateways,
-)
+from repro.core.segmentation import compute_segments, nodes_to_update
 from repro.topo.synthetic import FIG1_NEW_PATH, FIG1_OLD_PATH
 
 
 def test_fig1_gateways():
     """Paper §3.2: G = {v0, v4, v2, v7} — in new-path order v0, v2, v4, v7."""
-    gateways = compute_gateways(FIG1_OLD_PATH, FIG1_NEW_PATH)
+    segments = compute_segments(FIG1_OLD_PATH, FIG1_NEW_PATH)
+    gateways = [segments[0].ingress_gateway] + [s.egress_gateway for s in segments]
     assert gateways == ["v0", "v2", "v4", "v7"]
-    assert set(gateways) == {"v0", "v4", "v2", "v7"}
 
 
 def test_fig1_segments():
@@ -33,22 +26,11 @@ def test_fig1_segments():
 
 def test_fig1_segment_roles():
     segments = compute_segments(FIG1_OLD_PATH, FIG1_NEW_PATH)
-    backward = backward_segments(segments)[0]
+    (backward,) = [s for s in segments if not s.forward]
     assert backward.ingress_gateway == "v2"
     assert backward.egress_gateway == "v4"
     assert backward.interior == ("v3",)
     assert len(backward) == 3
-
-
-def test_fig1_forward_backward_partition():
-    segments = compute_segments(FIG1_OLD_PATH, FIG1_NEW_PATH)
-    assert len(forward_segments(segments)) == 2
-    assert len(backward_segments(segments)) == 1
-
-
-def test_segment_egress_gateways_fig1():
-    segments = compute_segments(FIG1_OLD_PATH, FIG1_NEW_PATH)
-    assert segment_egress_gateways(segments) == {"v2", "v4", "v7"}
 
 
 def test_identical_paths_single_chain_of_segments():
@@ -94,3 +76,29 @@ def test_backward_segment_detection_via_old_distance():
     assert kinds[("d", "c")] is False      # 1 -> 2: backward
     assert kinds[("c", "b")] is False      # 2 -> 3: backward
     assert kinds[("b", "e")] is True       # 3 -> 0: forward
+
+
+def test_long_path_segments_in_one_index_pass():
+    """A 40-node P_n crossing P_o at every fourth node: gateway membership
+    is one dict test per node, so the cut costs O(n) hashes — the index
+    pass used to rebuild ``set(gateways)``, |G| hashes, for every node."""
+    hashed = []
+
+    class Node(str):
+        def __hash__(self):
+            hashed.append(self)
+            return str.__hash__(self)
+
+    new = [Node(f"n{i}") for i in range(40)]
+    shared = new[::4] + [new[-1]]
+    old = [shared[0]] + shared[-2:0:-1] + [shared[-1]]     # interior reversed
+    segments = compute_segments(old, new)
+    assert len(hashed) <= 2 * (len(old) + len(new))        # 573 before
+    assert [s.ingress_gateway for s in segments] == shared[:-1]
+    assert [s.egress_gateway for s in segments] == shared[1:]
+    assert sum(len(s) - 1 for s in segments) == len(new) - 1
+    # Reversed interior: only the first hop into it moves closer to the
+    # egress w.r.t. P_o; every other segment is backward, bar the last.
+    assert [s.forward for s in segments] == (
+        [True] + [False] * (len(segments) - 2) + [True]
+    )

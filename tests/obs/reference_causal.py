@@ -1,0 +1,90 @@
+"""Causal attribution in exact rational arithmetic — the reference.
+
+``ReferenceCausalTracker`` accumulates durations the way
+``repro.obs.causal.CausalTracker`` did before it switched to IEEE
+arithmetic, verbatim: two :class:`fractions.Fraction` per causal event
+(event times are binary floats, hence exact rationals), one running
+``Fraction`` per segment, one float conversion per exported number.
+Those numbers are serialised into committed manifests
+(``BENCH_serve_serve-smoke.json``), so the tracker's ``t - last_t`` and
+``math.fsum`` must reproduce them bit for bit;
+``test_causal_exact.py`` holds the two side by side.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Any, Optional
+
+from repro.obs.causal import SEGMENTS, CausalTracker, _Track
+
+
+class ReferenceCausalTracker(CausalTracker):
+    """Same hooks, ``Fraction`` bookkeeping; see the module docstring."""
+
+    def submit(self, request_id: int, flow_id: int, t: float) -> None:
+        super().submit(request_id, flow_id, t)
+        self._tracks[request_id].segments = {s: Fraction(0) for s in SEGMENTS}
+
+    def _append(
+        self,
+        track: _Track,
+        t: float,
+        kind: str,
+        node: str,
+        close_as: Optional[str],
+        detail: dict[str, Any],
+    ) -> None:
+        segment = close_as if close_as is not None else track.state
+        duration = Fraction(t) - Fraction(track.last_t)
+        track.segments[segment] += duration
+        eid = len(track.events)
+        event: dict[str, Any] = {"id": eid, "t": t, "kind": kind, "node": node}
+        if detail:
+            event.update(detail)
+        track.events.append(event)
+        track.edges.append(
+            {
+                "src": eid - 1,
+                "dst": eid,
+                "segment": segment,
+                "dur_ms": float(duration),
+            }
+        )
+        track.last_t = t
+
+    def attribution_rows(self) -> list[dict[str, Any]]:
+        rows = []
+        for request_id in sorted(self._tracks):
+            track = self._tracks[request_id]
+            segments = {s: float(track.segments[s]) for s in SEGMENTS}
+            rows.append(
+                {
+                    "request_id": track.request_id,
+                    "flow_id": track.flow_id,
+                    "outcome": track.outcome,
+                    "e2e_ms": float(sum(track.segments.values())),
+                    "segments": segments,
+                }
+            )
+        return rows
+
+    def dags(self) -> list[dict[str, Any]]:
+        docs = []
+        for request_id in sorted(self._tracks):
+            track = self._tracks[request_id]
+            segments = {s: float(track.segments[s]) for s in SEGMENTS}
+            e2e = float(sum(track.segments.values()))
+            docs.append(
+                {
+                    "request_id": track.request_id,
+                    "flow_id": track.flow_id,
+                    "outcome": track.outcome,
+                    "version": track.version,
+                    "e2e_ms": e2e,
+                    "segments": segments,
+                    "events": list(track.events),
+                    "edges": list(track.edges),
+                }
+            )
+        return docs

@@ -60,3 +60,40 @@ def test_strategy_override_deploys_that_strategy():
     reset_global_state()
     overridden = type(ServiceSession(spec, strategy="p4update").deployment.controller)
     assert own is not overridden
+
+
+def test_controller_forgets_completed_updates():
+    """``_prepared`` holds the pending update of each flow and nothing
+    else: it used to keep every completed one, in memory and in every
+    checkpoint, for as long as the service ran."""
+    spec = load_serve_spec({
+        "name": "forgets", "topology": "b4", "seed": 1, "flows": 8,
+        "requests": 200, "arrival_rate_per_s": 3.0, "queue_depth": 16,
+        "shed_policy": "park", "conflict_policy": "serialize",
+        "horizon_ms": 1.0e9,
+    })
+    reset_global_state()
+    session = ServiceSession(spec)
+    session.wire()
+    controller = session.deployment.controller
+    for issued in (50, 120, 200):
+        while session._issued < issued or controller.all_updates_complete():
+            assert session.engine.step()                # stop mid-flight
+        pending = {
+            (flow_id, record.pending_version)
+            for flow_id, record in controller.flow_db.items()
+            if record.pending_version is not None
+        }
+        assert set(controller._prepared) <= pending
+        assert set(controller._retriggers) <= pending
+    # What the table adds to a checkpoint stays a sliver of it.
+    whole = len(pickle.dumps(session))
+    table, controller._prepared = controller._prepared, {}
+    without = len(pickle.dumps(session))
+    controller._prepared = table
+    assert (whole - without) / whole < 0.03
+    session.run()
+    result = session.close()
+    assert result.outcome_counts == {"completed": 200}
+    assert controller.all_updates_complete()
+    assert controller._prepared == {} and controller._retriggers == {}
