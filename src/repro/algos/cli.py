@@ -16,13 +16,22 @@
 from __future__ import annotations
 
 import argparse
-import sys
 from typing import Optional
 
-from repro.serve.cli import load_or_report
+from repro.serve.cli import load_spec
+from repro.sweep.cli import (
+    BENCH_DIR_HELP,
+    CliError,
+    add_fleet_flags,
+    add_output_flags,
+    obs_from_flags,
+    report_ok,
+    run_fleet,
+    write_fleet_manifest,
+)
 
 
-def _strategies(arg: Optional[str]) -> Optional[list[str]]:
+def _strategies(arg: Optional[str]) -> list[str]:
     """Parse ``--strategies a,b,c`` (None -> every registered one)."""
     from repro.algos.registry import strategy_names
 
@@ -32,33 +41,16 @@ def _strategies(arg: Optional[str]) -> Optional[list[str]]:
     known = strategy_names()
     unknown = [name for name in chosen if name not in known]
     if unknown:
-        print(
-            f"error: unknown strategy(ies) {unknown}; known: {known}",
-            file=sys.stderr,
-        )
-        return None
+        raise CliError(f"unknown strategy(ies) {unknown}; known: {known}")
     return chosen
-
-
-def cmd_compete(args: argparse.Namespace) -> int:
-    handler = {
-        "validate": _cmd_validate,
-        "run": _cmd_run,
-        "duel": _cmd_duel,
-    }[args.compete_command]
-    return handler(args)
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     from repro.algos.registry import get_strategy
     from repro.serve.sweep_kind import serve_sweep
 
-    spec = load_or_report(args.spec)
-    if spec is None:
-        return 1
+    spec = load_spec(args.spec)
     strategies = _strategies(args.strategies)
-    if strategies is None:
-        return 1
     # Exercise the full sweep-spec validation path too (what run uses).
     serve_sweep(spec, 1, kind="compete", strategies=strategies)
     print(f"compete spec {spec.name!r} is valid:")
@@ -75,26 +67,19 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from repro.obs import make_obs
     from repro.serve.sweep_kind import serve_sweep
-    from repro.sweep.cli import run_fleet
-    from repro.sweep.merge import write_results_manifest
 
-    spec = load_or_report(args.spec)
-    if spec is None:
-        return 1
+    spec = load_spec(args.spec)
     strategies = _strategies(args.strategies)
-    if strategies is None:
-        return 1
     sweep = serve_sweep(
         spec, args.seeds, kind="compete", obs=args.obs, strategies=strategies
     )
-    print(f"compete {spec.name!r}: {len(strategies)} strategy(ies) x "
-          f"{args.seeds} seed(s), {args.workers} worker(s)"
-          + (", resuming" if args.resume else ""))
-
-    obs = make_obs() if args.obs else None
-    run, results = run_fleet(sweep, args, obs)
+    obs = obs_from_flags(args)
+    run, results = run_fleet(
+        sweep, args, obs,
+        banner=f"compete {spec.name!r}: {len(strategies)} strategy(ies) x "
+               f"{args.seeds} seed(s)",
+    )
     # The scoreboard manifest is a byte-identity gate across worker
     # counts (bench_compare --exact '*'), so host-time bookkeeping
     # stays out of the results tree entirely.
@@ -102,11 +87,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         {name: value for name, value in shard.items() if name != "wall"}
         for shard in results["shards"]
     ]
-    path = write_results_manifest(
-        f"compete_{spec.name}", sweep, results, out_dir=args.out_dir, obs=obs
-    )
+    write_fleet_manifest(f"compete_{spec.name}", sweep, results, args, obs)
     aggregates = results["aggregates"]
-    print(f"wrote {path}")
     print(f"signature {results['signature']}")
     print(f"paired workloads: {aggregates['paired']}  "
           f"deterministic: {aggregates['deterministic']}")
@@ -122,7 +104,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
               f"park {row['park_rate']:.2f} "
               f"abort {row['abort_rate']:.2f} "
               f"viol {row['violations']}")
-    ok = (
+    return report_ok(
         run.ok
         and aggregates["consistent"]
         and all(
@@ -130,8 +112,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             for row in aggregates["scoreboard"].values()
         )
     )
-    print("OK" if ok else "FAILED")
-    return 0 if ok else 1
 
 
 def _cmd_duel(args: argparse.Namespace) -> int:
@@ -140,8 +120,6 @@ def _cmd_duel(args: argparse.Namespace) -> int:
     from repro.algos.duel import run_duel
 
     strategies = _strategies(args.strategies)
-    if strategies is None:
-        return 1
     doc = run_duel(
         seed=args.seed,
         count=args.count,
@@ -173,13 +151,13 @@ def _cmd_duel(args: argparse.Namespace) -> int:
         # The acceptance criterion: augmentation must resolve every
         # pair the capacity-preserving strategies deadlock on.
         ok = ok and summary["augmented_only_completions"] == summary["pairs"]
-    print("OK" if ok else "FAILED")
-    return 0 if ok else 1
+    return report_ok(ok)
+
+
+_STRATEGIES_HELP = "comma-separated strategy names (default: all registered)"
 
 
 def add_compete_parser(sub: argparse._SubParsersAction) -> None:
-    from repro.sweep.cli import add_fleet_flags
-
     parser = sub.add_parser(
         "compete",
         help="head-to-head update-strategy competition (repro.algos)",
@@ -189,38 +167,31 @@ def add_compete_parser(sub: argparse._SubParsersAction) -> None:
     pval = compete_sub.add_parser(
         "validate", help="validate a compete workload spec"
     )
+    pval.set_defaults(run=_cmd_validate)
     pval.add_argument("spec", help="path to a serve spec JSON file")
-    pval.add_argument(
-        "--strategies", default=None,
-        help="comma-separated strategy names (default: all registered)",
-    )
+    pval.add_argument("--strategies", default=None, help=_STRATEGIES_HELP)
 
     prun = compete_sub.add_parser(
         "run", help="fan one workload across strategies, write the scoreboard"
     )
+    prun.set_defaults(run=_cmd_run)
     prun.add_argument("spec", help="path to a serve spec JSON file")
-    prun.add_argument(
-        "--strategies", default=None,
-        help="comma-separated strategy names (default: all registered)",
-    )
+    prun.add_argument("--strategies", default=None, help=_STRATEGIES_HELP)
     prun.add_argument(
         "--seeds", type=int, default=1,
         help="seeded workload replicas per strategy (paired across them)",
     )
     add_fleet_flags(prun)
-    prun.add_argument(
-        "--out-dir", default=None,
-        help="directory for BENCH_compete_<name>.json (default: repo root "
-             "or $REPRO_BENCH_DIR)",
-    )
-    prun.add_argument(
-        "--obs", action="store_true",
-        help="instrument runs with live metrics",
+    add_output_flags(
+        prun,
+        out_dir=BENCH_DIR_HELP.format("compete"),
+        obs="instrument runs with live metrics",
     )
 
     pduel = compete_sub.add_parser(
         "duel", help="strategies vs the advgen slack-deadlock suite"
     )
+    pduel.set_defaults(run=_cmd_duel)
     pduel.add_argument(
         "--seed", type=int, default=0, help="suite seed (default 0)"
     )
@@ -231,10 +202,7 @@ def add_compete_parser(sub: argparse._SubParsersAction) -> None:
         "--slack", type=float, default=0.25,
         help="helper-corridor spare capacity (negative = unresolvable)",
     )
-    pduel.add_argument(
-        "--strategies", default=None,
-        help="comma-separated strategy names (default: all registered)",
-    )
+    pduel.add_argument("--strategies", default=None, help=_STRATEGIES_HELP)
     pduel.add_argument(
         "--out", default=None, help="also write the full duel JSON here"
     )

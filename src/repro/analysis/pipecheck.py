@@ -1,12 +1,10 @@
 """Static analysis of behavioural P4 pipeline programs.
 
 Works on a live :class:`repro.p4.pipeline.PipelineProgram` instance:
-runtime state (declared tables, clone sessions, an attached switch
-agent) tells us what exists, and the AST of the program class tells
-us how the control blocks use it.  Checks:
+runtime state (declared registers, an attached switch agent) tells us
+what exists, and the AST of the program class tells us how the control
+blocks use it.  Checks:
 
-* ``table-missing-default`` — a declared match-action table without a
-  default action silently misses (returns None) on unknown keys;
 * ``register-never-written`` — a register array read somewhere in the
   pipeline but written by no method of the program (or its agent):
   every read returns the initial value, which almost always means a
@@ -167,23 +165,6 @@ def analyze_pipeline(
     findings: list[Finding] = []
     cls = type(program)
     class_path = inspect.getsourcefile(cls) or f"<{cls.__name__}>"
-
-    # -- tables -----------------------------------------------------------
-    tables = getattr(program, "tables", {})
-    for name in sorted(tables):
-        table = tables[name]
-        if table.default_action is None:
-            findings.append(
-                Finding(
-                    rule="table-missing-default",
-                    message=(
-                        f"table {name!r} has no default action; lookups "
-                        f"miss silently on unknown keys"
-                    ),
-                    path=class_path,
-                    line=0,
-                )
-            )
 
     facts = _class_methods(cls)
 

@@ -15,55 +15,43 @@ thin argument-parsing layer.
 from __future__ import annotations
 
 import argparse
-import sys
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
+
+from repro.obs.manifest import write_manifest
+from repro.sweep.cli import (
+    add_fleet_flags,
+    add_output_flags,
+    load_or_exit,
+    report_ok,
+    run_fleet,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.chaos.campaign import FaultCampaign
 
 
-def cmd_chaos(args: argparse.Namespace) -> int:
-    handler = {
-        "run": _cmd_run,
-        "validate": _cmd_validate,
-    }[args.chaos_command]
-    return handler(args)
-
-
-def _load(path: str) -> Optional["FaultCampaign"]:
+def _load(path: str) -> "FaultCampaign":
     from repro.chaos.campaign import (
-        SpecTopologyError,
         load_campaign_file,
         validate_events_against_topology,
     )
 
-    try:
+    def load_validated(path: str) -> "FaultCampaign":
         campaign = load_campaign_file(path)
         validate_events_against_topology(
             campaign.events, campaign.topology, context="events"
         )
         return campaign
-    except SpecTopologyError as exc:
-        print(
-            f"error: campaign {path!r}: unknown node or link reference(s) "
-            f"for topology {exc.topology!r}:",
-            file=sys.stderr,
-        )
-        for problem in exc.problems:
-            print(f"  - {problem}", file=sys.stderr)
-        return None
-    except (OSError, ValueError, TypeError, KeyError) as exc:
-        print(f"error: cannot load campaign {path!r}: {exc}", file=sys.stderr)
-        return None
+
+    return load_or_exit(
+        load_validated, path, "campaign", ValueError, TypeError, KeyError
+    )
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.chaos.sweep_kind import campaign_sweep
-    from repro.sweep.cli import run_fleet
 
     campaign = _load(args.spec)
-    if campaign is None:
-        return 1
     if campaign.description:
         print(f"# {campaign.description}")
 
@@ -113,8 +101,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 f"{report['reason']} (failed edges: {report['failed_edges']})"
             )
         if args.manifest:
-            from repro.obs.manifest import write_manifest
-
             path = write_manifest(
                 f"chaos_{campaign.name}",
                 params=campaign.to_dict(),
@@ -123,21 +109,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 out_dir=args.out_dir,
             )
             print(f"wrote {path}")
-    print("OK" if ok else "FAILED")
-    return 0 if ok else 1
+    return report_ok(ok)
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    campaign = _load(args.spec)
-    if campaign is None:
-        return 1
-    print(campaign.to_json())
+    print(_load(args.spec).to_json())
     return 0
 
 
 def add_chaos_parser(sub: argparse._SubParsersAction) -> None:
-    from repro.sweep.cli import add_fleet_flags
-
     parser = sub.add_parser(
         "chaos", help="robustness: run fault-injection campaigns"
     )
@@ -145,6 +125,7 @@ def add_chaos_parser(sub: argparse._SubParsersAction) -> None:
     prun = chaos_sub.add_parser(
         "run", help="execute a campaign and assert invariants + determinism"
     )
+    prun.set_defaults(run=_cmd_run)
     prun.add_argument("spec", help="path to a campaign JSON file")
     prun.add_argument(
         "--runs", type=int, default=2,
@@ -152,17 +133,12 @@ def add_chaos_parser(sub: argparse._SubParsersAction) -> None:
     )
     # Every repetition must really re-run: no --resume.
     add_fleet_flags(prun, resume=False)
-    prun.add_argument(
-        "--obs", action="store_true",
-        help="instrument runs with live metrics (fault/retry/recovery counters)",
-    )
-    prun.add_argument(
-        "--manifest", action="store_true",
-        help="write a BENCH_-style manifest for the first run",
-    )
-    prun.add_argument(
-        "--out-dir", default=None,
-        help="directory for the manifest (default: benchmarks/baselines)",
+    add_output_flags(
+        prun,
+        obs="instrument runs with live metrics (fault/retry/recovery counters)",
+        manifest="write a BENCH_-style manifest for the first run",
+        out_dir="directory for the manifest (default: benchmarks/baselines)",
     )
     pval = chaos_sub.add_parser("validate", help="load and echo a campaign spec")
+    pval.set_defaults(run=_cmd_validate)
     pval.add_argument("spec", help="path to a campaign JSON file")

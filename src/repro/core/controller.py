@@ -469,8 +469,6 @@ class P4UpdateController(Node):
             ).inc()
         if self.reliable is not None:
             self.reliable.cancel_target(target)
-        if not self.params.recover_on_failure:
-            return
         new_edges = []
         for neighbor in self.topology.neighbors(target):
             edge = frozenset((target, neighbor))
@@ -496,8 +494,7 @@ class P4UpdateController(Node):
                 self.obs.metrics.counter(
                     "nib_updates", node=self.name, kind="port_down"
                 ).inc()
-            if self.params.recover_on_failure:
-                self._recover_after_failure(edge)
+            self._recover_after_failure(edge)
         else:
             if edge not in self.failed_edges:
                 return
@@ -506,8 +503,7 @@ class P4UpdateController(Node):
                 self.obs.metrics.counter(
                     "nib_updates", node=self.name, kind="port_up"
                 ).inc()
-            if self.params.recover_on_failure:
-                self._retry_parked()
+            self._retry_parked()
 
     def _working_graph(self) -> "nx.Graph":
         """The NIB topology minus every edge believed down."""

@@ -32,7 +32,6 @@ from repro.core.messages import (
     make_cleanup,
 )
 from repro.p4.pipeline import CpuPunt, Pipeline
-from repro.p4.switch import RuntimeAPI
 from repro.core.registers import LOCAL_DELIVER_PORT, NO_PORT
 from repro.core.verification import Decision, NodeFlowState, Verdict, apply_sl_state
 from repro.p4.packet import Packet
@@ -95,7 +94,7 @@ class P4UpdateSwitch(P4Switch):
             if self.name not in (link.node_a, link.node_b):
                 continue
             port = link.port_a if link.node_a == self.name else link.port_b
-            self.runtime.set_clone_session(port, port)
+            self.program.set_clone_session(port, port)
             self.program.scheduler.set_port_capacity(port, link.capacity)
 
     # -- initial deployment ------------------------------------------------------
@@ -172,7 +171,6 @@ class P4UpdateSwitch(P4Switch):
         program.allow_consecutive_dual = self.program.allow_consecutive_dual
         self.program = program
         self.pipeline = Pipeline(program)
-        self.runtime = RuntimeAPI(program)
         self._pipeline_busy_until = 0.0
         self._installing.clear()
         self._piggyback.clear()

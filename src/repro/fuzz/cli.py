@@ -19,23 +19,21 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import sys
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
+
+from repro.sweep.cli import (
+    BENCH_DIR_HELP,
+    CliError,
+    add_fleet_flags,
+    add_output_flags,
+    run_fleet,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.fuzz.campaign import FuzzSpec
 
 
-def cmd_fuzz(args: argparse.Namespace) -> int:
-    handler = {
-        "run": _cmd_run,
-        "replay": _cmd_replay,
-        "shrink": _cmd_shrink,
-    }[args.fuzz_command]
-    return handler(args)
-
-
-def _build_spec(args: argparse.Namespace) -> Optional["FuzzSpec"]:
+def _build_spec(args: argparse.Namespace) -> "FuzzSpec":
     from repro.fuzz.campaign import (
         FuzzSpecError,
         load_fuzz_spec,
@@ -58,8 +56,7 @@ def _build_spec(args: argparse.Namespace) -> Optional["FuzzSpec"]:
             {**base, **{k: v for k, v in overrides.items() if v is not None}}
         )
     except (OSError, FuzzSpecError) as exc:
-        print(f"error: cannot build fuzz spec: {exc}", file=sys.stderr)
-        return None
+        raise CliError(f"cannot build fuzz spec: {exc}") from None
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -76,31 +73,20 @@ def _cmd_run(args: argparse.Namespace) -> int:
     )
 
     spec = _build_spec(args)
-    if spec is None:
-        return 1
     if args.emit_corpus and args.no_shrink:
-        print(
-            "error: --emit-corpus needs shrinking; drop --no-shrink",
-            file=sys.stderr,
-        )
-        return 2
+        raise CliError("--emit-corpus needs shrinking; drop --no-shrink", 2)
     if args.emit_corpus and not args.corpus:
-        print("error: --emit-corpus requires --corpus", file=sys.stderr)
-        return 2
+        raise CliError("--emit-corpus requires --corpus", 2)
     try:
         known = known_keys(args.corpus) if args.corpus else set()
     except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(
-        f"fuzz {spec.name!r}: budget {spec.budget} across {spec.shards} "
-        f"shard(s), seed {spec.seed}, {args.workers} worker(s)"
-        + (", resuming" if args.resume else "")
+        raise CliError(str(exc), 2) from None
+
+    _, fleet = run_fleet(
+        fuzz_sweep_spec(spec), args,
+        banner=f"fuzz {spec.name!r}: budget {spec.budget} across "
+               f"{spec.shards} shard(s), seed {spec.seed}",
     )
-
-    from repro.sweep.cli import run_fleet
-
-    _, fleet = run_fleet(fuzz_sweep_spec(spec), args)
     result = merge_fuzz_campaign(
         spec, fleet, shrink_findings=False if args.no_shrink else None
     )
@@ -128,7 +114,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if not keys:
         print("no findings")
 
-    emitted = 0
     if args.emit_corpus:
         for doc in result.shrunk:
             key = expected_key(doc)
@@ -137,7 +122,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             case_path = os.path.join(args.corpus, f"{finding_name(key)}.json")
             write_corpus_case(case_path, doc)
             print(f"emitted {case_path}")
-            emitted += 1
 
     if args.json:
         print(json.dumps(result.to_results(), indent=2, sort_keys=True))
@@ -157,8 +141,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     try:
         reproduced, verdict, doc = replay_file(args.case)
     except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise CliError(str(exc), 2) from None
     expect = doc["expect"]
     print(f"case {doc.get('name', args.case)!r} ({doc['kind']})")
     print(
@@ -192,8 +175,7 @@ def _cmd_shrink(args: argparse.Namespace) -> int:
         doc = load_corpus_file(args.case)
         case = case_from_doc(doc)
     except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise CliError(str(exc), 2) from None
     before = shrink_measure(case.payload)
     minimal = shrink_case(case)
     after = shrink_measure(minimal.payload)
@@ -215,7 +197,6 @@ def _cmd_shrink(args: argparse.Namespace) -> int:
 
 def add_fuzz_parser(sub: argparse._SubParsersAction) -> None:
     from repro.fuzz.lanes import LANE_TABLE
-    from repro.sweep.cli import add_fleet_flags
 
     parser = sub.add_parser(
         "fuzz", help="coverage-guided scenario fuzzing with shrinking"
@@ -225,6 +206,7 @@ def add_fuzz_parser(sub: argparse._SubParsersAction) -> None:
     prun = fuzz_sub.add_parser(
         "run", help="execute a fuzz campaign through the sweep fleet"
     )
+    prun.set_defaults(run=_cmd_run)
     prun.add_argument(
         "spec", nargs="?", default=None,
         help="path to a fuzz spec JSON file (omit to use flags)",
@@ -246,11 +228,7 @@ def add_fuzz_parser(sub: argparse._SubParsersAction) -> None:
         "--no-shrink", action="store_true",
         help="skip automatic shrinking of merged findings",
     )
-    prun.add_argument(
-        "--out-dir", default=None,
-        help="directory for BENCH_fuzz_<name>.json (default: repo root "
-             "or $REPRO_BENCH_DIR)",
-    )
+    add_output_flags(prun, out_dir=BENCH_DIR_HELP.format("fuzz"))
     prun.add_argument(
         "--corpus", default=None,
         help="committed corpus directory to compare findings against",
@@ -271,6 +249,7 @@ def add_fuzz_parser(sub: argparse._SubParsersAction) -> None:
         "replay",
         help="re-run one corpus case (exit 1 = reproduced, 0 = fixed)",
     )
+    preplay.set_defaults(run=_cmd_replay)
     preplay.add_argument("case", help="path to a corpus case JSON file")
     preplay.add_argument(
         "--json", action="store_true", help="also print the verdict JSON"
@@ -279,6 +258,7 @@ def add_fuzz_parser(sub: argparse._SubParsersAction) -> None:
     pshrink = fuzz_sub.add_parser(
         "shrink", help="re-shrink a corpus case in place (or to --out)"
     )
+    pshrink.set_defaults(run=_cmd_shrink)
     pshrink.add_argument("case", help="path to a corpus case JSON file")
     pshrink.add_argument(
         "--out", default=None,

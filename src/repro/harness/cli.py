@@ -31,17 +31,45 @@ Commands regenerate individual experiments without pytest:
 from __future__ import annotations
 
 import argparse
+import contextlib
+import json
 import sys
+from typing import Iterator
 
 import numpy as np
 
-from repro.harness.fig_experiments import FIG7_SCENARIOS
+from repro.consistency import LiveChecker
+from repro.core.messages import UpdateType
+from repro.harness.build import build_p4update_network
+from repro.harness.fig_experiments import (
+    FIG7_SCENARIOS,
+    FIG7_SYSTEMS,
+    fig7_paired_times,
+    fig7_sweep_spec,
+    run_fig2,
+    run_fig4,
+)
+from repro.harness.metrics import summarize
+from repro.obs import (
+    critical_path,
+    event_to_dict,
+    export_trace_jsonl,
+    iter_causal_jsonl,
+    iter_filter_events,
+    iter_trace_jsonl,
+    make_obs,
+    perfetto_trace,
+    summarize_events,
+)
+from repro.obs.context import NULL_OBS
+from repro.params import SimParams
+from repro.sweep.cli import CliError, add_fleet_flags, load_or_exit, run_fleet
+from repro.topo import fig1_topology
+from repro.topo.synthetic import FIG1_NEW_PATH, FIG1_OLD_PATH
+from repro.traffic.flows import Flow
 
 
 def cmd_fig2(args) -> int:
-    from repro.harness.fig_experiments import run_fig2
-    from repro.params import SimParams
-
     for system in ("ezsegway", "p4update"):
         result = run_fig2(system, params=SimParams(seed=args.seed))
         delivered = len({o.seq for o in result.delivered_at_v4})
@@ -54,10 +82,6 @@ def cmd_fig2(args) -> int:
 
 
 def cmd_fig4(args) -> int:
-    from repro.harness.fig_experiments import run_fig4
-    from repro.harness.metrics import summarize
-    from repro.params import SimParams
-
     times = {"p4update": [], "ezsegway": []}
     for seed in range(args.runs):
         params = SimParams(seed=seed).with_dionysus_install_delay()
@@ -71,14 +95,6 @@ def cmd_fig4(args) -> int:
 
 
 def cmd_fig7(args) -> int:
-    from repro.harness.fig_experiments import (
-        FIG7_SYSTEMS,
-        fig7_paired_times,
-        fig7_sweep_spec,
-    )
-    from repro.harness.metrics import summarize
-    from repro.sweep.cli import run_fleet
-
     spec = fig7_sweep_spec(args.scenario, runs=args.runs, seed=args.seed)
     run, results = run_fleet(spec, args)
     times, skipped = fig7_paired_times(results["shards"])
@@ -90,7 +106,6 @@ def cmd_fig7(args) -> int:
 
 def cmd_fig8(args) -> int:
     from repro.harness.prep import FIG8_LABELS, fig8_sweep_spec
-    from repro.sweep.cli import run_fleet
 
     spec = fig8_sweep_spec(
         updates=args.updates, count_updates=args.count_updates, seed=args.seed
@@ -120,11 +135,7 @@ def cmd_fig8(args) -> int:
 def cmd_run(args) -> int:
     from repro.harness.spec import SpecError, run_spec_file
 
-    try:
-        result = run_spec_file(args.spec)
-    except (OSError, SpecError) as exc:
-        print(f"error: cannot load spec {args.spec!r}: {exc}", file=sys.stderr)
-        return 1
+    result = load_or_exit(run_spec_file, args.spec, "spec", SpecError)
     print(f"system:     {result.system}")
     print(f"completed:  {result.completed}")
     print(f"consistent: {result.consistency_ok} ({result.violations} violations)")
@@ -134,19 +145,20 @@ def cmd_run(args) -> int:
     return 0 if result.completed and result.consistency_ok else 1
 
 
-def cmd_demo(args) -> int:
-    from repro.consistency import LiveChecker
-    from repro.core.messages import UpdateType
-    from repro.harness.build import build_p4update_network
-    from repro.params import SimParams
-    from repro.topo import fig1_topology
-    from repro.topo.synthetic import FIG1_NEW_PATH, FIG1_OLD_PATH
-    from repro.traffic.flows import Flow
+def _demo_deployment(seed: int, obs=NULL_OBS):
+    """The Fig. 1 network under ``obs``, and the flow on its old path
+    (not yet installed)."""
+    deployment = build_p4update_network(
+        fig1_topology(), params=SimParams(seed=seed), obs=obs
+    )
+    return deployment, Flow.between(
+        "v0", "v7", size=1.0, old_path=list(FIG1_OLD_PATH)
+    )
 
-    topo = fig1_topology()
-    deployment = build_p4update_network(topo, params=SimParams(seed=args.seed))
+
+def cmd_demo(args) -> int:
+    deployment, flow = _demo_deployment(args.seed)
     checker = LiveChecker(deployment.forwarding_state, deployment.network.trace)
-    flow = Flow.between("v0", "v7", size=1.0, old_path=list(FIG1_OLD_PATH))
     deployment.install_flow(flow)
     deployment.controller.update_flow(
         flow.flow_id, list(FIG1_NEW_PATH), UpdateType.DUAL
@@ -159,19 +171,9 @@ def cmd_demo(args) -> int:
     return 0
 
 
-def _demo_deployment(seed: int, obs):
-    """Build + run the Fig. 1 DL walk-through under ``obs``."""
-    from repro.core.messages import UpdateType
-    from repro.harness.build import build_p4update_network
-    from repro.params import SimParams
-    from repro.topo import fig1_topology
-    from repro.topo.synthetic import FIG1_NEW_PATH, FIG1_OLD_PATH
-    from repro.traffic.flows import Flow
-
-    deployment = build_p4update_network(
-        fig1_topology(), params=SimParams(seed=seed), obs=obs
-    )
-    flow = Flow.between("v0", "v7", size=1.0, old_path=list(FIG1_OLD_PATH))
+def cmd_obs_export(args) -> int:
+    obs = make_obs(profile=args.profile)
+    deployment, flow = _demo_deployment(args.seed, obs)
     deployment.install_flow(flow)
     with obs.spans.span("experiment", system="p4update", topology="fig1", flows=1):
         with obs.spans.span("uim_fanout"):
@@ -180,160 +182,129 @@ def _demo_deployment(seed: int, obs):
             )
         with obs.spans.span("run_to_quiescence"):
             deployment.run()
-    return deployment, flow
+    count = export_trace_jsonl(deployment.network.trace, args.out)
+    print(f"wrote {count} events to {args.out}")
+    done = deployment.controller.update_complete(flow.flow_id)
+    print(f"update complete: {done}")
+    snapshot = obs.snapshot()
+    print("metrics:")
+    for name, series in sorted(snapshot["metrics"].items()):
+        total = sum(
+            entry.get("value", entry.get("count", 0)) for entry in series
+        )
+        print(f"  {name:<28s} series={len(series):3d} total={total:g}")
+    print("spans:")
+    for root in obs.spans.roots:
+        _print_span(root, indent=1)
+    if args.profile and obs.profiler is not None:
+        print(obs.profiler.format_report())
+    return 0
 
 
-def cmd_obs(args) -> int:
-    import json
-
-    from repro.obs import (
-        export_trace_jsonl,
-        iter_filter_events,
-        iter_trace_jsonl,
-        make_obs,
-        summarize_events,
-    )
-
-    if args.obs_command == "export":
-        obs = make_obs(profile=args.profile)
-        deployment, flow = _demo_deployment(args.seed, obs)
-        count = export_trace_jsonl(deployment.network.trace, args.out)
-        print(f"wrote {count} events to {args.out}")
-        done = deployment.controller.update_complete(flow.flow_id)
-        print(f"update complete: {done}")
-        snapshot = obs.snapshot()
-        print("metrics:")
-        for name, series in sorted(snapshot["metrics"].items()):
-            total = sum(
-                entry.get("value", entry.get("count", 0)) for entry in series
-            )
-            print(f"  {name:<28s} series={len(series):3d} total={total:g}")
-        print("spans:")
-        for root in obs.spans.roots:
-            _print_span(root, indent=1)
-        if args.profile and obs.profiler is not None:
-            print(obs.profiler.format_report())
-        return 0
-
-    if args.obs_command in ("requests", "critical-path", "perfetto"):
-        return _cmd_obs_causal(args)
-
-    # ``filter`` and ``summary`` stream through iter_trace_jsonl: one
-    # event in memory at a time, so arbitrarily large traces (plain or
-    # .jsonl.gz) process in constant space.
-    if args.obs_command == "filter":
-        try:
-            selected = iter_filter_events(
-                iter_trace_jsonl(args.trace),
-                kinds=args.kind or None, nodes=args.node or None,
-                t0=args.t0, t1=args.t1,
-            )
-            if args.out == "-":
-                from repro.obs import event_to_dict
-
-                for event in selected:
-                    print(json.dumps(event_to_dict(event), sort_keys=True))
-            else:
-                count = export_trace_jsonl(selected, args.out)
-                print(f"wrote {count} events to {args.out}")
-        except OSError as exc:
-            print(f"error: cannot read trace {args.trace!r}: {exc}",
-                  file=sys.stderr)
-            return 1
-        return 0
-
-    if args.obs_command == "summary":
-        try:
-            report = summarize_events(iter_trace_jsonl(args.trace))
-        except OSError as exc:
-            print(f"error: cannot read trace {args.trace!r}: {exc}",
-                  file=sys.stderr)
-            return 1
-        print(f"events:  {report['events']}")
-        if report["events"]:
-            print(f"first:   {report['t_first_ms']:.3f} ms")
-            print(f"last:    {report['t_last_ms']:.3f} ms")
-            print(f"span:    {report['span_ms']:.3f} ms")
-        print("by kind:")
-        for kind, count in sorted(report["by_kind"].items()):
-            print(f"  {kind:<20s} {count}")
-        print("by node:")
-        for node, count in sorted(report["by_node"].items()):
-            print(f"  {node:<20s} {count}")
-        return 0
-
-    raise ValueError(f"unknown obs command {args.obs_command!r}")
-
-
-def _cmd_obs_causal(args) -> int:
-    """The causal-DAG subcommands over a TRACE_*.causal.jsonl[.gz]
-    sidecar (written by ``serve run --causal``)."""
-    import json
-
-    from repro.obs import critical_path, iter_causal_jsonl, perfetto_trace
-
-    def _dags():
-        return iter_causal_jsonl(args.causal)
-
+@contextlib.contextmanager
+def _reading(noun: str, path: str) -> Iterator[None]:
+    """Report an unreadable or foreign ``path`` as a :class:`CliError`.
+    The readers stream (one event in memory at a time, plain or ``.gz``),
+    so the failure can surface anywhere in the verb's body."""
     try:
-        if args.obs_command == "requests":
-            print(f"{'shard':<14s} {'req':>4s} {'flow':>4s} "
-                  f"{'outcome':<12s} {'e2e ms':>10s}  top segments")
-            for dag in _dags():
-                top = sorted(
-                    (
-                        (seg, dur)
-                        for seg, dur in dag["segments"].items()
-                        if dur > 0.0
-                    ),
-                    key=lambda kv: -kv[1],
-                )[:3]
-                breakdown = "  ".join(
-                    f"{seg}={dur:.3f}" for seg, dur in top
-                ) or "-"
-                print(f"{str(dag.get('shard_id', '-')):<14s} "
-                      f"{dag['request_id']:>4d} {dag['flow_id']:>4d} "
-                      f"{str(dag.get('outcome')):<12s} "
-                      f"{dag['e2e_ms']:>10.3f}  {breakdown}")
-            return 0
-
-        if args.obs_command == "critical-path":
-            for dag in _dags():
-                if dag["request_id"] != args.request:
-                    continue
-                if args.seed is not None and dag.get("seed") != args.seed:
-                    continue
-                report = critical_path(dag)
-                print(f"request {report['request_id']} "
-                      f"(flow {report['flow_id']}, {report['outcome']}): "
-                      f"{report['e2e_ms']:.3f} ms end-to-end")
-                for step in report["steps"]:
-                    print(f"  {step['t0']:>10.3f} -> {step['t1']:>10.3f} ms "
-                          f"{step['segment']:<17s} {step['dur_ms']:>9.3f} ms  "
-                          f"{step['from']} -> {step['to']} @{step['node']}")
-                print("attribution:")
-                for segment, total in report["segment_totals"].items():
-                    if total > 0.0:
-                        print(f"  {segment:<17s} {total:>9.3f} ms")
-                return 0
-            print(f"error: no request {args.request} in {args.causal!r}",
-                  file=sys.stderr)
-            return 1
-
-        if args.obs_command == "perfetto":
-            doc = perfetto_trace(_dags())
-            with open(args.out, "w", encoding="utf-8") as handle:
-                json.dump(doc, handle)
-            print(f"wrote {len(doc['traceEvents'])} trace events to "
-                  f"{args.out} (open in ui.perfetto.dev)")
-            return 0
+        yield
     except BrokenPipeError:
-        raise                     # main() exits quietly on closed pipes
+        raise                     # __main__ exits quietly on closed pipes
     except (OSError, ValueError) as exc:
-        print(f"error: cannot read causal file {args.causal!r}: {exc}",
-              file=sys.stderr)
-        return 1
-    raise ValueError(f"unknown obs command {args.obs_command!r}")
+        raise CliError(f"cannot read {noun} {path!r}: {exc}") from None
+
+
+def cmd_obs_filter(args) -> int:
+    with _reading("trace", args.trace):
+        selected = iter_filter_events(
+            iter_trace_jsonl(args.trace),
+            kinds=args.kind or None, nodes=args.node or None,
+            t0=args.t0, t1=args.t1,
+        )
+        if args.out == "-":
+            for event in selected:
+                print(json.dumps(event_to_dict(event), sort_keys=True))
+        else:
+            count = export_trace_jsonl(selected, args.out)
+            print(f"wrote {count} events to {args.out}")
+    return 0
+
+
+def cmd_obs_summary(args) -> int:
+    with _reading("trace", args.trace):
+        report = summarize_events(iter_trace_jsonl(args.trace))
+    print(f"events:  {report['events']}")
+    if report["events"]:
+        print(f"first:   {report['t_first_ms']:.3f} ms")
+        print(f"last:    {report['t_last_ms']:.3f} ms")
+        print(f"span:    {report['span_ms']:.3f} ms")
+    print("by kind:")
+    for kind, count in sorted(report["by_kind"].items()):
+        print(f"  {kind:<20s} {count}")
+    print("by node:")
+    for node, count in sorted(report["by_node"].items()):
+        print(f"  {node:<20s} {count}")
+    return 0
+
+
+# The causal verbs read a TRACE_*.causal.jsonl[.gz] sidecar (written by
+# ``serve run --causal``).
+
+
+def cmd_obs_requests(args) -> int:
+    print(f"{'shard':<14s} {'req':>4s} {'flow':>4s} "
+          f"{'outcome':<12s} {'e2e ms':>10s}  top segments")
+    with _reading("causal file", args.causal):
+        for dag in iter_causal_jsonl(args.causal):
+            top = sorted(
+                (
+                    (seg, dur)
+                    for seg, dur in dag["segments"].items()
+                    if dur > 0.0
+                ),
+                key=lambda kv: -kv[1],
+            )[:3]
+            breakdown = "  ".join(
+                f"{seg}={dur:.3f}" for seg, dur in top
+            ) or "-"
+            print(f"{str(dag.get('shard_id', '-')):<14s} "
+                  f"{dag['request_id']:>4d} {dag['flow_id']:>4d} "
+                  f"{str(dag.get('outcome')):<12s} "
+                  f"{dag['e2e_ms']:>10.3f}  {breakdown}")
+    return 0
+
+
+def cmd_obs_critical_path(args) -> int:
+    with _reading("causal file", args.causal):
+        for dag in iter_causal_jsonl(args.causal):
+            if dag["request_id"] != args.request:
+                continue
+            if args.seed is not None and dag.get("seed") != args.seed:
+                continue
+            report = critical_path(dag)
+            print(f"request {report['request_id']} "
+                  f"(flow {report['flow_id']}, {report['outcome']}): "
+                  f"{report['e2e_ms']:.3f} ms end-to-end")
+            for step in report["steps"]:
+                print(f"  {step['t0']:>10.3f} -> {step['t1']:>10.3f} ms "
+                      f"{step['segment']:<17s} {step['dur_ms']:>9.3f} ms  "
+                      f"{step['from']} -> {step['to']} @{step['node']}")
+            print("attribution:")
+            for segment, total in report["segment_totals"].items():
+                if total > 0.0:
+                    print(f"  {segment:<17s} {total:>9.3f} ms")
+            return 0
+    raise CliError(f"no request {args.request} in {args.causal!r}")
+
+
+def cmd_obs_perfetto(args) -> int:
+    with _reading("causal file", args.causal):
+        doc = perfetto_trace(iter_causal_jsonl(args.causal))
+        with open(args.out, "w", encoding="utf-8") as handle:
+            json.dump(doc, handle)
+    print(f"wrote {len(doc['traceEvents'])} trace events to "
+          f"{args.out} (open in ui.perfetto.dev)")
+    return 0
 
 
 def _print_span(span, indent: int = 0) -> None:
@@ -344,8 +315,20 @@ def _print_span(span, indent: int = 0) -> None:
         _print_span(child, indent + 1)
 
 
-def main(argv=None) -> int:
-    from repro.sweep.cli import add_fleet_flags
+_CAUSAL_HELP = "path to a TRACE_*.causal.jsonl[.gz] sidecar"
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The whole command tree.  Every leaf names its handler where it is
+    declared (``set_defaults(run=...)``), so the tree is the command
+    table; each package's ``cli.py`` attaches its own group."""
+    from repro.algos.cli import add_compete_parser
+    from repro.analysis.cli import add_analyze_parser
+    from repro.chaos.cli import add_chaos_parser
+    from repro.fuzz.cli import add_fuzz_parser
+    from repro.ops.cli import add_ops_parser
+    from repro.serve.cli import add_serve_parser
+    from repro.sweep.cli import add_sweep_parser
 
     parser = argparse.ArgumentParser(
         prog="p4update-repro",
@@ -353,23 +336,29 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--seed", type=int, default=0)
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("fig2", help="§4.1 inconsistent-update demo")
+    p2 = sub.add_parser("fig2", help="§4.1 inconsistent-update demo")
+    p2.set_defaults(run=cmd_fig2)
     p4 = sub.add_parser("fig4", help="§4.2 fast-forward CDF")
+    p4.set_defaults(run=cmd_fig4)
     p4.add_argument("--runs", type=int, default=30)
     p7 = sub.add_parser("fig7", help="one Fig. 7 cell (sweep-executed)")
+    p7.set_defaults(run=cmd_fig7)
     p7.add_argument("scenario", choices=sorted(FIG7_SCENARIOS))
     p7.add_argument("--runs", type=int, default=15)
     add_fleet_flags(p7)
     p8 = sub.add_parser(
         "fig8", help="control-plane preparation ratios (sweep-executed)"
     )
+    p8.set_defaults(run=cmd_fig8)
     add_fleet_flags(p8)
     p8.add_argument("--updates", type=int, default=1000,
                     help="updates per wall-clock timing loop")
     p8.add_argument("--count-updates", type=int, default=50,
                     help="updates per deterministic operation count")
-    sub.add_parser("demo", help="traced Fig. 1 DL update walk-through")
+    pdemo = sub.add_parser("demo", help="traced Fig. 1 DL update walk-through")
+    pdemo.set_defaults(run=cmd_demo)
     prun = sub.add_parser("run", help="execute a JSON experiment spec")
+    prun.set_defaults(run=cmd_run)
     prun.add_argument("spec", help="path to the spec file")
     pobs = sub.add_parser(
         "obs",
@@ -380,12 +369,14 @@ def main(argv=None) -> int:
     pexp = obs_sub.add_parser(
         "export", help="run the instrumented Fig. 1 demo and export its trace"
     )
+    pexp.set_defaults(run=cmd_obs_export)
     pexp.add_argument("--out", default="TRACE.jsonl", help="output JSONL path")
     pexp.add_argument(
         "--profile", action="store_true",
         help="also profile wall-clock time per engine callback",
     )
     pfil = obs_sub.add_parser("filter", help="filter an exported JSONL trace")
+    pfil.set_defaults(run=cmd_obs_filter)
     pfil.add_argument("trace", help="path to a JSONL trace")
     pfil.add_argument("--kind", action="append", help="keep this event kind (repeatable)")
     pfil.add_argument("--node", action="append", help="keep this node (repeatable)")
@@ -393,20 +384,19 @@ def main(argv=None) -> int:
     pfil.add_argument("--t1", type=float, default=None, help="keep events at/before this ms")
     pfil.add_argument("--out", default="-", help="output path, or - for stdout")
     psum = obs_sub.add_parser("summary", help="summarize an exported JSONL trace")
+    psum.set_defaults(run=cmd_obs_summary)
     psum.add_argument("trace", help="path to a JSONL trace")
     preq = obs_sub.add_parser(
         "requests",
         help="per-request latency attribution table from a causal sidecar",
     )
-    preq.add_argument(
-        "causal", help="path to a TRACE_*.causal.jsonl[.gz] sidecar"
-    )
+    preq.set_defaults(run=cmd_obs_requests)
+    preq.add_argument("causal", help=_CAUSAL_HELP)
     pcp = obs_sub.add_parser(
         "critical-path", help="critical path of one request's causal DAG"
     )
-    pcp.add_argument(
-        "causal", help="path to a TRACE_*.causal.jsonl[.gz] sidecar"
-    )
+    pcp.set_defaults(run=cmd_obs_critical_path)
+    pcp.add_argument("causal", help=_CAUSAL_HELP)
     pcp.add_argument(
         "--request", type=int, required=True, help="request id to extract"
     )
@@ -418,20 +408,11 @@ def main(argv=None) -> int:
         "perfetto",
         help="export request DAGs as Chrome trace-event JSON (ui.perfetto.dev)",
     )
-    pperf.add_argument(
-        "causal", help="path to a TRACE_*.causal.jsonl[.gz] sidecar"
-    )
+    pperf.set_defaults(run=cmd_obs_perfetto)
+    pperf.add_argument("causal", help=_CAUSAL_HELP)
     pperf.add_argument(
         "--out", default="TRACE_perfetto.json", help="output JSON path"
     )
-    from repro.algos.cli import add_compete_parser, cmd_compete
-    from repro.analysis.cli import add_analyze_parser, cmd_analyze
-    from repro.chaos.cli import add_chaos_parser, cmd_chaos
-    from repro.fuzz.cli import add_fuzz_parser, cmd_fuzz
-    from repro.ops.cli import add_ops_parser, cmd_ops
-    from repro.serve.cli import add_serve_parser, cmd_serve
-    from repro.sweep.cli import add_sweep_parser, cmd_sweep
-
     add_analyze_parser(sub)
     add_chaos_parser(sub)
     add_compete_parser(sub)
@@ -439,24 +420,16 @@ def main(argv=None) -> int:
     add_ops_parser(sub)
     add_serve_parser(sub)
     add_sweep_parser(sub)
-    args = parser.parse_args(argv)
-    handler = {
-        "fig2": cmd_fig2,
-        "fig4": cmd_fig4,
-        "fig7": cmd_fig7,
-        "fig8": cmd_fig8,
-        "demo": cmd_demo,
-        "run": cmd_run,
-        "obs": cmd_obs,
-        "analyze": cmd_analyze,
-        "chaos": cmd_chaos,
-        "compete": cmd_compete,
-        "fuzz": cmd_fuzz,
-        "ops": cmd_ops,
-        "serve": cmd_serve,
-        "sweep": cmd_sweep,
-    }[args.command]
-    return handler(args)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        return args.run(args)
+    except CliError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -21,50 +21,35 @@
 from __future__ import annotations
 
 import argparse
-import sys
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
+
+from repro.obs.manifest import write_manifest
+from repro.sweep.cli import (
+    CliError,
+    add_fleet_flags,
+    add_output_flags,
+    load_or_exit,
+    obs_from_flags,
+    report_ok,
+    run_fleet,
+    write_fleet_manifest,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.ops.session import OpsResult, OpsSession
     from repro.ops.spec import SessionSpec
 
 
-def cmd_ops(args: argparse.Namespace) -> int:
-    handler = {
-        "validate": _cmd_validate,
-        "run": _cmd_run,
-        "checkpoint": _cmd_checkpoint,
-        "resume": _cmd_resume,
-        "status": _cmd_status,
-    }[args.ops_command]
-    return handler(args)
-
-
-def _load(path: str) -> Optional["SessionSpec"]:
-    from repro.chaos.campaign import SpecTopologyError
+def _load(path: str) -> "SessionSpec":
     from repro.ops.spec import SessionSpecError, load_session_spec_file
 
-    try:
-        return load_session_spec_file(path)
-    except SpecTopologyError as exc:
-        print(
-            f"error: session {path!r}: unknown node or link reference(s) "
-            f"for topology {exc.topology!r}:",
-            file=sys.stderr,
-        )
-        for problem in exc.problems:
-            print(f"  - {problem}", file=sys.stderr)
-        return None
-    except (OSError, SessionSpecError) as exc:
-        print(f"error: cannot load session spec {path!r}: {exc}",
-              file=sys.stderr)
-        return None
+    return load_or_exit(
+        load_session_spec_file, path, "session spec", SessionSpecError
+    )
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     spec = _load(args.spec)
-    if spec is None:
-        return 1
     serve = spec.serve_spec()
     print(f"session spec {spec.name!r} is valid:")
     print(f"  serve:      {serve.name!r} on {serve.topology}, "
@@ -115,57 +100,40 @@ def _print_result(result: "OpsResult") -> bool:
     )
 
 
-def _write_session_manifest(
-    spec: "SessionSpec", result: "OpsResult", out_dir: Optional[str]
-) -> None:
-    from repro.obs.manifest import write_manifest
-
-    path = write_manifest(
-        f"ops_{spec.name}",
-        params=spec.to_dict(),
-        results=result.to_results(),
-        seed=spec.serve_spec().seed,
-        out_dir=out_dir,
-    )
-    print(f"wrote {path}")
+def _finish_session(
+    spec: "SessionSpec", result: "OpsResult", args: argparse.Namespace
+) -> int:
+    """``--manifest`` (``BENCH_ops_<name>.json``), the report, the verdict."""
+    if args.manifest:
+        path = write_manifest(
+            f"ops_{spec.name}",
+            params=spec.to_dict(),
+            results=result.to_results(),
+            seed=spec.serve_spec().seed,
+            out_dir=args.out_dir,
+        )
+        print(f"wrote {path}")
+    return report_ok(_print_result(result))
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     spec = _load(args.spec)
-    if spec is None:
-        return 1
-    if args.seeds is not None:
-        return _run_fleet(spec, args)
+    if args.seeds is None:
+        from repro.ops.session import run_session
 
-    from repro.obs import make_obs
-    from repro.ops.session import run_session
+        result = run_session(spec, obs=obs_from_flags(args))
+        return _finish_session(spec, result, args)
 
-    obs = make_obs() if args.obs else None
-    result = run_session(spec, obs=obs)
-    if args.manifest:
-        _write_session_manifest(spec, result, args.out_dir)
-    ok = _print_result(result)
-    print("OK" if ok else "FAILED")
-    return 0 if ok else 1
-
-
-def _run_fleet(spec: "SessionSpec", args: argparse.Namespace) -> int:
-    from repro.obs import make_obs
     from repro.ops.sweep_kind import session_sweep
-    from repro.sweep.cli import run_fleet
-    from repro.sweep.merge import write_results_manifest
 
     sweep = session_sweep(spec, args.seeds, obs=args.obs)
-    print(f"ops {spec.name!r}: {args.seeds} seeded session(s), "
-          f"{args.workers} worker(s)"
-          + (", resuming" if args.resume else ""))
-    obs = make_obs() if args.obs else None
-    run, results = run_fleet(sweep, args, obs)
-    path = write_results_manifest(
-        f"ops_fleet_{spec.name}", sweep, results, out_dir=args.out_dir, obs=obs
+    obs = obs_from_flags(args)
+    run, results = run_fleet(
+        sweep, args, obs,
+        banner=f"ops {spec.name!r}: {args.seeds} seeded session(s)",
     )
+    write_fleet_manifest(f"ops_fleet_{spec.name}", sweep, results, args, obs)
     aggregates = results["aggregates"]
-    print(f"wrote {path}")
     print(f"signature {results['signature']}")
     print(f"  requests:   {aggregates['requests']} "
           f"({aggregates['completed']} completed)")
@@ -176,15 +144,13 @@ def _run_fleet(spec: "SessionSpec", args: argparse.Namespace) -> int:
     print(f"  consistent: {aggregates['consistent']} "
           f"({aggregates['violations']} violation(s))")
     print(f"  deterministic per seed: {aggregates['deterministic']}")
-    ok = (
+    return report_ok(
         run.ok
         and aggregates["consistent"]
         and aggregates["invariants_ok"]
         and aggregates["deterministic"]
         and aggregates["drains_clean"]
     )
-    print("OK" if ok else "FAILED")
-    return 0 if ok else 1
 
 
 def _run_checkpointed(session: "OpsSession", args: argparse.Namespace) -> int:
@@ -201,31 +167,22 @@ def _run_checkpointed(session: "OpsSession", args: argparse.Namespace) -> int:
         print(f"stopped after checkpoint {stop.index} "
               f"(resume with: ops resume --dir {args.dir})")
         return 0
-    result = session.finalize()
-    if args.manifest:
-        _write_session_manifest(session.spec, result, args.out_dir)
-    ok = _print_result(result)
-    print("OK" if ok else "FAILED")
-    return 0 if ok else 1
+    return _finish_session(session.spec, session.finalize(), args)
 
 
 def _cmd_checkpoint(args: argparse.Namespace) -> int:
     spec = _load(args.spec)
-    if spec is None:
-        return 1
     if spec.checkpoint_every_ms <= 0:
-        print(
-            f"error: session {spec.name!r} has checkpoint_every_ms=0; "
-            f"set a cadence to write checkpoints",
-            file=sys.stderr,
+        raise CliError(
+            f"session {spec.name!r} has checkpoint_every_ms=0; "
+            f"set a cadence to write checkpoints"
         )
-        return 1
 
-    from repro.obs import make_obs
     from repro.ops.session import build_session
 
-    obs = make_obs() if args.obs else None
-    return _run_checkpointed(build_session(spec, obs=obs), args)
+    return _run_checkpointed(
+        build_session(spec, obs=obs_from_flags(args)), args
+    )
 
 
 def _cmd_resume(args: argparse.Namespace) -> int:
@@ -234,8 +191,7 @@ def _cmd_resume(args: argparse.Namespace) -> int:
     try:
         session = load_checkpoint(args.dir, index=args.index)
     except CheckpointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        raise CliError(str(exc)) from None
     print(f"resumed {session.spec.name!r} from checkpoint "
           f"{session.resumed_from} at t={session.engine.now:.1f} ms")
     return _run_checkpointed(session, args)
@@ -247,8 +203,7 @@ def _cmd_status(args: argparse.Namespace) -> int:
     try:
         status = checkpoint_status(args.dir)
     except CheckpointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        raise CliError(str(exc)) from None
     print(f"session:     {status['name']}")
     print(f"spec hash:   {status['spec_hash']}")
     print(f"code:        {str(status['code_fingerprint'])[:16]}")
@@ -262,9 +217,10 @@ def _cmd_status(args: argparse.Namespace) -> int:
     return 0
 
 
-def add_ops_parser(sub: argparse._SubParsersAction) -> None:
-    from repro.sweep.cli import add_fleet_flags
+_OUT_DIR_HELP = "manifest directory (default: benchmarks/baselines)"
 
+
+def add_ops_parser(sub: argparse._SubParsersAction) -> None:
     parser = sub.add_parser(
         "ops", help="live operations sessions: drain / migrate / rebalance "
                     "with checkpoint + resume (repro.ops)"
@@ -272,11 +228,13 @@ def add_ops_parser(sub: argparse._SubParsersAction) -> None:
     ops_sub = parser.add_subparsers(dest="ops_command", required=True)
 
     pval = ops_sub.add_parser("validate", help="validate a session spec")
+    pval.set_defaults(run=_cmd_validate)
     pval.add_argument("spec", help="path to a session spec JSON file")
 
     prun = ops_sub.add_parser(
         "run", help="run one session inline, or a seeded fleet with --seeds"
     )
+    prun.set_defaults(run=_cmd_run)
     prun.add_argument("spec", help="path to a session spec JSON file")
     prun.add_argument(
         "--seeds", type=int, default=None,
@@ -285,24 +243,19 @@ def add_ops_parser(sub: argparse._SubParsersAction) -> None:
              "(default: one inline session with the spec's own seed)",
     )
     add_fleet_flags(prun)
-    prun.add_argument(
-        "--obs", action="store_true",
-        help="instrument with live metrics (ops moves, drain gauges)",
-    )
-    prun.add_argument(
-        "--manifest", action="store_true",
-        help="write BENCH_ops_<name>.json (inline mode; fleet mode "
-             "always writes BENCH_ops_fleet_<name>.json)",
-    )
-    prun.add_argument(
-        "--out-dir", default=None,
-        help="manifest directory (default: benchmarks/baselines)",
+    add_output_flags(
+        prun,
+        obs="instrument with live metrics (ops moves, drain gauges)",
+        manifest="write BENCH_ops_<name>.json (inline mode; fleet mode "
+                 "always writes BENCH_ops_fleet_<name>.json)",
+        out_dir=_OUT_DIR_HELP,
     )
 
     pckpt = ops_sub.add_parser(
         "checkpoint",
         help="run a session writing rolling signed checkpoints",
     )
+    pckpt.set_defaults(run=_cmd_checkpoint)
     pckpt.add_argument("spec", help="path to a session spec JSON file")
     pckpt.add_argument(
         "--dir", required=True, help="checkpoint directory"
@@ -312,17 +265,18 @@ def add_ops_parser(sub: argparse._SubParsersAction) -> None:
         help="halt the run right after this checkpoint index "
              "(the kill point for resume drills)",
     )
-    pckpt.add_argument("--obs", action="store_true",
-                       help="instrument with live metrics")
-    pckpt.add_argument("--manifest", action="store_true",
-                       help="write BENCH_ops_<name>.json when the run "
-                            "reaches its horizon")
-    pckpt.add_argument("--out-dir", default=None,
-                       help="manifest directory (default: benchmarks/baselines)")
+    add_output_flags(
+        pckpt,
+        obs="instrument with live metrics",
+        manifest="write BENCH_ops_<name>.json when the run "
+                 "reaches its horizon",
+        out_dir=_OUT_DIR_HELP,
+    )
 
     pres = ops_sub.add_parser(
         "resume", help="restore a checkpoint and continue to the horizon"
     )
+    pres.set_defaults(run=_cmd_resume)
     pres.add_argument("--dir", required=True, help="checkpoint directory")
     pres.add_argument(
         "--index", type=int, default=None,
@@ -332,12 +286,14 @@ def add_ops_parser(sub: argparse._SubParsersAction) -> None:
         "--stop-after", type=int, default=None,
         help="halt again right after this checkpoint index",
     )
-    pres.add_argument("--manifest", action="store_true",
-                      help="write BENCH_ops_<name>.json at the horizon")
-    pres.add_argument("--out-dir", default=None,
-                      help="manifest directory (default: benchmarks/baselines)")
+    add_output_flags(
+        pres,
+        manifest="write BENCH_ops_<name>.json at the horizon",
+        out_dir=_OUT_DIR_HELP,
+    )
 
     pstat = ops_sub.add_parser(
         "status", help="inspect a checkpoint directory"
     )
+    pstat.set_defaults(run=_cmd_status)
     pstat.add_argument("--dir", required=True, help="checkpoint directory")

@@ -1,12 +1,12 @@
 """Behavioural model of a P4 programmable data plane.
 
 This package replaces BMv2.  It models the pieces of P4-16 that
-P4Update's data-plane program uses (paper §2.1, §8):
+P4Update's data-plane program uses (paper §2.1, §8, App. B) and no
+others — the program forwards from a register, so there are no
+match-action tables:
 
 * customisable **headers** extracted by a parser and re-emitted by a
   deparser (:mod:`repro.p4.packet`);
-* **match-action tables** with exact/ternary/LPM matching
-  (:mod:`repro.p4.tables`);
 * **register arrays** for stateful processing, writable from both the
   control and the data plane (:mod:`repro.p4.registers`);
 * per-packet **metadata**, the **clone** and **resubmit** primitives,
@@ -17,10 +17,8 @@ P4Update's data-plane program uses (paper §2.1, §8):
 
 from repro.p4.packet import Header, HeaderField, Packet
 from repro.p4.registers import RegisterArray, RegisterFile
-from repro.p4.tables import Table, TableEntry, MatchKind
 from repro.p4.pipeline import Pipeline, PipelineContext, PipelineProgram
-from repro.p4.switch import P4Switch, RuntimeAPI
-from repro.p4.compile import export_json, export_program, load_skeleton
+from repro.p4.switch import P4Switch
 
 __all__ = [
     "Header",
@@ -28,15 +26,8 @@ __all__ = [
     "Packet",
     "RegisterArray",
     "RegisterFile",
-    "Table",
-    "TableEntry",
-    "MatchKind",
     "Pipeline",
     "PipelineContext",
     "PipelineProgram",
     "P4Switch",
-    "RuntimeAPI",
-    "export_json",
-    "export_program",
-    "load_skeleton",
 ]

@@ -1,7 +1,7 @@
 """The pipeline driver: parser -> ingress -> egress -> deparser.
 
 A :class:`PipelineProgram` is the Python analogue of a compiled P4
-program: it declares header types, tables and registers, and provides
+program: it declares header types and registers, and provides
 ``parser`` / ``ingress`` / ``egress`` control blocks.  The
 :class:`PipelineContext` exposes the standard-metadata style state and
 the primitives the paper's program relies on:
@@ -22,7 +22,6 @@ from typing import Any, Optional
 
 from repro.p4.packet import Packet
 from repro.p4.registers import RegisterFile
-from repro.p4.tables import Table
 
 
 @dataclass
@@ -104,28 +103,14 @@ class PipelineContext:
 class PipelineProgram:
     """Base class for P4-style programs.
 
-    Subclasses declare state in ``__init__`` (tables via
-    :meth:`define_table`, registers via ``self.registers.define``) and
-    override the three control blocks.
+    Subclasses declare state in ``__init__`` (registers via
+    ``self.registers.define``) and override the three control blocks.
     """
 
     def __init__(self) -> None:
         self.registers = RegisterFile()
-        self.tables: dict[str, Table] = {}
         # Clone sessions: session id -> egress port.
         self.clone_sessions: dict[int, int] = {}
-
-    def define_table(self, table: Table) -> Table:
-        if table.name in self.tables:
-            raise ValueError(f"table {table.name!r} already defined")
-        self.tables[table.name] = table
-        return table
-
-    def table(self, name: str) -> Table:
-        try:
-            return self.tables[name]
-        except KeyError:
-            raise KeyError(f"no table {name!r}") from None
 
     def set_clone_session(self, session: int, port: int) -> None:
         self.clone_sessions[session] = port
@@ -136,7 +121,7 @@ class PipelineProgram:
         """Populate/validate headers.  Default: pass-through."""
 
     def ingress(self, ctx: PipelineContext) -> None:
-        """Match-action processing; must call forward()/drop()/... ."""
+        """Ingress processing; must call forward()/drop()/... ."""
 
     def egress(self, ctx: PipelineContext) -> None:
         """Egress processing; clones traverse this with their own ctx."""

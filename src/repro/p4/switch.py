@@ -4,10 +4,6 @@ Couples a :class:`~repro.p4.pipeline.Pipeline` to the event simulator:
 every arriving packet traverses the pipeline after a processing delay;
 resubmitted packets re-enter ingress after the resubmit interval; CPU
 punts travel over the control channel.
-
-The :class:`RuntimeAPI` is the P4Runtime stand-in: the controller's
-UIMs are applied through it (table entries, register writes, clone
-sessions) — mirroring how the original artifact writes BMv2 state.
 """
 
 from __future__ import annotations
@@ -18,28 +14,8 @@ import numpy as np
 
 from repro.p4.packet import Packet
 from repro.p4.pipeline import Pipeline, PipelineProgram
-from repro.p4.tables import TableEntry
 from repro.params import SimParams
 from repro.sim.node import Node
-
-
-class RuntimeAPI:
-    """Control-plane access to one switch's tables and registers."""
-
-    def __init__(self, program: PipelineProgram) -> None:
-        self._program = program
-
-    def write_register(self, array: str, index: int, value: int) -> None:
-        self._program.registers[array].write(index, value)
-
-    def read_register(self, array: str, index: int) -> int:
-        return self._program.registers[array].read(index)
-
-    def add_table_entry(self, table: str, entry: TableEntry) -> None:
-        self._program.table(table).add(entry)
-
-    def set_clone_session(self, session: int, port: int) -> None:
-        self._program.set_clone_session(session, port)
 
 
 class P4Switch(Node):
@@ -64,7 +40,6 @@ class P4Switch(Node):
         self.pipeline = Pipeline(program)
         self.params = params if params is not None else SimParams()
         self.rng = rng if rng is not None else self.params.rng()
-        self.runtime = RuntimeAPI(program)
         self.on_punt: Optional[Callable[["P4Switch", Any], None]] = None
         self.on_forward: Optional[Callable[["P4Switch", Packet, int], None]] = None
         self.packets_processed = 0

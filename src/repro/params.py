@@ -110,11 +110,6 @@ class SimParams:
     # wait ~ exp(util / (1 - util) * service mean)).  Hits systems that
     # put controller round-trips on the update's critical path.
     controller_background_util: float = 0.7
-    # Computation time the controller spends preparing one flow update;
-    # measured separately for Fig. 8 (wall-clock, not simulated).
-    controller_compute: DelayDistribution = field(
-        default_factory=lambda: DelayDistribution.constant(0.0)
-    )
     # §11 failure handling, controller side: when > 0, an update that
     # produced no UFM within this window is re-triggered (covers loss
     # of the final notification when no switch is left waiting).
@@ -142,18 +137,11 @@ class SimParams:
     # Crash register policy: False = power-cycle semantics (pipeline
     # registers lost on crash), True = data-plane state survives.
     crash_preserves_state: bool = False
-    # Controller-side recovery: on a detected link/switch failure,
-    # abort affected pending updates (Flow-DB rollback), recompute
-    # paths around the failed element and re-issue, or park the flow
-    # with a structured report when no alternate path exists.
-    recover_on_failure: bool = True
 
     # -- fat-tree control latency (DESIGN.md §1, Huang et al. stand-in) ----
     fattree_control_latency: DelayDistribution = field(
         default_factory=lambda: DelayDistribution.normal(4.0, 2.0, floor=0.5)
     )
-    # Link latency inside the data centre fabric.
-    fattree_link_latency_ms: float = 0.05
 
     # -- probe traffic (Fig. 2) ---------------------------------------------
     probe_rate_pps: float = 125.0

@@ -14,35 +14,35 @@
 from __future__ import annotations
 
 import argparse
-import sys
-from typing import Optional
+import dataclasses
+import os
 
+from repro.obs.causal import write_causal_jsonl
 from repro.serve.spec import ServeSpec
+from repro.sweep.cli import (
+    BENCH_DIR_HELP,
+    add_fleet_flags,
+    add_output_flags,
+    load_or_exit,
+    obs_from_flags,
+    report_ok,
+    run_fleet,
+    write_fleet_manifest,
+)
 
 
-def load_or_report(path: str) -> Optional[ServeSpec]:
-    """The serve spec at ``path``, or ``None`` after printing why not."""
+def load_spec(path: str, code: int = 1) -> ServeSpec:
+    """The serve spec at ``path`` (``compete`` and ``analyze
+    interference`` read the same files)."""
     from repro.serve.spec import ServeSpecError, load_serve_spec_file
 
-    try:
-        return load_serve_spec_file(path)
-    except (OSError, ServeSpecError) as exc:
-        print(f"error: cannot load serve spec {path!r}: {exc}", file=sys.stderr)
-        return None
-
-
-def cmd_serve(args: argparse.Namespace) -> int:
-    handler = {
-        "validate": _cmd_validate,
-        "run": _cmd_run,
-    }[args.serve_command]
-    return handler(args)
+    return load_or_exit(
+        load_serve_spec_file, path, "serve spec", ServeSpecError, code=code
+    )
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    spec = load_or_report(args.spec)
-    if spec is None:
-        return 1
+    spec = load_spec(args.spec)
     print(f"serve spec {spec.name!r} is valid:")
     print(f"  topology:   {spec.topology}")
     print(f"  workload:   {spec.mode}-loop, {spec.requests} requests over "
@@ -59,26 +59,17 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    import dataclasses
-    import os
-
-    from repro.obs import make_obs
     from repro.serve.sweep_kind import serve_sweep
-    from repro.sweep.cli import run_fleet
-    from repro.sweep.merge import write_results_manifest
 
-    spec = load_or_report(args.spec)
-    if spec is None:
-        return 1
+    spec = load_spec(args.spec)
     if args.causal and not spec.causal:
         spec = dataclasses.replace(spec, causal=True)
     sweep = serve_sweep(spec, args.seeds, obs=args.obs)
-    print(f"serve {spec.name!r}: {args.seeds} seeded replica(s), "
-          f"{args.workers} worker(s)"
-          + (", resuming" if args.resume else ""))
-
-    obs = make_obs() if args.obs else None
-    run, results = run_fleet(sweep, args, obs)
+    obs = obs_from_flags(args)
+    run, results = run_fleet(
+        sweep, args, obs,
+        banner=f"serve {spec.name!r}: {args.seeds} seeded replica(s)",
+    )
     # Causal DAGs are bulky: they leave the shard documents for a
     # sidecar JSONL (gzipped), keeping the manifest lean.  The compact
     # per-request attribution stays inside each shard's results.
@@ -88,14 +79,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
             causal_dags.append(
                 {"shard_id": doc["shard_id"], "seed": doc["seed"], **dag}
             )
-    path = write_results_manifest(
-        f"serve_{spec.name}", sweep, results, out_dir=args.out_dir, obs=obs
-    )
+    path = write_fleet_manifest(f"serve_{spec.name}", sweep, results, args, obs)
     aggregates = results["aggregates"]
-    print(f"wrote {path}")
     if causal_dags:
-        from repro.obs.causal import write_causal_jsonl
-
         sidecar = args.causal_out or os.path.join(
             os.path.dirname(path) or ".",
             f"TRACE_serve_{spec.name}.causal.jsonl.gz",
@@ -121,43 +107,35 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 continue
             print(f"    {segment:<17s} p50={series['p50']:>9.3f} "
                   f"p90={series['p90']:>9.3f} p99={series['p99']:>9.3f} ms")
-    ok = (
-        run.ok
-        and aggregates["consistent"]
-        and aggregates["invariants_ok"]
+    return report_ok(
+        run.ok and aggregates["consistent"] and aggregates["invariants_ok"]
     )
-    print("OK" if ok else "FAILED")
-    return 0 if ok else 1
 
 
 def add_serve_parser(sub: argparse._SubParsersAction) -> None:
-    from repro.sweep.cli import add_fleet_flags
-
     parser = sub.add_parser(
         "serve", help="concurrent update-request service (repro.serve)"
     )
     serve_sub = parser.add_subparsers(dest="serve_command", required=True)
 
     pval = serve_sub.add_parser("validate", help="validate a serve spec")
+    pval.set_defaults(run=_cmd_validate)
     pval.add_argument("spec", help="path to a serve spec JSON file")
 
     prun = serve_sub.add_parser(
         "run", help="run the service workload (multi-seed via the sweep fleet)"
     )
+    prun.set_defaults(run=_cmd_run)
     prun.add_argument("spec", help="path to a serve spec JSON file")
     prun.add_argument(
         "--seeds", type=int, default=1,
         help="seeded replicas to run (each is one sweep shard)",
     )
     add_fleet_flags(prun)
-    prun.add_argument(
-        "--out-dir", default=None,
-        help="directory for BENCH_serve_<name>.json (default: repo root "
-             "or $REPRO_BENCH_DIR)",
-    )
-    prun.add_argument(
-        "--obs", action="store_true",
-        help="instrument replicas with live metrics",
+    add_output_flags(
+        prun,
+        out_dir=BENCH_DIR_HELP.format("serve"),
+        obs="instrument replicas with live metrics",
     )
     prun.add_argument(
         "--causal", action="store_true",

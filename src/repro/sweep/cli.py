@@ -8,6 +8,10 @@ thin argument-parsing layer.
 ``analyze interference --seeds``, ``chaos run``, ``fuzz run``, ``fig7``
 and ``fig8`` all take :func:`add_fleet_flags` and execute through
 :func:`run_fleet`: same flags, same failure report, same results tree.
+Those that write a manifest declare :func:`add_output_flags` and end in
+:func:`write_fleet_manifest` and :func:`report_ok`.  Every verb of every
+group reports a failure by raising :class:`CliError` (spec files through
+:func:`load_or_exit`); ``repro.harness.cli.main`` alone prints it.
 
 * ``sweep plan <spec.json>`` — expand and print the shard list
   without running anything (what *would* the fleet do?);
@@ -24,12 +28,71 @@ and ``fig8`` all take :func:`add_fleet_flags` and execute through
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from typing import Any, Optional
+from typing import Any, Callable, Optional, TypeVar
 
-from repro.sweep.executor import SweepRun, run_sweep
-from repro.sweep.merge import build_sweep_results
-from repro.sweep.spec import SweepSpec
+from repro.obs import make_obs
+from repro.sweep.executor import (
+    SweepRun,
+    cache_root,
+    load_cached_shard,
+    read_status,
+    run_sweep,
+)
+from repro.sweep.merge import (
+    build_sweep_results,
+    format_profile,
+    merge_shard_obs,
+    results_signature,
+    write_results_manifest,
+    write_sweep_manifest,
+)
+from repro.sweep.spec import SweepSpec, SweepSpecError, load_sweep_spec_file
+
+#: ``--out-dir`` help of the verbs that write ``BENCH_<kind>_<name>.json``.
+BENCH_DIR_HELP = (
+    "directory for BENCH_{}_<name>.json (default: repo root "
+    "or $REPRO_BENCH_DIR)"
+)
+
+
+T = TypeVar("T")
+
+
+class CliError(Exception):
+    """A verb cannot go on.  Raised anywhere below ``main``, which alone
+    prints ``error: <message>`` to stderr and exits with ``code``."""
+
+    def __init__(self, message: str, code: int = 1) -> None:
+        super().__init__(message)
+        self.code = code
+
+
+def load_or_exit(
+    loader: Callable[[str], T],
+    path: str,
+    noun: str,
+    *errors: type[Exception],
+    code: int = 1,
+) -> T:
+    """``loader(path)``, or the :class:`CliError` that names ``path`` when
+    it raises ``OSError`` or one of ``errors``."""
+    from repro.chaos.campaign import SpecTopologyError
+
+    try:
+        return loader(path)
+    except SpecTopologyError as exc:
+        # "session spec" / "campaign" files are reported as a session /
+        # campaign, one line per bad reference.
+        problems = "".join(f"\n  - {problem}" for problem in exc.problems)
+        raise CliError(
+            f"{noun.split()[0]} {path!r}: unknown node or link reference(s) "
+            f"for topology {exc.topology!r}:{problems}",
+            code,
+        ) from None
+    except (OSError, *errors) as exc:
+        raise CliError(f"cannot load {noun} {path!r}: {exc}", code) from None
 
 
 def add_fleet_flags(parser: argparse.ArgumentParser, resume: bool = True) -> None:
@@ -50,20 +113,44 @@ def add_fleet_flags(parser: argparse.ArgumentParser, resume: bool = True) -> Non
     )
 
 
+def add_output_flags(
+    parser: argparse.ArgumentParser, **helps: Optional[str]
+) -> None:
+    """Declare ``out_dir`` / ``obs`` / ``manifest`` — the flags
+    :func:`obs_from_flags` and :func:`write_fleet_manifest` read — in the
+    order named, each with its help text."""
+    for dest, text in helps.items():
+        kind: dict[str, Any] = (
+            {"default": None} if dest == "out_dir" else {"action": "store_true"}
+        )
+        parser.add_argument("--" + dest.replace("_", "-"), help=text, **kind)
+
+
+def obs_from_flags(args: argparse.Namespace) -> Optional[Any]:
+    """A live observability context when ``--obs`` was given."""
+    return make_obs() if args.obs else None
+
+
 def run_fleet(
     sweep: SweepSpec,
     args: argparse.Namespace,
     obs: Optional[Any] = None,
+    banner: Optional[str] = None,
     **run_options: Any,
 ) -> tuple[SweepRun, dict]:
-    """Run ``sweep`` as the parsed fleet flags say, print one line per
+    """Run ``sweep`` as the parsed fleet flags say — after announcing
+    ``banner`` with the worker count, when given — print one line per
     exhausted shard to stderr, and return the run with its merged
     results tree (:func:`~repro.sweep.merge.build_sweep_results`)."""
+    resume = getattr(args, "resume", False)
+    if banner:
+        print(f"{banner}, {args.workers} worker(s)"
+              + (", resuming" if resume else ""))
     run = run_sweep(
         sweep,
         workers=args.workers,
         cache_dir=args.cache_dir,
-        resume=getattr(args, "resume", False),
+        resume=resume,
         obs=obs,
         **run_options,
     )
@@ -80,30 +167,34 @@ def run_fleet(
     return run, results
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    handler = {
-        "plan": _cmd_plan,
-        "run": _cmd_run,
-        "merge": _cmd_merge,
-        "status": _cmd_status,
-    }[args.sweep_command]
-    return handler(args)
+def write_fleet_manifest(
+    name: str,
+    sweep: SweepSpec,
+    results: dict,
+    args: argparse.Namespace,
+    obs: Optional[Any] = None,
+) -> str:
+    """Write the merged tree as ``BENCH_<name>.json`` under ``--out-dir``,
+    say so, and return the path."""
+    path = write_results_manifest(
+        name, sweep, results, out_dir=args.out_dir, obs=obs
+    )
+    print(f"wrote {path}")
+    return path
 
 
-def _load(path: str) -> Optional[SweepSpec]:
-    from repro.sweep.spec import SweepSpecError, load_sweep_spec_file
+def report_ok(ok: bool) -> int:
+    """The last line and the exit code of every pass/fail verb."""
+    print("OK" if ok else "FAILED")
+    return 0 if ok else 1
 
-    try:
-        return load_sweep_spec_file(path)
-    except (OSError, SweepSpecError) as exc:
-        print(f"error: cannot load sweep spec {path!r}: {exc}", file=sys.stderr)
-        return None
+
+def _load(path: str) -> SweepSpec:
+    return load_or_exit(load_sweep_spec_file, path, "sweep spec", SweepSpecError)
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
     spec = _load(args.spec)
-    if spec is None:
-        return 1
     shards = spec.expand()
     print(f"sweep {spec.name!r} ({spec.kind}): {len(shards)} shard(s), "
           f"spec hash {spec.spec_hash()[:16]}")
@@ -115,22 +206,9 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from repro.obs import make_obs
-    from repro.sweep.merge import (
-        format_profile,
-        merge_shard_obs,
-        write_results_manifest,
-    )
-
     spec = _load(args.spec)
-    if spec is None:
-        return 1
     shards_total = len(spec.expand())
-    print(f"sweep {spec.name!r}: {shards_total} shard(s), "
-          f"{args.workers} worker(s)"
-          + (", resuming" if args.resume else ""))
-
-    obs = make_obs() if args.obs else None
+    obs = obs_from_flags(args)
     heartbeat_every = max(1, shards_total // 10)
 
     def heartbeat(progress, event: str) -> None:
@@ -146,27 +224,20 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     run, results = run_fleet(
         spec, args, obs,
+        banner=f"sweep {spec.name!r}: {shards_total} shard(s)",
         retries=args.retries, progress=heartbeat, profile=args.profile,
     )
-    path = write_results_manifest(
-        f"sweep_{spec.name}", spec, merge_shard_obs(results),
-        out_dir=args.out_dir, obs=obs,
+    write_fleet_manifest(
+        f"sweep_{spec.name}", spec, merge_shard_obs(results), args, obs
     )
-    print(f"wrote {path}")
     print(f"signature {results['signature']}")
     if "merged_profile" in results:
         print(format_profile(results["merged_profile"]))
-    print("OK" if run.ok else "FAILED")
-    return 0 if run.ok else 1
+    return report_ok(run.ok)
 
 
 def _cmd_merge(args: argparse.Namespace) -> int:
-    from repro.sweep.executor import cache_root, load_cached_shard
-    from repro.sweep.merge import results_signature, write_sweep_manifest
-
     spec = _load(args.spec)
-    if spec is None:
-        return 1
     root = cache_root(spec, args.cache_dir)
     digest = spec.spec_hash()
     docs = []
@@ -178,12 +249,10 @@ def _cmd_merge(args: argparse.Namespace) -> int:
         else:
             docs.append(doc)
     if missing:
-        print(
-            f"error: {len(missing)} shard(s) not in cache {root!r}: "
-            f"{', '.join(missing[:8])}{'...' if len(missing) > 8 else ''}",
-            file=sys.stderr,
+        raise CliError(
+            f"{len(missing)} shard(s) not in cache {root!r}: "
+            f"{', '.join(missing[:8])}{'...' if len(missing) > 8 else ''}"
         )
-        return 1
     path = write_sweep_manifest(
         spec, docs, [], len(docs), out_dir=args.out_dir,
     )
@@ -200,32 +269,29 @@ _STATUS_REQUIRED = (
 
 
 def _cmd_status(args: argparse.Namespace) -> int:
-    import os
-
-    from repro.sweep.executor import cache_root, read_status
-
     spec = _load(args.spec)
-    if spec is None:
-        return 1
     root = cache_root(spec, args.cache_dir)
     status_path = os.path.join(root, "status.json")
     if not os.path.exists(status_path):
-        print(f"error: no status for sweep {spec.name!r} under {root!r} "
-              f"(not started, or a different spec version)", file=sys.stderr)
-        return 1
+        raise CliError(
+            f"no status for sweep {spec.name!r} under {root!r} "
+            f"(not started, or a different spec version)"
+        )
     status = read_status(root)
     if status is None:
         # The heartbeat is rewritten while the fleet runs; a read can
         # race a writer and see a truncated/partial file.
-        print(f"error: status file {status_path!r} is unreadable or "
-              f"mid-write; retry in a moment", file=sys.stderr)
-        return 1
+        raise CliError(
+            f"status file {status_path!r} is unreadable or "
+            f"mid-write; retry in a moment"
+        )
     missing = [key for key in _STATUS_REQUIRED if key not in status]
     if missing:
-        print(f"error: status file {status_path!r} is incomplete "
-              f"(missing {', '.join(missing)}); it may be mid-write or "
-              f"from an older run — retry or remove it", file=sys.stderr)
-        return 1
+        raise CliError(
+            f"status file {status_path!r} is incomplete "
+            f"(missing {', '.join(missing)}); it may be mid-write or "
+            f"from an older run — retry or remove it"
+        )
     print(f"sweep {status['name']!r} [{status['state']}] "
           f"spec {str(status['spec_hash'])[:16]}")
     print(f"  shards:    {status['completed']}/{status['shards_total']} "
@@ -246,25 +312,23 @@ def add_sweep_parser(sub: argparse._SubParsersAction) -> None:
     sweep_sub = parser.add_subparsers(dest="sweep_command", required=True)
 
     pplan = sweep_sub.add_parser("plan", help="expand a spec into its shard list")
+    pplan.set_defaults(run=_cmd_plan)
     pplan.add_argument("spec", help="path to a sweep spec JSON file")
 
     prun = sweep_sub.add_parser(
         "run", help="execute a sweep across worker processes"
     )
+    prun.set_defaults(run=_cmd_run)
     prun.add_argument("spec", help="path to a sweep spec JSON file")
     add_fleet_flags(prun)
     prun.add_argument(
         "--retries", type=int, default=2,
         help="retry attempts per shard before recording a ShardFailure",
     )
-    prun.add_argument(
-        "--out-dir", default=None,
-        help="directory for BENCH_sweep_<name>.json (default: repo root "
-             "or $REPRO_BENCH_DIR)",
-    )
-    prun.add_argument(
-        "--obs", action="store_true",
-        help="instrument shards with live metrics, merged into the manifest",
+    add_output_flags(
+        prun,
+        out_dir=BENCH_DIR_HELP.format("sweep"),
+        obs="instrument shards with live metrics, merged into the manifest",
     )
     prun.add_argument(
         "--profile", action="store_true",
@@ -274,12 +338,14 @@ def add_sweep_parser(sub: argparse._SubParsersAction) -> None:
     pmerge = sweep_sub.add_parser(
         "merge", help="rebuild the consolidated manifest from cached shards"
     )
+    pmerge.set_defaults(run=_cmd_merge)
     pmerge.add_argument("spec", help="path to a sweep spec JSON file")
     pmerge.add_argument("--cache-dir", default=None)
-    pmerge.add_argument("--out-dir", default=None)
+    add_output_flags(pmerge, out_dir=None)
 
     pstatus = sweep_sub.add_parser(
         "status", help="show the live heartbeat of a (running) sweep"
     )
+    pstatus.set_defaults(run=_cmd_status)
     pstatus.add_argument("spec", help="path to a sweep spec JSON file")
     pstatus.add_argument("--cache-dir", default=None)

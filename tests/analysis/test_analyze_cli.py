@@ -36,7 +36,7 @@ def test_analyze_lint_select_rule(tmp_path, capsys):
 
 def test_analyze_lint_unknown_rule(capsys):
     assert main(["analyze", "lint", "--select", "nope", "x.py"]) == 2
-    assert "unknown rule" in capsys.readouterr().out
+    assert "unknown rule" in capsys.readouterr().err
 
 
 def test_analyze_lint_show_suppressed(tmp_path, capsys):

@@ -11,11 +11,6 @@ class FakeRegisterFile:
         return list(self._names)
 
 
-class FakeTable:
-    def __init__(self, default_action=None):
-        self.default_action = default_action
-
-
 def rules_of(findings):
     return {f.rule for f in findings}
 
@@ -26,7 +21,6 @@ def rules_of(findings):
 class ReadNeverWritten:
     def __init__(self):
         self.registers = FakeRegisterFile(["egress_port"])
-        self.tables = {}
 
     def ingress(self, ctx, pkt):
         return self.registers["egress_port"].read(0)
@@ -41,7 +35,6 @@ def test_register_never_written():
 class ReadBeforeWrite:
     def __init__(self):
         self.registers = FakeRegisterFile(["seen"])
-        self.tables = {}
 
     def ingress(self, ctx, pkt):
         return self.registers["seen"].read(0)
@@ -58,7 +51,6 @@ def test_register_read_before_write():
 class WriteThenReadAcrossStages:
     def __init__(self):
         self.registers = FakeRegisterFile(["seen"])
-        self.tables = {}
 
     def ingress(self, ctx, pkt):
         self.registers["seen"].write(0, 1)
@@ -76,7 +68,6 @@ class ControlPlaneWriter:
 
     def __init__(self):
         self.registers = FakeRegisterFile(["version"])
-        self.tables = {}
 
     def ingress(self, ctx, pkt):
         return self.registers["version"].read(0)
@@ -94,7 +85,6 @@ class AgentWriter:
 
     def __init__(self, agent):
         self.registers = FakeRegisterFile(["tag"])
-        self.tables = {}
         self.agent = agent
 
     def ingress(self, ctx, pkt):
@@ -124,7 +114,6 @@ class HelperWriter:
 
     def __init__(self):
         self.registers = FakeRegisterFile(["count"])
-        self.tables = {}
 
     def ingress(self, ctx, pkt):
         self._bump()
@@ -142,7 +131,6 @@ def test_helper_reachability_and_alias_tracking():
 class UndeclaredRegister:
     def __init__(self):
         self.registers = FakeRegisterFile(["real"])
-        self.tables = {}
 
     def ingress(self, ctx, pkt):
         self.registers["real"].write(0, 1)
@@ -155,36 +143,12 @@ def test_undeclared_register():
     assert any("tpyo" in f.message for f in findings)
 
 
-# -- tables ---------------------------------------------------------------------
-
-
-class NoDefaultTable:
-    def __init__(self):
-        self.registers = FakeRegisterFile([])
-        self.tables = {"fwd": FakeTable(default_action=None)}
-
-    def ingress(self, ctx, pkt):
-        return None
-
-
-def test_table_missing_default():
-    findings = analyze_pipeline(NoDefaultTable())
-    assert rules_of(findings) == {"table-missing-default"}
-
-
-def test_table_with_default_ok():
-    program = NoDefaultTable()
-    program.tables = {"fwd": FakeTable(default_action="drop")}
-    assert analyze_pipeline(program) == []
-
-
 # -- resubmit -------------------------------------------------------------------
 
 
 class UnboundedResubmitter:
     def __init__(self):
         self.registers = FakeRegisterFile([])
-        self.tables = {}
 
     def ingress(self, ctx, pkt):
         ctx.resubmit()
@@ -202,7 +166,6 @@ def test_resubmit_ok_with_runtime_cap():
 class SelfBoundedResubmitter:
     def __init__(self):
         self.registers = FakeRegisterFile([])
-        self.tables = {}
 
     def ingress(self, ctx, pkt):
         if pkt.resubmit_count < 8:

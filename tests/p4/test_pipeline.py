@@ -5,7 +5,6 @@ import pytest
 from repro.p4.packet import HeaderField, HeaderType, Packet
 from repro.p4.pipeline import Pipeline, PipelineProgram
 from repro.p4.switch import P4Switch
-from repro.p4.tables import Table, TableEntry
 from repro.params import DelayDistribution, SimParams
 from repro.sim.engine import Engine
 from repro.sim.links import Link
@@ -16,11 +15,12 @@ TAG = HeaderType("tag", [HeaderField("value", 32)])
 
 
 class ForwardingProgram(PipelineProgram):
-    """Minimal L2-style program: exact match on tag.value -> port."""
+    """Minimal program: ``fwd[tag.value]`` holds the egress port (0 = no
+    rule), the way P4UpdateProgram forwards from ``cur_egress_port``."""
 
     def __init__(self):
         super().__init__()
-        self.define_table(Table("fwd", ["value"]))
+        self.registers.define("fwd", 16)
         self.registers.define("seen", 16)
 
     def ingress(self, ctx):
@@ -30,11 +30,11 @@ class ForwardingProgram(PipelineProgram):
             return
         value = packet.header("tag")["value"]
         self.registers["seen"].write(value % 16, 1)
-        hit = self.table("fwd").lookup((value,))
-        if hit is None:
+        port = self.registers["fwd"].read(value % 16)
+        if not port:
             ctx.drop()
             return
-        ctx.forward(hit.params[0])
+        ctx.forward(port)
 
 
 def tagged_packet(value):
@@ -51,9 +51,9 @@ def fast_params():
     )
 
 
-def test_pipeline_forwards_on_table_hit():
+def test_pipeline_forwards_on_register_hit():
     program = ForwardingProgram()
-    program.table("fwd").add(TableEntry(key=(5,), action="set_port", params=(2,)))
+    program.registers["fwd"].write(5, 2)
     result = Pipeline(program).process(tagged_packet(5), in_port=1)
     assert result.egress_port == 2 and not result.dropped
 
@@ -66,7 +66,7 @@ def test_pipeline_drops_on_miss():
 
 def test_registers_updated_from_data_plane():
     program = ForwardingProgram()
-    program.table("fwd").add(TableEntry(key=(3,), action="set_port", params=(1,)))
+    program.registers["fwd"].write(3, 1)
     Pipeline(program).process(tagged_packet(3), in_port=1)
     assert program.registers["seen"].read(3) == 1
 
@@ -181,24 +181,11 @@ def test_punt_invokes_hook():
 
 def test_forward_hook_observes_emissions():
     program = ForwardingProgram()
-    program.table("fwd").add(TableEntry(key=(4,), action="set_port", params=(1,)))
+    program.registers["fwd"].write(4, 1)
     net, switch, sink = wire_switch(program)
     seen = []
     switch.on_forward = lambda sw, pkt, port: seen.append(port)
     switch.handle_message(tagged_packet(4), in_port=1)
     net.run()
     assert seen == [1]
-    assert len(sink.received) == 1
-
-
-def test_runtime_api_register_and_table_access():
-    program = ForwardingProgram()
-    net, switch, sink = wire_switch(program)
-    switch.runtime.add_table_entry(
-        "fwd", TableEntry(key=(6,), action="set_port", params=(1,))
-    )
-    switch.runtime.write_register("seen", 0, 42)
-    assert switch.runtime.read_register("seen", 0) == 42
-    switch.handle_message(tagged_packet(6), in_port=1)
-    net.run()
     assert len(sink.received) == 1

@@ -143,25 +143,14 @@ def test_sweep_serve_aggregates(tmp_path):
 
 
 def test_serve_cli_run_writes_manifest(tmp_path, capsys):
-    import argparse
-
-    from repro.serve.cli import cmd_serve
+    from repro.harness.cli import main
 
     spec_path = tmp_path / "serve.json"
     spec_path.write_text(json.dumps(_SWEEP_SERVE))
-    args = argparse.Namespace(
-        serve_command="run",
-        spec=str(spec_path),
-        seeds=1,
-        workers=1,
-        resume=False,
-        cache_dir=str(tmp_path / "cache"),
-        out_dir=str(tmp_path),
-        obs=False,
-        causal=True,
-        causal_out=None,
-    )
-    rc = cmd_serve(args)
+    rc = main([
+        "serve", "run", str(spec_path), "--causal",
+        "--cache-dir", str(tmp_path / "cache"), "--out-dir", str(tmp_path),
+    ])
     out = capsys.readouterr().out
     assert rc == 0
     assert "OK" in out
@@ -177,22 +166,16 @@ def test_serve_cli_run_writes_manifest(tmp_path, capsys):
 
 
 def test_serve_cli_validate(tmp_path, capsys):
-    import argparse
-
-    from repro.serve.cli import cmd_serve
+    from repro.harness.cli import main
 
     spec_path = tmp_path / "serve.json"
     spec_path.write_text(json.dumps(_SWEEP_SERVE))
-    rc = cmd_serve(
-        argparse.Namespace(serve_command="validate", spec=str(spec_path))
-    )
+    rc = main(["serve", "validate", str(spec_path)])
     assert rc == 0
     assert "is valid" in capsys.readouterr().out
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({**_SWEEP_SERVE, "topology": "nonsense"}))
-    rc = cmd_serve(
-        argparse.Namespace(serve_command="validate", spec=str(bad))
-    )
+    rc = main(["serve", "validate", str(bad)])
     assert rc == 1
 
 

@@ -6,11 +6,10 @@ probe can race a writer and observe a missing, truncated, or partial
 line and exit code 1.
 """
 
-import argparse
 import json
 import os
 
-from repro.sweep.cli import cmd_sweep
+from repro.harness.cli import main
 from repro.sweep.executor import cache_root, run_sweep
 from repro.sweep.spec import load_sweep_spec
 
@@ -30,11 +29,10 @@ def _spec_file(tmp_path):
 
 
 def _status_args(tmp_path):
-    return argparse.Namespace(
-        sweep_command="status",
-        spec=_spec_file(tmp_path),
-        cache_dir=str(tmp_path / "cache"),
-    )
+    return [
+        "sweep", "status", _spec_file(tmp_path),
+        "--cache-dir", str(tmp_path / "cache"),
+    ]
 
 
 def _status_path(tmp_path):
@@ -45,7 +43,7 @@ def _status_path(tmp_path):
 
 
 def test_status_missing_file_is_one_line_error(tmp_path, capsys):
-    rc = cmd_sweep(_status_args(tmp_path))
+    rc = main(_status_args(tmp_path))
     out = capsys.readouterr()
     assert rc == 1
     assert out.err.startswith("error: no status for sweep")
@@ -57,7 +55,7 @@ def test_status_truncated_json_is_one_line_error(tmp_path, capsys):
     path = _status_path(tmp_path)
     with open(path, "w") as fh:
         fh.write('{"name": "tiny-status", "state"')  # writer cut mid-dump
-    rc = cmd_sweep(_status_args(tmp_path))
+    rc = main(_status_args(tmp_path))
     out = capsys.readouterr()
     assert rc == 1
     assert "unreadable or mid-write" in out.err
@@ -68,7 +66,7 @@ def test_status_partial_document_is_one_line_error(tmp_path, capsys):
     path = _status_path(tmp_path)
     with open(path, "w") as fh:
         json.dump({"name": "tiny-status", "state": "running"}, fh)
-    rc = cmd_sweep(_status_args(tmp_path))
+    rc = main(_status_args(tmp_path))
     out = capsys.readouterr()
     assert rc == 1
     assert "incomplete" in out.err
@@ -80,7 +78,7 @@ def test_status_after_real_run_renders(tmp_path, capsys):
     spec = load_sweep_spec(TINY)
     run = run_sweep(spec, cache_dir=str(tmp_path / "cache"))
     assert run.ok
-    rc = cmd_sweep(_status_args(tmp_path))
+    rc = main(_status_args(tmp_path))
     out = capsys.readouterr()
     assert rc == 0
     assert "[finished]" in out.out
