@@ -50,6 +50,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.switch import P4UpdateSwitch
 
 
+# last_type register value -> UpdateType (the enum call is a Python call).
+_UPDATE_TYPES = tuple(UpdateType)
+
+
 class P4UpdateProgram(PipelineProgram):
     """The P4-16 program of the artifact, as a behavioural pipeline."""
 
@@ -86,16 +90,26 @@ class P4UpdateProgram(PipelineProgram):
     # -- register access helpers ------------------------------------------------
 
     def state_of(self, flow_id: int) -> NodeFlowState:
-        idx = self.flow_index.index_of(flow_id)
+        """The whole applied UIB row: what Alg. 2 compares and what a
+        UNM carries.  A check on one field reads that register alone
+        (:meth:`applied_version`, :meth:`pending_version`)."""
+        idx = self.flow_index.lookup(flow_id)
+        if idx is None:
+            return NodeFlowState()
         regs = self.registers
         return NodeFlowState(
-            new_version=regs["cur_version"].read(idx),
-            new_distance=regs["cur_distance"].read(idx),
-            old_version=regs["old_version"].read(idx),
-            old_distance=regs["old_distance"].read(idx),
-            counter=regs["counter"].read(idx),
-            update_type=UpdateType(regs["last_type"].read(idx)),
+            regs["cur_version"].read(idx),
+            regs["cur_distance"].read(idx),
+            regs["old_version"].read(idx),
+            regs["old_distance"].read(idx),
+            regs["counter"].read(idx),
+            _UPDATE_TYPES[regs["last_type"].read(idx)],
         )
+
+    def applied_version(self, flow_id: int) -> int:
+        """V_n(v): 0 for a flow this switch has never carried."""
+        idx = self.flow_index.lookup(flow_id)
+        return 0 if idx is None else self.registers["cur_version"].read(idx)
 
     def write_state(self, flow_id: int, state: NodeFlowState) -> None:
         idx = self.flow_index.index_of(flow_id)
@@ -108,8 +122,8 @@ class P4UpdateProgram(PipelineProgram):
         regs["last_type"].write(idx, int(state.update_type))
 
     def current_port(self, flow_id: int) -> int:
-        idx = self.flow_index.index_of(flow_id)
-        return self.registers["cur_egress_port"].read(idx)
+        idx = self.flow_index.lookup(flow_id)
+        return NO_PORT if idx is None else self.registers["cur_egress_port"].read(idx)
 
     def set_current_port(self, flow_id: int, port: int) -> None:
         idx = self.flow_index.index_of(flow_id)
@@ -136,8 +150,8 @@ class P4UpdateProgram(PipelineProgram):
         self.pending_uim[uim.flow_id] = uim
 
     def pending_version(self, flow_id: int) -> int:
-        idx = self.flow_index.index_of(flow_id)
-        return self.registers["pend_version"].read(idx)
+        idx = self.flow_index.lookup(flow_id)
+        return 0 if idx is None else self.registers["pend_version"].read(idx)
 
     def highest_uim(self, flow_id: int) -> Optional[UIM]:
         return self.pending_uim.get(flow_id)
@@ -147,7 +161,9 @@ class P4UpdateProgram(PipelineProgram):
         exact = self._flow_sizes.get(flow_id)
         if exact is not None:
             return exact
-        idx = self.flow_index.index_of(flow_id)
+        idx = self.flow_index.lookup(flow_id)
+        if idx is None:
+            return 0.0
         return self.registers["flow_size"].read(idx) / FLOW_SIZE_SCALE
 
     def set_flow_size(self, flow_id: int, size: float) -> None:
@@ -177,8 +193,7 @@ class P4UpdateProgram(PipelineProgram):
         header = ctx.packet.header("cleanup")
         flow_id = header["flow_id"]
         version = header["version"]
-        state = self.state_of(flow_id)
-        if max(state.new_version, self.pending_version(flow_id)) >= version:
+        if max(self.applied_version(flow_id), self.pending_version(flow_id)) >= version:
             # This node is part of the new configuration (applied or a
             # UIM is pending): its rule may be serving the transient
             # mixed path — stop the cleanup here.
@@ -205,8 +220,7 @@ class P4UpdateProgram(PipelineProgram):
         flow_id = header["flow_id"]
         if self.agent is not None:
             self.agent.note_probe_seen(flow_id, packet)
-        state = self.state_of(flow_id)
-        if not state.has_flow():
+        if self.applied_version(flow_id) == 0:
             # Unknown flow: report it (FRM) and drop (App. B).
             ctx.to_cpu("frm")
             self.stats["probes_blackholed"] += 1

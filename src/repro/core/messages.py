@@ -7,7 +7,7 @@
   version, flow size, egress port, §8).
 * **UNM** — Update Notification Message, switch -> switch through the
   data plane.  In the implementation it is a P4 packet header; the
-  :class:`UNMFields` dataclass mirrors the header fields and converts
+  :class:`UNMFields` tuple mirrors the header fields and converts
   to/from :class:`repro.p4.packet.Packet`.
 * **UFM** — Update Feedback Message, data plane -> control plane,
   reports update success or an inconsistency alarm.
@@ -200,8 +200,7 @@ UNM_HEADER = HeaderType(
 )
 
 
-@dataclass
-class UNMFields:
+class UNMFields(NamedTuple):
     """Decoded UNM header contents (sender's state, paper §7.1)."""
 
     flow_id: int

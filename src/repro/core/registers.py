@@ -23,6 +23,7 @@ remains available for collision experiments.
 
 from __future__ import annotations
 
+from typing import Optional
 
 from repro.p4.registers import RegisterFile
 
@@ -92,7 +93,13 @@ def define_uib(registers: RegisterFile, max_flows: int = DEFAULT_MAX_FLOWS) -> N
 
 
 class FlowIndexAllocator:
-    """Dense per-switch flow-id -> register-index mapping."""
+    """Dense per-switch flow-id -> register-index mapping.
+
+    Writers allocate (:meth:`index_of`); readers only look up
+    (:meth:`lookup`) and treat ``None`` as "every array reads its fill
+    value", so packets of flows the switch never carried cannot
+    exhaust the arrays.
+    """
 
     def __init__(self, max_flows: int = DEFAULT_MAX_FLOWS) -> None:
         self.max_flows = max_flows
@@ -108,6 +115,10 @@ class FlowIndexAllocator:
                 )
             self._index[flow_id] = idx
         return idx
+
+    def lookup(self, flow_id: int) -> Optional[int]:
+        """The flow's index, or None when nothing was written for it."""
+        return self._index.get(flow_id)
 
     def known(self, flow_id: int) -> bool:
         return flow_id in self._index

@@ -215,38 +215,37 @@ class P4UpdateSwitch(P4Switch):
 
     def _process_uim(self, uim: UIM) -> None:
         program = self.program
-        state = program.state_of(uim.flow_id)
-        if uim.version == state.new_version and (
+        applied = program.applied_version(uim.flow_id)
+        if uim.version == applied and (
             uim.is_flow_egress or uim.is_segment_egress
         ):
             # §11 re-trigger: the controller resent the UIM after a
             # reported UNM loss — regenerate the notification.
             wait = self.params.unm_generation_delay.sample(self.rng)
-            if uim.is_flow_egress:
-                unm = program.build_unm(uim.flow_id, layer=1, update_type=uim.update_type)
-                self.engine.schedule(wait, self._emit_unm_for, unm, uim)
-            else:
-                unm = program.build_unm(uim.flow_id, layer=2, update_type=uim.update_type)
-                self.engine.schedule(wait, self._emit_unm_for, unm, uim)
+            unm = program.build_unm(
+                uim.flow_id, layer=1 if uim.is_flow_egress else 2,
+                update_type=uim.update_type,
+            )
+            self.engine.schedule(wait, self._emit_unm_for, unm, uim)
             return
-        if uim.version <= state.new_version:
+        if uim.version <= applied:
             self._send_alarm(
                 uim.flow_id, uim.version,
-                f"UIM version {uim.version} not newer than applied {state.new_version}",
+                f"UIM version {uim.version} not newer than applied {applied}",
             )
             return
-        if program.flow_index.known(uim.flow_id):
-            known_size = program.flow_size_of(uim.flow_id)
-            if known_size > 0 and abs(known_size - uim.flow_size) > 1e-9:
-                # App. A.2: the flow size must stay identical; discard.
-                self._send_alarm(
-                    uim.flow_id, uim.version,
-                    f"flow size changed {known_size} -> {uim.flow_size}",
-                )
-                return
-        if uim.version <= program.pending_version(uim.flow_id):
+        known_size = program.flow_size_of(uim.flow_id)
+        if known_size > 0 and abs(known_size - uim.flow_size) > 1e-9:
+            # App. A.2: the flow size must stay identical; discard.
+            self._send_alarm(
+                uim.flow_id, uim.version,
+                f"flow size changed {known_size} -> {uim.flow_size}",
+            )
+            return
+        pending = program.pending_version(uim.flow_id)
+        if uim.version <= pending:
             if (
-                uim.version == program.pending_version(uim.flow_id)
+                uim.version == pending
                 and uim.update_type is UpdateType.DUAL
                 and uim.is_segment_egress
             ):
@@ -256,7 +255,7 @@ class P4UpdateSwitch(P4Switch):
                 self.engine.schedule(wait, self._originate_pending_unm, uim)
             return  # duplicate / older than the pending indication
         program.store_uim(uim)
-        if program.flow_size_of(uim.flow_id) == 0:
+        if known_size == 0:
             program.set_flow_size(uim.flow_id, uim.flow_size)
         if uim.piggyback:
             self._piggyback[(uim.flow_id, uim.version)] = tuple(uim.piggyback)
@@ -281,23 +280,26 @@ class P4UpdateSwitch(P4Switch):
             self.engine.schedule(wait, self._originate_pending_unm, uim)
 
     def _originate_pending_unm(self, uim: UIM) -> None:
-        if self.program.state_of(uim.flow_id).new_version >= uim.version:
+        if self.program.applied_version(uim.flow_id) >= uim.version:
             return  # already updated meanwhile; the chain is running
         unm = self.program.build_pending_unm(uim, layer=2)
         self._emit_unm_for(unm, uim)
 
     def _egress_state(self, uim: UIM) -> NodeFlowState:
-        previous = self.program.state_of(uim.flow_id)
-        if uim.update_type is UpdateType.DUAL:
-            return NodeFlowState(
-                new_version=uim.version,
-                new_distance=0,
-                old_version=uim.version - 1,
-                old_distance=previous.old_distance,
-                counter=0,
-                update_type=UpdateType.DUAL,
-            )
-        return apply_sl_state(uim.version, 0)
+        if uim.update_type is not UpdateType.DUAL:
+            return apply_sl_state(uim.version, 0)
+        # DL keeps the inherited segment id: the one register it reads.
+        idx = self.program.flow_index.lookup(uim.flow_id)
+        return NodeFlowState(
+            new_version=uim.version,
+            new_distance=0,
+            old_version=uim.version - 1,
+            old_distance=(
+                0 if idx is None else self.program.registers["old_distance"].read(idx)
+            ),
+            counter=0,
+            update_type=UpdateType.DUAL,
+        )
 
     def installing_version(self, flow_id: int) -> int:
         """Version currently being installed for the flow (0 if none)."""
@@ -333,53 +335,41 @@ class P4UpdateSwitch(P4Switch):
         # when the newer target was admitted.
         if self._installing.get(uim.flow_id, 0) != uim.version:
             return  # superseded by a newer update
-        state = self.program.state_of(uim.flow_id)
-        if state.new_version >= uim.version:
+        program = self.program
+        if program.applied_version(uim.flow_id) >= uim.version:
             return  # already at this or a newer version
         assert decision.new_state is not None
         if uim.stage_tag is not None:
             # §11 2-phase commit: stage the rule under the new tag; the
             # live (old-tag) forwarding is untouched until the ingress
             # flips, so no cleanup and no capacity hand-over here.
-            idx = self.program.flow_index.index_of(uim.flow_id)
+            idx = program.flow_index.index_of(uim.flow_id)
             tag_array = "port_tag1" if uim.stage_tag else "port_tag0"
-            self.program.registers[tag_array].write(idx, uim.egress_port)
-            self.program.registers["two_phase"].write(idx, 1)
-            self.program.write_state(uim.flow_id, decision.new_state)
-            self.installs_completed += 1
+            program.registers[tag_array].write(idx, uim.egress_port)
+            program.registers["two_phase"].write(idx, 1)
+            program.write_state(uim.flow_id, decision.new_state)
             if self.network is not None:
                 self.network.trace.record(
                     self.now, "rule_staged", self.name,
                     flow=uim.flow_id, tag=uim.stage_tag, port=uim.egress_port,
                 )
-            if uim.is_ingress and unm_layer == 1:
-                self._send_ufm_success(uim)
-            elif not (decision.branch == "gateway" and unm_layer == 2):
-                unm = self.program.build_unm(
-                    uim.flow_id, layer=unm_layer, update_type=uim.update_type
-                )
-                if decision.branch == "egress":
-                    wait = self.params.unm_generation_delay.sample(self.rng)
-                    self.engine.schedule(wait, self._emit_unm_for, unm, uim)
-                else:
-                    self._emit_unm_for(unm, uim)
-            return
-        old_port = self.program.current_port(uim.flow_id)
-        self.program.write_state(uim.flow_id, decision.new_state)
-        self.program.set_current_port(uim.flow_id, uim.egress_port)
-        if self.program.congestion_aware and uim.egress_port != LOCAL_DELIVER_PORT:
-            # Traffic has moved: release the old link's reservation.
-            self.program.scheduler.commit_move(uim.flow_id)
+        else:
+            old_port = program.current_port(uim.flow_id)
+            program.write_state(uim.flow_id, decision.new_state)
+            program.set_current_port(uim.flow_id, uim.egress_port)
+            if program.congestion_aware and uim.egress_port != LOCAL_DELIVER_PORT:
+                # Traffic has moved: release the old link's reservation.
+                program.scheduler.commit_move(uim.flow_id)
+            if self.obs.enabled:
+                self.obs.metrics.counter("rule_installs", node=self.name).inc()
+            self._mirror_rule(uim.flow_id, uim.egress_port, record=True)
+            if old_port not in (NO_PORT, LOCAL_DELIVER_PORT) and old_port != uim.egress_port:
+                # §11 rule cleanup: tell the abandoned old parent that no
+                # further packets will arrive on this link.
+                self.send(old_port, make_cleanup(uim.flow_id, uim.version))
         self.installs_completed += 1
-        if self.obs.enabled:
-            self.obs.metrics.counter("rule_installs", node=self.name).inc()
-        self._mirror_rule(uim.flow_id, uim.egress_port, record=True)
-        if old_port not in (NO_PORT, LOCAL_DELIVER_PORT) and old_port != uim.egress_port:
-            # §11 rule cleanup: tell the abandoned old parent that no
-            # further packets will arrive on this link.
-            self.send(old_port, make_cleanup(uim.flow_id, uim.version))
 
-        # Coordination after the install (paper §7.2, §8).
+        # Coordination after the install (paper §7.2, §8), staged or live.
         if uim.is_ingress and unm_layer == 1:
             self._send_ufm_success(uim)
         elif uim.is_ingress:
@@ -391,7 +381,7 @@ class P4UpdateSwitch(P4Switch):
             # keeps propagating upstream.  The flow egress *originates*
             # its UNM by cloning an ongoing packet (wait for one);
             # downstream forwarders clone the received UNM (no wait).
-            unm = self.program.build_unm(
+            unm = program.build_unm(
                 uim.flow_id, layer=unm_layer, update_type=uim.update_type
             )
             if decision.branch == "egress":
@@ -401,14 +391,15 @@ class P4UpdateSwitch(P4Switch):
                 self._emit_unm_for(unm, uim)
 
     def _mirror_rule(self, flow_id: int, egress_port: int, record: bool) -> None:
+        network = self.network
         next_hop: Optional[str] = None
-        if egress_port not in (LOCAL_DELIVER_PORT, NO_PORT) and self.network is not None:
-            next_hop = self.network.neighbor_on_port(self.name, egress_port)
+        if egress_port not in (LOCAL_DELIVER_PORT, NO_PORT) and network is not None:
+            next_hop = network.neighbor_on_port(self.name, egress_port)
         if self.forwarding_state is not None and next_hop is not None:
             self.forwarding_state.set_rule(flow_id, self.name, next_hop)
-        if record and self.network is not None:
-            self.network.trace.record(
-                self.now, KIND_RULE_CHANGE, self.name,
+        if record and network is not None:
+            network.trace.record(
+                network.engine.now, KIND_RULE_CHANGE, self.name,
                 flow=flow_id, next_hop=next_hop, port=egress_port,
             )
 
@@ -426,7 +417,7 @@ class P4UpdateSwitch(P4Switch):
         self._piggyback[(mine.flow_id, mine.version)] = tuple(stack[1:])
         packet.meta["uim_stack"] = ()
         already = max(
-            self.program.state_of(mine.flow_id).new_version,
+            self.program.applied_version(mine.flow_id),
             self.program.pending_version(mine.flow_id),
         )
         if already >= mine.version:
@@ -512,8 +503,7 @@ class P4UpdateSwitch(P4Switch):
         """§11: "the gateway nodes would periodically monitor the
         arrival of UNM" — no notification within the window means it
         was lost; alert the controller and keep watching."""
-        state = self.program.state_of(uim.flow_id)
-        if state.new_version >= uim.version:
+        if self.program.applied_version(uim.flow_id) >= uim.version:
             return  # the update arrived after all
         if self.program.pending_version(uim.flow_id) > uim.version:
             return  # superseded by a newer update

@@ -16,7 +16,6 @@ the printed guard admits the loop §3.2 forbids.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from repro.core.messages import UIM, UNMFields, UpdateType
@@ -61,8 +60,7 @@ class NodeFlowState(NamedTuple):
         return self.new_version > 0
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(NamedTuple):
     """Verification verdict plus the state to apply when accepted.
 
     ``branch`` records which Alg. 2 case fired (``"sl"``, ``"inside"``,

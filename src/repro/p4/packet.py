@@ -66,6 +66,10 @@ class HeaderType:
         self.fields = {f.name: f for f in fields}
         if not self.fields:
             raise ValueError(f"header type {name!r} has no fields")
+        # Worked out once per type: every field write masks to the
+        # declared width and every new header starts from the zero row.
+        self.masks = {f.name: f.mask() for f in self.fields.values()}
+        self.zero_row = dict.fromkeys(self.fields, 0)
 
     def instantiate(self) -> "Header":
         return Header(self)
@@ -76,7 +80,7 @@ class Header:
 
     def __init__(self, header_type: HeaderType) -> None:
         self._type = header_type
-        self._values = {name: 0 for name in header_type.fields}
+        self._values = header_type.zero_row.copy()
         self._valid = False
 
     @property
@@ -100,10 +104,10 @@ class Header:
         return self._values[field]
 
     def __setitem__(self, field: str, value: int) -> None:
-        spec = self._type.fields.get(field)
-        if spec is None:
+        mask = self._type.masks.get(field)
+        if mask is None:
             raise KeyError(f"no field {field!r} in header {self._type.name!r}")
-        self._values[field] = int(value) & spec.mask()
+        self._values[field] = int(value) & mask
         self._valid = True
 
     def get(self, field: str, default: int = 0) -> int:

@@ -17,23 +17,20 @@ the primitives the paper's program relies on:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional, Sequence
 
 from repro.p4.packet import Packet
 from repro.p4.registers import RegisterFile
 
 
-@dataclass
-class CloneRequest:
+class CloneRequest(NamedTuple):
     """Egress-side clone: replay the packet on ``session``'s port."""
 
     session: int
     packet: Packet
 
 
-@dataclass
-class CpuPunt:
+class CpuPunt(NamedTuple):
     """Copy of a packet sent to the controller with a reason code."""
 
     reason: str
@@ -81,12 +78,12 @@ class PipelineContext:
         switch's session table).  Returns the clone for header edits in
         the egress block."""
         twin = self.packet.clone()
-        self.clones.append(CloneRequest(session=session, packet=twin))
+        self.clones.append(CloneRequest(session, twin))
         return twin
 
     def to_cpu(self, reason: str) -> Packet:
         twin = self.packet.clone()
-        self.punts.append(CpuPunt(reason=reason, packet=twin))
+        self.punts.append(CpuPunt(reason, twin))
         return twin
 
     # -- resubmit-carried state --------------------------------------------------
@@ -130,16 +127,15 @@ class PipelineProgram:
         """Serialise headers back.  Default: pass-through."""
 
 
-@dataclass
-class PipelineResult:
+class PipelineResult(NamedTuple):
     """Everything one pipeline pass decided."""
 
     packet: Packet
     egress_port: Optional[int]
     dropped: bool
     resubmit: bool
-    clones: list[tuple[int, Packet]] = field(default_factory=list)
-    punts: list[CpuPunt] = field(default_factory=list)
+    clones: Sequence[tuple[int, Packet]] = ()
+    punts: Sequence[CpuPunt] = ()
 
 
 class Pipeline:
@@ -174,10 +170,10 @@ class Pipeline:
             packet.meta.setdefault("_carried", {}).update(ctx._carried)
         self.program.deparser(packet, ctx)
         return PipelineResult(
-            packet=packet,
-            egress_port=None if ctx.dropped else ctx.egress_port,
-            dropped=ctx.dropped,
-            resubmit=ctx.resubmit_requested,
-            clones=clones,
-            punts=ctx.punts,
+            packet,
+            None if ctx.dropped else ctx.egress_port,
+            ctx.dropped,
+            ctx.resubmit_requested,
+            clones,
+            ctx.punts,
         )

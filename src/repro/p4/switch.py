@@ -62,12 +62,13 @@ class P4Switch(Node):
 
     def _enqueue(self, packet: Packet, in_port: int, resubmit_count: int) -> None:
         """FIFO admission into the single pipeline."""
+        engine = self.engine
         service = self.params.pipeline_delay.sample(self.rng)
-        start = max(self.engine.now, self._pipeline_busy_until)
+        start = max(engine.now, self._pipeline_busy_until)
         finish = start + service
         self._pipeline_busy_until = finish
-        self.engine.schedule(
-            finish - self.engine.now, self._run_pipeline, packet, in_port, resubmit_count
+        engine.schedule(
+            finish - engine.now, self._run_pipeline, packet, in_port, resubmit_count
         )
 
     # -- pipeline execution ------------------------------------------------------

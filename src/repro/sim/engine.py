@@ -61,17 +61,14 @@ class Engine:
         # of the snapshotable engine state (repro.sim.snapshot) and a
         # count() iterator cannot be pickled.
         self._seq = 0
-        self._now = 0.0
+        # Current simulated time in milliseconds.  A plain attribute:
+        # every trace record and every delivery reads it.
+        self.now = 0.0
         self._running = False
         self._processed = 0
         # Opt-in wall-clock attribution (repro.obs.profiler).  None by
         # default: the dispatch loop pays one `is None` check per event.
         self._profiler: Optional[SupportsRecord] = None
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in milliseconds."""
-        return self._now
 
     @property
     def processed_events(self) -> int:
@@ -101,13 +98,13 @@ class Engine:
             raise EngineError(f"cannot schedule in the past (delay={delay})")
         seq = self._seq
         self._seq = seq + 1
-        event = Event(self._now + delay, seq, callback, args)
+        event = Event(self.now + delay, seq, callback, args)
         heapq.heappush(self._queue, (event.time, seq, event))
         return event
 
     def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``callback(*args)`` at absolute simulated time ``time``."""
-        return self.schedule(time - self._now, callback, *args)
+        return self.schedule(time - self.now, callback, *args)
 
     def cancel(self, event: Event) -> None:
         """Cancel a previously scheduled event (lazy removal)."""
@@ -127,7 +124,7 @@ class Engine:
             when, _, event = heapq.heappop(queue)
             if event.cancelled:
                 continue
-            self._now = when
+            self.now = when
             self._processed += 1
             if self._profiler is None:
                 event.callback(*event.args)
@@ -161,7 +158,7 @@ class Engine:
                 if not queue:
                     break
                 if until is not None and queue[0][0] > until:
-                    self._now = until
+                    self.now = until
                     break
                 self.step()
                 executed += 1

@@ -80,7 +80,7 @@ class Network:
         # Control messages that arrived at the controller during an
         # outage window; re-enqueued (service queue preserved) when
         # the controller comes back.
-        self._outage_buffer: list[tuple[str, Any]] = []
+        self._outage_buffer: list[tuple[str, Any, str]] = []
         # link key -> delivery events currently on that wire, so a
         # LinkDown can lose them.  Only maintained while chaos is
         # armed.
@@ -167,7 +167,7 @@ class Network:
         return link.port_b
 
     def neighbor_on_port(self, node: str, port: int) -> str:
-        return self.link_at(node, port).other(node)
+        return self.link_at(node, port).endpoint(node)[0]
 
     # -- simulation ----------------------------------------------------------
 
@@ -228,9 +228,9 @@ class Network:
                 if event.cancelled or event.time < now:
                     continue
                 event.cancel()
-                dest, _dest_port, payload = event.args
+                dest, _dest_port, _payload, tag = event.args
                 self._drop_for_failure(
-                    link.other(dest), dest, payload, plane="data", reason="link_down"
+                    link.other(dest), dest, tag, plane="data", reason="link_down"
                 )
         self._notify_port_status(link, up)
 
@@ -319,18 +319,18 @@ class Network:
         if not down and self._outage_buffer:
             buffered = self._outage_buffer
             self._outage_buffer = []
-            for sender, message in buffered:
-                self._enqueue_at_controller(sender, message, self.engine.now)
+            for sender, message, tag in buffered:
+                self._enqueue_at_controller(sender, message, self.engine.now, tag)
 
     def _links_of(self, name: str) -> list[Link]:
         return [link for link in self.links if name in (link.node_a, link.node_b)]
 
     def _drop_for_failure(
-        self, sender: str, dest: str, message: Any, plane: str, reason: str
+        self, sender: str, dest: str, tag: str, plane: str, reason: str
     ) -> None:
         self.trace.record(
             self.engine.now, KIND_MSG_DROP, sender,
-            dest=dest, message=describe(message), reason=reason,
+            dest=dest, message=tag, reason=reason,
         )
         if self.obs.enabled:
             self.obs.metrics.counter(
@@ -349,9 +349,11 @@ class Network:
     def transmit(self, sender: str, port: int, message: Any) -> None:
         link = self.link_at(sender, port)
         dest, dest_port = link.endpoint(sender)
+        # The trace tag is formatted once and travels with the message.
+        tag = describe(message)
         self.trace.record(
             self.engine.now, KIND_MSG_SEND, sender,
-            dest=dest, port=port, message=describe(message),
+            dest=dest, port=port, message=tag,
         )
         if self.obs.enabled:
             self.obs.metrics.counter(
@@ -360,16 +362,16 @@ class Network:
             ).inc()
         if self._chaos:
             if sender in self._down_nodes:
-                self._drop_for_failure(sender, dest, message, "data", "sender_down")
+                self._drop_for_failure(sender, dest, tag, "data", "sender_down")
                 return
             if link.key in self._down_links:
-                self._drop_for_failure(sender, dest, message, "data", "link_down")
+                self._drop_for_failure(sender, dest, tag, "data", "link_down")
                 return
         decision = self._fault_decision(self._fault_model, message)
         if decision.action is FaultAction.DROP:
             self.trace.record(
                 self.engine.now, KIND_MSG_DROP, sender,
-                dest=dest, message=describe(message),
+                dest=dest, message=tag,
             )
             if self.obs.enabled:
                 self.obs.metrics.counter(
@@ -381,29 +383,32 @@ class Network:
         payload = message
         if decision.action is FaultAction.CORRUPT and decision.mutate is not None:
             payload = decision.mutate(copy.deepcopy(message))
-        event = self.engine.schedule(delay, self._deliver, dest, dest_port, payload)
+        event = self.engine.schedule(
+            delay, self._deliver, dest, dest_port, payload,
+            tag if payload is message else describe(payload),
+        )
         if self._chaos:
             self._note_in_flight(link.key, event)
         if decision.action is FaultAction.DUPLICATE:
             dup = self.engine.schedule(
-                delay, self._deliver, dest, dest_port, copy.deepcopy(message)
+                delay, self._deliver, dest, dest_port, copy.deepcopy(message), tag
             )
             if self._chaos:
                 self._note_in_flight(link.key, dup)
 
-    def _deliver(self, dest: str, dest_port: int, message: Any) -> None:
+    def _deliver(self, dest: str, dest_port: int, message: Any, tag: str) -> None:
         node = self.nodes.get(dest)
         if node is None:
             return
         if self._chaos and dest in self._down_nodes:
             self._drop_for_failure(
-                self.neighbor_on_port(dest, dest_port), dest, message,
+                self.neighbor_on_port(dest, dest_port), dest, tag,
                 "data", "dest_down",
             )
             return
         self.trace.record(
             self.engine.now, KIND_MSG_RECV, dest,
-            port=dest_port, message=describe(message),
+            port=dest_port, message=tag,
         )
         if self.obs.enabled:
             self.obs.metrics.counter(
@@ -424,18 +429,12 @@ class Network:
         """
         if self.controller_name is None:
             raise RuntimeError("no controller registered")
-        if self._chaos:
-            if sender in self._down_nodes:
-                self._drop_for_failure(
-                    sender, self.controller_name, message, "control", "sender_down"
-                )
-                return
-            if self.controller_outage:
-                self._drop_for_failure(
-                    sender, self.controller_name, message,
-                    "control", "controller_outage",
-                )
-                return
+        if self._chaos and (sender in self._down_nodes or self.controller_outage):
+            self._drop_for_failure(
+                sender, self.controller_name, describe(message), "control",
+                "sender_down" if sender in self._down_nodes else "controller_outage",
+            )
+            return
         decision = self._fault_decision(self._control_fault_model, message)
         if self.obs.enabled:
             self.obs.metrics.counter(
@@ -455,6 +454,9 @@ class Network:
         payload = message
         if decision.action is FaultAction.CORRUPT and decision.mutate is not None:
             payload = decision.mutate(copy.deepcopy(message))
+        # Formatted once, after any corruption: the tag travels with the
+        # payload to its msg_recv record.
+        tag = describe(payload)
 
         if sender == self.controller_name:
             target = getattr(payload, "target", None)
@@ -464,28 +466,31 @@ class Network:
             delay = channel.delay() + decision.extra_delay_ms
             self.trace.record(
                 self.engine.now, KIND_MSG_SEND, sender,
-                dest=target, message=describe(payload),
+                dest=target, message=tag,
             )
-            self.engine.schedule(delay, self._deliver_control, target, payload, sender)
+            self.engine.schedule(
+                delay, self._deliver_control, target, payload, sender, tag
+            )
             if decision.action is FaultAction.DUPLICATE:
                 self.engine.schedule(
-                    delay, self._deliver_control, target, copy.deepcopy(payload), sender
+                    delay, self._deliver_control,
+                    target, copy.deepcopy(payload), sender, tag,
                 )
         else:
             channel = self._channel_for(sender)
             delay = channel.delay() + decision.extra_delay_ms
             self.trace.record(
                 self.engine.now, KIND_MSG_SEND, sender,
-                dest=self.controller_name, message=describe(payload),
+                dest=self.controller_name, message=tag,
             )
             arrival = self.engine.now + delay
             self.engine.schedule(
-                delay, self._enqueue_at_controller, sender, payload, arrival
+                delay, self._enqueue_at_controller, sender, payload, arrival, tag
             )
             if decision.action is FaultAction.DUPLICATE:
                 self.engine.schedule(
                     delay, self._enqueue_at_controller,
-                    sender, copy.deepcopy(payload), arrival,
+                    sender, copy.deepcopy(payload), arrival, tag,
                 )
 
     def _channel_for(self, switch: str) -> ControlChannel:
@@ -494,7 +499,9 @@ class Network:
             raise KeyError(f"no control channel for {switch!r}")
         return channel
 
-    def _enqueue_at_controller(self, sender: str, message: Any, arrival: float) -> None:
+    def _enqueue_at_controller(
+        self, sender: str, message: Any, arrival: float, tag: str
+    ) -> None:
         """Messages to the controller serialise through one service queue.
 
         The controller handles one message at a time (paper: single
@@ -505,7 +512,7 @@ class Network:
             # Arrived while the controller is down: the service queue
             # survives the outage, so park the message for re-enqueue
             # at recovery.
-            self._outage_buffer.append((sender, message))
+            self._outage_buffer.append((sender, message, tag))
             return
         controller = self.nodes[self.controller_name]
         service_time = 0.0
@@ -525,19 +532,19 @@ class Network:
             ).observe(start - self.engine.now)
         self.engine.schedule(
             finish - self.engine.now, self._deliver_control,
-            self.controller_name, message, sender,
+            self.controller_name, message, sender, tag,
         )
 
-    def _deliver_control(self, dest: str, message: Any, sender: str) -> None:
+    def _deliver_control(self, dest: str, message: Any, sender: str, tag: str) -> None:
         node = self.nodes.get(dest)
         if node is None:
             return
         if self._chaos and dest in self._down_nodes:
-            self._drop_for_failure(sender, dest, message, "control", "dest_down")
+            self._drop_for_failure(sender, dest, tag, "control", "dest_down")
             return
         self.trace.record(
             self.engine.now, KIND_MSG_RECV, dest,
-            sender=sender, message=describe(message),
+            sender=sender, message=tag,
         )
         if self.obs.enabled:
             self.obs.metrics.counter(
@@ -552,8 +559,12 @@ class Network:
         self, model: Optional[FaultPolicy], message: Any
     ) -> FaultDecision:
         if model is None:
-            return FaultDecision()
+            return _NO_FAULT
         return model.decide(message)
+
+
+# What every transmission gets when no policy is installed; read-only.
+_NO_FAULT = FaultDecision()
 
 
 def describe(message: Any) -> str:

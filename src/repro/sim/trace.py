@@ -92,8 +92,12 @@ class Trace:
         self._by_kind: dict[str, list[int]] = {}
 
     def record(self, time: float, kind: str, node: str, **detail: Any) -> TraceEvent:
-        event = TraceEvent(time, kind, node, detail)
-        positions = self._by_kind.setdefault(kind, [])
+        # tuple.__new__ skips the generated NamedTuple constructor, and
+        # get() the empty list setdefault() would build on every call.
+        event = tuple.__new__(TraceEvent, (time, kind, node, detail))
+        positions = self._by_kind.get(kind)
+        if positions is None:
+            positions = self._by_kind[kind] = []
         positions.append(self._base + len(self.events))
         self.events.append(event)
         if self.max_events > 0 and len(self.events) > self.max_events:

@@ -224,6 +224,7 @@ def test_real_program_register_accesses_are_still_recognised():
     ]
     assert accesses(P4UpdateProgram) == {
         "_admit": ([], ["flow_priority"]),
+        "applied_version": (["cur_version"], []),
         "_ingress_probe": (["<dynamic>", "ingress_tag", "two_phase"], []),
         "current_port": (["cur_egress_port"], []),
         "flow_size_of": (["flow_size"], []),
@@ -239,5 +240,6 @@ def test_real_program_register_accesses_are_still_recognised():
     }
     assert accesses(P4UpdateSwitch) == {
         "_complete_install": ([], ["<dynamic>", "two_phase"]),
+        "_egress_state": (["old_distance"], []),
         "_process_tag_flip": ([], ["ingress_tag"]),
     }
