@@ -35,7 +35,7 @@ simulated time; same seed -> same trace):
 from __future__ import annotations
 
 import ast
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from repro.analysis.findings import Finding
 from repro.analysis.linter import LintContext, LintRule, register_rule
@@ -297,10 +297,12 @@ class PrivateCrossImportRule(LintRule):
 _METRIC_METHODS = {"counter", "gauge", "histogram"}
 
 
-def _is_obs_metric_call(ctx: LintContext, node: ast.Call) -> bool:
+def _is_obs_metric_call(
+    ctx: LintContext, node: ast.Call, methods: Iterable[str] = _METRIC_METHODS
+) -> bool:
     """Matches ``<...>.obs.metrics.counter(...)`` style calls."""
     func = node.func
-    if not (isinstance(func, ast.Attribute) and func.attr in _METRIC_METHODS):
+    if not (isinstance(func, ast.Attribute) and func.attr in methods):
         return False
     registry = func.value
     if not (isinstance(registry, ast.Attribute) and registry.attr == "metrics"):
@@ -313,8 +315,17 @@ def _is_obs_metric_call(ctx: LintContext, node: ast.Call) -> bool:
     return False
 
 
-def _guarded(ctx: LintContext, node: ast.Call) -> bool:
-    """True when the call sits under an ``.enabled`` check.
+def _is_obs_family_use(ctx: LintContext, node: ast.Subscript) -> bool:
+    """Matches ``self._m_<what>[...]`` (a family bound in ``__init__``,
+    see ``repro.obs.registry``) and ``<...>.obs.metrics.family(...)[...]``."""
+    family = node.value
+    if isinstance(family, ast.Attribute):
+        return ast.unparse(family.value) == "self" and family.attr.startswith("_m_")
+    return isinstance(family, ast.Call) and _is_obs_metric_call(ctx, family, ("family",))
+
+
+def _guarded(ctx: LintContext, node: ast.AST) -> bool:
+    """True when the metric use sits under an ``.enabled`` check.
 
     Two accepted shapes: an enclosing ``if``/``while``/ternary whose
     test mentions ``enabled``, or an earlier guard clause in the same
@@ -353,21 +364,22 @@ def _guarded(ctx: LintContext, node: ast.Call) -> bool:
 class UnguardedObsRule(LintRule):
     name = "unguarded-obs"
     description = (
-        "obs metric call outside an `if obs.enabled:` guard; hot paths "
-        "must stay allocation-free when observability is off"
+        "obs metric call or metric-family subscript outside an `if obs.enabled:` "
+        "guard; hot paths must stay allocation-free when observability is off"
     )
 
     def check(self, ctx: LintContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            if not _is_obs_metric_call(ctx, node):
+            if isinstance(node, ast.Call) and _is_obs_metric_call(ctx, node):
+                use = f"{ast.unparse(node.func)}(...)"
+            elif isinstance(node, ast.Subscript) and _is_obs_family_use(ctx, node):
+                use = f"{ast.unparse(node.value)}[...]"
+            else:
                 continue
             if _guarded(ctx, node):
                 continue
-            call = ast.unparse(node.func)
             yield self.finding(
                 ctx, node,
-                f"{call}(...) is not guarded by `.enabled`; wrap it in "
+                f"{use} is not guarded by `.enabled`; wrap it in "
                 f"`if obs.enabled:` (or use obs.count()/obs.observe())",
             )

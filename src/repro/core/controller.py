@@ -299,7 +299,7 @@ class P4UpdateController(Node):
             self._verify_before_push(prepared, record)
         record.update_sent_at = self.now
         if self.obs.enabled:
-            self.obs.metrics.counter("uims_sent", node=self.name).inc(
+            self.obs.metrics.family("counter", "uims_sent", "node")[(self.name,)].inc(
                 len(prepared.uims)
             )
         for uim in prepared.uims:
@@ -673,11 +673,11 @@ class P4UpdateController(Node):
                     ).observe(self.now - record.recovering_since)
                 record.recovering_since = None
             if self.obs.enabled:
-                self.obs.metrics.counter("updates_completed", node=self.name).inc()
+                self.obs.metrics.family("counter", "updates_completed", "node")[(self.name,)].inc()
                 if record.update_sent_at is not None:
-                    self.obs.metrics.histogram(
-                        "update_duration_ms", node=self.name,
-                    ).observe(self.now - record.update_sent_at)
+                    self.obs.metrics.family("histogram", "update_duration_ms", "node")[
+                        (self.name,)
+                    ].observe(self.now - record.update_sent_at)
             if self.network is not None:
                 self.network.trace.record(
                     self.now, KIND_UPDATE_DONE, self.name,

@@ -277,10 +277,9 @@ class P4UpdateProgram(PipelineProgram):
         agent = self.agent
         obs = getattr(agent, "obs", None)       # test stubs have no obs
         if obs is not None and obs.enabled:
-            obs.metrics.counter(
-                "unm_verdicts", node=agent.name,
-                verdict=decision.verdict.value,
-            ).inc()
+            obs.metrics.family("counter", "unm_verdicts", "node", "verdict")[
+                agent.name, decision.verdict.value
+            ].inc()
 
         if decision.verdict is Verdict.WAIT:
             self.stats["unm_waits"] += 1

@@ -361,7 +361,7 @@ class P4UpdateSwitch(P4Switch):
                 # Traffic has moved: release the old link's reservation.
                 program.scheduler.commit_move(uim.flow_id)
             if self.obs.enabled:
-                self.obs.metrics.counter("rule_installs", node=self.name).inc()
+                self.obs.metrics.family("counter", "rule_installs", "node")[(self.name,)].inc()
             self._mirror_rule(uim.flow_id, uim.egress_port, record=True)
             if old_port not in (NO_PORT, LOCAL_DELIVER_PORT) and old_port != uim.egress_port:
                 # §11 rule cleanup: tell the abandoned old parent that no

@@ -70,7 +70,7 @@ class _Track:
 
     __slots__ = (
         "request_id", "flow_id", "state", "last_t", "pushed", "done",
-        "outcome", "version", "events", "edges", "segments",
+        "outcome", "version", "events", "segments",
     )
 
     def __init__(self, request_id: int, flow_id: int, t: float) -> None:
@@ -82,8 +82,10 @@ class _Track:
         self.done = False
         self.outcome: Optional[str] = None
         self.version: Optional[int] = None
-        self.events: list[dict[str, Any]] = []
-        self.edges: list[dict[str, Any]] = []
+        # One ``(t, kind, node, detail, segment)`` per causal event,
+        # ``segment`` naming the interval the event closed; the event
+        # and edge dicts of :meth:`CausalTracker.dags` are built at export.
+        self.events: list[tuple] = [(t, "submitted", _ORCH, None, None)]
         # Signed endpoints of the intervals each segment was charged.
         self.segments: dict[str, list[float]] = {s: [] for s in SEGMENTS}
 
@@ -112,11 +114,7 @@ class CausalTracker:
     # -- request lifecycle --------------------------------------------------
 
     def submit(self, request_id: int, flow_id: int, t: float) -> None:
-        track = _Track(request_id, flow_id, t)
-        self._tracks[request_id] = track
-        track.events.append(
-            {"id": 0, "t": t, "kind": "submitted", "node": _ORCH}
-        )
+        self._tracks[request_id] = _Track(request_id, flow_id, t)
 
     def mark(
         self,
@@ -262,21 +260,8 @@ class CausalTracker:
         detail: dict[str, Any],
     ) -> None:
         segment = close_as if close_as is not None else track.state
-        last_t = track.last_t
-        track.segments[segment] += (t, -last_t)
-        eid = len(track.events)
-        event: dict[str, Any] = {"id": eid, "t": t, "kind": kind, "node": node}
-        if detail:
-            event.update(detail)
-        track.events.append(event)
-        track.edges.append(
-            {
-                "src": eid - 1,
-                "dst": eid,
-                "segment": segment,
-                "dur_ms": t - last_t,
-            }
-        )
+        track.segments[segment] += (t, -track.last_t)
+        track.events.append((t, kind, node, detail, segment))
         track.last_t = t
 
     # -- exports ------------------------------------------------------------
@@ -304,6 +289,18 @@ class CausalTracker:
         for request_id in sorted(self._tracks):
             track = self._tracks[request_id]
             e2e, segments = _totals(track)
+            events: list[dict[str, Any]] = []
+            edges: list[dict[str, Any]] = []
+            last_t = 0.0
+            for eid, (t, kind, node, detail, segment) in enumerate(track.events):
+                event: dict[str, Any] = {"id": eid, "t": t, "kind": kind, "node": node}
+                if detail:
+                    event.update(detail)
+                events.append(event)
+                if eid:  # the event's ``last_t`` was its predecessor's ``t``
+                    edges.append({"src": eid - 1, "dst": eid, "segment": segment,
+                                  "dur_ms": t - last_t})
+                last_t = t
             docs.append(
                 {
                     "request_id": track.request_id,
@@ -312,8 +309,8 @@ class CausalTracker:
                     "version": track.version,
                     "e2e_ms": e2e,
                     "segments": segments,
-                    "events": list(track.events),
-                    "edges": list(track.edges),
+                    "events": events,
+                    "edges": edges,
                 }
             )
         return docs

@@ -7,7 +7,11 @@ Design contract:
   to the module-level :data:`NULL_OBS` singleton;
 * instrumented hot paths guard with ``if self.obs.enabled:`` so the
   disabled mode costs one attribute read per site and allocates
-  nothing (the no-op registry returns shared singleton instruments);
+  nothing (the no-op registry returns shared singleton instruments
+  and families);
+* a hot site holds its metric family (``MetricsRegistry.family``),
+  bound once where the owner receives ``obs``, instead of resolving a
+  name and a label set per event;
 * observability NEVER touches simulated time or the RNG streams — a
   run with obs on and obs off produces the bit-identical simulated
   trace (asserted by ``tests/obs/test_determinism_obs.py``).
@@ -104,18 +108,10 @@ class ObsContext:
         a counter/gauge with a nonzero value or a histogram with
         samples counts as "touched".  Sorted, so callers get a
         deterministic view regardless of recording order."""
-        if not self.enabled:
-            return []
-        touched = set()
-        for name, series in self.metrics.snapshot().items():
-            for row in series:
-                kind = row.get("type")
-                if kind in ("counter", "gauge"):
-                    if float(row.get("value", 0.0)) != 0.0:
-                        touched.add(name)
-                elif int(row.get("count", 0)) > 0:
-                    touched.add(name)
-        return sorted(touched)
+        return sorted({
+            name for name, _labels, instrument in self.metrics
+            if getattr(instrument, "value", 0.0) != 0.0 or getattr(instrument, "count", 0) > 0
+        })
 
 
 def make_obs(profile: bool = False, causal: bool = False) -> ObsContext:

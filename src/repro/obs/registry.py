@@ -6,6 +6,21 @@ node="v3", type="UIM")``).  Instruments are cheap mutable cells; the
 registry's :meth:`~MetricsRegistry.snapshot` renders everything into a
 plain JSON-safe dict for manifests and the CLI.
 
+A hot site resolves its instrument through a *family* instead:
+``registry.family("counter", "messages_sent", "node", "plane",
+"type")`` is one ``dict`` per (kind, name, label names), memoised by
+the registry and keyed by label-value tuple, so an event pays one
+tuple build and one dict hit (``family[sender, "data", "unm"].inc()``).
+Families are lazy: a missing key creates the instrument through the
+same canonical store ``counter`` / ``gauge`` / ``histogram`` use, so
+creation order, snapshots and the kind-conflict ``TypeError`` do not
+depend on which spelling asked first.  An object that receives its
+``obs`` in ``__init__`` binds its families there, to attributes named
+``self._m_<what>``; the ``unguarded-obs`` lint rule treats a subscript
+of such an attribute (or of an ``obs.metrics.family(...)`` call) as a
+metric access that needs an ``obs.enabled`` guard.  The bind itself
+needs none: on a disabled context it returns a shared null family.
+
 Histograms are *streaming*: they keep geometric buckets (≈9 % wide)
 plus exact count/sum/min/max, so p50/p90/p99 estimates never require
 storing the samples.  The estimation error is bounded by the bucket
@@ -26,8 +41,6 @@ from typing import Iterator, Optional
 # width, i.e. quantile estimates are within ~4.5 % of the true value.
 _BUCKET_BASE = 2.0 ** 0.125
 _LOG_BASE = math.log(_BUCKET_BASE)
-
-LabelKey = frozenset
 
 
 def _label_key(labels: dict) -> frozenset:
@@ -95,12 +108,15 @@ class Histogram:
 
     def observe(self, value: float) -> None:
         value = float(value)
-        if math.isnan(value) or math.isinf(value):
+        if not math.isfinite(value):
             raise ValueError(f"non-finite histogram sample: {value}")
         self.count += 1
         self.total += value
-        self.minimum = min(self.minimum, value)
-        self.maximum = max(self.maximum, value)
+        # What min() / max() keep on a tie, -0.0 against 0.0 included.
+        if value < self.minimum:
+            self.minimum = value
+        if value > self.maximum:
+            self.maximum = value
         if value <= 0.0:
             self._zero += 1
             return
@@ -156,16 +172,49 @@ class Histogram:
         }
 
 
+class _Family(dict):
+    """One metric's instruments keyed by label-value tuple (internal;
+    see :meth:`MetricsRegistry.family`)."""
+
+    __slots__ = ("_registry", "_factory", "_name", "_label_names")
+
+    def __init__(self, registry: MetricsRegistry, factory: type, name: str, label_names: tuple):
+        super().__init__()
+        self._registry, self._factory, self._name = registry, factory, name
+        self._label_names = label_names
+
+    def __missing__(self, values: tuple):
+        labels = dict(zip(self._label_names, values, strict=True))
+        instrument = self[values] = self._registry._get(self._factory, self._name, labels)
+        return instrument
+
+
 class MetricsRegistry:
     """Get-or-create store of labeled instruments."""
 
     enabled = True
+    _KINDS = {cls.kind: cls for cls in (Counter, Gauge, Histogram)}
 
     def __init__(self) -> None:
         # (name, label_key) -> instrument
         self._instruments: dict[tuple[str, frozenset], object] = {}
         # name -> labels dict per label_key, for snapshots.
         self._labels: dict[tuple[str, frozenset], dict] = {}
+        # (kind, name, label names) -> family
+        self._families: dict[tuple[str, str, tuple[str, ...]], _Family] = {}
+
+    def family(self, kind: str, name: str, *label_names: str) -> dict:
+        """The ``dict`` of ``kind`` instruments named ``name``, keyed
+        by a tuple of values for ``label_names`` (in that order).
+
+        Memoised per ``(kind, name, label_names)``; a missing key
+        creates the instrument on first use, exactly as
+        ``counter(name, **labels)`` would."""
+        key = (kind, name, label_names)
+        family = self._families.get(key)
+        if family is None:
+            family = self._families[key] = _Family(self, self._KINDS[kind], name, label_names)
+        return family
 
     def _get(self, factory, name: str, labels: dict):
         key = (name, _label_key(labels))
@@ -181,13 +230,13 @@ class MetricsRegistry:
         return instrument
 
     def counter(self, name: str, **labels) -> Counter:
-        return self._get(Counter, name, labels)
+        return self.family("counter", name, *labels)[tuple(labels.values())]
 
     def gauge(self, name: str, **labels) -> Gauge:
-        return self._get(Gauge, name, labels)
+        return self.family("gauge", name, *labels)[tuple(labels.values())]
 
     def histogram(self, name: str, **labels) -> Histogram:
-        return self._get(Histogram, name, labels)
+        return self.family("histogram", name, *labels)[tuple(labels.values())]
 
     def __len__(self) -> int:
         return len(self._instruments)
@@ -248,21 +297,37 @@ class _NullHistogram(Histogram):
         pass
 
 
-_NULL_COUNTER = _NullCounter()
-_NULL_GAUGE = _NullGauge()
-_NULL_HISTOGRAM = _NullHistogram()
+class _NullFamily(dict):
+    """Read-only family: every key yields one shared null instrument
+    and nothing is stored.  Pickles as a reference to its module-level
+    singleton, so an unpickled object graph shares it too."""
+
+    __slots__ = ("_instrument", "_singleton")
+
+    def __init__(self, instrument: object, singleton: str) -> None:
+        super().__init__()
+        self._instrument, self._singleton = instrument, singleton
+
+    def __missing__(self, values: tuple):
+        return self._instrument
+
+    def __setitem__(self, values: tuple, instrument: object) -> None:
+        raise TypeError("a null family stores nothing")
+
+    def __reduce__(self) -> str:
+        return self._singleton
+
+
+_NULL_COUNTERS = _NullFamily(_NullCounter(), "_NULL_COUNTERS")
+_NULL_GAUGES = _NullFamily(_NullGauge(), "_NULL_GAUGES")
+_NULL_HISTOGRAMS = _NullFamily(_NullHistogram(), "_NULL_HISTOGRAMS")
 
 
 class NullRegistry(MetricsRegistry):
     """No-op registry: shared singletons, no state, no allocation."""
 
     enabled = False
+    _NULL_FAMILIES = {f._instrument.kind: f for f in (_NULL_COUNTERS, _NULL_GAUGES, _NULL_HISTOGRAMS)}
 
-    def counter(self, name: str, **labels) -> Counter:
-        return _NULL_COUNTER
-
-    def gauge(self, name: str, **labels) -> Gauge:
-        return _NULL_GAUGE
-
-    def histogram(self, name: str, **labels) -> Histogram:
-        return _NULL_HISTOGRAM
+    def family(self, kind: str, name: str, *label_names: str) -> dict:
+        return self._NULL_FAMILIES[kind]

@@ -14,6 +14,7 @@ dicts.  The :class:`NullSpanTracker` is the disabled default: its
 
 from __future__ import annotations
 
+import contextlib
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -121,17 +122,7 @@ class SpanTracker:
         return [root.to_dict() for root in self.roots]
 
 
-class _NullSpanContext:
-    __slots__ = ()
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        pass
-
-
-_NULL_SPAN_CONTEXT = _NullSpanContext()
+_NULL_SPAN_CONTEXT: contextlib.nullcontext[None] = contextlib.nullcontext()
 
 
 class NullSpanTracker(SpanTracker):
@@ -139,10 +130,7 @@ class NullSpanTracker(SpanTracker):
 
     enabled = False
 
-    def __init__(self) -> None:
-        super().__init__()
-
-    def span(self, name: str, **attrs) -> _NullSpanContext:  # type: ignore[override]
+    def span(self, name: str, **attrs) -> contextlib.nullcontext[None]:  # type: ignore[override]
         return _NULL_SPAN_CONTEXT
 
     def tree(self) -> list[dict]:

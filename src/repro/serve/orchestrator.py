@@ -103,6 +103,16 @@ class ServiceOrchestrator:
         # samples RNGs or records trace events, so tracked runs stay
         # bit-identical to untracked runs in simulated time.
         self._causal = self.obs.causal
+        metrics = self.obs.metrics
+        self._m_requests = metrics.family("counter", "serve_requests", "outcome")
+        self._m_admission_wait = metrics.family("histogram", "serve_admission_wait_ms")
+        self._m_prepare = metrics.family("histogram", "serve_prepare_ms")
+        self._m_e2e = metrics.family("histogram", "serve_e2e_ms")
+        self._m_install = metrics.family("histogram", "serve_install_ms")
+        self._m_verify = metrics.family("histogram", "serve_verify_ms")
+        self._m_in_flight = metrics.family("gauge", "serve_in_flight")
+        self._m_queue_depth = metrics.family("gauge", "serve_queue_depth")
+        self._m_parked = metrics.family("gauge", "serve_parked_requests")
         self.flows = {f.flow_id: f for f in population}
         # Admission state.
         self.pending: deque[UpdateRequest] = deque()
@@ -452,9 +462,7 @@ class ServiceOrchestrator:
             )
             self._causal.bind_flow(request.flow_id, request.request_id)
         if self.obs.enabled:
-            self.obs.observe(
-                "serve_admission_wait_ms", now - request.submitted_ms
-            )
+            self._m_admission_wait[()].observe(now - request.submitted_ms)
         # The controller is single-threaded: preparation happens after
         # its queueing delay + per-message service time.
         delay = (
@@ -495,9 +503,8 @@ class ServiceOrchestrator:
                 self.controller.name, prepared.version,
             )
         if self.obs.enabled:
-            self.obs.observe(
-                "serve_prepare_ms",
-                self.engine.now - (request.dispatched_ms or 0.0),
+            self._m_prepare[()].observe(
+                self.engine.now - (request.dispatched_ms or 0.0)
             )
         self.controller.push_update(prepared)
 
@@ -568,27 +575,21 @@ class ServiceOrchestrator:
         if self._causal is not None:
             self._causal.finish(request.request_id, now, outcome)
         if self.obs.enabled:
-            self.obs.count("serve_requests", outcome=outcome)
+            self._m_requests[(outcome,)].inc()
             if outcome == OUTCOME_COMPLETED:
-                self.obs.observe(
-                    "serve_e2e_ms", now - request.submitted_ms
-                )
+                self._m_e2e[()].observe(now - request.submitted_ms)
                 if request.pushed_ms is not None:
                     anchor = request.last_install_ms or request.pushed_ms
-                    self.obs.observe(
-                        "serve_install_ms", anchor - request.pushed_ms
-                    )
-                    self.obs.observe("serve_verify_ms", now - anchor)
+                    self._m_install[()].observe(anchor - request.pushed_ms)
+                    self._m_verify[()].observe(now - anchor)
         if self.on_terminal is not None:
             self.on_terminal(request)
 
     def _gauges(self) -> None:
         if self.obs.enabled:
-            self.obs.gauge_set("serve_in_flight", float(len(self.in_flight)))
-            self.obs.gauge_set("serve_queue_depth", float(len(self.pending)))
-            self.obs.gauge_set(
-                "serve_parked_requests", float(len(self.parked_requests))
-            )
+            self._m_in_flight[()].set(float(len(self.in_flight)))
+            self._m_queue_depth[()].set(float(len(self.pending)))
+            self._m_parked[()].set(float(len(self.parked_requests)))
 
     # -- teardown ------------------------------------------------------------
 

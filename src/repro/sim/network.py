@@ -57,6 +57,11 @@ class Network:
         self.engine = engine if engine is not None else Engine()
         self.trace = trace if trace is not None else Trace()
         self.obs = obs if obs is not None else NULL_OBS
+        metrics = self.obs.metrics
+        self._m_sent = metrics.family("counter", "messages_sent", "node", "plane", "type")
+        self._m_received = metrics.family("counter", "messages_received", "node", "plane", "type")
+        self._m_dropped = metrics.family("counter", "messages_dropped", "node", "plane", "type")
+        self._m_service_wait = metrics.family("histogram", "controller_service_wait_ms", "node")
         self.nodes: dict[str, Node] = {}
         self.links: list[Link] = []
         # (node, port) -> Link
@@ -266,14 +271,7 @@ class Network:
         hook = getattr(self.nodes[name], "on_crash", None)
         if hook is not None:
             hook(preserve_state)
-        for link in self._links_of(name):
-            if link.key in self._down_links:
-                continue
-            other = link.other(name)
-            if other in self._down_nodes:
-                continue
-            port = link.port_a if link.node_a == other else link.port_b
-            self.nodes[other].handle_port_status(port, False)
+        self._notify_neighbors(name, False)
 
     def restart_switch(self, name: str) -> None:
         """Bring a crashed switch back; neighbors see ports come up."""
@@ -287,14 +285,16 @@ class Network:
         hook = getattr(self.nodes[name], "on_restart", None)
         if hook is not None:
             hook()
+        self._notify_neighbors(name, True)
+
+    def _notify_neighbors(self, name: str, up: bool) -> None:
+        """Live neighbors of ``name`` see their port toward it go up / down."""
         for link in self._links_of(name):
-            if link.key in self._down_links:
-                continue
             other = link.other(name)
-            if other in self._down_nodes:
+            if link.key in self._down_links or other in self._down_nodes:
                 continue
             port = link.port_a if link.node_a == other else link.port_b
-            self.nodes[other].handle_port_status(port, True)
+            self.nodes[other].handle_port_status(port, up)
 
     def set_controller_outage(self, down: bool) -> None:
         """Black-hole the control channel during a controller outage.
@@ -356,10 +356,7 @@ class Network:
             dest=dest, port=port, message=tag,
         )
         if self.obs.enabled:
-            self.obs.metrics.counter(
-                "messages_sent", node=sender, plane="data",
-                type=message_type(message),
-            ).inc()
+            self._m_sent[sender, "data", message_type(message)].inc()
         if self._chaos:
             if sender in self._down_nodes:
                 self._drop_for_failure(sender, dest, tag, "data", "sender_down")
@@ -374,10 +371,7 @@ class Network:
                 dest=dest, message=tag,
             )
             if self.obs.enabled:
-                self.obs.metrics.counter(
-                    "messages_dropped", node=sender, plane="data",
-                    type=message_type(message),
-                ).inc()
+                self._m_dropped[sender, "data", message_type(message)].inc()
             return
         delay = link.latency_ms + decision.extra_delay_ms
         payload = message
@@ -411,10 +405,7 @@ class Network:
             port=dest_port, message=tag,
         )
         if self.obs.enabled:
-            self.obs.metrics.counter(
-                "messages_received", node=dest, plane="data",
-                type=message_type(message),
-            ).inc()
+            self._m_received[dest, "data", message_type(message)].inc()
         node.handle_message(message, dest_port)
 
     # -- control-plane delivery ---------------------------------------------------
@@ -437,19 +428,13 @@ class Network:
             return
         decision = self._fault_decision(self._control_fault_model, message)
         if self.obs.enabled:
-            self.obs.metrics.counter(
-                "messages_sent", node=sender, plane="control",
-                type=message_type(message),
-            ).inc()
+            self._m_sent[sender, "control", message_type(message)].inc()
         if decision.action is FaultAction.DROP:
             self.trace.record(
                 self.engine.now, KIND_MSG_DROP, sender, message=describe(message),
             )
             if self.obs.enabled:
-                self.obs.metrics.counter(
-                    "messages_dropped", node=sender, plane="control",
-                    type=message_type(message),
-                ).inc()
+                self._m_dropped[sender, "control", message_type(message)].inc()
             return
         payload = message
         if decision.action is FaultAction.CORRUPT and decision.mutate is not None:
@@ -527,9 +512,7 @@ class Network:
         finish = start + service_time
         self.controller_service_busy_until = finish
         if self.obs.enabled:
-            self.obs.metrics.histogram(
-                "controller_service_wait_ms", node=self.controller_name,
-            ).observe(start - self.engine.now)
+            self._m_service_wait[(self.controller_name,)].observe(start - self.engine.now)
         self.engine.schedule(
             finish - self.engine.now, self._deliver_control,
             self.controller_name, message, sender, tag,
@@ -547,10 +530,7 @@ class Network:
             sender=sender, message=tag,
         )
         if self.obs.enabled:
-            self.obs.metrics.counter(
-                "messages_received", node=dest, plane="control",
-                type=message_type(message),
-            ).inc()
+            self._m_received[dest, "control", message_type(message)].inc()
         node.handle_control(message, sender)
 
     # -- faults -------------------------------------------------------------------
@@ -582,10 +562,11 @@ def message_type(message: Any) -> str:
     distinction is which header they carry (UNM, probe, cleanup).
     Control-plane messages keep their class name (UIM, UFM, ...).
     """
-    has_valid = getattr(message, "has_valid", None)
-    if callable(has_valid):
-        for header in ("unm", "probe", "cleanup"):
-            if has_valid(header):
-                return header
-        return "packet"
-    return type(message).__name__
+    headers = getattr(message, "headers", None)
+    if headers is None:
+        return type(message).__name__
+    for name in ("unm", "probe", "cleanup"):
+        header = headers.get(name)
+        if header is not None and header.is_valid():
+            return name
+    return "packet"

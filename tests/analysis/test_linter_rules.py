@@ -209,6 +209,50 @@ def test_guard_clause_obs_ok():
     """) == set()
 
 
+def test_unguarded_bound_family_flagged():
+    findings = lint("""
+        class Net:
+            def send(self, node):
+                self._m_sent[node, "data"].inc()
+    """)
+    assert [(f.rule, f.line) for f in findings] == [("unguarded-obs", 4)]
+    assert "self._m_sent[...]" in findings[0].message
+
+
+def test_unguarded_family_call_flagged():
+    assert rules_hit("""
+        def install(self):
+            self.obs.metrics.family("counter", "rule_installs", "node")[(self.name,)].inc()
+    """) == {"unguarded-obs"}
+
+
+def test_guarded_family_uses_ok():
+    assert rules_hit("""
+        class Net:
+            def send(self, node):
+                if self.obs.enabled:
+                    self._m_sent[node, "data"].inc()
+                    self.obs.metrics.family("counter", "x", "node")[(node,)].inc()
+    """) == set()
+
+
+def test_binding_a_family_needs_no_guard():
+    # A disabled context binds the shared null family: nothing to guard.
+    assert rules_hit("""
+        class Net:
+            def __init__(self, obs):
+                self._m_sent = obs.metrics.family("counter", "messages_sent", "node")
+                self._m_wait = self.obs.metrics.family("histogram", "wait_ms")
+    """) == set()
+
+
+def test_other_subscripts_are_not_metric_uses():
+    assert rules_hit("""
+        def read(self, other):
+            return self._memo[1], other._m_sent[2], self.m_sent[3]
+    """) == set()
+
+
 def test_unguarded_obs_suppressed():
     findings = lint("""
         def record(obs):

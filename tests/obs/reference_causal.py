@@ -9,6 +9,13 @@ Those numbers are serialised into committed manifests
 (``BENCH_serve_serve-smoke.json``), so the tracker's ``t - last_t`` and
 ``math.fsum`` must reproduce them bit for bit;
 ``test_causal_exact.py`` holds the two side by side.
+
+It also keeps the event storage the tracker had before events became
+tuples built into dicts at export: one event dict and one edge dict
+appended per causal event, in its own :class:`_ReferenceTrack`.  Only
+the request-routing hooks (``mark``, ``set_state``, ``pushed``,
+``finish``, ``flow_event``, ``retry``) are inherited, and they reach
+storage through ``_append`` alone.
 """
 
 from __future__ import annotations
@@ -16,19 +23,46 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Any, Optional
 
-from repro.obs.causal import SEGMENTS, CausalTracker, _Track
+from repro.obs.causal import SEGMENTS, CausalTracker
+
+_ORCH = "orchestrator"
+
+
+class _ReferenceTrack:
+    """Per-request state with dict events and edges."""
+
+    __slots__ = (
+        "request_id", "flow_id", "state", "last_t", "pushed", "done",
+        "outcome", "version", "events", "edges", "segments",
+    )
+
+    def __init__(self, request_id: int, flow_id: int, t: float) -> None:
+        self.request_id = request_id
+        self.flow_id = flow_id
+        self.state = "queue_wait"
+        self.last_t = t
+        self.pushed = False
+        self.done = False
+        self.outcome: Optional[str] = None
+        self.version: Optional[int] = None
+        self.events: list[dict[str, Any]] = []
+        self.edges: list[dict[str, Any]] = []
+        self.segments: dict[str, Fraction] = {s: Fraction(0) for s in SEGMENTS}
 
 
 class ReferenceCausalTracker(CausalTracker):
     """Same hooks, ``Fraction`` bookkeeping; see the module docstring."""
 
     def submit(self, request_id: int, flow_id: int, t: float) -> None:
-        super().submit(request_id, flow_id, t)
-        self._tracks[request_id].segments = {s: Fraction(0) for s in SEGMENTS}
+        track = _ReferenceTrack(request_id, flow_id, t)
+        self._tracks[request_id] = track
+        track.events.append(
+            {"id": 0, "t": t, "kind": "submitted", "node": _ORCH}
+        )
 
     def _append(
         self,
-        track: _Track,
+        track: _ReferenceTrack,
         t: float,
         kind: str,
         node: str,

@@ -1,5 +1,7 @@
-"""The runs both reference suites replay: ``tests/core/reference_switch.py``
-(the switch agent) and ``tests/sim/reference_network.py`` (delivery).
+"""The runs the reference suites replay: ``tests/core/reference_switch.py``
+(the switch agent), ``tests/sim/reference_network.py`` (delivery) and,
+with an enabled ``obs`` passed in, ``tests/obs/reference_registry.py`` /
+``reference_causal.py`` (metrics and causal tracing).
 
 Each scenario builds its deployment from scratch, runs it to the end and
 returns everything the stock and the reference bodies must agree on: the
@@ -31,6 +33,7 @@ from repro.chaos.runner import (
 from repro.core.desttree import DestinationTreeManager
 from repro.core.messages import UpdateType
 from repro.harness.build import Deployment, build_p4update_network
+from repro.obs.context import NULL_OBS, ObsContext
 from repro.params import DelayDistribution, SimParams
 from repro.serve.service import ServiceSession
 from repro.serve.spec import load_serve_spec
@@ -118,9 +121,9 @@ _CHAOS_EVENTS = [
 ]
 
 
-def _served(**fields: Any) -> dict[str, Any]:
+def _served(obs: ObsContext = NULL_OBS, **fields: Any) -> dict[str, Any]:
     reset_global_state()
-    session = ServiceSession(load_serve_spec({**_SERVE, **fields}))
+    session = ServiceSession(load_serve_spec({**_SERVE, **fields}), obs)
     network = session.deployment.network
     buffered: list[int] = []
     for event in session.spec.topo_events():
@@ -139,16 +142,17 @@ def _served(**fields: Any) -> dict[str, Any]:
     )
 
 
-def serve_forced_sl() -> dict[str, Any]:
-    return _served(strategy="p4update-sl")
+def serve_forced_sl(obs: ObsContext = NULL_OBS) -> dict[str, Any]:
+    return _served(obs, strategy="p4update-sl")
 
 
-def serve_forced_dl() -> dict[str, Any]:
-    return _served(strategy="p4update-dl")
+def serve_forced_dl(obs: ObsContext = NULL_OBS) -> dict[str, Any]:
+    return _served(obs, strategy="p4update-dl")
 
 
-def serve_chaos_closed() -> dict[str, Any]:
+def serve_chaos_closed(obs: ObsContext = NULL_OBS) -> dict[str, Any]:
     return _served(
+        obs,
         mode="closed", clients=6, think_time_ms=20.0, flows=16, requests=120,
         queue_depth=8, shed_policy="reject", conflict_policy="serialize",
         events=_CHAOS_EVENTS, horizon_ms=8000.0,
@@ -158,11 +162,11 @@ def serve_chaos_closed() -> dict[str, Any]:
 # -- message faults and a link cut (chaos campaigns) -----------------------------
 
 
-def _campaign(document: dict[str, Any]) -> dict[str, Any]:
+def _campaign(document: dict[str, Any], obs: ObsContext = NULL_OBS) -> dict[str, Any]:
     """``repro.chaos.runner.run_campaign`` up to the horizon, keeping
     the deployment instead of reducing it to a result."""
     campaign = load_campaign(document)
-    deployment, scenario, _checker = build_campaign_deployment(campaign)
+    deployment, scenario, _checker = build_campaign_deployment(campaign, obs)
     network = deployment.network
     for index, plane in enumerate(("data", "control")):
         specs = [s for s in campaign.message_faults if s.plane == plane]
@@ -184,7 +188,7 @@ def _campaign(document: dict[str, Any]) -> dict[str, Any]:
     return capture(deployment, faults=faults)
 
 
-def _faulty(corruptor: str, seed: int) -> dict[str, Any]:
+def _faulty(corruptor: str, seed: int, obs: ObsContext = NULL_OBS) -> dict[str, Any]:
     fault = {
         "drop_prob": 0.05, "duplicate_prob": 0.1, "delay_prob": 0.1,
         "delay_ms": 7.0, "corrupt_prob": 0.1, "corruptor": corruptor,
@@ -197,11 +201,11 @@ def _faulty(corruptor: str, seed: int) -> dict[str, Any]:
         "message_faults": [
             {"plane": "data", **fault}, {"plane": "control", **fault},
         ],
-    })
+    }, obs)
 
 
-def faults_distance_skew() -> dict[str, Any]:
-    return _faulty("unm_distance_skew", seed=3)
+def faults_distance_skew(obs: ObsContext = NULL_OBS) -> dict[str, Any]:
+    return _faulty("unm_distance_skew", seed=3, obs=obs)
 
 
 def faults_version_rewind() -> dict[str, Any]:
@@ -238,18 +242,18 @@ def _fast_params() -> SimParams:
     )
 
 
-def _ring(old_path: list[str]) -> tuple[Deployment, Flow]:
+def _ring(old_path: list[str], obs: ObsContext = NULL_OBS) -> tuple[Deployment, Flow]:
     reset_global_state()
     topo = ring_topology(8, latency_ms=1.0)
     topo.set_controller("n0")
-    deployment = build_p4update_network(topo, params=_fast_params())
+    deployment = build_p4update_network(topo, params=_fast_params(), obs=obs)
     flow = Flow.between(old_path[0], old_path[-1], size=1.0, old_path=old_path)
     deployment.install_flow(flow)
     return deployment, flow
 
 
-def two_phase_commit() -> dict[str, Any]:
-    deployment, flow = _ring(["n0", "n1", "n2", "n3"])
+def two_phase_commit(obs: ObsContext = NULL_OBS) -> dict[str, Any]:
+    deployment, flow = _ring(["n0", "n1", "n2", "n3"], obs)
     deployment.controller.two_phase_update(
         flow.flow_id, ["n0", "n7", "n6", "n5", "n4", "n3"]
     )
