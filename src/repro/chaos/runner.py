@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Optional
+from itertools import islice
+from operator import itemgetter
+from typing import Any, Optional
 
 import numpy as np
 
@@ -109,15 +111,53 @@ class CampaignResult:
         )
 
 
+#: Events formatted per ``digest.update`` (bounds the joined chunk).
+_SIGNATURE_CHUNK = 1024
+
+
+def _event_template(kind: str, detail: dict[str, Any]) -> tuple[str, Any, int]:
+    """The ``%``-template of one (kind, key set) — ``stamp``, ``node``,
+    then the values in sorted key order — the C-level getter of those
+    values (``None`` with no keys) and the key count."""
+    order = sorted(detail)
+    fields = ", ".join(["(%s, %%r)" % repr(key).replace("%", "%%") for key in order])
+    template = "%s|" + kind.replace("%", "%%") + "|%s|[" + fields + "]\n"
+    return template, itemgetter(*order) if order else None, len(order)
+
+
 def trace_signature(trace: Trace) -> str:
-    """SHA-256 over the formatted event trace (determinism probe)."""
+    """SHA-256 over the formatted event trace (determinism probe).
+
+    Format v1 (``docs/ARCHITECTURE.md``): one UTF-8 line
+    ``repr(time)|kind|node|repr(sorted(detail.items()))`` per event.
+    Each (kind, key set) is formatted through a template built on its
+    first event, so no Python-level call is made per event, and
+    ``repr(time)`` is reused while consecutive events carry the very
+    same time object (identity, not ``==``: ``-0.0 == 0.0``)."""
     digest = hashlib.sha256()
-    for event in trace:
-        line = (
-            f"{event.time!r}|{event.kind}|{event.node}|"
-            f"{sorted(event.detail.items())!r}\n"
-        )
-        digest.update(line.encode("utf-8"))
+    templates: dict[tuple[str, ...], tuple[str, Any, int]] = {}
+    last_time = object()                # is no event's time
+    stamp = ""
+    events = iter(trace)
+    while chunk := list(islice(events, _SIGNATURE_CHUNK)):
+        lines: list[str] = []
+        append = lines.append
+        for time, kind, node, detail in chunk:
+            if time is not last_time:
+                last_time = time
+                stamp = repr(time)
+            shape = (kind, *detail)
+            try:
+                template, fetch, keys = templates[shape]
+            except KeyError:
+                template, fetch, keys = templates[shape] = _event_template(kind, detail)
+            if keys > 1:
+                append(template % (stamp, node, *fetch(detail)))
+            elif keys:
+                append(template % (stamp, node, fetch(detail)))
+            else:
+                append(template % (stamp, node))
+        digest.update("".join(lines).encode("utf-8"))
     return digest.hexdigest()
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from repro.harness.scenarios import UpdateScenario
 from repro.obs.context import NULL_OBS, ObsContext
 from repro.params import SimParams
 from repro.sim.network import Network
-from repro.sim.trace import KIND_RULE_CHANGE, Trace
+from repro.sim.trace import KIND_RULE_CHANGE, Trace, TraceEvent
 
 #: Experiment system name -> (native system, the layer every update is
 #: forced to; ``None`` leaves P4Update its §7.5 selection rule).
@@ -59,27 +59,35 @@ def path_establishment_time(
     superseded intermediate versions are handled naturally.  Returns
     0.0 when the target was already in place at trigger time.
     """
-    rules = {a: b for a, b in zip(initial_path, initial_path[1:])}
-    wanted = dict(zip(target_path, target_path[1:]))
+    changes = _rule_changes_by_flow(trace).get(flow_id, ())
+    return _establishment(changes, target_path, initial_path)
 
-    def established() -> bool:
-        return all(rules.get(a) == b for a, b in wanted.items())
 
-    establishment = 0.0 if established() else float("inf")
+def _rule_changes_by_flow(trace: Trace) -> dict[object, list[TraceEvent]]:
+    """Every rule change in ``trace``, grouped by flow, in trace order."""
+    changes: dict[object, list[TraceEvent]] = {}
     for event in trace.of_kind(KIND_RULE_CHANGE):
-        if event.detail.get("flow") != flow_id:
-            continue
-        node = event.node
+        changes.setdefault(event.detail.get("flow"), []).append(event)
+    return changes
+
+
+def _establishment(
+    changes: Iterable[TraceEvent], target_path: list[str], initial_path: list[str]
+) -> float:
+    """:func:`path_establishment_time` over one flow's rule changes."""
+    rules = dict(zip(initial_path, initial_path[1:]))
+    wanted = dict(zip(target_path, target_path[1:])).items()
+    establishment = 0.0 if wanted <= rules.items() else float("inf")
+    for event in changes:
         next_hop = event.detail.get("next_hop")
         if next_hop is None:
-            rules.pop(node, None)
+            rules.pop(event.node, None)
         else:
-            rules[node] = next_hop
-        if established():
-            if establishment == float("inf"):
-                establishment = event.time
-        else:
+            rules[event.node] = next_hop
+        if not wanted <= rules.items():
             establishment = float("inf")
+        elif establishment == float("inf"):
+            establishment = event.time
     return establishment
 
 
@@ -94,13 +102,15 @@ def _uniform_completion_times(
 
     Updates are triggered at simulated t=0, so the returned times are
     durations.  Flows whose rules never changed complete at trigger.
+    The rule changes are grouped by flow in one pass over the trace.
     """
     pipeline_ms = params.pipeline_delay.value
+    changes = _rule_changes_by_flow(network.trace)
     per_flow: dict[int, float] = {}
     for flow in scenario.flows:
         new_path = flow.new_path or []
-        established = path_establishment_time(
-            network.trace, flow.flow_id, new_path, flow.old_path or []
+        established = _establishment(
+            changes.get(flow.flow_id, ()), new_path, flow.old_path or []
         )
         traversal = sum(
             scenario.topology.latency(a, b) for a, b in zip(new_path, new_path[1:])

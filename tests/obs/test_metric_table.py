@@ -67,7 +67,9 @@ def emitted():
 def documented():
     """name -> (type, labels, modules) from the metric table."""
     lines = DOC.read_text().splitlines()
-    start = lines.index("| name | type | labels | module | what it counts |") + 2
+    start = lines.index(
+        "| name | type | labels | module | what it counts | from the trace |"
+    ) + 2
     rows = {}
     for line in lines[start:]:
         if not line.startswith("|"):
