@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING
 
 from repro.obs.manifest import write_manifest
 from repro.sweep.cli import (
+    BENCH_DIR_HELP,
     add_fleet_flags,
     add_output_flags,
     load_or_exit,
@@ -137,7 +138,7 @@ def add_chaos_parser(sub: argparse._SubParsersAction) -> None:
         prun,
         obs="instrument runs with live metrics (fault/retry/recovery counters)",
         manifest="write a BENCH_-style manifest for the first run",
-        out_dir="directory for the manifest (default: benchmarks/baselines)",
+        out_dir=BENCH_DIR_HELP.format("chaos"),
     )
     pval = chaos_sub.add_parser("validate", help="load and echo a campaign spec")
     pval.set_defaults(run=_cmd_validate)

@@ -385,5 +385,4 @@ def write_fuzz_manifest(
         results=result.to_results(),
         seed=result.spec.seed,
         out_dir=out_dir,
-        merge=False,
     )

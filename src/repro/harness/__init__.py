@@ -2,13 +2,7 @@
 
 from repro.harness.analysis import MessageStats, count_messages
 from repro.harness.build import Deployment, build_p4update_network
-from repro.harness.experiment import (
-    Comparison,
-    ExperimentResult,
-    compare_systems,
-    run_experiment,
-    run_many,
-)
+from repro.harness.experiment import ExperimentResult, run_experiment
 from repro.harness.metrics import cdf_points, improvement, summarize
 from repro.harness.scenarios import multi_flow_scenario, single_flow_scenario
 
@@ -17,11 +11,8 @@ __all__ = [
     "count_messages",
     "Deployment",
     "build_p4update_network",
-    "Comparison",
     "ExperimentResult",
-    "compare_systems",
     "run_experiment",
-    "run_many",
     "cdf_points",
     "improvement",
     "summarize",

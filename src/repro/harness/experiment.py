@@ -14,9 +14,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
-
-import numpy as np
+from typing import Iterable, Optional
 
 from repro.consistency import LiveChecker
 from repro.core.messages import UpdateType
@@ -194,94 +192,3 @@ def run_experiment(
         violations=len(checker.violations) if checker else 0,
         **native.result_extras(dep),
     )
-
-
-def run_many(
-    system: str,
-    scenario_factory: Callable[[int], UpdateScenario],
-    params: SimParams,
-    runs: int = 30,
-    congestion_aware: bool = True,
-) -> list[ExperimentResult]:
-    """Repeat an experiment with per-run seeds (the paper's 30 runs).
-
-    ``scenario_factory(seed)`` must build a fresh scenario per run —
-    deployments cannot be reused across runs.
-    """
-    results = []
-    for run in range(runs):
-        scenario = scenario_factory(run)
-        results.append(
-            run_experiment(
-                system, scenario,
-                params=params.with_seed(params.seed * 10_000 + run),
-                congestion_aware=congestion_aware,
-            )
-        )
-    return results
-
-
-@dataclass
-class Comparison:
-    """Paired multi-system measurement over common scenarios."""
-
-    times: dict[str, list[float]]   # system -> update times
-    skipped: int                    # scenarios where some system failed
-    runs: int
-
-    def mean(self, system: str) -> float:
-        return float(np.mean(self.times[system]))
-
-    def improvement(self, baseline: str, candidate: str) -> float:
-        """Percent by which candidate beats baseline (paper style)."""
-        base, cand = self.mean(baseline), self.mean(candidate)
-        return (base - cand) / base * 100.0
-
-
-def compare_systems(
-    scenario_factory: Callable[[int], UpdateScenario],
-    systems: tuple[str, ...],
-    params: SimParams,
-    runs: int = 30,
-    congestion_aware: bool = True,
-) -> Comparison:
-    """Run every system on the *same* per-run scenario (paired design).
-
-    Runs in which any system fails to converge are skipped and
-    regenerated with the next seed — the analogue of the paper's
-    "if the new flow paths are not feasible ... we repeat the traffic
-    generation" applied to transition-level deadlocks (consistent
-    congestion-free scheduling is NP-hard, §7.4; the heuristics are
-    best-effort).
-    """
-    times: dict[str, list[float]] = {system: [] for system in systems}
-    skipped = 0
-    seed = 0
-    collected = 0
-    while collected < runs and seed < runs * 4:
-        try:
-            scenario = scenario_factory(seed)
-        except RuntimeError:
-            skipped += 1
-            seed += 1
-            continue
-        run_times = {}
-        all_ok = True
-        for system in systems:
-            result = run_experiment(
-                system, scenario,
-                params=params.with_seed(params.seed * 10_000 + seed),
-                congestion_aware=congestion_aware,
-            )
-            if not result.completed:
-                all_ok = False
-                break
-            run_times[system] = result.total_update_time_ms
-        seed += 1
-        if not all_ok:
-            skipped += 1
-            continue
-        for system, value in run_times.items():
-            times[system].append(value)
-        collected += 1
-    return Comparison(times=times, skipped=skipped, runs=collected)

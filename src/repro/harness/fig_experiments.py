@@ -8,10 +8,10 @@ the Fig. 7 evaluation matrix.
 * :func:`run_fig4` — the fast-forward scenario: a simple update U3 is
   issued while the complex U2 is still ongoing; P4Update jumps ahead,
   ez-Segway serializes.
-* :data:`FIG7_SCENARIOS` / :func:`fig7_sweep_spec` /
-  :func:`fig7_paired_times` — the §9 scenario x topology matrix,
-  expressed as a :mod:`repro.sweep` fleet so the grid's cells run in
-  parallel worker processes (``p4update-repro fig7 --workers N``).
+* :data:`FIG7_SCENARIOS` / :func:`fig7_sweep_spec` — the §9 scenario x
+  topology matrix, expressed as a :mod:`repro.sweep` fleet so the grid's
+  cells run in parallel worker processes (``p4update-repro fig7
+  --workers N``); the experiment kind's aggregate pairs the systems.
 """
 
 from __future__ import annotations
@@ -151,34 +151,6 @@ def fig7_sweep_spec(scenario: str, runs: int = 15, seed: int = 0):
         "dionysus_install_delays": kind == "single",
         "description": f"Fig. 7({scenario}): {kind} flow(s) on {topo_name}",
     })
-
-
-def fig7_paired_times(shard_docs: list) -> tuple[dict, int]:
-    """Paired per-system update times from a fig7 sweep's shards.
-
-    Mirrors :func:`repro.harness.experiment.compare_systems`: a seed
-    contributes only when every system completed on it; the skipped
-    count is returned alongside.  Shards carry their axis key (the
-    merge layer attaches it), so this works on a manifest's ``shards``
-    list too."""
-    by_seed: dict[int, dict[str, dict]] = {}
-    for doc in shard_docs:
-        key = doc.get("key") or {}
-        by_seed.setdefault(int(key["seed_index"]), {})[key["system"]] = (
-            doc["results"]
-        )
-    times: dict[str, list] = {system: [] for system in FIG7_SYSTEMS}
-    skipped = 0
-    for seed_index in sorted(by_seed):
-        cell = by_seed[seed_index]
-        if any(
-            not cell.get(system, {}).get("completed") for system in FIG7_SYSTEMS
-        ):
-            skipped += 1
-            continue
-        for system in FIG7_SYSTEMS:
-            times[system].append(cell[system]["total_update_time_ms"])
-    return times, skipped
 
 
 # -- Fig. 4 ----------------------------------------------------------------------

@@ -3,7 +3,7 @@
 * ``experiment`` — the paper-scale grid scenario x topology x seed x
   system, one ``run_experiment`` per shard.  The derived seed excludes
   the *system* axis: every system in one grid cell sees the identical
-  workload (the paired design of ``compare_systems``).
+  workload (the paper's paired design).
 * ``prep`` — the Fig. 8 control-plane preparation cost, one shard per
   topology.
 """
@@ -147,8 +147,9 @@ def aggregate_experiment(shard_docs: list[dict]) -> dict:
 
     A (scenario, topology, seed_index) group only contributes to the
     per-system timing statistics when *every* system in it completed —
-    the paper's paired design (see ``compare_systems``); incomplete
-    groups are counted in ``skipped_groups``."""
+    the paper's paired design; incomplete groups are counted in
+    ``skipped_groups``.  Each cell lists its paired ``times`` in seed
+    order, the samples ``repro fig7`` summarizes."""
     cells: dict[tuple, dict[tuple, dict]] = {}
     groups: dict[tuple, dict[tuple, dict]] = {}
     for doc in shard_docs:
@@ -171,7 +172,7 @@ def aggregate_experiment(shard_docs: list[dict]) -> dict:
     for cell in sorted(cells, key=lambda c: tuple(str(x) for x in c)):
         paired = sorted(
             (g for g in cells[cell] if g in complete_groups),
-            key=lambda g: tuple(str(x) for x in g),
+            key=lambda g: (str(g[0]), str(g[1]), int(g[2] or 0)),
         )
         times = [
             t for t in (
@@ -189,6 +190,7 @@ def aggregate_experiment(shard_docs: list[dict]) -> dict:
             "mean_update_ms": (sum(times) / len(times)) if times else None,
             "min_update_ms": min(times) if times else None,
             "max_update_ms": max(times) if times else None,
+            "times": times,
         }
     return out
 
@@ -260,19 +262,7 @@ def aggregate_prep(shard_docs: list[dict]) -> dict:
             for name in ("p4update_ops", "ez_ops", "ez_congestion_ops",
                          "ratio_a", "ratio_b")
         }
-    ratios_a = [
-        row["ratio_a"] for row in per_topology.values()
-        if row["ratio_a"] is not None
-    ]
-    ratios_b = [
-        row["ratio_b"] for row in per_topology.values()
-        if row["ratio_b"] is not None
-    ]
-    return {
-        "topologies": dict(sorted(per_topology.items())),
-        "ratio_a_below_one": bool(ratios_a) and all(r < 1.0 for r in ratios_a),
-        "ratio_b_below_fifth": bool(ratios_b) and all(r < 0.2 for r in ratios_b),
-    }
+    return {"topologies": dict(sorted(per_topology.items()))}
 
 
 PREP = SweepKind(

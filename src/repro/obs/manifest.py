@@ -142,37 +142,13 @@ def write_manifest(
     seed: Optional[int] = None,
     obs=None,
     out_dir: Optional[str] = None,
-    merge: bool = True,
 ) -> str:
-    """Build, (optionally) merge with the on-disk manifest, and write.
-
-    Merging lets several tests of one bench module accumulate into one
-    ``BENCH_<name>.json``: ``results`` and ``params`` union per key,
-    later metric/span captures replace earlier ones.
-    """
+    """Build and write a manifest, replacing any file already at its
+    path, and return the path."""
     path = manifest_path(name, out_dir)
     doc = build_manifest(
         name, params=params, results=results, seed=seed, obs=obs
     )
-    if merge and os.path.exists(path):
-        try:
-            previous = load_manifest(path)
-        except (ValueError, OSError, json.JSONDecodeError):
-            previous = None
-        if previous is not None:
-            merged_params = dict(previous["params"])
-            merged_params.update(doc["params"])
-            doc["params"] = merged_params
-            merged_results = dict(previous["results"])
-            merged_results.update(doc["results"])
-            doc["results"] = merged_results
-            if not doc["metrics"]:
-                doc["metrics"] = previous["metrics"]
-            if not doc["spans"]:
-                doc["spans"] = previous["spans"]
-            if "profile" not in doc and "profile" in previous:
-                doc["profile"] = previous["profile"]
-    validate_manifest(doc)
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)

@@ -25,6 +25,7 @@ from typing import TYPE_CHECKING
 
 from repro.obs.manifest import write_manifest
 from repro.sweep.cli import (
+    BENCH_DIR_HELP,
     CliError,
     add_fleet_flags,
     add_output_flags,
@@ -217,9 +218,6 @@ def _cmd_status(args: argparse.Namespace) -> int:
     return 0
 
 
-_OUT_DIR_HELP = "manifest directory (default: benchmarks/baselines)"
-
-
 def add_ops_parser(sub: argparse._SubParsersAction) -> None:
     parser = sub.add_parser(
         "ops", help="live operations sessions: drain / migrate / rebalance "
@@ -248,7 +246,7 @@ def add_ops_parser(sub: argparse._SubParsersAction) -> None:
         obs="instrument with live metrics (ops moves, drain gauges)",
         manifest="write BENCH_ops_<name>.json (inline mode; fleet mode "
                  "always writes BENCH_ops_fleet_<name>.json)",
-        out_dir=_OUT_DIR_HELP,
+        out_dir=BENCH_DIR_HELP.format("ops"),
     )
 
     pckpt = ops_sub.add_parser(
@@ -270,7 +268,7 @@ def add_ops_parser(sub: argparse._SubParsersAction) -> None:
         obs="instrument with live metrics",
         manifest="write BENCH_ops_<name>.json when the run "
                  "reaches its horizon",
-        out_dir=_OUT_DIR_HELP,
+        out_dir=BENCH_DIR_HELP.format("ops"),
     )
 
     pres = ops_sub.add_parser(
@@ -289,7 +287,7 @@ def add_ops_parser(sub: argparse._SubParsersAction) -> None:
     add_output_flags(
         pres,
         manifest="write BENCH_ops_<name>.json at the horizon",
-        out_dir=_OUT_DIR_HELP,
+        out_dir=BENCH_DIR_HELP.format("ops"),
     )
 
     pstat = ops_sub.add_parser(

@@ -273,8 +273,8 @@ def write_results_manifest(
     out_dir: Optional[str] = None,
     obs: Optional[Any] = None,
 ) -> str:
-    """Write a fleet's merged results tree as ``BENCH_<name>.json``
-    (never merged with a manifest already on disk) and return its path."""
+    """Write a fleet's merged results tree as ``BENCH_<name>.json`` and
+    return its path."""
     from repro.obs.manifest import write_manifest
 
     return write_manifest(
@@ -284,7 +284,6 @@ def write_results_manifest(
         seed=spec.seed,
         obs=obs if obs is not None and getattr(obs, "enabled", False) else None,
         out_dir=out_dir,
-        merge=False,
     )
 
 

@@ -1,4 +1,4 @@
-"""BENCH manifest build/validate/merge semantics."""
+"""BENCH manifest build/validate/write semantics."""
 
 import json
 
@@ -66,26 +66,23 @@ def test_write_load_round_trip(tmp_path):
         assert json.load(handle)["name"] == "demo"
 
 
-def test_merge_accumulates_results_and_keeps_obs(tmp_path):
+def test_second_write_replaces_the_first(tmp_path):
+    """A manifest is one run's record: writing the same name again
+    replaces the file, it never unions with what is on disk."""
     obs = make_obs()
     obs.metrics.counter("c").inc()
-    with obs.spans.span("s"):
-        pass
     write_manifest(
-        "merged", params={"a": 1}, results={"cell_a": 1.0},
+        "replaced", params={"a": 1}, results={"cell_a": 1.0},
         out_dir=str(tmp_path), obs=obs,
     )
-    # Second test of the same bench module: results-only emission must
-    # keep the earlier metric/span capture.
     path = write_manifest(
-        "merged", params={"b": 2}, results={"cell_b": 2.0},
+        "replaced", params={"b": 2}, results={"cell_b": 2.0},
         out_dir=str(tmp_path),
     )
     doc = load_manifest(path)
-    assert doc["params"] == {"a": 1, "b": 2}
-    assert doc["results"] == {"cell_a": 1.0, "cell_b": 2.0}
-    assert doc["metrics"]["c"][0]["value"] == 1
-    assert doc["spans"][0]["name"] == "s"
+    assert doc["params"] == {"b": 2}
+    assert doc["results"] == {"cell_b": 2.0}
+    assert doc["metrics"] == {} and doc["spans"] == []
 
 
 def test_merge_overwrites_same_key(tmp_path):
@@ -103,7 +100,7 @@ def test_corrupt_existing_manifest_is_replaced(tmp_path):
 
 def test_duplicate_names_in_different_out_dirs_do_not_merge(tmp_path):
     """Same manifest name, different out dirs: two independent files —
-    the out-dir override really overrides, merging is per path."""
+    the out-dir override really overrides."""
     a_dir = tmp_path / "a"
     b_dir = tmp_path / "b"
     path_a = write_manifest("dup", results={"x": 1.0}, out_dir=str(a_dir))
@@ -129,20 +126,6 @@ def test_write_manifest_creates_missing_out_dir(tmp_path):
     assert load_manifest(path)["results"] == {"ok": 1.0}
 
 
-def test_repeated_merge_round_trip_accumulates_once_per_key(tmp_path):
-    """Three emissions under one name: the on-disk manifest converges
-    to the union, stays schema-valid, and never duplicates keys."""
-    for i in range(3):
-        write_manifest(
-            "acc", params={f"p{i}": i}, results={f"cell_{i}": float(i)},
-            out_dir=str(tmp_path),
-        )
-    doc = load_manifest(manifest_path("acc", str(tmp_path)))
-    validate_manifest(doc)
-    assert doc["params"] == {"p0": 0, "p1": 1, "p2": 2}
-    assert doc["results"] == {"cell_0": 0.0, "cell_1": 1.0, "cell_2": 2.0}
-
-
 def test_consolidated_sweep_manifest_is_schema_valid(tmp_path):
     """The sweep layer's consolidated manifest is a plain schema-1
     manifest: loadable here, with the sweep results tree passing its
@@ -165,8 +148,7 @@ def test_consolidated_sweep_manifest_is_schema_valid(tmp_path):
     assert doc["name"] == "sweep_obscheck"
     assert doc["seed"] == spec.seed
     validate_sweep_results(doc["results"])
-    # A second write of the same sweep does not merge stale state in
-    # (sweep manifests are written with merge=False).
+    # A second write of the same sweep replaces the first.
     write_sweep_manifest(
         spec, run.shard_docs, run.failures, run.shards_total,
         out_dir=str(tmp_path),
