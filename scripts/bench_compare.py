@@ -22,7 +22,9 @@ Tolerances are per metric:
 * ``--exact PATTERN`` marks matching keys as deterministic: numeric
   values must be equal in **both** directions, and string leaves
   (trace signatures, spec hashes) matching the pattern are compared
-  verbatim — any drift fails the gate.
+  verbatim — any drift fails the gate.  Signature leaves of two
+  manifests whose ``signature_format`` differs are skipped with a note:
+  the two formats hash the same trace differently.
 * ``--tolerance`` is the default for keys no rule matches.
 
 ``--both-directions`` extends every rule (not just ``--exact``) to
@@ -104,12 +106,14 @@ def string_leaves(tree: object, prefix: str = "") -> Iterator[tuple[str, str]]:
             yield from string_leaves(item, f"{prefix}[{i}]")
 
 
-def load_results(path: str) -> dict:
+def load_results(path: str) -> tuple[dict, int]:
+    """A manifest's ``results`` and its trace-signature format (a
+    manifest without ``signature_format`` predates format 2)."""
     with open(path, encoding="utf-8") as handle:
         doc = json.load(handle)
     if not isinstance(doc, dict) or "results" not in doc:
         raise ValueError(f"{path}: not a run manifest (no 'results')")
-    return doc["results"]
+    return doc["results"], doc.get("signature_format", 1)
 
 
 def manifest_set(path: str) -> dict[str, str]:
@@ -173,8 +177,8 @@ def compare(
         notes.append(f"{name}: new manifest, no baseline (skipped)")
 
     for name in sorted(base_set.keys() & cur_set.keys()):
-        base_tree = load_results(base_set[name])
-        cur_tree = load_results(cur_set[name])
+        base_tree, base_format = load_results(base_set[name])
+        cur_tree, cur_format = load_results(cur_set[name])
         base_values = dict(numeric_leaves(base_tree))
         cur_values = dict(numeric_leaves(cur_tree))
         for key in sorted(base_values.keys() - cur_values.keys()):
@@ -197,17 +201,28 @@ def compare(
             if rel > tol or (both_directions and rel < -tol):
                 regressions.append(delta)
         # Deterministic string leaves (trace signatures, hashes):
-        # compared verbatim when an --exact pattern selects them.
+        # compared verbatim when an --exact pattern selects them.  Two
+        # trace-signature formats hash the same trace differently, so
+        # across formats the signature leaves are not compared.
         base_strings = dict(string_leaves(base_tree))
         cur_strings = dict(string_leaves(cur_tree))
+        unsigned = 0
         for key in sorted(base_strings.keys() & cur_strings.keys()):
             if skipped(key) or not is_exact(key):
+                continue
+            if base_format != cur_format and fnmatch.fnmatch(key, "*signature*"):
+                unsigned += 1
                 continue
             compared += 1
             if base_strings[key] != cur_strings[key]:
                 regressions.append(
                     Delta(name, key, base_strings[key], cur_strings[key])
                 )
+        if unsigned:
+            notes.append(
+                f"{name}: trace-signature formats {base_format} and "
+                f"{cur_format} differ; {unsigned} signature leaf(s) not compared"
+            )
         notes.append(f"{name}: compared {compared} value(s)")
     return regressions, notes
 

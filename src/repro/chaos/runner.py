@@ -16,10 +16,10 @@ a ``BENCH_``-style manifest.
 from __future__ import annotations
 
 import hashlib
+import marshal
 from dataclasses import dataclass, field
 from itertools import islice
-from operator import itemgetter
-from typing import Any, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from repro.obs.manifest import write_manifest
 from repro.params import SimParams
 from repro.sim.reset import reset_global_state
 from repro.sim.faults import CompositeFaultModel, FaultModel, FaultPolicy
-from repro.sim.trace import Trace
+from repro.sim.trace import SIGNATURE_FORMAT, TraceEvent
 from repro.topo import TOPOLOGIES
 
 UPDATE_TYPES = {
@@ -111,54 +111,45 @@ class CampaignResult:
         )
 
 
-#: Events formatted per ``digest.update`` (bounds the joined chunk).
-_SIGNATURE_CHUNK = 1024
+#: Rows marshalled per ``digest.update`` (bounds the bytes held at once).
+_SIGNATURE_BLOCK = 1024
+
+#: ``marshal`` 2 writes no back-references; 3 and later write one for
+#: every object whose refcount exceeds one and mark interned strings, so
+#: their bytes depend on object identity and interning, not on values.
+_MARSHAL_VERSION = 2
 
 
-def _event_template(kind: str, detail: dict[str, Any]) -> tuple[str, Any, int]:
-    """The ``%``-template of one (kind, key set) — ``stamp``, ``node``,
-    then the values in sorted key order — the C-level getter of those
-    values (``None`` with no keys) and the key count."""
-    order = sorted(detail)
-    fields = ", ".join(["(%s, %%r)" % repr(key).replace("%", "%%") for key in order])
-    template = "%s|" + kind.replace("%", "%%") + "|%s|[" + fields + "]\n"
-    return template, itemgetter(*order) if order else None, len(order)
+def trace_signature(trace: Iterable[TraceEvent]) -> str:
+    """SHA-256 over the trace's positional rows (determinism probe).
 
-
-def trace_signature(trace: Trace) -> str:
-    """SHA-256 over the formatted event trace (determinism probe).
-
-    Format v1 (``docs/ARCHITECTURE.md``): one UTF-8 line
-    ``repr(time)|kind|node|repr(sorted(detail.items()))`` per event.
-    Each (kind, key set) is formatted through a template built on its
-    first event, so no Python-level call is made per event, and
-    ``repr(time)`` is reused while consecutive events carry the very
-    same time object (identity, not ``==``: ``-0.0 == 0.0``)."""
+    Format v2 (``docs/ARCHITECTURE.md``): the ``(time, kind, node,
+    detail)`` rows a pickled :class:`Trace` stores, in trace order and in
+    blocks of up to 1 024, each block transposed into its four columns
+    and written by ``marshal`` version 2.  No Python-level call is made
+    per event or per block.  A value ``marshal`` cannot write (no
+    builtin type) is a :class:`TypeError` naming its event."""
     digest = hashlib.sha256()
-    templates: dict[tuple[str, ...], tuple[str, Any, int]] = {}
-    last_time = object()                # is no event's time
-    stamp = ""
     events = iter(trace)
-    while chunk := list(islice(events, _SIGNATURE_CHUNK)):
-        lines: list[str] = []
-        append = lines.append
-        for time, kind, node, detail in chunk:
-            if time is not last_time:
-                last_time = time
-                stamp = repr(time)
-            shape = (kind, *detail)
-            try:
-                template, fetch, keys = templates[shape]
-            except KeyError:
-                template, fetch, keys = templates[shape] = _event_template(kind, detail)
-            if keys > 1:
-                append(template % (stamp, node, *fetch(detail)))
-            elif keys:
-                append(template % (stamp, node, fetch(detail)))
-            else:
-                append(template % (stamp, node))
-        digest.update("".join(lines).encode("utf-8"))
+    while block := list(islice(events, _SIGNATURE_BLOCK)):
+        try:
+            digest.update(marshal.dumps(tuple(zip(*block)), _MARSHAL_VERSION))
+        except ValueError:
+            raise TypeError(_unsignable(block)) from None
     return digest.hexdigest()
+
+
+def _unsignable(block: list[TraceEvent]) -> str:
+    for time, kind, node, detail in block:
+        try:
+            marshal.dumps((time, kind, node, detail), _MARSHAL_VERSION)
+        except ValueError:
+            return (
+                f"trace signature format {SIGNATURE_FORMAT} cannot sign the "
+                f"{kind!r} event at {node!r}, t={time!r}: {detail!r} holds a "
+                f"value of no builtin type"
+            )
+    return "trace block cannot be signed"
 
 
 def build_fault_policy(

@@ -212,7 +212,7 @@ def cmd_obs_filter(args) -> int:
         )
         if args.out == "-":
             for event in selected:
-                print(json.dumps(event_to_dict(event), sort_keys=True))
+                print(json.dumps(event_to_dict(event)))
         else:
             count = export_trace_jsonl(selected, args.out)
             print(f"wrote {count} events to {args.out}")

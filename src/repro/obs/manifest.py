@@ -19,6 +19,9 @@ Schema (version 1) — validated by :func:`validate_manifest`:
 * ``metrics`` dict  (MetricsRegistry.snapshot() shape)
 * ``spans``   list  (SpanTracker.tree() shape)
 * ``profile`` list, optional (EngineProfiler.report() shape)
+* ``signature_format`` int — the trace-signature format of every
+  signature in ``results`` (``repro.sim.trace.SIGNATURE_FORMAT``);
+  a manifest without it predates format 2 and carries format 1
 """
 
 from __future__ import annotations
@@ -28,6 +31,8 @@ import os
 import subprocess
 import time
 from typing import Optional
+
+from repro.sim.trace import SIGNATURE_FORMAT
 
 MANIFEST_SCHEMA = 1
 
@@ -92,6 +97,7 @@ def build_manifest(
         "results": dict(results or {}),
         "metrics": metrics,
         "spans": spans,
+        "signature_format": SIGNATURE_FORMAT,
     }
     if profile is not None:
         doc["profile"] = profile

@@ -6,7 +6,9 @@ One :class:`~repro.sim.trace.TraceEvent` per line::
 
 Export → import round-trips losslessly for JSON-representable details
 (tuples inside details are normalised to lists *before* export, so the
-re-imported events compare equal).  The helpers underneath power the
+re-imported events compare equal).  Detail keys keep the order they
+were recorded in — the order signature format v2 reads — so a trace
+read back signs as the one written.  The helpers underneath power the
 ``p4update-repro obs`` CLI subcommand.
 """
 
@@ -34,10 +36,10 @@ def _jsonify(value):
 
 def event_to_dict(event: TraceEvent) -> dict:
     return {
-        "time": event.time,
+        "detail": _jsonify(event.detail),
         "kind": event.kind,
         "node": event.node,
-        "detail": _jsonify(event.detail),
+        "time": event.time,
     }
 
 
@@ -72,7 +74,7 @@ def export_trace_jsonl(
     count = 0
     try:
         for event in trace_or_events:
-            handle.write(json.dumps(event_to_dict(event), sort_keys=True))
+            handle.write(json.dumps(event_to_dict(event)))
             handle.write("\n")
             count += 1
     finally:

@@ -53,6 +53,10 @@ KIND_REQUEST_SHED = "request_shed"          # rejected or parked at admission
 KIND_REQUEST_DISPATCHED = "request_dispatched"
 KIND_REQUEST_DONE = "request_done"          # terminal outcome reached
 
+#: What ``repro.chaos.runner.trace_signature`` hashes: 2 = the marshalled
+#: positional rows (``docs/ARCHITECTURE.md``).  Manifests record it.
+SIGNATURE_FORMAT = 2
+
 
 class Trace:
     """Append-only event log with a per-kind index.

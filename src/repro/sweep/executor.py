@@ -35,6 +35,7 @@ from typing import Any, Callable, Optional
 import numpy as np
 
 from repro.loading import write_json_atomic
+from repro.sim.trace import SIGNATURE_FORMAT
 from repro.sweep.spec import Shard, SweepSpec
 from repro.sweep.worker import failure_record, run_shard_payload, worker_init
 
@@ -106,7 +107,8 @@ def load_cached_shard(
 
     A missing file is the normal cold-cache case and silent.  A file
     that exists but cannot be used — unreadable, not an object, stamped
-    with another spec or shard — is named with its reason on one stderr
+    with another spec or shard, or holding trace signatures of another
+    format (no stamp: format 1) — is named with its reason on one stderr
     line and counted on ``progress`` as ``cache_rejected``."""
     path = shard_cache_path(root, shard.shard_id)
     try:
@@ -131,6 +133,8 @@ def load_cached_shard(
             )
         elif "results" not in doc or "index" not in doc:
             reason = "has no results"
+        elif (signed := doc.get("signature_format", 1)) != SIGNATURE_FORMAT:
+            reason = f"signed in trace-signature format {signed!r}, not {SIGNATURE_FORMAT}"
         else:
             return doc
     print(f"warning: ignoring cached shard {path!r}: {reason}", file=sys.stderr)

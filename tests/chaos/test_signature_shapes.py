@@ -1,12 +1,13 @@
-"""``trace_signature`` formats each event through a template compiled
-once per (kind, key set); what it must hash is what one f-string per
-event hashed, kept verbatim in ``tests/chaos/reference_signature.py``.
+"""``trace_signature`` hashes signature format v2: each block of up to
+1 024 events, transposed into its four columns and marshalled at
+version 2.  What it must hash is spelled out with one plain loop per
+column in ``tests/chaos/reference_signature.py``.
 
 The shipped body and the reference sign every run of
 ``tests/reference_scenarios.py``, a ring that has evicted, a trace
 after a pickle round trip and a hand-built trace of awkward shapes, and
-must agree on each.  A call-count guard keeps the per-event path free
-of Python-level calls.
+must agree on each.  A call-count guard keeps signing free of
+Python-level calls per event, per block and per shape.
 """
 
 import gc
@@ -17,7 +18,7 @@ import pytest
 from repro.chaos.runner import trace_signature
 from repro.harness.prep import count_calls
 from repro.sim.trace import Trace
-from tests.chaos.reference_signature import reference_trace_signature
+from tests.chaos.reference_signature import BLOCK, reference_trace_signature
 from tests.reference_scenarios import SCENARIOS, stock_outcome
 
 
@@ -42,6 +43,7 @@ def test_a_ring_after_eviction_signs_as_the_reference():
     ring = _served_trace(max_events=1000)
     assert ring.dropped_events > 0 and len(ring) == 1000
     assert trace_signature(ring) == reference_trace_signature(ring)
+    assert trace_signature(ring) == trace_signature(_served_trace().events[-1000:])
 
 
 def test_a_trace_after_a_pickle_round_trip_signs_as_before():
@@ -52,12 +54,12 @@ def test_a_trace_after_a_pickle_round_trip_signs_as_before():
     assert trace_signature(thawed) == trace_signature(trace) == want
 
 
-def _adversarial() -> Trace:
+def adversarial() -> Trace:
     trace = Trace()
     zero = -0.0
     awkward = "it's \"quoted\" \\ back\nslash é ∑ 🙂 %s %r {0} |"
     nested = {"d": {"z": 1, "a": [1, (2, None)]}, "f": frozenset({3}), "t": ()}
-    trace.record(None, "first", "n")            # the time memo starts empty
+    trace.record(None, "first", "n")
     trace.record(zero, "signed", "n", value=zero)
     trace.record(zero, "signed", "n", value=0.0)
     trace.record(0.0, "signed", "n", value=zero)
@@ -69,19 +71,20 @@ def _adversarial() -> Trace:
     trace.record(8.5, "k%s|{x}'\"", "node%d|{}", **{
         "a%r": awkward, "b{0}": "'", "c|d": '"', "q'\"": "\\", "x)(": "\n",
     })
-    trace.record(8.5, "one", "n", path=("a", "b"))      # a tuple, not the args
+    trace.record(8.5, "one", "n", path=("a", "b"))
     trace.record(8.5, "one", "n", path={"a": 1})
     trace.record(8.5, "one", "n", path=[nested])
     trace.record(9.0, "shapes", "n", b=1, a=2)
     trace.record(9.0, "shapes", "n", a=2, b=1)          # same keys, other order
-    trace.record(9.0, "shapes", "n", a=2)               # one kind, second key set
+    trace.record(9.0, "shapes", "n", a=2)
     trace.record(9.0, "shapes", "n", a=2, b=1, c=nested)
-    trace.record(1e16, "big", "ü", value=1e-5, text=awkward)
+    trace.record(1e16, "big", "ü", value=1e-5, text=awkward, huge=10**40)
+    trace.record(1e16, "bytes", "ü", value=b"\x00\xff", number=3 + 4j)
     return trace
 
 
 def test_an_adversarial_trace_signs_as_the_reference():
-    trace = _adversarial()
+    trace = adversarial()
     assert trace_signature(trace) == reference_trace_signature(trace)
     for position in range(len(trace)):         # and every prefix of it
         prefix = trace.events[:position]
@@ -96,6 +99,26 @@ def test_minus_zero_is_not_reused_for_zero():
     b.record(-0.0, "k", "n")
     assert trace_signature(a) == reference_trace_signature(a)
     assert trace_signature(a) != trace_signature(b)
+
+
+def test_block_boundaries_sign_as_the_reference():
+    trace = _served_trace()
+    assert len(trace) > 2 * BLOCK
+    for cut in (BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK):
+        events = trace.events[:cut]
+        assert trace_signature(events) == reference_trace_signature(events)
+    assert trace_signature([]) == reference_trace_signature([])
+
+
+def test_a_value_of_no_builtin_type_is_refused_by_name():
+    class Opaque:
+        pass
+
+    trace = Trace()
+    trace.record(1.0, "rule_change", "s1", flow=1, next_hop="s2")
+    trace.record(2.0, "rule_change", "s2", flow=1, next_hop=Opaque())
+    with pytest.raises(TypeError, match="'rule_change' event at 's2', t=2.0"):
+        trace_signature(trace)
 
 
 SHAPES = (
@@ -126,6 +149,7 @@ def test_signing_costs_python_calls_per_shape_not_per_event():
         short_calls = count_calls(lambda: trace_signature(short))
     finally:
         gc.enable()
-    assert calls == short_calls
-    assert calls <= 4 * len(SHAPES) + 10, calls
+    # The lambda, trace_signature and Trace.__iter__: nothing per shape,
+    # per block or per event.
+    assert calls == short_calls == 3, calls
     assert trace_signature(trace) == reference_trace_signature(trace)

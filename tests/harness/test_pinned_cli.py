@@ -17,7 +17,11 @@ exit code, stdout and stderr of every command.  Three groups:
 The JSON is the parent commit's recording and stays that way:
 ``FIXED`` lists the cases whose bytes this change moved on purpose and
 what they print now.  The ``fig8`` case was added to it once Fig. 8's
-operation counts stopped depending on what ran earlier in the process.  Regenerate only for a deliberate change (and empty
+operation counts stopped depending on what ran earlier in the process.
+The five cases that print a trace signature (``serve run`` twice,
+``compete run``, ``chaos run``, ``ops run --seeds``) were re-recorded
+once, when signature format v2 replaced v1; only their digests moved.
+Regenerate only for a deliberate change (and empty
 ``FIXED`` when you do)::
 
     PYTHONPATH=src python tests/harness/test_pinned_cli.py

@@ -1,6 +1,9 @@
 """BENCH manifest build/validate/write semantics."""
 
+import importlib.util
 import json
+import pathlib
+import sys
 
 import pytest
 
@@ -13,6 +16,7 @@ from repro.obs.manifest import (
     validate_manifest,
     write_manifest,
 )
+from repro.sim.trace import SIGNATURE_FORMAT
 
 
 def test_build_manifest_is_schema_valid():
@@ -23,6 +27,38 @@ def test_build_manifest_is_schema_valid():
     assert doc["seed"] == 7
     assert doc["metrics"] == {} and doc["spans"] == []
     validate_manifest(doc)
+
+
+def test_manifest_records_the_trace_signature_format():
+    doc = build_manifest("demo", results={"trace_signature": "ab"})
+    assert doc["signature_format"] == SIGNATURE_FORMAT == 2
+
+
+def test_bench_compare_skips_signatures_only_across_formats(tmp_path, monkeypatch):
+    path = pathlib.Path(__file__).resolve().parents[2] / "scripts" / "bench_compare.py"
+    spec = importlib.util.spec_from_file_location("bench_compare", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "bench_compare", module)
+    spec.loader.exec_module(module)
+    compare = module.compare
+    results = {"trace_signature": "aa", "spec_hash": "h", "events": 10}
+    base = write_manifest("run", results=results, out_dir=str(tmp_path / "a"))
+    moved = dict(results, trace_signature="bb")
+    current = write_manifest("run", results=moved, out_dir=str(tmp_path / "b"))
+
+    regressions, _ = compare(base, current, 0.0, exact=["*"])
+    assert [delta.key for delta in regressions] == ["trace_signature"]
+
+    old = json.load(open(base))
+    del old["signature_format"]                 # written before format 2
+    json.dump(old, open(base, "w"))
+    regressions, notes = compare(base, current, 0.0, exact=["*"])
+    assert regressions == []
+    assert "trace-signature formats 1 and 2 differ; 1 signature leaf(s) not compared" in notes[0]
+    old["results"]["spec_hash"] = "other"       # everything else still gates
+    json.dump(old, open(base, "w"))
+    regressions, _ = compare(base, current, 0.0, exact=["*"])
+    assert [delta.key for delta in regressions] == ["spec_hash"]
 
 
 def test_build_manifest_captures_obs():

@@ -39,6 +39,18 @@ def test_round_trip_through_file(tmp_path):
     assert path.read_text() == second.read_text()
 
 
+@pytest.mark.parametrize("name", ["serve_chaos_closed", "two_phase_commit"])
+def test_a_trace_read_back_signs_as_the_trace_written(name):
+    from repro.chaos.runner import trace_signature
+    from tests.reference_scenarios import stock_outcome
+
+    trace = stock_outcome(name)["trace"]
+    buffer = io.StringIO()
+    export_trace_jsonl(trace, buffer)
+    buffer.seek(0)
+    assert trace_signature(import_trace_jsonl(buffer)) == trace_signature(trace)
+
+
 def test_round_trip_preserves_fields():
     trace = sample_trace()
     buffer = io.StringIO()

@@ -12,7 +12,9 @@ strategy.
 ``open_arrivals`` holds the first 50 ``(gap_ms, index)`` pairs of the
 ``open_loop_arrivals`` generator that commit still had, recorded once
 (``tests/serve/test_workload.py`` holds ``draw_open_arrival`` to them);
-regenerating keeps the recorded pairs.
+regenerating keeps the recorded pairs.  The ``trace_signature`` and
+``sha256`` of every cell were re-recorded once, when signature format v2
+replaced v1 (``docs/ARCHITECTURE.md``); no other field moved.
 
 Regenerate only for a deliberate behaviour change::
 

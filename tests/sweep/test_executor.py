@@ -20,6 +20,7 @@ from repro.sweep.executor import (
     run_sweep,
     shard_cache_path,
 )
+from repro.sim.trace import SIGNATURE_FORMAT
 from repro.sweep.spec import load_sweep_spec
 
 TINY = {
@@ -142,6 +143,25 @@ def test_resume_names_and_counts_each_cache_file_it_refuses(tmp_path, capsys):
     status = read_status(root)
     assert status["cache_rejected"] == 2 and status["cached"] == 1
     assert load_cached_shard(root, spec.expand()[0], spec.spec_hash()) is not None
+
+
+def test_resume_recomputes_a_shard_signed_in_another_format(tmp_path, capsys):
+    spec = _spec()
+    first = run_sweep(spec, workers=1, cache_dir=str(tmp_path))
+    root = cache_root(spec, str(tmp_path))
+    stale = shard_cache_path(root, "s0001")
+    doc = json.load(open(stale))
+    assert doc["signature_format"] == SIGNATURE_FORMAT
+    del doc["signature_format"]                 # as format-1 code wrote it
+    json.dump(doc, open(stale, "w"))
+    capsys.readouterr()
+
+    resumed = run_sweep(spec, workers=1, cache_dir=str(tmp_path), resume=True)
+
+    [line] = capsys.readouterr().err.splitlines()
+    assert stale in line and "signed in trace-signature format 1, not 2" in line
+    assert resumed.cached_shards == 3 and read_status(root)["cache_rejected"] == 1
+    assert resumed.signature() == first.signature()
 
 
 def test_status_heartbeat_is_readable_from_outside(tmp_path):
