@@ -19,7 +19,6 @@ from repro.algos.registry import strategy_names
 from repro.analysis.advgen import SlackPair, generate_slack_pairs
 from repro.consistency.checker import LiveChecker
 from repro.params import SimParams
-from repro.sim.reset import reset_global_state
 
 #: Long enough for two chained updates over 1 ms links plus control
 #: latency; short enough that a deadlocked ez-Segway deferral loop
@@ -33,7 +32,6 @@ def _run_one(
     """One strategy on one pair: install, push both updates, run."""
     from repro.algos.registry import build_strategy_runtime
 
-    reset_global_state()
     topo = pair.topology()
     params = SimParams(seed=seed)
     deployment = build_strategy_runtime(strategy, topo, params=params)

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator, Mapping, Optional, Sequence
 
 from repro.analysis.findings import Finding
-from repro.analysis.plan import UpdatePlan
+from repro.analysis.plan import UpdatePlan, find_cycle
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.serve.spec import ServeSpec
@@ -215,23 +215,10 @@ class HappensBefore:
     op_edges: tuple[tuple[PlanOp, PlanOp], ...]
     #: Transitively closed plan-level order: (i, j) = i fully precedes j.
     plan_before: frozenset[tuple[int, int]]
-    #: Per-plan op-level reachability (intra-plan order).
-    _op_before: dict[int, frozenset[tuple[str, str]]] = field(
-        default_factory=dict
-    )
 
     def ordered(self, i: int, j: int) -> bool:
         """Is the pair of plans (i, j) ordered either way?"""
         return (i, j) in self.plan_before or (j, i) in self.plan_before
-
-    def op_ordered(self, a: PlanOp, b: PlanOp) -> bool:
-        if a.plan != b.plan:
-            return self.ordered(a.plan, b.plan)
-        if a.node == b.node:
-            # install enables verify on the same node.
-            return a.action != b.action
-        reach = self._op_before.get(a.plan, frozenset())
-        return (a.node, b.node) in reach or (b.node, a.node) in reach
 
     def unordered_plan_pairs(self) -> Iterator[tuple[int, int]]:
         for i in range(len(self.plans)):
@@ -259,24 +246,6 @@ def _transitive_pairs(
             closed.add((start, node))
             frontier.extend(adjacency[node])
     return frozenset(closed)
-
-
-def _plan_node_order(plan: UpdatePlan) -> frozenset[tuple[str, str]]:
-    """Intra-plan (earlier, later) node pairs from the enable edges."""
-    nodes = sorted({install.node for install in plan.installs})
-    index = {node: i for i, node in enumerate(nodes)}
-    edges = {
-        (index[a], index[b])
-        for a, b in plan.notify_edges
-        if a in index and b in index
-    }
-    edges.update(
-        (index[prerequisite], index[waiter])
-        for waiter, prerequisite in plan.dependencies
-        if waiter in index and prerequisite in index
-    )
-    closed = _transitive_pairs(len(nodes), edges)
-    return frozenset((nodes[a], nodes[b]) for a, b in closed)
 
 
 def build_happens_before(
@@ -331,7 +300,7 @@ def build_happens_before(
                 pair_edges.add((i, j))
     pair_edges.update(policies.extra_order)
 
-    hb = HappensBefore(
+    return HappensBefore(
         plans=list(plans),
         footprints=prints,
         policies=policies,
@@ -339,9 +308,6 @@ def build_happens_before(
         op_edges=tuple(op_edges),
         plan_before=_transitive_pairs(len(plans), pair_edges),
     )
-    for index, plan in enumerate(plans):
-        hb._op_before[index] = _plan_node_order(plan)
-    return hb
 
 
 # -- findings -----------------------------------------------------------------
@@ -517,7 +483,7 @@ def _same_flow_pair_findings(
     for provider, hops in providers:
         for node, nxt in hops.items():
             union.setdefault(node, {})[nxt] = provider
-    cycle = _edge_cycle(union)
+    cycle = find_cycle(union)
     if cycle is not None:
         steps = []
         for a, b in zip(cycle, cycle[1:]):
@@ -593,38 +559,6 @@ def _same_flow_pair_findings(
             )
         )
     return out
-
-
-def _edge_cycle(
-    union: Mapping[str, Mapping[str, str]]
-) -> Optional[list[str]]:
-    """First cycle in the merged relation, as ``[n1, ..., nk, n1]``."""
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {node: WHITE for node in union}
-    for start in sorted(union):
-        if color[start] != WHITE:
-            continue
-        stack: list[tuple[str, int]] = [(start, 0)]
-        path: list[str] = []
-        while stack:
-            node, child_index = stack[-1]
-            if child_index == 0:
-                color[node] = GREY
-                path.append(node)
-            children = sorted(union.get(node, ()))
-            if child_index < len(children):
-                stack[-1] = (node, child_index + 1)
-                child = children[child_index]
-                if color.get(child, BLACK) == GREY:
-                    loop_start = path.index(child)
-                    return path[loop_start:] + [child]
-                if color.get(child, BLACK) == WHITE:
-                    stack.append((child, 0))
-            else:
-                color[node] = BLACK
-                stack.pop()
-                path.pop()
-    return None
 
 
 def _capacity_findings(
@@ -757,7 +691,7 @@ def _deadlock_findings(
     seen_cycles: set[tuple[int, ...]] = set()
     adjacency = {p: sorted(targets) for p, targets in waits.items()}
     for start in sorted(adjacency):
-        cycle = _int_cycle(adjacency, start)
+        cycle = find_cycle(adjacency, (start,))
         if cycle is None:
             continue
         canonical = tuple(sorted(cycle[:-1]))
@@ -804,35 +738,6 @@ def _deadlock_findings(
     return out
 
 
-def _int_cycle(
-    adjacency: Mapping[int, Sequence[int]], start: int
-) -> Optional[list[int]]:
-    stack: list[tuple[int, int]] = [(start, 0)]
-    path: list[int] = []
-    on_path: set[int] = set()
-    visited: set[int] = set()
-    while stack:
-        node, child_index = stack[-1]
-        if child_index == 0:
-            path.append(node)
-            on_path.add(node)
-            visited.add(node)
-        children = list(adjacency.get(node, ()))
-        if child_index < len(children):
-            stack[-1] = (node, child_index + 1)
-            child = children[child_index]
-            if child in on_path:
-                loop_start = path.index(child)
-                return path[loop_start:] + [child]
-            if child not in visited:
-                stack.append((child, 0))
-        else:
-            stack.pop()
-            path.pop()
-            on_path.discard(node)
-    return None
-
-
 def detect_interference(
     plans: Sequence[UpdatePlan],
     policies: Optional[BatchPolicies] = None,
@@ -865,52 +770,6 @@ def detect_interference(
         congestion_aware=congestion_aware,
         findings=findings,
     )
-
-
-def serialization_edges(
-    plans: Sequence[UpdatePlan],
-    policies: Optional[BatchPolicies] = None,
-    capacities: Optional[Mapping[tuple[str, str], float]] = None,
-    congestion_aware: bool = True,
-) -> tuple[tuple[int, int], ...]:
-    """The ordering edges that silence every finding of the batch.
-
-    Iteratively re-analyzes with the offending pairs ordered by batch
-    position until the report is clean — the static counterpart of the
-    ``static_interference=serialize`` gate.
-    """
-    policies = policies if policies is not None else BatchPolicies()
-    injected: list[tuple[int, int]] = []
-    for _ in range(len(plans) * len(plans) + 1):
-        trial = BatchPolicies(
-            same_flow=policies.same_flow,
-            shared_switch=policies.shared_switch,
-            max_in_flight=policies.max_in_flight,
-            extra_order=policies.extra_order + tuple(injected),
-        )
-        report = detect_interference(
-            plans, trial, capacities, congestion_aware
-        )
-        if report.ok:
-            break
-        hb = build_happens_before(plans, trial)
-        added = False
-        for finding in report.findings:
-            for earlier, later in finding.suggested_order:
-                # Never inject an edge contradicting the existing
-                # order — that would collapse the partial order into
-                # a cycle and mask real findings.
-                if (later, earlier) in hb.plan_before:
-                    continue
-                if (earlier, later) not in injected:
-                    injected.append((earlier, later))
-                    added = True
-                    break
-            if added:
-                break
-        if not added:
-            break
-    return tuple(injected)
 
 
 # -- gate-side pairwise check -------------------------------------------------
@@ -1000,9 +859,6 @@ def batch_from_serve_spec(
     """
     from repro.analysis.plan import plan_from_prepared
     from repro.serve.service import build_service_deployment, link_capacities
-    from repro.sim.reset import reset_global_state
-
-    reset_global_state()
     # The static model is of P4Update plans, whatever the spec deploys.
     deployment, population = build_service_deployment(
         spec, strategy="p4update"

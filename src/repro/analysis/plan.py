@@ -32,12 +32,15 @@ objects express adversarial plans directly.  The controller runs
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence, TypeVar
 
 from repro.core.messages import UIM, UpdateType
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.controller import PreparedUpdate
+
+#: A graph node :func:`find_cycle` can order: a switch name or a plan index.
+_N = TypeVar("_N", str, int)
 
 
 class PlanVerificationError(RuntimeError):
@@ -268,34 +271,34 @@ def plan_from_dict(data: dict) -> UpdatePlan:
     )
 
 
-def _find_cycle(
-    nodes: Sequence[str], edges: Sequence[tuple[str, str]]
-) -> Optional[list[str]]:
-    """First cycle found by DFS, as ``[n1, ..., nk, n1]``; else None."""
-    adjacency: dict[str, list[str]] = {node: [] for node in nodes}
-    for a, b in edges:
-        adjacency.setdefault(a, []).append(b)
-        adjacency.setdefault(b, [])
+def find_cycle(
+    successors: Mapping[_N, Iterable[_N]], starts: Optional[Iterable[_N]] = None
+) -> Optional[list[_N]]:
+    """First cycle a depth-first search finds, as ``[n1, ..., nk, n1]``.
+
+    The search starts at ``starts`` (default: every key, sorted) and
+    takes successors in sorted order; a node that is not a key has no
+    successors.  None when no cycle is reachable.
+    """
     WHITE, GREY, BLACK = 0, 1, 2
-    color = {node: WHITE for node in adjacency}
-    for start in sorted(adjacency):
+    color = dict.fromkeys(successors, WHITE)
+    for start in sorted(successors) if starts is None else starts:
         if color[start] != WHITE:
             continue
-        stack: list[tuple[str, int]] = [(start, 0)]
-        path: list[str] = []
+        stack: list[tuple[_N, int]] = [(start, 0)]
+        path: list[_N] = []
         while stack:
             node, child_index = stack[-1]
             if child_index == 0:
                 color[node] = GREY
                 path.append(node)
-            children = sorted(adjacency[node])
+            children = sorted(successors.get(node, ()))
             if child_index < len(children):
                 stack[-1] = (node, child_index + 1)
                 child = children[child_index]
-                if color[child] == GREY:
-                    loop_start = path.index(child)
-                    return path[loop_start:] + [child]
-                if color[child] == WHITE:
+                if color.get(child, BLACK) == GREY:
+                    return path[path.index(child):] + [child]
+                if color.get(child, BLACK) == WHITE:
                     stack.append((child, 0))
             else:
                 color[node] = BLACK
@@ -393,7 +396,10 @@ def verify_plan(plan: UpdatePlan) -> PlanReport:
     enable_edges = list(plan.notify_edges) + [
         (prerequisite, waiter) for waiter, prerequisite in plan.dependencies
     ]
-    cycle = _find_cycle(sorted(known), enable_edges)
+    enables: dict[str, list[str]] = {node: [] for node in known}
+    for a, b in enable_edges:
+        enables.setdefault(a, []).append(b)
+    cycle = find_cycle(enables)
     if cycle is not None:
         violations.append(
             PlanViolation(

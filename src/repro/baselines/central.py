@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.consistency.state import ForwardingState
 from repro.params import SimParams
-from repro.sim.node import Node
+from repro.sim.node import ControllerNode, Node
 from repro.sim.trace import KIND_RULE_CHANGE, KIND_UPDATE_DONE
 from repro.topo.graph import Topology
 from repro.traffic.flows import Flow
@@ -106,7 +106,7 @@ class _PendingFlowUpdate:
     remaining: dict[str, Optional[str]]
 
 
-class CentralController(Node):
+class CentralController(ControllerNode):
     """Round-based centralized update scheduler."""
 
     def __init__(
@@ -133,16 +133,6 @@ class CentralController(Node):
         self.rounds_executed = 0
         self._outstanding_acks: set[tuple[str, int]] = set()
         self._current_round: Optional[int] = None
-
-    def control_service_time(self) -> float:
-        return self.params.controller_service.sample(self.rng)
-
-    def control_queue_delay(self) -> float:
-        util = self.params.controller_background_util
-        if util <= 0:
-            return 0.0
-        mean_wait = util / (1.0 - util) * self.params.controller_service.value
-        return float(self.rng.exponential(mean_wait))
 
     # -- bootstrap -------------------------------------------------------------
 

@@ -40,7 +40,7 @@ from repro.consistency.state import ForwardingState
 from repro.core.labeling import distance_labels
 from repro.core.segmentation import Segment, compute_segments
 from repro.params import SimParams
-from repro.sim.node import Node
+from repro.sim.node import ControllerNode, Node
 from repro.sim.trace import KIND_RULE_CHANGE, KIND_UPDATE_DONE
 from repro.topo.graph import Topology
 from repro.traffic.flows import Flow
@@ -686,7 +686,7 @@ class EzSegwaySwitch(Node):
             self._drive_chain(role)
 
 
-class EzSegwayController(Node):
+class EzSegwayController(ControllerNode):
     """ez-Segway controller: pushes role messages, serializes updates."""
 
     def __init__(
@@ -710,16 +710,6 @@ class EzSegwayController(Node):
         # (flow, update) -> number of segments expected / reported.
         self._expected_segments: dict[tuple[int, int], int] = {}
         self._done_segments: dict[tuple[int, int], set[int]] = {}
-
-    def control_service_time(self) -> float:
-        return self.params.controller_service.sample(self.rng)
-
-    def control_queue_delay(self) -> float:
-        util = self.params.controller_background_util
-        if util <= 0:
-            return 0.0
-        mean_wait = util / (1.0 - util) * self.params.controller_service.value
-        return float(self.rng.exponential(mean_wait))
 
     def register_flow(self, flow: Flow) -> None:
         self.flows[flow.flow_id] = flow

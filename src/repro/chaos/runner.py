@@ -41,7 +41,6 @@ from repro.harness.scenarios import (
 from repro.obs.context import NULL_OBS, ObsContext
 from repro.obs.manifest import write_manifest
 from repro.params import SimParams
-from repro.sim.reset import reset_global_state
 from repro.sim.faults import CompositeFaultModel, FaultModel, FaultPolicy
 from repro.sim.trace import SIGNATURE_FORMAT, TraceEvent
 from repro.topo import TOPOLOGIES
@@ -196,7 +195,6 @@ def build_campaign_deployment(
     Everything is wired but nothing is scheduled yet; use
     :func:`run_campaign` for a complete execution."""
     obs = obs if obs is not None else NULL_OBS
-    reset_global_state()
     factory = TOPOLOGIES.get(campaign.topology)
     if factory is None:
         raise ValueError(

@@ -35,7 +35,7 @@ from repro.core.registers import LOCAL_DELIVER_PORT, VERSION_WIDTH_BITS
 from repro.core.segmentation import old_distances
 from repro.core.strategy import choose_update_type
 from repro.params import SimParams
-from repro.sim.node import Node
+from repro.sim.node import ControllerNode
 from repro.sim.trace import (
     KIND_FLOW_PARKED,
     KIND_UPDATE_ABORTED,
@@ -114,7 +114,7 @@ class PreparedUpdate:
     new_path: tuple[str, ...] = ()
 
 
-class P4UpdateController(Node):
+class P4UpdateController(ControllerNode):
     """Centralized controller node."""
 
     def __init__(
@@ -160,20 +160,6 @@ class P4UpdateController(Node):
         # Reliable control sender, created lazily when
         # params.reliable_control is on.
         self.reliable: Optional["ReliableControlSender"] = None
-
-    # -- controller service model ----------------------------------------------
-
-    def control_service_time(self) -> float:
-        """Per-message service time at the single-threaded controller."""
-        return self.params.controller_service.sample(self.rng)
-
-    def control_queue_delay(self) -> float:
-        """Backlog wait behind background control traffic ([40])."""
-        util = self.params.controller_background_util
-        if util <= 0:
-            return 0.0
-        mean_wait = util / (1.0 - util) * self.params.controller_service.value
-        return float(self.rng.exponential(mean_wait))
 
     # -- update lifecycle notifications (repro.serve) ----------------------
 

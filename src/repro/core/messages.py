@@ -212,8 +212,8 @@ class UNMFields(NamedTuple):
     old_distance: int
     counter: int = 0
 
-    def to_packet(self) -> Packet:
-        packet = Packet()
+    def to_packet(self, packet_id: int = 0) -> Packet:
+        packet = Packet(packet_id=packet_id)
         header = packet.add_header("unm", UNM_HEADER.instantiate())
         header["flow_id"] = self.flow_id
         header["layer"] = self.layer
@@ -258,11 +258,11 @@ CLEANUP_HEADER = HeaderType(
 )
 
 
-def make_cleanup(flow_id: int, version: int) -> Packet:
+def make_cleanup(flow_id: int, version: int, packet_id: int = 0) -> Packet:
     """Cleanup packet sent over the abandoned old link after an update
     (paper §11: "informing the old parent node that no further packets
     will be sent")."""
-    packet = Packet()
+    packet = Packet(packet_id=packet_id)
     header = packet.add_header("cleanup", CLEANUP_HEADER.instantiate())
     header["flow_id"] = flow_id
     header["version"] = version
@@ -282,9 +282,9 @@ PROBE_HEADER = HeaderType(
 )
 
 
-def make_probe(flow_id: int, seq: int, ttl: int = 64) -> Packet:
+def make_probe(flow_id: int, seq: int, ttl: int = 64, packet_id: int = 0) -> Packet:
     """Build a data-plane probe packet for a flow."""
-    packet = Packet(ttl=ttl)
+    packet = Packet(ttl=ttl, packet_id=packet_id)
     header = packet.add_header("probe", PROBE_HEADER.instantiate())
     header["flow_id"] = flow_id
     header["seq"] = seq

@@ -366,7 +366,10 @@ class P4UpdateSwitch(P4Switch):
             if old_port not in (NO_PORT, LOCAL_DELIVER_PORT) and old_port != uim.egress_port:
                 # §11 rule cleanup: tell the abandoned old parent that no
                 # further packets will arrive on this link.
-                self.send(old_port, make_cleanup(uim.flow_id, uim.version))
+                assert self.network is not None
+                self.send(old_port, make_cleanup(
+                    uim.flow_id, uim.version, self.network.take_packet_id()
+                ))
         self.installs_completed += 1
 
         # Coordination after the install (paper §7.2, §8), staged or live.
@@ -427,7 +430,8 @@ class P4UpdateSwitch(P4Switch):
     def _emit_unm(self, unm: UNMFields, port: Optional[int]) -> None:
         if port is None or port == NO_PORT:
             return
-        packet = unm.to_packet()
+        assert self.network is not None
+        packet = unm.to_packet(self.network.take_packet_id())
         stack = self._piggyback.get((unm.flow_id, unm.new_version))
         if stack:
             packet.meta["uim_stack"] = stack

@@ -23,7 +23,6 @@ from repro.fuzz.shrink import list_drops
 from repro.serve.model import OUTCOME_COMPLETED
 from repro.serve.service import run_service
 from repro.serve.spec import load_serve_spec
-from repro.sim.reset import reset_global_state
 
 #: Strategy line-ups (every name registered in
 #: :mod:`repro.algos.registry`; its test asserts they stay registered).
@@ -92,9 +91,6 @@ def _oracle(payload: dict) -> OracleVerdict:
     kinds: list[str] = []
     coverage: list[str] = []
     for strategy in strategies:
-        # Fresh global state per strategy run: each replay must look
-        # exactly like it ran alone (the sweep worker's discipline).
-        reset_global_state()
         spec = load_serve_spec(dict(serve, strategy=strategy))
         result = run_service(spec)
         per_flow: dict[str, int] = {}

@@ -17,7 +17,6 @@ from repro.fuzz.shrink import halve, reset
 from repro.harness.experiment import run_experiment
 from repro.harness.sweep_kind import seeded_scenario
 from repro.params import SimParams
-from repro.sim.reset import reset_global_state
 
 _TOPOLOGIES = ("fig1", "b4", "internet2")
 _SYSTEM_PAIRS = (
@@ -74,7 +73,6 @@ def _oracle(payload: dict) -> OracleVerdict:
     summaries: dict[str, dict[str, Any]] = {}
     coverage: list[str] = []
     for system in systems:
-        reset_global_state()
         result = run_experiment(
             system, scenario, params=params, congestion_aware=congestion_aware
         )

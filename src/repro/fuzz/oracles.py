@@ -23,7 +23,6 @@ from typing import Iterable, Sequence
 
 from repro.fuzz.gen import FuzzCase
 from repro.fuzz.lanes import resolve_lane
-from repro.sim.reset import reset_global_state
 
 #: Classification outcomes, from best to worst.
 OUTCOMES = ("pass", "violation", "divergence", "crash")
@@ -112,8 +111,4 @@ def classify(case: FuzzCase) -> OracleVerdict:
 def evaluate_case(case: FuzzCase) -> OracleVerdict:
     """Run the oracle of the case's lane (may raise)."""
     lane = resolve_lane(case.kind)
-    # Fresh global state per case: a case's verdict must not depend on
-    # its position in a campaign, or shrinking/replay would diverge
-    # from the original classification.
-    reset_global_state()
     return lane.oracle(case.payload)

@@ -3,7 +3,7 @@
 from repro.harness.analysis import MessageStats, count_messages
 from repro.harness.build import Deployment, build_p4update_network
 from repro.harness.experiment import ExperimentResult, run_experiment
-from repro.harness.metrics import cdf_points, improvement, summarize
+from repro.harness.metrics import summarize
 from repro.harness.scenarios import multi_flow_scenario, single_flow_scenario
 
 __all__ = [
@@ -13,8 +13,6 @@ __all__ = [
     "build_p4update_network",
     "ExperimentResult",
     "run_experiment",
-    "cdf_points",
-    "improvement",
     "summarize",
     "multi_flow_scenario",
     "single_flow_scenario",

@@ -54,14 +54,6 @@ class MessageStats:
     def total(self) -> int:
         return sum(self.by_type.values())
 
-    def coordination_messages(self) -> int:
-        """Messages used purely for update coordination (everything
-        except probe/data packets)."""
-        return sum(
-            count for name, count in self.by_type.items()
-            if name != "Probe"
-        )
-
     def row(self, label: str) -> str:
         return (
             f"{label:14s} control={self.control_plane:5d}  "

@@ -23,32 +23,6 @@ def _require_finite(samples: Sequence[float], what: str) -> np.ndarray:
     return arr
 
 
-def cdf_points(samples: Sequence[float]) -> list[tuple[float, float]]:
-    """Empirical CDF as sorted (value, probability) points."""
-    if not samples:
-        return []
-    ordered = sorted(samples)
-    n = len(ordered)
-    return [(value, (i + 1) / n) for i, value in enumerate(ordered)]
-
-
-def improvement(baseline: Sequence[float], candidate: Sequence[float]) -> float:
-    """Mean relative improvement of candidate over baseline, in percent.
-
-    Positive = candidate is faster (smaller values).  Matches the
-    paper's "-28.6 %" style of reporting.
-    """
-    base_arr = _require_finite(baseline, "baseline")
-    cand_arr = _require_finite(candidate, "candidate")
-    if base_arr.size == 0 or cand_arr.size == 0:
-        raise ValueError("improvement needs non-empty baseline and candidate")
-    base = float(base_arr.mean())
-    cand = float(cand_arr.mean())
-    if base == 0:
-        raise ValueError("baseline mean is zero")
-    return (base - cand) / base * 100.0
-
-
 @dataclass(frozen=True)
 class Summary:
     """Distribution summary for one series of update times."""

@@ -51,7 +51,10 @@ class ProbeSource:
         if self._stop_at is not None and engine.now > self._stop_at:
             return
         switch = self.deployment.switches[self.ingress]
-        packet = make_probe(self.flow_id, seq=self.sent, ttl=self.ttl)
+        packet = make_probe(
+            self.flow_id, self.sent, self.ttl,
+            self.deployment.network.take_packet_id(),
+        )
         self.sent += 1
         switch.inject(packet)
         engine.schedule(self.interval_ms, self._tick)

@@ -28,7 +28,7 @@ from repro.harness.scenarios import (
     single_flow_scenario,
 )
 from repro.obs.context import NULL_OBS
-from repro.params import SimParams
+from repro.params import OVERRIDABLE_PARAMS, SimParams
 from repro.sweep.kinds import ShardPlan, SweepKind
 from repro.sweep.spec import SweepSpec, SweepSpecError, derive_shard_seed
 from repro.topo import TOPOLOGIES
@@ -37,14 +37,6 @@ SCENARIO_KINDS = ("single", "multi")
 
 #: Scenario-stream domain separator (distinct from the params seed use).
 _SCENARIO_STREAM = 0x5CE2
-
-#: SimParams fields a spec may override (scalar knobs only — delay
-#: distributions stay code-defined so specs remain diffable data).
-_OVERRIDABLE_PARAMS = frozenset(
-    f.name
-    for f in dataclasses.fields(SimParams)
-    if f.type in ("int", "float", "bool")
-)
 
 
 def _check_names(noun: str, names: list, known: Any) -> None:
@@ -74,11 +66,11 @@ def _validate_experiment(spec: SweepSpec) -> None:
     if not (body["systems"] and body["topologies"] and body["scenarios"]
             and body["seeds"]):
         raise SweepSpecError("experiment sweep has an empty axis")
-    unknown = set(body["params"]) - _OVERRIDABLE_PARAMS
+    unknown = set(body["params"]) - OVERRIDABLE_PARAMS
     if unknown:
         raise SweepSpecError(
             f"non-overridable SimParams field(s) {sorted(unknown)}; "
-            f"overridable: {sorted(_OVERRIDABLE_PARAMS)}"
+            f"overridable: {sorted(OVERRIDABLE_PARAMS)}"
         )
 
 

@@ -11,6 +11,7 @@ the noun used in messages.  This module imports no workload package.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import importlib
 import json
 import os
@@ -55,6 +56,13 @@ def write_json_atomic(path: str, doc: dict) -> None:
         json.dump(doc, handle, indent=2, sort_keys=True, allow_nan=False)
         handle.write("\n")
     os.replace(tmp, path)
+
+
+def spec_digest(doc: dict) -> str:
+    """SHA-256 of ``doc`` as canonical JSON (sorted keys, no spaces): a
+    spec's identity, whatever the key order or layout of its file."""
+    canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def dataclass_from_object(

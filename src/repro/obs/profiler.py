@@ -48,10 +48,6 @@ class EngineProfiler:
                 row[2] = elapsed_s
 
     @property
-    def total_calls(self) -> int:
-        return sum(row[0] for row in self._rows.values())
-
-    @property
     def total_seconds(self) -> float:
         return sum(row[1] for row in self._rows.values())
 

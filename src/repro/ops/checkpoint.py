@@ -4,15 +4,16 @@ A checkpoint directory holds one pickle per checkpoint index plus a
 ``checkpoints.json`` manifest and a small ``status.json``::
 
     ckpts/
-      checkpoint_000001.pkl     # {"meta", "globals", "session"}
+      checkpoint_000001.pkl     # {"meta", "session"}
       checkpoint_000002.pkl
       checkpoints.json          # manifest: sha256 + sim time per index
       status.json               # latest index, sim time, spec name
 
 Each pickle is the full session object graph (engine event queue,
 switch registers, NIB/Flow-DB, orchestrator and admission queues, RNG
-generators, obs counters) plus the registered module-level counters
-from :mod:`repro.sim.snapshot`.  The manifest records the SHA-256 of
+generators, obs counters, the network's packet numbering); nothing
+outside that graph is saved, because no run state lives outside it.
+The manifest records the SHA-256 of
 every checkpoint's bytes; :func:`load_checkpoint` refuses to restore a
 file whose digest does not match (a truncated or hand-edited file
 fails loudly, never silently diverges).  It also records the payload
@@ -36,7 +37,6 @@ import pickle
 from typing import TYPE_CHECKING, Any, Optional
 
 from repro.loading import write_json_atomic
-from repro.sim.snapshot import capture_global_state, restore_global_state
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.ops.session import OpsSession
@@ -47,7 +47,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: and ``Trace`` subscribers as (callback, kinds) pairs.
 #: 3: the session nests a ``ServiceSession`` (deployment, checker,
 #: orchestrator, arrival driver) instead of holding its parts.
-CHECKPOINT_FORMAT = 3
+#: 4: no ``"globals"`` section — packet numbering is the network's own
+#: counter, pickled with the session.
+CHECKPOINT_FORMAT = 4
 
 _MANIFEST = "checkpoints.json"
 _STATUS = "status.json"
@@ -128,9 +130,7 @@ def write_checkpoint(directory: str, session: "OpsSession", index: int) -> dict:
         "index": index,
         "sim_time_ms": float(session.engine.now),
     }
-    blob = pickle.dumps(
-        {"meta": meta, "globals": capture_global_state(), "session": session}
-    )
+    blob = pickle.dumps({"meta": meta, "session": session})
     digest = hashlib.sha256(blob).hexdigest()
     filename = _checkpoint_name(index)
     _atomic_write(os.path.join(directory, filename), blob)
@@ -179,8 +179,7 @@ def load_checkpoint(
 ) -> "OpsSession":
     """Verify, unpickle and **restore** a checkpoint.
 
-    Restores the registered module-level counters as a side effect and
-    returns the session, positioned exactly where the checkpoint was
+    Returns the session, positioned exactly where the checkpoint was
     taken — ``session.run()`` continues byte-identically.  ``index``
     defaults to the latest checkpoint in the manifest."""
     manifest = read_manifest(directory)
@@ -210,7 +209,6 @@ def load_checkpoint(
         )
     payload = pickle.loads(blob)
     _refuse_foreign(f"checkpoint {path!r}", payload["meta"])
-    restore_global_state(payload["globals"])
     session = payload["session"]
     session.resumed_from = int(index)
     return session

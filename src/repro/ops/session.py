@@ -7,9 +7,8 @@ the operations timeline and checkpoint ticks.  Everything the engine
 will ever call back into is a bound method of an object inside that
 graph (no closures, no generators), which is what makes rolling
 checkpoints possible: a checkpoint is ``pickle.dumps`` of the session
-plus the registered module-level counters (:mod:`repro.sim.snapshot`),
-and a resumed session continues **byte-identically** to an
-uninterrupted run.
+(packet numbering included: it is the network's own counter), and a
+resumed session continues **byte-identically** to an uninterrupted run.
 
 Operations execute as **rolling per-flow moves** through the existing
 verified prepare/push pipeline (Alg. 1/2): each op moves one flow at a
@@ -41,7 +40,6 @@ from repro.serve.service import (
     link_capacities,
     slo_summary,
 )
-from repro.sim.reset import reset_global_state
 
 #: Simulated delay before re-probing a busy flow (ms).
 _RETRY_MS = 10.0
@@ -612,7 +610,6 @@ def build_session(
     """Construct a fresh, fully wired session.  The background churn is
     the embedded serve spec's own :class:`ServiceSession`, so a session
     with an empty timeline matches a plain serve run of that spec."""
-    reset_global_state()
     # Operations move flows through the P4Update prepare/push pipeline,
     # so sessions always deploy it, whatever strategy the spec names.
     service = ServiceSession(

@@ -28,12 +28,12 @@ embedded chaos events by the embedded serve spec's own loader.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.loading import dataclass_from_object, read_json_object, require_object
+from repro.loading import (
+    dataclass_from_object, read_json_object, require_object, spec_digest,
+)
 
 #: Operations a timeline entry can request.
 OP_KINDS = ("migrate_tenant", "drain_switch", "undrain_switch", "rebalance")
@@ -171,10 +171,7 @@ class SessionSpec:
 
     def spec_hash(self) -> str:
         """SHA-256 of the canonical spec JSON (checkpoint identity)."""
-        canonical = json.dumps(
-            self.to_dict(), sort_keys=True, separators=(",", ":")
-        )
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        return spec_digest(self.to_dict())
 
 
 def load_session_spec(data: dict) -> SessionSpec:

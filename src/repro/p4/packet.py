@@ -12,40 +12,6 @@ import copy
 from dataclasses import dataclass
 from typing import Any, Iterable
 
-# Plain int, not itertools.count: the counter value must be observable
-# so session checkpoints (repro.sim.snapshot) can capture and restore
-# it exactly — a count() iterator can be neither read nor pickled.
-_next_packet_id = 1
-
-
-def _take_packet_id() -> int:
-    global _next_packet_id
-    value = _next_packet_id
-    _next_packet_id = value + 1
-    return value
-
-
-def reset_packet_ids() -> None:
-    """Restart debug packet numbering at 1.
-
-    Packet ids appear only in describe() strings, but those strings end
-    up in traces; resetting before a run makes same-seed executions in
-    one process produce bit-identical traces.
-    """
-    global _next_packet_id
-    _next_packet_id = 1
-
-
-def capture_packet_ids() -> int:
-    """The next packet id to be issued (snapshot hook)."""
-    return _next_packet_id
-
-
-def restore_packet_ids(value: int) -> None:
-    """Restore the numbering captured by :func:`capture_packet_ids`."""
-    global _next_packet_id
-    _next_packet_id = int(value)
-
 
 @dataclass(frozen=True)
 class HeaderField:
@@ -134,10 +100,15 @@ class Packet:
     (sequence id, hop log, creation time) — the P4 *runtime metadata*
     lives in the :class:`~repro.p4.pipeline.PipelineContext`, is
     refreshed per pipeline pass, and is intentionally separate.
+
+    ``packet_id`` is a debug number that shows up in ``describe()``
+    strings, hence in traces.  It is issued by the network the packet
+    runs in (:meth:`repro.sim.network.Network.take_packet_id`), so a
+    run's numbering depends on that run alone; 0 means "not numbered".
     """
 
-    def __init__(self, payload: Any = None, ttl: int = 64) -> None:
-        self.packet_id = _take_packet_id()
+    def __init__(self, payload: Any = None, ttl: int = 64, packet_id: int = 0) -> None:
+        self.packet_id = packet_id
         self.headers: dict[str, Header] = {}
         self.payload = payload
         self.ttl = ttl
@@ -157,9 +128,9 @@ class Packet:
         header = self.headers.get(name)
         return header is not None and header.is_valid()
 
-    def clone(self) -> "Packet":
-        """Deep copy with a fresh packet id (the P4 clone primitive)."""
-        twin = Packet(payload=copy.deepcopy(self.payload), ttl=self.ttl)
+    def clone(self, packet_id: int = 0) -> "Packet":
+        """Deep copy under a fresh packet id (the P4 clone primitive)."""
+        twin = Packet(copy.deepcopy(self.payload), self.ttl, packet_id)
         for name, header in self.headers.items():
             new_header = header.header_type.instantiate()
             new_header.copy_from(header)

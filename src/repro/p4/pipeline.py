@@ -17,7 +17,7 @@ the primitives the paper's program relies on:
 
 from __future__ import annotations
 
-from typing import Any, NamedTuple, Optional, Sequence
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from repro.p4.packet import Packet
 from repro.p4.registers import RegisterFile
@@ -44,12 +44,23 @@ class PipelineContext:
     resubmitted passes, matching P4 semantics where metadata is
     refreshed per packet (paper §2.1).  Fields the program wants to
     survive a resubmit must be stashed via :meth:`carry`.
+
+    ``take_packet_id`` numbers the clones and punts of this pass; the
+    switch passes its network's counter.  The default, ``int``, returns
+    0: a pipeline driven without a network leaves its copies unnumbered.
     """
 
-    def __init__(self, packet: Packet, in_port: int, resubmit_count: int = 0) -> None:
+    def __init__(
+        self,
+        packet: Packet,
+        in_port: int,
+        resubmit_count: int = 0,
+        take_packet_id: Callable[[], int] = int,
+    ) -> None:
         self.packet = packet
         self.in_port = in_port
         self.resubmit_count = resubmit_count
+        self.take_packet_id = take_packet_id
         self.metadata: dict[str, Any] = {}
         # Outcomes, consumed by the switch after the pass.
         self.egress_port: Optional[int] = None
@@ -77,12 +88,12 @@ class PipelineContext:
         """Clone the packet towards a clone session (resolved by the
         switch's session table).  Returns the clone for header edits in
         the egress block."""
-        twin = self.packet.clone()
+        twin = self.packet.clone(self.take_packet_id())
         self.clones.append(CloneRequest(session, twin))
         return twin
 
     def to_cpu(self, reason: str) -> Packet:
-        twin = self.packet.clone()
+        twin = self.packet.clone(self.take_packet_id())
         self.punts.append(CpuPunt(reason, twin))
         return twin
 
@@ -144,8 +155,14 @@ class Pipeline:
     def __init__(self, program: PipelineProgram) -> None:
         self.program = program
 
-    def process(self, packet: Packet, in_port: int, resubmit_count: int = 0) -> PipelineResult:
-        ctx = PipelineContext(packet, in_port, resubmit_count=resubmit_count)
+    def process(
+        self,
+        packet: Packet,
+        in_port: int,
+        resubmit_count: int = 0,
+        take_packet_id: Callable[[], int] = int,
+    ) -> PipelineResult:
+        ctx = PipelineContext(packet, in_port, resubmit_count, take_packet_id)
         self.program.parser(packet, ctx)
         self.program.ingress(ctx)
 
@@ -157,7 +174,7 @@ class Pipeline:
             port = self.program.clone_sessions.get(request.session)
             if port is None:
                 continue
-            clone_ctx = PipelineContext(request.packet, in_port)
+            clone_ctx = PipelineContext(request.packet, in_port, 0, take_packet_id)
             clone_ctx.metadata["is_clone"] = True
             clone_ctx.metadata["clone_session"] = request.session
             clone_ctx.egress_port = port

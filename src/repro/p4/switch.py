@@ -75,7 +75,10 @@ class P4Switch(Node):
 
     def _run_pipeline(self, packet: Packet, in_port: int, resubmit_count: int) -> None:
         self.packets_processed += 1
-        result = self.pipeline.process(packet, in_port, resubmit_count=resubmit_count)
+        assert self.network is not None  # a pass is an event of its engine
+        result = self.pipeline.process(
+            packet, in_port, resubmit_count, self.network.take_packet_id
+        )
 
         for punt in result.punts:
             if self.on_punt is not None:

@@ -8,7 +8,7 @@ are abstract rate units (the paper normalises the same way).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -175,3 +175,10 @@ class SimParams:
 
 
 DEFAULT_PARAMS = SimParams()
+
+#: SimParams fields a serve or sweep spec may override (scalar knobs
+#: only — delay distributions stay code-defined so specs remain
+#: diffable data).
+OVERRIDABLE_PARAMS = frozenset(
+    f.name for f in fields(SimParams) if f.type in ("int", "float", "bool")
+)

@@ -38,7 +38,6 @@ from repro.serve.workload import (
     flow_cdf,
     flow_weights,
 )
-from repro.sim.reset import reset_global_state
 from repro.topo import TOPOLOGIES
 
 #: RNG domain separators (distinct from every other stream in the repo).
@@ -391,7 +390,6 @@ def run_service(
     spec: ServeSpec, obs: Optional[ObsContext] = None
 ) -> ServiceResult:
     """Run one complete service workload described by ``spec``."""
-    reset_global_state()
     obs = obs if obs is not None else NULL_OBS
     if spec.causal:
         tracker = CausalTracker()

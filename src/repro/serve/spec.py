@@ -24,7 +24,7 @@ bit-identical per-request record list (asserted by ``tests/serve/``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields as dataclass_fields
+from dataclasses import dataclass, field
 from typing import Any
 
 from repro.chaos.campaign import TopoEvent, validate_events_against_topology
@@ -33,7 +33,7 @@ from repro.loading import (
     read_json_object,
     require_object,
 )
-from repro.params import SimParams
+from repro.params import OVERRIDABLE_PARAMS
 from repro.topo import TOPOLOGIES
 
 SERVE_MODES = ("open", "closed")
@@ -45,14 +45,6 @@ SWITCH_CONFLICT_POLICIES = ("concurrent", "serialize")
 #: holds a conflicting request until the in-flight update it races
 #: with completes, ``reject`` sheds it.
 INTERFERENCE_GATES = ("off", "warn", "serialize", "reject")
-
-#: SimParams fields a serve spec may override (same contract as sweep
-#: specs: scalar knobs only).
-_OVERRIDABLE_PARAMS = frozenset(
-    f.name
-    for f in dataclass_fields(SimParams)
-    if f.type in ("int", "float", "bool")
-)
 
 
 class ServeSpecError(ValueError):
@@ -170,11 +162,11 @@ class ServeSpec:
                 f"unknown strategy {self.strategy!r}; "
                 f"registered: {strategy_names()}"
             )
-        unknown = set(self.params) - _OVERRIDABLE_PARAMS
+        unknown = set(self.params) - OVERRIDABLE_PARAMS
         if unknown:
             raise ServeSpecError(
                 f"non-overridable SimParams field(s) {sorted(unknown)}; "
-                f"overridable: {sorted(_OVERRIDABLE_PARAMS)}"
+                f"overridable: {sorted(OVERRIDABLE_PARAMS)}"
             )
         # Parsed and checked against the topology here, so a bad event
         # is a load-time error and never a mid-run KeyError.

@@ -11,17 +11,6 @@ from repro.sim.links import Link, ControlChannel
 from repro.sim.network import Network
 from repro.sim.trace import Trace, TraceEvent
 from repro.sim.faults import FaultModel, FaultAction
-from repro.sim.reset import (
-    register_global_reset,
-    registered_resets,
-    reset_global_state,
-)
-from repro.sim.snapshot import (
-    capture_global_state,
-    register_global_snapshot,
-    registered_snapshots,
-    restore_global_state,
-)
 
 __all__ = [
     "Engine",
@@ -34,11 +23,4 @@ __all__ = [
     "TraceEvent",
     "FaultModel",
     "FaultAction",
-    "register_global_reset",
-    "registered_resets",
-    "reset_global_state",
-    "capture_global_state",
-    "register_global_snapshot",
-    "registered_snapshots",
-    "restore_global_state",
 ]

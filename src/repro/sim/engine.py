@@ -58,8 +58,8 @@ class Engine:
     def __init__(self) -> None:
         self._queue: list[tuple[float, int, Event]] = []
         # Plain int (not itertools.count): the sequence number is part
-        # of the snapshotable engine state (repro.sim.snapshot) and a
-        # count() iterator cannot be pickled.
+        # of the checkpointed engine state and a count() iterator
+        # cannot be pickled.
         self._seq = 0
         # Current simulated time in milliseconds.  A plain attribute:
         # every trace record and every delivery reads it.
@@ -109,13 +109,6 @@ class Engine:
     def cancel(self, event: Event) -> None:
         """Cancel a previously scheduled event (lazy removal)."""
         event.cancel()
-
-    def peek_time(self) -> Optional[float]:
-        """Time of the next pending event, or None when the queue is empty."""
-        queue = self._queue
-        while queue and queue[0][2].cancelled:
-            heapq.heappop(queue)
-        return queue[0][0] if queue else None
 
     def step(self) -> bool:
         """Execute the next pending event.  Returns False when idle."""

@@ -90,6 +90,16 @@ class Network:
         # LinkDown can lose them.  Only maintained while chaos is
         # armed.
         self._in_flight: dict[frozenset[str], list[Event]] = {}
+        # Debug packet numbering (``Packet#N`` in trace tags): one plain
+        # counter per deployment, so it pickles with the session and a
+        # run never sees what an earlier run in the process numbered.
+        self.next_packet_id = 1
+
+    def take_packet_id(self) -> int:
+        """Issue the next packet id of this network (1, 2, ...)."""
+        packet_id = self.next_packet_id
+        self.next_packet_id = packet_id + 1
+        return packet_id
 
     # -- fault models ------------------------------------------------------
 
@@ -199,9 +209,6 @@ class Network:
     @property
     def chaos_enabled(self) -> bool:
         return self._chaos
-
-    def node_is_up(self, name: str) -> bool:
-        return name not in self._down_nodes
 
     def set_link_state(self, node_a: str, node_b: str, up: bool) -> None:
         """Take the (bidirectional) link between two nodes down or up.

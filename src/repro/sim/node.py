@@ -4,9 +4,12 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Optional
 
+import numpy as np
+
 from repro.obs.context import NULL_OBS
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.params import SimParams
     from repro.sim.engine import Engine
     from repro.sim.network import Network
 
@@ -79,3 +82,27 @@ class Node:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name!r}>"
+
+
+class ControllerNode(Node):
+    """A controller: the node behind the single-threaded service queue.
+
+    :class:`~repro.sim.network.Network` asks it for each queued
+    message's service time and backlog wait; both are drawn from the
+    subclass's own ``self.rng`` under its ``self.params``.
+    """
+
+    params: "SimParams"
+    rng: np.random.Generator
+
+    def control_service_time(self) -> float:
+        """Per-message service time at the single-threaded controller."""
+        return self.params.controller_service.sample(self.rng)
+
+    def control_queue_delay(self) -> float:
+        """Backlog wait behind background control traffic ([40])."""
+        util = self.params.controller_background_util
+        if util <= 0:
+            return 0.0
+        mean_wait = util / (1.0 - util) * self.params.controller_service.value
+        return float(self.rng.exponential(mean_wait))

@@ -174,9 +174,6 @@ class Trace:
     def count_of_kind(self, kind: str) -> int:
         return len(self._live(kind))
 
-    def at_node(self, node: str) -> list[TraceEvent]:
-        return [e for e in self.events if e.node == node]
-
     def between(self, start: float, end: float) -> list[TraceEvent]:
         return [e for e in self.events if start <= e.time <= end]
 

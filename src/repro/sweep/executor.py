@@ -37,7 +37,7 @@ import numpy as np
 from repro.loading import write_json_atomic
 from repro.sim.trace import SIGNATURE_FORMAT
 from repro.sweep.spec import Shard, SweepSpec
-from repro.sweep.worker import failure_record, run_shard_payload, worker_init
+from repro.sweep.worker import failure_record, run_shard_payload
 
 #: Default on-disk shard-result cache location.
 DEFAULT_CACHE_DIR = ".sweep_cache"
@@ -356,7 +356,7 @@ def _run_pool(
     while wave:
         round_no += 1
         retry_next: list[Shard] = []
-        pool = ProcessPoolExecutor(max_workers=workers, initializer=worker_init)
+        pool = ProcessPoolExecutor(max_workers=workers)
         try:
             futures = {
                 pool.submit(run_shard_payload, payload_for(shard)): shard

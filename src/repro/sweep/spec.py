@@ -42,11 +42,10 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Optional
 
-from repro.loading import read_json_object, require_object
+from repro.loading import read_json_object, require_object, spec_digest
 from repro.sweep.kinds import DEFAULT_KIND, KIND_TABLE, ShardPlan, resolve_kind
 
 #: Spec fields every kind shares; the rest of a document is its body.
@@ -118,9 +117,7 @@ class SweepSpec:
 
     def spec_hash(self) -> str:
         """SHA-256 of the canonical spec JSON — the cache key."""
-        canonical = json.dumps(self.to_dict(), sort_keys=True,
-                               separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        return spec_digest(self.to_dict())
 
     # -- expansion ---------------------------------------------------------
 

@@ -5,18 +5,18 @@ paths share: the serial ``--workers 1`` path calls it inline, the
 :mod:`concurrent.futures` pool pickles the payload dict to a child
 process.  Either way each shard:
 
-1. calls :func:`repro.sim.reset_global_state` (fresh debug numbering,
-   as if the shard ran in a brand-new interpreter);
-2. builds a **fresh** obs context when instrumentation was requested
+1. builds a **fresh** obs context when instrumentation was requested
    (per-process metric registries — nothing shared, nothing racy);
-3. runs the payload's kind (:func:`repro.sweep.kinds.resolve_kind`)
-   with seeds derived entirely from the payload;
-4. returns a JSON-safe shard document whose ``results`` subtree
+2. runs the payload's kind (:func:`repro.sweep.kinds.resolve_kind`)
+   with seeds derived entirely from the payload, on a deployment of its
+   own (packet numbering included), so what the process ran before
+   cannot show in the shard;
+3. returns a JSON-safe shard document whose ``results`` subtree
    contains only simulated-time (deterministic) values — wall-clock
    measurements are quarantined under ``wall`` so the fleet's
    aggregate signature is independent of host speed and worker count.
 
-The bit-identity of (1)-(4) across process boundaries is asserted by
+The bit-identity of (1)-(3) across process boundaries is asserted by
 ``tests/sweep/test_determinism.py``.
 """
 
@@ -30,7 +30,6 @@ from typing import Any, Optional
 
 import numpy as np
 
-from repro.sim.reset import reset_global_state
 from repro.sim.trace import SIGNATURE_FORMAT
 from repro.sweep.kinds import resolve_kind
 
@@ -41,7 +40,6 @@ class InjectedShardFault(RuntimeError):
 
 def run_shard_payload(payload: dict) -> dict:
     """Execute one shard and return its JSON-safe document."""
-    reset_global_state()
     _maybe_inject(payload)
     obs = _build_obs(payload)
     started = time.perf_counter()  # repro: ignore[wall-clock] shard wall-time bookkeeping
@@ -75,14 +73,6 @@ def run_shard_payload(payload: dict) -> dict:
         if "profile" in captured:
             doc["profile"] = _json_safe(captured["profile"])
     return doc
-
-
-def worker_init() -> None:
-    """Pool initializer: fresh global state for the child process.
-
-    Each shard resets again (a worker serves many shards), but doing
-    it here too keeps even shard-free children deterministic."""
-    reset_global_state()
 
 
 # -- helpers -----------------------------------------------------------------

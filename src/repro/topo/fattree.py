@@ -53,8 +53,3 @@ def fattree_topology(
                 )
     topo.validate()
     return topo
-
-
-def edge_switches(topo: Topology) -> list[str]:
-    """Edge-layer switches of a fat-tree (flow endpoints)."""
-    return sorted(n for n in topo.nodes if n.startswith("edge"))

@@ -21,8 +21,14 @@ DEFAULT_CAPACITY = 100.0
 #: {query key -> immutable answer}.  The evaluation re-runs the same few
 #: WANs thousands of times (sweep shards, serve replicas, fuzz cases),
 #: and a path, a control latency or the centroid depends on nothing but
-#: the graph.  A pure-function store, not run state: ``Topology`` never
-#: pickles it and ``reset_global_state()`` leaves it alone.
+#: the graph.  A pure-function store, not run state, and the one
+#: module-level store that runs fill (``tests/sweep/test_reset.py``
+#: audits that): it is keyed by exact structure (node order, adjacency
+#: order, edge latencies), so a warm and a cold process return equal
+#: answers and no trace, counter or pickled byte can tell them apart
+#: (``Topology.path_cache_stats()`` counts per instance, in front of
+#: it).  ``Topology`` never pickles it, and nothing clears it between
+#: runs: that would only re-pay networkx for the same answers.
 _STRUCTURE_MEMO: dict[tuple, dict[tuple, Any]] = {}
 #: Structures kept, oldest evicted first (the built-in registry has 8).
 _STRUCTURE_MEMO_BOUND = 32

@@ -78,15 +78,6 @@ class Flow:
     def new_edges(self) -> list[tuple[str, str]]:
         return list(zip(self.new_path, self.new_path[1:])) if self.new_path else []
 
-    def changed_nodes(self) -> set[str]:
-        """Nodes whose forwarding differs between old and new paths."""
-        old_next = dict(self.old_edges())
-        new_next = dict(self.new_edges())
-        return {
-            node for node in new_next
-            if old_next.get(node) != new_next[node]
-        }
-
 
 class FlowSet:
     """Collection of flows with id-uniqueness and link-load queries."""

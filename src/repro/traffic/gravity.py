@@ -4,9 +4,7 @@ The paper generates multi-flow workload sizes "according to the
 Gravity Model, as proposed by Roughan [66]": traffic between nodes i
 and j is proportional to the product of per-node weights drawn from an
 exponential distribution, T_ij ~ w_i * w_j / sum(w).  We expose both
-the full matrix and per-flow sampling, plus a scaling helper that
-pushes aggregate load to a target fraction of network capacity
-("the generated traffic aims to be close to the network's capacity").
+the full matrix and per-flow sampling.
 """
 
 from __future__ import annotations
@@ -64,29 +62,3 @@ def gravity_flow_sizes(
     if mean_raw <= 0:
         return [mean_size] * len(pairs)
     return list(raw * (mean_size / mean_raw))
-
-
-def scale_to_capacity(
-    sizes: Sequence[float],
-    link_loads_per_unit: dict,
-    capacities: dict,
-    utilisation: float = 0.9,
-) -> list[float]:
-    """Scale flow sizes so the most-loaded link sits at ``utilisation``
-    of its capacity.
-
-    ``link_loads_per_unit`` maps link -> load under unit scaling (i.e.
-    with the given ``sizes``); the returned sizes are sizes * alpha
-    with alpha chosen so max_link(load/capacity) == utilisation.
-    """
-    worst = 0.0
-    for link, load in link_loads_per_unit.items():
-        capacity = capacities.get(link, float("inf"))
-        if capacity <= 0:
-            raise ValueError(f"non-positive capacity on {link}")
-        if capacity != float("inf"):
-            worst = max(worst, load / capacity)
-    if worst == 0:
-        return list(sizes)
-    alpha = utilisation / worst
-    return [s * alpha for s in sizes]

@@ -20,7 +20,6 @@ from repro.analysis.interference import (
     footprint_from_paths,
     footprint_of,
     pair_conflicts,
-    serialization_edges,
 )
 from repro.analysis.plan import plan_from_dict, plan_to_dict
 from repro.serve.spec import load_serve_spec
@@ -121,16 +120,21 @@ def test_hb_extra_order_is_transitively_closed():
 def test_hb_intra_plan_install_order_follows_distances():
     plan = plan_from_paths(1, ("a", "b", "c"), ("a", "d", "c"))
     hb = build_happens_before([plan])
-    install_a = next(
-        op for op in hb.ops
-        if op.node == "a" and op.action == "install"
-    )
-    install_c = next(
-        op for op in hb.ops
-        if op.node == "c" and op.action == "install"
-    )
+    after = {(op.node, op.action): set() for op in hb.ops}
+    for earlier, later in hb.op_edges:
+        after[(earlier.node, earlier.action)].add((later.node, later.action))
+
+    def reachable(op):
+        seen, frontier = set(), [op]
+        while frontier:
+            for nxt in after[frontier.pop()] - seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+        return seen
+
     # Egress ("c", distance 0) installs strictly before ingress "a".
-    assert hb.op_ordered(install_c, install_a)
+    assert ("a", "install") in reachable(("c", "install"))
+    assert ("c", "install") not in reachable(("a", "install"))
 
 
 # -- detectors ----------------------------------------------------------------
@@ -238,16 +242,6 @@ def test_mutual_waits_are_a_cross_plan_deadlock():
     )
     assert finding.plans == (0, 1)
     assert finding.suggested_order
-
-
-def test_serialization_edges_silence_the_batch():
-    plans = pair(3, 3)
-    edges = serialization_edges(plans, BatchPolicies())
-    assert edges
-    report = detect_interference(
-        plans, BatchPolicies(extra_order=edges)
-    )
-    assert report.ok
 
 
 # -- the gate-side pairwise check ---------------------------------------------

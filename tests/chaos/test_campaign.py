@@ -18,7 +18,6 @@ from repro.chaos import (
 from repro.chaos.runner import build_campaign_deployment, campaign_params
 from repro.harness.build import build_p4update_network
 from repro.harness.scenarios import single_flow_scenario
-from repro.p4.packet import reset_packet_ids
 from repro.topo import fig1_topology
 
 
@@ -181,7 +180,6 @@ def test_empty_campaign_equals_plain_harness_run():
     )
     via_runner = run_campaign(campaign)
 
-    reset_packet_ids()
     topo = fig1_topology()
     deployment = build_p4update_network(
         topo,

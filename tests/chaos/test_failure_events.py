@@ -128,7 +128,7 @@ def test_crashed_node_neither_sends_nor_receives():
     nodes["a"].send(1, "to the dead")
     net.run()
     assert nodes["b"].received == []
-    assert not net.node_is_up("b")
+    assert "b" in net._down_nodes
     # a learns its port to b went down.
     assert nodes["a"].port_events == [(0.0, 1, False)]
     drops = net.trace.of_kind(KIND_MSG_DROP)

@@ -166,7 +166,9 @@ class ReferenceSwitch(P4UpdateSwitch):
         if old_port not in (NO_PORT, LOCAL_DELIVER_PORT) and old_port != uim.egress_port:
             # §11 rule cleanup: tell the abandoned old parent that no
             # further packets will arrive on this link.
-            self.send(old_port, make_cleanup(uim.flow_id, uim.version))
+            self.send(old_port, make_cleanup(
+                uim.flow_id, uim.version, self.network.take_packet_id()
+            ))
 
         # Coordination after the install (paper §7.2, §8).
         if uim.is_ingress and unm_layer == 1:

@@ -24,7 +24,6 @@ from repro.p4.packet import Packet
 from repro.p4.pipeline import CloneRequest, CpuPunt, PipelineResult
 from repro.serve.service import ServiceSession
 from repro.serve.spec import load_serve_spec
-from repro.sim.reset import reset_global_state
 from repro.topo import fig1_topology
 from repro.topo.synthetic import FIG1_NEW_PATH, FIG1_OLD_PATH
 from repro.traffic.flows import Flow
@@ -176,7 +175,6 @@ def test_uims_survive_a_session_pickle():
         {"name": "values", "topology": "b4", "seed": 2, "flows": 6,
          "requests": 40, "horizon_ms": 4000.0}
     )
-    reset_global_state()
     session = ServiceSession(spec)
     session.wire()
     controller = session.deployment.controller

@@ -32,7 +32,6 @@ def test_plane_split():
     assert stats.control_plane == 5
     assert stats.data_plane == 14
     assert stats.total == 19
-    assert stats.coordination_messages() == 10
 
 
 def test_row_formatting():

@@ -39,7 +39,6 @@ import tempfile
 import pytest
 
 from repro.harness.cli import build_parser, main
-from repro.sim.reset import reset_global_state
 
 REPO = pathlib.Path(__file__).resolve().parents[2]
 PINNED_PATH = pathlib.Path(__file__).with_name("pinned_cli.json")
@@ -273,7 +272,6 @@ def _write_scratch_inputs(tmp: pathlib.Path) -> None:
 
 
 def run_command(line: str, tmp: pathlib.Path) -> dict:
-    reset_global_state()
     argv = [word.replace("{tmp}", str(tmp)) for word in line.split()]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -35,7 +35,6 @@ from repro.harness.fig_experiments import run_fig2, run_fig4
 from repro.harness.sweep_kind import seeded_scenario
 from repro.obs import make_obs
 from repro.params import SimParams
-from repro.sim.reset import reset_global_state
 
 PINNED_PATH = pathlib.Path(__file__).with_name("pinned_systems.json")
 
@@ -107,7 +106,6 @@ class _CapturedBuilds:
 
 def compute_cell(cell) -> dict:
     system, topology, scenario_kind, seed, congestion = cell
-    reset_global_state()    # packet ids are process-wide and traced
     try:
         scenario = seeded_scenario(topology, scenario_kind, seed)
     except RuntimeError as exc:
@@ -138,7 +136,6 @@ def compute_cell(cell) -> dict:
 
 
 def compute_fig(name: str, system: str) -> dict:
-    reset_global_state()
     result = (run_fig2 if name == "fig2" else run_fig4)(system)
     fields = dataclasses.asdict(result)
     return {

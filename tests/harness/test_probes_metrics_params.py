@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.harness.metrics import cdf_points, improvement, summarize
+from repro.harness.metrics import summarize
 from repro.harness.probes import (
     ProbeObservation,
     duplicate_receives,
@@ -12,25 +12,6 @@ from repro.params import DelayDistribution, SimParams
 
 
 # -- metrics -----------------------------------------------------------------
-
-def test_cdf_points_sorted_and_normalised():
-    points = cdf_points([30.0, 10.0, 20.0])
-    assert points == [(10.0, 1 / 3), (20.0, 2 / 3), (30.0, 1.0)]
-
-
-def test_cdf_points_empty():
-    assert cdf_points([]) == []
-
-
-def test_improvement_positive_when_candidate_faster():
-    assert improvement([100.0], [70.0]) == pytest.approx(30.0)
-    assert improvement([100.0], [130.0]) == pytest.approx(-30.0)
-
-
-def test_improvement_zero_baseline_rejected():
-    with pytest.raises(ValueError):
-        improvement([0.0], [1.0])
-
 
 def test_summarize_fields():
     summary = summarize([1.0, 2.0, 3.0, 4.0])
@@ -59,18 +40,6 @@ def test_summarize_rejects_non_finite():
     for bad in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ValueError, match="non-finite"):
             summarize([1.0, bad, 3.0])
-
-
-def test_improvement_rejects_non_finite():
-    with pytest.raises(ValueError, match="baseline"):
-        improvement([float("nan")], [1.0])
-    with pytest.raises(ValueError, match="candidate"):
-        improvement([1.0], [float("inf")])
-
-
-def test_improvement_rejects_empty():
-    with pytest.raises(ValueError):
-        improvement([], [1.0])
 
 
 # -- probes helpers ---------------------------------------------------------------

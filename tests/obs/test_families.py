@@ -12,8 +12,6 @@ from repro.obs.context import NULL_OBS
 from repro.obs.registry import MetricsRegistry, NullRegistry
 from repro.serve.service import ServiceSession, run_service
 from repro.serve.spec import load_serve_spec
-from repro.sim.reset import reset_global_state
-from repro.sim.snapshot import capture_global_state, restore_global_state
 from tests.serve.test_pinned_sessions import EVENTS
 
 #: ``serve_b4_8f``'s spec at 50 requests.
@@ -78,7 +76,6 @@ def test_a_pickled_session_resumes_onto_its_own_registry():
         return (json.dumps(obs.snapshot()["metrics"]), json.dumps(obs.causal.dags()),
                 json.dumps(obs.causal.attribution_rows()))
 
-    reset_global_state()
     whole = make_obs(causal=True)
     session = ServiceSession(spec, whole)
     session.wire()
@@ -86,13 +83,11 @@ def test_a_pickled_session_resumes_onto_its_own_registry():
     session.close()
     uninterrupted = exports(whole)
 
-    reset_global_state()
     session = ServiceSession(spec, make_obs(causal=True))
     session.wire()
     session.deployment.run(until=spec.horizon_ms / 2)
     assert 0 < session._issued < spec.requests
-    counters, restored = pickle.loads(pickle.dumps((capture_global_state(), session)))
-    restore_global_state(counters)
+    restored = pickle.loads(pickle.dumps(session))
     registry = restored.obs.metrics
     assert registry is not session.obs.metrics
     assert restored.deployment.network._m_sent._registry is registry

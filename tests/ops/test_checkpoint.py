@@ -1,7 +1,9 @@
 """Checkpoint/restore: byte-identical resume at every kill point."""
 
+import hashlib
 import json
 import os
+import pickle
 
 import pytest
 
@@ -175,7 +177,7 @@ def test_unknown_index_fails_with_available_list(tmp_path):
 @pytest.mark.parametrize(
     "field,value,message",
     [
-        ("format", 2, "has format 2; this build reads format 3"),
+        ("format", 2, "has format 2; this build reads format 4"),
         ("code_fingerprint", "0" * 64, "written by code fingerprint '0000"),
     ],
 )
@@ -190,7 +192,7 @@ def test_foreign_checkpoint_is_refused_before_unpickling(
     with pytest.raises(StopSession):
         session.run()
     manifest = read_manifest(ck_dir)
-    assert manifest["format"] == 3
+    assert manifest["format"] == CHECKPOINT_FORMAT == 4
     assert manifest["code_fingerprint"] == code_fingerprint()
     assert checkpoint_status(ck_dir)["code_fingerprint"] == code_fingerprint()
     manifest[field] = value
@@ -211,6 +213,36 @@ def test_foreign_checkpoint_is_refused_before_unpickling(
     # Nor may this build append to a directory another build started.
     with pytest.raises(CheckpointError):
         write_checkpoint(ck_dir, session, 2)
+
+
+@pytest.mark.parametrize("stale", ["manifest", "payload"])
+def test_format_3_checkpoint_is_refused_whole(tmp_path, stale):
+    """Format 3 kept packet numbering in a ``"globals"`` section beside
+    the session; this build keeps it inside the network.  A format-3
+    file is refused, never resumed with that section ignored — whether
+    its manifest says so or only the pickled meta does."""
+    ck_dir = str(tmp_path / "ckpts")
+    session = build_session(_spec())
+    session._sink = CheckpointSink(ck_dir, stop_after=1)
+    with pytest.raises(StopSession):
+        session.run()
+    manifest = read_manifest(ck_dir)
+    entry = manifest["checkpoints"][0]
+    path = os.path.join(ck_dir, entry["file"])
+    with open(path, "rb") as handle:
+        payload = pickle.load(handle)
+    payload["meta"]["format"] = 3
+    payload["globals"] = {"p4.packet_ids": 1234}
+    blob = pickle.dumps(payload)
+    with open(path, "wb") as handle:
+        handle.write(blob)
+    entry["sha256"] = hashlib.sha256(blob).hexdigest()
+    if stale == "manifest":
+        manifest["format"] = 3
+    with open(os.path.join(ck_dir, "checkpoints.json"), "w") as handle:
+        json.dump(manifest, handle)
+    with pytest.raises(CheckpointError, match="has format 3; this build reads format 4"):
+        load_checkpoint(ck_dir)
 
 
 def test_code_fingerprint_is_a_stable_sha256():

@@ -37,7 +37,6 @@ from repro.obs.context import NULL_OBS, ObsContext
 from repro.params import DelayDistribution, SimParams
 from repro.serve.service import ServiceSession
 from repro.serve.spec import load_serve_spec
-from repro.sim.reset import reset_global_state
 from repro.topo import fig1_topology, ring_topology
 from repro.topo.graph import Topology
 from repro.topo.synthetic import FIG1_NEW_PATH, FIG1_OLD_PATH
@@ -122,7 +121,6 @@ _CHAOS_EVENTS = [
 
 
 def _served(obs: ObsContext = NULL_OBS, **fields: Any) -> dict[str, Any]:
-    reset_global_state()
     session = ServiceSession(load_serve_spec({**_SERVE, **fields}), obs)
     network = session.deployment.network
     buffered: list[int] = []
@@ -243,7 +241,6 @@ def _fast_params() -> SimParams:
 
 
 def _ring(old_path: list[str], obs: ObsContext = NULL_OBS) -> tuple[Deployment, Flow]:
-    reset_global_state()
     topo = ring_topology(8, latency_ms=1.0)
     topo.set_controller("n0")
     deployment = build_p4update_network(topo, params=_fast_params(), obs=obs)
@@ -279,7 +276,6 @@ def compact_piggyback() -> dict[str, Any]:
 
 
 def destination_tree() -> dict[str, Any]:
-    reset_global_state()
     topo = Topology("star")
     for node in ("dst", "m1", "m2", "l1", "l2"):
         topo.add_node(node)

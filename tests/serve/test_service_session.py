@@ -9,8 +9,6 @@ import pytest
 
 from repro.serve.service import ServiceSession, run_service
 from repro.serve.spec import load_serve_spec
-from repro.sim.reset import reset_global_state
-from repro.sim.snapshot import capture_global_state, restore_global_state
 from tests.serve.test_pinned_sessions import EVENTS, MODES
 
 
@@ -31,20 +29,18 @@ def test_pickled_mid_run_session_finishes_identically(mode):
     spec = _spec(mode)
     uninterrupted = _canonical(run_service(spec))
 
-    reset_global_state()
     session = ServiceSession(spec)
     session.wire()
     session.deployment.run(until=spec.horizon_ms / 2)
     issued_at_half = session._issued
     assert 0 < issued_at_half < spec.requests    # really mid-workload
-    # Packet ids are process-wide and traced; they ride beside the graph.
-    blob = pickle.dumps((capture_global_state(), session))
+    # Packet ids are traced; the network's counter rides in the graph.
+    blob = pickle.dumps(session)
 
     session.run()
     assert _canonical(session.close()) == uninterrupted
 
-    counters, restored = pickle.loads(blob)
-    restore_global_state(counters)
+    restored = pickle.loads(blob)
     assert restored._issued == issued_at_half
     restored.run()          # no wire(): the restored queue holds the arrivals
     assert _canonical(restored.close()) == uninterrupted
@@ -55,9 +51,7 @@ def test_strategy_override_deploys_that_strategy():
         {"name": "s", "topology": "b4", "flows": 4, "requests": 5,
          "strategy": "ezsegway"}
     )
-    reset_global_state()
     own = type(ServiceSession(spec).deployment.controller)
-    reset_global_state()
     overridden = type(ServiceSession(spec, strategy="p4update").deployment.controller)
     assert own is not overridden
 
@@ -72,7 +66,6 @@ def test_controller_forgets_completed_updates():
         "shed_policy": "park", "conflict_policy": "serialize",
         "horizon_ms": 1.0e9,
     })
-    reset_global_state()
     session = ServiceSession(spec)
     session.wire()
     controller = session.deployment.controller

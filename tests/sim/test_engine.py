@@ -114,14 +114,6 @@ def test_pending_counts_live_events_only():
     assert engine.pending() == 1
 
 
-def test_peek_time_skips_cancelled():
-    engine = Engine()
-    e1 = engine.schedule(1.0, lambda: None)
-    engine.schedule(3.0, lambda: None)
-    engine.cancel(e1)
-    assert engine.peek_time() == 3.0
-
-
 def test_processed_events_counter():
     engine = Engine()
     for _ in range(4):

@@ -15,8 +15,6 @@ from repro.serve.service import ServiceSession, run_service
 from repro.serve.spec import load_serve_spec
 from repro.sim import network as network_module
 from repro.sim.network import Network
-from repro.sim.reset import reset_global_state
-from repro.sim.snapshot import capture_global_state, restore_global_state
 from tests.reference_scenarios import (
     SCENARIOS,
     assert_same_outcome,
@@ -64,7 +62,6 @@ def test_a_session_pickled_with_messages_in_flight_resumes_identically():
     spec = load_serve_spec(dict(SPEC, arrival_rate_per_s=40.0))
     want = run_service(spec).trace_sig
 
-    reset_global_state()
     session = ServiceSession(spec)
     session.wire()
     network = session.deployment.network
@@ -79,11 +76,9 @@ def test_a_session_pickled_with_messages_in_flight_resumes_identically():
     while not in_flight():
         assert network.engine.step()
     frozen = pickle.dumps(session)
-    counters = capture_global_state()
     session.run()                                  # the original runs on, undisturbed
     assert session.close().trace_sig == want
 
-    restore_global_state(counters)
     thawed = pickle.loads(frozen)
     for _, _, event in thawed.deployment.network.engine._queue:
         if event.callback.__name__ == "_deliver":

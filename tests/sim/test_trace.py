@@ -35,11 +35,6 @@ def test_of_kind_filters():
     assert len(both) == 4
 
 
-def test_at_node():
-    trace = sample_trace()
-    assert [e.time for e in trace.at_node("a")] == [1.0, 2.0]
-
-
 def test_between():
     trace = sample_trace()
     window = trace.between(2.0, 3.0)

@@ -1,37 +1,35 @@
-"""The global-state audit behind ``repro.sim.reset_global_state``.
+"""The module-state audit: nothing a run leaves behind in the process.
 
-The sweep's per-process determinism rests on one claim: the only
-module-level mutable counter in ``src/repro`` is the packet-id stream
-in ``repro.p4.packet`` (everything else — metric registries, engine
-event counters, baseline sequence numbers — is instance state, rebuilt
-per deployment).  Since the ops checkpointing work that stream is a
-plain int with reset *and* snapshot hooks: ``itertools.count``
-iterators can be neither observed nor pickled, so the audit now bans
-them outright — a counter must be a readable value registered with
-both ``repro.sim.register_global_reset`` and
-``repro.sim.snapshot.register_global_snapshot``.
+Same-seed runs in one process print the same trace only because *all*
+run state lives in the objects of one deployment — engine, network
+(packet numbering included), nodes, RNG streams — so there is nothing
+process-wide to reset before a run or to save beside a checkpoint.
+This audit keeps it that way: no module-level ``itertools.count``, no
+``global`` rebinding anywhere in ``src/repro``, and exactly the known
+module-level containers that start empty and fill up later.
 
-One module-level store is filled at run time and deliberately *not*
-reset: ``repro.topo.graph._STRUCTURE_MEMO``, a pure function of graph
+One such store is filled at run time on purpose:
+``repro.topo.graph._STRUCTURE_MEMO``, a pure function of graph
 structure (``tests/topo/test_structure_memo.py`` holds it to that).
 The audit names it, so a second such store cannot arrive unnoticed."""
 
+import ast
 import glob
 import os
 import re
 
-from repro.p4.packet import Packet
-from repro.sim.reset import (
-    register_global_reset,
-    registered_resets,
-    reset_global_state,
-)
+from repro.chaos.runner import trace_signature
+from repro.core.messages import UpdateType
+from repro.harness.build import build_p4update_network
+from repro.params import SimParams
+from repro.serve.service import run_service
+from repro.serve.spec import load_serve_spec_file
+from repro.topo import fig1_topology
+from repro.topo.synthetic import FIG1_NEW_PATH, FIG1_OLD_PATH
+from repro.traffic.flows import Flow
 
-SRC = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__)))),
-    "src", "repro",
-)
+REPO = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+SRC = os.path.join(REPO, "src", "repro")
 
 #: Module-level statements that create mutable cross-run state.
 _COUNTER_PATTERN = re.compile(
@@ -46,64 +44,65 @@ _STORE_PATTERN = re.compile(
 )
 
 
-def test_structure_memo_is_the_one_run_filled_store_reset_leaves_alone():
+def _sources():
+    for path in sorted(glob.glob(os.path.join(SRC, "**", "*.py"), recursive=True)):
+        with open(path, encoding="utf-8") as handle:
+            yield os.path.relpath(path, SRC), handle.read()
+
+
+def test_structure_memo_is_the_one_run_filled_store():
     stores = [
-        f"{os.path.relpath(path, SRC)}:{name}"
-        for path in glob.glob(os.path.join(SRC, "**", "*.py"), recursive=True)
-        for name in _STORE_PATTERN.findall(open(path, encoding="utf-8").read())
+        f"{path}:{name}"
+        for path, text in _sources()
+        for name in _STORE_PATTERN.findall(text)
     ]
     assert sorted(stores) == [
-        # Registries, filled by registration at import time, not by runs.
+        # Filled by rule registration at import time, not by runs.
         "analysis/linter.py:_REGISTRY",
-        "sim/reset.py:_RESET_HOOKS",
-        "sim/snapshot.py:_SNAPSHOT_HOOKS",
-        # Filled by runs; survives reset because its answers depend on
-        # graph structure alone (see the repro.sim.reset docstring).
+        # Filled by runs; never cleared, because its answers depend on
+        # graph structure alone (see the comment at its definition).
         "topo/graph.py:_STRUCTURE_MEMO",
     ]
-    assert not [name for name in registered_resets() if "memo" in name]
 
 
 def test_no_module_level_count_iterators():
-    offenders = {}
-    for path in glob.glob(os.path.join(SRC, "**", "*.py"), recursive=True):
-        hits = _COUNTER_PATTERN.findall(open(path, encoding="utf-8").read())
-        if hits:
-            offenders[os.path.relpath(path, SRC)] = hits
+    offenders = {
+        path: hits for path, text in _sources()
+        if (hits := _COUNTER_PATTERN.findall(text))
+    }
     assert not offenders, (
-        "module-level itertools.count found — checkpointable counters "
-        "must be plain values with reset + snapshot hooks (see "
-        f"repro.p4.packet._next_packet_id for the shape): {offenders}"
+        "module-level itertools.count found — a counter belongs to the "
+        "deployment that uses it (see Network.take_packet_id for the "
+        f"shape): {offenders}"
     )
 
 
-def test_default_registry_covers_packet_ids():
-    assert "p4.packet_ids" in registered_resets()
+def test_no_global_rebinding():
+    offenders = [
+        f"{path}:{node.lineno}: global {', '.join(node.names)}"
+        for path, text in _sources()
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.Global)
+    ]
+    assert not offenders, (
+        "a `global` statement rebinds process-wide state, which a later "
+        f"run in the same process would see: {offenders}"
+    )
 
 
-def test_reset_restarts_packet_numbering():
-    reset_global_state()
-    first = Packet().packet_id
-    Packet()
-    reset_global_state()
-    again = Packet().packet_id
-    assert again == first == 1
+def _fig1_dl_update() -> str:
+    deployment = build_p4update_network(fig1_topology(), params=SimParams(seed=0))
+    flow = Flow.between("v0", "v7", size=1.0, old_path=list(FIG1_OLD_PATH))
+    deployment.install_flow(flow)
+    deployment.controller.update_flow(flow.flow_id, list(FIG1_NEW_PATH), UpdateType.DUAL)
+    deployment.run()
+    return trace_signature(deployment.network.trace)
 
 
-def test_register_is_idempotent_per_name_and_hooks_run():
-    calls = []
-    register_global_reset("test.probe", lambda: calls.append("a"))
-    # Re-registering the same name replaces, not duplicates.
-    register_global_reset("test.probe", lambda: calls.append("b"))
-    try:
-        assert registered_resets().count("test.probe") == 1
-        reset_global_state()
-        assert calls == ["b"]
-    finally:
-        # Leave the global registry as we found it.
-        from repro.sim import reset as reset_module
-
-        reset_module._RESET_HOOKS[:] = [
-            (name, hook) for name, hook in reset_module._RESET_HOOKS
-            if name != "test.probe"
-        ]
+def test_same_seed_runs_back_to_back_sign_equal():
+    """Two same-seed runs in one process, nothing reset in between, print
+    the same trace: each network numbers its own packets, so both runs
+    count from 1."""
+    assert _fig1_dl_update() == _fig1_dl_update()
+    spec = load_serve_spec_file(os.path.join(REPO, "examples", "serve_smoke.json"))
+    assert run_service(spec).trace_sig == run_service(spec).trace_sig

@@ -14,7 +14,6 @@ from itertools import islice, permutations
 import networkx as nx
 import pytest
 
-from repro.sim.reset import reset_global_state
 from repro.topo import TOPOLOGIES, fattree_topology, line_topology, ring_topology
 from repro.topo import graph as graph_module
 from repro.topo.graph import Topology
@@ -278,11 +277,3 @@ def test_the_memo_holds_a_constant_number_of_structures_fifo():
     assert line_topology(2).shortest_path("n0", "n1") == ["n0", "n1"]
     assert [len(structure) for structure in MEMO] == [*range(5, bound + 4), 2]
 
-
-def test_reset_global_state_leaves_the_memo_alone(nx_calls):
-    TOPOLOGIES["b4"]().place_controller_at_centroid()
-    held = dict(MEMO)
-    reset_global_state()
-    assert dict(MEMO) == held and held
-    TOPOLOGIES["b4"]().place_controller_at_centroid()
-    assert nx_calls["all_pairs_dijkstra_path_length"] == 1

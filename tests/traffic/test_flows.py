@@ -45,7 +45,7 @@ def test_path_loop_rejected():
         )
 
 
-def test_edges_and_changed_nodes():
+def test_old_and_new_edges():
     flow = Flow(
         flow_id=1, src="a", dst="d", size=1.0,
         old_path=["a", "b", "d"],
@@ -53,16 +53,6 @@ def test_edges_and_changed_nodes():
     )
     assert flow.old_edges() == [("a", "b"), ("b", "d")]
     assert flow.new_edges() == [("a", "c"), ("c", "d")]
-    # 'a' changes next hop (b -> c); 'c' is newly forwarding; 'd' is egress.
-    assert flow.changed_nodes() == {"a", "c"}
-
-
-def test_changed_nodes_empty_when_paths_equal():
-    flow = Flow(
-        flow_id=1, src="a", dst="b", size=1.0,
-        old_path=["a", "b"], new_path=["a", "b"],
-    )
-    assert flow.changed_nodes() == set()
 
 
 def test_flowset_rejects_duplicates():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.topo import fig1_topology, line_topology, ring_topology
-from repro.traffic.gravity import gravity_flow_sizes, gravity_matrix, scale_to_capacity
+from repro.traffic.gravity import gravity_flow_sizes, gravity_matrix
 from repro.traffic.paths import k_shortest_paths, second_shortest_path
 
 
@@ -75,26 +75,6 @@ def test_gravity_matrix_node_order_changes_assignment_not_support():
     m2 = gravity_matrix(["c", "b", "a"], np.random.default_rng(9))
     assert set(m1) == set(m2)
     assert sum(m1.values()) == pytest.approx(sum(m2.values()))
-
-
-def test_scale_to_capacity_hits_target_utilisation():
-    sizes = [1.0, 2.0]
-    loads = {"e1": 3.0, "e2": 1.0}
-    caps = {"e1": 10.0, "e2": 10.0}
-    scaled = scale_to_capacity(sizes, loads, caps, utilisation=0.9)
-    factor = scaled[0] / sizes[0]
-    # Worst link was e1 at 0.3 utilisation -> factor 3.
-    assert factor == pytest.approx(3.0)
-
-
-def test_scale_to_capacity_no_finite_caps_is_identity():
-    sizes = [1.0]
-    assert scale_to_capacity(sizes, {"e": 1.0}, {"e": float("inf")}) == sizes
-
-
-def test_scale_to_capacity_rejects_bad_capacity():
-    with pytest.raises(ValueError):
-        scale_to_capacity([1.0], {"e": 1.0}, {"e": 0.0})
 
 
 def test_k_shortest_on_ring_gives_both_directions():
