@@ -42,7 +42,6 @@ import json
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator, Mapping, Optional, Sequence
 
-from repro.analysis.findings import Finding
 from repro.analysis.plan import UpdatePlan, find_cycle
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -382,20 +381,6 @@ class InterferenceReport:
             separators=(",", ":"),
         )
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-    def to_findings(self) -> list[Finding]:
-        """Project into the shared static-analysis finding schema."""
-        out = []
-        for index, finding in enumerate(self.findings):
-            out.append(
-                Finding(
-                    rule=f"interference-{finding.kind}",
-                    message=f"[{finding.subject}] {finding.message}",
-                    path=self.label,
-                    line=index + 1,
-                )
-            )
-        return out
 
     def describe(self) -> str:
         head = (

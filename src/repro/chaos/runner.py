@@ -339,11 +339,7 @@ def run_campaign(
         retry_exhausted=(
             controller.reliable.exhausted if controller.reliable is not None else 0
         ),
-        reroutes=int(
-            obs.metrics.value("flow_reroutes", node=controller.name) or 0
-        )
-        if obs.enabled
-        else len(network.trace.of_kind("update_aborted")),
+        reroutes=controller.reroutes,
         topo_events=len(campaign.events),
     )
 

@@ -157,6 +157,9 @@ class P4UpdateController(ControllerNode):
         self.failed_edges: set[frozenset[str]] = set()
         # Structured reports for flows recovery could not reroute.
         self.parked: list[ParkReport] = []
+        # Failure-driven reroutes, counted with obs on or off (the
+        # ``flow_reroutes`` metric counts the same sites).
+        self.reroutes = 0
         # Reliable control sender, created lazily when
         # params.reliable_control is on.
         self.reliable: Optional["ReliableControlSender"] = None
@@ -552,6 +555,7 @@ class P4UpdateController(ControllerNode):
             # pending update was all the recovery needed.
             record.recovering_since = None
             return
+        self.reroutes += 1
         if self.obs.enabled:
             self.obs.metrics.counter("flow_reroutes", node=self.name).inc()
         prepared = self.prepare_update(flow_id, list(new_path))

@@ -30,6 +30,7 @@ from repro.core.registers import LOCAL_DELIVER_PORT
 from repro.core.switch import P4UpdateSwitch
 from repro.loading import resolve_attribute
 from repro.obs.context import NULL_OBS, ObsContext
+from repro.obs.profiler import ProfiledEngine
 from repro.params import SimParams
 from repro.sim.engine import Engine
 from repro.sim.links import ControlChannel, Link
@@ -181,7 +182,7 @@ class Deployment:
 
     def run(self, until: Optional[float] = None) -> None:
         horizon = until if until is not None else self.params.max_sim_time_ms
-        self.network.run(until=horizon)
+        self.network.engine.run(until=horizon)
 
 
 def build_network(
@@ -209,10 +210,11 @@ def build_network(
     if topo.controller is None:
         topo.place_controller_at_centroid()
 
+    engine = Engine() if obs.profiler is None else ProfiledEngine(obs.profiler)
     network = Network(
-        Engine(), trace=Trace(max_events=params.trace_max_events), obs=obs
+        engine, trace=Trace(max_events=params.trace_max_events), obs=obs
     )
-    obs.bind_engine(network.engine)
+    obs.bind_engine(engine)
     forwarding_state = ForwardingState()
 
     switches: dict[str, Any] = {}

@@ -21,12 +21,12 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from repro.obs.profiler import EngineProfiler
 from repro.obs.registry import MetricsRegistry, NullRegistry
 from repro.obs.spans import NullSpanTracker, SpanTracker
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.causal import CausalTracker
+    from repro.obs.profiler import EngineProfiler
 
 
 class EngineClock:
@@ -56,7 +56,7 @@ class ObsContext:
         self,
         metrics: MetricsRegistry,
         spans: SpanTracker,
-        profiler: Optional[EngineProfiler] = None,
+        profiler: Optional["EngineProfiler"] = None,
         causal: Optional["CausalTracker"] = None,
     ) -> None:
         self.metrics = metrics
@@ -71,13 +71,10 @@ class ObsContext:
         self.enabled: bool = metrics.enabled
 
     def bind_engine(self, engine) -> None:
-        """Point the span tracker's simulated clock at ``engine`` and
-        install the profiler (if any).  No-op when disabled."""
-        if not self.enabled:
-            return
-        self.spans.sim_clock = EngineClock(engine)
-        if self.profiler is not None:
-            engine.set_profiler(self.profiler)
+        """Point the span tracker's simulated clock at ``engine``.
+        No-op when disabled."""
+        if self.enabled:
+            self.spans.sim_clock = EngineClock(engine)
 
     def count(self, name: str, amount: float = 1.0, **labels) -> None:
         """Convenience: increment a labeled counter (guarded)."""
@@ -122,12 +119,14 @@ def make_obs(profile: bool = False, causal: bool = False) -> ObsContext:
         from repro.obs.causal import CausalTracker
 
         tracker = CausalTracker()
-    return ObsContext(
-        MetricsRegistry(),
-        SpanTracker(),
-        EngineProfiler() if profile else None,
-        causal=tracker,
-    )
+    profiler = None
+    if profile:
+        # Lazy: repro.obs.profiler imports the engine, whose package
+        # imports repro.sim.node, which imports this module.
+        from repro.obs.profiler import EngineProfiler
+
+        profiler = EngineProfiler()
+    return ObsContext(MetricsRegistry(), SpanTracker(), profiler, causal=tracker)
 
 
 #: Shared disabled context — the default ``obs`` everywhere.

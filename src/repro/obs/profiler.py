@@ -4,16 +4,21 @@ The discrete-event engine executes millions of tiny callbacks; this
 profiler attributes wall-clock time and call counts to each callback
 *target* (qualified function name), so the hot paths of
 ``switch.py``/``dataplane.py`` become rankable without an external
-profiler.  Install it with ``engine.set_profiler(profiler)`` (or
-``ObsContext.bind_engine`` when profiling is enabled); when no
-profiler is installed the engine's dispatch loop pays a single
-``is None`` check per event.
+profiler.  Profiling is a kind of engine, not a mode of it:
+:class:`ProfiledEngine` times each :meth:`Engine.step` into an
+:class:`EngineProfiler`, and ``build_network`` constructs one when the
+run's ``ObsContext`` carries a profiler (``make_obs(profile=True)``).
+The plain :class:`~repro.sim.engine.Engine` never reads the host
+clock and carries no profiling branch.
 """
 
 from __future__ import annotations
 
+import heapq
 import time
 from typing import Any, Callable
+
+from repro.sim.engine import Engine
 
 
 def _target_name(callback: Callable[..., Any]) -> str:
@@ -80,3 +85,28 @@ class EngineProfiler:
                 f"{row['mean_us']:9.1f}  {row['max_us']:9.1f}  {row['target']}"
             )
         return "\n".join(lines)
+
+
+class ProfiledEngine(Engine):
+    """An :class:`Engine` whose every event is timed into ``profiler``.
+
+    Only :meth:`step` differs: it drops cancelled heads, notes the live
+    head's callback and times the plain ``Engine.step`` around it.
+    Simulated time and event order are exactly the plain engine's."""
+
+    def __init__(self, profiler: EngineProfiler) -> None:
+        super().__init__()
+        self.profiler = profiler
+
+    def step(self) -> bool:
+        queue = self._queue
+        while queue and queue[0][2].cancelled:
+            heapq.heappop(queue)
+        if not queue:
+            return False
+        callback = queue[0][2].callback
+        clock = self.profiler.clock
+        started = clock()
+        Engine.step(self)
+        self.profiler.record(callback, clock() - started)
+        return True

@@ -191,9 +191,6 @@ class Network:
         for node in self.nodes.values():
             node.start()
 
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
-        self.engine.run(until=until, max_events=max_events)
-
     # -- topology failures (repro.chaos) -----------------------------------
 
     def enable_chaos(self) -> None:

@@ -29,7 +29,6 @@ from repro.sweep.merge import (
     merge_profiles,
     results_signature,
     validate_sweep_results,
-    write_sweep_manifest,
 )
 from repro.sweep.spec import (
     Shard,
@@ -66,5 +65,4 @@ __all__ = [
     "run_shard_payload",
     "run_sweep",
     "validate_sweep_results",
-    "write_sweep_manifest",
 ]

@@ -32,7 +32,7 @@ import os
 import sys
 from typing import Any, Callable, Optional, TypeVar
 
-from repro.obs import make_obs
+from repro.obs import make_obs, write_manifest
 from repro.sweep.executor import (
     SweepRun,
     cache_root,
@@ -45,8 +45,6 @@ from repro.sweep.merge import (
     format_profile,
     merge_shard_obs,
     results_signature,
-    write_results_manifest,
-    write_sweep_manifest,
 )
 from repro.sweep.spec import SweepSpec, SweepSpecError, load_sweep_spec_file
 
@@ -176,8 +174,13 @@ def write_fleet_manifest(
 ) -> str:
     """Write the merged tree as ``BENCH_<name>.json`` under ``--out-dir``,
     say so, and return the path."""
-    path = write_results_manifest(
-        name, sweep, results, out_dir=args.out_dir, obs=obs
+    path = write_manifest(
+        name,
+        params=sweep.to_dict(),
+        results=results,
+        seed=sweep.seed,
+        obs=obs if obs is not None and obs.enabled else None,
+        out_dir=args.out_dir,
     )
     print(f"wrote {path}")
     return path
@@ -253,10 +256,8 @@ def _cmd_merge(args: argparse.Namespace) -> int:
             f"{len(missing)} shard(s) not in cache {root!r}: "
             f"{', '.join(missing[:8])}{'...' if len(missing) > 8 else ''}"
         )
-    path = write_sweep_manifest(
-        spec, docs, [], len(docs), out_dir=args.out_dir,
-    )
-    print(f"wrote {path}")
+    results = build_sweep_results(spec, docs, [], len(docs))
+    write_fleet_manifest(f"sweep_{spec.name}", spec, merge_shard_obs(results), args)
     print(f"signature {results_signature(docs)}")
     return 0
 

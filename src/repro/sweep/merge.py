@@ -264,39 +264,3 @@ def merge_shard_obs(results: dict) -> dict:
     if profiles:
         results["merged_profile"] = merge_profiles(profiles)
     return results
-
-
-def write_results_manifest(
-    name: str,
-    spec: Any,
-    results: dict,
-    out_dir: Optional[str] = None,
-    obs: Optional[Any] = None,
-) -> str:
-    """Write a fleet's merged results tree as ``BENCH_<name>.json`` and
-    return its path."""
-    from repro.obs.manifest import write_manifest
-
-    return write_manifest(
-        name,
-        params=spec.to_dict(),
-        results=results,
-        seed=spec.seed,
-        obs=obs if obs is not None and getattr(obs, "enabled", False) else None,
-        out_dir=out_dir,
-    )
-
-
-def write_sweep_manifest(
-    spec: Any,
-    shard_docs: list[dict],
-    failures: list[dict],
-    shards_total: int,
-    out_dir: Optional[str] = None,
-    obs: Optional[Any] = None,
-) -> str:
-    """Write ``BENCH_sweep_<name>.json`` and return its path."""
-    results = build_sweep_results(spec, shard_docs, failures, shards_total)
-    return write_results_manifest(
-        f"sweep_{spec.name}", spec, merge_shard_obs(results), out_dir, obs
-    )

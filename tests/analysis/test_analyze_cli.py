@@ -76,22 +76,20 @@ def test_analyze_requires_subcommand():
         main(["analyze"])
 
 
-# -- structured output (--format json|sarif) ----------------------------------
+# -- structured output (--format json) ------------------------------------------
 
 
-def test_analyze_lint_sarif_output(tmp_path):
+def test_analyze_lint_json_out_file(tmp_path):
     bad = tmp_path / "bad.py"
     bad.write_text("import time\nt = time.time()\n")
-    out_path = tmp_path / "lint.sarif"
+    out_path = tmp_path / "lint.json"
     rc = main([
         "analyze", "lint", str(bad),
-        "--format", "sarif", "--out", str(out_path),
+        "--format", "json", "--out", str(out_path),
     ])
     assert rc == 1
     doc = json.loads(out_path.read_text())
-    assert doc["version"] == "2.1.0"
-    (run,) = doc["runs"]
-    assert [res["ruleId"] for res in run["results"]] == ["wall-clock"]
+    assert [finding["rule"] for finding in doc] == ["wall-clock"]
 
 
 def test_analyze_lint_json_output(tmp_path, capsys):
@@ -104,19 +102,17 @@ def test_analyze_lint_json_output(tmp_path, capsys):
     assert main(["analyze", "lint", str(bad), "--format", "json"]) == 1
 
 
-def test_analyze_plan_sarif_output(tmp_path):
-    out_path = tmp_path / "plan.sarif"
+def test_analyze_plan_json_output(tmp_path):
+    out_path = tmp_path / "plan.json"
     rc = main([
         "analyze", "plan", "--quick",
-        "--format", "sarif", "--out", str(out_path),
+        "--format", "json", "--out", str(out_path),
     ])
     assert rc == 0
-    doc = json.loads(out_path.read_text())
-    # The committed plan suite is clean: a valid, empty SARIF run
+    # The committed plan suite is clean: an empty findings list
     # (adversarial plans that are *correctly* rejected are not
     # findings — only verifier misses would be).
-    assert doc["version"] == "2.1.0"
-    assert doc["runs"][0]["results"] == []
+    assert json.loads(out_path.read_text()) == []
 
 
 def test_analyze_interference_smoke_example_clean(capsys):

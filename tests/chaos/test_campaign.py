@@ -18,6 +18,7 @@ from repro.chaos import (
 from repro.chaos.runner import build_campaign_deployment, campaign_params
 from repro.harness.build import build_p4update_network
 from repro.harness.scenarios import single_flow_scenario
+from repro.obs import make_obs
 from repro.topo import fig1_topology
 
 
@@ -147,6 +148,31 @@ def test_different_seeds_diverge():
     a = run_campaign(acceptance_campaign(seed=1))
     b = run_campaign(acceptance_campaign(seed=2))
     assert a.trace_signature != b.trace_signature
+
+
+@pytest.mark.parametrize("time_ms", [12.0, 3000.0])
+@pytest.mark.parametrize(
+    "link", sorted(tuple(sorted((e.a, e.b))) for e in fig1_topology().edges),
+    ids="-".join,
+)
+def test_results_do_not_depend_on_obs(link, time_ms):
+    """The smoke campaign with its link failure moved to each Fig. 1
+    link, mid-update and after it: obs on and obs off report the same
+    results, ``reroutes`` included.  (An ``update_aborted`` count is not
+    a reroute count: recovery can abort without rerouting and reroute
+    without aborting.)"""
+    path = os.path.join(
+        os.path.dirname(__file__), "..", "..", "examples", "chaos_smoke.json"
+    )
+    with open(path, encoding="utf-8") as handle:
+        doc = json.load(handle)
+    doc["events"] = [
+        {"time_ms": time_ms, "kind": "link_down", "node_a": link[0], "node_b": link[1]}
+    ]
+    campaign = load_campaign(doc)
+    off = run_campaign(campaign)
+    on = run_campaign(campaign, obs=make_obs())
+    assert off.to_results() == on.to_results()
 
 
 def test_parked_flow_reported_in_results():

@@ -70,7 +70,7 @@ def test_chaos_disarmed_by_default():
     net, a, b = build_pair()
     assert not net.chaos_enabled
     a.send(1, "x")
-    net.run()
+    net.engine.run()
     assert len(b.received) == 1
 
 
@@ -79,7 +79,7 @@ def test_link_down_loses_in_flight_messages():
     net.enable_chaos()
     a.send(1, "doomed")
     net.engine.schedule_at(5.0, net.set_link_state, "a", "b", False)
-    net.run()
+    net.engine.run()
     assert b.received == []
     drops = net.trace.of_kind(KIND_MSG_DROP)
     assert any(e.detail.get("reason") == "link_down" for e in drops)
@@ -89,7 +89,7 @@ def test_message_sent_over_down_link_is_dropped():
     net, a, b = build_pair()
     net.set_link_state("a", "b", up=False)
     a.send(1, "into the void")
-    net.run()
+    net.engine.run()
     assert b.received == []
 
 
@@ -98,7 +98,7 @@ def test_link_up_restores_delivery():
     net.set_link_state("a", "b", up=False)
     net.engine.schedule_at(5.0, net.set_link_state, "a", "b", True)
     net.engine.schedule_at(6.0, a.send, 1, "after repair")
-    net.run()
+    net.engine.run()
     assert [m for _, _, m in b.received] == ["after repair"]
     kinds = [e.kind for e in net.trace]
     assert KIND_LINK_DOWN in kinds and KIND_LINK_UP in kinds
@@ -108,7 +108,7 @@ def test_link_state_changes_notify_both_endpoints():
     net, a, b = build_pair()
     net.set_link_state("a", "b", up=False)
     net.set_link_state("a", "b", up=True)
-    net.run()
+    net.engine.run()
     assert a.port_events == [(0.0, 1, False), (0.0, 1, True)]
     assert b.port_events == [(0.0, 1, False), (0.0, 1, True)]
 
@@ -117,7 +117,7 @@ def test_link_state_is_idempotent():
     net, a, b = build_pair()
     net.set_link_state("a", "b", up=False)
     net.set_link_state("a", "b", up=False)
-    net.run()
+    net.engine.run()
     assert len(net.trace.of_kind(KIND_LINK_DOWN)) == 1
     assert a.port_events == [(0.0, 1, False)]
 
@@ -126,7 +126,7 @@ def test_crashed_node_neither_sends_nor_receives():
     net, nodes, ctrl = build_triangle()
     net.crash_switch("b")
     nodes["a"].send(1, "to the dead")
-    net.run()
+    net.engine.run()
     assert nodes["b"].received == []
     assert "b" in net._down_nodes
     # a learns its port to b went down.
@@ -140,7 +140,7 @@ def test_crash_then_restart_round_trip():
     net.crash_switch("b")
     net.restart_switch("b")
     nodes["a"].send(1, "welcome back")
-    net.run()
+    net.engine.run()
     assert [m for _, _, m in nodes["b"].received] == ["welcome back"]
     kinds = [e.kind for e in net.trace]
     assert KIND_SWITCH_CRASH in kinds and KIND_SWITCH_RESTART in kinds
@@ -163,7 +163,7 @@ def test_controller_outage_buffers_in_flight_reports():
     nodes["a"].send_control("urgent report")            # arrives at t=1
     net.engine.schedule_at(0.5, net.set_controller_outage, True)
     net.engine.schedule_at(5.0, net.set_controller_outage, False)
-    net.run()
+    net.engine.run()
     assert len(ctrl.control) == 1
     assert ctrl.control[0][0] >= 5.0                    # held until recovery
     assert ctrl.control[0][1:] == ("a", "urgent report")
@@ -175,7 +175,7 @@ def test_control_send_during_outage_is_black_holed():
     net, nodes, ctrl = build_triangle()
     net.set_controller_outage(True)
     nodes["a"].send_control("shouted into the void")
-    net.run()
+    net.engine.run()
     assert ctrl.control == []
     drops = net.trace.of_kind(KIND_MSG_DROP)
     assert any(e.detail.get("reason") == "controller_outage" for e in drops)
@@ -186,7 +186,7 @@ def test_controller_outage_drops_controller_sends():
     net.enable_chaos()
     net.controller_outage = True
     ctrl.send_control(ControlMsg(target="a", body="stale order"))
-    net.run()
+    net.engine.run()
     assert nodes["a"].control == []
 
 
@@ -194,7 +194,7 @@ def test_crashed_sender_control_is_dropped():
     net, nodes, ctrl = build_triangle()
     net.crash_switch("a")
     nodes["a"].send_control("ghost")
-    net.run()
+    net.engine.run()
     assert ctrl.control == []
 
 

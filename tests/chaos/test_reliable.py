@@ -70,7 +70,7 @@ def build(latency=1.0, **sender_kwargs):
 def test_ack_stops_retransmission():
     net, ctrl, sw = build(timeout_ms=50.0)
     ctrl.reliable.send(Order("sw", "install"))
-    net.run()
+    net.engine.run()
     assert len(sw.delivered) == 1
     assert ctrl.reliable.retransmissions == 0
     assert ctrl.reliable.outstanding == 0
@@ -85,7 +85,7 @@ def test_lost_message_is_retransmitted_until_delivered():
         max_hits=2,
     )
     ctrl.reliable.send(Order("sw", "install"))
-    net.run()
+    net.engine.run()
     assert [body.body for _, body in sw.delivered] == ["install"]
     assert ctrl.reliable.retransmissions == 2
     assert ctrl.reliable.outstanding == 0
@@ -103,7 +103,7 @@ def test_receiver_dedup_suppresses_duplicate_deliveries():
         max_hits=3,
     )
     ctrl.reliable.send(Order("sw", "install"))
-    net.run()
+    net.engine.run()
     assert len(sw.delivered) == 1
     assert ctrl.reliable.retransmissions == 3
     assert len(sw.seen) == 1
@@ -116,7 +116,7 @@ def test_exhaustion_escalates_to_callback():
     )
     order = Order("sw", "install")
     ctrl.reliable.send(order)
-    net.run()
+    net.engine.run()
     assert ctrl.exhausted_messages == [order]
     assert ctrl.reliable.exhausted == 1
     assert ctrl.reliable.retransmissions == 3   # budget fully spent first
@@ -131,7 +131,7 @@ def test_cancel_target_abandons_outstanding_sends():
     assert ctrl.reliable.outstanding == 2
     ctrl.reliable.cancel_target("sw")
     assert ctrl.reliable.outstanding == 0
-    net.run()
+    net.engine.run()
     assert ctrl.exhausted_messages == []        # no escalation after cancel
 
 
@@ -145,7 +145,7 @@ def test_sequence_numbers_are_unique_and_ordered():
     net, ctrl, sw = build()
     seqs = [ctrl.reliable.send(Order("sw", i)) for i in range(5)]
     assert seqs == [1, 2, 3, 4, 5]
-    net.run()
+    net.engine.run()
     assert [body.body for _, body in sw.delivered] == [0, 1, 2, 3, 4]
 
 
@@ -159,7 +159,7 @@ def test_retry_schedule_is_seed_deterministic():
             max_hits=2,
         )
         ctrl.reliable.send(Order("sw", "x"))
-        net.run()
+        net.engine.run()
         return [t for t, _ in sw.delivered]
 
     assert timings(7) == timings(7)

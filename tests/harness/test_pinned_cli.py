@@ -21,6 +21,8 @@ operation counts stopped depending on what ran earlier in the process.
 The five cases that print a trace signature (``serve run`` twice,
 ``compete run``, ``chaos run``, ``ops run --seeds``) were re-recorded
 once, when signature format v2 replaced v1; only their digests moved.
+The four ``analyze {interference,lint,pipeline,plan} --help`` cases were
+re-recorded once, when the ``sarif`` choice of ``--format`` was deleted.
 Regenerate only for a deliberate change (and empty
 ``FIXED`` when you do)::
 

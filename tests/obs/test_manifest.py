@@ -167,27 +167,24 @@ def test_consolidated_sweep_manifest_is_schema_valid(tmp_path):
     manifest: loadable here, with the sweep results tree passing its
     own validator."""
     from repro.sweep.executor import run_sweep
-    from repro.sweep.merge import validate_sweep_results, write_sweep_manifest
+    from repro.sweep.merge import validate_sweep_results
     from repro.sweep.spec import load_sweep_spec
 
-    spec = load_sweep_spec({
+    from tests.sweep.test_merge import merge_from_cache
+
+    spec_doc = {
         "name": "obscheck", "systems": ["p4update-sl"],
         "topologies": ["fig1"], "scenarios": ["single"], "seeds": 1,
-    })
-    run = run_sweep(spec, workers=1, cache_dir=str(tmp_path / "cache"))
-    path = write_sweep_manifest(
-        spec, run.shard_docs, run.failures, run.shards_total,
-        out_dir=str(tmp_path),
-    )
+    }
+    spec = load_sweep_spec(spec_doc)
+    run_sweep(spec, workers=1, cache_dir=str(tmp_path / "cache"))
+    path = merge_from_cache(spec_doc, tmp_path)
     doc = load_manifest(path)
     validate_manifest(doc)
     assert doc["name"] == "sweep_obscheck"
     assert doc["seed"] == spec.seed
     validate_sweep_results(doc["results"])
     # A second write of the same sweep replaces the first.
-    write_sweep_manifest(
-        spec, run.shard_docs, run.failures, run.shards_total,
-        out_dir=str(tmp_path),
-    )
+    assert merge_from_cache(spec_doc, tmp_path) == path
     again = load_manifest(path)
     assert again["results"]["signature"] == doc["results"]["signature"]

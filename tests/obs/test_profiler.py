@@ -1,7 +1,24 @@
-"""Engine profiler attribution and report shape."""
+"""Engine profiler attribution and report shape, and the profiled
+engine: same simulation, every event counted, picklable mid-run."""
 
-from repro.obs.profiler import EngineProfiler, _target_name
+import os
+import pickle
+
+from repro.chaos.campaign import load_campaign_file
+from repro.chaos.runner import run_campaign, trace_signature
+from repro.core.messages import UpdateType
+from repro.harness.build import build_p4update_network
+from repro.obs import make_obs
+from repro.obs.profiler import EngineProfiler, ProfiledEngine, _target_name
+from repro.params import SimParams
 from repro.sim.engine import Engine
+from repro.topo import fig1_topology
+from repro.topo.synthetic import FIG1_NEW_PATH, FIG1_OLD_PATH
+from repro.traffic.flows import Flow
+
+from tests.obs.test_determinism_obs import run_fig1
+
+REPO = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 
 def a_callback():
@@ -41,17 +58,61 @@ def test_report_top_limits():
 
 
 def test_engine_dispatch_feeds_profiler():
-    engine = Engine()
+    ticks = iter(range(100))
+    prof = EngineProfiler(clock=lambda: float(next(ticks)))
+    engine = ProfiledEngine(prof)
     calls = []
-    engine.schedule(1.0, lambda: calls.append(1))
-    prof = EngineProfiler()
-    engine.set_profiler(prof)
+    engine.schedule(1.0, calls.append, 1)
+    engine.schedule(2.0, calls.append, 2).cancel()
+    engine.schedule(3.0, a_callback)
     engine.run()
-    assert calls == [1]
-    assert sum(row["calls"] for row in prof.report()) == 1
-    assert prof.total_seconds >= 0.0
+    assert calls == [1] and engine.now == 3.0
+    # One row per live event, each timed across exactly its own step.
+    assert sorted((row["target"].rsplit(".", 1)[-1], row["calls"]) for row in prof.report()) == [
+        ("a_callback", 1), ("append", 1),
+    ]
+    assert prof.total_seconds == 2.0
+    assert not engine.step()
 
 
 def test_engine_without_profiler_has_none():
-    engine = Engine()
-    assert engine.profiler is None
+    assert not hasattr(Engine(), "profiler")
+    assert type(run_fig1(0).network.engine) is Engine
+    assert type(run_fig1(0, obs=make_obs()).network.engine) is Engine
+
+
+def test_profiled_campaign_signs_the_same_and_counts_every_event():
+    """Chaos smoke (reliable control, so timers are cancelled): the
+    profiled run signs like the plain one, and the profiler saw every
+    event the engine processed, once."""
+    campaign = load_campaign_file(os.path.join(REPO, "examples", "chaos_smoke.json"))
+    obs = make_obs(profile=True)
+    profiled = run_campaign(campaign, obs=obs)
+    assert profiled.trace_signature == run_campaign(campaign).trace_signature
+    calls = sum(row["calls"] for row in obs.profiler.report())
+    assert calls == profiled.events_processed > 0
+
+
+def test_profiled_engine_survives_a_pickle_round_trip():
+    """An ops checkpoint pickles the whole deployment mid-run: the
+    profiled engine comes back with its rows and keeps counting."""
+    plain = run_fig1(7)
+    obs = make_obs(profile=True)
+    deployment = build_p4update_network(
+        fig1_topology(),
+        params=SimParams(seed=7).with_dionysus_install_delay(),
+        obs=obs,
+    )
+    assert type(deployment.network.engine) is ProfiledEngine
+    flow = Flow.between("v0", "v7", size=1.0, old_path=list(FIG1_OLD_PATH))
+    deployment.install_flow(flow)
+    deployment.controller.update_flow(flow.flow_id, list(FIG1_NEW_PATH), UpdateType.DUAL)
+    deployment.run(until=plain.network.engine.now / 2)
+    before = sum(row["calls"] for row in obs.profiler.report())
+    restored = pickle.loads(pickle.dumps(deployment))
+    engine = restored.network.engine
+    assert type(engine) is ProfiledEngine and engine.profiler is not obs.profiler
+    assert sum(row["calls"] for row in engine.profiler.report()) == before > 0
+    restored.run()
+    assert trace_signature(restored.network.trace) == trace_signature(plain.network.trace)
+    assert sum(row["calls"] for row in engine.profiler.report()) == engine.processed_events

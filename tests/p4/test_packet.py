@@ -142,7 +142,7 @@ def test_a_clone_takes_a_fresh_id_from_the_same_network():
     sink = network.add_node(Sink("sink"))
     network.add_link(Link("s1", 1, "sink", 1, latency_ms=1.0))
     switch.inject(Packet(packet_id=network.take_packet_id()))
-    network.run()
+    network.engine.run()
     assert sorted(packet.packet_id for packet in sink.received) == [1, 2]
     assert network.next_packet_id == 3
     # A pipeline driven without a network leaves its clones unnumbered.
@@ -156,7 +156,7 @@ def test_a_fault_duplicated_packet_keeps_its_id():
     network.add_link(Link("a", 1, "b", 1, latency_ms=1.0))
     network.fault_model = ScriptedFault(lambda message: True, FaultAction.DUPLICATE)
     sender.send(1, Packet(packet_id=network.take_packet_id()))
-    network.run()
+    network.engine.run()
     first, copy = sink.received
     assert first is not copy
     assert first.packet_id == copy.packet_id == 1

@@ -138,7 +138,7 @@ def test_switch_resubmits_until_register_ready():
     switch.inject(Packet())
     # Flip the flag from the "control plane" at t=3ms.
     net.engine.schedule(3.0, program.registers["ready"].write, 0, 1)
-    net.run()
+    net.engine.run()
     assert len(sink.received) == 1
     arrival = sink.received[0][0]
     assert arrival > 3.0
@@ -151,7 +151,7 @@ def test_switch_gives_up_after_max_resubmits():
     params.max_resubmits = 3
     net, switch, sink = wire_switch(program, params)
     switch.inject(Packet())
-    net.run()
+    net.engine.run()
     assert sink.received == []
     assert switch.packets_dropped == 1
 
@@ -175,7 +175,7 @@ def test_punt_invokes_hook():
     punts = []
     switch.on_punt = lambda sw, punt: punts.append((sw.name, punt.reason))
     switch.inject(Packet())
-    net.run()
+    net.engine.run()
     assert punts == [("s1", "flow_report")]
 
 
@@ -186,6 +186,6 @@ def test_forward_hook_observes_emissions():
     seen = []
     switch.on_forward = lambda sw, pkt, port: seen.append(port)
     switch.handle_message(tagged_packet(4), in_port=1)
-    net.run()
+    net.engine.run()
     assert seen == [1]
     assert len(sink.received) == 1

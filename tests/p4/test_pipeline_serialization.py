@@ -42,7 +42,7 @@ def test_packets_serialise_through_one_pipeline():
     net, switch, sink = wired(service_ms=1.0)
     for _ in range(5):
         switch.inject(Packet())
-    net.run()
+    net.engine.run()
     times = sink.received
     assert len(times) == 5
     gaps = [b - a for a, b in zip(times, times[1:])]
@@ -53,12 +53,12 @@ def test_packets_serialise_through_one_pipeline():
 def test_idle_pipeline_adds_no_queueing():
     net, switch, sink = wired(service_ms=1.0)
     switch.inject(Packet())
-    net.run()
+    net.engine.run()
     injected_at = net.engine.now
     # A second packet long after the first queues behind nothing:
     # exactly service (1.0) + link (0.5) later.
     switch.inject(Packet())
-    net.run()
+    net.engine.run()
     assert sink.received[1] == pytest.approx(injected_at + 1.5)
 
 
@@ -66,7 +66,7 @@ def test_busy_pipeline_delays_later_arrivals():
     net, switch, sink = wired(service_ms=2.0)
     switch.inject(Packet())
     net.engine.schedule(0.5, switch.inject, Packet())   # arrives mid-service
-    net.run()
+    net.engine.run()
     assert sink.received[0] == pytest.approx(2.5)
     assert sink.received[1] == pytest.approx(4.5)       # waited for slot
 
@@ -75,5 +75,5 @@ def test_processed_count_tracks_packets():
     net, switch, sink = wired()
     for _ in range(3):
         switch.inject(Packet())
-    net.run()
+    net.engine.run()
     assert switch.packets_processed == 3

@@ -54,7 +54,7 @@ def test_cancel_skips_event():
     seen = []
     event = engine.schedule(1.0, seen.append, "cancelled")
     engine.schedule(2.0, seen.append, "kept")
-    engine.cancel(event)
+    event.cancel()
     engine.run()
     assert seen == ["kept"]
 
@@ -71,30 +71,31 @@ def test_run_until_horizon_stops_clock_at_horizon():
     assert seen == ["early", "late"]
 
 
-def test_run_max_events():
+def test_run_until_moves_the_clock_only_past_a_live_event():
+    """``until`` advances the clock only when a live event lies beyond
+    it; a queue that drains, or holds only cancelled events, leaves the
+    clock at the last event fired."""
+    engine = Engine()
+    engine.schedule(1.0, lambda: None)
+    engine.run(until=5.0)
+    assert engine.now == 1.0
+    engine.schedule(2.0, lambda: None).cancel()
+    engine.run(until=5.0)
+    assert engine.now == 1.0 and engine.processed_events == 1
+    engine.schedule(9.0, lambda: None)
+    engine.run(until=5.0)
+    assert engine.now == 5.0 and engine.processed_events == 1
+
+
+def test_step_fires_one_live_event():
     engine = Engine()
     seen = []
-    for i in range(5):
-        engine.schedule(float(i + 1), seen.append, i)
-    engine.run(max_events=3)
-    assert seen == [0, 1, 2]
-
-
-def test_stop_during_run():
-    engine = Engine()
-    seen = []
-
-    def stopper():
-        seen.append("stop")
-        engine.stop()
-
-    engine.schedule(1.0, stopper)
-    engine.schedule(2.0, seen.append, "never")
-    engine.run()
-    assert seen == ["stop"]
-    # A fresh run() resumes processing.
-    engine.run()
-    assert seen == ["stop", "never"]
+    engine.schedule(1.0, seen.append, "cancelled").cancel()
+    for i in range(3):
+        engine.schedule(float(i + 2), seen.append, i)
+    assert engine.step() and seen == [0] and engine.now == 2.0
+    assert engine.step() and engine.step() and seen == [0, 1, 2]
+    assert not engine.step() and engine.processed_events == 3
 
 
 def test_schedule_at_absolute_time():
@@ -103,15 +104,6 @@ def test_schedule_at_absolute_time():
     engine.schedule_at(4.0, seen.append, "x")
     engine.run()
     assert engine.now == 4.0 and seen == ["x"]
-
-
-def test_pending_counts_live_events_only():
-    engine = Engine()
-    e1 = engine.schedule(1.0, lambda: None)
-    engine.schedule(2.0, lambda: None)
-    assert engine.pending() == 2
-    engine.cancel(e1)
-    assert engine.pending() == 1
 
 
 def test_processed_events_counter():

@@ -1,7 +1,7 @@
 """The engine's ``(time, seq, event)`` heap against a sort.
 
-Random ``schedule`` / ``schedule_at`` / ``cancel`` / ``run(until=,
-max_events=)`` sequences, with delays from a small set so equal-time
+Random ``schedule`` / ``schedule_at`` / ``Event.cancel`` / ``step`` /
+``run(until=)`` sequences, with delays from a small set so equal-time
 ties are the common case, must fire in exactly the order a reference
 that re-sorts ``(time, seq)`` on every step fires them.  Snapshots
 taken between runs and from inside a firing callback (what an ops
@@ -65,25 +65,30 @@ class SortingReference:
     def live(self):
         return sorted(e for e in self.entries if e[5] == "live")
 
-    def run(self, until=None, max_events=None):
-        executed = 0
-        while max_events is None or executed < max_events:
+    def step(self):
+        live = self.live()
+        if not live:
+            return False
+        head = live[0]
+        head[5] = "fired"
+        self.now = head[0]
+        self.processed += 1
+        self.fired.append((self.now, head[2]))
+        for i, delay in enumerate(head[3]):
+            self.schedule(delay, f"{head[2]}.{i}", (), False)
+        if head[4]:
+            self.at_snapshots.append(copy.deepcopy(self))
+        return True
+
+    def run(self, until=None):
+        while True:
             live = self.live()
             if not live:
-                break
-            head = live[0]
-            if until is not None and head[0] > until:
+                return
+            if until is not None and live[0][0] > until:
                 self.now = until
-                break
-            head[5] = "fired"
-            self.now = head[0]
-            self.processed += 1
-            self.fired.append((self.now, head[2]))
-            for i, delay in enumerate(head[3]):
-                self.schedule(delay, f"{head[2]}.{i}", (), False)
-            if head[4]:
-                self.at_snapshots.append(copy.deepcopy(self))
-            executed += 1
+                return
+            self.step()
 
 
 def assert_agree(log, reference):
@@ -92,7 +97,7 @@ def assert_agree(log, reference):
     assert log.fired == reference.fired
     assert engine.now == reference.now
     assert engine.processed_events == reference.processed
-    assert engine.pending() == len(live)
+    assert sum(not event.cancelled for _, _, event in engine._queue) == len(live)
     head = min((when for when, _, event in engine._queue if not event.cancelled), default=None)
     assert head == (live[0][0] if live else None)
 
@@ -109,7 +114,8 @@ OPS = st.lists(
         SCHEDULE,
         SCHEDULE,
         st.tuples(st.just("cancel"), st.integers(0, 10_000)),
-        st.tuples(st.just("run"), st.none() | DELAYS, st.none() | st.integers(0, 4)),
+        st.tuples(st.just("run"), st.none() | DELAYS),
+        st.tuples(st.just("step")),
         st.tuples(st.just("restore")),
     ),
     max_size=40,
@@ -128,12 +134,14 @@ def test_engine_fires_in_time_then_insertion_order(ops):
             reference.schedule(delay, str(tag), children, snapshot)
         elif op[0] == "cancel" and log.handles:
             index = op[1] % len(log.handles)
-            log.engine.cancel(log.handles[index])
+            log.handles[index].cancel()
             reference.cancel(index)
         elif op[0] == "run":
             until = None if op[1] is None else reference.now + op[1]
-            log.engine.run(until=until, max_events=op[2])
-            reference.run(until=until, max_events=op[2])
+            log.engine.run(until=until)
+            reference.run(until=until)
+        elif op[0] == "step":
+            assert log.engine.step() == reference.step()
         elif op[0] == "restore":
             blobs.extend(log.snapshots)
             log = pickle.loads(pickle.dumps(log))
@@ -141,7 +149,7 @@ def test_engine_fires_in_time_then_insertion_order(ops):
     log.engine.run()
     reference.run()
     assert_agree(log, reference)
-    assert log.engine.pending() == 0 and not log.engine.step()
+    assert not log.engine._queue and not log.engine.step()
     # Every snapshot taken mid-run resumes into the same remaining order.
     blobs.extend(log.snapshots)
     assert len(blobs) == len(reference.at_snapshots)

@@ -41,7 +41,7 @@ def test_drop_all():
     net, a, b = wired_pair()
     net.fault_model = FaultModel(rng=np.random.default_rng(0), drop_prob=1.0)
     a.send(1, "gone")
-    net.run()
+    net.engine.run()
     assert b.received == []
     assert net.fault_model.dropped == 1
 
@@ -52,7 +52,7 @@ def test_delay_adds_extra_latency():
         rng=np.random.default_rng(0), delay_prob=1.0, delay_ms=50.0
     )
     a.send(1, "slow")
-    net.run()
+    net.engine.run()
     assert b.received == [(51.0, "slow")]
 
 
@@ -60,7 +60,7 @@ def test_duplicate_delivers_twice():
     net, a, b = wired_pair()
     net.fault_model = FaultModel(rng=np.random.default_rng(0), duplicate_prob=1.0)
     a.send(1, "twin")
-    net.run()
+    net.engine.run()
     assert len(b.received) == 2
 
 
@@ -76,7 +76,7 @@ def test_corrupt_uses_mutator_on_a_copy():
         rng=np.random.default_rng(0), corrupt_prob=1.0, corruptor=flip
     )
     a.send(1, original)
-    net.run()
+    net.engine.run()
     assert b.received[0][1] == {"value": 999}
     assert original == {"value": 1}, "sender's copy must be untouched"
 
@@ -179,7 +179,7 @@ def test_network_binds_fault_metrics_when_observed():
     net.add_link(Link("a", 1, "b", 1, latency_ms=1.0))
     net.fault_model = FaultModel(rng=np.random.default_rng(0), drop_prob=1.0)
     a.send(1, "doomed")
-    net.run()
+    net.engine.run()
     assert obs.metrics.value(
         "fault_injections", plane="data", action="dropped"
     ) == 1

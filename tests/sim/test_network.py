@@ -40,16 +40,16 @@ def build_pair(latency=10.0):
 def test_data_message_arrives_after_link_latency():
     net, a, b = build_pair(latency=7.5)
     a.send(1, "hello")
-    net.run()
+    net.engine.run()
     assert b.received == [(7.5, 1, "hello")]
 
 
 def test_bidirectional_delivery():
     net, a, b = build_pair()
     a.send(1, "ping")
-    net.run()
+    net.engine.run()
     b.send(1, "pong")
-    net.run()
+    net.engine.run()
     assert a.received[0][2] == "pong"
 
 
@@ -99,7 +99,7 @@ def test_control_switch_to_controller_pays_channel_latency():
     net.set_controller("a")
     net.add_control_channel(ControlChannel("b", latency_ms=20.0))
     b.send_control("report")
-    net.run()
+    net.engine.run()
     assert a.control == [(20.0, "b", "report")]
 
 
@@ -108,7 +108,7 @@ def test_control_controller_to_switch_needs_target():
     net.set_controller("a")
     net.add_control_channel(ControlChannel("b", latency_ms=5.0))
     a.send_control(ControlMsg(target="b", body="update"))
-    net.run()
+    net.engine.run()
     assert len(b.control) == 1
     assert b.control[0][0] == 5.0
 
@@ -139,7 +139,7 @@ def test_controller_service_queue_serialises_messages():
     net.add_control_channel(ControlChannel("s2", latency_ms=2.0))
     s1.send_control("r1")
     s2.send_control("r2")
-    net.run()
+    net.engine.run()
     times = sorted(t for t, _, _ in ctrl.control)
     # First report: 2 ms channel + 10 ms service; second queues behind it.
     assert times == [12.0, 22.0]
@@ -148,7 +148,7 @@ def test_controller_service_queue_serialises_messages():
 def test_trace_records_send_and_recv():
     net, a, _ = build_pair()
     a.send(1, "x")
-    net.run()
+    net.engine.run()
     kinds = [e.kind for e in net.trace]
     assert "msg_send" in kinds and "msg_recv" in kinds
 
@@ -187,7 +187,7 @@ def test_control_duplicate_switch_to_controller_delivers_twice():
         matches=lambda m: True, action=FaultAction.DUPLICATE, max_hits=1
     )
     sw.send_control("report")
-    net.run()
+    net.engine.run()
     assert [m for _, _, m in ctrl.control] == ["report", "report"]
 
 
@@ -197,7 +197,7 @@ def test_control_duplicate_controller_to_switch_delivers_twice():
         matches=lambda m: True, action=FaultAction.DUPLICATE, max_hits=1
     )
     ctrl.send_control(Mutable(target="b", value="order"))
-    net.run()
+    net.engine.run()
     assert [m.value for _, _, m in sw.control] == ["order", "order"]
 
 
@@ -207,7 +207,7 @@ def test_control_duplicate_is_a_deep_copy():
         matches=lambda m: True, action=FaultAction.DUPLICATE, max_hits=1
     )
     ctrl.send_control(Mutable(target="b", value="order"))
-    net.run()
+    net.engine.run()
     first, second = (m for _, _, m in sw.control)
     assert first is not second
 
@@ -226,7 +226,7 @@ def test_control_corrupt_mutates_delivery_not_sender_object():
     )
     original = Mutable(target="b", value="order")
     ctrl.send_control(original)
-    net.run()
+    net.engine.run()
     assert [m.value for _, _, m in sw.control] == ["garbled"]
     assert original.value == "order"     # sender's copy untouched
 
@@ -244,5 +244,5 @@ def test_control_corrupt_switch_to_controller():
         mutate=garble,
     )
     sw.send_control(Mutable(target=None, value="report"))
-    net.run()
+    net.engine.run()
     assert [m.value for _, _, m in ctrl.control] == ["garbled"]

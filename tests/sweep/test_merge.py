@@ -1,8 +1,11 @@
 """Deterministic merge: metrics, profiles, aggregates, the manifest."""
 
+import json
+
 import pytest
 
-from repro.obs.manifest import load_manifest
+from repro.harness.cli import main
+from repro.obs.manifest import load_manifest, manifest_path
 from repro.sweep.executor import run_sweep
 from repro.sweep.merge import (
     attach_shard_keys,
@@ -12,9 +15,20 @@ from repro.sweep.merge import (
     merge_profiles,
     results_signature,
     validate_sweep_results,
-    write_sweep_manifest,
 )
 from repro.sweep.spec import load_sweep_spec
+
+
+def merge_from_cache(spec_doc: dict, tmp_path) -> str:
+    """``repro sweep merge`` over the shard cache a ``run_sweep`` left
+    under ``tmp_path/cache``; returns the manifest's path."""
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec_doc))
+    assert main([
+        "sweep", "merge", str(spec_path),
+        "--cache-dir", str(tmp_path / "cache"), "--out-dir", str(tmp_path),
+    ]) == 0
+    return manifest_path(f"sweep_{spec_doc['name']}", str(tmp_path))
 
 
 def _doc(index, results, **extra):
@@ -147,17 +161,14 @@ def test_attach_shard_keys_rederives_axes():
 def test_sweep_manifest_round_trip_and_schema(tmp_path):
     """The consolidated manifest is a schema-valid BENCH manifest whose
     results tree passes the sweep-specific validator after reload."""
-    spec = load_sweep_spec({
+    spec_doc = {
         "name": "mini", "systems": ["p4update-sl"], "topologies": ["fig1"],
         "scenarios": ["single"], "seeds": 1,
-    })
+    }
+    spec = load_sweep_spec(spec_doc)
     run = run_sweep(spec, workers=1, cache_dir=str(tmp_path / "cache"))
     assert run.ok
-    path = write_sweep_manifest(
-        spec, run.shard_docs, run.failures, run.shards_total,
-        out_dir=str(tmp_path),
-    )
-    doc = load_manifest(path)
+    doc = load_manifest(merge_from_cache(spec_doc, tmp_path))
     assert doc["name"] == "sweep_mini"
     assert doc["params"] == spec.to_dict()
     validate_sweep_results(doc["results"])
@@ -165,20 +176,17 @@ def test_sweep_manifest_round_trip_and_schema(tmp_path):
 
 
 def test_sweep_manifest_merges_profiles(tmp_path):
-    spec = load_sweep_spec({
+    spec_doc = {
         "name": "prof", "systems": ["p4update-sl"], "topologies": ["fig1"],
         "scenarios": ["single"], "seeds": 1,
-    })
+    }
     run = run_sweep(
-        spec, workers=1, cache_dir=str(tmp_path / "cache"), profile=True,
+        load_sweep_spec(spec_doc), workers=1, cache_dir=str(tmp_path / "cache"),
+        profile=True,
     )
     assert run.ok
     assert all(d.get("profile") for d in run.shard_docs)
-    path = write_sweep_manifest(
-        spec, run.shard_docs, run.failures, run.shards_total,
-        out_dir=str(tmp_path),
-    )
-    doc = load_manifest(path)
+    doc = load_manifest(merge_from_cache(spec_doc, tmp_path))
     merged = doc["results"]["merged_profile"]
     assert merged and all("target" in row for row in merged)
     assert sum(row["calls"] for row in merged) > 0
