@@ -84,8 +84,6 @@ class CentralSwitch(Node):
     def _complete_install(self, command: RuleCommand) -> None:
         hop = command.next_hop if command.next_hop is not None else LOCAL_DELIVER
         self.rules[command.flow_id] = hop
-        if self.obs.enabled:
-            self.obs.metrics.counter("rule_installs", node=self.name).inc()
         if self.forwarding_state is not None and hop != LOCAL_DELIVER:
             self.forwarding_state.set_rule(command.flow_id, self.name, hop)
         self.network.trace.record(

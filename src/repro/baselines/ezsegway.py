@@ -647,8 +647,6 @@ class EzSegwaySwitch(Node):
             self._moved_ranks.setdefault(hop, set()).add(role.move_rank)
         self.rules[role.flow_id] = hop
         self.flipped[(role.flow_id, role.update_id)] = True
-        if self.obs.enabled:
-            self.obs.metrics.counter("rule_installs", node=self.name).inc()
         if self.forwarding_state is not None and hop != LOCAL_DELIVER:
             self.forwarding_state.set_rule(role.flow_id, self.name, hop)
         self.network.trace.record(

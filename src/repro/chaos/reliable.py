@@ -123,19 +123,17 @@ class ReliableControlSender:
         if pending.attempt > self.max_retries:
             self._outstanding.pop(seq, None)
             self.exhausted += 1
-            if self.node.obs.enabled:
-                self.node.obs.metrics.counter(
-                    "control_retry_exhausted", target=pending.envelope.target
-                ).inc()
+            self.node.obs.count(
+                "control_retry_exhausted", target=pending.envelope.target
+            )
             if self.on_exhausted is not None:
                 self.on_exhausted(pending.envelope.inner)
             return
         pending.attempt += 1
         self.retransmissions += 1
-        if self.node.obs.enabled:
-            self.node.obs.metrics.counter(
-                "control_retransmissions", target=pending.envelope.target
-            ).inc()
+        self.node.obs.count(
+            "control_retransmissions", target=pending.envelope.target
+        )
         causal = self.node.obs.causal
         if causal is not None:
             # The ack-less wait this timer just expired over belongs to

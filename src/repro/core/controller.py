@@ -321,17 +321,13 @@ class P4UpdateController(ControllerNode):
         plan = plan_from_prepared(prepared, prior_version=prior)
         report = verify_plan(plan)
         if report.ok:
-            if self.obs.enabled:
-                self.obs.metrics.counter(
-                    "plans_verified", node=self.name
-                ).inc()
+            self.obs.count("plans_verified", node=self.name)
             return
         if record.pending_version == prepared.version:
             record.pending_path = None
             record.pending_version = None
         self._forget(prepared.flow_id, prepared.version)
-        if self.obs.enabled:
-            self.obs.metrics.counter("plans_rejected", node=self.name).inc()
+        self.obs.count("plans_rejected", node=self.name)
         raise PlanVerificationError(report.describe())
 
     def _check_completion(self, flow_id: int, version: int) -> None:
@@ -452,10 +448,7 @@ class P4UpdateController(ControllerNode):
         target = getattr(message, "target", None)
         if target is None:
             return
-        if self.obs.enabled:
-            self.obs.metrics.counter(
-                "control_escalations", node=self.name, target=target
-            ).inc()
+        self.obs.count("control_escalations", node=self.name, target=target)
         if self.reliable is not None:
             self.reliable.cancel_target(target)
         new_edges = []
@@ -479,19 +472,13 @@ class P4UpdateController(ControllerNode):
             if edge in self.failed_edges:
                 return
             self.failed_edges.add(edge)
-            if self.obs.enabled:
-                self.obs.metrics.counter(
-                    "nib_updates", node=self.name, kind="port_down"
-                ).inc()
+            self.obs.count("nib_updates", node=self.name, kind="port_down")
             self._recover_after_failure(edge)
         else:
             if edge not in self.failed_edges:
                 return
             self.failed_edges.discard(edge)
-            if self.obs.enabled:
-                self.obs.metrics.counter(
-                    "nib_updates", node=self.name, kind="port_up"
-                ).inc()
+            self.obs.count("nib_updates", node=self.name, kind="port_up")
             self._retry_parked()
 
     def _working_graph(self) -> "nx.Graph":
@@ -533,8 +520,6 @@ class P4UpdateController(ControllerNode):
             record.pending_path = None
             record.pending_version = None
             record.staged_tag = None
-            if self.obs.enabled:
-                self.obs.metrics.counter("updates_aborted", node=self.name).inc()
             if self.network is not None:
                 self.network.trace.record(
                     self.now, KIND_UPDATE_ABORTED, self.name,
@@ -556,8 +541,7 @@ class P4UpdateController(ControllerNode):
             record.recovering_since = None
             return
         self.reroutes += 1
-        if self.obs.enabled:
-            self.obs.metrics.counter("flow_reroutes", node=self.name).inc()
+        self.obs.count("flow_reroutes", node=self.name)
         prepared = self.prepare_update(flow_id, list(new_path))
         self.push_update(prepared)
         self._notify_update("reissued", flow_id, prepared.version)
@@ -576,8 +560,6 @@ class P4UpdateController(ControllerNode):
         )
         self.parked.append(report)
         record.parked = True
-        if self.obs.enabled:
-            self.obs.metrics.counter("flows_parked", node=self.name).inc()
         if self.network is not None:
             self.network.trace.record(
                 self.now, KIND_FLOW_PARKED, self.name,
@@ -615,11 +597,10 @@ class P4UpdateController(ControllerNode):
         record = self.flow_db.get(ufm.flow_id)
         if ufm.status == "alarm":
             self.alarms.append(ufm)
-            if self.obs.enabled:
-                self.obs.metrics.counter(
-                    "controller_alarms", node=self.name,
-                    reason=ufm.reason or "unspecified",
-                ).inc()
+            self.obs.count(
+                "controller_alarms", node=self.name,
+                reason=ufm.reason or "unspecified",
+            )
             if record is not None:
                 record.alarms.append(ufm)
             if ufm.reason == "unm_timeout":
@@ -654,13 +635,11 @@ class P4UpdateController(ControllerNode):
             if record.recovering_since is not None:
                 # §11 recovery: this completion closed a failure-driven
                 # reroute — record how long the flow was degraded.
-                if self.obs.enabled:
-                    self.obs.metrics.counter(
-                        "flow_recoveries", node=self.name
-                    ).inc()
-                    self.obs.metrics.histogram(
-                        "recovery_latency_ms", node=self.name,
-                    ).observe(self.now - record.recovering_since)
+                self.obs.count("flow_recoveries", node=self.name)
+                self.obs.observe(
+                    "recovery_latency_ms", self.now - record.recovering_since,
+                    node=self.name,
+                )
                 record.recovering_since = None
             if self.obs.enabled:
                 self.obs.metrics.family("counter", "updates_completed", "node")[(self.name,)].inc()
@@ -689,8 +668,7 @@ class P4UpdateController(ControllerNode):
         if self._retriggers.get(key, 0) >= self.max_retriggers:
             return
         self._retriggers[key] = self._retriggers.get(key, 0) + 1
-        if self.obs.enabled:
-            self.obs.metrics.counter("update_retriggers", node=self.name).inc()
+        self.obs.count("update_retriggers", node=self.name)
         causal = self.obs.causal
         if causal is not None:
             # The wait that forced this re-trigger is retry_backoff on

@@ -120,10 +120,7 @@ class P4UpdateSwitch(P4Switch):
             # and retransmitted control messages safe end-to-end.
             self.send_control(ControlAck(seq=message.seq, reporter=self.name))
             if message.seq in self._seen_control_seqs:
-                if self.obs.enabled:
-                    self.obs.metrics.counter(
-                        "duplicate_control_suppressed", node=self.name
-                    ).inc()
+                self.obs.count("duplicate_control_suppressed", node=self.name)
                 return
             self._seen_control_seqs.add(message.seq)
             message = message.inner
@@ -176,8 +173,7 @@ class P4UpdateSwitch(P4Switch):
         self._piggyback.clear()
         if self.network is not None:
             self.configure_ports()
-        if self.obs.enabled:
-            self.program.scheduler.attach_obs(self.obs, self.name)
+        self.program.scheduler.attach_obs(self.obs, self.name)
 
     def on_restart(self) -> None:
         """Called by the network when the switch comes back up."""
@@ -360,8 +356,6 @@ class P4UpdateSwitch(P4Switch):
             if program.congestion_aware and uim.egress_port != LOCAL_DELIVER_PORT:
                 # Traffic has moved: release the old link's reservation.
                 program.scheduler.commit_move(uim.flow_id)
-            if self.obs.enabled:
-                self.obs.metrics.family("counter", "rule_installs", "node")[(self.name,)].inc()
             self._mirror_rule(uim.flow_id, uim.egress_port, record=True)
             if old_port not in (NO_PORT, LOCAL_DELIVER_PORT) and old_port != uim.egress_port:
                 # §11 rule cleanup: tell the abandoned old parent that no
@@ -462,8 +456,6 @@ class P4UpdateSwitch(P4Switch):
             status="alarm", reason=reason,
         )
         self.alarms.append(ufm)
-        if self.obs.enabled:
-            self.obs.metrics.counter("verification_fail", node=self.name).inc()
         if self.network is not None:
             self.network.trace.record(
                 self.now, KIND_VERIFY_FAIL, self.name,

@@ -196,9 +196,9 @@ def build_network(
     """Construct switches, links and control channels for ``topo``.
 
     ``obs`` instruments the whole deployment (message counters at the
-    network, install/verification counters at every switch, scheduler
-    admit/defer counters, controller lifecycle counters).  The default
-    is the shared no-op context.
+    network, the counters ``repro.obs.derived`` reads off the trace,
+    scheduler admit/defer counters, controller lifecycle counters).  The
+    default is the shared no-op context.
 
     The draws from ``rng`` are part of every committed signature: one
     seed per switch in sorted node order, one for the controller, then
@@ -214,7 +214,7 @@ def build_network(
     network = Network(
         engine, trace=Trace(max_events=params.trace_max_events), obs=obs
     )
-    obs.bind_engine(engine)
+    obs.bind(network)
     forwarding_state = ForwardingState()
 
     switches: dict[str, Any] = {}

@@ -5,13 +5,21 @@ Design contract:
 
 * every node/network/scheduler holds an ``obs`` reference, defaulting
   to the module-level :data:`NULL_OBS` singleton;
-* instrumented hot paths guard with ``if self.obs.enabled:`` so the
-  disabled mode costs one attribute read per site and allocates
-  nothing (the no-op registry returns shared singleton instruments
-  and families);
-* a hot site holds its metric family (``MetricsRegistry.family``),
-  bound once where the owner receives ``obs``, instead of resolving a
-  name and a label set per event;
+* a metric takes one of three shapes, cheapest first for a run
+  without metrics:
+
+  - *derived*: a pure count of trace events is a view of the trace
+    (:mod:`repro.obs.derived`), subscribed by :meth:`ObsContext.bind`;
+    its event site has no hook at all;
+  - *helper*: a site that fires only on failure, alarm or opt-in paths
+    calls :meth:`~ObsContext.count` / :meth:`~ObsContext.observe` /
+    :meth:`~ObsContext.gauge_set`, which guard themselves;
+  - *guarded family*: a site that fires on fault-free runs guards with
+    ``if self.obs.enabled:``, so the disabled mode costs one attribute
+    read and allocates nothing, and subscripts its metric family
+    (``MetricsRegistry.family``), bound once where the owner receives
+    ``obs``, instead of resolving a name and a label set per event;
+
 * observability NEVER touches simulated time or the RNG streams — a
   run with obs on and obs off produces the bit-identical simulated
   trace (asserted by ``tests/obs/test_determinism_obs.py``).
@@ -32,9 +40,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class EngineClock:
     """Picklable ``() -> engine.now`` callable.
 
-    ``bind_engine`` used to install a lambda closing over the engine;
-    ops-session checkpoints pickle the whole object graph, and lambdas
-    cannot be pickled, so the clock is a tiny class instead."""
+    Ops-session checkpoints pickle the whole object graph, and a
+    lambda closing over the engine cannot be pickled, so the clock is a
+    tiny class."""
 
     __slots__ = ("engine",)
 
@@ -66,15 +74,22 @@ class ObsContext:
         # guard with ``if self.obs.causal is not None:`` — one slot
         # read on the disabled path, same contract as ``enabled``.
         self.causal = causal
-        # The registry's class constant, copied so the ~30 hook-site
-        # guards per request are a slot read.
+        # The registry's class constant, copied so the hook-site
+        # guards on fault-free paths are a slot read.
         self.enabled: bool = metrics.enabled
 
-    def bind_engine(self, engine) -> None:
-        """Point the span tracker's simulated clock at ``engine``.
-        No-op when disabled."""
+    def bind(self, network) -> None:
+        """Point the span tracker's simulated clock at ``network``'s
+        engine and subscribe the derived metrics to its trace.  No-op
+        when disabled."""
         if self.enabled:
-            self.spans.sim_clock = EngineClock(engine)
+            # Lazy: repro.obs.derived imports repro.sim.trace, whose
+            # package imports repro.sim.node, which imports this module.
+            from repro.obs.derived import DerivedMetrics
+
+            self.spans.sim_clock = EngineClock(network.engine)
+            view = DerivedMetrics(self.metrics)
+            network.trace.subscribe(view, view.routes)
 
     def count(self, name: str, amount: float = 1.0, **labels) -> None:
         """Convenience: increment a labeled counter (guarded)."""

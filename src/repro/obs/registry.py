@@ -6,7 +6,14 @@ node="v3", type="UIM")``).  Instruments are cheap mutable cells; the
 registry's :meth:`~MetricsRegistry.snapshot` renders everything into a
 plain JSON-safe dict for manifests and the CLI.
 
-A hot site resolves its instrument through a *family* instead:
+A metric site takes one of three shapes (``repro.obs.context``): a
+pure count of trace events is *derived* (``repro.obs.derived``
+subscribes to the trace and the event site has no hook); a site on a
+failure, alarm or opt-in path calls the self-guarding ``obs.count`` /
+``observe`` / ``gauge_set`` helpers; and a site that fires on
+fault-free runs is a *guarded family*.
+
+A guarded-family site resolves its instrument through a *family*:
 ``registry.family("counter", "messages_sent", "node", "plane",
 "type")`` is one ``dict`` per (kind, name, label names), memoised by
 the registry and keyed by label-value tuple, so an event pays one
@@ -29,7 +36,7 @@ width.
 The :class:`NullRegistry` is the default everywhere: every instrument
 request returns a shared no-op singleton, so instrumented code paths
 cost one attribute check (``obs.enabled``) or an empty method call
-when observability is off.
+when observability is off, and a derived metric costs nothing.
 """
 
 from __future__ import annotations

@@ -104,7 +104,6 @@ class ServiceOrchestrator:
         # bit-identical to untracked runs in simulated time.
         self._causal = self.obs.causal
         metrics = self.obs.metrics
-        self._m_requests = metrics.family("counter", "serve_requests", "outcome")
         self._m_admission_wait = metrics.family("histogram", "serve_admission_wait_ms")
         self._m_prepare = metrics.family("histogram", "serve_prepare_ms")
         self._m_e2e = metrics.family("histogram", "serve_e2e_ms")
@@ -241,8 +240,6 @@ class ServiceOrchestrator:
             request=request.request_id, flow=request.flow_id,
             policy=self.spec.shed_policy,
         )
-        if self.obs.enabled:
-            self.obs.count("serve_shed", policy=self.spec.shed_policy)
         if self.spec.shed_policy == "reject":
             self._finish(request, OUTCOME_REJECTED)
         else:
@@ -332,8 +329,7 @@ class ServiceOrchestrator:
                 "conflicts": conflicts,
             }
         )
-        if self.obs.enabled:
-            self.obs.count("serve_interference_gate", action=action)
+        self.obs.count("serve_interference_gate", action=action)
 
     def _dispatchable(self, request: UpdateRequest) -> bool:
         flow_id = request.flow_id
@@ -574,14 +570,12 @@ class ServiceOrchestrator:
         )
         if self._causal is not None:
             self._causal.finish(request.request_id, now, outcome)
-        if self.obs.enabled:
-            self._m_requests[(outcome,)].inc()
-            if outcome == OUTCOME_COMPLETED:
-                self._m_e2e[()].observe(now - request.submitted_ms)
-                if request.pushed_ms is not None:
-                    anchor = request.last_install_ms or request.pushed_ms
-                    self._m_install[()].observe(anchor - request.pushed_ms)
-                    self._m_verify[()].observe(now - anchor)
+        if self.obs.enabled and outcome == OUTCOME_COMPLETED:
+            self._m_e2e[()].observe(now - request.submitted_ms)
+            if request.pushed_ms is not None:
+                anchor = request.last_install_ms or request.pushed_ms
+                self._m_install[()].observe(anchor - request.pushed_ms)
+                self._m_verify[()].observe(now - anchor)
         if self.on_terminal is not None:
             self.on_terminal(request)
 

@@ -224,15 +224,11 @@ class Network:
                 return
             self._down_links.discard(key)
             self.trace.record(now, KIND_LINK_UP, link.node_a, peer=link.node_b)
-            if self.obs.enabled:
-                self.obs.metrics.counter("topo_events", kind="link_up").inc()
         else:
             if key in self._down_links:
                 return
             self._down_links.add(key)
             self.trace.record(now, KIND_LINK_DOWN, link.node_a, peer=link.node_b)
-            if self.obs.enabled:
-                self.obs.metrics.counter("topo_events", kind="link_down").inc()
             for event in self._in_flight.pop(key, []):
                 if event.cancelled or event.time < now:
                     continue
@@ -270,8 +266,6 @@ class Network:
         self.trace.record(
             self.engine.now, KIND_SWITCH_CRASH, name, preserve_state=preserve_state
         )
-        if self.obs.enabled:
-            self.obs.metrics.counter("topo_events", kind="switch_crash").inc()
         hook = getattr(self.nodes[name], "on_crash", None)
         if hook is not None:
             hook(preserve_state)
@@ -284,8 +278,6 @@ class Network:
             return
         self._down_nodes.discard(name)
         self.trace.record(self.engine.now, KIND_SWITCH_RESTART, name)
-        if self.obs.enabled:
-            self.obs.metrics.counter("topo_events", kind="switch_restart").inc()
         hook = getattr(self.nodes[name], "on_restart", None)
         if hook is not None:
             hook()
@@ -316,10 +308,6 @@ class Network:
         self.controller_outage = down
         kind = KIND_CONTROLLER_DOWN if down else KIND_CONTROLLER_UP
         self.trace.record(self.engine.now, kind, self.controller_name)
-        if self.obs.enabled:
-            self.obs.metrics.counter(
-                "topo_events", kind="controller_down" if down else "controller_up"
-            ).inc()
         if not down and self._outage_buffer:
             buffered = self._outage_buffer
             self._outage_buffer = []
@@ -336,10 +324,7 @@ class Network:
             self.engine.now, KIND_MSG_DROP, sender,
             dest=dest, message=tag, reason=reason,
         )
-        if self.obs.enabled:
-            self.obs.metrics.counter(
-                "messages_lost_to_failure", plane=plane, reason=reason,
-            ).inc()
+        self.obs.count("messages_lost_to_failure", plane=plane, reason=reason)
 
     def _note_in_flight(self, key: frozenset, event: Event) -> None:
         flights = self._in_flight.setdefault(key, [])

@@ -9,6 +9,7 @@ import pytest
 
 from repro.obs import make_obs
 from repro.obs.context import NULL_OBS
+from repro.obs.derived import DerivedMetrics
 from repro.obs.registry import MetricsRegistry, NullRegistry
 from repro.serve.service import ServiceSession, run_service
 from repro.serve.spec import load_serve_spec
@@ -91,7 +92,12 @@ def test_a_pickled_session_resumes_onto_its_own_registry():
     registry = restored.obs.metrics
     assert registry is not session.obs.metrics
     assert restored.deployment.network._m_sent._registry is registry
-    assert restored.orchestrator._m_requests._registry is registry
+    views = [
+        callback for callback, _kinds in restored.deployment.network.trace._subscribers
+        if isinstance(callback, DerivedMetrics)
+    ]
+    assert len(views) == 1
+    assert {family._registry for family, _label in views[0].routes.values()} == {registry}
     restored.run()
     restored.close()
     assert exports(restored.obs) == uninterrupted

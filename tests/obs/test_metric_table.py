@@ -2,9 +2,11 @@
 
 The emitting sites are found syntactically: the literal name passed to
 ``<...>metrics.counter / gauge / histogram / family(...)`` or to
-``<...>obs.count / observe / gauge_set(...)``.  Each must have a table
-row with the same type, the same labels in the same order, and its
-module listed; each row must be emitted somewhere.
+``<...>obs.count / observe / gauge_set(...)``, and each row of a
+module-level ``VIEWS`` table (``repro.obs.derived``: a counter read off
+the trace, with its one label).  Each must have a table row with the
+same type, the same labels in the same order, and its module listed;
+each row must be emitted somewhere.
 """
 
 import ast
@@ -50,17 +52,25 @@ def _emission(call):
     return (name[0], kind, labels) if name else None
 
 
+def _views(tree):
+    """``(name, "counter", (label,))`` per row of a module-level
+    ``VIEWS = ((name, label, kinds), ...)`` table."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["VIEWS"]:
+            for row in node.value.elts:
+                name, label = _literals(row.elts[:2])
+                yield name, "counter", (label,)
+
+
 def emitted():
     """name -> {(type, labels, module)} over every site in src/repro."""
     sites: dict[str, set] = {}
     for path in sorted(SOURCE.rglob("*.py")):
         module = ".".join(path.relative_to(SOURCE).with_suffix("").parts)
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Call):
-                found = _emission(node)
-                if found is not None:
-                    name, kind, labels = found
-                    sites.setdefault(name, set()).add((kind, labels, module))
+        tree = ast.parse(path.read_text())
+        found = [_emission(node) for node in ast.walk(tree) if isinstance(node, ast.Call)]
+        for name, kind, labels in [*filter(None, found), *_views(tree)]:
+            sites.setdefault(name, set()).add((kind, labels, module))
     return sites
 
 
@@ -105,10 +115,12 @@ def test_rows_match_their_sites():
 
 def test_the_scanner_sees_every_spelling():
     sites = emitted()
-    # A bound family, a family at the site, the kwargs sugar and the
-    # context helpers.
+    # A bound family, a family at the site, the kwargs sugar, the
+    # context helpers and the view of the trace.
     assert ("counter", ("node", "plane", "type"), "sim.network") in sites["messages_sent"]
-    assert ("counter", ("node",), "core.switch") in sites["rule_installs"]
-    assert ("counter", ("node",), "core.controller") in sites["flows_parked"]
+    assert ("counter", ("node",), "core.controller") in sites["updates_completed"]
+    assert ("counter", ("node",), "baselines.central") in sites["central_rounds"]
     assert ("counter", ("op", "outcome"), "ops.session") in sites["ops_moves"]
+    assert sites["rule_installs"] == {("counter", ("node",), "obs.derived")}
+    assert sites["topo_events"] == {("counter", ("kind",), "obs.derived")}
     assert len(sites) >= 55

@@ -35,7 +35,7 @@ from repro.core.messages import UpdateType
 from repro.harness.build import Deployment, build_p4update_network
 from repro.obs.context import NULL_OBS, ObsContext
 from repro.params import DelayDistribution, SimParams
-from repro.serve.service import ServiceSession
+from repro.serve.service import ServiceSession, run_service
 from repro.serve.spec import load_serve_spec
 from repro.topo import fig1_topology, ring_topology
 from repro.topo.graph import Topology
@@ -148,13 +148,38 @@ def serve_forced_dl(obs: ObsContext = NULL_OBS) -> dict[str, Any]:
     return _served(obs, strategy="p4update-dl")
 
 
+#: The closed loop under link flaps, a controller outage and a crash.
+_CHAOS_CLOSED = {
+    "mode": "closed", "clients": 6, "think_time_ms": 20.0, "flows": 16,
+    "requests": 120, "queue_depth": 8, "shed_policy": "reject",
+    "conflict_policy": "serialize", "events": _CHAOS_EVENTS,
+    "horizon_ms": 8000.0,
+}
+
+
 def serve_chaos_closed(obs: ObsContext = NULL_OBS) -> dict[str, Any]:
-    return _served(
-        obs,
-        mode="closed", clients=6, think_time_ms=20.0, flows=16, requests=120,
-        queue_depth=8, shed_policy="reject", conflict_policy="serialize",
-        events=_CHAOS_EVENTS, horizon_ms=8000.0,
+    return _served(obs, **_CHAOS_CLOSED)
+
+
+def _baseline_served(strategy: str, fields: dict[str, Any], obs: ObsContext) -> dict[str, Any]:
+    """An obs-only run: a baseline switch has no ``program`` for
+    :func:`capture` to read, so only the result signature comes back."""
+    spec = load_serve_spec({**_SERVE, **fields, "strategy": strategy})
+    return {"signature": run_service(spec, obs=obs).signature()}
+
+
+#: The open loop (with a queue short enough to shed, parking under
+#: ez-Segway and rejecting under Central) and the chaos loop under the
+#: two baselines, for the metrics and causal suite only
+#: (``tests/obs/test_obs_reference.py``).
+BASELINE_SCENARIOS: dict[str, Callable[[ObsContext], dict[str, Any]]] = {
+    f"serve_{strategy}_{mode}": functools.partial(_baseline_served, strategy, fields)
+    for strategy, shed_policy in (("ezsegway", "park"), ("central", "reject"))
+    for mode, fields in (
+        ("open", {"queue_depth": 2, "shed_policy": shed_policy}),
+        ("chaos_closed", _CHAOS_CLOSED),
     )
+}
 
 
 # -- message faults and a link cut (chaos campaigns) -----------------------------
