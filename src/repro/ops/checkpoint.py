@@ -1,13 +1,12 @@
 """Sha256-signed on-disk checkpoints for operations sessions.
 
 A checkpoint directory holds one pickle per checkpoint index plus a
-``checkpoints.json`` manifest and a small ``status.json``::
+``checkpoints.json`` manifest::
 
     ckpts/
       checkpoint_000001.pkl     # {"meta", "session"}
       checkpoint_000002.pkl
       checkpoints.json          # manifest: sha256 + sim time per index
-      status.json               # latest index, sim time, spec name
 
 Each pickle is the full session object graph (engine event queue,
 switch registers, NIB/Flow-DB, orchestrator and admission queues, RNG
@@ -23,7 +22,9 @@ objects by class path, so bytes written by other code would load into
 this build's classes and diverge silently.
 
 All writes are atomic (``tmp`` + ``os.replace``), so a session killed
-*during* a checkpoint write leaves the previous checkpoint set intact.
+*during* a checkpoint write leaves the previous checkpoint set intact,
+and a write into a directory that belongs to another format, code
+fingerprint or spec is refused before any file is touched.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 CHECKPOINT_FORMAT = 4
 
 _MANIFEST = "checkpoints.json"
-_STATUS = "status.json"
 
 
 class CheckpointError(RuntimeError):
@@ -120,8 +120,10 @@ def read_manifest(directory: str) -> dict:
 
 
 def write_checkpoint(directory: str, session: "OpsSession", index: int) -> dict:
-    """Persist one checkpoint; returns its manifest entry."""
-    os.makedirs(directory, exist_ok=True)
+    """Persist one checkpoint; returns its manifest entry.
+
+    The directory's manifest is checked first: a directory another
+    format, build or spec wrote is refused with every file untouched."""
     meta = {
         "format": CHECKPOINT_FORMAT,
         "code_fingerprint": code_fingerprint(),
@@ -129,17 +131,6 @@ def write_checkpoint(directory: str, session: "OpsSession", index: int) -> dict:
         "spec_hash": session.spec.spec_hash(),
         "index": index,
         "sim_time_ms": float(session.engine.now),
-    }
-    blob = pickle.dumps({"meta": meta, "session": session})
-    digest = hashlib.sha256(blob).hexdigest()
-    filename = _checkpoint_name(index)
-    _atomic_write(os.path.join(directory, filename), blob)
-
-    entry = {
-        "index": index,
-        "file": filename,
-        "sha256": digest,
-        "sim_time_ms": meta["sim_time_ms"],
     }
     try:
         manifest = read_manifest(directory)
@@ -157,20 +148,22 @@ def write_checkpoint(directory: str, session: "OpsSession", index: int) -> dict:
             f"checkpoint dir {directory!r} belongs to a different spec "
             f"(manifest spec_hash {manifest.get('spec_hash')!r})"
         )
+
+    os.makedirs(directory, exist_ok=True)
+    blob = pickle.dumps({"meta": meta, "session": session})
+    filename = _checkpoint_name(index)
+    _atomic_write(os.path.join(directory, filename), blob)
+    entry = {
+        "index": index,
+        "file": filename,
+        "sha256": hashlib.sha256(blob).hexdigest(),
+        "sim_time_ms": meta["sim_time_ms"],
+    }
     manifest["checkpoints"] = [
         e for e in manifest["checkpoints"] if int(e["index"]) != index
     ] + [entry]
     manifest["checkpoints"].sort(key=lambda e: int(e["index"]))
     write_json_atomic(os.path.join(directory, _MANIFEST), manifest)
-    write_json_atomic(
-        os.path.join(directory, _STATUS),
-        {
-            "name": session.spec.name,
-            "latest_index": index,
-            "sim_time_ms": meta["sim_time_ms"],
-            "checkpoints": len(manifest["checkpoints"]),
-        },
-    )
     return entry
 
 
@@ -245,7 +238,7 @@ class CheckpointSink:
 
 
 def checkpoint_status(directory: str) -> dict:
-    """The ``status.json`` view, recomputed from the manifest."""
+    """What ``ops status`` prints, read from the manifest."""
     manifest = read_manifest(directory)
     entries = sorted(
         manifest.get("checkpoints", []), key=lambda e: int(e["index"])

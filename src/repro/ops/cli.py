@@ -156,8 +156,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _run_checkpointed(session: "OpsSession", args: argparse.Namespace) -> int:
     """Run ``session`` to its horizon (or to ``--stop-after``) writing
-    rolling checkpoints to ``--dir``."""
-    from repro.ops.checkpoint import CheckpointSink, StopSession
+    rolling checkpoints to ``--dir``; a checkpoint the sink refuses to
+    write is a :class:`CliError`."""
+    from repro.ops.checkpoint import CheckpointError, CheckpointSink, StopSession
 
     session._sink = CheckpointSink(
         args.dir, stop_after=args.stop_after, verbose=True
@@ -168,6 +169,8 @@ def _run_checkpointed(session: "OpsSession", args: argparse.Namespace) -> int:
         print(f"stopped after checkpoint {stop.index} "
               f"(resume with: ops resume --dir {args.dir})")
         return 0
+    except CheckpointError as exc:
+        raise CliError(str(exc)) from None
     return _finish_session(session.spec, session.finalize(), args)
 
 

@@ -250,8 +250,7 @@ class OpsSession:
         state.status = "running"
         state.started_ms = self.engine.now
         op = state.entry["op"]
-        if self.obs.enabled:
-            self.obs.count("ops_started", op=op)
+        self.obs.count("ops_started", op=op)
         if op == "drain_switch":
             switch = state.entry["switch"]
             self.draining.add(switch)
@@ -312,10 +311,7 @@ class OpsSession:
         return [self._move(flow_id) for flow_id in transit]
 
     def _drain_gauge(self, switch: str, transit: int) -> None:
-        if self.obs.enabled:
-            self.obs.gauge_set(
-                "ops_drain_transit_flows", float(transit), switch=switch
-            )
+        self.obs.gauge_set("ops_drain_transit_flows", float(transit), switch=switch)
 
     def _advance_op(self, op_index: int) -> None:
         """Run the op's next pending move, or finish the op."""
@@ -352,13 +348,11 @@ class OpsSession:
     def _finish_op(self, state: _OpState) -> None:
         state.status = OP_COMPLETED
         state.finished_ms = self.engine.now
-        if self.obs.enabled:
-            self.obs.count("ops_finished", op=state.entry["op"])
-            if state.started_ms is not None:
-                self.obs.observe(
-                    "ops_op_ms", self.engine.now - state.started_ms,
-                    op=state.entry["op"],
-                )
+        self.obs.count("ops_finished", op=state.entry["op"])
+        if state.started_ms is not None:
+            self.obs.observe(
+                "ops_op_ms", self.engine.now - state.started_ms, op=state.entry["op"]
+            )
 
     def _try_move(self, op_index: int) -> None:
         state = self.op_states[op_index]
@@ -441,14 +435,11 @@ class OpsSession:
         move["completed_ms"] = self.engine.now
         self._move_owner.pop(move["flow"], None)
         state = self.op_states[op_index]
-        if self.obs.enabled:
-            self.obs.count("ops_moves", op=state.entry["op"], outcome=outcome)
-            if outcome == MOVE_MOVED and move["pushed_ms"] is not None:
-                self.obs.observe(
-                    "ops_move_ms",
-                    self.engine.now - move["scheduled_ms"],
-                    op=state.entry["op"],
-                )
+        self.obs.count("ops_moves", op=state.entry["op"], outcome=outcome)
+        if outcome == MOVE_MOVED and move["pushed_ms"] is not None:
+            self.obs.observe(
+                "ops_move_ms", self.engine.now - move["scheduled_ms"], op=state.entry["op"]
+            )
         self._advance_op(op_index)
 
     # -- controller completion callbacks -------------------------------------

@@ -47,23 +47,25 @@ class Header:
     def __init__(self, header_type: HeaderType) -> None:
         self._type = header_type
         self._values = header_type.zero_row.copy()
-        self._valid = False
+        #: The validity bit.  ``is_valid()`` is the P4 spelling; a
+        #: per-message classifier reads the attribute to save a call.
+        self.valid = False
 
     @property
     def header_type(self) -> HeaderType:
         return self._type
 
     def is_valid(self) -> bool:
-        return self._valid
+        return self.valid
 
     def set_valid(self) -> None:
-        self._valid = True
+        self.valid = True
 
     def set_invalid(self) -> None:
-        self._valid = False
+        self.valid = False
 
     def __getitem__(self, field: str) -> int:
-        if not self._valid:
+        if not self.valid:
             raise InvalidHeaderAccess(
                 f"read of field {field!r} on invalid header {self._type.name!r}"
             )
@@ -74,11 +76,11 @@ class Header:
         if mask is None:
             raise KeyError(f"no field {field!r} in header {self._type.name!r}")
         self._values[field] = int(value) & mask
-        self._valid = True
+        self.valid = True
 
     def get(self, field: str, default: int = 0) -> int:
         """Tolerant read used by tooling/traces (not pipeline code)."""
-        if not self._valid:
+        if not self.valid:
             return default
         return self._values.get(field, default)
 
@@ -86,7 +88,7 @@ class Header:
         if other._type is not self._type:
             raise TypeError("header type mismatch")
         self._values = dict(other._values)
-        self._valid = other._valid
+        self.valid = other.valid
 
 
 class InvalidHeaderAccess(RuntimeError):

@@ -58,9 +58,6 @@ class Network:
         self.trace = trace if trace is not None else Trace()
         self.obs = obs if obs is not None else NULL_OBS
         metrics = self.obs.metrics
-        self._m_sent = metrics.family("counter", "messages_sent", "node", "plane", "type")
-        self._m_received = metrics.family("counter", "messages_received", "node", "plane", "type")
-        self._m_dropped = metrics.family("counter", "messages_dropped", "node", "plane", "type")
         self._m_service_wait = metrics.family("histogram", "controller_service_wait_ms", "node")
         self.nodes: dict[str, Node] = {}
         self.links: list[Link] = []
@@ -85,7 +82,7 @@ class Network:
         # Control messages that arrived at the controller during an
         # outage window; re-enqueued (service queue preserved) when
         # the controller comes back.
-        self._outage_buffer: list[tuple[str, Any, str]] = []
+        self._outage_buffer: list[tuple[str, Any, str, str]] = []
         # link key -> delivery events currently on that wire, so a
         # LinkDown can lose them.  Only maintained while chaos is
         # armed.
@@ -233,9 +230,9 @@ class Network:
                 if event.cancelled or event.time < now:
                     continue
                 event.cancel()
-                dest, _dest_port, _payload, tag = event.args
+                dest, _dest_port, _payload, tag, mtype = event.args
                 self._drop_for_failure(
-                    link.other(dest), dest, tag, plane="data", reason="link_down"
+                    link.other(dest), dest, tag, mtype, plane="data", reason="link_down"
                 )
         self._notify_port_status(link, up)
 
@@ -311,18 +308,18 @@ class Network:
         if not down and self._outage_buffer:
             buffered = self._outage_buffer
             self._outage_buffer = []
-            for sender, message, tag in buffered:
-                self._enqueue_at_controller(sender, message, self.engine.now, tag)
+            for sender, message, tag, mtype in buffered:
+                self._enqueue_at_controller(sender, message, self.engine.now, tag, mtype)
 
     def _links_of(self, name: str) -> list[Link]:
         return [link for link in self.links if name in (link.node_a, link.node_b)]
 
     def _drop_for_failure(
-        self, sender: str, dest: str, tag: str, plane: str, reason: str
+        self, sender: str, dest: str, tag: str, mtype: str, plane: str, reason: str
     ) -> None:
         self.trace.record(
             self.engine.now, KIND_MSG_DROP, sender,
-            dest=dest, message=tag, reason=reason,
+            dest=dest, message=tag, type=mtype, reason=reason,
         )
         self.obs.count("messages_lost_to_failure", plane=plane, reason=reason)
 
@@ -338,29 +335,27 @@ class Network:
     def transmit(self, sender: str, port: int, message: Any) -> None:
         link = self.link_at(sender, port)
         dest, dest_port = link.endpoint(sender)
-        # The trace tag is formatted once and travels with the message.
+        # The trace tag and the message type are worked out once and
+        # travel with the message.
         tag = describe(message)
+        mtype = message_type(message)
         self.trace.record(
             self.engine.now, KIND_MSG_SEND, sender,
-            dest=dest, port=port, message=tag,
+            dest=dest, port=port, message=tag, type=mtype,
         )
-        if self.obs.enabled:
-            self._m_sent[sender, "data", message_type(message)].inc()
         if self._chaos:
             if sender in self._down_nodes:
-                self._drop_for_failure(sender, dest, tag, "data", "sender_down")
+                self._drop_for_failure(sender, dest, tag, mtype, "data", "sender_down")
                 return
             if link.key in self._down_links:
-                self._drop_for_failure(sender, dest, tag, "data", "link_down")
+                self._drop_for_failure(sender, dest, tag, mtype, "data", "link_down")
                 return
         decision = self._fault_decision(self._fault_model, message)
         if decision.action is FaultAction.DROP:
             self.trace.record(
                 self.engine.now, KIND_MSG_DROP, sender,
-                dest=dest, message=tag,
+                dest=dest, message=tag, type=mtype,
             )
-            if self.obs.enabled:
-                self._m_dropped[sender, "data", message_type(message)].inc()
             return
         delay = link.latency_ms + decision.extra_delay_ms
         payload = message
@@ -369,32 +364,31 @@ class Network:
         event = self.engine.schedule(
             delay, self._deliver, dest, dest_port, payload,
             tag if payload is message else describe(payload),
+            mtype if payload is message else message_type(payload),
         )
         if self._chaos:
             self._note_in_flight(link.key, event)
         if decision.action is FaultAction.DUPLICATE:
             dup = self.engine.schedule(
-                delay, self._deliver, dest, dest_port, copy.deepcopy(message), tag
+                delay, self._deliver, dest, dest_port, copy.deepcopy(message), tag, mtype
             )
             if self._chaos:
                 self._note_in_flight(link.key, dup)
 
-    def _deliver(self, dest: str, dest_port: int, message: Any, tag: str) -> None:
+    def _deliver(self, dest: str, dest_port: int, message: Any, tag: str, mtype: str) -> None:
         node = self.nodes.get(dest)
         if node is None:
             return
         if self._chaos and dest in self._down_nodes:
             self._drop_for_failure(
-                self.neighbor_on_port(dest, dest_port), dest, tag,
+                self.neighbor_on_port(dest, dest_port), dest, tag, mtype,
                 "data", "dest_down",
             )
             return
         self.trace.record(
             self.engine.now, KIND_MSG_RECV, dest,
-            port=dest_port, message=tag,
+            port=dest_port, message=tag, type=mtype,
         )
-        if self.obs.enabled:
-            self._m_received[dest, "data", message_type(message)].inc()
         node.handle_message(message, dest_port)
 
     # -- control-plane delivery ---------------------------------------------------
@@ -409,28 +403,26 @@ class Network:
         """
         if self.controller_name is None:
             raise RuntimeError("no controller registered")
+        # A control message's type is its class.
+        mtype = type(message).__name__
         if self._chaos and (sender in self._down_nodes or self.controller_outage):
             self._drop_for_failure(
-                sender, self.controller_name, describe(message), "control",
+                sender, self.controller_name, describe(message), mtype, "control",
                 "sender_down" if sender in self._down_nodes else "controller_outage",
             )
             return
         decision = self._fault_decision(self._control_fault_model, message)
-        if self.obs.enabled:
-            self._m_sent[sender, "control", message_type(message)].inc()
         if decision.action is FaultAction.DROP:
             self.trace.record(
-                self.engine.now, KIND_MSG_DROP, sender, message=describe(message),
+                self.engine.now, KIND_MSG_DROP, sender, message=describe(message), type=mtype,
             )
-            if self.obs.enabled:
-                self._m_dropped[sender, "control", message_type(message)].inc()
             return
         payload = message
         if decision.action is FaultAction.CORRUPT and decision.mutate is not None:
             payload = decision.mutate(copy.deepcopy(message))
-        # Formatted once, after any corruption: the tag travels with the
-        # payload to its msg_recv record.
-        tag = describe(payload)
+        # Worked out once, after any corruption: the tag and the type
+        # travel with the payload to its msg_recv record.
+        tag, payload_type = describe(payload), type(payload).__name__
 
         if sender == self.controller_name:
             target = getattr(payload, "target", None)
@@ -440,31 +432,32 @@ class Network:
             delay = channel.delay() + decision.extra_delay_ms
             self.trace.record(
                 self.engine.now, KIND_MSG_SEND, sender,
-                dest=target, message=tag,
+                dest=target, message=tag, type=mtype,
             )
             self.engine.schedule(
-                delay, self._deliver_control, target, payload, sender, tag
+                delay, self._deliver_control, target, payload, sender, tag, payload_type
             )
             if decision.action is FaultAction.DUPLICATE:
                 self.engine.schedule(
                     delay, self._deliver_control,
-                    target, copy.deepcopy(payload), sender, tag,
+                    target, copy.deepcopy(payload), sender, tag, payload_type,
                 )
         else:
             channel = self._channel_for(sender)
             delay = channel.delay() + decision.extra_delay_ms
             self.trace.record(
                 self.engine.now, KIND_MSG_SEND, sender,
-                dest=self.controller_name, message=tag,
+                dest=self.controller_name, message=tag, type=mtype,
             )
             arrival = self.engine.now + delay
             self.engine.schedule(
-                delay, self._enqueue_at_controller, sender, payload, arrival, tag
+                delay, self._enqueue_at_controller,
+                sender, payload, arrival, tag, payload_type,
             )
             if decision.action is FaultAction.DUPLICATE:
                 self.engine.schedule(
                     delay, self._enqueue_at_controller,
-                    sender, copy.deepcopy(payload), arrival, tag,
+                    sender, copy.deepcopy(payload), arrival, tag, payload_type,
                 )
 
     def _channel_for(self, switch: str) -> ControlChannel:
@@ -474,7 +467,7 @@ class Network:
         return channel
 
     def _enqueue_at_controller(
-        self, sender: str, message: Any, arrival: float, tag: str
+        self, sender: str, message: Any, arrival: float, tag: str, mtype: str
     ) -> None:
         """Messages to the controller serialise through one service queue.
 
@@ -486,7 +479,7 @@ class Network:
             # Arrived while the controller is down: the service queue
             # survives the outage, so park the message for re-enqueue
             # at recovery.
-            self._outage_buffer.append((sender, message, tag))
+            self._outage_buffer.append((sender, message, tag, mtype))
             return
         controller = self.nodes[self.controller_name]
         service_time = 0.0
@@ -504,22 +497,20 @@ class Network:
             self._m_service_wait[(self.controller_name,)].observe(start - self.engine.now)
         self.engine.schedule(
             finish - self.engine.now, self._deliver_control,
-            self.controller_name, message, sender, tag,
+            self.controller_name, message, sender, tag, mtype,
         )
 
-    def _deliver_control(self, dest: str, message: Any, sender: str, tag: str) -> None:
+    def _deliver_control(self, dest: str, message: Any, sender: str, tag: str, mtype: str) -> None:
         node = self.nodes.get(dest)
         if node is None:
             return
         if self._chaos and dest in self._down_nodes:
-            self._drop_for_failure(sender, dest, tag, "control", "dest_down")
+            self._drop_for_failure(sender, dest, tag, mtype, "control", "dest_down")
             return
         self.trace.record(
             self.engine.now, KIND_MSG_RECV, dest,
-            sender=sender, message=tag,
+            sender=sender, message=tag, type=mtype,
         )
-        if self.obs.enabled:
-            self._m_received[dest, "control", message_type(message)].inc()
         node.handle_control(message, sender)
 
     # -- faults -------------------------------------------------------------------
@@ -545,17 +536,18 @@ def describe(message: Any) -> str:
 
 
 def message_type(message: Any) -> str:
-    """Coarse message class for metric labels.
+    """Coarse message class, the ``type`` of a data-plane ``msg_*`` record.
 
-    Data-plane messages are all ``Packet`` instances; the interesting
+    Data-plane messages are ``Packet`` instances; the interesting
     distinction is which header they carry (UNM, probe, cleanup).
-    Control-plane messages keep their class name (UIM, UFM, ...).
+    Other messages keep their class name.  One Python call: validity
+    is read as the ``valid`` attribute, not through ``is_valid()``.
     """
     headers = getattr(message, "headers", None)
     if headers is None:
         return type(message).__name__
     for name in ("unm", "probe", "cleanup"):
         header = headers.get(name)
-        if header is not None and header.is_valid():
+        if header is not None and header.valid:
             return name
     return "packet"

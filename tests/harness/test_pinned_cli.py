@@ -20,7 +20,10 @@ what they print now.  The ``fig8`` case was added to it once Fig. 8's
 operation counts stopped depending on what ran earlier in the process.
 The five cases that print a trace signature (``serve run`` twice,
 ``compete run``, ``chaos run``, ``ops run --seeds``) were re-recorded
-once, when signature format v2 replaced v1; only their digests moved.
+twice, when signature format v2 replaced v1 and when every ``msg_*``
+record gained its ``type`` key; only their digests moved.  The case
+that writes a checkpoint into another spec's directory was added with
+the fix that made it an ``error:`` instead of a traceback.
 The four ``analyze {interference,lint,pipeline,plan} --help`` cases were
 re-recorded once, when the ``sarif`` choice of ``--format`` was deleted.
 Regenerate only for a deliberate change (and empty
@@ -105,6 +108,10 @@ ERROR_CASES = [
     ("ops resume --dir {tmp}/missing",),
     ("ops status --dir {tmp}/missing",),
     ("ops checkpoint {tmp}/no_cadence.json --dir {tmp}/ckpt",),
+    (
+        "ops checkpoint examples/ops_drain.json --dir {tmp}/ckpt --stop-after 1",
+        "ops checkpoint {tmp}/other_session.json --dir {tmp}/ckpt",
+    ),
     ("ops validate {tmp}/atlantis_session.json",),
     ("chaos validate {tmp}/atlantis_campaign.json",),
     ("analyze interference {tmp}/plans_empty",),
@@ -266,6 +273,7 @@ def _write_scratch_inputs(tmp: pathlib.Path) -> None:
     (tmp / "no_cadence.json").write_text(
         json.dumps(dict(session, checkpoint_every_ms=0))
     )
+    (tmp / "other_session.json").write_text(json.dumps(dict(session, tenants=2)))
     session["timeline"][0]["switch"] = "atlantis"
     (tmp / "atlantis_session.json").write_text(json.dumps(session))
     campaign = json.loads((REPO / "examples" / "chaos_smoke.json").read_text())

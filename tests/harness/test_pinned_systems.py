@@ -11,9 +11,9 @@ which runs with observability on — the span tree with names, attrs and
 simulated start/end.  ``run_fig2`` / ``run_fig4`` are pinned for both
 systems they support.  The deployment is captured by wrapping the three
 builder names where they are bound, which is also how the perf ledger
-reaches them.  The trace signatures were re-recorded once, when
-signature format v2 replaced v1 (``docs/ARCHITECTURE.md``); no other
-field moved.
+reaches them.  The trace signatures were re-recorded twice, when
+signature format v2 replaced v1 and when every ``msg_*`` record gained
+its ``type`` key (``docs/ARCHITECTURE.md``); no other field moved.
 
 Regenerate only for a deliberate behaviour change::
 

@@ -40,20 +40,39 @@ def test_a_network_on_null_obs_has_no_derived_subscriber():
     assert len(_views(run_fig1(7, obs=make_obs()).network)) == 1
 
 
+#: (counter, trace kind) -> detail keys that keep an event out of it.
+_SKIPPED = {
+    ("rule_installs", "rule_change"): {"cleanup", "crash", "two_phase_flip"},
+    ("messages_sent", "msg_drop"): {"reason", "dest"},
+    ("messages_dropped", "msg_drop"): {"reason"},
+}
+
+
+def _label(label, event):
+    if label == "plane":
+        data_key = "dest" if event.kind == "msg_drop" else "port"
+        return "data" if data_key in event.detail else "control"
+    return {"kind": event.kind, "node": event.node}.get(label) or event.detail[label]
+
+
 def test_each_view_equals_a_count_over_the_trace():
     obs = make_obs()
     trace = _chaos_session(obs).deployment.network.trace
-    for name, label, kinds in VIEWS:
+    for name, label_names, kinds in VIEWS:
         want: dict = {}
         for event in trace.of_kind(*kinds):
-            if name == "rule_installs" and {"cleanup", "crash", "two_phase_flip"} & set(event.detail):
+            if _SKIPPED.get((name, event.kind), set()) & set(event.detail):
                 continue
-            value = {"kind": event.kind, "node": event.node}.get(label) or event.detail[label]
+            value = tuple(_label(label, event) for label in label_names)
             want[value] = want.get(value, 0.0) + 1.0
-        got = {labels[label]: cell.value for metric, labels, cell in obs.metrics if metric == name}
+        got = {
+            tuple(labels[label] for label in label_names): cell.value
+            for metric, labels, cell in obs.metrics if metric == name
+        }
         assert got == want, name
     assert obs.metrics.total("topo_events") == 8
     assert obs.metrics.total("flows_parked") > 0
+    assert obs.metrics.total("messages_received") > 0
 
 
 def test_a_bounded_trace_ring_keeps_every_count():
@@ -75,5 +94,5 @@ def test_the_chaos_smoke_campaign_signs_equal_with_obs_on_and_off():
 
 def test_only_the_view_emits_a_derived_metric():
     sites = emitted()
-    for name, label, _kinds in VIEWS:
-        assert sites[name] == {("counter", (label,), "obs.derived")}
+    for name, labels, _kinds in VIEWS:
+        assert sites[name] == {("counter", labels, "obs.derived")}

@@ -91,13 +91,15 @@ def test_a_pickled_session_resumes_onto_its_own_registry():
     restored = pickle.loads(pickle.dumps(session))
     registry = restored.obs.metrics
     assert registry is not session.obs.metrics
-    assert restored.deployment.network._m_sent._registry is registry
+    assert restored.deployment.network._m_service_wait._registry is registry
     views = [
         callback for callback, _kinds in restored.deployment.network.trace._subscribers
         if isinstance(callback, DerivedMetrics)
     ]
     assert len(views) == 1
-    assert {family._registry for family, _label in views[0].routes.values()} == {registry}
+    assert {
+        family._registry for rows in views[0].routes.values() for family, _label, _skip in rows
+    } == {registry}
     restored.run()
     restored.close()
     assert exports(restored.obs) == uninterrupted

@@ -4,7 +4,7 @@ The emitting sites are found syntactically: the literal name passed to
 ``<...>metrics.counter / gauge / histogram / family(...)`` or to
 ``<...>obs.count / observe / gauge_set(...)``, and each row of a
 module-level ``VIEWS`` table (``repro.obs.derived``: a counter read off
-the trace, with its one label).  Each must have a table row with the
+the trace, with its labels).  Each must have a table row with the
 same type, the same labels in the same order, and its module listed;
 each row must be emitted somewhere.
 """
@@ -53,13 +53,13 @@ def _emission(call):
 
 
 def _views(tree):
-    """``(name, "counter", (label,))`` per row of a module-level
-    ``VIEWS = ((name, label, kinds), ...)`` table."""
+    """``(name, "counter", labels)`` per row of a module-level
+    ``VIEWS = ((name, labels, kinds), ...)`` table."""
     for node in tree.body:
         if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["VIEWS"]:
             for row in node.value.elts:
-                name, label = _literals(row.elts[:2])
-                yield name, "counter", (label,)
+                name = _literals(row.elts[:1])[0]
+                yield name, "counter", tuple(_literals(row.elts[1].elts))
 
 
 def emitted():
@@ -116,11 +116,12 @@ def test_rows_match_their_sites():
 def test_the_scanner_sees_every_spelling():
     sites = emitted()
     # A bound family, a family at the site, the kwargs sugar, the
-    # context helpers and the view of the trace.
-    assert ("counter", ("node", "plane", "type"), "sim.network") in sites["messages_sent"]
+    # context helpers and the view of the trace (one and three labels).
+    assert ("histogram", ("node",), "sim.network") in sites["controller_service_wait_ms"]
     assert ("counter", ("node",), "core.controller") in sites["updates_completed"]
     assert ("counter", ("node",), "baselines.central") in sites["central_rounds"]
     assert ("counter", ("op", "outcome"), "ops.session") in sites["ops_moves"]
     assert sites["rule_installs"] == {("counter", ("node",), "obs.derived")}
     assert sites["topo_events"] == {("counter", ("kind",), "obs.derived")}
+    assert sites["messages_sent"] == {("counter", ("node", "plane", "type"), "obs.derived")}
     assert len(sites) >= 55

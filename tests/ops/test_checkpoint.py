@@ -143,18 +143,31 @@ def test_corrupt_checkpoint_is_refused(tmp_path):
         load_checkpoint(ck_dir, 1)
 
 
+def _files(directory):
+    """name -> sha256 of every file in ``directory``."""
+    return {
+        name: hashlib.sha256(open(os.path.join(directory, name), "rb").read()).hexdigest()
+        for name in sorted(os.listdir(directory))
+    }
+
+
 def test_checkpoint_dir_is_bound_to_one_spec(tmp_path):
     ck_dir = str(tmp_path / "ckpts")
     session = build_session(_spec())
     session._sink = CheckpointSink(ck_dir, stop_after=1)
     with pytest.raises(StopSession):
         session.run()
+    before = _files(ck_dir)
+    assert sorted(before) == ["checkpoint_000001.pkl", "checkpoints.json"]
 
     other_doc = json.loads(json.dumps(CHAOS_DOC))
     other_doc["tenants"] = 2
     other = build_session(load_session_spec(other_doc))
     with pytest.raises(CheckpointError, match="different spec"):
         write_checkpoint(ck_dir, other, 1)
+    # Refused before anything was written: the owner's checkpoint survives.
+    assert _files(ck_dir) == before
+    assert load_checkpoint(ck_dir, 1).engine.now == session.engine.now
 
 
 def test_load_from_empty_or_missing_dir_fails_loudly(tmp_path):
@@ -210,9 +223,13 @@ def test_foreign_checkpoint_is_refused_before_unpickling(
     assert (str(CHECKPOINT_FORMAT) if field == "format" else code_fingerprint()) in str(
         excinfo.value
     )
-    # Nor may this build append to a directory another build started.
-    with pytest.raises(CheckpointError):
-        write_checkpoint(ck_dir, session, 2)
+    # Nor may this build write into a directory another build started,
+    # neither a new index nor over the existing one.
+    before = _files(ck_dir)
+    for index in (2, 1):
+        with pytest.raises(CheckpointError):
+            write_checkpoint(ck_dir, session, index)
+    assert _files(ck_dir) == before
 
 
 @pytest.mark.parametrize("stale", ["manifest", "payload"])

@@ -1,7 +1,8 @@
 """The runs the reference suites replay: ``tests/core/reference_switch.py``
-(the switch agent), ``tests/sim/reference_network.py`` (delivery) and,
-with an enabled ``obs`` passed in, ``tests/obs/reference_registry.py`` /
-``reference_causal.py`` (metrics and causal tracing).
+(the switch agent), ``tests/sim/reference_network.py`` (delivery and,
+with an enabled ``obs`` passed in, the message counts it made inline)
+and ``tests/obs/reference_registry.py`` / ``reference_causal.py``
+(metrics and causal tracing).  Every scenario takes an optional ``obs``.
 
 Each scenario builds its deployment from scratch, runs it to the end and
 returns everything the stock and the reference bodies must agree on: the
@@ -231,11 +232,11 @@ def faults_distance_skew(obs: ObsContext = NULL_OBS) -> dict[str, Any]:
     return _faulty("unm_distance_skew", seed=3, obs=obs)
 
 
-def faults_version_rewind() -> dict[str, Any]:
-    return _faulty("unm_version_rewind", seed=4)
+def faults_version_rewind(obs: ObsContext = NULL_OBS) -> dict[str, Any]:
+    return _faulty("unm_version_rewind", seed=4, obs=obs)
 
 
-def link_cut_in_flight() -> dict[str, Any]:
+def link_cut_in_flight(obs: ObsContext = NULL_OBS) -> dict[str, Any]:
     """``examples/chaos_smoke.json`` with the cut moved under a UNM:
     v4 sends one to v3 at 36.3 ms (20 ms links), the link fails at 40."""
     return _campaign({
@@ -248,7 +249,7 @@ def link_cut_in_flight() -> dict[str, Any]:
             {"time_ms": 400.0, "kind": "link_up", "node_a": "v4", "node_b": "v3"},
         ],
         "message_faults": [{"plane": "data", "drop_prob": 0.1, "scope": "unm"}],
-    })
+    }, obs)
 
 
 # -- §11 extensions on hand-built deployments -----------------------------------------
@@ -283,15 +284,15 @@ def two_phase_commit(obs: ObsContext = NULL_OBS) -> dict[str, Any]:
     return capture(deployment)
 
 
-def compact_piggyback() -> dict[str, Any]:
+def compact_piggyback(obs: ObsContext = NULL_OBS) -> dict[str, Any]:
     """A compact SL update on the ring, then a compact DL update of
     Fig. 1 (UIMs to v7, v4 and v2 only) on a second deployment."""
-    ring, flow = _ring(["n0", "n1", "n2", "n3"])
+    ring, flow = _ring(["n0", "n1", "n2", "n3"], obs)
     ring.controller.compact_update(
         flow.flow_id, ["n0", "n7", "n6", "n5", "n4", "n3"], UpdateType.SINGLE
     )
     ring.run()
-    fig1 = build_p4update_network(fig1_topology(), params=_fast_params())
+    fig1 = build_p4update_network(fig1_topology(), params=_fast_params(), obs=obs)
     flow = Flow.between("v0", "v7", size=1.0, old_path=list(FIG1_OLD_PATH))
     fig1.install_flow(flow)
     fig1.controller.compact_update(flow.flow_id, list(FIG1_NEW_PATH), UpdateType.DUAL)
@@ -300,7 +301,7 @@ def compact_piggyback() -> dict[str, Any]:
             "trace": list(ring.network.trace) + list(fig1.network.trace)}
 
 
-def destination_tree() -> dict[str, Any]:
+def destination_tree(obs: ObsContext = NULL_OBS) -> dict[str, Any]:
     topo = Topology("star")
     for node in ("dst", "m1", "m2", "l1", "l2"):
         topo.add_node(node)
@@ -308,7 +309,7 @@ def destination_tree() -> dict[str, Any]:
                  ("m2", "l2"), ("m1", "l2"), ("m2", "l1")):
         topo.add_edge(a, b, latency_ms=1.0)
     topo.set_controller("dst")
-    deployment = build_p4update_network(topo, params=_fast_params())
+    deployment = build_p4update_network(topo, params=_fast_params(), obs=obs)
     manager = DestinationTreeManager(deployment.controller)
     manager.install_tree(
         "dst", {"m1": "dst", "m2": "dst", "l1": "m1", "l2": "m2"},
@@ -319,7 +320,7 @@ def destination_tree() -> dict[str, Any]:
     return capture(deployment, complete=manager.update_complete("dst"))
 
 
-SCENARIOS: dict[str, Callable[[], dict[str, Any]]] = {
+SCENARIOS: dict[str, Callable[..., dict[str, Any]]] = {
     scenario.__name__: scenario
     for scenario in (
         serve_forced_sl, serve_forced_dl, serve_chaos_closed,
