@@ -17,6 +17,7 @@ from dataclasses import asdict, dataclass
 from typing import Any, Callable, Optional
 
 from repro.loading import read_json_object, require_object
+from repro.sim.network import message_type
 
 TOPO_EVENT_KINDS = (
     "link_down",
@@ -27,7 +28,13 @@ TOPO_EVENT_KINDS = (
     "controller_up",
 )
 
-MESSAGE_SCOPES = ("all", "unm", "probe", "cleanup", "uim", "ufm")
+#: plane -> the scopes a fault spec on it may name: the data plane's are
+#: ``repro.sim.network.message_type`` values, the control plane's name
+#: message classes.
+MESSAGE_SCOPES = {
+    "data": ("all", "unm", "probe", "cleanup"),
+    "control": ("all", "uim", "ufm"),
+}
 
 
 @dataclass(frozen=True)
@@ -62,9 +69,8 @@ class TopoEvent:
 class MessageFaultSpec:
     """Probabilistic message faults for one plane, optionally scoped.
 
-    ``scope`` restricts which messages are eligible: P4 header names
-    (``unm``/``probe``/``cleanup``) on the data plane, message classes
-    (``uim``/``ufm``) on the control plane, or ``all``.  ``corruptor``
+    ``scope`` restricts which messages are eligible: one of
+    :data:`MESSAGE_SCOPES` for the spec's plane.  ``corruptor``
     names a registered mutation (see :data:`CORRUPTORS`) and is
     required when ``corrupt_prob`` > 0.
     """
@@ -79,11 +85,13 @@ class MessageFaultSpec:
     scope: str = "all"
 
     def __post_init__(self) -> None:
-        if self.plane not in ("data", "control"):
+        if self.plane not in MESSAGE_SCOPES:
             raise ValueError(f"unknown plane {self.plane!r}")
-        if self.scope not in MESSAGE_SCOPES:
+        scopes = MESSAGE_SCOPES[self.plane]
+        if self.scope not in scopes:
             raise ValueError(
-                f"unknown scope {self.scope!r}; expected one of {MESSAGE_SCOPES}"
+                f"unknown scope {self.scope!r} for the {self.plane} plane; "
+                f"expected one of {scopes}"
             )
         if self.corrupt_prob > 0 and self.corruptor not in CORRUPTORS:
             raise ValueError(
@@ -253,13 +261,8 @@ def scope_selector(scope: str) -> Optional[Callable[[Any], bool]]:
     """Predicate limiting a fault spec to one message family."""
     if scope == "all":
         return None
-    if scope in ("unm", "probe", "cleanup"):
-
-        def packet_scope(message: Any) -> bool:
-            has_valid = getattr(message, "has_valid", None)
-            return callable(has_valid) and bool(has_valid(scope))
-
-        return packet_scope
+    if scope in MESSAGE_SCOPES["data"]:
+        return lambda message: message_type(message) == scope
 
     def control_scope(message: Any) -> bool:
         from repro.core.messages import UFM, UIM, Sequenced

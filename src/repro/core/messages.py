@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Any, NamedTuple, Optional
 
 from repro.p4.packet import HeaderField, HeaderType, Packet
+from repro.sim.network import describe
 
 
 class UpdateType(enum.IntEnum):
@@ -162,7 +163,7 @@ class Sequenced:
     inner: Any
 
     def describe(self) -> str:
-        return f"Seq#{self.seq}({describe_inner(self.inner)})"
+        return f"Seq#{self.seq}({describe(self.inner)})"
 
 
 @dataclass(frozen=True)
@@ -174,13 +175,6 @@ class ControlAck:
 
     def describe(self) -> str:
         return f"ControlAck(seq={self.seq} from={self.reporter})"
-
-
-def describe_inner(message: Any) -> str:
-    describe_fn = getattr(message, "describe", None)
-    if callable(describe_fn):
-        return str(describe_fn())
-    return type(message).__name__
 
 
 # -- UNM as a P4 header -------------------------------------------------------

@@ -13,7 +13,7 @@ from typing import Any, Iterator, Optional
 
 import numpy as np
 
-from repro.chaos.campaign import CORRUPTORS, load_campaign
+from repro.chaos.campaign import CORRUPTORS, MESSAGE_SCOPES, load_campaign
 from repro.chaos.runner import run_campaign
 from repro.fuzz.coverage import obs_coverage_keys
 from repro.fuzz.gen import (
@@ -61,10 +61,9 @@ def _random_message_faults(rng: np.random.Generator) -> list[dict]:
     faults: list[dict] = []
     for _ in range(int(rng.integers(0, 3))):
         plane = "data" if rng.random() < 0.7 else "control"
-        scopes = ("all", "unm", "probe", "cleanup") if plane == "data" else ("all", "uim", "ufm")
         spec: dict[str, Any] = {
             "plane": plane,
-            "scope": pick(rng, scopes),
+            "scope": pick(rng, MESSAGE_SCOPES[plane]),
             "drop_prob": round(float(rng.uniform(0.0, 0.9)), 2),
             "delay_prob": round(float(rng.uniform(0.0, 0.5)), 2),
             "delay_ms": round(float(rng.uniform(1.0, 50.0)), 1),

@@ -8,87 +8,40 @@ These helpers quantify that from a run's trace.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 
-from repro.sim.trace import KIND_MSG_SEND, Trace
-
-# Message type -> plane.
-_PLANES = {
-    "UIM": "control",
-    "UFM": "control",
-    "FRM": "control",
-    "TagFlip": "control",
-    "Role": "control",
-    "Done": "control",
-    "Rule": "control",
-    "Ack": "control",
-    "UNM": "data",
-    "GTM": "data",
-    "Cleanup": "data",
-    "Probe": "data",
-}
+from repro.sim.trace import DATA_PLANE_KEY, KIND_MSG_SEND, Trace
 
 
 @dataclass
 class MessageStats:
-    """Counts of messages sent during a run, by type and plane."""
+    """Counts of messages sent during a run, by type and plane.
+
+    A type is the ``type`` key of the ``msg_send`` record
+    (``repro.sim.network.message_type`` on the data plane, the class
+    name on the control plane); the plane is
+    :data:`~repro.sim.trace.DATA_PLANE_KEY`'s.
+    """
 
     by_type: dict = field(default_factory=dict)
-
-    @property
-    def control_plane(self) -> int:
-        return sum(
-            count for name, count in self.by_type.items()
-            if _plane_of(name) == "control"
-        )
-
-    @property
-    def data_plane(self) -> int:
-        return sum(
-            count for name, count in self.by_type.items()
-            if _plane_of(name) == "data"
-        )
+    control_plane: int = 0
+    data_plane: int = 0
 
     @property
     def total(self) -> int:
         return sum(self.by_type.values())
 
-    def row(self, label: str) -> str:
-        return (
-            f"{label:14s} control={self.control_plane:5d}  "
-            f"data={self.data_plane:5d}  total={self.total:5d}"
-        )
-
-
-def _plane_of(name: str) -> str:
-    return _PLANES.get(name, "data")
-
-
-def _type_of(description: str) -> str:
-    """Normalise a message description to its type tag.
-
-    P4 packets describe themselves as ``Packet#12[unm]`` — the valid
-    header in brackets is the semantic type.
-    """
-    bracket = re.search(r"\[([a-z_,]+)\]", description)
-    if description.startswith("Packet") and bracket:
-        headers = bracket.group(1).split(",")
-        if "unm" in headers:
-            return "UNM"
-        if "cleanup" in headers:
-            return "Cleanup"
-        if "probe" in headers:
-            return "Probe"
-    match = re.match(r"([A-Za-z]+)", description)
-    return match.group(1) if match else description
-
 
 def count_messages(trace: Trace) -> MessageStats:
-    """Tally every sent message in a trace by its type."""
+    """Tally every sent message in a trace by its type and plane."""
     stats = MessageStats()
+    data_key = DATA_PLANE_KEY[KIND_MSG_SEND]
     for event in trace.of_kind(KIND_MSG_SEND):
-        description = event.detail.get("message", "")
-        name = _type_of(description)
+        detail = event.detail
+        name = detail["type"]
         stats.by_type[name] = stats.by_type.get(name, 0) + 1
+        if data_key in detail:
+            stats.data_plane += 1
+        else:
+            stats.control_plane += 1
     return stats

@@ -14,6 +14,7 @@ nothing and pays nothing.
 from __future__ import annotations
 
 from repro.sim.trace import (
+    DATA_PLANE_KEY,
     KIND_CONTROLLER_DOWN,
     KIND_CONTROLLER_UP,
     KIND_FLOW_PARKED,
@@ -64,9 +65,6 @@ _SKIP_IF = {
     ("messages_dropped", KIND_MSG_DROP): frozenset(("reason",)),
 }
 
-#: A message record is on the data plane iff it carries this key.
-_DATA_PLANE_KEY = {KIND_MSG_SEND: "port", KIND_MSG_RECV: "port", KIND_MSG_DROP: "dest"}
-
 
 class DerivedMetrics:
     """The :data:`VIEWS` counters of one registry, as one picklable
@@ -91,7 +89,7 @@ class DerivedMetrics:
             if not skip_if.isdisjoint(detail):
                 continue
             if label is None:
-                plane = "data" if _DATA_PLANE_KEY[kind] in detail else "control"
+                plane = "data" if DATA_PLANE_KEY[kind] in detail else "control"
                 family[node, plane, detail["type"]].inc()
             elif label == "kind":
                 family[(kind,)].inc()

@@ -30,6 +30,8 @@ KIND_RULE_CHANGE = "rule_change"        # forwarding rule updated
 KIND_MSG_SEND = "msg_send"
 KIND_MSG_RECV = "msg_recv"
 KIND_MSG_DROP = "msg_drop"
+#: A message record is on the data plane iff it carries this detail key.
+DATA_PLANE_KEY = {KIND_MSG_SEND: "port", KIND_MSG_RECV: "port", KIND_MSG_DROP: "dest"}
 KIND_VERIFY_OK = "verify_ok"
 KIND_VERIFY_FAIL = "verify_fail"
 KIND_PACKET_RECV = "packet_recv"        # data packet seen at a node

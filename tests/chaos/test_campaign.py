@@ -59,6 +59,22 @@ def test_unknown_event_kind_rejected():
         TopoEvent(time_ms=0.0, kind="meteor_strike", node_a="v0")
 
 
+@pytest.mark.parametrize("plane, scope", [("data", "uim"), ("control", "unm")])
+def test_scope_of_the_other_plane_rejected(plane, scope, tmp_path, capsys):
+    """A scope no message of the plane can match would fault nothing."""
+    from repro.chaos.campaign import MESSAGE_SCOPES
+    from repro.harness.cli import main
+
+    with pytest.raises(ValueError, match=f"the {plane} plane") as raised:
+        MessageFaultSpec(plane=plane, drop_prob=1.0, scope=scope)
+    assert str(MESSAGE_SCOPES[plane]) in str(raised.value)
+    fault = {"plane": plane, "drop_prob": 1.0, "scope": scope}
+    path = tmp_path / "campaign.json"
+    path.write_text(json.dumps({"name": "mismatch", "message_faults": [fault]}))
+    assert main(["chaos", "validate", str(path)]) == 1
+    assert f"unknown scope {scope!r}" in capsys.readouterr().err
+
+
 def test_link_event_needs_both_endpoints():
     with pytest.raises(ValueError):
         TopoEvent(time_ms=0.0, kind="link_down", node_a="v0")

@@ -1,43 +1,73 @@
 """Unit tests for the message-overhead analysis helpers."""
 
 
-from repro.harness.analysis import MessageStats, _type_of, count_messages
-from repro.sim.trace import KIND_MSG_SEND, Trace
+import pytest
+
+from repro.harness.analysis import count_messages
+from repro.obs import make_obs
+from repro.sim.trace import KIND_MSG_DROP, KIND_MSG_RECV, KIND_MSG_SEND, Trace
+from tests.reference_scenarios import SCENARIOS
 
 
-def test_type_of_plain_messages():
-    assert _type_of("UIM(to=v1 flow=1 v=2 dn=3 type=SINGLE)") == "UIM"
-    assert _type_of("Rule(to=v1 flow=1 r=2)") == "Rule"
-    assert _type_of("Ack(from=v1 flow=1 r=2)") == "Ack"
-    assert _type_of("GTM(flow=1 seg=0)") == "GTM"
-
-
-def test_type_of_p4_packets_by_header():
-    assert _type_of("Packet#12[unm]") == "UNM"
-    assert _type_of("Packet#13[cleanup]") == "Cleanup"
-    assert _type_of("Packet#14[probe]") == "Probe"
+def _hand_recorded_trace() -> Trace:
+    trace = Trace()
+    trace.record(1.0, KIND_MSG_SEND, "c", message="UIM(x)", type="UIM")
+    trace.record(1.0, KIND_MSG_SEND, "c", message="UIM(y)", type="UIM")
+    trace.record(2.0, KIND_MSG_SEND, "v1", message="Packet#1[unm]", port=2, type="unm")
+    trace.record(2.0, KIND_MSG_SEND, "v1", message="Packet#2[cleanup]", port=1, type="cleanup")
+    # Control-channel sends carry no ``port``, whatever their tag says.
+    trace.record(3.0, KIND_MSG_SEND, "v2", message="Seq#4(UIM(z))", type="Sequenced")
+    trace.record(3.0, KIND_MSG_SEND, "v2", message="ControlAck(seq=4 from=v2)", type="ControlAck")
+    trace.record(4.0, KIND_MSG_RECV, "v1", message="UIM(x)", type="UIM")  # not a send
+    trace.record(4.0, KIND_MSG_DROP, "v1", message="UIM(y)", type="UIM")  # not a send
+    return trace
 
 
 def test_count_messages_tallies_by_type():
-    trace = Trace()
-    for desc in ("UIM(x)", "UIM(y)", "Packet#1[unm]", "Ack(z)"):
-        trace.record(1.0, KIND_MSG_SEND, "n", message=desc)
-    trace.record(1.0, "msg_recv", "n", message="UIM(x)")  # recv ignored
-    stats = count_messages(trace)
-    assert stats.by_type == {"UIM": 2, "UNM": 1, "Ack": 1}
+    """The type is the record's ``type`` key, whatever its tag says."""
+    stats = count_messages(_hand_recorded_trace())
+    assert stats.by_type == {
+        "UIM": 2, "unm": 1, "cleanup": 1, "Sequenced": 1, "ControlAck": 1,
+    }
 
 
 def test_plane_split():
-    stats = MessageStats(by_type={"UIM": 3, "UNM": 5, "Ack": 2, "Probe": 9})
-    assert stats.control_plane == 5
-    assert stats.data_plane == 14
-    assert stats.total == 19
+    """A send is on the data plane iff its record carries ``port``."""
+    stats = count_messages(_hand_recorded_trace())
+    assert (stats.control_plane, stats.data_plane, stats.total) == (4, 2, 6)
 
 
-def test_row_formatting():
-    stats = MessageStats(by_type={"UIM": 1})
-    row = stats.row("sys")
-    assert "control=    1" in row
+def _planes_sent(obs) -> tuple[float, float]:
+    sent = {"control": 0, "data": 0}
+    for name, labels, cell in obs.metrics:
+        if name == "messages_sent":
+            sent[labels["plane"]] += cell.value
+    return sent["control"], sent["data"]
+
+
+@pytest.mark.parametrize("name, control_fault_drops", [
+    ("serve_chaos_closed", 0),
+    ("serve_forced_dl", 0),
+    ("link_cut_in_flight", 0),
+    # The documented trap: the network counts a control-plane fault drop
+    # as sent, although no ``msg_send`` record names it.
+    ("faults_distance_skew", 63),
+])
+def test_count_messages_agrees_with_the_messages_sent_view(name, control_fault_drops):
+    obs = make_obs()
+    outcome = SCENARIOS[name](obs)
+    trace = Trace()
+    for event in outcome["trace"]:
+        trace.record(event.time, event.kind, event.node, **event.detail)
+    stats = count_messages(trace)
+    control, data = _planes_sent(obs)
+    assert (stats.control_plane + control_fault_drops, stats.data_plane) == (control, data)
+    assert stats.total == stats.control_plane + stats.data_plane
+    control_drops = sum(
+        1 for event in trace.of_kind(KIND_MSG_DROP)
+        if "reason" not in event.detail and "dest" not in event.detail
+    )
+    assert control_drops == control_fault_drops
 
 
 def test_end_to_end_counts_match_protocol():
@@ -57,5 +87,5 @@ def test_end_to_end_counts_match_protocol():
     dep.run()
     stats = count_messages(dep.network.trace)
     assert stats.by_type.get("UIM") == 4
-    assert stats.by_type.get("UNM") == 3
+    assert stats.by_type.get("unm") == 3
     assert stats.by_type.get("UFM") == 1
