@@ -412,11 +412,13 @@ class EzSegwaySwitch(Node):
         # moves already performed on each link (for static rank order).
         self._moved_ranks: dict[str, set[int]] = {}
         self._expected_ranks: dict[str, list[int]] = {}
-        self._deferred: list[tuple[RoleMessage, GoodToMove]] = []
+        # Roles waiting for capacity, with their poll count.  Non-empty
+        # exactly while one _retry_deferred is pending.
+        self._deferred: list[tuple[RoleMessage, int]] = []
         # Single processing pipeline, like the P4 switches: messages
         # serialise through the local controller/switch.
         self._busy_until = 0.0
-        # Deferral count after which the static move order is relaxed
+        # Poll count after which the static move order is relaxed
         # (deadlock breaking; the capacity check always remains).
         self.static_order_patience = 200
         # Admitted-but-not-yet-flipped moves: flow -> next hop whose
@@ -560,20 +562,20 @@ class EzSegwaySwitch(Node):
             # buffers it; no verification of its validity).
             self._pending_gtm.append(gtm)
             return
-        self._apply_role(role, gtm)
+        self._apply_role(role)
 
     def _replay_pending(self) -> None:
         pending, self._pending_gtm = self._pending_gtm, []
         for gtm in pending:
             self._handle_gtm(gtm)
 
-    def _apply_role(self, role: RoleMessage, gtm: GoodToMove, retries: int = 0) -> None:
+    def _apply_role(self, role: RoleMessage, retries: int = 0) -> None:
         if self.flipped.get((role.flow_id, role.update_id)):
             # Already updated for this update (shared gateway): a GTM in
             # another segment just keeps the chain going.
             self._continue_chain(role)
             return
-        # After many deferrals, relax the *static order* (ez-Segway's
+        # After many polls, relax the *static order* (ez-Segway's
         # deadlock-breaking third priority class) but never the
         # capacity check itself.
         ignore_ranks = retries >= self.static_order_patience
@@ -582,10 +584,10 @@ class EzSegwaySwitch(Node):
                 self.obs.metrics.counter(
                     "scheduler_deferrals", node=self.name,
                 ).inc()
-            self._deferred.append((role, gtm, retries + 1))
-            self.engine.schedule(
-                self.params.resubmit_interval_ms, self._retry_deferred
-            )
+            # One pending re-evaluation per switch, for all its entries.
+            if not self._deferred:
+                self.engine.schedule(self.params.resubmit_interval_ms, self._retry_deferred)
+            self._deferred.append((role, retries + 1))
             return
         hop = role.new_next_hop if role.new_next_hop is not None else LOCAL_DELIVER
         if self.congestion_aware and hop != LOCAL_DELIVER and hop != self.rules.get(role.flow_id):
@@ -604,8 +606,8 @@ class EzSegwaySwitch(Node):
 
     def _retry_deferred(self) -> None:
         deferred, self._deferred = self._deferred, []
-        for role, gtm, retries in deferred:
-            self._apply_role(role, gtm, retries)
+        for role, retries in deferred:
+            self._apply_role(role, retries)
 
     def _admit(self, role: RoleMessage, ignore_ranks: bool = False) -> bool:
         """Static-priority capacity admission (§9.1 three-class scheme)."""

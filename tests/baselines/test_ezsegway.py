@@ -1,5 +1,6 @@
 """Tests for the ez-Segway baseline."""
 
+import pytest
 
 from repro.baselines.ezsegway import (
     congestion_dependency_graph,
@@ -8,6 +9,7 @@ from repro.baselines.ezsegway import (
 from repro.harness.baselines_build import build_ezsegway_network
 from repro.params import DelayDistribution, SimParams
 from repro.topo import fig1_topology, ring_topology
+from repro.topo.graph import Topology
 from repro.topo.synthetic import FIG1_NEW_PATH, FIG1_OLD_PATH
 from repro.traffic.flows import Flow
 
@@ -155,3 +157,125 @@ def test_ez_simple_detour_on_ring():
     assert dep.controller.update_complete(flow.flow_id)
     walk, outcome = dep.forwarding_state.walk(flow.flow_id)
     assert outcome == "delivered" and walk == ["n0", "n5", "n4", "n3"]
+
+
+# -- congestion deferrals ---------------------------------------------------------
+#
+# s -- t is the one link under test (capacity 10); s -- u -- t is the
+# roomy old path of every moving flow.  Each moving flow (size 1) wants
+# to move its s hop onto s -- t, so its role defers at s.
+
+MOVERS = (1, 2, 3)
+
+
+def full_link_network(blocked: bool, ranks: bool = False):
+    """A deployment in which every mover's role at ``s`` defers.
+
+    ``blocked``: a flow that never moves fills s -> t, so the capacity
+    check fails.  ``ranks``: s -> t expects a rank-0 move that never comes
+    before the movers' rank 5, so the static order holds them back.
+    """
+    topo = Topology("full-link")
+    topo.add_edge("s", "t", latency_ms=1.0, capacity=10.0)
+    topo.add_edge("s", "u", latency_ms=1.0, capacity=100.0)
+    topo.add_edge("u", "t", latency_ms=1.0, capacity=100.0)
+    topo.set_controller("u")
+    params = fast_params()
+    params.baseline_install_delay = DelayDistribution.constant(1.0)
+    dep = build_ezsegway_network(topo, params=params)
+    dep.set_congestion_aware(True)
+    if blocked:
+        dep.install_flow(Flow(flow_id=9, src="s", dst="t", size=10.0, old_path=["s", "t"]))
+    for flow_id in MOVERS:
+        dep.install_flow(
+            Flow(flow_id=flow_id, src="s", dst="t", size=1.0, old_path=["s", "u", "t"])
+        )
+    move_ranks = None
+    if ranks:
+        dep.switches["s"].expect_ranks("t", [0, 5, 5, 5])
+        move_ranks = {(flow_id, ("s", "t")): 5 for flow_id in MOVERS}
+    for flow_id in MOVERS:
+        dep.controller.update_flow(flow_id, ["s", "t"], move_ranks)
+    return dep
+
+
+def run_until_all_deferred(dep) -> float:
+    """Step until every mover waits at ``s``; return the first
+    deferral's time."""
+    switch, engine = dep.switches["s"], dep.network.engine
+    first = None
+    while len(switch._deferred) < len(MOVERS):
+        assert engine.step(), "engine drained before every mover deferred"
+        if first is None and switch._deferred:
+            first = engine.now
+    return first
+
+
+def pending_polls(dep) -> int:
+    switch = dep.switches["s"]
+    return sum(
+        1 for _, _, event in dep.network.engine._queue
+        if not event.cancelled and event.callback == switch._retry_deferred
+    )
+
+
+def mover_rules(dep) -> list:
+    return [dep.switches["s"].rules[flow_id] for flow_id in MOVERS]
+
+
+def test_one_pending_poll_per_switch_and_retries_count_polls():
+    dep = full_link_network(blocked=True)
+    first = run_until_all_deferred(dep)
+    switch = dep.switches["s"]
+    assert pending_polls(dep) == 1
+    # Poll k evaluates every entry with retries == k; an entry that
+    # defers again stores k + 1 for the next poll.
+    assert [retries for _, retries in switch._deferred] == [1] * len(MOVERS)
+    for k in range(1, 6):
+        dep.run(until=first + k * dep.params.resubmit_interval_ms + 0.5)
+        assert pending_polls(dep) == 1
+        assert [retries for _, retries in switch._deferred] == [k + 1] * len(MOVERS)
+
+
+def test_static_order_relaxes_on_poll_200_and_not_earlier():
+    dep = full_link_network(blocked=False, ranks=True)
+    first = run_until_all_deferred(dep)
+    switch = dep.switches["s"]
+    patience = switch.static_order_patience
+    assert patience == 200
+    interval = dep.params.resubmit_interval_ms
+    relaxed_at = first + patience * interval
+    # Poll 199 still holds every mover back on the static order.
+    dep.run(until=relaxed_at - interval / 2)
+    assert [retries for _, retries in switch._deferred] == [patience] * len(MOVERS)
+    assert mover_rules(dep) == ["u"] * len(MOVERS)
+    # Poll 200 admits them all (capacity is free): each flips one
+    # install delay later.
+    dep.run()
+    assert not switch._deferred and pending_polls(dep) == 0
+    assert mover_rules(dep) == ["t"] * len(MOVERS)
+    flips = [
+        e.time for e in dep.network.trace.of_kind("rule_change")
+        if e.node == "s" and e.detail.get("flow") in MOVERS
+    ]
+    assert flips == [pytest.approx(relaxed_at + 1.0)] * len(MOVERS)
+    assert all(dep.controller.update_complete(flow_id) for flow_id in MOVERS)
+
+
+def test_role_over_capacity_is_never_applied():
+    dep = full_link_network(blocked=True, ranks=True)
+    first = run_until_all_deferred(dep)
+    switch = dep.switches["s"]
+    # One poll per waiting entry would multiply every millisecond.
+    assert pending_polls(dep) == 1
+    polls = 3 * switch.static_order_patience
+    dep.run(until=first + polls * dep.params.resubmit_interval_ms + 0.5)
+    # The static order was relaxed long ago; the capacity check never is.
+    assert [retries for _, retries in switch._deferred] == [polls + 1] * len(MOVERS)
+    assert pending_polls(dep) == 1
+    assert mover_rules(dep) == ["u"] * len(MOVERS)
+    assert switch.link_reserved["t"] == 10.0
+    assert not any(
+        e.node == "s" and e.detail.get("flow") in MOVERS
+        for e in dep.network.trace.of_kind("rule_change")
+    )

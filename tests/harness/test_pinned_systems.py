@@ -14,6 +14,14 @@ builder names where they are bound, which is also how the perf ledger
 reaches them.  The trace signatures were re-recorded twice, when
 signature format v2 replaced v1 and when every ``msg_*`` record gained
 its ``type`` key (``docs/ARCHITECTURE.md``); no other field moved.
+The third deliberate re-recording came when an ez-Segway switch began
+keeping one pending re-evaluation for all its capacity-deferred moves
+instead of one per move: fewer polls (``events``) and a static-order
+relaxation that no longer fires n times too early moved the five
+``ezsegway/*/multi/*/cong`` cells b4 s1, internet2 s0 and s1, fattree4
+s0 and s1 (``events``, ``trace_signature``, ``per_flow_digest``, and
+``total_update_time_ms`` in b4 s1, internet2 s1 and fattree4 s1); no
+other cell moved.
 
 Regenerate only for a deliberate behaviour change::
 
