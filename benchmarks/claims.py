@@ -33,11 +33,11 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
+from repro.algos.registry import build_system, system_names
 from repro.consistency import LiveChecker
 from repro.core.messages import UpdateType
 from repro.harness.analysis import count_messages
-from repro.harness.build import build_p4update_network
-from repro.harness.experiment import path_establishment_time, resolve_system, run_experiment
+from repro.harness.experiment import path_establishment_time, run_experiment
 from repro.harness.fig_experiments import FIG7_SCENARIOS, fig7_sweep_spec, run_fig2, run_fig4
 from repro.harness.prep import FIG8_TOPOLOGIES, fig8_sweep_spec
 from repro.harness.probes import ProbeSource
@@ -97,6 +97,12 @@ def _sweep(spec: Any) -> dict:
     return build_sweep_results(spec, run.shard_docs, run.failures, run.shards_total)["aggregates"]
 
 
+def _layer(dep: Any) -> tuple:
+    """The forced layer as ``update_flow``'s optional third argument
+    (only P4Update rows carry one)."""
+    return () if dep.update_type is None else (dep.update_type,)
+
+
 def _flow(dep: Any, src: str = "v0", dst: str = "v7", old: Optional[list] = None) -> Flow:
     flow = Flow.between(src, dst, size=1.0, old_path=old or FIG1_OLD)
     dep.install_flow(flow)
@@ -145,12 +151,11 @@ def fig8() -> dict:
 
 
 def compete() -> dict:
-    from repro.algos.registry import strategy_names
     from repro.serve.spec import load_serve_spec_file
     from repro.serve.sweep_kind import serve_sweep
 
     spec = load_serve_spec_file(str(ROOT / "examples" / "compete_smoke.json"))
-    return _sweep(serve_sweep(spec, 1, kind="compete", strategies=strategy_names()))["scoreboard"]
+    return _sweep(serve_sweep(spec, 1, kind="compete", strategies=system_names()))["scoreboard"]
 
 
 def ops() -> Any:
@@ -182,12 +187,11 @@ def rail_topology() -> Topology:
 
 def _rails_time(system: str, seed: int, depth: int) -> float:
     """Time to the last of ``depth`` back-to-back updates (rails 1, 2, 1, ...)."""
-    native, layer = resolve_system(system)
-    dep = native.build(rail_topology(), params=SimParams(seed=seed).with_dionysus_install_delay())
+    dep = build_system(system, rail_topology(), params=SimParams(seed=seed).with_dionysus_install_delay())
     flow = _flow(dep, "s", "t", RAILS[0])
     targets = [RAILS[1 + i % 2] for i in range(depth)]
     for target in targets:
-        dep.controller.update_flow(flow.flow_id, list(target), *([layer] if layer else []))
+        dep.controller.update_flow(flow.flow_id, list(target), *_layer(dep))
     dep.run()
     established = path_establishment_time(dep.network.trace, flow.flow_id, targets[-1], RAILS[0])
     assert established != math.inf, (system, seed, depth)
@@ -274,7 +278,7 @@ def _probe_run(seed: int, mode: str) -> tuple[int, int, int]:
         controller_service=const(0.3), controller_background_util=0.0,
         unm_generation_delay=const(0.5),
     )
-    dep = build_p4update_network(fig1_topology(latency_ms=2.0), params=params)
+    dep = build_system("p4update", fig1_topology(latency_ms=2.0), params=params)
     flow = _flow(dep)
     paths: list[tuple] = []
     egress = dep.switches["v7"]
@@ -310,7 +314,7 @@ def two_phase(runs: int = 8) -> dict:
 def _lossy_run(seed: int, drop: float, recovery: bool) -> tuple[bool, bool]:
     """(completed, consistent) of the Fig. 1 DL update with ``drop`` UNM loss."""
     params = SimParams(seed=seed, controller_update_timeout_ms=500.0 if recovery else 0.0)
-    dep = build_p4update_network(fig1_topology(), params=params)
+    dep = build_system("p4update", fig1_topology(), params=params)
     if drop > 0:
         dep.network.fault_model = FaultModel(
             rng=np.random.default_rng(seed ^ 0xBEEF), drop_prob=drop,
@@ -343,11 +347,10 @@ def messages() -> dict:
         ("p4update-sl", "p4update-sl", False), ("compact", "p4update-dl", True),
         ("central", "central", False),
     ):
-        native, layer = resolve_system(system)
-        dep = native.build(fig1_topology(), params=SimParams(seed=0))
+        dep = build_system(system, fig1_topology(), params=SimParams(seed=0))
         flow = _flow(dep)
         update = dep.controller.compact_update if compact else dep.controller.update_flow
-        update(flow.flow_id, FIG1_NEW, *([layer] if layer else []))
+        update(flow.flow_id, FIG1_NEW, *_layer(dep))
         dep.run()
         assert dep.controller.update_complete(flow.flow_id), label
         out[label] = count_messages(dep.network.trace)

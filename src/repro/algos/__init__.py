@@ -1,17 +1,8 @@
-"""Pluggable update-strategy subsystem (see docs/ALGORITHMS.md).
+"""Pluggable update-system subsystem (see docs/ALGORITHMS.md).
 
-Public surface:
-
-* :mod:`repro.algos.base` — the strategy protocol and capability flags.
-* :mod:`repro.algos.registry` — registered strategies and builders.
+* :mod:`repro.algos.registry` — the one table of update systems, the
+  contract their controllers speak, and the one build function.
+* :mod:`repro.algos.augmented` / :mod:`repro.algos.synthesis` — the two
+  wrappers rows may name.
 * :mod:`repro.algos.duel` — head-to-head duels on advgen deadlock pairs.
 """
-
-from repro.algos.base import StrategyController, StrategyInfo, StrategyRuntime
-from repro.algos.registry import (
-    DEFAULT_STRATEGY,
-    STRATEGIES,
-    build_strategy_runtime,
-    get_strategy,
-    strategy_names,
-)

@@ -7,9 +7,9 @@ other occupies (the classic swap) defer forever under the §7.4
 data-plane scheduler; if a third corridor has slack, detouring one
 flow over it first breaks the cycle.
 
-This strategy wraps the stock P4Update deployment with a controller
-facade that turns one orchestrator-visible update into up to two inner
-updates:
+The ``augmented`` row wraps the stock P4Update deployment with a
+controller facade that turns one orchestrator-visible update into up
+to two inner updates:
 
 1. At :meth:`prepare_update`, the facade computes each directed edge's
    residual capacity from the controller's flow DB (every other flow
@@ -38,9 +38,8 @@ from typing import Any, Optional
 
 from repro.algos.base import _Delegating, path_edges
 from repro.core.controller import P4UpdateController, PreparedUpdate
-from repro.harness.build import Deployment, build_p4update_network
-from repro.obs.context import ObsContext
-from repro.params import SimParams
+from repro.core.messages import UpdateType
+from repro.harness.build import Deployment
 from repro.topo.graph import Topology
 
 _EPS = 1e-9
@@ -55,8 +54,11 @@ class AugmentedController(_Delegating):
         # The facade's own listener surface: the orchestrator must not
         # observe the intermediate helper completion.
         self.update_listeners: list = []
-        # flow_id -> (target path, stage-1 version)  [helper in flight]
-        self._stage1: dict[int, tuple[tuple[str, ...], int]] = {}
+        # flow_id -> (target path, stage-1 version, forced layer)
+        # [helper in flight]
+        self._stage1: dict[
+            int, tuple[tuple[str, ...], int, Optional[UpdateType]]
+        ] = {}
         # flow_id -> (stage-1 version, stage-2 version)  [target in flight]
         self._stage2: dict[int, tuple[int, int]] = {}
         self._stats = {
@@ -147,7 +149,11 @@ class AugmentedController(_Delegating):
     # -- prepare/push --------------------------------------------------------
 
     def prepare_update(
-        self, flow_id: int, new_path: list[str], **kwargs: Any
+        self,
+        flow_id: int,
+        new_path: list[str],
+        update_type: Optional[UpdateType] = None,
+        **kwargs: Any,
     ) -> PreparedUpdate:
         record = self._inner.flow_db[flow_id]
         size = record.flow.size
@@ -161,7 +167,9 @@ class AugmentedController(_Delegating):
         ]
         if not tight:
             self._stats["pass_through"] += 1
-            return self._inner.prepare_update(flow_id, list(new_path), **kwargs)
+            return self._inner.prepare_update(
+                flow_id, list(new_path), update_type, **kwargs
+            )
         contended = self._contended_edges(flow_id)
         helper = self._helper_path(
             target[0], target[-1], size, current_edges,
@@ -176,9 +184,13 @@ class AugmentedController(_Delegating):
             # data-plane scheduler defers; an unresolvable order ends
             # unfinished, same as the baselines).
             self._stats["augmentation_unavailable"] += 1
-            return self._inner.prepare_update(flow_id, list(new_path), **kwargs)
-        prepared = self._inner.prepare_update(flow_id, list(helper), **kwargs)
-        self._stage1[flow_id] = (target, prepared.version)
+            return self._inner.prepare_update(
+                flow_id, list(new_path), update_type, **kwargs
+            )
+        prepared = self._inner.prepare_update(
+            flow_id, list(helper), update_type, **kwargs
+        )
+        self._stage1[flow_id] = (target, prepared.version, update_type)
         self._stats["augmented_detours"] += 1
         return prepared
 
@@ -196,8 +208,10 @@ class AugmentedController(_Delegating):
                 # Helper landed (the inner controller has already moved
                 # current_path to the helper and cleared the pending
                 # slot) — immediately chain the second hop.
-                target, v1 = self._stage1.pop(flow_id)
-                chained = self._inner.prepare_update(flow_id, list(target))
+                target, v1, update_type = self._stage1.pop(flow_id)
+                chained = self._inner.prepare_update(
+                    flow_id, list(target), update_type
+                )
                 self._stage2[flow_id] = (v1, chained.version)
                 self._inner.push_update(chained)
                 return
@@ -207,7 +221,7 @@ class AugmentedController(_Delegating):
                 return
         elif event == "aborted":
             if stage1 is not None and version == stage1[1]:
-                _target, v1 = self._stage1.pop(flow_id)
+                _target, v1, _layer = self._stage1.pop(flow_id)
                 self._emit("aborted", flow_id, v1)
                 return
             if stage2 is not None and version == stage2[1]:
@@ -232,11 +246,10 @@ class AugmentedController(_Delegating):
         return {k: v for k, v in sorted(self._stats.items()) if v}
 
 
-def build_augmented_network(
-    topo: Topology,
-    params: Optional[SimParams] = None,
-    obs: Optional[ObsContext] = None,
-) -> Deployment:
-    deployment = build_p4update_network(topo, params=params, obs=obs)
-    deployment.controller = AugmentedController(deployment.controller, topo)
+def augment(deployment: Deployment) -> Deployment:
+    """The ``augmented`` row's wrapper: stage detours in front of the
+    deployment's P4Update controller."""
+    deployment.controller = AugmentedController(
+        deployment.controller, deployment.topology
+    )
     return deployment

@@ -33,12 +33,12 @@ from repro.sweep.cli import (
 
 def _strategies(arg: Optional[str]) -> list[str]:
     """Parse ``--strategies a,b,c`` (None -> every registered one)."""
-    from repro.algos.registry import strategy_names
+    from repro.algos.registry import system_names
 
     if not arg:
-        return strategy_names()
+        return system_names()
     chosen = [name.strip() for name in arg.split(",") if name.strip()]
-    known = strategy_names()
+    known = system_names()
     unknown = [name for name in chosen if name not in known]
     if unknown:
         raise CliError(f"unknown strategy(ies) {unknown}; known: {known}")
@@ -46,7 +46,7 @@ def _strategies(arg: Optional[str]) -> list[str]:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    from repro.algos.registry import get_strategy
+    from repro.algos.registry import system_row
     from repro.serve.sweep_kind import serve_sweep
 
     spec = load_spec(args.spec)
@@ -58,11 +58,11 @@ def _cmd_validate(args: argparse.Namespace) -> int:
           f"{spec.flows} flows on {spec.topology}")
     print(f"  strategies: {len(strategies)}")
     for name in strategies:
-        info = get_strategy(name)
+        row = system_row(name)
         flags = ", ".join(
-            name for name, on in info.capabilities().items() if on
+            name for name, on in row.capabilities().items() if on
         ) or "-"
-        print(f"    {name:<14s} [{flags}] {info.description}")
+        print(f"    {name:<14s} [{flags}] {row.description}")
     return 0
 
 

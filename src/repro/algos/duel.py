@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Any, Optional, Sequence
 
-from repro.algos.registry import strategy_names
+from repro.algos.registry import build_system, system_names
 from repro.analysis.advgen import SlackPair, generate_slack_pairs
 from repro.consistency.checker import LiveChecker
 from repro.params import SimParams
@@ -30,11 +30,9 @@ def _run_one(
     pair: SlackPair, strategy: str, seed: int, horizon_ms: float
 ) -> dict[str, Any]:
     """One strategy on one pair: install, push both updates, run."""
-    from repro.algos.registry import build_strategy_runtime
-
     topo = pair.topology()
     params = SimParams(seed=seed)
-    deployment = build_strategy_runtime(strategy, topo, params=params)
+    deployment = build_system(strategy, topo, params=params)
     deployment.set_congestion_aware(True)
     flows = pair.flow_objects()
     for flow in flows:
@@ -48,7 +46,7 @@ def _run_one(
     versions: dict[int, int] = {}
     for flow in flows:
         prepared = deployment.controller.prepare_update(
-            flow.flow_id, list(flow.new_path or [])
+            flow.flow_id, list(flow.new_path or []), deployment.update_type
         )
         versions[flow.flow_id] = prepared.version
         deployment.controller.push_update(prepared)
@@ -88,7 +86,7 @@ def run_duel(
     Returns a JSON-safe document with one row per pair and a summary
     counting the pairs only augmentation resolved.
     """
-    chosen = list(strategies) if strategies else strategy_names()
+    chosen = list(strategies) if strategies else system_names()
     pairs = generate_slack_pairs(seed, count=count, slack=slack)
     rows = []
     augmented_only = 0

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from repro.algos.registry import strategy_names
+from repro.algos.registry import system_names
 from repro.serve.service import run_service, slo_summary
 from repro.serve.sweep_kind import (
     SERVE_FIELDS,
@@ -36,7 +36,7 @@ def _validate(spec: SweepSpec) -> None:
         )
     if len(set(strategies)) != len(strategies):
         raise SweepSpecError("compete sweep repeats a strategy")
-    known = strategy_names()
+    known = system_names()
     for strategy in strategies:
         if strategy not in known:
             raise SweepSpecError(

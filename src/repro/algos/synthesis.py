@@ -25,15 +25,11 @@ to stock ``p4update``.
 
 from __future__ import annotations
 
-from typing import Any, Optional, cast
+from typing import Any, cast
 
 from repro.algos.base import _Delegating
 from repro.analysis.interference import pair_conflicts
 from repro.core.controller import P4UpdateController
-from repro.harness.build import build_p4update_network
-from repro.obs.context import ObsContext
-from repro.params import SimParams
-from repro.topo.graph import Topology
 
 
 class _SynthesisController(_Delegating):
@@ -49,7 +45,8 @@ class _SynthesisController(_Delegating):
 
 
 class SynthesisDeployment(_Delegating):
-    """Stock P4Update deployment plus a dispatch-order gate."""
+    """Stock P4Update deployment plus a dispatch-order gate (the
+    ``synthesis`` row's wrapper; the gate makes the row serve-only)."""
 
     def __init__(self, inner: Any) -> None:
         self._inner = inner
@@ -89,11 +86,3 @@ class SynthesisDeployment(_Delegating):
                 self._stats["ordering_holds"] += 1
             return False
         return True
-
-
-def build_synthesis_network(
-    topo: Topology,
-    params: Optional[SimParams] = None,
-    obs: Optional[ObsContext] = None,
-) -> SynthesisDeployment:
-    return SynthesisDeployment(build_p4update_network(topo, params=params, obs=obs))

@@ -17,9 +17,10 @@ from typing import Any, Optional
 
 import numpy as np
 
+from repro.baselines.contract import ContractController
 from repro.consistency.state import ForwardingState
 from repro.params import SimParams
-from repro.sim.node import ControllerNode, Node
+from repro.sim.node import Node
 from repro.sim.trace import KIND_RULE_CHANGE, KIND_UPDATE_DONE
 from repro.topo.graph import Topology
 from repro.traffic.flows import Flow
@@ -95,6 +96,14 @@ class CentralSwitch(Node):
         )
 
 
+@dataclass(frozen=True)
+class CentralPreparedUpdate:
+    flow_id: int
+    #: The update contract's handle: a per-controller counter from 1.
+    version: int
+    new_path: tuple[str, ...]
+
+
 @dataclass
 class _PendingFlowUpdate:
     flow: Flow
@@ -104,7 +113,7 @@ class _PendingFlowUpdate:
     remaining: dict[str, Optional[str]]
 
 
-class CentralController(ControllerNode):
+class CentralController(ContractController):
     """Round-based centralized update scheduler."""
 
     def __init__(
@@ -121,7 +130,7 @@ class CentralController(ControllerNode):
         self.rng = rng if rng is not None else self.params.rng()
         self.congestion_aware = congestion_aware
         self._round_ids = itertools.count(1)
-        self.flows: dict[int, Flow] = {}
+        self._versions = itertools.count(1)
         # The controller's model of the deployed state.
         self.deployed: dict[int, dict[str, str]] = {}     # flow -> node -> hop
         self.flow_endpoints: dict[int, tuple[str, str]] = {}
@@ -137,7 +146,7 @@ class CentralController(ControllerNode):
     def register_flow(self, flow: Flow) -> None:
         if flow.old_path is None:
             raise ValueError("flow needs an initial path")
-        self.flows[flow.flow_id] = flow
+        self._track(flow)
         path = flow.old_path
         hops = {a: b for a, b in zip(path, path[1:])}
         hops[path[-1]] = LOCAL_DELIVER
@@ -147,7 +156,20 @@ class CentralController(ControllerNode):
     # -- update entry point --------------------------------------------------------
 
     def update_flow(self, flow_id: int, new_path: list[str]) -> None:
-        flow = self.flows[flow_id]
+        self.push_update(self.prepare_update(flow_id, new_path))
+
+    def prepare_update(
+        self, flow_id: int, new_path: list[str], update_type: Any = None
+    ) -> CentralPreparedUpdate:
+        """Version the update (``update_type`` is P4Update's knob); the
+        rounds are planned as it is pushed."""
+        version = next(self._versions)
+        self._pend(flow_id, version, new_path)
+        return CentralPreparedUpdate(flow_id, version, tuple(new_path))
+
+    def push_update(self, prepared: CentralPreparedUpdate) -> None:
+        flow_id, new_path = prepared.flow_id, list(prepared.new_path)
+        flow = self.flow_db[flow_id].flow
         old_hops = self.deployed[flow_id]
         new_hops: dict[str, Optional[str]] = {
             a: b for a, b in zip(new_path, new_path[1:])
@@ -160,7 +182,7 @@ class CentralController(ControllerNode):
         }
         self.pending[flow_id] = _PendingFlowUpdate(
             flow=flow,
-            old_path=list(self.flows[flow_id].old_path or []),
+            old_path=list(flow.old_path or []),
             new_path=list(new_path),
             remaining=remaining,
         )
@@ -199,7 +221,7 @@ class CentralController(ControllerNode):
         """
         load: dict[tuple[str, str], float] = {}
         for flow_id in self.deployed:
-            size = self.flows[flow_id].size
+            size = self.flow_db[flow_id].flow.size
             edges: set[tuple[str, str]] = set()
             confirmed = self._walk(flow_id, self.deployed[flow_id])
             if confirmed is not None:
@@ -299,7 +321,7 @@ class CentralController(ControllerNode):
             self.send_control(
                 RuleCommand(
                     target=node, flow_id=flow_id, round_id=round_id,
-                    next_hop=hop, flow_size=self.flows[flow_id].size,
+                    next_hop=hop, flow_size=self.flow_db[flow_id].flow.size,
                 )
             )
 
@@ -322,6 +344,7 @@ class CentralController(ControllerNode):
             self.network.trace.record(
                 self.now, KIND_UPDATE_DONE, self.name, flow=flow_id,
             )
+            self._complete(flow_id, self.flow_db[flow_id].pending_version)
         self._current_round = None
         if self.pending:
             self._start_round()

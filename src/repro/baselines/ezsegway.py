@@ -36,11 +36,12 @@ from typing import Any, NamedTuple, Optional
 import networkx as nx
 import numpy as np
 
+from repro.baselines.contract import ContractController
 from repro.consistency.state import ForwardingState
 from repro.core.labeling import distance_labels
 from repro.core.segmentation import Segment, compute_segments
 from repro.params import SimParams
-from repro.sim.node import ControllerNode, Node
+from repro.sim.node import Node
 from repro.sim.trace import KIND_RULE_CHANGE, KIND_UPDATE_DONE
 from repro.topo.graph import Topology
 from repro.traffic.flows import Flow
@@ -125,6 +126,11 @@ class EzPreparedUpdate:
     update_id: int
     segments: tuple[Segment, ...]
     roles: tuple[RoleMessage, ...]
+
+    @property
+    def version(self) -> int:
+        """The update contract's handle: ez-Segway's update id."""
+        return self.update_id
 
 
 def _ez_classify_in_loop(old_path: list[str], segment: Segment) -> bool:
@@ -686,8 +692,13 @@ class EzSegwaySwitch(Node):
             self._drive_chain(role)
 
 
-class EzSegwayController(ControllerNode):
-    """ez-Segway controller: pushes role messages, serializes updates."""
+class EzSegwayController(ContractController):
+    """ez-Segway controller: pushes role messages, serializes updates.
+
+    ``update_flow`` is ez-Segway's own entry point (a second update of
+    a flow waits for the first, §4.2); ``prepare_update`` /
+    ``push_update`` are the update contract, which sends at once.
+    """
 
     def __init__(
         self,
@@ -701,8 +712,6 @@ class EzSegwayController(ControllerNode):
         self.params = params if params is not None else SimParams()
         self.rng = rng if rng is not None else self.params.rng()
         self._update_ids = itertools.count(1)
-        self.flows: dict[int, Flow] = {}
-        self.current_paths: dict[int, list[str]] = {}
         self.update_sent_at: dict[tuple[int, int], float] = {}
         self.update_done_at: dict[tuple[int, int], float] = {}
         self.active_updates: dict[int, int] = {}      # flow -> update_id
@@ -712,8 +721,7 @@ class EzSegwayController(ControllerNode):
         self._done_segments: dict[tuple[int, int], set[int]] = {}
 
     def register_flow(self, flow: Flow) -> None:
-        self.flows[flow.flow_id] = flow
-        self.current_paths[flow.flow_id] = list(flow.old_path or [])
+        self._track(flow)
 
     # -- update pushing -------------------------------------------------------------
 
@@ -731,20 +739,36 @@ class EzSegwayController(ControllerNode):
         return self._push(flow_id, new_path, move_ranks)
 
     def _push(self, flow_id: int, new_path: list[str], move_ranks) -> int:
-        flow = self.flows[flow_id]
-        old_path = self.current_paths[flow_id]
-        update_id = next(self._update_ids)
+        prepared = self.prepare_update(flow_id, new_path, move_ranks=move_ranks)
+        self.push_update(prepared)
+        return prepared.update_id
+
+    def prepare_update(
+        self,
+        flow_id: int,
+        new_path: list[str],
+        update_type: Any = None,
+        move_ranks: Optional[dict] = None,
+    ) -> EzPreparedUpdate:
+        """Segments and roles of a fresh update from the path the
+        controller believes deployed (``update_type`` is P4Update's
+        knob; ez-Segway has one mechanism)."""
+        record = self.flow_db[flow_id]
         prepared = prepare_ez_update(
-            flow, old_path, new_path, update_id, move_ranks
+            record.flow, record.pending_path or record.current_path,
+            new_path, next(self._update_ids), move_ranks,
         )
+        self._pend(flow_id, prepared.update_id, new_path)
+        return prepared
+
+    def push_update(self, prepared: EzPreparedUpdate) -> None:
+        flow_id, update_id = prepared.flow_id, prepared.update_id
         self.active_updates[flow_id] = update_id
         self.update_sent_at[(flow_id, update_id)] = self.now
-        self.current_paths[flow_id] = list(new_path)
         self._expected_segments[(flow_id, update_id)] = len(prepared.segments)
         self._done_segments[(flow_id, update_id)] = set()
         for role in prepared.roles:
             self.send_control(role)
-        return update_id
 
     # -- feedback ----------------------------------------------------------------------
 
@@ -765,6 +789,7 @@ class EzSegwayController(ControllerNode):
                 self.now, KIND_UPDATE_DONE, self.name,
                 flow=message.flow_id, update=message.update_id,
             )
+            self._complete(message.flow_id, message.update_id)
             queue = self._queued.get(message.flow_id)
             if queue:
                 new_path, move_ranks = queue.pop(0)

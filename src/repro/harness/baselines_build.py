@@ -18,7 +18,6 @@ from repro.baselines.ezsegway import (
     RoleMessage,
     congestion_dependency_graph,
 )
-from repro.core.messages import UpdateType
 from repro.harness.build import Deployment, System, build_network
 from repro.harness.scenarios import UpdateScenario
 from repro.obs.context import ObsContext
@@ -52,10 +51,7 @@ def _ezsegway_wire(deployment: Deployment) -> None:
 
 
 def _ezsegway_prepare(
-    deployment: Deployment,
-    scenario: UpdateScenario,
-    congestion_aware: bool,
-    update_type: Optional[UpdateType],
+    deployment: Deployment, scenario: UpdateScenario, congestion_aware: bool
 ) -> Optional[dict]:
     """Segmentation happens inside ``update_flow``; the congestion
     dependency graph is the extra centralized cost (Fig. 8b).  Returns
@@ -131,16 +127,12 @@ def _central_install_path(deployment: Deployment, flow: Flow) -> None:
 
 
 def _central_set_congestion_aware(deployment: Deployment, enabled: bool) -> None:
-    # The knob is a controller attribute here (a strategy facade's
-    # property forwards it to the wrapped controller).
+    # Central plans capacity per round at the controller, not at switches.
     deployment.controller.congestion_aware = enabled
 
 
 def _central_prepare(
-    deployment: Deployment,
-    scenario: UpdateScenario,
-    congestion_aware: bool,
-    update_type: Optional[UpdateType],
+    deployment: Deployment, scenario: UpdateScenario, congestion_aware: bool
 ) -> None:
     """``update_flow`` plans and starts round 1: nothing to trigger."""
     for flow in scenario.flows:

@@ -66,8 +66,8 @@ class System:
     """Everything in which one native system differs from the others.
 
     Hooks are module-level functions: a deployment, record included, is
-    pickled into ops checkpoints.  Adding a system is one record plus
-    one line in :data:`repro.harness.experiment.SYSTEM_TABLE`.
+    pickled into ops checkpoints.  A record becomes runnable by name
+    through a row of :data:`repro.algos.registry.SYSTEMS`.
     """
 
     #: ``module:attribute`` of the public builder.  Resolved per build,
@@ -79,9 +79,8 @@ class System:
     install_path: Callable[[Deployment, Flow], None]
     set_congestion_aware: Callable[[Deployment, bool], None]
     #: ``run_experiment``'s host-side preparation ``(deployment,
-    #: scenario, congestion_aware, update_type)``; ``trigger`` gets
-    #: what it returns.
-    prepare: Callable[[Deployment, UpdateScenario, bool, Optional[UpdateType]], Any]
+    #: scenario, congestion_aware)``; ``trigger`` gets what it returns.
+    prepare: Callable[[Deployment, UpdateScenario, bool], Any]
     #: Send the prepared updates (the ``uim_fanout`` span); ``None``
     #: when ``prepare`` already started them.
     trigger: Optional[Callable[[Deployment, UpdateScenario, Any], None]] = None
@@ -122,6 +121,10 @@ class Deployment:
     switches: dict[str, Any]
     forwarding_state: ForwardingState
     params: SimParams
+    #: The layer every update prepared on the system's behalf is
+    #: forced to (:func:`repro.algos.registry.build_system` sets it from
+    #: the row); ``None`` leaves P4Update its §7.5 selection rule.
+    update_type: Optional[UpdateType] = None
 
     def install_flow(self, flow: Flow) -> None:
         """Bootstrap a flow's initial (version 1) deployment.
@@ -291,14 +294,11 @@ def _p4update_wire(deployment: Deployment) -> None:
 
 
 def _p4update_prepare(
-    deployment: Deployment,
-    scenario: UpdateScenario,
-    congestion_aware: bool,
-    update_type: Optional[UpdateType],
+    deployment: Deployment, scenario: UpdateScenario, congestion_aware: bool
 ) -> list:
     return [
         deployment.controller.prepare_update(
-            flow.flow_id, list(flow.new_path or []), update_type,
+            flow.flow_id, list(flow.new_path or []), deployment.update_type,
             congestion_aware=congestion_aware,
         )
         for flow in scenario.flows

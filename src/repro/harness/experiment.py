@@ -5,9 +5,9 @@ their old paths, triggers all updates at the same simulated instant,
 runs to quiescence, and reports per-flow and total update times as the
 paper measures them ("from the sending of UIM messages to the
 receiving of UFM messages"; for multiple flows "the completion time of
-the last flow update").  What differs per system is its
-:class:`~repro.harness.build.System` record; :data:`SYSTEM_TABLE` is
-the only place a system name selects behaviour.
+the last flow update").  What differs per system is its row of
+:data:`repro.algos.registry.SYSTEMS`, built by
+:func:`~repro.algos.registry.build_system`.
 """
 
 from __future__ import annotations
@@ -16,34 +16,25 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
+from repro.algos.registry import SystemRow, build_system, system_row
 from repro.consistency import LiveChecker
-from repro.core.messages import UpdateType
-from repro.harness.baselines_build import CENTRAL, EZSEGWAY
-from repro.harness.build import P4UPDATE, System
 from repro.harness.scenarios import UpdateScenario
 from repro.obs.context import NULL_OBS, ObsContext
 from repro.params import SimParams
 from repro.sim.network import Network
 from repro.sim.trace import KIND_RULE_CHANGE, Trace, TraceEvent
 
-#: Experiment system name -> (native system, the layer every update is
-#: forced to; ``None`` leaves P4Update its §7.5 selection rule).
-SYSTEM_TABLE: dict[str, tuple[System, Optional[UpdateType]]] = {
-    "p4update": (P4UPDATE, None),
-    "p4update-sl": (P4UPDATE, UpdateType.SINGLE),
-    "p4update-dl": (P4UPDATE, UpdateType.DUAL),
-    "ezsegway": (EZSEGWAY, None),
-    "central": (CENTRAL, None),
-}
 
-SYSTEMS = tuple(SYSTEM_TABLE)
-
-
-def resolve_system(name: str) -> tuple[System, Optional[UpdateType]]:
-    try:
-        return SYSTEM_TABLE[name]
-    except KeyError:
-        raise ValueError(f"unknown system {name!r}") from None
+def experiment_row(name: str) -> SystemRow:
+    """The row of system ``name``, refused when its ordering acts at
+    dispatch: only the service orchestrator dispatches."""
+    row = system_row(name)
+    if row.orders_at_dispatch():
+        raise ValueError(
+            f"system {name!r} orders updates at dispatch; only run_service "
+            "runs it"
+        )
+    return row
 
 
 def path_establishment_time(
@@ -135,7 +126,7 @@ class ExperimentResult:
     rounds: Optional[int] = None           # Central only
 
     def __post_init__(self) -> None:
-        resolve_system(self.system)
+        system_row(self.system)
 
 
 def run_experiment(
@@ -153,9 +144,9 @@ def run_experiment(
     the hot path and leaves simulated time untouched.
     """
     obs = obs if obs is not None else NULL_OBS
-    native, update_type = resolve_system(system)
+    native = experiment_row(system).system()
     params = params if params is not None else SimParams()
-    dep = native.build(scenario.topology, params=params, obs=obs)
+    dep = build_system(system, scenario.topology, params=params, obs=obs)
     dep.set_congestion_aware(congestion_aware)
     checker = (
         LiveChecker(dep.forwarding_state, dep.network.trace)
@@ -170,7 +161,7 @@ def run_experiment(
     ):
         started = time.perf_counter()  # repro: ignore[wall-clock] preparation is host-side work
         with obs.spans.span("preparation"):
-            prepared = native.prepare(dep, scenario, congestion_aware, update_type)
+            prepared = native.prepare(dep, scenario, congestion_aware)
         prep_time = time.perf_counter() - started  # repro: ignore[wall-clock] preparation is host-side work
         if native.trigger is not None:
             with obs.spans.span("uim_fanout"):

@@ -19,9 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.algos.registry import build_system, system_row
 from repro.consistency import LiveChecker
-from repro.core.messages import UpdateType
-from repro.harness.experiment import path_establishment_time, resolve_system
+from repro.harness.experiment import path_establishment_time
 from repro.harness.probes import (
     ProbeSource,
     deliveries,
@@ -62,14 +62,15 @@ def run_fig2(
     """
     scenario = scenario if scenario is not None else InconsistentUpdateScenario()
     params = params if params is not None else SimParams()
-    native, update_type = resolve_system(system)
+    row = system_row(system)
+    native = row.system()
     if native.push_blind is None or native.is_first_update is None:
         raise ValueError(f"fig2 supports p4update and ezsegway, not {system!r}")
-    if update_type is UpdateType.DUAL:
+    if row.forced_layer == "DUAL":
         raise ValueError("fig2 pins single-layer updates; it cannot run 'p4update-dl'")
     topo = fig2_topology()
     topo.set_controller(scenario.config_a[0])
-    dep = native.build(topo, params=params)
+    dep = build_system(system, topo, params=params)
     checker = LiveChecker(dep.forwarding_state, dep.network.trace)
     flow = Flow.between(
         scenario.config_a[0], scenario.config_a[-1], size=1.0,
@@ -177,12 +178,8 @@ def run_fig4(
     ``p4update`` leaves each to the §7.5 selection rule."""
     scenario = scenario if scenario is not None else FastForwardScenario()
     params = params if params is not None else SimParams()
-    native, update_type = resolve_system(system)
-    if native.push_blind is None:       # not part of the §4 demonstrations
+    if system_row(system).system().push_blind is None:   # not in the §4 demonstrations
         raise ValueError(f"fig4 supports p4update and ezsegway, not {system!r}")
-    # Only P4Update names carry a layer, and only its update_flow
-    # takes one.
-    forced = () if update_type is None else (update_type,)
     topo = six_node_topology()
     topo.set_controller(scenario.initial[0])
 
@@ -191,7 +188,10 @@ def run_fig4(
         old_path=list(scenario.initial),
     )
 
-    dep = native.build(topo, params=params)
+    dep = build_system(system, topo, params=params)
+    # Only P4Update rows carry a layer, and only its update_flow
+    # takes one.
+    forced = () if dep.update_type is None else (dep.update_type,)
     checker = LiveChecker(dep.forwarding_state, dep.network.trace)
     dep.install_flow(flow)
     dep.controller.update_flow(flow.flow_id, list(scenario.u2), *forced)

@@ -16,7 +16,7 @@ from typing import Any, Iterator, Optional
 
 import numpy as np
 
-from repro.harness.experiment import SYSTEMS, run_experiment
+from repro.harness.experiment import experiment_row, run_experiment
 from repro.harness.prep import (
     DEFAULT_COUNT_UPDATES,
     DEFAULT_UPDATES,
@@ -60,7 +60,11 @@ def seeded_scenario(topology: str, scenario: str, seed: int) -> UpdateScenario:
 
 def _validate_experiment(spec: SweepSpec) -> None:
     body = spec.body
-    _check_names("system", body["systems"], SYSTEMS)
+    for name in body["systems"]:
+        try:
+            experiment_row(name)
+        except ValueError as exc:
+            raise SweepSpecError(str(exc)) from None
     _check_names("topology", body["topologies"], TOPOLOGIES)
     _check_names("scenario", body["scenarios"], SCENARIO_KINDS)
     if not (body["systems"] and body["topologies"] and body["scenarios"]

@@ -490,7 +490,9 @@ class ServiceOrchestrator:
             target = list(flow.alternate)
         else:
             target = list(flow.primary)
-        prepared = self.controller.prepare_update(request.flow_id, target)
+        prepared = self.controller.prepare_update(
+            request.flow_id, target, self.deployment.update_type
+        )
         request.version = prepared.version
         request.pushed_ms = self.engine.now
         if self._causal is not None:

@@ -20,7 +20,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from repro.algos.registry import build_strategy_runtime
+from repro.algos.registry import build_system
 from repro.chaos.runner import schedule_topo_events, trace_signature
 from repro.consistency.checker import LiveChecker
 from repro.obs.causal import CausalTracker, nearest_rank, summarize_attribution
@@ -84,9 +84,7 @@ def build_service_deployment(
     params = SimParams(seed=spec.seed)
     if spec.params:
         params = dataclasses.replace(params, **dict(spec.params))
-    deployment = build_strategy_runtime(
-        strategy or spec.strategy, topo, params=params, obs=obs
-    )
+    deployment = build_system(strategy or spec.strategy, topo, params=params, obs=obs)
     deployment.set_congestion_aware(spec.congestion_aware)
     flow_rng = np.random.default_rng([spec.seed, _FLOW_STREAM])
     population = build_flow_population(

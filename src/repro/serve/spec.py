@@ -155,12 +155,12 @@ class ServeSpec:
             raise ServeSpecError("serve spec needs horizon_ms > 0")
         # Lazy import: repro.algos stays import-light (builders resolve
         # their implementations on first build, not here).
-        from repro.algos.registry import strategy_names
+        from repro.algos.registry import system_names
 
-        if self.strategy not in strategy_names():
+        if self.strategy not in system_names():
             raise ServeSpecError(
                 f"unknown strategy {self.strategy!r}; "
-                f"registered: {strategy_names()}"
+                f"registered: {system_names()}"
             )
         unknown = set(self.params) - OVERRIDABLE_PARAMS
         if unknown:

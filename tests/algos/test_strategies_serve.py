@@ -11,7 +11,7 @@ import os
 
 import pytest
 
-from repro.algos.registry import strategy_names
+from repro.algos.registry import system_names
 from repro.serve.service import run_service
 from repro.serve.spec import load_serve_spec
 
@@ -25,7 +25,7 @@ def _smoke_spec(strategy: str):
     return load_serve_spec(doc)
 
 
-@pytest.mark.parametrize("strategy", strategy_names())
+@pytest.mark.parametrize("strategy", system_names())
 def test_strategy_serves_smoke_clean(strategy):
     result = run_service(_smoke_spec(strategy))
     assert result.consistent, (strategy, result.violations)

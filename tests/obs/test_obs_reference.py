@@ -34,17 +34,22 @@ _OBSERVED = (
 #: before they bound families (the same under ``PYTHONHASHSEED`` 0 and 1).
 #: The reference swap shares today's hook sites, so this is what holds
 #: *which* events each site counts.  The four baseline runs were pinned
-#: while their ``rule_installs`` were still counted at the switch.
+#: while their ``rule_installs`` were still counted at the switch, and
+#: re-pinned once when the baseline controllers began firing their own
+#: completion callback where they record ``update_done`` (it used to come
+#: from a trace subscriber that ran before the orchestrator's causal tap):
+#: each completed request's DAG gained that ``update_done`` event, as
+#: P4Update's DAGs always had; metrics and attribution rows did not move.
 PINNED = {
     "serve_forced_sl": "60a5ed52ab29e62bd328a7a0df56f7d0a016ef486a773518f077f122cd1133c1",
     "serve_forced_dl": "5693d95151ec99a94a4d676cf3ef7abb15b3295f020d1d1e7eefb6878d565ddb",
     "serve_chaos_closed": "df93e2d3765426a30330922a1e40d628c45635c2ad7499120306e0b117b26b91",
     "faults_distance_skew": "201d0c5ab6d13db69c2c17750ad6a47c16429bc57d4d6ff94419012886ef3893",
     "two_phase_commit": "c72983c752982899296215c51b29be34910568055b5aaf926d184fb42603b6a6",
-    "serve_ezsegway_open": "4247025b27cb08fd37a964c7296340378754db7216e33e0746474197bc4ac378",
-    "serve_ezsegway_chaos_closed": "7d29eb460bb7aafb98f184f42f703a80fde133b21bd7ddf2c5f824fa26fac621",
-    "serve_central_open": "e4dc0b32109e2add98635f5d58fa90cb62cf73a70f93b7546ae0560da3e6603d",
-    "serve_central_chaos_closed": "c98470510acbe3329916ab2df5d92a4b0c81d5fe1ca1e51aa4565ec568a05f7e",
+    "serve_ezsegway_open": "fd793ea30586e547dfa6e27c58f441c58e6c6665255aa86b0e1dd5650a4af28d",
+    "serve_ezsegway_chaos_closed": "0f5be64b9b98259df849d62d6f65c20e754a3b28f4dfbe952cf0eadb543101fe",
+    "serve_central_open": "f35db67c2f788ce5c0154514281e64cf0a767ebe2a318fed4e6018a08470d61f",
+    "serve_central_chaos_closed": "7c7e3c549f4ae079d6fc8e867ee0d0986e84aed935ef6e7a926384d6133d35e5",
 }
 
 
