@@ -13,7 +13,8 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from repro.algos.registry import system_names
-from repro.serve.service import run_service, slo_summary
+from repro.obs.causal import slo_summary
+from repro.serve.service import run_service
 from repro.serve.sweep_kind import (
     SERVE_FIELDS,
     mean_throughput,

@@ -25,6 +25,7 @@ import numpy as np
 from repro.core.messages import Sequenced
 from repro.sim.engine import Event
 from repro.sim.node import Node
+from repro.sim.trace import KIND_RETRANSMIT
 
 
 @dataclass
@@ -131,19 +132,10 @@ class ReliableControlSender:
             return
         pending.attempt += 1
         self.retransmissions += 1
-        self.node.obs.count(
-            "control_retransmissions", target=pending.envelope.target
+        flow_id = getattr(pending.envelope.inner, "flow_id", None)
+        self.node.network.trace.record(
+            self.node.engine.now, KIND_RETRANSMIT, self.node.name,
+            **({} if flow_id is None else {"flow": flow_id}),
+            target=pending.envelope.target, attempt=pending.attempt,
         )
-        causal = self.node.obs.causal
-        if causal is not None:
-            # The ack-less wait this timer just expired over belongs to
-            # the in-flight request's retry_backoff segment.
-            inner = pending.envelope.inner
-            flow_id = getattr(inner, "flow_id", None)
-            if flow_id is not None:
-                causal.retry(
-                    flow_id, self.node.engine.now, "retransmit",
-                    self.node.name, target=pending.envelope.target,
-                    attempt=pending.attempt,
-                )
         self._transmit(seq)

@@ -38,6 +38,7 @@ from repro.params import SimParams
 from repro.sim.node import ControllerNode
 from repro.sim.trace import (
     KIND_FLOW_PARKED,
+    KIND_RETRIGGER,
     KIND_UPDATE_ABORTED,
     KIND_UPDATE_DONE,
 )
@@ -668,14 +669,9 @@ class P4UpdateController(ControllerNode):
         if self._retriggers.get(key, 0) >= self.max_retriggers:
             return
         self._retriggers[key] = self._retriggers.get(key, 0) + 1
-        self.obs.count("update_retriggers", node=self.name)
-        causal = self.obs.causal
-        if causal is not None:
-            # The wait that forced this re-trigger is retry_backoff on
-            # the affected request's critical path (repro.obs.causal).
-            causal.retry(
-                flow_id, self.now, "retrigger", self.name, version=version
-            )
+        self.network.trace.record(
+            self.now, KIND_RETRIGGER, self.name, flow=flow_id, version=version
+        )
         for uim in prepared.uims:
             if uim.is_flow_egress or uim.is_segment_egress:
                 self._send_to_switch(uim)

@@ -4,11 +4,20 @@ The serve layer (``repro.serve``) reports end-to-end SLO percentiles,
 but a percentile cannot say *where* a slow request spent its time: in
 the admission queue, blocked behind a same-flow/footprint conflict,
 waiting out control-plane retransmissions under chaos, or in data-plane
-verification.  The :class:`CausalTracker` threads a ``request_id``
-context from admission through the orchestrator, the controller's
-prepare/push path, reliable-control retries and the per-switch
-verification events, recording a causal DAG of typed edges per request
-— every timestamp on the **simulated** clock.
+verification.  The :class:`CausalTracker` follows each request from
+admission through the orchestrator, the controller's prepare/push path,
+reliable-control retries and the per-switch verification events,
+recording a causal DAG of typed edges per request — every timestamp on
+the **simulated** clock.
+
+Attribution is a view of the trace: every input is a trace record that
+every run writes (the ``request_*`` lifecycle, the flow-tagged install,
+verify and completion kinds, ``retransmit`` and ``retrigger``).  The
+tracker is a kind-routed trace subscriber — :meth:`ObsContext.bind
+<repro.obs.context.ObsContext.bind>` attaches ``ObsContext.causal`` when
+it is set — and :meth:`CausalTracker.from_trace` feeds an exported
+trace file through the same entry point, so a trace written by any
+serve run can be attributed afterwards without a rerun.
 
 Attribution model
 -----------------
@@ -32,12 +41,10 @@ acceptance bound.  ``tests/obs/reference_causal.py`` keeps the exact
 rational accumulation these replaced and a property test holds the two
 equal bit for bit.
 
-Zero-overhead contract: the tracker hangs off ``ObsContext.causal``
-(``None`` on :data:`~repro.obs.context.NULL_OBS`), every hook site
-guards with one attribute read, and the tracker never touches the sim
-clock, the RNG streams or the :class:`~repro.sim.trace.Trace` — a
-causal-traced run's trace signature is byte-identical to an untraced
-run (asserted by ``tests/serve/test_causal_service.py``).
+The tracker only reads: it never touches the sim clock, the RNG
+streams or the :class:`~repro.sim.trace.Trace`, so a causal-traced
+run's trace signature is byte-identical to an untraced run's (asserted
+by ``tests/serve/test_causal_service.py``).
 """
 
 from __future__ import annotations
@@ -46,6 +53,25 @@ import itertools
 import json
 import math
 from typing import Any, Iterable, Iterator, Optional
+
+from repro.sim.trace import (
+    KIND_FLOW_PARKED,
+    KIND_REQUEST_ADMITTED,
+    KIND_REQUEST_DISPATCHED,
+    KIND_REQUEST_DONE,
+    KIND_REQUEST_PUSHED,
+    KIND_REQUEST_REQUEUED,
+    KIND_REQUEST_SUBMITTED,
+    KIND_REQUEST_WAIT,
+    KIND_RETRANSMIT,
+    KIND_RETRIGGER,
+    KIND_RULE_CHANGE,
+    KIND_UPDATE_ABORTED,
+    KIND_UPDATE_DONE,
+    KIND_VERIFY_FAIL,
+    KIND_VERIFY_OK,
+    TraceEvent,
+)
 
 #: The fixed attribution schema: every simulated millisecond of a
 #: request's life lands in exactly one of these buckets.
@@ -59,10 +85,16 @@ SEGMENTS = (
     "recovery",           # failure recovery owns the flow (abort/park/reroute)
 )
 
-#: Wait-states a queued request can occupy (subset of SEGMENTS).
-WAIT_STATES = ("queue_wait", "conflict_wait", "recovery")
-
 _ORCH = "orchestrator"
+
+#: Retries of a pushed update: the wait each one ended is retry_backoff.
+_RETRY_KINDS = frozenset((KIND_RETRANSMIT, KIND_RETRIGGER))
+#: Flow-tagged kinds, routed to the flow's in-flight request.  Same-flow
+#: updates serialize, so the flow identifies the request unambiguously.
+_FLOW_KINDS = frozenset((
+    KIND_RULE_CHANGE, "rule_staged", KIND_VERIFY_OK, KIND_VERIFY_FAIL,
+    KIND_UPDATE_DONE, KIND_UPDATE_ABORTED, KIND_FLOW_PARKED,
+)) | _RETRY_KINDS
 
 
 class _Track:
@@ -100,67 +132,82 @@ def _totals(track: _Track) -> tuple[float, dict[str, float]]:
 
 
 class CausalTracker:
-    """Records one causal DAG per update request.
+    """One causal DAG per update request, read off the trace.
 
-    All methods are cheap bookkeeping on plain python state; none of
-    them schedules events, samples RNGs or records trace events, so a
-    tracked run is bit-identical to an untracked one in simulated time.
+    A kind-routed trace subscriber (``trace.subscribe(tracker,
+    tracker.routes)``), like :class:`~repro.obs.derived.DerivedMetrics`:
+    every event it reads is in the always-on trace, so a live tracker
+    and :meth:`from_trace` over an exported trace file build the same
+    DAGs.  Pure bookkeeping on plain python state: it never schedules
+    events, samples RNGs or records trace events.
     """
+
+    #: Every kind the tracker reads.
+    routes = _FLOW_KINDS | {
+        KIND_REQUEST_SUBMITTED, KIND_REQUEST_ADMITTED, KIND_REQUEST_WAIT,
+        KIND_REQUEST_DISPATCHED, KIND_REQUEST_REQUEUED, KIND_REQUEST_PUSHED,
+        KIND_REQUEST_DONE,
+    }
 
     def __init__(self) -> None:
         self._tracks: dict[int, _Track] = {}
+        # While a request is in flight its flow routes events to it (at
+        # most one in-flight request per flow, by construction).
         self._by_flow: dict[int, int] = {}
 
-    # -- request lifecycle --------------------------------------------------
+    @classmethod
+    def from_trace(cls, events: Iterable[TraceEvent]) -> "CausalTracker":
+        """A tracker fed every routed event of ``events``, in order."""
+        tracker = cls()
+        for event in events:
+            if event.kind in cls.routes:
+                tracker(event)
+        return tracker
 
-    def submit(self, request_id: int, flow_id: int, t: float) -> None:
-        self._tracks[request_id] = _Track(request_id, flow_id, t)
-
-    def mark(
-        self,
-        request_id: int,
-        t: float,
-        kind: str,
-        node: str,
-        state: Optional[str] = None,
-        close_as: Optional[str] = None,
-        **detail: Any,
-    ) -> None:
-        """Append one causal event, closing the open interval.
-
-        The interval ``[last_event, t]`` is attributed to ``close_as``
-        (default: the request's current segment state); afterwards the
-        state becomes ``state`` when given.
-        """
-        track = self._tracks.get(request_id)
-        if track is None or track.done:
+    def __call__(self, event: TraceEvent) -> None:
+        t, kind, node, detail = event
+        if kind == KIND_REQUEST_SUBMITTED:
+            request_id = detail["request"]
+            self._tracks[request_id] = _Track(request_id, detail["flow"], t)
             return
-        self._append(track, t, kind, node, close_as, detail)
-        if state is not None:
-            track.state = state
-
-    def set_state(self, request_id: int, t: float, state: str) -> None:
-        """Reclassify the wait state; records an edge only on change."""
-        track = self._tracks.get(request_id)
-        if track is None or track.done or track.state == state:
+        if kind in _FLOW_KINDS:
+            self._flow_event(t, kind, node, detail)
             return
-        self._append(
-            track, t, "wait", _ORCH, None, {"from": track.state, "to": state}
-        )
-        track.state = state
-
-    def pushed(self, request_id: int, t: float, node: str,
-               version: Optional[int]) -> None:
-        """The prepared update entered the control channel."""
+        request_id = detail["request"]
         track = self._tracks.get(request_id)
-        if track is None or track.done:
+        if track is None:
             return
-        self._append(track, t, "pushed", node, None, {"version": version})
-        track.state = "control_rtt"
-        track.pushed = True
-        track.version = version
+        if kind in (KIND_REQUEST_DONE, KIND_REQUEST_REQUEUED):
+            if self._by_flow.get(track.flow_id) == request_id:
+                del self._by_flow[track.flow_id]
+        if track.done:
+            return
+        if kind == KIND_REQUEST_ADMITTED:
+            self._append(track, t, "admitted", node, None,
+                         {"queue_depth": detail["queue_depth"]})
+        elif kind == KIND_REQUEST_WAIT:
+            # Written only when the reason changes, so never a no-op.
+            self._append(track, t, "wait", node, None,
+                         {"from": track.state, "to": detail["to"]})
+            track.state = detail["to"]
+        elif kind == KIND_REQUEST_DISPATCHED:
+            self._append(track, t, "dispatched", node, None, {})
+            track.state = "prepare"
+            self._by_flow[track.flow_id] = request_id
+        elif kind == KIND_REQUEST_REQUEUED:
+            self._append(track, t, "requeued", node, None, {})
+            track.state = "recovery"
+        elif kind == KIND_REQUEST_PUSHED:
+            # The prepared update entered the control channel.
+            version = detail["version"]
+            self._append(track, t, "pushed", node, None, {"version": version})
+            track.state = "control_rtt"
+            track.pushed = True
+            track.version = version
+        else:
+            self._finish(track, t, node, detail["outcome"])
 
-    def finish(self, request_id: int, t: float, outcome: str) -> None:
+    def _finish(self, track: _Track, t: float, node: str, outcome: str) -> None:
         """Terminal outcome reached; closes the tail interval.
 
         * ``completed`` — a tail still in ``control_rtt`` or
@@ -170,9 +217,6 @@ class CausalTracker:
           ``recovery``;
         * anything else closes as the current state.
         """
-        track = self._tracks.get(request_id)
-        if track is None or track.done:
-            return
         if outcome in ("aborted", "flow_parked"):
             close_as = "recovery"
         elif outcome == "completed" and track.state in (
@@ -181,72 +225,44 @@ class CausalTracker:
             close_as = "control_rtt"
         else:
             close_as = track.state
-        self._append(track, t, "done", _ORCH, close_as, {"outcome": outcome})
+        self._append(track, t, "done", node, close_as, {"outcome": outcome})
         track.done = True
         track.outcome = outcome
 
-    # -- flow routing (control/data plane hooks) ----------------------------
-
-    def bind_flow(self, flow_id: int, request_id: int) -> None:
-        """While a request is in flight its flow routes events to it
-        (at most one in-flight request per flow, by construction)."""
-        self._by_flow[flow_id] = request_id
-
-    def unbind_flow(self, flow_id: int) -> None:
-        self._by_flow.pop(flow_id, None)
-
-    def flow_event(
-        self, flow_id: Any, t: float, kind: str, node: str, **detail: Any
+    def _flow_event(
+        self, t: float, kind: str, node: str, detail: dict[str, Any]
     ) -> None:
-        """Route a flow-tagged trace event to its in-flight request.
+        """Route a flow-tagged event to its flow's in-flight request.
 
         Only meaningful after the push (pre-push events for the flow —
         e.g. recovery writes — belong to the chaos layer, not to this
-        request).  ``update_done`` closes as ``control_rtt`` (the UFM
-        just landed back at the controller); abort/park events switch
-        the request into ``recovery``; everything else is data-plane
-        install/verify work.
+        request).  A retry closes the idle gap it waited out as
+        ``retry_backoff`` and the resent message then travels as
+        ``control_rtt``; ``update_done`` closes as ``control_rtt`` (the
+        UFM just landed back at the controller); abort/park events
+        switch the request into ``recovery``; everything else is
+        data-plane install/verify work.
         """
-        request_id = self._by_flow.get(flow_id)  # type: ignore[arg-type]
-        if request_id is None:
-            return
-        track = self._tracks.get(request_id)
+        track = self._tracks.get(self._by_flow.get(detail.get("flow")))  # type: ignore[arg-type]
         if track is None or track.done or not track.pushed:
             return
-        if kind == "update_done":
-            close_as: Optional[str] = "control_rtt"
+        close_as: Optional[str] = None
+        if kind in _RETRY_KINDS:
+            if track.state in ("control_rtt", "dataplane_verify"):
+                close_as = "retry_backoff"
             state = "control_rtt"
-        elif kind in ("update_aborted", "flow_parked"):
-            close_as = None
-            state = "recovery"
+            note = {k: v for k, v in detail.items() if k != "flow"}
         else:
-            close_as = None
-            state = "dataplane_verify"
-        self._append(track, t, kind, node, close_as, detail)
+            if kind == KIND_UPDATE_DONE:
+                close_as = state = "control_rtt"
+            elif kind in (KIND_UPDATE_ABORTED, KIND_FLOW_PARKED):
+                state = "recovery"
+            else:
+                state = "dataplane_verify"
+            version = detail.get("version")
+            note = {} if version is None else {"version": version}
+        self._append(track, t, kind, node, close_as, note)
         track.state = state
-
-    def retry(
-        self, flow_id: Any, t: float, kind: str, node: str, **detail: Any
-    ) -> None:
-        """A retransmission / §11 re-trigger fired for the flow.
-
-        The idle gap since the last event is what the retry waited out
-        — it closes as ``retry_backoff``; the resent message then
-        travels as ``control_rtt``.
-        """
-        request_id = self._by_flow.get(flow_id)  # type: ignore[arg-type]
-        if request_id is None:
-            return
-        track = self._tracks.get(request_id)
-        if track is None or track.done or not track.pushed:
-            return
-        close_as = (
-            "retry_backoff"
-            if track.state in ("control_rtt", "dataplane_verify")
-            else None
-        )
-        self._append(track, t, kind, node, close_as, detail)
-        track.state = "control_rtt"
 
     # -- internals ----------------------------------------------------------
 
@@ -379,6 +395,19 @@ def nearest_rank(values: list[float], pct: int) -> Optional[float]:
     return ordered[rank - 1]
 
 
+#: SLO percentiles reported per latency series.
+_PERCENTILES = (50, 90, 99)
+
+
+def slo_summary(values: list[float]) -> dict[str, Any]:
+    """Count, nearest-rank SLO percentiles and max of one latency series."""
+    doc: dict[str, Any] = {"count": len(values)}
+    for pct in _PERCENTILES:
+        doc[f"p{pct}"] = nearest_rank(values, pct)
+    doc["max"] = max(values) if values else None
+    return doc
+
+
 def summarize_attribution(rows: Iterable[dict]) -> dict[str, Any]:
     """Deterministic fleet summary of per-request attribution rows.
 
@@ -389,12 +418,11 @@ def summarize_attribution(rows: Iterable[dict]) -> dict[str, Any]:
     rows = list(rows)
     doc: dict[str, Any] = {"requests": len(rows)}
     e2e = [float(r["e2e_ms"]) for r in rows]
-    doc["e2e_ms"] = _series(e2e)
+    doc["e2e_ms"] = {**slo_summary(e2e), "total": sum(e2e)}
     segments: dict[str, Any] = {}
     for segment in SEGMENTS:
-        segments[segment] = _series(
-            [float(r["segments"][segment]) for r in rows]
-        )
+        values = [float(r["segments"][segment]) for r in rows]
+        segments[segment] = {**slo_summary(values), "total": sum(values)}
     doc["segments"] = segments
     doc["residual_max_ms"] = max(
         (
@@ -404,17 +432,6 @@ def summarize_attribution(rows: Iterable[dict]) -> dict[str, Any]:
         default=0.0,
     )
     return doc
-
-
-def _series(values: list[float]) -> dict[str, Any]:
-    return {
-        "count": len(values),
-        "p50": nearest_rank(values, 50),
-        "p90": nearest_rank(values, 90),
-        "p99": nearest_rank(values, 99),
-        "max": max(values) if values else None,
-        "total": sum(values),
-    }
 
 
 # -- Perfetto / Chrome trace export -------------------------------------------
@@ -507,8 +524,13 @@ def write_causal_jsonl(dags: Iterable[dict], path_or_file: Any) -> int:
     return count
 
 
+#: What every line of a sidecar carries (a DAG of :meth:`CausalTracker.dags`).
+_DAG_KEYS = ("request_id", "flow_id", "e2e_ms", "segments", "events", "edges")
+
+
 def iter_causal_jsonl(path_or_file: Any) -> Iterator[dict]:
-    """Stream request DAGs back from a sidecar file."""
+    """Stream request DAGs back from a sidecar file; a line that is
+    not a request DAG (e.g. a trace record) is a ``ValueError``."""
     from repro.obs.tracefile import open_jsonl
 
     handle, owned = open_jsonl(path_or_file, "r")
@@ -525,6 +547,12 @@ def iter_causal_jsonl(path_or_file: Any) -> Iterator[dict]:
                 ) from exc
             if not isinstance(doc, dict):
                 raise ValueError(f"bad causal line {lineno}: not an object")
+            missing = [key for key in _DAG_KEYS if key not in doc]
+            if missing:
+                raise ValueError(
+                    f"bad causal line {lineno}: not a request DAG "
+                    f"(no {', '.join(missing)})"
+                )
             yield doc
     finally:
         if owned:

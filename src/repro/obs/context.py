@@ -70,9 +70,8 @@ class ObsContext:
         self.metrics = metrics
         self.spans = spans
         self.profiler = profiler
-        # Per-request causal tracing (repro.obs.causal).  Hook sites
-        # guard with ``if self.obs.causal is not None:`` — one slot
-        # read on the disabled path, same contract as ``enabled``.
+        # Per-request causal tracing (repro.obs.causal): a trace
+        # subscriber, attached to the run's trace by bind().
         self.causal = causal
         # The registry's class constant, copied so the hook-site
         # guards on fault-free paths are a slot read.
@@ -80,8 +79,8 @@ class ObsContext:
 
     def bind(self, network) -> None:
         """Point the span tracker's simulated clock at ``network``'s
-        engine and subscribe the derived metrics to its trace.  No-op
-        when disabled."""
+        engine and subscribe the derived metrics to its trace (when
+        enabled), and the causal tracker (when set, metrics or not)."""
         if self.enabled:
             # Lazy: repro.obs.derived imports repro.sim.trace, whose
             # package imports repro.sim.node, which imports this module.
@@ -90,6 +89,8 @@ class ObsContext:
             self.spans.sim_clock = EngineClock(network.engine)
             view = DerivedMetrics(self.metrics)
             network.trace.subscribe(view, view.routes)
+        if self.causal is not None:
+            network.trace.subscribe(self.causal, self.causal.routes)
 
     def count(self, name: str, amount: float = 1.0, **labels) -> None:
         """Convenience: increment a labeled counter (guarded)."""

@@ -25,6 +25,8 @@ from repro.sim.trace import (
     KIND_MSG_SEND,
     KIND_REQUEST_DONE,
     KIND_REQUEST_SHED,
+    KIND_RETRANSMIT,
+    KIND_RETRIGGER,
     KIND_RULE_CHANGE,
     KIND_SWITCH_CRASH,
     KIND_SWITCH_RESTART,
@@ -52,6 +54,8 @@ VIEWS = (
     ("messages_sent", ("node", "plane", "type"), (KIND_MSG_SEND, KIND_MSG_DROP)),
     ("messages_received", ("node", "plane", "type"), (KIND_MSG_RECV,)),
     ("messages_dropped", ("node", "plane", "type"), (KIND_MSG_DROP,)),
+    ("control_retransmissions", ("target",), (KIND_RETRANSMIT,)),
+    ("update_retriggers", ("node",), (KIND_RETRIGGER,)),
 )
 
 #: ``(counter, kind) -> detail keys``: the counter skips an event of the

@@ -32,14 +32,10 @@ from typing import Any, Optional
 import networkx as nx
 
 from repro.analysis.interference import footprint_from_paths
+from repro.obs.causal import slo_summary
 from repro.obs.context import NULL_OBS, ObsContext
 from repro.ops.spec import SessionSpec
-from repro.serve.service import (
-    ServiceResult,
-    ServiceSession,
-    link_capacities,
-    slo_summary,
-)
+from repro.serve.service import ServiceResult, ServiceSession, link_capacities
 
 #: Simulated delay before re-probing a busy flow (ms).
 _RETRY_MS = 10.0

@@ -47,6 +47,7 @@ class UpdateRequest:
         "completed_ms",
         "version",
         "outcome",
+        "wait_reason",
     )
 
     def __init__(self, request_id: int, flow_id: int, submitted_ms: float) -> None:
@@ -64,6 +65,9 @@ class UpdateRequest:
         self.completed_ms: Optional[float] = None
         self.version: Optional[int] = None
         self.outcome: Optional[str] = None
+        # The wait reason last recorded for the request while queued
+        # (``request_wait`` is written only when it changes).
+        self.wait_reason = "queue_wait"
 
     @property
     def terminal(self) -> bool:

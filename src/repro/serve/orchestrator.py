@@ -50,35 +50,19 @@ from repro.serve.model import (
 from repro.serve.spec import ServeSpec
 from repro.serve.workload import ServiceFlow
 from repro.sim.trace import (
-    KIND_FLOW_PARKED,
+    KIND_REQUEST_ADMITTED,
     KIND_REQUEST_DISPATCHED,
     KIND_REQUEST_DONE,
+    KIND_REQUEST_PUSHED,
+    KIND_REQUEST_REQUEUED,
     KIND_REQUEST_SHED,
     KIND_REQUEST_SUBMITTED,
+    KIND_REQUEST_WAIT,
     KIND_RULE_CHANGE,
-    KIND_UPDATE_ABORTED,
-    KIND_UPDATE_DONE,
-    KIND_VERIFY_FAIL,
-    KIND_VERIFY_OK,
     TraceEvent,
 )
 
 _ORCH = "orchestrator"
-
-#: Flow-tagged trace kinds routed into the causal tracker.  Same-flow
-#: updates serialize (one in-flight request per flow), so the flow id
-#: in the event detail identifies the request unambiguously.
-_CAUSAL_TRACE_KINDS = frozenset(
-    {
-        KIND_RULE_CHANGE,
-        "rule_staged",
-        KIND_VERIFY_OK,
-        KIND_VERIFY_FAIL,
-        KIND_UPDATE_DONE,
-        KIND_UPDATE_ABORTED,
-        KIND_FLOW_PARKED,
-    }
-)
 
 
 class ServiceOrchestrator:
@@ -98,11 +82,6 @@ class ServiceOrchestrator:
         self.controller = deployment.controller
         self.trace = deployment.network.trace
         self.obs = obs if obs is not None else NULL_OBS
-        # Per-request causal tracing (None unless the run enables it).
-        # The tracker is pure bookkeeping: it never schedules events,
-        # samples RNGs or records trace events, so tracked runs stay
-        # bit-identical to untracked runs in simulated time.
-        self._causal = self.obs.causal
         metrics = self.obs.metrics
         self._m_admission_wait = metrics.family("histogram", "serve_admission_wait_ms")
         self._m_prepare = metrics.family("histogram", "serve_prepare_ms")
@@ -143,10 +122,7 @@ class ServiceOrchestrator:
         # Closed-loop hook: called once per terminal outcome.
         self.on_terminal: Optional[Callable[[UpdateRequest], None]] = None
         self.controller.update_listeners.append(self._on_update_event)
-        self.trace.subscribe(
-            self._on_trace_event,
-            (KIND_RULE_CHANGE,) if self._causal is None else _CAUSAL_TRACE_KINDS,
-        )
+        self.trace.subscribe(self._on_trace_event, (KIND_RULE_CHANGE,))
 
     # -- token bucket (simulated time, lazy refill) -------------------------
 
@@ -200,21 +176,12 @@ class ServiceOrchestrator:
             now, KIND_REQUEST_SUBMITTED, _ORCH,
             request=request.request_id, flow=flow_id,
         )
-        if self._causal is not None:
-            self._causal.submit(request.request_id, flow_id, now)
         if self.spec.conflict_policy == "merge":
             self._merge_queued(request)
         if len(self.pending) >= self.spec.queue_depth:
             self._shed(request)
         else:
-            request.admitted_ms = now
-            request.queue_depth_at_admit = len(self.pending)
-            self.pending.append(request)
-            if self._causal is not None:
-                self._causal.mark(
-                    request.request_id, now, "admitted", _ORCH,
-                    queue_depth=request.queue_depth_at_admit,
-                )
+            self._admit(request)
         self._gauges()
         self.pump()
         return request
@@ -245,17 +212,18 @@ class ServiceOrchestrator:
         else:
             self.parked_requests.append(request)
 
+    def _admit(self, request: UpdateRequest) -> None:
+        request.admitted_ms = self.engine.now
+        request.queue_depth_at_admit = len(self.pending)
+        self.pending.append(request)
+        self.trace.record(
+            self.engine.now, KIND_REQUEST_ADMITTED, _ORCH,
+            request=request.request_id, queue_depth=request.queue_depth_at_admit,
+        )
+
     def _drain_parked(self) -> None:
         while self.parked_requests and len(self.pending) < self.spec.queue_depth:
-            request = self.parked_requests.popleft()
-            request.admitted_ms = self.engine.now
-            request.queue_depth_at_admit = len(self.pending)
-            self.pending.append(request)
-            if self._causal is not None:
-                self._causal.mark(
-                    request.request_id, self.engine.now, "admitted", _ORCH,
-                    queue_depth=request.queue_depth_at_admit,
-                )
+            self._admit(self.parked_requests.popleft())
 
     # -- dispatch ------------------------------------------------------------
 
@@ -391,13 +359,13 @@ class ServiceOrchestrator:
                         self._record_gate(request, "warn", conflicts)
                 if not self._take_token():
                     self._arm_token_wake()
-                    self._causal_reclassify()
+                    self._record_wait_reasons()
                     self._gauges()
                     return
                 self.pending.remove(request)
                 self._dispatch(request)
                 progressed = True
-        self._causal_reclassify()
+        self._record_wait_reasons()
         self._gauges()
 
     def _wait_reason(self, request: UpdateRequest) -> str:
@@ -422,20 +390,21 @@ class ServiceOrchestrator:
             return "conflict_wait"
         return "queue_wait"
 
-    def _causal_reclassify(self) -> None:
-        """Re-label every waiting request's current segment.
+    def _record_wait_reasons(self) -> None:
+        """Record each waiting request whose wait reason changed.
 
         Runs at each ``pump`` exit point — the only instants blocking
         state changes — and only *reads* orchestrator/controller state,
-        so simulated time is untouched."""
-        causal = self._causal
-        if causal is None:
-            return
-        now = self.engine.now
-        for request in self.pending:
-            causal.set_state(request.request_id, now, self._wait_reason(request))
-        for request in self.parked_requests:
-            causal.set_state(request.request_id, now, self._wait_reason(request))
+        so no event is scheduled and no RNG is drawn."""
+        for queue in (self.pending, self.parked_requests):
+            for request in queue:
+                reason = self._wait_reason(request)
+                if reason != request.wait_reason:
+                    request.wait_reason = reason
+                    self.trace.record(
+                        self.engine.now, KIND_REQUEST_WAIT, _ORCH,
+                        request=request.request_id, to=reason,
+                    )
 
     def _dispatch(self, request: UpdateRequest) -> None:
         now = self.engine.now
@@ -452,11 +421,6 @@ class ServiceOrchestrator:
             now, KIND_REQUEST_DISPATCHED, _ORCH,
             request=request.request_id, flow=request.flow_id,
         )
-        if self._causal is not None:
-            self._causal.mark(
-                request.request_id, now, "dispatched", _ORCH, state="prepare"
-            )
-            self._causal.bind_flow(request.flow_id, request.request_id)
         if self.obs.enabled:
             self._m_admission_wait[()].observe(now - request.submitted_ms)
         # The controller is single-threaded: preparation happens after
@@ -477,11 +441,11 @@ class ServiceOrchestrator:
             # Failure recovery grabbed the flow between dispatch and
             # execution — back to the queue, slot freed.
             self._release(request.flow_id)
-            if self._causal is not None:
-                self._causal.mark(
-                    request.request_id, self.engine.now, "requeued", _ORCH,
-                    state="recovery",
-                )
+            request.wait_reason = "recovery"
+            self.trace.record(
+                self.engine.now, KIND_REQUEST_REQUEUED, _ORCH,
+                request=request.request_id,
+            )
             self.pending.appendleft(request)
             self.pump()
             return
@@ -495,11 +459,10 @@ class ServiceOrchestrator:
         )
         request.version = prepared.version
         request.pushed_ms = self.engine.now
-        if self._causal is not None:
-            self._causal.pushed(
-                request.request_id, self.engine.now,
-                self.controller.name, prepared.version,
-            )
+        self.trace.record(
+            self.engine.now, KIND_REQUEST_PUSHED, self.controller.name,
+            request=request.request_id, version=prepared.version,
+        )
         if self.obs.enabled:
             self._m_prepare[()].observe(
                 self.engine.now - (request.dispatched_ms or 0.0)
@@ -529,29 +492,12 @@ class ServiceOrchestrator:
         self.pump()
 
     def _on_trace_event(self, event: TraceEvent) -> None:
-        # Routed here: rule_change, plus the other _CAUSAL_TRACE_KINDS
-        # when causal tracing is on.
-        if event.kind == KIND_RULE_CHANGE:
-            request = self.in_flight.get(event.detail.get("flow", -1))
-            if request is not None and request.pushed_ms is not None:
-                request.last_install_ms = event.time
-        if self._causal is not None:
-            flow = event.detail.get("flow")
-            if flow is not None:
-                version = event.detail.get("version")
-                if version is not None:
-                    self._causal.flow_event(
-                        flow, event.time, event.kind, event.node,
-                        version=version,
-                    )
-                else:
-                    self._causal.flow_event(
-                        flow, event.time, event.kind, event.node
-                    )
+        # Routed here: rule_change only.
+        request = self.in_flight.get(event.detail.get("flow", -1))
+        if request is not None and request.pushed_ms is not None:
+            request.last_install_ms = event.time
 
     def _release(self, flow_id: int) -> None:
-        if self._causal is not None:
-            self._causal.unbind_flow(flow_id)
         self._inflight_footprints.pop(flow_id, None)
         if self.in_flight.pop(flow_id, None) is None:
             return
@@ -570,8 +516,6 @@ class ServiceOrchestrator:
             request=request.request_id, flow=request.flow_id,
             outcome=outcome,
         )
-        if self._causal is not None:
-            self._causal.finish(request.request_id, now, outcome)
         if self.obs.enabled and outcome == OUTCOME_COMPLETED:
             self._m_e2e[()].observe(now - request.submitted_ms)
             if request.pushed_ms is not None:

@@ -23,7 +23,7 @@ import numpy as np
 from repro.algos.registry import build_system
 from repro.chaos.runner import schedule_topo_events, trace_signature
 from repro.consistency.checker import LiveChecker
-from repro.obs.causal import CausalTracker, nearest_rank, summarize_attribution
+from repro.obs.causal import CausalTracker, slo_summary, summarize_attribution
 from repro.obs.context import NULL_OBS, ObsContext
 from repro.obs.registry import NullRegistry
 from repro.obs.spans import NullSpanTracker
@@ -43,9 +43,6 @@ from repro.topo import TOPOLOGIES
 #: RNG domain separators (distinct from every other stream in the repo).
 _FLOW_STREAM = 0x5EF1
 _ARRIVAL_STREAM = 0x5EA2
-
-#: SLO percentiles reported per latency series.
-_PERCENTILES = (50, 90, 99)
 
 
 def apply_link_capacity(topo: Any, link_capacity: float) -> None:
@@ -93,15 +90,6 @@ def build_service_deployment(
     for service_flow in population:
         deployment.install_flow(service_flow.to_flow())
     return deployment, population
-
-
-def slo_summary(values: list[float]) -> dict[str, Any]:
-    """Count, nearest-rank SLO percentiles and max of one latency series."""
-    doc: dict[str, Any] = {"count": len(values)}
-    for pct in _PERCENTILES:
-        doc[f"p{pct}"] = nearest_rank(values, pct)
-    doc["max"] = max(values) if values else None
-    return doc
 
 
 @dataclass

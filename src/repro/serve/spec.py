@@ -93,9 +93,10 @@ class ServeSpec:
     params: dict = field(default_factory=dict)
     events: tuple = ()                 # chaos TopoEvent dicts
     obs: bool = False
-    # Per-request causal tracing + critical-path latency attribution
-    # (repro.obs.causal).  Purely additive: the simulated trace stays
-    # bit-identical to a causal=False run.
+    # Export per-request critical-path latency attribution
+    # (repro.obs.causal, read off the trace every run records).  Purely
+    # additive: the simulated trace stays bit-identical to a
+    # causal=False run.
     causal: bool = False
     # Update algorithm driving the run (repro.algos registry).  The
     # default "p4update" keeps the stock deployment — byte-identical

@@ -54,6 +54,13 @@ KIND_REQUEST_SUBMITTED = "request_submitted"
 KIND_REQUEST_SHED = "request_shed"          # rejected or parked at admission
 KIND_REQUEST_DISPATCHED = "request_dispatched"
 KIND_REQUEST_DONE = "request_done"          # terminal outcome reached
+KIND_REQUEST_ADMITTED = "request_admitted"  # entered the main queue
+KIND_REQUEST_WAIT = "request_wait"          # a queued request's wait reason changed
+KIND_REQUEST_REQUEUED = "request_requeued"  # recovery took the flow before prepare
+KIND_REQUEST_PUSHED = "request_pushed"      # prepared update entered the control channel
+# Retries: a reliable-control retransmission and a §11 re-trigger.
+KIND_RETRANSMIT = "retransmit"
+KIND_RETRIGGER = "retrigger"
 
 #: What ``repro.chaos.runner.trace_signature`` hashes: 2 = the marshalled
 #: positional rows (``docs/ARCHITECTURE.md``).  Manifests record it.

@@ -20,10 +20,12 @@ what they print now.  The ``fig8`` case was added to it once Fig. 8's
 operation counts stopped depending on what ran earlier in the process.
 The five cases that print a trace signature (``serve run`` twice,
 ``compete run``, ``chaos run``, ``ops run --seeds``) were re-recorded
-twice, when signature format v2 replaced v1 and when every ``msg_*``
-record gained its ``type`` key; only their digests moved.  The case
+three times, when signature format v2 replaced v1, when every ``msg_*``
+record gained its ``type`` key and when causal attribution's inputs
+became trace records; only their digests moved.  The case
 that writes a checkpoint into another spec's directory was added with
-the fix that made it an ``error:`` instead of a traceback.
+the fix that made it an ``error:`` instead of a traceback, and so was
+the case that hands a plain trace file to the three causal verbs.
 The four ``analyze {interference,lint,pipeline,plan} --help`` cases were
 re-recorded once, when the ``sarif`` choice of ``--format`` was deleted.
 Regenerate only for a deliberate change (and empty
@@ -127,6 +129,12 @@ ERROR_CASES = [
     ("fuzz run --corpus {tmp}/plans_malformed " + _OUT,),
     ("fuzz run --kinds nope " + _OUT,),
     ("obs critical-path {tmp}/causal.jsonl --request 0",),
+    (
+        "obs export --out {tmp}/trace.jsonl",
+        "obs requests {tmp}/trace.jsonl",
+        "obs critical-path {tmp}/trace.jsonl --request 0",
+        "obs perfetto {tmp}/trace.jsonl --out {tmp}/perfetto.json",
+    ),
     ("sweep merge examples/sweep_smoke.json " + _OUT,),
     ("sweep status examples/sweep_smoke.json " + _FLEET,),
     ("fig7 z",),

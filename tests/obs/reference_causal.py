@@ -13,9 +13,8 @@ Those numbers are serialised into committed manifests
 It also keeps the event storage the tracker had before events became
 tuples built into dicts at export: one event dict and one edge dict
 appended per causal event, in its own :class:`_ReferenceTrack`.  Only
-the request-routing hooks (``mark``, ``set_state``, ``pushed``,
-``finish``, ``flow_event``, ``retry``) are inherited, and they reach
-storage through ``_append`` alone.
+the routing of trace records (``__call__`` past ``request_submitted``)
+is inherited, and it reaches storage through ``_append`` alone.
 """
 
 from __future__ import annotations
@@ -24,6 +23,7 @@ from fractions import Fraction
 from typing import Any, Optional
 
 from repro.obs.causal import SEGMENTS, CausalTracker
+from repro.sim.trace import KIND_REQUEST_SUBMITTED, TraceEvent
 
 _ORCH = "orchestrator"
 
@@ -51,10 +51,15 @@ class _ReferenceTrack:
 
 
 class ReferenceCausalTracker(CausalTracker):
-    """Same hooks, ``Fraction`` bookkeeping; see the module docstring."""
+    """Same routing, ``Fraction`` bookkeeping; see the module docstring."""
 
-    def submit(self, request_id: int, flow_id: int, t: float) -> None:
-        track = _ReferenceTrack(request_id, flow_id, t)
+    def __call__(self, event: TraceEvent) -> None:
+        t, kind, _node, detail = event
+        if kind != KIND_REQUEST_SUBMITTED:
+            super().__call__(event)
+            return
+        request_id = detail["request"]
+        track = _ReferenceTrack(request_id, detail["flow"], t)
         self._tracks[request_id] = track
         track.events.append(
             {"id": 0, "t": t, "kind": "submitted", "node": _ORCH}

@@ -1,4 +1,8 @@
-"""Unit tests for per-request causal tracing (repro.obs.causal)."""
+"""Unit tests for per-request causal tracing (repro.obs.causal).
+
+The tracker is a trace subscriber, so each case feeds it the records a
+serve run writes (:func:`_ev`), in order.
+"""
 
 import gzip
 import io
@@ -15,6 +19,20 @@ from repro.obs.causal import (
     summarize_attribution,
     write_causal_jsonl,
 )
+from repro.sim.trace import TraceEvent
+
+_ORCH = "orchestrator"
+
+
+def _ev(t, kind, node=_ORCH, **detail):
+    return TraceEvent(t, kind, node, detail)
+
+
+def _fed(*events):
+    tracker = CausalTracker()
+    for event in events:
+        tracker(event)
+    return tracker
 
 
 def _sum_invariant(row):
@@ -23,18 +41,16 @@ def _sum_invariant(row):
 
 def happy_path_tracker() -> CausalTracker:
     """submit -> admit -> dispatch -> push -> verify -> done."""
-    tracker = CausalTracker()
-    tracker.submit(0, 7, 10.0)
-    tracker.mark(0, 12.0, "admitted", "orchestrator", queue_depth=1)
-    tracker.mark(0, 15.0, "dispatched", "orchestrator", state="prepare")
-    tracker.bind_flow(7, 0)
-    tracker.pushed(0, 20.0, "controller", version=2)
-    tracker.flow_event(7, 24.0, "rule_change", "s1", flow=7)
-    tracker.flow_event(7, 27.0, "verify_ok", "s2", flow=7)
-    tracker.flow_event(7, 30.0, "update_done", "controller", flow=7)
-    tracker.unbind_flow(7)
-    tracker.finish(0, 30.0, "completed")
-    return tracker
+    return _fed(
+        _ev(10.0, "request_submitted", request=0, flow=7),
+        _ev(12.0, "request_admitted", request=0, queue_depth=1),
+        _ev(15.0, "request_dispatched", request=0, flow=7),
+        _ev(20.0, "request_pushed", "controller", request=0, version=2),
+        _ev(24.0, "rule_change", "s1", flow=7),
+        _ev(27.0, "verify_ok", "s2", flow=7),
+        _ev(30.0, "update_done", "controller", flow=7),
+        _ev(30.0, "request_done", request=0, flow=7, outcome="completed"),
+    )
 
 
 def test_segments_schema_is_fixed():
@@ -58,67 +74,105 @@ def test_happy_path_attribution():
 
 
 def test_wait_reclassification_splits_queue_and_conflict():
-    tracker = CausalTracker()
-    tracker.submit(0, 7, 0.0)
-    tracker.set_state(0, 4.0, "conflict_wait")   # blocked behind a conflict
-    tracker.set_state(0, 9.0, "queue_wait")      # conflict cleared, tokens dry
-    tracker.mark(0, 10.0, "dispatched", "orchestrator", state="prepare")
-    tracker.finish(0, 10.0, "completed")
+    tracker = _fed(
+        _ev(0.0, "request_submitted", request=0, flow=7),
+        _ev(4.0, "request_wait", request=0, to="conflict_wait"),  # blocked
+        _ev(9.0, "request_wait", request=0, to="queue_wait"),  # tokens dry
+        _ev(10.0, "request_dispatched", request=0, flow=7),
+        _ev(10.0, "request_done", request=0, flow=7, outcome="completed"),
+    )
     [row] = tracker.attribution_rows()
     assert row["segments"]["queue_wait"] == 5.0      # 0-4 + 9-10
     assert row["segments"]["conflict_wait"] == 5.0   # 4-9
     assert _sum_invariant(row) == 0.0
 
 
-def test_set_state_noop_on_same_state_records_no_edge():
-    tracker = CausalTracker()
-    tracker.submit(0, 7, 0.0)
-    tracker.set_state(0, 4.0, "queue_wait")
-    [dag] = tracker.dags()
-    assert len(dag["events"]) == 1          # only "submitted"
+def _pushed_at_5():
+    """A request submitted at 0, dispatched and pushed at 5."""
+    return (
+        _ev(0.0, "request_submitted", request=0, flow=7),
+        _ev(5.0, "request_dispatched", request=0, flow=7),
+        _ev(5.0, "request_pushed", "controller", request=0, version=1),
+    )
 
 
 def test_retry_closes_gap_as_retry_backoff():
-    tracker = CausalTracker()
-    tracker.submit(0, 7, 0.0)
-    tracker.bind_flow(7, 0)
-    tracker.pushed(0, 5.0, "controller", version=1)
-    tracker.retry(7, 85.0, "retransmit", "controller", attempt=2)
-    tracker.flow_event(7, 90.0, "update_done", "controller")
-    tracker.finish(0, 90.0, "completed")
+    tracker = _fed(
+        *_pushed_at_5(),
+        _ev(85.0, "retransmit", "controller", flow=7, target="s1", attempt=2),
+        _ev(90.0, "update_done", "controller", flow=7),
+        _ev(90.0, "request_done", request=0, flow=7, outcome="completed"),
+    )
     [row] = tracker.attribution_rows()
     assert row["segments"]["queue_wait"] == 5.0      # submit -> push
     assert row["segments"]["retry_backoff"] == 80.0  # push -> retransmit
     assert row["segments"]["control_rtt"] == 5.0     # resend travel + ufm
     assert _sum_invariant(row) == 0.0
+    [dag] = tracker.dags()
+    retransmit = dag["events"][3]
+    assert retransmit == {"id": 3, "t": 85.0, "kind": "retransmit",
+                          "node": "controller", "target": "s1", "attempt": 2}
+
+
+def test_a_retrigger_is_a_retry():
+    tracker = _fed(
+        *_pushed_at_5(),
+        _ev(9.0, "rule_change", "s1", flow=7),
+        _ev(2009.0, "retrigger", "controller", flow=7, version=1),
+        _ev(2015.0, "update_done", "controller", flow=7),
+        _ev(2015.0, "request_done", request=0, flow=7, outcome="completed"),
+    )
+    [row] = tracker.attribution_rows()
+    assert row["segments"]["retry_backoff"] == 2000.0  # install -> retrigger
+    assert row["segments"]["control_rtt"] == 10.0      # 5-9 + 2009-2015
+    retrigger = tracker.dags()[0]["events"][4]
+    assert (retrigger["kind"], retrigger["version"]) == ("retrigger", 1)
 
 
 def test_pre_push_flow_events_are_ignored():
-    tracker = CausalTracker()
-    tracker.submit(0, 7, 0.0)
-    tracker.bind_flow(7, 0)
-    tracker.flow_event(7, 2.0, "rule_change", "s1")   # recovery write, not ours
-    tracker.retry(7, 3.0, "retransmit", "controller")
+    tracker = _fed(
+        _ev(0.0, "request_submitted", request=0, flow=7),
+        _ev(0.0, "request_dispatched", request=0, flow=7),
+        _ev(2.0, "rule_change", "s1", flow=7),   # recovery write, not ours
+        _ev(3.0, "retransmit", "controller", flow=7, target="s1", attempt=2),
+    )
     [dag] = tracker.dags()
-    assert [e["kind"] for e in dag["events"]] == ["submitted"]
+    assert [e["kind"] for e in dag["events"]] == ["submitted", "dispatched"]
 
 
 def test_unbound_flow_events_are_ignored():
-    tracker = CausalTracker()
-    tracker.submit(0, 7, 0.0)
-    tracker.flow_event(99, 2.0, "rule_change", "s1")
-    tracker.retry(99, 3.0, "retransmit", "controller")
+    tracker = _fed(
+        _ev(0.0, "request_submitted", request=0, flow=7),
+        _ev(2.0, "rule_change", "s1", flow=99),
+        _ev(3.0, "retransmit", "controller", flow=99, target="s1", attempt=2),
+        _ev(4.0, "retransmit", "controller", target="s1", attempt=2),
+    )
     [dag] = tracker.dags()
     assert len(dag["events"]) == 1
 
 
+def test_a_done_or_requeued_request_unbinds_only_its_own_flow():
+    tracker = _fed(
+        *_pushed_at_5(),
+        _ev(6.0, "request_submitted", request=1, flow=7),
+        _ev(7.0, "request_done", request=1, flow=7, outcome="merged"),
+        _ev(8.0, "rule_change", "s1", flow=7),     # still request 0's
+        _ev(9.0, "request_requeued", request=0),
+        _ev(10.0, "rule_change", "s1", flow=7),    # nobody's
+    )
+    dag = tracker.dags()[0]
+    assert [e["kind"] for e in dag["events"]] == [
+        "submitted", "dispatched", "pushed", "rule_change", "requeued",
+    ]
+    assert dag["edges"][-1]["segment"] == "dataplane_verify"
+
+
 def test_abort_tail_lands_in_recovery():
-    tracker = CausalTracker()
-    tracker.submit(0, 7, 0.0)
-    tracker.bind_flow(7, 0)
-    tracker.pushed(0, 5.0, "controller", version=1)
-    tracker.flow_event(7, 8.0, "update_aborted", "controller")
-    tracker.finish(0, 12.0, "aborted")
+    tracker = _fed(
+        *_pushed_at_5(),
+        _ev(8.0, "update_aborted", "controller", flow=7),
+        _ev(12.0, "request_done", request=0, flow=7, outcome="aborted"),
+    )
     [row] = tracker.attribution_rows()
     assert row["outcome"] == "aborted"
     assert row["segments"]["queue_wait"] == 5.0      # submit -> push
@@ -129,9 +183,12 @@ def test_abort_tail_lands_in_recovery():
 
 def test_events_after_finish_are_dropped():
     tracker = happy_path_tracker()
-    tracker.mark(0, 99.0, "late", "orchestrator")
-    tracker.set_state(0, 99.0, "recovery")
-    tracker.finish(0, 99.0, "aborted")
+    for event in (
+        _ev(99.0, "request_admitted", request=0, queue_depth=0),
+        _ev(99.0, "request_wait", request=0, to="recovery"),
+        _ev(99.0, "request_done", request=0, flow=7, outcome="aborted"),
+    ):
+        tracker(event)
     [row] = tracker.attribution_rows()
     assert row["outcome"] == "completed"
     assert row["e2e_ms"] == 20.0
@@ -140,13 +197,13 @@ def test_events_after_finish_are_dropped():
 def test_sum_invariant_under_awkward_floats():
     """Fraction accumulation keeps the telescoping exact even for
     timestamps with no short binary representation."""
-    tracker = CausalTracker()
     t = 0.1
-    tracker.submit(0, 7, t)
+    events = [_ev(t, "request_submitted", request=0, flow=7)]
     for i in range(500):
         t += 0.1 * (i % 7 + 1) / 3.0
-        tracker.mark(0, t, "step", "n", state=SEGMENTS[i % len(SEGMENTS)])
-    tracker.finish(0, t + 1e-7, "completed")
+        events.append(_ev(t, "request_wait", request=0, to=SEGMENTS[i % len(SEGMENTS)]))
+    events.append(_ev(t + 1e-7, "request_done", request=0, flow=7, outcome="completed"))
+    tracker = _fed(*events)
     [row] = tracker.attribution_rows()
     assert _sum_invariant(row) <= 1e-9
 

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from repro.obs.causal import SEGMENTS, CausalTracker, summarize_attribution
 from repro.serve.service import run_service
 from repro.serve.spec import load_serve_spec
+from repro.sim.trace import TraceEvent
 from tests.obs.reference_causal import ReferenceCausalTracker
 
 #: Gaps between consecutive events: none (repeated times), subnormal,
@@ -33,15 +34,20 @@ def _events(gaps):
 
 
 def _replay(tracker_class, start, requests):
-    """Drive one tracker through every request's event sequence."""
+    """Drive one tracker through every request's event sequence: each
+    ``(gap, segment)`` is a ``request_wait`` into ``segment``, so the
+    interval after it is charged to ``segment``."""
     tracker = tracker_class()
     for request_id, events in enumerate(requests):
         t = start
-        tracker.submit(request_id, 100 + request_id, t)
+        tracker(TraceEvent(t, "request_submitted", "orchestrator",
+                           {"request": request_id, "flow": 100 + request_id}))
         for gap, segment in events:
             t += gap                    # may round back onto t: a repeated time
-            tracker.mark(request_id, t, "step", "n", close_as=segment)
-        tracker.finish(request_id, t, "completed")
+            tracker(TraceEvent(t, "request_wait", "orchestrator",
+                               {"request": request_id, "to": segment}))
+        tracker(TraceEvent(t, "request_done", "orchestrator",
+                           {"request": request_id, "outcome": "completed"}))
     return tracker
 
 

@@ -9,18 +9,37 @@ The ISSUE-level contracts live here:
 * attribution is worker-count independent: a 2-worker sweep produces
   byte-identical rows, summaries and DAGs to the serial run;
 * chaos (link flap + update watchdog) populates the retry_backoff and
-  recovery segments, and the queue-depth gauge cross-check holds.
+  recovery segments, and the queue-depth gauge cross-check holds;
+* attribution is a view of the trace: a tracker rebuilt from the
+  exported trace file equals the live one, and the serve-smoke sidecar
+  stays the bytes its committed sha256 names.
 """
 
+import gzip
+import hashlib
 import json
+import pathlib
 
 import pytest
 
-from repro.obs.causal import SEGMENTS
-from repro.serve.service import run_service
+from repro.harness.cli import main
+from repro.obs import make_obs
+from repro.obs.causal import SEGMENTS, CausalTracker
+from repro.obs.tracefile import export_trace_jsonl, iter_trace_jsonl
+from repro.serve.service import ServiceSession, run_service
 from repro.serve.spec import ServeSpec
+from repro.sim.trace import (
+    KIND_REQUEST_ADMITTED,
+    KIND_REQUEST_PUSHED,
+    KIND_REQUEST_REQUEUED,
+    KIND_REQUEST_WAIT,
+    KIND_RETRANSMIT,
+    KIND_RETRIGGER,
+)
 from repro.sweep.executor import run_sweep
 from repro.sweep.spec import load_sweep_spec
+
+REPO = pathlib.Path(__file__).resolve().parents[2]
 
 #: The serve-smoke workload (mirrors examples/serve_smoke.json): a
 #: mid-run link flap forces watchdog retriggers and recovery requeues.
@@ -193,3 +212,95 @@ def test_trace_max_events_bounds_retention_and_reports_drops():
     assert results["records"] == unbounded.to_results()["records"]
     assert bounded.attribution["rows"] == unbounded.attribution["rows"]
     assert unbounded.to_results()["trace_dropped_events"] == 0
+
+
+# -- attribution is a view of the trace ---------------------------------------
+
+
+def _session(spec: ServeSpec):
+    """A causal run's result and the trace it recorded."""
+    session = ServiceSession(spec, make_obs(causal=True))
+    session.wire()
+    session.run()
+    return session.close(), session.deployment.network.trace
+
+
+def _from_file(trace, path) -> CausalTracker:
+    export_trace_jsonl(trace, path)
+    return CausalTracker.from_trace(iter_trace_jsonl(path))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_from_trace_file_equals_the_live_tracker(seed, tmp_path):
+    result, trace = _session(ServeSpec(**{**SMOKE, "seed": seed}, causal=True))
+    rebuilt = _from_file(trace, tmp_path / "trace.jsonl.gz")
+    assert json.dumps(rebuilt.dags()) == json.dumps(result.causal)
+    assert json.dumps(rebuilt.attribution_rows()) == json.dumps(
+        result.attribution["rows"]
+    )
+    # Seed 1's flap requeues two requests and fires the §11 watchdog.
+    counts = {kind: trace.count_of_kind(kind) for kind in (
+        KIND_REQUEST_ADMITTED, KIND_REQUEST_WAIT, KIND_REQUEST_PUSHED,
+        KIND_REQUEST_REQUEUED, KIND_RETRIGGER,
+    )}
+    assert counts[KIND_REQUEST_ADMITTED] == counts[KIND_REQUEST_PUSHED] == 60
+    assert counts[KIND_REQUEST_WAIT] > 0
+    if seed == 1:
+        assert counts[KIND_REQUEST_REQUEUED] > 0 and counts[KIND_RETRIGGER] > 0
+
+
+def test_retransmits_under_a_switch_crash_attribute_from_the_trace(tmp_path):
+    """Reliable control with a crashed switch: every retransmit carries
+    its flow, and the rebuilt tracker still equals the live one."""
+    spec = ServeSpec(
+        **{
+            **SMOKE,
+            "params": {**SMOKE["params"], "reliable_control": True},
+            "events": (
+                {"time_ms": 40.0, "kind": "switch_crash", "node_a": "council-ia"},
+                {"time_ms": 400.0, "kind": "switch_restart", "node_a": "council-ia"},
+            ),
+        },
+        causal=True,
+    )
+    result, trace = _session(spec)
+    retransmits = trace.of_kind(KIND_RETRANSMIT)
+    assert retransmits and all("flow" in e.detail for e in retransmits)
+    kinds = [e["kind"] for dag in result.causal for e in dag["events"]]
+    assert KIND_RETRANSMIT in kinds
+    rebuilt = _from_file(trace, tmp_path / "trace.jsonl")
+    assert json.dumps(rebuilt.dags()) == json.dumps(result.causal)
+
+
+def test_wait_is_recorded_only_when_the_reason_changes():
+    _, trace = _session(ServeSpec(**{**SMOKE, "seed": 1}, causal=True))
+    reason: dict[int, str] = {}
+    waits = 0
+    for event in trace:
+        request = event.detail.get("request")
+        if event.kind == "request_submitted":
+            reason[request] = "queue_wait"
+        elif event.kind == KIND_REQUEST_REQUEUED:
+            reason[request] = "recovery"
+        elif event.kind == KIND_REQUEST_WAIT:
+            assert event.detail["to"] != reason[request], event
+            reason[request] = event.detail["to"]
+            waits += 1
+    assert waits > 0
+
+
+def test_the_smoke_sidecar_is_the_committed_bytes(tmp_path, capsys):
+    """``serve run --causal`` over ``examples/serve_smoke.json`` writes the
+    DAGs whose sha256 (decompressed) ``serve_smoke.causal.sha256`` names:
+    attribution drift shows here even when trace signatures are re-pinned."""
+    assert main([
+        "serve", "run", str(REPO / "examples" / "serve_smoke.json"),
+        "--seeds", "2", "--workers", "1", "--causal",
+        "--cache-dir", str(tmp_path / "cache"), "--out-dir", str(tmp_path),
+    ]) == 0
+    capsys.readouterr()
+    sidecar = tmp_path / "TRACE_serve_serve-smoke.causal.jsonl.gz"
+    with gzip.open(sidecar, "rb") as handle:
+        digest = hashlib.sha256(handle.read()).hexdigest()
+    want = (REPO / "examples" / "serve_smoke.causal.sha256").read_text().strip()
+    assert digest == want

@@ -13,9 +13,13 @@ strategy.
 ``open_loop_arrivals`` generator that commit still had, recorded once
 (``tests/serve/test_workload.py`` holds ``draw_open_arrival`` to them);
 regenerating keeps the recorded pairs.  The ``trace_signature`` and
-``sha256`` of every cell were re-recorded twice, when signature format
-v2 replaced v1 and when every ``msg_*`` record gained its ``type`` key
-(``docs/ARCHITECTURE.md``); no other field moved.
+``sha256`` of every cell were re-recorded three times, when signature
+format v2 replaced v1, when every ``msg_*`` record gained its ``type``
+key and when the orchestrator, the controller and reliable control
+began recording what causal attribution reads (``request_admitted``,
+``request_wait``, ``request_requeued``, ``request_pushed``,
+``retransmit``, ``retrigger``; ``docs/ARCHITECTURE.md``); no other
+field moved.
 
 Regenerate only for a deliberate behaviour change::
 
