@@ -11,13 +11,13 @@ plain data — :mod:`repro.chaos.runner` executes them, and the
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import asdict, dataclass
 from typing import Any, Callable, Optional
 
-from repro.loading import read_json_object, require_object
+from repro.loading import dataclass_from_object, read_json_object
 from repro.sim.network import message_type
+from repro.topo import TOPOLOGIES, topology_shape
 
 TOPO_EVENT_KINDS = (
     "link_down",
@@ -122,15 +122,22 @@ class FaultCampaign:
 
     def __post_init__(self) -> None:
         if self.scenario not in ("single", "multi"):
-            raise ValueError(f"unknown scenario {self.scenario!r}")
+            raise CampaignSpecError(f"unknown scenario {self.scenario!r}")
         if self.update_type not in ("auto", "single", "dual"):
-            raise ValueError(f"unknown update_type {self.update_type!r}")
+            raise CampaignSpecError(f"unknown update_type {self.update_type!r}")
+        # Checked against the topology here, so a bad event is a
+        # load-time error and never a mid-run KeyError.
+        validate_events_against_topology(self.events, self.topology)
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+
+
+class CampaignSpecError(ValueError):
+    """A chaos campaign document or field value is invalid."""
 
 
 class SpecTopologyError(ValueError):
@@ -150,29 +157,6 @@ class SpecTopologyError(ValueError):
         )
 
 
-@functools.lru_cache(maxsize=None)
-def _topology_shape(
-    topology: str,
-) -> tuple[frozenset[str], frozenset[tuple[str, str]]]:
-    """Node names and links (both directions) of a registered topology
-    (cached: topologies are deterministic per name)."""
-    from repro.topo import TOPOLOGIES
-
-    if topology not in TOPOLOGIES:
-        raise SpecTopologyError(
-            topology,
-            [f"unknown topology; expected one of {sorted(TOPOLOGIES)}"],
-        )
-    graph = TOPOLOGIES[topology]().graph
-    links = frozenset(graph.edges) | frozenset((b, a) for a, b in graph.edges)
-    return frozenset(graph.nodes), links
-
-
-def topology_nodes(topology: str) -> frozenset[str]:
-    """Node names of a registered topology."""
-    return _topology_shape(topology)[0]
-
-
 def validate_events_against_topology(
     events: tuple[TopoEvent, ...] | list[TopoEvent],
     topology: str,
@@ -185,7 +169,12 @@ def validate_events_against_topology(
     required per kind); existence needs the topology, so every spec
     that carries events calls this at load time.  Raises
     :class:`SpecTopologyError` listing every bad reference at once."""
-    nodes, links = _topology_shape(topology)
+    if topology not in TOPOLOGIES:
+        raise SpecTopologyError(
+            topology,
+            [f"unknown topology; expected one of {sorted(TOPOLOGIES)}"],
+        )
+    nodes, links = topology_shape(topology)
     problems = []
     for i, event in enumerate(events):
         where = f"{context}[{i}] ({event.kind} at t={event.time_ms:g})"
@@ -198,7 +187,7 @@ def validate_events_against_topology(
         if (
             not unknown
             and event.kind.startswith("link_")
-            and (event.node_a, event.node_b) not in links
+            and tuple(sorted((event.node_a, event.node_b))) not in links
         ):
             problems.append(
                 f"{where}: no link between {event.node_a!r} and {event.node_b!r}"
@@ -207,18 +196,27 @@ def validate_events_against_topology(
         raise SpecTopologyError(topology, problems)
 
 
+def _each(cls: type, noun: str) -> Callable[[Any], tuple]:
+    """The loader of a list field whose items are ``cls`` objects."""
+    return lambda items: tuple(
+        dataclass_from_object(cls, item, noun, CampaignSpecError)
+        for item in items
+    )
+
+
 def load_campaign(data: dict) -> FaultCampaign:
     """Build a campaign from a plain (JSON-decoded) dict."""
-    payload = dict(require_object(data, "chaos campaign", ValueError))
-    events = tuple(TopoEvent(**e) for e in payload.pop("events", []))
-    faults = tuple(
-        MessageFaultSpec(**f) for f in payload.pop("message_faults", [])
+    return dataclass_from_object(
+        FaultCampaign, data, "chaos campaign", CampaignSpecError,
+        events=_each(TopoEvent, "topology event"),
+        message_faults=_each(MessageFaultSpec, "message fault"),
     )
-    return FaultCampaign(events=events, message_faults=faults, **payload)
 
 
 def load_campaign_file(path: str) -> FaultCampaign:
-    return load_campaign(read_json_object(path, "chaos campaign", ValueError))
+    return load_campaign(
+        read_json_object(path, "chaos campaign", CampaignSpecError)
+    )
 
 
 # -- registered corruptors ---------------------------------------------------
@@ -277,6 +275,7 @@ def scope_selector(scope: str) -> Optional[Callable[[Any], bool]]:
 
 __all__ = [
     "CORRUPTORS",
+    "CampaignSpecError",
     "FaultCampaign",
     "MESSAGE_SCOPES",
     "MessageFaultSpec",
@@ -286,6 +285,5 @@ __all__ = [
     "load_campaign",
     "load_campaign_file",
     "scope_selector",
-    "topology_nodes",
     "validate_events_against_topology",
 ]

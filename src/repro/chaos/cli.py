@@ -15,8 +15,8 @@ thin argument-parsing layer.
 from __future__ import annotations
 
 import argparse
-from typing import TYPE_CHECKING
 
+from repro.chaos.campaign import load_campaign_file
 from repro.obs.manifest import write_manifest
 from repro.sweep.cli import (
     BENCH_DIR_HELP,
@@ -27,32 +27,13 @@ from repro.sweep.cli import (
     run_fleet,
 )
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.chaos.campaign import FaultCampaign
-
-
-def _load(path: str) -> "FaultCampaign":
-    from repro.chaos.campaign import (
-        load_campaign_file,
-        validate_events_against_topology,
-    )
-
-    def load_validated(path: str) -> "FaultCampaign":
-        campaign = load_campaign_file(path)
-        validate_events_against_topology(
-            campaign.events, campaign.topology, context="events"
-        )
-        return campaign
-
-    return load_or_exit(
-        load_validated, path, "campaign", ValueError, TypeError, KeyError
-    )
-
 
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.chaos.sweep_kind import campaign_sweep
 
-    campaign = _load(args.spec)
+    campaign = load_or_exit(
+        load_campaign_file, args.spec, "campaign", ValueError, TypeError
+    )
     if campaign.description:
         print(f"# {campaign.description}")
 
@@ -114,7 +95,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    print(_load(args.spec).to_json())
+    campaign = load_or_exit(
+        load_campaign_file, args.spec, "campaign", ValueError, TypeError
+    )
+    print(campaign.to_json())
     return 0
 
 

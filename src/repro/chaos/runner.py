@@ -9,8 +9,8 @@ The runner asserts the paper's §5 invariants throughout via
 :class:`~repro.consistency.checker.LiveChecker` (failure-aware: a
 physically broken flow is disarmed, see the checker's docstring) and
 reports completions, parked flows, fault/retry/recovery activity and
-the trace signature in a :class:`CampaignResult`, optionally emitting
-a ``BENCH_``-style manifest.
+the trace signature in a :class:`CampaignResult` (``repro chaos run
+--manifest`` writes it as a ``BENCH_``-style manifest).
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
+from repro.algos.registry import build_system
 from repro.chaos.campaign import (
     CORRUPTORS,
     FaultCampaign,
@@ -32,18 +33,16 @@ from repro.chaos.campaign import (
 )
 from repro.consistency.checker import LiveChecker
 from repro.core.messages import UpdateType
-from repro.harness.build import Deployment, build_p4update_network
-from repro.harness.scenarios import (
-    UpdateScenario,
-    multi_flow_scenario,
-    single_flow_scenario,
-)
-from repro.obs.context import NULL_OBS, ObsContext
-from repro.obs.manifest import write_manifest
+from repro.harness.build import Deployment
+from repro.harness.scenarios import UpdateScenario
+from repro.harness.sweep_kind import seeded_scenario
+from repro.obs.context import ObsContext
 from repro.params import SimParams
 from repro.sim.faults import CompositeFaultModel, FaultModel, FaultPolicy
 from repro.sim.trace import SIGNATURE_FORMAT, TraceEvent
-from repro.topo import TOPOLOGIES
+# Re-exported: the perf ledger's workloads and the serve tests import
+# the topology table from here.
+from repro.topo import TOPOLOGIES  # noqa: F401
 
 UPDATE_TYPES = {
     "auto": None,
@@ -99,15 +98,6 @@ class CampaignResult:
             "reroutes": self.reroutes,
             "topo_events": self.topo_events,
         }
-
-    def summary(self) -> str:
-        status = "CONSISTENT" if self.consistent else "VIOLATIONS"
-        return (
-            f"{self.campaign}: {self.flows_completed}/{self.flows_total} flows "
-            f"completed, {self.flows_parked} parked, "
-            f"{len(self.violations)} violations [{status}], "
-            f"signature {self.trace_signature[:16]}"
-        )
 
 
 #: Rows marshalled per ``digest.update`` (bounds the bytes held at once).
@@ -190,32 +180,37 @@ def campaign_params(campaign: FaultCampaign) -> SimParams:
 def build_campaign_deployment(
     campaign: FaultCampaign, obs: Optional[ObsContext] = None
 ) -> tuple[Deployment, UpdateScenario, LiveChecker]:
-    """Construct the deployment, workload and checker for a campaign.
-
-    Everything is wired but nothing is scheduled yet; use
-    :func:`run_campaign` for a complete execution."""
-    obs = obs if obs is not None else NULL_OBS
-    factory = TOPOLOGIES.get(campaign.topology)
-    if factory is None:
-        raise ValueError(
-            f"unknown topology {campaign.topology!r}; known: {sorted(TOPOLOGIES)}"
-        )
-    topo = factory()
-    params = campaign_params(campaign)
-    deployment = build_p4update_network(
-        topo, params=params, rng=np.random.default_rng(campaign.seed), obs=obs
+    """Construct the deployment, workload and checker for a campaign,
+    with its fault models installed and its topology events and update
+    trigger scheduled: only ``deployment.run(until=campaign.horizon_ms)``
+    is left (:func:`run_campaign` does that and reduces the outcome)."""
+    scenario = seeded_scenario(campaign.topology, campaign.scenario, campaign.seed)
+    deployment = build_system(
+        "p4update", scenario.topology, params=campaign_params(campaign), obs=obs
     )
-    scenario_rng = np.random.default_rng([campaign.seed, 0x5CE2])
-    if campaign.scenario == "single":
-        scenario = single_flow_scenario(topo, rng=scenario_rng)
-    else:
-        scenario = multi_flow_scenario(topo, rng=scenario_rng)
     for flow in scenario.flows:
         deployment.install_flow(flow)
     if campaign.unm_timeout_ms > 0:
         for switch in deployment.switches.values():
             switch.unm_timeout_ms = campaign.unm_timeout_ms
     checker = LiveChecker(deployment.forwarding_state, deployment.network.trace)
+
+    network = deployment.network
+    network.fault_model = build_fault_policy(
+        [s for s in campaign.message_faults if s.plane == "data"], campaign.seed, 0
+    )
+    network.control_fault_model = build_fault_policy(
+        [s for s in campaign.message_faults if s.plane == "control"],
+        campaign.seed, 1,
+    )
+    schedule_topo_events(deployment, campaign.events)
+    network.engine.schedule_at(
+        campaign.update_at_ms,
+        _trigger_updates,
+        deployment,
+        scenario,
+        UPDATE_TYPES[campaign.update_type],
+    )
     return deployment, scenario, checker
 
 
@@ -272,37 +267,13 @@ def _trigger_updates(
 
 
 def run_campaign(
-    campaign: FaultCampaign,
-    obs: Optional[ObsContext] = None,
-    emit_manifest: bool = False,
-    out_dir: Optional[str] = None,
+    campaign: FaultCampaign, obs: Optional[ObsContext] = None
 ) -> CampaignResult:
     """Execute one seeded campaign run end-to-end."""
-    obs = obs if obs is not None else NULL_OBS
     deployment, scenario, checker = build_campaign_deployment(campaign, obs=obs)
-    network = deployment.network
-    engine = network.engine
-
-    data_specs = [s for s in campaign.message_faults if s.plane == "data"]
-    control_specs = [s for s in campaign.message_faults if s.plane == "control"]
-    data_model = build_fault_policy(data_specs, campaign.seed, 0)
-    control_model = build_fault_policy(control_specs, campaign.seed, 1)
-    if data_model is not None:
-        network.fault_model = data_model
-    if control_model is not None:
-        network.control_fault_model = control_model
-
-    schedule_topo_events(deployment, campaign.events)
-    engine.schedule_at(
-        campaign.update_at_ms,
-        _trigger_updates,
-        deployment,
-        scenario,
-        UPDATE_TYPES[campaign.update_type],
-    )
-
     deployment.run(until=campaign.horizon_ms)
 
+    network = deployment.network
     controller = deployment.controller
     flows_completed = sum(
         1
@@ -313,13 +284,15 @@ def run_campaign(
     flows_parked = sum(
         1 for flow in scenario.flows if controller.flow_db[flow.flow_id].parked
     )
-    fault_counts: dict[str, dict[str, int]] = {}
-    for plane, model in (("data", data_model), ("control", control_model)):
-        if model is None:
-            continue
-        fault_counts[plane] = _fault_counts(model)
-
-    result = CampaignResult(
+    fault_counts = {
+        plane: _fault_counts(model)
+        for plane, model in (
+            ("data", network.fault_model),
+            ("control", network.control_fault_model),
+        )
+        if model is not None
+    }
+    return CampaignResult(
         campaign=campaign.name,
         seed=campaign.seed,
         flows_total=len(scenario.flows),
@@ -328,8 +301,8 @@ def run_campaign(
         parked_reports=[report.to_dict() for report in controller.parked],
         violations=[v.to_dict() for v in checker.violations],
         trace_signature=trace_signature(network.trace),
-        sim_time_ms=engine.now,
-        events_processed=engine.processed_events,
+        sim_time_ms=network.engine.now,
+        events_processed=network.engine.processed_events,
         fault_counts=fault_counts,
         retransmissions=(
             controller.reliable.retransmissions
@@ -342,17 +315,6 @@ def run_campaign(
         reroutes=controller.reroutes,
         topo_events=len(campaign.events),
     )
-
-    if emit_manifest:
-        write_manifest(
-            f"chaos_{campaign.name}",
-            params=campaign.to_dict(),
-            results=result.to_results(),
-            seed=campaign.seed,
-            obs=obs if obs.enabled else None,
-            out_dir=out_dir,
-        )
-    return result
 
 
 def _fault_counts(model: FaultPolicy) -> dict[str, int]:

@@ -36,6 +36,10 @@ def _validate(spec: SweepSpec) -> None:
         raise SweepSpecError("chaos sweep needs a 'campaign' object")
     if spec.body["runs"] < 1:
         raise SweepSpecError("chaos sweep needs runs >= 1")
+    try:
+        load_campaign(spec.body["campaign"])
+    except (ValueError, TypeError) as exc:
+        raise SweepSpecError(f"invalid chaos campaign: {exc}") from None
 
 
 def _expand(spec: SweepSpec) -> Iterator[ShardPlan]:

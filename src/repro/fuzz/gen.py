@@ -18,13 +18,17 @@ from __future__ import annotations
 
 import copy
 import dataclasses
-import functools
 import json
 from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
 import numpy as np
 
+from repro.chaos.campaign import (
+    SpecTopologyError,
+    TopoEvent,
+    validate_events_against_topology,
+)
 from repro.fuzz.lanes import LANE_TABLE, require_lanes, resolve_lane
 
 #: RNG stream tag, disjoint from every other subsystem stream
@@ -82,38 +86,21 @@ def seed32(rng: np.random.Generator) -> int:
     return int(rng.integers(0, 2**31 - 1))
 
 
-@functools.lru_cache(maxsize=None)
-def topology_material(name: str) -> tuple[tuple[str, ...], tuple[tuple[str, str], ...]]:
-    """Sorted ``(nodes, edges)`` of a named topology (cached)."""
-    from repro.topo import TOPOLOGIES
-
-    topo = TOPOLOGIES[name]()
-    nodes = tuple(sorted(str(n) for n in topo.graph.nodes()))
-    edges = tuple(
-        sorted((str(a), str(b)) if str(a) < str(b) else (str(b), str(a))
-               for a, b in topo.graph.edges())
-    )
-    return nodes, edges
-
-
 def compatible_events(events: list[dict], topology: str) -> list[dict]:
-    """Donor events that actually exist in ``topology``.
+    """Donor events that actually exist in ``topology``: those
+    :func:`~repro.chaos.campaign.validate_events_against_topology`
+    accepts.
 
     Splice crosses cases that may live on different topologies; an
     event naming a link or switch the base topology does not have
     would crash the event applier (``set_link_state`` raises on
     unknown links), which is a garbage input, not a finding.
     """
-    nodes, edges = topology_material(topology)
-    node_set, edge_set = set(nodes), set(edges)
     keep: list[dict] = []
     for event in events:
-        a, b = event.get("node_a"), event.get("node_b")
-        if a is not None and b is not None:
-            key = (str(a), str(b)) if str(a) < str(b) else (str(b), str(a))
-            if key not in edge_set:
-                continue
-        elif a is not None and str(a) not in node_set:
+        try:
+            validate_events_against_topology((TopoEvent(**event),), topology)
+        except SpecTopologyError:
             continue
         keep.append(event)
     return keep

@@ -22,12 +22,12 @@ from repro.fuzz.gen import (
     pick,
     seed32,
     splice_events,
-    topology_material,
 )
 from repro.fuzz.lanes import FuzzLane
 from repro.fuzz.oracles import OracleVerdict
 from repro.fuzz.shrink import halve, list_drops, reset
 from repro.obs.context import make_obs
+from repro.topo import topology_shape
 
 _TOPOLOGIES = ("fig1", "fig2", "b4")
 
@@ -35,7 +35,7 @@ _TOPOLOGIES = ("fig1", "fig2", "b4")
 def _random_topo_events(
     rng: np.random.Generator, topology: str, horizon_ms: float
 ) -> list[dict]:
-    nodes, edges = topology_material(topology)
+    nodes, edges = topology_shape(topology)
     events: list[dict] = []
     for _ in range(int(rng.integers(0, 3))):
         time_ms = round(float(rng.uniform(5.0, min(400.0, horizon_ms / 4.0))), 1)

@@ -13,18 +13,19 @@ from typing import Any, Iterator, Optional
 
 import numpy as np
 
-from repro.fuzz.gen import pick, seed32, topology_material
+from repro.fuzz.gen import pick, seed32
 from repro.fuzz.lanes import FuzzLane, serve_body
 from repro.fuzz.oracles import OracleVerdict
 from repro.fuzz.shrink import list_drops, reset
 from repro.obs.context import make_obs
 from repro.ops.session import run_session
 from repro.ops.spec import load_session_spec
+from repro.topo import topology_shape
 
 
 def _generate(rng: np.random.Generator) -> dict:
     topology = pick(rng, serve_body.TOPOLOGIES)
-    nodes, _ = topology_material(topology)
+    nodes, _ = topology_shape(topology)
     horizon_ms = 20000.0
     # Tight capacity here means rolling moves transiting hot links
     # really overload them.

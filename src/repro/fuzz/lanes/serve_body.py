@@ -19,16 +19,11 @@ from typing import Any, Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from repro.fuzz.coverage import obs_coverage_keys
-from repro.fuzz.gen import (
-    merged_events,
-    pick,
-    seed32,
-    splice_events,
-    topology_material,
-)
+from repro.fuzz.gen import merged_events, pick, seed32, splice_events
 from repro.fuzz.lanes import Mutation
 from repro.fuzz.oracles import OracleVerdict
 from repro.fuzz.shrink import halve, list_drops, node_at, reset
+from repro.topo import topology_shape
 
 #: Topologies small enough for a full service simulation per case.
 TOPOLOGIES = ("fig1", "b4")
@@ -78,7 +73,7 @@ def draw_link_flap(
 ) -> list[dict]:
     """With probability ``prob`` one link going down and coming back.
     Draws: one ``random``; on a hit the edge pick and two ``uniform``."""
-    _, edges = topology_material(topology)
+    _, edges = topology_shape(topology)
     if not (rng.random() < prob and edges):
         return []
     a, b = pick(rng, edges)
@@ -119,7 +114,7 @@ def fault_insert_at(*path: str) -> Mutation:
         out: dict, donor: Optional[dict], rng: np.random.Generator
     ) -> None:
         serve = node_at(out, path)
-        _, edges = topology_material(str(serve["topology"]))
+        _, edges = topology_shape(str(serve["topology"]))
         if edges:
             a, b = pick(rng, edges)
             down = round(float(rng.uniform(50.0, 2000.0)), 1)

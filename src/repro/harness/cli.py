@@ -63,6 +63,7 @@ from repro.obs import (
 from repro.obs.context import NULL_OBS
 from repro.params import SimParams
 from repro.sweep.cli import CliError, add_fleet_flags, load_or_exit, run_fleet
+from repro.sweep.merge import format_profile
 from repro.topo import fig1_topology
 from repro.topo.synthetic import FIG1_NEW_PATH, FIG1_OLD_PATH
 from repro.traffic.flows import Flow
@@ -186,7 +187,7 @@ def cmd_obs_export(args) -> int:
     for root in obs.spans.roots:
         _print_span(root, indent=1)
     if args.profile and obs.profiler is not None:
-        print(obs.profiler.format_report())
+        print(format_profile(obs.profiler.report()))
     return 0
 
 

@@ -74,18 +74,6 @@ class EngineProfiler:
         rows.sort(key=lambda row: row["total_ms"], reverse=True)
         return rows[:top] if top > 0 else rows
 
-    def format_report(self, top: int = 15) -> str:
-        lines = [
-            f"{'calls':>9s}  {'total ms':>10s}  {'mean us':>9s}  "
-            f"{'max us':>9s}  target"
-        ]
-        for row in self.report(top=top):
-            lines.append(
-                f"{row['calls']:9d}  {row['total_ms']:10.2f}  "
-                f"{row['mean_us']:9.1f}  {row['max_us']:9.1f}  {row['target']}"
-            )
-        return "\n".join(lines)
-
 
 class ProfiledEngine(Engine):
     """An :class:`Engine` whose every event is timed into ``profiler``.

@@ -92,9 +92,10 @@ class SessionSpec:
         self._validate_timeline(serve.topology)
 
     def _validate_timeline(self, topology: str) -> None:
-        from repro.chaos.campaign import SpecTopologyError, topology_nodes
+        from repro.chaos.campaign import SpecTopologyError
+        from repro.topo import topology_shape
 
-        nodes = topology_nodes(topology)
+        nodes, _ = topology_shape(topology)
         problems: list[str] = []
         for i, entry in enumerate(self.timeline):
             where = f"timeline[{i}]"

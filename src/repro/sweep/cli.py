@@ -179,7 +179,7 @@ def write_fleet_manifest(
         params=sweep.to_dict(),
         results=results,
         seed=sweep.seed,
-        obs=obs if obs is not None and obs.enabled else None,
+        obs=obs,
         out_dir=args.out_dir,
     )
     print(f"wrote {path}")

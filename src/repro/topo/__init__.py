@@ -7,6 +7,7 @@ derived from great-circle distance at fibre propagation speed
 Chinanet (38, 62).
 """
 
+import functools
 from typing import Callable
 
 from repro.topo.graph import Topology
@@ -28,6 +29,7 @@ from repro.topo.zoo import load_graphml, sample_zoo_topology
 __all__ = [
     "TOPOLOGIES",
     "Topology",
+    "topology_shape",
     "geo_latency_ms",
     "haversine_km",
     "fig1_topology",
@@ -56,3 +58,18 @@ TOPOLOGIES: dict[str, Callable[[], Topology]] = {
     "chinanet": chinanet_topology,
     "fattree4": lambda: fattree_topology(4),
 }
+
+
+@functools.lru_cache(maxsize=None)
+def topology_shape(
+    name: str,
+) -> tuple[tuple[str, ...], tuple[tuple[str, str], ...]]:
+    """Sorted nodes and sorted ``(a, b)``, ``a < b`` links of a
+    registered topology (cached: topologies are deterministic per name)."""
+    graph = TOPOLOGIES[name]().graph
+    nodes = tuple(sorted(str(n) for n in graph.nodes()))
+    links = tuple(
+        sorted((str(a), str(b)) if str(a) < str(b) else (str(b), str(a))
+               for a, b in graph.edges())
+    )
+    return nodes, links

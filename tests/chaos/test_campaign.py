@@ -15,6 +15,7 @@ from repro.chaos import (
     run_campaign,
     trace_signature,
 )
+from repro.chaos.campaign import SpecTopologyError
 from repro.chaos.runner import build_campaign_deployment, campaign_params
 from repro.harness.build import build_p4update_network
 from repro.harness.scenarios import single_flow_scenario
@@ -130,9 +131,9 @@ def test_campaign_file_errors_name_the_file(tmp_path, text, problem):
 
 
 def test_unknown_topology_rejected_by_runner():
-    campaign = FaultCampaign(name="x", topology="moebius")
-    with pytest.raises(ValueError):
-        build_campaign_deployment(campaign)
+    """The runner never sees one: building the campaign already fails."""
+    with pytest.raises(SpecTopologyError, match="unknown topology"):
+        FaultCampaign(name="x", topology="moebius")
 
 
 # -- the acceptance criterion ------------------------------------------------
@@ -253,15 +254,9 @@ def test_armed_chaos_without_events_changes_nothing():
     )
 
     def run(armed):
-        deployment, scenario, _ = build_campaign_deployment(campaign)
+        deployment, _, _ = build_campaign_deployment(campaign)
         if armed:
             deployment.network.enable_chaos()
-
-        def trigger():
-            for flow in scenario.flows:
-                deployment.controller.update_flow(flow.flow_id, list(flow.new_path))
-
-        deployment.network.engine.schedule_at(campaign.update_at_ms, trigger)
         deployment.run(until=campaign.horizon_ms)
         return trace_signature(deployment.network.trace)
 
@@ -271,14 +266,23 @@ def test_armed_chaos_without_events_changes_nothing():
 # -- manifest ----------------------------------------------------------------
 
 
-def test_manifest_emission(tmp_path):
+def test_manifest_emission(tmp_path, capsys):
+    from repro.harness.cli import main
+
     campaign = FaultCampaign(
         name="manifested", topology="fig1", seed=0, horizon_ms=20_000.0
     )
-    result = run_campaign(campaign, emit_manifest=True, out_dir=str(tmp_path))
+    spec = tmp_path / "campaign.json"
+    spec.write_text(campaign.to_json())
+    assert main([
+        "chaos", "run", str(spec), "--runs", "1", "--manifest",
+        "--out-dir", str(tmp_path), "--cache-dir", str(tmp_path / "cache"),
+    ]) == 0
+    capsys.readouterr()
     path = tmp_path / "BENCH_chaos_manifested.json"
     assert path.exists()
     payload = json.loads(path.read_text())
+    result = run_campaign(campaign)
     assert payload["results"]["trace_signature"] == result.trace_signature
     assert payload["results"]["consistent"] is True
     assert payload["params"]["name"] == "manifested"

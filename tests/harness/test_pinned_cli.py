@@ -26,6 +26,10 @@ became trace records; only their digests moved.  The case
 that writes a checkpoint into another spec's directory was added with
 the fix that made it an ``error:`` instead of a traceback, and so was
 the case that hands a plain trace file to the three causal verbs.
+The three cases on a campaign with an unknown field and on a chaos sweep
+whose campaign names a missing node were added with the fix that made
+``sweep plan`` / ``sweep run`` refuse such a sweep instead of failing
+every shard.
 The four ``analyze {interference,lint,pipeline,plan} --help`` cases were
 re-recorded once, when the ``sarif`` choice of ``--format`` was deleted.
 Regenerate only for a deliberate change (and empty
@@ -116,6 +120,9 @@ ERROR_CASES = [
     ),
     ("ops validate {tmp}/atlantis_session.json",),
     ("chaos validate {tmp}/atlantis_campaign.json",),
+    ("chaos validate {tmp}/surprise_campaign.json",),
+    ("sweep plan {tmp}/bad_chaos_sweep.json",),
+    ("sweep run {tmp}/bad_chaos_sweep.json " + _OUT,),
     ("analyze interference {tmp}/plans_empty",),
     ("analyze interference {tmp}/plans_malformed",),
     ("analyze interference {tmp}/plans_foreign",),
@@ -285,7 +292,11 @@ def _write_scratch_inputs(tmp: pathlib.Path) -> None:
     session["timeline"][0]["switch"] = "atlantis"
     (tmp / "atlantis_session.json").write_text(json.dumps(session))
     campaign = json.loads((REPO / "examples" / "chaos_smoke.json").read_text())
-    campaign["events"][0]["node_a"] = "atlantis"
+    (tmp / "surprise_campaign.json").write_text(json.dumps(dict(campaign, surprise=1)))
+    campaign["events"][0]["node_b"] = "v9"
+    sweep = {"name": "bad-chaos", "kind": "chaos", "runs": 2, "campaign": campaign}
+    (tmp / "bad_chaos_sweep.json").write_text(json.dumps(sweep))
+    campaign["events"][0].update(node_a="atlantis", node_b="v2")
     (tmp / "atlantis_campaign.json").write_text(json.dumps(campaign))
 
 

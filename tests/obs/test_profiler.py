@@ -12,6 +12,7 @@ from repro.obs import make_obs
 from repro.obs.profiler import EngineProfiler, ProfiledEngine, _target_name
 from repro.params import SimParams
 from repro.sim.engine import Engine
+from repro.sweep.merge import format_profile
 from repro.topo import fig1_topology
 from repro.topo.synthetic import FIG1_NEW_PATH, FIG1_OLD_PATH
 from repro.traffic.flows import Flow
@@ -54,7 +55,7 @@ def test_report_top_limits():
     prof.record(a_callback, 0.001)
     prof.record(Thing().method, 0.002)
     assert len(prof.report(top=1)) == 1
-    assert "target" in prof.format_report()
+    assert "target" in format_profile(prof.report())
 
 
 def test_engine_dispatch_feeds_profiler():

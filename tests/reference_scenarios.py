@@ -23,14 +23,7 @@ import functools
 from typing import Any, Callable
 
 from repro.chaos.campaign import load_campaign
-from repro.chaos.runner import (
-    UPDATE_TYPES,
-    _fault_counts,
-    _trigger_updates,
-    build_campaign_deployment,
-    build_fault_policy,
-    schedule_topo_events,
-)
+from repro.chaos.runner import _fault_counts, build_campaign_deployment
 from repro.core.desttree import DestinationTreeManager
 from repro.core.messages import UpdateType
 from repro.harness.build import Deployment, build_p4update_network
@@ -190,21 +183,9 @@ def _campaign(document: dict[str, Any], obs: ObsContext = NULL_OBS) -> dict[str,
     """``repro.chaos.runner.run_campaign`` up to the horizon, keeping
     the deployment instead of reducing it to a result."""
     campaign = load_campaign(document)
-    deployment, scenario, _checker = build_campaign_deployment(campaign, obs)
-    network = deployment.network
-    for index, plane in enumerate(("data", "control")):
-        specs = [s for s in campaign.message_faults if s.plane == plane]
-        model = build_fault_policy(specs, campaign.seed, index)
-        if plane == "data":
-            network.fault_model = model
-        else:
-            network.control_fault_model = model
-    schedule_topo_events(deployment, campaign.events)
-    network.engine.schedule_at(
-        campaign.update_at_ms, _trigger_updates,
-        deployment, scenario, UPDATE_TYPES[campaign.update_type],
-    )
+    deployment, _scenario, _checker = build_campaign_deployment(campaign, obs)
     deployment.run(until=campaign.horizon_ms)
+    network = deployment.network
     faults = {
         "data": _fault_counts(network.fault_model),
         "control": _fault_counts(network.control_fault_model),

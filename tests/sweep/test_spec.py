@@ -99,6 +99,21 @@ def test_params_override_validation():
     ({**SMOKE, "seeds": ["x"]}, "'seeds' must be a count or a list"),
     ({**SMOKE, "systems": "p4update"}, "'systems' must be a list"),
     ({**SMOKE, "params": [1]}, "'params' must be an object"),
+    # The embedded campaign is loaded and checked against its topology.
+    ({"name": "c", "kind": "chaos", "campaign": {
+        "name": "c1", "events": [
+            {"time_ms": 12.0, "kind": "link_down", "node_a": "v4", "node_b": "v9"},
+        ]}}, "node_b='v9' is not a node"),
+    ({"name": "c", "kind": "chaos", "campaign": {
+        "name": "c1", "events": [
+            {"time_ms": 12.0, "kind": "link_down", "node_a": "v4", "node_b": "v7"},
+        ]}}, "no link between 'v4' and 'v7'"),
+    ({"name": "c", "kind": "chaos", "campaign": {
+        "name": "c1",
+        "message_faults": [{"plane": "data", "drop_prob": 1.0, "scope": "uim"}],
+    }}, "unknown scope 'uim' for the data plane"),
+    ({"name": "c", "kind": "chaos", "campaign": {"name": "c1", "surprise": 1}},
+     r"unknown chaos campaign field\(s\) \['surprise'\]"),
 ])
 def test_invalid_specs_are_rejected(broken, match):
     with pytest.raises(SweepSpecError, match=match):
