@@ -112,8 +112,8 @@ _MARSHAL_VERSION = 2
 def trace_signature(trace: Iterable[TraceEvent]) -> str:
     """SHA-256 over the trace's positional rows (determinism probe).
 
-    Format v2 (``docs/ARCHITECTURE.md``): the ``(time, kind, node,
-    detail)`` rows a pickled :class:`Trace` stores, in trace order and in
+    Format v2 (``docs/ARCHITECTURE.md``): the positional ``(time, kind,
+    node, detail)`` rows of the :class:`Trace`, in trace order and in
     blocks of up to 1 024, each block transposed into its four columns
     and written by ``marshal`` version 2.  No Python-level call is made
     per event or per block.  A value ``marshal`` cannot write (no

@@ -65,9 +65,8 @@ def _no_extras(deployment: Deployment) -> dict[str, Any]:
 class System:
     """Everything in which one native system differs from the others.
 
-    Hooks are module-level functions: a deployment, record included, is
-    pickled into ops checkpoints.  A record becomes runnable by name
-    through a row of :data:`repro.algos.registry.SYSTEMS`.
+    A record becomes runnable by name through a row of
+    :data:`repro.algos.registry.SYSTEMS`.
     """
 
     #: ``module:attribute`` of the public builder.  Resolved per build,

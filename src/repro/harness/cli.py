@@ -24,8 +24,8 @@ Commands regenerate individual experiments without pytest:
   admission control, dependency-aware orchestration and SLO metrics
   over the verified update path (:mod:`repro.serve`);
 * ``ops`` — live operations sessions over a running service: tenant
-  migration, rolling switch drains, capacity rebalancing, and signed
-  checkpoint/resume of the full simulator state (:mod:`repro.ops`).
+  migration, rolling switch drains, capacity rebalancing, and
+  checkpoint/resume by replaying the session spec (:mod:`repro.ops`).
 """
 
 from __future__ import annotations

@@ -38,11 +38,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 class EngineClock:
-    """Picklable ``() -> engine.now`` callable.
-
-    Ops-session checkpoints pickle the whole object graph, and a
-    lambda closing over the engine cannot be pickled, so the clock is a
-    tiny class."""
+    """``() -> engine.now``: the span tracker's simulated clock."""
 
     __slots__ = ("engine",)
 

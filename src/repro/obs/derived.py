@@ -71,8 +71,8 @@ _SKIP_IF = {
 
 
 class DerivedMetrics:
-    """The :data:`VIEWS` counters of one registry, as one picklable
-    trace subscriber routed to the kinds it counts."""
+    """The :data:`VIEWS` counters of one registry, as one trace
+    subscriber routed to the kinds it counts."""
 
     __slots__ = ("routes",)
 

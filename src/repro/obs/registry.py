@@ -306,14 +306,13 @@ class _NullHistogram(Histogram):
 
 class _NullFamily(dict):
     """Read-only family: every key yields one shared null instrument
-    and nothing is stored.  Pickles as a reference to its module-level
-    singleton, so an unpickled object graph shares it too."""
+    and nothing is stored."""
 
-    __slots__ = ("_instrument", "_singleton")
+    __slots__ = ("_instrument",)
 
-    def __init__(self, instrument: object, singleton: str) -> None:
+    def __init__(self, instrument: object) -> None:
         super().__init__()
-        self._instrument, self._singleton = instrument, singleton
+        self._instrument = instrument
 
     def __missing__(self, values: tuple):
         return self._instrument
@@ -321,13 +320,10 @@ class _NullFamily(dict):
     def __setitem__(self, values: tuple, instrument: object) -> None:
         raise TypeError("a null family stores nothing")
 
-    def __reduce__(self) -> str:
-        return self._singleton
 
-
-_NULL_COUNTERS = _NullFamily(_NullCounter(), "_NULL_COUNTERS")
-_NULL_GAUGES = _NullFamily(_NullGauge(), "_NULL_GAUGES")
-_NULL_HISTOGRAMS = _NullFamily(_NullHistogram(), "_NULL_HISTOGRAMS")
+_NULL_COUNTERS = _NullFamily(_NullCounter())
+_NULL_GAUGES = _NullFamily(_NullGauge())
+_NULL_HISTOGRAMS = _NullFamily(_NullHistogram())
 
 
 class NullRegistry(MetricsRegistry):

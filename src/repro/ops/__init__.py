@@ -2,10 +2,10 @@
 
 A long-lived serve session (:mod:`repro.serve`) overlaid with a
 declarative operations timeline — tenant migrations, rolling switch
-drains, capacity rebalancing — plus rolling snapshot/restore of the
-full simulator state to sha256-signed on-disk checkpoints, so a
-multi-hour simulated session can be stopped and resumed
-byte-identically (``repro ops run|checkpoint|resume``).
+drains, capacity rebalancing — plus rolling on-disk replay points, so
+a multi-hour simulated session can be stopped and resumed
+byte-identically by re-running its spec to the last checkpoint
+(``repro ops run|checkpoint|resume``).
 """
 
 from repro.ops.spec import (

@@ -1,30 +1,32 @@
-"""Sha256-signed on-disk checkpoints for operations sessions.
+"""Replay points: on-disk checkpoints for operations sessions.
 
-A checkpoint directory holds one pickle per checkpoint index plus a
-``checkpoints.json`` manifest::
+A session is deterministic from its spec, so a checkpoint does not
+carry the run — it says where the run was and what it had done.  A
+checkpoint directory is one manifest::
 
     ckpts/
-      checkpoint_000001.pkl     # {"meta", "session"}
-      checkpoint_000002.pkl
-      checkpoints.json          # manifest: sha256 + sim time per index
+      checkpoints.json    # spec document + one row per checkpoint tick
 
-Each pickle is the full session object graph (engine event queue,
-switch registers, NIB/Flow-DB, orchestrator and admission queues, RNG
-generators, obs counters, the network's packet numbering); nothing
-outside that graph is saved, because no run state lives outside it.
-The manifest records the SHA-256 of
-every checkpoint's bytes; :func:`load_checkpoint` refuses to restore a
-file whose digest does not match (a truncated or hand-edited file
-fails loudly, never silently diverges).  It also records the payload
-format and a fingerprint of the ``repro`` source that wrote it, and
-both are compared **before** anything is unpickled: a pickle restores
-objects by class path, so bytes written by other code would load into
-this build's classes and diverge silently.
+The manifest carries, once, the session spec document
+(``SessionSpec.to_dict()``), its ``spec_hash``, whether the run was
+instrumented (``obs``), the format and a fingerprint of the ``repro``
+source that wrote it; and one row per tick: ``index``,
+``sim_time_ms``, ``processed_events`` and ``digest`` — the
+:func:`~repro.chaos.runner.trace_signature` of the trace rows recorded
+since the previous tick (the retained ones, when a ring buffer dropped
+some; positions count every record).
 
-All writes are atomic (``tmp`` + ``os.replace``), so a session killed
-*during* a checkpoint write leaves the previous checkpoint set intact,
-and a write into a directory that belongs to another format, code
-fingerprint or spec is refused before any file is touched.
+:func:`load_checkpoint` refuses a manifest of another format, another
+build or an edited spec document before anything is simulated, then
+:func:`replay` rebuilds the session from the spec and re-runs it,
+comparing every tick up to the requested one with its row; the session
+comes back positioned right after that tick, so ``session.run()``
+continues byte-identically.  A resume therefore pays for its prefix.
+
+Manifest writes are atomic (``os.replace``), so a session killed during
+a write leaves the previous manifest intact, and a write into a
+directory that belongs to another format, code fingerprint or spec is
+refused before the file is touched.
 """
 
 from __future__ import annotations
@@ -34,50 +36,37 @@ import hashlib
 import json
 import os
 import pathlib
-import pickle
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Optional
 
+from repro.chaos.runner import trace_signature
 from repro.loading import write_json_atomic
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.ops.session import OpsSession
 
-#: Bumped whenever the checkpoint payload layout changes; a mismatch
-#: on load is an error (old checkpoints do not silently restore).
-#: 2: the session graph holds the incremental ``LiveChecker``'s caches
-#: and ``Trace`` subscribers as (callback, kinds) pairs.
-#: 3: the session nests a ``ServiceSession`` (deployment, checker,
-#: orchestrator, arrival driver) instead of holding its parts.
-#: 4: no ``"globals"`` section — packet numbering is the network's own
-#: counter, pickled with the session.
-CHECKPOINT_FORMAT = 4
+#: Bumped whenever the manifest layout changes; a mismatch on load is
+#: an error (old checkpoints do not silently restore).
+CHECKPOINT_FORMAT = 5
 
 _MANIFEST = "checkpoints.json"
 
+#: What a manifest row records besides its index, each compared during
+#: replay.
+_ROW_KEYS = ("sim_time_ms", "processed_events", "digest")
+_ROW_FIELDS = {"index", *_ROW_KEYS}
+
 
 class CheckpointError(RuntimeError):
-    """A checkpoint could not be written, found, or safely restored."""
+    """A checkpoint could not be written, found, or safely replayed."""
 
 
 class StopSession(Exception):
     """Raised by a sink to halt the engine right after a checkpoint
-    (the ``--stop-after-checkpoint`` kill point the resume CI job
-    exercises)."""
+    (the ``--stop-after`` kill point, and where a replay ends)."""
 
     def __init__(self, index: int) -> None:
         self.index = index
         super().__init__(f"session stopped after checkpoint {index}")
-
-
-def _checkpoint_name(index: int) -> str:
-    return f"checkpoint_{index:06d}.pkl"
-
-
-def _atomic_write(path: str, data: bytes) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as handle:
-        handle.write(data)
-    os.replace(tmp, path)
 
 
 @functools.cache
@@ -92,18 +81,18 @@ def code_fingerprint() -> str:
     return digest.hexdigest()
 
 
-def _refuse_foreign(what: str, doc: dict) -> None:
-    """Raise unless ``doc`` (a manifest or a checkpoint's meta) was
-    written in this build's format by this build's code."""
-    if doc.get("format") != CHECKPOINT_FORMAT:
+def _refuse_foreign(directory: str, manifest: dict) -> None:
+    """Raise unless ``manifest`` was written in this build's format by
+    this build's code."""
+    if manifest.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(
-            f"{what} has format {doc.get('format')!r}; "
+            f"checkpoint dir {directory!r} has format {manifest.get('format')!r}; "
             f"this build reads format {CHECKPOINT_FORMAT}"
         )
-    if doc.get("code_fingerprint") != code_fingerprint():
+    if manifest.get("code_fingerprint") != code_fingerprint():
         raise CheckpointError(
-            f"{what} was written by code fingerprint "
-            f"{doc.get('code_fingerprint')!r}; this build is "
+            f"checkpoint dir {directory!r} was written by code fingerprint "
+            f"{manifest.get('code_fingerprint')!r}; this build is "
             f"{code_fingerprint()!r} — re-run the session from its spec"
         )
 
@@ -112,107 +101,142 @@ def read_manifest(directory: str) -> dict:
     path = os.path.join(directory, _MANIFEST)
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            manifest = json.load(handle)
     except FileNotFoundError:
         raise CheckpointError(f"no checkpoint manifest at {path!r}") from None
     except (OSError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"unreadable manifest {path!r}: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise CheckpointError(f"unreadable manifest {path!r}: not an object")
+    return manifest
 
 
-def write_checkpoint(directory: str, session: "OpsSession", index: int) -> dict:
-    """Persist one checkpoint; returns its manifest entry.
-
-    The directory's manifest is checked first: a directory another
-    format, build or spec wrote is refused with every file untouched."""
-    meta = {
-        "format": CHECKPOINT_FORMAT,
-        "code_fingerprint": code_fingerprint(),
-        "name": session.spec.name,
-        "spec_hash": session.spec.spec_hash(),
-        "index": index,
-        "sim_time_ms": float(session.engine.now),
-    }
+def open_manifest(directory: str, session: "OpsSession") -> dict:
+    """The manifest ``session`` writes its rows into: the directory's
+    own, or a fresh one.  A directory another format, build or spec
+    wrote is refused, with every file untouched."""
     try:
         manifest = read_manifest(directory)
     except CheckpointError:
-        manifest = {
+        return {
             "format": CHECKPOINT_FORMAT,
-            "code_fingerprint": meta["code_fingerprint"],
+            "code_fingerprint": code_fingerprint(),
             "name": session.spec.name,
-            "spec_hash": meta["spec_hash"],
+            "spec": session.spec.to_dict(),
+            "spec_hash": session.spec.spec_hash(),
+            "obs": bool(session.obs.enabled),
             "checkpoints": [],
         }
-    _refuse_foreign(f"checkpoint dir {directory!r}", manifest)
-    if manifest.get("spec_hash") != meta["spec_hash"]:
+    _refuse_foreign(directory, manifest)
+    if manifest.get("spec_hash") != session.spec.spec_hash():
         raise CheckpointError(
             f"checkpoint dir {directory!r} belongs to a different spec "
             f"(manifest spec_hash {manifest.get('spec_hash')!r})"
         )
+    return manifest
 
-    os.makedirs(directory, exist_ok=True)
-    blob = pickle.dumps({"meta": meta, "session": session})
-    filename = _checkpoint_name(index)
-    _atomic_write(os.path.join(directory, filename), blob)
-    entry = {
+
+def _row(session: "OpsSession", index: int) -> dict:
+    """What the manifest records about tick ``index`` of ``session``."""
+    trace = session.deployment.network.trace
+    start = session.segment[0]
+    return {
         "index": index,
-        "file": filename,
-        "sha256": hashlib.sha256(blob).hexdigest(),
-        "sim_time_ms": meta["sim_time_ms"],
+        "sim_time_ms": float(session.engine.now),
+        "processed_events": session.engine.processed_events,
+        "digest": trace_signature(trace.events[max(start - trace.dropped_events, 0):]),
     }
-    manifest["checkpoints"] = [
-        e for e in manifest["checkpoints"] if int(e["index"]) != index
-    ] + [entry]
-    manifest["checkpoints"].sort(key=lambda e: int(e["index"]))
+
+
+def write_checkpoint(directory: str, session: "OpsSession", index: int) -> dict:
+    """Record tick ``index`` of ``session``; returns its manifest row."""
+    manifest = open_manifest(directory, session)
+    row = _row(session, index)
+    os.makedirs(directory, exist_ok=True)
+    rows = [r for r in manifest["checkpoints"] if r.get("index") != index]
+    manifest["checkpoints"] = sorted(rows + [row], key=lambda r: r["index"])
     write_json_atomic(os.path.join(directory, _MANIFEST), manifest)
-    return entry
+    return row
+
+
+def replay(manifest: dict, index: int) -> "OpsSession":
+    """Build ``manifest``'s session from its spec and run it to right
+    after tick ``index``, checking every tick on the way against its
+    row (rows ``1..index`` must be present)."""
+    from repro.obs import make_obs
+    from repro.ops.session import build_session
+    from repro.ops.spec import load_session_spec
+
+    rows = {row["index"]: row for row in manifest["checkpoints"]}
+
+    def verify(session: "OpsSession", tick: int) -> None:
+        replayed = _row(session, tick)
+        for key in _ROW_KEYS:
+            if replayed[key] != rows[tick][key]:
+                raise CheckpointError(
+                    f"checkpoint {tick} does not replay: {key} is "
+                    f"{rows[tick][key]!r} in the manifest, {replayed[key]!r} on replay"
+                )
+        if tick >= index:
+            raise StopSession(tick)
+
+    session = build_session(
+        load_session_spec(manifest["spec"]),
+        obs=make_obs() if manifest["obs"] else None,
+    )
+    session._sink = verify
+    try:
+        session.run()
+    except StopSession:
+        session._sink = None
+        session.resumed_from = index
+        return session
+    raise CheckpointError(f"replay reached the horizon without checkpoint {index}")
 
 
 def load_checkpoint(
     directory: str, index: Optional[int] = None
 ) -> "OpsSession":
-    """Verify, unpickle and **restore** a checkpoint.
+    """Check ``directory``'s manifest — format, fingerprint, the spec
+    document against ``spec_hash``, the rows a replay needs — and
+    :func:`replay` its session to checkpoint ``index`` (default: the
+    latest).  These checks refuse before the first simulated event; a
+    row that does not replay is refused at its tick."""
+    from repro.ops.spec import load_session_spec
 
-    Returns the session, positioned exactly where the checkpoint was
-    taken — ``session.run()`` continues byte-identically.  ``index``
-    defaults to the latest checkpoint in the manifest."""
     manifest = read_manifest(directory)
-    _refuse_foreign(f"checkpoint dir {directory!r}", manifest)
-    entries = {int(e["index"]): e for e in manifest.get("checkpoints", [])}
-    if not entries:
-        raise CheckpointError(f"checkpoint dir {directory!r} is empty")
-    if index is None:
-        index = max(entries)
-    entry = entries.get(int(index))
-    if entry is None:
-        raise CheckpointError(
-            f"no checkpoint with index {index} in {directory!r} "
-            f"(have {sorted(entries)})"
-        )
-    path = os.path.join(directory, entry["file"])
+    _refuse_foreign(directory, manifest)
     try:
-        with open(path, "rb") as handle:
-            blob = handle.read()
-    except OSError as exc:
-        raise CheckpointError(f"unreadable checkpoint {path!r}: {exc}") from None
-    digest = hashlib.sha256(blob).hexdigest()
-    if digest != entry["sha256"]:
+        spec_hash = load_session_spec(manifest["spec"]).spec_hash()
+        rows = {r["index"] for r in manifest["checkpoints"] if set(r) == _ROW_FIELDS}
+        if not isinstance(manifest["obs"], bool):
+            raise TypeError(f"obs is {manifest['obs']!r}")
+    except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(
-            f"checkpoint {path!r} is corrupt: sha256 {digest} does not "
-            f"match the manifest ({entry['sha256']})"
+            f"checkpoint dir {directory!r} has a malformed manifest ({exc!r})"
+        ) from None
+    if spec_hash != manifest["spec_hash"]:
+        raise CheckpointError(
+            f"checkpoint dir {directory!r}: the spec document hashes to "
+            f"{spec_hash!r}, the manifest says {manifest['spec_hash']!r}"
         )
-    payload = pickle.loads(blob)
-    _refuse_foreign(f"checkpoint {path!r}", payload["meta"])
-    session = payload["session"]
-    session.resumed_from = int(index)
-    return session
+    if not rows:
+        raise CheckpointError(f"checkpoint dir {directory!r} is empty")
+    index = max(rows) if index is None else index
+    if index not in rows:
+        raise CheckpointError(
+            f"no checkpoint with index {index} in {directory!r} (have {sorted(rows)})"
+        )
+    missing = sorted(set(range(1, index)) - rows)
+    if missing:
+        raise CheckpointError(
+            f"checkpoint dir {directory!r} lacks the rows {missing} before {index}"
+        )
+    return replay(manifest, index)
 
 
 class CheckpointSink:
-    """The runtime writer a CLI attaches to ``session._sink``.
-
-    Never pickled with the session (``OpsSession.__getstate__`` drops
-    it), so checkpoint bytes are identical whether or not a sink was
-    attached — the byte-identity contract's load-bearing detail."""
+    """The runtime writer a CLI attaches to ``session._sink``."""
 
     def __init__(
         self,
@@ -226,30 +250,12 @@ class CheckpointSink:
         self.written: list[dict] = []
 
     def __call__(self, session: "OpsSession", index: int) -> None:
-        entry = write_checkpoint(self.directory, session, index)
-        self.written.append(entry)
+        row = write_checkpoint(self.directory, session, index)
+        self.written.append(row)
         if self.verbose:
             print(
-                f"checkpoint {index} at t={entry['sim_time_ms']:.1f} ms "
-                f"-> {entry['file']} ({entry['sha256'][:16]})"
+                f"checkpoint {index} at t={row['sim_time_ms']:.1f} ms "
+                f"-> {_MANIFEST} ({row['digest'][:16]})"
             )
         if self.stop_after is not None and index >= self.stop_after:
             raise StopSession(index)
-
-
-def checkpoint_status(directory: str) -> dict:
-    """What ``ops status`` prints, read from the manifest."""
-    manifest = read_manifest(directory)
-    entries = sorted(
-        manifest.get("checkpoints", []), key=lambda e: int(e["index"])
-    )
-    latest: Optional[dict[str, Any]] = entries[-1] if entries else None
-    return {
-        "name": manifest.get("name"),
-        "spec_hash": manifest.get("spec_hash"),
-        "code_fingerprint": manifest.get("code_fingerprint"),
-        "checkpoints": len(entries),
-        "latest_index": int(latest["index"]) if latest else None,
-        "sim_time_ms": float(latest["sim_time_ms"]) if latest else None,
-        "entries": entries,
-    }

@@ -8,13 +8,13 @@
   With ``--seeds N`` the run fans out as N seeded sessions through
   the sweep executor instead and writes ``BENCH_ops_fleet_<name>``
   whose aggregate signature is worker-count independent.
-* ``ops checkpoint <spec.json> --dir D`` — run the session writing a
-  rolling sha256-signed checkpoint every ``checkpoint_every_ms`` of
-  simulated time; ``--stop-after N`` kills the run right after
-  checkpoint N (the resume drill's kill point).
-* ``ops resume --dir D`` — restore the latest (or ``--index``)
-  checkpoint and continue to the horizon, byte-identically to an
-  uninterrupted run; keeps checkpointing to the same directory.
+* ``ops checkpoint <spec.json> --dir D`` — run the session recording a
+  replay point every ``checkpoint_every_ms`` of simulated time;
+  ``--stop-after N`` kills the run right after checkpoint N (the
+  resume drill's kill point).
+* ``ops resume --dir D`` — replay the session to the latest (or
+  ``--index``) checkpoint and continue to the horizon, byte-identically
+  to an uninterrupted run; keeps checkpointing to the same directory.
 * ``ops status --dir D`` — inspect a checkpoint directory.
 """
 
@@ -156,14 +156,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _run_checkpointed(session: "OpsSession", args: argparse.Namespace) -> int:
     """Run ``session`` to its horizon (or to ``--stop-after``) writing
-    rolling checkpoints to ``--dir``; a checkpoint the sink refuses to
-    write is a :class:`CliError`."""
-    from repro.ops.checkpoint import CheckpointError, CheckpointSink, StopSession
+    rolling checkpoints to ``--dir``; a directory the sink may not
+    write into is a :class:`CliError` before the first event."""
+    from repro.ops.checkpoint import CheckpointError, CheckpointSink, StopSession, open_manifest
 
     session._sink = CheckpointSink(
         args.dir, stop_after=args.stop_after, verbose=True
     )
     try:
+        open_manifest(args.dir, session)
         session.run()
     except StopSession as stop:
         print(f"stopped after checkpoint {stop.index} "
@@ -202,22 +203,23 @@ def _cmd_resume(args: argparse.Namespace) -> int:
 
 
 def _cmd_status(args: argparse.Namespace) -> int:
-    from repro.ops.checkpoint import CheckpointError, checkpoint_status
+    from repro.ops.checkpoint import CheckpointError, read_manifest
 
     try:
-        status = checkpoint_status(args.dir)
+        manifest = read_manifest(args.dir)
     except CheckpointError as exc:
         raise CliError(str(exc)) from None
-    print(f"session:     {status['name']}")
-    print(f"spec hash:   {status['spec_hash']}")
-    print(f"code:        {str(status['code_fingerprint'])[:16]}")
-    print(f"checkpoints: {status['checkpoints']}")
-    if status["latest_index"] is not None:
-        print(f"latest:      index {status['latest_index']} "
-              f"at t={status['sim_time_ms']:.1f} ms")
-    for entry in status["entries"]:
-        print(f"  [{entry['index']}] t={entry['sim_time_ms']:.1f} ms "
-              f"{entry['file']} sha256={entry['sha256'][:16]}")
+    rows = manifest.get("checkpoints", [])
+    print(f"session:     {manifest.get('name')}")
+    print(f"spec hash:   {manifest.get('spec_hash')}")
+    print(f"code:        {str(manifest.get('code_fingerprint'))[:16]}")
+    print(f"checkpoints: {len(rows)}")
+    if rows:
+        print(f"latest:      index {rows[-1]['index']} "
+              f"at t={rows[-1]['sim_time_ms']:.1f} ms")
+    for row in rows:
+        print(f"  [{row['index']}] t={row['sim_time_ms']:.1f} ms "
+              f"{row['processed_events']} events digest={row['digest'][:16]}")
     return 0
 
 

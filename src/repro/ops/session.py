@@ -3,12 +3,11 @@
 :func:`build_session` constructs an :class:`OpsSession` — a
 :class:`~repro.serve.service.ServiceSession` (deployment, flow
 population, orchestrator, consistency checker, arrival driver) plus
-the operations timeline and checkpoint ticks.  Everything the engine
-will ever call back into is a bound method of an object inside that
-graph (no closures, no generators), which is what makes rolling
-checkpoints possible: a checkpoint is ``pickle.dumps`` of the session
-(packet numbering included: it is the network's own counter), and a
-resumed session continues **byte-identically** to an uninterrupted run.
+the operations timeline and checkpoint ticks.  A session is
+deterministic from its spec, so a checkpoint is a replay point
+(:mod:`repro.ops.checkpoint`): a resumed session is rebuilt from the
+spec, re-run to the tick and continues **byte-identically** to an
+uninterrupted run.
 
 Operations execute as **rolling per-flow moves** through the existing
 verified prepare/push pipeline (Alg. 1/2): each op moves one flow at a
@@ -150,9 +149,7 @@ class OpsResult(ServiceResult):
 class OpsSession:
     """One live session: background churn + scheduled operations.
 
-    Built by :func:`build_session`; every engine callback is a bound
-    method of this object or of something it owns, so the whole graph
-    pickles (the checkpoint contract)."""
+    Built by :func:`build_session`."""
 
     def __init__(self, spec: SessionSpec, service: ServiceSession) -> None:
         self.spec = spec
@@ -178,28 +175,21 @@ class OpsSession:
             for i, f in enumerate(service.population)
         }
         # Checkpointing.  ``checkpoint_index`` is the last tick that
-        # ran; ``_sink`` is the runtime-only writer — never pickled, so
-        # checkpoint bytes are independent of where (or whether) they
-        # were written.
+        # ran and ``segment`` the absolute trace positions (dropped
+        # records counted) it closed, from the tick before; ``_sink``
+        # is called at every tick (a checkpoint writer or a replay's
+        # verifier).
         self.checkpoint_index = 0
+        self.segment = (0, 0)
         self.resumed_from: Optional[int] = None
         self._sink: Optional[Any] = None
         self.controller.update_listeners.append(self._on_update_event)
 
-    # -- pickling ----------------------------------------------------------
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state["_sink"] = None
-        return state
-
     # -- construction-time scheduling --------------------------------------
 
     def wire(self) -> None:
-        """Schedule the workload, the timeline and checkpoint ticks.
-
-        Called once at build time (never on resume: the restored engine
-        queue already contains everything below)."""
+        """Schedule the workload, the timeline and checkpoint ticks
+        (once, at build time)."""
         self.service.wire()
         for state in self.op_states:
             at_ms = float(state.entry["at_ms"])
@@ -212,13 +202,15 @@ class OpsSession:
     # -- checkpoint ticks ----------------------------------------------------
 
     def _checkpoint_tick(self, index: int) -> None:
-        # The next tick is scheduled *before* capture so the snapshot
-        # contains it — a resumed session keeps checkpointing on the
-        # same cadence without re-wiring anything.
+        # The next tick is queued before the sink runs: a sink that
+        # stops the run here (``StopSession``) leaves a session that
+        # continues on the same cadence.
         next_time = (index + 1) * self.spec.checkpoint_every_ms
         if next_time <= self.serve.horizon_ms:
             self.engine.schedule_at(next_time, self._checkpoint_tick, index + 1)
         self.checkpoint_index = index
+        trace = self.deployment.network.trace
+        self.segment = (self.segment[1], len(trace) + trace.dropped_events)
         if self._sink is not None:
             self._sink(self, index)
 
@@ -471,7 +463,7 @@ class OpsSession:
     # -- run / finalize -------------------------------------------------------
 
     def run(self) -> None:
-        """Advance the session to its horizon (build or resume)."""
+        """Advance the session to its horizon (fresh or replayed)."""
         self.service.run()
 
     def finalize(self) -> OpsResult:

@@ -17,8 +17,8 @@ class RegisterArray:
     The *size* is fixed, as on the target; the *storage* is sparse:
     only cells that were written hold a slot, every other index reads
     as the fill value.  A switch provisions 20 UIB arrays of 4096 cells
-    and a run touches a few dozen of them, so building, pickling and
-    checkpointing a deployment cost what it uses, not what it declares.
+    and a run touches a few dozen of them, so building a deployment
+    costs what it uses, not what it declares.
     """
 
     def __init__(self, name: str, size: int, bits: int = 32, initial: int = 0) -> None:

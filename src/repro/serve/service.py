@@ -244,16 +244,13 @@ class ServiceSession:
     first arrival — deployment and flow population, live checker,
     orchestrator, scheduled topology events, arrival RNG; :meth:`wire`
     schedules the first arrivals, :meth:`run` advances to the horizon
-    and :meth:`close` builds the :class:`ServiceResult`.  Every engine
-    callback is a bound method of this object or of something it owns
-    (no closures, no generators), so the whole graph pickles mid-run
-    and a restored session continues byte-identically.
+    and :meth:`close` builds the :class:`ServiceResult`.
 
     The arrival rng is drawn in one fixed order, which every pinned
     signature depends on: open loop, one ``exponential`` then one
     weighted pick per arrival, the next arrival drawn right after the
     previous submit; closed loop, one pick per client submit.  A pick
-    bisects ``_cdf`` (session state, pickled with it) with one double.
+    bisects ``_cdf`` (session state) with one double.
     """
 
     def __init__(

@@ -49,9 +49,6 @@ class Engine:
 
     def __init__(self) -> None:
         self._queue: list[tuple[float, int, Event]] = []
-        # Plain int (not itertools.count): the sequence number is part
-        # of the checkpointed engine state and a count() iterator
-        # cannot be pickled.
         self._seq = 0
         # Current simulated time in milliseconds.  A plain attribute:
         # every trace record and every delivery reads it.

@@ -88,8 +88,8 @@ class Network:
         # armed.
         self._in_flight: dict[frozenset[str], list[Event]] = {}
         # Debug packet numbering (``Packet#N`` in trace tags): one plain
-        # counter per deployment, so it pickles with the session and a
-        # run never sees what an earlier run in the process numbered.
+        # counter per deployment, so a run never sees what an earlier
+        # run in the process numbered.
         self.next_packet_id = 1
 
     def take_packet_id(self) -> int:

@@ -197,16 +197,3 @@ class Trace:
 
     def __len__(self) -> int:
         return len(self.events)
-
-    def __getstate__(self) -> dict:
-        # Events travel as plain positional rows, which pickle at C speed
-        # with no per-event class reference; _routes is derived.
-        state = self.__dict__.copy()
-        state["events"] = list(map(tuple, self.events))
-        del state["_routes"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self.events = list(map(TraceEvent._make, state["events"]))
-        self._routes = {}

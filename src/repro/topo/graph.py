@@ -196,8 +196,8 @@ class Topology:
 
     def _own(self, nodes: Iterable[str]) -> list[str]:
         """``nodes`` as this instance's own node objects, whichever
-        instance computed the answer: nothing pickled later (a flow, a
-        checkpoint) then differs between a warm and a cold process."""
+        instance computed the answer: nothing pickled later (a flow)
+        then differs between a warm and a cold process."""
         return [self._memo[2][node] for node in nodes]
 
     def _memoised(self, key: tuple, compute: Callable[[], Any]) -> Any:
@@ -209,8 +209,8 @@ class Topology:
         return answers[key]
 
     def __getstate__(self) -> dict[str, Any]:
-        # Pickled bytes (checkpoints, sweep workers) must not depend on
-        # what this process happened to query earlier.
+        # Pickled bytes must not depend on what this process happened
+        # to query earlier.
         return dict(self.__dict__, _memo=(-1, {}, {}))
 
     # -- latency-weighted paths ---------------------------------------------------

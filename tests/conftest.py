@@ -10,10 +10,10 @@ from tests.consistency.reference_checker import ReferenceLiveChecker
 def shadow_checker(monkeypatch):
     """Differential oracle for the incremental ``LiveChecker``.
 
-    While the fixture is active every ``LiveChecker`` built (or restored
-    from an ops checkpoint) gets a full-state ``ReferenceLiveChecker``
-    on the same state and trace; at teardown each pair must hold
-    byte-equal violation lists and equal armed sets.  Yields the list
+    While the fixture is active every ``LiveChecker`` built gets a
+    full-state ``ReferenceLiveChecker`` on the same state and trace; at
+    teardown each pair must hold byte-equal violation lists and equal
+    armed sets.  Yields the list
     of shadows so a test can assert that it exercised any.
     """
     shadows: list[ReferenceLiveChecker] = []

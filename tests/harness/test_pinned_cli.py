@@ -32,6 +32,10 @@ whose campaign names a missing node were added with the fix that made
 every shard.
 The four ``analyze {interference,lint,pipeline,plan} --help`` cases were
 re-recorded once, when the ``sarif`` choice of ``--format`` was deleted.
+The two cases that write ops checkpoints were re-recorded once, when a
+checkpoint became a manifest row: each ``checkpoint N at t=… -> …`` line
+names ``checkpoints.json`` and the row's segment digest (deterministic,
+so pinned) instead of a pickle file and its host-dependent sha256.
 Regenerate only for a deliberate change (and empty
 ``FIXED`` when you do)::
 
@@ -267,13 +271,11 @@ def case_id(case) -> str:
     return " && ".join(case) or "(no arguments)"
 
 
-#: Host-dependent text: wall-clock estimates and durations, and hashes
-#: that cover the source tree (a checkpoint binds a code fingerprint).
+#: Host-dependent text: wall-clock estimates and durations.
 _VOLATILE = (
     (re.compile(r"eta \d+\.\d+s"), "eta {s}s"),
     (re.compile(r"elapsed:   \d+\.\d+ s"), "elapsed:   {s} s"),
     (re.compile(r"wall=\d+\.\d+ ms"), "wall={ms} ms"),
-    (re.compile(r"(checkpoint_\d+\.pkl) \([0-9a-f]{16}\)"), r"\1 ({sha})"),
 )
 
 

@@ -1,25 +1,27 @@
-"""Checkpoint/restore: byte-identical resume at every kill point."""
+"""Replay points: byte-identical resume at every kill point, and typed
+refusals of every manifest that must not be replayed."""
 
-import hashlib
 import json
 import os
-import pickle
 
 import pytest
 
+from repro.chaos.runner import trace_signature
+from repro.obs import make_obs
 from repro.ops.checkpoint import (
     CHECKPOINT_FORMAT,
     CheckpointError,
     CheckpointSink,
     StopSession,
-    checkpoint_status,
     code_fingerprint,
     load_checkpoint,
+    open_manifest,
     read_manifest,
     write_checkpoint,
 )
 from repro.ops.session import build_session, run_session
 from repro.ops.spec import load_session_spec
+from repro.sim.engine import Engine
 
 #: Chaos-laden session: a link drops mid-drain and recovers; the
 #: controller watchdog (§11) re-drives updates stranded on the dead
@@ -52,39 +54,117 @@ CHAOS_DOC = {
 }
 
 
-def _spec():
-    return load_session_spec(json.loads(json.dumps(CHAOS_DOC)))
+def _doc(**serve_params):
+    doc = json.loads(json.dumps(CHAOS_DOC))
+    doc["serve"]["params"].update(serve_params)
+    return doc
+
+
+def _spec(**serve_params):
+    return load_session_spec(_doc(**serve_params))
 
 
 def _canonical(result):
     return json.dumps(result.to_results(), sort_keys=True)
 
 
-def test_resume_at_every_checkpoint_is_byte_identical(tmp_path):
+def _checkpointed(ck_dir, spec=None, stop_after=None, obs=None):
+    """Run a session writing checkpoints into ``ck_dir``; returns it
+    (stopped after ``stop_after``, or at its horizon)."""
+    session = build_session(spec or _spec(), obs=obs)
+    session._sink = CheckpointSink(ck_dir, stop_after=stop_after)
+    try:
+        session.run()
+    except StopSession:
+        pass
+    return session
+
+
+def _edit_manifest(ck_dir, edit):
+    manifest = read_manifest(ck_dir)
+    edit(manifest)
+    with open(os.path.join(ck_dir, "checkpoints.json"), "w") as handle:
+        json.dump(manifest, handle)
+
+
+@pytest.fixture
+def engine_events(monkeypatch):
+    """Counts the events any engine processes while the test runs."""
+    stepped = []
+    plain_step = Engine.step
+
+    def counted(self):
+        stepped.append(self)
+        return plain_step(self)
+
+    monkeypatch.setattr(Engine, "step", counted)
+    return stepped
+
+
+def _assert_resumes_from_every_index(spec, ck_dir, uninterrupted):
+    for index in (1, 2, 3, 4):
+        resumed = load_checkpoint(ck_dir, index)
+        assert resumed.resumed_from == index
+        assert resumed.checkpoint_index == index
+        resumed.run()
+        result = resumed.finalize()
+        # The whole results document — records, ops, violations, trace
+        # signature — must match the uninterrupted run byte for byte.
+        assert _canonical(result) == _canonical(uninterrupted), (
+            f"diverged from index {index}"
+        )
+        assert result.signature() == uninterrupted.signature()
+        assert result.trace_sig == uninterrupted.trace_sig
+
+
+def test_resume_at_every_checkpoint_is_byte_identical(tmp_path, shadow_checker):
     spec = _spec()
     uninterrupted = run_session(spec)
-    baseline = _canonical(uninterrupted)
 
     ck_dir = str(tmp_path / "ckpts")
     session = build_session(spec)
     sink = CheckpointSink(ck_dir)
     session._sink = sink
     session.run()
-    full = session.finalize()
-    assert _canonical(full) == baseline
-    indices = [entry["index"] for entry in sink.written]
-    assert indices == [1, 2, 3, 4]
+    assert _canonical(session.finalize()) == _canonical(uninterrupted)
+    assert [entry["index"] for entry in sink.written] == [1, 2, 3, 4]
+    _assert_resumes_from_every_index(spec, ck_dir, uninterrupted)
+    assert shadow_checker
 
-    for index in indices:
-        resumed = load_checkpoint(ck_dir, index)
-        assert resumed.resumed_from == index
-        resumed.run()
-        result = resumed.finalize()
-        # The whole results document — records, ops, violations, trace
-        # signature — must match the uninterrupted run byte for byte.
-        assert _canonical(result) == baseline, f"diverged from index {index}"
-        assert result.signature() == uninterrupted.signature()
-        assert result.trace_sig == uninterrupted.trace_sig
+
+def test_ring_buffered_trace_resumes_from_every_index(tmp_path):
+    """The ring keeps fewer rows than one checkpoint interval records:
+    segments are absolute trace positions, and each digest covers the
+    retained tail of its segment."""
+    spec = _spec(trace_max_events=20)
+    uninterrupted = run_session(spec)
+
+    ck_dir = str(tmp_path / "ckpts")
+    session = build_session(spec)
+    writer = CheckpointSink(ck_dir)
+    segments = []
+
+    tails = []
+
+    def sink(session, index):
+        start, end = session.segment
+        segments.append((start, end))
+        events = session.deployment.network.trace.events
+        tails.append(trace_signature(events[len(events) - min(end - start, 20):]))
+        writer(session, index)
+
+    session._sink = sink
+    session.run()
+    assert _canonical(session.finalize()) == _canonical(uninterrupted)
+    trace = session.deployment.network.trace
+    assert len(trace) == 20 and trace.dropped_events > 0
+    assert [start for start, _ in segments[1:]] == [end for _, end in segments[:-1]]
+    # Every segment outgrows the ring but the last, which is empty.
+    assert all(end - start > 20 for start, end in segments[:-1])
+    assert segments[-1][0] == segments[-1][1]
+    assert [row["digest"] for row in writer.written] == tails
+    assert len(set(tails)) == len(tails)
+    _assert_resumes_from_every_index(spec, ck_dir, uninterrupted)
 
 
 def test_stop_after_kill_point_then_resume(tmp_path, shadow_checker):
@@ -97,7 +177,7 @@ def test_stop_after_kill_point_then_resume(tmp_path, shadow_checker):
     with pytest.raises(StopSession) as excinfo:
         session.run()
     assert excinfo.value.index == 2
-    assert checkpoint_status(ck_dir)["latest_index"] == 2
+    assert read_manifest(ck_dir)["checkpoints"][-1]["index"] == 2
 
     resumed = load_checkpoint(ck_dir)  # defaults to the latest
     resumed._sink = CheckpointSink(ck_dir)
@@ -105,68 +185,74 @@ def test_stop_after_kill_point_then_resume(tmp_path, shadow_checker):
     result = resumed.finalize()
     assert _canonical(result) == _canonical(uninterrupted)
     # The resumed process kept checkpointing past the kill point.
-    assert checkpoint_status(ck_dir)["latest_index"] == 4
-    # The checker, its caches and its link to the state were restored
-    # with the reference checker beside them (compared at teardown).
+    assert read_manifest(ck_dir)["checkpoints"][-1]["index"] == 4
+    # The replayed checker ran with the reference checker beside it
+    # (compared at teardown).
     assert resumed.service.checker in [shadow.shadows for shadow in shadow_checker]
 
 
 def test_checkpoint_bytes_do_not_depend_on_sink(tmp_path):
-    # __getstate__ drops _sink: a checkpoint written by a stopping run
-    # and one written by a straight-through run are identical.
-    spec = _spec()
-    dirs = []
-    for stop_after in (1, None):
-        ck_dir = str(tmp_path / f"ck_{stop_after}")
-        session = build_session(spec)
-        session._sink = CheckpointSink(ck_dir, stop_after=stop_after)
-        try:
-            session.run()
-        except StopSession:
-            pass
-        dirs.append(ck_dir)
-    first = open(os.path.join(dirs[0], "checkpoint_000001.pkl"), "rb").read()
-    second = open(os.path.join(dirs[1], "checkpoint_000001.pkl"), "rb").read()
-    assert first == second
+    # Rows depend on the run only: a manifest written straight through
+    # and one written by a run stopped at checkpoint 2 and then resumed
+    # are the same bytes.
+    straight = str(tmp_path / "straight")
+    _checkpointed(straight)
+    killed = str(tmp_path / "killed")
+    _checkpointed(killed, stop_after=2)
+    assert [r["index"] for r in read_manifest(killed)["checkpoints"]] == [1, 2]
+    assert (
+        read_manifest(killed)["checkpoints"]
+        == read_manifest(straight)["checkpoints"][:2]
+    )
+    resumed = load_checkpoint(killed)
+    resumed._sink = CheckpointSink(killed)
+    resumed.run()
+    files = [open(os.path.join(d, "checkpoints.json"), "rb").read()
+             for d in (straight, killed)]
+    assert files[0] == files[1]
+    assert os.listdir(killed) == ["checkpoints.json"]
 
 
 def test_corrupt_checkpoint_is_refused(tmp_path):
+    """An edited segment digest fails the replay at its tick, naming the
+    index and both digests."""
     ck_dir = str(tmp_path / "ckpts")
-    session = build_session(_spec())
-    session._sink = CheckpointSink(ck_dir, stop_after=1)
-    with pytest.raises(StopSession):
-        session.run()
-    path = os.path.join(ck_dir, "checkpoint_000001.pkl")
-    blob = open(path, "rb").read()
-    open(path, "wb").write(blob[:-10] + b"corruption")
-    with pytest.raises(CheckpointError, match="corrupt"):
-        load_checkpoint(ck_dir, 1)
+    _checkpointed(ck_dir, stop_after=3)
+    recorded = read_manifest(ck_dir)["checkpoints"][1]["digest"]
+    edited = "0" * 64
+
+    def edit(manifest):
+        manifest["checkpoints"][1]["digest"] = edited
+
+    _edit_manifest(ck_dir, edit)
+    with pytest.raises(CheckpointError) as excinfo:
+        load_checkpoint(ck_dir, 3)
+    message = str(excinfo.value)
+    assert "checkpoint 2 does not replay: digest" in message
+    assert edited in message and recorded in message
+    # A replay that stops before the edited tick never reads it.
+    assert load_checkpoint(ck_dir, 1).engine.now == 3000.0
 
 
-def _files(directory):
-    """name -> sha256 of every file in ``directory``."""
-    return {
-        name: hashlib.sha256(open(os.path.join(directory, name), "rb").read()).hexdigest()
-        for name in sorted(os.listdir(directory))
-    }
-
-
-def test_checkpoint_dir_is_bound_to_one_spec(tmp_path):
+def test_checkpoint_dir_is_bound_to_one_spec(tmp_path, engine_events):
     ck_dir = str(tmp_path / "ckpts")
-    session = build_session(_spec())
-    session._sink = CheckpointSink(ck_dir, stop_after=1)
-    with pytest.raises(StopSession):
-        session.run()
-    before = _files(ck_dir)
-    assert sorted(before) == ["checkpoint_000001.pkl", "checkpoints.json"]
+    session = _checkpointed(ck_dir, stop_after=1)
+    before = open(os.path.join(ck_dir, "checkpoints.json"), "rb").read()
+    assert os.listdir(ck_dir) == ["checkpoints.json"]
 
-    other_doc = json.loads(json.dumps(CHAOS_DOC))
+    other_doc = _doc()
     other_doc["tenants"] = 2
     other = build_session(load_session_spec(other_doc))
+    stepped = len(engine_events)
+    # Refused before the foreign session runs a single event ...
+    with pytest.raises(CheckpointError, match="different spec"):
+        open_manifest(ck_dir, other)
+    assert other.engine.processed_events == 0
+    assert len(engine_events) == stepped
+    # ... and before anything is written.
     with pytest.raises(CheckpointError, match="different spec"):
         write_checkpoint(ck_dir, other, 1)
-    # Refused before anything was written: the owner's checkpoint survives.
-    assert _files(ck_dir) == before
+    assert open(os.path.join(ck_dir, "checkpoints.json"), "rb").read() == before
     assert load_checkpoint(ck_dir, 1).engine.now == session.engine.now
 
 
@@ -179,10 +265,7 @@ def test_load_from_empty_or_missing_dir_fails_loudly(tmp_path):
 
 def test_unknown_index_fails_with_available_list(tmp_path):
     ck_dir = str(tmp_path / "ckpts")
-    session = build_session(_spec())
-    session._sink = CheckpointSink(ck_dir, stop_after=1)
-    with pytest.raises(StopSession):
-        session.run()
+    _checkpointed(ck_dir, stop_after=1)
     with pytest.raises(CheckpointError, match=r"\[1\]"):
         load_checkpoint(ck_dir, 7)
 
@@ -190,34 +273,27 @@ def test_unknown_index_fails_with_available_list(tmp_path):
 @pytest.mark.parametrize(
     "field,value,message",
     [
-        ("format", 2, "has format 2; this build reads format 4"),
+        ("format", 4, "has format 4; this build reads format 5"),
         ("code_fingerprint", "0" * 64, "written by code fingerprint '0000"),
     ],
 )
-def test_foreign_checkpoint_is_refused_before_unpickling(
-    tmp_path, monkeypatch, field, value, message
+def test_foreign_checkpoint_is_refused_before_replay(
+    tmp_path, engine_events, field, value, message
 ):
-    # A pickle restores objects by class path: bytes written by another
-    # format or another build's code must never reach pickle.loads.
+    # Format 4 directories held pickles of the session graph; a manifest
+    # another build wrote may record a run this code no longer makes.
+    # Changed code never resumes an old run: the remedy is a re-run.
     ck_dir = str(tmp_path / "ckpts")
-    session = build_session(_spec())
-    session._sink = CheckpointSink(ck_dir, stop_after=1)
-    with pytest.raises(StopSession):
-        session.run()
+    session = _checkpointed(ck_dir, stop_after=1)
     manifest = read_manifest(ck_dir)
-    assert manifest["format"] == CHECKPOINT_FORMAT == 4
+    assert manifest["format"] == CHECKPOINT_FORMAT == 5
     assert manifest["code_fingerprint"] == code_fingerprint()
-    assert checkpoint_status(ck_dir)["code_fingerprint"] == code_fingerprint()
-    manifest[field] = value
-    with open(os.path.join(ck_dir, "checkpoints.json"), "w") as handle:
-        json.dump(manifest, handle)
+    _edit_manifest(ck_dir, lambda manifest: manifest.update({field: value}))
 
-    def unreachable(_blob):
-        pytest.fail("pickle.loads reached for a foreign checkpoint")
-
-    monkeypatch.setattr("repro.ops.checkpoint.pickle.loads", unreachable)
+    stepped = len(engine_events)
     with pytest.raises(CheckpointError) as excinfo:
         load_checkpoint(ck_dir)
+    assert len(engine_events) == stepped
     assert message in str(excinfo.value)
     # Both sides are named.
     assert (str(CHECKPOINT_FORMAT) if field == "format" else code_fingerprint()) in str(
@@ -225,41 +301,77 @@ def test_foreign_checkpoint_is_refused_before_unpickling(
     )
     # Nor may this build write into a directory another build started,
     # neither a new index nor over the existing one.
-    before = _files(ck_dir)
+    before = open(os.path.join(ck_dir, "checkpoints.json"), "rb").read()
     for index in (2, 1):
         with pytest.raises(CheckpointError):
             write_checkpoint(ck_dir, session, index)
-    assert _files(ck_dir) == before
+    assert open(os.path.join(ck_dir, "checkpoints.json"), "rb").read() == before
 
 
-@pytest.mark.parametrize("stale", ["manifest", "payload"])
-def test_format_3_checkpoint_is_refused_whole(tmp_path, stale):
-    """Format 3 kept packet numbering in a ``"globals"`` section beside
-    the session; this build keeps it inside the network.  A format-3
-    file is refused, never resumed with that section ignored — whether
-    its manifest says so or only the pickled meta does."""
+def _truncate(ck_dir):
+    path = os.path.join(ck_dir, "checkpoints.json")
+    body = open(path, "rb").read()
+    open(path, "wb").write(body[: len(body) // 2])
+
+
+def _edit_spec(ck_dir):
+    _edit_manifest(ck_dir, lambda manifest: manifest["spec"].update(tenants=2))
+
+
+def _drop_row(ck_dir):
+    _edit_manifest(ck_dir, lambda manifest: manifest["checkpoints"].pop(0))
+
+
+def _drop_spec(ck_dir):
+    _edit_manifest(ck_dir, lambda manifest: manifest.pop("spec"))
+
+
+@pytest.mark.parametrize(
+    "damage,message",
+    [
+        (_truncate, "unreadable manifest"),
+        (_edit_spec, "the spec document hashes to"),
+        (_drop_spec, "has a malformed manifest (KeyError('spec'))"),
+        (_drop_row, "lacks the rows [1]"),
+    ],
+    ids=["truncated", "edited-spec", "no-spec", "missing-row"],
+)
+def test_damaged_manifest_is_refused_before_replay(
+    tmp_path, engine_events, damage, message
+):
     ck_dir = str(tmp_path / "ckpts")
-    session = build_session(_spec())
-    session._sink = CheckpointSink(ck_dir, stop_after=1)
-    with pytest.raises(StopSession):
-        session.run()
-    manifest = read_manifest(ck_dir)
-    entry = manifest["checkpoints"][0]
-    path = os.path.join(ck_dir, entry["file"])
-    with open(path, "rb") as handle:
-        payload = pickle.load(handle)
-    payload["meta"]["format"] = 3
-    payload["globals"] = {"p4.packet_ids": 1234}
-    blob = pickle.dumps(payload)
-    with open(path, "wb") as handle:
-        handle.write(blob)
-    entry["sha256"] = hashlib.sha256(blob).hexdigest()
-    if stale == "manifest":
-        manifest["format"] = 3
-    with open(os.path.join(ck_dir, "checkpoints.json"), "w") as handle:
-        json.dump(manifest, handle)
-    with pytest.raises(CheckpointError, match="has format 3; this build reads format 4"):
-        load_checkpoint(ck_dir)
+    _checkpointed(ck_dir, stop_after=2)
+    damage(ck_dir)
+    stepped = len(engine_events)
+    with pytest.raises(CheckpointError) as excinfo:
+        load_checkpoint(ck_dir, 2)
+    assert message in str(excinfo.value)
+    assert len(engine_events) == stepped
+
+
+def test_instrumented_checkpoint_run_resumes_byte_identically(tmp_path):
+    """A ``--obs`` run records ``obs`` in its manifest, so the replay is
+    instrumented too and the resumed metrics are the whole run's."""
+    spec = _spec()
+    whole_obs = make_obs()
+    uninterrupted = run_session(spec, obs=whole_obs)
+
+    ck_dir = str(tmp_path / "ckpts")
+    _checkpointed(ck_dir, stop_after=2, obs=make_obs())
+    assert read_manifest(ck_dir)["obs"] is True
+    resumed = load_checkpoint(ck_dir)
+    assert resumed.obs.enabled
+    resumed.run()
+    result = resumed.finalize()
+    assert _canonical(result) == _canonical(uninterrupted)
+    assert json.dumps(resumed.obs.snapshot()["metrics"], sort_keys=True) == (
+        json.dumps(whole_obs.snapshot()["metrics"], sort_keys=True)
+    )
+    # An uninstrumented run replays uninstrumented.
+    plain = str(tmp_path / "plain")
+    _checkpointed(plain, stop_after=1)
+    assert read_manifest(plain)["obs"] is False
+    assert not load_checkpoint(plain).obs.enabled
 
 
 def test_code_fingerprint_is_a_stable_sha256():

@@ -85,7 +85,7 @@ def test_unsubscribe_removes_one_registration_per_call():
 
 
 class Recorder:
-    """A picklable subscriber; ``tag`` tells registrations apart."""
+    """A subscriber object; ``tag`` tells registrations apart."""
 
     def __init__(self, log, tag):
         self.log = log
@@ -179,23 +179,6 @@ def test_unsubscribe_matches_an_equal_wrapper():
     assert trace.unsubscribe(seen.append) is True
     trace.record(1.0, "x", "n")
     assert len(seen) == 1
-
-
-def test_kinded_subscribers_survive_pickle():
-    trace = Trace(max_events=2)
-    trace.subscribe(Recorder([], "rules"), kinds=(KIND_RULE_CHANGE,))
-    trace.subscribe(Recorder([], "all"))
-    trace.record(0.0, KIND_RULE_CHANGE, "n")       # the route is built
-    restored = pickle.loads(pickle.dumps(trace))
-    restored.record(1.0, KIND_RULE_CHANGE, "n")
-    restored.record(2.0, KIND_MSG_SEND, "n")
-    (rules, _), (everything, _) = restored._subscribers
-    assert [kind for _, kind in rules.log] == [KIND_RULE_CHANGE] * 2
-    assert [kind for _, kind in everything.log] == [
-        KIND_RULE_CHANGE, KIND_RULE_CHANGE, KIND_MSG_SEND,
-    ]
-    # The restored trace dispatches to its own copies only.
-    assert len(trace._subscribers[0][0].log) == 1
 
 
 def test_ring_buffer_delivers_every_event_to_kinded_subscribers():
@@ -309,8 +292,8 @@ def test_ring_buffer_subscribers_see_every_event():
 
 def test_ring_buffer_bounds_the_kind_index_and_the_pickle():
     """The ring drops index positions with the events: what
-    ``trace_max_events`` bounds is memory and checkpoint size, not just
-    ``len(trace)``."""
+    ``trace_max_events`` bounds is memory (measured as pickled size),
+    not just ``len(trace)``."""
     trace = Trace(max_events=100)
     sizes = {}
     for i in range(50_000):
@@ -328,28 +311,3 @@ def test_ring_buffer_bounds_the_kind_index_and_the_pickle():
     )
     assert trace.last(KIND_MSG_SEND) == trace.events[-1]
     assert (len(trace), trace.dropped_events) == (100, 49_900)
-
-
-@pytest.mark.parametrize("max_events", [0, 5])
-def test_pickle_round_trip_carries_rows_and_rebuilds_events(max_events):
-    trace = Trace(max_events=max_events)
-    trace.subscribe(Recorder([], "rules"), kinds=(KIND_RULE_CHANGE,))
-    for i in range(12):
-        trace.record(float(i), KIND_RULE_CHANGE if i % 2 else KIND_MSG_SEND, "n", i=i)
-    state = trace.__getstate__()
-    assert "_routes" not in state
-    assert all(type(row) is tuple for row in state["events"])
-    restored = pickle.loads(pickle.dumps(trace))
-    assert restored.events == trace.events
-    assert all(type(event) is TraceEvent for event in restored.events)
-    assert (restored._base, restored.dropped_events, restored.max_events) == (
-        trace._base, trace.dropped_events, trace.max_events,
-    )
-    for kind in (KIND_RULE_CHANGE, KIND_MSG_SEND, "never"):
-        assert restored.of_kind(kind) == trace.of_kind(kind)
-        assert restored.last(kind) == trace.last(kind)
-        assert restored.count_of_kind(kind) == trace.count_of_kind(kind)
-    restored.record(12.0, KIND_MSG_SEND, "n")
-    restored.record(13.0, KIND_RULE_CHANGE, "n")
-    ((subscriber, _),) = restored._subscribers
-    assert subscriber.log == [("rules", KIND_RULE_CHANGE)] * 7
