@@ -110,7 +110,10 @@ def load_results(path: str) -> tuple[dict, int]:
     """A manifest's ``results`` and its trace-signature format (a
     manifest without ``signature_format`` predates format 2)."""
     with open(path, encoding="utf-8") as handle:
-        doc = json.load(handle)
+        try:
+            doc = json.load(handle)
+        except ValueError as exc:     # not JSON, not UTF-8
+            raise ValueError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(doc, dict) or "results" not in doc:
         raise ValueError(f"{path}: not a run manifest (no 'results')")
     return doc["results"], doc.get("signature_format", 1)
@@ -273,7 +276,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             ignore=args.ignore, rules=rules, exact=args.exact,
             both_directions=args.both_directions,
         )
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

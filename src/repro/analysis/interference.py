@@ -37,12 +37,11 @@ intent, not an interference bug, and is deliberately not reported.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator, Mapping, Optional, Sequence
 
 from repro.analysis.plan import UpdatePlan, find_cycle
+from repro.loading import spec_digest
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.serve.spec import ServeSpec
@@ -375,12 +374,7 @@ class InterferenceReport:
 
     def signature(self) -> str:
         """SHA-256 over the canonical findings JSON."""
-        blob = json.dumps(
-            [f.to_dict() for f in self.findings],
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        return spec_digest([f.to_dict() for f in self.findings])
 
     def describe(self) -> str:
         head = (

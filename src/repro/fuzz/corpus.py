@@ -38,7 +38,7 @@ from typing import Optional
 from repro.fuzz.gen import FuzzCase, case_from_dict
 from repro.fuzz.lanes import require_lanes
 from repro.fuzz.oracles import OracleVerdict, classify, failure_key
-from repro.loading import read_json_object, require_object
+from repro.loading import read_json_object, require_object, write_json_atomic
 
 CORPUS_SCHEMA = 1
 
@@ -104,9 +104,7 @@ def validate_corpus_doc(doc: dict) -> dict:
 def write_corpus_case(path: str, doc: dict) -> str:
     validate_corpus_doc(doc)
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(doc, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_json_atomic(path, doc)
     return path
 
 

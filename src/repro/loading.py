@@ -6,16 +6,25 @@ Every declarative spec is a JSON *object* whose unknown fields are
 rejected and whose loader reports each problem as the spec's own error
 class; that code lives here once, parameterised by the error class and
 the noun used in messages.  This module imports no workload package.
+
+A cached result (a sweep shard, an ops checkpoint manifest) is only
+valid for the spec and the code that computed it, so it is written by
+:func:`write_stamped` — which stamps it with both — and read back by
+:func:`read_stamped`, which refuses it when either differs.  Any change
+to an artifact's layout is an edit under ``repro/``, so the code
+fingerprint is its format version too.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import importlib
 import json
 import os
-from typing import Any, Callable, TypeVar
+import pathlib
+from typing import Any, Callable, Optional, TypeVar, Union
 
 T = TypeVar("T")
 
@@ -58,9 +67,71 @@ def write_json_atomic(path: str, doc: dict) -> None:
     os.replace(tmp, path)
 
 
-def spec_digest(doc: dict) -> str:
+@functools.cache
+def code_fingerprint() -> str:
+    """SHA-256 over every ``repro/**/*.py`` (relative path + bytes, in
+    sorted path order), computed once per process."""
+    root = pathlib.Path(__file__).resolve().parent
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        digest.update(path.relative_to(root).as_posix().encode("utf-8") + b"\0")
+        digest.update(path.read_bytes() + b"\0")
+    return digest.hexdigest()
+
+
+def write_stamped(path: str, doc: dict, spec_hash: str) -> dict:
+    """Write ``doc`` stamped with ``spec_hash`` and this build's
+    :func:`code_fingerprint` through :func:`write_json_atomic`; returns
+    the stamped document."""
+    stamped = dict(doc, spec_hash=spec_hash, code_fingerprint=code_fingerprint())
+    write_json_atomic(path, stamped)
+    return stamped
+
+
+#: How a stamp that differs reads, in the order :func:`read_stamped`
+#: checks them.
+_STAMP_MISMATCH = {
+    "code_fingerprint": "was written by code fingerprint {found!r}, not this build's {expected!r}",
+    "spec_hash": "was written for spec {found}, a different spec than {expected}",
+}
+
+
+def read_stamped(
+    path: str, noun: str, error: type[Exception],
+    spec_hash: Optional[str] = None, check: bool = True,
+) -> dict:
+    """The document :func:`write_stamped` wrote at ``path``.
+
+    A missing file raises ``FileNotFoundError`` for the caller's policy.
+    An unreadable file or a non-object raises ``error``, and so — unless
+    ``check`` is off — does a document written by other code or, when
+    ``spec_hash`` is given, for another spec; each message names
+    ``path`` and the first stamp that differs."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            doc = json.load(handle)
+    except FileNotFoundError:
+        raise
+    except (OSError, ValueError) as exc:    # truncated, not JSON, not UTF-8
+        raise error(f"unreadable {noun} {path!r}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise error(f"unreadable {noun} {path!r}: not a JSON object")
+    if not check:
+        return doc
+    expected = {"code_fingerprint": code_fingerprint(), "spec_hash": spec_hash}
+    for key, mismatch in _STAMP_MISMATCH.items():
+        if expected[key] is not None and doc.get(key) != expected[key]:
+            raise error(
+                f"{noun} {path!r} "
+                + mismatch.format(found=doc.get(key), expected=expected[key])
+            )
+    return doc
+
+
+def spec_digest(doc: Union[dict, list]) -> str:
     """SHA-256 of ``doc`` as canonical JSON (sorted keys, no spaces): a
-    spec's identity, whatever the key order or layout of its file."""
+    spec's identity, whatever the key order or layout of its file, and
+    the signature of a result's deterministic payload."""
     canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 

@@ -26,12 +26,12 @@ Schema (version 1) — validated by :func:`validate_manifest`:
 
 from __future__ import annotations
 
-import json
 import os
 import subprocess
 import time
 from typing import Optional
 
+from repro.loading import read_json_object, write_json_atomic
 from repro.sim.trace import SIGNATURE_FORMAT
 
 MANIFEST_SCHEMA = 1
@@ -158,13 +158,11 @@ def write_manifest(
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(doc, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_json_atomic(path, doc)
     return path
 
 
 def load_manifest(path: str) -> dict:
-    """Read and validate a manifest file."""
-    with open(path, encoding="utf-8") as handle:
-        return validate_manifest(json.load(handle))
+    """Read and validate a manifest file; malformed JSON raises
+    ``ValueError`` naming ``path``."""
+    return validate_manifest(read_json_object(path, "manifest", ValueError))

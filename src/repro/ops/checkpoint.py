@@ -8,16 +8,17 @@ checkpoint directory is one manifest::
       checkpoints.json    # spec document + one row per checkpoint tick
 
 The manifest carries, once, the session spec document
-(``SessionSpec.to_dict()``), its ``spec_hash``, whether the run was
-instrumented (``obs``), the format and a fingerprint of the ``repro``
-source that wrote it; and one row per tick: ``index``,
+(``SessionSpec.to_dict()``), whether the run was instrumented
+(``obs``) and the two stamps of :func:`repro.loading.write_stamped` —
+``spec_hash`` and the ``code_fingerprint`` of the ``repro`` source that
+wrote it; and one row per tick: ``index``,
 ``sim_time_ms``, ``processed_events`` and ``digest`` — the
 :func:`~repro.chaos.runner.trace_signature` of the trace rows recorded
 since the previous tick (the retained ones, when a ring buffer dropped
 some; positions count every record).
 
-:func:`load_checkpoint` refuses a manifest of another format, another
-build or an edited spec document before anything is simulated, then
+:func:`load_checkpoint` refuses a manifest of another build or an
+edited spec document before anything is simulated, then
 :func:`replay` rebuilds the session from the spec and re-runs it,
 comparing every tick up to the requested one with its row; the session
 comes back positioned right after that tick, so ``session.run()``
@@ -25,28 +26,20 @@ continues byte-identically.  A resume therefore pays for its prefix.
 
 Manifest writes are atomic (``os.replace``), so a session killed during
 a write leaves the previous manifest intact, and a write into a
-directory that belongs to another format, code fingerprint or spec is
-refused before the file is touched.
+directory whose manifest is unreadable or belongs to another code
+fingerprint or spec is refused before the file is touched.
 """
 
 from __future__ import annotations
 
-import functools
-import hashlib
-import json
 import os
-import pathlib
 from typing import TYPE_CHECKING, Optional
 
 from repro.chaos.runner import trace_signature
-from repro.loading import write_json_atomic
+from repro.loading import read_stamped, write_stamped
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.ops.session import OpsSession
-
-#: Bumped whenever the manifest layout changes; a mismatch on load is
-#: an error (old checkpoints do not silently restore).
-CHECKPOINT_FORMAT = 5
 
 _MANIFEST = "checkpoints.json"
 
@@ -69,71 +62,32 @@ class StopSession(Exception):
         super().__init__(f"session stopped after checkpoint {index}")
 
 
-@functools.cache
-def code_fingerprint() -> str:
-    """SHA-256 over every ``repro/**/*.py`` (relative path + bytes, in
-    sorted path order), computed once per process."""
-    root = pathlib.Path(__file__).resolve().parent.parent
-    digest = hashlib.sha256()
-    for path in sorted(root.rglob("*.py")):
-        digest.update(path.relative_to(root).as_posix().encode("utf-8") + b"\0")
-        digest.update(path.read_bytes() + b"\0")
-    return digest.hexdigest()
-
-
-def _refuse_foreign(directory: str, manifest: dict) -> None:
-    """Raise unless ``manifest`` was written in this build's format by
-    this build's code."""
-    if manifest.get("format") != CHECKPOINT_FORMAT:
-        raise CheckpointError(
-            f"checkpoint dir {directory!r} has format {manifest.get('format')!r}; "
-            f"this build reads format {CHECKPOINT_FORMAT}"
-        )
-    if manifest.get("code_fingerprint") != code_fingerprint():
-        raise CheckpointError(
-            f"checkpoint dir {directory!r} was written by code fingerprint "
-            f"{manifest.get('code_fingerprint')!r}; this build is "
-            f"{code_fingerprint()!r} — re-run the session from its spec"
-        )
-
-
-def read_manifest(directory: str) -> dict:
+def read_manifest(directory: str, check: bool = True) -> dict:
+    """``directory``'s manifest, refused unless this build wrote it
+    (``check=False``: the unchecked read ``ops status`` does)."""
     path = os.path.join(directory, _MANIFEST)
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            manifest = json.load(handle)
+        return read_stamped(path, "manifest", CheckpointError, check=check)
     except FileNotFoundError:
         raise CheckpointError(f"no checkpoint manifest at {path!r}") from None
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"unreadable manifest {path!r}: {exc}") from None
-    if not isinstance(manifest, dict):
-        raise CheckpointError(f"unreadable manifest {path!r}: not an object")
-    return manifest
 
 
 def open_manifest(directory: str, session: "OpsSession") -> dict:
     """The manifest ``session`` writes its rows into: the directory's
-    own, or a fresh one.  A directory another format, build or spec
-    wrote is refused, with every file untouched."""
+    own, or a fresh one.  A directory whose manifest is unreadable or
+    another build or spec wrote is refused, with every file untouched."""
     try:
-        manifest = read_manifest(directory)
-    except CheckpointError:
+        return read_stamped(
+            os.path.join(directory, _MANIFEST), "manifest", CheckpointError,
+            session.spec.spec_hash(),
+        )
+    except FileNotFoundError:
         return {
-            "format": CHECKPOINT_FORMAT,
-            "code_fingerprint": code_fingerprint(),
             "name": session.spec.name,
             "spec": session.spec.to_dict(),
-            "spec_hash": session.spec.spec_hash(),
             "obs": bool(session.obs.enabled),
             "checkpoints": [],
         }
-    _refuse_foreign(directory, manifest)
-    if manifest.get("spec_hash") != session.spec.spec_hash():
-        raise CheckpointError(
-            f"checkpoint dir {directory!r} belongs to a different spec "
-            f"(manifest spec_hash {manifest.get('spec_hash')!r})"
-        )
-    return manifest
 
 
 def _row(session: "OpsSession", index: int) -> dict:
@@ -155,7 +109,9 @@ def write_checkpoint(directory: str, session: "OpsSession", index: int) -> dict:
     os.makedirs(directory, exist_ok=True)
     rows = [r for r in manifest["checkpoints"] if r.get("index") != index]
     manifest["checkpoints"] = sorted(rows + [row], key=lambda r: r["index"])
-    write_json_atomic(os.path.join(directory, _MANIFEST), manifest)
+    write_stamped(
+        os.path.join(directory, _MANIFEST), manifest, session.spec.spec_hash()
+    )
     return row
 
 
@@ -197,7 +153,7 @@ def replay(manifest: dict, index: int) -> "OpsSession":
 def load_checkpoint(
     directory: str, index: Optional[int] = None
 ) -> "OpsSession":
-    """Check ``directory``'s manifest — format, fingerprint, the spec
+    """Check ``directory``'s manifest — code fingerprint, the spec
     document against ``spec_hash``, the rows a replay needs — and
     :func:`replay` its session to checkpoint ``index`` (default: the
     latest).  These checks refuse before the first simulated event; a
@@ -205,7 +161,6 @@ def load_checkpoint(
     from repro.ops.spec import load_session_spec
 
     manifest = read_manifest(directory)
-    _refuse_foreign(directory, manifest)
     try:
         spec_hash = load_session_spec(manifest["spec"]).spec_hash()
         rows = {r["index"] for r in manifest["checkpoints"] if set(r) == _ROW_FIELDS}

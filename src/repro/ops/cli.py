@@ -206,7 +206,7 @@ def _cmd_status(args: argparse.Namespace) -> int:
     from repro.ops.checkpoint import CheckpointError, read_manifest
 
     try:
-        manifest = read_manifest(args.dir)
+        manifest = read_manifest(args.dir, check=False)
     except CheckpointError as exc:
         raise CliError(str(exc)) from None
     rows = manifest.get("checkpoints", [])

@@ -23,14 +23,13 @@ drain loop itself).
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
 import networkx as nx
 
 from repro.analysis.interference import footprint_from_paths
+from repro.loading import spec_digest
 from repro.obs.causal import slo_summary
 from repro.obs.context import NULL_OBS, ObsContext
 from repro.ops.spec import SessionSpec
@@ -106,16 +105,9 @@ class OpsResult(ServiceResult):
     def signature(self) -> str:
         """SHA-256 over the deterministic payload: per-request records,
         per-operation records and consistency checks."""
-        blob = json.dumps(
-            {
-                "records": self.records,
-                "ops": self.ops,
-                "violations": self.violations,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
+        return spec_digest(
+            {"records": self.records, "ops": self.ops, "violations": self.violations}
         )
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
     def ops_summary(self) -> dict[str, Any]:
         by_status: dict[str, int] = {}

@@ -13,8 +13,6 @@ regardless of host, worker count or wall-clock speed.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -23,6 +21,7 @@ import numpy as np
 from repro.algos.registry import build_system
 from repro.chaos.runner import schedule_topo_events, trace_signature
 from repro.consistency.checker import LiveChecker
+from repro.loading import spec_digest
 from repro.obs.causal import CausalTracker, slo_summary, summarize_attribution
 from repro.obs.context import NULL_OBS, ObsContext
 from repro.obs.registry import NullRegistry
@@ -152,12 +151,7 @@ class ServiceResult:
 
     def signature(self) -> str:
         """SHA-256 over the deterministic payload (records + checks)."""
-        blob = json.dumps(
-            {"records": self.records, "violations": self.violations},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        return spec_digest({"records": self.records, "violations": self.violations})
 
     def to_results(self) -> dict[str, Any]:
         doc = self._base_results()

@@ -14,8 +14,9 @@ Execution contract (asserted by ``tests/sweep/``):
   kept;
 * every completed shard is persisted to
   ``<cache_dir>/<spec_hash>/shard_<id>.json`` the moment it finishes
-  (atomic rename), so an interrupted sweep resumes with ``--resume``
-  and re-runs only the missing shards;
+  (atomic rename), stamped with its spec hash and code fingerprint, so
+  an interrupted sweep resumes with ``--resume`` and re-runs only the
+  shards missing from the cache or written by other code;
 * progress (completed / failed / remaining, ETA from completed-shard
   durations) is pushed through ``repro.obs`` counters, an optional
   callback, and an atomically-updated ``status.json`` that
@@ -34,8 +35,7 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
-from repro.loading import write_json_atomic
-from repro.sim.trace import SIGNATURE_FORMAT
+from repro.loading import read_stamped, write_json_atomic, write_stamped
 from repro.sweep.spec import Shard, SweepSpec
 from repro.sweep.worker import failure_record, run_shard_payload
 
@@ -106,38 +106,29 @@ def load_cached_shard(
     """A previously completed shard document, or None.
 
     A missing file is the normal cold-cache case and silent.  A file
-    that exists but cannot be used — unreadable, not an object, stamped
-    with another spec or shard, or holding trace signatures of another
-    format (no stamp: format 1) — is named with its reason on one stderr
-    line and counted on ``progress`` as ``cache_rejected``."""
+    that exists but cannot be used — refused by
+    :func:`~repro.loading.read_stamped` (unreadable, not an object,
+    written by other code or for another spec), or holding another
+    shard or no results — is named with its reason on one stderr line
+    and counted on ``progress`` as ``cache_rejected``."""
     path = shard_cache_path(root, shard.shard_id)
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
+        doc = read_stamped(path, "cached shard", ValueError, spec_hash)
     except FileNotFoundError:
         return None
-    except (OSError, ValueError) as exc:    # truncated, not JSON, not UTF-8
-        reason = f"unreadable ({exc})"
+    except ValueError as exc:
+        reason = str(exc)
     else:
-        if not isinstance(doc, dict):
-            reason = f"not a JSON object ({type(doc).__name__})"
-        elif doc.get("spec_hash") != spec_hash:
+        if doc.get("shard_id") != shard.shard_id:
             reason = (
-                f"written for spec {str(doc.get('spec_hash'))[:16]}, "
-                f"not {spec_hash[:16]}"
-            )
-        elif doc.get("shard_id") != shard.shard_id:
-            reason = (
-                f"written for shard {doc.get('shard_id')!r}, "
-                f"not {shard.shard_id!r}"
+                f"cached shard {path!r} was written for shard "
+                f"{doc.get('shard_id')!r}, not {shard.shard_id!r}"
             )
         elif "results" not in doc or "index" not in doc:
-            reason = "has no results"
-        elif (signed := doc.get("signature_format", 1)) != SIGNATURE_FORMAT:
-            reason = f"signed in trace-signature format {signed!r}, not {SIGNATURE_FORMAT}"
+            reason = f"cached shard {path!r} has no results"
         else:
             return doc
-    print(f"warning: ignoring cached shard {path!r}: {reason}", file=sys.stderr)
+    print(f"warning: {reason}; ignoring it", file=sys.stderr)
     if progress is not None:
         progress.cache_rejected += 1
     return None
@@ -238,8 +229,7 @@ def run_sweep(
         return payload
 
     def on_success(shard: Shard, doc: dict) -> None:
-        doc = dict(doc, spec_hash=spec_digest)
-        write_json_atomic(shard_cache_path(root, shard.shard_id), doc)
+        doc = write_stamped(shard_cache_path(root, shard.shard_id), doc, spec_digest)
         docs[shard.index] = doc
         state.completed += 1
         state.durations_s.append(

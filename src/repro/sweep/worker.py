@@ -30,7 +30,6 @@ from typing import Any, Optional
 
 import numpy as np
 
-from repro.sim.trace import SIGNATURE_FORMAT
 from repro.sweep.kinds import resolve_kind
 
 
@@ -62,7 +61,6 @@ def run_shard_payload(payload: dict) -> dict:
         "seed": payload.get("seed"),
         "results": _json_safe(results),
         "wall": _json_safe(wall),
-        "signature_format": SIGNATURE_FORMAT,
     }
     if causal is not None:
         doc["causal"] = _json_safe(causal)

@@ -36,6 +36,10 @@ The two cases that write ops checkpoints were re-recorded once, when a
 checkpoint became a manifest row: each ``checkpoint N at t=… -> …`` line
 names ``checkpoints.json`` and the row's segment digest (deterministic,
 so pinned) instead of a pickle file and its host-dependent sha256.
+The refusal to checkpoint into another spec's directory was re-worded
+once, when shard caches and checkpoint manifests came to be checked by
+one reader (``repro.loading.read_stamped``): it names the manifest file
+and both spec hashes.
 Regenerate only for a deliberate change (and empty
 ``FIXED`` when you do)::
 

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import pathlib
+import re
 import sys
 
 import pytest
@@ -34,13 +35,18 @@ def test_manifest_records_the_trace_signature_format():
     assert doc["signature_format"] == SIGNATURE_FORMAT == 2
 
 
-def test_bench_compare_skips_signatures_only_across_formats(tmp_path, monkeypatch):
+def _bench_compare(monkeypatch):
+    """``scripts/bench_compare.py`` imported as a module."""
     path = pathlib.Path(__file__).resolve().parents[2] / "scripts" / "bench_compare.py"
     spec = importlib.util.spec_from_file_location("bench_compare", path)
     module = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, "bench_compare", module)
     spec.loader.exec_module(module)
-    compare = module.compare
+    return module
+
+
+def test_bench_compare_skips_signatures_only_across_formats(tmp_path, monkeypatch):
+    compare = _bench_compare(monkeypatch).compare
     results = {"trace_signature": "aa", "spec_hash": "h", "events": 10}
     base = write_manifest("run", results=results, out_dir=str(tmp_path / "a"))
     moved = dict(results, trace_signature="bb")
@@ -59,6 +65,19 @@ def test_bench_compare_skips_signatures_only_across_formats(tmp_path, monkeypatc
     json.dump(old, open(base, "w"))
     regressions, _ = compare(base, current, 0.0, exact=["*"])
     assert [delta.key for delta in regressions] == ["spec_hash"]
+
+
+def test_truncated_manifest_is_named(tmp_path, monkeypatch, capsys):
+    """A manifest cut short fails naming its file, in ``load_manifest``
+    and in ``bench_compare``, which is handed two."""
+    good = write_manifest("run", results={"x": 1.0}, out_dir=str(tmp_path / "a"))
+    cut = write_manifest("run", results={"x": 1.0}, out_dir=str(tmp_path / "b"))
+    text = open(cut).read()
+    open(cut, "w").write(text[: len(text) // 2])
+    with pytest.raises(ValueError, match=re.escape(f"{cut}: invalid JSON")):
+        load_manifest(cut)
+    assert _bench_compare(monkeypatch).main([good, cut]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {cut}: invalid JSON")
 
 
 def test_build_manifest_captures_obs():

@@ -13,6 +13,8 @@ import shutil
 
 import pytest
 
+import repro.loading
+from repro.harness.cli import main
 from repro.sweep.executor import (
     cache_root,
     load_cached_shard,
@@ -20,7 +22,6 @@ from repro.sweep.executor import (
     run_sweep,
     shard_cache_path,
 )
-from repro.sim.trace import SIGNATURE_FORMAT
 from repro.sweep.spec import load_sweep_spec
 
 TINY = {
@@ -145,23 +146,53 @@ def test_resume_names_and_counts_each_cache_file_it_refuses(tmp_path, capsys):
     assert load_cached_shard(root, spec.expand()[0], spec.spec_hash()) is not None
 
 
-def test_resume_recomputes_a_shard_signed_in_another_format(tmp_path, capsys):
+def test_resume_recomputes_shards_written_by_other_code(
+    tmp_path, capsys, monkeypatch
+):
+    """A cached shard is only valid for the code that computed it:
+    ``--resume`` refuses one stamped with another code fingerprint by
+    name, counts it and recomputes it, and ``sweep merge`` refuses it.
+    Other code is first one shard's edited stamp, then a different
+    fingerprint for the whole cache."""
     spec = _spec()
     first = run_sweep(spec, workers=1, cache_dir=str(tmp_path))
     root = cache_root(spec, str(tmp_path))
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(TINY))
+
+    def merge_fails_listing(shard_ids):
+        capsys.readouterr()
+        assert main([
+            "sweep", "merge", str(spec_path), "--cache-dir", str(tmp_path),
+            "--out-dir", str(tmp_path / "out"),
+        ]) == 1
+        error = capsys.readouterr().err.splitlines()[-1]
+        assert f"{len(shard_ids)} shard(s) not in cache" in error
+        assert error.endswith(", ".join(shard_ids))
+
+    def resume_refuses(shard_ids):
+        capsys.readouterr()
+        resumed = run_sweep(spec, workers=1, cache_dir=str(tmp_path), resume=True)
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == len(shard_ids)
+        for line, shard_id in zip(lines, shard_ids):
+            assert shard_cache_path(root, shard_id) in line
+            assert "code fingerprint" in line
+        assert read_status(root)["cache_rejected"] == len(shard_ids)
+        assert resumed.cached_shards == resumed.shards_total - len(shard_ids)
+        assert resumed.signature() == first.signature()
+
     stale = shard_cache_path(root, "s0001")
     doc = json.load(open(stale))
-    assert doc["signature_format"] == SIGNATURE_FORMAT
-    del doc["signature_format"]                 # as format-1 code wrote it
+    doc["code_fingerprint"] = "0" * 64
     json.dump(doc, open(stale, "w"))
-    capsys.readouterr()
+    merge_fails_listing(["s0001"])
+    resume_refuses(["s0001"])
 
-    resumed = run_sweep(spec, workers=1, cache_dir=str(tmp_path), resume=True)
-
-    [line] = capsys.readouterr().err.splitlines()
-    assert stale in line and "signed in trace-signature format 1, not 2" in line
-    assert resumed.cached_shards == 3 and read_status(root)["cache_rejected"] == 1
-    assert resumed.signature() == first.signature()
+    monkeypatch.setattr(repro.loading, "code_fingerprint", lambda: "1" * 64)
+    every = [shard.shard_id for shard in spec.expand()]
+    merge_fails_listing(every)
+    resume_refuses(every)
 
 
 def test_status_heartbeat_is_readable_from_outside(tmp_path):
