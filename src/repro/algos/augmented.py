@@ -83,10 +83,9 @@ class AugmentedController(_Delegating):
                 edges.update(path_edges(record.pending_path))
             for edge in edges:
                 load[edge] = load.get(edge, 0.0) + size
-        graph = self._topology.graph
         residuals: dict[tuple[str, str], float] = {}
-        for a, b in graph.edges:
-            cap = float(graph.edges[a, b]["capacity"])
+        for edge in self._topology.edges:
+            a, b, cap = edge.a, edge.b, float(edge.capacity)
             residuals[(a, b)] = cap - load.get((a, b), 0.0)
             residuals[(b, a)] = cap - load.get((b, a), 0.0)
         return residuals
@@ -115,7 +114,7 @@ class AugmentedController(_Delegating):
         """Deterministic latency-shortest path whose every edge either
         already carries the flow or has residual >= size, skipping
         ``forbidden`` edges entirely."""
-        graph = self._topology.graph
+        adj = self._topology.adj
         dist: dict[str, float] = {src: 0.0}
         prev: dict[str, str] = {}
         heap: list[tuple[float, str]] = [(0.0, src)]
@@ -125,7 +124,7 @@ class AugmentedController(_Delegating):
                 continue
             if node == dst:
                 break
-            for neighbor in sorted(graph.neighbors(node)):
+            for neighbor in sorted(adj[node]):
                 edge = (node, neighbor)
                 if edge in forbidden:
                     continue
@@ -133,7 +132,7 @@ class AugmentedController(_Delegating):
                     residuals.get(edge, 0.0) < size - _EPS
                 ):
                     continue
-                candidate = d + float(graph.edges[node, neighbor]["latency_ms"])
+                candidate = d + float(adj[node][neighbor]["latency_ms"])
                 if candidate < dist.get(neighbor, float("inf")) - _EPS:
                     dist[neighbor] = candidate
                     prev[neighbor] = node

@@ -33,7 +33,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, NamedTuple, Optional
 
-import networkx as nx
 import numpy as np
 
 from repro.baselines.contract import ContractController
@@ -242,8 +241,12 @@ def congestion_dependency_graph(
     ranks) come from a topological order of the graph's condensation —
     cycles (deadlock potential) get rank by strongly-connected
     component order, mirroring how ez-Segway breaks ties with its
-    third priority class.
+    third priority class.  networkx is imported here, not at module
+    level: only this centralized computation needs it, and its calls
+    are most of the Fig. 8b count.
     """
+    import networkx as nx
+
     moves: dict[tuple[int, tuple[str, str]], int] = {}
     graph = nx.DiGraph()
     occupants: dict[tuple[str, str], list[Flow]] = {}

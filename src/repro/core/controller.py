@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
-import networkx as nx
 import numpy as np
 
 from repro.core.labeling import VersionAllocator
@@ -43,6 +42,7 @@ from repro.sim.trace import (
     KIND_UPDATE_DONE,
 )
 from repro.topo.graph import Topology
+from repro.topo.paths import Adjacency, NoPathError, bidirectional_dijkstra
 from repro.traffic.flows import Flow
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -482,13 +482,24 @@ class P4UpdateController(ControllerNode):
             self.obs.count("nib_updates", node=self.name, kind="port_up")
             self._retry_parked()
 
-    def _working_graph(self) -> "nx.Graph":
-        """The NIB topology minus every edge believed down."""
-        graph = self.topology.graph.copy()
+    def _working_graph(self) -> Adjacency:
+        """The NIB topology minus every edge believed down.
+
+        Rebuilt in the order a networkx ``Graph.copy()`` re-adds it
+        (every node, then each ``(u, v)`` of ``adj[u]`` in order), not
+        filtered from the original: re-adding reorders neighbours, the
+        search breaks latency ties in neighbour order, and the reroutes
+        every pinned signature records were chosen on that order.
+        """
+        graph: Adjacency = {node: {} for node in self.topology.adj}
+        for u, peers in self.topology.adj.items():
+            for v, data in peers.items():
+                graph[u][v] = graph[v][u] = data
         for edge in self.failed_edges:
             a, b = sorted(edge)
-            if graph.has_edge(a, b):
-                graph.remove_edge(a, b)
+            if b in graph.get(a, ()):
+                del graph[a][b]
+                del graph[b][a]
         return graph
 
     @staticmethod
@@ -531,8 +542,8 @@ class P4UpdateController(ControllerNode):
         dst = record.current_path[-1]
         graph = self._working_graph()
         try:
-            new_path = nx.shortest_path(graph, src, dst, weight="latency_ms")
-        except (nx.NetworkXNoPath, nx.NodeNotFound):
+            _, new_path = bidirectional_dijkstra(graph, src, dst)
+        except NoPathError:
             self._park_flow(record, "no alternate path")
             return
         record.parked = False

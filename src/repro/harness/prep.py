@@ -163,9 +163,10 @@ def count_operations(
             )
 
     capacities = {frozenset((e.a, e.b)): e.capacity for e in topo.edges}
-    # networkx compiles each argmap-decorated function on its first call
-    # in a process; one uncounted graph here keeps that compilation out
-    # of the count, so it does not depend on what ran earlier.
+    # The first dependency graph in a process imports networkx, which
+    # compiles each argmap-decorated function on its first call; one
+    # uncounted graph here keeps both out of the count, so it does not
+    # depend on what ran earlier.
     congestion_dependency_graph(flows[:1], capacities)
 
     def ez_congestion() -> None:

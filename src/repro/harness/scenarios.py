@@ -15,12 +15,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Optional
 
 import numpy as np
 
 from repro.core.segmentation import compute_segments
 from repro.topo.graph import Topology
+from repro.topo.paths import NoPathError, shortest_simple_paths
 from repro.topo.synthetic import (
     FIG1_NEW_PATH,
     FIG1_OLD_PATH,
@@ -69,49 +71,34 @@ def fig1_style_reroute(topo: Topology, old_path: list[str]):
     used.  Returns None when the topology admits no such reroute for
     this old path.
     """
-    import networkx as nx
-
     if len(old_path) < 4:
         return None
     interior = old_path[1:-1]
     s, t = old_path[0], old_path[-1]
     best = None
     best_score = (-1, -1)
-    from itertools import islice
 
-    def leg_candidates(graph_nodes, a, b, k):
-        pruned = topo.graph.subgraph(graph_nodes)
-        if a not in pruned or b not in pruned:
-            return
+    def leg_candidates(forbid, a, b, k):
         try:
-            yield from islice(
-                nx.shortest_simple_paths(pruned, a, b, weight="latency_ms"), k
-            )
-        except (nx.NetworkXNoPath, nx.NodeNotFound):
+            yield from islice(shortest_simple_paths(topo.adj, a, b, forbid), k)
+        except NoPathError:
             return
 
-    all_nodes = list(topo.graph)
     for i in range(len(interior) - 1):
         for j in range(i + 1, len(interior)):
             u, w = interior[i], interior[j]           # old order: u before w
             waypoints = [s, w, u, t]                  # new order: w before u
             forbid1 = (set(waypoints)) - {s, w}
-            for leg1 in leg_candidates(
-                [n for n in all_nodes if n not in forbid1], s, w, 3
-            ):
+            for leg1 in leg_candidates(forbid1, s, w, 3):
                 used1 = set(leg1[1:-1])
                 # Middle leg (w -> u): explore several candidates —
                 # its interior nodes are exactly what DL-P4Update
                 # pre-installs, so prefer non-trivial ones.
                 forbid2 = (set(waypoints) | used1) - {w, u}
-                for leg2 in leg_candidates(
-                    [n for n in all_nodes if n not in forbid2], w, u, 4
-                ):
+                for leg2 in leg_candidates(forbid2, w, u, 4):
                     used2 = used1 | set(leg2[1:-1])
                     forbid3 = (set(waypoints) | used2) - {u, t}
-                    for leg3 in leg_candidates(
-                        [n for n in all_nodes if n not in forbid3], u, t, 2
-                    ):
+                    for leg3 in leg_candidates(forbid3, u, t, 2):
                         new_path = leg1 + leg2[1:] + leg3[1:]
                         if len(set(new_path)) != len(new_path):
                             continue

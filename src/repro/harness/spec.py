@@ -66,7 +66,7 @@ def _resolve_path(topo: Topology, src: str, dst: str, spec: Any, label: str):
     if isinstance(spec, list):
         return list(spec)
     for node in (src, dst):
-        if node not in topo.graph:
+        if node not in topo.adj:
             raise SpecError(f"{label}: endpoint {node!r} is not a node of {topo.name!r}")
     if src == dst:
         raise SpecError(f"{label}: src and dst are both {src!r}")

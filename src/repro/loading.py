@@ -59,11 +59,12 @@ def read_json_object(path: str, noun: str, error: type[Exception]) -> dict:
 def write_json_atomic(path: str, doc: dict) -> None:
     """Write ``doc`` as sorted-key JSON (NaN refused) through a
     per-process temp file and ``os.replace``: a concurrent reader, or a
-    run killed mid-write, sees the previous file or the new one whole."""
+    run killed mid-write, sees the previous file or the new one whole.
+    A refused document raises before the temp file exists."""
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(doc, handle, indent=2, sort_keys=True, allow_nan=False)
-        handle.write("\n")
+        handle.write(text)
     os.replace(tmp, path)
 
 

@@ -26,14 +26,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-import networkx as nx
-
 from repro.analysis.interference import footprint_from_paths
 from repro.loading import spec_digest
 from repro.obs.causal import slo_summary
 from repro.obs.context import NULL_OBS, ObsContext
 from repro.ops.spec import SessionSpec
 from repro.serve.service import ServiceResult, ServiceSession, link_capacities
+from repro.topo.paths import NoPathError
 
 #: Simulated delay before re-probing a busy flow (ms).
 _RETRY_MS = 10.0
@@ -356,7 +355,7 @@ class OpsSession:
                 target = self.topo.shortest_path_avoiding(
                     src, dst, self._avoid_set(tuple(move["avoid"]))
                 )
-            except (nx.NetworkXNoPath, nx.NodeNotFound):
+            except NoPathError:
                 self._end_move(op_index, move, MOVE_NO_PATH)
                 return
         if list(record.current_path) == list(target):

@@ -48,8 +48,9 @@ def apply_link_capacity(topo: Any, link_capacity: float) -> None:
     """Override every link's capacity in place (0 keeps defaults)."""
     if link_capacity <= 0:
         return
-    for a, b in topo.graph.edges:
-        topo.graph.edges[a, b]["capacity"] = float(link_capacity)
+    for peers in topo.adj.values():
+        for data in peers.values():
+            data["capacity"] = float(link_capacity)
 
 
 def link_capacities(topo: Any) -> dict[tuple[str, str], float]:
@@ -57,10 +58,10 @@ def link_capacities(topo: Any) -> dict[tuple[str, str], float]:
     symmetric in every repo topology, so both directions get the
     undirected edge's capacity)."""
     capacities: dict[tuple[str, str], float] = {}
-    for a, b in topo.graph.edges:
-        cap = float(topo.graph.edges[a, b]["capacity"])
-        capacities[(a, b)] = cap
-        capacities[(b, a)] = cap
+    for edge in topo.edges:
+        cap = float(edge.capacity)
+        capacities[(edge.a, edge.b)] = cap
+        capacities[(edge.b, edge.a)] = cap
     return capacities
 
 

@@ -66,10 +66,10 @@ def topology_shape(
 ) -> tuple[tuple[str, ...], tuple[tuple[str, str], ...]]:
     """Sorted nodes and sorted ``(a, b)``, ``a < b`` links of a
     registered topology (cached: topologies are deterministic per name)."""
-    graph = TOPOLOGIES[name]().graph
-    nodes = tuple(sorted(str(n) for n in graph.nodes()))
+    topo = TOPOLOGIES[name]()
+    nodes = tuple(sorted(str(n) for n in topo.nodes))
     links = tuple(
-        sorted((str(a), str(b)) if str(a) < str(b) else (str(b), str(a))
-               for a, b in graph.edges())
+        sorted((str(e.a), str(e.b)) if str(e.a) < str(e.b) else (str(e.b), str(e.a))
+               for e in topo.edges)
     )
     return nodes, links

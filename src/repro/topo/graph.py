@@ -1,8 +1,8 @@
 """The :class:`Topology` abstraction.
 
-A thin, validated wrapper over an undirected :class:`networkx.Graph`
-that carries everything the harness needs: per-link latency and
-capacity, optional site coordinates, and controller placement.
+A validated undirected graph that carries everything the harness
+needs: per-link latency and capacity, optional site coordinates, and
+controller placement.  Paths come from :mod:`repro.topo.paths`.
 """
 
 from __future__ import annotations
@@ -11,8 +11,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Any, Callable, Iterable, Optional
 
-import networkx as nx
-
+from repro.topo import paths
 from repro.topo.latency import geo_latency_ms
 
 DEFAULT_CAPACITY = 100.0
@@ -28,7 +27,7 @@ DEFAULT_CAPACITY = 100.0
 #: answers and no trace, counter or pickled byte can tell them apart
 #: (``Topology.path_cache_stats()`` counts per instance, in front of
 #: it).  ``Topology`` never pickles it, and nothing clears it between
-#: runs: that would only re-pay networkx for the same answers.
+#: runs: that would only re-pay the searches for the same answers.
 _STRUCTURE_MEMO: dict[tuple, dict[tuple, Any]] = {}
 #: Structures kept, oldest evicted first (the built-in registry has 8).
 _STRUCTURE_MEMO_BOUND = 32
@@ -62,7 +61,10 @@ class Topology:
         coordinates: Optional[dict[str, tuple[float, float]]] = None,
     ) -> None:
         self.name = name
-        self.graph = nx.Graph()
+        #: node -> {peer: edge data}; both directions of an edge share
+        #: one data dict, and peers keep insertion order (ties in every
+        #: search break in that order, :mod:`repro.topo.paths`).
+        self.adj: paths.Adjacency = {}
         self.coordinates = dict(coordinates or {})
         self.controller: Optional[str] = None
         # Path cache, keyed on the mutation revision: every structural
@@ -82,7 +84,7 @@ class Topology:
     # -- construction ------------------------------------------------------
 
     def add_node(self, node: str, lat: Optional[float] = None, lon: Optional[float] = None) -> None:
-        self.graph.add_node(node)
+        self.adj.setdefault(node, {})
         self._revision += 1
         if lat is not None and lon is not None:
             self.coordinates[node] = (lat, lon)
@@ -100,7 +102,11 @@ class Topology:
             latency_ms = self._geo_latency(a, b)
         if latency_ms <= 0:
             raise ValueError(f"non-positive latency on edge ({a!r}, {b!r})")
-        self.graph.add_edge(a, b, latency_ms=latency_ms, capacity=capacity)
+        self.adj.setdefault(a, {})
+        self.adj.setdefault(b, {})
+        data = self.adj[a].get(b, {})
+        data.update(latency_ms=latency_ms, capacity=capacity)
+        self.adj[a][b] = self.adj[b][a] = data
         self._revision += 1
 
     def _geo_latency(self, a: str, b: str) -> float:
@@ -138,32 +144,39 @@ class Topology:
 
     @property
     def nodes(self) -> list[str]:
-        return list(self.graph.nodes)
+        return list(self.adj)
 
     @property
     def edges(self) -> list[EdgeSpec]:
-        return [
-            EdgeSpec(a, b, data["latency_ms"], data["capacity"])
-            for a, b, data in self.graph.edges(data=True)
-        ]
+        """Each edge once, from its earlier node, in adjacency order."""
+        done: set[str] = set()
+        edges = []
+        for a, peers in self.adj.items():
+            edges.extend(
+                EdgeSpec(a, b, data["latency_ms"], data["capacity"])
+                for b, data in peers.items()
+                if b not in done
+            )
+            done.add(a)
+        return edges
 
     def num_nodes(self) -> int:
-        return self.graph.number_of_nodes()
+        return len(self.adj)
 
     def num_edges(self) -> int:
-        return self.graph.number_of_edges()
+        return sum(len(peers) for peers in self.adj.values()) // 2
 
     def latency(self, a: str, b: str) -> float:
-        return self.graph.edges[a, b]["latency_ms"]
+        return self.adj[a][b]["latency_ms"]
 
     def capacity(self, a: str, b: str) -> float:
-        return self.graph.edges[a, b]["capacity"]
+        return self.adj[a][b]["capacity"]
 
     def neighbors(self, node: str) -> list[str]:
-        return list(self.graph.neighbors(node))
+        return list(self.adj[node])
 
     def is_connected(self) -> bool:
-        return self.graph.number_of_nodes() > 0 and nx.is_connected(self.graph)
+        return bool(self.adj) and len(next(paths.components(self.adj))) == len(self.adj)
 
     def validate(self) -> None:
         """Raise ValueError when the topology is unusable."""
@@ -176,22 +189,22 @@ class Topology:
         """This structure's answers in the process-wide memo.
 
         The key is everything a latency-weighted search reads: node
-        order, each node's adjacency order (networkx breaks ties in the
-        order it meets neighbours, and fat-trees and rings tie) and
+        order, each node's adjacency order (the searches break ties in
+        the order they meet neighbours, and fat-trees and rings tie) and
         each edge's latency.  Capacity is left out: no path query reads
         it, and ``apply_link_capacity`` rewrites it without a revision.
         """
         if self._memo[0] != self._revision:
             structure = tuple(
                 (node, tuple((peer, data.get("latency_ms")) for peer, data in peers.items()))
-                for node, peers in self.graph.adjacency()
+                for node, peers in self.adj.items()
             )
             answers = _STRUCTURE_MEMO.get(structure)
             if answers is None:
                 if len(_STRUCTURE_MEMO) >= _STRUCTURE_MEMO_BOUND:
                     del _STRUCTURE_MEMO[next(iter(_STRUCTURE_MEMO))]
                 answers = _STRUCTURE_MEMO[structure] = {}
-            self._memo = (self._revision, answers, {node: node for node in self.graph})
+            self._memo = (self._revision, answers, {node: node for node in self.adj})
         return self._memo[1]
 
     def _own(self, nodes: Iterable[str]) -> list[str]:
@@ -221,7 +234,7 @@ class Topology:
         return self._revision
 
     def invalidate_path_cache(self) -> None:
-        """Force-drop cached paths (call after mutating ``.graph``
+        """Force-drop cached paths (call after mutating ``.adj``
         directly, bypassing :meth:`add_node`/:meth:`add_edge`)."""
         self._revision += 1
 
@@ -250,8 +263,7 @@ class Topology:
         self, src: str, dst: str, avoid: tuple[str, ...] = ()
     ) -> tuple[str, ...]:
         def compute() -> tuple[str, ...]:
-            graph = nx.restricted_view(self.graph, avoid, []) if avoid else self.graph
-            return tuple(nx.shortest_path(graph, src, dst, weight="latency_ms"))
+            return tuple(paths.bidirectional_dijkstra(self.adj, src, dst, set(avoid))[1])
 
         return self._memoised(("path", src, dst, avoid), compute)
 
@@ -264,11 +276,11 @@ class Topology:
         """Latency-shortest path whose transit nodes skip ``avoid``.
 
         ``src``/``dst`` may not be in ``avoid``.  Raises
-        :class:`networkx.NetworkXNoPath` when avoidance disconnects the
-        pair — callers (drain/migrate) treat that as "park, don't move".
+        :class:`~repro.topo.paths.NoPathError` when avoidance disconnects
+        the pair — callers (drain/migrate) treat that as "park, don't move".
         """
         if src in avoid or dst in avoid:
-            raise nx.NetworkXNoPath(
+            raise paths.NoPathError(
                 f"endpoint of ({src!r}, {dst!r}) is in the avoid set"
             )
         if not avoid:
@@ -287,12 +299,12 @@ class Topology:
         if k < 0:
             raise ValueError(f"k must be non-negative, got {k}")
         answers = self._answers()
-        asked, paths = answers.get(("k-paths", src, dst), (0, ()))
-        if asked < k and len(paths) == asked:
-            found = nx.shortest_simple_paths(self.graph, src, dst, weight="latency_ms")
-            paths = tuple(tuple(path) for path in islice(found, k))
-            answers["k-paths", src, dst] = (k, paths)
-        return [self._own(path) for path in paths[:k]]
+        asked, found = answers.get(("k-paths", src, dst), (0, ()))
+        if asked < k and len(found) == asked:
+            search = paths.shortest_simple_paths(self.adj, src, dst)
+            found = tuple(tuple(path) for path in islice(search, k))
+            answers["k-paths", src, dst] = (k, found)
+        return [self._own(path) for path in found[:k]]
 
     def path_latency(self, path: list[str]) -> float:
         return sum(self.latency(a, b) for a, b in zip(path, path[1:]))
@@ -304,11 +316,15 @@ class Topology:
             raise ValueError("no controller placed")
         if switch == controller:
             return 0.05  # local loopback floor
+        try:
+            return self._lengths(controller)[switch]
+        except KeyError:
+            raise paths.NoPathError(f"no path between {controller!r} and {switch!r}") from None
+
+    def _lengths(self, source: str) -> dict[str, float]:
+        """Latency from ``source`` to every node it reaches (memoised)."""
         return self._memoised(
-            ("latency", controller, switch),
-            lambda: nx.shortest_path_length(
-                self.graph, controller, switch, weight="latency_ms"
-            ),
+            ("lengths", source), lambda: paths.dijkstra_lengths(self.adj, source)
         )
 
     # -- controller placement --------------------------------------------------------
@@ -318,16 +334,13 @@ class Topology:
         control latency (the paper's centroid rule, §9.1)."""
 
         def centroid() -> str:
-            lengths = dict(
-                nx.all_pairs_dijkstra_path_length(self.graph, weight="latency_ms")
-            )
-            return min(self.graph, key=lambda n: (max(lengths[n].values()), n))
+            return min(self.adj, key=lambda n: (max(self._lengths(n).values()), n))
 
         (self.controller,) = self._own([self._memoised(("centroid",), centroid)])
         return self.controller
 
     def set_controller(self, node: str) -> None:
-        if node not in self.graph:
+        if node not in self.adj:
             raise ValueError(f"unknown node {node!r}")
         self.controller = node
 

@@ -19,6 +19,7 @@ import xml.etree.ElementTree as ET
 from typing import Optional, Union
 
 from repro.topo.graph import Topology
+from repro.topo.paths import components
 
 GRAPHML_NS = "{http://graphml.graphdrawing.org/xmlns}"
 
@@ -156,12 +157,10 @@ def load_graphml(
         else:
             topo.add_edge(la, lb, latency_ms=fallback_latency_ms, capacity=capacity)
 
-    # Keep the largest connected component.
-    import networkx as nx
-
-    if topo.graph.number_of_nodes() and not nx.is_connected(topo.graph):
-        largest = max(nx.connected_components(topo.graph), key=len)
-        topo.graph.remove_nodes_from(set(topo.graph) - largest)
+    # Keep the largest connected component (the first, on a tie).
+    if topo.adj and not topo.is_connected():
+        largest = max(components(topo.adj), key=len)
+        topo.adj = {node: peers for node, peers in topo.adj.items() if node in largest}
         topo.invalidate_path_cache()
     topo.validate()
     return topo

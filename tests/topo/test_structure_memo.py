@@ -2,10 +2,11 @@
 ``Topology`` query.
 
 What it must never do is change an answer: every memoised query is
-compared with the direct networkx call it replaced, cold and warm, on
-every registry topology and every ordered pair.  What it must do is
-share: a second instance of the same structure asks networkx nothing,
-while its own ``path_cache_stats()`` still read as in a cold process.
+compared with networkx, the oracle ``repro.topo.paths`` ports, over a
+graph that shares the topology's adjacency, cold and warm, on every
+registry topology and every ordered pair.  What it must do is share: a
+second instance of the same structure runs no search, while its own
+``path_cache_stats()`` still read as in a cold process.
 """
 
 import pickle
@@ -16,15 +17,15 @@ import pytest
 
 from repro.topo import TOPOLOGIES, fattree_topology, line_topology, ring_topology
 from repro.topo import graph as graph_module
+from repro.topo import paths
 from repro.topo.graph import Topology
+from repro.topo.paths import NoPathError
 from repro.traffic.paths import k_shortest_paths, second_shortest_path
+from tests.topo.test_paths_parity import shared_graph
 
 WEIGHT = "latency_ms"
 MEMO = graph_module._STRUCTURE_MEMO
-NX_QUERIES = (
-    "shortest_path", "shortest_simple_paths", "shortest_path_length",
-    "all_pairs_dijkstra_path_length",
-)
+SEARCHES = ("bidirectional_dijkstra", "shortest_simple_paths", "dijkstra_lengths")
 
 
 @pytest.fixture(autouse=True)
@@ -35,9 +36,10 @@ def cold_memo():
 
 
 @pytest.fixture
-def nx_calls(monkeypatch):
-    """Calls made to each networkx query the memo stands in front of."""
-    calls = dict.fromkeys(NX_QUERIES, 0)
+def search_calls(monkeypatch):
+    """Calls made to each ``repro.topo.paths`` search the memo stands in
+    front of (Yen's spur searches count as bidirectional ones)."""
+    calls = dict.fromkeys(SEARCHES, 0)
 
     def counted(name, real):
         def wrapper(*args, **kwargs):
@@ -45,13 +47,14 @@ def nx_calls(monkeypatch):
             return real(*args, **kwargs)
         return wrapper
 
-    for name in NX_QUERIES:
-        monkeypatch.setattr(nx, name, counted(name, getattr(nx, name)))
+    for name in SEARCHES:
+        monkeypatch.setattr(paths, name, counted(name, getattr(paths, name)))
     return calls
 
 
-def _reference(graph):
-    """What un-memoised networkx answers on ``graph``."""
+def _reference(topo):
+    """What networkx answers on ``topo``'s adjacency."""
+    graph = shared_graph(topo)
     lengths = dict(nx.all_pairs_dijkstra_path_length(graph, weight=WEIGHT))
     return {
         "centroid": min(graph.nodes, key=lambda n: (max(lengths[n].values()), n)),
@@ -77,12 +80,12 @@ def _assert_answers(topo, expected):
 
 
 @pytest.mark.parametrize("name", sorted(TOPOLOGIES))
-def test_every_query_equals_networkx_cold_and_warm(name, nx_calls):
-    expected = _reference(TOPOLOGIES[name]().graph)
+def test_every_query_equals_networkx_cold_and_warm(name, search_calls):
+    expected = _reference(TOPOLOGIES[name]())
     _assert_answers(TOPOLOGIES[name](), expected)      # cold memo
-    nx_calls.update(dict.fromkeys(NX_QUERIES, 0))
+    search_calls.update(dict.fromkeys(SEARCHES, 0))
     _assert_answers(TOPOLOGIES[name](), expected)      # warm memo
-    assert nx_calls == dict.fromkeys(NX_QUERIES, 0)
+    assert search_calls == dict.fromkeys(SEARCHES, 0)
     assert len(MEMO) == 1
 
 
@@ -97,14 +100,14 @@ def _reinserted(topo, name):
     ids=["fattree4", "ring6"],
 )
 def test_insertion_order_is_part_of_the_key(factory):
-    """networkx breaks latency ties in adjacency order, so two graphs
+    """The searches break latency ties in adjacency order, so two graphs
     with one edge set can disagree; each must get *its* answers."""
     forward, backward = factory(), _reinserted(factory(), "backward")
-    assert {frozenset(e) for e in forward.graph.edges} == {
-        frozenset(e) for e in backward.graph.edges
+    assert {frozenset((e.a, e.b)) for e in forward.edges} == {
+        frozenset((e.a, e.b)) for e in backward.edges
     }
-    expected_forward = _reference(factory().graph)
-    expected_backward = _reference(_reinserted(factory(), "backward").graph)
+    expected_forward = _reference(factory())
+    expected_backward = _reference(_reinserted(factory(), "backward"))
     assert expected_forward["pairs"] != expected_backward["pairs"]
     # Interleave the two so each fills the memo the other could misread.
     _assert_answers(forward, expected_forward)
@@ -113,22 +116,22 @@ def test_insertion_order_is_part_of_the_key(factory):
     assert len(MEMO) == 2
 
 
-def test_a_larger_k_recomputes_and_a_smaller_k_is_served(nx_calls):
+def test_a_larger_k_recomputes_and_a_smaller_k_is_served(search_calls):
     topo = TOPOLOGIES["b4"]()
     a, b = sorted(topo.nodes)[:2]
     assert len(k_shortest_paths(topo, a, b, 1)) == 1
     three = k_shortest_paths(topo, a, b, 3)
-    assert len(three) == 3 and nx_calls["shortest_simple_paths"] == 2
+    assert len(three) == 3 and search_calls["shortest_simple_paths"] == 2
     assert k_shortest_paths(TOPOLOGIES["b4"](), a, b, 2) == three[:2]
     assert second_shortest_path(topo, a, b) == three[1]
-    assert nx_calls["shortest_simple_paths"] == 2
+    assert search_calls["shortest_simple_paths"] == 2
 
 
-def test_an_exhausted_pair_is_never_searched_again(nx_calls):
+def test_an_exhausted_pair_is_never_searched_again(search_calls):
     ring = ring_topology(6)                   # two loopless paths per pair
     assert len(k_shortest_paths(ring, "n0", "n3", 3)) == 2
     assert len(k_shortest_paths(ring, "n0", "n3", 12)) == 2
-    assert nx_calls["shortest_simple_paths"] == 1
+    assert search_calls["shortest_simple_paths"] == 1
     with pytest.raises(ValueError):
         k_shortest_paths(ring, "n0", "n3", -1)
 
@@ -166,9 +169,9 @@ def test_mutation_rekeys_one_instance_and_spares_the_other():
     assert mutated.shortest_path("a", "d") == ["a", "d"]
     assert untouched.shortest_path("a", "d") == ["a", "b", "d"]
     assert len(MEMO) == 2
-    # Direct graph surgery needs the explicit invalidation, as before.
-    mutated.graph.remove_edge("a", "d")
-    mutated.graph.remove_edge("a", "b")
+    # Direct adjacency surgery needs the explicit invalidation, as before.
+    for a, b in (("a", "d"), ("a", "b")):
+        del mutated.adj[a][b], mutated.adj[b][a]
     mutated.invalidate_path_cache()
     assert mutated.shortest_path("a", "d") == ["a", "c", "d"]
     assert square().shortest_path("a", "d") == ["a", "b", "d"]
@@ -187,7 +190,7 @@ def test_latency_is_in_the_key_and_capacity_is_not():
     assert len(MEMO) == 2
 
 
-def test_second_instance_asks_networkx_nothing_but_counts_like_a_cold_one(nx_calls):
+def test_second_instance_searches_nothing_but_counts_like_a_cold_one(search_calls):
     def session(topo):
         nodes = sorted(topo.nodes)
         topo.place_controller_at_centroid()
@@ -200,28 +203,28 @@ def test_second_instance_asks_networkx_nothing_but_counts_like_a_cold_one(nx_cal
         return topo.path_cache_stats()
 
     cold_stats = session(TOPOLOGIES["chinanet"]())
-    assert nx_calls["shortest_simple_paths"] == 37
-    nx_calls.update(dict.fromkeys(NX_QUERIES, 0))
+    assert search_calls["shortest_simple_paths"] == 37
+    search_calls.update(dict.fromkeys(SEARCHES, 0))
     warm_stats = session(TOPOLOGIES["chinanet"]())
-    assert nx_calls == dict.fromkeys(NX_QUERIES, 0)
+    assert search_calls == dict.fromkeys(SEARCHES, 0)
     assert warm_stats == cold_stats == {
         "hits": 37, "misses": 38, "hit_rate": 37 / 75,
     }
 
 
-def test_failures_are_raised_again_not_remembered(nx_calls):
+def test_failures_are_raised_again_not_remembered(search_calls):
     topo = line_topology(4)
     for _ in range(2):
-        with pytest.raises(nx.NetworkXNoPath):
+        with pytest.raises(NoPathError):
             topo.shortest_path_avoiding("n0", "n3", frozenset({"n1"}))
-        with pytest.raises(nx.NodeNotFound):
+        with pytest.raises(NoPathError):
             topo.shortest_path("n0", "ghost")
-        with pytest.raises(nx.NodeNotFound):
+        with pytest.raises(NoPathError):
             topo.control_latency("n0", controller="ghost")
-        with pytest.raises(nx.NodeNotFound):
+        with pytest.raises(NoPathError):
             k_shortest_paths(topo, "n0", "ghost", 2)
-    assert nx_calls["shortest_path"] == 4
-    assert nx_calls["shortest_path_length"] == nx_calls["shortest_simple_paths"] == 2
+    assert search_calls["bidirectional_dijkstra"] == 4
+    assert search_calls["dijkstra_lengths"] == search_calls["shortest_simple_paths"] == 2
     assert MEMO == {next(iter(MEMO)): {}}
 
 
@@ -258,7 +261,7 @@ def test_pickle_carries_this_instance_only_and_no_process_history(name):
     assert restored.controller == busy.place_controller_at_centroid()
     # Answers served from the memo still name the restored graph's own
     # node objects, so its next pickle does not show the warm process.
-    own = {id(node) for node in restored.graph}
+    own = {id(node) for node in restored.adj}
     served = [*restored.shortest_path(*other), *k_shortest_paths(restored, *other, 2)[1]]
     assert {id(node) for node in served} <= own
 
