@@ -97,12 +97,6 @@ def _sweep(spec: Any) -> dict:
     return build_sweep_results(spec, run.shard_docs, run.failures, run.shards_total)["aggregates"]
 
 
-def _layer(dep: Any) -> tuple:
-    """The forced layer as ``update_flow``'s optional third argument
-    (only P4Update rows carry one)."""
-    return () if dep.update_type is None else (dep.update_type,)
-
-
 def _flow(dep: Any, src: str = "v0", dst: str = "v7", old: Optional[list] = None) -> Flow:
     flow = Flow.between(src, dst, size=1.0, old_path=old or FIG1_OLD)
     dep.install_flow(flow)
@@ -191,7 +185,7 @@ def _rails_time(system: str, seed: int, depth: int) -> float:
     flow = _flow(dep, "s", "t", RAILS[0])
     targets = [RAILS[1 + i % 2] for i in range(depth)]
     for target in targets:
-        dep.controller.update_flow(flow.flow_id, list(target), *_layer(dep))
+        dep.controller.update_flow(flow.flow_id, list(target), dep.update_type)
     dep.run()
     established = path_establishment_time(dep.network.trace, flow.flow_id, targets[-1], RAILS[0])
     assert established != math.inf, (system, seed, depth)
@@ -350,7 +344,7 @@ def messages() -> dict:
         dep = build_system(system, fig1_topology(), params=SimParams(seed=0))
         flow = _flow(dep)
         update = dep.controller.compact_update if compact else dep.controller.update_flow
-        update(flow.flow_id, FIG1_NEW, *_layer(dep))
+        update(flow.flow_id, FIG1_NEW, dep.update_type)
         dep.run()
         assert dep.controller.update_complete(flow.flow_id), label
         out[label] = count_messages(dep.network.trace)

@@ -37,6 +37,7 @@ import heapq
 from typing import Any, Optional
 
 from repro.algos.base import _Delegating, path_edges
+from repro.core.contract import Notifier
 from repro.core.controller import P4UpdateController, PreparedUpdate
 from repro.core.messages import UpdateType
 from repro.harness.build import Deployment
@@ -45,7 +46,7 @@ from repro.topo.graph import Topology
 _EPS = 1e-9
 
 
-class AugmentedController(_Delegating):
+class AugmentedController(_Delegating, Notifier):
     """Controller facade staging helper-path detours."""
 
     def __init__(self, inner: P4UpdateController, topology: Topology) -> None:
@@ -53,7 +54,7 @@ class AugmentedController(_Delegating):
         self._topology = topology
         # The facade's own listener surface: the orchestrator must not
         # observe the intermediate helper completion.
-        self.update_listeners: list = []
+        self.update_listeners = []
         # flow_id -> (target path, stage-1 version, forced layer)
         # [helper in flight]
         self._stage1: dict[
@@ -216,16 +217,16 @@ class AugmentedController(_Delegating):
                 return
             if stage2 is not None and version == stage2[1]:
                 v1, _v2 = self._stage2.pop(flow_id)
-                self._emit("completed", flow_id, v1)
+                self._notify("completed", flow_id, v1)
                 return
         elif event == "aborted":
             if stage1 is not None and version == stage1[1]:
                 _target, v1, _layer = self._stage1.pop(flow_id)
-                self._emit("aborted", flow_id, v1)
+                self._notify("aborted", flow_id, v1)
                 return
             if stage2 is not None and version == stage2[1]:
                 v1, _v2 = self._stage2.pop(flow_id)
-                self._emit("aborted", flow_id, v1)
+                self._notify("aborted", flow_id, v1)
                 return
         elif event == "parked":
             # Recovery parked the flow mid-stage: drop the staging
@@ -233,11 +234,7 @@ class AugmentedController(_Delegating):
             # park notification itself.
             self._stage1.pop(flow_id, None)
             self._stage2.pop(flow_id, None)
-        self._emit(event, flow_id, version)
-
-    def _emit(self, event: str, flow_id: int, version: Optional[int]) -> None:
-        for listener in list(self.update_listeners):
-            listener(event, flow_id, version)
+        self._notify(event, flow_id, version)
 
     # -- stats ---------------------------------------------------------------
 

@@ -1,5 +1,5 @@
 """Helpers shared by the wrappers of :mod:`repro.algos` (the update
-contract itself is documented on :mod:`repro.algos.registry`)."""
+contract itself is :class:`repro.core.contract.UpdateController`)."""
 
 from __future__ import annotations
 

@@ -14,27 +14,12 @@ implementation module, never forms an import cycle with
 :mod:`repro.serve`, and a wrapper patched onto a builder's module (the
 perf ledger's spans, a test's monkeypatch) is what runs.
 
-The contract every built deployment's controller speaks:
-
-1. **prepare**: ``controller.prepare_update(flow_id, new_path,
-   update_type)`` returns an opaque prepared object carrying a
-   ``.version`` — the handle completion/abort notifications are
-   matched against.  Callers that prepare on the system's behalf pass
-   ``deployment.update_type`` (the row's forced layer, ``None`` for
-   the §7.5 rule); systems with one mechanism ignore it.
-2. **install/verify**: ``controller.push_update(prepared)`` hands the
-   update to the algorithm; installation and (for P4Update) local
-   verification proceed inside the simulation.
-3. **completion semantics**: the controller fires every callback in
-   ``controller.update_listeners`` as ``listener(event, flow_id,
-   version)`` with ``event`` in ``{"completed", "aborted",
-   "reissued", "parked"}``.  ``flow_db[flow_id]`` exposes
-   ``current_path`` / ``pending_version`` / ``pending_path`` /
-   ``parked`` so the orchestrator and live checker can observe
-   converged state.
-
-A forced layer covers the updates callers prepare; P4Update's own §11
-reroutes and re-triggers keep the §7.5 rule.
+Every built deployment's controller speaks the update contract of
+:class:`repro.core.contract.UpdateController` (prepare, push,
+completion listeners, Flow DB queries); a row's forced layer is the
+``update_type`` callers pass to ``prepare_update`` / ``update_flow``
+(``deployment.update_type``).  It covers the updates callers prepare;
+P4Update's own §11 reroutes and re-triggers keep the §7.5 rule.
 """
 
 from __future__ import annotations

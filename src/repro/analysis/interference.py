@@ -844,7 +844,7 @@ def batch_from_serve_spec(
     )
     plans: list[UpdatePlan] = []
     for service_flow in population:
-        record = deployment.controller.record_of(service_flow.flow_id)
+        record = deployment.controller.flow_db[service_flow.flow_id]
         prior = record.version
         prepared = deployment.controller.prepare_update(
             service_flow.flow_id, list(service_flow.alternate)

@@ -17,11 +17,11 @@ from typing import Any, Optional
 
 import numpy as np
 
-from repro.baselines.contract import ContractController
 from repro.consistency.state import ForwardingState
+from repro.core.contract import FlowRecord, UpdateController
 from repro.params import SimParams
 from repro.sim.node import Node
-from repro.sim.trace import KIND_RULE_CHANGE, KIND_UPDATE_DONE
+from repro.sim.trace import KIND_RULE_CHANGE
 from repro.topo.graph import Topology
 from repro.traffic.flows import Flow
 
@@ -106,14 +106,12 @@ class CentralPreparedUpdate:
 
 @dataclass
 class _PendingFlowUpdate:
-    flow: Flow
-    old_path: list[str]
     new_path: list[str]
     # node -> new next hop, still to be deployed.
     remaining: dict[str, Optional[str]]
 
 
-class CentralController(ContractController):
+class CentralController(UpdateController[FlowRecord]):
     """Round-based centralized update scheduler."""
 
     def __init__(
@@ -135,28 +133,22 @@ class CentralController(ContractController):
         self.deployed: dict[int, dict[str, str]] = {}     # flow -> node -> hop
         self.flow_endpoints: dict[int, tuple[str, str]] = {}
         self.pending: dict[int, _PendingFlowUpdate] = {}
-        self.update_sent_at: dict[int, float] = {}
-        self.update_done_at: dict[int, float] = {}
         self.rounds_executed = 0
         self._outstanding_acks: set[tuple[str, int]] = set()
         self._current_round: Optional[int] = None
 
     # -- bootstrap -------------------------------------------------------------
 
-    def register_flow(self, flow: Flow) -> None:
-        if flow.old_path is None:
-            raise ValueError("flow needs an initial path")
-        self._track(flow)
-        path = flow.old_path
+    def register_flow(self, flow: Flow) -> FlowRecord:
+        record = super().register_flow(flow)
+        path = record.current_path
         hops = {a: b for a, b in zip(path, path[1:])}
         hops[path[-1]] = LOCAL_DELIVER
         self.deployed[flow.flow_id] = hops
         self.flow_endpoints[flow.flow_id] = (path[0], path[-1])
+        return record
 
     # -- update entry point --------------------------------------------------------
-
-    def update_flow(self, flow_id: int, new_path: list[str]) -> None:
-        self.push_update(self.prepare_update(flow_id, new_path))
 
     def prepare_update(
         self, flow_id: int, new_path: list[str], update_type: Any = None
@@ -164,12 +156,14 @@ class CentralController(ContractController):
         """Version the update (``update_type`` is P4Update's knob); the
         rounds are planned as it is pushed."""
         version = next(self._versions)
-        self._pend(flow_id, version, new_path)
+        record = self.flow_db[flow_id]
+        record.pending_path = list(new_path)
+        record.pending_version = version
         return CentralPreparedUpdate(flow_id, version, tuple(new_path))
 
     def push_update(self, prepared: CentralPreparedUpdate) -> None:
         flow_id, new_path = prepared.flow_id, list(prepared.new_path)
-        flow = self.flow_db[flow_id].flow
+        record = self.flow_db[flow_id]
         old_hops = self.deployed[flow_id]
         new_hops: dict[str, Optional[str]] = {
             a: b for a, b in zip(new_path, new_path[1:])
@@ -180,13 +174,8 @@ class CentralController(ContractController):
             for node, hop in new_hops.items()
             if old_hops.get(node) != (hop if hop is not None else LOCAL_DELIVER)
         }
-        self.pending[flow_id] = _PendingFlowUpdate(
-            flow=flow,
-            old_path=list(flow.old_path or []),
-            new_path=list(new_path),
-            remaining=remaining,
-        )
-        self.update_sent_at[flow_id] = self.now
+        self.pending[flow_id] = _PendingFlowUpdate(new_path, remaining)
+        record.update_sent_at = self.now
         if self._current_round is None:
             self._start_round()
 
@@ -340,26 +329,8 @@ class CentralController(ContractController):
         ]
         for flow_id in finished:
             del self.pending[flow_id]
-            self.update_done_at[flow_id] = self.now
-            self.network.trace.record(
-                self.now, KIND_UPDATE_DONE, self.name, flow=flow_id,
-            )
-            self._complete(flow_id, self.flow_db[flow_id].pending_version)
+            record = self.flow_db[flow_id]
+            self._complete(record, record.pending_version)
         self._current_round = None
         if self.pending:
             self._start_round()
-
-    # -- queries -------------------------------------------------------------------------
-
-    def update_complete(self, flow_id: int) -> bool:
-        return flow_id not in self.pending and flow_id in self.update_done_at
-
-    def all_updates_complete(self) -> bool:
-        return not self.pending
-
-    def update_duration(self, flow_id: int) -> Optional[float]:
-        sent = self.update_sent_at.get(flow_id)
-        done = self.update_done_at.get(flow_id)
-        if sent is None or done is None:
-            return None
-        return done - sent

@@ -35,13 +35,13 @@ from typing import Any, NamedTuple, Optional
 
 import numpy as np
 
-from repro.baselines.contract import ContractController
 from repro.consistency.state import ForwardingState
+from repro.core.contract import FlowRecord, UpdateController
 from repro.core.labeling import distance_labels
 from repro.core.segmentation import Segment, compute_segments
 from repro.params import SimParams
 from repro.sim.node import Node
-from repro.sim.trace import KIND_RULE_CHANGE, KIND_UPDATE_DONE
+from repro.sim.trace import KIND_RULE_CHANGE
 from repro.topo.graph import Topology
 from repro.traffic.flows import Flow
 
@@ -695,12 +695,12 @@ class EzSegwaySwitch(Node):
             self._drive_chain(role)
 
 
-class EzSegwayController(ContractController):
+class EzSegwayController(UpdateController[FlowRecord]):
     """ez-Segway controller: pushes role messages, serializes updates.
 
-    ``update_flow`` is ez-Segway's own entry point (a second update of
-    a flow waits for the first, §4.2); ``prepare_update`` /
-    ``push_update`` are the update contract, which sends at once.
+    ``update_flow`` keeps ez-Segway's §4.2 queue (a second update of a
+    flow waits for the first); ``prepare_update`` / ``push_update``
+    send at once.
     """
 
     def __init__(
@@ -715,16 +715,12 @@ class EzSegwayController(ContractController):
         self.params = params if params is not None else SimParams()
         self.rng = rng if rng is not None else self.params.rng()
         self._update_ids = itertools.count(1)
-        self.update_sent_at: dict[tuple[int, int], float] = {}
-        self.update_done_at: dict[tuple[int, int], float] = {}
         self.active_updates: dict[int, int] = {}      # flow -> update_id
         self._queued: dict[int, list] = {}            # serialized updates
-        # (flow, update) -> number of segments expected / reported.
+        # (flow, update) -> number of segments expected / reported,
+        # while the update is outstanding.
         self._expected_segments: dict[tuple[int, int], int] = {}
         self._done_segments: dict[tuple[int, int], set[int]] = {}
-
-    def register_flow(self, flow: Flow) -> None:
-        self._track(flow)
 
     # -- update pushing -------------------------------------------------------------
 
@@ -732,19 +728,18 @@ class EzSegwayController(ContractController):
         self,
         flow_id: int,
         new_path: list[str],
+        update_type: Any = None,
+        *,
         move_ranks: Optional[dict] = None,
-    ) -> int:
-        """Prepare and push (or queue, if one is ongoing) an update."""
+    ) -> Optional[EzPreparedUpdate]:
+        """Prepare and push an update, or queue it (``None``) while one
+        is ongoing: ez-Segway waits for it to finish (§4.2)."""
         if flow_id in self.active_updates:
-            # ez-Segway waits for the ongoing update to finish (§4.2).
             self._queued.setdefault(flow_id, []).append((new_path, move_ranks))
-            return -1
-        return self._push(flow_id, new_path, move_ranks)
-
-    def _push(self, flow_id: int, new_path: list[str], move_ranks) -> int:
+            return None
         prepared = self.prepare_update(flow_id, new_path, move_ranks=move_ranks)
         self.push_update(prepared)
-        return prepared.update_id
+        return prepared
 
     def prepare_update(
         self,
@@ -761,13 +756,14 @@ class EzSegwayController(ContractController):
             record.flow, record.pending_path or record.current_path,
             new_path, next(self._update_ids), move_ranks,
         )
-        self._pend(flow_id, prepared.update_id, new_path)
+        record.pending_path = list(new_path)
+        record.pending_version = prepared.update_id
         return prepared
 
     def push_update(self, prepared: EzPreparedUpdate) -> None:
         flow_id, update_id = prepared.flow_id, prepared.update_id
         self.active_updates[flow_id] = update_id
-        self.update_sent_at[(flow_id, update_id)] = self.now
+        self.flow_db[flow_id].update_sent_at = self.now
         self._expected_segments[(flow_id, update_id)] = len(prepared.segments)
         self._done_segments[(flow_id, update_id)] = set()
         for role in prepared.roles:
@@ -779,36 +775,21 @@ class EzSegwayController(ContractController):
         if not isinstance(message, DoneNotification):
             return
         key = (message.flow_id, message.update_id)
-        if key in self.update_done_at:
-            return
-        done = self._done_segments.setdefault(key, set())
+        expected = self._expected_segments.get(key)
+        if expected is None:
+            return                      # already complete
+        done = self._done_segments[key]
         done.add(message.segment_index)
-        if len(done) < self._expected_segments.get(key, 1):
+        if len(done) < expected:
             return
-        self.update_done_at[key] = self.now
+        del self._expected_segments[key], self._done_segments[key]
         if self.active_updates.get(message.flow_id) == message.update_id:
             del self.active_updates[message.flow_id]
-            self.network.trace.record(
-                self.now, KIND_UPDATE_DONE, self.name,
-                flow=message.flow_id, update=message.update_id,
+            self._complete(
+                self.flow_db[message.flow_id], message.update_id,
+                update=message.update_id,
             )
-            self._complete(message.flow_id, message.update_id)
             queue = self._queued.get(message.flow_id)
             if queue:
                 new_path, move_ranks = queue.pop(0)
-                self._push(message.flow_id, new_path, move_ranks)
-
-    # -- queries ------------------------------------------------------------------------
-
-    def update_complete(self, flow_id: int) -> bool:
-        return flow_id not in self.active_updates and not self._queued.get(flow_id)
-
-    def all_updates_complete(self) -> bool:
-        return not self.active_updates and not any(self._queued.values())
-
-    def update_duration(self, flow_id: int, update_id: int) -> Optional[float]:
-        sent = self.update_sent_at.get((flow_id, update_id))
-        done = self.update_done_at.get((flow_id, update_id))
-        if sent is None or done is None:
-            return None
-        return done - sent
+                self.update_flow(message.flow_id, new_path, move_ranks=move_ranks)

@@ -12,10 +12,14 @@ Modules:
 * :mod:`repro.core.scheduler` — the local, dynamic congestion scheduler (§7.4);
 * :mod:`repro.core.dataplane` — the P4 pipeline program (§8, App. B);
 * :mod:`repro.core.switch` — the switch agent tying program to simulator;
+* :mod:`repro.core.contract` — the update contract every controller
+  speaks (Flow DB, completion listeners, queries);
 * :mod:`repro.core.controller` — the control plane (§6, §8);
 * :mod:`repro.core.strategy` — SL/DL selection (§7.5);
-* :mod:`repro.core.cleanup` — rule cleanup extension (§11);
-* :mod:`repro.core.recovery` — UNM-loss detection and re-trigger (§11).
+* :mod:`repro.core.desttree` — destination-tree updates (§11).
+
+Rule cleanup and UNM-loss recovery (§11) live in the switch agent,
+the pipeline program and the controller.
 """
 
 from repro.core.messages import FRM, UFM, UIM, UNMFields, UpdateType

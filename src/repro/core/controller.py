@@ -16,10 +16,11 @@ scheduler in the data plane.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 import numpy as np
 
+from repro.core.contract import FlowRecord, UpdateController
 from repro.core.labeling import VersionAllocator
 from repro.core.messages import (
     FRM,
@@ -34,13 +35,7 @@ from repro.core.registers import LOCAL_DELIVER_PORT, VERSION_WIDTH_BITS
 from repro.core.segmentation import old_distances
 from repro.core.strategy import choose_update_type
 from repro.params import SimParams
-from repro.sim.node import ControllerNode
-from repro.sim.trace import (
-    KIND_FLOW_PARKED,
-    KIND_RETRIGGER,
-    KIND_UPDATE_ABORTED,
-    KIND_UPDATE_DONE,
-)
+from repro.sim.trace import KIND_FLOW_PARKED, KIND_RETRIGGER, KIND_UPDATE_ABORTED
 from repro.topo.graph import Topology
 from repro.topo.paths import Adjacency, NoPathError, bidirectional_dijkstra
 from repro.traffic.flows import Flow
@@ -50,25 +45,19 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 @dataclass
-class FlowRecord:
-    """Flow DB entry: the controller's view of one flow."""
+class P4FlowRecord(FlowRecord):
+    """Flow DB entry with P4Update's own state: the installed version,
+    alarms, and the §11 2-phase-commit and recovery fields."""
 
-    flow: Flow
-    current_path: list[str]
-    version: int
-    pending_path: Optional[list[str]] = None
-    pending_version: Optional[int] = None
-    update_sent_at: Optional[float] = None
-    update_done_at: Optional[float] = None
+    version: int = 0
     alarms: list[UFM] = field(default_factory=list)
     # §11 2-phase-commit state.
     current_tag: int = 0
     staged_tag: Optional[int] = None
     # §11 failure recovery (repro.chaos): when a topology failure hit
     # the flow, the instant recovery started (for the recovery-latency
-    # histogram) and whether the flow is parked awaiting repair.
+    # histogram).
     recovering_since: Optional[float] = None
-    parked: bool = False
 
 
 @dataclass(frozen=True)
@@ -115,7 +104,7 @@ class PreparedUpdate:
     new_path: tuple[str, ...] = ()
 
 
-class P4UpdateController(ControllerNode):
+class P4UpdateController(UpdateController[P4FlowRecord]):
     """Centralized controller node."""
 
     def __init__(
@@ -129,17 +118,9 @@ class P4UpdateController(ControllerNode):
         self.topology = topology          # the NIB
         self.params = params if params is not None else SimParams()
         self.rng = rng if rng is not None else self.params.rng()
-        self.flow_db: dict[int, FlowRecord] = {}
         # Version bits live in the data plane's 16-bit version
         # registers (Table 1); the allocator refuses to wrap them.
         self.versions = VersionAllocator(width_bits=VERSION_WIDTH_BITS)
-        # Update-lifecycle listeners (repro.serve orchestration):
-        # called as listener(event, flow_id, version) for events in
-        # {"completed", "aborted", "reissued", "parked"}.  Empty by
-        # default, so plain experiment runs are untouched.
-        self.update_listeners: list[
-            Callable[[str, int, Optional[int]], None]
-        ] = []
         self.reported_flows: list[FRM] = []
         self.alarms: list[UFM] = []
         # §11 failure handling: the *pending* prepared update of each
@@ -165,28 +146,12 @@ class P4UpdateController(ControllerNode):
         # params.reliable_control is on.
         self.reliable: Optional["ReliableControlSender"] = None
 
-    # -- update lifecycle notifications (repro.serve) ----------------------
-
-    def _notify_update(
-        self, event: str, flow_id: int, version: Optional[int]
-    ) -> None:
-        for listener in self.update_listeners:
-            listener(event, flow_id, version)
-
     # -- flow DB -------------------------------------------------------------------
 
-    def register_flow(self, flow: Flow) -> FlowRecord:
-        if flow.old_path is None:
-            raise ValueError(f"flow {flow.flow_id} has no initial path")
-        record = FlowRecord(
-            flow=flow, current_path=list(flow.old_path),
-            version=self.versions.next_version(flow.flow_id),
+    def _new_record(self, flow: Flow, path: list[str]) -> P4FlowRecord:
+        return P4FlowRecord(
+            flow, path, version=self.versions.next_version(flow.flow_id)
         )
-        self.flow_db[flow.flow_id] = record
-        return record
-
-    def record_of(self, flow_id: int) -> FlowRecord:
-        return self.flow_db[flow_id]
 
     # -- preparation (the Fig. 8 measured computation) ----------------------------------
 
@@ -302,7 +267,7 @@ class P4UpdateController(ControllerNode):
             )
 
     def _verify_before_push(
-        self, prepared: PreparedUpdate, record: FlowRecord
+        self, prepared: PreparedUpdate, record: P4FlowRecord
     ) -> None:
         """Static plan gate (``SimParams.verify_update_plans``).
 
@@ -343,17 +308,6 @@ class P4UpdateController(ControllerNode):
                 self.params.controller_update_timeout_ms,
                 self._check_completion, flow_id, version,
             )
-
-    def update_flow(
-        self,
-        flow_id: int,
-        new_path: list[str],
-        update_type: Optional[UpdateType] = None,
-    ) -> PreparedUpdate:
-        """Prepare and immediately push an update."""
-        prepared = self.prepare_update(flow_id, new_path, update_type)
-        self.push_update(prepared)
-        return prepared
 
     def compact_update(
         self,
@@ -517,7 +471,7 @@ class P4UpdateController(ControllerNode):
                 continue
             self._reroute_flow(record)
 
-    def _reroute_flow(self, record: FlowRecord) -> None:
+    def _reroute_flow(self, record: P4FlowRecord) -> None:
         """Abort, recompute around the failure, re-issue — or park.
 
         The abort reuses the plan-gate rollback path: pending Flow-DB
@@ -537,7 +491,7 @@ class P4UpdateController(ControllerNode):
                     self.now, KIND_UPDATE_ABORTED, self.name,
                     flow=flow_id, version=aborted_version,
                 )
-            self._notify_update("aborted", flow_id, aborted_version)
+            self._notify("aborted", flow_id, aborted_version)
         src = record.current_path[0]
         dst = record.current_path[-1]
         graph = self._working_graph()
@@ -556,9 +510,9 @@ class P4UpdateController(ControllerNode):
         self.obs.count("flow_reroutes", node=self.name)
         prepared = self.prepare_update(flow_id, list(new_path))
         self.push_update(prepared)
-        self._notify_update("reissued", flow_id, prepared.version)
+        self._notify("reissued", flow_id, prepared.version)
 
-    def _park_flow(self, record: FlowRecord, reason: str) -> None:
+    def _park_flow(self, record: P4FlowRecord, reason: str) -> None:
         flow_id = record.flow.flow_id
         report = ParkReport(
             flow_id=flow_id,
@@ -577,7 +531,7 @@ class P4UpdateController(ControllerNode):
                 self.now, KIND_FLOW_PARKED, self.name,
                 flow=flow_id, reason=reason,
             )
-        self._notify_update("parked", flow_id, None)
+        self._notify("parked", flow_id, None)
 
     def _retry_parked(self) -> None:
         """The topology healed (a port came back): retry parked flows."""
@@ -639,11 +593,7 @@ class P4UpdateController(ControllerNode):
                 record.current_tag = record.staged_tag
                 record.staged_tag = None
             record.version = ufm.version
-            record.current_path = list(record.pending_path or record.current_path)
-            record.pending_path = None
-            record.pending_version = None
             self._forget(ufm.flow_id, ufm.version)
-            record.update_done_at = self.now
             if record.recovering_since is not None:
                 # §11 recovery: this completion closed a failure-driven
                 # reroute — record how long the flow was degraded.
@@ -659,12 +609,7 @@ class P4UpdateController(ControllerNode):
                     self.obs.metrics.family("histogram", "update_duration_ms", "node")[
                         (self.name,)
                     ].observe(self.now - record.update_sent_at)
-            if self.network is not None:
-                self.network.trace.record(
-                    self.now, KIND_UPDATE_DONE, self.name,
-                    flow=ufm.flow_id, version=ufm.version,
-                )
-            self._notify_update("completed", ufm.flow_id, ufm.version)
+            self._complete(record, ufm.version, version=ufm.version)
 
     def _retrigger(self, flow_id: int, version: int) -> None:
         """§11: resend the UIM to the node(s) that regenerate UNMs —
@@ -686,18 +631,3 @@ class P4UpdateController(ControllerNode):
         for uim in prepared.uims:
             if uim.is_flow_egress or uim.is_segment_egress:
                 self._send_to_switch(uim)
-
-    # -- convenience queries -------------------------------------------------------------------
-
-    def update_complete(self, flow_id: int) -> bool:
-        record = self.flow_db.get(flow_id)
-        return record is not None and record.pending_version is None
-
-    def all_updates_complete(self) -> bool:
-        return all(r.pending_version is None for r in self.flow_db.values())
-
-    def update_duration(self, flow_id: int) -> Optional[float]:
-        record = self.flow_db.get(flow_id)
-        if record is None or record.update_done_at is None or record.update_sent_at is None:
-            return None
-        return record.update_done_at - record.update_sent_at

@@ -3,11 +3,18 @@ or three registered update strategies (:mod:`repro.algos`).
 
 Per strategy the live checker and invariants audit run as usual;
 across strategies the final per-flow routes are compared — but only
-between strategy pairs whose per-flow completed-toggle counts match.
-Strategies legitimately finish different request subsets (aborts,
-parks, deadlocks change path parity), so raw route diffs are noise;
-equal toggle counts make the comparison exact, and any remaining
-difference is a genuine cross-strategy ``divergence``.
+between strategy pairs whose per-flow counts match twice over:
+
+* completed-request toggles.  Strategies legitimately finish
+  different request subsets (aborts, parks, deadlocks change path
+  parity);
+* the controller's ``"completed"`` events.  These add P4Update's §11
+  reroute completions, which move a flow off a failed link that a
+  system without recovery leaves it on; an ``augmented`` detour is one
+  event.
+
+Equal counts make the comparison exact, and any remaining difference
+is a genuine cross-strategy ``divergence``.
 """
 
 from __future__ import annotations
@@ -88,6 +95,7 @@ def _oracle(payload: dict) -> OracleVerdict:
     runs: dict[str, dict[str, Any]] = {}
     routes: dict[str, dict[str, list[str]]] = {}
     toggles: dict[str, dict[str, int]] = {}
+    completions: dict[str, dict[str, int]] = {}
     kinds: list[str] = []
     coverage: list[str] = []
     for strategy in strategies:
@@ -99,6 +107,9 @@ def _oracle(payload: dict) -> OracleVerdict:
                 flow = str(record["flow_id"])
                 per_flow[flow] = per_flow.get(flow, 0) + 1
         toggles[strategy] = per_flow
+        completions[strategy] = {
+            str(flow): count for flow, count in result.completions.items()
+        }
         routes[strategy] = {
             str(flow): list(path)
             for flow, path in sorted(result.routes.items())
@@ -110,6 +121,7 @@ def _oracle(payload: dict) -> OracleVerdict:
             "violation_kinds": violation_kinds,
             "invariants_ok": bool(result.invariants_ok),
             "completed_toggles": per_flow,
+            "completed_events": completions[strategy],
         }
         run_kinds, run_coverage = serve_body.service_findings(
             result, "compete", f"compete:{strategy}"
@@ -123,10 +135,10 @@ def _oracle(payload: dict) -> OracleVerdict:
         for b in strategies[i + 1:]:
             # The guarded comparison: final routes are only comparable
             # when both strategies committed the same number of toggles
-            # per flow.  After a differing abort/park/deadlock the path
-            # parity legitimately differs — that asymmetry is the
-            # scoreboard's business, not a consistency finding.
-            if toggles[a] != toggles[b]:
+            # and of updates (recovery reroutes included) per flow.
+            # Otherwise the routes legitimately differ — that asymmetry
+            # is the scoreboard's business, not a consistency finding.
+            if toggles[a] != toggles[b] or completions[a] != completions[b]:
                 coverage.append(f"compete:incomparable:{a}|{b}")
                 continue
             flows = [

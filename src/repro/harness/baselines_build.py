@@ -77,7 +77,7 @@ def _ezsegway_trigger(
 ) -> None:
     for flow in scenario.flows:
         deployment.controller.update_flow(
-            flow.flow_id, list(flow.new_path or []), move_ranks
+            flow.flow_id, list(flow.new_path or []), move_ranks=move_ranks
         )
 
 

@@ -189,15 +189,14 @@ def run_fig4(
     )
 
     dep = build_system(system, topo, params=params)
-    # Only P4Update rows carry a layer, and only its update_flow
-    # takes one.
-    forced = () if dep.update_type is None else (dep.update_type,)
     checker = LiveChecker(dep.forwarding_state, dep.network.trace)
     dep.install_flow(flow)
-    dep.controller.update_flow(flow.flow_id, list(scenario.u2), *forced)
+    dep.controller.update_flow(flow.flow_id, list(scenario.u2), dep.update_type)
     dep.network.engine.schedule(
         scenario.u3_delay_ms,
-        lambda: dep.controller.update_flow(flow.flow_id, list(scenario.u3), *forced),
+        lambda: dep.controller.update_flow(
+            flow.flow_id, list(scenario.u3), dep.update_type
+        ),
     )
     dep.run()
     established = path_establishment_time(

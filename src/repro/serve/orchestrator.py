@@ -118,6 +118,8 @@ class ServiceOrchestrator:
         self._gate_logged: set[int] = set()
         # Bookkeeping for results.
         self.requests: list[UpdateRequest] = []
+        # Contract "completed" events per flow, recovery reroutes included.
+        self.completions: dict[int, int] = {}
         self._next_id = 0
         # Closed-loop hook: called once per terminal outcome.
         self.on_terminal: Optional[Callable[[UpdateRequest], None]] = None
@@ -476,6 +478,7 @@ class ServiceOrchestrator:
     ) -> None:
         request = self.in_flight.get(flow_id)
         if event == "completed":
+            self.completions[flow_id] = self.completions.get(flow_id, 0) + 1
             if request is not None and request.version == version:
                 self._finish(request, OUTCOME_COMPLETED)
                 self._release(flow_id)

@@ -116,10 +116,12 @@ class ServiceResult:
     # Omitted from results when empty so a gated-but-conflict-free run
     # stays byte-identical to a gate-off run.
     interference: list = field(default_factory=list)
-    # Converged per-flow routing at the horizon (flow_id -> path).
-    # Deliberately NOT serialized: the compete fuzz oracle compares it
-    # across strategies in-process.
+    # Converged per-flow routing at the horizon (flow_id -> path) and
+    # the controller's "completed" events per flow (flow_id -> count).
+    # Deliberately NOT serialized: the compete fuzz oracle compares
+    # them across strategies in-process.
     routes: dict = field(default_factory=dict)
+    completions: dict = field(default_factory=dict)
     # Strategy-specific counters (e.g. augmentation detours).  Omitted
     # from results when empty so the default strategy's output is
     # untouched.
@@ -360,6 +362,7 @@ class ServiceSession:
             causal=causal_dags,
             interference=self.orchestrator.interference_events,
             routes=routes,
+            completions=dict(sorted(self.orchestrator.completions.items())),
             strategy_stats=dict(stats_fn()) if stats_fn is not None else {},
         )
 

@@ -145,7 +145,7 @@ def _prepared_fig1(update_type):
     )
     flow = Flow.between("v0", "v7", size=1.0, old_path=list(FIG1_OLD_PATH))
     deployment.install_flow(flow)
-    record = deployment.controller.record_of(flow.flow_id)
+    record = deployment.controller.flow_db[flow.flow_id]
     prior = record.version
     prepared = deployment.controller.prepare_update(
         flow.flow_id, list(FIG1_NEW_PATH), update_type
@@ -170,7 +170,7 @@ def test_prepared_compact_plan_expands_piggybacks():
     )
     flow = Flow.between("v0", "v7", size=1.0, old_path=list(FIG1_OLD_PATH))
     deployment.install_flow(flow)
-    prior = deployment.controller.record_of(flow.flow_id).version
+    prior = deployment.controller.flow_db[flow.flow_id].version
     prepared = deployment.controller.compact_update(
         flow.flow_id, list(FIG1_NEW_PATH), UpdateType.DUAL
     )
@@ -188,7 +188,7 @@ def test_scenario_plans_verify_on_b4():
     for flow in scenario.flows:
         deployment.install_flow(flow)
     for flow in scenario.flows:
-        prior = deployment.controller.record_of(flow.flow_id).version
+        prior = deployment.controller.flow_db[flow.flow_id].version
         prepared = deployment.controller.prepare_update(
             flow.flow_id, list(flow.new_path)
         )
@@ -230,7 +230,7 @@ def test_gate_rejects_stale_version_and_rolls_back():
     import dataclasses
 
     deployment, flow = _gated_fig1()
-    record = deployment.controller.record_of(flow.flow_id)
+    record = deployment.controller.flow_db[flow.flow_id]
     prepared = deployment.controller.prepare_update(
         flow.flow_id, list(FIG1_NEW_PATH)
     )

@@ -8,6 +8,7 @@ from repro.baselines.ezsegway import (
 )
 from repro.harness.baselines_build import build_ezsegway_network
 from repro.params import DelayDistribution, SimParams
+from repro.sim.trace import KIND_UPDATE_DONE
 from repro.topo import fig1_topology, ring_topology
 from repro.topo.graph import Topology
 from repro.topo.synthetic import FIG1_NEW_PATH, FIG1_OLD_PATH
@@ -136,14 +137,17 @@ def test_ez_serializes_consecutive_updates():
     dep.install_flow(flow)
     dep.controller.update_flow(flow.flow_id, ["n0", "n5", "n4", "n3"])
     u3 = dep.controller.update_flow(flow.flow_id, ["n0", "n1", "n2", "n3"])
-    assert u3 == -1, "second update must be queued, not pushed"
+    assert u3 is None, "second update must be queued, not pushed"
     dep.run()
     assert dep.controller.update_complete(flow.flow_id)
     walk, outcome = dep.forwarding_state.walk(flow.flow_id)
     assert outcome == "delivered" and walk == ["n0", "n1", "n2", "n3"]
     # Both updates recorded, in order.
-    done = sorted(dep.controller.update_done_at.items(), key=lambda kv: kv[1])
-    assert len(done) == 2
+    done = [
+        (event.detail["flow"], event.detail["update"])
+        for event in dep.network.trace.of_kind(KIND_UPDATE_DONE)
+    ]
+    assert done == [(flow.flow_id, 1), (flow.flow_id, 2)]
 
 
 def test_ez_simple_detour_on_ring():
@@ -195,7 +199,7 @@ def full_link_network(blocked: bool, ranks: bool = False):
         dep.switches["s"].expect_ranks("t", [0, 5, 5, 5])
         move_ranks = {(flow_id, ("s", "t")): 5 for flow_id in MOVERS}
     for flow_id in MOVERS:
-        dep.controller.update_flow(flow_id, ["s", "t"], move_ranks)
+        dep.controller.update_flow(flow_id, ["s", "t"], move_ranks=move_ranks)
     return dep
 
 

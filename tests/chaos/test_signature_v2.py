@@ -30,6 +30,7 @@ import repro.serve.service as service
 import repro.sim.trace as trace_module
 from repro.chaos.runner import trace_signature
 from repro.fuzz.corpus import corpus_files, replay_file
+from repro.serve.spec import load_serve_spec
 from repro.sim.trace import TraceEvent
 from tests.chaos.reference_signature import (
     decode_v2,
@@ -37,6 +38,7 @@ from tests.chaos.reference_signature import (
     v2_bytes,
 )
 from tests.chaos.test_signature_shapes import adversarial
+from tests.fuzz.test_compete_lane import RECOVERY_AGAINST_NO_RECOVERY
 from tests.reference_scenarios import SCENARIOS, stock_outcome
 
 SRC = pathlib.Path(runner.__file__).resolve().parents[1]
@@ -55,7 +57,8 @@ def test_v2_bytes_decode_to_the_rows(name):
 
 
 def _corpus_traces(monkeypatch) -> list[list[TraceEvent]]:
-    """Every trace the fuzz corpus replay signs, as signed."""
+    """Every trace the fuzz corpus replay signs, as signed, and those of
+    the compete cases that left the corpus."""
     signed: list[list[TraceEvent]] = []
 
     def recording(trace):
@@ -66,6 +69,9 @@ def _corpus_traces(monkeypatch) -> list[list[TraceEvent]]:
     monkeypatch.setattr(service, "trace_signature", recording)
     for path in corpus_files(str(CORPUS)):
         replay_file(path)
+    for serve, strategies, _pairs in RECOVERY_AGAINST_NO_RECOVERY:
+        for strategy in strategies:
+            service.run_service(load_serve_spec(dict(serve, strategy=strategy)))
     return signed
 
 

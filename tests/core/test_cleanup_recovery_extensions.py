@@ -136,7 +136,7 @@ def test_recovery_bounded_retriggers():
     dep.install_flow(flow)
     dep.controller.update_flow(flow.flow_id, ["n0", "n5", "n4", "n3"], UpdateType.SINGLE)
     dep.run(until=10_000.0)
-    version = dep.controller.record_of(flow.flow_id).pending_version
+    version = dep.controller.flow_db[flow.flow_id].pending_version
     key = (flow.flow_id, version)
     assert dep.controller._retriggers.get(key, 0) <= dep.controller.max_retriggers
 

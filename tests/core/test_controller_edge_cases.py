@@ -121,4 +121,4 @@ def test_alarm_ufms_recorded_per_flow():
     )
     dep.controller._handle_ufm(alarm)
     assert dep.controller.alarms == [alarm]
-    assert dep.controller.record_of(flow.flow_id).alarms == [alarm]
+    assert dep.controller.flow_db[flow.flow_id].alarms == [alarm]

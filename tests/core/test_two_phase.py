@@ -78,7 +78,7 @@ def test_two_phase_update_completes():
     dep.run()
     assert dep.controller.update_complete(flow.flow_id)
     assert checker.ok, checker.violations
-    record = dep.controller.record_of(flow.flow_id)
+    record = dep.controller.flow_db[flow.flow_id]
     assert record.current_tag == 1 and record.staged_tag is None
     walk, outcome = dep.forwarding_state.walk(flow.flow_id)
     assert outcome == "delivered" and walk == list(NEW)
@@ -139,7 +139,7 @@ def test_second_two_phase_update_flips_back_to_tag0():
     dep.run()
     dep.controller.two_phase_update(flow.flow_id, list(OLD))
     dep.run()
-    record = dep.controller.record_of(flow.flow_id)
+    record = dep.controller.flow_db[flow.flow_id]
     assert record.current_tag == 0
     walk, outcome = dep.forwarding_state.walk(flow.flow_id)
     assert outcome == "delivered" and walk == list(OLD)

@@ -3,6 +3,8 @@ cross-strategy divergence oracle, and shrink candidates."""
 
 import json
 
+import pytest
+
 from repro.fuzz.gen import (
     FUZZ_KINDS,
     case_rng,
@@ -64,7 +66,7 @@ def test_splice_filters_cross_topology_events():
     assert len(compatible_events(events, "b4")) == 2
 
 
-def test_compete_oracle_agreement_passes():
+def _two_layer_verdict():
     payload = {
         "serve": {
             "name": "t", "topology": "fig1", "seed": 0, "mode": "open",
@@ -75,28 +77,103 @@ def test_compete_oracle_agreement_passes():
         "strategies": ["p4update", "p4update-sl"],
     }
     case = generate_case(0, _indices_of("compete")[0])
-    verdict = evaluate_case(
+    return evaluate_case(
         type(case)(kind="compete", name="t", seed=0, payload=payload)
     )
+
+
+def test_compete_oracle_agreement_passes():
+    verdict = _two_layer_verdict()
     assert verdict.oracle == "cross-strategy"
-    assert verdict.outcome in ("pass", "divergence")
+    assert verdict.outcome == "pass"
+    assert "compete:agree" in verdict.coverage
     assert verdict.detail["strategies"]["p4update"]["violations"] == 0
 
 
-def test_committed_divergence_repro_still_reproduces():
-    # The canonical compete finding this PR's campaigns surfaced:
-    # central converges back to the nominal path after a link failure
-    # while the decentralized strategies keep the repair detour.
-    import pathlib
+def _b4_flap(name, seed, flows, rate, link, time_ms, shed, watchdog):
+    serve = {
+        "name": name, "topology": "b4", "seed": seed, "mode": "open",
+        "flows": flows, "requests": 1, "arrival_rate_per_s": rate,
+        "queue_depth": 1, "shed_policy": shed,
+        "conflict_policy": "serialize", "horizon_ms": 5000.0,
+        "events": [{"time_ms": time_ms, "kind": "link_down",
+                    "node_a": link[0], "node_b": link[1]}],
+    }
+    if watchdog is not None:
+        serve["params"] = {"controller_update_timeout_ms": watchdog}
+    return serve
 
-    from repro.fuzz.corpus import load_corpus_file, replay_doc
 
-    corpus = pathlib.Path(__file__).resolve().parent / "corpus"
-    cases = sorted(corpus.glob("compete-*.json"))
-    assert cases, "expected committed compete corpus repros"
-    for path in cases:
-        reproduced, verdict = replay_doc(load_corpus_file(str(path)))
-        assert reproduced, (path.name, verdict.to_dict())
+#: The payloads of the three corpus cases once committed as expected
+#: ``route-divergence`` findings (compete-01c6c99b0a, -01e885aad3,
+#: -4f12cd6ebb): after a link failure P4Update's §11 recovery reroutes a
+#: flow that Central / ez-Segway leave on the failed link.
+RECOVERY_AGAINST_NO_RECOVERY = (
+    (_b4_flap("fuzz-1019122464", 838968067, 2, 64.2,
+              ("council-ia", "lenoir-nc"), 273.5, "reject", None),
+     ["p4update", "central"], ["p4update|central"]),
+    (_b4_flap("fuzz-1486645607", 1505926405, 1, 90.7,
+              ("atlanta-ga", "council-ia"), 505.3, "park", 0.0),
+     ["central", "augmented", "synthesis"],
+     ["central|augmented", "central|synthesis"]),
+    (_b4_flap("fuzz-392137688", 805254676, 2, 85.3,
+              ("council-ia", "dalles-or"), 508.8, "park", 0.0),
+     ["p4update", "ezsegway"], ["p4update|ezsegway"]),
+)
+
+
+@pytest.mark.parametrize(
+    "serve,strategies,pairs", RECOVERY_AGAINST_NO_RECOVERY,
+    ids=["compete-01c6c99b0a", "compete-01e885aad3", "compete-4f12cd6ebb"],
+)
+def test_recovery_against_no_recovery_is_incomparable(serve, strategies, pairs):
+    # Equal request toggles, but the recovering side counts one more
+    # "completed" event (its §11 reroute): the routes are not compared.
+    case = generate_case(0, _indices_of("compete")[0])
+    verdict = evaluate_case(type(case)(
+        kind="compete", name="t", seed=0,
+        payload={"serve": serve, "strategies": strategies},
+    ))
+    assert not any(k.startswith("route-divergence") for k in verdict.kinds)
+    for pair in pairs:
+        assert f"compete:incomparable:{pair}" in verdict.coverage
+
+
+def _fake_routes(monkeypatch, strategy, completions=None):
+    """Run the real services, then give ``strategy`` a different final
+    route for every flow (and optionally other completion counts)."""
+    from repro.fuzz.lanes import compete
+
+    real = compete.run_service
+
+    def run(spec):
+        result = real(spec)
+        if spec.strategy == strategy:
+            result.routes = {f: ("elsewhere",) for f in result.routes}
+            if completions is not None:
+                result.completions = completions(result.completions)
+        return result
+
+    monkeypatch.setattr(compete, "run_service", run)
+
+
+def test_route_divergence_under_equal_counts_is_reported(monkeypatch):
+    _fake_routes(monkeypatch, "p4update-sl")
+    verdict = _two_layer_verdict()
+    runs = verdict.detail["strategies"]
+    assert runs["p4update"]["completed_events"] == runs["p4update-sl"]["completed_events"]
+    assert verdict.outcome == "divergence"
+    assert "route-divergence:p4update|p4update-sl" in verdict.kinds
+
+
+def test_unequal_completion_counts_make_routes_incomparable(monkeypatch):
+    _fake_routes(
+        monkeypatch, "p4update-sl",
+        completions=lambda counts: {f: n + 1 for f, n in counts.items()},
+    )
+    verdict = _two_layer_verdict()
+    assert not any(k.startswith("route-divergence") for k in verdict.kinds)
+    assert "compete:incomparable:p4update|p4update-sl" in verdict.coverage
 
 
 def test_compete_shrink_candidates_reduce():

@@ -183,7 +183,7 @@ def test_pinned_file_covers_every_lane(pinned):
     assert len(pinned["generated"]) == GENERATED
     assert {entry["kind"] for entry in pinned["generated"]} == set(FUZZ_KINDS)
     assert len(pinned["mutated"]) == CHAIN_STEPS * len(FUZZ_KINDS)
-    assert sum(k.startswith("corpus/") for k in pinned["shrink_candidates"]) == 50
+    assert sum(k.startswith("corpus/") for k in pinned["shrink_candidates"]) == 47
 
 
 @pytest.mark.parametrize(
