@@ -2,8 +2,10 @@
 
 A campaign run is fully deterministic in its seed: the deployment, the
 workload, every fault model and every topology event derive their
-randomness from ``campaign.seed``, and :func:`trace_signature` hashes
-the complete event trace so two runs can be compared bit-for-bit.
+randomness from ``campaign.seed``, and the trace's
+:meth:`~repro.sim.trace.Trace.signature` hashes the complete event
+trace (block by block as it is recorded; the run keeps no rows) so two
+runs can be compared bit-for-bit.
 
 The runner asserts the paper's §5 invariants throughout via
 :class:`~repro.consistency.checker.LiveChecker` (failure-aware: a
@@ -15,11 +17,8 @@ the trace signature in a :class:`CampaignResult` (``repro chaos run
 
 from __future__ import annotations
 
-import hashlib
-import marshal
 from dataclasses import dataclass, field
-from itertools import islice
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -39,7 +38,9 @@ from repro.harness.sweep_kind import seeded_scenario
 from repro.obs.context import ObsContext
 from repro.params import SimParams
 from repro.sim.faults import CompositeFaultModel, FaultModel, FaultPolicy
-from repro.sim.trace import SIGNATURE_FORMAT, TraceEvent
+# Re-exported: the format-v2 signature lives with the trace; tests and
+# the perf ledger import it from here.
+from repro.sim.trace import trace_signature  # noqa: F401
 # Re-exported: the perf ledger's workloads and the serve tests import
 # the topology table from here.
 from repro.topo import TOPOLOGIES  # noqa: F401
@@ -98,47 +99,6 @@ class CampaignResult:
             "reroutes": self.reroutes,
             "topo_events": self.topo_events,
         }
-
-
-#: Rows marshalled per ``digest.update`` (bounds the bytes held at once).
-_SIGNATURE_BLOCK = 1024
-
-#: ``marshal`` 2 writes no back-references; 3 and later write one for
-#: every object whose refcount exceeds one and mark interned strings, so
-#: their bytes depend on object identity and interning, not on values.
-_MARSHAL_VERSION = 2
-
-
-def trace_signature(trace: Iterable[TraceEvent]) -> str:
-    """SHA-256 over the trace's positional rows (determinism probe).
-
-    Format v2 (``docs/ARCHITECTURE.md``): the positional ``(time, kind,
-    node, detail)`` rows of the :class:`Trace`, in trace order and in
-    blocks of up to 1 024, each block transposed into its four columns
-    and written by ``marshal`` version 2.  No Python-level call is made
-    per event or per block.  A value ``marshal`` cannot write (no
-    builtin type) is a :class:`TypeError` naming its event."""
-    digest = hashlib.sha256()
-    events = iter(trace)
-    while block := list(islice(events, _SIGNATURE_BLOCK)):
-        try:
-            digest.update(marshal.dumps(tuple(zip(*block)), _MARSHAL_VERSION))
-        except ValueError:
-            raise TypeError(_unsignable(block)) from None
-    return digest.hexdigest()
-
-
-def _unsignable(block: list[TraceEvent]) -> str:
-    for time, kind, node, detail in block:
-        try:
-            marshal.dumps((time, kind, node, detail), _MARSHAL_VERSION)
-        except ValueError:
-            return (
-                f"trace signature format {SIGNATURE_FORMAT} cannot sign the "
-                f"{kind!r} event at {node!r}, t={time!r}: {detail!r} holds a "
-                f"value of no builtin type"
-            )
-    return "trace block cannot be signed"
 
 
 def build_fault_policy(
@@ -271,9 +231,11 @@ def run_campaign(
 ) -> CampaignResult:
     """Execute one seeded campaign run end-to-end."""
     deployment, scenario, checker = build_campaign_deployment(campaign, obs=obs)
+    network = deployment.network
+    if not network.trace.max_events:
+        network.trace.stream()
     deployment.run(until=campaign.horizon_ms)
 
-    network = deployment.network
     controller = deployment.controller
     flows_completed = sum(
         1
@@ -300,7 +262,7 @@ def run_campaign(
         flows_parked=flows_parked,
         parked_reports=[report.to_dict() for report in controller.parked],
         violations=[v.to_dict() for v in checker.violations],
-        trace_signature=trace_signature(network.trace),
+        trace_signature=network.trace.signature(),
         sim_time_ms=network.engine.now,
         events_processed=network.engine.processed_events,
         fault_counts=fault_counts,

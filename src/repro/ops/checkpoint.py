@@ -13,7 +13,7 @@ The manifest carries, once, the session spec document
 ``spec_hash`` and the ``code_fingerprint`` of the ``repro`` source that
 wrote it; and one row per tick: ``index``,
 ``sim_time_ms``, ``processed_events`` and ``digest`` — the
-:func:`~repro.chaos.runner.trace_signature` of the trace rows recorded
+:func:`~repro.sim.trace.trace_signature` of the trace rows recorded
 since the previous tick (the retained ones, when a ring buffer dropped
 some; positions count every record).
 
@@ -35,8 +35,8 @@ from __future__ import annotations
 import os
 from typing import TYPE_CHECKING, Optional
 
-from repro.chaos.runner import trace_signature
 from repro.loading import read_stamped, write_stamped
+from repro.sim.trace import trace_signature
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.ops.session import OpsSession

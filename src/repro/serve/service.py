@@ -19,7 +19,7 @@ from typing import Any, Optional
 import numpy as np
 
 from repro.algos.registry import build_system
-from repro.chaos.runner import schedule_topo_events, trace_signature
+from repro.chaos.runner import schedule_topo_events
 from repro.consistency.checker import LiveChecker
 from repro.loading import spec_digest
 from repro.obs.causal import CausalTracker, slo_summary, summarize_attribution
@@ -355,7 +355,7 @@ class ServiceSession:
             peak_in_flight=self.orchestrator.peak_in_flight,
             sim_time_ms=self.engine.now,
             events_processed=self.engine.processed_events,
-            trace_sig=trace_signature(trace),
+            trace_sig=trace.signature(),
             invariants_ok=invariants_ok,
             trace_dropped=trace.dropped_events,
             attribution=attribution,
@@ -382,6 +382,11 @@ def run_service(
         else:
             obs.causal = tracker
     session = ServiceSession(spec, obs)
+    trace = session.deployment.network.trace
+    if not trace.max_events:
+        # Nothing reads a past row of a one-shot run: sign them as
+        # they pass instead of keeping them to the close.
+        trace.stream()
     session.wire()
     session.run()
     return session.close()

@@ -8,7 +8,12 @@ the Fig. 2 bench extracts per-node packet-receive series from them.
 
 from __future__ import annotations
 
+import hashlib
+import marshal
 from bisect import bisect_left
+from collections import Counter
+from itertools import islice
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional
 
 
@@ -62,9 +67,63 @@ KIND_REQUEST_PUSHED = "request_pushed"      # prepared update entered the contro
 KIND_RETRANSMIT = "retransmit"
 KIND_RETRIGGER = "retrigger"
 
-#: What ``repro.chaos.runner.trace_signature`` hashes: 2 = the marshalled
-#: positional rows (``docs/ARCHITECTURE.md``).  Manifests record it.
+#: What :func:`trace_signature` hashes: 2 = the marshalled positional
+#: rows (``docs/ARCHITECTURE.md``).  Manifests record it.
 SIGNATURE_FORMAT = 2
+
+#: Rows marshalled per ``digest.update`` (bounds the bytes held at once,
+#: and the rows a streamed :class:`Trace` keeps).
+_SIGNATURE_BLOCK = 1024
+
+#: ``marshal`` 2 writes no back-references; 3 and later write one for
+#: every object whose refcount exceeds one and mark interned strings, so
+#: their bytes depend on object identity and interning, not on values.
+_MARSHAL_VERSION = 2
+
+_KIND = itemgetter(1)
+
+_STREAMED = "a streamed Trace (Trace.stream) signs its rows and keeps none to read"
+
+
+def trace_signature(trace: Iterable[TraceEvent]) -> str:
+    """SHA-256 over the trace's positional rows (determinism probe).
+
+    Format v2 (``docs/ARCHITECTURE.md``): the positional ``(time, kind,
+    node, detail)`` rows of the :class:`Trace`, in trace order and in
+    blocks of up to 1 024, each block transposed into its four columns
+    and written by ``marshal`` version 2.  No Python-level call is made
+    per event or per block (so the block is not hashed by
+    :func:`_fold_block`).  A value ``marshal`` cannot write (no builtin
+    type) is a :class:`TypeError` naming its event."""
+    digest = hashlib.sha256()
+    events = iter(trace)
+    while block := list(islice(events, _SIGNATURE_BLOCK)):
+        try:
+            digest.update(marshal.dumps(tuple(zip(*block)), _MARSHAL_VERSION))
+        except ValueError:
+            raise TypeError(_unsignable(block)) from None
+    return digest.hexdigest()
+
+
+def _fold_block(digest: Any, block: list[TraceEvent]) -> None:
+    """Hash one block of :func:`trace_signature` into ``digest``."""
+    try:
+        digest.update(marshal.dumps(tuple(zip(*block)), _MARSHAL_VERSION))
+    except ValueError:
+        raise TypeError(_unsignable(block)) from None
+
+
+def _unsignable(block: list[TraceEvent]) -> str:
+    for time, kind, node, detail in block:
+        try:
+            marshal.dumps((time, kind, node, detail), _MARSHAL_VERSION)
+        except ValueError:
+            return (
+                f"trace signature format {SIGNATURE_FORMAT} cannot sign the "
+                f"{kind!r} event at {node!r}, t={time!r}: {detail!r} holds a "
+                f"value of no builtin type"
+            )
+    return "trace block cannot be signed"
 
 
 class Trace:
@@ -81,6 +140,10 @@ class Trace:
     checking is unaffected), only retention changes.  The default
     (``0``) keeps the historical unbounded behaviour.
 
+    :meth:`stream` keeps no rows at all: each full block of
+    :func:`trace_signature` is hashed as it fills and dropped, so
+    :meth:`signature` is unchanged while memory stays flat.
+
     Subscribers are routed by kind: one that names the ``kinds`` it
     reads is never called for any other.  Within a kind, subscribers
     run in subscription order, whether or not they named kinds.
@@ -88,9 +151,10 @@ class Trace:
 
     def __init__(self, max_events: int = 0) -> None:
         self.max_events = int(max_events)
-        self.events: list[TraceEvent] = []
+        # The kept rows; a streamed trace's open signature block.
+        self._events: list[TraceEvent] = []
         self.dropped_events = 0
-        # Absolute position of events[0] (non-zero once the ring drops).
+        # Absolute position of _events[0] (non-zero once the ring drops).
         self._base = 0
         # (callback, kinds it reads or None for all), subscription order.
         self._subscribers: list[
@@ -103,23 +167,33 @@ class Trace:
         # positions are pruned on lookup, and by record() once a ring's
         # list outgrows 2 x max_events (so the index is bounded too).
         self._by_kind: dict[str, list[int]] = {}
+        # Streamed only: the digest of the folded blocks and their rows
+        # per kind.
+        self._digest: Any = None
+        self._folded_kinds: Counter[str] = Counter()
 
     def record(self, time: float, kind: str, node: str, **detail: Any) -> TraceEvent:
         # tuple.__new__ skips the generated NamedTuple constructor, and
         # get() the empty list setdefault() would build on every call.
         event = tuple.__new__(TraceEvent, (time, kind, node, detail))
-        positions = self._by_kind.get(kind)
-        if positions is None:
-            positions = self._by_kind[kind] = []
-        positions.append(self._base + len(self.events))
-        self.events.append(event)
-        if self.max_events > 0 and len(self.events) > self.max_events:
-            overflow = len(self.events) - self.max_events
-            del self.events[:overflow]
-            self._base += overflow
-            self.dropped_events += overflow
-            if len(positions) > 2 * self.max_events:
-                self._live(kind)
+        events = self._events
+        events.append(event)
+        if self._digest is not None:
+            if len(events) == _SIGNATURE_BLOCK:
+                self._fold(events)
+                self._events = []
+        else:
+            positions = self._by_kind.get(kind)
+            if positions is None:
+                positions = self._by_kind[kind] = []
+            positions.append(self._base + len(events) - 1)
+            if self.max_events > 0 and len(events) > self.max_events:
+                overflow = len(events) - self.max_events
+                del events[:overflow]
+                self._base += overflow
+                self.dropped_events += overflow
+                if len(positions) > 2 * self.max_events:
+                    self._live(kind)
         route = self._routes.get(kind)
         if route is None:
             route = self._routes[kind] = [
@@ -130,6 +204,54 @@ class Trace:
         for subscriber in route:
             subscriber(event)
         return event
+
+    def stream(self) -> None:
+        """Keep no rows from now on: fold every full signature block
+        into a running digest as it fills, rows so far included.
+
+        ``len``, ``count_of_kind`` and :meth:`signature` answer as if
+        every row were kept; the row readers and pickling raise.  A
+        detail ``marshal`` cannot write is refused when its block
+        fills (by the :meth:`record` of the block's 1 024th row), not
+        when the trace is signed.  A ring cannot stream: it signs its
+        tail."""
+        if self.max_events > 0:
+            raise ValueError("a ring Trace signs its tail and cannot stream")
+        if self._digest is not None:
+            return
+        rows, self._by_kind = self._events, {}
+        self._digest = hashlib.sha256()
+        full = len(rows) - len(rows) % _SIGNATURE_BLOCK
+        for start in range(0, full, _SIGNATURE_BLOCK):
+            self._fold(rows[start:start + _SIGNATURE_BLOCK])
+        self._events = rows[full:]
+
+    def _fold(self, block: list[TraceEvent]) -> None:
+        _fold_block(self._digest, block)
+        self._folded_kinds.update(map(_KIND, block))
+
+    def signature(self) -> str:
+        """:func:`trace_signature` of every row recorded (of a ring:
+        of the rows it kept)."""
+        if self._digest is None:
+            return trace_signature(self._events)
+        digest = self._digest.copy()
+        if self._events:
+            _fold_block(digest, self._events)
+        return digest.hexdigest()
+
+    def _kept(self) -> list[TraceEvent]:
+        if self._digest is not None:
+            raise RuntimeError(_STREAMED)
+        return self._events
+
+    @property
+    def events(self) -> list[TraceEvent]:
+        return self._kept()
+
+    def __getstate__(self) -> dict[str, Any]:
+        self._kept()
+        return self.__dict__
 
     def _live(self, kind: str) -> list[int]:
         """The kind's retained positions, pruning dropped ones."""
@@ -171,6 +293,7 @@ class Trace:
         return False
 
     def of_kind(self, *kinds: str) -> list[TraceEvent]:
+        events = self._kept()
         if len(kinds) == 1:
             positions: list[int] = self._live(kinds[0])
         else:
@@ -178,22 +301,28 @@ class Trace:
             for kind in sorted(set(kinds)):
                 merged.extend(self._live(kind))
             positions = sorted(merged)
-        return [self.events[i - self._base] for i in positions]
+        return [events[i - self._base] for i in positions]
 
     def count_of_kind(self, kind: str) -> int:
+        if self._digest is not None:
+            return self._folded_kinds[kind] + list(map(_KIND, self._events)).count(kind)
         return len(self._live(kind))
 
     def between(self, start: float, end: float) -> list[TraceEvent]:
-        return [e for e in self.events if start <= e.time <= end]
+        return [e for e in self._kept() if start <= e.time <= end]
 
     def last(self, kind: str) -> Optional[TraceEvent]:
+        events = self._kept()
         positions = self._live(kind)
         if not positions:
             return None
-        return self.events[positions[-1] - self._base]
+        return events[positions[-1] - self._base]
 
     def __iter__(self) -> Iterator[TraceEvent]:
-        return iter(self.events)
+        # Checked inline: signing a kept trace makes no call but this one.
+        if self._digest is not None:
+            raise RuntimeError(_STREAMED)
+        return iter(self._events)
 
     def __len__(self) -> int:
-        return len(self.events)
+        return sum(self._folded_kinds.values()) + len(self._events)

@@ -29,7 +29,7 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, wait
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
@@ -340,6 +340,10 @@ def _run_pool(
     and the next wave rebuilds the pool, so one poisoned shard can at
     worst cost its co-flyers ``retries`` extra attempts, never their
     results."""
+    # Imported here: it loads multiprocessing, which an inline
+    # (``--workers 1``) fleet never needs.
+    from concurrent.futures import ProcessPoolExecutor
+
     attempts: dict[int, int] = {}
     wave = list(pending)
     round_no = 0

@@ -15,7 +15,6 @@ tests; real Zoo files from topology-zoo.org load the same way.
 from __future__ import annotations
 
 import io
-import xml.etree.ElementTree as ET
 from typing import Optional, Union
 
 from repro.topo.graph import Topology
@@ -82,6 +81,10 @@ def load_graphml(
     occur in Zoo data).  Disconnected files keep only the largest
     connected component (standard practice when using Zoo graphs).
     """
+    # Imported here: no built-in topology is GraphML, so most runs
+    # never parse XML.
+    import xml.etree.ElementTree as ET
+
     if isinstance(source, str) and source.lstrip().startswith("<"):
         root = ET.fromstring(source)
     elif isinstance(source, str):

@@ -25,13 +25,12 @@ import pathlib
 
 import pytest
 
-import repro.chaos.runner as runner
 import repro.serve.service as service
 import repro.sim.trace as trace_module
 from repro.chaos.runner import trace_signature
 from repro.fuzz.corpus import corpus_files, replay_file
 from repro.serve.spec import load_serve_spec
-from repro.sim.trace import TraceEvent
+from repro.sim.trace import Trace, TraceEvent
 from tests.chaos.reference_signature import (
     decode_v2,
     reference_trace_signature_v1,
@@ -41,7 +40,7 @@ from tests.chaos.test_signature_shapes import adversarial
 from tests.fuzz.test_compete_lane import RECOVERY_AGAINST_NO_RECOVERY
 from tests.reference_scenarios import SCENARIOS, stock_outcome
 
-SRC = pathlib.Path(runner.__file__).resolve().parents[1]
+SRC = pathlib.Path(trace_module.__file__).resolve().parents[1]
 CORPUS = pathlib.Path(__file__).resolve().parents[1] / "fuzz" / "corpus"
 
 
@@ -58,15 +57,17 @@ def test_v2_bytes_decode_to_the_rows(name):
 
 def _corpus_traces(monkeypatch) -> list[list[TraceEvent]]:
     """Every trace the fuzz corpus replay signs, as signed, and those of
-    the compete cases that left the corpus."""
+    the compete cases that left the corpus.  ``Trace.stream`` is a no-op
+    here, so every run keeps the rows its ``Trace.signature`` signs."""
     signed: list[list[TraceEvent]] = []
+    sign = Trace.signature
 
     def recording(trace):
         signed.append(list(trace))
-        return trace_signature(signed[-1])
+        return sign(trace)
 
-    monkeypatch.setattr(runner, "trace_signature", recording)
-    monkeypatch.setattr(service, "trace_signature", recording)
+    monkeypatch.setattr(Trace, "stream", lambda trace: None)
+    monkeypatch.setattr(Trace, "signature", recording)
     for path in corpus_files(str(CORPUS)):
         replay_file(path)
     for serve, strategies, _pairs in RECOVERY_AGAINST_NO_RECOVERY:
