@@ -36,8 +36,8 @@ import numpy as np
 from repro.algos.registry import build_system, system_names
 from repro.consistency import LiveChecker
 from repro.core.messages import UpdateType
-from repro.harness.analysis import count_messages
-from repro.harness.experiment import path_establishment_time, run_experiment
+from repro.harness.analysis import watch_messages
+from repro.harness.experiment import RuleChanges, run_experiment
 from repro.harness.fig_experiments import FIG7_SCENARIOS, fig7_sweep_spec, run_fig2, run_fig4
 from repro.harness.prep import FIG8_TOPOLOGIES, fig8_sweep_spec
 from repro.harness.probes import ProbeSource
@@ -182,12 +182,13 @@ def rail_topology() -> Topology:
 def _rails_time(system: str, seed: int, depth: int) -> float:
     """Time to the last of ``depth`` back-to-back updates (rails 1, 2, 1, ...)."""
     dep = build_system(system, rail_topology(), params=SimParams(seed=seed).with_dionysus_install_delay())
+    changes = RuleChanges(dep.network.trace)
     flow = _flow(dep, "s", "t", RAILS[0])
     targets = [RAILS[1 + i % 2] for i in range(depth)]
     for target in targets:
         dep.controller.update_flow(flow.flow_id, list(target), dep.update_type)
     dep.run()
-    established = path_establishment_time(dep.network.trace, flow.flow_id, targets[-1], RAILS[0])
+    established = changes.establishment_time(flow.flow_id, targets[-1], RAILS[0])
     assert established != math.inf, (system, seed, depth)
     return established
 
@@ -342,12 +343,12 @@ def messages() -> dict:
         ("central", "central", False),
     ):
         dep = build_system(system, fig1_topology(), params=SimParams(seed=0))
+        out[label] = watch_messages(dep.network.trace)
         flow = _flow(dep)
         update = dep.controller.compact_update if compact else dep.controller.update_flow
         update(flow.flow_id, FIG1_NEW, dep.update_type)
         dep.run()
         assert dep.controller.update_complete(flow.flow_id), label
-        out[label] = count_messages(dep.network.trace)
     return out
 
 

@@ -23,6 +23,8 @@ def main() -> None:
     topo = fattree_topology(4)
     deployment = build_p4update_network(topo, params=SimParams(seed=1))
     checker = LiveChecker(deployment.forwarding_state, deployment.network.trace)
+    rule_changes = []
+    deployment.network.trace.subscribe(rule_changes.append, ["rule_change"])
     manager = DestinationTreeManager(deployment.controller)
 
     dst = "edge0_0"
@@ -50,7 +52,7 @@ def main() -> None:
     print(f"duration:        {manager.update_duration(dst):.1f} ms")
     print(f"consistent:      {checker.ok}\n")
     print("rule installs (root first, branches in parallel):")
-    for event in deployment.network.trace.of_kind("rule_change"):
+    for event in rule_changes:
         if event.detail.get("flow") == tree_id_for(dst):
             print(f"  t={event.time:6.2f} ms  {event.node} -> "
                   f"{event.detail.get('next_hop')}")

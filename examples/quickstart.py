@@ -25,8 +25,12 @@ def main() -> None:
     # 2. A simulated deployment: P4 switches + controller + channels.
     deployment = build_p4update_network(topo, params=SimParams(seed=42))
 
-    # 3. Watch consistency live: every rule change is checked.
+    # 3. Watch consistency live: every rule change is checked.  The
+    #    trace hands each rule change to its subscribers as it happens;
+    #    keep them in a list to print the installation order later.
     checker = LiveChecker(deployment.forwarding_state, deployment.network.trace)
+    rule_changes = []
+    deployment.network.trace.subscribe(rule_changes.append, ["rule_change"])
 
     # 4. A flow from n0 to n3 on the clockwise path.
     flow = Flow.between(
@@ -49,7 +53,7 @@ def main() -> None:
     walk, outcome = deployment.forwarding_state.walk(flow.flow_id)
     print(f"final path:       {' -> '.join(walk)}  ({outcome})")
     print("\nrule installation order (egress to ingress — that is SL's safety):")
-    for event in deployment.network.trace.of_kind("rule_change"):
+    for event in rule_changes:
         print(f"  t={event.time:7.2f} ms  {event.node} -> {event.detail.get('next_hop')}")
 
 

@@ -1,16 +1,18 @@
-"""Post-hoc trace analysis: message counts and overhead breakdowns.
+"""Message counts by type and plane, tallied live from a run's trace.
 
 The paper's core scalability argument is about *where* messages flow:
 P4Update pushes one UIM per switch and then coordinates via data-plane
 UNMs, while Central takes a controller round-trip per dependency round.
-These helpers quantify that from a run's trace.
+:func:`watch_messages` quantifies that as the run sends them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.sim.trace import DATA_PLANE_KEY, KIND_MSG_SEND, Trace
+from repro.sim.trace import DATA_PLANE_KEY, KIND_MSG_SEND, Trace, TraceEvent
+
+_DATA_KEY = DATA_PLANE_KEY[KIND_MSG_SEND]
 
 
 @dataclass
@@ -31,17 +33,19 @@ class MessageStats:
     def total(self) -> int:
         return sum(self.by_type.values())
 
-
-def count_messages(trace: Trace) -> MessageStats:
-    """Tally every sent message in a trace by its type and plane."""
-    stats = MessageStats()
-    data_key = DATA_PLANE_KEY[KIND_MSG_SEND]
-    for event in trace.of_kind(KIND_MSG_SEND):
+    def _tally(self, event: TraceEvent) -> None:
         detail = event.detail
         name = detail["type"]
-        stats.by_type[name] = stats.by_type.get(name, 0) + 1
-        if data_key in detail:
-            stats.data_plane += 1
+        self.by_type[name] = self.by_type.get(name, 0) + 1
+        if _DATA_KEY in detail:
+            self.data_plane += 1
         else:
-            stats.control_plane += 1
+            self.control_plane += 1
+
+
+def watch_messages(trace: Trace) -> MessageStats:
+    """The tally of every message ``trace`` records as sent from now on:
+    a kinded subscriber, so call it before the run."""
+    stats = MessageStats()
+    trace.subscribe(stats._tally, (KIND_MSG_SEND,))
     return stats

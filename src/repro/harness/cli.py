@@ -62,6 +62,7 @@ from repro.obs import (
 )
 from repro.obs.context import NULL_OBS
 from repro.params import SimParams
+from repro.sim.trace import KIND_RULE_CHANGE, TraceEvent
 from repro.sweep.cli import CliError, add_fleet_flags, load_or_exit, run_fleet
 from repro.sweep.merge import format_profile
 from repro.topo import fig1_topology
@@ -148,7 +149,10 @@ def _demo_deployment(seed: int, obs=NULL_OBS):
 
 def cmd_demo(args) -> int:
     deployment, flow = _demo_deployment(args.seed)
-    checker = LiveChecker(deployment.forwarding_state, deployment.network.trace)
+    trace = deployment.network.trace
+    checker = LiveChecker(deployment.forwarding_state, trace)
+    rule_changes: list[TraceEvent] = []
+    trace.subscribe(rule_changes.append, (KIND_RULE_CHANGE,))
     deployment.install_flow(flow)
     deployment.controller.update_flow(
         flow.flow_id, list(FIG1_NEW_PATH), UpdateType.DUAL
@@ -156,7 +160,7 @@ def cmd_demo(args) -> int:
     deployment.run()
     print(f"update complete: {deployment.controller.update_complete(flow.flow_id)}")
     print(f"consistent at every instant: {checker.ok}")
-    for event in deployment.network.trace.of_kind("rule_change"):
+    for event in rule_changes:
         print(f"  {event.time:8.2f} ms  {event.node} -> {event.detail.get('next_hop')}")
     return 0
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
 
 from repro.algos.registry import SystemRow, build_system, system_row
 from repro.consistency import LiveChecker
@@ -37,51 +37,48 @@ def experiment_row(name: str) -> SystemRow:
     return row
 
 
-def path_establishment_time(
-    trace: Trace, flow_id: int, target_path: list[str], initial_path: list[str]
-) -> float:
-    """Earliest instant from which every edge of ``target_path`` is
-    installed (and stays installed) — "the whole ingress-to-egress flow
-    path is established for the new rules" (§9.1).
+class RuleChanges:
+    """Every rule change a trace records from now on, grouped by flow
+    in trace order: the input of the §9.1 completion criterion.  A
+    kinded subscriber, so attach it before the flows are installed."""
 
-    Replays the flow's rule-change events; cleanup removals and
-    superseded intermediate versions are handled naturally.  Returns
-    0.0 when the target was already in place at trigger time.
-    """
-    changes = _rule_changes_by_flow(trace).get(flow_id, ())
-    return _establishment(changes, target_path, initial_path)
+    def __init__(self, trace: Trace) -> None:
+        self.by_flow: dict[object, list[TraceEvent]] = {}
+        trace.subscribe(self, (KIND_RULE_CHANGE,))
 
+    def __call__(self, event: TraceEvent) -> None:
+        self.by_flow.setdefault(event.detail.get("flow"), []).append(event)
 
-def _rule_changes_by_flow(trace: Trace) -> dict[object, list[TraceEvent]]:
-    """Every rule change in ``trace``, grouped by flow, in trace order."""
-    changes: dict[object, list[TraceEvent]] = {}
-    for event in trace.of_kind(KIND_RULE_CHANGE):
-        changes.setdefault(event.detail.get("flow"), []).append(event)
-    return changes
+    def establishment_time(
+        self, flow_id: int, target_path: list[str], initial_path: list[str]
+    ) -> float:
+        """Earliest instant from which every edge of ``target_path`` is
+        installed (and stays installed) — "the whole ingress-to-egress
+        flow path is established for the new rules" (§9.1).
 
-
-def _establishment(
-    changes: Iterable[TraceEvent], target_path: list[str], initial_path: list[str]
-) -> float:
-    """:func:`path_establishment_time` over one flow's rule changes."""
-    rules = dict(zip(initial_path, initial_path[1:]))
-    wanted = dict(zip(target_path, target_path[1:])).items()
-    establishment = 0.0 if wanted <= rules.items() else float("inf")
-    for event in changes:
-        next_hop = event.detail.get("next_hop")
-        if next_hop is None:
-            rules.pop(event.node, None)
-        else:
-            rules[event.node] = next_hop
-        if not wanted <= rules.items():
-            establishment = float("inf")
-        elif establishment == float("inf"):
-            establishment = event.time
-    return establishment
+        Replays the flow's rule changes; cleanup removals and superseded
+        intermediate versions are handled naturally.  Returns 0.0 when
+        the target was already in place at trigger time.
+        """
+        rules = dict(zip(initial_path, initial_path[1:]))
+        wanted = dict(zip(target_path, target_path[1:])).items()
+        establishment = 0.0 if wanted <= rules.items() else float("inf")
+        for event in self.by_flow.get(flow_id, ()):
+            next_hop = event.detail.get("next_hop")
+            if next_hop is None:
+                rules.pop(event.node, None)
+            else:
+                rules[event.node] = next_hop
+            if not wanted <= rules.items():
+                establishment = float("inf")
+            elif establishment == float("inf"):
+                establishment = event.time
+        return establishment
 
 
 def _uniform_completion_times(
-    network: Network, scenario: UpdateScenario, params: SimParams
+    network: Network, changes: RuleChanges, scenario: UpdateScenario,
+    params: SimParams,
 ) -> dict[int, float]:
     """The paper's completion criterion, applied identically to every
     system: a flow's update is complete when the whole new path is
@@ -91,15 +88,13 @@ def _uniform_completion_times(
 
     Updates are triggered at simulated t=0, so the returned times are
     durations.  Flows whose rules never changed complete at trigger.
-    The rule changes are grouped by flow in one pass over the trace.
     """
     pipeline_ms = params.pipeline_delay.value
-    changes = _rule_changes_by_flow(network.trace)
     per_flow: dict[int, float] = {}
     for flow in scenario.flows:
         new_path = flow.new_path or []
-        established = _establishment(
-            changes.get(flow.flow_id, ()), new_path, flow.old_path or []
+        established = changes.establishment_time(
+            flow.flow_id, new_path, flow.old_path or []
         )
         traversal = sum(
             scenario.topology.latency(a, b) for a, b in zip(new_path, new_path[1:])
@@ -148,6 +143,7 @@ def run_experiment(
     params = params if params is not None else SimParams()
     dep = build_system(system, scenario.topology, params=params, obs=obs)
     dep.set_congestion_aware(congestion_aware)
+    changes = RuleChanges(dep.network.trace)
     checker = (
         LiveChecker(dep.forwarding_state, dep.network.trace)
         if check_consistency else None
@@ -171,7 +167,9 @@ def run_experiment(
 
         with obs.spans.span("analysis"):
             completed = dep.controller.all_updates_complete()
-            per_flow = _uniform_completion_times(dep.network, scenario, params)
+            per_flow = _uniform_completion_times(
+                dep.network, changes, scenario, params
+            )
             durations = list(per_flow.values())
     return ExperimentResult(
         system=system,

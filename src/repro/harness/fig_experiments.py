@@ -21,14 +21,8 @@ from typing import Optional
 
 from repro.algos.registry import build_system, system_row
 from repro.consistency import LiveChecker
-from repro.harness.experiment import path_establishment_time
-from repro.harness.probes import (
-    ProbeSource,
-    deliveries,
-    duplicate_receives,
-    receives_at,
-    ttl_losses,
-)
+from repro.harness.experiment import RuleChanges
+from repro.harness.probes import ProbeSource, duplicate_receives
 from repro.harness.scenarios import FastForwardScenario, InconsistentUpdateScenario
 from repro.params import SimParams
 from repro.sim.faults import CompositeFaultModel, FaultAction, ScriptedFault
@@ -76,6 +70,10 @@ def run_fig2(
         scenario.config_a[0], scenario.config_a[-1], size=1.0,
         old_path=list(scenario.config_a),
     )
+    source = ProbeSource(
+        dep, flow.flow_id, flow.src,
+        rate_pps=scenario.probe_rate_pps, ttl=scenario.probe_ttl,
+    )
     dep.install_flow(flow)
 
     # Delay every control message of configuration (b): the controller
@@ -88,10 +86,6 @@ def run_fig2(
         )
     ])
 
-    source = ProbeSource(
-        dep, flow.flow_id, flow.src,
-        rate_pps=scenario.probe_rate_pps, ttl=scenario.probe_ttl,
-    )
     source.start(at=1.0, stop_at=scenario.b_delay_ms + 700.0)
     # (b) then (c), back to back: (b)'s messages are delayed in flight
     # and the controller, believing (b) done, pushes (c) against the
@@ -100,10 +94,8 @@ def run_fig2(
     native.push_blind(dep, flow.flow_id, list(scenario.config_c))
     dep.run(until=scenario.b_delay_ms + 1500.0)
 
-    trace = dep.network.trace
-    at_v1 = receives_at(trace, "v1", flow.flow_id)
+    at_v1 = source.received.get("v1", [])
     dups = duplicate_receives(at_v1)
-    losses = ttl_losses(trace, flow.flow_id)
     dup_times = [o.time for o in at_v1 if o.seq in dups]
     loop_window = (max(dup_times) - min(dup_times)) if dup_times else 0.0
     return Fig2Result(
@@ -111,8 +103,8 @@ def run_fig2(
         probes_sent=source.sent,
         received_at_v1=at_v1,
         duplicates_at_v1=dups,
-        delivered_at_v4=deliveries(trace, flow.flow_id),
-        ttl_losses=len(losses),
+        delivered_at_v4=source.delivered,
+        ttl_losses=len(source.ttl_losses),
         loop_window_ms=loop_window,
         consistency_violations=len(checker.violations),
     )
@@ -189,6 +181,7 @@ def run_fig4(
     )
 
     dep = build_system(system, topo, params=params)
+    changes = RuleChanges(dep.network.trace)
     checker = LiveChecker(dep.forwarding_state, dep.network.trace)
     dep.install_flow(flow)
     dep.controller.update_flow(flow.flow_id, list(scenario.u2), dep.update_type)
@@ -199,8 +192,8 @@ def run_fig4(
         ),
     )
     dep.run()
-    established = path_establishment_time(
-        dep.network.trace, flow.flow_id, list(scenario.u3), list(scenario.initial)
+    established = changes.establishment_time(
+        flow.flow_id, list(scenario.u3), list(scenario.initial)
     )
     return Fig4Result(
         system=system,

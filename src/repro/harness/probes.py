@@ -1,8 +1,8 @@
 """Probe traffic for the Fig. 2 experiment.
 
 Generates data packets at a fixed rate at a flow's ingress switch
-(125 pps, TTL 64 in the paper) and extracts per-node receive series
-and delivery/loss statistics from the trace afterwards.
+(125 pps, TTL 64 in the paper) and records the flow's per-node receive
+series, deliveries and TTL losses as the trace sees them.
 """
 
 from __future__ import annotations
@@ -16,12 +16,24 @@ from repro.sim.trace import (
     KIND_PACKET_DELIVERED,
     KIND_PACKET_LOST,
     KIND_PACKET_RECV,
-    Trace,
+    TraceEvent,
 )
 
 
+@dataclass(frozen=True)
+class ProbeObservation:
+    """One probe sighting: (time, sequence id)."""
+
+    time: float
+    seq: int
+
+
 class ProbeSource:
-    """Injects probe packets for one flow at a constant rate."""
+    """Injects probe packets for one flow at a constant rate, and
+    records the flow's sightings from construction on: per node
+    (``received``, Fig. 2b's series at v1), at the egress
+    (``delivered``, Fig. 2c's) and TTL expiries (``ttl_losses``, the
+    looping packets)."""
 
     def __init__(
         self,
@@ -39,6 +51,13 @@ class ProbeSource:
         self.ttl = ttl if ttl is not None else params.probe_ttl
         self.sent = 0
         self._stop_at: Optional[float] = None
+        self.received: dict[str, list[ProbeObservation]] = {}
+        self.delivered: list[ProbeObservation] = []
+        self.ttl_losses: list[ProbeObservation] = []
+        deployment.network.trace.subscribe(
+            self._sighted,
+            (KIND_PACKET_RECV, KIND_PACKET_DELIVERED, KIND_PACKET_LOST),
+        )
 
     def start(self, at: float, stop_at: float) -> None:
         """Schedule probe generation over [at, stop_at]."""
@@ -59,40 +78,17 @@ class ProbeSource:
         switch.inject(packet)
         engine.schedule(self.interval_ms, self._tick)
 
-
-@dataclass(frozen=True)
-class ProbeObservation:
-    """One probe sighting: (time, sequence id)."""
-
-    time: float
-    seq: int
-
-
-def receives_at(trace: Trace, node: str, flow_id: int) -> list[ProbeObservation]:
-    """All probe receptions of a flow at one node (Fig. 2b's series)."""
-    return [
-        ProbeObservation(e.time, e.detail["seq"])
-        for e in trace.of_kind(KIND_PACKET_RECV)
-        if e.node == node and e.detail.get("flow") == flow_id
-    ]
-
-
-def deliveries(trace: Trace, flow_id: int) -> list[ProbeObservation]:
-    """Probes delivered at the flow egress (Fig. 2c's series)."""
-    return [
-        ProbeObservation(e.time, e.detail["seq"])
-        for e in trace.of_kind(KIND_PACKET_DELIVERED)
-        if e.detail.get("flow") == flow_id
-    ]
-
-
-def ttl_losses(trace: Trace, flow_id: int) -> list[ProbeObservation]:
-    """Probes that died of TTL expiry (looping packets)."""
-    return [
-        ProbeObservation(e.time, e.detail["seq"])
-        for e in trace.of_kind(KIND_PACKET_LOST)
-        if e.detail.get("flow") == flow_id and e.detail.get("reason") == "ttl"
-    ]
+    def _sighted(self, event: TraceEvent) -> None:
+        detail = event.detail
+        if detail.get("flow") != self.flow_id:
+            return
+        seen = ProbeObservation(event.time, detail["seq"])
+        if event.kind == KIND_PACKET_RECV:
+            self.received.setdefault(event.node, []).append(seen)
+        elif event.kind == KIND_PACKET_DELIVERED:
+            self.delivered.append(seen)
+        elif detail.get("reason") == "ttl":
+            self.ttl_losses.append(seen)
 
 
 def duplicate_receives(observations: list[ProbeObservation]) -> dict[int, int]:

@@ -1,16 +1,18 @@
 """Time-stamped event tracing.
 
 Every forwarding-state change, message send/receive and verification
-outcome is appended to a :class:`Trace`.  The consistency checker
-replays traces to assert the paper's invariants at every instant, and
-the Fig. 2 bench extracts per-node packet-receive series from them.
+outcome is recorded in a :class:`Trace`.  Readers are live
+subscribers routed by kind: the consistency checker asserts the
+paper's invariants at every instant, and the harness collects its
+Fig. 2 series, Fig. 7 completion times and message counts as the run
+goes.  What a trace keeps afterwards serves signing, checkpoint rows
+and trace-file export only.
 """
 
 from __future__ import annotations
 
 import hashlib
 import marshal
-from bisect import bisect_left
 from collections import Counter
 from itertools import islice
 from operator import itemgetter
@@ -127,26 +129,24 @@ def _unsignable(block: list[TraceEvent]) -> str:
 
 
 class Trace:
-    """Append-only event log with a per-kind index.
-
-    ``of_kind``/``last`` answer from the index instead of scanning the
-    whole log — benches replay traces repeatedly, so those lookups are
-    on the measurement path.
-
-    ``max_events`` bounds memory for very large runs: when positive,
-    the log becomes a ring keeping only the newest ``max_events``
-    events; everything older is discarded and counted in
-    ``dropped_events``.  Subscribers still see every event (live
-    checking is unaffected), only retention changes.  The default
-    (``0``) keeps the historical unbounded behaviour.
-
-    :meth:`stream` keeps no rows at all: each full block of
-    :func:`trace_signature` is hashed as it fills and dropped, so
-    :meth:`signature` is unchanged while memory stays flat.
+    """Event log whose readers subscribe by kind.
 
     Subscribers are routed by kind: one that names the ``kinds`` it
     reads is never called for any other.  Within a kind, subscribers
     run in subscription order, whether or not they named kinds.
+
+    The rows themselves are kept only for :meth:`signature`, ops
+    checkpoint rows and trace-file export, read in order through
+    :attr:`events` or iteration.  ``max_events`` bounds them: when
+    positive, the log becomes a ring keeping only the newest
+    ``max_events`` events; each older one is dropped and counted in
+    ``dropped_events``.  Subscribers still see every event (live
+    checking is unaffected), only retention changes.  The default
+    (``0``) keeps every row.
+
+    :meth:`stream` keeps no rows at all: each full block of
+    :func:`trace_signature` is hashed as it fills and dropped, so
+    :meth:`signature` is unchanged while memory stays flat.
     """
 
     def __init__(self, max_events: int = 0) -> None:
@@ -154,8 +154,6 @@ class Trace:
         # The kept rows; a streamed trace's open signature block.
         self._events: list[TraceEvent] = []
         self.dropped_events = 0
-        # Absolute position of _events[0] (non-zero once the ring drops).
-        self._base = 0
         # (callback, kinds it reads or None for all), subscription order.
         self._subscribers: list[
             tuple[Callable[[TraceEvent], None], Optional[frozenset[str]]]
@@ -163,18 +161,13 @@ class Trace:
         # kind -> its callbacks; derived from _subscribers per kind on
         # first use, dropped whenever the subscriber list changes.
         self._routes: dict[str, list[Callable[[TraceEvent], None]]] = {}
-        # kind -> absolute positions, each list ascending; stale (dropped)
-        # positions are pruned on lookup, and by record() once a ring's
-        # list outgrows 2 x max_events (so the index is bounded too).
-        self._by_kind: dict[str, list[int]] = {}
         # Streamed only: the digest of the folded blocks and their rows
         # per kind.
         self._digest: Any = None
         self._folded_kinds: Counter[str] = Counter()
 
     def record(self, time: float, kind: str, node: str, **detail: Any) -> TraceEvent:
-        # tuple.__new__ skips the generated NamedTuple constructor, and
-        # get() the empty list setdefault() would build on every call.
+        # tuple.__new__ skips the generated NamedTuple constructor.
         event = tuple.__new__(TraceEvent, (time, kind, node, detail))
         events = self._events
         events.append(event)
@@ -182,18 +175,9 @@ class Trace:
             if len(events) == _SIGNATURE_BLOCK:
                 self._fold(events)
                 self._events = []
-        else:
-            positions = self._by_kind.get(kind)
-            if positions is None:
-                positions = self._by_kind[kind] = []
-            positions.append(self._base + len(events) - 1)
-            if self.max_events > 0 and len(events) > self.max_events:
-                overflow = len(events) - self.max_events
-                del events[:overflow]
-                self._base += overflow
-                self.dropped_events += overflow
-                if len(positions) > 2 * self.max_events:
-                    self._live(kind)
+        elif 0 < self.max_events < len(events):
+            del events[0]
+            self.dropped_events += 1
         route = self._routes.get(kind)
         if route is None:
             route = self._routes[kind] = [
@@ -210,16 +194,16 @@ class Trace:
         into a running digest as it fills, rows so far included.
 
         ``len``, ``count_of_kind`` and :meth:`signature` answer as if
-        every row were kept; the row readers and pickling raise.  A
-        detail ``marshal`` cannot write is refused when its block
-        fills (by the :meth:`record` of the block's 1 024th row), not
-        when the trace is signed.  A ring cannot stream: it signs its
+        every row were kept; :attr:`events`, iteration and pickling
+        raise.  A detail ``marshal`` cannot write is refused when its
+        block fills (by the :meth:`record` of the block's 1 024th row),
+        not when the trace is signed.  A ring cannot stream: it signs its
         tail."""
         if self.max_events > 0:
             raise ValueError("a ring Trace signs its tail and cannot stream")
         if self._digest is not None:
             return
-        rows, self._by_kind = self._events, {}
+        rows = self._events
         self._digest = hashlib.sha256()
         full = len(rows) - len(rows) % _SIGNATURE_BLOCK
         for start in range(0, full, _SIGNATURE_BLOCK):
@@ -253,16 +237,6 @@ class Trace:
         self._kept()
         return self.__dict__
 
-    def _live(self, kind: str) -> list[int]:
-        """The kind's retained positions, pruning dropped ones."""
-        positions = self._by_kind.get(kind)
-        if not positions:
-            return []
-        if positions[0] < self._base:
-            cut = bisect_left(positions, self._base)
-            del positions[:cut]
-        return positions
-
     def subscribe(
         self,
         callback: Callable[[TraceEvent], None],
@@ -292,31 +266,9 @@ class Trace:
                 return True
         return False
 
-    def of_kind(self, *kinds: str) -> list[TraceEvent]:
-        events = self._kept()
-        if len(kinds) == 1:
-            positions: list[int] = self._live(kinds[0])
-        else:
-            merged: list[int] = []
-            for kind in sorted(set(kinds)):
-                merged.extend(self._live(kind))
-            positions = sorted(merged)
-        return [events[i - self._base] for i in positions]
-
     def count_of_kind(self, kind: str) -> int:
-        if self._digest is not None:
-            return self._folded_kinds[kind] + list(map(_KIND, self._events)).count(kind)
-        return len(self._live(kind))
-
-    def between(self, start: float, end: float) -> list[TraceEvent]:
-        return [e for e in self._kept() if start <= e.time <= end]
-
-    def last(self, kind: str) -> Optional[TraceEvent]:
-        events = self._kept()
-        positions = self._live(kind)
-        if not positions:
-            return None
-        return events[positions[-1] - self._base]
+        """Rows of ``kind`` recorded (of a ring: kept)."""
+        return self._folded_kinds[kind] + list(map(_KIND, self._events)).count(kind)
 
     def __iter__(self) -> Iterator[TraceEvent]:
         # Checked inline: signing a kept trace makes no call but this one.

@@ -118,8 +118,8 @@ def test_ez_fig1_in_loop_waits_for_not_in_loop():
     dep.run()
     changes = {
         e.node: e.time
-        for e in dep.network.trace.of_kind("rule_change")
-        if e.detail.get("flow") == flow.flow_id
+        for e in dep.network.trace.events
+        if e.kind == "rule_change" and e.detail.get("flow") == flow.flow_id
     }
     # v2 (in_loop ingress gateway) must flip after v4 flipped.
     assert changes["v2"] > changes["v4"]
@@ -145,7 +145,8 @@ def test_ez_serializes_consecutive_updates():
     # Both updates recorded, in order.
     done = [
         (event.detail["flow"], event.detail["update"])
-        for event in dep.network.trace.of_kind(KIND_UPDATE_DONE)
+        for event in dep.network.trace.events
+        if event.kind == KIND_UPDATE_DONE
     ]
     assert done == [(flow.flow_id, 1), (flow.flow_id, 2)]
 
@@ -259,8 +260,8 @@ def test_static_order_relaxes_on_poll_200_and_not_earlier():
     assert not switch._deferred and pending_polls(dep) == 0
     assert mover_rules(dep) == ["t"] * len(MOVERS)
     flips = [
-        e.time for e in dep.network.trace.of_kind("rule_change")
-        if e.node == "s" and e.detail.get("flow") in MOVERS
+        e.time for e in dep.network.trace.events
+        if e.kind == "rule_change" and e.node == "s" and e.detail.get("flow") in MOVERS
     ]
     assert flips == [pytest.approx(relaxed_at + 1.0)] * len(MOVERS)
     assert all(dep.controller.update_complete(flow_id) for flow_id in MOVERS)
@@ -280,6 +281,6 @@ def test_role_over_capacity_is_never_applied():
     assert mover_rules(dep) == ["u"] * len(MOVERS)
     assert switch.link_reserved["t"] == 10.0
     assert not any(
-        e.node == "s" and e.detail.get("flow") in MOVERS
-        for e in dep.network.trace.of_kind("rule_change")
+        e.kind == "rule_change" and e.node == "s" and e.detail.get("flow") in MOVERS
+        for e in dep.network.trace.events
     )

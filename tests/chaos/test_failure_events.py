@@ -81,8 +81,10 @@ def test_link_down_loses_in_flight_messages():
     net.engine.schedule_at(5.0, net.set_link_state, "a", "b", False)
     net.engine.run()
     assert b.received == []
-    drops = net.trace.of_kind(KIND_MSG_DROP)
-    assert any(e.detail.get("reason") == "link_down" for e in drops)
+    assert any(
+        e.kind == KIND_MSG_DROP and e.detail.get("reason") == "link_down"
+        for e in net.trace.events
+    )
 
 
 def test_message_sent_over_down_link_is_dropped():
@@ -118,7 +120,7 @@ def test_link_state_is_idempotent():
     net.set_link_state("a", "b", up=False)
     net.set_link_state("a", "b", up=False)
     net.engine.run()
-    assert len(net.trace.of_kind(KIND_LINK_DOWN)) == 1
+    assert net.trace.count_of_kind(KIND_LINK_DOWN) == 1
     assert a.port_events == [(0.0, 1, False)]
 
 
@@ -131,8 +133,10 @@ def test_crashed_node_neither_sends_nor_receives():
     assert "b" in net._down_nodes
     # a learns its port to b went down.
     assert nodes["a"].port_events == [(0.0, 1, False)]
-    drops = net.trace.of_kind(KIND_MSG_DROP)
-    assert any(e.detail.get("reason") == "dest_down" for e in drops)
+    assert any(
+        e.kind == KIND_MSG_DROP and e.detail.get("reason") == "dest_down"
+        for e in net.trace.events
+    )
 
 
 def test_crash_then_restart_round_trip():
@@ -151,7 +155,7 @@ def test_crash_then_restart_round_trip():
 def test_crash_records_preserve_state_flag():
     net, nodes, _ = build_triangle()
     net.crash_switch("b", preserve_state=True)
-    events = net.trace.of_kind(KIND_SWITCH_CRASH)
+    events = [e for e in net.trace.events if e.kind == KIND_SWITCH_CRASH]
     assert len(events) == 1
     assert events[0].detail["preserve_state"] is True
 
@@ -177,8 +181,10 @@ def test_control_send_during_outage_is_black_holed():
     nodes["a"].send_control("shouted into the void")
     net.engine.run()
     assert ctrl.control == []
-    drops = net.trace.of_kind(KIND_MSG_DROP)
-    assert any(e.detail.get("reason") == "controller_outage" for e in drops)
+    assert any(
+        e.kind == KIND_MSG_DROP and e.detail.get("reason") == "controller_outage"
+        for e in net.trace.events
+    )
 
 
 def test_controller_outage_drops_controller_sends():

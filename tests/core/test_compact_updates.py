@@ -3,7 +3,7 @@
 
 from repro.consistency import LiveChecker
 from repro.core.messages import UpdateType
-from repro.harness.analysis import count_messages
+from repro.harness.analysis import watch_messages
 from repro.harness.build import build_p4update_network
 from repro.params import DelayDistribution, SimParams
 from repro.topo import fig1_topology, ring_topology
@@ -77,6 +77,7 @@ def test_compact_dl_is_consistent():
 def test_compact_reduces_control_messages():
     def run(compact):
         dep, flow = fig1_deployment()
+        stats = watch_messages(dep.network.trace)
         if compact:
             dep.controller.compact_update(
                 flow.flow_id, list(FIG1_NEW_PATH), UpdateType.DUAL
@@ -87,7 +88,7 @@ def test_compact_reduces_control_messages():
             )
         dep.run()
         assert dep.controller.update_complete(flow.flow_id)
-        return count_messages(dep.network.trace)
+        return stats
 
     full = run(compact=False)
     compact = run(compact=True)
@@ -104,8 +105,8 @@ def test_compact_retains_parallelism():
     dep.run()
     changes = {
         e.node: e.time
-        for e in dep.network.trace.of_kind("rule_change")
-        if e.detail.get("flow") == flow.flow_id
+        for e in dep.network.trace.events
+        if e.kind == "rule_change" and e.detail.get("flow") == flow.flow_id
     }
     assert changes["v1"] < changes["v2"], "segment {v0,v1,v2} ran in parallel"
     assert changes["v2"] > changes["v4"], "backward gateway still ordered"

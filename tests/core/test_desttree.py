@@ -115,8 +115,8 @@ def test_tree_update_branches_from_root():
     dep.run()
     changes = {
         e.node: e.time
-        for e in dep.network.trace.of_kind("rule_change")
-        if e.detail.get("flow") == tree_id_for("dst")
+        for e in dep.network.trace.events
+        if e.kind == "rule_change" and e.detail.get("flow") == tree_id_for("dst")
     }
     # Both branch heads update before either leaf.
     assert changes["m1"] < changes["l2"]

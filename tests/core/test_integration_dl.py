@@ -58,8 +58,8 @@ def test_fig1_dl_backward_gateway_updates_after_forward_segment():
     dep.run()
     changes = {
         e.node: e.time
-        for e in dep.network.trace.of_kind("rule_change")
-        if e.detail.get("flow") == flow.flow_id
+        for e in dep.network.trace.events
+        if e.kind == "rule_change" and e.detail.get("flow") == flow.flow_id
     }
     assert changes["v2"] > changes["v4"], "loop-inducing order"
     assert changes["v0"] > changes["v2"] or "v0" in changes
@@ -86,8 +86,8 @@ def test_fig1_dl_interior_nodes_update_early():
     dep.run()
     changes = {
         e.node: e.time
-        for e in dep.network.trace.of_kind("rule_change")
-        if e.detail.get("flow") == flow.flow_id
+        for e in dep.network.trace.events
+        if e.kind == "rule_change" and e.detail.get("flow") == flow.flow_id
     }
     assert changes["v3"] < changes["v4"], "backward interior should pre-install"
 

@@ -1,16 +1,17 @@
-"""Unit tests for the message-overhead analysis helpers."""
+"""Unit tests for the live message tally (:func:`watch_messages`)."""
 
 
 import pytest
 
-from repro.harness.analysis import count_messages
+from repro.harness.analysis import MessageStats, watch_messages
 from repro.obs import make_obs
 from repro.sim.trace import KIND_MSG_DROP, KIND_MSG_RECV, KIND_MSG_SEND, Trace
 from tests.reference_scenarios import SCENARIOS
 
 
-def _hand_recorded_trace() -> Trace:
+def _hand_recorded_stats() -> MessageStats:
     trace = Trace()
+    stats = watch_messages(trace)
     trace.record(1.0, KIND_MSG_SEND, "c", message="UIM(x)", type="UIM")
     trace.record(1.0, KIND_MSG_SEND, "c", message="UIM(y)", type="UIM")
     trace.record(2.0, KIND_MSG_SEND, "v1", message="Packet#1[unm]", port=2, type="unm")
@@ -20,12 +21,12 @@ def _hand_recorded_trace() -> Trace:
     trace.record(3.0, KIND_MSG_SEND, "v2", message="ControlAck(seq=4 from=v2)", type="ControlAck")
     trace.record(4.0, KIND_MSG_RECV, "v1", message="UIM(x)", type="UIM")  # not a send
     trace.record(4.0, KIND_MSG_DROP, "v1", message="UIM(y)", type="UIM")  # not a send
-    return trace
+    return stats
 
 
 def test_count_messages_tallies_by_type():
     """The type is the record's ``type`` key, whatever its tag says."""
-    stats = count_messages(_hand_recorded_trace())
+    stats = _hand_recorded_stats()
     assert stats.by_type == {
         "UIM": 2, "unm": 1, "cleanup": 1, "Sequenced": 1, "ControlAck": 1,
     }
@@ -33,7 +34,7 @@ def test_count_messages_tallies_by_type():
 
 def test_plane_split():
     """A send is on the data plane iff its record carries ``port``."""
-    stats = count_messages(_hand_recorded_trace())
+    stats = _hand_recorded_stats()
     assert (stats.control_plane, stats.data_plane, stats.total) == (4, 2, 6)
 
 
@@ -57,15 +58,16 @@ def test_count_messages_agrees_with_the_messages_sent_view(name, control_fault_d
     obs = make_obs()
     outcome = SCENARIOS[name](obs)
     trace = Trace()
+    stats = watch_messages(trace)
     for event in outcome["trace"]:
         trace.record(event.time, event.kind, event.node, **event.detail)
-    stats = count_messages(trace)
     control, data = _planes_sent(obs)
     assert (stats.control_plane + control_fault_drops, stats.data_plane) == (control, data)
     assert stats.total == stats.control_plane + stats.data_plane
     control_drops = sum(
-        1 for event in trace.of_kind(KIND_MSG_DROP)
-        if "reason" not in event.detail and "dest" not in event.detail
+        1 for event in trace.events
+        if event.kind == KIND_MSG_DROP
+        and "reason" not in event.detail and "dest" not in event.detail
     )
     assert control_drops == control_fault_drops
 
@@ -81,11 +83,11 @@ def test_end_to_end_counts_match_protocol():
     topo = ring_topology(6, latency_ms=1.0)
     topo.set_controller("n0")
     dep = build_p4update_network(topo, params=SimParams(seed=0))
+    stats = watch_messages(dep.network.trace)
     flow = Flow.between("n0", "n3", size=1.0, old_path=["n0", "n1", "n2", "n3"])
     dep.install_flow(flow)
     dep.controller.update_flow(flow.flow_id, ["n0", "n5", "n4", "n3"], UpdateType.SINGLE)
     dep.run()
-    stats = count_messages(dep.network.trace)
     assert stats.by_type.get("UIM") == 4
     assert stats.by_type.get("unm") == 3
     assert stats.by_type.get("UFM") == 1

@@ -1,69 +1,70 @@
 """Unit tests for the uniform completion metric
-(:func:`repro.harness.experiment.path_establishment_time`)."""
+(:meth:`repro.harness.experiment.RuleChanges.establishment_time`)."""
 
 
-from repro.harness.experiment import path_establishment_time
+from repro.harness.experiment import RuleChanges
 from repro.sim.trace import KIND_RULE_CHANGE, Trace
 
 
-def trace_of(events):
+def changes_of(events):
     trace = Trace()
+    changes = RuleChanges(trace)
     for time, node, next_hop, flow in events:
         trace.record(time, KIND_RULE_CHANGE, node, flow=flow, next_hop=next_hop)
-    return trace
+    return changes
 
 
 def test_already_established_is_zero():
-    trace = Trace()
-    assert path_establishment_time(trace, 1, ["a", "b"], ["a", "b"]) == 0.0
+    changes = changes_of([])
+    assert changes.establishment_time(1, ["a", "b"], ["a", "b"]) == 0.0
 
 
 def test_simple_chain_establishes_at_last_edge():
-    trace = trace_of([
+    changes = changes_of([
         (1.0, "b", "c", 1),
         (5.0, "a", "b", 1),
     ])
-    t = path_establishment_time(trace, 1, ["a", "b", "c"], ["a", "x", "c"])
+    t = changes.establishment_time(1, ["a", "b", "c"], ["a", "x", "c"])
     assert t == 5.0
 
 
 def test_other_flows_ignored():
-    trace = trace_of([
+    changes = changes_of([
         (1.0, "a", "b", 1),
         (9.0, "a", "z", 2),       # different flow
     ])
-    assert path_establishment_time(trace, 1, ["a", "b"], ["a", "c"]) == 1.0
+    assert changes.establishment_time(1, ["a", "b"], ["a", "c"]) == 1.0
 
 
 def test_broken_then_reestablished():
     """A later change breaking the target path resets establishment."""
-    trace = trace_of([
+    changes = changes_of([
         (1.0, "a", "b", 1),
         (4.0, "a", "x", 1),       # breaks it
         (7.0, "a", "b", 1),       # restores
     ])
-    assert path_establishment_time(trace, 1, ["a", "b"], ["a", "q"]) == 7.0
+    assert changes.establishment_time(1, ["a", "b"], ["a", "q"]) == 7.0
 
 
 def test_cleanup_of_offpath_node_does_not_matter():
-    trace = trace_of([
+    changes = changes_of([
         (1.0, "a", "b", 1),
         (6.0, "z", None, 1),      # cleanup elsewhere
     ])
-    assert path_establishment_time(trace, 1, ["a", "b"], ["a", "q"]) == 1.0
+    assert changes.establishment_time(1, ["a", "b"], ["a", "q"]) == 1.0
 
 
 def test_removal_of_target_edge_breaks_it():
-    trace = trace_of([
+    changes = changes_of([
         (1.0, "a", "b", 1),
         (3.0, "a", None, 1),
     ])
-    assert path_establishment_time(trace, 1, ["a", "b"], ["a", "q"]) == float("inf")
+    assert changes.establishment_time(1, ["a", "b"], ["a", "q"]) == float("inf")
 
 
 def test_initial_rules_count():
     """Edges already correct from the initial path need no event."""
-    trace = trace_of([(2.0, "b", "c", 1)])
+    changes = changes_of([(2.0, "b", "c", 1)])
     # a->b holds from the initial path; only b->c changes.
-    t = path_establishment_time(trace, 1, ["a", "b", "c"], ["a", "b", "x"])
+    t = changes.establishment_time(1, ["a", "b", "c"], ["a", "b", "x"])
     assert t == 2.0

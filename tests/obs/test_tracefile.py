@@ -82,7 +82,7 @@ def test_imported_trace_index_works():
     buffer.seek(0)
     rebuilt = import_trace_jsonl(buffer)
     assert rebuilt.count_of_kind("msg_send") == 1
-    assert rebuilt.last("update_done").node == "controller"
+    assert [e.node for e in rebuilt.events if e.kind == "update_done"] == ["controller"]
 
 
 def test_non_json_detail_values_are_stringified():

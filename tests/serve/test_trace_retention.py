@@ -47,7 +47,7 @@ def test_a_one_shot_run_keeps_at_most_one_block_of_rows(monkeypatch, kept):
     [trace] = closed
     rows, kept_result = kept
     assert len(trace) == len(rows) > 10 * BLOCK
-    assert len(trace._events) <= BLOCK and not trace._by_kind
+    assert len(trace._events) <= BLOCK
     assert result.trace_dropped == 0
     assert result.trace_sig == kept_result.trace_sig
 

@@ -10,6 +10,7 @@ from repro.sim.trace import (
     Trace,
     TraceEvent,
 )
+from tests.chaos.reference_signature import BLOCK
 
 
 def sample_trace():
@@ -25,27 +26,6 @@ def test_record_and_len():
     trace = sample_trace()
     assert len(trace) == 4
     assert isinstance(trace.events[0], TraceEvent)
-
-
-def test_of_kind_filters():
-    trace = sample_trace()
-    rules = trace.of_kind(KIND_RULE_CHANGE)
-    assert [e.node for e in rules] == ["a", "b"]
-    both = trace.of_kind(KIND_RULE_CHANGE, KIND_MSG_SEND)
-    assert len(both) == 4
-
-
-def test_between():
-    trace = sample_trace()
-    window = trace.between(2.0, 3.0)
-    assert [e.time for e in window] == [2.0, 3.0]
-
-
-def test_last():
-    trace = sample_trace()
-    last = trace.last(KIND_RULE_CHANGE)
-    assert last is not None and last.node == "b"
-    assert trace.last("never_happened") is None
 
 
 def test_subscribe_receives_future_events():
@@ -192,24 +172,6 @@ def test_ring_buffer_delivers_every_event_to_kinded_subscribers():
     assert len(trace) == 2
 
 
-def test_kind_index_matches_linear_scan():
-    trace = sample_trace()
-    for kind in (KIND_RULE_CHANGE, KIND_MSG_SEND, "missing"):
-        assert trace.of_kind(kind) == [e for e in trace.events if e.kind == kind]
-        assert trace.count_of_kind(kind) == sum(
-            1 for e in trace.events if e.kind == kind
-        )
-
-
-def test_multi_kind_preserves_event_order():
-    trace = sample_trace()
-    both = trace.of_kind(KIND_MSG_SEND, KIND_RULE_CHANGE)
-    times = [e.time for e in both]
-    assert times == sorted(times)
-    # Duplicate kinds must not duplicate events.
-    assert trace.of_kind(KIND_MSG_SEND, KIND_MSG_SEND) == trace.of_kind(KIND_MSG_SEND)
-
-
 def test_iteration_order():
     trace = sample_trace()
     times = [e.time for e in trace]
@@ -257,28 +219,6 @@ def test_ring_buffer_caps_retention_and_counts_drops():
     assert [e.time for e in trace.events] == [7.0, 8.0, 9.0]
 
 
-def test_ring_buffer_kind_index_stays_consistent():
-    trace = Trace(max_events=4)
-    for i in range(12):
-        trace.record(float(i), KIND_RULE_CHANGE if i % 2 else KIND_MSG_SEND, "n")
-    assert trace.of_kind(KIND_RULE_CHANGE) == [
-        e for e in trace.events if e.kind == KIND_RULE_CHANGE
-    ]
-    assert trace.count_of_kind(KIND_MSG_SEND) == sum(
-        1 for e in trace.events if e.kind == KIND_MSG_SEND
-    )
-    last = trace.last(KIND_RULE_CHANGE)
-    assert last is not None and last.time == 11.0
-    # A kind that only ever lived in the evicted prefix yields nothing.
-    trace2 = Trace(max_events=2)
-    trace2.record(0.0, "early", "n")
-    trace2.record(1.0, "late", "n")
-    trace2.record(2.0, "late", "n")
-    assert trace2.of_kind("early") == []
-    assert trace2.last("early") is None
-    assert trace2.count_of_kind("early") == 0
-
-
 def test_ring_buffer_subscribers_see_every_event():
     trace = Trace(max_events=2)
     seen = []
@@ -291,23 +231,39 @@ def test_ring_buffer_subscribers_see_every_event():
 
 
 def test_ring_buffer_bounds_the_kind_index_and_the_pickle():
-    """The ring drops index positions with the events: what
-    ``trace_max_events`` bounds is memory (measured as pickled size),
-    not just ``len(trace)``."""
+    """What ``trace_max_events`` bounds is memory (measured as pickled
+    size), not just ``len(trace)``."""
     trace = Trace(max_events=100)
     sizes = {}
     for i in range(50_000):
         trace.record(float(i), KIND_MSG_SEND if i % 3 else KIND_RULE_CHANGE, "n", i=i)
         if i + 1 in (5_000, 50_000):
             sizes[i + 1] = len(pickle.dumps(trace))
-    assert all(len(positions) <= 200 for positions in trace._by_kind.values())
-    # Flat: wider ints and up to max_events not-yet-pruned positions.
+    # Flat: only the ints grow wider.
     assert abs(sizes[50_000] - sizes[5_000]) < 0.1 * sizes[5_000]
-    assert trace.of_kind(KIND_RULE_CHANGE) == [
-        e for e in trace.events if e.kind == KIND_RULE_CHANGE
-    ]
-    assert trace.count_of_kind(KIND_MSG_SEND) == sum(
-        1 for e in trace.events if e.kind == KIND_MSG_SEND
-    )
-    assert trace.last(KIND_MSG_SEND) == trace.events[-1]
+    assert [e.detail["i"] for e in trace.events] == list(range(49_900, 50_000))
     assert (len(trace), trace.dropped_events) == (100, 49_900)
+
+
+def _rows(count):
+    kinds = (KIND_MSG_SEND, KIND_RULE_CHANGE, KIND_MSG_SEND, "link_down")
+    return [(float(i), kinds[i % len(kinds)], "n", {"i": i}) for i in range(count)]
+
+
+@pytest.mark.parametrize("mode", ["kept", "ring", "streamed"])
+@pytest.mark.parametrize("count", [0, 5, BLOCK - 1, BLOCK, 2 * BLOCK + 7])
+def test_count_of_kind_counts_what_a_linear_scan_sees(mode, count):
+    """Kept and ring traces: a scan over the rows each retains.  A
+    streamed trace retains only its open block to scan, so its counts
+    are those of a scan over every row recorded."""
+    rows = _rows(count)
+    trace = Trace(max_events=300 if mode == "ring" else 0)
+    if mode == "streamed":
+        trace.stream()
+    for time, kind, node, detail in rows:
+        trace.record(time, kind, node, **detail)
+    retained = rows if mode == "streamed" else list(trace.events)
+    if mode == "ring":
+        assert retained == rows[-300:]
+    for kind in (KIND_MSG_SEND, KIND_RULE_CHANGE, "link_down", "never_happened"):
+        assert trace.count_of_kind(kind) == [row[1] for row in retained].count(kind)
