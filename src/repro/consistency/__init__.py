@@ -9,11 +9,6 @@ from repro.consistency.checker import (
     check_loop_freedom,
     LiveChecker,
 )
-from repro.consistency.waypoint import (
-    WaypointPolicy,
-    check_packet_waypoints,
-    check_state_waypoints,
-)
 
 __all__ = [
     "ForwardingState",
@@ -22,7 +17,4 @@ __all__ = [
     "check_loop_freedom",
     "check_congestion_freedom",
     "LiveChecker",
-    "WaypointPolicy",
-    "check_packet_waypoints",
-    "check_state_waypoints",
 ]

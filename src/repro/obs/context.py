@@ -37,18 +37,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.profiler import EngineProfiler
 
 
-class EngineClock:
-    """``() -> engine.now``: the span tracker's simulated clock."""
-
-    __slots__ = ("engine",)
-
-    def __init__(self, engine) -> None:
-        self.engine = engine
-
-    def __call__(self) -> float:
-        return float(self.engine.now)
-
-
 class ObsContext:
     """Bundle of a metrics registry, a span tracker, an optional
     engine profiler and an optional per-request causal tracker,
@@ -82,7 +70,8 @@ class ObsContext:
             # package imports repro.sim.node, which imports this module.
             from repro.obs.derived import DerivedMetrics
 
-            self.spans.sim_clock = EngineClock(network.engine)
+            engine = network.engine
+            self.spans.sim_clock = lambda: float(engine.now)
             view = DerivedMetrics(self.metrics)
             network.trace.subscribe(view, view.routes)
         if self.causal is not None:

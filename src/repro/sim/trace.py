@@ -194,11 +194,10 @@ class Trace:
         into a running digest as it fills, rows so far included.
 
         ``len``, ``count_of_kind`` and :meth:`signature` answer as if
-        every row were kept; :attr:`events`, iteration and pickling
-        raise.  A detail ``marshal`` cannot write is refused when its
-        block fills (by the :meth:`record` of the block's 1 024th row),
-        not when the trace is signed.  A ring cannot stream: it signs its
-        tail."""
+        every row were kept; :attr:`events` and iteration raise.  A
+        detail ``marshal`` cannot write is refused when its block fills
+        (by the :meth:`record` of the block's 1 024th row), not when the
+        trace is signed.  A ring cannot stream: it signs its tail."""
         if self.max_events > 0:
             raise ValueError("a ring Trace signs its tail and cannot stream")
         if self._digest is not None:
@@ -232,10 +231,6 @@ class Trace:
     @property
     def events(self) -> list[TraceEvent]:
         return self._kept()
-
-    def __getstate__(self) -> dict[str, Any]:
-        self._kept()
-        return self.__dict__
 
     def subscribe(
         self,

@@ -24,10 +24,10 @@ DEFAULT_CAPACITY = 100.0
 #: module-level store that runs fill (``tests/sweep/test_reset.py``
 #: audits that): it is keyed by exact structure (node order, adjacency
 #: order, edge latencies), so a warm and a cold process return equal
-#: answers and no trace, counter or pickled byte can tell them apart
+#: answers and no trace or counter can tell them apart
 #: (``Topology.path_cache_stats()`` counts per instance, in front of
-#: it).  ``Topology`` never pickles it, and nothing clears it between
-#: runs: that would only re-pay the searches for the same answers.
+#: it).  Nothing clears it between runs: that would only re-pay the
+#: searches for the same answers.
 _STRUCTURE_MEMO: dict[tuple, dict[tuple, Any]] = {}
 #: Structures kept, oldest evicted first (the built-in registry has 8).
 _STRUCTURE_MEMO_BOUND = 32
@@ -78,8 +78,8 @@ class Topology:
         self.path_cache_hits = 0
         self.path_cache_misses = 0
         # (revision it was bound under, this structure's slot of
-        # ``_STRUCTURE_MEMO``, own node objects by name); process-local.
-        self._memo: tuple[int, dict[tuple, Any], dict[str, str]] = (-1, {}, {})
+        # ``_STRUCTURE_MEMO``); process-local.
+        self._memo: tuple[int, dict[tuple, Any]] = (-1, {})
 
     # -- construction ------------------------------------------------------
 
@@ -204,14 +204,8 @@ class Topology:
                 if len(_STRUCTURE_MEMO) >= _STRUCTURE_MEMO_BOUND:
                     del _STRUCTURE_MEMO[next(iter(_STRUCTURE_MEMO))]
                 answers = _STRUCTURE_MEMO[structure] = {}
-            self._memo = (self._revision, answers, {node: node for node in self.adj})
+            self._memo = (self._revision, answers)
         return self._memo[1]
-
-    def _own(self, nodes: Iterable[str]) -> list[str]:
-        """``nodes`` as this instance's own node objects, whichever
-        instance computed the answer: nothing pickled later (a flow)
-        then differs between a warm and a cold process."""
-        return [self._memo[2][node] for node in nodes]
 
     def _memoised(self, key: tuple, compute: Callable[[], Any]) -> Any:
         """``compute()``, run once per process for this exact structure.
@@ -220,11 +214,6 @@ class Topology:
         if key not in answers:
             answers[key] = compute()
         return answers[key]
-
-    def __getstate__(self) -> dict[str, Any]:
-        # Pickled bytes must not depend on what this process happened
-        # to query earlier.
-        return dict(self.__dict__, _memo=(-1, {}, {}))
 
     # -- latency-weighted paths ---------------------------------------------------
 
@@ -247,7 +236,7 @@ class Topology:
             self.path_cache_hits += 1
             return list(cached)
         self.path_cache_misses += 1
-        path = self._path_cache[key] = tuple(self._own(compute()))
+        path = self._path_cache[key] = tuple(compute())
         return list(path)
 
     def path_cache_stats(self) -> dict[str, float]:
@@ -304,7 +293,7 @@ class Topology:
             search = paths.shortest_simple_paths(self.adj, src, dst)
             found = tuple(tuple(path) for path in islice(search, k))
             answers["k-paths", src, dst] = (k, found)
-        return [self._own(path) for path in found[:k]]
+        return [list(path) for path in found[:k]]
 
     def path_latency(self, path: list[str]) -> float:
         return sum(self.latency(a, b) for a, b in zip(path, path[1:]))
@@ -336,7 +325,7 @@ class Topology:
         def centroid() -> str:
             return min(self.adj, key=lambda n: (max(self._lengths(n).values()), n))
 
-        (self.controller,) = self._own([self._memoised(("centroid",), centroid)])
+        self.controller = self._memoised(("centroid",), centroid)
         return self.controller
 
     def set_controller(self, node: str) -> None:

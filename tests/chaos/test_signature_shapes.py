@@ -4,14 +4,12 @@ version 2.  What it must hash is spelled out with one plain loop per
 column in ``tests/chaos/reference_signature.py``.
 
 The shipped body and the reference sign every run of
-``tests/reference_scenarios.py``, a ring that has evicted, a trace
-after a pickle round trip and a hand-built trace of awkward shapes, and
-must agree on each.  A call-count guard keeps signing free of
+``tests/reference_scenarios.py``, a ring that has evicted and a
+hand-built trace of awkward shapes, and must agree on each.  A call-count guard keeps signing free of
 Python-level calls per event, per block and per shape.
 """
 
 import gc
-import pickle
 
 import pytest
 
@@ -44,14 +42,6 @@ def test_a_ring_after_eviction_signs_as_the_reference():
     assert ring.dropped_events > 0 and len(ring) == 1000
     assert trace_signature(ring) == reference_trace_signature(ring)
     assert trace_signature(ring) == trace_signature(_served_trace().events[-1000:])
-
-
-def test_a_trace_after_a_pickle_round_trip_signs_as_before():
-    trace = _served_trace()
-    thawed = pickle.loads(pickle.dumps(trace))
-    want = reference_trace_signature(trace)
-    assert reference_trace_signature(thawed) == want
-    assert trace_signature(thawed) == trace_signature(trace) == want
 
 
 def adversarial() -> Trace:

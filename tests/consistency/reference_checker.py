@@ -33,9 +33,8 @@ from repro.sim.trace import (
 class ReferenceLiveChecker:
     """O(all flows) per event; see the module docstring."""
 
-    #: Every instance built or unpickled, so a shadow restored from an
-    #: ops checkpoint is compared too.  The fixture swaps in a fresh
-    #: list per test.
+    #: Every instance built, so each shadow is compared.  The fixture
+    #: swaps in a fresh list per test.
     instances: list["ReferenceLiveChecker"] = []
 
     def __init__(
@@ -49,10 +48,6 @@ class ReferenceLiveChecker:
         self._armed: set[tuple[int, str]] = set()
         self.shadows = shadows
         trace.subscribe(self._on_event)
-        self.instances.append(self)
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
         self.instances.append(self)
 
     def assert_agrees(self) -> None:

@@ -6,8 +6,6 @@ random programs of state mutations and records, and in the cases the
 walk through the old code turned up.
 """
 
-import pickle
-
 from hypothesis import given, settings, strategies as st
 
 from repro.consistency import ForwardingState, LiveChecker
@@ -353,26 +351,3 @@ def test_rule_change_walks_only_the_touched_flows(monkeypatch):
     assert walked == [7]
     assert checker.ok and (7, "a") in checker._armed and len(checker._armed) == 1
 
-
-def test_checker_and_its_link_to_the_state_round_trip_through_pickle():
-    rig = Rig()
-    rig.attach()
-    rig.attach()
-    rig.install(1, ["a", "b", "c"], size=0.7)
-    rig.install(2, ["a", "b"], size=0.7)
-    rig.state.set_capacity("a", "b", 1.0)
-    rig.rule_change()
-    rig.state.set_rule(1, "b", None)        # pending when pickled
-    restored = pickle.loads(pickle.dumps(rig))
-    for twin in (rig, restored):
-        twin.rule_change()
-        twin.state.set_rule(2, "a", None)
-        twin.rule_change()
-    assert len(restored.pairs) == 2
-    for ours, theirs in zip(rig.pairs, restored.pairs):
-        assert theirs.shadows.state is restored.state
-        assert theirs.shadows.violations == ours.shadows.violations
-        assert theirs.shadows._armed == ours.shadows._armed
-    assert [v.kind for v in restored.pairs[0].shadows.violations] == [
-        "congestion", "blackhole", "blackhole", "blackhole",
-    ]

@@ -3,9 +3,7 @@ verification: ``Decision``, ``UNMFields``, ``PipelineResult``,
 ``CloneRequest``, ``CpuPunt`` — are tuple-backed immutable values: what
 a dataclass promised (no field assignment, keyword construction,
 defaults, ``==`` / ``hash``) still holds, and the places that dispatch
-on the class or carry one through a pickle keep working."""
-
-import pickle
+on the class keep working."""
 
 import pytest
 
@@ -22,8 +20,6 @@ from repro.core.verification import Decision, NodeFlowState, Verdict
 from repro.harness.build import P4UPDATE, build_p4update_network
 from repro.p4.packet import Packet
 from repro.p4.pipeline import CloneRequest, CpuPunt, PipelineResult
-from repro.serve.service import ServiceSession
-from repro.serve.spec import load_serve_spec
 from repro.topo import fig1_topology
 from repro.topo.synthetic import FIG1_NEW_PATH, FIG1_OLD_PATH
 from repro.traffic.flows import Flow
@@ -169,22 +165,3 @@ def test_switches_dispatch_on_the_class_not_the_shape():
     ez_switch.handle_control(role, "controller")
     assert ez_switch.roles == {(1, 2, 0): role}
 
-
-def test_uims_survive_a_session_pickle():
-    spec = load_serve_spec(
-        {"name": "values", "topology": "b4", "seed": 2, "flows": 6,
-         "requests": 40, "horizon_ms": 4000.0}
-    )
-    session = ServiceSession(spec)
-    session.wire()
-    controller = session.deployment.controller
-    engine = session.deployment.network.engine
-    while not controller._prepared:                   # stop mid-update
-        assert engine.step()
-    in_flight = dict(controller._prepared)
-    restored = pickle.loads(pickle.dumps(session))
-    thawed = restored.deployment.controller._prepared
-    assert thawed == in_flight
-    for prepared in thawed.values():
-        assert all(type(uim) is UIM for uim in prepared.uims)
-    session.close()

@@ -1,9 +1,8 @@
 """Metric families: each labelled instrument is resolved once per run,
-the null families store nothing, families pickle with their registry,
-and the spellings that share one store agree."""
+the null families store nothing, each session's families bind to its
+own registry, and the spellings that share one store agree."""
 
 import json
-import pickle
 
 import pytest
 
@@ -66,7 +65,7 @@ def test_null_families_are_shared():
 
 def test_a_pickled_session_resumes_onto_its_own_registry():
     spec = load_serve_spec({
-        "name": "pickled", "topology": "b4", "seed": 1, "flows": 10,
+        "name": "two-sessions", "topology": "b4", "seed": 1, "flows": 10,
         "requests": 80, "horizon_ms": 12000.0, "events": EVENTS["flap"],
         "arrival_rate_per_s": 10.0,
         "params": {"controller_update_timeout_ms": 500.0},
@@ -83,25 +82,30 @@ def test_a_pickled_session_resumes_onto_its_own_registry():
     session.close()
     uninterrupted = exports(whole)
 
-    session = ServiceSession(spec, make_obs(causal=True))
-    session.wire()
-    session.deployment.run(until=spec.horizon_ms / 2)
-    assert 0 < session._issued < spec.requests
-    restored = pickle.loads(pickle.dumps(session))
-    registry = restored.obs.metrics
-    assert registry is not session.obs.metrics
-    assert restored.deployment.network._m_service_wait._registry is registry
-    views = [
-        callback for callback, _kinds in restored.deployment.network.trace._subscribers
-        if isinstance(callback, DerivedMetrics)
-    ]
-    assert len(views) == 1
-    assert {
-        family._registry for rows in views[0].routes.values() for family, _label, _skip in rows
-    } == {registry}
-    restored.run()
-    restored.close()
-    assert exports(restored.obs) == uninterrupted
+    # Two sessions alive in one process, run in turns: neither's
+    # families may reach the other's registry.
+    sessions = [ServiceSession(spec, make_obs(causal=True)) for _ in range(2)]
+    for session in sessions:
+        session.wire()
+        session.deployment.run(until=spec.horizon_ms / 2)
+        assert 0 < session._issued < spec.requests
+    for session in sessions:
+        registry = session.obs.metrics
+        assert session.deployment.network._m_service_wait._registry is registry
+        views = [
+            callback for callback, _kinds in session.deployment.network.trace._subscribers
+            if isinstance(callback, DerivedMetrics)
+        ]
+        assert len(views) == 1
+        assert {
+            family._registry
+            for rows in views[0].routes.values() for family, _label, _skip in rows
+        } == {registry}
+    assert sessions[0].obs.metrics is not sessions[1].obs.metrics
+    for session in sessions:
+        session.run()
+        session.close()
+        assert exports(session.obs) == uninterrupted
 
 
 def test_kwarg_order_does_not_split_an_instrument():

@@ -1,21 +1,14 @@
 """Engine profiler attribution and report shape, and the profiled
-engine: same simulation, every event counted, picklable mid-run."""
+engine: same simulation, every event counted."""
 
 import os
-import pickle
 
 from repro.chaos.campaign import load_campaign_file
-from repro.chaos.runner import run_campaign, trace_signature
-from repro.core.messages import UpdateType
-from repro.harness.build import build_p4update_network
+from repro.chaos.runner import run_campaign
 from repro.obs import make_obs
 from repro.obs.profiler import EngineProfiler, ProfiledEngine, _target_name
-from repro.params import SimParams
 from repro.sim.engine import Engine
 from repro.sweep.merge import format_profile
-from repro.topo import fig1_topology
-from repro.topo.synthetic import FIG1_NEW_PATH, FIG1_OLD_PATH
-from repro.traffic.flows import Flow
 
 from tests.obs.test_determinism_obs import run_fig1
 
@@ -93,27 +86,3 @@ def test_profiled_campaign_signs_the_same_and_counts_every_event():
     calls = sum(row["calls"] for row in obs.profiler.report())
     assert calls == profiled.events_processed > 0
 
-
-def test_profiled_engine_survives_a_pickle_round_trip():
-    """An ops checkpoint pickles the whole deployment mid-run: the
-    profiled engine comes back with its rows and keeps counting."""
-    plain = run_fig1(7)
-    obs = make_obs(profile=True)
-    deployment = build_p4update_network(
-        fig1_topology(),
-        params=SimParams(seed=7).with_dionysus_install_delay(),
-        obs=obs,
-    )
-    assert type(deployment.network.engine) is ProfiledEngine
-    flow = Flow.between("v0", "v7", size=1.0, old_path=list(FIG1_OLD_PATH))
-    deployment.install_flow(flow)
-    deployment.controller.update_flow(flow.flow_id, list(FIG1_NEW_PATH), UpdateType.DUAL)
-    deployment.run(until=plain.network.engine.now / 2)
-    before = sum(row["calls"] for row in obs.profiler.report())
-    restored = pickle.loads(pickle.dumps(deployment))
-    engine = restored.network.engine
-    assert type(engine) is ProfiledEngine and engine.profiler is not obs.profiler
-    assert sum(row["calls"] for row in engine.profiler.report()) == before > 0
-    restored.run()
-    assert trace_signature(restored.network.trace) == trace_signature(plain.network.trace)
-    assert sum(row["calls"] for row in engine.profiler.report()) == engine.processed_events

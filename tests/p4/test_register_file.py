@@ -1,8 +1,6 @@
 """``RegisterFile`` answers ``registers["name"]`` at C level (it is a
 ``dict``); what callers and the static analyzer rely on is unchanged."""
 
-import pickle
-
 import pytest
 
 from repro.p4.registers import RegisterFile
@@ -25,12 +23,3 @@ def test_redefinition_raises_and_keeps_the_first_array():
         regs.define("a", 16)
     assert regs["a"] is first and first.size == 4
 
-
-def test_register_file_survives_pickle():
-    regs = RegisterFile()
-    regs.define("a", 4).write(1, 9)
-    restored = pickle.loads(pickle.dumps(regs))
-    assert type(restored) is RegisterFile
-    assert restored.names() == ["a"] and restored["a"].read(1) == 9
-    with pytest.raises(KeyError, match="no register array 'b'"):
-        restored["b"]

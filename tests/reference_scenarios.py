@@ -71,9 +71,9 @@ def capture(deployment: Deployment, **extra: Any) -> dict[str, Any]:
 
 
 def swap_bodies(monkeypatch: Any, stock: type, reference: type) -> None:
-    """Run every ``stock`` instance — built, rebuilt after a crash or
-    restored from a pickle — on the method bodies ``reference`` (a
-    subclass of it) defines, until ``monkeypatch`` is undone."""
+    """Run every ``stock`` instance — built or rebuilt after a crash —
+    on the method bodies ``reference`` (a subclass of it) defines, until
+    ``monkeypatch`` is undone."""
     for name, body in vars(reference).items():
         if callable(body):
             monkeypatch.setattr(stock, name, body)

@@ -3,14 +3,8 @@
 Random ``schedule`` / ``schedule_at`` / ``Event.cancel`` / ``step`` /
 ``run(until=)`` sequences, with delays from a small set so equal-time
 ties are the common case, must fire in exactly the order a reference
-that re-sorts ``(time, seq)`` on every step fires them.  Snapshots
-taken between runs and from inside a firing callback (what an ops
-checkpoint does, see ``repro.ops.checkpoint``) must, once restored, fire
-the same remaining order.
+that re-sorts ``(time, seq)`` on every step fires them.
 """
-
-import copy
-import pickle
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,28 +13,22 @@ from repro.sim.engine import Engine
 
 
 class Log:
-    """Picklable callback target owning the engine under test."""
+    """Callback target owning the engine under test."""
 
     def __init__(self):
         self.engine = Engine()
         self.fired = []
         self.handles = []          # every Event, in scheduling order
-        self.snapshots = []        # pickles taken from inside callbacks
 
-    def schedule(self, method, delay, tag, children, snapshot):
+    def schedule(self, method, delay, tag, children):
         when = delay if method == "schedule" else self.engine.now + delay
         schedule = getattr(self.engine, method)
-        self.handles.append(schedule(when, self.fire, tag, children, snapshot))
+        self.handles.append(schedule(when, self.fire, tag, children))
 
-    def fire(self, tag, children, snapshot):
+    def fire(self, tag, children):
         self.fired.append((self.engine.now, tag))
         for i, delay in enumerate(children):
-            self.schedule("schedule", delay, f"{tag}.{i}", (), False)
-        if snapshot:
-            self.snapshots.append(pickle.dumps(self))
-
-    def __getstate__(self):
-        return dict(self.__dict__, snapshots=[])
+            self.schedule("schedule", delay, f"{tag}.{i}", ())
 
 
 class SortingReference:
@@ -50,34 +38,29 @@ class SortingReference:
         self.now = 0.0
         self.processed = 0
         self.fired = []
-        self.entries = []          # [time, seq, tag, children, snapshot, state]
-        self.at_snapshots = []     # deep copies, one per in-callback pickle
+        self.entries = []          # [time, seq, tag, children, state]
 
-    def schedule(self, delay, tag, children, snapshot):
-        self.entries.append(
-            [self.now + delay, len(self.entries), tag, children, snapshot, "live"]
-        )
+    def schedule(self, delay, tag, children):
+        self.entries.append([self.now + delay, len(self.entries), tag, children, "live"])
 
     def cancel(self, index):
-        if self.entries[index][5] == "live":
-            self.entries[index][5] = "cancelled"
+        if self.entries[index][4] == "live":
+            self.entries[index][4] = "cancelled"
 
     def live(self):
-        return sorted(e for e in self.entries if e[5] == "live")
+        return sorted(e for e in self.entries if e[4] == "live")
 
     def step(self):
         live = self.live()
         if not live:
             return False
         head = live[0]
-        head[5] = "fired"
+        head[4] = "fired"
         self.now = head[0]
         self.processed += 1
         self.fired.append((self.now, head[2]))
         for i, delay in enumerate(head[3]):
-            self.schedule(delay, f"{head[2]}.{i}", (), False)
-        if head[4]:
-            self.at_snapshots.append(copy.deepcopy(self))
+            self.schedule(delay, f"{head[2]}.{i}", ())
         return True
 
     def run(self, until=None):
@@ -107,7 +90,6 @@ SCHEDULE = st.tuples(
     st.sampled_from(["schedule", "schedule_at"]),
     DELAYS,
     st.lists(DELAYS, max_size=2).map(tuple),
-    st.sampled_from([False, False, False, True]),
 )
 OPS = st.lists(
     st.one_of(
@@ -116,7 +98,6 @@ OPS = st.lists(
         st.tuples(st.just("cancel"), st.integers(0, 10_000)),
         st.tuples(st.just("run"), st.none() | DELAYS),
         st.tuples(st.just("step")),
-        st.tuples(st.just("restore")),
     ),
     max_size=40,
 )
@@ -126,12 +107,11 @@ OPS = st.lists(
 @given(OPS)
 def test_engine_fires_in_time_then_insertion_order(ops):
     log, reference = Log(), SortingReference()
-    blobs = []
     for tag, op in enumerate(ops):
         if op[0] in ("schedule", "schedule_at"):
-            method, delay, children, snapshot = op
-            log.schedule(method, delay, str(tag), children, snapshot)
-            reference.schedule(delay, str(tag), children, snapshot)
+            method, delay, children = op
+            log.schedule(method, delay, str(tag), children)
+            reference.schedule(delay, str(tag), children)
         elif op[0] == "cancel" and log.handles:
             index = op[1] % len(log.handles)
             log.handles[index].cancel()
@@ -142,22 +122,11 @@ def test_engine_fires_in_time_then_insertion_order(ops):
             reference.run(until=until)
         elif op[0] == "step":
             assert log.engine.step() == reference.step()
-        elif op[0] == "restore":
-            blobs.extend(log.snapshots)
-            log = pickle.loads(pickle.dumps(log))
         assert_agree(log, reference)
     log.engine.run()
     reference.run()
     assert_agree(log, reference)
     assert not log.engine._queue and not log.engine.step()
-    # Every snapshot taken mid-run resumes into the same remaining order.
-    blobs.extend(log.snapshots)
-    assert len(blobs) == len(reference.at_snapshots)
-    for blob, expected in zip(blobs, reference.at_snapshots):
-        restored = pickle.loads(blob)
-        restored.engine.run()
-        expected.run()
-        assert_agree(restored, expected)
 
 
 def test_equal_time_events_never_compare_callbacks():

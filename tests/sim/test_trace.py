@@ -1,6 +1,6 @@
 """Unit tests for the trace log."""
 
-import pickle
+import tracemalloc
 
 import pytest
 
@@ -231,16 +231,20 @@ def test_ring_buffer_subscribers_see_every_event():
 
 
 def test_ring_buffer_bounds_the_kind_index_and_the_pickle():
-    """What ``trace_max_events`` bounds is memory (measured as pickled
-    size), not just ``len(trace)``."""
-    trace = Trace(max_events=100)
-    sizes = {}
-    for i in range(50_000):
-        trace.record(float(i), KIND_MSG_SEND if i % 3 else KIND_RULE_CHANGE, "n", i=i)
-        if i + 1 in (5_000, 50_000):
-            sizes[i + 1] = len(pickle.dumps(trace))
+    """What ``trace_max_events`` bounds is memory (measured as traced
+    allocations), not just ``len(trace)``."""
+    held = {}
+    tracemalloc.start()
+    try:
+        trace = Trace(max_events=100)
+        for i in range(50_000):
+            trace.record(float(i), KIND_MSG_SEND if i % 3 else KIND_RULE_CHANGE, "n", i=i)
+            if i + 1 in (5_000, 50_000):
+                held[i + 1], _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     # Flat: only the ints grow wider.
-    assert abs(sizes[50_000] - sizes[5_000]) < 0.1 * sizes[5_000]
+    assert abs(held[50_000] - held[5_000]) < 0.1 * held[5_000]
     assert [e.detail["i"] for e in trace.events] == list(range(49_900, 50_000))
     assert (len(trace), trace.dropped_events) == (100, 49_900)
 

@@ -6,10 +6,8 @@ folds the open block into a copy of the running digest.  The digest is
 the one ``trace_signature`` computes over the kept rows: checked here
 at every block boundary, for a stream switched on mid-run, and on the
 rows of every reference scenario.  ``len`` and ``count_of_kind`` answer
-as an unbounded trace would; ``events``, iteration and pickling raise.
+as an unbounded trace would; ``events`` and iteration raise.
 """
-
-import pickle
 
 import pytest
 
@@ -104,8 +102,7 @@ def test_an_unsignable_detail_is_refused_by_the_record_that_fills_its_block():
     lambda trace: list(trace),
     lambda trace: trace.events,
     lambda trace: trace_signature(trace),
-    pickle.dumps,
-], ids=["iter", "events", "trace_signature", "pickle"])
+], ids=["iter", "events", "trace_signature"])
 def test_row_readers_and_pickling_refuse_a_streamed_trace(read):
     trace = Trace()
     trace.record(1.0, "rule_change", "s1", flow=1)
