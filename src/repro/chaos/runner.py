@@ -232,8 +232,7 @@ def run_campaign(
     """Execute one seeded campaign run end-to-end."""
     deployment, scenario, checker = build_campaign_deployment(campaign, obs=obs)
     network = deployment.network
-    if not network.trace.max_events:
-        network.trace.stream()
+    network.trace.stream()
     deployment.run(until=campaign.horizon_ms)
 
     controller = deployment.controller

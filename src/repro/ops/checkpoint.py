@@ -14,8 +14,8 @@ The manifest carries, once, the session spec document
 wrote it; and one row per tick: ``index``,
 ``sim_time_ms``, ``processed_events`` and ``digest`` — the
 :func:`~repro.sim.trace.trace_signature` of the trace rows recorded
-since the previous tick (the retained ones, when a ring buffer dropped
-some; positions count every record).
+since the previous tick (of a ring buffer: the newest ``max_events``
+of them), which the session collects and signs at the tick.
 
 :func:`load_checkpoint` refuses a manifest of another build or an
 edited spec document before anything is simulated, then
@@ -36,7 +36,6 @@ import os
 from typing import TYPE_CHECKING, Optional
 
 from repro.loading import read_stamped, write_stamped
-from repro.sim.trace import trace_signature
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.ops.session import OpsSession
@@ -92,13 +91,11 @@ def open_manifest(directory: str, session: "OpsSession") -> dict:
 
 def _row(session: "OpsSession", index: int) -> dict:
     """What the manifest records about tick ``index`` of ``session``."""
-    trace = session.deployment.network.trace
-    start = session.segment[0]
     return {
         "index": index,
         "sim_time_ms": float(session.engine.now),
         "processed_events": session.engine.processed_events,
-        "digest": trace_signature(trace.events[max(start - trace.dropped_events, 0):]),
+        "digest": session.segment_digest,
     }
 
 

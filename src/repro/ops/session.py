@@ -23,6 +23,7 @@ drain loop itself).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -32,6 +33,7 @@ from repro.obs.causal import slo_summary
 from repro.obs.context import NULL_OBS, ObsContext
 from repro.ops.spec import SessionSpec
 from repro.serve.service import ServiceResult, ServiceSession, link_capacities
+from repro.sim.trace import trace_signature
 from repro.topo.paths import NoPathError
 
 #: Simulated delay before re-probing a busy flow (ms).
@@ -166,12 +168,13 @@ class OpsSession:
             for i, f in enumerate(service.population)
         }
         # Checkpointing.  ``checkpoint_index`` is the last tick that
-        # ran and ``segment`` the absolute trace positions (dropped
-        # records counted) it closed, from the tick before; ``_sink``
-        # is called at every tick (a checkpoint writer or a replay's
-        # verifier).
+        # ran; ``_segment`` collects the rows recorded since the tick
+        # before (of a ring: the newest it keeps) and ``segment_digest``
+        # is their signature, taken only when ``_sink`` — a checkpoint
+        # writer or a replay's verifier — is there to read it.
         self.checkpoint_index = 0
-        self.segment = (0, 0)
+        self.segment_digest: Optional[str] = None
+        self._segment: deque = deque()
         self.resumed_from: Optional[int] = None
         self._sink: Optional[Any] = None
         self.controller.update_listeners.append(self._on_update_event)
@@ -189,6 +192,10 @@ class OpsSession:
         interval = self.spec.checkpoint_every_ms
         if interval > 0 and interval <= self.serve.horizon_ms:
             self.engine.schedule_at(interval, self._checkpoint_tick, 1)
+            # The first segment starts at row 0.
+            trace = self.deployment.network.trace
+            self._segment = deque(trace, maxlen=trace.max_events or None)
+            trace.subscribe(self._segment.append)
 
     # -- checkpoint ticks ----------------------------------------------------
 
@@ -200,8 +207,9 @@ class OpsSession:
         if next_time <= self.serve.horizon_ms:
             self.engine.schedule_at(next_time, self._checkpoint_tick, index + 1)
         self.checkpoint_index = index
-        trace = self.deployment.network.trace
-        self.segment = (self.segment[1], len(trace) + trace.dropped_events)
+        if self._sink is not None:
+            self.segment_digest = trace_signature(self._segment)
+        self._segment.clear()
         if self._sink is not None:
             self._sink(self, index)
 
@@ -588,6 +596,9 @@ def build_session(
     )
     session = OpsSession(spec, service)
     session.wire()
+    # Checkpoint ticks sign the rows they collect: the trace need keep
+    # none of its own.
+    service.deployment.network.trace.stream()
     return session
 
 

@@ -382,11 +382,9 @@ def run_service(
         else:
             obs.causal = tracker
     session = ServiceSession(spec, obs)
-    trace = session.deployment.network.trace
-    if not trace.max_events:
-        # Nothing reads a past row of a one-shot run: sign them as
-        # they pass instead of keeping them to the close.
-        trace.stream()
+    # Nothing reads a past row of a one-shot run: sign them as they
+    # pass instead of keeping them to the close.
+    session.deployment.network.trace.stream()
     session.wire()
     session.run()
     return session.close()

@@ -3,10 +3,10 @@
 Every forwarding-state change, message send/receive and verification
 outcome is recorded in a :class:`Trace`.  Readers are live
 subscribers routed by kind: the consistency checker asserts the
-paper's invariants at every instant, and the harness collects its
-Fig. 2 series, Fig. 7 completion times and message counts as the run
-goes.  What a trace keeps afterwards serves signing, checkpoint rows
-and trace-file export only.
+paper's invariants at every instant, the harness collects its Fig. 2
+series, Fig. 7 completion times and message counts as the run goes,
+and an ops session collects the rows each checkpoint tick signs.  What
+a trace keeps afterwards serves signing and trace-file export only.
 """
 
 from __future__ import annotations
@@ -135,12 +135,11 @@ class Trace:
     reads is never called for any other.  Within a kind, subscribers
     run in subscription order, whether or not they named kinds.
 
-    The rows themselves are kept only for :meth:`signature`, ops
-    checkpoint rows and trace-file export, read in order through
-    :attr:`events` or iteration.  ``max_events`` bounds them: when
-    positive, the log becomes a ring keeping only the newest
-    ``max_events`` events; each older one is dropped and counted in
-    ``dropped_events``.  Subscribers still see every event (live
+    The rows themselves are kept only for :meth:`signature` and
+    trace-file export, read in order by iteration.  ``max_events``
+    bounds them: when positive, the log becomes a ring keeping only the
+    newest ``max_events`` events; each older one is dropped and counted
+    in ``dropped_events``.  Subscribers still see every event (live
     checking is unaffected), only retention changes.  The default
     (``0``) keeps every row.
 
@@ -194,13 +193,12 @@ class Trace:
         into a running digest as it fills, rows so far included.
 
         ``len``, ``count_of_kind`` and :meth:`signature` answer as if
-        every row were kept; :attr:`events` and iteration raise.  A
-        detail ``marshal`` cannot write is refused when its block fills
-        (by the :meth:`record` of the block's 1 024th row), not when the
-        trace is signed.  A ring cannot stream: it signs its tail."""
-        if self.max_events > 0:
-            raise ValueError("a ring Trace signs its tail and cannot stream")
-        if self._digest is not None:
+        every row were kept; iteration raises.  A detail ``marshal``
+        cannot write is refused when its block fills (by the
+        :meth:`record` of the block's 1 024th row), not when the trace
+        is signed.  A ring signs its tail, so it keeps its ring and
+        this does nothing."""
+        if self.max_events > 0 or self._digest is not None:
             return
         rows = self._events
         self._digest = hashlib.sha256()
@@ -222,15 +220,6 @@ class Trace:
         if self._events:
             _fold_block(digest, self._events)
         return digest.hexdigest()
-
-    def _kept(self) -> list[TraceEvent]:
-        if self._digest is not None:
-            raise RuntimeError(_STREAMED)
-        return self._events
-
-    @property
-    def events(self) -> list[TraceEvent]:
-        return self._kept()
 
     def subscribe(
         self,

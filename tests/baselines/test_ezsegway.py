@@ -118,7 +118,7 @@ def test_ez_fig1_in_loop_waits_for_not_in_loop():
     dep.run()
     changes = {
         e.node: e.time
-        for e in dep.network.trace.events
+        for e in dep.network.trace
         if e.kind == "rule_change" and e.detail.get("flow") == flow.flow_id
     }
     # v2 (in_loop ingress gateway) must flip after v4 flipped.
@@ -145,7 +145,7 @@ def test_ez_serializes_consecutive_updates():
     # Both updates recorded, in order.
     done = [
         (event.detail["flow"], event.detail["update"])
-        for event in dep.network.trace.events
+        for event in dep.network.trace
         if event.kind == KIND_UPDATE_DONE
     ]
     assert done == [(flow.flow_id, 1), (flow.flow_id, 2)]
@@ -260,7 +260,7 @@ def test_static_order_relaxes_on_poll_200_and_not_earlier():
     assert not switch._deferred and pending_polls(dep) == 0
     assert mover_rules(dep) == ["t"] * len(MOVERS)
     flips = [
-        e.time for e in dep.network.trace.events
+        e.time for e in dep.network.trace
         if e.kind == "rule_change" and e.node == "s" and e.detail.get("flow") in MOVERS
     ]
     assert flips == [pytest.approx(relaxed_at + 1.0)] * len(MOVERS)
@@ -282,5 +282,5 @@ def test_role_over_capacity_is_never_applied():
     assert switch.link_reserved["t"] == 10.0
     assert not any(
         e.kind == "rule_change" and e.node == "s" and e.detail.get("flow") in MOVERS
-        for e in dep.network.trace.events
+        for e in dep.network.trace
     )

@@ -83,7 +83,7 @@ def test_link_down_loses_in_flight_messages():
     assert b.received == []
     assert any(
         e.kind == KIND_MSG_DROP and e.detail.get("reason") == "link_down"
-        for e in net.trace.events
+        for e in net.trace
     )
 
 
@@ -135,7 +135,7 @@ def test_crashed_node_neither_sends_nor_receives():
     assert nodes["a"].port_events == [(0.0, 1, False)]
     assert any(
         e.kind == KIND_MSG_DROP and e.detail.get("reason") == "dest_down"
-        for e in net.trace.events
+        for e in net.trace
     )
 
 
@@ -155,7 +155,7 @@ def test_crash_then_restart_round_trip():
 def test_crash_records_preserve_state_flag():
     net, nodes, _ = build_triangle()
     net.crash_switch("b", preserve_state=True)
-    events = [e for e in net.trace.events if e.kind == KIND_SWITCH_CRASH]
+    events = [e for e in net.trace if e.kind == KIND_SWITCH_CRASH]
     assert len(events) == 1
     assert events[0].detail["preserve_state"] is True
 
@@ -183,7 +183,7 @@ def test_control_send_during_outage_is_black_holed():
     assert ctrl.control == []
     assert any(
         e.kind == KIND_MSG_DROP and e.detail.get("reason") == "controller_outage"
-        for e in net.trace.events
+        for e in net.trace
     )
 
 

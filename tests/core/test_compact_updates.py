@@ -105,7 +105,7 @@ def test_compact_retains_parallelism():
     dep.run()
     changes = {
         e.node: e.time
-        for e in dep.network.trace.events
+        for e in dep.network.trace
         if e.kind == "rule_change" and e.detail.get("flow") == flow.flow_id
     }
     assert changes["v1"] < changes["v2"], "segment {v0,v1,v2} ran in parallel"

@@ -60,7 +60,7 @@ def test_dependent_moves_resolve_in_order():
     # Order: f1's flip at s must come after f2's.
     flips = {
         e.detail["flow"]: e.time
-        for e in dep.network.trace.events
+        for e in dep.network.trace
         if e.kind == "rule_change" and e.node == "s"
     }
     assert flips[f1.flow_id] > flips[f2.flow_id]

@@ -115,7 +115,7 @@ def test_tree_update_branches_from_root():
     dep.run()
     changes = {
         e.node: e.time
-        for e in dep.network.trace.events
+        for e in dep.network.trace
         if e.kind == "rule_change" and e.detail.get("flow") == tree_id_for("dst")
     }
     # Both branch heads update before either leaf.

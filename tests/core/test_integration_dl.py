@@ -58,7 +58,7 @@ def test_fig1_dl_backward_gateway_updates_after_forward_segment():
     dep.run()
     changes = {
         e.node: e.time
-        for e in dep.network.trace.events
+        for e in dep.network.trace
         if e.kind == "rule_change" and e.detail.get("flow") == flow.flow_id
     }
     assert changes["v2"] > changes["v4"], "loop-inducing order"
@@ -86,7 +86,7 @@ def test_fig1_dl_interior_nodes_update_early():
     dep.run()
     changes = {
         e.node: e.time
-        for e in dep.network.trace.events
+        for e in dep.network.trace
         if e.kind == "rule_change" and e.detail.get("flow") == flow.flow_id
     }
     assert changes["v3"] < changes["v4"], "backward interior should pre-install"

@@ -47,7 +47,7 @@ def delivered_hop_logs(dep, flow):
     """Hop sequences of all delivered probes, via the delivery trace's
     per-packet meta (the packet object is shared along the walk)."""
     logs = []
-    for event in dep.network.trace.events:
+    for event in dep.network.trace:
         if event.kind == KIND_PACKET_DELIVERED and event.detail.get("flow") == flow.flow_id:
             logs.append(event.detail.get("seq"))
     return logs

@@ -65,7 +65,7 @@ def test_count_messages_agrees_with_the_messages_sent_view(name, control_fault_d
     assert (stats.control_plane + control_fault_drops, stats.data_plane) == (control, data)
     assert stats.total == stats.control_plane + stats.data_plane
     control_drops = sum(
-        1 for event in trace.events
+        1 for event in trace
         if event.kind == KIND_MSG_DROP
         and "reason" not in event.detail and "dest" not in event.detail
     )

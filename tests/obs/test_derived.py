@@ -60,7 +60,7 @@ def test_each_view_equals_a_count_over_the_trace():
     trace = _chaos_session(obs).deployment.network.trace
     for name, label_names, kinds in VIEWS:
         want: dict = {}
-        for event in (e for e in trace.events if e.kind in kinds):
+        for event in (e for e in trace if e.kind in kinds):
             if _SKIPPED.get((name, event.kind), set()) & set(event.detail):
                 continue
             value = tuple(_label(label, event) for label in label_names)

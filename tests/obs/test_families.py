@@ -63,7 +63,7 @@ def test_null_families_are_shared():
     assert NULL_OBS.metrics.family("counter", "m", "node") is families[0]
 
 
-def test_a_pickled_session_resumes_onto_its_own_registry():
+def test_two_live_sessions_bind_their_families_to_their_own_registries():
     spec = load_serve_spec({
         "name": "two-sessions", "topology": "b4", "seed": 1, "flows": 10,
         "requests": 80, "horizon_ms": 12000.0, "events": EVENTS["flap"],

@@ -66,11 +66,11 @@ def test_round_trip_preserves_fields():
 
 def test_event_dict_round_trip_rebuilds_equal_events():
     trace = sample_trace()
-    for event in trace.events[1:]:          # events[0] holds a tuple -> list
+    for event in list(trace)[1:]:          # events[0] holds a tuple -> list
         rebuilt = event_from_dict(event_to_dict(event))
         assert type(rebuilt) is TraceEvent
         assert rebuilt == event
-    assert event_to_dict(trace.events[2]) == {
+    assert event_to_dict(list(trace)[2]) == {
         "time": 2.0, "kind": "rule_change", "node": "v1",
         "detail": {"flow": 7, "next_hop": "v2"},
     }
@@ -82,7 +82,7 @@ def test_imported_trace_index_works():
     buffer.seek(0)
     rebuilt = import_trace_jsonl(buffer)
     assert rebuilt.count_of_kind("msg_send") == 1
-    assert [e.node for e in rebuilt.events if e.kind == "update_done"] == ["controller"]
+    assert [e.node for e in rebuilt if e.kind == "update_done"] == ["controller"]
 
 
 def test_non_json_detail_values_are_stringified():
@@ -92,7 +92,7 @@ def test_non_json_detail_values_are_stringified():
 
     trace = Trace()
     trace.record(1.0, "k", "n", payload=Opaque())
-    doc = event_to_dict(trace.events[0])
+    doc = event_to_dict(list(trace)[0])
     assert doc["detail"]["payload"] == "Opaque()"
     event = event_from_dict(doc)
     assert event.detail["payload"] == "Opaque()"
@@ -106,7 +106,7 @@ def test_bad_line_reports_line_number(tmp_path):
 
 
 def test_filter_by_kind_node_and_window():
-    events = sample_trace().events
+    events = list(sample_trace())
     assert len(filter_events(events, kinds=["msg_send", "msg_recv"])) == 2
     assert [e.node for e in filter_events(events, nodes=["v1"])] == ["v1", "v1"]
     assert len(filter_events(events, t0=1.0, t1=2.0)) == 2
@@ -116,7 +116,7 @@ def test_filter_by_kind_node_and_window():
 
 
 def test_summarize_events():
-    report = summarize_events(sample_trace().events)
+    report = summarize_events(list(sample_trace()))
     assert report["events"] == 4
     assert report["t_first_ms"] == 0.0
     assert report["t_last_ms"] == 9.25
@@ -153,7 +153,7 @@ def test_gzip_round_trip(tmp_path):
 def test_iter_filter_events_is_lazy_and_matches_filter_events():
     from repro.obs.tracefile import iter_filter_events
 
-    events = sample_trace().events
+    events = list(sample_trace())
     lazy = iter_filter_events(events, kinds=["msg_send", "msg_recv"])
     assert iter(lazy) is lazy          # generator, not a list
     assert list(lazy) == filter_events(events, kinds=["msg_send", "msg_recv"])

@@ -19,8 +19,10 @@ from repro.ops.checkpoint import (
     write_checkpoint,
 )
 from repro.ops.session import build_session, run_session
-from repro.ops.spec import load_session_spec
+from repro.ops.spec import load_session_spec, load_session_spec_file
 from repro.sim.engine import Engine
+from repro.sim.trace import Trace
+from tests.chaos.reference_signature import BLOCK
 
 #: Chaos-laden session: a link drops mid-drain and recovers; the
 #: controller watchdog (§11) re-drives updates stranded on the dead
@@ -133,37 +135,75 @@ def test_resume_at_every_checkpoint_is_byte_identical(tmp_path, shadow_checker):
 
 def test_ring_buffered_trace_resumes_from_every_index(tmp_path):
     """The ring keeps fewer rows than one checkpoint interval records:
-    segments are absolute trace positions, and each digest covers the
-    retained tail of its segment."""
+    each digest covers the ring's retained tail of its segment."""
     spec = _spec(trace_max_events=20)
     uninterrupted = run_session(spec)
 
     ck_dir = str(tmp_path / "ckpts")
     session = build_session(spec)
+    trace = session.deployment.network.trace
     writer = CheckpointSink(ck_dir)
-    segments = []
-
+    # A ring does not stream: the rows so far are still readable.
+    rows = list(trace)
+    trace.subscribe(rows.append)
+    ticks = [0]
     tails = []
 
     def sink(session, index):
-        start, end = session.segment
-        segments.append((start, end))
-        events = session.deployment.network.trace.events
-        tails.append(trace_signature(events[len(events) - min(end - start, 20):]))
+        length = len(rows) - ticks[-1]
+        ticks.append(len(rows))
+        kept = list(trace)
+        tails.append(trace_signature(kept[len(kept) - min(length, 20):]))
         writer(session, index)
 
     session._sink = sink
     session.run()
     assert _canonical(session.finalize()) == _canonical(uninterrupted)
-    trace = session.deployment.network.trace
     assert len(trace) == 20 and trace.dropped_events > 0
-    assert [start for start, _ in segments[1:]] == [end for _, end in segments[:-1]]
     # Every segment outgrows the ring but the last, which is empty.
-    assert all(end - start > 20 for start, end in segments[:-1])
-    assert segments[-1][0] == segments[-1][1]
+    lengths = [end - start for start, end in zip(ticks, ticks[1:])]
+    assert all(length > 20 for length in lengths[:-1])
+    assert lengths[-1] == 0
     assert [row["digest"] for row in writer.written] == tails
+    assert tails == [
+        trace_signature(rows[start:end][-20:])
+        for start, end in zip(ticks, ticks[1:])
+    ]
     assert len(set(tails)) == len(tails)
     _assert_resumes_from_every_index(spec, ck_dir, uninterrupted)
+
+
+def test_every_digest_signs_the_rows_of_its_segment(tmp_path, monkeypatch):
+    """A streamed session signs each segment as it collected it: the
+    rows before the first tick span more than one signature block and
+    later segments straddle block boundaries."""
+    rows = []
+    stream = Trace.stream
+
+    def streaming(trace):
+        rows.extend(trace)
+        trace.subscribe(rows.append)
+        stream(trace)
+
+    monkeypatch.setattr(Trace, "stream", streaming)
+    spec = load_session_spec_file("examples/ops_drain.json")
+    session = build_session(spec)
+    ticks = [0]
+    writer = CheckpointSink(str(tmp_path / "ckpts"))
+
+    def sink(session, index):
+        ticks.append(len(rows))
+        writer(session, index)
+
+    session._sink = sink
+    session.run()
+    result = session.finalize()
+    assert ticks[1] > BLOCK
+    assert any(start // BLOCK < end // BLOCK for start, end in zip(ticks[1:], ticks[2:]))
+    assert [row["digest"] for row in writer.written] == [
+        trace_signature(rows[start:end]) for start, end in zip(ticks, ticks[1:])
+    ]
+    assert trace_signature(rows) == result.trace_sig
 
 
 def test_stop_after_kill_point_then_resume(tmp_path, shadow_checker):

@@ -111,7 +111,7 @@ def test_snapshot_is_a_private_copy():
     assert array.snapshot() == [3, 9, 3, 3]
 
 
-def test_an_untouched_uib_pickles_small():
+def test_an_untouched_uib_holds_under_16kb():
     # 20 arrays x 4096 cells, nothing written: about 650 KB of list
     # slots when every cell held one.
     P4UpdateProgram()                                    # imports

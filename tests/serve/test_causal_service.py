@@ -264,7 +264,7 @@ def test_retransmits_under_a_switch_crash_attribute_from_the_trace(tmp_path):
         causal=True,
     )
     result, trace = _session(spec)
-    retransmits = [e for e in trace.events if e.kind == KIND_RETRANSMIT]
+    retransmits = [e for e in trace if e.kind == KIND_RETRANSMIT]
     assert retransmits and all("flow" in e.detail for e in retransmits)
     kinds = [e["kind"] for dag in result.causal for e in dag["events"]]
     assert KIND_RETRANSMIT in kinds

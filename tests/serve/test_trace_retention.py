@@ -1,19 +1,23 @@
-"""A one-shot service run keeps no trace rows, and signs as one that does.
+"""One-shot service runs and ops sessions keep no trace rows, and sign
+and count as runs that do.
 
-``run_service`` streams its trace (``Trace.stream``) unless the spec
-asks for a ring: nothing in a one-shot run reads a past row, so each
-1 024-row block of the signature is hashed as it fills and dropped.
-What it keeps is counted in rows, not bytes, so the check does not
-depend on the host.  A ``ServiceSession`` built directly (ops sessions,
-tests) keeps its rows, and a ring spec keeps its ring and signs its
+``run_service`` and ``build_session`` stream their trace
+(``Trace.stream``): nothing in a one-shot run reads a past row, and an
+ops session's checkpoint ticks sign the rows they collect themselves,
+so each 1 024-row block of the signature is hashed as it fills and
+dropped.  What a trace keeps is counted in rows, not bytes, so the
+check does not depend on the host.  A ``ServiceSession`` built directly
+(tests) keeps its rows, and a ring spec keeps its ring and signs its
 tail.
 """
 
 import pytest
 
+from repro.ops.session import build_session
+from repro.ops.spec import load_session_spec_file
 from repro.serve.service import ServiceSession, run_service
 from repro.serve.spec import load_serve_spec
-from repro.sim.trace import trace_signature
+from repro.sim.trace import Trace, trace_signature
 from tests.chaos.reference_signature import BLOCK
 
 #: The spec of the perf ledger's ``serve_b4_8f`` workload.
@@ -31,7 +35,7 @@ def kept():
     session.wire()
     session.run()
     result = session.close()
-    return session.deployment.network.trace.events, result
+    return list(session.deployment.network.trace), result
 
 
 def test_a_one_shot_run_keeps_at_most_one_block_of_rows(monkeypatch, kept):
@@ -58,3 +62,25 @@ def test_a_ring_spec_keeps_its_ring_and_signs_its_tail(kept):
     rows, _ = kept
     assert result.trace_dropped == len(rows) - 50 > 0
     assert result.trace_sig == trace_signature(rows[-50:])
+
+
+def _ops_drain():
+    """``examples/ops_drain.json`` run to its horizon: (trace, result)."""
+    session = build_session(load_session_spec_file("examples/ops_drain.json"))
+    session.run()
+    return session.deployment.network.trace, session.finalize()
+
+
+def test_an_ops_session_keeps_at_most_one_block_and_counts_like_a_kept_one(
+    monkeypatch,
+):
+    streamed, result = _ops_drain()
+    monkeypatch.setattr(Trace, "stream", lambda trace: None)
+    kept, kept_result = _ops_drain()
+    assert len(kept._events) == len(kept) > 2 * BLOCK
+    assert len(streamed._events) <= BLOCK
+    # What the perf ledger's layer counters read.
+    assert (
+        len(streamed), streamed.dropped_events, streamed.count_of_kind("rule_change")
+    ) == (len(kept), kept.dropped_events, kept.count_of_kind("rule_change"))
+    assert result.trace_sig == kept_result.trace_sig

@@ -137,7 +137,7 @@ def test_a_fault_free_message_is_described_once(monkeypatch):
     assert network._fault_decision(None, "a") is network._fault_decision(None, "b")
 
 
-def test_a_session_pickled_with_messages_in_flight_resumes_identically():
+def test_queued_messages_carry_their_tags_and_sign_as_one_shot():
     spec = load_serve_spec(dict(SPEC, arrival_rate_per_s=40.0))
     want = run_service(spec).trace_sig
 

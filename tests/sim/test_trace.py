@@ -25,7 +25,7 @@ def sample_trace():
 def test_record_and_len():
     trace = sample_trace()
     assert len(trace) == 4
-    assert isinstance(trace.events[0], TraceEvent)
+    assert isinstance(list(trace)[0], TraceEvent)
 
 
 def test_subscribe_receives_future_events():
@@ -216,7 +216,7 @@ def test_ring_buffer_caps_retention_and_counts_drops():
         trace.record(float(i), "k", "n")
     assert len(trace) == 3
     assert trace.dropped_events == 7
-    assert [e.time for e in trace.events] == [7.0, 8.0, 9.0]
+    assert [e.time for e in trace] == [7.0, 8.0, 9.0]
 
 
 def test_ring_buffer_subscribers_see_every_event():
@@ -230,7 +230,7 @@ def test_ring_buffer_subscribers_see_every_event():
     assert trace.dropped_events == 3
 
 
-def test_ring_buffer_bounds_the_kind_index_and_the_pickle():
+def test_ring_buffer_bounds_the_traced_memory():
     """What ``trace_max_events`` bounds is memory (measured as traced
     allocations), not just ``len(trace)``."""
     held = {}
@@ -245,7 +245,7 @@ def test_ring_buffer_bounds_the_kind_index_and_the_pickle():
         tracemalloc.stop()
     # Flat: only the ints grow wider.
     assert abs(held[50_000] - held[5_000]) < 0.1 * held[5_000]
-    assert [e.detail["i"] for e in trace.events] == list(range(49_900, 50_000))
+    assert [e.detail["i"] for e in trace] == list(range(49_900, 50_000))
     assert (len(trace), trace.dropped_events) == (100, 49_900)
 
 
@@ -266,7 +266,7 @@ def test_count_of_kind_counts_what_a_linear_scan_sees(mode, count):
         trace.stream()
     for time, kind, node, detail in rows:
         trace.record(time, kind, node, **detail)
-    retained = rows if mode == "streamed" else list(trace.events)
+    retained = rows if mode == "streamed" else list(trace)
     if mode == "ring":
         assert retained == rows[-300:]
     for kind in (KIND_MSG_SEND, KIND_RULE_CHANGE, "link_down", "never_happened"):

@@ -229,7 +229,7 @@ def test_failures_are_raised_again_not_remembered(search_calls):
 
 
 @pytest.mark.parametrize("name", ["b4", "fattree4"])   # constant / run-time-built names
-def test_pickle_carries_this_instance_only_and_no_process_history(name):
+def test_a_busy_process_answers_like_a_cold_one(name):
     factory = TOPOLOGIES[name]
     pairs = list(permutations(sorted(factory().nodes), 2))
     (a, b), other = pairs[0], pairs[-1]
