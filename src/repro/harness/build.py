@@ -35,7 +35,6 @@ from repro.params import SimParams
 from repro.sim.engine import Engine
 from repro.sim.links import ControlChannel, Link
 from repro.sim.network import Network
-from repro.sim.trace import Trace
 from repro.topo.graph import Topology
 from repro.traffic.flows import Flow
 
@@ -213,9 +212,7 @@ def build_network(
         topo.place_controller_at_centroid()
 
     engine = Engine() if obs.profiler is None else ProfiledEngine(obs.profiler)
-    network = Network(
-        engine, trace=Trace(max_events=params.trace_max_events), obs=obs
-    )
+    network = Network(engine, obs=obs)
     obs.bind(network)
     forwarding_state = ForwardingState()
 

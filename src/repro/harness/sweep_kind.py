@@ -28,7 +28,7 @@ from repro.harness.scenarios import (
     single_flow_scenario,
 )
 from repro.obs.context import NULL_OBS
-from repro.params import OVERRIDABLE_PARAMS, SimParams
+from repro.params import SimParams, check_overrides
 from repro.sweep.kinds import ShardPlan, SweepKind
 from repro.sweep.spec import SweepSpec, SweepSpecError, derive_shard_seed
 from repro.topo import TOPOLOGIES
@@ -70,12 +70,7 @@ def _validate_experiment(spec: SweepSpec) -> None:
     if not (body["systems"] and body["topologies"] and body["scenarios"]
             and body["seeds"]):
         raise SweepSpecError("experiment sweep has an empty axis")
-    unknown = set(body["params"]) - OVERRIDABLE_PARAMS
-    if unknown:
-        raise SweepSpecError(
-            f"non-overridable SimParams field(s) {sorted(unknown)}; "
-            f"overridable: {sorted(OVERRIDABLE_PARAMS)}"
-        )
+    check_overrides(body["params"], SweepSpecError)
 
 
 def _expand_experiment(spec: SweepSpec) -> Iterator[ShardPlan]:

@@ -6,9 +6,9 @@ the event site.  :meth:`ObsContext.bind <repro.obs.context.ObsContext.bind>`
 subscribes one :class:`DerivedMetrics` to the run's trace, and it counts
 each routed event inside ``Trace.record`` — the moment an inline hook
 ran.  So instrument creation order, the fuzzer's coverage reads between
-cases and counts under a bounded trace ring (which prunes the per-kind
-index) are what the hooks gave.  A run without metrics subscribes
-nothing and pays nothing.
+cases and counts over a streamed trace (which keeps no rows) are what
+the hooks gave.  A run without metrics subscribes nothing and pays
+nothing.
 """
 
 from __future__ import annotations

@@ -14,8 +14,8 @@ The manifest carries, once, the session spec document
 wrote it; and one row per tick: ``index``,
 ``sim_time_ms``, ``processed_events`` and ``digest`` — the
 :func:`~repro.sim.trace.trace_signature` of the trace rows recorded
-since the previous tick (of a ring buffer: the newest ``max_events``
-of them), which the session collects and signs at the tick.
+since the previous tick, which the session collects and signs at the
+tick.
 
 :func:`load_checkpoint` refuses a manifest of another build or an
 edited spec document before anything is simulated, then

@@ -23,7 +23,6 @@ drain loop itself).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -33,7 +32,7 @@ from repro.obs.causal import slo_summary
 from repro.obs.context import NULL_OBS, ObsContext
 from repro.ops.spec import SessionSpec
 from repro.serve.service import ServiceResult, ServiceSession, link_capacities
-from repro.sim.trace import trace_signature
+from repro.sim.trace import TraceEvent, trace_signature
 from repro.topo.paths import NoPathError
 
 #: Simulated delay before re-probing a busy flow (ms).
@@ -169,12 +168,12 @@ class OpsSession:
         }
         # Checkpointing.  ``checkpoint_index`` is the last tick that
         # ran; ``_segment`` collects the rows recorded since the tick
-        # before (of a ring: the newest it keeps) and ``segment_digest``
-        # is their signature, taken only when ``_sink`` — a checkpoint
-        # writer or a replay's verifier — is there to read it.
+        # before and ``segment_digest`` is their signature, taken only
+        # when ``_sink`` — a checkpoint writer or a replay's verifier —
+        # is there to read it.
         self.checkpoint_index = 0
         self.segment_digest: Optional[str] = None
-        self._segment: deque = deque()
+        self._segment: list[TraceEvent] = []
         self.resumed_from: Optional[int] = None
         self._sink: Optional[Any] = None
         self.controller.update_listeners.append(self._on_update_event)
@@ -184,18 +183,19 @@ class OpsSession:
     def wire(self) -> None:
         """Schedule the workload, the timeline and checkpoint ticks
         (once, at build time)."""
+        interval = self.spec.checkpoint_every_ms
+        ticks = interval > 0 and interval <= self.serve.horizon_ms
+        if ticks:
+            # Before the service is wired: a closed-loop service records
+            # its first submissions there, and they open segment 1.
+            self.deployment.network.trace.subscribe(self._segment.append)
         self.service.wire()
         for state in self.op_states:
             at_ms = float(state.entry["at_ms"])
             if at_ms <= self.serve.horizon_ms:
                 self.engine.schedule_at(at_ms, self._start_op, state.index)
-        interval = self.spec.checkpoint_every_ms
-        if interval > 0 and interval <= self.serve.horizon_ms:
+        if ticks:
             self.engine.schedule_at(interval, self._checkpoint_tick, 1)
-            # The first segment starts at row 0.
-            trace = self.deployment.network.trace
-            self._segment = deque(trace, maxlen=trace.max_events or None)
-            trace.subscribe(self._segment.append)
 
     # -- checkpoint ticks ----------------------------------------------------
 

@@ -9,6 +9,7 @@ are abstract rate units (the paper normalises the same way).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
+from typing import Iterable
 
 import numpy as np
 
@@ -150,14 +151,6 @@ class SimParams:
     # -- safety horizon ------------------------------------------------------
     max_sim_time_ms: float = 60_000.0
 
-    # -- tracing -------------------------------------------------------------
-    # Bound on retained trace events (0 = unbounded).  When positive the
-    # Trace becomes a ring keeping only the newest events, with drops
-    # counted in ``Trace.dropped_events`` — million-request serve runs
-    # can trace without OOMing.  Live subscribers (consistency checker,
-    # orchestrator) still see every event.
-    trace_max_events: int = 0
-
     def rng(self) -> np.random.Generator:
         return np.random.default_rng(self.seed)
 
@@ -182,3 +175,14 @@ DEFAULT_PARAMS = SimParams()
 OVERRIDABLE_PARAMS = frozenset(
     f.name for f in fields(SimParams) if f.type in ("int", "float", "bool")
 )
+
+
+def check_overrides(names: Iterable[str], error: type[Exception]) -> None:
+    """Raise ``error`` naming every one of ``names`` that is not in
+    :data:`OVERRIDABLE_PARAMS`."""
+    unknown = set(names) - OVERRIDABLE_PARAMS
+    if unknown:
+        raise error(
+            f"non-overridable SimParams field(s) {sorted(unknown)}; "
+            f"overridable: {sorted(OVERRIDABLE_PARAMS)}"
+        )

@@ -106,7 +106,6 @@ class ServiceResult:
     events_processed: int
     trace_sig: str
     invariants_ok: bool = True
-    trace_dropped: int = 0
     # Critical-path latency attribution (spec.causal runs only):
     # deterministic per-request rows + summary, and the full causal
     # DAGs (lifted out of ``results`` by the sweep worker).
@@ -191,7 +190,9 @@ class ServiceResult:
             "events_processed": self.events_processed,
             "signature": self.signature(),
             "trace_signature": self.trace_sig,
-            "trace_dropped_events": self.trace_dropped,
+            # A trace drops no rows; the key stays because pinned
+            # result hashes include it.
+            "trace_dropped_events": 0,
             "records": self.records,
         }
 
@@ -345,7 +346,6 @@ class ServiceSession:
             for flow_id, record in sorted(controller.flow_db.items())
         }
         stats_fn = getattr(controller, "strategy_stats", None)
-        trace = self.deployment.network.trace
         return ServiceResult(
             spec=self.spec,
             records=records,
@@ -355,9 +355,8 @@ class ServiceSession:
             peak_in_flight=self.orchestrator.peak_in_flight,
             sim_time_ms=self.engine.now,
             events_processed=self.engine.processed_events,
-            trace_sig=trace.signature(),
+            trace_sig=self.deployment.network.trace.signature(),
             invariants_ok=invariants_ok,
-            trace_dropped=trace.dropped_events,
             attribution=attribution,
             causal=causal_dags,
             interference=self.orchestrator.interference_events,

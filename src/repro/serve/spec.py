@@ -33,7 +33,7 @@ from repro.loading import (
     read_json_object,
     require_object,
 )
-from repro.params import OVERRIDABLE_PARAMS
+from repro.params import check_overrides
 from repro.topo import TOPOLOGIES
 
 SERVE_MODES = ("open", "closed")
@@ -163,12 +163,7 @@ class ServeSpec:
                 f"unknown strategy {self.strategy!r}; "
                 f"registered: {system_names()}"
             )
-        unknown = set(self.params) - OVERRIDABLE_PARAMS
-        if unknown:
-            raise ServeSpecError(
-                f"non-overridable SimParams field(s) {sorted(unknown)}; "
-                f"overridable: {sorted(OVERRIDABLE_PARAMS)}"
-            )
+        check_overrides(self.params, ServeSpecError)
         # Parsed and checked against the topology here, so a bad event
         # is a load-time error and never a mid-run KeyError.
         try:

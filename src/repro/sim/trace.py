@@ -136,23 +136,20 @@ class Trace:
     run in subscription order, whether or not they named kinds.
 
     The rows themselves are kept only for :meth:`signature` and
-    trace-file export, read in order by iteration.  ``max_events``
-    bounds them: when positive, the log becomes a ring keeping only the
-    newest ``max_events`` events; each older one is dropped and counted
-    in ``dropped_events``.  Subscribers still see every event (live
-    checking is unaffected), only retention changes.  The default
-    (``0``) keeps every row.
-
-    :meth:`stream` keeps no rows at all: each full block of
-    :func:`trace_signature` is hashed as it fills and dropped, so
-    :meth:`signature` is unchanged while memory stays flat.
+    trace-file export, read in order by iteration.  A trace keeps every
+    row until :meth:`stream`, after which it keeps none: each full
+    block of :func:`trace_signature` is hashed as it fills and dropped,
+    so :meth:`signature` is unchanged while memory stays flat.
+    Subscribers see every event either way.
     """
 
-    def __init__(self, max_events: int = 0) -> None:
-        self.max_events = int(max_events)
+    # No row is ever dropped; read only by the perf ledger's record
+    # counter (``benchmarks/perf/layers.py``).
+    dropped_events = 0
+
+    def __init__(self) -> None:
         # The kept rows; a streamed trace's open signature block.
         self._events: list[TraceEvent] = []
-        self.dropped_events = 0
         # (callback, kinds it reads or None for all), subscription order.
         self._subscribers: list[
             tuple[Callable[[TraceEvent], None], Optional[frozenset[str]]]
@@ -170,13 +167,9 @@ class Trace:
         event = tuple.__new__(TraceEvent, (time, kind, node, detail))
         events = self._events
         events.append(event)
-        if self._digest is not None:
-            if len(events) == _SIGNATURE_BLOCK:
-                self._fold(events)
-                self._events = []
-        elif 0 < self.max_events < len(events):
-            del events[0]
-            self.dropped_events += 1
+        if self._digest is not None and len(events) == _SIGNATURE_BLOCK:
+            self._fold(events)
+            self._events = []
         route = self._routes.get(kind)
         if route is None:
             route = self._routes[kind] = [
@@ -196,9 +189,8 @@ class Trace:
         every row were kept; iteration raises.  A detail ``marshal``
         cannot write is refused when its block fills (by the
         :meth:`record` of the block's 1 024th row), not when the trace
-        is signed.  A ring signs its tail, so it keeps its ring and
-        this does nothing."""
-        if self.max_events > 0 or self._digest is not None:
+        is signed."""
+        if self._digest is not None:
             return
         rows = self._events
         self._digest = hashlib.sha256()
@@ -212,8 +204,7 @@ class Trace:
         self._folded_kinds.update(map(_KIND, block))
 
     def signature(self) -> str:
-        """:func:`trace_signature` of every row recorded (of a ring:
-        of the rows it kept)."""
+        """:func:`trace_signature` of every row recorded."""
         if self._digest is None:
             return trace_signature(self._events)
         digest = self._digest.copy()
@@ -251,7 +242,7 @@ class Trace:
         return False
 
     def count_of_kind(self, kind: str) -> int:
-        """Rows of ``kind`` recorded (of a ring: kept)."""
+        """Rows of ``kind`` recorded."""
         return self._folded_kinds[kind] + list(map(_KIND, self._events)).count(kind)
 
     def __iter__(self) -> Iterator[TraceEvent]:

@@ -55,11 +55,3 @@ def test_strategy_rides_results_doc():
     assert doc["strategy_stats"] == result.strategy_stats
 
 
-def test_baseline_strategy_honours_trace_max_events():
-    spec = _smoke_spec("ezsegway")
-    doc = {**spec.to_dict(), "params": {**spec.params, "trace_max_events": 50}}
-    bounded = run_service(load_serve_spec(doc)).to_results()
-    assert bounded["trace_dropped_events"] > 0
-    unbounded = run_service(spec).to_results()
-    assert unbounded["trace_dropped_events"] == 0
-    assert bounded["records"] == unbounded["records"]

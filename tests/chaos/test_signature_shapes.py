@@ -30,18 +30,11 @@ def test_every_reference_run_signs_as_the_reference(name):
         assert outcome["trace_sig"] == reference_trace_signature(events)
 
 
-def _served_trace(max_events: int = 0) -> Trace:
-    trace = Trace(max_events)
+def _served_trace() -> Trace:
+    trace = Trace()
     for time, kind, node, detail in stock_outcome("serve_chaos_closed")["trace"]:
         trace.record(time, kind, node, **detail)
     return trace
-
-
-def test_a_ring_after_eviction_signs_as_the_reference():
-    ring = _served_trace(max_events=1000)
-    assert ring.dropped_events > 0 and len(ring) == 1000
-    assert trace_signature(ring) == reference_trace_signature(ring)
-    assert trace_signature(ring) == trace_signature(list(_served_trace())[-1000:])
 
 
 def adversarial() -> Trace:

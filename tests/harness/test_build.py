@@ -91,16 +91,6 @@ def test_all_three_builders_share_port_layout():
         assert net.port_towards("n0", "n1") == p4.network.port_towards("n0", "n1")
 
 
-@pytest.mark.parametrize(
-    "builder",
-    (build_p4update_network, build_ezsegway_network, build_central_network),
-)
-def test_every_system_honours_trace_max_events(builder):
-    bounded = builder(ring_topology(5), params=SimParams(trace_max_events=50))
-    assert bounded.network.trace.max_events == 50
-    assert builder(ring_topology(5)).network.trace.max_events == 0
-
-
 def test_one_deployment_class_behind_all_three_builders():
     kinds = {
         type(builder(ring_topology(4), params=SimParams(seed=0)))

@@ -23,6 +23,7 @@ from repro.ops.spec import load_session_spec, load_session_spec_file
 from repro.sim.engine import Engine
 from repro.sim.trace import Trace
 from tests.chaos.reference_signature import BLOCK
+from tests.serve.test_pinned_sessions import MODES
 
 #: Chaos-laden session: a link drops mid-drain and recovers; the
 #: controller watchdog (§11) re-drives updates stranded on the dead
@@ -55,14 +56,12 @@ CHAOS_DOC = {
 }
 
 
-def _doc(**serve_params):
-    doc = json.loads(json.dumps(CHAOS_DOC))
-    doc["serve"]["params"].update(serve_params)
-    return doc
+def _doc():
+    return json.loads(json.dumps(CHAOS_DOC))
 
 
-def _spec(**serve_params):
-    return load_session_spec(_doc(**serve_params))
+def _spec():
+    return load_session_spec(_doc())
 
 
 def _canonical(result):
@@ -133,50 +132,11 @@ def test_resume_at_every_checkpoint_is_byte_identical(tmp_path, shadow_checker):
     assert shadow_checker
 
 
-def test_ring_buffered_trace_resumes_from_every_index(tmp_path):
-    """The ring keeps fewer rows than one checkpoint interval records:
-    each digest covers the ring's retained tail of its segment."""
-    spec = _spec(trace_max_events=20)
-    uninterrupted = run_session(spec)
-
-    ck_dir = str(tmp_path / "ckpts")
-    session = build_session(spec)
-    trace = session.deployment.network.trace
-    writer = CheckpointSink(ck_dir)
-    # A ring does not stream: the rows so far are still readable.
-    rows = list(trace)
-    trace.subscribe(rows.append)
-    ticks = [0]
-    tails = []
-
-    def sink(session, index):
-        length = len(rows) - ticks[-1]
-        ticks.append(len(rows))
-        kept = list(trace)
-        tails.append(trace_signature(kept[len(kept) - min(length, 20):]))
-        writer(session, index)
-
-    session._sink = sink
-    session.run()
-    assert _canonical(session.finalize()) == _canonical(uninterrupted)
-    assert len(trace) == 20 and trace.dropped_events > 0
-    # Every segment outgrows the ring but the last, which is empty.
-    lengths = [end - start for start, end in zip(ticks, ticks[1:])]
-    assert all(length > 20 for length in lengths[:-1])
-    assert lengths[-1] == 0
-    assert [row["digest"] for row in writer.written] == tails
-    assert tails == [
-        trace_signature(rows[start:end][-20:])
-        for start, end in zip(ticks, ticks[1:])
-    ]
-    assert len(set(tails)) == len(tails)
-    _assert_resumes_from_every_index(spec, ck_dir, uninterrupted)
-
-
-def test_every_digest_signs_the_rows_of_its_segment(tmp_path, monkeypatch):
-    """A streamed session signs each segment as it collected it: the
-    rows before the first tick span more than one signature block and
-    later segments straddle block boundaries."""
+def _signed_segments(tmp_path, monkeypatch, spec):
+    """Run ``spec`` with a checkpoint writer and check every row's digest
+    against ``trace_signature`` over the rows of its segment, collected
+    from row 0 by the test's own subscriber; returns the row count at
+    build time and at each tick."""
     rows = []
     stream = Trace.stream
 
@@ -186,9 +146,9 @@ def test_every_digest_signs_the_rows_of_its_segment(tmp_path, monkeypatch):
         stream(trace)
 
     monkeypatch.setattr(Trace, "stream", streaming)
-    spec = load_session_spec_file("examples/ops_drain.json")
     session = build_session(spec)
     ticks = [0]
+    at_build = len(rows)
     writer = CheckpointSink(str(tmp_path / "ckpts"))
 
     def sink(session, index):
@@ -198,12 +158,35 @@ def test_every_digest_signs_the_rows_of_its_segment(tmp_path, monkeypatch):
     session._sink = sink
     session.run()
     result = session.finalize()
-    assert ticks[1] > BLOCK
-    assert any(start // BLOCK < end // BLOCK for start, end in zip(ticks[1:], ticks[2:]))
     assert [row["digest"] for row in writer.written] == [
         trace_signature(rows[start:end]) for start, end in zip(ticks, ticks[1:])
     ]
     assert trace_signature(rows) == result.trace_sig
+    return at_build, ticks
+
+
+def test_every_digest_signs_the_rows_of_its_segment(tmp_path, monkeypatch):
+    """A streamed session signs each segment as it collected it: the
+    rows before the first tick span more than one signature block and
+    later segments straddle block boundaries."""
+    spec = load_session_spec_file("examples/ops_drain.json")
+    _, ticks = _signed_segments(tmp_path, monkeypatch, spec)
+    assert ticks[1] > BLOCK
+    assert any(start // BLOCK < end // BLOCK for start, end in zip(ticks[1:], ticks[2:]))
+
+
+def test_a_closed_loop_first_digest_signs_the_rows_recorded_at_wire(
+    tmp_path, monkeypatch
+):
+    """A closed-loop service submits its first requests while the
+    session is wired, before any tick is scheduled: segment 1 opens
+    with those rows."""
+    with open("examples/ops_drain.json") as handle:
+        doc = json.load(handle)
+    del doc["serve"]["arrival_rate_per_s"]
+    doc["serve"].update(MODES["closed"])
+    at_build, _ = _signed_segments(tmp_path, monkeypatch, load_session_spec(doc))
+    assert at_build > 0
 
 
 def test_stop_after_kill_point_then_resume(tmp_path, shadow_checker):

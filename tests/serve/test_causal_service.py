@@ -195,25 +195,6 @@ def test_attribution_identical_across_worker_counts():
         assert d1["results"] == d2["results"]
 
 
-def test_trace_max_events_bounds_retention_and_reports_drops():
-    spec = ServeSpec(
-        **{
-            **SMOKE,
-            "params": {**SMOKE["params"], "trace_max_events": 50},
-        },
-        causal=True,
-    )
-    bounded = run_service(spec)
-    results = bounded.to_results()
-    assert results["trace_dropped_events"] > 0
-    # Retention is an observer concern: the run's outcome records and
-    # the attribution are identical to the unbounded run.
-    unbounded = run_service(ServeSpec(**SMOKE, causal=True))
-    assert results["records"] == unbounded.to_results()["records"]
-    assert bounded.attribution["rows"] == unbounded.attribution["rows"]
-    assert unbounded.to_results()["trace_dropped_events"] == 0
-
-
 # -- attribution is a view of the trace ---------------------------------------
 
 

@@ -1,7 +1,5 @@
 """Unit tests for the trace log."""
 
-import tracemalloc
-
 import pytest
 
 from repro.sim.trace import (
@@ -161,17 +159,6 @@ def test_unsubscribe_matches_an_equal_wrapper():
     assert len(seen) == 1
 
 
-def test_ring_buffer_delivers_every_event_to_kinded_subscribers():
-    trace = Trace(max_events=2)
-    seen = []
-    trace.subscribe(seen.append, kinds=("k",))
-    for i in range(5):
-        trace.record(float(i), "k", "n")
-        trace.record(float(i), "other", "n")
-    assert [e.time for e in seen] == [0.0, 1.0, 2.0, 3.0, 4.0]
-    assert len(trace) == 2
-
-
 def test_iteration_order():
     trace = sample_trace()
     times = [e.time for e in trace]
@@ -199,75 +186,23 @@ def test_event_is_a_value():
         TraceEvent(1.0, "k", "n")
 
 
-# -- bounded retention (max_events ring buffer) -------------------------------
-
-
-def test_default_trace_is_unbounded():
-    trace = Trace()
-    for i in range(1000):
-        trace.record(float(i), "k", "n")
-    assert len(trace) == 1000
-    assert trace.dropped_events == 0
-
-
-def test_ring_buffer_caps_retention_and_counts_drops():
-    trace = Trace(max_events=3)
-    for i in range(10):
-        trace.record(float(i), "k", "n")
-    assert len(trace) == 3
-    assert trace.dropped_events == 7
-    assert [e.time for e in trace] == [7.0, 8.0, 9.0]
-
-
-def test_ring_buffer_subscribers_see_every_event():
-    trace = Trace(max_events=2)
-    seen = []
-    trace.subscribe(seen.append)
-    for i in range(5):
-        trace.record(float(i), "k", "n")
-    assert len(seen) == 5
-    assert len(trace) == 2
-    assert trace.dropped_events == 3
-
-
-def test_ring_buffer_bounds_the_traced_memory():
-    """What ``trace_max_events`` bounds is memory (measured as traced
-    allocations), not just ``len(trace)``."""
-    held = {}
-    tracemalloc.start()
-    try:
-        trace = Trace(max_events=100)
-        for i in range(50_000):
-            trace.record(float(i), KIND_MSG_SEND if i % 3 else KIND_RULE_CHANGE, "n", i=i)
-            if i + 1 in (5_000, 50_000):
-                held[i + 1], _peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # Flat: only the ints grow wider.
-    assert abs(held[50_000] - held[5_000]) < 0.1 * held[5_000]
-    assert [e.detail["i"] for e in trace] == list(range(49_900, 50_000))
-    assert (len(trace), trace.dropped_events) == (100, 49_900)
-
-
 def _rows(count):
     kinds = (KIND_MSG_SEND, KIND_RULE_CHANGE, KIND_MSG_SEND, "link_down")
     return [(float(i), kinds[i % len(kinds)], "n", {"i": i}) for i in range(count)]
 
 
-@pytest.mark.parametrize("mode", ["kept", "ring", "streamed"])
+@pytest.mark.parametrize("mode", ["kept", "streamed"])
 @pytest.mark.parametrize("count", [0, 5, BLOCK - 1, BLOCK, 2 * BLOCK + 7])
 def test_count_of_kind_counts_what_a_linear_scan_sees(mode, count):
-    """Kept and ring traces: a scan over the rows each retains.  A
-    streamed trace retains only its open block to scan, so its counts
-    are those of a scan over every row recorded."""
+    """A streamed trace retains only its open block to scan, so its
+    counts must be those of a scan over every row recorded."""
     rows = _rows(count)
-    trace = Trace(max_events=300 if mode == "ring" else 0)
+    trace = Trace()
     if mode == "streamed":
         trace.stream()
     for time, kind, node, detail in rows:
         trace.record(time, kind, node, **detail)
-    retained = rows if mode == "streamed" else list(trace)
-    if mode == "ring":
-        assert retained == rows[-300:]
+    if mode == "kept":
+        assert list(trace) == rows
     for kind in (KIND_MSG_SEND, KIND_RULE_CHANGE, "link_down", "never_happened"):
-        assert trace.count_of_kind(kind) == [row[1] for row in retained].count(kind)
+        assert trace.count_of_kind(kind) == [row[1] for row in rows].count(kind)

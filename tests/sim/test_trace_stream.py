@@ -111,16 +111,7 @@ def test_row_readers_refuse_a_streamed_trace(read):
         read(trace)
 
 
-def test_a_ring_cannot_stream_and_stream_is_idempotent():
-    # A ring keeps its ring and signs its tail.
-    rows = stock_outcome("serve_chaos_closed")["trace"]
-    ring = Trace(max_events=10)
-    ring.stream()
-    for time, kind, node, detail in rows:
-        ring.record(time, kind, node, **detail)
-    assert list(ring) == rows[-10:]
-    assert (len(ring), ring.dropped_events) == (10, len(rows) - 10)
-    assert ring.signature() == trace_signature(rows[-10:])
+def test_stream_is_idempotent():
     trace = _replayed(stock_outcome("serve_chaos_closed")["trace"], stream_at=0)
     before = trace.signature()
     trace.stream()
