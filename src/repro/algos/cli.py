@@ -115,9 +115,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_duel(args: argparse.Namespace) -> int:
-    import json
-
     from repro.algos.duel import run_duel
+    from repro.loading import write_json_atomic
 
     strategies = _strategies(args.strategies)
     doc = run_duel(
@@ -142,9 +141,7 @@ def _cmd_duel(args: argparse.Namespace) -> int:
           f"augmented_only={summary['augmented_only_completions']} "
           f"violations={summary['violations']}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(doc, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        write_json_atomic(args.out, doc)
         print(f"wrote {args.out}")
     ok = summary["violations"] == 0
     if args.slack >= 0 and "augmented" in strategies and len(strategies) > 1:

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator, Mapping, Optional, Sequence
 
 from repro.analysis.plan import UpdatePlan, find_cycle
-from repro.loading import spec_digest
+from repro.loading import plain, spec_digest
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.serve.spec import ServeSpec
@@ -181,12 +181,7 @@ class BatchPolicies:
     extra_order: tuple[tuple[int, int], ...] = ()
 
     def to_dict(self) -> dict:
-        return {
-            "same_flow": self.same_flow,
-            "shared_switch": self.shared_switch,
-            "max_in_flight": self.max_in_flight,
-            "extra_order": [list(pair) for pair in self.extra_order],
-        }
+        return plain(self)
 
 
 @dataclass(frozen=True)
@@ -332,15 +327,7 @@ class InterferenceFinding:
     suggested_order: tuple[tuple[int, int], ...] = ()
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "message": self.message,
-            "subject": self.subject,
-            "plans": list(self.plans),
-            "flows": list(self.flows),
-            "counterexample": list(self.counterexample),
-            "suggested_order": [list(pair) for pair in self.suggested_order],
-        }
+        return plain(self)
 
     def format(self) -> str:
         lines = [f"{self.kind} [{self.subject}]: {self.message}"]

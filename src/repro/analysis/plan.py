@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence, TypeVar
 
 from repro.core.messages import UIM, UpdateType
+from repro.loading import plain
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.controller import PreparedUpdate
@@ -213,30 +214,7 @@ def plan_from_prepared(
 
 def plan_to_dict(plan: UpdatePlan) -> dict:
     """JSON-safe encoding of a plan (``analyze interference`` batches)."""
-    return {
-        "flow_id": plan.flow_id,
-        "version": plan.version,
-        "prior_version": plan.prior_version,
-        "update_type": plan.update_type.name,
-        "installs": [
-            {
-                "node": i.node,
-                "version": i.version,
-                "distance": i.distance,
-                "is_flow_egress": i.is_flow_egress,
-                "is_segment_egress": i.is_segment_egress,
-                "is_ingress": i.is_ingress,
-                "is_gateway": i.is_gateway,
-            }
-            for i in plan.installs
-        ],
-        "notify_edges": [list(edge) for edge in plan.notify_edges],
-        "dependencies": [list(edge) for edge in plan.dependencies],
-        "description": plan.description,
-        "old_path": list(plan.old_path),
-        "new_path": list(plan.new_path),
-        "flow_size": plan.flow_size,
-    }
+    return plain(plan)
 
 
 def plan_from_dict(data: dict) -> UpdatePlan:

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.consistency.state import ForwardingState
+from repro.loading import plain
 from repro.sim.trace import (
     KIND_LINK_DOWN,
     KIND_RULE_CHANGE,
@@ -40,12 +41,7 @@ class Violation:
 
     def to_dict(self) -> dict:
         """The JSON form every result type reports."""
-        return {
-            "time": self.time,
-            "kind": self.kind,
-            "flow_id": self.flow_id,
-            "detail": self.detail,
-        }
+        return plain(self)
 
 
 @dataclass

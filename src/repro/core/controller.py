@@ -34,6 +34,7 @@ from repro.core.messages import (
 from repro.core.registers import LOCAL_DELIVER_PORT, VERSION_WIDTH_BITS
 from repro.core.segmentation import old_distances
 from repro.core.strategy import choose_update_type
+from repro.loading import plain
 from repro.params import SimParams
 from repro.sim.trace import KIND_FLOW_PARKED, KIND_RETRIGGER, KIND_UPDATE_ABORTED
 from repro.topo.graph import Topology
@@ -75,14 +76,7 @@ class ParkReport:
     failed_edges: tuple[str, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "flow_id": self.flow_id,
-            "time_ms": self.time_ms,
-            "reason": self.reason,
-            "src": self.src,
-            "dst": self.dst,
-            "failed_edges": list(self.failed_edges),
-        }
+        return plain(self)
 
 
 @dataclass(frozen=True)

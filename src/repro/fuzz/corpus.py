@@ -38,9 +38,13 @@ from typing import Optional
 from repro.fuzz.gen import FuzzCase, case_from_dict
 from repro.fuzz.lanes import require_lanes
 from repro.fuzz.oracles import OracleVerdict, classify, failure_key
-from repro.loading import read_json_object, require_object, write_json_atomic
+from repro.loading import (
+    field_problems, read_json_object, require_object, write_json_atomic,
+)
 
 CORPUS_SCHEMA = 1
+#: What a corpus case's ``expect`` object must name (any value type).
+_EXPECT_FIELDS = dict.fromkeys(("outcome", "oracle", "kinds"), object)
 
 
 def finding_name(key: tuple[str, ...]) -> str:
@@ -79,20 +83,14 @@ def validate_corpus_doc(doc: dict) -> dict:
     require_object(doc, "corpus case", ValueError)
     if int(doc.get("schema", 0)) != CORPUS_SCHEMA:
         problems.append(f"unsupported schema {doc.get('schema')!r}")
-    for name, kind in (("kind", str), ("payload", dict), ("expect", dict)):
-        if name not in doc:
-            problems.append(f"missing field {name!r}")
-        elif not isinstance(doc[name], kind):
-            problems.append(f"field {name!r} has type {type(doc[name]).__name__}")
+    problems += field_problems(doc, {"kind": str, "payload": dict, "expect": dict})
     if not problems:
         try:
             require_lanes((doc["kind"],))
         except ValueError as exc:
             problems.append(str(exc))
         expect = doc["expect"]
-        for name in ("outcome", "oracle", "kinds"):
-            if name not in expect:
-                problems.append(f"expect missing field {name!r}")
+        problems += (f"expect {p}" for p in field_problems(expect, _EXPECT_FIELDS))
         # A string here would be read one character per violation kind.
         if not isinstance(expect.get("kinds", []), list):
             problems.append("expect field 'kinds' is not a list")

@@ -16,13 +16,13 @@ drive corpus retention (:mod:`repro.fuzz.coverage`).
 
 from __future__ import annotations
 
-import dataclasses
 import traceback
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from repro.fuzz.gen import FuzzCase
 from repro.fuzz.lanes import resolve_lane
+from repro.loading import plain
 
 #: Classification outcomes, from best to worst.
 OUTCOMES = ("pass", "violation", "divergence", "crash")
@@ -40,11 +40,7 @@ class OracleVerdict:
     detail: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            **dataclasses.asdict(self),
-            "kinds": list(self.kinds),
-            "coverage": list(self.coverage),
-        }
+        return plain(self)
 
 
 def verdict_from_dict(data: dict) -> OracleVerdict:

@@ -49,6 +49,7 @@ from repro.harness.fig_experiments import (
     run_fig4,
 )
 from repro.harness.metrics import summarize
+from repro.loading import write_json_atomic
 from repro.obs import (
     critical_path,
     event_to_dict,
@@ -294,8 +295,7 @@ def cmd_obs_critical_path(args) -> int:
 def cmd_obs_perfetto(args) -> int:
     with _reading("causal file", args.causal):
         doc = perfetto_trace(iter_causal_jsonl(args.causal))
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(doc, handle)
+        write_json_atomic(args.out, doc)
     print(f"wrote {len(doc['traceEvents'])} trace events to "
           f"{args.out} (open in ui.perfetto.dev)")
     return 0

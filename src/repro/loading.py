@@ -1,11 +1,14 @@
 """Loading what data names: strict JSON spec objects and
-``module:attribute`` import paths — and the one atomic JSON writer
-behind every file another run may read back.
+``module:attribute`` import paths — and the one JSON encoder, the one
+field check and the one atomic JSON writer behind every document
+another run may read back.
 
 Every declarative spec is a JSON *object* whose unknown fields are
 rejected and whose loader reports each problem as the spec's own error
 class; that code lives here once, parameterised by the error class and
-the noun used in messages.  This module imports no workload package.
+the noun used in messages.  A record becomes its JSON document through
+:func:`plain`, and a reader checks a document's required fields with
+:func:`field_problems`.  This module imports no workload package.
 
 A cached result (a sweep shard, an ops checkpoint manifest) is only
 valid for the spec and the code that computed it, so it is written by
@@ -18,6 +21,7 @@ fingerprint is its format version too.
 from __future__ import annotations
 
 import dataclasses
+import enum
 import functools
 import hashlib
 import importlib
@@ -35,6 +39,39 @@ def resolve_attribute(path: str) -> Any:
     spans, a test's monkeypatch) is what comes back."""
     module_name, _, attribute = path.partition(":")
     return getattr(importlib.import_module(module_name), attribute)
+
+
+def plain(value: Any) -> Any:
+    """``value`` as JSON-ready data: a dataclass becomes the object of
+    its fields in declaration order, a tuple or list a list, a dict a
+    copied dict and an enum its ``name``, converted all the way down;
+    anything else comes back as it is."""
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {
+            f.name: plain(getattr(value, f.name)) for f in dataclasses.fields(value)
+        }
+    if isinstance(value, (tuple, list)):
+        return [plain(item) for item in value]
+    if isinstance(value, dict):
+        return {key: plain(item) for key, item in value.items()}
+    if isinstance(value, enum.Enum):
+        return value.name
+    return value
+
+
+def field_problems(
+    doc: dict, fields: dict[str, Union[type, tuple[type, ...]]]
+) -> list[str]:
+    """One ``missing field 'x'`` or ``field 'x' has type T`` line per
+    entry of ``fields`` (name -> accepted type or types) that ``doc``
+    lacks or holds with another type, in ``fields`` order."""
+    problems = []
+    for name, accepted in fields.items():
+        if name not in doc:
+            problems.append(f"missing field {name!r}")
+        elif not isinstance(doc[name], accepted):
+            problems.append(f"field {name!r} has type {type(doc[name]).__name__}")
+    return problems
 
 
 def require_object(

@@ -31,7 +31,7 @@ import subprocess
 import time
 from typing import Optional
 
-from repro.loading import read_json_object, write_json_atomic
+from repro.loading import field_problems, read_json_object, write_json_atomic
 from repro.sim.trace import SIGNATURE_FORMAT
 
 MANIFEST_SCHEMA = 1
@@ -108,16 +108,9 @@ def build_manifest(
 def validate_manifest(doc: dict) -> dict:
     """Raise ``ValueError`` listing every schema violation; else return
     ``doc`` unchanged."""
-    problems = []
     if not isinstance(doc, dict):
         raise ValueError(f"manifest must be a dict, got {type(doc).__name__}")
-    for field, expected in _REQUIRED_FIELDS.items():
-        if field not in doc:
-            problems.append(f"missing field {field!r}")
-        elif not isinstance(doc[field], expected):
-            problems.append(
-                f"field {field!r} has type {type(doc[field]).__name__}"
-            )
+    problems = field_problems(doc, _REQUIRED_FIELDS)
     if isinstance(doc.get("schema"), int) and doc["schema"] != MANIFEST_SCHEMA:
         problems.append(f"unsupported schema version {doc['schema']}")
     if isinstance(doc.get("name"), str) and not doc["name"]:

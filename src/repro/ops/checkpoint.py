@@ -112,10 +112,13 @@ def write_checkpoint(directory: str, session: "OpsSession", index: int) -> dict:
     return row
 
 
-def replay(manifest: dict, index: int) -> "OpsSession":
+def replay(
+    manifest: dict, index: int, sink: Optional["CheckpointSink"] = None
+) -> "OpsSession":
     """Build ``manifest``'s session from its spec and run it to right
     after tick ``index``, checking every tick on the way against its
-    row (rows ``1..index`` must be present)."""
+    row (rows ``1..index`` must be present); ``sink`` then takes over
+    the ticks that follow."""
     from repro.obs import make_obs
     from repro.ops.session import build_session
     from repro.ops.spec import load_session_spec
@@ -136,25 +139,29 @@ def replay(manifest: dict, index: int) -> "OpsSession":
     session = build_session(
         load_session_spec(manifest["spec"]),
         obs=make_obs() if manifest["obs"] else None,
+        sink=verify,
     )
-    session._sink = verify
     try:
         session.run()
     except StopSession:
-        session._sink = None
+        session._sink = sink
+        if sink is None:
+            session.deployment.network.trace.unsubscribe(session._segment.append)
         session.resumed_from = index
         return session
     raise CheckpointError(f"replay reached the horizon without checkpoint {index}")
 
 
 def load_checkpoint(
-    directory: str, index: Optional[int] = None
+    directory: str, index: Optional[int] = None,
+    sink: Optional["CheckpointSink"] = None,
 ) -> "OpsSession":
     """Check ``directory``'s manifest — code fingerprint, the spec
     document against ``spec_hash``, the rows a replay needs — and
     :func:`replay` its session to checkpoint ``index`` (default: the
-    latest).  These checks refuse before the first simulated event; a
-    row that does not replay is refused at its tick."""
+    latest), handing later ticks to ``sink``.  These checks refuse
+    before the first simulated event; a row that does not replay is
+    refused at its tick."""
     from repro.ops.spec import load_session_spec
 
     manifest = read_manifest(directory)
@@ -184,11 +191,12 @@ def load_checkpoint(
         raise CheckpointError(
             f"checkpoint dir {directory!r} lacks the rows {missing} before {index}"
         )
-    return replay(manifest, index)
+    return replay(manifest, index, sink)
 
 
 class CheckpointSink:
-    """The runtime writer a CLI attaches to ``session._sink``."""
+    """The runtime writer a CLI passes to ``build_session`` or
+    ``load_checkpoint``."""
 
     def __init__(
         self,

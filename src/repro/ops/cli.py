@@ -37,6 +37,7 @@ from repro.sweep.cli import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.ops.checkpoint import CheckpointSink
     from repro.ops.session import OpsResult, OpsSession
     from repro.ops.spec import SessionSpec
 
@@ -154,15 +155,19 @@ def _cmd_run(args: argparse.Namespace) -> int:
     )
 
 
-def _run_checkpointed(session: "OpsSession", args: argparse.Namespace) -> int:
-    """Run ``session`` to its horizon (or to ``--stop-after``) writing
-    rolling checkpoints to ``--dir``; a directory the sink may not
-    write into is a :class:`CliError` before the first event."""
-    from repro.ops.checkpoint import CheckpointError, CheckpointSink, StopSession, open_manifest
+def _checkpoint_sink(args: argparse.Namespace) -> "CheckpointSink":
+    """The writer of rolling checkpoints to ``--dir``."""
+    from repro.ops.checkpoint import CheckpointSink
 
-    session._sink = CheckpointSink(
-        args.dir, stop_after=args.stop_after, verbose=True
-    )
+    return CheckpointSink(args.dir, stop_after=args.stop_after, verbose=True)
+
+
+def _run_checkpointed(session: "OpsSession", args: argparse.Namespace) -> int:
+    """Run ``session``, built with :func:`_checkpoint_sink`, to its
+    horizon (or to ``--stop-after``); a directory the sink may not
+    write into is a :class:`CliError` before the first event."""
+    from repro.ops.checkpoint import CheckpointError, StopSession, open_manifest
+
     try:
         open_manifest(args.dir, session)
         session.run()
@@ -186,7 +191,8 @@ def _cmd_checkpoint(args: argparse.Namespace) -> int:
     from repro.ops.session import build_session
 
     return _run_checkpointed(
-        build_session(spec, obs=obs_from_flags(args)), args
+        build_session(spec, obs=obs_from_flags(args), sink=_checkpoint_sink(args)),
+        args,
     )
 
 
@@ -194,7 +200,9 @@ def _cmd_resume(args: argparse.Namespace) -> int:
     from repro.ops.checkpoint import CheckpointError, load_checkpoint
 
     try:
-        session = load_checkpoint(args.dir, index=args.index)
+        session = load_checkpoint(
+            args.dir, index=args.index, sink=_checkpoint_sink(args)
+        )
     except CheckpointError as exc:
         raise CliError(str(exc)) from None
     print(f"resumed {session.spec.name!r} from checkpoint "

@@ -24,7 +24,7 @@ drain loop itself).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from repro.analysis.interference import footprint_from_paths
 from repro.loading import spec_digest
@@ -50,6 +50,9 @@ MOVE_PARKED = "parked"        # recovery parked the flow mid-move
 MOVE_NO_PATH = "no_path"      # avoidance disconnects the endpoints
 MOVE_STRANDED = "stranded"    # retry budget exhausted
 MOVE_UNFINISHED = "unfinished"  # still in flight at the horizon
+
+#: What a checkpoint tick calls with the session and the tick's index.
+Sink = Callable[["OpsSession", int], None]
 
 #: Per-op terminal statuses.
 OP_COMPLETED = "completed"
@@ -143,7 +146,9 @@ class OpsSession:
 
     Built by :func:`build_session`."""
 
-    def __init__(self, spec: SessionSpec, service: ServiceSession) -> None:
+    def __init__(
+        self, spec: SessionSpec, service: ServiceSession, sink: Optional[Sink] = None
+    ) -> None:
         self.spec = spec
         self.service = service
         self.serve = service.spec
@@ -167,15 +172,15 @@ class OpsSession:
             for i, f in enumerate(service.population)
         }
         # Checkpointing.  ``checkpoint_index`` is the last tick that
-        # ran; ``_segment`` collects the rows recorded since the tick
-        # before and ``segment_digest`` is their signature, taken only
-        # when ``_sink`` — a checkpoint writer or a replay's verifier —
-        # is there to read it.
+        # ran.  ``_sink`` — a checkpoint writer or a replay's verifier,
+        # given at build time — is called at each tick; only then does
+        # ``_segment`` collect the rows recorded since the tick before
+        # and ``segment_digest`` sign them.
         self.checkpoint_index = 0
         self.segment_digest: Optional[str] = None
         self._segment: list[TraceEvent] = []
         self.resumed_from: Optional[int] = None
-        self._sink: Optional[Any] = None
+        self._sink = sink
         self.controller.update_listeners.append(self._on_update_event)
 
     # -- construction-time scheduling --------------------------------------
@@ -185,7 +190,7 @@ class OpsSession:
         (once, at build time)."""
         interval = self.spec.checkpoint_every_ms
         ticks = interval > 0 and interval <= self.serve.horizon_ms
-        if ticks:
+        if ticks and self._sink is not None:
             # Before the service is wired: a closed-loop service records
             # its first submissions there, and they open segment 1.
             self.deployment.network.trace.subscribe(self._segment.append)
@@ -209,8 +214,7 @@ class OpsSession:
         self.checkpoint_index = index
         if self._sink is not None:
             self.segment_digest = trace_signature(self._segment)
-        self._segment.clear()
-        if self._sink is not None:
+            self._segment.clear()
             self._sink(self, index)
 
     # -- operations ----------------------------------------------------------
@@ -583,18 +587,19 @@ class OpsSession:
 
 
 def build_session(
-    spec: SessionSpec, obs: Optional[ObsContext] = None
+    spec: SessionSpec, obs: Optional[ObsContext] = None, sink: Optional[Sink] = None
 ) -> OpsSession:
     """Construct a fresh, fully wired session.  The background churn is
     the embedded serve spec's own :class:`ServiceSession`, so a session
-    with an empty timeline matches a plain serve run of that spec."""
+    with an empty timeline matches a plain serve run of that spec.
+    ``sink(session, index)`` is called at each checkpoint tick."""
     # Operations move flows through the P4Update prepare/push pipeline,
     # so sessions always deploy it, whatever strategy the spec names.
     service = ServiceSession(
         spec.serve_spec(), obs if obs is not None else NULL_OBS,
         strategy="p4update",
     )
-    session = OpsSession(spec, service)
+    session = OpsSession(spec, service, sink)
     session.wire()
     # Checkpoint ticks sign the rows they collect: the trace need keep
     # none of its own.

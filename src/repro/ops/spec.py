@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.loading import (
-    dataclass_from_object, read_json_object, require_object, spec_digest,
+    dataclass_from_object, plain, read_json_object, require_object, spec_digest,
 )
 
 #: Operations a timeline entry can request.
@@ -161,14 +161,7 @@ class SessionSpec:
         return load_serve_spec(dict(self.serve))
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "serve": dict(self.serve),
-            "timeline": [dict(e) for e in self.timeline],
-            "tenants": self.tenants,
-            "checkpoint_every_ms": self.checkpoint_every_ms,
-            "description": self.description,
-        }
+        return plain(self)
 
     def spec_hash(self) -> str:
         """SHA-256 of the canonical spec JSON (checkpoint identity)."""

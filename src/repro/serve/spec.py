@@ -25,11 +25,11 @@ bit-identical per-request record list (asserted by ``tests/serve/``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
 
 from repro.chaos.campaign import TopoEvent, validate_events_against_topology
 from repro.loading import (
     dataclass_from_object,
+    plain,
     read_json_object,
     require_object,
 )
@@ -45,6 +45,14 @@ SWITCH_CONFLICT_POLICIES = ("concurrent", "serialize")
 #: holds a conflicting request until the in-flight update it races
 #: with completes, ``reject`` sheds it.
 INTERFERENCE_GATES = ("off", "warn", "serialize", "reject")
+#: The allowed values of each enumerated spec field.
+_CHOICES = {
+    "mode": SERVE_MODES,
+    "shed_policy": SHED_POLICIES,
+    "conflict_policy": CONFLICT_POLICIES,
+    "switch_conflict": SWITCH_CONFLICT_POLICIES,
+    "static_interference": INTERFERENCE_GATES,
+}
 
 
 class ServeSpecError(ValueError):
@@ -110,25 +118,12 @@ class ServeSpec:
             raise ServeSpecError(
                 f"unknown topology {self.topology!r}; known: {sorted(TOPOLOGIES)}"
             )
-        if self.mode not in SERVE_MODES:
-            raise ServeSpecError(
-                f"unknown mode {self.mode!r}; expected one of {SERVE_MODES}"
-            )
-        if self.shed_policy not in SHED_POLICIES:
-            raise ServeSpecError(
-                f"unknown shed_policy {self.shed_policy!r}; "
-                f"expected one of {SHED_POLICIES}"
-            )
-        if self.conflict_policy not in CONFLICT_POLICIES:
-            raise ServeSpecError(
-                f"unknown conflict_policy {self.conflict_policy!r}; "
-                f"expected one of {CONFLICT_POLICIES}"
-            )
-        if self.switch_conflict not in SWITCH_CONFLICT_POLICIES:
-            raise ServeSpecError(
-                f"unknown switch_conflict {self.switch_conflict!r}; "
-                f"expected one of {SWITCH_CONFLICT_POLICIES}"
-            )
+        for name, choices in _CHOICES.items():
+            value = getattr(self, name)
+            if value not in choices:
+                raise ServeSpecError(
+                    f"unknown {name} {value!r}; expected one of {choices}"
+                )
         if self.flows < 1:
             raise ServeSpecError("serve spec needs flows >= 1")
         if self.requests < 1:
@@ -145,11 +140,6 @@ class ServeSpec:
             )
         if self.max_in_flight < 0:
             raise ServeSpecError("max_in_flight must be >= 0 (0 = no cap)")
-        if self.static_interference not in INTERFERENCE_GATES:
-            raise ServeSpecError(
-                f"unknown static_interference {self.static_interference!r}; "
-                f"expected one of {INTERFERENCE_GATES}"
-            )
         if self.link_capacity < 0:
             raise ServeSpecError("link_capacity must be >= 0 (0 = default)")
         if self.horizon_ms <= 0:
@@ -181,36 +171,7 @@ class ServeSpec:
         )
 
     def to_dict(self) -> dict:
-        doc: dict[str, Any] = {
-            "name": self.name,
-            "topology": self.topology,
-            "seed": self.seed,
-            "description": self.description,
-            "mode": self.mode,
-            "flows": self.flows,
-            "requests": self.requests,
-            "arrival_rate_per_s": self.arrival_rate_per_s,
-            "clients": self.clients,
-            "think_time_ms": self.think_time_ms,
-            "mean_flow_size": self.mean_flow_size,
-            "queue_depth": self.queue_depth,
-            "rate_per_s": self.rate_per_s,
-            "burst": self.burst,
-            "shed_policy": self.shed_policy,
-            "conflict_policy": self.conflict_policy,
-            "switch_conflict": self.switch_conflict,
-            "max_in_flight": self.max_in_flight,
-            "static_interference": self.static_interference,
-            "congestion_aware": self.congestion_aware,
-            "link_capacity": self.link_capacity,
-            "horizon_ms": self.horizon_ms,
-            "params": dict(self.params),
-            "events": [dict(e) for e in self.events],
-            "obs": self.obs,
-            "causal": self.causal,
-            "strategy": self.strategy,
-        }
-        return doc
+        return plain(self)
 
 
 def load_serve_spec(data: dict) -> ServeSpec:

@@ -20,10 +20,25 @@ import hashlib
 import json
 from typing import Any, Optional
 
+from repro.loading import field_problems
 from repro.sweep.kinds import resolve_kind
 
 #: Shard-document fields covered by the aggregate signature.
 DETERMINISTIC_SHARD_FIELDS = ("shard_id", "index", "kind", "seed", "results")
+#: What each shard document must carry (any value type).
+_SHARD_FIELDS = dict.fromkeys(DETERMINISTIC_SHARD_FIELDS, object)
+
+#: The consolidated results tree's required fields and their types.
+_RESULTS_FIELDS = {
+    "spec_hash": str,
+    "signature": str,
+    "shards_total": int,
+    "shards_completed": int,
+    "shards_failed": int,
+    "failures": list,
+    "aggregates": dict,
+    "shards": list,
+}
 
 
 def shard_deterministic_view(doc: dict) -> dict:
@@ -213,35 +228,17 @@ def attach_shard_keys(spec: Any, ordered: list[dict]) -> list[dict]:
 
 def validate_sweep_results(results: dict) -> dict:
     """Schema check for the consolidated results tree."""
-    problems = []
-    for name, kind in (
-        ("spec_hash", str),
-        ("signature", str),
-        ("shards_total", int),
-        ("shards_completed", int),
-        ("shards_failed", int),
-        ("failures", list),
-        ("aggregates", dict),
-        ("shards", list),
-    ):
-        if name not in results:
-            problems.append(f"missing field {name!r}")
-        elif not isinstance(results[name], kind):
-            problems.append(
-                f"field {name!r} has type {type(results[name]).__name__}"
-            )
+    problems = field_problems(results, _RESULTS_FIELDS)
     if not problems:
         if results["shards_completed"] != len(results["shards"]):
             problems.append("shards_completed != len(shards)")
         if results["shards_failed"] != len(results["failures"]):
             problems.append("shards_failed != len(failures)")
         for doc in results["shards"]:
-            for field in DETERMINISTIC_SHARD_FIELDS:
-                if field not in doc:
-                    problems.append(
-                        f"shard document missing field {field!r}"
-                    )
-                    break
+            # Only the first absent field of each document.
+            problems += (
+                f"shard document {p}" for p in field_problems(doc, _SHARD_FIELDS)[:1]
+            )
         for failure in results["failures"]:
             for field in ("shard_id", "index", "attempts", "error_type",
                           "message"):

@@ -18,7 +18,7 @@ from repro.ops.checkpoint import (
     read_manifest,
     write_checkpoint,
 )
-from repro.ops.session import build_session, run_session
+from repro.ops.session import OpsSession, build_session, run_session
 from repro.ops.spec import load_session_spec, load_session_spec_file
 from repro.sim.engine import Engine
 from repro.sim.trace import Trace
@@ -71,8 +71,9 @@ def _canonical(result):
 def _checkpointed(ck_dir, spec=None, stop_after=None, obs=None):
     """Run a session writing checkpoints into ``ck_dir``; returns it
     (stopped after ``stop_after``, or at its horizon)."""
-    session = build_session(spec or _spec(), obs=obs)
-    session._sink = CheckpointSink(ck_dir, stop_after=stop_after)
+    session = build_session(
+        spec or _spec(), obs=obs, sink=CheckpointSink(ck_dir, stop_after=stop_after)
+    )
     try:
         session.run()
     except StopSession:
@@ -122,9 +123,8 @@ def test_resume_at_every_checkpoint_is_byte_identical(tmp_path, shadow_checker):
     uninterrupted = run_session(spec)
 
     ck_dir = str(tmp_path / "ckpts")
-    session = build_session(spec)
     sink = CheckpointSink(ck_dir)
-    session._sink = sink
+    session = build_session(spec, sink=sink)
     session.run()
     assert _canonical(session.finalize()) == _canonical(uninterrupted)
     assert [entry["index"] for entry in sink.written] == [1, 2, 3, 4]
@@ -146,16 +146,15 @@ def _signed_segments(tmp_path, monkeypatch, spec):
         stream(trace)
 
     monkeypatch.setattr(Trace, "stream", streaming)
-    session = build_session(spec)
     ticks = [0]
-    at_build = len(rows)
     writer = CheckpointSink(str(tmp_path / "ckpts"))
 
     def sink(session, index):
         ticks.append(len(rows))
         writer(session, index)
 
-    session._sink = sink
+    session = build_session(spec, sink=sink)
+    at_build = len(rows)
     session.run()
     result = session.finalize()
     assert [row["digest"] for row in writer.written] == [
@@ -189,20 +188,35 @@ def test_a_closed_loop_first_digest_signs_the_rows_recorded_at_wire(
     assert at_build > 0
 
 
+def test_a_resume_without_a_sink_collects_no_rows_after_its_tick(tmp_path, monkeypatch):
+    ck_dir = str(tmp_path / "ckpts")
+    _checkpointed(ck_dir)
+    held = []
+    tick = OpsSession._checkpoint_tick
+
+    def counted(session, index):
+        held.append(len(session._segment))
+        tick(session, index)
+
+    monkeypatch.setattr(OpsSession, "_checkpoint_tick", counted)
+    load_checkpoint(ck_dir, 1).run()
+    # The replay's verifier signs segment 1; nothing reads the rest.
+    assert held[0] > 0 and held[1:] == [0, 0, 0]
+
+
 def test_stop_after_kill_point_then_resume(tmp_path, shadow_checker):
     ck_dir = str(tmp_path / "ckpts")
     spec = _spec()
     uninterrupted = run_session(spec)
 
-    session = build_session(spec)
-    session._sink = CheckpointSink(ck_dir, stop_after=2)
+    session = build_session(spec, sink=CheckpointSink(ck_dir, stop_after=2))
     with pytest.raises(StopSession) as excinfo:
         session.run()
     assert excinfo.value.index == 2
     assert read_manifest(ck_dir)["checkpoints"][-1]["index"] == 2
 
-    resumed = load_checkpoint(ck_dir)  # defaults to the latest
-    resumed._sink = CheckpointSink(ck_dir)
+    # Defaults to the latest.
+    resumed = load_checkpoint(ck_dir, sink=CheckpointSink(ck_dir))
     resumed.run()
     result = resumed.finalize()
     assert _canonical(result) == _canonical(uninterrupted)
@@ -226,8 +240,7 @@ def test_checkpoint_bytes_do_not_depend_on_sink(tmp_path):
         read_manifest(killed)["checkpoints"]
         == read_manifest(straight)["checkpoints"][:2]
     )
-    resumed = load_checkpoint(killed)
-    resumed._sink = CheckpointSink(killed)
+    resumed = load_checkpoint(killed, sink=CheckpointSink(killed))
     resumed.run()
     files = [open(os.path.join(d, "checkpoints.json"), "rb").read()
              for d in (straight, killed)]

@@ -2,7 +2,7 @@
 
 import json
 
-from repro.ops.session import build_session, run_session
+from repro.ops.session import OpsSession, build_session, run_session
 from repro.ops.spec import load_session_spec
 from tests.serve.test_pinned_sessions import EVENTS, MODES
 
@@ -69,14 +69,27 @@ def test_checkpoint_cadence_does_not_change_results():
     spec = load_session_spec(_doc(checkpoint_every_ms=3000.0))
     plain = run_session(spec)
 
-    session = build_session(spec)
     seen = []
-    session._sink = lambda s, index: seen.append(index)
+    session = build_session(spec, sink=lambda s, index: seen.append(index))
     session.run()
     sunk = session.finalize()
 
     assert seen == [1, 2, 3, 4, 5]
     assert sunk.signature() == plain.signature()
+
+
+def test_a_cadence_without_a_sink_collects_no_segment_rows(monkeypatch):
+    # Only a sink reads a segment's rows, so a plain run keeps none.
+    held = []
+    tick = OpsSession._checkpoint_tick
+
+    def counted(session, index):
+        held.append(len(session._segment))
+        tick(session, index)
+
+    monkeypatch.setattr(OpsSession, "_checkpoint_tick", counted)
+    run_session(load_session_spec(_doc(checkpoint_every_ms=3000.0)))
+    assert held == [0, 0, 0, 0, 0]
 
 
 def test_empty_timeline_matches_plain_serve_churn():
