@@ -30,7 +30,6 @@ from repro.core.registers import LOCAL_DELIVER_PORT
 from repro.core.switch import P4UpdateSwitch
 from repro.loading import resolve_attribute
 from repro.obs.context import NULL_OBS, ObsContext
-from repro.obs.profiler import ProfiledEngine
 from repro.params import SimParams
 from repro.sim.engine import Engine
 from repro.sim.links import ControlChannel, Link
@@ -211,8 +210,7 @@ def build_network(
     if topo.controller is None:
         topo.place_controller_at_centroid()
 
-    engine = Engine() if obs.profiler is None else ProfiledEngine(obs.profiler)
-    network = Network(engine, obs=obs)
+    network = Network(Engine(), obs=obs)
     obs.bind(network)
     forwarding_state = ForwardingState()
 

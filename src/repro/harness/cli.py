@@ -51,9 +51,11 @@ from repro.harness.fig_experiments import (
 from repro.harness.metrics import summarize
 from repro.loading import write_json_atomic
 from repro.obs import (
+    Sampler,
     critical_path,
     event_to_dict,
     export_trace_jsonl,
+    format_samples,
     iter_causal_jsonl,
     iter_filter_events,
     iter_trace_jsonl,
@@ -62,10 +64,10 @@ from repro.obs import (
     summarize_events,
 )
 from repro.obs.context import NULL_OBS
+from repro.obs.tracefile import open_jsonl
 from repro.params import SimParams
 from repro.sim.trace import KIND_RULE_CHANGE, TraceEvent
 from repro.sweep.cli import CliError, add_fleet_flags, load_or_exit, run_fleet
-from repro.sweep.merge import format_profile
 from repro.topo import fig1_topology
 from repro.topo.synthetic import FIG1_NEW_PATH, FIG1_OLD_PATH
 from repro.traffic.flows import Flow
@@ -167,16 +169,17 @@ def cmd_demo(args) -> int:
 
 
 def cmd_obs_export(args) -> int:
-    obs = make_obs(profile=args.profile)
-    deployment, flow = _demo_deployment(args.seed, obs)
-    deployment.install_flow(flow)
-    with obs.spans.span("experiment", system="p4update", topology="fig1", flows=1):
-        with obs.spans.span("uim_fanout"):
-            deployment.controller.update_flow(
-                flow.flow_id, list(FIG1_NEW_PATH), UpdateType.DUAL
-            )
-        with obs.spans.span("run_to_quiescence"):
-            deployment.run()
+    obs = make_obs()
+    with Sampler() if args.profile else contextlib.nullcontext() as sampler:
+        deployment, flow = _demo_deployment(args.seed, obs)
+        deployment.install_flow(flow)
+        with obs.spans.span("experiment", system="p4update", topology="fig1", flows=1):
+            with obs.spans.span("uim_fanout"):
+                deployment.controller.update_flow(
+                    flow.flow_id, list(FIG1_NEW_PATH), UpdateType.DUAL
+                )
+            with obs.spans.span("run_to_quiescence"):
+                deployment.run()
     count = export_trace_jsonl(deployment.network.trace, args.out)
     print(f"wrote {count} events to {args.out}")
     done = deployment.controller.update_complete(flow.flow_id)
@@ -191,8 +194,8 @@ def cmd_obs_export(args) -> int:
     print("spans:")
     for root in obs.spans.roots:
         _print_span(root, indent=1)
-    if args.profile and obs.profiler is not None:
-        print(format_profile(obs.profiler.report()))
+    if sampler is not None:
+        print(format_samples(sampler.report()))
     return 0
 
 
@@ -209,6 +212,16 @@ def _reading(noun: str, path: str) -> Iterator[None]:
         raise CliError(f"cannot read {noun} {path!r}: {exc}") from None
 
 
+@contextlib.contextmanager
+def _writing(noun: str, path: str) -> Iterator[None]:
+    """Report an unwritable output ``path`` as a :class:`CliError`
+    naming ``path`` as given (not the writer's temp file)."""
+    try:
+        yield
+    except OSError as exc:
+        raise CliError(f"cannot write {noun} {path!r}: {exc.strerror or exc}") from None
+
+
 def cmd_obs_filter(args) -> int:
     with _reading("trace", args.trace):
         selected = iter_filter_events(
@@ -220,7 +233,10 @@ def cmd_obs_filter(args) -> int:
             for event in selected:
                 print(json.dumps(event_to_dict(event)))
         else:
-            count = export_trace_jsonl(selected, args.out)
+            with _writing("trace", args.out):
+                handle, _owned = open_jsonl(args.out, "w")
+            with handle:
+                count = export_trace_jsonl(selected, handle)
             print(f"wrote {count} events to {args.out}")
     return 0
 
@@ -295,6 +311,7 @@ def cmd_obs_critical_path(args) -> int:
 def cmd_obs_perfetto(args) -> int:
     with _reading("causal file", args.causal):
         doc = perfetto_trace(iter_causal_jsonl(args.causal))
+    with _writing("perfetto trace", args.out):
         write_json_atomic(args.out, doc)
     print(f"wrote {len(doc['traceEvents'])} trace events to "
           f"{args.out} (open in ui.perfetto.dev)")
@@ -367,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     pexp.add_argument("--out", default="TRACE.jsonl", help="output JSONL path")
     pexp.add_argument(
         "--profile", action="store_true",
-        help="also profile wall-clock time per engine callback",
+        help="also sample CPU per function and per layer",
     )
     pfil = obs_sub.add_parser("filter", help="filter an exported JSONL trace")
     pfil.set_defaults(run=cmd_obs_filter)

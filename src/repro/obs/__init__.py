@@ -1,5 +1,5 @@
 """``repro.obs`` — the observability layer (metrics, spans, trace
-export, engine profiling, run manifests).
+export, host CPU sampling, run manifests).
 
 Everything here is opt-in: the simulator and harness default to the
 shared no-op :data:`NULL_OBS` context, which keeps instrumented code
@@ -7,9 +7,13 @@ paths at one-attribute-check cost and leaves simulated-time results
 bit-identical to uninstrumented runs.  Enable with::
 
     from repro.obs import make_obs
-    obs = make_obs()                       # or make_obs(profile=True)
+    obs = make_obs()                       # or make_obs(causal=True)
     result = run_experiment("p4update", scenario, params, obs=obs)
-    obs.snapshot()                         # metrics + span tree (+ profile)
+    obs.snapshot()                         # metrics + span tree
+
+Where the host CPU went is a separate instrument that touches no
+simulated state: wrap the run in ``with Sampler() as sampler:`` and
+print ``format_samples(sampler.report())`` (:mod:`repro.obs.sampler`).
 
 See ``docs/OBSERVABILITY.md`` for the metric names, the span taxonomy
 and the BENCH manifest schema.
@@ -34,7 +38,6 @@ from repro.obs.manifest import (
     validate_manifest,
     write_manifest,
 )
-from repro.obs.profiler import EngineProfiler
 from repro.obs.registry import (
     Counter,
     Gauge,
@@ -42,6 +45,7 @@ from repro.obs.registry import (
     MetricsRegistry,
     NullRegistry,
 )
+from repro.obs.sampler import Sampler, format_samples, merge_samples
 from repro.obs.spans import NullSpanTracker, Span, SpanTracker
 from repro.obs.tracefile import (
     event_from_dict,
@@ -72,7 +76,9 @@ __all__ = [
     "manifest_path",
     "validate_manifest",
     "write_manifest",
-    "EngineProfiler",
+    "Sampler",
+    "format_samples",
+    "merge_samples",
     "Counter",
     "Gauge",
     "Histogram",

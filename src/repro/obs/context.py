@@ -1,5 +1,5 @@
 """The observability context: one handle carrying metrics + spans
-(+ optionally an engine profiler) through every layer.
+(+ optionally a causal tracker) through every layer.
 
 Design contract:
 
@@ -34,26 +34,22 @@ from repro.obs.spans import NullSpanTracker, SpanTracker
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.causal import CausalTracker
-    from repro.obs.profiler import EngineProfiler
 
 
 class ObsContext:
-    """Bundle of a metrics registry, a span tracker, an optional
-    engine profiler and an optional per-request causal tracker,
-    shared by every layer of one run."""
+    """Bundle of a metrics registry, a span tracker and an optional
+    per-request causal tracker, shared by every layer of one run."""
 
-    __slots__ = ("metrics", "spans", "profiler", "causal", "enabled")
+    __slots__ = ("metrics", "spans", "causal", "enabled")
 
     def __init__(
         self,
         metrics: MetricsRegistry,
         spans: SpanTracker,
-        profiler: Optional["EngineProfiler"] = None,
         causal: Optional["CausalTracker"] = None,
     ) -> None:
         self.metrics = metrics
         self.spans = spans
-        self.profiler = profiler
         # Per-request causal tracing (repro.obs.causal): a trace
         # subscriber, attached to the run's trace by bind().
         self.causal = causal
@@ -94,10 +90,7 @@ class ObsContext:
 
     def snapshot(self) -> dict:
         """Everything this context captured, JSON-safe."""
-        out = {"metrics": self.metrics.snapshot(), "spans": self.spans.tree()}
-        if self.profiler is not None:
-            out["profile"] = self.profiler.report(top=25)
-        return out
+        return {"metrics": self.metrics.snapshot(), "spans": self.spans.tree()}
 
     def coverage_keys(self) -> list[str]:
         """Names of every metric this run actually moved.
@@ -112,22 +105,15 @@ class ObsContext:
         })
 
 
-def make_obs(profile: bool = False, causal: bool = False) -> ObsContext:
-    """A fresh enabled context (optionally with engine profiling
-    and/or per-request causal tracing)."""
+def make_obs(causal: bool = False) -> ObsContext:
+    """A fresh enabled context (optionally with per-request causal
+    tracing)."""
     tracker = None
     if causal:
         from repro.obs.causal import CausalTracker
 
         tracker = CausalTracker()
-    profiler = None
-    if profile:
-        # Lazy: repro.obs.profiler imports the engine, whose package
-        # imports repro.sim.node, which imports this module.
-        from repro.obs.profiler import EngineProfiler
-
-        profiler = EngineProfiler()
-    return ObsContext(MetricsRegistry(), SpanTracker(), profiler, causal=tracker)
+    return ObsContext(MetricsRegistry(), SpanTracker(), causal=tracker)
 
 
 #: Shared disabled context — the default ``obs`` everywhere.

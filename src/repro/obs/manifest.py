@@ -4,8 +4,8 @@ Every benchmark (and any instrumented experiment) emits a manifest
 recording *what ran* (name, params, seed, code version), *what it
 measured* (a results dict — the same numbers the bench prints) and
 *what the observability layer saw* (metric snapshots, the phase-span
-tree, optionally an engine profile).  Manifests from successive PRs
-diff cleanly, which is what turns the bench suite into a trajectory.
+tree).  Manifests from successive PRs diff cleanly, which is what
+turns the bench suite into a trajectory.
 
 Schema (version 1) — validated by :func:`validate_manifest`:
 
@@ -18,7 +18,8 @@ Schema (version 1) — validated by :func:`validate_manifest`:
 * ``results`` dict
 * ``metrics`` dict  (MetricsRegistry.snapshot() shape)
 * ``spans``   list  (SpanTracker.tree() shape)
-* ``profile`` list, optional (EngineProfiler.report() shape)
+* ``profile`` list, optional: :func:`build_manifest` writes none, but
+  manifests already on disk may carry one (a host-time report)
 * ``signature_format`` int — the trace-signature format of every
   signature in ``results`` (``repro.sim.trace.SIGNATURE_FORMAT``);
   a manifest without it predates format 2 and carries format 1
@@ -79,14 +80,7 @@ def build_manifest(
     obs=None,
 ) -> dict:
     """Assemble a schema-valid manifest dict (not yet written)."""
-    metrics: dict = {}
-    spans: list = []
-    profile = None
-    if obs is not None:
-        captured = obs.snapshot()
-        metrics = captured.get("metrics", {})
-        spans = captured.get("spans", [])
-        profile = captured.get("profile")
+    captured = obs.snapshot() if obs is not None else {"metrics": {}, "spans": []}
     doc = {
         "schema": MANIFEST_SCHEMA,
         "name": name,
@@ -95,12 +89,10 @@ def build_manifest(
         "params": dict(params or {}),
         "seed": seed,
         "results": dict(results or {}),
-        "metrics": metrics,
-        "spans": spans,
+        "metrics": captured["metrics"],
+        "spans": captured["spans"],
         "signature_format": SIGNATURE_FORMAT,
     }
-    if profile is not None:
-        doc["profile"] = profile
     validate_manifest(doc)
     return doc
 

@@ -98,8 +98,9 @@ class Engine:
         Only in the second case does the clock advance to exactly
         ``until``; a drained queue leaves it at the last event fired.
         Each event goes through :meth:`step`, the one place an event
-        fires (and the one a subclass overrides, see
-        :class:`repro.obs.profiler.ProfiledEngine`).
+        fires.  Host time is measured from outside, by sampling
+        (:class:`repro.obs.sampler.Sampler`), so nothing here reads a
+        clock.
         """
         queue = self._queue
         while True:

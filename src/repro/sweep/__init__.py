@@ -26,7 +26,6 @@ from repro.sweep.kinds import KIND_TABLE, SweepKind, resolve_kind
 from repro.sweep.merge import (
     build_sweep_results,
     merge_metrics,
-    merge_profiles,
     results_signature,
     validate_sweep_results,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "load_sweep_spec",
     "load_sweep_spec_file",
     "merge_metrics",
-    "merge_profiles",
     "read_status",
     "resolve_kind",
     "results_signature",

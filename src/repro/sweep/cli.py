@@ -32,7 +32,7 @@ import os
 import sys
 from typing import Any, Callable, Optional, TypeVar
 
-from repro.obs import make_obs, write_manifest
+from repro.obs import format_samples, make_obs, write_manifest
 from repro.sweep.executor import (
     SweepRun,
     cache_root,
@@ -42,7 +42,6 @@ from repro.sweep.executor import (
 )
 from repro.sweep.merge import (
     build_sweep_results,
-    format_profile,
     merge_shard_obs,
     results_signature,
 )
@@ -235,7 +234,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     )
     print(f"signature {results['signature']}")
     if "merged_profile" in results:
-        print(format_profile(results["merged_profile"]))
+        print(format_samples(results["merged_profile"]))
     return report_ok(run.ok)
 
 
@@ -333,7 +332,8 @@ def add_sweep_parser(sub: argparse._SubParsersAction) -> None:
     )
     prun.add_argument(
         "--profile", action="store_true",
-        help="profile engine callbacks per shard and merge the reports",
+        help="sample CPU per function and per layer in each shard and "
+             "merge the samples",
     )
 
     pmerge = sweep_sub.add_parser(

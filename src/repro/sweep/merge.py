@@ -21,6 +21,7 @@ import json
 from typing import Any, Optional
 
 from repro.loading import field_problems
+from repro.obs.sampler import merge_samples
 from repro.sweep.kinds import resolve_kind
 
 #: Shard-document fields covered by the aggregate signature.
@@ -100,46 +101,6 @@ def _merge_row(slot: dict, row: dict) -> None:
     slot["min"] = min(slot.get("min", float(row["min"])), float(row["min"]))
     slot["max"] = max(slot.get("max", float(row["max"])), float(row["max"]))
     slot["mean"] = slot["sum"] / slot["count"]
-
-
-def merge_profiles(profiles: list[list]) -> list[dict]:
-    """Merge per-shard engine-profiler reports into one ranking.
-
-    Calls and total wall time sum per callback target; ``max_us`` is
-    the max across shards, ``mean_us`` is recomputed.  This is the
-    multi-run input the profile-guided optimization work wants: one
-    table ranking the costliest callbacks across a whole fleet."""
-    totals: dict[str, dict] = {}
-    for report in profiles:
-        for row in report:
-            target = row["target"]
-            slot = totals.setdefault(
-                target,
-                {"target": target, "calls": 0, "total_ms": 0.0, "max_us": 0.0},
-            )
-            slot["calls"] += int(row.get("calls", 0))
-            slot["total_ms"] += float(row.get("total_ms", 0.0))
-            slot["max_us"] = max(slot["max_us"], float(row.get("max_us", 0.0)))
-    merged = []
-    for slot in totals.values():
-        calls = slot["calls"]
-        slot["mean_us"] = (slot["total_ms"] * 1000.0 / calls) if calls else 0.0
-        merged.append(slot)
-    merged.sort(key=lambda r: (-r["total_ms"], r["target"]))
-    return merged
-
-
-def format_profile(report: list[dict], top: int = 15) -> str:
-    lines = [
-        f"{'calls':>9s}  {'total ms':>10s}  {'mean us':>9s}  "
-        f"{'max us':>9s}  target"
-    ]
-    for row in report[:top] if top > 0 else report:
-        lines.append(
-            f"{row['calls']:9d}  {row['total_ms']:10.2f}  "
-            f"{row['mean_us']:9.1f}  {row['max_us']:9.1f}  {row['target']}"
-        )
-    return "\n".join(lines)
 
 
 def fleet_summary(
@@ -252,12 +213,12 @@ def validate_sweep_results(results: dict) -> dict:
 
 def merge_shard_obs(results: dict) -> dict:
     """Fold the shard documents' own obs captures into ``results``
-    (summed counters, combined histogram moments, merged profiles) so
-    the consolidated manifest is self-contained."""
+    (summed counters, combined histogram moments, summed CPU samples
+    per target) so the consolidated manifest is self-contained."""
     snapshots = [d["metrics"] for d in results["shards"] if d.get("metrics")]
     if snapshots:
         results["merged_metrics"] = merge_metrics(snapshots)
-    profiles = [d["profile"] for d in results["shards"] if d.get("profile")]
-    if profiles:
-        results["merged_profile"] = merge_profiles(profiles)
+    samples = [row for d in results["shards"] for row in d.get("profile") or ()]
+    if samples:
+        results["merged_profile"] = merge_samples(samples)
     return results

@@ -6,7 +6,9 @@ paths share: the serial ``--workers 1`` path calls it inline, the
 process.  Either way each shard:
 
 1. builds a **fresh** obs context when instrumentation was requested
-   (per-process metric registries — nothing shared, nothing racy);
+   (per-process metric registries — nothing shared, nothing racy), and
+   with ``profile`` samples the run's CPU (:mod:`repro.obs.sampler`)
+   into the document's ``profile`` rows, outside ``results``;
 2. runs the payload's kind (:func:`repro.sweep.kinds.resolve_kind`)
    with seeds derived entirely from the payload, on a deployment of its
    own (packet numbering included), so what the process ran before
@@ -22,6 +24,7 @@ The bit-identity of (1)-(3) across process boundaries is asserted by
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import time
@@ -30,6 +33,7 @@ from typing import Any, Optional
 
 import numpy as np
 
+from repro.obs.sampler import Sampler
 from repro.sweep.kinds import resolve_kind
 
 
@@ -42,7 +46,8 @@ def run_shard_payload(payload: dict) -> dict:
     _maybe_inject(payload)
     obs = _build_obs(payload)
     started = time.perf_counter()  # repro: ignore[wall-clock] shard wall-time bookkeeping
-    results = resolve_kind(payload["kind"]).run_shard(payload, obs)
+    with Sampler() if payload.get("profile") else contextlib.nullcontext() as sampler:
+        results = resolve_kind(payload["kind"]).run_shard(payload, obs)
     duration = time.perf_counter() - started  # repro: ignore[wall-clock] shard wall-time bookkeeping
 
     # Runner-reported wall-clock measurements are lifted out of the
@@ -65,11 +70,9 @@ def run_shard_payload(payload: dict) -> dict:
     if causal is not None:
         doc["causal"] = _json_safe(causal)
     if obs is not None:
-        captured = obs.snapshot()
-        doc["metrics"] = _json_safe(captured.get("metrics", {}))
-        doc["spans"] = _json_safe(captured.get("spans", []))
-        if "profile" in captured:
-            doc["profile"] = _json_safe(captured["profile"])
+        doc.update(_json_safe(obs.snapshot()))   # metrics + spans
+    if sampler is not None:
+        doc["profile"] = sampler.report()
     return doc
 
 
@@ -81,7 +84,7 @@ def _build_obs(payload: dict) -> Optional[Any]:
         return None
     from repro.obs.context import make_obs
 
-    return make_obs(profile=bool(payload.get("profile")))
+    return make_obs()
 
 
 def _maybe_inject(payload: dict) -> None:

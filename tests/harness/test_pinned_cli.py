@@ -40,6 +40,13 @@ The refusal to checkpoint into another spec's directory was re-worded
 once, when shard caches and checkpoint manifests came to be checked by
 one reader (``repro.loading.read_stamped``): it names the manifest file
 and both spec hashes.
+The two cases that give ``obs filter`` / ``obs perfetto`` an ``--out``
+in a missing directory were added with the fix that made them say
+``cannot write`` and name that path, instead of ``cannot read`` and the
+input (or the writer's temp file).  The ``obs export --help`` and
+``sweep run --help`` cases were re-recorded once, when ``--profile``
+became a CPU sampler (per function and per layer) instead of an engine
+that timed each callback.
 Regenerate only for a deliberate change (and empty
 ``FIXED`` when you do)::
 
@@ -144,6 +151,8 @@ ERROR_CASES = [
     ("fuzz run --corpus {tmp}/plans_malformed " + _OUT,),
     ("fuzz run --kinds nope " + _OUT,),
     ("obs critical-path {tmp}/causal.jsonl --request 0",),
+    ("obs filter {tmp}/causal.jsonl --out {tmp}/missing/filtered.jsonl",),
+    ("obs perfetto {tmp}/causal.jsonl --out {tmp}/missing/perfetto.json",),
     (
         "obs export --out {tmp}/trace.jsonl",
         "obs requests {tmp}/trace.jsonl",

@@ -5,7 +5,7 @@ bit-identical simulated trace, and the disabled context does no work.
 
 from repro.core.messages import UpdateType
 from repro.harness.build import build_p4update_network
-from repro.obs import NULL_OBS, make_obs
+from repro.obs import NULL_OBS, Sampler, make_obs
 from repro.params import SimParams
 from repro.sim.engine import Engine
 from repro.topo import fig1_topology
@@ -35,9 +35,12 @@ def test_obs_on_equals_obs_off():
 
 
 def test_profiling_does_not_change_the_trace():
+    """Sampled runs, repeated until the sampler has fired, leave the
+    trace of the plain run."""
     baseline = trace_signature(run_fig1(7))
-    profiled = trace_signature(run_fig1(7, obs=make_obs(profile=True)))
-    assert baseline == profiled
+    with Sampler() as sampler:
+        while not sampler.counts:
+            assert trace_signature(run_fig1(7, obs=make_obs())) == baseline
 
 
 def test_obs_enabled_experiment_matches_disabled():

@@ -4,13 +4,14 @@ import numpy as np
 
 from repro.harness.experiment import run_experiment
 from repro.harness.scenarios import single_flow_scenario
-from repro.obs import make_obs
+from repro.obs import Sampler, make_obs
+from repro.obs.sampler import OUTSIDE
 from repro.params import SimParams
 from repro.topo import fig1_topology
 
 
-def instrumented_run(system="p4update-dl", profile=False):
-    obs = make_obs(profile=profile)
+def instrumented_run(system="p4update-dl"):
+    obs = make_obs()
     scenario = single_flow_scenario(fig1_topology(), np.random.default_rng(0))
     result = run_experiment(
         system, scenario, params=SimParams(seed=0), obs=obs
@@ -46,13 +47,15 @@ def test_ezsegway_spans_nest_dependency_computation():
 
 
 def test_profiled_experiment_reports_hot_callbacks():
-    obs, _result = instrumented_run(profile=True)
-    report = obs.profiler.report()
-    assert report, "profiler must have attributed at least one callback"
-    targets = {row["target"] for row in report}
-    assert any("repro." in target for target in targets)
-    snap = obs.snapshot()
-    assert "profile" in snap
+    """Experiments sampled until the sampler fires: each sample names a
+    repro function (or none), and the obs snapshot carries no profile."""
+    with Sampler() as sampler:
+        while not sampler.counts:
+            obs, _result = instrumented_run()
+    report = sampler.report()
+    assert report
+    assert all(row["target"] == OUTSIDE or row["target"].startswith("repro.") for row in report)
+    assert "profile" not in obs.snapshot()
 
 
 def test_cli_obs_export_filter_summary(tmp_path, capsys):
@@ -97,4 +100,4 @@ def test_cli_obs_export_profile(tmp_path, capsys):
     out = tmp_path / "TRACE.jsonl"
     assert main(["obs", "export", "--out", str(out), "--profile"]) == 0
     printed = capsys.readouterr().out
-    assert "target" in printed
+    assert "samples: " in printed and "layer" in printed and "target" in printed

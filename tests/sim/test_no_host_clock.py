@@ -1,9 +1,10 @@
 """The host-clock audit: the simulated core never reads the host clock.
 
 Simulated time comes from ``Engine.now`` alone, so a run is a function
-of its seed and not of the machine.  Wall-clock attribution lives
-outside the core (``repro.obs.profiler.ProfiledEngine``, the harness's
-preparation timers).  This audit keeps it there: under ``sim``,
+of its seed and not of the machine.  Host-time attribution lives
+outside the core (``repro.obs.sampler``, which samples the CPU from a
+signal handler, and the harness's preparation timers).  This audit
+keeps it there: under ``sim``,
 ``core``, ``p4`` and ``consistency`` no file imports or reads the
 ``time`` / ``datetime`` modules, and none carries an
 ``ignore[wall-clock]`` suppression that would let the linter's
@@ -52,7 +53,7 @@ def test_simulated_core_never_reads_the_host_clock():
     ]
     assert not offenders, (
         "the simulated core reads the host clock; time comes from "
-        f"Engine.now (profiling: repro.obs.profiler): {offenders}"
+        f"Engine.now (host time: repro.obs.sampler): {offenders}"
     )
 
 

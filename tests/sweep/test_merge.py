@@ -1,4 +1,4 @@
-"""Deterministic merge: metrics, profiles, aggregates, the manifest."""
+"""Deterministic merge: metrics, CPU samples, aggregates, the manifest."""
 
 import json
 
@@ -6,13 +6,13 @@ import pytest
 
 from repro.harness.cli import main
 from repro.obs.manifest import load_manifest, manifest_path
+from repro.obs.sampler import OUTSIDE, merge_samples
 from repro.sweep.executor import run_sweep
 from repro.sweep.merge import (
     attach_shard_keys,
     build_sweep_results,
-    format_profile,
     merge_metrics,
-    merge_profiles,
+    merge_shard_obs,
     results_signature,
     validate_sweep_results,
 )
@@ -75,25 +75,24 @@ def test_merge_metrics_empty_histogram_snapshot():
     assert merged["h"][0]["count"] == 0
 
 
-def test_merge_profiles_sums_and_recomputes_mean():
-    a = [{"target": "Switch.on_unm", "calls": 10, "total_ms": 2.0,
-          "mean_us": 200.0, "max_us": 400.0}]
-    b = [{"target": "Switch.on_unm", "calls": 30, "total_ms": 6.0,
-          "mean_us": 200.0, "max_us": 900.0},
-         {"target": "Engine.tick", "calls": 5, "total_ms": 10.0,
-          "mean_us": 2000.0, "max_us": 2500.0}]
-    merged = merge_profiles([a, b])
-    # Sorted by total time descending.
-    assert [row["target"] for row in merged] == [
-        "Engine.tick", "Switch.on_unm",
+def test_merge_shard_obs_sums_samples_exactly():
+    step, read = "repro.sim.engine.Engine.step", "repro.p4.registers.RegisterArray.read"
+    results = {"shards": [
+        _doc(0, {}, profile=[{"target": step, "samples": 5},
+                             {"target": OUTSIDE, "samples": 1}]),
+        _doc(1, {}, profile=[{"target": read, "samples": 5},
+                             {"target": step, "samples": 2}]),
+        _doc(2, {}, profile=[]),
+        _doc(3, {}),
+    ]}
+    # Sorted by samples descending, ties by target.
+    assert merge_shard_obs(results)["merged_profile"] == [
+        {"target": step, "samples": 7},
+        {"target": read, "samples": 5},
+        {"target": OUTSIDE, "samples": 1},
     ]
-    unm = merged[1]
-    assert unm["calls"] == 40
-    assert unm["total_ms"] == pytest.approx(8.0)
-    assert unm["max_us"] == 900.0
-    assert unm["mean_us"] == pytest.approx(8.0 * 1000.0 / 40)
-    table = format_profile(merged)
-    assert "Engine.tick" in table and "target" in table
+    unsampled = merge_shard_obs({"shards": [_doc(0, {}, profile=[])]})
+    assert "merged_profile" not in unsampled
 
 
 def test_build_sweep_results_validates_and_counts():
@@ -176,17 +175,21 @@ def test_sweep_manifest_round_trip_and_schema(tmp_path):
 
 
 def test_sweep_manifest_merges_profiles(tmp_path):
+    """Four B4 multi-flow shards, each long enough to be sampled: the
+    manifest rebuilt from the cache holds exactly the per-target sum of
+    the shards' samples."""
     spec_doc = {
-        "name": "prof", "systems": ["p4update-sl"], "topologies": ["fig1"],
-        "scenarios": ["single"], "seeds": 1,
+        "name": "prof", "systems": ["p4update-sl"], "topologies": ["b4"],
+        "scenarios": ["multi"], "seeds": 4,
     }
     run = run_sweep(
         load_sweep_spec(spec_doc), workers=1, cache_dir=str(tmp_path / "cache"),
         profile=True,
     )
     assert run.ok
-    assert all(d.get("profile") for d in run.shard_docs)
+    assert all("profile" in d for d in run.shard_docs)
+    rows = [row for d in run.shard_docs for row in d["profile"]]
     doc = load_manifest(merge_from_cache(spec_doc, tmp_path))
     merged = doc["results"]["merged_profile"]
-    assert merged and all("target" in row for row in merged)
-    assert sum(row["calls"] for row in merged) > 0
+    assert merged == merge_samples(rows)
+    assert sum(row["samples"] for row in merged) == sum(row["samples"] for row in rows) > 0
