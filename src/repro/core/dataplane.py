@@ -62,9 +62,10 @@ class P4UpdateProgram(PipelineProgram):
         define_uib(self.registers, max_flows)
         self.flow_index = FlowIndexAllocator(max_flows)
         self.scheduler = CongestionScheduler()
-        # Pending UIM objects by flow id (register mirror holds the
-        # scalar fields; the object keeps float size + role flags
-        # convenient).  Source of truth for scalars is the registers.
+        # Pending UIM objects by flow id: verification reads these.  Of
+        # the pend_* registers only pend_version is read back
+        # (pending_version); the other six are a write-only mirror of
+        # Table 1's new_* tier.
         self.pending_uim: dict[int, UIM] = {}
         # Exact (unquantized) per-flow sizes backing the flow_size
         # register mirror.

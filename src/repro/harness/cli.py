@@ -49,7 +49,7 @@ from repro.harness.fig_experiments import (
     run_fig4,
 )
 from repro.harness.metrics import summarize
-from repro.loading import write_json_atomic
+from repro.loading import replacing, write_json_atomic
 from repro.obs import (
     Sampler,
     critical_path,
@@ -233,10 +233,12 @@ def cmd_obs_filter(args) -> int:
             for event in selected:
                 print(json.dumps(event_to_dict(event)))
         else:
-            with _writing("trace", args.out):
-                handle, _owned = open_jsonl(args.out, "w")
-            with handle:
-                count = export_trace_jsonl(selected, handle)
+            # Written beside --out and moved onto it only once the whole
+            # input has read cleanly: a malformed line leaves no --out.
+            with _writing("trace", args.out), replacing(args.out) as tmp:
+                handle, _owned = open_jsonl(tmp, "w")
+                with handle, _reading("trace", args.trace):
+                    count = export_trace_jsonl(selected, handle)
             print(f"wrote {count} events to {args.out}")
     return 0
 

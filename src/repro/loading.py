@@ -20,6 +20,7 @@ fingerprint is its format version too.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import enum
 import functools
@@ -28,7 +29,7 @@ import importlib
 import json
 import os
 import pathlib
-from typing import Any, Callable, Optional, TypeVar, Union
+from typing import Any, Callable, Iterator, Optional, TypeVar, Union
 
 T = TypeVar("T")
 
@@ -93,16 +94,31 @@ def read_json_object(path: str, noun: str, error: type[Exception]) -> dict:
     return require_object(data, noun, error, source=f"{path}: ")
 
 
+@contextlib.contextmanager
+def replacing(path: str) -> Iterator[str]:
+    """A per-process temp path beside ``path``, moved onto ``path`` by
+    ``os.replace`` when the block exits cleanly and removed when it (or
+    the replace) raises: ``path`` holds the previous file or the new one
+    whole, and no temp file outlives the block.  The temp path ends in
+    ``.gz`` when ``path`` does, so a writer that picks its format by
+    suffix writes the same format."""
+    tmp = f"{path}.tmp.{os.getpid()}" + (".gz" if path.endswith(".gz") else "")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    except BaseException:
+        pathlib.Path(tmp).unlink(missing_ok=True)
+        raise
+
+
 def write_json_atomic(path: str, doc: dict) -> None:
-    """Write ``doc`` as sorted-key JSON (NaN refused) through a
-    per-process temp file and ``os.replace``: a concurrent reader, or a
-    run killed mid-write, sees the previous file or the new one whole.
-    A refused document raises before the temp file exists."""
+    """Write ``doc`` as sorted-key JSON (NaN refused) through
+    :func:`replacing`: a concurrent reader, or a run killed mid-write,
+    sees the previous file or the new one whole.  A refused document
+    raises before the temp file exists."""
     text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as handle:
+    with replacing(path) as tmp, open(tmp, "w", encoding="utf-8") as handle:
         handle.write(text)
-    os.replace(tmp, path)
 
 
 @functools.cache

@@ -2,8 +2,8 @@
 
 A :class:`Header` is a named set of fixed-width unsigned fields with a
 validity bit, mirroring P4-16 header semantics: reading an invalid
-header is an error, ``setValid``/``setInvalid`` toggle emission by the
-deparser, and field writes are truncated to the declared bit width.
+header is an error, ``setValid``/``setInvalid`` toggle the validity
+bit, and field writes are truncated to the declared bit width.
 """
 
 from __future__ import annotations
@@ -96,12 +96,11 @@ class InvalidHeaderAccess(RuntimeError):
 
 
 class Packet:
-    """A simulated packet: a stack of headers plus opaque payload.
+    """A simulated packet: a stack of headers.
 
     ``meta`` carries non-P4 bookkeeping for the simulator and benches
-    (sequence id, hop log, creation time) — the P4 *runtime metadata*
-    lives in the :class:`~repro.p4.pipeline.PipelineContext`, is
-    refreshed per pipeline pass, and is intentionally separate.
+    (sequence id, hop log, creation time); the per-pass pipeline state
+    lives in the :class:`~repro.p4.pipeline.PipelineContext`.
 
     ``packet_id`` is a debug number that shows up in ``describe()``
     strings, hence in traces.  It is issued by the network the packet
@@ -109,10 +108,9 @@ class Packet:
     run's numbering depends on that run alone; 0 means "not numbered".
     """
 
-    def __init__(self, payload: Any = None, ttl: int = 64, packet_id: int = 0) -> None:
+    def __init__(self, ttl: int = 64, packet_id: int = 0) -> None:
         self.packet_id = packet_id
         self.headers: dict[str, Header] = {}
-        self.payload = payload
         self.ttl = ttl
         self.meta: dict[str, Any] = {}
 
@@ -132,7 +130,7 @@ class Packet:
 
     def clone(self, packet_id: int = 0) -> "Packet":
         """Deep copy under a fresh packet id (the P4 clone primitive)."""
-        twin = Packet(copy.deepcopy(self.payload), self.ttl, packet_id)
+        twin = Packet(self.ttl, packet_id)
         for name, header in self.headers.items():
             new_header = header.header_type.instantiate()
             new_header.copy_from(header)

@@ -1,15 +1,15 @@
-"""The pipeline driver: parser -> ingress -> egress -> deparser.
+"""The pipeline driver: one ingress pass per packet.
 
 A :class:`PipelineProgram` is the Python analogue of a compiled P4
-program: it declares header types and registers, and provides
-``parser`` / ``ingress`` / ``egress`` control blocks.  The
-:class:`PipelineContext` exposes the standard-metadata style state and
-the primitives the paper's program relies on:
+program: it declares registers and clone sessions, and provides one
+``ingress`` control block.  The :class:`PipelineContext` exposes the
+primitives the paper's program relies on:
 
 * ``forward(port)`` / ``drop()``;
-* ``clone_to_session(session)`` — egress-side clone, the mechanism
-  P4Update uses to mint UNMs (paper §8: "a one-to-one port-based
-  forwarding table is used to determine the clone session of a UNM");
+* ``clone_to_session(session)`` — clone the packet to a session's port,
+  the mechanism P4Update uses to mint UNMs (paper §8: "a one-to-one
+  port-based forwarding table is used to determine the clone session of
+  a UNM");
 * ``resubmit()`` — re-run ingress later, P4Update's stand-in for a
   data-plane timer while a UNM waits for its UIM;
 * ``to_cpu(reason)`` — punt a copy to the controller (FRM/UFM path).
@@ -17,14 +17,14 @@ the primitives the paper's program relies on:
 
 from __future__ import annotations
 
-from typing import Any, Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from repro.p4.packet import Packet
 from repro.p4.registers import RegisterFile
 
 
 class CloneRequest(NamedTuple):
-    """Egress-side clone: replay the packet on ``session``'s port."""
+    """A clone of the packet towards ``session``'s port."""
 
     session: int
     packet: Packet
@@ -38,12 +38,11 @@ class CpuPunt(NamedTuple):
 
 
 class PipelineContext:
-    """Per-pass execution state (the P4 runtime metadata).
+    """Per-pass execution state.
 
     A fresh context is created for every pipeline pass — including
-    resubmitted passes, matching P4 semantics where metadata is
-    refreshed per packet (paper §2.1).  Fields the program wants to
-    survive a resubmit must be stashed via :meth:`carry`.
+    resubmitted passes; nothing survives a resubmit but the packet and
+    the registers.
 
     ``take_packet_id`` numbers the clones and punts of this pass; the
     switch passes its network's counter.  The default, ``int``, returns
@@ -61,14 +60,12 @@ class PipelineContext:
         self.in_port = in_port
         self.resubmit_count = resubmit_count
         self.take_packet_id = take_packet_id
-        self.metadata: dict[str, Any] = {}
         # Outcomes, consumed by the switch after the pass.
         self.egress_port: Optional[int] = None
         self.dropped = False
         self.resubmit_requested = False
         self.clones: list[CloneRequest] = []
         self.punts: list[CpuPunt] = []
-        self._carried: dict[str, Any] = {}
 
     # -- primitives ---------------------------------------------------------
 
@@ -86,8 +83,7 @@ class PipelineContext:
 
     def clone_to_session(self, session: int) -> Packet:
         """Clone the packet towards a clone session (resolved by the
-        switch's session table).  Returns the clone for header edits in
-        the egress block."""
+        program's session table).  Returns the clone for header edits."""
         twin = self.packet.clone(self.take_packet_id())
         self.clones.append(CloneRequest(session, twin))
         return twin
@@ -97,22 +93,12 @@ class PipelineContext:
         self.punts.append(CpuPunt(reason, twin))
         return twin
 
-    # -- resubmit-carried state --------------------------------------------------
-
-    def carry(self, key: str, value: Any) -> None:
-        """Persist a value onto the packet across a resubmit (P4's
-        resubmit field list)."""
-        self._carried[key] = value
-
-    def carried(self, key: str, default: Any = None) -> Any:
-        return self.packet.meta.get("_carried", {}).get(key, default)
-
 
 class PipelineProgram:
     """Base class for P4-style programs.
 
     Subclasses declare state in ``__init__`` (registers via
-    ``self.registers.define``) and override the three control blocks.
+    ``self.registers.define``) and override :meth:`ingress`.
     """
 
     def __init__(self) -> None:
@@ -123,19 +109,8 @@ class PipelineProgram:
     def set_clone_session(self, session: int, port: int) -> None:
         self.clone_sessions[session] = port
 
-    # -- control blocks (override) ----------------------------------------------
-
-    def parser(self, packet: Packet, ctx: PipelineContext) -> None:
-        """Populate/validate headers.  Default: pass-through."""
-
     def ingress(self, ctx: PipelineContext) -> None:
         """Ingress processing; must call forward()/drop()/... ."""
-
-    def egress(self, ctx: PipelineContext) -> None:
-        """Egress processing; clones traverse this with their own ctx."""
-
-    def deparser(self, packet: Packet, ctx: PipelineContext) -> None:
-        """Serialise headers back.  Default: pass-through."""
 
 
 class PipelineResult(NamedTuple):
@@ -163,34 +138,12 @@ class Pipeline:
         take_packet_id: Callable[[], int] = int,
     ) -> PipelineResult:
         ctx = PipelineContext(packet, in_port, resubmit_count, take_packet_id)
-        self.program.parser(packet, ctx)
         self.program.ingress(ctx)
-
-        clones: list[tuple[int, Packet]] = []
-        if not ctx.dropped and ctx.egress_port is not None:
-            self.program.egress(ctx)
-        # Clones pass through egress with their own context, as on BMv2.
-        for request in ctx.clones:
-            port = self.program.clone_sessions.get(request.session)
-            if port is None:
-                continue
-            clone_ctx = PipelineContext(request.packet, in_port, 0, take_packet_id)
-            clone_ctx.metadata["is_clone"] = True
-            clone_ctx.metadata["clone_session"] = request.session
-            clone_ctx.egress_port = port
-            self.program.egress(clone_ctx)
-            if not clone_ctx.dropped:
-                self.program.deparser(request.packet, clone_ctx)
-                clones.append((port, request.packet))
-
-        if ctx.resubmit_requested and ctx._carried:
-            packet.meta.setdefault("_carried", {}).update(ctx._carried)
-        self.program.deparser(packet, ctx)
+        # A clone goes to its session's port; one to an undefined
+        # session is discarded.
+        sessions = self.program.clone_sessions
+        clones = [(sessions[session], twin) for session, twin in ctx.clones if session in sessions]
+        # forward() and drop() keep egress_port None on a dropped packet.
         return PipelineResult(
-            packet,
-            None if ctx.dropped else ctx.egress_port,
-            ctx.dropped,
-            ctx.resubmit_requested,
-            clones,
-            ctx.punts,
+            packet, ctx.egress_port, ctx.dropped, ctx.resubmit_requested, clones, ctx.punts
         )

@@ -21,11 +21,8 @@ from repro.sim.node import Node
 class P4Switch(Node):
     """A switch running one P4 program.
 
-    Subclasses (or the program itself) may install:
-
-    * ``on_punt(switch, punt)`` — called for CPU-bound packets;
-    * ``on_forward(switch, packet, port)`` — observation hook used by
-      probes and the consistency checker.
+    Subclasses (or the program itself) may install
+    ``on_punt(switch, punt)``, called for CPU-bound packets.
     """
 
     def __init__(
@@ -41,7 +38,6 @@ class P4Switch(Node):
         self.params = params if params is not None else SimParams()
         self.rng = rng if rng is not None else self.params.rng()
         self.on_punt: Optional[Callable[["P4Switch", Any], None]] = None
-        self.on_forward: Optional[Callable[["P4Switch", Packet, int], None]] = None
         self.packets_processed = 0
         self.packets_dropped = 0
         self.resubmissions = 0
@@ -85,7 +81,7 @@ class P4Switch(Node):
                 self.on_punt(self, punt)
 
         for port, clone in result.clones:
-            self._emit(clone, port)
+            self.send(port, clone)
 
         if result.resubmit:
             self.resubmissions += 1
@@ -119,12 +115,7 @@ class P4Switch(Node):
         if result.dropped or result.egress_port is None:
             self.packets_dropped += 1
             return
-        self._emit(result.packet, result.egress_port)
-
-    def _emit(self, packet: Packet, port: int) -> None:
-        if self.on_forward is not None:
-            self.on_forward(self, packet, port)
-        self.send(port, packet)
+        self.send(result.egress_port, result.packet)
 
     # -- local origination --------------------------------------------------------
 

@@ -167,5 +167,5 @@ def test_unparsable_packet_dropped():
     from repro.p4.packet import Packet
 
     program = fresh_program()
-    result = Pipeline(program).process(Packet(payload="junk"), in_port=1)
+    result = Pipeline(program).process(Packet(), in_port=1)
     assert result.dropped

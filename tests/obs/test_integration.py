@@ -82,6 +82,20 @@ def test_cli_obs_export_filter_summary(tmp_path, capsys):
     assert events and all(e.kind == "rule_change" for e in events)
 
 
+def test_cli_obs_filter_leaves_no_out_file_for_a_malformed_trace(tmp_path, capsys):
+    from repro.harness.cli import main
+
+    trace = tmp_path / "TRACE.jsonl"
+    assert main(["obs", "export", "--out", str(trace)]) == 0
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(trace.read_text().splitlines()[0] + "\n{bad\n")
+    capsys.readouterr()
+    assert main(["obs", "filter", str(bad), "--out", str(tmp_path / "part.jsonl")]) == 1
+    err = capsys.readouterr().err
+    assert f"cannot read trace {str(bad)!r}" in err and "bad trace line 2" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["TRACE.jsonl", "bad.jsonl"]
+
+
 def test_cli_obs_export_round_trips(tmp_path):
     from repro.harness.cli import main
     from repro.obs import export_trace_jsonl, import_trace_jsonl

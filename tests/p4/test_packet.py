@@ -88,14 +88,15 @@ def test_packet_ids_are_consecutive_per_network():
 
 
 def test_packet_clone_deep_copies_headers():
-    packet = Packet(payload={"k": [1]})
+    packet = Packet()
+    packet.meta["k"] = [1]
     header = packet.add_header("unm", make_type().instantiate())
     header["version"] = 5
     twin = packet.clone(packet_id=7)
     twin.header("unm")["version"] = 9
-    twin.payload["k"].append(2)
+    twin.meta["k"].append(2)
     assert packet.header("unm")["version"] == 5
-    assert packet.payload == {"k": [1]}
+    assert packet.meta == {"k": [1]}
     assert twin.packet_id == 7 != packet.packet_id
 
 

@@ -74,6 +74,15 @@ def test_a_refused_document_leaves_no_file_behind(tmp_path, bad):
     assert json.loads(path.read_text()) == {"a": 1}
 
 
+def test_a_failed_replace_leaves_no_temp_file_behind(tmp_path):
+    target = tmp_path / "adir"
+    target.mkdir()
+    with pytest.raises(OSError):
+        write_json_atomic(str(target), {"a": 1})
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["adir"]
+    assert list(target.iterdir()) == []
+
+
 def test_bytes_are_sorted_indented_json_with_a_final_newline(tmp_path):
     path = tmp_path / "x.json"
     doc = {"b": [1, 2.5, {"d": None, "c": "é"}], "a": True}
