@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 from typing import Iterator
@@ -331,10 +332,16 @@ def _print_span(span, indent: int = 0) -> None:
 _CAUSAL_HELP = "path to a TRACE_*.causal.jsonl[.gz] sidecar"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The whole command tree.  Every leaf names its handler where it is
     declared (``set_defaults(run=...)``), so the tree is the command
-    table; each package's ``cli.py`` attaches its own group."""
+    table; each package's ``cli.py`` attaches its own group.
+
+    Built once per process: every :func:`main` parses with this tree,
+    and its handlers are the functions bound at the first build.
+    Parsing leaves no state on a parser (an append action copies its
+    default), so a parse does not depend on the ones before it."""
     from repro.algos.cli import add_compete_parser
     from repro.analysis.cli import add_analyze_parser
     from repro.chaos.cli import add_chaos_parser

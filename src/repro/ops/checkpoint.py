@@ -24,10 +24,12 @@ comparing every tick up to the requested one with its row; the session
 comes back positioned right after that tick, so ``session.run()``
 continues byte-identically.  A resume therefore pays for its prefix.
 
-Manifest writes are atomic (``os.replace``), so a session killed during
-a write leaves the previous manifest intact, and a write into a
-directory whose manifest is unreadable or belongs to another code
-fingerprint or spec is refused before the file is touched.
+A directory has one writer, the :class:`CheckpointSink` of the running
+session.  The sink opens the manifest once — a directory whose manifest
+is unreadable or belongs to another code fingerprint or spec is refused
+there, before the file is touched — and keeps it in memory, so each
+tick costs one atomic write (``os.replace``): a session killed during a
+write leaves the previous manifest intact.
 """
 
 from __future__ import annotations
@@ -71,24 +73,6 @@ def read_manifest(directory: str, check: bool = True) -> dict:
         raise CheckpointError(f"no checkpoint manifest at {path!r}") from None
 
 
-def open_manifest(directory: str, session: "OpsSession") -> dict:
-    """The manifest ``session`` writes its rows into: the directory's
-    own, or a fresh one.  A directory whose manifest is unreadable or
-    another build or spec wrote is refused, with every file untouched."""
-    try:
-        return read_stamped(
-            os.path.join(directory, _MANIFEST), "manifest", CheckpointError,
-            session.spec.spec_hash(),
-        )
-    except FileNotFoundError:
-        return {
-            "name": session.spec.name,
-            "spec": session.spec.to_dict(),
-            "obs": bool(session.obs.enabled),
-            "checkpoints": [],
-        }
-
-
 def _row(session: "OpsSession", index: int) -> dict:
     """What the manifest records about tick ``index`` of ``session``."""
     return {
@@ -99,17 +83,15 @@ def _row(session: "OpsSession", index: int) -> dict:
     }
 
 
-def write_checkpoint(directory: str, session: "OpsSession", index: int) -> dict:
-    """Record tick ``index`` of ``session``; returns its manifest row."""
-    manifest = open_manifest(directory, session)
-    row = _row(session, index)
-    os.makedirs(directory, exist_ok=True)
-    rows = [r for r in manifest["checkpoints"] if r.get("index") != index]
+def write_checkpoint(directory: str, manifest: dict, row: dict, spec_hash: str) -> None:
+    """Put ``row`` into ``manifest`` in place of any row of its index
+    and write the manifest into ``directory``, stamped with
+    ``spec_hash``: nothing is read or hashed.  ``manifest`` is the one a
+    :class:`CheckpointSink` opened."""
+    rows = [r for r in manifest["checkpoints"] if r.get("index") != row["index"]]
     manifest["checkpoints"] = sorted(rows + [row], key=lambda r: r["index"])
-    write_stamped(
-        os.path.join(directory, _MANIFEST), manifest, session.spec.spec_hash()
-    )
-    return row
+    os.makedirs(directory, exist_ok=True)
+    write_stamped(os.path.join(directory, _MANIFEST), manifest, spec_hash)
 
 
 def replay(
@@ -196,7 +178,11 @@ def load_checkpoint(
 
 class CheckpointSink:
     """The runtime writer a CLI passes to ``build_session`` or
-    ``load_checkpoint``."""
+    ``load_checkpoint``, and the only writer of its directory.
+
+    :meth:`open` reads the directory's manifest (or starts a fresh one)
+    and hashes the spec, once; every refusal happens there.  Each tick
+    then replaces or appends its row in memory and costs one write."""
 
     def __init__(
         self,
@@ -208,9 +194,30 @@ class CheckpointSink:
         self.stop_after = stop_after
         self.verbose = verbose
         self.written: list[dict] = []
+        self._manifest: Optional[dict] = None
+        self._spec_hash = ""
+
+    def open(self, session: "OpsSession") -> None:
+        """Take the manifest ``session`` writes its rows into: the
+        directory's own, or a fresh one.  A directory whose manifest is
+        unreadable or another build or spec wrote is refused, with every
+        file untouched.  The first tick opens a sink not yet opened."""
+        spec = session.spec
+        self._spec_hash = spec.spec_hash()
+        try:
+            self._manifest = read_stamped(
+                os.path.join(self.directory, _MANIFEST), "manifest",
+                CheckpointError, self._spec_hash,
+            )
+        except FileNotFoundError:
+            self._manifest = {"name": spec.name, "spec": spec.to_dict(),
+                              "obs": bool(session.obs.enabled), "checkpoints": []}
 
     def __call__(self, session: "OpsSession", index: int) -> None:
-        row = write_checkpoint(self.directory, session, index)
+        if self._manifest is None:
+            self.open(session)
+        row = _row(session, index)
+        write_checkpoint(self.directory, self._manifest, row, self._spec_hash)
         self.written.append(row)
         if self.verbose:
             print(

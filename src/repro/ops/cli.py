@@ -162,14 +162,17 @@ def _checkpoint_sink(args: argparse.Namespace) -> "CheckpointSink":
     return CheckpointSink(args.dir, stop_after=args.stop_after, verbose=True)
 
 
-def _run_checkpointed(session: "OpsSession", args: argparse.Namespace) -> int:
-    """Run ``session``, built with :func:`_checkpoint_sink`, to its
-    horizon (or to ``--stop-after``); a directory the sink may not
-    write into is a :class:`CliError` before the first event."""
-    from repro.ops.checkpoint import CheckpointError, StopSession, open_manifest
+def _run_checkpointed(
+    session: "OpsSession", sink: "CheckpointSink", args: argparse.Namespace
+) -> int:
+    """Open ``sink``, the :func:`_checkpoint_sink` ``session`` was given,
+    and run the session to its horizon (or to ``--stop-after``); a
+    directory the sink may not write into is a :class:`CliError` before
+    the first event."""
+    from repro.ops.checkpoint import CheckpointError, StopSession
 
     try:
-        open_manifest(args.dir, session)
+        sink.open(session)
         session.run()
     except StopSession as stop:
         print(f"stopped after checkpoint {stop.index} "
@@ -190,24 +193,22 @@ def _cmd_checkpoint(args: argparse.Namespace) -> int:
 
     from repro.ops.session import build_session
 
-    return _run_checkpointed(
-        build_session(spec, obs=obs_from_flags(args), sink=_checkpoint_sink(args)),
-        args,
-    )
+    sink = _checkpoint_sink(args)
+    session = build_session(spec, obs=obs_from_flags(args), sink=sink)
+    return _run_checkpointed(session, sink, args)
 
 
 def _cmd_resume(args: argparse.Namespace) -> int:
     from repro.ops.checkpoint import CheckpointError, load_checkpoint
 
+    sink = _checkpoint_sink(args)
     try:
-        session = load_checkpoint(
-            args.dir, index=args.index, sink=_checkpoint_sink(args)
-        )
+        session = load_checkpoint(args.dir, index=args.index, sink=sink)
     except CheckpointError as exc:
         raise CliError(str(exc)) from None
     print(f"resumed {session.spec.name!r} from checkpoint "
           f"{session.resumed_from} at t={session.engine.now:.1f} ms")
-    return _run_checkpointed(session, args)
+    return _run_checkpointed(session, sink, args)
 
 
 def _cmd_status(args: argparse.Namespace) -> int:

@@ -37,8 +37,10 @@ def _counts(topology: str) -> list[int]:
 
 def test_fresh_process_count_equals_warmed_count():
     fresh = subprocess.run(
-        [sys.executable, "-c", _COUNT],
+        [sys.executable, "-B", "-c", _COUNT],
         capture_output=True, text=True, check=True,
+        # ``-B``: this env drops PYTHONDONTWRITEBYTECODE, and the child
+        # must not write bytecode into the checkout either.
         env={"PYTHONPATH": str(SRC), "PATH": ""},
     )
     _counts("internet2")            # warm this process on another topology

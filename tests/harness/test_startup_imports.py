@@ -42,8 +42,10 @@ print(*[name for name in {UNUSED!r} if name in sys.modules])
 def _loaded() -> tuple[str, ...]:
     """Which of ``UNUSED`` the run left in ``sys.modules``."""
     run = subprocess.run(
-        [sys.executable, "-c", _RUN],
+        [sys.executable, "-B", "-c", _RUN],
         capture_output=True, text=True, check=True, cwd=ROOT,
+        # ``-B``: this env drops PYTHONDONTWRITEBYTECODE, and the child
+        # must not write bytecode into the checkout either.
         env={"PYTHONPATH": str(ROOT / "src"), "PATH": ""},
     )
     return tuple(run.stdout.split())

@@ -14,9 +14,7 @@ from repro.ops.checkpoint import (
     CheckpointSink,
     StopSession,
     load_checkpoint,
-    open_manifest,
     read_manifest,
-    write_checkpoint,
 )
 from repro.ops.session import OpsSession, build_session, run_session
 from repro.ops.spec import load_session_spec, load_session_spec_file
@@ -277,18 +275,45 @@ def test_checkpoint_dir_is_bound_to_one_spec(tmp_path, engine_events):
 
     other_doc = _doc()
     other_doc["tenants"] = 2
-    other = build_session(load_session_spec(other_doc))
+    sink = CheckpointSink(ck_dir)
+    other = build_session(load_session_spec(other_doc), sink=sink)
     stepped = len(engine_events)
-    # Refused before the foreign session runs a single event ...
+    # Refused when the sink opens: before the foreign session runs a
+    # single event ...
     with pytest.raises(CheckpointError, match="different spec"):
-        open_manifest(ck_dir, other)
+        sink.open(other)
     assert other.engine.processed_events == 0
     assert len(engine_events) == stepped
-    # ... and before anything is written.
+    # ... and, by a sink never opened, at its first tick, before
+    # anything is written.
     with pytest.raises(CheckpointError, match="different spec"):
-        write_checkpoint(ck_dir, other, 1)
+        other.run()
+    assert sink.written == []
     assert open(os.path.join(ck_dir, "checkpoints.json"), "rb").read() == before
     assert load_checkpoint(ck_dir, 1).engine.now == session.engine.now
+
+
+def test_a_checkpointed_session_reads_and_hashes_once(tmp_path, monkeypatch):
+    """The sink keeps its manifest: one read and one spec hash for the
+    session, one write per tick."""
+    import repro.ops.checkpoint as checkpoint
+    from repro.ops.spec import SessionSpec
+
+    calls = {"read": 0, "hash": 0, "write": 0}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(checkpoint, "read_stamped", counting("read", checkpoint.read_stamped))
+    monkeypatch.setattr(checkpoint, "write_stamped", counting("write", checkpoint.write_stamped))
+    monkeypatch.setattr(SessionSpec, "spec_hash", counting("hash", SessionSpec.spec_hash))
+    sink = CheckpointSink(str(tmp_path / "ckpts"))
+    build_session(load_session_spec_file("examples/ops_drain.json"), sink=sink).run()
+    assert len(sink.written) >= 10
+    assert calls == {"read": 1, "hash": 1, "write": len(sink.written)}
 
 
 def test_load_from_empty_or_missing_dir_fails_loudly(tmp_path):
@@ -329,12 +354,12 @@ def test_foreign_checkpoint_is_refused_before_replay(
     assert message in str(excinfo.value)
     # Both sides are named.
     assert code_fingerprint() in str(excinfo.value)
-    # Nor may this build write into a directory another build started,
-    # neither a new index nor over the existing one.
+    # Nor may this build write into a directory another build started:
+    # a sink is refused when it opens, before it writes a row.
     before = open(os.path.join(ck_dir, "checkpoints.json"), "rb").read()
-    for index in (2, 1):
-        with pytest.raises(CheckpointError):
-            write_checkpoint(ck_dir, session, index)
+    with pytest.raises(CheckpointError, match="code fingerprint"):
+        CheckpointSink(ck_dir).open(session)
+    assert len(engine_events) == stepped
     assert open(os.path.join(ck_dir, "checkpoints.json"), "rb").read() == before
 
 
