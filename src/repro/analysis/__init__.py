@@ -12,9 +12,9 @@ Three checkers, all runnable before (or instead of) executing anything:
   cycles, orphaned installs, missing ack edges and version-number
   regressions, emitting a concrete counterexample path on failure;
 * :mod:`repro.analysis.pipecheck` — the pipeline static analyzer:
-  inspects a behavioural P4 program for registers read but never
-  written, read-before-write across stages, unbounded resubmit loops
-  and tables without default actions.
+  inspects a behavioural P4 program's ingress pass for registers read
+  but never written, registers it never defines, and resubmit loops
+  no switch caps.
 
 The ``analyze`` CLI subcommand (``p4update-repro analyze lint|plan|
 pipeline``) fronts all three; :data:`repro.params.SimParams.

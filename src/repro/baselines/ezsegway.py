@@ -524,7 +524,7 @@ class EzSegwaySwitch(Node):
         port = self.network.port_towards(self.name, hop)
         self.send(port, msg)
 
-    def inject(self, packet: Any, in_port: int = 0) -> None:
+    def inject(self, packet: Any) -> None:
         """Feed a locally generated probe packet into the switch."""
         self._enqueue(self._forward_probe, packet)
 

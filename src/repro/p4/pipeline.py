@@ -38,31 +38,23 @@ class CpuPunt(NamedTuple):
 
 
 class PipelineContext:
-    """Per-pass execution state.
+    """Per-pass execution state: the packet and what ingress decided.
 
     A fresh context is created for every pipeline pass — including
     resubmitted passes; nothing survives a resubmit but the packet and
-    the registers.
+    the registers.  The switch, not the program, counts resubmits.
 
     ``take_packet_id`` numbers the clones and punts of this pass; the
     switch passes its network's counter.  The default, ``int``, returns
     0: a pipeline driven without a network leaves its copies unnumbered.
     """
 
-    def __init__(
-        self,
-        packet: Packet,
-        in_port: int,
-        resubmit_count: int = 0,
-        take_packet_id: Callable[[], int] = int,
-    ) -> None:
+    def __init__(self, packet: Packet, take_packet_id: Callable[[], int] = int) -> None:
         self.packet = packet
-        self.in_port = in_port
-        self.resubmit_count = resubmit_count
         self.take_packet_id = take_packet_id
-        # Outcomes, consumed by the switch after the pass.
+        # Outcomes, consumed by the switch after the pass.  No egress
+        # port means the packet is dropped.
         self.egress_port: Optional[int] = None
-        self.dropped = False
         self.resubmit_requested = False
         self.clones: list[CloneRequest] = []
         self.punts: list[CpuPunt] = []
@@ -71,10 +63,8 @@ class PipelineContext:
 
     def forward(self, port: int) -> None:
         self.egress_port = port
-        self.dropped = False
 
     def drop(self) -> None:
-        self.dropped = True
         self.egress_port = None
 
     def resubmit(self) -> None:
@@ -114,11 +104,11 @@ class PipelineProgram:
 
 
 class PipelineResult(NamedTuple):
-    """Everything one pipeline pass decided."""
+    """Everything one pipeline pass decided; ``egress_port`` is ``None``
+    on a dropped packet."""
 
     packet: Packet
     egress_port: Optional[int]
-    dropped: bool
     resubmit: bool
     clones: Sequence[tuple[int, Packet]] = ()
     punts: Sequence[CpuPunt] = ()
@@ -131,19 +121,14 @@ class Pipeline:
         self.program = program
 
     def process(
-        self,
-        packet: Packet,
-        in_port: int,
-        resubmit_count: int = 0,
-        take_packet_id: Callable[[], int] = int,
+        self, packet: Packet, take_packet_id: Callable[[], int] = int
     ) -> PipelineResult:
-        ctx = PipelineContext(packet, in_port, resubmit_count, take_packet_id)
+        ctx = PipelineContext(packet, take_packet_id)
         self.program.ingress(ctx)
         # A clone goes to its session's port; one to an undefined
         # session is discarded.
         sessions = self.program.clone_sessions
         clones = [(sessions[session], twin) for session, twin in ctx.clones if session in sessions]
-        # forward() and drop() keep egress_port None on a dropped packet.
         return PipelineResult(
-            packet, ctx.egress_port, ctx.dropped, ctx.resubmit_requested, clones, ctx.punts
+            packet, ctx.egress_port, ctx.resubmit_requested, clones, ctx.punts
         )

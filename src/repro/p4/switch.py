@@ -54,27 +54,23 @@ class P4Switch(Node):
             raise TypeError(
                 f"{self.name}: data-plane message must be a Packet, got {type(message)!r}"
             )
-        self._enqueue(message, in_port, 0)
+        self._enqueue(message, 0)
 
-    def _enqueue(self, packet: Packet, in_port: int, resubmit_count: int) -> None:
+    def _enqueue(self, packet: Packet, resubmit_count: int) -> None:
         """FIFO admission into the single pipeline."""
         engine = self.engine
         service = self.params.pipeline_delay.sample(self.rng)
         start = max(engine.now, self._pipeline_busy_until)
         finish = start + service
         self._pipeline_busy_until = finish
-        engine.schedule(
-            finish - engine.now, self._run_pipeline, packet, in_port, resubmit_count
-        )
+        engine.schedule(finish - engine.now, self._run_pipeline, packet, resubmit_count)
 
     # -- pipeline execution ------------------------------------------------------
 
-    def _run_pipeline(self, packet: Packet, in_port: int, resubmit_count: int) -> None:
+    def _run_pipeline(self, packet: Packet, resubmit_count: int) -> None:
         self.packets_processed += 1
         assert self.network is not None  # a pass is an event of its engine
-        result = self.pipeline.process(
-            packet, in_port, resubmit_count, self.network.take_packet_id
-        )
+        result = self.pipeline.process(packet, self.network.take_packet_id)
 
         for punt in result.punts:
             if self.on_punt is not None:
@@ -98,11 +94,7 @@ class P4Switch(Node):
                     ).inc()
                 return
             self.engine.schedule(
-                self.params.resubmit_interval_ms,
-                self._enqueue,
-                packet,
-                in_port,
-                resubmit_count + 1,
+                self.params.resubmit_interval_ms, self._enqueue, packet, resubmit_count + 1
             )
             return
 
@@ -112,13 +104,13 @@ class P4Switch(Node):
                 "resubmit_wait_depth", node=self.name,
             ).observe(resubmit_count)
 
-        if result.dropped or result.egress_port is None:
+        if result.egress_port is None:
             self.packets_dropped += 1
             return
         self.send(result.egress_port, result.packet)
 
     # -- local origination --------------------------------------------------------
 
-    def inject(self, packet: Packet, in_port: int = 0) -> None:
+    def inject(self, packet: Packet) -> None:
         """Feed a locally generated packet into the pipeline."""
-        self._enqueue(packet, in_port, 0)
+        self._enqueue(packet, 0)

@@ -65,12 +65,6 @@ def test_analyze_pipeline(capsys):
     assert "0 finding(s)" in out
 
 
-def test_analyze_pipeline_without_cap(capsys):
-    assert main(["analyze", "pipeline", "--no-runtime-cap"]) == 1
-    out = capsys.readouterr().out
-    assert "unbounded-resubmit" in out
-
-
 def test_analyze_requires_subcommand():
     with pytest.raises(SystemExit):
         main(["analyze"])

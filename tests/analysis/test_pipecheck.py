@@ -1,6 +1,7 @@
 """Pipeline static analyzer: toy bad programs + the real P4UpdateProgram."""
 
 from repro.analysis.pipecheck import analyze_pipeline
+from repro.p4.switch import P4Switch
 
 
 class FakeRegisterFile:
@@ -30,37 +31,6 @@ def test_register_never_written():
     findings = analyze_pipeline(ReadNeverWritten())
     assert rules_of(findings) == {"register-never-written"}
     assert "egress_port" in findings[0].message
-
-
-class ReadBeforeWrite:
-    def __init__(self):
-        self.registers = FakeRegisterFile(["seen"])
-
-    def ingress(self, ctx, pkt):
-        return self.registers["seen"].read(0)
-
-    def egress(self, ctx, pkt):
-        self.registers["seen"].write(0, 1)
-
-
-def test_register_read_before_write():
-    findings = analyze_pipeline(ReadBeforeWrite())
-    assert rules_of(findings) == {"register-read-before-write"}
-
-
-class WriteThenReadAcrossStages:
-    def __init__(self):
-        self.registers = FakeRegisterFile(["seen"])
-
-    def ingress(self, ctx, pkt):
-        self.registers["seen"].write(0, 1)
-
-    def egress(self, ctx, pkt):
-        return self.registers["seen"].read(0)
-
-
-def test_write_then_read_is_clean():
-    assert analyze_pipeline(WriteThenReadAcrossStages()) == []
 
 
 class ControlPlaneWriter:
@@ -104,9 +74,7 @@ def test_agent_write_satisfies_reads():
     program = AgentWriter(agent)
     agent.program = program
     assert analyze_pipeline(program) == []
-    assert rules_of(analyze_pipeline(program, include_agent=False)) == {
-        "register-never-written"
-    }
+    assert rules_of(analyze_pipeline(AgentWriter(None))) == {"register-never-written"}
 
 
 class HelperWriter:
@@ -159,21 +127,24 @@ def test_unbounded_resubmit_flagged_without_cap():
     assert rules_of(findings) == {"unbounded-resubmit"}
 
 
+def test_resubmit_ok_when_a_switch_runs_the_program():
+    program = UnboundedResubmitter()
+    program.agent = P4Switch("s", program)
+    assert analyze_pipeline(program) == []
+
+
 def test_resubmit_ok_with_runtime_cap():
-    assert analyze_pipeline(UnboundedResubmitter(), max_resubmits=100) == []
+    """The deployed program resubmits; its P4UpdateSwitch, a P4Switch,
+    caps the resubmits, and without it the loop is flagged."""
+    from repro.harness.build import build_p4update_network
+    from repro.params import SimParams
+    from repro.topo import fig1_topology
 
-
-class SelfBoundedResubmitter:
-    def __init__(self):
-        self.registers = FakeRegisterFile([])
-
-    def ingress(self, ctx, pkt):
-        if pkt.resubmit_count < 8:
-            ctx.resubmit()
-
-
-def test_resubmit_ok_when_program_checks_count():
-    assert analyze_pipeline(SelfBoundedResubmitter()) == []
+    deployment = build_p4update_network(fig1_topology(), params=SimParams(seed=0))
+    program = deployment.switches["v0"].program
+    assert analyze_pipeline(program) == []
+    program.agent = None
+    assert "unbounded-resubmit" in rules_of(analyze_pipeline(program))
 
 
 # -- the real deployed program ----------------------------------------------------
@@ -184,22 +155,10 @@ def test_real_p4update_program_is_clean():
     from repro.params import SimParams
     from repro.topo import fig1_topology
 
-    params = SimParams(seed=0)
-    deployment = build_p4update_network(fig1_topology(), params=params)
-    program = deployment.switches["v0"].program
-    findings = analyze_pipeline(program, max_resubmits=params.max_resubmits)
-    assert findings == [], "\n".join(f.format() for f in findings)
-
-
-def test_real_program_resubmit_needs_declared_cap():
-    from repro.harness.build import build_p4update_network
-    from repro.params import SimParams
-    from repro.topo import fig1_topology
-
     deployment = build_p4update_network(fig1_topology(), params=SimParams(seed=0))
     program = deployment.switches["v0"].program
-    findings = analyze_pipeline(program, max_resubmits=None)
-    assert rules_of(findings) == {"unbounded-resubmit"}
+    findings = analyze_pipeline(program)
+    assert findings == [], "\n".join(f.format() for f in findings)
 
 
 def test_real_program_register_accesses_are_still_recognised():

@@ -43,35 +43,35 @@ def installed_program(distance=3, port=2):
 
 def test_probe_forwarded_by_register():
     program = installed_program(port=2)
-    result = Pipeline(program).process(make_probe(5, seq=0), in_port=1)
+    result = Pipeline(program).process(make_probe(5, seq=0))
     assert result.egress_port == 2
 
 
 def test_probe_for_unknown_flow_punts_frm():
     program = fresh_program()
-    result = Pipeline(program).process(make_probe(99, seq=0), in_port=1)
-    assert result.dropped
+    result = Pipeline(program).process(make_probe(99, seq=0))
+    assert result.egress_port is None
     assert [p.reason for p in result.punts] == ["frm"]
 
 
 def test_probe_delivered_at_egress():
     program = installed_program(port=LOCAL_DELIVER_PORT)
-    result = Pipeline(program).process(make_probe(5, seq=1), in_port=1)
-    assert result.dropped                       # consumed locally
+    result = Pipeline(program).process(make_probe(5, seq=1))
+    assert result.egress_port is None                       # consumed locally
     assert program.stats["probes_delivered"] == 1
 
 
 def test_probe_ttl_expiry():
     program = installed_program(port=2)
-    result = Pipeline(program).process(make_probe(5, seq=0, ttl=1), in_port=1)
-    assert result.dropped
+    result = Pipeline(program).process(make_probe(5, seq=0, ttl=1))
+    assert result.egress_port is None
     assert program.stats["probes_ttl_expired"] == 1
 
 
 def test_probe_ttl_decrements():
     program = installed_program(port=2)
     probe = make_probe(5, seq=0, ttl=10)
-    Pipeline(program).process(probe, in_port=1)
+    Pipeline(program).process(probe)
     assert probe.ttl == 9
 
 
@@ -81,7 +81,7 @@ def test_unm_without_uim_resubmits():
     """§8: 'If the UNM arrives earlier, it needs to wait for UIM' via
     packet resubmission."""
     program = installed_program()
-    result = Pipeline(program).process(unm_for().to_packet(), in_port=1)
+    result = Pipeline(program).process(unm_for().to_packet())
     assert result.resubmit
     assert program.stats["unm_waits"] == 1
 
@@ -102,18 +102,16 @@ def test_unm_with_uim_requests_install():
             pass
 
     program.agent = AgentStub()
-    result = Pipeline(program).process(unm_for(distance=1).to_packet(), in_port=1)
-    assert result.dropped
+    result = Pipeline(program).process(unm_for(distance=1).to_packet())
+    assert result.egress_port is None
     assert requests == [(2, "update", 1)]
 
 
 def test_outdated_unm_punts_alarm():
     program = installed_program()
     program.store_uim(uim_for(version=3, node_distance=2))
-    result = Pipeline(program).process(
-        unm_for(version=2, distance=1).to_packet(), in_port=1
-    )
-    assert result.dropped
+    result = Pipeline(program).process(unm_for(version=2, distance=1).to_packet())
+    assert result.egress_port is None
     assert any(p.reason.startswith("alarm:drop_outdated") for p in result.punts)
     assert program.stats["unm_rejects"] == 1
 
@@ -121,9 +119,7 @@ def test_outdated_unm_punts_alarm():
 def test_distance_error_punts_alarm():
     program = installed_program()
     program.store_uim(uim_for(version=2, node_distance=2))
-    result = Pipeline(program).process(
-        unm_for(version=2, distance=5).to_packet(), in_port=1
-    )
+    result = Pipeline(program).process(unm_for(version=2, distance=5).to_packet())
     assert any(p.reason.startswith("alarm:drop_distance") for p in result.punts)
 
 
@@ -131,7 +127,7 @@ def test_distance_error_punts_alarm():
 
 def test_cleanup_removes_stale_rule_and_propagates():
     program = installed_program(port=2)      # applied version 1
-    result = Pipeline(program).process(make_cleanup(5, version=2), in_port=1)
+    result = Pipeline(program).process(make_cleanup(5, version=2))
     assert result.egress_port == 2, "cleanup continues along the old rule"
     assert program.current_port(5) == NO_PORT
     assert not program.state_of(5).has_flow()
@@ -140,25 +136,25 @@ def test_cleanup_removes_stale_rule_and_propagates():
 def test_cleanup_stops_at_current_version():
     program = installed_program(port=2)
     program.write_state(5, apply_sl_state(2, 3))     # already at v2
-    result = Pipeline(program).process(make_cleanup(5, version=2), in_port=1)
-    assert result.dropped
+    result = Pipeline(program).process(make_cleanup(5, version=2))
+    assert result.egress_port is None
     assert program.current_port(5) == 2
 
 
 def test_cleanup_stops_at_pending_uim():
     program = installed_program(port=2)
     program.store_uim(uim_for(version=2))
-    result = Pipeline(program).process(make_cleanup(5, version=2), in_port=1)
-    assert result.dropped
+    result = Pipeline(program).process(make_cleanup(5, version=2))
+    assert result.egress_port is None
     assert program.current_port(5) == 2
 
 
 def test_duplicate_cleanup_harmless():
     program = installed_program(port=2)
     pipeline = Pipeline(program)
-    pipeline.process(make_cleanup(5, version=2), in_port=1)
-    result = pipeline.process(make_cleanup(5, version=2), in_port=1)
-    assert result.dropped                      # no port to continue on
+    pipeline.process(make_cleanup(5, version=2))
+    result = pipeline.process(make_cleanup(5, version=2))
+    assert result.egress_port is None                      # no port to continue on
 
 
 # -- unknown packets --------------------------------------------------------------------
@@ -167,5 +163,5 @@ def test_unparsable_packet_dropped():
     from repro.p4.packet import Packet
 
     program = fresh_program()
-    result = Pipeline(program).process(Packet(), in_port=1)
-    assert result.dropped
+    result = Pipeline(program).process(Packet())
+    assert result.egress_port is None

@@ -39,7 +39,7 @@ UNM_FIELDS = dict(
 )
 DECISION_FIELDS = dict(verdict=Verdict.UPDATE)
 PACKET = Packet()
-RESULT_FIELDS = dict(packet=PACKET, egress_port=2, dropped=False, resubmit=False)
+RESULT_FIELDS = dict(packet=PACKET, egress_port=2, resubmit=False)
 VALUES = [
     (UIM, UIM_FIELDS, "version"),
     (RoleMessage, ROLE_FIELDS, "update_id"),

@@ -91,8 +91,8 @@ def test_reads_of_unknown_flows_allocate_nothing():
     program = P4UpdateProgram(max_flows=16)
     pipeline = Pipeline(program)
     for flow_id in range(1, 5001):
-        result = pipeline.process(make_probe(flow_id, 0), 1)
-        assert result.dropped and [p.reason for p in result.punts] == ["frm"]
+        result = pipeline.process(make_probe(flow_id, 0))
+        assert result.egress_port is None and [p.reason for p in result.punts] == ["frm"]
         assert program.pending_version(flow_id) == 0
         assert program.current_port(flow_id) == 0xFFFF
         assert program.flow_size_of(flow_id) == 0.0
@@ -106,7 +106,7 @@ def test_a_full_switch_still_answers_for_unknown_flows():
     for flow_id in (10, 20):
         program.set_current_port(flow_id, 3)
     assert len(program.flow_index) == 2
-    result = Pipeline(program).process(make_probe(30, 0), 1)
+    result = Pipeline(program).process(make_probe(30, 0))
     assert [p.reason for p in result.punts] == ["frm"]
     assert program.current_port(10) == 3 and not program.flow_index.known(30)
     with pytest.raises(RuntimeError, match="register arrays full"):

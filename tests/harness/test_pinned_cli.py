@@ -46,7 +46,9 @@ in a missing directory were added with the fix that made them say
 input (or the writer's temp file).  The ``obs export --help`` and
 ``sweep run --help`` cases were re-recorded once, when ``--profile``
 became a CPU sampler (per function and per layer) instead of an engine
-that timed each callback.
+that timed each callback.  The ``analyze pipeline --help`` case lost
+its ``--no-runtime-cap`` flag when the analyzer came to read the
+resubmit cap from the switch that runs the program.
 Regenerate only for a deliberate change (and empty
 ``FIXED`` when you do)::
 
@@ -245,7 +247,8 @@ _OPS_OUT_DIR = (
 #: summary`` / ``obs filter``, ``JSONDecodeError`` / ``KeyError`` out of
 #: ``analyze interference <dir>``), and one ``error:`` went to stdout.
 #: The chaos and ops ``--out-dir`` help named ``benchmarks/baselines``,
-#: which was never the default directory.
+#: which was never the default directory.  ``analyze pipeline`` has no
+#: ``--no-runtime-cap``.
 FIXED: dict[str, list[dict]] = {
     "chaos run --help": _out_dir_help(
         "chaos run --help",
@@ -271,6 +274,18 @@ FIXED: dict[str, list[dict]] = {
         "cannot load plan '{tmp}/plans_foreign/plan.json': "
         "not a plan document (KeyError: 'flow_id')",
     ),
+    "analyze pipeline --help": [{
+        "code": 0,
+        "stdout": (
+            "usage: p4update-repro analyze pipeline [-h] [--format {text,json}] [--out OUT]\n"
+            "\n"
+            "options:\n"
+            "  -h, --help            show this help message and exit\n"
+            "  --format {text,json}  report format\n"
+            "  --out OUT             write the report to this file instead of stdout\n"
+        ),
+        "stderr": "",
+    }],
     "analyze lint --select nope": _error(
         2,
         "unknown rule(s): nope\navailable: blocking-in-service, "

@@ -147,7 +147,7 @@ def test_a_clone_takes_a_fresh_id_from_the_same_network():
     assert sorted(packet.packet_id for packet in sink.received) == [1, 2]
     assert network.next_packet_id == 3
     # A pipeline driven without a network leaves its clones unnumbered.
-    result = Pipeline(program).process(Packet(), in_port=0)
+    result = Pipeline(program).process(Packet())
     assert [clone.packet_id for _, clone in result.clones] == [0]
 
 

@@ -54,20 +54,43 @@ def fast_params():
 def test_pipeline_forwards_on_register_hit():
     program = ForwardingProgram()
     program.registers["fwd"].write(5, 2)
-    result = Pipeline(program).process(tagged_packet(5), in_port=1)
-    assert result.egress_port == 2 and not result.dropped
+    result = Pipeline(program).process(tagged_packet(5))
+    assert result.egress_port == 2
 
 
 def test_pipeline_drops_on_miss():
     program = ForwardingProgram()
-    result = Pipeline(program).process(tagged_packet(5), in_port=1)
-    assert result.dropped
+    result = Pipeline(program).process(tagged_packet(5))
+    assert result.egress_port is None
+
+
+class LastWordProgram(PipelineProgram):
+    """Forwards to each port of ``calls`` in turn; ``None`` drops."""
+
+    def __init__(self, calls):
+        super().__init__()
+        self.calls = calls
+
+    def ingress(self, ctx):
+        for port in self.calls:
+            if port is None:
+                ctx.drop()
+            else:
+                ctx.forward(port)
+
+
+@pytest.mark.parametrize("calls, egress_port", [
+    ([3, None], None), ([None, 3], 3), ([3, None, 4], 4), ([3, 4, None], None),
+])
+def test_last_of_forward_and_drop_wins(calls, egress_port):
+    result = Pipeline(LastWordProgram(calls)).process(Packet())
+    assert result.egress_port == egress_port
 
 
 def test_registers_updated_from_data_plane():
     program = ForwardingProgram()
     program.registers["fwd"].write(3, 1)
-    Pipeline(program).process(tagged_packet(3), in_port=1)
+    Pipeline(program).process(tagged_packet(3))
     assert program.registers["seen"].read(3) == 1
 
 
@@ -83,7 +106,7 @@ def test_clone_resolves_to_its_session_port():
     program = CloningProgram()
     program.set_clone_session(7, 9)
     packet = Packet()
-    result = Pipeline(program).process(packet, in_port=0)
+    result = Pipeline(program).process(packet)
     assert result.egress_port == 1
     assert len(result.clones) == 1
     port, clone = result.clones[0]
@@ -93,7 +116,7 @@ def test_clone_resolves_to_its_session_port():
 
 def test_clone_to_undefined_session_is_discarded():
     program = CloningProgram()
-    result = Pipeline(program).process(Packet(), in_port=0)
+    result = Pipeline(program).process(Packet())
     assert result.clones == []
 
 
