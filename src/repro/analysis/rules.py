@@ -297,9 +297,7 @@ class PrivateCrossImportRule(LintRule):
 _METRIC_METHODS = {"counter", "gauge", "histogram"}
 
 
-def _is_obs_metric_call(
-    ctx: LintContext, node: ast.Call, methods: Iterable[str] = _METRIC_METHODS
-) -> bool:
+def _is_obs_metric_call(node: ast.Call, methods: Iterable[str] = _METRIC_METHODS) -> bool:
     """Matches ``<...>.obs.metrics.counter(...)`` style calls."""
     func = node.func
     if not (isinstance(func, ast.Attribute) and func.attr in methods):
@@ -315,13 +313,13 @@ def _is_obs_metric_call(
     return False
 
 
-def _is_obs_family_use(ctx: LintContext, node: ast.Subscript) -> bool:
+def _is_obs_family_use(node: ast.Subscript) -> bool:
     """Matches ``self._m_<what>[...]`` (a family bound in ``__init__``,
     see ``repro.obs.registry``) and ``<...>.obs.metrics.family(...)[...]``."""
     family = node.value
     if isinstance(family, ast.Attribute):
         return ast.unparse(family.value) == "self" and family.attr.startswith("_m_")
-    return isinstance(family, ast.Call) and _is_obs_metric_call(ctx, family, ("family",))
+    return isinstance(family, ast.Call) and _is_obs_metric_call(family, ("family",))
 
 
 def _guarded(ctx: LintContext, node: ast.AST) -> bool:
@@ -370,9 +368,9 @@ class UnguardedObsRule(LintRule):
 
     def check(self, ctx: LintContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Call) and _is_obs_metric_call(ctx, node):
+            if isinstance(node, ast.Call) and _is_obs_metric_call(node):
                 use = f"{ast.unparse(node.func)}(...)"
-            elif isinstance(node, ast.Subscript) and _is_obs_family_use(ctx, node):
+            elif isinstance(node, ast.Subscript) and _is_obs_family_use(node):
                 use = f"{ast.unparse(node.value)}[...]"
             else:
                 continue

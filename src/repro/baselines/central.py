@@ -76,7 +76,7 @@ class CentralSwitch(Node):
         if self.forwarding_state is not None and hop != LOCAL_DELIVER:
             self.forwarding_state.set_rule(flow_id, self.name, hop)
 
-    def handle_control(self, message: Any, sender: str) -> None:
+    def handle_control(self, message: Any) -> None:
         if not isinstance(message, RuleCommand):
             return
         delay = self.params.baseline_install_delay.sample(self.rng)
@@ -316,7 +316,7 @@ class CentralController(UpdateController[FlowRecord]):
 
     # -- acks ---------------------------------------------------------------------------
 
-    def handle_control(self, message: Any, sender: str) -> None:
+    def handle_control(self, message: Any) -> None:
         if not isinstance(message, RuleAck):
             return
         self._outstanding_acks.discard((message.reporter, message.flow_id))

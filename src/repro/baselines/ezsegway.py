@@ -456,7 +456,7 @@ class EzSegwaySwitch(Node):
 
     # -- control plane ---------------------------------------------------------
 
-    def handle_control(self, message: Any, sender: str) -> None:
+    def handle_control(self, message: Any) -> None:
         if not isinstance(message, RoleMessage):
             return
         key = (message.flow_id, message.update_id, message.segment_index)
@@ -491,7 +491,7 @@ class EzSegwaySwitch(Node):
         self._busy_until = finish
         self.engine.schedule(finish - self.engine.now, handler, *args)
 
-    def handle_message(self, message: Any, in_port: int) -> None:
+    def handle_message(self, message: Any) -> None:
         if isinstance(message, GoodToMove):
             self._enqueue(self._handle_gtm, message)
         elif isinstance(message, CleanupMsg):
@@ -523,10 +523,6 @@ class EzSegwaySwitch(Node):
         )
         port = self.network.port_towards(self.name, hop)
         self.send(port, msg)
-
-    def inject(self, packet: Any) -> None:
-        """Feed a locally generated probe packet into the switch."""
-        self._enqueue(self._forward_probe, packet)
 
     def _forward_probe(self, packet: Any) -> None:
         from repro.sim.trace import (
@@ -771,7 +767,7 @@ class EzSegwayController(UpdateController[FlowRecord]):
 
     # -- feedback ----------------------------------------------------------------------
 
-    def handle_control(self, message: Any, sender: str) -> None:
+    def handle_control(self, message: Any) -> None:
         if not isinstance(message, DoneNotification):
             return
         key = (message.flow_id, message.update_id)

@@ -163,9 +163,11 @@ class P4UpdateController(UpdateController[P4FlowRecord]):
         egress, it is a gateway iff P_o labels it, and a gateway
         strictly inside P_n closes a segment (the first gateway is the
         shared ingress).  ``update_type=None`` applies the §7.5
-        strategy to the same P_o labels.  ``congestion_aware`` is kept
-        for the callers that pass it; either way every UIM carries the
-        flow size — the scheduling itself happens in the data plane.
+        strategy to the same P_o labels.  ``congestion_aware`` is not
+        read: the perf ledger's ``fig8_prep`` workload passes
+        ``congestion_aware=False`` to this method by name.  Either way
+        every UIM carries the flow size — the scheduling itself happens
+        in the data plane.
         """
         record = self.flow_db[flow_id]
         old_path = record.current_path
@@ -536,7 +538,7 @@ class P4UpdateController(UpdateController[P4FlowRecord]):
 
     # -- feedback ----------------------------------------------------------------------------
 
-    def handle_control(self, message: Any, sender: str) -> None:
+    def handle_control(self, message: Any) -> None:
         if isinstance(message, FRM):
             self.reported_flows.append(message)
         elif isinstance(message, UFM):

@@ -84,7 +84,7 @@ def children_of(parent_of: dict[str, str]) -> dict[str, list[str]]:
     return children
 
 
-def leaves_of(destination: str, parent_of: dict[str, str]) -> list[str]:
+def leaves_of(parent_of: dict[str, str]) -> list[str]:
     """Nodes with no children (the tree's traffic sources)."""
     parents = set(parent_of.values())
     return sorted(node for node in parent_of if node not in parents)
@@ -138,7 +138,7 @@ class DestinationTreeManager:
         )
         self.trees[destination] = record
         deployment.forwarding_state.register_tree(
-            tree_id, leaves_of(destination, parent_of), destination, size
+            tree_id, leaves_of(parent_of), destination, size
         )
         network = deployment.network
         for node, parent in parent_of.items():
@@ -158,7 +158,7 @@ class DestinationTreeManager:
         record = self.trees[destination]
         distances = validate_tree(destination, new_parent_of)
         children = children_of(new_parent_of)
-        leaves = leaves_of(destination, new_parent_of)
+        leaves = leaves_of(new_parent_of)
         version = self.versions.next_version(record.tree_id)
         controller = self.controller
         network = controller.network

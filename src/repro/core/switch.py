@@ -113,7 +113,7 @@ class P4UpdateSwitch(P4Switch):
 
     # -- control plane messages -----------------------------------------------------
 
-    def handle_control(self, message: Any, sender: str) -> None:
+    def handle_control(self, message: Any) -> None:
         if isinstance(message, Sequenced):
             # Reliable delivery (repro.chaos): always ack, process the
             # inner message at most once.  Dedup here makes duplicated

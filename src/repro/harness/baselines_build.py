@@ -159,9 +159,6 @@ def build_central_network(
     params: Optional[SimParams] = None,
     rng: Optional[np.random.Generator] = None,
     controller_name: str = "controller",
-    congestion_aware: bool = False,
     obs: Optional[ObsContext] = None,
 ) -> Deployment:
-    deployment = build_network(CENTRAL, topo, params, rng, controller_name, obs)
-    deployment.set_congestion_aware(congestion_aware)
-    return deployment
+    return build_network(CENTRAL, topo, params, rng, controller_name, obs)

@@ -75,7 +75,7 @@ class ProbeSource:
             self.deployment.network.take_packet_id(),
         )
         self.sent += 1
-        switch.inject(packet)
+        switch.handle_message(packet)
         engine.schedule(self.interval_ms, self._tick)
 
     def _sighted(self, event: TraceEvent) -> None:

@@ -1,7 +1,9 @@
 """The P4 switch simulation node.
 
 Couples a :class:`~repro.p4.pipeline.Pipeline` to the event simulator:
-every arriving packet traverses the pipeline after a processing delay;
+every packet, arriving on a link or generated locally, enters through
+:meth:`P4Switch.handle_message` and traverses the pipeline after a
+processing delay;
 resubmitted packets re-enter ingress after the resubmit interval; CPU
 punts travel over the control channel.
 """
@@ -49,7 +51,7 @@ class P4Switch(Node):
 
     # -- reception -----------------------------------------------------------
 
-    def handle_message(self, message: Any, in_port: int) -> None:
+    def handle_message(self, message: Any) -> None:
         if not isinstance(message, Packet):
             raise TypeError(
                 f"{self.name}: data-plane message must be a Packet, got {type(message)!r}"
@@ -108,9 +110,3 @@ class P4Switch(Node):
             self.packets_dropped += 1
             return
         self.send(result.egress_port, result.packet)
-
-    # -- local origination --------------------------------------------------------
-
-    def inject(self, packet: Packet) -> None:
-        """Feed a locally generated packet into the pipeline."""
-        self._enqueue(packet, 0)

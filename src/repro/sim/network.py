@@ -309,7 +309,7 @@ class Network:
             buffered = self._outage_buffer
             self._outage_buffer = []
             for sender, message, tag, mtype in buffered:
-                self._enqueue_at_controller(sender, message, self.engine.now, tag, mtype)
+                self._enqueue_at_controller(sender, message, tag, mtype)
 
     def _links_of(self, name: str) -> list[Link]:
         return [link for link in self.links if name in (link.node_a, link.node_b)]
@@ -389,7 +389,7 @@ class Network:
             self.engine.now, KIND_MSG_RECV, dest,
             port=dest_port, message=tag, type=mtype,
         )
-        node.handle_message(message, dest_port)
+        node.handle_message(message)
 
     # -- control-plane delivery ---------------------------------------------------
 
@@ -449,15 +449,13 @@ class Network:
                 self.engine.now, KIND_MSG_SEND, sender,
                 dest=self.controller_name, message=tag, type=mtype,
             )
-            arrival = self.engine.now + delay
             self.engine.schedule(
-                delay, self._enqueue_at_controller,
-                sender, payload, arrival, tag, payload_type,
+                delay, self._enqueue_at_controller, sender, payload, tag, payload_type
             )
             if decision.action is FaultAction.DUPLICATE:
                 self.engine.schedule(
                     delay, self._enqueue_at_controller,
-                    sender, copy.deepcopy(payload), arrival, tag, payload_type,
+                    sender, copy.deepcopy(payload), tag, payload_type,
                 )
 
     def _channel_for(self, switch: str) -> ControlChannel:
@@ -466,9 +464,7 @@ class Network:
             raise KeyError(f"no control channel for {switch!r}")
         return channel
 
-    def _enqueue_at_controller(
-        self, sender: str, message: Any, arrival: float, tag: str, mtype: str
-    ) -> None:
+    def _enqueue_at_controller(self, sender: str, message: Any, tag: str, mtype: str) -> None:
         """Messages to the controller serialise through one service queue.
 
         The controller handles one message at a time (paper: single
@@ -511,7 +507,7 @@ class Network:
             self.engine.now, KIND_MSG_RECV, dest,
             sender=sender, message=tag, type=mtype,
         )
-        node.handle_control(message, sender)
+        node.handle_control(message)
 
     # -- faults -------------------------------------------------------------------
 

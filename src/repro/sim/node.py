@@ -17,9 +17,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class Node:
     """A named participant in the simulated network.
 
-    Subclasses override :meth:`handle_message` (data-plane packets
-    arriving on a port) and :meth:`handle_control` (control-channel
-    messages from/to the controller).
+    Subclasses override :meth:`handle_message` (data-plane packets)
+    and :meth:`handle_control` (control-channel messages from/to the
+    controller).  A handler gets the message alone: the arrival port
+    and the control sender go into the trace records (``msg_recv``,
+    ``msg_drop``), and no node reads them.
 
     Every node carries an observability context (``self.obs``),
     defaulting to the shared no-op; builders swap in a live one when a
@@ -67,11 +69,11 @@ class Node:
 
     # -- handlers (override in subclasses) ------------------------------
 
-    def handle_message(self, message: Any, in_port: int) -> None:
-        """Receive a data-plane message on ``in_port``."""
+    def handle_message(self, message: Any) -> None:
+        """Receive a data-plane message, from a link or generated locally."""
 
-    def handle_control(self, message: Any, sender: str) -> None:
-        """Receive a control-channel message from ``sender``."""
+    def handle_control(self, message: Any) -> None:
+        """Receive a control-channel message."""
 
     def handle_port_status(self, port: int, up: bool) -> None:
         """The link on local ``port`` changed state (repro.chaos).

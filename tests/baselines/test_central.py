@@ -18,10 +18,10 @@ def fast_params(seed=0, install_ms=1.0):
     )
 
 
-def central_fig1(**kwargs):
+def central_fig1():
     topo = fig1_topology()
     topo.set_controller("v0")
-    dep = build_central_network(topo, params=fast_params(), **kwargs)
+    dep = build_central_network(topo, params=fast_params())
     flow = Flow.between("v0", "v7", size=1.0, old_path=list(FIG1_OLD_PATH))
     dep.install_flow(flow)
     return dep, flow
@@ -118,7 +118,8 @@ def test_central_congestion_aware_orders_dependent_moves():
     congestion-aware controller must find that order and never violate
     capacity along the way."""
     topo = dependency_chain_topology()
-    dep = build_central_network(topo, params=fast_params(), congestion_aware=True)
+    dep = build_central_network(topo, params=fast_params())
+    dep.set_congestion_aware(True)
     checker = LiveChecker(dep.forwarding_state, dep.network.trace)
     f1 = Flow.between("s", "t", size=6.0, old_path=["s", "a", "t"])
     f2 = Flow(flow_id=f1.flow_id + 1, src="s", dst="t", size=6.0,

@@ -70,9 +70,8 @@ def test_central_two_flows_capacity_never_violated(seed):
     size = float(rng.uniform(2.0, 6.0))
     topo = ring_topology(6, latency_ms=1.0, capacity=10.0)
     topo.set_controller("n0")
-    dep = build_central_network(
-        topo, params=fast_params(seed), congestion_aware=True
-    )
+    dep = build_central_network(topo, params=fast_params(seed))
+    dep.set_congestion_aware(True)
     checker = LiveChecker(dep.forwarding_state, dep.network.trace)
     f1 = Flow.between("n0", "n3", size=size, old_path=["n0", "n1", "n2", "n3"])
     f2 = Flow(flow_id=f1.flow_id + 1, src="n0", dst="n3", size=size,

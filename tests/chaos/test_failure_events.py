@@ -17,6 +17,7 @@ from repro.sim.trace import (
     KIND_LINK_DOWN,
     KIND_LINK_UP,
     KIND_MSG_DROP,
+    KIND_MSG_RECV,
     KIND_SWITCH_CRASH,
     KIND_SWITCH_RESTART,
 )
@@ -29,11 +30,11 @@ class Recorder(Node):
         self.control = []
         self.port_events = []
 
-    def handle_message(self, message, in_port):
-        self.received.append((self.now, in_port, message))
+    def handle_message(self, message):
+        self.received.append((self.now, message))
 
-    def handle_control(self, message, sender):
-        self.control.append((self.now, sender, message))
+    def handle_control(self, message):
+        self.control.append((self.now, message))
 
     def handle_port_status(self, port, up):
         self.port_events.append((self.now, port, up))
@@ -101,7 +102,7 @@ def test_link_up_restores_delivery():
     net.engine.schedule_at(5.0, net.set_link_state, "a", "b", True)
     net.engine.schedule_at(6.0, a.send, 1, "after repair")
     net.engine.run()
-    assert [m for _, _, m in b.received] == ["after repair"]
+    assert [m for _, m in b.received] == ["after repair"]
     kinds = [e.kind for e in net.trace]
     assert KIND_LINK_DOWN in kinds and KIND_LINK_UP in kinds
 
@@ -145,7 +146,7 @@ def test_crash_then_restart_round_trip():
     net.restart_switch("b")
     nodes["a"].send(1, "welcome back")
     net.engine.run()
-    assert [m for _, _, m in nodes["b"].received] == ["welcome back"]
+    assert [m for _, m in nodes["b"].received] == ["welcome back"]
     kinds = [e.kind for e in net.trace]
     assert KIND_SWITCH_CRASH in kinds and KIND_SWITCH_RESTART in kinds
     # Neighbours saw the port flap.
@@ -170,7 +171,9 @@ def test_controller_outage_buffers_in_flight_reports():
     net.engine.run()
     assert len(ctrl.control) == 1
     assert ctrl.control[0][0] >= 5.0                    # held until recovery
-    assert ctrl.control[0][1:] == ("a", "urgent report")
+    assert ctrl.control[0][1] == "urgent report"
+    recv = [e for e in net.trace if e.kind == KIND_MSG_RECV]
+    assert [(e.node, e.detail["sender"]) for e in recv] == [("ctrl", "a")]
     kinds = [e.kind for e in net.trace]
     assert KIND_CONTROLLER_DOWN in kinds and KIND_CONTROLLER_UP in kinds
 

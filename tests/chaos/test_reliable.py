@@ -31,7 +31,7 @@ class AckingSwitch(Node):
         self.delivered = []
         self.seen = set()
 
-    def handle_control(self, message, sender):
+    def handle_control(self, message):
         if isinstance(message, Sequenced):
             self.send_control(ControlAck(seq=message.seq, reporter=self.name))
             if message.seq in self.seen:
@@ -46,7 +46,7 @@ class ControllerNode(Node):
         self.exhausted_messages = []
         self.reliable = None
 
-    def handle_control(self, message, sender):
+    def handle_control(self, message):
         if isinstance(message, ControlAck) and self.reliable is not None:
             self.reliable.ack(message.seq)
 

@@ -54,7 +54,7 @@ def test_frm_reported_flows_collected():
     dep, flow = deployment()
     # A probe for an unknown flow makes the first switch send an FRM.
     unknown = make_probe(flow_id=4242, seq=0)
-    dep.switches["n1"].inject(unknown)
+    dep.switches["n1"].handle_message(unknown)
     dep.run()
     assert any(f.flow_id == 4242 for f in dep.controller.reported_flows)
 

@@ -54,7 +54,7 @@ def test_validate_tree_rejects_unreachable():
 def test_children_and_leaves():
     parents = {"a": "b", "b": "dst", "c": "dst"}
     assert children_of(parents) == {"b": ["a"], "dst": ["b", "c"]}
-    assert leaves_of("dst", parents) == ["a", "c"]
+    assert leaves_of(parents) == ["a", "c"]
 
 
 def test_tree_id_stable():

@@ -148,9 +148,9 @@ def test_switches_dispatch_on_the_class_not_the_shape():
     switch = deployment.switches[uim.target]
     seen = []
     switch._process_uim = seen.append
-    switch.handle_control(tuple(uim), "controller")
+    switch.handle_control(tuple(uim))
     assert seen == []
-    switch.handle_control(uim, "controller")
+    switch.handle_control(uim)
     assert seen == [uim]
     # harness/build.py: the Fig. 2 / Fig. 4 probes key on "first update".
     assert P4UPDATE.is_first_update(uim) and uim.version == 2
@@ -160,8 +160,8 @@ def test_switches_dispatch_on_the_class_not_the_shape():
     role = RoleMessage(**ROLE_FIELDS)
     ez_switch = EzSegwaySwitch("s1")
     ez_switch._replay_pending = lambda: None
-    ez_switch.handle_control(tuple(role), "controller")
+    ez_switch.handle_control(tuple(role))
     assert ez_switch.roles == {}
-    ez_switch.handle_control(role, "controller")
+    ez_switch.handle_control(role)
     assert ez_switch.roles == {(1, 2, 0): role}
 

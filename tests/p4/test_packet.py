@@ -130,7 +130,7 @@ class Sink(Node):
         super().__init__(name)
         self.received = []
 
-    def handle_message(self, message, in_port):
+    def handle_message(self, message):
         self.received.append(message)
 
 
@@ -142,7 +142,7 @@ def test_a_clone_takes_a_fresh_id_from_the_same_network():
     switch = network.add_node(P4Switch("s1", program, params=params))
     sink = network.add_node(Sink("sink"))
     network.add_link(Link("s1", 1, "sink", 1, latency_ms=1.0))
-    switch.inject(Packet(packet_id=network.take_packet_id()))
+    switch.handle_message(Packet(packet_id=network.take_packet_id()))
     network.engine.run()
     assert sorted(packet.packet_id for packet in sink.received) == [1, 2]
     assert network.next_packet_id == 3

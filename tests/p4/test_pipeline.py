@@ -139,7 +139,7 @@ class Sink(Node):
         super().__init__(name)
         self.received = []
 
-    def handle_message(self, message, in_port):
+    def handle_message(self, message):
         self.received.append((self.now, message))
 
 
@@ -154,7 +154,7 @@ def wire_switch(program, params=None):
 def test_switch_resubmits_until_register_ready():
     program = WaitingProgram()
     net, switch, sink = wire_switch(program)
-    switch.inject(Packet())
+    switch.handle_message(Packet())
     # Flip the flag from the "control plane" at t=3ms.
     net.engine.schedule(3.0, program.registers["ready"].write, 0, 1)
     net.engine.run()
@@ -169,7 +169,7 @@ def test_switch_gives_up_after_max_resubmits():
     params = fast_params()
     params.max_resubmits = 3
     net, switch, sink = wire_switch(program, params)
-    switch.inject(Packet())
+    switch.handle_message(Packet())
     net.engine.run()
     assert sink.received == []
     assert switch.packets_dropped == 1
@@ -179,7 +179,7 @@ def test_switch_rejects_non_packet_messages():
     program = ForwardingProgram()
     net, switch, _ = wire_switch(program)
     with pytest.raises(TypeError):
-        switch.handle_message("not-a-packet", 1)
+        switch.handle_message("not-a-packet")
 
 
 class PuntingProgram(PipelineProgram):
@@ -193,6 +193,6 @@ def test_punt_invokes_hook():
     net, switch, _ = wire_switch(program)
     punts = []
     switch.on_punt = lambda sw, punt: punts.append((sw.name, punt.reason))
-    switch.inject(Packet())
+    switch.handle_message(Packet())
     net.engine.run()
     assert punts == [("s1", "flow_report")]

@@ -22,7 +22,7 @@ class Sink(Node):
         super().__init__(name)
         self.received = []
 
-    def handle_message(self, message, in_port):
+    def handle_message(self, message):
         self.received.append(self.now)
 
 
@@ -41,7 +41,7 @@ def test_packets_serialise_through_one_pipeline():
     """Five simultaneous arrivals leave 1 service-time apart."""
     net, switch, sink = wired(service_ms=1.0)
     for _ in range(5):
-        switch.inject(Packet())
+        switch.handle_message(Packet())
     net.engine.run()
     times = sink.received
     assert len(times) == 5
@@ -52,20 +52,20 @@ def test_packets_serialise_through_one_pipeline():
 
 def test_idle_pipeline_adds_no_queueing():
     net, switch, sink = wired(service_ms=1.0)
-    switch.inject(Packet())
+    switch.handle_message(Packet())
     net.engine.run()
     injected_at = net.engine.now
     # A second packet long after the first queues behind nothing:
     # exactly service (1.0) + link (0.5) later.
-    switch.inject(Packet())
+    switch.handle_message(Packet())
     net.engine.run()
     assert sink.received[1] == pytest.approx(injected_at + 1.5)
 
 
 def test_busy_pipeline_delays_later_arrivals():
     net, switch, sink = wired(service_ms=2.0)
-    switch.inject(Packet())
-    net.engine.schedule(0.5, switch.inject, Packet())   # arrives mid-service
+    switch.handle_message(Packet())
+    net.engine.schedule(0.5, switch.handle_message, Packet())   # arrives mid-service
     net.engine.run()
     assert sink.received[0] == pytest.approx(2.5)
     assert sink.received[1] == pytest.approx(4.5)       # waited for slot
@@ -74,6 +74,6 @@ def test_busy_pipeline_delays_later_arrivals():
 def test_processed_count_tracks_packets():
     net, switch, sink = wired()
     for _ in range(3):
-        switch.inject(Packet())
+        switch.handle_message(Packet())
     net.engine.run()
     assert switch.packets_processed == 3

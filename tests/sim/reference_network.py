@@ -93,7 +93,7 @@ class ReferenceNetwork(Network):
             buffered = self._outage_buffer
             self._outage_buffer = []
             for sender, message in buffered:
-                self._enqueue_at_controller(sender, message, self.engine.now)
+                self._enqueue_at_controller(sender, message)
 
     def _drop_for_failure(
         self, sender: str, dest: str, message: Any, plane: str, reason: str
@@ -171,7 +171,7 @@ class ReferenceNetwork(Network):
                 "messages_received", node=dest, plane="data",
                 type=message_type(message),
             ).inc()
-        node.handle_message(message, dest_port)
+        node.handle_message(message)
 
     def transmit_control(self, sender: str, message: Any) -> None:
         """Control channel between a switch and the controller.
@@ -237,17 +237,13 @@ class ReferenceNetwork(Network):
                 self.engine.now, KIND_MSG_SEND, sender,
                 dest=self.controller_name, message=describe(payload),
             )
-            arrival = self.engine.now + delay
-            self.engine.schedule(
-                delay, self._enqueue_at_controller, sender, payload, arrival
-            )
+            self.engine.schedule(delay, self._enqueue_at_controller, sender, payload)
             if decision.action is FaultAction.DUPLICATE:
                 self.engine.schedule(
-                    delay, self._enqueue_at_controller,
-                    sender, copy.deepcopy(payload), arrival,
+                    delay, self._enqueue_at_controller, sender, copy.deepcopy(payload)
                 )
 
-    def _enqueue_at_controller(self, sender: str, message: Any, arrival: float) -> None:
+    def _enqueue_at_controller(self, sender: str, message: Any) -> None:
         """Messages to the controller serialise through one service queue.
 
         The controller handles one message at a time (paper: single
@@ -297,7 +293,7 @@ class ReferenceNetwork(Network):
                 "messages_received", node=dest, plane="control",
                 type=message_type(message),
             ).inc()
-        node.handle_control(message, sender)
+        node.handle_control(message)
 
     def _fault_decision(
         self, model: Optional[FaultPolicy], message: Any

@@ -19,7 +19,7 @@ class Sink(Node):
         super().__init__(name)
         self.received = []
 
-    def handle_message(self, message, in_port):
+    def handle_message(self, message):
         self.received.append((self.now, message))
 
 

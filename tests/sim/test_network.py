@@ -6,6 +6,7 @@ from repro.sim.engine import Engine
 from repro.sim.links import ControlChannel, Link
 from repro.sim.network import Network
 from repro.sim.node import Node
+from repro.sim.trace import KIND_MSG_RECV
 
 
 class Recorder(Node):
@@ -16,11 +17,11 @@ class Recorder(Node):
         self.received = []
         self.control = []
 
-    def handle_message(self, message, in_port):
-        self.received.append((self.now, in_port, message))
+    def handle_message(self, message):
+        self.received.append((self.now, message))
 
-    def handle_control(self, message, sender):
-        self.control.append((self.now, sender, message))
+    def handle_control(self, message):
+        self.control.append((self.now, message))
 
 
 class ControlMsg:
@@ -41,7 +42,8 @@ def test_data_message_arrives_after_link_latency():
     net, a, b = build_pair(latency=7.5)
     a.send(1, "hello")
     net.engine.run()
-    assert b.received == [(7.5, 1, "hello")]
+    assert b.received == [(7.5, "hello")]
+    assert [e.detail["port"] for e in net.trace if e.kind == KIND_MSG_RECV] == [1]
 
 
 def test_bidirectional_delivery():
@@ -50,7 +52,7 @@ def test_bidirectional_delivery():
     net.engine.run()
     b.send(1, "pong")
     net.engine.run()
-    assert a.received[0][2] == "pong"
+    assert a.received[0][1] == "pong"
 
 
 def test_duplicate_node_name_rejected():
@@ -100,7 +102,8 @@ def test_control_switch_to_controller_pays_channel_latency():
     net.add_control_channel(ControlChannel("b", latency_ms=20.0))
     b.send_control("report")
     net.engine.run()
-    assert a.control == [(20.0, "b", "report")]
+    assert a.control == [(20.0, "report")]
+    assert [e.detail["sender"] for e in net.trace if e.kind == KIND_MSG_RECV] == ["b"]
 
 
 def test_control_controller_to_switch_needs_target():
@@ -140,7 +143,7 @@ def test_controller_service_queue_serialises_messages():
     s1.send_control("r1")
     s2.send_control("r2")
     net.engine.run()
-    times = sorted(t for t, _, _ in ctrl.control)
+    times = sorted(t for t, _ in ctrl.control)
     # First report: 2 ms channel + 10 ms service; second queues behind it.
     assert times == [12.0, 22.0]
 
@@ -188,7 +191,7 @@ def test_control_duplicate_switch_to_controller_delivers_twice():
     )
     sw.send_control("report")
     net.engine.run()
-    assert [m for _, _, m in ctrl.control] == ["report", "report"]
+    assert [m for _, m in ctrl.control] == ["report", "report"]
 
 
 def test_control_duplicate_controller_to_switch_delivers_twice():
@@ -198,7 +201,7 @@ def test_control_duplicate_controller_to_switch_delivers_twice():
     )
     ctrl.send_control(Mutable(target="b", value="order"))
     net.engine.run()
-    assert [m.value for _, _, m in sw.control] == ["order", "order"]
+    assert [m.value for _, m in sw.control] == ["order", "order"]
 
 
 def test_control_duplicate_is_a_deep_copy():
@@ -208,7 +211,7 @@ def test_control_duplicate_is_a_deep_copy():
     )
     ctrl.send_control(Mutable(target="b", value="order"))
     net.engine.run()
-    first, second = (m for _, _, m in sw.control)
+    first, second = (m for _, m in sw.control)
     assert first is not second
 
 
@@ -227,7 +230,7 @@ def test_control_corrupt_mutates_delivery_not_sender_object():
     original = Mutable(target="b", value="order")
     ctrl.send_control(original)
     net.engine.run()
-    assert [m.value for _, _, m in sw.control] == ["garbled"]
+    assert [m.value for _, m in sw.control] == ["garbled"]
     assert original.value == "order"     # sender's copy untouched
 
 
@@ -245,4 +248,4 @@ def test_control_corrupt_switch_to_controller():
     )
     sw.send_control(Mutable(target=None, value="report"))
     net.engine.run()
-    assert [m.value for _, _, m in ctrl.control] == ["garbled"]
+    assert [m.value for _, m in ctrl.control] == ["garbled"]
