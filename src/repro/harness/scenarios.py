@@ -35,7 +35,7 @@ from repro.topo.synthetic import (
 )
 from repro.traffic.flows import Flow, FlowSet, flow_hash
 from repro.traffic.gravity import gravity_flow_sizes
-from repro.traffic.paths import k_shortest_paths, second_shortest_path
+from repro.traffic.paths import second_shortest_path
 
 
 @dataclass
@@ -163,7 +163,7 @@ def single_flow_scenario(
             )
     # Fall back: search k-shortest candidates of the diameter pair.
     _latency, src, dst = pairs[0]
-    candidates = k_shortest_paths(topo, src, dst, k_candidates)
+    candidates = topo.k_shortest_paths(src, dst, k_candidates)
     old_path = candidates[0]
     new_path = None
     for candidate in candidates[1:]:

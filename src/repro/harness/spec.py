@@ -31,7 +31,7 @@ from repro.topo import TOPOLOGIES, fattree_topology, ring_topology
 from repro.topo.graph import Topology
 from repro.topo.zoo import load_graphml
 from repro.traffic.flows import Flow, flow_hash
-from repro.traffic.paths import k_shortest_paths, second_shortest_path
+from repro.traffic.paths import second_shortest_path
 
 
 class SpecError(ValueError):
@@ -82,7 +82,7 @@ def _resolve_path(topo: Topology, src: str, dst: str, spec: Any, label: str):
         if not rank.isdecimal() or int(rank) < 1:
             raise SpecError(f"{label}: k in {spec!r} must be an integer >= 1")
         k = int(rank)
-        paths = k_shortest_paths(topo, src, dst, k)
+        paths = topo.k_shortest_paths(src, dst, k)
         if len(paths) < k:
             raise SpecError(f"{label}: fewer than {k} paths {src}->{dst}")
         return paths[k - 1]

@@ -285,6 +285,8 @@ class Topology:
         One memo entry per pair holds the longest prefix asked for so
         far; a larger ``k`` recomputes and replaces it.
         """
+        if src == dst:
+            raise ValueError("src and dst must differ")
         if k < 0:
             raise ValueError(f"k must be non-negative, got {k}")
         answers = self._answers()

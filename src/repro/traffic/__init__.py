@@ -2,13 +2,12 @@
 
 from repro.traffic.flows import Flow, FlowSet
 from repro.traffic.gravity import gravity_matrix, gravity_flow_sizes
-from repro.traffic.paths import k_shortest_paths, second_shortest_path
+from repro.traffic.paths import second_shortest_path
 
 __all__ = [
     "Flow",
     "FlowSet",
     "gravity_matrix",
     "gravity_flow_sizes",
-    "k_shortest_paths",
     "second_shortest_path",
 ]

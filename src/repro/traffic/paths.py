@@ -1,4 +1,4 @@
-"""Path computation: latency-weighted k-shortest (loopless) paths.
+"""The 2nd-shortest (loopless, latency-weighted) path.
 
 The multi-flow scenario routes each flow on its shortest path (old)
 and its 2nd-shortest path (new), per paper §9.1.  The search itself is
@@ -13,16 +13,9 @@ from typing import Optional
 from repro.topo.graph import Topology
 
 
-def k_shortest_paths(topo: Topology, src: str, dst: str, k: int) -> list[list[str]]:
-    """Up to ``k`` loopless paths in increasing latency order."""
-    if src == dst:
-        raise ValueError("src and dst must differ")
-    return topo.k_shortest_paths(src, dst, k)
-
-
 def second_shortest_path(topo: Topology, src: str, dst: str) -> Optional[list[str]]:
     """The 2nd-shortest loopless path, or None if only one exists."""
-    paths = k_shortest_paths(topo, src, dst, 2)
+    paths = topo.k_shortest_paths(src, dst, 2)
     if len(paths) < 2:
         return None
     return paths[1]

@@ -1,8 +1,13 @@
 """Bound metric families, tuple-backed causal events and the
-compare-and-assign ``Histogram.observe`` against the bodies they
-replaced (``reference_registry.py``, ``reference_causal.py``): the same
-metrics snapshot, causal DAGs and attribution rows, byte for byte, over
-the reference scenarios run with ``make_obs(causal=True)``."""
+compare-and-assign ``Histogram.observe`` against what they replaced.
+
+Over the reference scenarios run with ``make_obs(causal=True)``, the
+metrics snapshot, causal DAGs and attribution rows must equal, byte for
+byte, those of a run with the tracker of ``reference_causal.py`` and
+``reference_observe`` swapped in, and must hash to the ``PINNED``
+digests recorded before metric families existed (which is what holds
+the registry).  ``reference_observe`` is ``Histogram.observe`` as it was
+before compare-and-assign, checked on generated samples."""
 
 import hashlib
 import json
@@ -12,11 +17,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import repro.obs.causal as causal_module
-import repro.obs.context as context_module
 from repro.obs import make_obs
-from repro.obs.registry import Histogram
+from repro.obs.registry import _LOG_BASE, Histogram
 from tests.obs.reference_causal import ReferenceCausalTracker
-from tests.obs.reference_registry import ReferenceMetricsRegistry, reference_observe
 from tests.reference_scenarios import BASELINE_SCENARIOS, SCENARIOS
 
 #: Forced SL and DL, the closed loop with flaps and a controller outage,
@@ -32,8 +35,9 @@ _OBSERVED = (
 
 #: sha256 of each scenario's exports as the hook sites produced them
 #: before they bound families (the same under ``PYTHONHASHSEED`` 0 and 1).
-#: The reference swap shares today's hook sites, so this is what holds
-#: *which* events each site counts.  The four baseline runs were pinned
+#: The causal swap shares today's hook sites and registry, so this is
+#: what holds *which* events each site counts and how the registry
+#: resolves, orders and exports them.  The four baseline runs were pinned
 #: while their ``rule_installs`` were still counted at the switch, and
 #: re-pinned once when the baseline controllers began firing their own
 #: completion callback where they record ``update_done`` (it used to come
@@ -72,11 +76,9 @@ def _observed(name):
 @pytest.mark.parametrize("name", _OBSERVED)
 def test_obs_exports_equal_the_reference(name, monkeypatch):
     _, stock = _observed(name)
-    monkeypatch.setattr(context_module, "MetricsRegistry", ReferenceMetricsRegistry)
     monkeypatch.setattr(causal_module, "CausalTracker", ReferenceCausalTracker)
     monkeypatch.setattr(Histogram, "observe", reference_observe)
     obs, reference = _observed(name)
-    assert isinstance(obs.metrics, ReferenceMetricsRegistry)
     assert isinstance(obs.causal, ReferenceCausalTracker)
     assert stock["order"], "the scenario moved no metric"
     assert stock == reference
@@ -90,6 +92,23 @@ def test_served_scenarios_export_causal_dags():
 
 
 # -- Histogram.observe ------------------------------------------------------------
+
+
+def reference_observe(self: Histogram, value: float) -> None:
+    """``Histogram.observe`` before compare-and-assign, verbatim."""
+    value = float(value)
+    if math.isnan(value) or math.isinf(value):
+        raise ValueError(f"non-finite histogram sample: {value}")
+    self.count += 1
+    self.total += value
+    self.minimum = min(self.minimum, value)
+    self.maximum = max(self.maximum, value)
+    if value <= 0.0:
+        self._zero += 1
+        return
+    idx = math.floor(math.log(value) / _LOG_BASE)
+    self._buckets[idx] = self._buckets.get(idx, 0) + 1
+
 
 _FINITE = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),

@@ -1,25 +1,41 @@
-"""The runs the reference suites replay: ``tests/core/reference_switch.py``
-(the switch agent), ``tests/sim/reference_network.py`` (delivery and,
-with an enabled ``obs`` passed in, the message counts it made inline)
-and ``tests/obs/reference_registry.py`` / ``reference_causal.py``
-(metrics and causal tracing).  Every scenario takes an optional ``obs``.
+"""The runs the reference suites replay, and their pin.
+
+``tests/core/reference_switch.py`` (the switch agent) is replayed over
+them with its bodies swapped in (:func:`swap_bodies`); delivery and, with
+an enabled ``obs`` passed in, the ``messages_*`` counts are held to
+``pinned_scenarios.json`` (``tests/sim/test_network_single_describe.py``);
+metrics and causal tracing to the digests and the ``reference_causal.py``
+swap of ``tests/obs/test_obs_reference.py``.  Every scenario takes an
+optional ``obs``.
 
 Each scenario builds its deployment from scratch, runs it to the end and
-returns everything the stock and the reference bodies must agree on: the
-trace event by event, every written register cell and flow index of
+returns everything a rewrite of the agent or of delivery could disturb:
+the trace event by event, every written register cell and flow index of
 every switch, the switches' alarms and counters, and what the controller
-concluded.  Between them the scenarios reach every branch the two
-rewrites touched: forced SL and forced DL service sessions, a closed loop
-under link flaps with a controller outage that buffers and re-enqueues
-and a switch that loses its registers, message faults of every kind on
-both planes (both registered corruptors), a link cut under messages on
-the wire, a 2PC update (``stage_tag``), compact piggybacked updates and
-a destination tree.
+concluded.  Between them the scenarios reach forced SL and forced DL
+service sessions, a closed loop under link flaps with a controller
+outage that buffers and re-enqueues and a switch that loses its
+registers, message faults of every kind on both planes (both registered
+corruptors), a link cut under messages on the wire, a 2PC update
+(``stage_tag``), compact piggybacked updates and a destination tree.
+
+``pinned_scenarios.json`` holds, per scenario, the format-v2 trace
+signature, one digest of every other key of the outcome and one of the
+``messages_*`` rows of a run with ``make_obs()``, recorded on the bodies
+that agreed with the forks of delivery and the metrics registry they
+replaced.  Re-record only for a deliberate behaviour change::
+
+    PYTHONPATH=src python tests/reference_scenarios.py
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
+import hashlib
+import json
+import marshal
+import pathlib
 from typing import Any, Callable
 
 from repro.chaos.campaign import load_campaign
@@ -27,10 +43,12 @@ from repro.chaos.runner import _fault_counts, build_campaign_deployment
 from repro.core.desttree import DestinationTreeManager
 from repro.core.messages import UpdateType
 from repro.harness.build import Deployment, build_p4update_network
+from repro.obs import make_obs
 from repro.obs.context import NULL_OBS, ObsContext
 from repro.params import DelayDistribution, SimParams
 from repro.serve.service import ServiceSession, run_service
 from repro.serve.spec import load_serve_spec
+from repro.sim.trace import trace_signature
 from repro.topo import fig1_topology, ring_topology
 from repro.topo.graph import Topology
 from repro.topo.synthetic import FIG1_NEW_PATH, FIG1_OLD_PATH
@@ -316,3 +334,83 @@ def stock_outcome(name: str) -> dict[str, Any]:
     """The scenario on the shipped bodies, run once for both suites.
     Call it before swapping a reference in."""
     return SCENARIOS[name]()
+
+
+# -- the pin -------------------------------------------------------------------
+
+PINNED_PATH = pathlib.Path(__file__).with_name("pinned_scenarios.json")
+
+MESSAGE_METRICS = (
+    "messages_sent", "messages_received", "messages_dropped", "messages_lost_to_failure",
+)
+
+_SCALARS = (type(None), bool, int, float, str)
+
+
+def _canonical(value: Any, where: str) -> Any:
+    """``value`` as builtin scalars, lists and tuples only: a dict becomes
+    its key-sorted item tuple, a named tuple a plain one and a dataclass
+    its class name followed by its fields.  ``marshal`` writes the type
+    of every node, so a tuple stays distinct from a list and an int from
+    a float."""
+    kind = type(value)
+    if kind in _SCALARS:
+        return value
+    if kind is list:
+        return [_canonical(item, where) for item in value]
+    if isinstance(value, tuple):
+        return tuple(_canonical(item, where) for item in value)
+    if kind is dict:
+        return tuple(sorted(
+            (_canonical(key, where), _canonical(item, where))
+            for key, item in value.items()
+        ))
+    if dataclasses.is_dataclass(kind):
+        return (kind.__name__, *(
+            _canonical(getattr(value, field.name), where)
+            for field in dataclasses.fields(value)
+        ))
+    raise TypeError(f"{where}: a {kind.__name__} has no canonical form")
+
+
+def _digest(value: Any) -> str:
+    return hashlib.sha256(marshal.dumps(value, 2)).hexdigest()
+
+
+def outcome_pin(name: str, outcome: dict[str, Any]) -> dict[str, str]:
+    """The format-v2 signature of ``outcome``'s trace and one digest of
+    every other key :func:`capture` (and the scenario) returned."""
+    rest = tuple(
+        (key, _canonical(value, f"scenario {name!r}, key {key!r}"))
+        for key, value in sorted(outcome.items()) if key != "trace"
+    )
+    return {"trace": trace_signature(outcome["trace"]), "state": _digest(rest)}
+
+
+def message_rows(obs: ObsContext) -> list[tuple[str, dict, Any]]:
+    """The ``messages_*`` rows of ``obs``, in registry order."""
+    return [
+        (name, labels, cell.value)
+        for name, labels, cell in obs.metrics if name in MESSAGE_METRICS
+    ]
+
+
+def messages_pin(name: str, rows: list[tuple[str, dict, Any]]) -> str:
+    return _digest(_canonical(rows, f"scenario {name!r}, messages"))
+
+
+def record(name: str) -> dict[str, str]:
+    """What ``pinned_scenarios.json`` holds for one scenario."""
+    viewed = make_obs()
+    SCENARIOS[name](viewed)
+    return {
+        **outcome_pin(name, stock_outcome(name)),
+        "messages": messages_pin(name, message_rows(viewed)),
+    }
+
+
+if __name__ == "__main__":
+    PINNED_PATH.write_text(json.dumps(
+        {name: record(name) for name in sorted(SCENARIOS)}, indent=1, sort_keys=True,
+    ) + "\n")
+    print(f"wrote {PINNED_PATH}")

@@ -1,20 +1,23 @@
 """A message's trace tag and type are worked out once and travel with
-it; what the trace must say is what describing it at both ends said,
-and what the metrics must count is what the network counted inline,
-both kept verbatim in ``tests/sim/reference_network.py``.
+it; what the trace must say, and what the metrics must count, is pinned
+in ``tests/pinned_scenarios.json``.
 
-Every scenario of ``tests/reference_scenarios.py`` runs on the shipped
-``Network`` and again with the reference bodies swapped in.  With the
-``type`` key taken out of every ``msg_*`` record (the reference records
-none), it must produce the same trace event by event and the same final
-state; with metrics on, the trace view's ``messages_*`` counts must
-equal the reference's inline ones.
+The pin was recorded on the bodies ``Network`` had when it described
+every message at both ends and counted ``messages_*`` inline, where they
+agreed with that reference event by event once the ``type`` key was
+taken out of each ``msg_*`` record.  Every scenario of
+``tests/reference_scenarios.py`` runs on the shipped ``Network`` and
+must reproduce its pinned trace signature and state digest; run again
+with metrics on, its ``messages_*`` rows must reproduce the pinned row
+digest.  Re-record only for a deliberate behaviour change::
+
+    PYTHONPATH=src python tests/reference_scenarios.py
 """
+
+import json
 
 import pytest
 
-from repro.chaos.runner import trace_signature
-from repro.obs import derived as derived_module
 from repro.obs import make_obs
 from repro.serve.service import ServiceSession, run_service
 from repro.serve.spec import load_serve_spec
@@ -22,65 +25,43 @@ from repro.sim import network as network_module
 from repro.sim.network import Network
 from repro.sim.trace import KIND_MSG_DROP, KIND_MSG_RECV, KIND_MSG_SEND
 from tests.reference_scenarios import (
+    PINNED_PATH,
     SCENARIOS,
-    assert_same_outcome,
+    message_rows,
+    messages_pin,
+    outcome_pin,
     stock_outcome,
-    swap_bodies,
 )
-from tests.sim.reference_network import ReferenceNetwork
+
+PINNED = json.loads(PINNED_PATH.read_text())
 
 _MESSAGE_KINDS = (KIND_MSG_SEND, KIND_MSG_RECV, KIND_MSG_DROP)
-_MESSAGE_METRICS = (
-    "messages_sent", "messages_received", "messages_dropped", "messages_lost_to_failure",
-)
 _DATA_PLANE_TYPES = {"unm", "probe", "cleanup", "packet"}
 
 
-def _untyped(outcome):
-    """``outcome`` with ``type`` taken out of every ``msg_*`` record of
-    every trace in it, after checking each record names one, and its
-    trace signature (if any) re-signed over what is left."""
-    out = dict(outcome)
-    for key, value in outcome.items():
-        if key == "trace":
-            out[key] = [_untyped_event(event) for event in value]
-        elif isinstance(value, dict) and "trace" in value:
-            out[key] = _untyped(value)
-    if "trace_sig" in out:
-        out["trace_sig"] = trace_signature(out["trace"])
-    return out
+def _traces(outcome):
+    """Every trace in ``outcome``, nested captures included."""
+    yield outcome["trace"]
+    for value in outcome.values():
+        if isinstance(value, dict) and "trace" in value:
+            yield from _traces(value)
 
 
-def _untyped_event(event):
+def _assert_typed(event):
+    """A ``msg_*`` record names its message's type, and no other does:
+    a data-plane type where it records a ``port``, a class name where it
+    does not, either on a failure drop (which records no plane)."""
     if event.kind not in _MESSAGE_KINDS:
         assert "type" not in event.detail, event
-        return event
-    detail = dict(event.detail)
-    message_type = detail.pop("type")
+        return
+    message_type = event.detail["type"]
     class_name = message_type.isidentifier() and message_type[0].isupper()
-    if event.kind == KIND_MSG_DROP:          # a failure drop records no plane
+    if event.kind == KIND_MSG_DROP:
         assert message_type in _DATA_PLANE_TYPES or class_name, event
-    elif "port" in detail:
+    elif "port" in event.detail:
         assert message_type in _DATA_PLANE_TYPES, event
     else:
         assert class_name, event
-    return event._replace(detail=detail)
-
-
-class _NoView:
-    """Stands in for ``DerivedMetrics``: subscribed to no kind."""
-
-    routes: dict = {}
-
-    def __init__(self, metrics) -> None:
-        pass
-
-
-def _message_rows(obs):
-    return [
-        (name, labels, cell.value)
-        for name, labels, cell in obs.metrics if name in _MESSAGE_METRICS
-    ]
 
 
 SPEC = {
@@ -91,22 +72,21 @@ SPEC = {
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_one_describe_per_flight_matches_the_describe_twice_reference(name, monkeypatch):
-    got = _untyped(stock_outcome(name))
-    swap_bodies(monkeypatch, Network, ReferenceNetwork)
-    assert_same_outcome(got, SCENARIOS[name]())
+def test_one_describe_per_flight_matches_the_describe_twice_reference(name):
+    outcome = stock_outcome(name)
+    for trace in _traces(outcome):
+        for event in trace:
+            _assert_typed(event)
+    pinned = PINNED[name]
+    assert outcome_pin(name, outcome) == {"trace": pinned["trace"], "state": pinned["state"]}
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_the_view_counts_what_the_reference_counted_inline(name, monkeypatch):
+def test_the_view_counts_what_the_reference_counted_inline(name):
     viewed = make_obs()
     SCENARIOS[name](viewed)
-    swap_bodies(monkeypatch, Network, ReferenceNetwork)
-    monkeypatch.setattr(derived_module, "DerivedMetrics", _NoView)
-    inline = make_obs()
-    SCENARIOS[name](inline)
-    rows = _message_rows(viewed)
-    assert rows == _message_rows(inline)          # same counts, same order
+    rows = message_rows(viewed)
+    assert messages_pin(name, rows) == PINNED[name]["messages"]
     dropped = {labels["plane"] for metric, labels, _ in rows if metric == "messages_dropped"}
     if name.startswith("faults_"):
         assert dropped == {"data", "control"}

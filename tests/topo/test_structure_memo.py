@@ -20,7 +20,7 @@ from repro.topo import graph as graph_module
 from repro.topo import paths
 from repro.topo.graph import Topology
 from repro.topo.paths import NoPathError
-from repro.traffic.paths import k_shortest_paths, second_shortest_path
+from repro.traffic.paths import second_shortest_path
 from tests.topo.test_paths_parity import shared_graph
 
 WEIGHT = "latency_ms"
@@ -74,7 +74,7 @@ def _assert_answers(topo, expected):
     assert topo.controller == expected["centroid"]
     for (a, b), (k_paths, path, length) in expected["pairs"].items():
         for k in (1, 2, 3):          # ascending: each k outgrows the entry
-            assert k_shortest_paths(topo, a, b, k) == k_paths[:k]
+            assert topo.k_shortest_paths(a, b, k) == k_paths[:k]
         assert topo.shortest_path(a, b) == path
         assert topo.control_latency(b, controller=a) == length
 
@@ -119,21 +119,21 @@ def test_insertion_order_is_part_of_the_key(factory):
 def test_a_larger_k_recomputes_and_a_smaller_k_is_served(search_calls):
     topo = TOPOLOGIES["b4"]()
     a, b = sorted(topo.nodes)[:2]
-    assert len(k_shortest_paths(topo, a, b, 1)) == 1
-    three = k_shortest_paths(topo, a, b, 3)
+    assert len(topo.k_shortest_paths(a, b, 1)) == 1
+    three = topo.k_shortest_paths(a, b, 3)
     assert len(three) == 3 and search_calls["shortest_simple_paths"] == 2
-    assert k_shortest_paths(TOPOLOGIES["b4"](), a, b, 2) == three[:2]
+    assert TOPOLOGIES["b4"]().k_shortest_paths(a, b, 2) == three[:2]
     assert second_shortest_path(topo, a, b) == three[1]
     assert search_calls["shortest_simple_paths"] == 2
 
 
 def test_an_exhausted_pair_is_never_searched_again(search_calls):
     ring = ring_topology(6)                   # two loopless paths per pair
-    assert len(k_shortest_paths(ring, "n0", "n3", 3)) == 2
-    assert len(k_shortest_paths(ring, "n0", "n3", 12)) == 2
+    assert len(ring.k_shortest_paths("n0", "n3", 3)) == 2
+    assert len(ring.k_shortest_paths("n0", "n3", 12)) == 2
     assert search_calls["shortest_simple_paths"] == 1
     with pytest.raises(ValueError):
-        k_shortest_paths(ring, "n0", "n3", -1)
+        ring.k_shortest_paths("n0", "n3", -1)
 
 
 def test_mutating_an_answer_never_changes_a_later_one():
@@ -143,7 +143,7 @@ def test_mutating_an_answer_never_changes_a_later_one():
     queries = (
         lambda t: t.shortest_path(a, b),
         lambda t: t.shortest_path_avoiding(a, b, avoid),
-        lambda t: k_shortest_paths(t, a, b, 3),
+        lambda t: t.k_shortest_paths(a, b, 3),
     )
     for query in queries:
         first = query(topo)
@@ -222,7 +222,7 @@ def test_failures_are_raised_again_not_remembered(search_calls):
         with pytest.raises(NoPathError):
             topo.control_latency("n0", controller="ghost")
         with pytest.raises(NoPathError):
-            k_shortest_paths(topo, "n0", "ghost", 2)
+            topo.k_shortest_paths("n0", "ghost", 2)
     assert search_calls["bidirectional_dijkstra"] == 4
     assert search_calls["dijkstra_lengths"] == search_calls["shortest_simple_paths"] == 2
     assert MEMO == {next(iter(MEMO)): {}}
@@ -240,7 +240,7 @@ def test_a_busy_process_answers_like_a_cold_one(name):
             topo.shortest_path(a, b),
             second_shortest_path(topo, a, b),
             topo.shortest_path_avoiding(*other, frozenset({a})),
-            k_shortest_paths(topo, *other, 2),
+            topo.k_shortest_paths(*other, 2),
             topo.control_latency(b),
         )
         return answers, topo.path_cache_stats()
@@ -250,7 +250,7 @@ def test_a_busy_process_answers_like_a_cold_one(name):
     busy = factory()
     for pair in pairs:
         busy.shortest_path(*pair)
-        k_shortest_paths(busy, *pair, 2)
+        busy.k_shortest_paths(*pair, 2)
         busy.control_latency(pair[1], controller=pair[0])
     busy.shortest_path_avoiding(*other, frozenset({a}))
     # ... answers an equally used instance as a cold one did, and

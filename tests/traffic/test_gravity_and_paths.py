@@ -5,7 +5,7 @@ import pytest
 
 from repro.topo import fig1_topology, line_topology, ring_topology
 from repro.traffic.gravity import gravity_flow_sizes, gravity_matrix
-from repro.traffic.paths import k_shortest_paths, second_shortest_path
+from repro.traffic.paths import second_shortest_path
 
 
 def test_gravity_matrix_shape_and_positivity():
@@ -79,7 +79,7 @@ def test_gravity_matrix_node_order_changes_assignment_not_support():
 
 def test_k_shortest_on_ring_gives_both_directions():
     topo = ring_topology(6)
-    paths = k_shortest_paths(topo, "n0", "n3", 2)
+    paths = topo.k_shortest_paths("n0", "n3", 2)
     assert len(paths) == 2
     assert paths[0] != paths[1]
     assert all(p[0] == "n0" and p[-1] == "n3" for p in paths)
@@ -100,5 +100,5 @@ def test_second_shortest_is_longer_or_equal():
 
 def test_k_shortest_same_node_rejected():
     topo = ring_topology(4)
-    with pytest.raises(ValueError):
-        k_shortest_paths(topo, "n0", "n0", 2)
+    with pytest.raises(ValueError, match="src and dst must differ"):
+        topo.k_shortest_paths("n0", "n0", 2)

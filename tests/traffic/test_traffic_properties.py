@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.topo import ring_topology
 from repro.traffic.flows import Flow, FlowSet, flow_hash
 from repro.traffic.gravity import gravity_flow_sizes, gravity_matrix
-from repro.traffic.paths import k_shortest_paths
 
 
 @given(st.integers(min_value=0, max_value=2**31), st.integers(min_value=2, max_value=12))
@@ -44,7 +43,7 @@ def test_gravity_sizes_nonnegative_with_requested_mean(seed):
 @settings(max_examples=50, deadline=None)
 def test_k_shortest_paths_sorted_simple_and_distinct(n, k):
     topo = ring_topology(n, latency_ms=1.0)
-    paths = k_shortest_paths(topo, "n0", f"n{n // 2}", k)
+    paths = topo.k_shortest_paths("n0", f"n{n // 2}", k)
     assert 1 <= len(paths) <= k
     latencies = [topo.path_latency(p) for p in paths]
     assert latencies == sorted(latencies)
