@@ -1,6 +1,6 @@
 """Static verification layer (no simulation required).
 
-Three checkers, all runnable before (or instead of) executing anything:
+Four checkers, all runnable before (or instead of) executing anything:
 
 * :mod:`repro.analysis.linter` + :mod:`repro.analysis.rules` — the
   sim-purity linter: AST rules that flag determinism hazards
@@ -14,10 +14,15 @@ Three checkers, all runnable before (or instead of) executing anything:
 * :mod:`repro.analysis.pipecheck` — the pipeline static analyzer:
   inspects a behavioural P4 program's ingress pass for registers read
   but never written, registers it never defines, and resubmit loops
-  no switch caps.
+  no switch caps;
+* :mod:`repro.analysis.interference` — the inter-plan interference
+  analyzer: orders a batch of plans by the orchestrator's
+  serialization policies and reports the slot races, transient loops
+  and blackholes, link overcommits and scheduler deadlocks that the
+  pairs left unordered can interleave into.
 
 The ``analyze`` CLI subcommand (``p4update-repro analyze lint|plan|
-pipeline``) fronts all three; :data:`repro.params.SimParams.
+pipeline|interference``) fronts all four; :data:`repro.params.SimParams.
 verify_update_plans` turns the plan verifier into a pre-execution
 gate inside :class:`repro.core.controller.P4UpdateController`.
 """

@@ -112,13 +112,6 @@ class AdversarialCase:
             label=self.name,
         )
 
-    def flagged(self) -> bool:
-        """Did the analyzer report the injected kind?"""
-        report = self.analyze()
-        if not self.expect_kind:
-            return not report.findings
-        return any(f.kind == self.expect_kind for f in report.findings)
-
 
 class _Names:
     """Deterministic fresh node names: a shuffled two-letter alphabet."""

@@ -9,14 +9,15 @@ interleaving badly.  This module proves — or refutes — that a *batch*
 of plans cannot interleave into a consistency violation, before a
 single UIM is sent:
 
-1. :func:`footprint_of` extracts each plan's read/write footprint:
-   the pending-version register slots it writes (one per (switch,
-   flow)), the table entries it installs, and its directed-edge
-   capacity deltas (edges entered / left / kept).
-2. :func:`build_happens_before` composes every plan's internal
-   dependency DAG (the Alg. 1/2 enable order) with the orchestrator's
-   serialization policies into one static happens-before order over
-   all install/verify operations in the batch.
+1. :func:`footprint_of` extracts each plan's footprint: its flow and
+   size, the switches it installs at (each one a pending-version
+   register slot of that flow), and the old and new path edges that
+   give its directed-edge capacity deltas (edges entered / left /
+   kept).
+2. :func:`build_happens_before` turns the orchestrator's
+   serialization policies into one static, transitively closed order
+   over the batch's plans.  The order *inside* a plan is the Alg. 1/2
+   enable chain :func:`repro.analysis.plan.verify_plan` checks.
 3. :func:`detect_interference` enumerates unordered plan pairs and
    classifies them into typed findings — ``version-slot-race``,
    ``transient-loop``, ``transient-blackhole``, ``link-overcommit``
@@ -40,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator, Mapping, Optional, Sequence
 
-from repro.analysis.plan import UpdatePlan, find_cycle
+from repro.analysis.plan import UpdatePlan, find_cycle, reachable
 from repro.loading import plain, spec_digest
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -71,20 +72,16 @@ def _path_edges(path: Sequence[str]) -> tuple[tuple[str, str], ...]:
 class PlanFootprint:
     """What one plan reads and writes, seen by the rest of the batch.
 
-    ``version_slots`` are the pending-version register slots the plan
-    writes — one per (switch, flow) pair, the resource same-flow
-    serialization protects.  ``table_entries`` are the forwarding
-    entries installed, keyed (switch, flow, version).  The edge sets
-    drive the capacity analysis: ``enter_edges`` gain the flow's load,
-    ``leave_edges`` shed it, ``stay_edges`` carry it throughout.
+    ``switches`` are where the plan installs: at each it writes the
+    flow's pending-version register slot, the resource same-flow
+    serialization protects.  The edge sets drive the capacity
+    analysis: ``enter_edges`` gain the flow's load, ``leave_edges``
+    shed it, ``stay_edges`` carry it throughout.
     """
 
     flow_id: int
-    version: int
     flow_size: float
     switches: frozenset[str]
-    version_slots: tuple[tuple[str, int], ...]
-    table_entries: tuple[tuple[str, int, int], ...]
     old_edges: tuple[tuple[str, str], ...]
     new_edges: tuple[tuple[str, str], ...]
 
@@ -117,19 +114,10 @@ class PlanFootprint:
 
 def footprint_of(plan: UpdatePlan) -> PlanFootprint:
     """Extract the read/write footprint of one prepared plan."""
-    switches = frozenset(install.node for install in plan.installs)
     return PlanFootprint(
         flow_id=plan.flow_id,
-        version=plan.version,
         flow_size=plan.flow_size,
-        switches=switches,
-        version_slots=tuple(
-            (node, plan.flow_id) for node in sorted(switches)
-        ),
-        table_entries=tuple(
-            (install.node, plan.flow_id, install.version)
-            for install in plan.installs
-        ),
+        switches=frozenset(install.node for install in plan.installs),
         old_edges=_path_edges(plan.old_path),
         new_edges=_path_edges(plan.new_path),
     )
@@ -140,20 +128,13 @@ def footprint_from_paths(
     old_path: Sequence[str],
     new_path: Sequence[str],
     flow_size: float,
-    version: int = 0,
 ) -> PlanFootprint:
     """Footprint for a not-yet-prepared update (the admission gate
     sees the target paths before ``prepare_update`` runs)."""
-    switches = frozenset(new_path)
     return PlanFootprint(
         flow_id=flow_id,
-        version=version,
         flow_size=flow_size,
-        switches=switches,
-        version_slots=tuple((node, flow_id) for node in sorted(switches)),
-        table_entries=tuple(
-            (node, flow_id, version) for node in sorted(switches)
-        ),
+        switches=frozenset(new_path),
         old_edges=_path_edges(old_path),
         new_edges=_path_edges(new_path),
     )
@@ -184,28 +165,11 @@ class BatchPolicies:
         return plain(self)
 
 
-@dataclass(frozen=True)
-class PlanOp:
-    """One operation in the batch-wide order."""
-
-    plan: int       # batch index of the owning plan
-    node: str
-    action: str     # "install" | "verify"
-
-    def describe(self) -> str:
-        return f"plan#{self.plan}:{self.action}@{self.node}"
-
-
 @dataclass
 class HappensBefore:
-    """The composed static order over every operation in a batch."""
+    """The serialization policies' static order over a batch's plans."""
 
-    plans: list[UpdatePlan]
-    footprints: list[PlanFootprint]
-    policies: BatchPolicies
-    ops: tuple[PlanOp, ...]
-    #: Intra-plan enable edges (a happens before b), op granularity.
-    op_edges: tuple[tuple[PlanOp, PlanOp], ...]
+    plan_count: int
     #: Transitively closed plan-level order: (i, j) = i fully precedes j.
     plan_before: frozenset[tuple[int, int]]
 
@@ -214,31 +178,10 @@ class HappensBefore:
         return (i, j) in self.plan_before or (j, i) in self.plan_before
 
     def unordered_plan_pairs(self) -> Iterator[tuple[int, int]]:
-        for i in range(len(self.plans)):
-            for j in range(i + 1, len(self.plans)):
+        for i in range(self.plan_count):
+            for j in range(i + 1, self.plan_count):
                 if not self.ordered(i, j):
                     yield (i, j)
-
-
-def _transitive_pairs(
-    count: int, edges: set[tuple[int, int]]
-) -> frozenset[tuple[int, int]]:
-    adjacency: dict[int, set[int]] = {i: set() for i in range(count)}
-    for a, b in edges:
-        if 0 <= a < count and 0 <= b < count:
-            adjacency[a].add(b)
-    closed: set[tuple[int, int]] = set()
-    for start in range(count):
-        frontier = list(adjacency[start])
-        seen: set[int] = set()
-        while frontier:
-            node = frontier.pop()
-            if node in seen:
-                continue
-            seen.add(node)
-            closed.add((start, node))
-            frontier.extend(adjacency[node])
-    return frozenset(closed)
 
 
 def build_happens_before(
@@ -246,60 +189,38 @@ def build_happens_before(
     policies: Optional[BatchPolicies] = None,
     footprints: Optional[Sequence[PlanFootprint]] = None,
 ) -> HappensBefore:
-    """Compose intra-plan DAGs with the serialization policies.
+    """Order the batch's plans by the serialization policies.
 
     Plans are taken in batch order — the orchestrator's submission
     order — and every policy that serializes a conflicting pair orders
-    the earlier plan fully before the later one.
+    the earlier plan fully before the later one.  ``extra_order``
+    pairs naming no plan of the batch are ignored.
     """
     policies = policies if policies is not None else BatchPolicies()
     prints = (
-        list(footprints)
+        footprints
         if footprints is not None
         else [footprint_of(plan) for plan in plans]
     )
 
-    ops: list[PlanOp] = []
-    op_edges: list[tuple[PlanOp, PlanOp]] = []
-    for index, plan in enumerate(plans):
-        installs = {
-            install.node: PlanOp(index, install.node, "install")
-            for install in plan.installs
-        }
-        verifies = {
-            node: PlanOp(index, node, "verify") for node in installs
-        }
-        for node in sorted(installs):
-            ops.append(installs[node])
-            ops.append(verifies[node])
-            op_edges.append((installs[node], verifies[node]))
-        for a, b in plan.notify_edges:
-            if a in verifies and b in installs:
-                op_edges.append((verifies[a], installs[b]))
-        for waiter, prerequisite in plan.dependencies:
-            if prerequisite in verifies and waiter in installs:
-                op_edges.append((verifies[prerequisite], installs[waiter]))
-
-    pair_edges: set[tuple[int, int]] = set()
-    for i in range(len(plans)):
-        for j in range(i + 1, len(plans)):
-            if policies.same_flow and prints[i].flow_id == prints[j].flow_id:
-                pair_edges.add((i, j))
-            elif policies.shared_switch and (
-                prints[i].switches & prints[j].switches
+    n = len(plans)
+    after: dict[int, set[int]] = {i: set() for i in range(n)}
+    for i in range(n):
+        for j in range(i + 1, n):
+            if (
+                policies.max_in_flight == 1
+                or (policies.same_flow and prints[i].flow_id == prints[j].flow_id)
+                or (policies.shared_switch and prints[i].switches & prints[j].switches)
             ):
-                pair_edges.add((i, j))
-            elif policies.max_in_flight == 1:
-                pair_edges.add((i, j))
-    pair_edges.update(policies.extra_order)
-
+                after[i].add(j)
+    for a, b in policies.extra_order:
+        if 0 <= a < n and 0 <= b < n:
+            after[a].add(b)
     return HappensBefore(
-        plans=list(plans),
-        footprints=prints,
-        policies=policies,
-        ops=tuple(ops),
-        op_edges=tuple(op_edges),
-        plan_before=_transitive_pairs(len(plans), pair_edges),
+        plan_count=n,
+        plan_before=frozenset(
+            (i, j) for i in range(n) for j in reachable(after, after[i])
+        ),
     )
 
 
@@ -408,9 +329,9 @@ def _same_flow_pair_findings(
     tag_p, tag_q = _plan_tag(i, p), _plan_tag(j, q)
 
     # Write-write on the pending-version register slot.
-    shared_slots = sorted(set(fp.version_slots) & set(fq.version_slots))
+    shared_slots = sorted(fp.switches & fq.switches)
     if shared_slots:
-        node, flow = shared_slots[0]
+        node, flow = shared_slots[0], p.flow_id
         steps = [
             f"{tag_p}: install at {node} — slot ({node}, flow {flow}) "
             f"now pends v{p.version}",
@@ -425,7 +346,7 @@ def _same_flow_pair_findings(
                 message=(
                     f"{tag_p} and {tag_q} both write the pending-version "
                     f"register slot at {len(shared_slots)} switch(es) "
-                    f"({', '.join(sorted(n for n, _ in shared_slots))}) "
+                    f"({', '.join(shared_slots)}) "
                     f"with no order between them"
                 ),
                 subject=f"slot({node},flow{flow})",

@@ -29,6 +29,7 @@ import textwrap
 from typing import Any, Optional
 
 from repro.analysis.findings import Finding
+from repro.analysis.plan import reachable
 from repro.p4.switch import P4Switch
 
 
@@ -118,21 +119,6 @@ def _class_methods(cls: type) -> dict[str, tuple[_MethodFacts, str, int]]:
     return facts
 
 
-def _reachable(facts: dict[str, tuple[_MethodFacts, str, int]], entry: str) -> set[str]:
-    """``entry`` and every method it reaches through ``self.<m>()``."""
-    seen: set[str] = set()
-    frontier = [entry] if entry in facts else []
-    while frontier:
-        name = frontier.pop()
-        if name in seen:
-            continue
-        seen.add(name)
-        for callee in sorted(facts[name][0].calls):
-            if callee in facts and callee not in seen:
-                frontier.append(callee)
-    return seen
-
-
 def analyze_pipeline(program: Any) -> list[Finding]:
     """Run every pipeline check over ``program``; returns findings.
 
@@ -145,7 +131,8 @@ def analyze_pipeline(program: Any) -> list[Finding]:
     class_path = inspect.getsourcefile(cls) or f"<{cls.__name__}>"
 
     facts = _class_methods(cls)
-    pipeline = _reachable(facts, "ingress")
+    calls = {name: info.calls & facts.keys() for name, (info, _, _) in facts.items()}
+    pipeline = reachable(calls, {"ingress"} & facts.keys())
 
     # Control-plane writers: program methods ingress never reaches
     # (runtime API like store_uim), plus agent methods.

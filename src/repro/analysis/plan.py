@@ -40,7 +40,8 @@ from repro.loading import plain
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.controller import PreparedUpdate
 
-#: A graph node :func:`find_cycle` can order: a switch name or a plan index.
+#: A graph node :func:`find_cycle` and :func:`reachable` walk: a switch
+#: name, a method name or a plan index.
 _N = TypeVar("_N", str, int)
 
 
@@ -285,6 +286,21 @@ def find_cycle(
     return None
 
 
+def reachable(
+    successors: Mapping[_N, Iterable[_N]], starts: Iterable[_N]
+) -> set[_N]:
+    """``starts`` plus every node a walk along ``successors`` reaches
+    from them; a node that is not a key has no successors."""
+    seen = set(starts)
+    frontier = list(seen)
+    while frontier:
+        for child in successors.get(frontier.pop(), ()):
+            if child not in seen:
+                seen.add(child)
+                frontier.append(child)
+    return seen
+
+
 def verify_plan(plan: UpdatePlan) -> PlanReport:
     """Run every static check over ``plan``."""
     report = PlanReport(plan)
@@ -389,24 +405,17 @@ def verify_plan(plan: UpdatePlan) -> PlanReport:
         )
 
     # -- reachability ----------------------------------------------------------
-    incoming: dict[str, int] = {node: 0 for node in known}
+    incoming: set[str] = set()
     adjacency: dict[str, list[str]] = {node: [] for node in known}
     for a, b in enable_edges:
         if a in known and b in known:
             adjacency[a].append(b)
-            incoming[b] = incoming.get(b, 0) + 1
-    reached = {i.node for i in originators}
-    frontier = sorted(reached)
-    while frontier:
-        node = frontier.pop()
-        for nxt in adjacency.get(node, ()):
-            if nxt not in reached:
-                reached.add(nxt)
-                frontier.append(nxt)
+            incoming.add(b)
+    reached = reachable(adjacency, (i.node for i in originators))
     for install in plan.installs:
         if install.node in reached:
             continue
-        if incoming.get(install.node, 0) == 0:
+        if install.node not in incoming:
             violations.append(
                 PlanViolation(
                     "missing-ack",

@@ -59,12 +59,12 @@ def test_footprint_of_plan_matches_paths():
                            flow_size=1.25, version=4)
     fp = footprint_of(plan)
     assert fp.flow_id == 9
-    assert fp.version == 4
     assert fp.flow_size == 1.25
     assert fp.switches == {"a", "d", "c"}
-    assert fp.version_slots == (("a", 9), ("c", 9), ("d", 9))
     assert fp.old_edges == (("a", "b"), ("b", "c"))
     assert fp.new_edges == (("a", "d"), ("d", "c"))
+    # The batch detector and the admission gate see the same footprint.
+    assert fp == footprint_from_paths(9, ("a", "b", "c"), ("a", "d", "c"), 1.25)
 
 
 def test_footprint_survives_plan_dict_round_trip():
@@ -110,31 +110,20 @@ def test_hb_max_in_flight_one_is_a_total_order():
 
 
 def test_hb_extra_order_is_transitively_closed():
-    plans = pair() + [plan_from_paths(5, ("x", "y"), ("x", "z"))]
+    plans = pair() + [plan_from_paths(5, ("x", "y"), ("x", "z")),
+                      plan_from_paths(6, ("p", "q"), ("p", "r"))]
     hb = build_happens_before(
-        plans, BatchPolicies(extra_order=((0, 1), (1, 2)))
+        plans, BatchPolicies(extra_order=((0, 1), (1, 2), (2, 3)))
     )
-    assert (0, 2) in hb.plan_before
+    assert hb.plan_before == {(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)}
 
 
-def test_hb_intra_plan_install_order_follows_distances():
-    plan = plan_from_paths(1, ("a", "b", "c"), ("a", "d", "c"))
-    hb = build_happens_before([plan])
-    after = {(op.node, op.action): set() for op in hb.ops}
-    for earlier, later in hb.op_edges:
-        after[(earlier.node, earlier.action)].add((later.node, later.action))
-
-    def reachable(op):
-        seen, frontier = set(), [op]
-        while frontier:
-            for nxt in after[frontier.pop()] - seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-        return seen
-
-    # Egress ("c", distance 0) installs strictly before ingress "a".
-    assert ("a", "install") in reachable(("c", "install"))
-    assert ("c", "install") not in reachable(("a", "install"))
+def test_hb_extra_order_outside_the_batch_is_ignored():
+    hb = build_happens_before(
+        pair(), BatchPolicies(extra_order=((0, 5), (-1, 0)))
+    )
+    assert hb.plan_before == frozenset()
+    assert list(hb.unordered_plan_pairs()) == [(0, 1)]
 
 
 # -- detectors ----------------------------------------------------------------

@@ -15,9 +15,11 @@ every switch, the switches' alarms and counters, and what the controller
 concluded.  Between them the scenarios reach forced SL and forced DL
 service sessions, a closed loop under link flaps with a controller
 outage that buffers and re-enqueues and a switch that loses its
-registers, message faults of every kind on both planes (both registered
-corruptors), a link cut under messages on the wire, a 2PC update
-(``stage_tag``), compact piggybacked updates and a destination tree.
+registers, an open loop whose outage parks two reports that recovery
+must replay in arrival order, message faults of every kind on both
+planes (both registered corruptors), a link cut under messages on the
+wire, a 2PC update (``stage_tag``), compact piggybacked updates and a
+destination tree.
 
 ``pinned_scenarios.json`` holds, per scenario, the format-v2 trace
 signature, one digest of every other key of the outcome and one of the
@@ -173,6 +175,16 @@ def serve_chaos_closed(obs: ObsContext = NULL_OBS) -> dict[str, Any]:
     return _served(obs, **_CHAOS_CLOSED)
 
 
+def serve_outage_replay(obs: ObsContext = NULL_OBS) -> dict[str, Any]:
+    """The open loop with a 100 ms controller outage that parks two
+    completion reports (``buffered == [2]``): the order recovery replays
+    them in is the order the controller serves them."""
+    return _served(obs, events=[
+        {"time_ms": 1152.0, "kind": "controller_down"},
+        {"time_ms": 1252.0, "kind": "controller_up"},
+    ])
+
+
 def _baseline_served(strategy: str, fields: dict[str, Any], obs: ObsContext) -> dict[str, Any]:
     """An obs-only run: a baseline switch has no ``program`` for
     :func:`capture` to read, so only the result signature comes back."""
@@ -322,7 +334,7 @@ def destination_tree(obs: ObsContext = NULL_OBS) -> dict[str, Any]:
 SCENARIOS: dict[str, Callable[..., dict[str, Any]]] = {
     scenario.__name__: scenario
     for scenario in (
-        serve_forced_sl, serve_forced_dl, serve_chaos_closed,
+        serve_forced_sl, serve_forced_dl, serve_chaos_closed, serve_outage_replay,
         faults_distance_skew, faults_version_rewind, link_cut_in_flight,
         two_phase_commit, compact_piggyback, destination_tree,
     )

@@ -77,6 +77,8 @@ def test_one_describe_per_flight_matches_the_describe_twice_reference(name):
     for trace in _traces(outcome):
         for event in trace:
             _assert_typed(event)
+    if name == "serve_outage_replay":          # the replay order has two to order
+        assert outcome["buffered"][0] >= 2
     pinned = PINNED[name]
     assert outcome_pin(name, outcome) == {"trace": pinned["trace"], "state": pinned["state"]}
 
