@@ -16,8 +16,6 @@ Campaigns (:mod:`repro.fuzz.campaign`) shard through the sweep fleet.
 """
 
 from repro.fuzz.campaign import (
-    CrashRecord,
-    FuzzCampaignResult,
     FuzzSpec,
     FuzzSpecError,
     load_fuzz_spec,
@@ -36,7 +34,6 @@ from repro.fuzz.corpus import (
     replay_file,
     write_corpus_case,
 )
-from repro.fuzz.coverage import CoverageMap
 from repro.fuzz.gen import FUZZ_KINDS, FuzzCase, generate_case, mutate_case
 from repro.fuzz.lanes import LANE_TABLE, FuzzLane, resolve_lane
 from repro.fuzz.oracles import (
@@ -49,10 +46,7 @@ from repro.fuzz.oracles import (
 from repro.fuzz.shrink import shrink_case, shrink_measure
 
 __all__ = [
-    "CrashRecord",
-    "CoverageMap",
     "FUZZ_KINDS",
-    "FuzzCampaignResult",
     "FuzzCase",
     "FuzzLane",
     "FuzzSpec",

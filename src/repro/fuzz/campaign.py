@@ -10,12 +10,15 @@ byte-identical ``BENCH_fuzz_*`` manifests no matter how many workers
 ran them or how many resume rounds it took.
 
 Crash containment: generator and oracle exceptions become structured
-:class:`CrashRecord` documents (input seed + stage + traceback tail —
-the same idiom as the sweep's ``ShardFailure``) and the campaign
-continues; a campaign only aborts if the fleet itself does.
+crash records (input seed + stage + traceback tail — the same idiom as
+the sweep's ``ShardFailure``) and the campaign continues; a campaign
+only aborts if the fleet itself does.
 
-After the fleet merges, findings are deduplicated by failure key and
-auto-shrunk (:mod:`repro.fuzz.shrink`) into corpus-ready documents.
+The fleet folds the shard documents once
+(:func:`repro.fuzz.sweep_kind.aggregate_fuzz`: findings deduplicated by
+failure key); the campaign's results tree is that fold plus the fleet
+stamps and the findings auto-shrunk (:mod:`repro.fuzz.shrink`) into
+corpus-ready documents.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.fuzz.corpus import corpus_doc
-from repro.fuzz.coverage import CoverageMap
 from repro.fuzz.gen import (
     FUZZ_KINDS,
     FuzzCase,
@@ -99,38 +101,21 @@ def split_budget(budget: int, shards: int) -> list[int]:
 # -- crash containment -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CrashRecord:
-    """One contained generator/oracle exception (the ``ShardFailure``
-    idiom applied to individual fuzz cases)."""
-
-    seed: int
-    case_index: int
-    stage: str                  # generate | oracle
-    error_type: str
-    message: str
-    traceback_tail: str
-    kind: str = ""              # case kind, when known
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-
 def crash_record(
-    seed: int, case_index: int, stage: str, exc: BaseException, kind: str = ""
-) -> CrashRecord:
-    tb = "".join(
-        traceback.format_exception(type(exc), exc, exc.__traceback__)
-    )
-    return CrashRecord(
-        seed=seed,
-        case_index=case_index,
-        stage=stage,
-        error_type=type(exc).__name__,
-        message=str(exc),
-        traceback_tail=tb[-2000:],
-        kind=kind,
-    )
+    seed: int, case_index: int, stage: str, kind: str,
+    error_type: str, message: str, traceback_tail: str,
+) -> dict:
+    """One contained generator (``kind`` empty) or oracle exception
+    (the ``ShardFailure`` idiom applied to individual fuzz cases)."""
+    return {
+        "seed": seed,
+        "case_index": case_index,
+        "stage": stage,
+        "error_type": error_type,
+        "message": message,
+        "traceback_tail": traceback_tail,
+        "kind": kind,
+    }
 
 
 # -- the per-shard campaign body ---------------------------------------------
@@ -142,7 +127,7 @@ def run_fuzz_shard(
     """One shard's slice of a campaign: ``budget`` cases from the
     shard's derived seed.  JSON-safe, deterministic results only."""
     spec = load_fuzz_spec(fuzz)
-    coverage = CoverageMap()
+    seen: set[str] = set()
     corpus: list[FuzzCase] = []
     findings: list[dict] = []
     crashes: list[dict] = []
@@ -160,13 +145,17 @@ def run_fuzz_shard(
             else:
                 case = generate_case(seed, index, spec.kinds)
         except Exception as exc:
-            crashes.append(crash_record(seed, index, "generate", exc).to_dict())
+            crashes.append(crash_record(
+                seed, index, "generate", "", type(exc).__name__, str(exc),
+                traceback.format_exc()[-2000:],
+            ))
             outcomes["crash"] += 1
             continue
 
         verdict = classify(case)  # oracle crashes contained inside
         outcomes[verdict.outcome] += 1
-        if coverage.observe(verdict.coverage):
+        if not seen.issuperset(verdict.coverage):
+            seen.update(verdict.coverage)
             corpus.append(case)
         if verdict.outcome != "pass":
             findings.append(
@@ -179,24 +168,19 @@ def run_fuzz_shard(
                 }
             )
             if verdict.outcome == "crash":
-                crashes.append(
-                    CrashRecord(
-                        seed=seed,
-                        case_index=index,
-                        stage="oracle",
-                        error_type=verdict.kinds[0] if verdict.kinds else "Exception",
-                        message=str(verdict.detail.get("message", "")),
-                        traceback_tail=str(verdict.detail.get("traceback_tail", "")),
-                        kind=case.kind,
-                    ).to_dict()
-                )
+                crashes.append(crash_record(
+                    seed, index, "oracle", case.kind,
+                    verdict.kinds[0] if verdict.kinds else "Exception",
+                    str(verdict.detail.get("message", "")),
+                    str(verdict.detail.get("traceback_tail", "")),
+                ))
 
     return {
         "fuzz": spec.name,
         "shard_index": shard_index,
         "budget": budget,
         "outcomes": outcomes,
-        "coverage": coverage.keys(),
+        "coverage": sorted(seen),
         "corpus_retained": len(corpus),
         "findings": findings,
         "crashes": crashes,
@@ -204,47 +188,6 @@ def run_fuzz_shard(
 
 
 # -- the fleet-level campaign ------------------------------------------------
-
-
-@dataclass
-class FuzzCampaignResult:
-    """Everything one campaign produced, post-merge."""
-
-    spec: FuzzSpec
-    spec_hash: str
-    signature: str
-    shards_total: int
-    shards_failed: int
-    shard_failures: list[dict]
-    outcomes: dict[str, int]
-    coverage: list[str]
-    findings: list[dict]        # deduped by key, sorted by key
-    shrunk: list[dict]          # corpus-ready documents
-    crashes: list[dict]
-    cases: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return not self.shards_failed
-
-    def finding_keys(self) -> list[tuple[str, ...]]:
-        return [tuple(str(k) for k in f["key"]) for f in self.findings]
-
-    def to_results(self) -> dict:
-        return {
-            "spec_hash": self.spec_hash,
-            "signature": self.signature,
-            "shards_total": self.shards_total,
-            "shards_failed": self.shards_failed,
-            "failures": self.shard_failures,
-            "cases": self.cases,
-            "outcomes": dict(sorted(self.outcomes.items())),
-            "coverage_count": len(self.coverage),
-            "coverage": list(self.coverage),
-            "findings": self.findings,
-            "shrunk": self.shrunk,
-            "crashes": self.crashes,
-        }
 
 
 def fuzz_sweep_spec(spec: FuzzSpec) -> Any:
@@ -269,8 +212,9 @@ def run_fuzz_campaign(
     cache_dir: Optional[str] = None,
     resume: bool = False,
     shrink_findings: Optional[bool] = None,
-) -> FuzzCampaignResult:
-    """Run (or resume) one campaign through the sweep executor."""
+) -> dict:
+    """Run (or resume) one campaign through the sweep executor and
+    return its results tree (:func:`merge_fuzz_campaign`)."""
     from repro.sweep.executor import run_sweep
     from repro.sweep.merge import build_sweep_results
 
@@ -284,59 +228,24 @@ def run_fuzz_campaign(
 
 def merge_fuzz_campaign(
     spec: FuzzSpec, fleet: dict, shrink_findings: Optional[bool] = None
-) -> FuzzCampaignResult:
-    """Merge a campaign fleet's results tree
-    (:func:`repro.sweep.merge.build_sweep_results`): dedupe findings by
-    failure key and shrink them into corpus-ready documents."""
-    ordered = fleet["shards"]
-
-    outcomes: dict[str, int] = {outcome: 0 for outcome in OUTCOMES}
-    coverage = CoverageMap()
-    crashes: list[dict] = []
-    raw_findings: list[dict] = []
-    cases = 0
-    for doc in ordered:
-        results = doc["results"]
-        cases += int(results.get("budget", 0))
-        for outcome, count in (results.get("outcomes") or {}).items():
-            outcomes[outcome] = outcomes.get(outcome, 0) + int(count)
-        coverage.observe(results.get("coverage") or [])
-        crashes.extend(results.get("crashes") or [])
-        raw_findings.extend(results.get("findings") or [])
-
-    # Dedupe by failure key: first occurrence in (shard, case) order
-    # wins; the final list is sorted by key so it is independent of
-    # shard completion order.
-    raw_findings.sort(
-        key=lambda f: (int(f.get("shard_index", 0)), int(f.get("case_index", 0)))
-    )
-    by_key: dict[tuple[str, ...], dict] = {}
-    for finding in raw_findings:
-        key = tuple(str(k) for k in finding["key"])
-        if key not in by_key:
-            by_key[key] = finding
-    findings = [by_key[key] for key in sorted(by_key)]
-
+) -> dict:
+    """The ``BENCH_fuzz_*`` results tree of a campaign fleet's results
+    tree (:func:`repro.sweep.merge.build_sweep_results`): its stamps,
+    its fold (:func:`repro.fuzz.sweep_kind.aggregate_fuzz`) and the
+    first ``spec.max_shrunk`` findings shrunk into corpus-ready
+    documents."""
+    aggregates = fleet["aggregates"]
     do_shrink = spec.shrink if shrink_findings is None else shrink_findings
-    shrunk: list[dict] = []
-    if do_shrink:
-        for finding in findings[: spec.max_shrunk]:
-            shrunk.append(shrink_finding(spec, finding))
-
-    return FuzzCampaignResult(
-        spec=spec,
-        spec_hash=fleet["spec_hash"],
-        signature=fleet["signature"],
-        shards_total=fleet["shards_total"],
-        shards_failed=fleet["shards_failed"],
-        shard_failures=fleet["failures"],
-        outcomes=outcomes,
-        coverage=coverage.keys(),
-        findings=findings,
-        shrunk=shrunk,
-        crashes=crashes,
-        cases=cases,
-    )
+    findings = aggregates["findings"][: spec.max_shrunk] if do_shrink else []
+    return {
+        "spec_hash": fleet["spec_hash"],
+        "signature": fleet["signature"],
+        "shards_total": fleet["shards_total"],
+        "shards_failed": fleet["shards_failed"],
+        "failures": fleet["failures"],
+        **aggregates,
+        "shrunk": [shrink_finding(spec, finding) for finding in findings],
+    }
 
 
 def shrink_finding(spec: FuzzSpec, finding: dict) -> dict:
@@ -369,7 +278,7 @@ def shrink_finding(spec: FuzzSpec, finding: dict) -> dict:
 
 
 def write_fuzz_manifest(
-    result: FuzzCampaignResult, out_dir: Optional[str] = None
+    spec: FuzzSpec, results: dict, out_dir: Optional[str] = None
 ) -> str:
     """Write ``BENCH_fuzz_<name>.json`` and return its path.
 
@@ -380,9 +289,9 @@ def write_fuzz_manifest(
     from repro.obs.manifest import write_manifest
 
     return write_manifest(
-        f"fuzz_{result.spec.name}",
-        params=result.spec.to_dict(),
-        results=result.to_results(),
-        seed=result.spec.seed,
+        f"fuzz_{spec.name}",
+        params=spec.to_dict(),
+        results=results,
+        seed=spec.seed,
         out_dir=out_dir,
     )

@@ -87,35 +87,34 @@ def _cmd_run(args: argparse.Namespace) -> int:
         banner=f"fuzz {spec.name!r}: budget {spec.budget} across "
                f"{spec.shards} shard(s), seed {spec.seed}",
     )
-    result = merge_fuzz_campaign(
+    results = merge_fuzz_campaign(
         spec, fleet, shrink_findings=False if args.no_shrink else None
     )
-    path = write_fuzz_manifest(result, out_dir=args.out_dir)
+    path = write_fuzz_manifest(spec, results, out_dir=args.out_dir)
     print(f"wrote {path}")
-    print(f"signature {result.signature}")
+    print(f"signature {results['signature']}")
     print(
-        f"cases {result.cases}  outcomes "
-        + " ".join(f"{k}={v}" for k, v in sorted(result.outcomes.items()))
+        f"cases {results['cases']}  outcomes "
+        + " ".join(f"{k}={v}" for k, v in results["outcomes"].items())
     )
-    print(f"coverage {len(result.coverage)} key(s)")
-    for crash in result.crashes:
+    print(f"coverage {results['coverage_count']} key(s)")
+    for crash in results["crashes"]:
         print(
             f"contained crash: shard seed {crash['seed']} "
             f"case {crash['case_index']} [{crash['stage']}] "
             f"{crash['error_type']}: {crash['message']}"
         )
 
-    keys = result.finding_keys()
+    keys = [tuple(str(k) for k in f["key"]) for f in results["findings"]]
     new_keys = [key for key in keys if key not in known]
-    for finding in result.findings:
-        key = tuple(str(k) for k in finding["key"])
-        marker = "NEW" if key in set(new_keys) else "known"
+    for key in keys:
+        marker = "known" if key in known else "NEW"
         print(f"finding [{marker}] {'/'.join(key)}")
     if not keys:
         print("no findings")
 
     if args.emit_corpus:
-        for doc in result.shrunk:
+        for doc in results["shrunk"]:
             key = expected_key(doc)
             if key in known:
                 continue
@@ -124,9 +123,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(f"emitted {case_path}")
 
     if args.json:
-        print(json.dumps(result.to_results(), indent=2, sort_keys=True))
+        print(json.dumps(results, indent=2, sort_keys=True))
 
-    if not result.ok:
+    if results["shards_failed"]:
         return 1
     if args.fail_on_new and new_keys:
         print(f"FAILED: {len(new_keys)} new finding key(s) not in corpus")
@@ -162,18 +161,14 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 
 def _cmd_shrink(args: argparse.Namespace) -> int:
-    from repro.fuzz.corpus import (
-        case_from_doc,
-        corpus_doc,
-        load_corpus_file,
-        write_corpus_case,
-    )
+    from repro.fuzz.corpus import corpus_doc, load_corpus_file, write_corpus_case
+    from repro.fuzz.gen import case_from_dict
     from repro.fuzz.oracles import classify
     from repro.fuzz.shrink import shrink_case, shrink_measure
 
     try:
         doc = load_corpus_file(args.case)
-        case = case_from_doc(doc)
+        case = case_from_dict(doc)
     except (OSError, ValueError) as exc:
         raise CliError(str(exc), 2) from None
     before = shrink_measure(case.payload)

@@ -132,12 +132,6 @@ def known_keys(directory: str) -> set[tuple[str, ...]]:
     return keys
 
 
-def case_from_doc(doc: dict) -> FuzzCase:
-    """The case a corpus document carries (its other fields are the
-    expectation and provenance)."""
-    return case_from_dict(doc)
-
-
 def replay_doc(doc: dict) -> tuple[bool, OracleVerdict]:
     """Re-run a corpus case verbatim.
 
@@ -147,7 +141,7 @@ def replay_doc(doc: dict) -> tuple[bool, OracleVerdict]:
     deterministic, so exact equality is the right bar).
     """
     validate_corpus_doc(doc)
-    case = case_from_doc(doc)
+    case = case_from_dict(doc)
     verdict = classify(case)
     reproduced = failure_key(case.kind, verdict) == expected_key(doc)
     return reproduced, verdict

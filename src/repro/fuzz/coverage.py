@@ -13,38 +13,13 @@ than from new instrumentation:
   ``obs:`` here.
 
 A case is retained in the mutation corpus exactly when it contributes
-at least one key the campaign has not seen (``CoverageMap.observe``),
-so campaigns explore the behaviour space instead of resampling it.
+at least one key the campaign has not seen, so campaigns explore the
+behaviour space instead of resampling it.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable
-
-
-class CoverageMap:
-    """The set of coverage keys one campaign (or shard) has hit."""
-
-    def __init__(self, keys: Iterable[str] = ()) -> None:
-        self._keys: set[str] = set(keys)
-
-    def observe(self, keys: Iterable[str]) -> list[str]:
-        """Record ``keys``; return the sorted novel subset."""
-        new = sorted(set(keys) - self._keys)
-        self._keys.update(new)
-        return new
-
-    def merge(self, other: "CoverageMap") -> None:
-        self._keys.update(other._keys)
-
-    def keys(self) -> list[str]:
-        return sorted(self._keys)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._keys
-
-    def __len__(self) -> int:
-        return len(self._keys)
+from typing import Any
 
 
 def obs_coverage_keys(obs: Any) -> list[str]:

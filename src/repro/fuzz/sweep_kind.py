@@ -17,6 +17,7 @@ from repro.fuzz.campaign import (
     run_fuzz_shard,
     split_budget,
 )
+from repro.fuzz.oracles import OUTCOMES
 from repro.sweep.kinds import ShardPlan, SweepKind
 from repro.sweep.spec import SweepSpec, SweepSpecError, derive_shard_seed
 
@@ -27,21 +28,23 @@ def _validate(spec: SweepSpec) -> None:
     if spec.body["runs"] < 1:
         raise SweepSpecError("fuzz sweep needs runs >= 1")
     try:
-        load_fuzz_spec(dict(spec.body["fuzz"]))
+        fuzz = load_fuzz_spec(dict(spec.body["fuzz"]))
     except FuzzSpecError as exc:
         raise SweepSpecError(f"invalid fuzz spec: {exc}") from None
+    if spec.body["runs"] > fuzz.budget:
+        raise SweepSpecError("fuzz sweep needs runs <= fuzz budget")
 
 
 def _expand(spec: SweepSpec) -> Iterator[ShardPlan]:
     fuzz = dict(spec.body["fuzz"])
-    name = fuzz.get("name", spec.name)
-    budgets = split_budget(int(fuzz.get("budget", 1)), spec.body["runs"])
+    campaign = load_fuzz_spec(fuzz)
+    budgets = split_budget(campaign.budget, spec.body["runs"])
     for index, budget in enumerate(budgets):
-        seed = derive_shard_seed(spec.seed, "fuzz", str(name), index)
+        seed = derive_shard_seed(spec.seed, "fuzz", campaign.name, index)
         payload = {
             "fuzz": fuzz, "seed": seed, "shard_index": index, "budget": budget,
         }
-        yield {"shard": index, "fuzz": name}, seed, payload
+        yield {"shard": index, "fuzz": campaign.name}, seed, payload
 
 
 def _run_shard(payload: dict, obs: Optional[Any]) -> dict:
@@ -54,29 +57,31 @@ def _run_shard(payload: dict, obs: Optional[Any]) -> dict:
 
 
 def aggregate_fuzz(shard_docs: list[dict]) -> dict:
-    """Fleet view of fuzz shards: merged outcome counts, the union of
-    coverage keys, distinct finding keys, and contained crashes."""
-    outcomes: dict[str, int] = {}
+    """The one fold over a campaign's (index-ordered) shard documents:
+    summed cases and outcome counts (every outcome, zeros kept), the
+    union of coverage keys, the findings deduplicated by failure key
+    (the first in (shard, case) order wins; sorted by key, so the list
+    is independent of shard completion order) and every contained
+    crash."""
+    outcomes = dict.fromkeys(OUTCOMES, 0)
     coverage: set[str] = set()
-    finding_keys: set[tuple[str, ...]] = set()
-    crashes = 0
+    by_key: dict[tuple[str, ...], dict] = {}
+    crashes: list[dict] = []
     for doc in shard_docs:
         results = doc["results"]
-        for outcome, count in (results.get("outcomes") or {}).items():
-            outcomes[outcome] = outcomes.get(outcome, 0) + int(count)
-        coverage.update(str(k) for k in results.get("coverage") or [])
-        for finding in results.get("findings") or []:
-            finding_keys.add(tuple(str(k) for k in finding.get("key") or []))
-        crashes += len(results.get("crashes") or [])
+        for outcome, count in results["outcomes"].items():
+            outcomes[outcome] += int(count)
+        coverage.update(results["coverage"])
+        for finding in results["findings"]:
+            by_key.setdefault(tuple(str(k) for k in finding["key"]), finding)
+        crashes.extend(results["crashes"])
     return {
-        "shards": len(shard_docs),
-        "cases": sum(int(d["results"].get("budget", 0)) for d in shard_docs),
+        "cases": sum(int(d["results"]["budget"]) for d in shard_docs),
         "outcomes": dict(sorted(outcomes.items())),
         "coverage_count": len(coverage),
-        "distinct_finding_keys": len(finding_keys),
-        "finding_keys": sorted(list(k) for k in finding_keys),
+        "coverage": sorted(coverage),
+        "findings": [by_key[key] for key in sorted(by_key)],
         "crashes": crashes,
-        "clean": not finding_keys,
     }
 
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repro.fuzz.campaign import (
     FuzzSpec,
     FuzzSpecError,
-    crash_record,
     load_fuzz_spec,
     run_fuzz_campaign,
     run_fuzz_shard,
@@ -95,16 +94,73 @@ def test_generator_crash_contained(monkeypatch):
     assert "boom at index 1" in crash["traceback_tail"]
 
 
-def test_crash_record_shape():
-    try:
-        raise ValueError("bad payload")
-    except ValueError as exc:
-        record = crash_record(3, 7, "oracle", exc, kind="serve")
-    doc = record.to_dict()
-    assert doc["seed"] == 3 and doc["case_index"] == 7
-    assert doc["stage"] == "oracle" and doc["kind"] == "serve"
-    assert doc["error_type"] == "ValueError"
-    assert "bad payload" in doc["traceback_tail"]
+def test_oracle_crash_contained(monkeypatch):
+    import repro.fuzz.oracles as oracles_mod
+
+    real = oracles_mod.evaluate_case
+    calls: list = []
+
+    def flaky(case):
+        calls.append(case.kind)
+        if len(calls) == 3:  # case 2: no generator crash precedes it
+            raise ValueError("bad payload")
+        return real(case)
+
+    monkeypatch.setattr(oracles_mod, "evaluate_case", flaky)
+    doc = run_fuzz_shard(SMALL, seed=5, shard_index=0, budget=4)
+    assert sum(doc["outcomes"].values()) == 4
+    assert doc["outcomes"]["crash"] == 1
+    crashes = [c for c in doc["crashes"] if c["stage"] == "oracle"]
+    assert len(crashes) == 1
+    crash = crashes[0]
+    assert crash["seed"] == 5 and crash["case_index"] == 2
+    assert crash["kind"] == calls[2]
+    assert crash["error_type"] == "ValueError"
+    assert crash["message"] == "bad payload"
+    assert "bad payload" in crash["traceback_tail"]
+
+
+# -- the fold ----------------------------------------------------------------
+
+
+def _shard_doc(index, budget, outcomes, findings):
+    return {
+        "index": index,
+        "results": {
+            "budget": budget,
+            "outcomes": outcomes,
+            "coverage": [f"k{index}", "shared"],
+            "findings": [
+                {"key": list(key), "shard_index": index, "case_index": case}
+                for key, case in findings
+            ],
+            "crashes": [],
+        },
+    }
+
+
+def test_aggregate_dedupes_findings_by_key():
+    from repro.fuzz.sweep_kind import aggregate_fuzz
+
+    shared = ("plan", "violation", "static", "plan:unknown-node")
+    docs = [
+        _shard_doc(0, 3, {"pass": 1, "violation": 2},
+                   [(("serve", "violation", "serve"), 0), (shared, 2)]),
+        _shard_doc(1, 2, {"pass": 0, "violation": 2},
+                   [(shared, 0), (("chaos", "violation", "chaos"), 1)]),
+    ]
+    folded = aggregate_fuzz(docs)
+    assert folded["cases"] == 5
+    assert folded["outcomes"] == {
+        "crash": 0, "divergence": 0, "pass": 1, "violation": 4,
+    }
+    assert folded["coverage"] == ["k0", "k1", "shared"]
+    assert folded["coverage_count"] == 3
+    keys = [tuple(f["key"]) for f in folded["findings"]]
+    assert keys == sorted(keys) and len(keys) == 3
+    winner = folded["findings"][keys.index(shared)]
+    assert (winner["shard_index"], winner["case_index"]) == (0, 2)
+    assert folded["crashes"] == []
 
 
 # -- fleet -------------------------------------------------------------------
@@ -118,9 +174,9 @@ def test_campaign_signature_worker_count_independent(tmp_path):
     pooled = run_fuzz_campaign(
         spec, workers=2, cache_dir=str(tmp_path / "pooled")
     )
-    assert serial.ok and pooled.ok
-    assert serial.signature == pooled.signature
-    assert serial.to_results() == pooled.to_results()
+    assert not serial["shards_failed"] and not pooled["shards_failed"]
+    assert serial["signature"] == pooled["signature"]
+    assert serial == pooled
 
 
 def test_campaign_resume_reuses_cache(tmp_path):
@@ -129,7 +185,7 @@ def test_campaign_resume_reuses_cache(tmp_path):
     again = run_fuzz_campaign(
         spec, workers=1, cache_dir=str(tmp_path), resume=True
     )
-    assert again.signature == first.signature
+    assert again["signature"] == first["signature"]
 
 
 def test_campaign_shrinks_findings_to_corpus_docs(tmp_path):
@@ -140,15 +196,15 @@ def test_campaign_shrinks_findings_to_corpus_docs(tmp_path):
         name="sh", seed=3, budget=8, shards=2, kinds=("plan",), max_shrunk=2
     )
     result = run_fuzz_campaign(spec, workers=1, cache_dir=str(tmp_path))
-    assert result.findings, "plan-only campaign at this seed must find"
-    assert result.shrunk
-    keys = {tuple(str(k) for k in f["key"]) for f in result.findings}
-    for doc in result.shrunk:
+    assert result["findings"], "plan-only campaign at this seed must find"
+    assert result["shrunk"]
+    keys = {tuple(str(k) for k in f["key"]) for f in result["findings"]}
+    for doc in result["shrunk"]:
         validate_corpus_doc(doc)
         assert expected_key(doc) in keys
         original = next(
             f
-            for f in result.findings
+            for f in result["findings"]
             if tuple(str(k) for k in f["key"]) == expected_key(doc)
         )
         assert shrink_measure(doc["payload"]) <= shrink_measure(
@@ -159,17 +215,17 @@ def test_campaign_shrinks_findings_to_corpus_docs(tmp_path):
 def test_manifest_written_and_deterministic(tmp_path):
     spec = FuzzSpec(name="mf", seed=3, budget=4, shards=1, shrink=False)
     result = run_fuzz_campaign(spec, workers=1, cache_dir=str(tmp_path / "c"))
-    path = write_fuzz_manifest(result, out_dir=str(tmp_path))
+    path = write_fuzz_manifest(spec, result, out_dir=str(tmp_path))
     assert path.endswith("BENCH_fuzz_mf.json")
     with open(path, encoding="utf-8") as handle:
         manifest = json.load(handle)
-    assert manifest["results"]["signature"] == result.signature
+    assert manifest["results"] == result
     assert manifest["params"]["name"] == "mf"
 
     rerun = run_fuzz_campaign(
         spec, workers=1, cache_dir=str(tmp_path / "c2")
     )
-    path2 = write_fuzz_manifest(rerun, out_dir=str(tmp_path / "again"))
+    path2 = write_fuzz_manifest(spec, rerun, out_dir=str(tmp_path / "again"))
     with open(path2, encoding="utf-8") as handle:
         manifest2 = json.load(handle)
     assert manifest2["results"] == manifest["results"]
@@ -185,6 +241,11 @@ def test_fuzz_sweep_spec_expansion():
     assert [s.payload["budget"] for s in shards] == [3, 2, 2]
     assert len({s.seed for s in shards}) == 3
     assert all(s.payload["kind"] == "fuzz" for s in shards)
+    # No budget: the FuzzSpec default (32 cases) is split, not 1.
+    defaults = load_sweep_spec(
+        {"name": "t", "kind": "fuzz", "runs": 2, "fuzz": {"name": "x"}}
+    )
+    assert [s.payload["budget"] for s in defaults.expand()] == [16, 16]
 
 
 def test_fuzz_sweep_spec_validation():
@@ -195,4 +256,10 @@ def test_fuzz_sweep_spec_validation():
     with pytest.raises(SweepSpecError, match="invalid fuzz spec"):
         load_sweep_spec(
             {"name": "t", "kind": "fuzz", "fuzz": {"name": "", "budget": 1}}
+        )
+    # More shards than cases would expand to zero-case shards.
+    with pytest.raises(SweepSpecError, match="runs <= fuzz budget"):
+        load_sweep_spec(
+            {"name": "t", "kind": "fuzz", "runs": 5,
+             "fuzz": {"name": "x", "budget": 3}}
         )

@@ -32,10 +32,11 @@ import pathlib
 
 import pytest
 
-from repro.fuzz.corpus import case_from_doc, corpus_files, load_corpus_file
+from repro.fuzz.corpus import corpus_files, load_corpus_file
 from repro.fuzz.gen import (
     FUZZ_KINDS,
     canonical_payload,
+    case_from_dict,
     case_rng,
     generate_case,
     mutate_case,
@@ -104,7 +105,7 @@ def mutated_cases() -> list:
 
 def corpus_cases() -> list:
     return [
-        case_from_doc(load_corpus_file(path)) for path in corpus_files(str(CORPUS_DIR))
+        case_from_dict(load_corpus_file(path)) for path in corpus_files(str(CORPUS_DIR))
     ]
 
 
