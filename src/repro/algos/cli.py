@@ -75,7 +75,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         spec, args.seeds, kind="compete", obs=args.obs, strategies=strategies
     )
     obs = obs_from_flags(args)
-    run, results = run_fleet(
+    results = run_fleet(
         sweep, args, obs,
         banner=f"compete {spec.name!r}: {len(strategies)} strategy(ies) x "
                f"{args.seeds} seed(s)",
@@ -105,7 +105,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
               f"abort {row['abort_rate']:.2f} "
               f"viol {row['violations']}")
     return report_ok(
-        run.ok
+        not results["failures"]
         and aggregates["consistent"]
         and all(
             row["invariants_ok"]

@@ -408,9 +408,7 @@ def _interference_batch(args: argparse.Namespace, spec) -> int:
     per seeded workload replica, shardable/resumable like any fleet)."""
     from repro.serve.sweep_kind import serve_sweep
 
-    run, results = run_fleet(
-        serve_sweep(spec, args.seeds, kind="interference"), args
-    )
+    results = run_fleet(serve_sweep(spec, args.seeds, kind="interference"), args)
     aggregates = results["aggregates"]
     print(f"interference {spec.name!r}: {aggregates['runs']} seeded "
           f"batch(es), {aggregates['plans']} plan(s), "
@@ -418,7 +416,8 @@ def _interference_batch(args: argparse.Namespace, spec) -> int:
     for kind, count in aggregates["findings_by_kind"].items():
         print(f"    {kind:<22s} {count}")
     print(f"signature {results['signature']}")
-    return _verdict(args, results["signature"], aggregates["clean"], run.ok)
+    return _verdict(args, results["signature"], aggregates["clean"],
+                    not results["failures"])
 
 
 # -- parser wiring ------------------------------------------------------------------

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 
 from repro.chaos.campaign import load_campaign_file
-from repro.obs.manifest import write_manifest
 from repro.sweep.cli import (
     BENCH_DIR_HELP,
     add_fleet_flags,
@@ -25,6 +24,7 @@ from repro.sweep.cli import (
     load_or_exit,
     report_ok,
     run_fleet,
+    write_fleet_manifest,
 )
 
 
@@ -40,9 +40,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     # The N same-seed repetitions are a chaos-kind sweep fleet: each
     # run is one shard, executed in a worker process (or inline with
     # --workers 1, the serial path the runner always had).
-    run, fleet = run_fleet(
-        campaign_sweep(campaign, args.runs, obs=args.obs), args
-    )
+    fleet = run_fleet(campaign_sweep(campaign, args.runs, obs=args.obs), args)
     docs = fleet["shards"]
     for doc in docs:
         results = doc["results"]
@@ -55,7 +53,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             f"signature {results['trace_signature'][:16]}"
         )
 
-    ok = run.ok
+    ok = not fleet["failures"]
     for doc in docs:
         results = doc["results"]
         if not results["consistent"]:
@@ -83,14 +81,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 f"{report['reason']} (failed edges: {report['failed_edges']})"
             )
         if args.manifest:
-            path = write_manifest(
-                f"chaos_{campaign.name}",
-                params=campaign.to_dict(),
-                results=docs[0]["results"],
-                seed=campaign.seed,
-                out_dir=args.out_dir,
+            write_fleet_manifest(
+                f"chaos_{campaign.name}", campaign, docs[0]["results"], args
             )
-            print(f"wrote {path}")
     return report_ok(ok)
 
 

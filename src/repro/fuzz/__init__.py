@@ -20,10 +20,8 @@ from repro.fuzz.campaign import (
     FuzzSpecError,
     load_fuzz_spec,
     load_fuzz_spec_file,
-    run_fuzz_campaign,
     run_fuzz_shard,
     split_budget,
-    write_fuzz_manifest,
 )
 from repro.fuzz.corpus import (
     corpus_doc,
@@ -68,11 +66,9 @@ __all__ = [
     "replay_doc",
     "replay_file",
     "resolve_lane",
-    "run_fuzz_campaign",
     "run_fuzz_shard",
     "shrink_case",
     "shrink_measure",
     "split_budget",
     "write_corpus_case",
-    "write_fuzz_manifest",
 ]

@@ -1,13 +1,16 @@
-"""The ``FuzzCampaign`` runner, sharded through the sweep executor.
+"""Fuzz campaigns: their spec, their per-shard body and their merge.
 
 A campaign is described by a :class:`FuzzSpec` (one JSON document:
-seed, case budget, shard count, enabled kinds).  The budget is split
-deterministically across shards; each shard runs
-:func:`run_fuzz_shard` — generate or mutate, classify, retain on new
-coverage — through the PR 4 fleet machinery (``repro fuzz run
---workers/--resume``), so fixed ``(seed, budget)`` campaigns produce
-byte-identical ``BENCH_fuzz_*`` manifests no matter how many workers
-ran them or how many resume rounds it took.
+seed, case budget, shard count, enabled kinds).  :func:`fuzz_sweep_spec`
+turns it into a ``fuzz``-kind sweep whose shards split the budget
+deterministically; each shard runs :func:`run_fuzz_shard` — generate
+or mutate, classify, retain on new coverage.  ``repro fuzz run`` runs
+that sweep through the one fleet front end
+(:func:`repro.sweep.cli.run_fleet`, ``--workers/--resume``) and hands
+its results tree to :func:`merge_fuzz_campaign`, so fixed
+``(seed, budget)`` campaigns produce byte-identical ``BENCH_fuzz_*``
+manifests no matter how many workers ran them or how many resume
+rounds it took.
 
 Crash containment: generator and oracle exceptions become structured
 crash records (input seed + stage + traceback tail — the same idiom as
@@ -206,26 +209,6 @@ def fuzz_sweep_spec(spec: FuzzSpec) -> Any:
     )
 
 
-def run_fuzz_campaign(
-    spec: FuzzSpec,
-    workers: int = 1,
-    cache_dir: Optional[str] = None,
-    resume: bool = False,
-    shrink_findings: Optional[bool] = None,
-) -> dict:
-    """Run (or resume) one campaign through the sweep executor and
-    return its results tree (:func:`merge_fuzz_campaign`)."""
-    from repro.sweep.executor import run_sweep
-    from repro.sweep.merge import build_sweep_results
-
-    sweep = fuzz_sweep_spec(spec)
-    run = run_sweep(sweep, workers=workers, cache_dir=cache_dir, resume=resume)
-    results = build_sweep_results(
-        sweep, run.shard_docs, run.failures, run.shards_total
-    )
-    return merge_fuzz_campaign(spec, results, shrink_findings)
-
-
 def merge_fuzz_campaign(
     spec: FuzzSpec, fleet: dict, shrink_findings: Optional[bool] = None
 ) -> dict:
@@ -259,7 +242,7 @@ def shrink_finding(spec: FuzzSpec, finding: dict) -> dict:
         if minimal is not case
         else verdict_from_dict(finding["verdict"])
     )
-    doc = corpus_doc(
+    return corpus_doc(
         minimal,
         verdict,
         found_by={
@@ -273,25 +256,4 @@ def shrink_finding(spec: FuzzSpec, finding: dict) -> dict:
             f"auto-shrunk from campaign {spec.name!r} "
             f"(seed {spec.seed}, budget {spec.budget})"
         ),
-    )
-    return doc
-
-
-def write_fuzz_manifest(
-    spec: FuzzSpec, results: dict, out_dir: Optional[str] = None
-) -> str:
-    """Write ``BENCH_fuzz_<name>.json`` and return its path.
-
-    Everything under ``results`` is deterministic for a fixed
-    ``(seed, budget)``, so ``bench_compare --exact`` across worker
-    counts is a hard byte-identity gate.
-    """
-    from repro.obs.manifest import write_manifest
-
-    return write_manifest(
-        f"fuzz_{spec.name}",
-        params=spec.to_dict(),
-        results=results,
-        seed=spec.seed,
-        out_dir=out_dir,
     )

@@ -27,6 +27,7 @@ from repro.sweep.cli import (
     add_fleet_flags,
     add_output_flags,
     run_fleet,
+    write_fleet_manifest,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -60,11 +61,7 @@ def _build_spec(args: argparse.Namespace) -> "FuzzSpec":
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from repro.fuzz.campaign import (
-        fuzz_sweep_spec,
-        merge_fuzz_campaign,
-        write_fuzz_manifest,
-    )
+    from repro.fuzz.campaign import fuzz_sweep_spec, merge_fuzz_campaign
     from repro.fuzz.corpus import (
         expected_key,
         finding_name,
@@ -82,7 +79,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         raise CliError(str(exc), 2) from None
 
-    _, fleet = run_fleet(
+    fleet = run_fleet(
         fuzz_sweep_spec(spec), args,
         banner=f"fuzz {spec.name!r}: budget {spec.budget} across "
                f"{spec.shards} shard(s), seed {spec.seed}",
@@ -90,8 +87,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     results = merge_fuzz_campaign(
         spec, fleet, shrink_findings=False if args.no_shrink else None
     )
-    path = write_fuzz_manifest(spec, results, out_dir=args.out_dir)
-    print(f"wrote {path}")
+    write_fleet_manifest(f"fuzz_{spec.name}", spec, results, args)
     print(f"signature {results['signature']}")
     print(
         f"cases {results['cases']}  outcomes "

@@ -101,14 +101,14 @@ def cmd_fig4(args) -> int:
 
 def cmd_fig7(args) -> int:
     spec = fig7_sweep_spec(args.scenario, runs=args.runs, seed=args.seed)
-    run, results = run_fleet(spec, args)
+    results = run_fleet(spec, args)
     aggregates = results["aggregates"]
     cell = "/".join(FIG7_SCENARIOS[args.scenario])
     for system in FIG7_SYSTEMS:
         times = aggregates["cells"][f"{cell}/{system}"]["times"]
         print(summarize(times).row(system))
     print(f"skipped scenarios: {aggregates['skipped_groups']}")
-    return 0 if run.ok else 1
+    return 1 if results["failures"] else 0
 
 
 def cmd_fig8(args) -> int:
@@ -117,14 +117,14 @@ def cmd_fig8(args) -> int:
     spec = fig8_sweep_spec(
         updates=args.updates, count_updates=args.count_updates, seed=args.seed
     )
-    run, results = run_fleet(spec, args)
+    results = run_fleet(spec, args)
     print(f"deterministic operation counts ({args.count_updates} updates)")
     for topology, row in results["aggregates"]["topologies"].items():
         label = FIG8_LABELS.get(topology, topology)
         print(f"{label:22s} p4={row['p4update_ops']:8d} "
               f"ez={row['ez_ops']:8d} ez+cong={row['ez_congestion_ops']:9d}  "
               f"ratio_a={row['ratio_a']:5.2f}  ratio_b={row['ratio_b']:7.4f}")
-    return 0 if run.ok else 1
+    return 1 if results["failures"] else 0
 
 
 def cmd_run(args) -> int:

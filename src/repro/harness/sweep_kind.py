@@ -144,9 +144,9 @@ def aggregate_experiment(shard_docs: list[dict]) -> dict:
     cells: dict[tuple, dict[tuple, dict]] = {}
     groups: dict[tuple, dict[tuple, dict]] = {}
     for doc in shard_docs:
-        key = doc.get("key") or {}
-        cell = (key.get("scenario"), key.get("topology"), key.get("system"))
-        group = (key.get("scenario"), key.get("topology"), key.get("seed_index"))
+        key = doc["key"]
+        cell = (key["scenario"], key["topology"], key["system"])
+        group = (key["scenario"], key["topology"], key["seed_index"])
         cells.setdefault(cell, {})[group] = doc["results"]
         groups.setdefault(group, {})[cell] = doc["results"]
 
@@ -160,11 +160,8 @@ def aggregate_experiment(shard_docs: list[dict]) -> dict:
         "skipped_groups": len(groups) - len(complete_groups),
         "cells": {},
     }
-    for cell in sorted(cells, key=lambda c: tuple(str(x) for x in c)):
-        paired = sorted(
-            (g for g in cells[cell] if g in complete_groups),
-            key=lambda g: (str(g[0]), str(g[1]), int(g[2] or 0)),
-        )
+    for cell in sorted(cells):
+        paired = sorted(g for g in cells[cell] if g in complete_groups)
         times = [
             t for t in (
                 cells[cell][group].get("total_update_time_ms")
@@ -173,7 +170,7 @@ def aggregate_experiment(shard_docs: list[dict]) -> dict:
             if t is not None
         ]
         docs = list(cells[cell].values())
-        out["cells"]["/".join(str(x) for x in cell)] = {
+        out["cells"]["/".join(cell)] = {
             "shards": len(docs),
             "completed": sum(1 for r in docs if r.get("completed")),
             "violations": sum(int(r.get("violations", 0)) for r in docs),
@@ -246,9 +243,7 @@ def aggregate_prep(shard_docs: list[dict]) -> dict:
     per_topology: dict[str, dict] = {}
     for doc in shard_docs:
         results = doc["results"]
-        key = doc.get("key") or {}
-        topology = str(key.get("topology") or results.get("topology"))
-        per_topology[topology] = {
+        per_topology[doc["key"]["topology"]] = {
             name: results.get(name)
             for name in ("p4update_ops", "ez_ops", "ez_congestion_ops",
                          "ratio_a", "ratio_b")

@@ -130,7 +130,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     sweep = session_sweep(spec, args.seeds, obs=args.obs)
     obs = obs_from_flags(args)
-    run, results = run_fleet(
+    results = run_fleet(
         sweep, args, obs,
         banner=f"ops {spec.name!r}: {args.seeds} seeded session(s)",
     )
@@ -147,7 +147,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
           f"({aggregates['violations']} violation(s))")
     print(f"  deterministic per seed: {aggregates['deterministic']}")
     return report_ok(
-        run.ok
+        not results["failures"]
         and aggregates["consistent"]
         and aggregates["invariants_ok"]
         and aggregates["deterministic"]

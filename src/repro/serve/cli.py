@@ -66,7 +66,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         spec = dataclasses.replace(spec, causal=True)
     sweep = serve_sweep(spec, args.seeds, obs=args.obs)
     obs = obs_from_flags(args)
-    run, results = run_fleet(
+    results = run_fleet(
         sweep, args, obs,
         banner=f"serve {spec.name!r}: {args.seeds} seeded replica(s)",
     )
@@ -108,7 +108,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(f"    {segment:<17s} p50={series['p50']:>9.3f} "
                   f"p90={series['p90']:>9.3f} p99={series['p99']:>9.3f} ms")
     return report_ok(
-        run.ok and aggregates["consistent"] and aggregates["invariants_ok"]
+        not results["failures"] and aggregates["consistent"] and aggregates["invariants_ok"]
     )
 
 

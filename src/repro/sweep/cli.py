@@ -33,18 +33,8 @@ import sys
 from typing import Any, Callable, Optional, TypeVar
 
 from repro.obs import format_samples, make_obs, write_manifest
-from repro.sweep.executor import (
-    SweepRun,
-    cache_root,
-    load_cached_shard,
-    read_status,
-    run_sweep,
-)
-from repro.sweep.merge import (
-    build_sweep_results,
-    merge_shard_obs,
-    results_signature,
-)
+from repro.sweep.executor import cache_root, load_cached_shard, read_status, run_sweep
+from repro.sweep.merge import build_sweep_results, merge_shard_obs
 from repro.sweep.spec import SweepSpec, SweepSpecError, load_sweep_spec_file
 
 #: ``--out-dir`` help of the verbs that write ``BENCH_<kind>_<name>.json``.
@@ -92,11 +82,23 @@ def load_or_exit(
         raise CliError(f"cannot load {noun} {path!r}: {exc}", code) from None
 
 
+def _worker_count(text: str) -> int:
+    """``--workers``: an int of at least 1, else a usage error (exit 2)
+    before anything runs."""
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {count}")
+    return count
+
+
 def add_fleet_flags(parser: argparse.ArgumentParser, resume: bool = True) -> None:
     """``--workers`` / ``--resume`` / ``--cache-dir`` (``resume=False``
     for commands whose shards must always re-run)."""
     parser.add_argument(
-        "--workers", type=int, default=1,
+        "--workers", type=_worker_count, default=1,
         help="worker processes (1 = serial in-process execution, default)",
     )
     if resume:
@@ -134,11 +136,12 @@ def run_fleet(
     obs: Optional[Any] = None,
     banner: Optional[str] = None,
     **run_options: Any,
-) -> tuple[SweepRun, dict]:
+) -> dict:
     """Run ``sweep`` as the parsed fleet flags say — after announcing
     ``banner`` with the worker count, when given — print one line per
-    exhausted shard to stderr, and return the run with its merged
-    results tree (:func:`~repro.sweep.merge.build_sweep_results`)."""
+    exhausted shard to stderr, and return the merged results tree
+    (:func:`~repro.sweep.merge.build_sweep_results`); the fleet is
+    whole iff its ``failures`` list is empty."""
     resume = getattr(args, "resume", False)
     if banner:
         print(f"{banner}, {args.workers} worker(s)"
@@ -158,26 +161,26 @@ def run_fleet(
             f"{failure['error_type']}: {failure['message']}",
             file=sys.stderr,
         )
-    results = build_sweep_results(
+    return build_sweep_results(
         sweep, run.shard_docs, run.failures, run.shards_total
     )
-    return run, results
 
 
 def write_fleet_manifest(
     name: str,
-    sweep: SweepSpec,
+    spec: Any,
     results: dict,
     args: argparse.Namespace,
     obs: Optional[Any] = None,
 ) -> str:
-    """Write the merged tree as ``BENCH_<name>.json`` under ``--out-dir``,
+    """Write ``results`` as ``BENCH_<name>.json`` under ``--out-dir``
+    with ``spec.to_dict()`` as its params and ``spec.seed`` as its seed,
     say so, and return the path."""
     path = write_manifest(
         name,
-        params=sweep.to_dict(),
+        params=spec.to_dict(),
         results=results,
-        seed=sweep.seed,
+        seed=spec.seed,
         obs=obs,
         out_dir=args.out_dir,
     )
@@ -224,7 +227,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"  [{done}/{progress.total}] completed={progress.completed} "
               f"failed={progress.failed} cached={progress.cached}{eta_text}")
 
-    run, results = run_fleet(
+    results = run_fleet(
         spec, args, obs,
         banner=f"sweep {spec.name!r}: {shards_total} shard(s)",
         retries=args.retries, progress=heartbeat, profile=args.profile,
@@ -235,7 +238,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"signature {results['signature']}")
     if "merged_profile" in results:
         print(format_samples(results["merged_profile"]))
-    return report_ok(run.ok)
+    return report_ok(not results["failures"])
 
 
 def _cmd_merge(args: argparse.Namespace) -> int:
@@ -257,7 +260,7 @@ def _cmd_merge(args: argparse.Namespace) -> int:
         )
     results = build_sweep_results(spec, docs, [], len(docs))
     write_fleet_manifest(f"sweep_{spec.name}", spec, merge_shard_obs(results), args)
-    print(f"signature {results_signature(docs)}")
+    print(f"signature {results['signature']}")
     return 0
 
 

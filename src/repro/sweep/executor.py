@@ -71,13 +71,10 @@ class SweepProgress:
 class SweepRun:
     """Everything one fleet execution produced."""
 
-    spec: SweepSpec
     shard_docs: list[dict]          # completed shard documents, by index
     failures: list[dict]            # ShardFailure records
     shards_total: int
     cached_shards: int              # satisfied from the resume cache
-    workers: int
-    wall_s: float
 
     @property
     def ok(self) -> bool:
@@ -261,13 +258,10 @@ def run_sweep(
 
     ordered = [docs[i] for i in sorted(docs)]
     return SweepRun(
-        spec=spec,
         shard_docs=ordered,
         failures=sorted(failures, key=lambda f: int(f["index"])),
         shards_total=len(shards),
         cached_shards=state.cached,
-        workers=workers,
-        wall_s=time.perf_counter() - started,  # repro: ignore[wall-clock] fleet wall-time bookkeeping
     )
 
 

@@ -42,7 +42,7 @@ class SweepKind:
     #: Execute one shard payload; deterministic results only, host-time
     #: measurements under ``"_wall"``.
     run_shard: Callable[[dict, Optional[Any]], dict]
-    #: Fleet view of the (key-enriched, index-ordered) shard documents.
+    #: Fleet view of the index-ordered shard documents (each with its key).
     aggregate: Callable[[list[dict]], dict]
 
 

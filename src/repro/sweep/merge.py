@@ -1,11 +1,13 @@
 """Deterministic aggregation of per-shard results.
 
 The consolidated sweep manifest (``BENCH_sweep_<name>.json``) is built
-from the shard documents alone, so it is reproducible from the on-disk
-shard cache without re-running anything (``repro sweep merge``), and —
-because shards are sorted by index and the signature covers only the
-deterministic subtrees — byte-identical no matter how many workers
-produced the shards or how many resume rounds it took.
+from the shard documents alone — each carries its axis ``key``, echoed
+by the worker like its ``shard_id`` — so it is reproducible from the
+on-disk shard cache without re-running or re-expanding anything
+(``repro sweep merge``), and — because shards are sorted by index and
+the signature covers only the deterministic subtrees — byte-identical
+no matter how many workers produced the shards or how many resume
+rounds it took.
 
 ``signature`` is the SHA-256 over the canonical JSON of every shard's
 ``(shard_id, index, kind, seed, results)`` view.  Wall-clock material
@@ -27,7 +29,7 @@ from repro.sweep.kinds import resolve_kind
 #: Shard-document fields covered by the aggregate signature.
 DETERMINISTIC_SHARD_FIELDS = ("shard_id", "index", "kind", "seed", "results")
 #: What each shard document must carry (any value type).
-_SHARD_FIELDS = dict.fromkeys(DETERMINISTIC_SHARD_FIELDS, object)
+_SHARD_FIELDS = dict.fromkeys(DETERMINISTIC_SHARD_FIELDS + ("key",), object)
 
 #: The consolidated results tree's required fields and their types.
 _RESULTS_FIELDS = {
@@ -156,9 +158,10 @@ def build_sweep_results(
     failures: list[dict],
     shards_total: int,
 ) -> dict:
-    """The ``results`` tree of the consolidated sweep manifest."""
+    """The ``results`` tree of the consolidated sweep manifest: the
+    shard documents in index order, as the workers (or the cache)
+    returned them, keys included."""
     ordered = sorted(shard_docs, key=lambda d: int(d["index"]))
-    docs_with_keys = attach_shard_keys(spec, ordered)
     results: dict[str, Any] = {
         "spec_hash": spec.spec_hash(),
         "signature": results_signature(ordered),
@@ -166,25 +169,11 @@ def build_sweep_results(
         "shards_completed": len(ordered),
         "shards_failed": len(failures),
         "failures": sorted(failures, key=lambda f: int(f["index"])),
-        "aggregates": resolve_kind(spec.kind).aggregate(docs_with_keys),
-        "shards": docs_with_keys,
+        "aggregates": resolve_kind(spec.kind).aggregate(ordered),
+        "shards": ordered,
     }
     validate_sweep_results(results)
     return results
-
-
-def attach_shard_keys(spec: Any, ordered: list[dict]) -> list[dict]:
-    """Re-derive each shard's axis key from the spec (keys are spec
-    structure, not worker output — workers stay dumb)."""
-    by_index = {shard.index: shard for shard in spec.expand()}
-    enriched = []
-    for doc in ordered:
-        shard = by_index.get(int(doc["index"]))
-        merged = dict(doc)
-        if shard is not None:
-            merged["key"] = dict(shard.key)
-        enriched.append(merged)
-    return enriched
 
 
 def validate_sweep_results(results: dict) -> dict:

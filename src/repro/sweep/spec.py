@@ -129,7 +129,7 @@ class SweepSpec:
             shard_id = f"s{index:04d}"
             payload = dict(
                 payload, kind=self.kind, obs=self.obs,
-                shard_id=shard_id, index=index,
+                shard_id=shard_id, index=index, key=key,
             )
             shards.append(Shard(
                 index=index, shard_id=shard_id, kind=self.kind,

@@ -13,10 +13,13 @@ process.  Either way each shard:
    with seeds derived entirely from the payload, on a deployment of its
    own (packet numbering included), so what the process ran before
    cannot show in the shard;
-3. returns a JSON-safe shard document whose ``results`` subtree
-   contains only simulated-time (deterministic) values — wall-clock
-   measurements are quarantined under ``wall`` so the fleet's
-   aggregate signature is independent of host speed and worker count.
+3. returns a JSON-safe shard document that echoes the payload's
+   ``shard_id``, ``index``, ``kind``, ``seed`` and axis ``key`` (from
+   :meth:`repro.sweep.spec.SweepSpec.expand`) and whose ``results``
+   subtree contains only simulated-time (deterministic) values —
+   wall-clock measurements are quarantined under ``wall`` so the
+   fleet's aggregate signature is independent of host speed and worker
+   count.
 
 The bit-identity of (1)-(3) across process boundaries is asserted by
 ``tests/sweep/test_determinism.py``.
@@ -64,6 +67,7 @@ def run_shard_payload(payload: dict) -> dict:
         "index": payload["index"],
         "kind": payload["kind"],
         "seed": payload.get("seed"),
+        "key": dict(payload["key"]),
         "results": _json_safe(results),
         "wall": _json_safe(wall),
     }

@@ -1,6 +1,7 @@
 """Campaigns: spec validation, budget split, shard determinism,
 worker-count-independent signatures, crash containment."""
 
+import argparse
 import json
 
 import pytest
@@ -10,14 +11,21 @@ from hypothesis import strategies as st
 from repro.fuzz.campaign import (
     FuzzSpec,
     FuzzSpecError,
+    fuzz_sweep_spec,
     load_fuzz_spec,
-    run_fuzz_campaign,
+    merge_fuzz_campaign,
     run_fuzz_shard,
     split_budget,
-    write_fuzz_manifest,
 )
+from repro.sweep.cli import run_fleet, write_fleet_manifest
 
 SMALL = {"name": "t", "budget": 8, "shards": 2}
+
+
+def run_campaign(spec, workers=1, cache_dir=None, resume=False):
+    """A campaign run the way ``repro fuzz run`` runs it."""
+    flags = argparse.Namespace(workers=workers, cache_dir=cache_dir, resume=resume)
+    return merge_fuzz_campaign(spec, run_fleet(fuzz_sweep_spec(spec), flags))
 
 
 # -- spec --------------------------------------------------------------------
@@ -168,10 +176,10 @@ def test_aggregate_dedupes_findings_by_key():
 
 def test_campaign_signature_worker_count_independent(tmp_path):
     spec = FuzzSpec(name="wc", seed=3, budget=8, shards=2, shrink=False)
-    serial = run_fuzz_campaign(
+    serial = run_campaign(
         spec, workers=1, cache_dir=str(tmp_path / "serial")
     )
-    pooled = run_fuzz_campaign(
+    pooled = run_campaign(
         spec, workers=2, cache_dir=str(tmp_path / "pooled")
     )
     assert not serial["shards_failed"] and not pooled["shards_failed"]
@@ -181,8 +189,8 @@ def test_campaign_signature_worker_count_independent(tmp_path):
 
 def test_campaign_resume_reuses_cache(tmp_path):
     spec = FuzzSpec(name="rs", seed=3, budget=8, shards=2, shrink=False)
-    first = run_fuzz_campaign(spec, workers=1, cache_dir=str(tmp_path))
-    again = run_fuzz_campaign(
+    first = run_campaign(spec, workers=1, cache_dir=str(tmp_path))
+    again = run_campaign(
         spec, workers=1, cache_dir=str(tmp_path), resume=True
     )
     assert again["signature"] == first["signature"]
@@ -195,7 +203,7 @@ def test_campaign_shrinks_findings_to_corpus_docs(tmp_path):
     spec = FuzzSpec(
         name="sh", seed=3, budget=8, shards=2, kinds=("plan",), max_shrunk=2
     )
-    result = run_fuzz_campaign(spec, workers=1, cache_dir=str(tmp_path))
+    result = run_campaign(spec, workers=1, cache_dir=str(tmp_path))
     assert result["findings"], "plan-only campaign at this seed must find"
     assert result["shrunk"]
     keys = {tuple(str(k) for k in f["key"]) for f in result["findings"]}
@@ -214,18 +222,22 @@ def test_campaign_shrinks_findings_to_corpus_docs(tmp_path):
 
 def test_manifest_written_and_deterministic(tmp_path):
     spec = FuzzSpec(name="mf", seed=3, budget=4, shards=1, shrink=False)
-    result = run_fuzz_campaign(spec, workers=1, cache_dir=str(tmp_path / "c"))
-    path = write_fuzz_manifest(spec, result, out_dir=str(tmp_path))
+    result = run_campaign(spec, workers=1, cache_dir=str(tmp_path / "c"))
+    path = write_fleet_manifest(
+        "fuzz_mf", spec, result, argparse.Namespace(out_dir=str(tmp_path))
+    )
     assert path.endswith("BENCH_fuzz_mf.json")
     with open(path, encoding="utf-8") as handle:
         manifest = json.load(handle)
     assert manifest["results"] == result
     assert manifest["params"]["name"] == "mf"
 
-    rerun = run_fuzz_campaign(
+    rerun = run_campaign(
         spec, workers=1, cache_dir=str(tmp_path / "c2")
     )
-    path2 = write_fuzz_manifest(spec, rerun, out_dir=str(tmp_path / "again"))
+    path2 = write_fleet_manifest(
+        "fuzz_mf", spec, rerun, argparse.Namespace(out_dir=str(tmp_path / "again"))
+    )
     with open(path2, encoding="utf-8") as handle:
         manifest2 = json.load(handle)
     assert manifest2["results"] == manifest["results"]

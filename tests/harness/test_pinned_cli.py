@@ -48,7 +48,9 @@ input (or the writer's temp file).  The ``obs export --help`` and
 became a CPU sampler (per function and per layer) instead of an engine
 that timed each callback.  The ``analyze pipeline --help`` case lost
 its ``--no-runtime-cap`` flag when the analyzer came to read the
-resubmit cap from the switch that runs the program.
+resubmit cap from the switch that runs the program.  The ``sweep run
+--workers 0`` case was added with the fix that made a worker count
+below 1 a usage error instead of a banner and a traceback.
 Regenerate only for a deliberate change (and empty
 ``FIXED`` when you do)::
 
@@ -163,6 +165,7 @@ ERROR_CASES = [
     ),
     ("sweep merge examples/sweep_smoke.json " + _OUT,),
     ("sweep status examples/sweep_smoke.json " + _FLEET,),
+    ("sweep run examples/sweep_smoke.json --workers 0 " + _OUT,),
     ("fig7 z",),
 ]
 
@@ -248,7 +251,8 @@ _OPS_OUT_DIR = (
 #: ``analyze interference <dir>``), and one ``error:`` went to stdout.
 #: The chaos and ops ``--out-dir`` help named ``benchmarks/baselines``,
 #: which was never the default directory.  ``analyze pipeline`` has no
-#: ``--no-runtime-cap``.
+#: ``--no-runtime-cap``.  ``--workers 0`` printed the banner, then
+#: ``run_sweep``'s ``ValueError``.
 FIXED: dict[str, list[dict]] = {
     "chaos run --help": _out_dir_help(
         "chaos run --help",
@@ -285,6 +289,17 @@ FIXED: dict[str, list[dict]] = {
             "  --out OUT             write the report to this file instead of stdout\n"
         ),
         "stderr": "",
+    }],
+    "sweep run examples/sweep_smoke.json --workers 0 " + _OUT: [{
+        "code": 2,
+        "stdout": "",
+        "stderr": (
+            "usage: p4update-repro sweep run [-h] [--workers WORKERS] [--resume]\n"
+            "                                [--cache-dir CACHE_DIR] [--retries RETRIES]\n"
+            "                                [--out-dir OUT_DIR] [--obs] [--profile]\n"
+            "                                spec\n"
+            "p4update-repro sweep run: error: argument --workers: must be >= 1, got 0\n"
+        ),
     }],
     "analyze lint --select nope": _error(
         2,

@@ -19,7 +19,7 @@ from repro.serve.service import run_service
 from repro.serve.spec import ServeSpec, load_serve_spec
 from repro.sweep.executor import run_sweep
 from repro.serve.sweep_kind import aggregate_serve
-from repro.sweep.merge import attach_shard_keys, build_sweep_results
+from repro.sweep.merge import build_sweep_results
 from repro.sweep.spec import load_sweep_spec
 
 #: The acceptance workload: 1000 requests over 16 reroutable B4 flows,
@@ -129,7 +129,7 @@ def test_sweep_serve_aggregates(tmp_path):
     spec = _sweep_spec()
     run = run_sweep(spec, workers=1, cache_dir=str(tmp_path / "cache"))
     assert run.ok
-    agg = aggregate_serve(attach_shard_keys(spec, run.shard_docs))
+    agg = aggregate_serve(run.shard_docs)
     assert agg["runs"] == 2
     assert agg["deterministic"] is True
     assert agg["consistent"] is True

@@ -9,14 +9,13 @@ from repro.obs.manifest import load_manifest, manifest_path
 from repro.obs.sampler import OUTSIDE, merge_samples
 from repro.sweep.executor import run_sweep
 from repro.sweep.merge import (
-    attach_shard_keys,
     build_sweep_results,
     merge_metrics,
     merge_shard_obs,
     results_signature,
     validate_sweep_results,
 )
-from repro.sweep.spec import load_sweep_spec
+from repro.sweep.spec import SweepSpec, load_sweep_spec
 
 
 def merge_from_cache(spec_doc: dict, tmp_path) -> str:
@@ -31,11 +30,13 @@ def merge_from_cache(spec_doc: dict, tmp_path) -> str:
     return manifest_path(f"sweep_{spec_doc['name']}", str(tmp_path))
 
 
-def _doc(index, results, **extra):
+def _doc(index, results, system="p4update-sl", seed_index=0, **extra):
+    key = {"scenario": "single", "topology": "fig1",
+           "seed_index": seed_index, "system": system}
     return {
         "shard_id": f"s{index:04d}", "index": index, "kind": "experiment",
-        "seed": 7, "results": results, "wall": {"duration_s": 0.1},
-        **extra,
+        "seed": 7, "key": key, "results": results,
+        "wall": {"duration_s": 0.1}, **extra,
     }
 
 
@@ -104,7 +105,7 @@ def test_build_sweep_results_validates_and_counts():
         _doc(0, {"completed": True, "total_update_time_ms": 10.0,
                  "violations": 0}),
         _doc(1, {"completed": True, "total_update_time_ms": 30.0,
-                 "violations": 0}),
+                 "violations": 0}, seed_index=1),
     ]
     results = build_sweep_results(spec, docs, [], 2)
     assert results["shards_completed"] == 2 and results["shards_failed"] == 0
@@ -123,7 +124,7 @@ def test_incomplete_group_is_skipped_from_pairing():
         _doc(0, {"completed": True, "total_update_time_ms": 10.0,
                  "violations": 0}),
         _doc(1, {"completed": False, "total_update_time_ms": None,
-                 "violations": 0}),
+                 "violations": 0}, system="ezsegway"),
     ]
     results = build_sweep_results(spec, docs, [], 2)
     assert results["aggregates"]["skipped_groups"] == 1
@@ -142,19 +143,36 @@ def test_validate_sweep_results_rejects_malformed():
     broken = dict(good, shards_completed=5)
     with pytest.raises(ValueError, match="shards_completed"):
         validate_sweep_results(broken)
+    keyless = {k: v for k, v in good["shards"][0].items() if k != "key"}
+    with pytest.raises(ValueError, match="shard document missing field 'key'"):
+        validate_sweep_results(dict(good, shards=[keyless]))
 
 
-def test_attach_shard_keys_rederives_axes():
+def test_shard_keys_ride_in_the_shard_documents(tmp_path, monkeypatch):
+    """Serial, pooled and resumed fleets all merge to the keys
+    ``expand`` produced, and the merge never re-expands the spec."""
     spec = load_sweep_spec({
         "name": "t", "systems": ["p4update-sl", "p4update-dl"],
         "topologies": ["fig1"], "scenarios": ["single"], "seeds": 1,
     })
-    docs = [_doc(0, {"completed": True}), _doc(1, {"completed": True})]
-    enriched = attach_shard_keys(spec, docs)
-    assert enriched[0]["key"]["system"] == "p4update-sl"
-    assert enriched[1]["key"]["system"] == "p4update-dl"
-    # The inputs are not mutated.
-    assert "key" not in docs[0]
+    expected = [shard.key for shard in spec.expand()]
+    runs = [
+        run_sweep(spec, workers=1, cache_dir=str(tmp_path / "a")),
+        run_sweep(spec, workers=2, cache_dir=str(tmp_path / "b")),
+        run_sweep(spec, workers=1, cache_dir=str(tmp_path / "a"), resume=True),
+    ]
+    assert runs[2].cached_shards == 2
+    expansions = []
+    expand = SweepSpec.expand
+    monkeypatch.setattr(
+        SweepSpec, "expand", lambda self: expansions.append(1) or expand(self)
+    )
+    for run in runs:
+        results = build_sweep_results(
+            spec, run.shard_docs, run.failures, run.shards_total
+        )
+        assert [doc["key"] for doc in results["shards"]] == expected
+    assert expansions == []
 
 
 def test_sweep_manifest_round_trip_and_schema(tmp_path):
