@@ -5,7 +5,7 @@ Four checkers, all runnable before (or instead of) executing anything:
 * :mod:`repro.analysis.linter` + :mod:`repro.analysis.rules` — the
   sim-purity linter: AST rules that flag determinism hazards
   (wall-clock reads, unseeded randomness, set-iteration order,
-  mutable default arguments, unguarded observability calls) in the
+  unguarded observability calls) in the
   packages covered by the reproducibility contract;
 * :mod:`repro.analysis.plan` — the update-plan verifier: checks a
   prepared SL-/DL-P4Update plan's notification DAG for deadlock

@@ -12,8 +12,6 @@ simulated time; same seed -> same trace):
 * ``set-iteration`` — iterating a ``set`` yields hash order, which
   varies across processes once strings are involved; if that order
   reaches event scheduling, traces diverge;
-* ``mutable-default`` — a shared default ``[]``/``{}``/``set()``
-  leaks state between calls (and between runs in one process);
 * ``unguarded-obs`` — metric calls outside an ``.enabled`` guard
   allocate label tuples even when observability is off, violating the
   zero-overhead contract of :mod:`repro.obs`;
@@ -157,35 +155,6 @@ class SetIterationRule(LintRule):
                         ctx, it,
                         "iterating a set in hash order; use "
                         "sorted(<set>) to pin the order",
-                    )
-
-
-_MUTABLE_CALLS = {"set", "list", "dict", "frozenset", "bytearray", "defaultdict"}
-
-
-@register_rule
-class MutableDefaultRule(LintRule):
-    name = "mutable-default"
-    description = "mutable default argument is shared between calls"
-
-    def check(self, ctx: LintContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            defaults = list(node.args.defaults) + [
-                d for d in node.args.kw_defaults if d is not None
-            ]
-            for default in defaults:
-                if isinstance(default, (ast.List, ast.Dict, ast.Set)) or (
-                    isinstance(default, ast.Call)
-                    and isinstance(default.func, ast.Name)
-                    and default.func.id in _MUTABLE_CALLS
-                ):
-                    yield self.finding(
-                        ctx, default,
-                        f"mutable default in {node.name}(); use None and "
-                        f"create inside the body (or a dataclass "
-                        f"default_factory)",
                     )
 
 

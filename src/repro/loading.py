@@ -133,13 +133,11 @@ def code_fingerprint() -> str:
     return digest.hexdigest()
 
 
-def write_stamped(path: str, doc: dict, spec_hash: str) -> dict:
+def write_stamped(path: str, doc: dict, spec_hash: str) -> None:
     """Write ``doc`` stamped with ``spec_hash`` and this build's
-    :func:`code_fingerprint` through :func:`write_json_atomic`; returns
-    the stamped document."""
-    stamped = dict(doc, spec_hash=spec_hash, code_fingerprint=code_fingerprint())
-    write_json_atomic(path, stamped)
-    return stamped
+    :func:`code_fingerprint` through :func:`write_json_atomic`; ``doc``
+    itself stays unstamped."""
+    write_json_atomic(path, dict(doc, spec_hash=spec_hash, code_fingerprint=code_fingerprint()))
 
 
 #: How a stamp that differs reads, in the order :func:`read_stamped`

@@ -91,8 +91,10 @@ class SimParams:
     unm_generation_delay: DelayDistribution = field(
         default_factory=lambda: DelayDistribution.exponential(4.0)
     )
-    # Hard cap on resubmissions per waiting packet before giving up and
-    # alerting the controller (prevents infinite loops under faults).
+    # Hard cap on resubmissions per waiting packet (prevents infinite
+    # loops under faults).  On exhaustion P4Switch drops the packet and,
+    # with obs on, counts resubmit_budget_exhausted; nothing tells the
+    # controller (ROADMAP item 31).
     max_resubmits: int = 10_000
 
     # -- control plane -----------------------------------------------------

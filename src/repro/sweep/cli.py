@@ -33,7 +33,7 @@ import sys
 from typing import Any, Callable, Optional, TypeVar
 
 from repro.obs import format_samples, make_obs, write_manifest
-from repro.sweep.executor import cache_root, load_cached_shard, read_status, run_sweep
+from repro.sweep.executor import cache_root, read_status, run_sweep, scan_cache
 from repro.sweep.merge import build_sweep_results, merge_shard_obs
 from repro.sweep.spec import SweepSpec, SweepSpecError, load_sweep_spec_file
 
@@ -130,6 +130,12 @@ def obs_from_flags(args: argparse.Namespace) -> Optional[Any]:
     return make_obs() if args.obs else None
 
 
+def announce(banner: str, args: argparse.Namespace) -> None:
+    """Print a fleet's banner with its worker count and resume mode."""
+    print(f"{banner}, {args.workers} worker(s)"
+          + (", resuming" if getattr(args, "resume", False) else ""))
+
+
 def run_fleet(
     sweep: SweepSpec,
     args: argparse.Namespace,
@@ -144,8 +150,7 @@ def run_fleet(
     whole iff its ``failures`` list is empty."""
     resume = getattr(args, "resume", False)
     if banner:
-        print(f"{banner}, {args.workers} worker(s)"
-              + (", resuming" if resume else ""))
+        announce(banner, args)
     run = run_sweep(
         sweep,
         workers=args.workers,
@@ -212,15 +217,15 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     spec = _load(args.spec)
-    shards_total = len(spec.expand())
     obs = obs_from_flags(args)
-    heartbeat_every = max(1, shards_total // 10)
 
     def heartbeat(progress, event: str) -> None:
+        if event == "started":
+            announce(f"sweep {spec.name!r}: {progress.total} shard(s)", args)
         if event not in ("shard_completed", "shard_failed"):
             return
         done = progress.completed + progress.failed
-        if done % heartbeat_every and progress.remaining:
+        if done % max(1, progress.total // 10) and progress.remaining:
             return
         eta = progress.eta_s(args.workers)
         eta_text = f", eta {eta:.1f}s" if eta is not None else ""
@@ -228,9 +233,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
               f"failed={progress.failed} cached={progress.cached}{eta_text}")
 
     results = run_fleet(
-        spec, args, obs,
-        banner=f"sweep {spec.name!r}: {shards_total} shard(s)",
-        retries=args.retries, progress=heartbeat, profile=args.profile,
+        spec, args, obs, retries=args.retries, progress=heartbeat, profile=args.profile,
     )
     write_fleet_manifest(
         f"sweep_{spec.name}", spec, merge_shard_obs(results), args, obs
@@ -244,21 +247,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_merge(args: argparse.Namespace) -> int:
     spec = _load(args.spec)
     root = cache_root(spec, args.cache_dir)
-    digest = spec.spec_hash()
-    docs = []
-    missing = []
-    for shard in spec.expand():
-        doc = load_cached_shard(root, shard, digest)
-        if doc is None:
-            missing.append(shard.shard_id)
-        else:
-            docs.append(doc)
+    docs, missing = scan_cache(root, spec.expand(), spec.spec_hash())
     if missing:
+        ids = [shard.shard_id for shard in missing]
         raise CliError(
-            f"{len(missing)} shard(s) not in cache {root!r}: "
-            f"{', '.join(missing[:8])}{'...' if len(missing) > 8 else ''}"
+            f"{len(ids)} shard(s) not in cache {root!r}: "
+            f"{', '.join(ids[:8])}{'...' if len(ids) > 8 else ''}"
         )
-    results = build_sweep_results(spec, docs, [], len(docs))
+    results = build_sweep_results(spec, [docs[i] for i in sorted(docs)], [], len(docs))
     write_fleet_manifest(f"sweep_{spec.name}", spec, merge_shard_obs(results), args)
     print(f"signature {results['signature']}")
     return 0

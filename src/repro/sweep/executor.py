@@ -16,7 +16,8 @@ Execution contract (asserted by ``tests/sweep/``):
   ``<cache_dir>/<spec_hash>/shard_<id>.json`` the moment it finishes
   (atomic rename), stamped with its spec hash and code fingerprint, so
   an interrupted sweep resumes with ``--resume`` and re-runs only the
-  shards missing from the cache or written by other code;
+  shards missing from the cache or written by other code; the stamps
+  stay in the file, and the fleet's shard documents carry none;
 * progress (completed / failed / remaining, ETA from completed-shard
   durations) is pushed through ``repro.obs`` counters, an optional
   callback, and an atomically-updated ``status.json`` that
@@ -100,7 +101,8 @@ def load_cached_shard(
     root: str, shard: Shard, spec_hash: str,
     progress: Optional[SweepProgress] = None,
 ) -> Optional[dict]:
-    """A previously completed shard document, or None.
+    """A previously completed shard document, without the cache's
+    stamps, or None.
 
     A missing file is the normal cold-cache case and silent.  A file
     that exists but cannot be used — refused by
@@ -124,11 +126,29 @@ def load_cached_shard(
         elif "results" not in doc or "index" not in doc:
             reason = f"cached shard {path!r} has no results"
         else:
+            del doc["spec_hash"], doc["code_fingerprint"]
             return doc
     print(f"warning: {reason}; ignoring it", file=sys.stderr)
     if progress is not None:
         progress.cache_rejected += 1
     return None
+
+
+def scan_cache(
+    root: str, shards: list[Shard], spec_hash: str,
+    progress: Optional[SweepProgress] = None,
+) -> tuple[dict[int, dict], list[Shard]]:
+    """The cached documents of ``shards`` by shard index, and the shards
+    :func:`load_cached_shard` found none for, in ``shards`` order."""
+    docs: dict[int, dict] = {}
+    missing: list[Shard] = []
+    for shard in shards:
+        doc = load_cached_shard(root, shard, spec_hash, progress)
+        if doc is None:
+            missing.append(shard)
+        else:
+            docs[shard.index] = doc
+    return docs, missing
 
 
 def write_status(
@@ -193,19 +213,11 @@ def run_sweep(
     root = cache_root(spec, cache_dir)
     os.makedirs(root, exist_ok=True)
 
-    docs: dict[int, dict] = {}
     state = SweepProgress(total=len(shards), started_at=started)
-    pending: list[Shard] = []
-    for shard in shards:
-        cached = (
-            load_cached_shard(root, shard, spec_digest, state) if resume else None
-        )
-        if cached is not None:
-            docs[shard.index] = cached
-            state.completed += 1
-            state.cached += 1
-        else:
-            pending.append(shard)
+    docs, pending = (
+        scan_cache(root, shards, spec_digest, state) if resume else ({}, shards)
+    )
+    state.completed = state.cached = len(docs)
 
     def notify(event: str) -> None:
         if obs is not None and getattr(obs, "enabled", False):
@@ -226,7 +238,7 @@ def run_sweep(
         return payload
 
     def on_success(shard: Shard, doc: dict) -> None:
-        doc = write_stamped(shard_cache_path(root, shard.shard_id), doc, spec_digest)
+        write_stamped(shard_cache_path(root, shard.shard_id), doc, spec_digest)
         docs[shard.index] = doc
         state.completed += 1
         state.durations_s.append(

@@ -1,5 +1,9 @@
-"""Unit tests for the P4Update pipeline program at the packet level —
-the §8 mechanisms exercised directly, without a controller."""
+"""Named packet-level cases of the P4Update pipeline program — the §8
+mechanisms exercised directly, without a controller.
+
+Each input here is one point of the domain that
+``tests/core/test_pipeline_spec.py`` enumerates against the Alg. 1/2
+spec; these cases keep the behaviours readable by name."""
 
 
 from repro.core.dataplane import P4UpdateProgram
@@ -155,13 +159,3 @@ def test_duplicate_cleanup_harmless():
     pipeline.process(make_cleanup(5, version=2))
     result = pipeline.process(make_cleanup(5, version=2))
     assert result.egress_port is None                      # no port to continue on
-
-
-# -- unknown packets --------------------------------------------------------------------
-
-def test_unparsable_packet_dropped():
-    from repro.p4.packet import Packet
-
-    program = fresh_program()
-    result = Pipeline(program).process(Packet())
-    assert result.egress_port is None

@@ -304,7 +304,7 @@ FIXED: dict[str, list[dict]] = {
     "analyze lint --select nope": _error(
         2,
         "unknown rule(s): nope\navailable: blocking-in-service, "
-        "fuzz-nondeterminism, mutable-default, private-cross-import, "
+        "fuzz-nondeterminism, private-cross-import, "
         "set-iteration, unguarded-obs, unseeded-random, wall-clock",
     ),
 }

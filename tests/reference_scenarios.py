@@ -1,12 +1,13 @@
-"""The runs the reference suites replay, and their pin.
+"""The reference scenarios, and their pin.
 
-``tests/core/reference_switch.py`` (the switch agent) is replayed over
-them with its bodies swapped in (:func:`swap_bodies`); delivery and, with
-an enabled ``obs`` passed in, the ``messages_*`` counts are held to
-``pinned_scenarios.json`` (``tests/sim/test_network_single_describe.py``);
-metrics and causal tracing to the digests and the ``reference_causal.py``
-swap of ``tests/obs/test_obs_reference.py``.  Every scenario takes an
-optional ``obs``.
+Delivery, the switch agent and, with an enabled ``obs`` passed in, the
+``messages_*`` counts are held to ``pinned_scenarios.json``
+(``tests/sim/test_network_single_describe.py``); metrics and causal
+tracing to the digests and the ``reference_causal.py`` swap of
+``tests/obs/test_obs_reference.py``.  What one pipeline pass must do is
+the spec of ``tests/core/alg_spec.py``, checked over an enumerated
+domain by ``tests/core/test_pipeline_spec.py``.  Every scenario takes
+an optional ``obs``.
 
 Each scenario builds its deployment from scratch, runs it to the end and
 returns everything a rewrite of the agent or of delivery could disturb:
@@ -23,9 +24,9 @@ destination tree.
 
 ``pinned_scenarios.json`` holds, per scenario, the format-v2 trace
 signature, one digest of every other key of the outcome and one of the
-``messages_*`` rows of a run with ``make_obs()``, recorded on the bodies
-that agreed with the forks of delivery and the metrics registry they
-replaced.  Re-record only for a deliberate behaviour change::
+``messages_*`` rows of a run with ``make_obs()``, recorded while the
+shipped bodies agreed with the forks of delivery, of the metrics
+registry and of the switch agent's full-row reads that the pin replaced.  Re-record only for a deliberate behaviour change::
 
     PYTHONPATH=src python tests/reference_scenarios.py
 """
@@ -88,23 +89,6 @@ def capture(deployment: Deployment, **extra: Any) -> dict[str, Any]:
         "events_processed": deployment.network.engine.processed_events,
         **extra,
     }
-
-
-def swap_bodies(monkeypatch: Any, stock: type, reference: type) -> None:
-    """Run every ``stock`` instance — built or rebuilt after a crash —
-    on the method bodies ``reference`` (a subclass of it) defines, until
-    ``monkeypatch`` is undone."""
-    for name, body in vars(reference).items():
-        if callable(body):
-            monkeypatch.setattr(stock, name, body)
-
-
-def assert_same_outcome(got: dict[str, Any], want: dict[str, Any]) -> None:
-    """Event by event first, so a failure names the first divergence."""
-    for position, (ours, theirs) in enumerate(zip(got["trace"], want["trace"])):
-        assert ours == theirs, f"trace diverges at event {position}"
-    assert len(got["trace"]) == len(want["trace"])
-    assert got == want
 
 
 # -- served sessions -----------------------------------------------------------
@@ -343,8 +327,7 @@ SCENARIOS: dict[str, Callable[..., dict[str, Any]]] = {
 
 @functools.lru_cache(maxsize=None)
 def stock_outcome(name: str) -> dict[str, Any]:
-    """The scenario on the shipped bodies, run once for both suites.
-    Call it before swapping a reference in."""
+    """The scenario on the shipped code, run once for every suite."""
     return SCENARIOS[name]()
 
 

@@ -22,7 +22,7 @@ from repro.sweep.executor import (
     run_sweep,
     shard_cache_path,
 )
-from repro.sweep.spec import load_sweep_spec
+from repro.sweep.spec import SweepSpec, load_sweep_spec
 
 TINY = {
     "name": "tiny",
@@ -285,3 +285,45 @@ def test_cache_documents_are_valid_json_with_spec_hash(tmp_path):
         assert doc["spec_hash"] == spec.spec_hash()
         assert doc["shard_id"] == shard.shard_id
         assert doc["index"] == shard.index
+
+
+def _sweep_run(tmp_path, *flags):
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(TINY))
+    return main([
+        "sweep", "run", str(path), "--cache-dir", str(tmp_path / "cache"),
+        "--out-dir", str(tmp_path / "out"), *flags,
+    ])
+
+
+def test_sweep_run_expands_its_spec_once(tmp_path, monkeypatch, capsys):
+    """The banner and the heartbeat read the fleet's own shard count."""
+    calls = []
+    plain = SweepSpec.expand
+    monkeypatch.setattr(
+        SweepSpec, "expand", lambda self: calls.append(self.name) or plain(self)
+    )
+    assert _sweep_run(tmp_path) == 0
+    assert calls == ["tiny"]
+    assert capsys.readouterr().out.startswith("sweep 'tiny': 4 shard(s), 1 worker(s)\n")
+    assert _sweep_run(tmp_path, "--resume") == 0
+    assert calls == ["tiny", "tiny"]
+    assert "4 shard(s), 1 worker(s), resuming\n" in capsys.readouterr().out
+
+
+def test_the_results_tree_carries_no_cache_stamps(tmp_path):
+    """The stamps bind a cache file to its spec and build; a shard
+    document in the results tree, run or resumed, carries neither."""
+    assert _sweep_run(tmp_path) == 0
+    manifest = tmp_path / "out" / "BENCH_sweep_tiny.json"
+    fresh = json.loads(manifest.read_text())["results"]["shards"]
+    assert _sweep_run(tmp_path, "--resume") == 0
+    resumed = json.loads(manifest.read_text())["results"]["shards"]
+    root = cache_root(_spec(), str(tmp_path / "cache"))
+    for docs in (fresh, resumed):
+        assert [doc["shard_id"] for doc in docs] == ["s0000", "s0001", "s0002", "s0003"]
+        for doc in docs:
+            assert not {"spec_hash", "code_fingerprint"} & set(doc)
+            with open(shard_cache_path(root, doc["shard_id"])) as handle:
+                assert json.load(handle)["code_fingerprint"] == repro.loading.code_fingerprint()
+    assert [doc["results"] for doc in fresh] == [doc["results"] for doc in resumed]
