@@ -204,36 +204,30 @@ def stale_suppressions(
 
     A suppressed rule name is judged only when it is in the *active*
     rule set (a ``--select`` subset cannot prove other rules silent);
-    ``ignore[all]`` is judged only when every registered rule ran.
+    ``ignore[all]`` is judged only when every registered rule ran.  A
+    name no rule is registered under can never suppress anything, so it
+    is reported under any selection.
     """
     fired_by_line: dict[int, set[str]] = {}
     for finding in raw_findings:
         fired_by_line.setdefault(finding.line, set()).add(finding.rule)
-    full_run = active_names >= set(rule_names())
+    known = set(rule_names())
+    full_run = active_names >= known
+    idle = "suppresses nothing on this line; remove the stale comment"
     out: list[Finding] = []
     for lineno, names in sorted(_comment_suppressions(source).items()):
         if STALE_SUPPRESSION_RULE in names:
             continue
         fired = fired_by_line.get(lineno, set())
-        stale: list[str] = []
-        if "all" in names and full_run and not fired:
-            stale.append("all")
-        stale.extend(
-            name
-            for name in sorted(names - {"all"})
-            if name in active_names and name not in fired
-        )
+        stale = [("all", idle)] if "all" in names and full_run and not fired else []
+        for name in sorted(names - {"all"}):
+            if name not in known:
+                stale.append((name, "names no registered rule; fix or remove the comment"))
+            elif name in active_names and name not in fired:
+                stale.append((name, idle))
         out.extend(
-            Finding(
-                rule=STALE_SUPPRESSION_RULE,
-                message=(
-                    f"ignore[{name}] suppresses nothing on this line; "
-                    f"remove the stale comment"
-                ),
-                path=path,
-                line=lineno,
-            )
-            for name in stale
+            Finding(STALE_SUPPRESSION_RULE, f"ignore[{name}] {text}", path, lineno)
+            for name, text in stale
         )
     return out
 

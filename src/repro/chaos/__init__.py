@@ -22,7 +22,7 @@ from repro.chaos.campaign import (
     load_campaign_file,
 )
 from repro.chaos.reliable import ReliableControlSender
-from repro.chaos.runner import CampaignResult, run_campaign, trace_signature
+from repro.chaos.runner import CampaignResult, run_campaign
 
 __all__ = [
     "CampaignResult",
@@ -33,5 +33,4 @@ __all__ = [
     "load_campaign",
     "load_campaign_file",
     "run_campaign",
-    "trace_signature",
 ]

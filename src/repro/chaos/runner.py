@@ -38,8 +38,8 @@ from repro.harness.sweep_kind import seeded_scenario
 from repro.obs.context import ObsContext
 from repro.params import SimParams
 from repro.sim.faults import CompositeFaultModel, FaultModel, FaultPolicy
-# Re-exported: the format-v2 signature lives with the trace; tests and
-# the perf ledger import it from here.
+# Re-exported: the perf ledger wraps the format-v2 signature by this
+# module's name; everything else imports it from repro.sim.trace.
 from repro.sim.trace import trace_signature  # noqa: F401
 # Re-exported: the perf ledger's workloads and the serve tests import
 # the topology table from here.

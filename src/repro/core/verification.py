@@ -102,26 +102,29 @@ def verify_sl(uim: Optional[UIM], unm: UNMFields) -> Decision:
     None when none has arrived); ``unm`` the incoming notification.
     """
     uim_version = uim.version if uim is not None else 0
-    if unm.new_version == uim_version:
-        if uim.new_distance == unm.new_distance + 1:
-            return Decision(
-                verdict=Verdict.UPDATE,
-                new_state=apply_sl_state(uim.version, uim.new_distance),
-                branch="sl",
-            )
-        return Decision(
-            verdict=Verdict.DROP_DISTANCE,
-            reason=(
-                f"UNM distance {unm.new_distance} incompatible with UIM "
-                f"distance {uim.new_distance} (expected parent at "
-                f"{uim.new_distance - 1})"
-            ),
-        )
     if unm.new_version > uim_version:
         return Decision(verdict=Verdict.WAIT, reason="no UIM for this version yet")
+    if unm.new_version < uim_version:
+        return Decision(
+            verdict=Verdict.DROP_OUTDATED,
+            reason=f"UNM version {unm.new_version} < pending UIM version {uim_version}",
+        )
+    if uim is None:
+        # A version-0 UNM: no configuration is that old.
+        return Decision(verdict=Verdict.DROP_OUTDATED, reason="UNM version 0 and no pending UIM")
+    if uim.new_distance == unm.new_distance + 1:
+        return Decision(
+            verdict=Verdict.UPDATE,
+            new_state=apply_sl_state(uim.version, uim.new_distance),
+            branch="sl",
+        )
     return Decision(
-        verdict=Verdict.DROP_OUTDATED,
-        reason=f"UNM version {unm.new_version} < pending UIM version {uim_version}",
+        verdict=Verdict.DROP_DISTANCE,
+        reason=(
+            f"UNM distance {unm.new_distance} incompatible with UIM "
+            f"distance {uim.new_distance} (expected parent at "
+            f"{uim.new_distance - 1})"
+        ),
     )
 
 
@@ -133,8 +136,8 @@ def verify_dl(
 ) -> Decision:
     """Algorithm 2 — DL verification at node v.
 
-    Falls back to :func:`verify_sl` when either the pending UIM or the
-    UNM is not of dual type (Alg. 2 line 2).
+    Falls back to :func:`verify_sl` when there is no pending UIM or when
+    it or the UNM is not of dual type (Alg. 2 line 2).
 
     ``allow_consecutive_dual`` enables the App. C extension: a gateway
     whose last update was dual-layer may accept another dual-layer
@@ -144,23 +147,20 @@ def verify_dl(
     whose egress-to-ingress order gives SL-grade loop safety — is
     accepted, so correctness degrades gracefully instead of breaking.
     """
-    if uim is not None and uim.update_type is not UpdateType.DUAL:
-        return verify_sl(uim, unm)
+    if uim is None or uim.update_type is not UpdateType.DUAL:
+        return verify_sl(uim, unm)     # with no UIM, Alg. 2 has only its version checks
     if unm.update_type is not UpdateType.DUAL:
         return verify_sl(uim, unm)
 
-    uim_version = uim.version if uim is not None else 0
-    if unm.new_version > uim_version:
+    if unm.new_version > uim.version:
         return Decision(verdict=Verdict.WAIT, reason="no UIM for this version yet")
-    if unm.new_version < uim_version:
+    if unm.new_version < uim.version:
         return Decision(
             verdict=Verdict.DROP_OUTDATED,
-            reason=f"UNM version {unm.new_version} < pending UIM version {uim_version}",
+            reason=f"UNM version {unm.new_version} < pending UIM version {uim.version}",
         )
 
     # unm.new_version == uim.version from here on.
-    assert uim is not None
-
     if state.new_version + 1 < unm.new_version:
         # Node inside a segment (no rules yet, or lagging more than one
         # version): update early, inheriting the sender's old distance.

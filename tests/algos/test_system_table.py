@@ -13,13 +13,13 @@ import pytest
 
 import repro.harness.build as build
 from repro.algos.registry import SYSTEMS, SystemRow, build_system
-from repro.chaos.runner import trace_signature
 from repro.core.controller import P4UpdateController
 from repro.harness.experiment import run_experiment
 from repro.harness.sweep_kind import seeded_scenario
 from repro.params import SimParams
 from repro.serve.service import run_service
 from repro.serve.spec import load_serve_spec
+from repro.sim.trace import trace_signature
 from tests.reference_scenarios import _CHAOS_CLOSED, _SERVE
 
 ROOT = pathlib.Path(__file__).resolve().parents[2]

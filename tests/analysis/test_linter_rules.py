@@ -179,13 +179,17 @@ def test_none_default_ok():
 
 
 def test_mutable_default_suppressed():
-    """A leftover ``ignore[mutable-default]`` names no rule: it is
-    neither a finding nor a stale suppression."""
+    """A leftover ``ignore[mutable-default]`` names no rule, so it can
+    never suppress anything: it is reported as a stale suppression that
+    names the unknown rule."""
     findings = lint("""
         def f(items=[]):  # repro: ignore[mutable-default]
             return items
     """)
-    assert findings == []
+    assert [(f.rule, f.line) for f in findings] == [("stale-suppression", 2)]
+    assert findings[0].message == (
+        "ignore[mutable-default] names no registered rule; fix or remove the comment"
+    )
 
 
 # -- unguarded-obs -------------------------------------------------------------
@@ -465,6 +469,21 @@ def test_subset_run_does_not_judge_unselected_rules():
         rules=subset,
     )
     assert findings == []
+
+
+def test_unknown_rule_name_reported_under_any_selection():
+    """A misspelt name is judged whatever ``--select`` ran: no rule can
+    ever fire under it."""
+    code = """
+        import time
+        t = time.time()  # repro: ignore[wall-clok]
+    """
+    subset = [r for r in default_rules() if r.name == "set-iteration"]
+    for rules in (None, subset):
+        stale = [f for f in lint(code, rules=rules) if f.rule == "stale-suppression"]
+        assert [f.message for f in stale] == [
+            "ignore[wall-clok] names no registered rule; fix or remove the comment"
+        ]
 
 
 def test_docstring_suppression_examples_not_stale():

@@ -13,13 +13,13 @@ from repro.chaos import (
     load_campaign,
     load_campaign_file,
     run_campaign,
-    trace_signature,
 )
 from repro.chaos.campaign import SpecTopologyError
 from repro.chaos.runner import build_campaign_deployment, campaign_params
 from repro.harness.build import build_p4update_network
 from repro.harness.scenarios import single_flow_scenario
 from repro.obs import make_obs
+from repro.sim.trace import trace_signature
 from repro.topo import fig1_topology
 
 

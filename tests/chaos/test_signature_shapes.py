@@ -13,9 +13,8 @@ import gc
 
 import pytest
 
-from repro.chaos.runner import trace_signature
 from repro.harness.prep import count_calls
-from repro.sim.trace import Trace
+from repro.sim.trace import Trace, trace_signature
 from tests.chaos.reference_signature import BLOCK, reference_trace_signature
 from tests.reference_scenarios import SCENARIOS, stock_outcome
 

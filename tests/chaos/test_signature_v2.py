@@ -27,10 +27,9 @@ import pytest
 
 import repro.serve.service as service
 import repro.sim.trace as trace_module
-from repro.chaos.runner import trace_signature
 from repro.fuzz.corpus import corpus_files, replay_file
 from repro.serve.spec import load_serve_spec
-from repro.sim.trace import Trace, TraceEvent
+from repro.sim.trace import Trace, TraceEvent, trace_signature
 from tests.chaos.reference_signature import (
     decode_v2,
     reference_trace_signature_v1,

@@ -56,8 +56,8 @@ def alg1(uim: Optional[UIM], unm: UNMFields) -> tuple[str, str, Optional[tuple]]
     if unm.new_version < pending:
         return "drop_outdated", "", None
     if uim is None:
-        # Reading: a version-0 UNM at a node with no pending UIM.
-        raise AttributeError("Alg. 1 compares distances with a UIM that is not there")
+        # Reading: a version-0 UNM at a node with no pending UIM is outdated.
+        return "drop_outdated", "", None
     if uim.new_distance != unm.new_distance + 1:
         return "drop_distance", "", None
     return "update", "sl", (uim.version, uim.new_distance, uim.version, uim.new_distance, 0, SL)
@@ -76,8 +76,8 @@ def alg2(
     if unm.new_version < pending:
         return "drop_outdated", "", None
     if uim is None:
-        # Reading: a version-0 UNM at a node with no pending UIM.
-        raise AssertionError("Alg. 2 past its version checks without a UIM")
+        # Reading: a version-0 UNM at a node with no pending UIM is outdated.
+        return "drop_outdated", "", None
     vn, dn, vo, do, c, t = (regs[name] for name in APPLIED)
     v = unm.new_version
     parent_ok = uim.new_distance == unm.new_distance + 1

@@ -200,6 +200,16 @@ def test_dual_unm_without_uim_waits():
     assert verify_dl(None, unm, FRESH).verdict is Verdict.WAIT
 
 
+def test_version_zero_dual_unm_without_uim_is_outdated():
+    """As Alg. 1: a rewound DL UNM with no pending UIM is dropped and
+    alarmed; Alg. 2 never reaches its distance checks without a UIM."""
+    unm = dl_unm(new_distance=4, old_distance=0, version=0, old_version=0)
+    decision = verify_dl(None, unm, gateway_state("v4"))
+    assert decision.verdict is Verdict.DROP_OUTDATED
+    assert decision.inform_controller
+    assert decision.reason == "UNM version 0 and no pending UIM"
+
+
 # -- NodeFlowState is an immutable value --------------------------------------
 
 

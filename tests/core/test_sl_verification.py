@@ -73,6 +73,16 @@ def test_unm_before_any_uim_waits():
     assert decision.verdict is Verdict.WAIT
 
 
+def test_version_zero_unm_without_uim_is_outdated():
+    """A rewound (version-0) UNM at a node with no pending UIM: no
+    configuration is older than the one the node holds, so it is dropped
+    and the controller alarmed, rather than waiting or crashing."""
+    decision = verify_sl(None, make_unm(version=0, distance=1))
+    assert decision.verdict is Verdict.DROP_OUTDATED
+    assert decision.inform_controller
+    assert decision.reason == "UNM version 0 and no pending UIM"
+
+
 def test_sl_apply_state_sets_old_to_new():
     """App. B: after applying, old_distance/old_version take the new values."""
     decision = verify_sl(make_uim(version=4, distance=3), make_unm(version=4, distance=2))

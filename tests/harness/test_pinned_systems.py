@@ -36,13 +36,13 @@ import sys
 
 import pytest
 
-from repro.chaos.runner import trace_signature
 from repro.harness import baselines_build, build
 from repro.harness.experiment import run_experiment
 from repro.harness.fig_experiments import run_fig2, run_fig4
 from repro.harness.sweep_kind import seeded_scenario
 from repro.obs import make_obs
 from repro.params import SimParams
+from repro.sim.trace import trace_signature
 
 PINNED_PATH = pathlib.Path(__file__).with_name("pinned_systems.json")
 

@@ -13,7 +13,7 @@ from repro.obs.tracefile import (
     iter_trace_jsonl,
     summarize_events,
 )
-from repro.sim.trace import Trace, TraceEvent
+from repro.sim.trace import Trace, TraceEvent, trace_signature
 
 
 def sample_trace() -> Trace:
@@ -41,7 +41,6 @@ def test_round_trip_through_file(tmp_path):
 
 @pytest.mark.parametrize("name", ["serve_chaos_closed", "two_phase_commit"])
 def test_a_trace_read_back_signs_as_the_trace_written(name):
-    from repro.chaos.runner import trace_signature
     from tests.reference_scenarios import stock_outcome
 
     trace = stock_outcome(name)["trace"]

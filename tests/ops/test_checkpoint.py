@@ -6,7 +6,6 @@ import os
 
 import pytest
 
-from repro.chaos.runner import trace_signature
 from repro.obs import make_obs
 from repro.loading import code_fingerprint
 from repro.ops.checkpoint import (
@@ -19,7 +18,7 @@ from repro.ops.checkpoint import (
 from repro.ops.session import OpsSession, build_session, run_session
 from repro.ops.spec import load_session_spec, load_session_spec_file
 from repro.sim.engine import Engine
-from repro.sim.trace import Trace
+from repro.sim.trace import Trace, trace_signature
 from tests.chaos.reference_signature import BLOCK
 from tests.serve.test_pinned_sessions import MODES
 

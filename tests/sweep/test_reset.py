@@ -18,12 +18,12 @@ import glob
 import os
 import re
 
-from repro.chaos.runner import trace_signature
 from repro.core.messages import UpdateType
 from repro.harness.build import build_p4update_network
 from repro.params import SimParams
 from repro.serve.service import run_service
 from repro.serve.spec import load_serve_spec_file
+from repro.sim.trace import trace_signature
 from repro.topo import fig1_topology
 from repro.topo.synthetic import FIG1_NEW_PATH, FIG1_OLD_PATH
 from repro.traffic.flows import Flow
