@@ -27,43 +27,7 @@ verify_update_plans` turns the plan verifier into a pre-execution
 gate inside :class:`repro.core.controller.P4UpdateController`.
 """
 
-from repro.analysis.findings import Finding, format_findings
-from repro.analysis.linter import (
-    DEFAULT_RULES,
-    LintContext,
-    LintRule,
-    lint_paths,
-    lint_source,
-    register_rule,
-    rule_names,
-)
-from repro.analysis.pipecheck import analyze_pipeline
-from repro.analysis.plan import (
-    PlanInstall,
-    PlanReport,
-    PlanVerificationError,
-    PlanViolation,
-    UpdatePlan,
-    plan_from_prepared,
-    verify_plan,
-)
+from repro.analysis.linter import lint_source
+from repro.analysis.plan import plan_from_prepared, verify_plan
 
-__all__ = [
-    "DEFAULT_RULES",
-    "Finding",
-    "LintContext",
-    "LintRule",
-    "PlanInstall",
-    "PlanReport",
-    "PlanVerificationError",
-    "PlanViolation",
-    "UpdatePlan",
-    "analyze_pipeline",
-    "format_findings",
-    "lint_paths",
-    "lint_source",
-    "plan_from_prepared",
-    "register_rule",
-    "rule_names",
-    "verify_plan",
-]
+__all__ = ["lint_source", "plan_from_prepared", "verify_plan"]

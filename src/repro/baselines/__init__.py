@@ -8,18 +8,3 @@
   it ("the update order within each segment is encoded into the
   egress of each segment").
 """
-
-from repro.baselines.central import CentralController, CentralSwitch
-from repro.baselines.ezsegway import (
-    EzSegwayController,
-    EzSegwaySwitch,
-    prepare_ez_update,
-)
-
-__all__ = [
-    "CentralController",
-    "CentralSwitch",
-    "EzSegwayController",
-    "EzSegwaySwitch",
-    "prepare_ez_update",
-]

@@ -21,14 +21,11 @@ from repro.chaos.campaign import (
     load_campaign,
     load_campaign_file,
 )
-from repro.chaos.reliable import ReliableControlSender
-from repro.chaos.runner import CampaignResult, run_campaign
+from repro.chaos.runner import run_campaign
 
 __all__ = [
-    "CampaignResult",
     "FaultCampaign",
     "MessageFaultSpec",
-    "ReliableControlSender",
     "TopoEvent",
     "load_campaign",
     "load_campaign_file",

@@ -3,7 +3,6 @@ freedom — checked over evolving forwarding state."""
 
 from repro.consistency.state import ForwardingState
 from repro.consistency.checker import (
-    CheckResult,
     check_blackhole_freedom,
     check_congestion_freedom,
     check_loop_freedom,
@@ -12,7 +11,6 @@ from repro.consistency.checker import (
 
 __all__ = [
     "ForwardingState",
-    "CheckResult",
     "check_blackhole_freedom",
     "check_loop_freedom",
     "check_congestion_freedom",

@@ -21,38 +21,3 @@ Modules:
 Rule cleanup and UNM-loss recovery (§11) live in the switch agent,
 the pipeline program and the controller.
 """
-
-from repro.core.messages import FRM, UFM, UIM, UNMFields, UpdateType
-from repro.core.labeling import distance_labels
-from repro.core.segmentation import Segment, compute_segments
-from repro.core.verification import (
-    Decision,
-    NodeFlowState,
-    Verdict,
-    verify_dl,
-    verify_sl,
-)
-from repro.core.controller import P4UpdateController
-from repro.core.switch import P4UpdateSwitch
-from repro.core.strategy import choose_update_type
-from repro.core.desttree import DestinationTreeManager
-
-__all__ = [
-    "FRM",
-    "UFM",
-    "UIM",
-    "UNMFields",
-    "UpdateType",
-    "distance_labels",
-    "Segment",
-    "compute_segments",
-    "Decision",
-    "NodeFlowState",
-    "Verdict",
-    "verify_sl",
-    "verify_dl",
-    "P4UpdateController",
-    "P4UpdateSwitch",
-    "choose_update_type",
-    "DestinationTreeManager",
-]

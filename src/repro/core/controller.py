@@ -171,20 +171,18 @@ class P4UpdateController(UpdateController[P4FlowRecord]):
         """
         record = self.flow_db[flow_id]
         old_path = record.current_path
-        old_dist = None
-        if update_type is None:
-            old_dist = old_distances(old_path, new_path)
-            update_type = choose_update_type(old_path, new_path, old_dist=old_dist)
-        version = self.versions.next_version(flow_id)
         hops = len(new_path) - 1
         if hops < 1:
             raise ValueError("a path needs at least two nodes")
         if len(set(new_path)) <= hops:
             raise ValueError(f"path revisits a node: {new_path}")
+        old_dist = old_distances(old_path, new_path)
+        if update_type is None:
+            update_type = choose_update_type(old_path, new_path, old_dist=old_dist)
         if update_type is not UpdateType.DUAL:
-            old_dist = ()                 # SL carries no gateway roles
-        elif old_dist is None:
-            old_dist = old_distances(old_path, new_path)
+            old_dist = {}                 # SL carries no gateway roles
+        # Every check is behind us: no rejected request spends a version.
+        version = self.versions.next_version(flow_id)
         size = record.flow.size
         ports = self._port_cache
         uims = []

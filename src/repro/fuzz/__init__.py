@@ -14,61 +14,3 @@ failing cases are delta-debugged to minimal repros
 documents (:mod:`repro.fuzz.corpus`) replayed forever by pytest.
 Campaigns (:mod:`repro.fuzz.campaign`) shard through the sweep fleet.
 """
-
-from repro.fuzz.campaign import (
-    FuzzSpec,
-    FuzzSpecError,
-    load_fuzz_spec,
-    load_fuzz_spec_file,
-    run_fuzz_shard,
-    split_budget,
-)
-from repro.fuzz.corpus import (
-    corpus_doc,
-    corpus_files,
-    known_keys,
-    load_corpus_file,
-    replay_doc,
-    replay_file,
-    write_corpus_case,
-)
-from repro.fuzz.gen import FUZZ_KINDS, FuzzCase, generate_case, mutate_case
-from repro.fuzz.lanes import LANE_TABLE, FuzzLane, resolve_lane
-from repro.fuzz.oracles import (
-    OUTCOMES,
-    OracleVerdict,
-    classify,
-    evaluate_case,
-    failure_key,
-)
-from repro.fuzz.shrink import shrink_case, shrink_measure
-
-__all__ = [
-    "FUZZ_KINDS",
-    "FuzzCase",
-    "FuzzLane",
-    "FuzzSpec",
-    "FuzzSpecError",
-    "LANE_TABLE",
-    "OUTCOMES",
-    "OracleVerdict",
-    "classify",
-    "corpus_doc",
-    "corpus_files",
-    "evaluate_case",
-    "failure_key",
-    "generate_case",
-    "known_keys",
-    "load_corpus_file",
-    "load_fuzz_spec",
-    "load_fuzz_spec_file",
-    "mutate_case",
-    "replay_doc",
-    "replay_file",
-    "resolve_lane",
-    "run_fuzz_shard",
-    "shrink_case",
-    "shrink_measure",
-    "split_budget",
-    "write_corpus_case",
-]

@@ -19,39 +19,13 @@ See ``docs/OBSERVABILITY.md`` for the metric names, the span taxonomy
 and the BENCH manifest schema.
 """
 
-from repro.obs.causal import (
-    SEGMENTS,
-    CausalTracker,
-    critical_path,
-    iter_causal_jsonl,
-    nearest_rank,
-    perfetto_trace,
-    summarize_attribution,
-    write_causal_jsonl,
-)
-from repro.obs.context import NULL_OBS, ObsContext, make_obs
-from repro.obs.manifest import (
-    MANIFEST_SCHEMA,
-    build_manifest,
-    load_manifest,
-    manifest_path,
-    validate_manifest,
-    write_manifest,
-)
-from repro.obs.registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NullRegistry,
-)
+from repro.obs.causal import critical_path, iter_causal_jsonl, perfetto_trace
+from repro.obs.context import NULL_OBS, make_obs
+from repro.obs.manifest import write_manifest
 from repro.obs.sampler import Sampler, format_samples, merge_samples
-from repro.obs.spans import NullSpanTracker, Span, SpanTracker
 from repro.obs.tracefile import (
-    event_from_dict,
     event_to_dict,
     export_trace_jsonl,
-    filter_events,
     import_trace_jsonl,
     iter_filter_events,
     iter_trace_jsonl,
@@ -60,37 +34,16 @@ from repro.obs.tracefile import (
 
 __all__ = [
     "NULL_OBS",
-    "ObsContext",
     "make_obs",
-    "SEGMENTS",
-    "CausalTracker",
     "critical_path",
     "iter_causal_jsonl",
-    "nearest_rank",
     "perfetto_trace",
-    "summarize_attribution",
-    "write_causal_jsonl",
-    "MANIFEST_SCHEMA",
-    "build_manifest",
-    "load_manifest",
-    "manifest_path",
-    "validate_manifest",
     "write_manifest",
     "Sampler",
     "format_samples",
     "merge_samples",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "NullRegistry",
-    "NullSpanTracker",
-    "Span",
-    "SpanTracker",
-    "event_from_dict",
     "event_to_dict",
     "export_trace_jsonl",
-    "filter_events",
     "import_trace_jsonl",
     "iter_filter_events",
     "iter_trace_jsonl",

@@ -8,23 +8,7 @@ byte-identically by re-running its spec to the last checkpoint
 (``repro ops run|checkpoint|resume``).
 """
 
-from repro.ops.spec import (
-    OP_KINDS,
-    SessionSpec,
-    SessionSpecError,
-    load_session_spec,
-    load_session_spec_file,
-)
-from repro.ops.session import OpsResult, OpsSession, build_session, run_session
+from repro.ops.spec import load_session_spec_file
+from repro.ops.session import run_session
 
-__all__ = [
-    "OP_KINDS",
-    "OpsResult",
-    "OpsSession",
-    "SessionSpec",
-    "SessionSpecError",
-    "build_session",
-    "load_session_spec",
-    "load_session_spec_file",
-    "run_session",
-]
+__all__ = ["load_session_spec_file", "run_session"]

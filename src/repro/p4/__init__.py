@@ -15,20 +15,3 @@ match-action tables:
 * a :class:`repro.p4.switch.P4Switch` simulation node that runs a
   pipeline with per-packet processing delay.
 """
-
-from repro.p4.packet import Header, HeaderField, Packet
-from repro.p4.registers import RegisterArray, RegisterFile
-from repro.p4.pipeline import Pipeline, PipelineContext, PipelineProgram
-from repro.p4.switch import P4Switch
-
-__all__ = [
-    "Header",
-    "HeaderField",
-    "Packet",
-    "RegisterArray",
-    "RegisterFile",
-    "Pipeline",
-    "PipelineContext",
-    "PipelineProgram",
-    "P4Switch",
-]

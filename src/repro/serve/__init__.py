@@ -7,26 +7,7 @@ same-flow requests) on top of the verified prepare/push update path,
 with SLO metrics and deterministic benchmark manifests.
 """
 
-from repro.serve.model import UpdateRequest
-from repro.serve.orchestrator import ServiceOrchestrator
-from repro.serve.service import ServiceResult, run_service
-from repro.serve.spec import (
-    ServeSpec,
-    ServeSpecError,
-    load_serve_spec,
-    load_serve_spec_file,
-)
-from repro.serve.workload import ServiceFlow, build_flow_population
+from repro.serve.service import run_service
+from repro.serve.spec import ServeSpec, load_serve_spec_file
 
-__all__ = [
-    "ServeSpec",
-    "ServeSpecError",
-    "ServiceFlow",
-    "ServiceOrchestrator",
-    "ServiceResult",
-    "UpdateRequest",
-    "build_flow_population",
-    "load_serve_spec",
-    "load_serve_spec_file",
-    "run_service",
-]
+__all__ = ["ServeSpec", "load_serve_spec_file", "run_service"]

@@ -24,7 +24,7 @@ from repro.topo.internet2 import internet2_topology
 from repro.topo.attmpls import attmpls_topology
 from repro.topo.chinanet import chinanet_topology
 from repro.topo.fattree import fattree_topology
-from repro.topo.zoo import load_graphml, sample_zoo_topology
+from repro.topo.zoo import load_graphml
 
 __all__ = [
     "TOPOLOGIES",
@@ -43,7 +43,6 @@ __all__ = [
     "chinanet_topology",
     "fattree_topology",
     "load_graphml",
-    "sample_zoo_topology",
 ]
 
 #: The one name -> factory table: every spec format (experiment, chaos,

@@ -114,18 +114,17 @@ def prepare(
     network's wiring, ``(node, neighbour) -> port``.  A rejection is
     ``(exception type name, text)``."""
     old, flow_id = record.old_path, record.flow_id
-    spent = False
     try:
-        if update_type is None:
-            # Reading: the §7.5 choice reads P_o before a version is spent.
-            update_type = choose(analyse(old, new))
-        spent = True
+        # Reading: P_n is checked before P_o, and every type checks both
+        # before a version is spent, so no rejection spends one.
         d_n = labels(new)
-        # Reading: SL carries no gateway roles, so it never reads P_o.
-        gateways = analyse(old, new).gateways if update_type is UpdateType.DUAL else ()
+        pair = analyse(old, new)
     except ValueError as exc:
-        return {**unchanged(record), "version": record.version + spent,
-                "prepared": ("ValueError", str(exc))}
+        return {**unchanged(record), "prepared": ("ValueError", str(exc))}
+    if update_type is None:
+        update_type = choose(pair)
+    # Reading: SL carries no gateway roles.
+    gateways = pair.gateways if update_type is UpdateType.DUAL else ()
     version = record.version + 1
     ingress, egress = new[0], new[-1]
     uims = tuple(
