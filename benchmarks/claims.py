@@ -34,7 +34,7 @@ from typing import Any, Callable, Optional
 import numpy as np
 
 from repro.algos.registry import build_system, system_names
-from repro.consistency import LiveChecker
+from repro.consistency.checker import LiveChecker
 from repro.core.messages import UpdateType
 from repro.harness.analysis import watch_messages
 from repro.harness.experiment import RuleChanges, run_experiment
@@ -44,10 +44,15 @@ from repro.harness.probes import ProbeSource
 from repro.harness.scenarios import UpdateScenario
 from repro.params import DelayDistribution, SimParams
 from repro.sim.faults import FaultModel
-from repro.sweep import build_sweep_results, run_sweep
-from repro.topo import fig1_topology, ring_topology
+from repro.sweep.executor import run_sweep
+from repro.sweep.merge import build_sweep_results
 from repro.topo.graph import Topology
-from repro.topo.synthetic import FIG1_NEW_PATH, FIG1_OLD_PATH
+from repro.topo.synthetic import (
+    FIG1_NEW_PATH,
+    FIG1_OLD_PATH,
+    fig1_topology,
+    ring_topology,
+)
 from repro.traffic.flows import Flow
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]

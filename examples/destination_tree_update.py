@@ -12,11 +12,11 @@ core1 and prints the branching notification order.
 Run:  python examples/destination_tree_update.py
 """
 
-from repro.consistency import LiveChecker
+from repro.consistency.checker import LiveChecker
 from repro.core.desttree import DestinationTreeManager, tree_id_for
 from repro.harness.build import build_p4update_network
 from repro.params import SimParams
-from repro.topo import fattree_topology
+from repro.topo.fattree import fattree_topology
 
 
 def main() -> None:

@@ -14,7 +14,7 @@ Run:  python examples/load_topology_zoo.py [path/to/file.graphml]
 
 import sys
 
-from repro.consistency import LiveChecker
+from repro.consistency.checker import LiveChecker
 from repro.core.messages import UpdateType
 from repro.harness.build import build_p4update_network
 from repro.params import SimParams

@@ -9,11 +9,11 @@ the network had a blackhole, loop or over-capacity link.
 Run:  python examples/quickstart.py
 """
 
-from repro.consistency import LiveChecker
+from repro.consistency.checker import LiveChecker
 from repro.core.messages import UpdateType
 from repro.harness.build import build_p4update_network
 from repro.params import SimParams
-from repro.topo import ring_topology
+from repro.topo.synthetic import ring_topology
 from repro.traffic.flows import Flow
 
 

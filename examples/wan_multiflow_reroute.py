@@ -12,11 +12,11 @@ Run:  python examples/wan_multiflow_reroute.py
 
 import numpy as np
 
-from repro.consistency import LiveChecker
+from repro.consistency.checker import LiveChecker
 from repro.harness.build import build_p4update_network
 from repro.harness.scenarios import multi_flow_scenario
 from repro.params import SimParams
-from repro.topo import b4_topology
+from repro.topo.b4 import b4_topology
 
 
 def main() -> None:

@@ -36,7 +36,8 @@ from __future__ import annotations
 import heapq
 from typing import Any, Optional
 
-from repro.algos.base import _Delegating, path_edges
+from repro.algos.base import _Delegating
+from repro.analysis.interference import path_edges
 from repro.core.contract import Notifier
 from repro.core.controller import P4UpdateController, PreparedUpdate
 from repro.core.messages import UpdateType

@@ -3,7 +3,7 @@ contract itself is :class:`repro.core.contract.UpdateController`)."""
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any
 
 
 class _Delegating:
@@ -18,8 +18,3 @@ class _Delegating:
 
     def __getattr__(self, item: str) -> Any:
         return getattr(self._inner, item)
-
-
-def path_edges(path: Sequence[str]) -> tuple[tuple[str, str], ...]:
-    """Directed edges of a node path (shared by augmentation/synthesis)."""
-    return tuple(zip(path, path[1:]))

@@ -26,8 +26,3 @@ pipeline|interference``) fronts all four; :data:`repro.params.SimParams.
 verify_update_plans` turns the plan verifier into a pre-execution
 gate inside :class:`repro.core.controller.P4UpdateController`.
 """
-
-from repro.analysis.linter import lint_source
-from repro.analysis.plan import plan_from_prepared, verify_plan
-
-__all__ = ["lint_source", "plan_from_prepared", "verify_plan"]

@@ -299,7 +299,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     from repro.analysis.pipecheck import analyze_pipeline
     from repro.harness.build import build_p4update_network
     from repro.params import SimParams
-    from repro.topo import fig1_topology
+    from repro.topo.synthetic import fig1_topology
 
     deployment = build_p4update_network(fig1_topology(), params=SimParams(seed=args.seed))
     name, switch = sorted(deployment.switches.items())[0]

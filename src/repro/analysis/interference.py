@@ -64,7 +64,8 @@ _CAP_EPS = 1e-9
 # -- footprints ---------------------------------------------------------------
 
 
-def _path_edges(path: Sequence[str]) -> tuple[tuple[str, str], ...]:
+def path_edges(path: Sequence[str]) -> tuple[tuple[str, str], ...]:
+    """Directed edges of a node path."""
     return tuple(zip(path, path[1:]))
 
 
@@ -118,8 +119,8 @@ def footprint_of(plan: UpdatePlan) -> PlanFootprint:
         flow_id=plan.flow_id,
         flow_size=plan.flow_size,
         switches=frozenset(install.node for install in plan.installs),
-        old_edges=_path_edges(plan.old_path),
-        new_edges=_path_edges(plan.new_path),
+        old_edges=path_edges(plan.old_path),
+        new_edges=path_edges(plan.new_path),
     )
 
 
@@ -135,8 +136,8 @@ def footprint_from_paths(
         flow_id=flow_id,
         flow_size=flow_size,
         switches=frozenset(new_path),
-        old_edges=_path_edges(old_path),
-        new_edges=_path_edges(new_path),
+        old_edges=path_edges(old_path),
+        new_edges=path_edges(new_path),
     )
 
 

@@ -35,6 +35,7 @@ from typing import Any, NamedTuple, Optional
 
 import numpy as np
 
+from repro.baselines.central import LOCAL_DELIVER
 from repro.consistency.state import ForwardingState
 from repro.core.contract import FlowRecord, UpdateController
 from repro.core.labeling import distance_labels
@@ -44,8 +45,6 @@ from repro.sim.node import Node
 from repro.sim.trace import KIND_RULE_CHANGE
 from repro.topo.graph import Topology
 from repro.traffic.flows import Flow
-
-LOCAL_DELIVER = "__local__"
 
 
 # -- messages ------------------------------------------------------------------

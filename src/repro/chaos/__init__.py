@@ -13,21 +13,3 @@ The subsystem has four parts:
 * declarative chaos campaigns (:mod:`repro.chaos.campaign`) executed
   by :mod:`repro.chaos.runner` and the ``repro chaos`` CLI.
 """
-
-from repro.chaos.campaign import (
-    FaultCampaign,
-    MessageFaultSpec,
-    TopoEvent,
-    load_campaign,
-    load_campaign_file,
-)
-from repro.chaos.runner import run_campaign
-
-__all__ = [
-    "FaultCampaign",
-    "MessageFaultSpec",
-    "TopoEvent",
-    "load_campaign",
-    "load_campaign_file",
-    "run_campaign",
-]

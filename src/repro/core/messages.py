@@ -34,10 +34,6 @@ class UpdateType(enum.IntEnum):
     DUAL = 2          # DL-P4Update
 
 
-# Special egress-port value meaning "deliver locally" (flow egress).
-LOCAL_DELIVER_PORT = 511
-
-
 @dataclass(frozen=True)
 class FRM:
     """Flow Report Message: a new flow appeared at an ingress switch."""
@@ -67,7 +63,7 @@ class UIM(NamedTuple):
     flow_id: int
     version: int
     new_distance: int
-    egress_port: int              # new egress port (LOCAL_DELIVER_PORT at flow egress)
+    egress_port: int              # new egress port (registers.LOCAL_DELIVER_PORT at flow egress)
     flow_size: float
     update_type: UpdateType
     child_port: Optional[int]     # port towards the child in the new path (None at ingress)

@@ -39,7 +39,7 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.consistency import LiveChecker
+from repro.consistency.checker import LiveChecker
 from repro.core.messages import UpdateType
 from repro.harness.build import build_p4update_network
 from repro.harness.fig_experiments import (
@@ -51,26 +51,21 @@ from repro.harness.fig_experiments import (
 )
 from repro.harness.metrics import summarize
 from repro.loading import replacing, write_json_atomic
-from repro.obs import (
-    Sampler,
-    critical_path,
+from repro.obs.causal import critical_path, iter_causal_jsonl, perfetto_trace
+from repro.obs.context import NULL_OBS, make_obs
+from repro.obs.sampler import Sampler, format_samples
+from repro.obs.tracefile import (
     event_to_dict,
     export_trace_jsonl,
-    format_samples,
-    iter_causal_jsonl,
     iter_filter_events,
     iter_trace_jsonl,
-    make_obs,
-    perfetto_trace,
+    open_jsonl,
     summarize_events,
 )
-from repro.obs.context import NULL_OBS
-from repro.obs.tracefile import open_jsonl
 from repro.params import SimParams
 from repro.sim.trace import KIND_RULE_CHANGE, TraceEvent
 from repro.sweep.cli import CliError, add_fleet_flags, load_or_exit, run_fleet
-from repro.topo import fig1_topology
-from repro.topo.synthetic import FIG1_NEW_PATH, FIG1_OLD_PATH
+from repro.topo.synthetic import FIG1_NEW_PATH, FIG1_OLD_PATH, fig1_topology
 from repro.traffic.flows import Flow
 
 

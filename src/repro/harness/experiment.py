@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.algos.registry import SystemRow, build_system, system_row
-from repro.consistency import LiveChecker
+from repro.consistency.checker import LiveChecker
 from repro.harness.scenarios import UpdateScenario
 from repro.obs.context import NULL_OBS, ObsContext
 from repro.params import SimParams

@@ -20,13 +20,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.algos.registry import build_system, system_row
-from repro.consistency import LiveChecker
+from repro.consistency.checker import LiveChecker
 from repro.harness.experiment import RuleChanges
 from repro.harness.probes import ProbeSource, duplicate_receives
 from repro.harness.scenarios import FastForwardScenario, InconsistentUpdateScenario
 from repro.params import SimParams
 from repro.sim.faults import CompositeFaultModel, FaultAction, ScriptedFault
-from repro.topo import fig2_topology, six_node_topology
+from repro.topo.synthetic import fig2_topology, six_node_topology
 from repro.traffic.flows import Flow
 
 

@@ -27,8 +27,10 @@ from repro.harness.experiment import ExperimentResult, run_experiment
 from repro.harness.scenarios import UpdateScenario
 from repro.loading import read_json_object
 from repro.params import SimParams
-from repro.topo import TOPOLOGIES, fattree_topology, ring_topology
+from repro.topo import TOPOLOGIES
+from repro.topo.fattree import fattree_topology
 from repro.topo.graph import Topology
+from repro.topo.synthetic import ring_topology
 from repro.topo.zoo import load_graphml
 from repro.traffic.flows import Flow, flow_hash
 from repro.traffic.paths import second_shortest_path

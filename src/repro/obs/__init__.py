@@ -6,7 +6,7 @@ shared no-op :data:`NULL_OBS` context, which keeps instrumented code
 paths at one-attribute-check cost and leaves simulated-time results
 bit-identical to uninstrumented runs.  Enable with::
 
-    from repro.obs import make_obs
+    from repro.obs.context import make_obs
     obs = make_obs()                       # or make_obs(causal=True)
     result = run_experiment("p4update", scenario, params, obs=obs)
     obs.snapshot()                         # metrics + span tree
@@ -19,33 +19,6 @@ See ``docs/OBSERVABILITY.md`` for the metric names, the span taxonomy
 and the BENCH manifest schema.
 """
 
-from repro.obs.causal import critical_path, iter_causal_jsonl, perfetto_trace
-from repro.obs.context import NULL_OBS, make_obs
-from repro.obs.manifest import write_manifest
-from repro.obs.sampler import Sampler, format_samples, merge_samples
-from repro.obs.tracefile import (
-    event_to_dict,
-    export_trace_jsonl,
-    import_trace_jsonl,
-    iter_filter_events,
-    iter_trace_jsonl,
-    summarize_events,
-)
-
-__all__ = [
-    "NULL_OBS",
-    "make_obs",
-    "critical_path",
-    "iter_causal_jsonl",
-    "perfetto_trace",
-    "write_manifest",
-    "Sampler",
-    "format_samples",
-    "merge_samples",
-    "event_to_dict",
-    "export_trace_jsonl",
-    "import_trace_jsonl",
-    "iter_filter_events",
-    "iter_trace_jsonl",
-    "summarize_events",
-]
+# Re-exported for benchmarks/perf/workloads.py only; every other caller
+# imports it from repro.obs.context.
+from repro.obs.context import make_obs

@@ -70,6 +70,7 @@ from repro.sim.trace import (
     KIND_UPDATE_DONE,
     KIND_VERIFY_FAIL,
     KIND_VERIFY_OK,
+    ORCHESTRATOR_NODE,
     TraceEvent,
 )
 
@@ -84,8 +85,6 @@ SEGMENTS = (
     "dataplane_verify",   # per-switch install + local verification chain
     "recovery",           # failure recovery owns the flow (abort/park/reroute)
 )
-
-_ORCH = "orchestrator"
 
 #: Retries of a pushed update: the wait each one ended is retry_backoff.
 _RETRY_KINDS = frozenset((KIND_RETRANSMIT, KIND_RETRIGGER))
@@ -117,7 +116,7 @@ class _Track:
         # One ``(t, kind, node, detail, segment)`` per causal event,
         # ``segment`` naming the interval the event closed; the event
         # and edge dicts of :meth:`CausalTracker.dags` are built at export.
-        self.events: list[tuple] = [(t, "submitted", _ORCH, None, None)]
+        self.events: list[tuple] = [(t, "submitted", ORCHESTRATOR_NODE, None, None)]
         # Signed endpoints of the intervals each segment was charged.
         self.segments: dict[str, list[float]] = {s: [] for s in SEGMENTS}
 

@@ -7,8 +7,3 @@ a multi-hour simulated session can be stopped and resumed
 byte-identically by re-running its spec to the last checkpoint
 (``repro ops run|checkpoint|resume``).
 """
-
-from repro.ops.spec import load_session_spec_file
-from repro.ops.session import run_session
-
-__all__ = ["load_session_spec_file", "run_session"]

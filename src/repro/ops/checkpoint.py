@@ -101,7 +101,7 @@ def replay(
     after tick ``index``, checking every tick on the way against its
     row (rows ``1..index`` must be present); ``sink`` then takes over
     the ticks that follow."""
-    from repro.obs import make_obs
+    from repro.obs.context import make_obs
     from repro.ops.session import build_session
     from repro.ops.spec import load_session_spec
 

@@ -562,13 +562,11 @@ class OpsSession:
                 record = self.controller.flow_db[flow_id]
                 flow = self.flows[flow_id]
                 current = tuple(record.current_path)
-                target = (
-                    flow.alternate if current == flow.primary else flow.primary
-                )
-                if tuple(target) == current:
+                target = flow.other_path(current)
+                if target == current:
                     continue
                 deltas = footprint_from_paths(
-                    flow_id, current, tuple(target), float(record.flow.size)
+                    flow_id, current, target, float(record.flow.size)
                 ).capacity_deltas()
                 if deltas.get(edge, 0.0) >= 0.0:
                     continue  # does not relieve the hot edge

@@ -7,7 +7,7 @@ same-flow requests) on top of the verified prepare/push update path,
 with SLO metrics and deterministic benchmark manifests.
 """
 
+# Re-exported for benchmarks/perf/workloads.py only; every other caller
+# imports them from their defining modules.
 from repro.serve.service import run_service
-from repro.serve.spec import ServeSpec, load_serve_spec_file
-
-__all__ = ["ServeSpec", "load_serve_spec_file", "run_service"]
+from repro.serve.spec import ServeSpec

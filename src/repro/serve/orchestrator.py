@@ -59,10 +59,9 @@ from repro.sim.trace import (
     KIND_REQUEST_SUBMITTED,
     KIND_REQUEST_WAIT,
     KIND_RULE_CHANGE,
+    ORCHESTRATOR_NODE,
     TraceEvent,
 )
-
-_ORCH = "orchestrator"
 
 
 class ServiceOrchestrator:
@@ -175,7 +174,7 @@ class ServiceOrchestrator:
         self._next_id += 1
         self.requests.append(request)
         self.trace.record(
-            now, KIND_REQUEST_SUBMITTED, _ORCH,
+            now, KIND_REQUEST_SUBMITTED, ORCHESTRATOR_NODE,
             request=request.request_id, flow=flow_id,
         )
         if self.spec.conflict_policy == "merge":
@@ -205,7 +204,7 @@ class ServiceOrchestrator:
 
     def _shed(self, request: UpdateRequest) -> None:
         self.trace.record(
-            self.engine.now, KIND_REQUEST_SHED, _ORCH,
+            self.engine.now, KIND_REQUEST_SHED, ORCHESTRATOR_NODE,
             request=request.request_id, flow=request.flow_id,
             policy=self.spec.shed_policy,
         )
@@ -219,7 +218,7 @@ class ServiceOrchestrator:
         request.queue_depth_at_admit = len(self.pending)
         self.pending.append(request)
         self.trace.record(
-            self.engine.now, KIND_REQUEST_ADMITTED, _ORCH,
+            self.engine.now, KIND_REQUEST_ADMITTED, ORCHESTRATOR_NODE,
             request=request.request_id, queue_depth=request.queue_depth_at_admit,
         )
 
@@ -233,15 +232,12 @@ class ServiceOrchestrator:
         return self.flows[flow_id].nodes()
 
     def _toggle_target(self, flow_id: int) -> Optional[tuple[str, ...]]:
-        """The path the flow's next toggle would move onto (same rule
-        as ``_execute``), or None when the flow is gone."""
+        """The path the flow's next toggle would move onto, or None when
+        the flow is gone."""
         record = self.controller.flow_db.get(flow_id)
         if record is None:
             return None
-        flow = self.flows[flow_id]
-        if tuple(record.current_path) == flow.primary:
-            return flow.alternate
-        return flow.primary
+        return self.flows[flow_id].other_path(tuple(record.current_path))
 
     def _blocked_by_avoid(self, flow_id: int) -> bool:
         if not self.avoid_nodes:
@@ -255,17 +251,14 @@ class ServiceOrchestrator:
 
     def _candidate_footprint(self, flow_id: int) -> Optional[PlanFootprint]:
         """The footprint the flow's next toggle would have, from the
-        controller's current view (same toggle rule as ``_execute``)."""
+        controller's current view."""
         record = self.controller.flow_db.get(flow_id)
         if record is None:
             return None
         flow = self.flows[flow_id]
-        if tuple(record.current_path) == flow.primary:
-            target = flow.alternate
-        else:
-            target = flow.primary
+        current = tuple(record.current_path)
         return footprint_from_paths(
-            flow_id, tuple(record.current_path), tuple(target), flow.size
+            flow_id, current, flow.other_path(current), flow.size
         )
 
     def _gate_conflicts(self, request: UpdateRequest) -> list[dict]:
@@ -404,7 +397,7 @@ class ServiceOrchestrator:
                 if reason != request.wait_reason:
                     request.wait_reason = reason
                     self.trace.record(
-                        self.engine.now, KIND_REQUEST_WAIT, _ORCH,
+                        self.engine.now, KIND_REQUEST_WAIT, ORCHESTRATOR_NODE,
                         request=request.request_id, to=reason,
                     )
 
@@ -420,7 +413,7 @@ class ServiceOrchestrator:
         for node in self._footprint(request.flow_id):
             self._busy_switches[node] = self._busy_switches.get(node, 0) + 1
         self.trace.record(
-            now, KIND_REQUEST_DISPATCHED, _ORCH,
+            now, KIND_REQUEST_DISPATCHED, ORCHESTRATOR_NODE,
             request=request.request_id, flow=request.flow_id,
         )
         if self.obs.enabled:
@@ -445,17 +438,13 @@ class ServiceOrchestrator:
             self._release(request.flow_id)
             request.wait_reason = "recovery"
             self.trace.record(
-                self.engine.now, KIND_REQUEST_REQUEUED, _ORCH,
+                self.engine.now, KIND_REQUEST_REQUEUED, ORCHESTRATOR_NODE,
                 request=request.request_id,
             )
             self.pending.appendleft(request)
             self.pump()
             return
-        flow = self.flows[request.flow_id]
-        if tuple(record.current_path) == flow.primary:
-            target = list(flow.alternate)
-        else:
-            target = list(flow.primary)
+        target = list(self.flows[request.flow_id].other_path(tuple(record.current_path)))
         prepared = self.controller.prepare_update(
             request.flow_id, target, self.deployment.update_type
         )
@@ -515,7 +504,7 @@ class ServiceOrchestrator:
         now = self.engine.now
         request.finish(outcome, now)
         self.trace.record(
-            now, KIND_REQUEST_DONE, _ORCH,
+            now, KIND_REQUEST_DONE, ORCHESTRATOR_NODE,
             request=request.request_id, flow=request.flow_id,
             outcome=outcome,
         )

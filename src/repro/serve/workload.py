@@ -56,6 +56,11 @@ class ServiceFlow:
         """Every switch either path touches (conflict footprint)."""
         return frozenset(self.primary) | frozenset(self.alternate)
 
+    def other_path(self, current: tuple[str, ...]) -> tuple[str, ...]:
+        """The path a toggle moves onto: the alternate when the flow is
+        on its primary, the primary otherwise."""
+        return self.alternate if current == self.primary else self.primary
+
 
 def build_flow_population(
     topo: Topology,

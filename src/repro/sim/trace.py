@@ -65,6 +65,8 @@ KIND_REQUEST_ADMITTED = "request_admitted"  # entered the main queue
 KIND_REQUEST_WAIT = "request_wait"          # a queued request's wait reason changed
 KIND_REQUEST_REQUEUED = "request_requeued"  # recovery took the flow before prepare
 KIND_REQUEST_PUSHED = "request_pushed"      # prepared update entered the control channel
+#: The node the service records its request events at.
+ORCHESTRATOR_NODE = "orchestrator"
 # Retries: a reliable-control retransmission and a §11 re-trigger.
 KIND_RETRANSMIT = "retransmit"
 KIND_RETRIGGER = "retrigger"

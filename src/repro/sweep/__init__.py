@@ -12,8 +12,8 @@ See ``docs/SWEEP.md`` for the spec format and the determinism /
 resume contract, and ``examples/sweep_smoke.json`` for a starter spec.
 """
 
+# Re-exported for benchmarks/perf/workloads.py only; every other caller
+# imports them from their defining modules.
 from repro.sweep.executor import run_sweep
 from repro.sweep.merge import build_sweep_results
 from repro.sweep.spec import load_sweep_spec
-
-__all__ = ["build_sweep_results", "load_sweep_spec", "run_sweep"]

@@ -32,7 +32,9 @@ import os
 import sys
 from typing import Any, Callable, Optional, TypeVar
 
-from repro.obs import format_samples, make_obs, write_manifest
+from repro.obs.context import make_obs
+from repro.obs.manifest import write_manifest
+from repro.obs.sampler import format_samples
 from repro.sweep.executor import cache_root, read_status, run_sweep, scan_cache
 from repro.sweep.merge import build_sweep_results, merge_shard_obs
 from repro.sweep.spec import SweepSpec, SweepSpecError, load_sweep_spec_file

@@ -10,40 +10,13 @@ Chinanet (38, 62).
 import functools
 from typing import Callable
 
-from repro.topo.graph import Topology
-from repro.topo.latency import geo_latency_ms, haversine_km
-from repro.topo.synthetic import (
-    fig1_topology,
-    fig2_topology,
-    line_topology,
-    ring_topology,
-    six_node_topology,
-)
-from repro.topo.b4 import b4_topology
-from repro.topo.internet2 import internet2_topology
 from repro.topo.attmpls import attmpls_topology
+from repro.topo.b4 import b4_topology
 from repro.topo.chinanet import chinanet_topology
 from repro.topo.fattree import fattree_topology
-from repro.topo.zoo import load_graphml
-
-__all__ = [
-    "TOPOLOGIES",
-    "Topology",
-    "topology_shape",
-    "geo_latency_ms",
-    "haversine_km",
-    "fig1_topology",
-    "fig2_topology",
-    "line_topology",
-    "ring_topology",
-    "six_node_topology",
-    "b4_topology",
-    "internet2_topology",
-    "attmpls_topology",
-    "chinanet_topology",
-    "fattree_topology",
-    "load_graphml",
-]
+from repro.topo.graph import Topology
+from repro.topo.internet2 import internet2_topology
+from repro.topo.synthetic import fig1_topology, fig2_topology, six_node_topology
 
 #: The one name -> factory table: every spec format (experiment, chaos,
 #: serve, ops, sweep, fuzz) resolves topology names here.

@@ -97,7 +97,7 @@ def test_runtime_reaches_a_builder_patched_on_its_module(monkeypatch):
     # table that captured the function at import would bypass it.
     import repro.harness.build as build
     from repro.algos.registry import build_system
-    from repro.topo import ring_topology
+    from repro.topo.synthetic import ring_topology
 
     calls = []
     original = build.build_p4update_network

@@ -151,7 +151,7 @@ def test_dispatch_ordering_row_is_refused_at_experiment_spec_load():
 
 
 def test_dual_row_allows_consecutive_dual_on_every_switch():
-    from repro.topo import ring_topology
+    from repro.topo.synthetic import ring_topology
 
     dual = build_system("p4update-dl", ring_topology(5))
     stock = build_system("p4update", ring_topology(5))

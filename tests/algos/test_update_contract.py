@@ -8,8 +8,7 @@ import pytest
 from repro.algos.registry import build_system
 from repro.core.contract import FlowRecord, UpdateController
 from repro.params import SimParams
-from repro.topo import fig1_topology
-from repro.topo.synthetic import FIG1_NEW_PATH, FIG1_OLD_PATH
+from repro.topo.synthetic import FIG1_NEW_PATH, FIG1_OLD_PATH, fig1_topology
 from repro.traffic.flows import Flow
 
 

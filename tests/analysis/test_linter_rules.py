@@ -4,11 +4,11 @@ import textwrap
 
 import pytest
 
-from repro.analysis import lint_source
 from repro.analysis.linter import (
     LintContext,
     default_rules,
     lint_paths,
+    lint_source,
     rule_names,
     suppressions,
 )

@@ -138,7 +138,7 @@ def test_resubmit_ok_with_runtime_cap():
     caps the resubmits, and without it the loop is flagged."""
     from repro.harness.build import build_p4update_network
     from repro.params import SimParams
-    from repro.topo import fig1_topology
+    from repro.topo.synthetic import fig1_topology
 
     deployment = build_p4update_network(fig1_topology(), params=SimParams(seed=0))
     program = deployment.switches["v0"].program
@@ -153,7 +153,7 @@ def test_resubmit_ok_with_runtime_cap():
 def test_real_p4update_program_is_clean():
     from repro.harness.build import build_p4update_network
     from repro.params import SimParams
-    from repro.topo import fig1_topology
+    from repro.topo.synthetic import fig1_topology
 
     deployment = build_p4update_network(fig1_topology(), params=SimParams(seed=0))
     program = deployment.switches["v0"].program

@@ -14,8 +14,8 @@ from repro.core.messages import UpdateType
 from repro.harness.build import build_p4update_network
 from repro.harness.scenarios import single_flow_scenario
 from repro.params import SimParams
-from repro.topo import b4_topology, fig1_topology
-from repro.topo.synthetic import FIG1_NEW_PATH, FIG1_OLD_PATH
+from repro.topo.b4 import b4_topology
+from repro.topo.synthetic import FIG1_NEW_PATH, FIG1_OLD_PATH, fig1_topology
 from repro.traffic.flows import Flow
 
 

@@ -1,11 +1,15 @@
 """Tests for the Central (dependency-graph rounds) baseline."""
 
 
-from repro.consistency import LiveChecker
+from repro.consistency.checker import LiveChecker
 from repro.harness.baselines_build import build_central_network
 from repro.params import DelayDistribution, SimParams
-from repro.topo import fig1_topology, ring_topology
-from repro.topo.synthetic import FIG1_NEW_PATH, FIG1_OLD_PATH
+from repro.topo.synthetic import (
+    FIG1_NEW_PATH,
+    FIG1_OLD_PATH,
+    fig1_topology,
+    ring_topology,
+)
 from repro.traffic.flows import Flow
 
 

@@ -5,10 +5,10 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.consistency import LiveChecker
+from repro.consistency.checker import LiveChecker
 from repro.harness.baselines_build import build_central_network
 from repro.params import DelayDistribution, SimParams
-from repro.topo import ring_topology
+from repro.topo.synthetic import ring_topology
 from repro.traffic.flows import Flow
 
 

@@ -9,9 +9,13 @@ from repro.baselines.ezsegway import (
 from repro.harness.baselines_build import build_ezsegway_network
 from repro.params import DelayDistribution, SimParams
 from repro.sim.trace import KIND_UPDATE_DONE
-from repro.topo import fig1_topology, ring_topology
 from repro.topo.graph import Topology
-from repro.topo.synthetic import FIG1_NEW_PATH, FIG1_OLD_PATH
+from repro.topo.synthetic import (
+    FIG1_NEW_PATH,
+    FIG1_OLD_PATH,
+    fig1_topology,
+    ring_topology,
+)
 from repro.traffic.flows import Flow
 
 

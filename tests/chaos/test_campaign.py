@@ -6,21 +6,20 @@ import os
 import numpy as np
 import pytest
 
-from repro.chaos import (
+from repro.chaos.campaign import (
     FaultCampaign,
     MessageFaultSpec,
+    SpecTopologyError,
     TopoEvent,
     load_campaign,
     load_campaign_file,
-    run_campaign,
 )
-from repro.chaos.campaign import SpecTopologyError
-from repro.chaos.runner import build_campaign_deployment, campaign_params
+from repro.chaos.runner import build_campaign_deployment, campaign_params, run_campaign
 from repro.harness.build import build_p4update_network
 from repro.harness.scenarios import single_flow_scenario
-from repro.obs import make_obs
+from repro.obs.context import make_obs
 from repro.sim.trace import trace_signature
-from repro.topo import fig1_topology
+from repro.topo.synthetic import fig1_topology
 
 
 def acceptance_campaign(seed=42):

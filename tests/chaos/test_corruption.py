@@ -7,13 +7,12 @@ alarm plus the §11 watchdogs recover the update.
 """
 
 from repro.chaos.campaign import CORRUPTORS
-from repro.consistency import LiveChecker
+from repro.consistency.checker import LiveChecker
 from repro.core.messages import UpdateType
 from repro.harness.build import build_p4update_network
 from repro.params import SimParams
 from repro.sim.faults import FaultAction, ScriptedFault
-from repro.topo import fig1_topology
-from repro.topo.synthetic import FIG1_NEW_PATH, FIG1_OLD_PATH
+from repro.topo.synthetic import FIG1_NEW_PATH, FIG1_OLD_PATH, fig1_topology
 from repro.traffic.flows import Flow
 
 

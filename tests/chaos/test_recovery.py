@@ -6,12 +6,16 @@ invariants intact) or parked with a structured report.  Repairs must
 un-park flows.
 """
 
-from repro.consistency import LiveChecker
+from repro.consistency.checker import LiveChecker
 from repro.harness.build import build_p4update_network
-from repro.obs import make_obs
+from repro.obs.context import make_obs
 from repro.params import SimParams
-from repro.topo import fig1_topology
-from repro.topo.synthetic import FIG1_NEW_PATH, FIG1_OLD_PATH, line_topology
+from repro.topo.synthetic import (
+    FIG1_NEW_PATH,
+    FIG1_OLD_PATH,
+    fig1_topology,
+    line_topology,
+)
 from repro.traffic.flows import Flow
 
 

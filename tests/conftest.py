@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.consistency import LiveChecker
+from repro.consistency.checker import LiveChecker
 from tests.consistency.reference_checker import ReferenceLiveChecker
 
 

@@ -1,7 +1,7 @@
 """The full-state live checker, kept as the differential reference.
 
 ``ReferenceLiveChecker._on_event`` and ``_disarm_through`` are the
-bodies ``repro.consistency.LiveChecker`` had before it became
+bodies ``repro.consistency.checker.LiveChecker`` had before it became
 incremental, verbatim: at every ``rule_change`` re-run
 ``check_loop_freedom`` and ``check_congestion_freedom`` over the whole
 state and re-walk every flow for arming and blackholes.  What it

@@ -1,14 +1,14 @@
 """Unit tests for the consistency checkers."""
 
 
-from repro.consistency import (
-    ForwardingState,
+from repro.consistency.checker import (
+    LiveChecker,
+    check_all,
     check_blackhole_freedom,
     check_congestion_freedom,
     check_loop_freedom,
-    LiveChecker,
 )
-from repro.consistency.checker import check_all
+from repro.consistency.state import ForwardingState
 from repro.sim.trace import KIND_RULE_CHANGE, Trace
 
 

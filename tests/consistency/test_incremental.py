@@ -8,7 +8,8 @@ walk through the old code turned up.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.consistency import ForwardingState, LiveChecker
+from repro.consistency.checker import LiveChecker
+from repro.consistency.state import ForwardingState
 from repro.sim.trace import (
     KIND_LINK_DOWN,
     KIND_MSG_SEND,

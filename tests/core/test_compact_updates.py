@@ -1,13 +1,17 @@
 """Tests for §11 compact updates (piggybacked UIMs on the UNM)."""
 
 
-from repro.consistency import LiveChecker
+from repro.consistency.checker import LiveChecker
 from repro.core.messages import UpdateType
 from repro.harness.analysis import watch_messages
 from repro.harness.build import build_p4update_network
 from repro.params import DelayDistribution, SimParams
-from repro.topo import fig1_topology, ring_topology
-from repro.topo.synthetic import FIG1_NEW_PATH, FIG1_OLD_PATH
+from repro.topo.synthetic import (
+    FIG1_NEW_PATH,
+    FIG1_OLD_PATH,
+    fig1_topology,
+    ring_topology,
+)
 from repro.traffic.flows import Flow
 
 

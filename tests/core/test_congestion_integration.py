@@ -2,7 +2,7 @@
 full-protocol level."""
 
 
-from repro.consistency import LiveChecker
+from repro.consistency.checker import LiveChecker
 from repro.core.messages import UpdateType
 from repro.harness.build import build_p4update_network
 from repro.params import DelayDistribution, SimParams

@@ -2,11 +2,11 @@
 
 import pytest
 
-from repro.consistency import LiveChecker
+from repro.consistency.checker import LiveChecker
 from repro.core.messages import UFM, UIM, UpdateType, make_probe
 from repro.harness.build import build_p4update_network
 from repro.params import DelayDistribution, SimParams
-from repro.topo import ring_topology
+from repro.topo.synthetic import ring_topology
 from repro.traffic.flows import Flow
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.consistency import LiveChecker
+from repro.consistency.checker import LiveChecker
 from repro.core.desttree import (
     DestinationTreeManager,
     TreeError,
@@ -13,8 +13,9 @@ from repro.core.desttree import (
 )
 from repro.harness.build import build_p4update_network
 from repro.params import DelayDistribution, SimParams
-from repro.topo import fattree_topology, ring_topology
+from repro.topo.fattree import fattree_topology
 from repro.topo.graph import Topology
+from repro.topo.synthetic import ring_topology
 
 
 def fast_params(seed=0):

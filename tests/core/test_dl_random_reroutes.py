@@ -12,7 +12,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.consistency import LiveChecker
+from repro.consistency.checker import LiveChecker
 from repro.core.messages import UpdateType
 from repro.core.segmentation import compute_segments
 from repro.harness.build import build_p4update_network

@@ -1,12 +1,16 @@
 """End-to-end DL-P4Update runs — the Fig. 1 scenario and variants."""
 
 
-from repro.consistency import LiveChecker
+from repro.consistency.checker import LiveChecker
 from repro.core.messages import UpdateType
 from repro.harness.build import build_p4update_network
 from repro.params import DelayDistribution, SimParams
-from repro.topo import fig1_topology, ring_topology
-from repro.topo.synthetic import FIG1_NEW_PATH, FIG1_OLD_PATH
+from repro.topo.synthetic import (
+    FIG1_NEW_PATH,
+    FIG1_OLD_PATH,
+    fig1_topology,
+    ring_topology,
+)
 from repro.traffic.flows import Flow
 
 

@@ -20,8 +20,7 @@ from repro.core.verification import Decision, NodeFlowState, Verdict
 from repro.harness.build import P4UPDATE, build_p4update_network
 from repro.p4.packet import Packet
 from repro.p4.pipeline import CloneRequest, CpuPunt, PipelineResult
-from repro.topo import fig1_topology
-from repro.topo.synthetic import FIG1_NEW_PATH, FIG1_OLD_PATH
+from repro.topo.synthetic import FIG1_NEW_PATH, FIG1_OLD_PATH, fig1_topology
 from repro.traffic.flows import Flow
 
 UIM_FIELDS = dict(

@@ -11,12 +11,12 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.consistency import LiveChecker
+from repro.consistency.checker import LiveChecker
 from repro.core.messages import UpdateType
 from repro.harness.build import build_p4update_network
 from repro.params import DelayDistribution, SimParams
 from repro.sim.faults import FaultModel
-from repro.topo import ring_topology
+from repro.topo.synthetic import ring_topology
 from repro.traffic.flows import Flow
 
 SETTINGS = dict(
@@ -161,8 +161,7 @@ def test_corrupted_unm_distances_never_break_consistency(seed):
     """§7.1 scenarios (ii)/(iii): corruptions that violate the label
     invariants (distances/versions outside any valid proof for this
     update) are always rejected locally."""
-    from repro.topo import fig1_topology
-    from repro.topo.synthetic import FIG1_NEW_PATH, FIG1_OLD_PATH
+    from repro.topo.synthetic import FIG1_NEW_PATH, FIG1_OLD_PATH, fig1_topology
 
     rng = np.random.default_rng(seed)
 
@@ -202,8 +201,7 @@ def test_forged_plausible_label_defeats_local_verification():
     threat model is an inconsistent/buggy controller and message
     reordering, not an in-network forger.)
     """
-    from repro.topo import fig1_topology
-    from repro.topo.synthetic import FIG1_NEW_PATH, FIG1_OLD_PATH
+    from repro.topo.synthetic import FIG1_NEW_PATH, FIG1_OLD_PATH, fig1_topology
 
     def forge(packet):
         if packet.has_valid("unm"):

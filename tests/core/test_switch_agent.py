@@ -2,11 +2,11 @@
 fast-forward interplay, multi-flow coexistence on one switch."""
 
 
-from repro.consistency import LiveChecker
+from repro.consistency.checker import LiveChecker
 from repro.core.messages import UpdateType
 from repro.harness.build import build_p4update_network
 from repro.params import DelayDistribution, SimParams
-from repro.topo import ring_topology
+from repro.topo.synthetic import ring_topology
 from repro.traffic.flows import Flow
 
 

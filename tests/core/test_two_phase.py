@@ -9,13 +9,13 @@ give the weaker relative consistency (mixed but loop-free paths).
 
 import pytest
 
-from repro.consistency import LiveChecker
+from repro.consistency.checker import LiveChecker
 from repro.core.messages import UpdateType
 from repro.harness.build import build_p4update_network
 from repro.harness.probes import ProbeSource
 from repro.params import DelayDistribution, SimParams
 from repro.sim.trace import KIND_PACKET_DELIVERED
-from repro.topo import ring_topology
+from repro.topo.synthetic import ring_topology
 from repro.traffic.flows import Flow
 
 
@@ -108,8 +108,7 @@ def test_plain_sl_allows_mixed_paths():
     v4): while v4 has flipped to the new rules but v0 has not, packets
     travel v0 -> v4 -> v5 -> v6 -> v7 — a mix of both configurations.
     """
-    from repro.topo import fig1_topology
-    from repro.topo.synthetic import FIG1_NEW_PATH, FIG1_OLD_PATH
+    from repro.topo.synthetic import FIG1_NEW_PATH, FIG1_OLD_PATH, fig1_topology
 
     topo = fig1_topology(latency_ms=2.0)
     topo.set_controller("v0")

@@ -4,7 +4,7 @@
 import pytest
 
 from repro.harness.analysis import MessageStats, watch_messages
-from repro.obs import make_obs
+from repro.obs.context import make_obs
 from repro.sim.trace import KIND_MSG_DROP, KIND_MSG_RECV, KIND_MSG_SEND, Trace
 from tests.reference_scenarios import SCENARIOS
 
@@ -77,7 +77,7 @@ def test_end_to_end_counts_match_protocol():
     from repro.core.messages import UpdateType
     from repro.harness.build import build_p4update_network
     from repro.params import SimParams
-    from repro.topo import ring_topology
+    from repro.topo.synthetic import ring_topology
     from repro.traffic.flows import Flow
 
     topo = ring_topology(6, latency_ms=1.0)

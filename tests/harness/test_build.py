@@ -2,13 +2,15 @@
 
 import pytest
 
-from repro.harness.build import assign_ports, build_p4update_network
 from repro.harness.baselines_build import (
     build_central_network,
     build_ezsegway_network,
 )
+from repro.harness.build import assign_ports, build_p4update_network
 from repro.params import SimParams
-from repro.topo import b4_topology, fattree_topology, ring_topology
+from repro.topo.b4 import b4_topology
+from repro.topo.fattree import fattree_topology
+from repro.topo.synthetic import ring_topology
 from repro.traffic.flows import Flow
 
 

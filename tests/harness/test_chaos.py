@@ -7,12 +7,12 @@ and the updates must still complete.
 import numpy as np
 import pytest
 
-from repro.consistency import LiveChecker
+from repro.consistency.checker import LiveChecker
 from repro.harness.build import build_p4update_network
 from repro.harness.scenarios import multi_flow_scenario
 from repro.params import SimParams
 from repro.sim.faults import FaultModel
-from repro.topo import b4_topology
+from repro.topo.b4 import b4_topology
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

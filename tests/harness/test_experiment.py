@@ -10,7 +10,9 @@ from repro.harness.scenarios import (
     single_flow_scenario,
 )
 from repro.params import DelayDistribution, SimParams
-from repro.topo import b4_topology, fig1_topology, internet2_topology
+from repro.topo.b4 import b4_topology
+from repro.topo.internet2 import internet2_topology
+from repro.topo.synthetic import fig1_topology
 from repro.traffic.flows import FlowSet
 
 

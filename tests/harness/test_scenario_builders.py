@@ -11,14 +11,11 @@ from repro.harness.scenarios import (
     multi_flow_scenario,
     single_flow_scenario,
 )
-from repro.topo import (
-    attmpls_topology,
-    b4_topology,
-    chinanet_topology,
-    fig1_topology,
-    internet2_topology,
-    line_topology,
-)
+from repro.topo.attmpls import attmpls_topology
+from repro.topo.b4 import b4_topology
+from repro.topo.chinanet import chinanet_topology
+from repro.topo.internet2 import internet2_topology
+from repro.topo.synthetic import fig1_topology, line_topology
 
 
 @pytest.mark.parametrize(

@@ -28,8 +28,10 @@ UNUSED = (
 _RUN = f"""
 import sys
 from repro.harness.cli import build_parser
-from repro.ops import load_session_spec_file, run_session
-from repro.serve import load_serve_spec_file, run_service
+from repro.ops.session import run_session
+from repro.ops.spec import load_session_spec_file
+from repro.serve.service import run_service
+from repro.serve.spec import load_serve_spec_file
 
 build_parser()
 assert run_service(load_serve_spec_file("examples/serve_smoke.json")).consistent

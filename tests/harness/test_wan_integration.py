@@ -7,7 +7,8 @@ import pytest
 from repro.harness.experiment import run_experiment
 from repro.harness.scenarios import multi_flow_scenario, single_flow_scenario
 from repro.params import SimParams
-from repro.topo import attmpls_topology, chinanet_topology
+from repro.topo.attmpls import attmpls_topology
+from repro.topo.chinanet import chinanet_topology
 
 
 @pytest.mark.parametrize("builder", [attmpls_topology, chinanet_topology])

@@ -8,7 +8,7 @@ import pathlib
 
 from repro.chaos.campaign import load_campaign
 from repro.chaos.runner import run_campaign
-from repro.obs import make_obs
+from repro.obs.context import make_obs
 from repro.obs.derived import VIEWS, DerivedMetrics
 from repro.serve.service import ServiceSession
 from repro.serve.spec import load_serve_spec

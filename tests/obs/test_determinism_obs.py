@@ -5,11 +5,11 @@ bit-identical simulated trace, and the disabled context does no work.
 
 from repro.core.messages import UpdateType
 from repro.harness.build import build_p4update_network
-from repro.obs import NULL_OBS, Sampler, make_obs
+from repro.obs.context import NULL_OBS, make_obs
+from repro.obs.sampler import Sampler
 from repro.params import SimParams
 from repro.sim.engine import Engine
-from repro.topo import fig1_topology
-from repro.topo.synthetic import FIG1_NEW_PATH, FIG1_OLD_PATH
+from repro.topo.synthetic import FIG1_NEW_PATH, FIG1_OLD_PATH, fig1_topology
 from repro.traffic.flows import Flow
 
 from tests.sim.test_determinism import trace_signature
@@ -48,7 +48,7 @@ def test_obs_enabled_experiment_matches_disabled():
 
     from repro.harness.experiment import run_experiment
     from repro.harness.scenarios import multi_flow_scenario
-    from repro.topo import b4_topology
+    from repro.topo.b4 import b4_topology
 
     scenario1 = multi_flow_scenario(b4_topology(), np.random.default_rng(3))
     scenario2 = multi_flow_scenario(b4_topology(), np.random.default_rng(3))

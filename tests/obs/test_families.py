@@ -6,8 +6,7 @@ import json
 
 import pytest
 
-from repro.obs import make_obs
-from repro.obs.context import NULL_OBS
+from repro.obs.context import NULL_OBS, make_obs
 from repro.obs.derived import DerivedMetrics
 from repro.obs.registry import MetricsRegistry, NullRegistry
 from repro.serve.service import ServiceSession, run_service

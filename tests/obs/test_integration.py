@@ -4,10 +4,10 @@ import numpy as np
 
 from repro.harness.experiment import run_experiment
 from repro.harness.scenarios import single_flow_scenario
-from repro.obs import Sampler, make_obs
-from repro.obs.sampler import OUTSIDE
+from repro.obs.context import make_obs
+from repro.obs.sampler import OUTSIDE, Sampler
 from repro.params import SimParams
-from repro.topo import fig1_topology
+from repro.topo.synthetic import fig1_topology
 
 
 def instrumented_run(system="p4update-dl"):
@@ -76,7 +76,7 @@ def test_cli_obs_export_filter_summary(tmp_path, capsys):
         "obs", "filter", str(out), "--kind", "rule_change",
         "--out", str(filtered),
     ]) == 0
-    from repro.obs import iter_trace_jsonl
+    from repro.obs.tracefile import iter_trace_jsonl
 
     events = list(iter_trace_jsonl(str(filtered)))
     assert events and all(e.kind == "rule_change" for e in events)
@@ -98,7 +98,7 @@ def test_cli_obs_filter_leaves_no_out_file_for_a_malformed_trace(tmp_path, capsy
 
 def test_cli_obs_export_round_trips(tmp_path):
     from repro.harness.cli import main
-    from repro.obs import export_trace_jsonl, import_trace_jsonl
+    from repro.obs.tracefile import export_trace_jsonl, import_trace_jsonl
 
     out = tmp_path / "TRACE.jsonl"
     assert main(["obs", "export", "--out", str(out)]) == 0

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import repro.obs.causal as causal_module
-from repro.obs import make_obs
+from repro.obs.context import make_obs
 from repro.obs.registry import _LOG_BASE, Histogram
 from tests.obs.reference_causal import ReferenceCausalTracker
 from tests.reference_scenarios import BASELINE_SCENARIOS, SCENARIOS

@@ -16,8 +16,14 @@ import pytest
 from repro.chaos.campaign import load_campaign_file
 from repro.chaos.runner import run_campaign
 from repro.core.labeling import distance_labels
-from repro.obs import Sampler, format_samples, make_obs, merge_samples
-from repro.obs.sampler import OUTSIDE, layer_shares
+from repro.obs.context import make_obs
+from repro.obs.sampler import (
+    OUTSIDE,
+    Sampler,
+    format_samples,
+    layer_shares,
+    merge_samples,
+)
 from repro.sim.engine import Engine
 from repro.topo.paths import dijkstra_lengths
 

@@ -6,8 +6,8 @@ import os
 
 import pytest
 
-from repro.obs import make_obs
 from repro.loading import code_fingerprint
+from repro.obs.context import make_obs
 from repro.ops.checkpoint import (
     CheckpointError,
     CheckpointSink,

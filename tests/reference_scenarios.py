@@ -46,15 +46,18 @@ from repro.chaos.runner import _fault_counts, build_campaign_deployment
 from repro.core.desttree import DestinationTreeManager
 from repro.core.messages import UpdateType
 from repro.harness.build import Deployment, build_p4update_network
-from repro.obs import make_obs
-from repro.obs.context import NULL_OBS, ObsContext
+from repro.obs.context import NULL_OBS, ObsContext, make_obs
 from repro.params import DelayDistribution, SimParams
 from repro.serve.service import ServiceSession, run_service
 from repro.serve.spec import load_serve_spec
 from repro.sim.trace import trace_signature
-from repro.topo import fig1_topology, ring_topology
 from repro.topo.graph import Topology
-from repro.topo.synthetic import FIG1_NEW_PATH, FIG1_OLD_PATH
+from repro.topo.synthetic import (
+    FIG1_NEW_PATH,
+    FIG1_OLD_PATH,
+    fig1_topology,
+    ring_topology,
+)
 from repro.traffic.flows import Flow
 
 

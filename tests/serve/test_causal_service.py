@@ -23,8 +23,8 @@ import pathlib
 import pytest
 
 from repro.harness.cli import main
-from repro.obs import make_obs
 from repro.obs.causal import SEGMENTS, CausalTracker
+from repro.obs.context import make_obs
 from repro.obs.tracefile import export_trace_jsonl, iter_trace_jsonl
 from repro.serve.service import ServiceSession, run_service
 from repro.serve.spec import ServeSpec
@@ -133,7 +133,7 @@ def test_queue_depth_at_admit_recorded(traced):
 
 
 def test_queue_depth_cross_checks_gauge_and_causal_event():
-    from repro.obs import make_obs
+    from repro.obs.context import make_obs
 
     obs = make_obs()
     result = run_service(ServeSpec(**SMOKE, causal=True), obs=obs)

@@ -170,7 +170,7 @@ def test_composite_attach_metrics_propagates_to_members():
 
 
 def test_network_binds_fault_metrics_when_observed():
-    from repro.obs import make_obs
+    from repro.obs.context import make_obs
 
     obs = make_obs()
     net = Network(Engine(), obs=obs)

@@ -18,7 +18,7 @@ import json
 
 import pytest
 
-from repro.obs import make_obs
+from repro.obs.context import make_obs
 from repro.serve.service import ServiceSession, run_service
 from repro.serve.spec import load_serve_spec
 from repro.sim import network as network_module

@@ -226,7 +226,7 @@ def test_progress_callback_sees_every_completion(tmp_path):
 
 
 def test_obs_counters_track_the_fleet(tmp_path):
-    from repro.obs import make_obs
+    from repro.obs.context import make_obs
 
     obs = make_obs()
     run = run_sweep(_spec(), workers=1, cache_dir=str(tmp_path), obs=obs)

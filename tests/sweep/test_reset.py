@@ -24,8 +24,7 @@ from repro.params import SimParams
 from repro.serve.service import run_service
 from repro.serve.spec import load_serve_spec_file
 from repro.sim.trace import trace_signature
-from repro.topo import fig1_topology
-from repro.topo.synthetic import FIG1_NEW_PATH, FIG1_OLD_PATH
+from repro.topo.synthetic import FIG1_NEW_PATH, FIG1_OLD_PATH, fig1_topology
 from repro.traffic.flows import Flow
 
 REPO = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))

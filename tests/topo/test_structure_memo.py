@@ -15,11 +15,11 @@ from itertools import islice, permutations
 import networkx as nx
 import pytest
 
-from repro.topo import TOPOLOGIES, fattree_topology, line_topology, ring_topology
-from repro.topo import graph as graph_module
-from repro.topo import paths
+from repro.topo import TOPOLOGIES, graph as graph_module, paths
+from repro.topo.fattree import fattree_topology
 from repro.topo.graph import Topology
 from repro.topo.paths import NoPathError
+from repro.topo.synthetic import line_topology, ring_topology
 from repro.traffic.paths import second_shortest_path
 from tests.topo.test_paths_parity import shared_graph
 

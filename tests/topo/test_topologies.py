@@ -5,21 +5,13 @@ import math
 import networkx as nx
 import pytest
 
-from repro.topo import (
-    attmpls_topology,
-    b4_topology,
-    chinanet_topology,
-    fattree_topology,
-    fig1_topology,
-    fig2_topology,
-    geo_latency_ms,
-    haversine_km,
-    internet2_topology,
-    line_topology,
-    ring_topology,
-    six_node_topology,
-)
+from repro.topo.attmpls import attmpls_topology
+from repro.topo.b4 import b4_topology
+from repro.topo.chinanet import chinanet_topology
+from repro.topo.fattree import fattree_topology
 from repro.topo.graph import Topology
+from repro.topo.internet2 import internet2_topology
+from repro.topo.latency import geo_latency_ms, haversine_km
 from repro.topo.synthetic import (
     FIG1_NEW_PATH,
     FIG1_OLD_PATH,
@@ -29,6 +21,11 @@ from repro.topo.synthetic import (
     SIX_NODE_INITIAL,
     SIX_NODE_U2,
     SIX_NODE_U3,
+    fig1_topology,
+    fig2_topology,
+    line_topology,
+    ring_topology,
+    six_node_topology,
 )
 from tests.topo.test_paths_parity import shared_graph
 

@@ -98,7 +98,7 @@ def test_disconnected_keeps_largest_component():
 
 def test_zoo_topology_usable_in_experiment():
     """A loaded Zoo topology drives a full P4Update run."""
-    from repro.consistency import LiveChecker
+    from repro.consistency.checker import LiveChecker
     from repro.core.messages import UpdateType
     from repro.harness.build import build_p4update_network
     from repro.params import SimParams

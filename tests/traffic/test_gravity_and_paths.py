@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.topo import fig1_topology, line_topology, ring_topology
+from repro.topo.synthetic import fig1_topology, line_topology, ring_topology
 from repro.traffic.gravity import gravity_flow_sizes, gravity_matrix
 from repro.traffic.paths import second_shortest_path
 

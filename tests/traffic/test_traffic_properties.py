@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.topo import ring_topology
+from repro.topo.synthetic import ring_topology
 from repro.traffic.flows import Flow, FlowSet, flow_hash
 from repro.traffic.gravity import gravity_flow_sizes, gravity_matrix
 
