@@ -34,7 +34,6 @@ from typing import Any, Callable, Optional
 import numpy as np
 
 from repro.algos.registry import build_system, system_names
-from repro.consistency.checker import LiveChecker
 from repro.core.messages import UpdateType
 from repro.harness.analysis import watch_messages
 from repro.harness.experiment import RuleChanges, run_experiment
@@ -323,11 +322,10 @@ def _lossy_run(seed: int, drop: float, recovery: bool) -> tuple[bool, bool]:
     if recovery:
         for switch in dep.switches.values():
             switch.unm_timeout_ms = 300.0
-    checker = LiveChecker(dep.forwarding_state, dep.network.trace)
     flow = _flow(dep)
     dep.controller.update_flow(flow.flow_id, FIG1_NEW, UpdateType.DUAL)
     dep.run(until=30_000.0)
-    return dep.controller.update_complete(flow.flow_id), checker.ok
+    return dep.controller.update_complete(flow.flow_id), dep.checker.ok
 
 
 def unm_loss(runs: int = 10) -> dict:

@@ -12,7 +12,6 @@ core1 and prints the branching notification order.
 Run:  python examples/destination_tree_update.py
 """
 
-from repro.consistency.checker import LiveChecker
 from repro.core.desttree import DestinationTreeManager, tree_id_for
 from repro.harness.build import build_p4update_network
 from repro.params import SimParams
@@ -22,7 +21,6 @@ from repro.topo.fattree import fattree_topology
 def main() -> None:
     topo = fattree_topology(4)
     deployment = build_p4update_network(topo, params=SimParams(seed=1))
-    checker = LiveChecker(deployment.forwarding_state, deployment.network.trace)
     rule_changes = []
     deployment.network.trace.subscribe(rule_changes.append, ["rule_change"])
     manager = DestinationTreeManager(deployment.controller)
@@ -50,7 +48,7 @@ def main() -> None:
 
     print(f"update complete: {manager.update_complete(dst)}")
     print(f"duration:        {manager.update_duration(dst):.1f} ms")
-    print(f"consistent:      {checker.ok}\n")
+    print(f"consistent:      {deployment.checker.ok}\n")
     print("rule installs (root first, branches in parallel):")
     for event in rule_changes:
         if event.detail.get("flow") == tree_id_for(dst):

@@ -14,7 +14,6 @@ Run:  python examples/load_topology_zoo.py [path/to/file.graphml]
 
 import sys
 
-from repro.consistency.checker import LiveChecker
 from repro.core.messages import UpdateType
 from repro.harness.build import build_p4update_network
 from repro.params import SimParams
@@ -51,7 +50,6 @@ def main() -> None:
         return
 
     deployment = build_p4update_network(topo, params=SimParams(seed=0))
-    checker = LiveChecker(deployment.forwarding_state, deployment.network.trace)
     flow = Flow.between(src, dst, size=1.0, old_path=old)
     deployment.install_flow(flow)
     deployment.controller.update_flow(flow.flow_id, new)
@@ -61,7 +59,7 @@ def main() -> None:
     print(f"  old: {' -> '.join(old)}")
     print(f"  new: {' -> '.join(new)}")
     print(f"  update time: {deployment.controller.update_duration(flow.flow_id):.1f} ms")
-    print(f"  consistent:  {checker.ok}")
+    print(f"  consistent:  {deployment.checker.ok}")
 
 
 if __name__ == "__main__":

@@ -3,13 +3,12 @@
 
 Builds a six-node ring, installs a flow on its shortest path, then
 reroutes it the long way around with a single-layer (SL) update.  The
-live consistency checker confirms that at no instant during the update
+deployment's live consistency checker confirms that at no instant during the update
 the network had a blackhole, loop or over-capacity link.
 
 Run:  python examples/quickstart.py
 """
 
-from repro.consistency.checker import LiveChecker
 from repro.core.messages import UpdateType
 from repro.harness.build import build_p4update_network
 from repro.params import SimParams
@@ -22,13 +21,14 @@ def main() -> None:
     topo = ring_topology(6, latency_ms=5.0)
     topo.set_controller("n0")
 
-    # 2. A simulated deployment: P4 switches + controller + channels.
+    # 2. A simulated deployment: P4 switches + controller + channels,
+    #    and a live checker (deployment.checker) that re-checks
+    #    consistency at every rule change.
     deployment = build_p4update_network(topo, params=SimParams(seed=42))
 
-    # 3. Watch consistency live: every rule change is checked.  The
-    #    trace hands each rule change to its subscribers as it happens;
-    #    keep them in a list to print the installation order later.
-    checker = LiveChecker(deployment.forwarding_state, deployment.network.trace)
+    # 3. The trace hands each rule change to its subscribers as it
+    #    happens; keep them in a list to print the installation order
+    #    later.
     rule_changes = []
     deployment.network.trace.subscribe(rule_changes.append, ["rule_change"])
 
@@ -49,7 +49,7 @@ def main() -> None:
     # 6. Results.
     print(f"update complete:  {deployment.controller.update_complete(flow.flow_id)}")
     print(f"update duration:  {deployment.controller.update_duration(flow.flow_id):.1f} ms")
-    print(f"always consistent: {checker.ok}")
+    print(f"always consistent: {deployment.checker.ok}")
     walk, outcome = deployment.forwarding_state.walk(flow.flow_id)
     print(f"final path:       {' -> '.join(walk)}  ({outcome})")
     print("\nrule installation order (egress to ingress — that is SL's safety):")

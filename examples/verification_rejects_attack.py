@@ -13,7 +13,6 @@ Run:  python examples/verification_rejects_attack.py
 
 import numpy as np
 
-from repro.consistency.checker import LiveChecker
 from repro.core.messages import UpdateType
 from repro.harness.build import build_p4update_network
 from repro.params import SimParams
@@ -33,7 +32,6 @@ def corrupt_distance(packet):
 def main() -> None:
     topo = fig1_topology()
     deployment = build_p4update_network(topo, params=SimParams(seed=3))
-    checker = LiveChecker(deployment.forwarding_state, deployment.network.trace)
 
     # Corrupt 30% of data-plane messages; §11 recovery handles losses.
     deployment.network.fault_model = FaultModel(
@@ -57,7 +55,7 @@ def main() -> None:
     print(f"alarms raised by local verification: {len(alarms)}")
     for alarm in alarms[:5]:
         print(f"  {alarm.reporter}: {alarm.reason[:70]}")
-    print(f"network stayed consistent: {checker.ok}")
+    print(f"network stayed consistent: {deployment.checker.ok}")
     print(f"flow still deliverable:    {outcome == 'delivered'}")
     print(f"converged to new path:     {walk == list(FIG1_NEW_PATH)}")
 

@@ -12,7 +12,6 @@ Run:  python examples/wan_multiflow_reroute.py
 
 import numpy as np
 
-from repro.consistency.checker import LiveChecker
 from repro.harness.build import build_p4update_network
 from repro.harness.scenarios import multi_flow_scenario
 from repro.params import SimParams
@@ -34,7 +33,6 @@ def main() -> None:
     print(f"hottest link utilisation before the update: {hottest:.0%}\n")
 
     deployment = build_p4update_network(topo, params=SimParams(seed=7))
-    checker = LiveChecker(deployment.forwarding_state, deployment.network.trace)
     for flow in scenario.flows:
         deployment.install_flow(flow)
 
@@ -58,7 +56,7 @@ def main() -> None:
     print(f"slowest flow update:  {max(durations):.0f} ms")
     print(f"scheduler deferrals:  {deferrals} "
           f"(moves that waited for capacity to free)")
-    print(f"congestion-free at every instant: {checker.ok}")
+    print(f"congestion-free at every instant: {deployment.checker.ok}")
     for flow in scenario.flows[:5]:
         walk, outcome = deployment.forwarding_state.walk(flow.flow_id)
         print(f"  {flow.src:>12s} -> {flow.dst:<12s} now via "

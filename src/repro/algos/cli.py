@@ -115,10 +115,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_duel(args: argparse.Namespace) -> int:
-    from repro.algos.duel import run_duel
+    from repro.algos.duel import duel_line_up, run_duel
     from repro.loading import write_json_atomic
 
-    strategies = _strategies(args.strategies)
+    try:
+        strategies = duel_line_up(_strategies(args.strategies) if args.strategies else None)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
     doc = run_duel(
         seed=args.seed,
         count=args.count,

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from typing import Any, Optional, Sequence
 
-from repro.algos.registry import build_system, system_names
+from repro.algos.registry import SYSTEMS, build_system
 from repro.analysis.advgen import SlackPair, generate_slack_pairs
-from repro.consistency.checker import LiveChecker
+from repro.harness.experiment import experiment_row
 from repro.params import SimParams
 
 #: Long enough for two chained updates over 1 ms links plus control
@@ -37,7 +37,6 @@ def _run_one(
     flows = pair.flow_objects()
     for flow in flows:
         deployment.install_flow(flow)
-    checker = LiveChecker(deployment.forwarding_state, deployment.network.trace)
 
     events: list[tuple[str, int, Optional[int]]] = []
     deployment.controller.update_listeners.append(
@@ -70,8 +69,20 @@ def _run_one(
     return {
         "outcomes": {str(k): v for k, v in sorted(outcomes.items())},
         "pair_completed": all(v == "completed" for v in outcomes.values()),
-        "violations": len(checker.violations),
+        "violations": len(deployment.checker.violations),
     }
+
+
+def duel_line_up(strategies: Optional[Sequence[str]] = None) -> list[str]:
+    """The strategies a duel runs: ``strategies`` as given, or every
+    registered row the duel can drive.  The duel prepares and pushes
+    updates itself, so a row that orders updates at dispatch (only the
+    service orchestrator does) is left out of the default and refused
+    by name, like :func:`~repro.harness.experiment.run_experiment`
+    refuses it."""
+    if strategies:
+        return [experiment_row(name).name for name in strategies]
+    return [name for name, row in sorted(SYSTEMS.items()) if not row.orders_at_dispatch()]
 
 
 def run_duel(
@@ -81,12 +92,12 @@ def run_duel(
     strategies: Optional[Sequence[str]] = None,
     horizon_ms: float = DUEL_HORIZON_MS,
 ) -> dict[str, Any]:
-    """Run the slack-deadlock suite across ``strategies``.
+    """Run the slack-deadlock suite across :func:`duel_line_up`.
 
     Returns a JSON-safe document with one row per pair and a summary
     counting the pairs only augmentation resolved.
     """
-    chosen = list(strategies) if strategies else system_names()
+    chosen = duel_line_up(strategies)
     pairs = generate_slack_pairs(seed, count=count, slack=slack)
     rows = []
     augmented_only = 0

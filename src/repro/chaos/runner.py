@@ -7,12 +7,13 @@ randomness from ``campaign.seed``, and the trace's
 trace (block by block as it is recorded; the run keeps no rows) so two
 runs can be compared bit-for-bit.
 
-The runner asserts the paper's §5 invariants throughout via
-:class:`~repro.consistency.checker.LiveChecker` (failure-aware: a
-physically broken flow is disarmed, see the checker's docstring) and
-reports completions, parked flows, fault/retry/recovery activity and
-the trace signature in a :class:`CampaignResult` (``repro chaos run
---manifest`` writes it as a ``BENCH_``-style manifest).
+The runner asserts the paper's §5 invariants throughout via the
+deployment's :class:`~repro.consistency.checker.LiveChecker`
+(failure-aware: a physically broken flow is disarmed, see the checker's
+docstring) and reports completions, parked flows, fault/retry/recovery
+activity and the trace signature in a :class:`CampaignResult`
+(``repro chaos run --manifest`` writes it as a ``BENCH_``-style
+manifest).
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from repro.chaos.campaign import (
     TopoEvent,
     scope_selector,
 )
-from repro.consistency.checker import LiveChecker
 from repro.core.messages import UpdateType
 from repro.harness.build import Deployment
 from repro.harness.scenarios import UpdateScenario
@@ -139,11 +139,12 @@ def campaign_params(campaign: FaultCampaign) -> SimParams:
 
 def build_campaign_deployment(
     campaign: FaultCampaign, obs: Optional[ObsContext] = None
-) -> tuple[Deployment, UpdateScenario, LiveChecker]:
-    """Construct the deployment, workload and checker for a campaign,
-    with its fault models installed and its topology events and update
-    trigger scheduled: only ``deployment.run(until=campaign.horizon_ms)``
-    is left (:func:`run_campaign` does that and reduces the outcome)."""
+) -> tuple[Deployment, UpdateScenario]:
+    """Construct the deployment (its checker included) and workload for
+    a campaign, with its fault models installed and its topology events
+    and update trigger scheduled: only
+    ``deployment.run(until=campaign.horizon_ms)`` is left
+    (:func:`run_campaign` does that and reduces the outcome)."""
     scenario = seeded_scenario(campaign.topology, campaign.scenario, campaign.seed)
     deployment = build_system(
         "p4update", scenario.topology, params=campaign_params(campaign), obs=obs
@@ -153,7 +154,6 @@ def build_campaign_deployment(
     if campaign.unm_timeout_ms > 0:
         for switch in deployment.switches.values():
             switch.unm_timeout_ms = campaign.unm_timeout_ms
-    checker = LiveChecker(deployment.forwarding_state, deployment.network.trace)
 
     network = deployment.network
     network.fault_model = build_fault_policy(
@@ -171,7 +171,7 @@ def build_campaign_deployment(
         scenario,
         UPDATE_TYPES[campaign.update_type],
     )
-    return deployment, scenario, checker
+    return deployment, scenario
 
 
 def apply_topo_event(deployment: Deployment, event: TopoEvent) -> None:
@@ -230,7 +230,7 @@ def run_campaign(
     campaign: FaultCampaign, obs: Optional[ObsContext] = None
 ) -> CampaignResult:
     """Execute one seeded campaign run end-to-end."""
-    deployment, scenario, checker = build_campaign_deployment(campaign, obs=obs)
+    deployment, scenario = build_campaign_deployment(campaign, obs=obs)
     network = deployment.network
     network.trace.stream()
     deployment.run(until=campaign.horizon_ms)
@@ -260,7 +260,7 @@ def run_campaign(
         flows_completed=flows_completed,
         flows_parked=flows_parked,
         parked_reports=[report.to_dict() for report in controller.parked],
-        violations=[v.to_dict() for v in checker.violations],
+        violations=[v.to_dict() for v in deployment.checker.violations],
         trace_signature=network.trace.signature(),
         sim_time_ms=network.engine.now,
         events_processed=network.engine.processed_events,

@@ -67,8 +67,9 @@ class P4UpdateProgram(PipelineProgram):
         # (pending_version); the other six are a write-only mirror of
         # Table 1's new_* tier.
         self.pending_uim: dict[int, UIM] = {}
-        # Exact (unquantized) per-flow sizes backing the flow_size
-        # register mirror.
+        # Exact (unquantized) per-flow sizes, the only copy ever read;
+        # set_flow_size writes it and the flow_size register (a
+        # write-only scaled-int mirror) together.
         self._flow_sizes: dict[int, float] = {}
         # Set by the switch agent; provides timed installs and UFMs.
         self.agent: Optional["P4UpdateSwitch"] = None
@@ -159,13 +160,7 @@ class P4UpdateProgram(PipelineProgram):
 
     def flow_size_of(self, flow_id: int) -> float:
         """Exact flow size; the register holds the scaled-int mirror."""
-        exact = self._flow_sizes.get(flow_id)
-        if exact is not None:
-            return exact
-        idx = self.flow_index.lookup(flow_id)
-        if idx is None:
-            return 0.0
-        return self.registers["flow_size"].read(idx) / FLOW_SIZE_SCALE
+        return self._flow_sizes.get(flow_id, 0.0)
 
     def set_flow_size(self, flow_id: int, size: float) -> None:
         idx = self.flow_index.index_of(flow_id)

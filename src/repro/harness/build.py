@@ -5,7 +5,10 @@ three native systems (P4Update, ez-Segway, Central).
 link latencies, port numbering, control channels, the parameter set and
 the order of RNG draws are the same for every system by construction;
 what differs is the system's :class:`System` record (P4Update's is
-here, the baselines' in :mod:`repro.harness.baselines_build`).
+here, the baselines' in :mod:`repro.harness.baselines_build`).  It is
+also the only place a :class:`~repro.consistency.checker.LiveChecker`
+is made: every deployment is watched from birth, so no run can forget
+its checker.
 
 Port numbering: for every node, ports are assigned 1..degree in sorted
 neighbour order, deterministically.  The controller is co-located at
@@ -22,6 +25,7 @@ from typing import TYPE_CHECKING, Any, Callable, Optional
 
 import numpy as np
 
+from repro.consistency.checker import LiveChecker
 from repro.consistency.state import ForwardingState
 from repro.core.controller import P4UpdateController
 from repro.core.labeling import distance_labels
@@ -118,6 +122,9 @@ class Deployment:
     switches: dict[str, Any]
     forwarding_state: ForwardingState
     params: SimParams
+    #: Watches ``forwarding_state`` through ``network.trace`` for the
+    #: deployment's whole life (paper §5's three properties).
+    checker: LiveChecker
     #: The layer every update prepared on the system's behalf is
     #: forced to (:func:`repro.algos.registry.build_system` sets it from
     #: the row); ``None`` leaves P4Update its §7.5 selection rule.
@@ -255,6 +262,7 @@ def build_network(
     deployment = Deployment(
         system=system, topology=topo, network=network, controller=controller,
         switches=switches, forwarding_state=forwarding_state, params=params,
+        checker=LiveChecker(forwarding_state, network.trace),
     )
     system.wire(deployment)
     return deployment

@@ -39,7 +39,6 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.consistency.checker import LiveChecker
 from repro.core.messages import UpdateType
 from repro.harness.build import build_p4update_network
 from repro.harness.fig_experiments import (
@@ -148,17 +147,15 @@ def _demo_deployment(seed: int, obs=NULL_OBS):
 
 def cmd_demo(args) -> int:
     deployment, flow = _demo_deployment(args.seed)
-    trace = deployment.network.trace
-    checker = LiveChecker(deployment.forwarding_state, trace)
     rule_changes: list[TraceEvent] = []
-    trace.subscribe(rule_changes.append, (KIND_RULE_CHANGE,))
+    deployment.network.trace.subscribe(rule_changes.append, (KIND_RULE_CHANGE,))
     deployment.install_flow(flow)
     deployment.controller.update_flow(
         flow.flow_id, list(FIG1_NEW_PATH), UpdateType.DUAL
     )
     deployment.run()
     print(f"update complete: {deployment.controller.update_complete(flow.flow_id)}")
-    print(f"consistent at every instant: {checker.ok}")
+    print(f"consistent at every instant: {deployment.checker.ok}")
     for event in rule_changes:
         print(f"  {event.time:8.2f} ms  {event.node} -> {event.detail.get('next_hop')}")
     return 0

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.algos.registry import SystemRow, build_system, system_row
-from repro.consistency.checker import LiveChecker
 from repro.harness.scenarios import UpdateScenario
 from repro.obs.context import NULL_OBS, ObsContext
 from repro.params import SimParams
@@ -129,7 +128,6 @@ def run_experiment(
     scenario: UpdateScenario,
     params: Optional[SimParams] = None,
     congestion_aware: bool = True,
-    check_consistency: bool = True,
     obs: Optional[ObsContext] = None,
 ) -> ExperimentResult:
     """Run one scenario under one system.
@@ -144,10 +142,6 @@ def run_experiment(
     dep = build_system(system, scenario.topology, params=params, obs=obs)
     dep.set_congestion_aware(congestion_aware)
     changes = RuleChanges(dep.network.trace)
-    checker = (
-        LiveChecker(dep.forwarding_state, dep.network.trace)
-        if check_consistency else None
-    )
     for flow in scenario.flows:
         dep.install_flow(flow)
 
@@ -177,7 +171,7 @@ def run_experiment(
         total_update_time_ms=max(durations) if durations else float("nan"),
         per_flow_ms=per_flow,
         prep_time_s=prep_time,
-        consistency_ok=checker.ok if checker else True,
-        violations=len(checker.violations) if checker else 0,
+        consistency_ok=dep.checker.ok,
+        violations=len(dep.checker.violations),
         **native.result_extras(dep),
     )

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.algos.registry import build_system, system_row
-from repro.consistency.checker import LiveChecker
 from repro.harness.experiment import RuleChanges
 from repro.harness.probes import ProbeSource, duplicate_receives
 from repro.harness.scenarios import FastForwardScenario, InconsistentUpdateScenario
@@ -65,7 +64,6 @@ def run_fig2(
     topo = fig2_topology()
     topo.set_controller(scenario.config_a[0])
     dep = build_system(system, topo, params=params)
-    checker = LiveChecker(dep.forwarding_state, dep.network.trace)
     flow = Flow.between(
         scenario.config_a[0], scenario.config_a[-1], size=1.0,
         old_path=list(scenario.config_a),
@@ -106,7 +104,7 @@ def run_fig2(
         delivered_at_v4=source.delivered,
         ttl_losses=len(source.ttl_losses),
         loop_window_ms=loop_window,
-        consistency_violations=len(checker.violations),
+        consistency_violations=len(dep.checker.violations),
     )
 
 
@@ -182,7 +180,6 @@ def run_fig4(
 
     dep = build_system(system, topo, params=params)
     changes = RuleChanges(dep.network.trace)
-    checker = LiveChecker(dep.forwarding_state, dep.network.trace)
     dep.install_flow(flow)
     dep.controller.update_flow(flow.flow_id, list(scenario.u2), dep.update_type)
     dep.network.engine.schedule(
@@ -199,5 +196,5 @@ def run_fig4(
         system=system,
         u3_completion_ms=established - scenario.u3_delay_ms,
         completed=established != float("inf"),
-        consistency_violations=len(checker.violations),
+        consistency_violations=len(dep.checker.violations),
     )

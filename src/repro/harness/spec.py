@@ -25,7 +25,7 @@ from typing import Any
 
 from repro.harness.experiment import ExperimentResult, run_experiment
 from repro.harness.scenarios import UpdateScenario
-from repro.loading import read_json_object
+from repro.loading import read_json_object, unknown_fields
 from repro.params import SimParams
 from repro.topo import TOPOLOGIES
 from repro.topo.fattree import fattree_topology
@@ -38,6 +38,13 @@ from repro.traffic.paths import second_shortest_path
 
 class SpecError(ValueError):
     """Raised for malformed experiment specifications."""
+
+
+#: The fields each part of a spec may carry; any other is a typo.
+_SPEC_FIELDS = ("description", "topology", "controller", "system", "seed",
+                "congestion_aware", "dionysus_install_delays", "flows")
+_TOPOLOGY_FIELDS = ("name", "file", "k", "n", "latency_ms")
+_FLOW_FIELDS = ("src", "dst", "size", "old_path", "new_path", "flow_id")
 
 
 def build_topology(spec: dict) -> Topology:
@@ -92,7 +99,14 @@ def _resolve_path(topo: Topology, src: str, dst: str, spec: Any, label: str):
 
 
 def build_scenario(spec: dict) -> UpdateScenario:
-    """Materialise the topology + flows of a spec."""
+    """Materialise the topology + flows of a spec; a misspelled field
+    anywhere in it is a :class:`SpecError`, not a silent default."""
+    problems = unknown_fields(spec, _SPEC_FIELDS, "spec")
+    problems += unknown_fields(spec.get("topology", {}), _TOPOLOGY_FIELDS, "topology")
+    for i, flow_spec in enumerate(spec.get("flows") or ()):
+        problems += unknown_fields(flow_spec, _FLOW_FIELDS, f"flow #{i}")
+    if problems:
+        raise SpecError("; ".join(problems))
     topo = build_topology(spec.get("topology", {}))
     if "controller" in spec:
         topo.set_controller(spec["controller"])

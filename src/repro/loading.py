@@ -8,7 +8,8 @@ rejected and whose loader reports each problem as the spec's own error
 class; that code lives here once, parameterised by the error class and
 the noun used in messages.  A record becomes its JSON document through
 :func:`plain`, and a reader checks a document's required fields with
-:func:`field_problems`.  This module imports no workload package.
+:func:`field_problems` and its unknown ones with :func:`unknown_fields`.
+This module imports no workload package.
 
 A cached result (a sweep shard, an ops checkpoint manifest) is only
 valid for the spec and the code that computed it, so it is written by
@@ -29,7 +30,7 @@ import importlib
 import json
 import os
 import pathlib
-from typing import Any, Callable, Iterator, Optional, TypeVar, Union
+from typing import Any, Callable, Iterable, Iterator, Optional, TypeVar, Union
 
 T = TypeVar("T")
 
@@ -73,6 +74,13 @@ def field_problems(
         elif not isinstance(doc[name], accepted):
             problems.append(f"field {name!r} has type {type(doc[name]).__name__}")
     return problems
+
+
+def unknown_fields(doc: dict, known: Iterable[str], noun: str) -> list[str]:
+    """One ``unknown <noun> field(s) [...]`` line naming every key of
+    ``doc`` outside ``known`` (sorted), or none."""
+    unknown = set(doc) - set(known)
+    return [f"unknown {noun} field(s) {sorted(unknown)}"] if unknown else []
 
 
 def require_object(
@@ -196,10 +204,10 @@ def dataclass_from_object(
     whose JSON value is coerced first (lists to tuples).  A non-object,
     an unknown field and a constructor ``TypeError`` all raise ``error``."""
     payload = dict(require_object(data, noun, error))
-    known = {f.name for f in dataclasses.fields(cls)}  # type: ignore[arg-type]
-    unknown = set(payload) - known
-    if unknown:
-        raise error(f"unknown {noun} field(s) {sorted(unknown)}")
+    known = [f.name for f in dataclasses.fields(cls)]  # type: ignore[arg-type]
+    problems = unknown_fields(payload, known, noun)
+    if problems:
+        raise error(problems[0])
     for name, coerce in convert.items():
         if name in payload:
             payload[name] = coerce(payload[name])

@@ -20,7 +20,6 @@ import numpy as np
 
 from repro.algos.registry import build_system
 from repro.chaos.runner import schedule_topo_events
-from repro.consistency.checker import LiveChecker
 from repro.loading import spec_digest
 from repro.obs.causal import CausalTracker, slo_summary, summarize_attribution
 from repro.obs.context import NULL_OBS, ObsContext
@@ -239,8 +238,8 @@ class ServiceSession:
     """One service run, from provisioning to result.
 
     Construction provisions everything the spec implies before its
-    first arrival — deployment and flow population, live checker,
-    orchestrator, scheduled topology events, arrival RNG; :meth:`wire`
+    first arrival — deployment (its live checker included) and flow
+    population, orchestrator, scheduled topology events, arrival RNG; :meth:`wire`
     schedules the first arrivals, :meth:`run` advances to the horizon
     and :meth:`close` builds the :class:`ServiceResult`.
 
@@ -263,9 +262,6 @@ class ServiceSession:
             spec, obs, strategy
         )
         self.engine = self.deployment.network.engine
-        self.checker = LiveChecker(
-            self.deployment.forwarding_state, self.deployment.network.trace
-        )
         self.orchestrator = ServiceOrchestrator(
             spec, self.deployment, self.population, obs=obs,
             capacities=link_capacities(self.deployment.topology),
@@ -349,7 +345,7 @@ class ServiceSession:
         return ServiceResult(
             spec=self.spec,
             records=records,
-            violations=[v.to_dict() for v in self.checker.violations],
+            violations=[v.to_dict() for v in self.deployment.checker.violations],
             outcome_counts=outcome_counts,
             slo=_serve_slo(records),
             peak_in_flight=self.orchestrator.peak_in_flight,

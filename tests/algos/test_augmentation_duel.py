@@ -2,8 +2,13 @@
 capacity-preserving strategies park on (and nothing when the helper
 corridor has no spare capacity)."""
 
+import pytest
+
 from repro.algos.duel import run_duel
+from repro.algos.registry import SYSTEMS
 from repro.analysis.advgen import generate_slack_pairs
+from repro.harness.experiment import run_experiment
+from repro.harness.scenarios import UpdateScenario
 
 
 def test_slack_pairs_deterministic():
@@ -77,3 +82,28 @@ def test_negative_slack_is_unresolvable_for_everyone():
     for row in doc["cases"]:
         for result in row["results"].values():
             assert any(o != "completed" for o in result["outcomes"].values())
+
+
+def test_duel_runs_no_row_that_orders_at_dispatch(capsys):
+    """The duel pushes updates itself, so a row whose wrapper gates
+    dispatch would run as its plain native system: the default line-up
+    leaves it out, and naming it is refused as run_experiment does."""
+    gated = sorted(name for name, row in SYSTEMS.items() if row.orders_at_dispatch())
+    assert gated == ["synthesis"]
+    doc = run_duel(seed=0, count=1)
+    assert doc["strategies"] == sorted(set(SYSTEMS) - set(gated))
+    assert sorted(doc["cases"][0]["results"]) == doc["strategies"]
+
+    pair = generate_slack_pairs(0, count=1)[0]
+    scenario = UpdateScenario(pair.topology(), pair.flow_objects(), pair.name)
+    with pytest.raises(ValueError) as refused:
+        run_experiment("synthesis", scenario)
+    with pytest.raises(ValueError, match=str(refused.value)):
+        run_duel(seed=0, count=1, strategies=["p4update", "synthesis"])
+
+    from repro.harness.cli import main
+
+    assert main(["compete", "duel", "--count", "1", "--strategies", "synthesis"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {refused.value}\n"

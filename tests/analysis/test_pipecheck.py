@@ -186,7 +186,6 @@ def test_real_program_register_accesses_are_still_recognised():
         "applied_version": (["cur_version"], []),
         "_ingress_probe": (["<dynamic>", "ingress_tag", "two_phase"], []),
         "current_port": (["cur_egress_port"], []),
-        "flow_size_of": (["flow_size"], []),
         "pending_version": (["pend_version"], []),
         "set_current_port": ([], ["cur_egress_port"]),
         "set_flow_size": ([], ["flow_size"]),

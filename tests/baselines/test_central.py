@@ -1,7 +1,6 @@
 """Tests for the Central (dependency-graph rounds) baseline."""
 
 
-from repro.consistency.checker import LiveChecker
 from repro.harness.baselines_build import build_central_network
 from repro.params import DelayDistribution, SimParams
 from repro.topo.synthetic import (
@@ -33,11 +32,10 @@ def central_fig1():
 
 def test_central_fig1_completes_consistently():
     dep, flow = central_fig1()
-    checker = LiveChecker(dep.forwarding_state, dep.network.trace)
     dep.controller.update_flow(flow.flow_id, list(FIG1_NEW_PATH))
     dep.run()
     assert dep.controller.update_complete(flow.flow_id)
-    assert checker.ok, checker.violations
+    assert dep.checker.ok, dep.checker.violations
     walk, outcome = dep.forwarding_state.walk(flow.flow_id)
     assert outcome == "delivered" and walk == list(FIG1_NEW_PATH)
 
@@ -124,7 +122,6 @@ def test_central_congestion_aware_orders_dependent_moves():
     topo = dependency_chain_topology()
     dep = build_central_network(topo, params=fast_params())
     dep.set_congestion_aware(True)
-    checker = LiveChecker(dep.forwarding_state, dep.network.trace)
     f1 = Flow.between("s", "t", size=6.0, old_path=["s", "a", "t"])
     f2 = Flow(flow_id=f1.flow_id + 1, src="s", dst="t", size=6.0,
               old_path=["s", "b", "t"])
@@ -133,6 +130,6 @@ def test_central_congestion_aware_orders_dependent_moves():
     dep.controller.update_flow(f1.flow_id, ["s", "b", "t"])   # needs room on s-b
     dep.controller.update_flow(f2.flow_id, ["s", "c", "t"])   # frees s-b
     dep.run()
-    assert checker.ok, checker.violations
+    assert dep.checker.ok, dep.checker.violations
     assert dep.controller.all_updates_complete()
     assert dep.controller.rounds_executed >= 2, "moves must be ordered"

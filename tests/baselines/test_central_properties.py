@@ -5,7 +5,6 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.consistency.checker import LiveChecker
 from repro.harness.baselines_build import build_central_network
 from repro.params import DelayDistribution, SimParams
 from repro.topo.synthetic import ring_topology
@@ -48,12 +47,11 @@ def test_central_rounds_safe_under_any_interleaving(case):
     topo = ring_topology(n, latency_ms=1.0)
     topo.set_controller(old[0])
     dep = build_central_network(topo, params=fast_params(seed))
-    checker = LiveChecker(dep.forwarding_state, dep.network.trace)
     flow = Flow.between(old[0], old[-1], size=1.0, old_path=old)
     dep.install_flow(flow)
     dep.controller.update_flow(flow.flow_id, new)
     dep.run(until=30_000.0)
-    assert checker.ok, checker.violations
+    assert dep.checker.ok, dep.checker.violations
     assert dep.controller.update_complete(flow.flow_id)
     walk, outcome = dep.forwarding_state.walk(flow.flow_id)
     assert outcome == "delivered" and walk == new
@@ -72,7 +70,6 @@ def test_central_two_flows_capacity_never_violated(seed):
     topo.set_controller("n0")
     dep = build_central_network(topo, params=fast_params(seed))
     dep.set_congestion_aware(True)
-    checker = LiveChecker(dep.forwarding_state, dep.network.trace)
     f1 = Flow.between("n0", "n3", size=size, old_path=["n0", "n1", "n2", "n3"])
     f2 = Flow(flow_id=f1.flow_id + 1, src="n0", dst="n3", size=size,
               old_path=["n0", "n5", "n4", "n3"])
@@ -81,7 +78,7 @@ def test_central_two_flows_capacity_never_violated(seed):
     dep.controller.update_flow(f1.flow_id, ["n0", "n5", "n4", "n3"])
     dep.controller.update_flow(f2.flow_id, ["n0", "n1", "n2", "n3"])
     dep.run(until=30_000.0)
-    assert checker.ok, checker.violations
+    assert dep.checker.ok, dep.checker.violations
     # Both flows always deliverable.
     for fid in (f1.flow_id, f2.flow_id):
         _, outcome = dep.forwarding_state.walk(fid)

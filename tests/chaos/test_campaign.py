@@ -253,7 +253,7 @@ def test_armed_chaos_without_events_changes_nothing():
     )
 
     def run(armed):
-        deployment, _, _ = build_campaign_deployment(campaign)
+        deployment, _ = build_campaign_deployment(campaign)
         if armed:
             deployment.network.enable_chaos()
         deployment.run(until=campaign.horizon_ms)

@@ -7,7 +7,6 @@ alarm plus the §11 watchdogs recover the update.
 """
 
 from repro.chaos.campaign import CORRUPTORS
-from repro.consistency.checker import LiveChecker
 from repro.core.messages import UpdateType
 from repro.harness.build import build_p4update_network
 from repro.params import SimParams
@@ -24,7 +23,6 @@ def is_unm(message) -> bool:
 def corrupted_update_run(corruptor_name, seed=0):
     params = SimParams(seed=seed)
     dep = build_p4update_network(fig1_topology(), params=params)
-    checker = LiveChecker(dep.forwarding_state, dep.network.trace)
     flow = Flow.between("v0", "v7", size=1.0, old_path=list(FIG1_OLD_PATH))
     dep.install_flow(flow)
     for switch in dep.switches.values():
@@ -37,11 +35,11 @@ def corrupted_update_run(corruptor_name, seed=0):
     )
     dep.controller.update_flow(flow.flow_id, list(FIG1_NEW_PATH), UpdateType.DUAL)
     dep.run()
-    return dep, flow, checker
+    return dep, flow
 
 
 def test_distance_skewed_unm_is_rejected_and_update_recovers():
-    dep, flow, checker = corrupted_update_run("unm_distance_skew")
+    dep, flow = corrupted_update_run("unm_distance_skew")
     # At least one switch refused the corrupted notification outright.
     rejects = sum(s.program.stats["unm_rejects"] for s in dep.switches.values())
     assert rejects >= 1
@@ -53,18 +51,18 @@ def test_distance_skewed_unm_is_rejected_and_update_recovers():
     walk, outcome = dep.forwarding_state.walk(flow.flow_id)
     assert outcome == "delivered"
     assert walk == list(FIG1_NEW_PATH)
-    assert checker.ok, checker.violations[:3]
+    assert dep.checker.ok, dep.checker.violations[:3]
 
 
 def test_version_rewound_unm_is_dropped_and_update_recovers():
-    dep, flow, checker = corrupted_update_run("unm_version_rewind")
+    dep, flow = corrupted_update_run("unm_version_rewind")
     # The stale notification must not have been applied anywhere: the
     # update still converges to the new path with no violation.
     assert dep.controller.update_complete(flow.flow_id)
     walk, outcome = dep.forwarding_state.walk(flow.flow_id)
     assert outcome == "delivered"
     assert walk == list(FIG1_NEW_PATH)
-    assert checker.ok, checker.violations[:3]
+    assert dep.checker.ok, dep.checker.violations[:3]
 
 
 def test_corruptor_mutates_copy_not_original():
@@ -95,7 +93,6 @@ def test_duplicated_unms_are_idempotent():
 
     params = SimParams(seed=1)
     dep = build_p4update_network(fig1_topology(), params=params)
-    checker = LiveChecker(dep.forwarding_state, dep.network.trace)
     flow = Flow.between("v0", "v7", size=1.0, old_path=list(FIG1_OLD_PATH))
     dep.install_flow(flow)
     dep.network.fault_model = FaultModel(
@@ -109,4 +106,4 @@ def test_duplicated_unms_are_idempotent():
     walk, outcome = dep.forwarding_state.walk(flow.flow_id)
     assert outcome == "delivered"
     assert walk == list(FIG1_NEW_PATH)
-    assert checker.ok, checker.violations[:3]
+    assert dep.checker.ok, dep.checker.violations[:3]

@@ -6,7 +6,6 @@ invariants intact) or parked with a structured report.  Repairs must
 un-park flows.
 """
 
-from repro.consistency.checker import LiveChecker
 from repro.harness.build import build_p4update_network
 from repro.obs.context import make_obs
 from repro.params import SimParams
@@ -22,14 +21,13 @@ from repro.traffic.flows import Flow
 def fig1_deployment(seed=0, obs=None, **param_overrides):
     params = SimParams(seed=seed, **param_overrides)
     dep = build_p4update_network(fig1_topology(), params=params, obs=obs)
-    checker = LiveChecker(dep.forwarding_state, dep.network.trace)
     flow = Flow.between("v0", "v7", size=1.0, old_path=list(FIG1_OLD_PATH))
     dep.install_flow(flow)
-    return dep, flow, checker
+    return dep, flow
 
 
 def test_link_failure_on_current_path_triggers_reroute():
-    dep, flow, checker = fig1_deployment()
+    dep, flow = fig1_deployment()
     dep.network.engine.schedule_at(
         5.0, dep.network.set_link_state, "v4", "v2", False
     )
@@ -42,13 +40,13 @@ def test_link_failure_on_current_path_triggers_reroute():
     assert not any(
         frozenset(pair) == frozenset(("v4", "v2")) for pair in zip(walk, walk[1:])
     )
-    assert checker.ok, checker.violations[:3]
+    assert dep.checker.ok, dep.checker.violations[:3]
 
 
 def test_link_failure_mid_update_aborts_then_reroutes():
     """Failure lands while the DL update is in flight: the pending
     update is aborted (Flow-DB rolled back) and a detour is pushed."""
-    dep, flow, checker = fig1_deployment()
+    dep, flow = fig1_deployment()
     dep.network.engine.schedule_at(
         10.0, dep.controller.update_flow, flow.flow_id, list(FIG1_NEW_PATH)
     )
@@ -66,11 +64,11 @@ def test_link_failure_mid_update_aborts_then_reroutes():
         frozenset(pair) == frozenset(("v5", "v6")) for pair in zip(walk, walk[1:])
     )
     assert dep.network.trace.count_of_kind("update_aborted") >= 1
-    assert checker.ok, checker.violations[:3]
+    assert dep.checker.ok, dep.checker.violations[:3]
 
 
 def test_switch_crash_reroutes_around_the_node():
-    dep, flow, checker = fig1_deployment()
+    dep, flow = fig1_deployment()
     dep.network.engine.schedule_at(5.0, dep.network.crash_switch, "v4")
     dep.run()
     record = dep.controller.flow_db[flow.flow_id]
@@ -79,24 +77,23 @@ def test_switch_crash_reroutes_around_the_node():
     walk, outcome = dep.forwarding_state.walk(flow.flow_id)
     assert outcome == "delivered"
     assert "v4" not in walk
-    assert checker.ok, checker.violations[:3]
+    assert dep.checker.ok, dep.checker.violations[:3]
 
 
 def test_crash_and_restart_still_converges():
-    dep, flow, checker = fig1_deployment()
+    dep, flow = fig1_deployment()
     dep.network.engine.schedule_at(5.0, dep.network.crash_switch, "v4")
     dep.network.engine.schedule_at(300.0, dep.network.restart_switch, "v4")
     dep.run()
     assert dep.controller.update_complete(flow.flow_id)
     _, outcome = dep.forwarding_state.walk(flow.flow_id)
     assert outcome == "delivered"
-    assert checker.ok, checker.violations[:3]
+    assert dep.checker.ok, dep.checker.violations[:3]
 
 
 def test_no_alternate_path_parks_with_report():
     topo = line_topology(3)
     dep = build_p4update_network(topo, params=SimParams(seed=0))
-    checker = LiveChecker(dep.forwarding_state, dep.network.trace)
     flow = Flow.between("n0", "n2", size=1.0, old_path=["n0", "n1", "n2"])
     dep.install_flow(flow)
     dep.network.engine.schedule_at(
@@ -112,13 +109,12 @@ def test_no_alternate_path_parks_with_report():
     assert "n1|n2" in report.failed_edges
     assert dep.network.trace.count_of_kind("flow_parked")
     # The gap is environmental, not a protocol violation.
-    assert checker.ok, checker.violations[:3]
+    assert dep.checker.ok, dep.checker.violations[:3]
 
 
 def test_link_repair_unparks_the_flow():
     topo = line_topology(3)
     dep = build_p4update_network(topo, params=SimParams(seed=0))
-    checker = LiveChecker(dep.forwarding_state, dep.network.trace)
     flow = Flow.between("n0", "n2", size=1.0, old_path=["n0", "n1", "n2"])
     dep.install_flow(flow)
     dep.network.engine.schedule_at(
@@ -133,12 +129,12 @@ def test_link_repair_unparks_the_flow():
     walk, outcome = dep.forwarding_state.walk(flow.flow_id)
     assert outcome == "delivered"
     assert walk == ["n0", "n1", "n2"]
-    assert checker.ok, checker.violations[:3]
+    assert dep.checker.ok, dep.checker.violations[:3]
 
 
 def test_recovery_metrics_are_observed():
     obs = make_obs()
-    dep, flow, checker = fig1_deployment(obs=obs)
+    dep, flow = fig1_deployment(obs=obs)
     dep.network.engine.schedule_at(5.0, dep.network.set_link_state, "v4", "v2", False)
     dep.run()
     assert dep.controller.update_complete(flow.flow_id)
@@ -155,7 +151,7 @@ def test_recovery_metrics_are_observed():
 def test_exhausted_control_retries_escalate_to_recovery():
     """A switch that stops acking is treated as failed: its edges are
     marked down and flows are routed around it."""
-    dep, flow, checker = fig1_deployment(
+    dep, flow = fig1_deployment(
         reliable_control=True,
         control_retry_timeout_ms=20.0,
         control_retry_jitter_ms=0.0,
@@ -169,14 +165,14 @@ def test_exhausted_control_retries_escalate_to_recovery():
     walk, outcome = dep.forwarding_state.walk(flow.flow_id)
     assert outcome == "delivered"
     assert "v2" not in walk
-    assert checker.ok, checker.violations[:3]
+    assert dep.checker.ok, dep.checker.violations[:3]
 
 
 def test_crash_state_policy_volatile_vs_preserved():
     """A volatile crash wipes the switch's rules and registers; a
     preserving crash (NVRAM policy) keeps them."""
     for preserve in (False, True):
-        dep, flow, _ = fig1_deployment()
+        dep, flow = fig1_deployment()
         dep.run(until=5.0)                      # let installs settle
         assert dep.forwarding_state.next_hop(flow.flow_id, "v4") == "v2"
         dep.network.crash_switch("v4", preserve_state=preserve)
@@ -189,7 +185,7 @@ def test_crash_state_policy_volatile_vs_preserved():
 
 
 def test_controller_outage_window_delays_but_does_not_break_update():
-    dep, flow, checker = fig1_deployment(controller_update_timeout_ms=2_000.0)
+    dep, flow = fig1_deployment(controller_update_timeout_ms=2_000.0)
     dep.network.engine.schedule_at(
         10.0, dep.controller.update_flow, flow.flow_id, list(FIG1_NEW_PATH)
     )
@@ -202,4 +198,4 @@ def test_controller_outage_window_delays_but_does_not_break_update():
     walk, outcome = dep.forwarding_state.walk(flow.flow_id)
     assert outcome == "delivered"
     assert walk == list(FIG1_NEW_PATH)
-    assert checker.ok, checker.violations[:3]
+    assert dep.checker.ok, dep.checker.violations[:3]

@@ -2,7 +2,6 @@
 the App. C consecutive-dual-layer extension."""
 
 
-from repro.consistency.checker import LiveChecker
 from repro.core.messages import UpdateType
 from repro.harness.build import build_p4update_network
 from repro.params import DelayDistribution, SimParams
@@ -55,12 +54,11 @@ def test_cleanup_spares_nodes_on_the_new_path():
     applied UIM of the new version (they serve the mixed path)."""
     topo = fig1_topology()
     dep = build_p4update_network(topo, params=fast_params())
-    checker = LiveChecker(dep.forwarding_state, dep.network.trace)
     flow = Flow.between("v0", "v7", size=1.0, old_path=list(FIG1_OLD_PATH))
     dep.install_flow(flow)
     dep.controller.update_flow(flow.flow_id, list(FIG1_NEW_PATH), UpdateType.DUAL)
     dep.run()
-    assert checker.ok, checker.violations
+    assert dep.checker.ok, dep.checker.violations
     # Every new-path node still has its rule.
     for a, b in zip(FIG1_NEW_PATH, FIG1_NEW_PATH[1:]):
         assert dep.forwarding_state.next_hop(flow.flow_id, a) == b
@@ -98,13 +96,12 @@ def test_recovery_retriggers_after_unm_loss():
     dep.network.fault_model = drop_first_unm_fault()
     for switch in dep.switches.values():
         switch.unm_timeout_ms = 50.0
-    checker = LiveChecker(dep.forwarding_state, dep.network.trace)
     flow = Flow.between("n0", "n3", size=1.0, old_path=["n0", "n1", "n2", "n3"])
     dep.install_flow(flow)
     dep.controller.update_flow(flow.flow_id, ["n0", "n5", "n4", "n3"], UpdateType.SINGLE)
     dep.run(until=5_000.0)
     assert dep.controller.update_complete(flow.flow_id), "recovery must finish the update"
-    assert checker.ok, checker.violations
+    assert dep.checker.ok, dep.checker.violations
     assert any(a.reason == "unm_timeout" for a in dep.controller.alarms)
 
 
@@ -160,12 +157,11 @@ def fig1_deployment(allow_consecutive=False):
 
 def test_appc_extension_allows_dl_after_dl():
     dep, flow = fig1_deployment(allow_consecutive=True)
-    checker = LiveChecker(dep.forwarding_state, dep.network.trace)
     dep.controller.update_flow(flow.flow_id, list(FIG1_NEW_PATH), UpdateType.DUAL)
     dep.run()
     dep.controller.update_flow(flow.flow_id, list(FIG1_OLD_PATH), UpdateType.DUAL)
     dep.run(until=dep.network.engine.now + 30_000.0)
-    assert checker.ok, checker.violations
+    assert dep.checker.ok, dep.checker.violations
     assert dep.controller.update_complete(flow.flow_id)
     walk, outcome = dep.forwarding_state.walk(flow.flow_id)
     assert outcome == "delivered" and walk == list(FIG1_OLD_PATH)
@@ -173,12 +169,11 @@ def test_appc_extension_allows_dl_after_dl():
 
 def test_appc_extension_stays_consistent_over_three_dl_rounds():
     dep, flow = fig1_deployment(allow_consecutive=True)
-    checker = LiveChecker(dep.forwarding_state, dep.network.trace)
     paths = [list(FIG1_NEW_PATH), list(FIG1_OLD_PATH), list(FIG1_NEW_PATH)]
     for path in paths:
         dep.controller.update_flow(flow.flow_id, path, UpdateType.DUAL)
         dep.run(until=dep.network.engine.now + 30_000.0)
-    assert checker.ok, checker.violations
+    assert dep.checker.ok, dep.checker.violations
     walk, outcome = dep.forwarding_state.walk(flow.flow_id)
     assert outcome == "delivered" and walk == list(FIG1_NEW_PATH)
 

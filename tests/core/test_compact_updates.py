@@ -1,7 +1,6 @@
 """Tests for §11 compact updates (piggybacked UIMs on the UNM)."""
 
 
-from repro.consistency.checker import LiveChecker
 from repro.core.messages import UpdateType
 from repro.harness.analysis import watch_messages
 from repro.harness.build import build_p4update_network
@@ -38,7 +37,6 @@ def test_compact_sl_update_completes():
     topo = ring_topology(6, latency_ms=1.0)
     topo.set_controller("n0")
     dep = build_p4update_network(topo, params=fast_params())
-    checker = LiveChecker(dep.forwarding_state, dep.network.trace)
     flow = Flow.between("n0", "n3", size=1.0, old_path=["n0", "n1", "n2", "n3"])
     dep.install_flow(flow)
     prepared = dep.controller.compact_update(
@@ -46,7 +44,7 @@ def test_compact_sl_update_completes():
     )
     dep.run()
     assert dep.controller.update_complete(flow.flow_id)
-    assert checker.ok, checker.violations
+    assert dep.checker.ok, dep.checker.violations
     walk, outcome = dep.forwarding_state.walk(flow.flow_id)
     assert outcome == "delivered" and walk == ["n0", "n5", "n4", "n3"]
     # SL compact: one single UIM to the egress carries everything.
@@ -71,10 +69,9 @@ def test_compact_dl_sends_uims_to_exactly_the_paper_nodes():
 
 def test_compact_dl_is_consistent():
     dep, flow = fig1_deployment()
-    checker = LiveChecker(dep.forwarding_state, dep.network.trace)
     dep.controller.compact_update(flow.flow_id, list(FIG1_NEW_PATH), UpdateType.DUAL)
     dep.run()
-    assert checker.ok, checker.violations
+    assert dep.checker.ok, dep.checker.violations
     assert dep.controller.alarms == []
 
 

@@ -2,7 +2,6 @@
 full-protocol level."""
 
 
-from repro.consistency.checker import LiveChecker
 from repro.core.messages import UpdateType
 from repro.harness.build import build_p4update_network
 from repro.params import DelayDistribution, SimParams
@@ -46,7 +45,6 @@ def test_dependent_moves_resolve_in_order():
     data-plane scheduler must defer f1, then admit it."""
     topo = diamond(capacity_b=10.0)
     dep = build_p4update_network(topo, params=fast_params())
-    checker = LiveChecker(dep.forwarding_state, dep.network.trace)
     f1, f2 = two_flows()
     dep.install_flow(f1)
     dep.install_flow(f2)
@@ -54,7 +52,7 @@ def test_dependent_moves_resolve_in_order():
     dep.controller.update_flow(f2.flow_id, ["s", "c", "t"], UpdateType.SINGLE)
     dep.run()
     assert dep.controller.all_updates_complete()
-    assert checker.ok, checker.violations
+    assert dep.checker.ok, dep.checker.violations
     # f1's move must have been deferred at least once.
     assert dep.switches["s"].program.stats["capacity_deferrals"] >= 1
     # Order: f1's flip at s must come after f2's.
@@ -71,14 +69,13 @@ def test_infeasible_move_never_applied():
     (consistency over progress, §5-ii)."""
     topo = diamond(capacity_b=10.0)
     dep = build_p4update_network(topo, params=fast_params())
-    checker = LiveChecker(dep.forwarding_state, dep.network.trace)
     f1, f2 = two_flows(size1=6.0, size2=6.0)
     dep.install_flow(f1)
     dep.install_flow(f2)
     # Only f1 moves; f2 stays on s-b: 6+6 > 10 is never feasible.
     dep.controller.update_flow(f1.flow_id, ["s", "b", "t"], UpdateType.SINGLE)
     dep.run(until=15_000.0)
-    assert checker.ok, checker.violations
+    assert dep.checker.ok, dep.checker.violations
     assert not dep.controller.update_complete(f1.flow_id)
     walk, outcome = dep.forwarding_state.walk(f1.flow_id)
     assert outcome == "delivered" and walk == ["s", "a", "t"]
@@ -145,7 +142,6 @@ def test_high_priority_flow_moves_first_end_to_end():
         topo.add_edge(mid, "t", latency_ms=1.0, capacity=100.0)
     topo.set_controller("s")
     dep = build_p4update_network(topo, params=fast_params())
-    checker = LiveChecker(dep.forwarding_state, dep.network.trace)
     f1 = Flow.between("s", "t", size=7.0, old_path=["s", "a", "t"])
     f2 = Flow(flow_id=f1.flow_id + 1, src="s", dst="t", size=7.0,
               old_path=["s", "b", "t"])
@@ -159,4 +155,4 @@ def test_high_priority_flow_moves_first_end_to_end():
     dep.controller.update_flow(f3.flow_id, ["s", "a", "t"], UpdateType.SINGLE)
     dep.run()
     assert dep.controller.all_updates_complete()
-    assert checker.ok, checker.violations
+    assert dep.checker.ok, dep.checker.violations

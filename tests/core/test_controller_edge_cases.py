@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.consistency.checker import LiveChecker
 from repro.core.messages import UFM, UIM, UpdateType, make_probe
 from repro.harness.build import build_p4update_network
 from repro.params import DelayDistribution, SimParams
@@ -77,7 +76,6 @@ def test_downgrade_uim_triggers_alarm():
 
 def test_duplicate_uims_are_idempotent():
     dep, flow = deployment()
-    checker = LiveChecker(dep.forwarding_state, dep.network.trace)
     prepared = dep.controller.prepare_update(
         flow.flow_id, ["n0", "n5", "n4", "n3"], UpdateType.SINGLE
     )
@@ -86,7 +84,7 @@ def test_duplicate_uims_are_idempotent():
         dep.controller.send_control(uim)
     dep.run()
     assert dep.controller.update_complete(flow.flow_id)
-    assert checker.ok, checker.violations
+    assert dep.checker.ok, dep.checker.violations
 
 
 def test_ufm_for_unknown_flow_ignored():

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.consistency.checker import LiveChecker
 from repro.core.desttree import (
     DestinationTreeManager,
     TreeError,
@@ -84,7 +83,6 @@ def star_topology() -> Topology:
 def test_tree_update_completes_and_rebinds_all_leaves():
     topo = star_topology()
     dep = build_p4update_network(topo, params=fast_params())
-    checker = LiveChecker(dep.forwarding_state, dep.network.trace)
     manager = DestinationTreeManager(dep.controller)
     old_tree = {"m1": "dst", "m2": "dst", "l1": "m1", "l2": "m2"}
     manager.install_tree("dst", old_tree, size=1.0, deployment=dep)
@@ -94,7 +92,7 @@ def test_tree_update_completes_and_rebinds_all_leaves():
     manager.update_tree("dst", new_tree)
     dep.run()
     assert manager.update_complete("dst")
-    assert checker.ok, checker.violations
+    assert dep.checker.ok, dep.checker.violations
     tree_id = tree_id_for("dst")
     for leaf in ("l1", "l2"):
         walk, outcome = dep.forwarding_state.walk(tree_id, ingress=leaf)
@@ -131,7 +129,6 @@ def test_tree_update_on_ring_reverses_orientation():
     topo = ring_topology(6, latency_ms=1.0)
     topo.set_controller("n0")
     dep = build_p4update_network(topo, params=fast_params())
-    checker = LiveChecker(dep.forwarding_state, dep.network.trace)
     manager = DestinationTreeManager(dep.controller)
     # Old: everything clockwise towards n0.
     old_tree = {f"n{i}": f"n{i-1}" for i in range(1, 6)}
@@ -141,7 +138,7 @@ def test_tree_update_on_ring_reverses_orientation():
     manager.update_tree("n0", new_tree)
     dep.run(until=20_000.0)
     assert manager.update_complete("n0")
-    assert checker.ok, checker.violations
+    assert dep.checker.ok, dep.checker.violations
     tree_id = tree_id_for("n0")
     for leaf in ("n1",):
         walk, outcome = dep.forwarding_state.walk(tree_id, ingress=leaf)
@@ -166,7 +163,6 @@ def test_tree_on_fattree_core_shift():
     """Shift a fat-tree destination's in-tree to different cores."""
     topo = fattree_topology(4)
     dep = build_p4update_network(topo, params=fast_params())
-    checker = LiveChecker(dep.forwarding_state, dep.network.trace)
     manager = DestinationTreeManager(dep.controller)
     dst = "edge0_0"
     old_tree = {
@@ -185,7 +181,7 @@ def test_tree_on_fattree_core_shift():
     manager.update_tree(dst, new_tree)
     dep.run()
     assert manager.update_complete(dst)
-    assert checker.ok, checker.violations
+    assert dep.checker.ok, dep.checker.violations
     tree_id = tree_id_for(dst)
     walk, outcome = dep.forwarding_state.walk(tree_id, ingress="edge1_0")
     assert outcome == "delivered"

@@ -12,7 +12,6 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.consistency.checker import LiveChecker
 from repro.core.messages import UpdateType
 from repro.core.segmentation import compute_segments
 from repro.harness.build import build_p4update_network
@@ -74,12 +73,11 @@ def test_dl_on_random_segmented_reroutes(topo_seed, n, sim_seed):
         unm_generation_delay=DelayDistribution.exponential(1.0),
     )
     dep = build_p4update_network(topo, params=params)
-    checker = LiveChecker(dep.forwarding_state, dep.network.trace)
     flow = Flow.between(old[0], old[-1], size=1.0, old_path=old)
     dep.install_flow(flow)
     dep.controller.update_flow(flow.flow_id, new, UpdateType.DUAL)
     dep.run(until=30_000.0)
-    assert checker.ok, (checker.violations[:3], old, new)
+    assert dep.checker.ok, (dep.checker.violations[:3], old, new)
     assert dep.controller.update_complete(flow.flow_id), (old, new)
     walk, outcome = dep.forwarding_state.walk(flow.flow_id)
     assert outcome == "delivered" and walk == new

@@ -1,7 +1,6 @@
 """End-to-end DL-P4Update runs — the Fig. 1 scenario and variants."""
 
 
-from repro.consistency.checker import LiveChecker
 from repro.core.messages import UpdateType
 from repro.harness.build import build_p4update_network
 from repro.params import DelayDistribution, SimParams
@@ -34,11 +33,10 @@ def fig1_deployment(install_ms=1.0, seed=0):
 
 def test_fig1_dl_update_completes_consistently():
     dep, flow = fig1_deployment()
-    checker = LiveChecker(dep.forwarding_state, dep.network.trace)
     dep.controller.update_flow(flow.flow_id, list(FIG1_NEW_PATH), UpdateType.DUAL)
     dep.run()
     assert dep.controller.update_complete(flow.flow_id)
-    assert checker.ok, checker.violations
+    assert dep.checker.ok, dep.checker.violations
     walk, outcome = dep.forwarding_state.walk(flow.flow_id)
     assert outcome == "delivered" and walk == list(FIG1_NEW_PATH)
     assert dep.controller.alarms == []
@@ -99,13 +97,12 @@ def test_fig1_dl_interior_nodes_update_early():
 def test_dl_after_dl_raises_alarm_and_keeps_state():
     """§11: consecutive dual-layer updates are rejected by gateways."""
     dep, flow = fig1_deployment()
-    checker = LiveChecker(dep.forwarding_state, dep.network.trace)
     dep.controller.update_flow(flow.flow_id, list(FIG1_NEW_PATH), UpdateType.DUAL)
     dep.run()
     # Second DL back to the old path: gateways reject.
     dep.controller.update_flow(flow.flow_id, list(FIG1_OLD_PATH), UpdateType.DUAL)
     dep.run(until=dep.network.engine.now + 20_000.0)
-    assert checker.ok, checker.violations
+    assert dep.checker.ok, dep.checker.violations
     # The network must never have become inconsistent; the flow is
     # still deliverable (on either path, depending on how far the
     # rejected update got before the alarm).
@@ -119,13 +116,12 @@ def test_dl_after_dl_raises_alarm_and_keeps_state():
 def test_sl_after_dl_succeeds():
     """The sanctioned sequence: DL, then SL resets old distances."""
     dep, flow = fig1_deployment()
-    checker = LiveChecker(dep.forwarding_state, dep.network.trace)
     dep.controller.update_flow(flow.flow_id, list(FIG1_NEW_PATH), UpdateType.DUAL)
     dep.run()
     dep.controller.update_flow(flow.flow_id, list(FIG1_OLD_PATH), UpdateType.SINGLE)
     dep.run()
     assert dep.controller.update_complete(flow.flow_id)
-    assert checker.ok, checker.violations
+    assert dep.checker.ok, dep.checker.violations
     walk, outcome = dep.forwarding_state.walk(flow.flow_id)
     assert outcome == "delivered" and walk == list(FIG1_OLD_PATH)
 
@@ -135,12 +131,11 @@ def test_dl_on_forward_only_detour():
     topo = ring_topology(6, latency_ms=2.0)
     topo.set_controller("n0")
     dep = build_p4update_network(topo, params=fast_params())
-    checker = LiveChecker(dep.forwarding_state, dep.network.trace)
     flow = Flow.between("n0", "n3", size=1.0, old_path=["n0", "n1", "n2", "n3"])
     dep.install_flow(flow)
     dep.controller.update_flow(flow.flow_id, ["n0", "n5", "n4", "n3"], UpdateType.DUAL)
     dep.run()
     assert dep.controller.update_complete(flow.flow_id)
-    assert checker.ok, checker.violations
+    assert dep.checker.ok, dep.checker.violations
     walk, outcome = dep.forwarding_state.walk(flow.flow_id)
     assert outcome == "delivered" and walk == ["n0", "n5", "n4", "n3"]

@@ -7,7 +7,6 @@ blackhole/loop/congestion freedom at every rule change.
 """
 
 
-from repro.consistency.checker import LiveChecker
 from repro.core.messages import UpdateType
 from repro.harness.build import build_p4update_network
 from repro.params import DelayDistribution, SimParams
@@ -30,15 +29,10 @@ def fast_params(seed=0):
     )
 
 
-def checked(deployment):
-    return LiveChecker(deployment.forwarding_state, deployment.network.trace)
-
-
 def test_sl_update_on_ring_completes_consistently():
     topo = ring_topology(6, latency_ms=2.0)
     topo.set_controller("n0")
     dep = build_p4update_network(topo, params=fast_params())
-    checker = checked(dep)
     flow = Flow.between("n0", "n3", size=1.0, old_path=["n0", "n1", "n2", "n3"])
     dep.install_flow(flow)
     prepared = dep.controller.update_flow(
@@ -46,7 +40,7 @@ def test_sl_update_on_ring_completes_consistently():
     )
     dep.run()
     assert dep.controller.update_complete(flow.flow_id)
-    assert checker.ok, checker.violations
+    assert dep.checker.ok, dep.checker.violations
     # Final forwarding follows the new path.
     walk, outcome = dep.forwarding_state.walk(flow.flow_id)
     assert outcome == "delivered"
@@ -74,13 +68,12 @@ def test_fig1_update_via_sl():
     topo = fig1_topology()
     topo.set_controller("v0")
     dep = build_p4update_network(topo, params=fast_params())
-    checker = checked(dep)
     flow = Flow.between("v0", "v7", size=1.0, old_path=list(FIG1_OLD_PATH))
     dep.install_flow(flow)
     dep.controller.update_flow(flow.flow_id, list(FIG1_NEW_PATH), UpdateType.SINGLE)
     dep.run()
     assert dep.controller.update_complete(flow.flow_id)
-    assert checker.ok, checker.violations
+    assert dep.checker.ok, dep.checker.violations
     walk, outcome = dep.forwarding_state.walk(flow.flow_id)
     assert outcome == "delivered" and walk == list(FIG1_NEW_PATH)
 
@@ -103,7 +96,6 @@ def test_version_increments_across_sequential_updates():
     topo = ring_topology(6, latency_ms=1.0)
     topo.set_controller("n0")
     dep = build_p4update_network(topo, params=fast_params())
-    checker = checked(dep)
     flow = Flow.between("n0", "n3", size=1.0, old_path=["n0", "n1", "n2", "n3"])
     dep.install_flow(flow)
     first = dep.controller.update_flow(
@@ -116,7 +108,7 @@ def test_version_increments_across_sequential_updates():
     dep.run()
     assert (first.version, second.version) == (2, 3)
     assert dep.controller.update_complete(flow.flow_id)
-    assert checker.ok, checker.violations
+    assert dep.checker.ok, dep.checker.violations
     walk, outcome = dep.forwarding_state.walk(flow.flow_id)
     assert outcome == "delivered" and walk == ["n0", "n1", "n2", "n3"]
 

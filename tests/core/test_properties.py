@@ -11,7 +11,6 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.consistency.checker import LiveChecker
 from repro.core.messages import UpdateType
 from repro.harness.build import build_p4update_network
 from repro.params import DelayDistribution, SimParams
@@ -64,12 +63,11 @@ def test_update_converges_and_stays_consistent(case):
     topo = ring_topology(n, latency_ms=1.0)
     topo.set_controller(old[0])
     dep = build_p4update_network(topo, params=fast_params(seed))
-    checker = LiveChecker(dep.forwarding_state, dep.network.trace)
     flow = Flow.between(old[0], old[-1], size=1.0, old_path=old)
     dep.install_flow(flow)
     dep.controller.update_flow(flow.flow_id, new, update_type)
     dep.run(until=10_000.0)
-    assert checker.ok, checker.violations
+    assert dep.checker.ok, dep.checker.violations
     assert dep.controller.update_complete(flow.flow_id)
     walk, outcome = dep.forwarding_state.walk(flow.flow_id)
     assert outcome == "delivered" and walk == new
@@ -95,12 +93,11 @@ def test_consistency_under_message_drops_and_delays(case, drop_prob, delay_prob)
         delay_prob=delay_prob,
         delay_ms=25.0,
     )
-    checker = LiveChecker(dep.forwarding_state, dep.network.trace)
     flow = Flow.between(old[0], old[-1], size=1.0, old_path=old)
     dep.install_flow(flow)
     dep.controller.update_flow(flow.flow_id, new, update_type)
     dep.run(until=10_000.0)
-    assert checker.ok, checker.violations
+    assert dep.checker.ok, dep.checker.violations
     _, outcome = dep.forwarding_state.walk(flow.flow_id)
     assert outcome == "delivered", "the flow must never lose its path"
 
@@ -119,12 +116,11 @@ def test_consistency_under_duplicated_messages(case):
     dep.network.control_fault_model = FaultModel(
         rng=np.random.default_rng(seed ^ 0x654321), duplicate_prob=0.5
     )
-    checker = LiveChecker(dep.forwarding_state, dep.network.trace)
     flow = Flow.between(old[0], old[-1], size=1.0, old_path=old)
     dep.install_flow(flow)
     dep.controller.update_flow(flow.flow_id, new, update_type)
     dep.run(until=10_000.0)
-    assert checker.ok, checker.violations
+    assert dep.checker.ok, dep.checker.violations
     assert dep.controller.update_complete(flow.flow_id)
     walk, outcome = dep.forwarding_state.walk(flow.flow_id)
     assert outcome == "delivered" and walk == new
@@ -140,7 +136,6 @@ def test_rapid_successive_updates_converge_to_highest_version(case, n_updates):
     topo = ring_topology(n, latency_ms=1.0)
     topo.set_controller(old[0])
     dep = build_p4update_network(topo, params=fast_params(seed))
-    checker = LiveChecker(dep.forwarding_state, dep.network.trace)
     flow = Flow.between(old[0], old[-1], size=1.0, old_path=old)
     dep.install_flow(flow)
     # Alternate between the two arcs without waiting for completion.
@@ -148,7 +143,7 @@ def test_rapid_successive_updates_converge_to_highest_version(case, n_updates):
     for target in targets:
         dep.controller.update_flow(flow.flow_id, list(target), UpdateType.SINGLE)
     dep.run(until=20_000.0)
-    assert checker.ok, checker.violations
+    assert dep.checker.ok, dep.checker.violations
     walk, outcome = dep.forwarding_state.walk(flow.flow_id)
     assert outcome == "delivered"
     assert walk == targets[-1], "must converge to the highest version"
@@ -181,12 +176,11 @@ def test_corrupted_unm_distances_never_break_consistency(seed):
         corrupt_prob=0.4,
         corruptor=corrupt,
     )
-    checker = LiveChecker(dep.forwarding_state, dep.network.trace)
     flow = Flow.between("v0", "v7", size=1.0, old_path=list(FIG1_OLD_PATH))
     dep.install_flow(flow)
     dep.controller.update_flow(flow.flow_id, list(FIG1_NEW_PATH), UpdateType.DUAL)
     dep.run(until=10_000.0)
-    assert checker.ok, checker.violations
+    assert dep.checker.ok, dep.checker.violations
     _, outcome = dep.forwarding_state.walk(flow.flow_id)
     assert outcome == "delivered"
 
@@ -216,11 +210,10 @@ def test_forged_plausible_label_defeats_local_verification():
         corrupt_prob=1.0,
         corruptor=forge,
     )
-    checker = LiveChecker(dep.forwarding_state, dep.network.trace)
     flow = Flow.between("v0", "v7", size=1.0, old_path=list(FIG1_OLD_PATH))
     dep.install_flow(flow)
     dep.controller.update_flow(flow.flow_id, list(FIG1_NEW_PATH), UpdateType.DUAL)
     dep.run(until=10_000.0)
-    assert any(v.kind == "loop" for v in checker.violations), (
+    assert any(v.kind == "loop" for v in dep.checker.violations), (
         "the forged segment id should have slipped past local checks"
     )

@@ -2,7 +2,6 @@
 fast-forward interplay, multi-flow coexistence on one switch."""
 
 
-from repro.consistency.checker import LiveChecker
 from repro.core.messages import UpdateType
 from repro.harness.build import build_p4update_network
 from repro.params import DelayDistribution, SimParams
@@ -30,7 +29,6 @@ def deployment(install_ms=1.0):
 
 def test_two_flows_coexist_on_shared_switches():
     dep = deployment()
-    checker = LiveChecker(dep.forwarding_state, dep.network.trace)
     f1 = Flow.between("n0", "n3", size=1.0, old_path=["n0", "n1", "n2", "n3"])
     f2 = Flow.between("n1", "n4", size=1.0, old_path=["n1", "n2", "n3", "n4"])
     dep.install_flow(f1)
@@ -39,7 +37,7 @@ def test_two_flows_coexist_on_shared_switches():
     dep.controller.update_flow(f2.flow_id, ["n1", "n0", "n5", "n4"], UpdateType.SINGLE)
     dep.run()
     assert dep.controller.all_updates_complete()
-    assert checker.ok, checker.violations
+    assert dep.checker.ok, dep.checker.violations
     for flow, target in ((f1, ["n0", "n5", "n4", "n3"]), (f2, ["n1", "n0", "n5", "n4"])):
         walk, outcome = dep.forwarding_state.walk(flow.flow_id)
         assert outcome == "delivered" and walk == target
@@ -49,7 +47,6 @@ def test_fast_forward_supersedes_slow_install():
     """A v2 install still in flight is superseded by v3: the final
     state must be v3's rules, never a late v2 overwrite."""
     dep = deployment(install_ms=50.0)
-    checker = LiveChecker(dep.forwarding_state, dep.network.trace)
     flow = Flow.between("n0", "n3", size=1.0, old_path=["n0", "n1", "n2", "n3"])
     dep.install_flow(flow)
     dep.controller.update_flow(flow.flow_id, ["n0", "n5", "n4", "n3"], UpdateType.SINGLE)
@@ -59,7 +56,7 @@ def test_fast_forward_supersedes_slow_install():
         flow.flow_id, ["n0", "n1", "n2", "n3"], UpdateType.SINGLE,
     )
     dep.run()
-    assert checker.ok, checker.violations
+    assert dep.checker.ok, dep.checker.violations
     walk, outcome = dep.forwarding_state.walk(flow.flow_id)
     assert outcome == "delivered" and walk == ["n0", "n1", "n2", "n3"]
     # Every switch converged to version 3 where it holds the flow.

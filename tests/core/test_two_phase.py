@@ -9,7 +9,6 @@ give the weaker relative consistency (mixed but loop-free paths).
 
 import pytest
 
-from repro.consistency.checker import LiveChecker
 from repro.core.messages import UpdateType
 from repro.harness.build import build_p4update_network
 from repro.harness.probes import ProbeSource
@@ -73,11 +72,10 @@ def run_with_probes(dep, flow, update, probe_until=400.0):
 @pytest.mark.usefixtures("shadow_checker")     # N records for one tag flip
 def test_two_phase_update_completes():
     dep, flow = deployment()
-    checker = LiveChecker(dep.forwarding_state, dep.network.trace)
     dep.controller.two_phase_update(flow.flow_id, list(NEW))
     dep.run()
     assert dep.controller.update_complete(flow.flow_id)
-    assert checker.ok, checker.violations
+    assert dep.checker.ok, dep.checker.violations
     record = dep.controller.flow_db[flow.flow_id]
     assert record.current_tag == 1 and record.staged_tag is None
     walk, outcome = dep.forwarding_state.walk(flow.flow_id)

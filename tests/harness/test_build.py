@@ -2,12 +2,14 @@
 
 import pytest
 
+from repro.algos.registry import SYSTEMS, build_system
 from repro.harness.baselines_build import (
     build_central_network,
     build_ezsegway_network,
 )
 from repro.harness.build import assign_ports, build_p4update_network
 from repro.params import SimParams
+from repro.sim.trace import KIND_RULE_CHANGE
 from repro.topo.b4 import b4_topology
 from repro.topo.fattree import fattree_topology
 from repro.topo.synthetic import ring_topology
@@ -101,3 +103,18 @@ def test_one_deployment_class_behind_all_three_builders():
         )
     }
     assert len(kinds) == 1
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_every_deployment_is_checked(name):
+    """Every row's deployment, wrapped ones included, carries a checker
+    over its own forwarding state and trace: a loop set into the state
+    and one rule_change record on the trace yield a loop violation."""
+    dep = build_system(name, ring_topology(4), params=SimParams(seed=0))
+    assert dep.checker.state is dep.forwarding_state
+    assert dep.checker.ok
+    dep.forwarding_state.register_flow(9, "n0", "n2", 1.0)
+    dep.forwarding_state.set_rule(9, "n0", "n1")
+    dep.forwarding_state.set_rule(9, "n1", "n0")
+    dep.network.trace.record(1.0, KIND_RULE_CHANGE, "n1", flow=9)
+    assert [(v.kind, v.flow_id) for v in dep.checker.violations] == [("loop", 9)]

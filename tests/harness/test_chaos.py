@@ -7,7 +7,6 @@ and the updates must still complete.
 import numpy as np
 import pytest
 
-from repro.consistency.checker import LiveChecker
 from repro.harness.build import build_p4update_network
 from repro.harness.scenarios import multi_flow_scenario
 from repro.params import SimParams
@@ -40,7 +39,6 @@ def test_multi_flow_update_survives_chaos(seed):
     )
     for switch in dep.switches.values():
         switch.unm_timeout_ms = 400.0
-    checker = LiveChecker(dep.forwarding_state, dep.network.trace)
 
     for flow in scenario.flows:
         dep.install_flow(flow)
@@ -48,7 +46,7 @@ def test_multi_flow_update_survives_chaos(seed):
         dep.controller.update_flow(flow.flow_id, list(flow.new_path))
     dep.run()
 
-    assert checker.ok, checker.violations[:3]
+    assert dep.checker.ok, dep.checker.violations[:3]
     done = sum(dep.controller.update_complete(f.flow_id) for f in scenario.flows)
     assert done == len(scenario.flows), (
         f"only {done}/{len(scenario.flows)} flows completed under chaos"

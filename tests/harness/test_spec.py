@@ -78,6 +78,29 @@ def test_missing_flow_endpoint_rejected():
         build_scenario(spec)
 
 
+def test_misspelled_fields_are_spec_errors_naming_each(tmp_path, capsys):
+    spec = basic_spec()
+    spec["systm"] = spec.pop("system")
+    spec["congestion_awar"] = False
+    spec["topology"]["latency"] = 2.0
+    spec["flows"][0]["sise"] = spec["flows"][0].pop("size")
+    message = (
+        "unknown spec field(s) ['congestion_awar', 'systm']; "
+        "unknown topology field(s) ['latency']; "
+        "unknown flow #0 field(s) ['sise']"
+    )
+    with pytest.raises(SpecError) as raised:
+        run_spec(spec)
+    assert str(raised.value) == message
+
+    from repro.harness.cli import main
+
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps(spec))
+    assert main(["run", str(path)]) == 1
+    assert capsys.readouterr().err.endswith(f": {message}\n")
+
+
 def test_run_spec_end_to_end():
     result = run_spec(basic_spec())
     assert result.completed

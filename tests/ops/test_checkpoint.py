@@ -221,7 +221,7 @@ def test_stop_after_kill_point_then_resume(tmp_path, shadow_checker):
     assert read_manifest(ck_dir)["checkpoints"][-1]["index"] == 4
     # The replayed checker ran with the reference checker beside it
     # (compared at teardown).
-    assert resumed.service.checker in [shadow.shadows for shadow in shadow_checker]
+    assert resumed.service.deployment.checker in [shadow.shadows for shadow in shadow_checker]
 
 
 def test_checkpoint_bytes_do_not_depend_on_sink(tmp_path):

@@ -200,7 +200,7 @@ def _campaign(document: dict[str, Any], obs: ObsContext = NULL_OBS) -> dict[str,
     """``repro.chaos.runner.run_campaign`` up to the horizon, keeping
     the deployment instead of reducing it to a result."""
     campaign = load_campaign(document)
-    deployment, _scenario, _checker = build_campaign_deployment(campaign, obs)
+    deployment, _scenario = build_campaign_deployment(campaign, obs)
     deployment.run(until=campaign.horizon_ms)
     network = deployment.network
     faults = {

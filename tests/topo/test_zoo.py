@@ -98,7 +98,6 @@ def test_disconnected_keeps_largest_component():
 
 def test_zoo_topology_usable_in_experiment():
     """A loaded Zoo topology drives a full P4Update run."""
-    from repro.consistency.checker import LiveChecker
     from repro.core.messages import UpdateType
     from repro.harness.build import build_p4update_network
     from repro.params import SimParams
@@ -106,7 +105,6 @@ def test_zoo_topology_usable_in_experiment():
 
     topo = sample_zoo_topology()
     dep = build_p4update_network(topo, params=SimParams(seed=0))
-    checker = LiveChecker(dep.forwarding_state, dep.network.trace)
     flow = Flow.between(
         "Vienna", "Zurich", size=1.0, old_path=["Vienna", "Munich", "Zurich"]
     )
@@ -116,4 +114,4 @@ def test_zoo_topology_usable_in_experiment():
     )
     dep.run()
     assert dep.controller.update_complete(flow.flow_id)
-    assert checker.ok
+    assert dep.checker.ok
