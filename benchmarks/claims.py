@@ -37,10 +37,10 @@ from repro.algos.registry import build_system, system_names
 from repro.core.messages import UpdateType
 from repro.harness.analysis import watch_messages
 from repro.harness.experiment import RuleChanges, run_experiment
-from repro.harness.fig_experiments import FIG7_SCENARIOS, fig7_sweep_spec, run_fig2, run_fig4
+from repro.harness.fig_experiments import fig7_sweep_spec, run_fig2, run_fig4
 from repro.harness.prep import FIG8_TOPOLOGIES, fig8_sweep_spec
 from repro.harness.probes import ProbeSource
-from repro.harness.scenarios import UpdateScenario
+from repro.harness.scenarios import FIG7_SCENARIOS, UpdateScenario
 from repro.params import DelayDistribution, SimParams
 from repro.sim.faults import FaultModel
 from repro.sweep.executor import run_sweep

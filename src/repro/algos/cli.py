@@ -202,7 +202,11 @@ def add_compete_parser(sub: argparse._SubParsersAction) -> None:
         "--slack", type=float, default=0.25,
         help="helper-corridor spare capacity (negative = unresolvable)",
     )
-    pduel.add_argument("--strategies", default=None, help=_STRATEGIES_HELP)
+    pduel.add_argument(
+        "--strategies", default=None,
+        help="comma-separated strategy names (default: every registered one "
+             "that does not order updates at dispatch)",
+    )
     pduel.add_argument(
         "--out", default=None, help="also write the full duel JSON here"
     )

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from repro.algos.registry import system_names
-from repro.obs.causal import slo_summary
+from repro.obs.registry import slo_summary
 from repro.serve.service import run_service
 from repro.serve.sweep_kind import (
     SERVE_FIELDS,

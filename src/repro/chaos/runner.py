@@ -33,8 +33,7 @@ from repro.chaos.campaign import (
 )
 from repro.core.messages import UpdateType
 from repro.harness.build import Deployment
-from repro.harness.scenarios import UpdateScenario
-from repro.harness.sweep_kind import seeded_scenario
+from repro.harness.scenarios import UpdateScenario, seeded_scenario
 from repro.obs.context import ObsContext
 from repro.params import SimParams
 from repro.sim.faults import CompositeFaultModel, FaultModel, FaultPolicy

@@ -15,7 +15,7 @@ from repro.fuzz.lanes import FuzzLane
 from repro.fuzz.oracles import OracleVerdict, comparison_verdict
 from repro.fuzz.shrink import halve, reset
 from repro.harness.experiment import run_experiment
-from repro.harness.sweep_kind import seeded_scenario
+from repro.harness.scenarios import seeded_scenario
 from repro.params import SimParams
 
 _TOPOLOGIES = ("fig1", "b4", "internet2")

@@ -37,38 +37,16 @@ import json
 import sys
 from typing import Iterator
 
-import numpy as np
-
-from repro.core.messages import UpdateType
-from repro.harness.build import build_p4update_network
-from repro.harness.fig_experiments import (
-    FIG7_SCENARIOS,
-    FIG7_SYSTEMS,
-    fig7_sweep_spec,
-    run_fig2,
-    run_fig4,
-)
-from repro.harness.metrics import summarize
+from repro.harness.scenarios import FIG7_SCENARIOS
 from repro.loading import replacing, write_json_atomic
-from repro.obs.causal import critical_path, iter_causal_jsonl, perfetto_trace
 from repro.obs.context import NULL_OBS, make_obs
-from repro.obs.sampler import Sampler, format_samples
-from repro.obs.tracefile import (
-    event_to_dict,
-    export_trace_jsonl,
-    iter_filter_events,
-    iter_trace_jsonl,
-    open_jsonl,
-    summarize_events,
-)
-from repro.params import SimParams
-from repro.sim.trace import KIND_RULE_CHANGE, TraceEvent
 from repro.sweep.cli import CliError, add_fleet_flags, load_or_exit, run_fleet
-from repro.topo.synthetic import FIG1_NEW_PATH, FIG1_OLD_PATH, fig1_topology
-from repro.traffic.flows import Flow
 
 
 def cmd_fig2(args) -> int:
+    from repro.harness.fig_experiments import run_fig2
+    from repro.params import SimParams
+
     for system in ("ezsegway", "p4update"):
         result = run_fig2(system, params=SimParams(seed=args.seed))
         delivered = len({o.seq for o in result.delivered_at_v4})
@@ -81,6 +59,12 @@ def cmd_fig2(args) -> int:
 
 
 def cmd_fig4(args) -> int:
+    import numpy as np
+
+    from repro.harness.fig_experiments import run_fig4
+    from repro.harness.metrics import summarize
+    from repro.params import SimParams
+
     times = {"p4update": [], "ezsegway": []}
     for seed in range(args.runs):
         params = SimParams(seed=seed).with_dionysus_install_delay()
@@ -94,6 +78,10 @@ def cmd_fig4(args) -> int:
 
 
 def cmd_fig7(args) -> int:
+    from repro.harness.fig_experiments import fig7_sweep_spec
+    from repro.harness.metrics import summarize
+    from repro.harness.scenarios import FIG7_SYSTEMS
+
     spec = fig7_sweep_spec(args.scenario, runs=args.runs, seed=args.seed)
     results = run_fleet(spec, args)
     aggregates = results["aggregates"]
@@ -137,6 +125,11 @@ def cmd_run(args) -> int:
 def _demo_deployment(seed: int, obs=NULL_OBS):
     """The Fig. 1 network under ``obs``, and the flow on its old path
     (not yet installed)."""
+    from repro.harness.build import build_p4update_network
+    from repro.params import SimParams
+    from repro.topo.synthetic import FIG1_OLD_PATH, fig1_topology
+    from repro.traffic.flows import Flow
+
     deployment = build_p4update_network(
         fig1_topology(), params=SimParams(seed=seed), obs=obs
     )
@@ -146,6 +139,10 @@ def _demo_deployment(seed: int, obs=NULL_OBS):
 
 
 def cmd_demo(args) -> int:
+    from repro.core.messages import UpdateType
+    from repro.sim.trace import KIND_RULE_CHANGE, TraceEvent
+    from repro.topo.synthetic import FIG1_NEW_PATH
+
     deployment, flow = _demo_deployment(args.seed)
     rule_changes: list[TraceEvent] = []
     deployment.network.trace.subscribe(rule_changes.append, (KIND_RULE_CHANGE,))
@@ -162,6 +159,11 @@ def cmd_demo(args) -> int:
 
 
 def cmd_obs_export(args) -> int:
+    from repro.core.messages import UpdateType
+    from repro.obs.sampler import Sampler, format_samples
+    from repro.obs.tracefile import export_trace_jsonl
+    from repro.topo.synthetic import FIG1_NEW_PATH
+
     obs = make_obs()
     with Sampler() if args.profile else contextlib.nullcontext() as sampler:
         deployment, flow = _demo_deployment(args.seed, obs)
@@ -216,6 +218,14 @@ def _writing(noun: str, path: str) -> Iterator[None]:
 
 
 def cmd_obs_filter(args) -> int:
+    from repro.obs.tracefile import (
+        event_to_dict,
+        export_trace_jsonl,
+        iter_filter_events,
+        iter_trace_jsonl,
+        open_jsonl,
+    )
+
     with _reading("trace", args.trace):
         selected = iter_filter_events(
             iter_trace_jsonl(args.trace),
@@ -237,6 +247,8 @@ def cmd_obs_filter(args) -> int:
 
 
 def cmd_obs_summary(args) -> int:
+    from repro.obs.tracefile import iter_trace_jsonl, summarize_events
+
     with _reading("trace", args.trace):
         report = summarize_events(iter_trace_jsonl(args.trace))
     print(f"events:  {report['events']}")
@@ -258,6 +270,8 @@ def cmd_obs_summary(args) -> int:
 
 
 def cmd_obs_requests(args) -> int:
+    from repro.obs.causal import iter_causal_jsonl
+
     print(f"{'shard':<14s} {'req':>4s} {'flow':>4s} "
           f"{'outcome':<12s} {'e2e ms':>10s}  top segments")
     with _reading("causal file", args.causal):
@@ -281,6 +295,8 @@ def cmd_obs_requests(args) -> int:
 
 
 def cmd_obs_critical_path(args) -> int:
+    from repro.obs.causal import critical_path, iter_causal_jsonl
+
     with _reading("causal file", args.causal):
         for dag in iter_causal_jsonl(args.causal):
             if dag["request_id"] != args.request:
@@ -304,6 +320,8 @@ def cmd_obs_critical_path(args) -> int:
 
 
 def cmd_obs_perfetto(args) -> int:
+    from repro.obs.causal import iter_causal_jsonl, perfetto_trace
+
     with _reading("causal file", args.causal):
         doc = perfetto_trace(iter_causal_jsonl(args.causal))
     with _writing("perfetto trace", args.out):

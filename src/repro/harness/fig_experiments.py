@@ -8,10 +8,11 @@ the Fig. 7 evaluation matrix.
 * :func:`run_fig4` — the fast-forward scenario: a simple update U3 is
   issued while the complex U2 is still ongoing; P4Update jumps ahead,
   ez-Segway serializes.
-* :data:`FIG7_SCENARIOS` / :func:`fig7_sweep_spec` — the §9 scenario x
-  topology matrix, expressed as a :mod:`repro.sweep` fleet so the grid's
-  cells run in parallel worker processes (``p4update-repro fig7
-  --workers N``); the experiment kind's aggregate pairs the systems.
+* :func:`fig7_sweep_spec` — the §9 scenario x topology matrix
+  (:data:`repro.harness.scenarios.FIG7_SCENARIOS`), expressed as a
+  :mod:`repro.sweep` fleet so the grid's cells run in parallel worker
+  processes (``p4update-repro fig7 --workers N``); the experiment
+  kind's aggregate pairs the systems.
 """
 
 from __future__ import annotations
@@ -22,7 +23,12 @@ from typing import Optional
 from repro.algos.registry import build_system, system_row
 from repro.harness.experiment import RuleChanges
 from repro.harness.probes import ProbeSource, duplicate_receives
-from repro.harness.scenarios import FastForwardScenario, InconsistentUpdateScenario
+from repro.harness.scenarios import (
+    FIG7_SCENARIOS,
+    FIG7_SYSTEMS,
+    FastForwardScenario,
+    InconsistentUpdateScenario,
+)
 from repro.params import SimParams
 from repro.sim.faults import CompositeFaultModel, FaultAction, ScriptedFault
 from repro.topo.synthetic import fig2_topology, six_node_topology
@@ -109,19 +115,6 @@ def run_fig2(
 
 
 # -- Fig. 7: the scenario x topology matrix as a sweep ---------------------------
-
-#: Cell letter -> (scenario kind, sweep topology name), Fig. 7 (a)-(f).
-FIG7_SCENARIOS = {
-    "a": ("single", "fig1"),
-    "b": ("multi", "fattree4"),
-    "c": ("single", "b4"),
-    "d": ("multi", "b4"),
-    "e": ("single", "internet2"),
-    "f": ("multi", "internet2"),
-}
-
-FIG7_SYSTEMS = ("p4update-sl", "p4update-dl", "ezsegway", "central")
-
 
 def fig7_sweep_spec(scenario: str, runs: int = 15, seed: int = 0):
     """One Fig. 7 cell as a sweep spec: ``runs`` paired seeds across

@@ -20,10 +20,6 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.baselines.ezsegway import (
-    congestion_dependency_graph,
-    prepare_ez_update,
-)
 from repro.core.messages import UpdateType
 from repro.harness.build import Deployment, build_p4update_network
 from repro.harness.scenarios import UpdateScenario, multi_flow_scenario
@@ -113,6 +109,8 @@ def time_p4update(
 
 
 def time_ez(flows: list, updates: int = DEFAULT_UPDATES) -> float:
+    from repro.baselines.ezsegway import prepare_ez_update
+
     def once() -> float:
         start = time.perf_counter()  # repro: ignore[wall-clock] fig8 measures real prep time
         for i in range(updates):
@@ -128,6 +126,8 @@ def time_ez(flows: list, updates: int = DEFAULT_UPDATES) -> float:
 def time_ez_congestion(
     topo: Topology, flows: list, updates: int = DEFAULT_UPDATES
 ) -> float:
+    from repro.baselines.ezsegway import congestion_dependency_graph
+
     capacities = {frozenset((e.a, e.b)): e.capacity for e in topo.edges}
     rounds = 20
     start = time.perf_counter()  # repro: ignore[wall-clock] fig8 measures real prep time
@@ -146,6 +146,12 @@ def count_operations(
     updates: int = DEFAULT_COUNT_UPDATES,
 ) -> tuple[int, int, int]:
     """Deterministic operation counts for the three preparations."""
+    # Imported here, outside every counted call (ez-Segway is loaded
+    # only by a process that measures Fig. 8).
+    from repro.baselines.ezsegway import (
+        congestion_dependency_graph,
+        prepare_ez_update,
+    )
 
     def p4() -> None:
         for i in range(updates):

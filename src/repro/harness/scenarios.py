@@ -21,6 +21,7 @@ from typing import Optional
 import numpy as np
 
 from repro.core.segmentation import compute_segments
+from repro.topo import TOPOLOGIES
 from repro.topo.graph import Topology
 from repro.topo.paths import NoPathError, shortest_simple_paths
 from repro.topo.synthetic import (
@@ -256,6 +257,30 @@ def multi_flow_scenario(
         f"could not generate a feasible near-capacity workload on "
         f"{topo.name!r} after {max_attempts} attempts"
     )
+
+
+#: Cell letter -> (scenario kind, sweep topology name), Fig. 7 (a)-(f).
+FIG7_SCENARIOS = {
+    "a": ("single", "fig1"),
+    "b": ("multi", "fattree4"),
+    "c": ("single", "b4"),
+    "d": ("multi", "b4"),
+    "e": ("single", "internet2"),
+    "f": ("multi", "internet2"),
+}
+
+FIG7_SYSTEMS = ("p4update-sl", "p4update-dl", "ezsegway", "central")
+
+#: Scenario-stream domain separator (distinct from the params seed use).
+_SCENARIO_STREAM = 0x5CE2
+
+
+def seeded_scenario(topology: str, scenario: str, seed: int) -> UpdateScenario:
+    """The ``single``/``multi`` workload a seeded shard runs on a named
+    topology.  Raises ``RuntimeError`` when none is feasible (§9.1)."""
+    rng = np.random.default_rng([seed, _SCENARIO_STREAM])
+    build = single_flow_scenario if scenario == "single" else multi_flow_scenario
+    return build(TOPOLOGIES[topology](), rng=rng)
 
 
 # -- Fig. 2: inconsistent updates ------------------------------------------------------

@@ -45,28 +45,40 @@ _SPEC_FIELDS = ("description", "topology", "controller", "system", "seed",
                 "congestion_aware", "dionysus_install_delays", "flows")
 _TOPOLOGY_FIELDS = ("name", "file", "k", "n", "latency_ms")
 _FLOW_FIELDS = ("src", "dst", "size", "old_path", "new_path", "flow_id")
+#: The parameter fields each parameterised topology reads; a registered
+#: topology and a GraphML ``file`` read none, and any other is refused.
+_TOPOLOGY_PARAMS = {"fattree": ("k",), "ring": ("n", "latency_ms")}
 
 
 def build_topology(spec: dict) -> Topology:
-    """Materialise the ``topology`` section of a spec."""
-    if "file" in spec:
-        return load_graphml(spec["file"], name=spec.get("name"))
+    """Materialise the ``topology`` section of a spec.  A field the
+    named topology does not read (``n`` on ``b4``) is a
+    :class:`SpecError` naming it, not a silent no-op."""
     name = spec.get("name")
+    if "file" in spec:
+        _refuse_unread(spec, repr(spec["file"]), ("name", "file"))
+        return load_graphml(spec["file"], name=name)
     if name is None:
         raise SpecError("topology needs a 'name' or a 'file'")
+    if name not in TOPOLOGIES and name not in _TOPOLOGY_PARAMS:
+        raise SpecError(
+            f"unknown topology {name!r}; choose from "
+            f"{sorted(TOPOLOGIES) + ['fattree', 'ring']}"
+        )
+    _refuse_unread(spec, repr(name), ("name", *_TOPOLOGY_PARAMS.get(name, ())))
     if name == "fattree":
         return fattree_topology(int(spec.get("k", 4)))
     if name == "ring":
         return ring_topology(
             int(spec.get("n", 6)), latency_ms=float(spec.get("latency_ms", 1.0))
         )
-    builder = TOPOLOGIES.get(name)
-    if builder is None:
-        raise SpecError(
-            f"unknown topology {name!r}; choose from "
-            f"{sorted(TOPOLOGIES) + ['fattree', 'ring']}"
-        )
-    return builder()
+    return TOPOLOGIES[name]()
+
+
+def _refuse_unread(spec: dict, topology: str, reads: tuple[str, ...]) -> None:
+    unread = sorted(set(spec) - set(reads))
+    if unread:
+        raise SpecError(f"topology {topology} does not read field(s) {unread}")
 
 
 def _resolve_path(topo: Topology, src: str, dst: str, spec: Any, label: str):

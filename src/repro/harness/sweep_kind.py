@@ -14,19 +14,13 @@ import dataclasses
 import itertools
 from typing import Any, Iterator, Optional
 
-import numpy as np
-
 from repro.harness.experiment import experiment_row, run_experiment
 from repro.harness.prep import (
     DEFAULT_COUNT_UPDATES,
     DEFAULT_UPDATES,
     prep_operation_counts,
 )
-from repro.harness.scenarios import (
-    UpdateScenario,
-    multi_flow_scenario,
-    single_flow_scenario,
-)
+from repro.harness.scenarios import seeded_scenario
 from repro.obs.context import NULL_OBS
 from repro.params import SimParams, check_overrides
 from repro.sweep.kinds import ShardPlan, SweepKind
@@ -35,9 +29,6 @@ from repro.topo import TOPOLOGIES
 
 SCENARIO_KINDS = ("single", "multi")
 
-#: Scenario-stream domain separator (distinct from the params seed use).
-_SCENARIO_STREAM = 0x5CE2
-
 
 def _check_names(noun: str, names: list, known: Any) -> None:
     for name in names:
@@ -45,14 +36,6 @@ def _check_names(noun: str, names: list, known: Any) -> None:
             raise SweepSpecError(
                 f"unknown {noun} {name!r}; known: {tuple(known)}"
             )
-
-
-def seeded_scenario(topology: str, scenario: str, seed: int) -> UpdateScenario:
-    """The ``single``/``multi`` workload a seeded shard runs on a named
-    topology.  Raises ``RuntimeError`` when none is feasible (§9.1)."""
-    rng = np.random.default_rng([seed, _SCENARIO_STREAM])
-    build = single_flow_scenario if scenario == "single" else multi_flow_scenario
-    return build(TOPOLOGIES[topology](), rng=rng)
 
 
 # -- experiment ---------------------------------------------------------------

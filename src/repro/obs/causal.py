@@ -54,6 +54,7 @@ import json
 import math
 from typing import Any, Iterable, Iterator, Optional
 
+from repro.obs.registry import slo_summary
 from repro.sim.trace import (
     KIND_FLOW_PARKED,
     KIND_REQUEST_ADMITTED,
@@ -383,28 +384,6 @@ def critical_path(dag: dict) -> dict[str, Any]:
 
 
 # -- aggregation --------------------------------------------------------------
-
-
-def nearest_rank(values: list[float], pct: int) -> Optional[float]:
-    """Nearest-rank percentile — pure python, no float surprises."""
-    if not values:
-        return None
-    ordered = sorted(values)
-    rank = max(1, -(-len(ordered) * pct // 100))  # ceil without floats
-    return ordered[rank - 1]
-
-
-#: SLO percentiles reported per latency series.
-_PERCENTILES = (50, 90, 99)
-
-
-def slo_summary(values: list[float]) -> dict[str, Any]:
-    """Count, nearest-rank SLO percentiles and max of one latency series."""
-    doc: dict[str, Any] = {"count": len(values)}
-    for pct in _PERCENTILES:
-        doc[f"p{pct}"] = nearest_rank(values, pct)
-    doc["max"] = max(values) if values else None
-    return doc
 
 
 def summarize_attribution(rows: Iterable[dict]) -> dict[str, Any]:

@@ -31,7 +31,9 @@ needs none: on a disabled context it returns a shared null family.
 Histograms are *streaming*: they keep geometric buckets (≈9 % wide)
 plus exact count/sum/min/max, so p50/p90/p99 estimates never require
 storing the samples.  The estimation error is bounded by the bucket
-width.
+width.  A run's reported SLOs are exact instead: :func:`slo_summary`
+takes nearest-rank percentiles over the whole series (serve, ops and
+causal attribution all report through it).
 
 The :class:`NullRegistry` is the default everywhere: every instrument
 request returns a shared no-op singleton, so instrumented code paths
@@ -42,7 +44,7 @@ when observability is off, and a derived metric costs nothing.
 from __future__ import annotations
 
 import math
-from typing import Iterator, Optional
+from typing import Any, Iterator, Optional
 
 # Geometric bucket growth: 2**(1/8) per bucket ≈ 9.05 % relative
 # width, i.e. quantile estimates are within ~4.5 % of the true value.
@@ -177,6 +179,28 @@ class Histogram:
             "p90": self.p90,
             "p99": self.p99,
         }
+
+
+def nearest_rank(values: list[float], pct: int) -> Optional[float]:
+    """Nearest-rank percentile — pure python, no float surprises."""
+    if not values:
+        return None
+    ordered = sorted(values)
+    rank = max(1, -(-len(ordered) * pct // 100))  # ceil without floats
+    return ordered[rank - 1]
+
+
+#: SLO percentiles reported per latency series.
+_PERCENTILES = (50, 90, 99)
+
+
+def slo_summary(values: list[float]) -> dict[str, Any]:
+    """Count, nearest-rank SLO percentiles and max of one latency series."""
+    doc: dict[str, Any] = {"count": len(values)}
+    for pct in _PERCENTILES:
+        doc[f"p{pct}"] = nearest_rank(values, pct)
+    doc["max"] = max(values) if values else None
+    return doc
 
 
 class _Family(dict):

@@ -26,10 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
-from repro.analysis.interference import footprint_from_paths
 from repro.loading import spec_digest
-from repro.obs.causal import slo_summary
 from repro.obs.context import NULL_OBS, ObsContext
+from repro.obs.registry import slo_summary
 from repro.ops.spec import SessionSpec
 from repro.serve.service import ServiceResult, ServiceSession, link_capacities
 from repro.sim.trace import TraceEvent, trace_signature
@@ -530,6 +529,8 @@ class OpsSession:
         accepting a move only when its capacity footprint (the
         interference analyzer's deltas) relieves the hot edge without
         overcommitting any other edge."""
+        from repro.analysis.interference import footprint_from_paths
+
         capacities = link_capacities(self.topo)
         loads = self._edge_loads()
         overcommitted = sorted(

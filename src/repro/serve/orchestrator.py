@@ -30,13 +30,8 @@ rule in CI).
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
-from repro.analysis.interference import (
-    PlanFootprint,
-    footprint_from_paths,
-    pair_conflicts,
-)
 from repro.obs.context import NULL_OBS, ObsContext
 from repro.serve.model import (
     OUTCOME_ABORTED,
@@ -62,6 +57,9 @@ from repro.sim.trace import (
     ORCHESTRATOR_NODE,
     TraceEvent,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.analysis.interference import PlanFootprint
 
 
 class ServiceOrchestrator:
@@ -111,6 +109,13 @@ class ServiceOrchestrator:
         # clock, no trace events — so a gated conflict-free run is
         # bit-identical to a gate-off run.
         self._gate = spec.static_interference
+        if self._gate != "off" or hasattr(deployment, "dispatch_gate"):
+            # Static footprints serve this gate and a strategy's dispatch
+            # gate: the analyzer is loaded here, once, only for such a run.
+            from repro.analysis import interference
+
+            self._footprint_from_paths = interference.footprint_from_paths
+            self._pair_conflicts = interference.pair_conflicts
         self._capacities = capacities or {}
         self._inflight_footprints: dict[int, PlanFootprint] = {}
         self.interference_events: list[dict] = []
@@ -257,7 +262,7 @@ class ServiceOrchestrator:
             return None
         flow = self.flows[flow_id]
         current = tuple(record.current_path)
-        return footprint_from_paths(
+        return self._footprint_from_paths(
             flow_id, current, flow.other_path(current), flow.size
         )
 
@@ -271,7 +276,7 @@ class ServiceOrchestrator:
         conflicts: list[dict] = []
         for other in self._inflight_footprints.values():
             conflicts.extend(
-                pair_conflicts(candidate, other, self._capacities)
+                self._pair_conflicts(candidate, other, self._capacities)
             )
         return conflicts
 

@@ -19,11 +19,9 @@ from typing import Any, Optional
 import numpy as np
 
 from repro.algos.registry import build_system
-from repro.chaos.runner import schedule_topo_events
 from repro.loading import spec_digest
-from repro.obs.causal import CausalTracker, slo_summary, summarize_attribution
 from repro.obs.context import NULL_OBS, ObsContext
-from repro.obs.registry import NullRegistry
+from repro.obs.registry import NullRegistry, slo_summary
 from repro.obs.spans import NullSpanTracker
 from repro.params import SimParams
 from repro.serve.model import OUTCOME_COMPLETED, OUTCOMES
@@ -266,7 +264,10 @@ class ServiceSession:
             spec, self.deployment, self.population, obs=obs,
             capacities=link_capacities(self.deployment.topology),
         )
-        schedule_topo_events(self.deployment, spec.topo_events())
+        if spec.events:
+            from repro.chaos.runner import schedule_topo_events
+
+            schedule_topo_events(self.deployment, spec.topo_events())
         self.arrival_rng = np.random.default_rng([spec.seed, _ARRIVAL_STREAM])
         self._cdf = flow_cdf(flow_weights(self.population))
         self._issued = 0
@@ -332,6 +333,8 @@ class ServiceSession:
         causal_dags = None
         tracker = self.obs.causal if self.spec.causal else None
         if tracker is not None:
+            from repro.obs.causal import summarize_attribution
+
             rows = tracker.attribution_rows()
             attribution = {"rows": rows, "summary": summarize_attribution(rows)}
             causal_dags = tracker.dags()
@@ -368,6 +371,8 @@ def run_service(
     """Run one complete service workload described by ``spec``."""
     obs = obs if obs is not None else NULL_OBS
     if spec.causal:
+        from repro.obs.causal import CausalTracker
+
         tracker = CausalTracker()
         if obs is NULL_OBS:
             # Causal tracing without metrics: a fresh disabled-metrics

@@ -25,8 +25,8 @@ bit-identical per-request record list (asserted by ``tests/serve/``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from repro.chaos.campaign import TopoEvent, validate_events_against_topology
 from repro.loading import (
     dataclass_from_object,
     plain,
@@ -35,6 +35,9 @@ from repro.loading import (
 )
 from repro.params import check_overrides
 from repro.topo import TOPOLOGIES
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.chaos.campaign import TopoEvent
 
 SERVE_MODES = ("open", "closed")
 SHED_POLICIES = ("reject", "park")
@@ -154,6 +157,10 @@ class ServeSpec:
                 f"registered: {system_names()}"
             )
         check_overrides(self.params, ServeSpecError)
+        if not self.events:
+            return
+        from repro.chaos.campaign import validate_events_against_topology
+
         # Parsed and checked against the topology here, so a bad event
         # is a load-time error and never a mid-run KeyError.
         try:
@@ -164,7 +171,10 @@ class ServeSpec:
             raise ServeSpecError(f"events: {exc}") from None
 
     def topo_events(self) -> tuple[TopoEvent, ...]:
-        """``events`` as :class:`~repro.chaos.campaign.TopoEvent`s."""
+        """``events`` as :class:`~repro.chaos.campaign.TopoEvent`s.
+        Loads :mod:`repro.chaos`: callers ask only when there are some."""
+        from repro.chaos.campaign import TopoEvent
+
         return tuple(
             TopoEvent(**require_object(e, "event", TypeError))
             for e in self.events

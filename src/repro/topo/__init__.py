@@ -5,30 +5,40 @@ derived from great-circle distance at fibre propagation speed
 (:mod:`repro.topo.latency`).  Node/edge counts match the paper's
 2-tuples: B4 (12, 19), Internet2 (16, 26), AttMpls (25, 56),
 Chinanet (38, 62).
+
+:data:`TOPOLOGIES` names each factory by ``module:attribute``: a
+topology's module is imported on the first call of its factory, so a
+process that runs on B4 never loads the Chinanet site table.
 """
 
 import functools
 from typing import Callable
 
-from repro.topo.attmpls import attmpls_topology
-from repro.topo.b4 import b4_topology
-from repro.topo.chinanet import chinanet_topology
-from repro.topo.fattree import fattree_topology
+from repro.loading import resolve_attribute
 from repro.topo.graph import Topology
-from repro.topo.internet2 import internet2_topology
-from repro.topo.synthetic import fig1_topology, fig2_topology, six_node_topology
+
+
+def _factory(path: str, *args: int) -> Callable[[], Topology]:
+    """The factory ``path`` names, resolved when it is called."""
+
+    def build() -> Topology:
+        topology: Topology = resolve_attribute(path)(*args)
+        return topology
+
+    return build
+
 
 #: The one name -> factory table: every spec format (experiment, chaos,
 #: serve, ops, sweep, fuzz) resolves topology names here.
 TOPOLOGIES: dict[str, Callable[[], Topology]] = {
-    "fig1": fig1_topology,
-    "fig2": fig2_topology,
-    "six_node": six_node_topology,
-    "b4": b4_topology,
-    "internet2": internet2_topology,
-    "attmpls": attmpls_topology,
-    "chinanet": chinanet_topology,
-    "fattree4": lambda: fattree_topology(4),
+    "fig1": _factory("repro.topo.synthetic:fig1_topology"),
+    "fig2": _factory("repro.topo.synthetic:fig2_topology"),
+    "six_node": _factory("repro.topo.synthetic:six_node_topology"),
+    "b4": _factory("repro.topo.b4:b4_topology"),
+    "internet2": _factory("repro.topo.internet2:internet2_topology"),
+    "attmpls": _factory("repro.topo.attmpls:attmpls_topology"),
+    "chinanet": _factory("repro.topo.chinanet:chinanet_topology"),
+    "fattree4": _factory("repro.topo.fattree:fattree_topology", 4),
 }
 
 

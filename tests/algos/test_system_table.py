@@ -15,7 +15,7 @@ import repro.harness.build as build
 from repro.algos.registry import SYSTEMS, SystemRow, build_system
 from repro.core.controller import P4UpdateController
 from repro.harness.experiment import run_experiment
-from repro.harness.sweep_kind import seeded_scenario
+from repro.harness.scenarios import seeded_scenario
 from repro.params import SimParams
 from repro.serve.service import run_service
 from repro.serve.spec import load_serve_spec

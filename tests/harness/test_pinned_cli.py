@@ -50,7 +50,10 @@ that timed each callback.  The ``analyze pipeline --help`` case lost
 its ``--no-runtime-cap`` flag when the analyzer came to read the
 resubmit cap from the switch that runs the program.  The ``sweep run
 --workers 0`` case was added with the fix that made a worker count
-below 1 a usage error instead of a banner and a traceback.
+below 1 a usage error instead of a banner and a traceback.  The
+``compete duel --help`` case was re-recorded once, when its
+``--strategies`` text came to say that the default line-up leaves out
+the rows that order updates at dispatch.
 Regenerate only for a deliberate change (and empty
 ``FIXED`` when you do)::
 

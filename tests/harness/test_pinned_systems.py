@@ -39,7 +39,7 @@ import pytest
 from repro.harness import baselines_build, build
 from repro.harness.experiment import run_experiment
 from repro.harness.fig_experiments import run_fig2, run_fig4
-from repro.harness.sweep_kind import seeded_scenario
+from repro.harness.scenarios import seeded_scenario
 from repro.obs.context import make_obs
 from repro.params import SimParams
 from repro.sim.trace import trace_signature

@@ -42,6 +42,26 @@ def test_unknown_topology_rejected():
         build_topology({})
 
 
+@pytest.mark.parametrize(
+    "topology,unread",
+    [
+        ({"name": "b4", "n": 6}, "['n']"),
+        ({"name": "fattree", "k": 4, "latency_ms": 2.0}, "['latency_ms']"),
+        ({"name": "ring", "k": 4}, "['k']"),
+        ({"name": "chinanet", "k": 2, "n": 3, "latency_ms": 1.0}, "['k', 'latency_ms', 'n']"),
+    ],
+    ids=["n-on-b4", "latency-on-fattree", "k-on-ring", "all-on-chinanet"],
+)
+def test_a_field_the_topology_does_not_read_is_a_spec_error(topology, unread):
+    name = topology["name"]
+    with pytest.raises(SpecError) as raised:
+        build_topology(topology)
+    assert str(raised.value) == f"topology {name!r} does not read field(s) {unread}"
+    spec = dict(basic_spec(), topology=topology)
+    with pytest.raises(SpecError, match=r"does not read field\(s\)"):
+        run_spec(spec)
+
+
 def test_build_scenario_resolves_paths():
     spec = basic_spec()
     spec["flows"][0]["old_path"] = "shortest"

@@ -14,11 +14,11 @@ from repro.obs.causal import (
     CausalTracker,
     critical_path,
     iter_causal_jsonl,
-    nearest_rank,
     perfetto_trace,
     summarize_attribution,
     write_causal_jsonl,
 )
+from repro.obs.registry import nearest_rank
 from repro.sim.trace import TraceEvent
 
 _ORCH = "orchestrator"

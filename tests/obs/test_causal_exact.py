@@ -80,7 +80,7 @@ def test_request_sized_lifetimes_stay_under_the_residual_bound(start, requests):
 
 def test_a_traced_service_run_exports_the_reference_bytes(monkeypatch):
     """End to end: swap the reference in under a causal serve run."""
-    import repro.serve.service as service
+    import repro.obs.causal as causal
 
     spec = load_serve_spec({
         "name": "exact", "topology": "b4", "seed": 3, "flows": 8,
@@ -88,7 +88,8 @@ def test_a_traced_service_run_exports_the_reference_bytes(monkeypatch):
         "conflict_policy": "serialize", "horizon_ms": 1.0e9,
     })
     fast = run_service(spec)
-    monkeypatch.setattr(service, "CausalTracker", ReferenceCausalTracker)
+    # run_service imports the tracker class when a spec turns causal on.
+    monkeypatch.setattr(causal, "CausalTracker", ReferenceCausalTracker)
     reference = run_service(spec)
     assert len(fast.causal) == 60 and fast.attribution["rows"]
     assert json.dumps(fast.causal) == json.dumps(reference.causal)
